@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test check bench bench6 bench7 bench8 bench9 bench10 bench-all race verify-fuzz timeline serve
+.PHONY: test check bench bench6 bench7 bench8 bench9 bench10 bench-all profile-chain race verify-fuzz timeline serve
 
 test:
 	$(GO) test ./...
@@ -106,6 +106,23 @@ bench10:
 # recorded baseline.
 bench-all:
 	$(GO) test -run NONE -bench=. -benchmem .
+
+# profile-chain attributes the time and bytes of trace collection — the
+# layer the benchmark ledger's chain-stencil and chain-wildcard ops spend
+# most of their time in — to functions, on BenchmarkTraceCollectionOverhead's
+# traced leg (bt, class S, 16 ranks under trace.Collector). CPU and heap
+# profiles, and the test binary they resolve against, land in .profile/, and
+# the top of each is printed. Drill down with
+# `go tool pprof -peek 'trace.demoteToFirst' .profile/repro.test .profile/mem.prof`.
+# The other layers' shares of an op come from the ledger itself:
+# `bash benchmark/run.sh -workload chain-stencil -trace 1`.
+profile-chain:
+	mkdir -p .profile
+	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 \
+		-o .profile/repro.test -outputdir .profile .
+	$(GO) tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 .profile/repro.test .profile/mem.prof
 
 # timeline produces a ready-to-view virtual-time timeline of a 64-rank ring
 # trace run; load the JSON at https://ui.perfetto.dev (or

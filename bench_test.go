@@ -285,6 +285,7 @@ func BenchmarkTraceCollectionOverhead(b *testing.B) {
 	app := apps.ByName("bt")
 	cfg := apps.NewConfig(16, apps.ClassS)
 	b.Run("untraced", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := mpi.Run(16, netmodel.BlueGeneL(), app.Body(cfg)); err != nil {
 				b.Fatal(err)
@@ -292,6 +293,7 @@ func BenchmarkTraceCollectionOverhead(b *testing.B) {
 		}
 	})
 	b.Run("traced", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			col := trace.NewCollector(16)
 			if _, err := mpi.Run(16, netmodel.BlueGeneL(), app.Body(cfg),

@@ -409,15 +409,20 @@ func TestUseAfterFinalizePanics(t *testing.T) {
 	}
 }
 
-// collector gathers a rank's events for hook-layer tests.
+// collector gathers a rank's events for hook-layer tests. ev is the rank's
+// scratch event (see Tracer): the struct is kept by value and the slices it
+// points at are copied.
 type collector struct {
 	mu     *sync.Mutex
 	events *[]Event
 }
 
 func (c collector) Record(ev *Event) {
+	kept := *ev
+	kept.Counts = append([]int(nil), ev.Counts...)
+	kept.Group = append([]int(nil), ev.Group...)
 	c.mu.Lock()
-	*c.events = append(*c.events, *ev)
+	*c.events = append(*c.events, kept)
 	c.mu.Unlock()
 }
 
@@ -599,6 +604,40 @@ func TestMultiTracer(t *testing.T) {
 	mt.Record(&Event{Op: OpSend})
 	if a != 1 || b != 1 {
 		t.Fatalf("multitracer fanout = %d/%d", a, b)
+	}
+}
+
+// TestTracedOpAllocatesNothingInTheHook pins the hook layer's per-event
+// cost: on a call path already seen, the stack walk, the site lookup and the
+// hand-over of the scratch event allocate nothing, and the tracer sees the
+// same *Event every time.
+func TestTracedOpAllocatesNothingInTheHook(t *testing.T) {
+	var first, last *Event
+	var bytes int
+	tr := func(int) Tracer {
+		return recordFunc(func(ev *Event) {
+			if first == nil {
+				first = ev
+			}
+			last = ev
+			bytes += ev.Size
+		})
+	}
+	run(t, 1, netmodel.Ideal(), func(r *Rank) {
+		counts := []int{1, 2}
+		op := func() {
+			r.record(r.enter(), &Event{Op: OpAlltoallv, CommSize: 1, Size: 8, Counts: counts, Root: -1})
+		}
+		op() // symbolizes this call path, once per process
+		if avg := testing.AllocsPerRun(100, op); avg != 0 {
+			t.Errorf("a traced operation on a warm call site allocates %v objects in enter/record, want 0", avg)
+		}
+	}, WithTracer(tr))
+	if first == nil || first != last {
+		t.Fatalf("tracer saw events %p .. %p, want the rank's one scratch event", first, last)
+	}
+	if last.Op != OpFinalize || last.CallSite == 0 || bytes < 8*100 {
+		t.Fatalf("scratch event not refilled per operation: last = %+v, bytes = %d", last, bytes)
 	}
 }
 

@@ -13,6 +13,14 @@ type Rank struct {
 	clock     float64 // virtual microseconds
 	lastOpEnd float64
 	tracer    Tracer
+	// scratch is the Event handed to the tracer, refilled for every traced
+	// operation (see Tracer); allocated on the first one, so untraced ranks
+	// carry only the nil pointer.
+	scratch *Event
+	// sites is this rank's front of the process-wide call-site cache (see
+	// callSite): raw PC hash to signature, filled on the rank's first visit
+	// of each call path. Signatures are process-stable, so it survives reset.
+	sites     map[uint64]uint64
 	finalized bool
 
 	// Allocation arenas: messages, posted receives and requests are carved
@@ -252,7 +260,7 @@ func (r *Rank) enter() entryState {
 		// attached anyway. Walking the stack per operation would cost ~1us
 		// each and sink the profiler's <=5% overhead budget; a profiled but
 		// untraced, unstamped body records site 0 (unattributed) instead.
-		st.site = callSite()
+		st.site = r.callSite()
 	}
 	if r.w.prof != nil {
 		r.curSite = st.site
@@ -279,24 +287,26 @@ func (r *Rank) SetCallSite(site uint64) {
 
 // record finishes an MPI call. ev points at a caller stack local that never
 // escapes through here, so untraced runs — benchmarks, replays,
-// generated-spec executions — allocate nothing per operation; only when a
-// tracer is attached is a heap copy made (and the caller's Counts slice,
-// passed by reference, deep-copied for retention).
+// generated-spec executions — allocate nothing per operation; with a tracer
+// attached it is copied into the rank's scratch event, so traced operations
+// allocate nothing here either. The caller's Counts and Group slices are
+// passed by reference: a tracer that retains them copies them.
 func (r *Rank) record(st entryState, ev *Event) {
 	r.lastOpEnd = r.clock
 	if r.tracer == nil {
 		return
 	}
-	heap := *ev
-	heap.Rank = r.rank
-	heap.CallSite = st.site
-	heap.ComputeUS = st.compute
-	heap.StartUS = st.start
-	heap.EndUS = r.clock
-	if heap.Counts != nil {
-		heap.Counts = append([]int(nil), heap.Counts...)
+	if r.scratch == nil {
+		r.scratch = new(Event)
 	}
-	r.tracer.Record(&heap)
+	s := r.scratch
+	*s = *ev
+	s.Rank = r.rank
+	s.CallSite = st.site
+	s.ComputeUS = st.compute
+	s.StartUS = st.start
+	s.EndUS = r.clock
+	r.tracer.Record(s)
 }
 
 func (r *Rank) checkActive() {

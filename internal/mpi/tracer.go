@@ -70,6 +70,12 @@ const NoPeer = -2
 // Tracer observes every MPI operation a rank performs, in program order.
 // Implementations must be safe for use from the rank's goroutine only; the
 // runtime creates one Tracer per rank.
+//
+// ev points at the rank's scratch event and is valid only during Record:
+// the runtime overwrites it for the rank's next operation, and its Counts
+// and Group slices alias runtime or application storage. A tracer that keeps
+// anything copies it — the struct by value, Counts and Group element by
+// element — before returning.
 type Tracer interface {
 	Record(ev *Event)
 }
@@ -98,28 +104,50 @@ func (m MultiTracer) Record(ev *Event) {
 // run (goroutine spawn wrapper vs event-engine rankProc), and including
 // those frames would give the same source location different signatures
 // under different engines.
-func callSite() uint64 {
+func (r *Rank) callSite() uint64 {
+	// pcs stays on the stack: only the first visit of a call path hands a
+	// copy to the symbolizer, which retains its argument.
 	var pcs [48]uintptr
 	n := runtime.Callers(2, pcs[:])
 
 	// Symbolizing and hashing the frames costs microseconds; with the causal
 	// profiler (or a tracer) attached it would run on every operation of
 	// every rank. A given raw PC array always symbolizes to the same
-	// signature within a process, so memoize on a hash of the PCs — after
-	// the first visit a call site costs one stack walk and one map hit.
-	kh := fnv.New64a()
-	var buf [8]byte
+	// signature within a process, so memoize on an FNV-1a hash of the PCs —
+	// after the first visit a call site costs one stack walk and one hit in
+	// the rank's own map, which no other rank touches.
+	const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
+	key := uint64(fnvOffset64)
 	for _, pc := range pcs[:n] {
-		binary.LittleEndian.PutUint64(buf[:], uint64(pc))
-		kh.Write(buf[:])
+		for i := 0; i < 64; i += 8 {
+			key ^= (uint64(pc) >> i) & 0xff
+			key *= fnvPrime64
+		}
 	}
-	key := kh.Sum64()
-	if site, ok := siteCache.Load(key); ok {
-		return site.(uint64)
+	if site, ok := r.sites[key]; ok {
+		return site
 	}
+	siteCache.RLock()
+	site, ok := siteCache.m[key]
+	siteCache.RUnlock()
+	if !ok {
+		site = symbolizeSite(append([]uintptr(nil), pcs[:n]...))
+		siteCache.Lock()
+		siteCache.m[key] = site
+		siteCache.Unlock()
+	}
+	if r.sites == nil {
+		r.sites = make(map[uint64]uint64)
+	}
+	r.sites[key] = site
+	return site
+}
 
-	frames := runtime.CallersFrames(pcs[:n])
+// symbolizeSite computes the signature of one raw call path.
+func symbolizeSite(pcs []uintptr) uint64 {
+	frames := runtime.CallersFrames(pcs)
 	h := fnv.New64a()
+	var buf [8]byte
 	for {
 		f, more := frames.Next()
 		if strings.HasSuffix(f.Function, "internal/mpi.rankMain") {
@@ -134,16 +162,18 @@ func callSite() uint64 {
 			break
 		}
 	}
-	site := h.Sum64()
-	siteCache.Store(key, site)
-	return site
+	return h.Sum64()
 }
 
-// siteCache memoizes callSite results per raw PC array across all worlds
-// (ranks from concurrently running worlds hit it, hence sync.Map).
-var siteCache sync.Map
+// siteCache memoizes callSite results per raw PC array across all worlds,
+// behind each rank's own front map (Rank.sites): a rank reads it once per
+// call path, and the first rank of the process to get there writes it, so
+// concurrently running worlds share no cache line on the per-operation path.
+var siteCache = struct {
+	sync.RWMutex
+	m map[uint64]uint64
+}{m: make(map[uint64]uint64)}
 
 func isRuntimeFrame(fn string) bool {
-	return strings.Contains(fn, "internal/mpi.(*Rank).") ||
-		strings.HasSuffix(fn, "internal/mpi.callSite")
+	return strings.Contains(fn, "internal/mpi.(*Rank).")
 }

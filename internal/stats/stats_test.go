@@ -317,3 +317,38 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("median = %v, want within [256, 1024]", med)
 	}
 }
+
+// TestHistogramAddEqualsMergeOfOneSample pins the identity the trace builder
+// relies on when it absorbs a leaf that holds a single pending sample: adding
+// the sample leaves the histogram bit-equal to merging a one-sample
+// histogram of it.
+func TestHistogramAddEqualsMergeOfOneSample(t *testing.T) {
+	samples := []float64{-3.5, math.Copysign(0, -1), 0, 1e-9, 0.5, 0.999999, 1, 1.5, 2, 1023.99, 1024,
+		123456.789, 1e18, math.MaxFloat64}
+	check := func(prior []float64, v float64) bool {
+		added, merged := NewHistogram(), NewHistogram()
+		for _, p := range prior {
+			added.Add(p)
+			merged.Add(p)
+		}
+		one := NewHistogram()
+		one.Add(v)
+		added.Add(v)
+		merged.Merge(one)
+		return *added == *merged &&
+			math.Float64bits(added.Sum) == math.Float64bits(merged.Sum) &&
+			math.Float64bits(added.Min) == math.Float64bits(merged.Min) &&
+			math.Float64bits(added.Max) == math.Float64bits(merged.Max)
+	}
+	for _, v := range samples {
+		for _, prior := range [][]float64{nil, {0}, {7.25}, {0.1, 0.2, 0.3}, {1e300, 1e-300}} {
+			if !check(prior, v) {
+				t.Errorf("Add(%g) after %v differs from merging a one-sample histogram", v, prior)
+			}
+		}
+	}
+	f := func(prior []float64, v float64) bool { return check(prior, v) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

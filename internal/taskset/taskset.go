@@ -43,8 +43,10 @@ func (r Run) String() string {
 	}
 }
 
-// Set is an immutable set of ranks held as disjoint, sorted runs.
-// The zero value is the empty set, ready for use.
+// Set is an immutable set of ranks held as disjoint, sorted runs: every
+// run ends below the start of the next, so walking the runs visits the
+// members in ascending order without expanding them. The zero value is the
+// empty set, ready for use.
 type Set struct {
 	runs []Run
 }
@@ -54,8 +56,11 @@ var Empty = Set{}
 
 // Of builds a Set from arbitrary ranks (duplicates are removed).
 func Of(ranks ...int) Set {
-	if len(ranks) == 0 {
+	switch len(ranks) {
+	case 0:
 		return Set{}
+	case 1:
+		return Set{runs: []Run{{Start: ranks[0], Stride: 1, Count: 1}}}
 	}
 	sorted := append([]int(nil), ranks...)
 	sort.Ints(sorted)
@@ -155,16 +160,49 @@ func (s Set) Contains(rank int) bool {
 	return false
 }
 
+// IndexOf returns the position of rank in the ascending member order (its
+// index in Members()) and whether it is a member, without expanding the set.
+func (s Set) IndexOf(rank int) (int, bool) {
+	before := 0
+	for _, r := range s.runs {
+		if rank < r.Start {
+			break
+		}
+		if rank <= r.Last() {
+			if (rank-r.Start)%r.Stride != 0 {
+				break
+			}
+			return before + (rank-r.Start)/r.Stride, true
+		}
+		before += r.Count
+	}
+	return -1, false
+}
+
 // Members expands the set into a sorted slice of ranks.
 func (s Set) Members() []int {
-	out := make([]int, 0, s.Size())
+	return s.appendMembers(make([]int, 0, s.Size()))
+}
+
+func (s Set) appendMembers(out []int) []int {
 	for _, r := range s.runs {
 		for i := 0; i < r.Count; i++ {
 			out = append(out, r.Start+i*r.Stride)
 		}
 	}
-	sort.Ints(out)
 	return out
+}
+
+// containsAll reports whether every member of other is a member of s.
+func (s Set) containsAll(other Set) bool {
+	for _, r := range other.runs {
+		for i := 0; i < r.Count; i++ {
+			if !s.Contains(r.Start + i*r.Stride) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Min returns the smallest member; it panics on the empty set.
@@ -195,9 +233,30 @@ func (s Set) Max() int {
 	return max
 }
 
-// Union returns s ∪ other.
+// Union returns s ∪ other. When one operand already contains the other it
+// is returned as is (sets are immutable), which makes absorbing a set into
+// itself — the trace builder's per-event case — free.
 func (s Set) Union(other Set) Set {
-	return Of(append(s.Members(), other.Members()...)...)
+	if s.containsAll(other) {
+		return s
+	}
+	if other.containsAll(s) {
+		return other
+	}
+	a, b := s.Members(), other.Members()
+	merged := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			merged, a = append(merged, a[0]), a[1:]
+		case a[0] > b[0]:
+			merged, b = append(merged, b[0]), b[1:]
+		default:
+			merged, a, b = append(merged, a[0]), a[1:], b[1:]
+		}
+	}
+	merged = append(append(merged, a...), b...)
+	return fromSortedUnique(merged)
 }
 
 // Intersect returns s ∩ other.
@@ -227,21 +286,36 @@ func (s Set) Add(rank int) Set {
 	if s.Contains(rank) {
 		return s
 	}
-	return Of(append(s.Members(), rank)...)
+	members := s.appendMembers(make([]int, 0, s.Size()+1))
+	at := sort.SearchInts(members, rank)
+	members = append(members, 0)
+	copy(members[at+1:], members[at:])
+	members[at] = rank
+	return fromSortedUnique(members)
 }
 
-// Equal reports whether two sets have identical membership.
+// Equal reports whether two sets have identical membership. It walks the two
+// run lists in step and never expands them, so sets packed into different
+// runs still compare by membership.
 func (s Set) Equal(other Set) bool {
-	a, b := s.Members(), other.Members()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+	var ai, aj, bi, bj int // run index and offset within the run, per side
+	for ai < len(s.runs) && bi < len(other.runs) {
+		ra, rb := s.runs[ai], other.runs[bi]
+		if ra.Start+aj*ra.Stride != rb.Start+bj*rb.Stride {
 			return false
 		}
+		if ra == rb && aj == 0 && bj == 0 {
+			ai, bi = ai+1, bi+1 // identical runs: skip them whole
+			continue
+		}
+		if aj++; aj == ra.Count {
+			ai, aj = ai+1, 0
+		}
+		if bj++; bj == rb.Count {
+			bi, bj = bi+1, 0
+		}
 	}
-	return true
+	return ai == len(s.runs) && bi == len(other.runs)
 }
 
 // String renders the canonical compact form, e.g. "0:6:2,9,12:14".

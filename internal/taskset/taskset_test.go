@@ -267,3 +267,122 @@ func TestPropertyAlgebraLaws(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// modelSets yields a set built three ways from the same draw — Of, a single
+// Range/Strided run, and hand-split runs that pack the Of members as
+// singletons and pairs (a packing Of never produces) — each with its
+// map[int]bool model.
+func modelSets(rng *rand.Rand) ([]Set, []map[int]bool) {
+	model := func(s Set) map[int]bool {
+		m := map[int]bool{}
+		for _, r := range s.runs {
+			for i := 0; i < r.Count; i++ {
+				m[r.Start+i*r.Stride] = true
+			}
+		}
+		return m
+	}
+	ranks := make([]int, rng.Intn(12))
+	for i := range ranks {
+		ranks[i] = rng.Intn(40)
+	}
+	of := Of(ranks...)
+	var split Set
+	members := of.Members()
+	for i := 0; i < len(members); {
+		if i+1 < len(members) && rng.Intn(2) == 0 {
+			split.runs = append(split.runs, Run{Start: members[i], Stride: members[i+1] - members[i], Count: 2})
+			i += 2
+		} else {
+			split.runs = append(split.runs, Run{Start: members[i], Stride: 1, Count: 1})
+			i++
+		}
+	}
+	sets := []Set{
+		of,
+		split,
+		Range(rng.Intn(20), rng.Intn(40)),
+		Strided(rng.Intn(10), 1+rng.Intn(5), rng.Intn(8)),
+	}
+	models := make([]map[int]bool, len(sets))
+	for i, s := range sets {
+		models[i] = model(s)
+	}
+	return sets, models
+}
+
+// TestPropertyRunWalksMatchModel checks the operations that walk runs in
+// place of expanding them — Equal, Union, Add, IndexOf — against a
+// map[int]bool model, across sets whose run packings differ.
+func TestPropertyRunWalksMatchModel(t *testing.T) {
+	sameMembers := func(s Set, m map[int]bool) bool {
+		got := s.Members()
+		if len(got) != len(m) || !sort.IntsAreSorted(got) {
+			return false
+		}
+		for _, v := range got {
+			if !m[v] {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sets, models := modelSets(rng)
+		more, moreModels := modelSets(rng)
+		sets, models = append(sets, more...), append(models, moreModels...)
+		for i, a := range sets {
+			for rank := -1; rank <= 41; rank++ {
+				idx, ok := a.IndexOf(rank)
+				if ok != models[i][rank] || (ok && a.Members()[idx] != rank) || (!ok && idx != -1) {
+					t.Logf("IndexOf(%d) on %v = %d, %v", rank, a, idx, ok)
+					return false
+				}
+				added := map[int]bool{rank: true}
+				for v := range models[i] {
+					added[v] = true
+				}
+				if !sameMembers(a.Add(rank), added) {
+					t.Logf("%v.Add(%d) = %v", a, rank, a.Add(rank))
+					return false
+				}
+			}
+			for j, b := range sets {
+				equal := len(models[i]) == len(models[j])
+				union := map[int]bool{}
+				for v := range models[i] {
+					union[v] = true
+					equal = equal && models[j][v]
+				}
+				for v := range models[j] {
+					union[v] = true
+				}
+				if a.Equal(b) != equal {
+					t.Logf("%v.Equal(%v) = %v", a, b, !equal)
+					return false
+				}
+				if u := a.Union(b); !sameMembers(u, union) || !u.Equal(Of(u.Members()...)) {
+					t.Logf("%v.Union(%v) = %v", a, b, u)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSingletonUnionAndEqualDoNotAllocate(t *testing.T) {
+	a, b := Of(5), Of(5)
+	var u Set
+	var eq bool
+	if n := testing.AllocsPerRun(100, func() { u, eq = a.Union(b), a.Equal(b) }); n != 0 {
+		t.Fatalf("singleton Union+Equal allocate %v objects, want 0", n)
+	}
+	if !eq || !u.Equal(a) {
+		t.Fatalf("Union = %v, Equal = %v", u, eq)
+	}
+}

@@ -35,7 +35,7 @@ func NewCollector(n int) *Collector {
 	}
 	c.comms[0] = world
 	for i := range c.builders {
-		c.builders[i] = NewBuilderWindow(c.window)
+		c.builders[i] = newRecyclingBuilder(c.window)
 	}
 	return c
 }
@@ -46,28 +46,32 @@ func (c *Collector) SetWindow(w int) {
 	c.window = w
 	c.trace = nil
 	for i := range c.builders {
-		c.builders[i] = NewBuilderWindow(w)
+		c.builders[i] = newRecyclingBuilder(w)
 	}
 }
 
 // TracerFor returns the tracer hook for one rank; pass to mpi.WithTracer.
 func (c *Collector) TracerFor(rank int) mpi.Tracer {
-	return &rankTracer{c: c, rank: rank, builder: c.builders[rank]}
+	return &rankTracer{c: c, ranks: taskset.Of(rank), builder: c.builders[rank]}
 }
 
 type rankTracer struct {
-	c       *Collector
-	rank    int
+	c *Collector
+	// ranks is the rank's singleton set, shared by every leaf it records
+	// (sets are immutable).
+	ranks   taskset.Set
 	builder *Builder
 }
 
 // Record converts one runtime event into an RSD leaf and appends it to the
-// rank's compressed stream.
+// rank's compressed stream. ev is the runtime's scratch event: everything
+// kept is copied out of it here.
 func (t *rankTracer) Record(ev *mpi.Event) {
-	r := &RSD{
+	r := t.builder.newLeaf()
+	*r = RSD{
 		Op:       ev.Op,
 		Site:     ev.CallSite,
-		Ranks:    taskset.Of(t.rank),
+		Ranks:    t.ranks,
 		CommID:   ev.CommID,
 		CommSize: ev.CommSize,
 		Tag:      ev.Tag,

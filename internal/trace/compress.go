@@ -27,17 +27,41 @@ type Builder struct {
 	rankSensitive bool
 
 	// nodeAt maps a node hash to the positions currently holding a node
-	// with that hash (fold case B candidates). Entries go stale when folds
-	// truncate or rewrite the tail; lookups re-validate against the live
-	// sequence and maybePrune drops dead entries periodically.
-	nodeAt map[uint64][]int32
+	// with that hash (fold case B candidates), as the head of a chain in
+	// links. Entries go stale when folds truncate or rewrite the tail;
+	// lookups re-validate against the live sequence and maybePrune rebuilds
+	// the index periodically.
+	nodeAt map[uint64]int32
 	// tailAt maps a loop's body-tail hash to the loop's position (fold
-	// case A candidates). A loop's body-tail hash never changes when the
-	// loop is extended, so entries stay valid as long as the loop does.
-	tailAt     map[uint64][]int32
+	// case A candidates), chained the same way. A loop's body-tail hash
+	// never changes when the loop is extended, so entries stay valid as
+	// long as the loop does.
+	tailAt map[uint64]int32
+	// links stores both maps' position chains in one slice, so indexing a
+	// position — every Append, and every extension of a loop, whose hash
+	// changes with its iteration count — allocates nothing once the slice
+	// has grown to the prune interval. A chain reference is the link's
+	// index plus one; zero ends the chain.
+	links      []posLink
 	sincePrune int
 	// wscratch is reusable storage for candidate window lengths.
 	wscratch []int
+
+	// recycle marks a builder that owns every leaf appended to it — they
+	// all came from its newLeaf, as in a Collector's per-rank builders. Once
+	// a fold has absorbed a tail window nothing references that window's
+	// leaves any more, so they go to free and carry the next events; a
+	// loop being extended then allocates no RSDs at all. Builders fed nodes
+	// their caller still references (Algorithm 1's global builder, which
+	// receives merged group sequences, and the tests' hand-built streams)
+	// leave it off.
+	recycle bool
+	free    []*RSD
+}
+
+// posLink is one entry of a tail-index chain.
+type posLink struct {
+	pos, next int32
 }
 
 // DefaultMaxWindow is the default bound on detected loop-body lengths.
@@ -78,6 +102,40 @@ func NewGlobalBuilder(w int) *Builder {
 	return &Builder{maxWindow: w, rankSensitive: true}
 }
 
+// newRecyclingBuilder returns a Builder for a stream whose leaves all come
+// from newLeaf.
+func newRecyclingBuilder(w int) *Builder { return &Builder{maxWindow: w, recycle: true} }
+
+// newLeaf returns the RSD for the stream's next event: one a fold released,
+// if any. The caller overwrites every field before appending it.
+func (b *Builder) newLeaf() *RSD {
+	if n := len(b.free); n > 0 {
+		r := b.free[n-1]
+		b.free = b.free[:n-1]
+		return r
+	}
+	return new(RSD)
+}
+
+// release recycles the leaves of a window a fold has just absorbed. They
+// are zeroed on the way in: the free list must not pin their slices and
+// histograms, and a leaf that were still reachable after all would show as
+// an OpNone event instead of silently aliasing a later one.
+func (b *Builder) release(window []Node) {
+	if !b.recycle {
+		return
+	}
+	for _, n := range window {
+		switch x := n.(type) {
+		case *RSD:
+			*x = RSD{}
+			b.free = append(b.free, x)
+		case *Loop:
+			b.release(x.Body)
+		}
+	}
+}
+
 // Append adds a node to the sequence and compresses the tail.
 func (b *Builder) Append(n Node) {
 	b.seq = append(b.seq, n)
@@ -105,16 +163,26 @@ func (b *Builder) index(pos int, n Node) {
 		return
 	}
 	if b.nodeAt == nil {
-		b.nodeAt = make(map[uint64][]int32)
-		b.tailAt = make(map[uint64][]int32)
+		b.nodeAt = make(map[uint64]int32)
+		b.tailAt = make(map[uint64]int32)
 	}
-	h := n.Hash() // eagerly caches leaf hashes
-	b.nodeAt[h] = append(b.nodeAt[h], int32(pos))
+	b.indexNodeHash(pos, n)
 	if lp, ok := n.(*Loop); ok && len(lp.Body) > 0 {
-		th := lp.Body[len(lp.Body)-1].Hash()
-		b.tailAt[th] = append(b.tailAt[th], int32(pos))
+		b.link(b.tailAt, lp.Body[len(lp.Body)-1].Hash(), pos)
 	}
+}
+
+// indexNodeHash records n's current hash at pos without touching the
+// body-tail index (all an in-place loop extension needs).
+func (b *Builder) indexNodeHash(pos int, n Node) {
+	b.link(b.nodeAt, n.Hash(), pos)
 	b.sincePrune++
+}
+
+// link pushes pos onto h's chain in m.
+func (b *Builder) link(m map[uint64]int32, h uint64, pos int) {
+	b.links = append(b.links, posLink{pos: int32(pos), next: m[h]})
+	m[h] = int32(len(b.links))
 }
 
 // foldOnce attempts a single fold at the tail, returning true if the
@@ -142,11 +210,10 @@ func (b *Builder) foldOnce() bool {
 		}
 		ws = append(ws, w)
 	}
-	for _, p := range b.nodeAt[lastHash] {
-		addCandidate(p)
-	}
-	for _, p := range b.tailAt[lastHash] {
-		addCandidate(p)
+	for _, head := range [...]int32{b.nodeAt[lastHash], b.tailAt[lastHash]} {
+		for at := head; at != 0; at = b.links[at-1].next {
+			addCandidate(b.links[at-1].pos)
+		}
 	}
 	// Ascending window order, matching the probe loop's preference for the
 	// shortest repeat.
@@ -168,6 +235,7 @@ func (b *Builder) foldOnce() bool {
 				lp.Iters++
 				lp.invalidate()
 				ctrFolds.Inc()
+				b.release(b.seq[L-w:])
 				b.seq = b.seq[:L-w]
 				// The loop's own hash changed with its iteration count;
 				// re-index it under the new hash (its body-tail entry is
@@ -191,6 +259,7 @@ func (b *Builder) foldOnce() bool {
 			}
 			loop := &Loop{Iters: 2, Body: body}
 			ctrFolds.Inc()
+			b.release(b.seq[L-w:])
 			b.seq = append(b.seq[:L-2*w], loop)
 			b.index(L-2*w, loop)
 			return true
@@ -199,63 +268,22 @@ func (b *Builder) foldOnce() bool {
 	return false
 }
 
-// indexNodeHash records n's current hash at pos without touching the
-// body-tail index (used after in-place loop extension).
-func (b *Builder) indexNodeHash(pos int, n Node) {
-	h := n.Hash()
-	b.nodeAt[h] = append(b.nodeAt[h], int32(pos))
-	b.sincePrune++
-}
-
 // maybePrune drops index entries that no longer describe the live sequence.
 // Entries are only ever superseded (their position truncated away or
-// rewritten by a fold, both of which re-index the new content), so pruning
-// is purely a size bound and never loses a live candidate.
+// rewritten by a fold, both of which re-index the new content), so the live
+// ones are exactly what indexing the current sequence afresh produces;
+// pruning is purely a size bound and never loses a live candidate.
 func (b *Builder) maybePrune() {
 	if b.maxWindow < 1 || b.sincePrune < 4*b.maxWindow+64 {
 		return
 	}
+	clear(b.nodeAt)
+	clear(b.tailAt)
+	b.links = b.links[:0]
+	for pos, n := range b.seq {
+		b.index(pos, n)
+	}
 	b.sincePrune = 0
-	L := len(b.seq)
-	for h, ps := range b.nodeAt {
-		live := ps[:0]
-		for _, p := range ps {
-			if int(p) < L && b.seq[p].Hash() == h && !contains32(live, p) {
-				live = append(live, p)
-			}
-		}
-		if len(live) == 0 {
-			delete(b.nodeAt, h)
-		} else {
-			b.nodeAt[h] = live
-		}
-	}
-	for h, ps := range b.tailAt {
-		live := ps[:0]
-		for _, p := range ps {
-			if int(p) >= L {
-				continue
-			}
-			lp, ok := b.seq[p].(*Loop)
-			if ok && len(lp.Body) > 0 && lp.Body[len(lp.Body)-1].Hash() == h && !contains32(live, p) {
-				live = append(live, p)
-			}
-		}
-		if len(live) == 0 {
-			delete(b.tailAt, h)
-		} else {
-			b.tailAt[h] = live
-		}
-	}
-}
-
-func contains32(ps []int32, p int32) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }
 
 // demoteFirstIteration recursively moves a node's pooled compute samples

@@ -252,17 +252,8 @@ func combineClasses(seqs [][]Node, left, right []*mergeClass) []*mergeClass {
 // Unifiable sequences therefore always hash equal; collisions are resolved
 // by mergeCompatible.
 func mergeSignature(seq []Node) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 64; i += 8 {
-			h ^= (v >> i) & 0xff
-			h *= prime64
-		}
-	}
+	h := uint64(fnvOffset64)
+	mix := func(v uint64) { h = fnvMix(h, v) }
 	var walk func(ns []Node)
 	walk = func(ns []Node) {
 		mix(uint64(len(ns)))

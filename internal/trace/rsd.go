@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"repro/internal/mpi"
 	"repro/internal/stats"
@@ -210,8 +209,14 @@ func (r *RSD) ComputeMean() float64 {
 // mergeComputeFrom pools src's compute-time observations into r
 // (steady-state and first-iteration pools separately).
 func (r *RSD) mergeComputeFrom(src *RSD) {
-	if src.Compute != nil || src.hasSample {
+	switch {
+	case src.Compute != nil:
 		r.ComputeStats().Merge(src.ComputeStats())
+	case src.hasSample:
+		// A leaf still holding only its collection-time sample — every
+		// event a fold absorbs. Adding the sample leaves r bit-equal to
+		// merging a one-sample histogram of it, without building one.
+		r.ComputeStats().Add(src.sample)
 	}
 	if src.FirstCompute != nil && !src.FirstCompute.Empty() {
 		if r.FirstCompute == nil {
@@ -267,11 +272,8 @@ type PeerIndexer interface {
 // mpi.NoPeer for peerless operations.
 func (r *RSD) PeerFor(worldRank int, idx PeerIndexer) int {
 	if r.Peer.Kind == ParamVec {
-		members := r.Ranks.Members()
-		for i, w := range members {
-			if w == worldRank && i < len(r.PeerVec) {
-				return r.PeerVec[i]
-			}
+		if i, ok := r.Ranks.IndexOf(worldRank); ok && i < len(r.PeerVec) {
+			return r.PeerVec[i]
 		}
 		return mpi.NoPeer
 	}
@@ -308,24 +310,35 @@ func (r *RSD) Hash() uint64 {
 	if r.hashSet {
 		return r.hash
 	}
-	h := fnv.New64a()
-	write := func(vs ...int) {
-		var buf [8]byte
+	h := uint64(fnvOffset64)
+	for _, v := range [...]int{int(r.Op), int(r.Site), r.CommID, r.CommSize,
+		int(r.Peer.Kind), r.Peer.Value, boolInt(r.Wildcard),
+		r.Tag, r.Size, r.Root, r.NewCommID, len(r.Counts), len(r.Group), len(r.PeerVec)} {
+		h = fnvMix(h, uint64(v))
+	}
+	for _, vs := range [...][]int{r.Counts, r.Group, r.PeerVec} {
 		for _, v := range vs {
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(v >> (8 * i))
-			}
-			h.Write(buf[:])
+			h = fnvMix(h, uint64(v))
 		}
 	}
-	write(int(r.Op), int(r.Site), r.CommID, r.CommSize,
-		int(r.Peer.Kind), r.Peer.Value, boolInt(r.Wildcard),
-		r.Tag, r.Size, r.Root, r.NewCommID, len(r.Counts), len(r.Group), len(r.PeerVec))
-	write(r.Counts...)
-	write(r.Group...)
-	write(r.PeerVec...)
-	r.hash, r.hashSet = h.Sum64(), true
+	r.hash, r.hashSet = h, true
 	return r.hash
+}
+
+// FNV-1a, 64 bit: the node hashes and the merge signature are the hash/fnv
+// digest of their fields as 8-byte little-endian words, computed inline.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvMix folds the eight little-endian bytes of v into the FNV-1a state h.
+func fnvMix(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h ^= (v >> i) & 0xff
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Hash implements Node.
@@ -333,20 +346,12 @@ func (l *Loop) Hash() uint64 {
 	if l.hashSet {
 		return l.hash
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(0x10097) // loop marker
-	put(uint64(l.Iters))
+	h := fnvMix(fnvOffset64, 0x10097) // loop marker
+	h = fnvMix(h, uint64(l.Iters))
 	for _, b := range l.Body {
-		put(b.Hash())
+		h = fnvMix(h, b.Hash())
 	}
-	l.hash, l.hashSet = h.Sum64(), true
+	l.hash, l.hashSet = h, true
 	return l.hash
 }
 
