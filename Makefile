@@ -7,8 +7,10 @@ test:
 
 # check is the pre-commit gate: static analysis, the race detector over the
 # concurrent subsystems — the parallel trace pipeline, the simulated MPI
-# transport (the discrete-event scheduler's token handoff and the goroutine
-# runtime's atomic combining barrier), the compiled coNCePTuaL interpreter,
+# transport (the discrete-event scheduler's driver/rank coroutine switches,
+# raced at -cpu 1,2 so both the single-P and the idle-second-P paths run, and
+# the goroutine runtime's atomic combining barrier), the compiled coNCePTuaL
+# interpreter,
 # the harness worker pool, the telemetry registry and the benchd service —
 # the differential suite that pins the event engine, the goroutine runtime
 # and the reference collectives to bit-identical traces and clocks, also
@@ -16,7 +18,8 @@ test:
 # decoder.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/trace/... ./internal/mpi/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
+	$(GO) test -race -cpu 1,2 ./internal/mpi/...
+	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
 	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestRunPoolConcurrentDeterminism' .
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' .
@@ -110,15 +113,18 @@ bench-all:
 # profile-chain attributes the time and bytes of trace collection — the
 # layer the benchmark ledger's chain-stencil and chain-wildcard ops spend
 # most of their time in — to functions, on BenchmarkTraceCollectionOverhead's
-# traced leg (bt, class S, 16 ranks under trace.Collector). CPU and heap
-# profiles, and the test binary they resolve against, land in .profile/, and
-# the top of each is printed. Drill down with
+# traced leg (bt, class S, 16 ranks under trace.Collector), at -cpu 2 — the
+# ledger's GOMAXPROCS — whatever the host has. CPU and heap profiles, and the
+# test binary they resolve against, land in .profile/, and the top of each is
+# printed. Drill down with
 # `go tool pprof -peek 'trace.demoteToFirst' .profile/repro.test .profile/mem.prof`.
 # The other layers' shares of an op come from the ledger itself:
-# `bash benchmark/run.sh -workload chain-stencil -trace 1`.
+# `bash benchmark/run.sh -workload chain-stencil -trace 1`. What the engine
+# itself costs per rank switch, and whether that depends on GOMAXPROCS:
+# `go test -run NONE -bench 'BenchmarkRunWorld/fast|BenchmarkRankSwitch' -cpu 1,2 . ./internal/mpi`.
 profile-chain:
 	mkdir -p .profile
-	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem \
+	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem -cpu 2 \
 		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 \
 		-o .profile/repro.test -outputdir .profile .
 	$(GO) tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof

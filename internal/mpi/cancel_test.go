@@ -293,3 +293,181 @@ func TestRunContextUncancelledIsHarmless(t *testing.T) {
 		t.Fatalf("PerRankUS has %d entries, want 4", len(res.PerRankUS))
 	}
 }
+
+// TestFinishedRunIsNotReportedCancelled pins the outcome rule both body kinds
+// share: a run whose every rank finished returns its result, whatever the
+// context or the timer did meanwhile. The last rank to finish cancels the
+// context as its final statement (it has already finalized, so no
+// cancellation point is left on any rank); Run's watcher may or may not have
+// seen the cancellation by the time the run queue drains, and either way the
+// run completed.
+func TestFinishedRunIsNotReportedCancelled(t *testing.T) {
+	const n = 4
+	for _, eng := range []*Engine{nil, NewEngine()} {
+		var opts []Option
+		if eng != nil {
+			opts = append(opts, WithEngine(eng))
+		}
+		for i := 0; i < 100; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			finished := 0 // one rank runs at a time
+			res, err := Run(n, netmodel.Ideal(), func(r *Rank) {
+				cleanBody(r)
+				r.Finalize()
+				if finished++; finished == n {
+					cancel()
+				}
+			}, append(opts, WithContext(ctx))...)
+			cancel()
+			if err != nil {
+				t.Fatalf("pooled=%v run %d: every rank finished, yet Run returned %v", eng != nil, i, err)
+			}
+			if len(res.PerRankUS) != n {
+				t.Fatalf("result has %d ranks, want %d", len(res.PerRankUS), n)
+			}
+		}
+		if eng != nil {
+			eng.Close()
+		}
+	}
+}
+
+// TestPooledWorldPanicThenReuse: a rank body panics on a pooled world — its
+// peers are left parked in a collective and are unwound — and the same world
+// then serves clean runs whose clocks equal a cold world's bit for bit.
+func TestPooledWorldPanicThenReuse(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewEngine()
+
+	_, err := Run(8, netmodel.Ideal(), func(r *Rank) {
+		r.Barrier(r.World())
+		if r.Rank() == 3 {
+			panic("boom")
+		}
+		r.Allreduce(r.World(), 8)
+	}, WithEngine(eng))
+	if err == nil || !strings.Contains(err.Error(), "rank 3 panicked: boom") {
+		t.Fatalf("pooled run error = %v, want rank 3's panic", err)
+	}
+
+	want, err := Run(8, netmodel.Ideal(), cleanBody)
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		got, err := Run(8, netmodel.Ideal(), cleanBody, WithEngine(eng))
+		if err != nil {
+			t.Fatalf("pooled run %d after panic: %v", pass, err)
+		}
+		for i := range want.PerRankUS {
+			if got.PerRankUS[i] != want.PerRankUS[i] {
+				t.Errorf("pass %d rank %d clock %v after panic, want %v",
+					pass, i, got.PerRankUS[i], want.PerRankUS[i])
+			}
+		}
+	}
+
+	eng.Close()
+	waitForGoroutines(t, base)
+}
+
+// TestCancelledBeforeStartLeavesNoGoroutines covers cancellation that lands
+// before any rank has run: a context cancelled before Run is refused without
+// building (or acquiring) a world, and one cancelled while the world is being
+// set up — here from the tracer factory, after the coroutines of a pooled
+// world already exist — finds ranks that have not started. Both leave the
+// goroutine count where it was, on one-shot and pooled worlds.
+func TestCancelledBeforeStartLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewEngine()
+	if _, err := Run(8, netmodel.Ideal(), cleanBody, WithEngine(eng)); err != nil {
+		t.Fatalf("pooled warm-up run: %v", err)
+	}
+	for _, pooled := range []bool{false, true} {
+		var opts []Option
+		if pooled {
+			opts = append(opts, WithEngine(eng))
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := Run(8, netmodel.Ideal(), cleanBody, append(opts, WithContext(ctx))...)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pooled=%v: pre-cancelled Run error %v does not wrap context.Canceled", pooled, err)
+		}
+
+		ctx, cancel = context.WithCancel(context.Background())
+		_, err = Run(8, netmodel.Ideal(), foreverBody, append(opts, WithContext(ctx),
+			WithTimeout(30*time.Second), WithTracer(func(int) Tracer {
+				cancel()
+				return nil
+			}))...)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pooled=%v: Run cancelled during setup returned %v", pooled, err)
+		}
+		if !pooled {
+			waitForGoroutines(t, base+8) // only the pooled world's parked ranks remain
+		}
+	}
+	eng.Close()
+	waitForGoroutines(t, base)
+}
+
+// TestTeardownRunsApplicationDefers pins how a coroutine rank leaves a run
+// that is torn down under it: by unwinding its own stack, so the
+// application's deferred calls run — whether the rank was parked in a
+// receive, parked in a collective or had not yet blocked when the world was
+// poisoned, and whether a cancellation or a proven deadlock poisoned it.
+func TestTeardownRunsApplicationDefers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewEngine()
+	for _, pooled := range []bool{false, true} {
+		var opts []Option
+		if pooled {
+			opts = append(opts, WithEngine(eng))
+		}
+		var deferred [4]bool
+
+		// Rank 0 parks in a receive nobody sends to and 1 in a barrier nobody
+		// else joins; 2 and 3 keep exchanging messages, so the run neither
+		// completes nor deadlocks.
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			cancel()
+		}()
+		_, err := Run(4, netmodel.Ideal(), func(r *Rank) {
+			defer func() { deferred[r.Rank()] = true }()
+			switch w := r.World(); r.Rank() {
+			case 0:
+				r.Recv(w, 1, 7, 8)
+			case 1:
+				r.Barrier(w)
+			default:
+				for i := 0; ; i++ {
+					r.Sendrecv(w, 5-r.Rank(), i, 8, 5-r.Rank(), i, 8)
+				}
+			}
+		}, append(opts, WithContext(ctx), WithTimeout(30*time.Second))...)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pooled=%v: Run error %v does not wrap context.Canceled", pooled, err)
+		}
+		if deferred != [4]bool{true, true, true, true} {
+			t.Errorf("pooled=%v: defers run after cancellation: %v, want all", pooled, deferred)
+		}
+
+		deferred = [4]bool{}
+		_, err = Run(4, netmodel.Ideal(), func(r *Rank) {
+			defer func() { deferred[r.Rank()] = true }()
+			blockedBody(r)
+		}, opts...)
+		if err == nil || !strings.Contains(err.Error(), "deadlock detected") {
+			t.Fatalf("pooled=%v: Run error = %v, want deadlock detection", pooled, err)
+		}
+		if deferred != [4]bool{true, true, true, true} {
+			t.Errorf("pooled=%v: defers run after deadlock: %v, want all", pooled, deferred)
+		}
+	}
+	eng.Close()
+	waitForGoroutines(t, base)
+}

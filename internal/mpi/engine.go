@@ -21,7 +21,7 @@ import (
 // What survives between runs: the rank array (with its grown allocation
 // arenas), the mailboxes (with their per-source indexes and grown queue
 // capacities), the scheduler's run-queue slab, the stackless cursors, and —
-// for coroutine bodies — the parked rank goroutines with their grown stacks.
+// for coroutine bodies — the parked rank coroutines with their grown stacks.
 // What a reset clears is exactly the per-run state, so results are
 // bit-identical to a fresh world (the pooled-determinism test pins this
 // across every kernel).
@@ -78,8 +78,8 @@ func NewEngine() *Engine {
 	return g
 }
 
-// Close empties every shard and stops every cached world's persistent rank
-// goroutines. The engine remains usable — subsequent runs simply build cold
+// Close empties every shard and retires every cached world's rank
+// coroutines. The engine remains usable — subsequent runs simply build cold
 // and are not re-cached — so a racing Run never observes a closed pool as
 // an error.
 func (g *Engine) Close() {
@@ -98,7 +98,7 @@ func (g *Engine) Close() {
 		s.mu.Unlock()
 	}
 	for _, pw := range all {
-		pw.w.sched.stopPersistent()
+		pw.w.sched.retire()
 	}
 }
 
@@ -111,22 +111,15 @@ func (g *Engine) isClosed() bool {
 
 // run executes one pooled run: exactly one of body (coroutine ranks) or
 // progFor (stackless cursors) is non-nil. The same pooled world serves
-// either representation — cursors and rank goroutines coexist, parked,
+// either representation — cursors and rank coroutines coexist, parked,
 // and only the representation the run uses is touched.
 func (g *Engine) run(n int, model *netmodel.Model, body func(*Rank),
 	progFor func(rank int) OpStream, cfg *config) (*Result, error) {
 	pw := g.acquire(n, model, cfg)
-	var res *Result
-	var err error
-	if progFor != nil {
-		res, err = runStackless(pw.w, cfg, pw.ranks, progFor)
-	} else {
-		pw.w.sched.spawnPersistent()
-		res, err = runEvent(pw.w, cfg, pw.ranks, body)
-	}
-	// runEvent and runStackless return only after the world quiesced (every
-	// rank parked or unwound) in all outcomes — success, panic, cancel,
-	// timeout, deadlock — so the world is always safe to re-pool.
+	res, err := runEvent(pw.w, cfg, pw.ranks, body, progFor)
+	// runEvent returns only after the world quiesced (every rank finished or
+	// unwound) in all outcomes — success, panic, cancel, timeout, deadlock —
+	// so the world is always safe to re-pool.
 	g.release(pw)
 	return res, err
 }
@@ -224,7 +217,7 @@ func (s *engineShard) popLocked(n int) *pooledWorld {
 func (g *Engine) release(pw *pooledWorld) {
 	n := pw.w.n
 	if g.isClosed() || n > g.maxRanks {
-		pw.w.sched.stopPersistent()
+		pw.w.sched.retire()
 		return
 	}
 	// Reserve the budget first so concurrent releases each see their own
@@ -238,7 +231,7 @@ func (g *Engine) release(pw *pooledWorld) {
 		if old == nil {
 			break
 		}
-		old.w.sched.stopPersistent()
+		old.w.sched.retire()
 	}
 	ns := len(g.shards)
 	start := int(g.rr.Add(1)-1) % ns
@@ -314,9 +307,10 @@ func (g *Engine) cachedWorlds() map[int]int {
 }
 
 // reset prepares a pooled world for its next run. Only called between runs,
-// after the previous run fully quiesced: every write here is ordered before
-// the ranks' reads by the first dispatch's token send (coroutine runs) or by
-// same-goroutine program order (stackless runs).
+// after the previous run fully quiesced, by the goroutine that will drive the
+// next one: every write here is ordered before the ranks' reads by the
+// driver's first switch into each coroutine, or — for cursors — by program
+// order.
 func (pw *pooledWorld) reset(model *netmodel.Model, cfg *config) {
 	w := pw.w
 	w.model = model

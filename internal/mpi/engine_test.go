@@ -109,3 +109,30 @@ func TestEngineCloseRemainsUsable(t *testing.T) {
 		t.Errorf("engine cached %d ranks across %d classes after Close", total, len(classes))
 	}
 }
+
+// TestEngineRetiresParkedRanks pins the lifetime of a pooled world's rank
+// coroutines, which park between runs: the world the rank budget evicts gives
+// its ranks back at once, the rest go with Close.
+func TestEngineRetiresParkedRanks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewEngine()
+	eng.maxRanks = 24
+
+	if _, err := Run(16, netmodel.Ideal(), cleanBody, WithEngine(eng)); err != nil {
+		t.Fatalf("run at 16 ranks: %v", err)
+	}
+	if got := runtime.NumGoroutine(); got < base+16 {
+		t.Fatalf("%d goroutines with a 16-rank world cached, want its ranks parked (base %d)", got, base)
+	}
+	// Releasing a 12-rank world overflows the budget and evicts the larger one.
+	if _, err := Run(12, netmodel.Ideal(), cleanBody, WithEngine(eng)); err != nil {
+		t.Fatalf("run at 12 ranks: %v", err)
+	}
+	if classes := eng.cachedWorlds(); classes[16] != 0 || classes[12] != 1 {
+		t.Fatalf("cached classes %v, want only the 12-rank world", classes)
+	}
+	waitForGoroutines(t, base+12)
+
+	eng.Close()
+	waitForGoroutines(t, base)
+}

@@ -219,8 +219,8 @@ type anyCand struct {
 // goroutine runtime every operation serializes on the mutex and blocking
 // waits park on the condition variable. Under the event engine (seq
 // non-nil) at most one rank executes at a time, so the same structures are
-// used with no locking at all: blocking waits hand the execution token to
-// the scheduler, and the operations that satisfy them (a matching deposit,
+// used with no locking at all: blocking waits return control to the
+// scheduler's driver, and the operations that satisfy them (a matching deposit,
 // a credit-releasing drain) push the waiter back onto the run queue.
 //
 // The per-source index is an int32 slice (0 = no state yet, else slot
@@ -546,7 +546,7 @@ func (mb *mailbox) anyPop() {
 // match depends on one specific sender rather than the whole communicator,
 // so the deposit rarely lands within a scheduler rotation and speculative
 // yields only add lock round-trips. Under the event engine the receiver
-// hands the execution token away and the matching deposit wakes it; wakes
+// returns control to the driver and the matching deposit wakes it; wakes
 // may be spurious (any activity on this rank's structures), hence the loop.
 func (mb *mailbox) awaitMatch(p *postedRecv) {
 	if mb.seq != nil {

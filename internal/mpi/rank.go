@@ -55,7 +55,7 @@ type Rank struct {
 	// receiver back to this rank when it is parked as a creditWaiter (event
 	// engine only): cwResume is the drain clock that freed the stall. Both
 	// are written by the releasing rank and read here, ordered by the
-	// scheduler's token handoff.
+	// scheduler's driver ↔ rank switches.
 	cwDone   bool
 	cwResume float64
 	// cwFrom is the world rank of the receiver whose drain released this

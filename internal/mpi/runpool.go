@@ -9,8 +9,8 @@ import (
 // This file is the multi-P throughput layer: a work-stealing pool of worker
 // goroutines ("worker Ps") that drive whole simulated worlds to completion.
 // A single world is deliberately single-threaded — the discrete-event
-// engine's determinism argument (DESIGN.md §11) rests on one execution token
-// per world — so the only parallelism this package offers is across worlds:
+// engine's determinism argument (DESIGN.md §11) rests on one driver stepping
+// one rank at a time per world — so the only parallelism this package offers is across worlds:
 // N workers, each running one world at a time, pulling work from a shared
 // injection queue and per-worker deques with stealing. Aggregate throughput
 // (worlds/sec, the unit benchd and experiment batches are measured in) then

@@ -1,95 +1,93 @@
+//go:build go1.23
+
 package mpi
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
+	"time"
 )
 
 // This file is the discrete-event engine: the default scheduler behind
-// World.Run. Each rank's body still executes on its own goroutine — Go has
-// no other way to keep an arbitrary imperative body's continuation alive —
-// but the goroutines are coroutines, not concurrent processes: a single
-// execution token moves between them, so at most one rank runs at any
-// instant and the Go scheduler never sees more than one runnable rank.
+// World.Run and RunStackless. One driver loop, on Run's own goroutine, pops
+// the next runnable rank off the run queue and steps it until it blocks or
+// finishes. A rank is one of two things to step: a stackless cursor (see
+// stackless.go), advanced by a plain method call, or — for an arbitrary
+// imperative body, whose continuation has to live on a stack — a runtime
+// coroutine (iter.Pull), resumed with next() and parked again by the yield
+// inside block. Either way at most one rank runs at any instant and
+// control always comes back to the driver before the next rank is chosen.
 // Every blocking primitive (receive match, flow-control credit, collective
-// rendezvous) becomes an event-queue interaction instead of a mutex/cond
-// park: the blocking rank registers itself with the structure it waits on
-// and hands the token to the run queue; the rank that satisfies the wait
-// pushes the waiter back onto the run queue. The run queue is a binary
-// min-heap keyed on (virtual clock, rank), so execution advances in
-// virtual-time order with a fixed tie-break — which makes the engine fully
-// deterministic, including wildcard-receive matching, where the goroutine
-// runtime depends on physical arrival order.
+// rendezvous) is an event-queue interaction instead of a mutex/cond park:
+// the blocking rank registers itself with the structure it waits on and
+// returns to the driver; the rank that satisfies the wait pushes the waiter
+// back onto the run queue. The run queue is a min-heap keyed on (virtual
+// clock, rank), so execution advances in virtual-time order with a fixed
+// tie-break — which makes the engine fully deterministic, including
+// wildcard-receive matching, where the goroutine runtime depends on
+// physical arrival order.
 //
-// The payoff over the goroutine runtime is the removal of every
-// parked-thread wakeup, mutex handoff and condvar broadcast storm from the
-// hot path (one channel send/receive pair per context switch, nothing
-// else), which is what lets one process simulate hundreds of thousands of
-// ranks. A second payoff is exact deadlock detection: when the run queue
-// empties while live ranks remain parked, no future deposit, drain or
-// collective completion can ever occur, and the engine reports the
-// deadlock immediately instead of waiting out the wall-clock timeout.
+// A coroutine switch is a direct goroutine-to-goroutine transfer on the
+// current thread: it never enters the Go scheduler, readies nothing and
+// wakes no idle P, so a run costs the same whatever GOMAXPROCS is (a
+// channel handoff between rank goroutines, which this replaced, woke a
+// parked OS thread through a futex whenever a second P sat idle). That, and
+// the absence of any mutex handoff or condvar broadcast, is what lets one
+// process simulate hundreds of thousands of ranks. A second payoff is exact
+// deadlock detection: when the run queue empties while live ranks remain
+// parked, no future deposit, drain or collective completion can ever occur,
+// and the driver reports the deadlock immediately instead of waiting out
+// the wall-clock timeout.
 //
-// Memory-model note: the execution token is a per-rank buffered channel.
-// Every transfer of shared state between two rank goroutines is separated
-// by at least one token send/receive on that chain, so all accesses are
-// ordered by channel happens-before edges and the engine is clean under
-// the race detector without a single mutex.
+// Memory-model note: all engine state is touched either by the driver or by
+// the one rank it has switched to, never by both at once, and every
+// driver ↔ rank switch is a synchronisation point (iter.Pull brackets each
+// with a release/acquire pair the race detector sees). A pooled world may be
+// driven from a different goroutine on each run, but never from two at
+// once. So the engine is race-free without a single mutex; the only
+// cross-goroutine signal is the stop latch the watcher trips, an atomic.
 
-// rankState tracks where each rank's goroutine is with respect to the
-// execution token.
+// rankState tracks where each rank is with respect to the driver.
 type rankState uint8
 
 const (
-	// rsRunnable: in the run queue (or about to be started), parked on its
-	// resume channel waiting for the token.
+	// rsRunnable: in the run queue (or about to be seeded into it).
 	rsRunnable rankState = iota
-	// rsRunning: holds the token and is executing body code.
+	// rsRunning: the driver has switched to it (or is stepping its cursor).
 	rsRunning
 	// rsBlocked: parked on a transport or collective wait; not in the run
 	// queue. Only a wake moves it back to rsRunnable.
 	rsBlocked
-	// rsDone: body returned or unwound; the goroutine has exited (or is
-	// about to).
+	// rsDone: body returned or unwound.
 	rsDone
 )
 
-// eventLoop is the engine's shared state. All fields except the channels
-// are touched only by whichever goroutine holds the execution token (or by
-// Run's goroutine before the first dispatch / after the stalled signal),
-// so none of them need locks.
+// eventLoop is the engine's shared state. See the memory-model note above
+// for why none of it needs locks.
 type eventLoop struct {
 	ranks []Rank
 	stop  *runStop
 
-	// body is the rank body for the current run, shared by every rank. It is
-	// written by Run's goroutine before the first dispatch and read by rank
-	// goroutines only after receiving a token, so the write is ordered by the
-	// token chain. Holding it here (rather than closing over it per spawn) is
-	// what lets persistent rank goroutines outlive a single run.
+	// body is the rank body of the current run when its ranks are coroutines,
+	// nil when they are cursors: it is what drive consults to pick how a rank
+	// is stepped. Holding it here (rather than closing over it per coroutine)
+	// is what lets a pooled world's coroutines outlive a single run.
 	body func(*Rank)
 
-	// persistent marks an engine whose rank goroutines survive across runs
-	// (world pooling): rankLoop parks on the token channel between runs
-	// instead of exiting, keeping its grown stack. spawned records that the
-	// goroutines exist; shutdown, read after a token receive, tells them to
-	// exit for good.
-	persistent bool
-	spawned    bool
-	shutdown   bool
-
-	// cursors are the per-rank stackless executors for RunStackless bodies,
-	// lazily built and retained across runs on a pooled world. Stackless runs
-	// never touch resume channels or rank goroutines: drive advances the
-	// cursors directly off the run queue.
+	// coros are the per-rank coroutines, created by the first run with a
+	// coroutine body and kept until retire: between runs each is parked in
+	// the yield at the bottom of its loop, keeping its grown stack. cursors
+	// are the per-rank stackless executors, likewise built lazily and kept. A
+	// pooled world may hold both; a run touches only the kind it uses.
+	coros   []rankCoro
 	cursors []slExec
 
-	state  []rankState
-	resume []chan struct{} // per-rank token channel, buffered 1
+	state []rankState
 
 	// heap is the run queue: a 4-ary min-heap ordered by (virtual clock,
 	// rank). The clock key is cached in the entry — a rank's clock only
-	// advances while it holds the token, so keys are immutable while queued —
+	// advances while it is running, so keys are immutable while queued —
 	// which keeps every comparison inside the heap slab instead of chasing
 	// into the rank array; with 16-byte entries one cache line holds a full
 	// child group, and the 4-ary shape halves the levels a sift traverses.
@@ -98,19 +96,19 @@ type eventLoop struct {
 	heap []heapEnt
 
 	nLive      int // ranks not yet rsDone
-	drainNext  int // post-stop unwind cursor over the rank array
-	exitClosed bool
 	dispatches uint64
 
-	// exited is closed when the last rank goroutine has unwound; stalled is
-	// closed when the run queue empties while live ranks remain blocked
-	// (virtual deadlock). At most one of them closes before Run intervenes.
-	exited  chan struct{}
-	stalled chan struct{}
-
-	// panics collects non-teardown rank panics. Appended only by the token
-	// holder; read by Run after exited/stalled.
+	// panics collects non-teardown rank panics, in the order they happened.
 	panics []error
+}
+
+// rankCoro is one rank's coroutine: next resumes it until its next yield,
+// yield (called on the coroutine, from block or between runs) parks it, stop
+// retires it.
+type rankCoro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // heapEnt is one run-queue entry: the rank index plus its virtual clock at
@@ -121,131 +119,97 @@ type heapEnt struct {
 }
 
 func newEventLoop(n int, stop *runStop) *eventLoop {
-	e := &eventLoop{
-		stop:    stop,
-		state:   make([]rankState, n),
-		resume:  make([]chan struct{}, n),
-		heap:    make([]heapEnt, 0, n),
-		nLive:   n,
-		exited:  make(chan struct{}),
-		stalled: make(chan struct{}),
+	return &eventLoop{
+		stop:  stop,
+		state: make([]rankState, n),
+		heap:  make([]heapEnt, 0, n),
+		nLive: n,
 	}
-	for i := range e.resume {
-		e.resume[i] = make(chan struct{}, 1)
-	}
-	return e
 }
 
 func (e *eventLoop) rank(i int32) *Rank { return &e.ranks[i] }
 
 // reset re-arms the loop for the next run on a pooled world: all ranks
-// become runnable again, the run queue empties (keeping its capacity), and
-// fresh completion channels replace the consumed ones. Token channels are
-// kept — persistent rank goroutines are parked on them. Only safe after the
-// previous run has fully quiesced (exited closed), which orders these writes
-// before any rank goroutine's next read via the first dispatch's token send.
+// become runnable again and the run queue empties (keeping its capacity).
+// Coroutines and cursors are kept. Only called between runs, by the
+// goroutine that will drive the next one.
 func (e *eventLoop) reset() {
 	clear(e.state) // rsRunnable is the zero state
 	e.heap = e.heap[:0]
 	e.nLive = len(e.state)
-	e.drainNext = 0
-	e.exitClosed = false
 	e.dispatches = 0
 	e.panics = nil
-	e.exited = make(chan struct{})
-	e.stalled = make(chan struct{})
 }
 
-// spawnPersistent starts the long-lived rank goroutines for a pooled world.
-// Idempotent: goroutines spawned for an earlier run are parked on their
-// token channels and serve the next run as-is.
-func (e *eventLoop) spawnPersistent() {
-	e.persistent = true
-	if e.spawned {
+// spawn creates the rank coroutines. Idempotent: a pooled world's coroutines
+// are parked between runs and serve the next run as they are. A coroutine
+// runs one body per run and yields; it has not started until its first next.
+func (e *eventLoop) spawn() {
+	if e.coros != nil {
 		return
 	}
-	e.spawned = true
-	for i := range e.state {
-		go e.rankLoop(int32(i))
+	e.coros = make([]rankCoro, len(e.state))
+	for i := range e.coros {
+		c := &e.coros[i]
+		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			for {
+				e.runBody(&e.ranks[i])
+				if !yield(struct{}{}) {
+					return
+				}
+			}
+		})
 	}
 }
 
-// stopPersistent tells every parked rank goroutine to exit and must only be
-// called between runs (all goroutines parked, token channels empty): the
-// buffered sends below cannot block, and the shutdown write is ordered
-// before each goroutine's read by its token receive.
-func (e *eventLoop) stopPersistent() {
-	if !e.spawned {
-		return
+// retire ends every rank coroutine. Ranks are parked between runs when it is
+// called (runEvent returns only once every rank has left its body), so each
+// stop returns from that yield; were one parked inside a body, block would
+// unwind it.
+func (e *eventLoop) retire() {
+	for i := range e.coros {
+		e.coros[i].stop()
 	}
-	e.shutdown = true
-	for i := range e.resume {
-		e.resume[i] <- struct{}{}
-	}
-	e.spawned = false
+	e.coros = nil
 }
 
-// rankLoop is the persistent per-rank goroutine: one body execution per
-// token round, parking between runs instead of exiting.
-func (e *eventLoop) rankLoop(i int32) {
-	for {
-		<-e.resume[i]
-		if e.shutdown {
-			return
-		}
-		e.runBody(&e.ranks[i])
-	}
-}
-
-// start seeds the run queue with every rank at virtual time zero — pushing
-// in rank order builds a valid heap for all-equal keys — and hands the
-// token to the first. Called from Run's goroutine before any rank runs.
-func (e *eventLoop) start() {
-	for i := range e.state {
-		e.heap = append(e.heap, heapEnt{clock: 0, rank: int32(i)})
-	}
-	e.dispatch()
-}
-
-// rankProc is the one-shot goroutine wrapper for one rank (non-pooled
-// worlds): wait for the first token, run the body, exit.
-func (e *eventLoop) rankProc(r *Rank) {
-	<-e.resume[r.rank]
-	e.runBody(r)
-}
-
-// runBody executes one run's body on rank r, already holding the token. On
-// any exit — normal return, orderly teardown or a user panic — it passes
-// the token on.
+// runBody executes one run's body on rank r's coroutine. Its recover is the
+// outermost frame of the coroutine that can see a panic: one that escaped
+// would be re-raised by iter.Pull in the driver.
 func (e *eventLoop) runBody(r *Rank) {
 	defer func() {
 		if p := recover(); p != nil {
-			if _, stopped := p.(runStopped); !stopped {
-				e.panics = append(e.panics,
-					fmt.Errorf("mpi: rank %d panicked: %v\n%s", r.rank, p, debug.Stack()))
-			}
+			e.notePanic(r, p)
 		}
-		e.finishRank(r.rank)
+		e.state[r.rank] = rsDone
+		e.nLive--
 	}()
 	e.stop.checkStopped()
 	rankMain(r, e.body)
 }
 
-func (e *eventLoop) finishRank(i int) {
-	e.state[i] = rsDone
-	e.nLive--
-	e.dispatch()
+// notePanic files a recovered rank panic: a teardown unwind (runStopped) is
+// orderly, anything else is kept for the run's error.
+func (e *eventLoop) notePanic(r *Rank, p any) {
+	if _, stopped := p.(runStopped); !stopped {
+		e.panics = append(e.panics,
+			fmt.Errorf("mpi: rank %d panicked: %v\n%s", r.rank, p, debug.Stack()))
+	}
 }
 
-// block parks the calling rank (me) until some other rank wakes it. The
-// caller re-checks its wait predicate on return: wakes may be spurious
-// (any activity on a structure the rank registered with). A poisoned world
-// never parks and never resumes — both sides unwind via checkStopped.
+// block parks the calling coroutine rank (me) until some other rank wakes
+// it. The caller re-checks its wait predicate on return: wakes may be
+// spurious (any activity on a structure the rank registered with). A
+// poisoned world never parks and never resumes — both sides unwind via
+// checkStopped, so the application's defers run. A yield that reports the
+// coroutine stopped unwinds the same way.
 func (e *eventLoop) block(me int32) {
 	e.stop.checkStopped()
 	e.state[me] = rsBlocked
-	e.dispatch()
-	<-e.resume[me]
+	if !e.coros[me].yield(struct{}{}) {
+		panic(runStopped{})
+	}
 	e.stop.checkStopped()
 }
 
@@ -261,16 +225,16 @@ func (e *eventLoop) wake(i int32) {
 	ctrSchedWakes.Inc()
 }
 
-// dispatch hands the execution token to the next runnable rank. On an
-// empty run queue it either declares completion (no live ranks) or virtual
-// deadlock (live ranks, all blocked). After the world is poisoned it
-// switches to the unwind sweep instead.
-func (e *eventLoop) dispatch() {
-	if e.stop.stopped() {
-		e.dispatchDrain()
-		return
-	}
-	if len(e.heap) > 0 {
+// drive is the dispatch loop: step the least (clock, rank) runnable rank
+// until it blocks or finishes, and repeat. It returns when the run queue is
+// empty — deadlocked reports whether live ranks remain, all of them parked,
+// so that no deposit, drain or collective completion can ever arrive again —
+// or when the stop latch ends the run.
+func (e *eventLoop) drive() (deadlocked bool) {
+	for !e.stop.stopped() {
+		if len(e.heap) == 0 {
+			return e.nLive > 0
+		}
 		i := e.pop()
 		e.state[i] = rsRunning
 		ctrSchedEvents.Inc()
@@ -278,43 +242,121 @@ func (e *eventLoop) dispatch() {
 		if e.dispatches&63 == 0 {
 			histSchedHeapDepth.Observe(float64(len(e.heap)))
 		}
-		e.resume[i] <- struct{}{}
-		return
-	}
-	if e.nLive == 0 {
-		e.closeExited()
-		return
-	}
-	// Every live rank is parked and the run queue is empty: no deposit,
-	// drain or collective completion can ever arrive again.
-	close(e.stalled)
-}
-
-// dispatchDrain resumes live ranks one at a time so each unwinds through
-// its checkStopped; the cursor is monotone because a resumed rank can only
-// move to rsDone, and at most one rank (the token holder at poison time)
-// can park after the stop flag rises — its own dispatch is what starts the
-// sweep, so the cursor has not passed it.
-func (e *eventLoop) dispatchDrain() {
-	for e.drainNext < len(e.state) {
-		i := e.drainNext
-		e.drainNext++
-		if e.state[i] == rsRunnable || e.state[i] == rsBlocked {
-			e.state[i] = rsRunning
-			e.resume[i] <- struct{}{}
-			return
+		if e.body != nil {
+			e.coros[i].next()
+		} else {
+			e.stepCursor(i)
 		}
 	}
-	if e.nLive == 0 {
-		e.closeExited()
+	return false
+}
+
+// unwind takes every live coroutine rank of a poisoned world out of its
+// body: each is resumed once, finds the stop latch set at its next
+// checkStopped — in block if it was parked, at body entry if it never
+// started — and panics out through the application's frames into runBody.
+// Cursors are data; an abandoned one is simply overwritten by the next run.
+func (e *eventLoop) unwind() {
+	if e.body == nil {
+		return
+	}
+	for i := range e.state {
+		if e.state[i] != rsDone {
+			e.state[i] = rsRunning
+			e.coros[i].next()
+		}
 	}
 }
 
-func (e *eventLoop) closeExited() {
-	if !e.exitClosed {
-		e.exitClosed = true
-		close(e.exited)
+// runEvent executes one run on w's engine — body on coroutine ranks, or,
+// when body is nil, progFor's streams on cursors — and returns once every
+// rank has finished or been unwound, so a pooled world can always be reused.
+// The outcomes are completion, a rank panic, virtual deadlock (proven, not
+// suspected), the wall-clock timeout and context cancellation.
+func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor func(rank int) OpStream) (*Result, error) {
+	e := w.sched
+	e.ranks = ranks
+	e.body = body
+	if body != nil {
+		e.spawn()
+	} else {
+		if len(e.cursors) != len(ranks) {
+			e.cursors = make([]slExec, len(ranks))
+		}
+		for i := range e.cursors {
+			e.cursors[i].init(progFor(i))
+		}
 	}
+	// Every rank starts runnable at virtual time zero; pushing in rank order
+	// builds a valid heap for all-equal keys.
+	for i := range e.state {
+		e.heap = append(e.heap, heapEnt{clock: 0, rank: int32(i)})
+	}
+
+	// The watcher turns the wall-clock timeout and context cancellation into
+	// a stop-latch trigger, which the drive loop observes before each event
+	// and the running rank at its next MPI call. Its flag writes are ordered
+	// before our reads by the watcherDone close.
+	var ctxDone <-chan struct{}
+	if cfg.ctx != nil {
+		ctxDone = cfg.ctx.Done()
+	}
+	finished := make(chan struct{})
+	watcherDone := make(chan struct{})
+	var timedOut bool
+	var ctxErr error
+	go func() {
+		defer close(watcherDone)
+		timer := time.NewTimer(cfg.timeout)
+		defer timer.Stop()
+		select {
+		case <-finished:
+		case <-timer.C:
+			timedOut = true
+			ctrRunsCancelled.Inc()
+			w.stop.trigger()
+		case <-ctxDone:
+			ctxErr = cfg.ctx.Err()
+			ctrRunsCancelled.Inc()
+			w.stop.trigger()
+		}
+	}()
+
+	deadlocked := e.drive()
+	completed := e.nLive == 0
+	close(finished)
+	<-watcherDone
+
+	if !completed {
+		if deadlocked {
+			ctrRunsCancelled.Inc()
+		}
+		// Poison the world (the watcher already has, unless this is a proven
+		// deadlock) and take the coroutine ranks out of their bodies. A pooled
+		// world re-enters the pool stopped, and reset re-arms it.
+		w.stop.trigger()
+		e.unwind()
+	}
+	// A panicking rank leaves its peers blocked, so a deadlock or timeout
+	// often masks a panic; report the panic when one was captured.
+	if len(e.panics) > 0 {
+		return nil, e.panics[0]
+	}
+	if completed {
+		// A timeout or cancellation that raced the finish is moot.
+		res := collectResult(ranks)
+		if w.prof != nil {
+			w.prof.finish(res)
+		}
+		return res, nil
+	}
+	if ctxErr != nil {
+		return nil, fmt.Errorf("mpi: run cancelled: %w", ctxErr)
+	}
+	if timedOut {
+		return nil, fmt.Errorf("mpi: run did not complete within %v (deadlock suspected)", cfg.timeout)
+	}
+	return nil, fmt.Errorf("mpi: deadlock detected: every live rank is blocked and no event is pending")
 }
 
 // entLess orders the run queue by virtual clock, rank index breaking ties —

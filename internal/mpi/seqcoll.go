@@ -12,7 +12,7 @@ import (
 // broadcast storm replaced by the scheduler's block/wake protocol. Only one
 // rank runs at a time under the event engine, so the round state needs no
 // synchronization at all: a non-last arriver registers itself as waiting
-// and hands the execution token away; the last arriver closes the round and
+// and returns control to the driver; the last arriver closes the round and
 // pushes every waiter back onto the run queue.
 //
 // The arrival bookkeeping and the round close are split-phase (arriveRound/
@@ -218,8 +218,8 @@ func (cs *seqColl) arriveFixed(commRank int, op Op, clock, shadow float64, contr
 
 // finishRound advances the generation and releases every waiter onto the
 // run queue. Resetting waiting before the wakes is safe: the woken ranks
-// cannot run (and so cannot re-park) until the current rank hands the
-// execution token away.
+// cannot run (and so cannot re-park) until the current rank returns
+// control to the driver.
 func (cs *seqColl) finishRound() {
 	cs.gen++
 	cs.arrived = 0

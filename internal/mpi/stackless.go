@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/netmodel"
@@ -13,18 +12,19 @@ import (
 
 // This file is the stackless rank representation: phase 2 of the event
 // engine. A coroutine rank costs a goroutine — a stack that grows to the
-// body's deepest frame and a channel handoff per context switch — per rank,
+// body's deepest frame and two coroutine switches per event — per rank,
 // per world. For arbitrary imperative bodies that cost is irreducible (the
 // continuation lives on the stack), but replay and generated-benchmark
 // bodies are restricted: each rank is a flat, pre-known sequence of MPI
 // operations. Such a sequence compiles into a cursor — an op index plus a
-// small resume tag — that the drive loop advances directly: no goroutine,
-// no stack, no channel. Blocking points return to the drive loop with the
-// rank registered on the structure it waits on (the same registrations a
-// coroutine rank makes), and the wake pushes it back onto the identical
-// (clock, rank)-keyed run queue, so the dispatch order — and therefore every
-// virtual clock, every wildcard match, every trace byte — is bit-identical
-// to the coroutine engine. The differential suite pins exactly that.
+// small resume tag — that the drive loop advances with a method call: no
+// goroutine, no stack, no switch. Blocking points return to the drive loop
+// with the rank registered on the structure it waits on (the same
+// registrations a coroutine rank makes), and the wake pushes it back onto
+// the identical (clock, rank)-keyed run queue, so the dispatch order — and
+// therefore every virtual clock, every wildcard match, every trace byte — is
+// bit-identical to the coroutine engine. The differential suite pins exactly
+// that.
 //
 // Each cursor's step mirrors, statement for statement, the rank-side path
 // it replaces (Send/Recv/Waitall in rank.go, runCollective/CommSplit/
@@ -658,46 +658,13 @@ func (x *slExec) execFinalize(r *Rank) bool {
 	return false
 }
 
-// drive is the stackless dispatch loop: the event-engine dispatch with the
-// token handoff replaced by a direct cursor step. It returns whether it
-// proved a virtual deadlock; a false return with live ranks remaining means
-// the stop latch ended the run (the cursors simply stay where they are —
-// there is no stack to unwind — and the pool's reset scrubs them).
-func (e *eventLoop) drive() (deadlocked bool) {
-	for {
-		if e.stop.stopped() {
-			return false
-		}
-		if len(e.heap) == 0 {
-			if e.nLive == 0 {
-				return false
-			}
-			// Every live rank is parked and the run queue is empty: no
-			// deposit, drain or collective completion can ever arrive again.
-			return true
-		}
-		i := e.pop()
-		e.state[i] = rsRunning
-		ctrSchedEvents.Inc()
-		e.dispatches++
-		if e.dispatches&63 == 0 {
-			histSchedHeapDepth.Observe(float64(len(e.heap)))
-		}
-		e.stepCursor(i)
-	}
-}
-
 // stepCursor advances one cursor, absorbing rank panics exactly as runBody
-// does for coroutine ranks: a teardown unwind (runStopped) finishes the rank
-// silently, anything else is captured for Run's error.
+// does for coroutine ranks.
 func (e *eventLoop) stepCursor(i int32) {
 	r := &e.ranks[i]
 	defer func() {
 		if p := recover(); p != nil {
-			if _, stopped := p.(runStopped); !stopped {
-				e.panics = append(e.panics,
-					fmt.Errorf("mpi: rank %d panicked: %v\n%s", r.rank, p, debug.Stack()))
-			}
+			e.notePanic(r, p)
 			e.state[i] = rsDone
 			e.nLive--
 		}
@@ -737,79 +704,5 @@ func RunStackless(n int, model *netmodel.Model, progFor func(rank int) OpStream,
 	if !setupStart.IsZero() {
 		histRunSetupUS.Observe(float64(time.Since(setupStart)) / float64(time.Microsecond))
 	}
-	return runStackless(w, cfg, ranks, progFor)
-}
-
-// runStackless drives one run's cursors to completion on w. The outcome
-// handling mirrors runEvent; the difference is that nothing needs to unwind
-// on failure — cursors are data, and an abandoned cursor costs nothing.
-func runStackless(w *World, cfg *config, ranks []Rank, progFor func(rank int) OpStream) (*Result, error) {
-	e := w.sched
-	e.ranks = ranks
-	if len(e.cursors) != len(ranks) {
-		e.cursors = make([]slExec, len(ranks))
-	}
-	for i := range e.cursors {
-		e.cursors[i].init(progFor(i))
-	}
-	for i := range e.state {
-		e.heap = append(e.heap, heapEnt{clock: 0, rank: int32(i)})
-	}
-
-	// The watcher turns the wall-clock timeout and context cancellation into
-	// a stop-latch trigger, which the drive loop observes before each event.
-	// Its flag writes are ordered before our reads by the watcherDone close.
-	var ctxDone <-chan struct{}
-	if cfg.ctx != nil {
-		ctxDone = cfg.ctx.Done()
-	}
-	finished := make(chan struct{})
-	watcherDone := make(chan struct{})
-	var timedOut bool
-	var ctxErr error
-	go func() {
-		defer close(watcherDone)
-		timer := time.NewTimer(cfg.timeout)
-		defer timer.Stop()
-		select {
-		case <-finished:
-		case <-timer.C:
-			timedOut = true
-			ctrRunsCancelled.Inc()
-			w.stop.trigger()
-		case <-ctxDone:
-			ctxErr = cfg.ctx.Err()
-			ctrRunsCancelled.Inc()
-			w.stop.trigger()
-		}
-	}()
-
-	deadlocked := e.drive()
-	close(finished)
-	<-watcherDone
-
-	if deadlocked {
-		// Poison the world for parity with runEvent: a deadlocked pooled
-		// world re-enters the pool stopped, and reset re-arms it.
-		ctrRunsCancelled.Inc()
-		w.stop.trigger()
-	}
-	if len(e.panics) > 0 {
-		return nil, e.panics[0]
-	}
-	if !deadlocked && e.nLive == 0 {
-		// Completed: a timeout or cancellation that raced the finish is moot.
-		res := collectResult(ranks)
-		if w.prof != nil {
-			w.prof.finish(res)
-		}
-		return res, nil
-	}
-	if ctxErr != nil {
-		return nil, fmt.Errorf("mpi: run cancelled: %w", ctxErr)
-	}
-	if timedOut {
-		return nil, fmt.Errorf("mpi: run did not complete within %v (deadlock suspected)", cfg.timeout)
-	}
-	return nil, fmt.Errorf("mpi: deadlock detected: every live rank is blocked and no event is pending")
+	return runEvent(w, cfg, ranks, nil, progFor)
 }

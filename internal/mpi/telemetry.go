@@ -24,10 +24,10 @@ var (
 	ctrWildcardRecvs = telemetry.NewCounter("mpi.wildcard_recvs")
 	// ctrRunsCancelled counts runs torn down by context cancellation, the
 	// deadlock timeout, or the event engine's instant deadlock proof (every
-	// rank goroutine unwinds either way).
+	// rank unwinds either way).
 	ctrRunsCancelled = telemetry.NewCounter("mpi.runs_cancelled")
-	// ctrSchedEvents counts event-engine dispatches: each is one transfer of
-	// the execution token to a rank popped from the virtual-time run queue.
+	// ctrSchedEvents counts event-engine dispatches: each is one step of a
+	// rank popped from the virtual-time run queue.
 	ctrSchedEvents = telemetry.NewCounter("mpi.sched_events")
 	// ctrSchedWakes counts blocked ranks pushed back onto the run queue by a
 	// matching deposit, a credit-releasing drain, or a completed collective.

@@ -101,9 +101,10 @@ func (m MultiTracer) Record(ev *Event) {
 //
 // The walk stops at rankMain, the shared bottom frame of every rank's
 // stack: everything below it belongs to whichever engine is driving the
-// run (goroutine spawn wrapper vs event-engine rankProc), and including
-// those frames would give the same source location different signatures
-// under different engines.
+// run (the goroutine runtime's spawn wrapper; runBody and iter.Pull's
+// coroutine frames under the event engine), and including those frames
+// would give the same source location different signatures under different
+// engines.
 func (r *Rank) callSite() uint64 {
 	// pcs stays on the stack: only the first visit of a call path hands a
 	// copy to the symbolizer, which retains its argument.

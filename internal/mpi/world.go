@@ -101,7 +101,7 @@ func WithGoroutineRuntime() Option {
 
 // WithEngine runs the world on a reusable engine: rank structs, mailboxes,
 // arenas, the scheduler heap and (for coroutine bodies) the parked rank
-// goroutines are drawn from eng's pool and returned to it when the run
+// coroutines are drawn from eng's pool and returned to it when the run
 // completes, so repeated Runs at the same world size pay an O(active-ranks)
 // reset instead of a full allocation. Results are bit-identical to a fresh
 // world. The option is ignored for the goroutine and reference runtimes,
@@ -208,7 +208,9 @@ func Run(n int, model *netmodel.Model, body func(*Rank), opts ...Option) (*Resul
 		histRunSetupUS.Observe(float64(time.Since(setupStart)) / float64(time.Microsecond))
 	}
 	if w.sched != nil {
-		return runEvent(w, cfg, ranks, body)
+		// A one-shot world's coroutines end with the run.
+		defer w.sched.retire()
+		return runEvent(w, cfg, ranks, body, nil)
 	}
 	return runGoroutine(w, cfg, ranks, body)
 }
@@ -366,90 +368,6 @@ func runGoroutine(w *World, cfg *config, ranks []Rank, body func(*Rank)) (*Resul
 		return nil, fmt.Errorf("mpi: run did not complete within %v (deadlock suspected)", cfg.timeout)
 	}
 	return collectResult(ranks), nil
-}
-
-// runEvent drives the world on the discrete-event engine. The rank
-// goroutines are coroutines under the engine's execution token; this
-// goroutine only seeds the run queue and then waits for one of four
-// outcomes: completion, virtual deadlock (proven, not suspected), the
-// wall-clock timeout, or context cancellation.
-func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank)) (*Result, error) {
-	e := w.sched
-	e.ranks = ranks
-	e.body = body
-	if !e.persistent {
-		// One-shot world: spawn a goroutine per rank for this run only. A
-		// pooled world's persistent goroutines are already parked on their
-		// token channels.
-		for i := range ranks {
-			go e.rankProc(&ranks[i])
-		}
-	}
-	e.start()
-
-	var ctxDone <-chan struct{}
-	if cfg.ctx != nil {
-		ctxDone = cfg.ctx.Done()
-	}
-	timer := time.NewTimer(cfg.timeout)
-	defer timer.Stop()
-	var (
-		timedOut, deadlocked bool
-		ctxErr               error
-	)
-	select {
-	case <-e.exited:
-	case <-e.stalled:
-		// The engine proved a deadlock: the run queue emptied with live
-		// ranks still blocked. Poison the world and sweep the parked ranks
-		// so they unwind instead of leaking.
-		deadlocked = true
-		ctrRunsCancelled.Inc()
-		w.stop.trigger()
-		e.dispatch()
-		<-e.exited
-	case <-timer.C:
-		timedOut = true
-		ctrRunsCancelled.Inc()
-		w.stop.trigger()
-		e.awaitQuiesce()
-	case <-ctxDone:
-		ctxErr = cfg.ctx.Err()
-		ctrRunsCancelled.Inc()
-		w.stop.trigger()
-		e.awaitQuiesce()
-	}
-
-	if len(e.panics) > 0 {
-		return nil, e.panics[0]
-	}
-	if ctxErr != nil {
-		return nil, fmt.Errorf("mpi: run cancelled: %w", ctxErr)
-	}
-	if timedOut {
-		return nil, fmt.Errorf("mpi: run did not complete within %v (deadlock suspected)", cfg.timeout)
-	}
-	if deadlocked {
-		return nil, fmt.Errorf("mpi: deadlock detected: every live rank is blocked and no event is pending")
-	}
-	res := collectResult(ranks)
-	if w.prof != nil {
-		w.prof.finish(res)
-	}
-	return res, nil
-}
-
-// awaitQuiesce waits for a poisoned event-engine world to finish unwinding.
-// If the token chain was active at trigger time its next dispatch starts
-// the drain sweep on its own; if the chain had already stalled (the stalled
-// close raced the trigger) the sweep must be kicked from here.
-func (e *eventLoop) awaitQuiesce() {
-	select {
-	case <-e.exited:
-	case <-e.stalled:
-		e.dispatch()
-		<-e.exited
-	}
 }
 
 func collectResult(ranks []Rank) *Result {
