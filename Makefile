@@ -122,6 +122,13 @@ bench-all:
 # `bash benchmark/run.sh -workload chain-stencil -trace 1`. What the engine
 # itself costs per rank switch, and whether that depends on GOMAXPROCS:
 # `go test -run NONE -bench 'BenchmarkRunWorld/fast|BenchmarkRankSwitch' -cpu 1,2 . ./internal/mpi`.
+# The generate path — Algorithm 1 and the print/parse round trip on the
+# ledger's poorly compressing gen-irregular input — has no target of its own;
+# profile BenchmarkAlign or BenchmarkGeneratePipeline the same way:
+# `mkdir -p .profile && go test -run NONE -bench 'BenchmarkAlign$/sweep3d-64/A' -benchtime 100x -benchmem -cpu 2 -cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 -o .profile/repro.test -outputdir .profile . && go tool pprof -top -cum -nodecount 40 .profile/repro.test .profile/cpu.prof`
+# (`-bench 'BenchmarkGeneratePipeline/sweep3d-64/A/print.parse'` is the
+# parser's leg; drop -memprofile when reading CPU shares, its stack walks
+# are a fifth of the samples).
 profile-chain:
 	mkdir -p .profile
 	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem -cpu 2 \

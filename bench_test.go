@@ -158,20 +158,42 @@ func BenchmarkScaling(b *testing.B) {
 
 // BenchmarkAlign measures Algorithm 1 (collective alignment) on Sweep3D's
 // split-call-site collectives; the O(p*e) traversal is the dominant cost.
+// sweep3d-64/A is the ledger's gen-irregular input.
 func BenchmarkAlign(b *testing.B) {
-	run, err := harness.TraceApp("sweep3d", apps.NewConfig(16, apps.ClassS), netmodel.Ideal())
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range generateCases("sweep3d") {
+		b.Run(c.name, func(b *testing.B) {
+			run, err := harness.TraceApp(c.app, c.cfg, netmodel.Ideal())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !align.Needed(run.Trace) {
+				b.Fatal("premise: sweep3d trace should need alignment")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := align.Align(run.Trace); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	if !align.Needed(run.Trace) {
-		b.Fatal("premise: sweep3d trace should need alignment")
+}
+
+// generateCase is one input of the generation benchmarks.
+type generateCase struct {
+	name, app string
+	cfg       apps.Config
+}
+
+// generateCases returns each app at 16 ranks, class S, then the ledger's
+// poorly compressing sweep3d at 64 ranks, class A.
+func generateCases(names ...string) []generateCase {
+	var cases []generateCase
+	for _, name := range names {
+		cases = append(cases, generateCase{name, name, apps.NewConfig(pickRanks(name, 16), apps.ClassS)})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := align.Align(run.Trace); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return append(cases, generateCase{"sweep3d-64/A", "sweep3d", apps.NewConfig(64, apps.ClassA)})
 }
 
 // BenchmarkAlignPrecheck measures the O(r) pre-check that lets aligned
@@ -374,18 +396,32 @@ func BenchmarkMergeRankSeqs(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratePipeline measures the full generation pipeline per app.
+// BenchmarkGeneratePipeline measures the full generation pipeline per app
+// (trace to program), and on the same program the text round trip that
+// benchgen | ncrun adds (print+parse).
 func BenchmarkGeneratePipeline(b *testing.B) {
-	for _, name := range []string{"bt", "lu", "sweep3d"} {
-		b.Run(name, func(b *testing.B) {
-			n := pickRanks(name, 16)
-			run, err := harness.TraceApp(name, apps.NewConfig(n, apps.ClassS), netmodel.Ideal())
+	for _, c := range generateCases("bt", "lu", "sweep3d") {
+		run, err := harness.TraceApp(c.app, c.cfg, netmodel.Ideal())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Generate(run.Trace, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/print+parse", func(b *testing.B) {
+			prog, err := core.Generate(run.Trace, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Generate(run.Trace, nil); err != nil {
+				if _, err := conceptual.Parse(conceptual.Print(prog)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -74,6 +74,13 @@ type pendingColl struct {
 // rank's event order. It returns an error when the rendezvous cannot
 // complete, which indicates mismatched collectives in the input application.
 func Align(t *trace.Trace) (*trace.Trace, error) {
+	return alignWith(t, trace.NewStreamBuilder)
+}
+
+// alignWith is Align with the constructor of the per-rank segment builders
+// as a parameter, so a test can run the same pass on builders that never
+// recycle a leaf.
+func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*trace.Trace, error) {
 	defer telemetry.Region("align.run")()
 	n := t.N
 	cursors := make([]*trace.Cursor, n)
@@ -93,13 +100,18 @@ func Align(t *trace.Trace) (*trace.Trace, error) {
 	// Non-collective runs are buffered per rank and re-merged across ranks
 	// when the next collective closes the segment; this keeps the aligned
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)
-	// instead of exploding into per-rank leaves.
+	// instead of exploding into per-rank leaves. A rank's segments are its
+	// event stream cut at the collectives, so they are built the way the
+	// Collector builds one: one stream builder per rank for the whole pass,
+	// reset at every cut, its leaves sharing the rank's singleton set.
 	segments := make([]*trace.Builder, n)
+	self := make([]taskset.Set, n)
 	for i := range segments {
-		segments[i] = trace.NewBuilder()
+		segments[i] = newSegment(trace.DefaultWindow())
+		self[i] = taskset.Of(i)
 	}
+	seqs := make([][]trace.Node, n)
 	flushSegments := func() {
-		seqs := make([][]trace.Node, n)
 		empty := true
 		for i := range segments {
 			seqs[i] = segments[i].Seq()
@@ -107,18 +119,19 @@ func Align(t *trace.Trace) (*trace.Trace, error) {
 				empty = false
 			}
 		}
-		if !empty {
-			// The segment builders are replaced below, so the merge may
-			// consume their sequences in place.
-			merged := trace.MergeRankSeqsOwned(n, t.Comms, seqs)
-			for _, g := range merged.Groups {
-				for _, node := range g.Seq {
-					out.Append(node)
-				}
+		if empty {
+			return
+		}
+		// The merge consumes the sequences in place: their leaves leave the
+		// segment builders, which start over.
+		merged := trace.MergeRankSeqsOwned(n, t.Comms, seqs)
+		for _, g := range merged.Groups {
+			for _, node := range g.Seq {
+				out.Append(node)
 			}
 		}
 		for i := range segments {
-			segments[i] = trace.NewBuilder()
+			segments[i].Reset()
 		}
 	}
 
@@ -150,7 +163,9 @@ func Align(t *trace.Trace) (*trace.Trace, error) {
 		rsd := cur.Cur()
 		if !rsd.Op.IsCollective() {
 			mean := rsd.ComputeMeanAt(cur.InnermostIter() == 0)
-			segments[active].Append(emittedLeaf(t, rsd, active, taskset.Of(active), mean))
+			leaf := segments[active].NewLeaf()
+			emitLeaf(leaf, t, rsd, active, self[active], mean)
+			segments[active].Append(leaf)
 			cur.Advance()
 			clear(visitedSinceProgress)
 			continue
@@ -255,11 +270,14 @@ func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []
 					members = members.Add(m2)
 				}
 			}
-			out.Append(emittedLeaf(t, r, m, members, sample))
+			leaf := new(trace.RSD)
+			emitLeaf(leaf, t, r, m, members, sample)
+			out.Append(leaf)
 		}
 		return
 	}
-	leaf := emittedLeaf(t, first, comm[0], taskset.Of(comm...), sample)
+	leaf := new(trace.RSD)
+	emitLeaf(leaf, t, first, comm[0], taskset.Of(comm...), sample)
 	// When per-rank contributions differ (Gatherv/Allgatherv-style), record
 	// the average size plus the per-member contribution vector, matching
 	// Table 1's "REDUCE with averaged message size" substitution downstream.
@@ -281,18 +299,18 @@ func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []
 	out.Append(leaf)
 }
 
-// emittedLeaf clones src for the given participant(s) with a single pooled
-// compute-time sample (the source's mean). Using the mean keeps the aligned
-// trace's replayed timing identical on average while avoiding multiplying
-// histogram populations through re-compression. Irregular (vector) peers
-// are resolved to the participant's concrete peer; the segment re-merge
-// regeneralizes them.
-func emittedLeaf(t *trace.Trace, src *trace.RSD, rank int, ranks taskset.Set, computeMean float64) *trace.RSD {
+// emitLeaf overwrites dst with a copy of src for the given participant(s)
+// and a single pooled compute-time sample (the source's mean). Using the mean
+// keeps the aligned trace's replayed timing identical on average while
+// avoiding multiplying histogram populations through re-compression.
+// Irregular (vector) peers are resolved to the participant's concrete peer;
+// the segment re-merge regeneralizes them.
+func emitLeaf(dst *trace.RSD, t *trace.Trace, src *trace.RSD, rank int, ranks taskset.Set, computeMean float64) {
 	peer := src.Peer
 	if peer.Kind == trace.ParamVec {
 		peer = trace.AbsParam(src.PeerFor(rank, t))
 	}
-	c := &trace.RSD{
+	*dst = trace.RSD{
 		Op:        src.Op,
 		Site:      src.Site,
 		Ranks:     ranks,
@@ -307,8 +325,7 @@ func emittedLeaf(t *trace.Trace, src *trace.RSD, rank int, ranks taskset.Set, co
 		Group:     append([]int(nil), src.Group...),
 		NewCommID: src.NewCommID,
 	}
-	c.SetComputeSample(computeMean)
-	return c
+	dst.SetComputeSample(computeMean)
 }
 
 func copyComms(in map[int][]int) map[int][]int {

@@ -2,16 +2,18 @@ package conceptual
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Parse reads a coNCePTuaL program in the form emitted by Print. It exists
 // so that generated benchmarks are not merely human-readable but also
 // human-editable: edit the text, parse, re-run.
 func Parse(src string) (*Program, error) {
-	p := &parser{lex: newLexer(src)}
+	p := newParser(src)
 	prog := &Program{}
 	for {
 		tok := p.peek()
@@ -42,7 +44,7 @@ body:
 		return nil, err
 	}
 	if tok := p.peek(); tok.kind != tokEOF {
-		return nil, p.errf("unexpected trailing input %q", tok.text)
+		return nil, errAt(tok, "unexpected trailing input %q", tok.text)
 	}
 	prog.Stmts = stmts
 	return prog, nil
@@ -63,119 +65,122 @@ const (
 type token struct {
 	kind tokKind
 	text string
-	ival int
-	fval float64
 	line int
 }
 
-type lexer struct {
-	toks []token
-	pos  int
-}
-
-func newLexer(src string) *lexer {
-	var toks []token
-	line := 1
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '#':
-			j := i
-			for j < len(src) && src[j] != '\n' {
-				j++
-			}
-			toks = append(toks, token{kind: tokComment, text: strings.TrimSpace(src[i+1 : j]), line: line})
-			i = j
-		case c == '"':
-			j := i + 1
-			for j < len(src) && src[j] != '"' {
-				if src[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			raw := src[i:min(j+1, len(src))]
-			unq, err := strconv.Unquote(raw)
-			if err != nil {
-				unq = strings.Trim(raw, `"`)
-			}
-			toks = append(toks, token{kind: tokString, text: unq, line: line})
-			i = j + 1
-		case unicode.IsDigit(rune(c)):
-			j := i
-			isFloat := false
-			for j < len(src) && (unicode.IsDigit(rune(src[j])) || src[j] == '.') {
-				if src[j] == '.' {
-					isFloat = true
-				}
-				j++
-			}
-			text := src[i:j]
-			if isFloat {
-				f, _ := strconv.ParseFloat(text, 64)
-				toks = append(toks, token{kind: tokFloat, text: text, fval: f, line: line})
-			} else {
-				v, _ := strconv.Atoi(text)
-				toks = append(toks, token{kind: tokInt, text: text, ival: v, line: line})
-			}
-			i = j
-		case isWordChar(c):
-			j := i
-			for j < len(src) && isWordChar(src[j]) {
-				j++
-			}
-			toks = append(toks, token{kind: tokWord, text: src[i:j], line: line})
-			i = j
-		case c == '/' && i+1 < len(src) && src[i+1] == '\\':
-			toks = append(toks, token{kind: tokSym, text: `/\`, line: line})
-			i += 2
-		case c == '>' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, token{kind: tokSym, text: ">=", line: line})
-			i += 2
-		case c == '<' && i+1 < len(src) && src[i+1] == '=':
-			toks = append(toks, token{kind: tokSym, text: "<=", line: line})
-			i += 2
-		default:
-			toks = append(toks, token{kind: tokSym, text: string(c), line: line})
-			i++
-		}
-	}
-	toks = append(toks, token{kind: tokEOF, line: line})
-	return &lexer{toks: toks}
-}
-
-func isWordChar(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
-}
-
+// parser scans src on demand: the grammar is LL(1), so one token of
+// lookahead is all that exists of the token stream at any time. Tokens are
+// substrings of src wherever the text allows it.
 type parser struct {
-	lex *lexer
+	src  string
+	off  int   // where the token after tok starts
+	line int   // line of off; newlines inside string literals are not counted
+	tok  token // the lookahead
 }
 
-func (p *parser) peek() token { return p.lex.toks[p.lex.pos] }
+func newParser(src string) *parser {
+	p := &parser{src: src, line: 1}
+	p.tok = p.scan()
+	return p
+}
 
+func (p *parser) peek() token { return p.tok }
+
+// next consumes the lookahead and returns it; at the end of the input it
+// keeps returning the EOF token.
 func (p *parser) next() token {
-	t := p.lex.toks[p.lex.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.lex.pos++
+		p.tok = p.scan()
 	}
 	return t
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("conceptual: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
+// scan returns the token starting at or after p.off. Every byte sequence
+// lexes: a literal a number cannot be read from is rejected where its value
+// is needed (expectInt, COMPUTE's duration).
+func (p *parser) scan() token {
+	src, i := p.src, p.off
+blanks:
+	for ; i < len(src); i++ {
+		switch src[i] {
+		case '\n':
+			p.line++
+		case ' ', '\t', '\r':
+		default:
+			break blanks
+		}
+	}
+	if i >= len(src) {
+		p.off = len(src)
+		return token{kind: tokEOF, line: p.line}
+	}
+	t := token{line: p.line}
+	j := i + 1
+	switch c := src[i]; {
+	case c == '#':
+		for j < len(src) && src[j] != '\n' {
+			j++
+		}
+		t.kind, t.text = tokComment, strings.TrimSpace(src[i+1:j])
+	case c == '"':
+		for j < len(src) && src[j] != '"' {
+			if src[j] == '\\' {
+				j++
+			}
+			j++
+		}
+		j = min(j+1, len(src))
+		raw := src[i:j]
+		unq, err := strconv.Unquote(raw)
+		if err != nil {
+			unq = strings.Trim(raw, `"`)
+		}
+		t.kind, t.text = tokString, unq
+	case isDigit(c):
+		t.kind = tokInt
+		for j < len(src) && (isDigit(src[j]) || src[j] == '.') {
+			if src[j] == '.' {
+				t.kind = tokFloat
+			}
+			j++
+		}
+		t.text = src[i:j]
+	case isWordChar(c):
+		for j < len(src) && isWordChar(src[j]) {
+			j++
+		}
+		t.kind, t.text = tokWord, src[i:j]
+	case j < len(src) && (c == '/' && src[j] == '\\' || (c == '>' || c == '<') && src[j] == '='):
+		j++
+		t.kind, t.text = tokSym, src[i:j]
+	case c < utf8.RuneSelf:
+		t.kind, t.text = tokSym, src[i:j]
+	default:
+		// A stray byte names itself as the Latin-1 character it would be.
+		t.kind, t.text = tokSym, string(rune(c))
+	}
+	p.off = j
+	return t
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isWordChar classifies bytes, not runes: the letters are ASCII's and
+// Latin-1's, so a UTF-8 sequence splits where one of its bytes is not one.
+func isWordChar(c byte) bool {
+	return c == '_' || unicode.IsLetter(rune(c))
+}
+
+// errAt reports a problem with token t, on t's line.
+func errAt(t token, format string, args ...any) error {
+	return fmt.Errorf("conceptual: line %d: %s", t.line, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expectWord(w string) error {
 	t := p.next()
 	if t.kind != tokWord || t.text != w {
-		return p.errf("expected %q, found %q", w, t.text)
+		return errAt(t, "expected %q, found %q", w, t.text)
 	}
 	return nil
 }
@@ -183,7 +188,7 @@ func (p *parser) expectWord(w string) error {
 func (p *parser) expectSym(s string) error {
 	t := p.next()
 	if t.kind != tokSym || t.text != s {
-		return p.errf("expected %q, found %q", s, t.text)
+		return errAt(t, "expected %q, found %q", s, t.text)
 	}
 	return nil
 }
@@ -191,9 +196,13 @@ func (p *parser) expectSym(s string) error {
 func (p *parser) expectInt() (int, error) {
 	t := p.next()
 	if t.kind != tokInt {
-		return 0, p.errf("expected integer, found %q", t.text)
+		return 0, errAt(t, "expected integer, found %q", t.text)
 	}
-	return t.ival, nil
+	v, err := strconv.Atoi(t.text)
+	if err != nil {
+		return 0, errAt(t, "malformed number %q", t.text)
+	}
+	return v, nil
 }
 
 func (p *parser) acceptWord(w string) bool {
@@ -278,7 +287,7 @@ func (p *parser) parseSel() (TaskSel, error) {
 		// "TASKS t SUCH THAT <predicate>"
 		v := p.next()
 		if v.kind != tokWord || !isTaskVar(v.text) {
-			return TaskSel{}, p.errf("expected task variable, found %q", v.text)
+			return TaskSel{}, errAt(v, "expected task variable, found %q", v.text)
 		}
 		if err := p.expectWord("SUCH"); err != nil {
 			return TaskSel{}, err
@@ -288,7 +297,8 @@ func (p *parser) parseSel() (TaskSel, error) {
 		}
 		return p.parsePredicate(v.text)
 	default:
-		return TaskSel{}, p.errf("expected task selector, found %q", p.peek().text)
+		t := p.peek()
+		return TaskSel{}, errAt(t, "expected task selector, found %q", t.text)
 	}
 }
 
@@ -358,7 +368,7 @@ func (p *parser) parsePredicate(varName string) (TaskSel, error) {
 		}
 		return TaskSel{Kind: SelEnum, Enum: members}, nil
 	default:
-		return TaskSel{}, p.errf("unsupported predicate starting with %q", tok.text)
+		return TaskSel{}, errAt(tok, "unsupported predicate starting with %q", tok.text)
 	}
 }
 
@@ -370,8 +380,8 @@ func (p *parser) parseRankExpr() (RankExpr, error) {
 	tok := p.peek()
 	switch {
 	case tok.kind == tokInt:
-		p.next()
-		return AbsRank(tok.ival), nil
+		v, err := p.expectInt()
+		return AbsRank(v), err
 	case tok.kind == tokWord && isTaskVar(tok.text):
 		p.next()
 		return RelRank(0), nil
@@ -379,7 +389,7 @@ func (p *parser) parseRankExpr() (RankExpr, error) {
 		p.next()
 		v := p.next()
 		if v.kind != tokWord || !isTaskVar(v.text) {
-			return RankExpr{}, p.errf("expected task variable in rank expression, found %q", v.text)
+			return RankExpr{}, errAt(v, "expected task variable in rank expression, found %q", v.text)
 		}
 		if err := p.expectSym("+"); err != nil {
 			return RankExpr{}, err
@@ -399,7 +409,7 @@ func (p *parser) parseRankExpr() (RankExpr, error) {
 		}
 		return RelRank(off), nil
 	default:
-		return RankExpr{}, p.errf("expected rank expression, found %q", tok.text)
+		return RankExpr{}, errAt(tok, "expected rank expression, found %q", tok.text)
 	}
 }
 
@@ -411,7 +421,7 @@ func (p *parser) parseSize() (int, error) {
 	}
 	unit := p.next()
 	if unit.kind != tokWord {
-		return 0, p.errf("expected size unit, found %q", unit.text)
+		return 0, errAt(unit, "expected size unit, found %q", unit.text)
 	}
 	mult := 1
 	switch unit.text {
@@ -421,7 +431,10 @@ func (p *parser) parseSize() (int, error) {
 	case "MEGABYTE", "MEGABYTES":
 		mult = 1 << 20
 	default:
-		return 0, p.errf("unknown size unit %q", unit.text)
+		return 0, errAt(unit, "unknown size unit %q", unit.text)
+	}
+	if n > math.MaxInt/mult {
+		return 0, errAt(unit, "message size %d %s overflows", n, unit.text)
 	}
 	if err := p.expectWord("MESSAGE"); err != nil {
 		return 0, err
@@ -433,7 +446,7 @@ func (p *parser) parseVerb(who TaskSel) (Stmt, error) {
 	async := p.acceptWord("ASYNCHRONOUSLY")
 	tok := p.next()
 	if tok.kind != tokWord {
-		return nil, p.errf("expected verb, found %q", tok.text)
+		return nil, errAt(tok, "expected verb, found %q", tok.text)
 	}
 	verb := strings.TrimSuffix(tok.text, "S")
 	switch verb {
@@ -513,14 +526,12 @@ func (p *parser) parseVerb(who TaskSel) (Stmt, error) {
 			return nil, err
 		}
 		t := p.next()
-		var us float64
-		switch t.kind {
-		case tokFloat:
-			us = t.fval
-		case tokInt:
-			us = float64(t.ival)
-		default:
-			return nil, p.errf("expected duration, found %q", t.text)
+		if t.kind != tokInt && t.kind != tokFloat {
+			return nil, errAt(t, "expected duration, found %q", t.text)
+		}
+		us, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			return nil, errAt(t, "malformed number %q", t.text)
 		}
 		if err := p.expectWord("MICROSECONDS"); err != nil {
 			return nil, err
@@ -542,17 +553,10 @@ func (p *parser) parseVerb(who TaskSel) (Stmt, error) {
 		}
 		t := p.next()
 		if t.kind != tokString {
-			return nil, p.errf("expected label string, found %q", t.text)
+			return nil, errAt(t, "expected label string, found %q", t.text)
 		}
 		return &LogStmt{Who: who, Label: t.text}, nil
 	default:
-		return nil, p.errf("unknown verb %q", tok.text)
+		return nil, errAt(tok, "unknown verb %q", tok.text)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,10 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/align"
+	"repro/internal/apps"
 	"repro/internal/conceptual"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/trace"
+	"repro/internal/wildcard"
 )
 
 func collect(t *testing.T, n int, body func(*mpi.Rank)) *trace.Trace {
@@ -444,5 +447,34 @@ func TestGenerateCommentsPropagate(t *testing.T) {
 	}
 	if !strings.Contains(conceptual.Print(prog), "# hello from the test") {
 		t.Fatal("custom comment missing")
+	}
+}
+
+// TestPrepareIsOnlyPrechecksOnPreparedTrace: a caller with several backends
+// prepares once and hands the result to each generator. That is free only if
+// a prepared trace passes both O(r) pre-checks, so that Prepare returns it as
+// is instead of running Algorithm 2 or Algorithm 1 again.
+func TestPrepareIsOnlyPrechecksOnPreparedTrace(t *testing.T) {
+	for _, name := range []string{"lu", "sweep3d", "is", "bt"} {
+		col := trace.NewCollector(16)
+		body := apps.ByName(name).Body(apps.NewConfig(16, apps.ClassS))
+		if _, err := mpi.Run(16, netmodel.BlueGeneL(), body, mpi.WithTracer(col.TracerFor)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		prepared, err := Prepare(col.Trace(), &Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if wildcard.Present(prepared) || align.Needed(prepared) {
+			t.Fatalf("%s: prepared trace fails a pre-check (wildcards %v, alignment needed %v)",
+				name, wildcard.Present(prepared), align.Needed(prepared))
+		}
+		again, err := Prepare(prepared, &Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again != prepared {
+			t.Fatalf("%s: Prepare rebuilt a prepared trace", name)
+		}
 	}
 }

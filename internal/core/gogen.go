@@ -31,6 +31,8 @@ func NewGoGenerator() *GoGenerator { return &GoGenerator{} }
 func (g *GoGenerator) Begin(t *trace.Trace) {
 	g.t = t
 	g.indent = 2
+	// 70-530 bytes of Go per trace node, typically under 200.
+	g.body.Grow(256 * t.NodeCount())
 }
 
 func (g *GoGenerator) line(format string, args ...any) {
@@ -233,6 +235,7 @@ func (g *GoGenerator) Source() (string, error) {
 		return "", g.err
 	}
 	var sb strings.Builder
+	sb.Grow(1024 + g.body.Len())
 	sb.WriteString(`// Code generated by scalatrace-go (Go backend); a standalone benchmark
 // reproducing the traced application's communication on the simulated MPI
 // runtime.

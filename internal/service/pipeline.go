@@ -40,7 +40,7 @@ const (
 
 // runPipeline executes one generation request end to end under ctx: obtain a
 // trace (run the app, or decode the upload), generate the coNCePTuaL program
-// (Algorithms 2 and 1 inside core.Generate), render the requested target
+// (Algorithms 2 and 1 inside core.Prepare), render the requested target
 // language, and execute the generated benchmark on the requested model for
 // the predicted timing and the mpiP-style profile.
 //
@@ -76,7 +76,7 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 	}
 
 	// Verification runs on the trace as collected — wildcards intact —
-	// before Algorithm 2 resolves them inside core.Generate: that is the
+	// before Algorithm 2 resolves them inside core.Prepare: that is the
 	// nondeterminism the checker explores. The report rides on the result
 	// (verdict, resolver cross-validation, replay-confirmed counterexample
 	// if one exists); a detected deadlock is a finding, not a pipeline
@@ -110,11 +110,18 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 		}
 	}
 
+	// Algorithms 2 and 1 run once, here; the generators below take the
+	// prepared trace, on which their own Prepare is the two O(r) pre-checks.
 	progress(StageGenerate)
 	endGen := telemetry.Region(StageGenerate)
-	prog, err := core.Generate(tr, &core.Options{
+	opts := &core.Options{
 		Comments: []string{fmt.Sprintf("source trace: %d ranks, %d events", tr.N, tr.TotalEvents())},
-	})
+	}
+	prepared, err := core.Prepare(tr, opts)
+	var prog *conceptual.Program
+	if err == nil {
+		prog, err = core.Generate(prepared, opts)
+	}
 	endGen()
 	if err != nil {
 		return nil, fmt.Errorf("generate: %w", err)
@@ -132,7 +139,7 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 	case "c":
 		src = conceptual.GenerateC(prog)
 	case "go":
-		src, err = core.GenerateGo(tr, nil)
+		src, err = core.GenerateGo(prepared, nil)
 	case "mpnet":
 		// The formal-model backends serve the net built from the unresolved
 		// trace (core.GenerateMPNet skips resolution), so the artifact keeps

@@ -572,3 +572,37 @@ func TestProfileEndpointAndPromMetrics(t *testing.T) {
 		t.Fatalf("default /metrics no longer JSON: %d\n%s", resp.StatusCode, body)
 	}
 }
+
+// TestGoRenderPreparesTraceOnce: a lang=go request generates the coNCePTuaL
+// program (for the prediction) and the Go source from one prepared trace, so
+// Algorithm 1 runs once per request, and serves what the CLI serves.
+func TestGoRenderPreparesTraceOnce(t *testing.T) {
+	model := netmodel.Preset("bluegene")
+	want := cliArtifact(t, "sweep3d", 16, apps.ClassS, model, "go")
+
+	rounds := telemetry.NewCounter("align.rounds")
+	run, err := harness.TraceApp("sweep3d", apps.NewConfig(16, apps.ClassS), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rounds.Value()
+	if _, err := core.Prepare(run.Trace, &core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	onePrepare := rounds.Value() - before
+	if onePrepare == 0 {
+		t.Fatal("premise: sweep3d needs alignment")
+	}
+
+	before = rounds.Value()
+	res, err := runPipeline(context.Background(), &Request{App: "sweep3d", N: 16, Class: "S", Model: "bluegene", Lang: "go"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rounds.Value() - before; got != onePrepare {
+		t.Errorf("request aligned %d collective rounds, one Prepare aligns %d", got, onePrepare)
+	}
+	if res.Source != want {
+		t.Errorf("served Go source differs from the CLI pipeline's")
+	}
+}

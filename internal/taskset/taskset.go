@@ -281,8 +281,13 @@ func (s Set) Minus(other Set) Set {
 	return Of(keep...)
 }
 
-// Add returns s ∪ {rank}.
+// Add returns s ∪ {rank}. A rank above every member — how the trace merge
+// and Algorithm 1 grow their rank sets, one ascending member at a time —
+// costs O(runs), not O(members): see appendMax.
 func (s Set) Add(rank int) Set {
+	if n := len(s.runs); n == 0 || rank > s.runs[n-1].Last() {
+		return s.appendMax(rank)
+	}
 	if s.Contains(rank) {
 		return s
 	}
@@ -292,6 +297,36 @@ func (s Set) Add(rank int) Set {
 	copy(members[at+1:], members[at:])
 	members[at] = rank
 	return fromSortedUnique(members)
+}
+
+// appendMax returns s ∪ {rank} for a rank above every member, packed exactly
+// as fromSortedUnique packs the extended member list. The greedy packer
+// decides every run but the last before it has seen the final member (a run
+// of two is only ever emitted at the very end), so only the last run can
+// change: it grows, or gives up a trailing pair's first member to a
+// singleton, or is followed by a new singleton.
+func (s Set) appendMax(rank int) Set {
+	n := len(s.runs)
+	runs := make([]Run, n, n+1)
+	copy(runs, s.runs)
+	if n == 0 {
+		return Set{runs: append(runs, Run{Start: rank, Stride: 1, Count: 1})}
+	}
+	last := &runs[n-1]
+	gap := rank - last.Last()
+	switch {
+	case last.Count == 1:
+		*last = Run{Start: last.Start, Stride: gap, Count: 2}
+	case gap == last.Stride:
+		last.Count++
+	case last.Count == 2:
+		second := last.Last()
+		*last = Run{Start: last.Start, Stride: 1, Count: 1}
+		runs = append(runs, Run{Start: second, Stride: gap, Count: 2})
+	default:
+		runs = append(runs, Run{Start: rank, Stride: 1, Count: 1})
+	}
+	return Set{runs: runs}
 }
 
 // Equal reports whether two sets have identical membership. It walks the two

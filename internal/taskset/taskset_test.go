@@ -2,6 +2,7 @@ package taskset
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -384,5 +385,36 @@ func TestSingletonUnionAndEqualDoNotAllocate(t *testing.T) {
 	}
 	if !eq || !u.Equal(a) {
 		t.Fatalf("Union = %v, Equal = %v", u, eq)
+	}
+}
+
+func TestPropertyAddPacksLikeFromSortedUnique(t *testing.T) {
+	// Property: growing a set one Add at a time — ascending, where Add only
+	// touches the last run, or in any other order — packs the same runs as
+	// fromSortedUnique on the members added so far, at every step.
+	f := func(seed int64, nRaw, spreadRaw uint8, ascending bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ranks := rng.Perm(int(spreadRaw%96) + 2)[:int(nRaw)%(int(spreadRaw%96)+2)+1]
+		if ascending {
+			sort.Ints(ranks)
+		}
+		s := Empty
+		for i, r := range ranks {
+			s = s.Add(r)
+			sofar := append([]int(nil), ranks[:i+1]...)
+			sort.Ints(sofar)
+			want := fromSortedUnique(sofar)
+			if s.String() != want.String() || !reflect.DeepEqual(s.Runs(), want.Runs()) {
+				t.Logf("after adding %v: %v (runs %v), want %v (runs %v)", ranks[:i+1], s, s.Runs(), want, want.Runs())
+				return false
+			}
+			if again := s.Add(r); !reflect.DeepEqual(again.Runs(), s.Runs()) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -171,7 +171,7 @@ func phaseBreakStream(emit func(*RSD)) {
 
 // TestRecyclingBuilderMatchesExhaustive feeds every fold-shape stream, and
 // the phase-break stream, through a recycling builder the way rankTracer
-// does (each leaf taken from newLeaf) and requires the exhaustive probe
+// does (each leaf taken from NewLeaf) and requires the exhaustive probe
 // loop's output, with no recycled leaf left in the result.
 func TestRecyclingBuilderMatchesExhaustive(t *testing.T) {
 	streams := builderStreams()
@@ -180,9 +180,9 @@ func TestRecyclingBuilderMatchesExhaustive(t *testing.T) {
 		for _, window := range []int{1, 4, DefaultMaxWindow} {
 			ref := &refBuilder{maxWindow: window}
 			stream(func(r *RSD) { ref.Append(r) })
-			rec := newRecyclingBuilder(window)
+			rec := NewStreamBuilder(window)
 			stream(func(r *RSD) {
-				l := rec.newLeaf()
+				l := rec.NewLeaf()
 				*l = *r
 				rec.Append(l)
 			})
@@ -250,5 +250,36 @@ func TestConcurrentWorldsTraceIdentically(t *testing.T) {
 		if encodeTrace(t, tr) != want {
 			t.Fatalf("concurrent world %d produced a different trace", i)
 		}
+	}
+}
+
+// TestResetKeepsIndexOnlyForShortStreams: Reset keeps the tail index's
+// storage for the next stream — unless the stream was long enough to grow
+// the maps past a prune interval, because clearing a map costs its capacity:
+// one long segment would tax every later Reset (a 16-rank trace with 20 000
+// unfoldable events before 3 000 barriers aligned 4x slower that way).
+func TestResetKeepsIndexOnlyForShortStreams(t *testing.T) {
+	b := NewStreamBuilder(DefaultMaxWindow)
+	fill := func(events int) {
+		for i := 0; i < events; i++ {
+			l := b.NewLeaf()
+			*l = RSD{Op: mpi.OpSend, Site: uint64(i), Ranks: taskset.Of(0), CommSize: 16, Peer: AbsParam(1), Tag: i, Root: -1}
+			b.Append(l)
+		}
+	}
+	fill(b.pruneInterval() / 2)
+	b.Reset()
+	if b.nodeAt == nil || len(b.nodeAt) != 0 || cap(b.links) == 0 || b.Len() != 0 {
+		t.Fatalf("after a short stream Reset should keep empty index storage: nodeAt=%v (len %d), cap(links)=%d, Len=%d",
+			b.nodeAt != nil, len(b.nodeAt), cap(b.links), b.Len())
+	}
+	fill(3 * b.pruneInterval())
+	b.Reset()
+	if b.nodeAt != nil || b.tailAt != nil || b.links != nil {
+		t.Fatal("after a stream longer than a prune interval Reset should drop the index storage")
+	}
+	fill(8) // and the builder works on from there
+	if b.Len() != 8 {
+		t.Fatalf("builder holds %d nodes after Reset and 8 appends", b.Len())
 	}
 }

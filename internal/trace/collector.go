@@ -35,7 +35,7 @@ func NewCollector(n int) *Collector {
 	}
 	c.comms[0] = world
 	for i := range c.builders {
-		c.builders[i] = newRecyclingBuilder(c.window)
+		c.builders[i] = NewStreamBuilder(c.window)
 	}
 	return c
 }
@@ -46,7 +46,7 @@ func (c *Collector) SetWindow(w int) {
 	c.window = w
 	c.trace = nil
 	for i := range c.builders {
-		c.builders[i] = newRecyclingBuilder(w)
+		c.builders[i] = NewStreamBuilder(w)
 	}
 }
 
@@ -67,7 +67,7 @@ type rankTracer struct {
 // rank's compressed stream. ev is the runtime's scratch event: everything
 // kept is copied out of it here.
 func (t *rankTracer) Record(ev *mpi.Event) {
-	r := t.builder.newLeaf()
+	r := t.builder.NewLeaf()
 	*r = RSD{
 		Op:       ev.Op,
 		Site:     ev.CallSite,

@@ -47,14 +47,14 @@ type Builder struct {
 	// wscratch is reusable storage for candidate window lengths.
 	wscratch []int
 
-	// recycle marks a builder that owns every leaf appended to it — they
-	// all came from its newLeaf, as in a Collector's per-rank builders. Once
-	// a fold has absorbed a tail window nothing references that window's
-	// leaves any more, so they go to free and carry the next events; a
-	// loop being extended then allocates no RSDs at all. Builders fed nodes
-	// their caller still references (Algorithm 1's global builder, which
-	// receives merged group sequences, and the tests' hand-built streams)
-	// leave it off.
+	// recycle marks a stream builder (NewStreamBuilder): it owns every leaf
+	// appended to it — they all came from its NewLeaf. Once a fold has
+	// absorbed a tail window nothing references that window's leaves any
+	// more, so they go to free and carry the next events; a loop being
+	// extended then allocates no RSDs at all. Builders fed nodes their
+	// caller still references (Algorithm 1's global builder, which receives
+	// merged group sequences, and the tests' hand-built streams) leave it
+	// off.
 	recycle bool
 	free    []*RSD
 }
@@ -102,19 +102,43 @@ func NewGlobalBuilder(w int) *Builder {
 	return &Builder{maxWindow: w, rankSensitive: true}
 }
 
-// newRecyclingBuilder returns a Builder for a stream whose leaves all come
-// from newLeaf.
-func newRecyclingBuilder(w int) *Builder { return &Builder{maxWindow: w, recycle: true} }
+// NewStreamBuilder returns the Builder for one rank's event stream: a
+// Collector's per-rank builders and Algorithm 1's per-rank segment builders.
+// Every node appended to it must be a leaf from its NewLeaf that nothing
+// else references; in exchange, leaves a fold absorbs are reused for later
+// events. Ownership moves in one direction only: leaves still in the
+// sequence when it is handed to MergeRankSeqsOwned leave the builder for
+// good, leaves a fold absorbed return to its free list.
+func NewStreamBuilder(w int) *Builder { return &Builder{maxWindow: w, recycle: true} }
 
-// newLeaf returns the RSD for the stream's next event: one a fold released,
+// NewLeaf returns the RSD for the stream's next event: one a fold released,
 // if any. The caller overwrites every field before appending it.
-func (b *Builder) newLeaf() *RSD {
+func (b *Builder) NewLeaf() *RSD {
 	if n := len(b.free); n > 0 {
 		r := b.free[n-1]
 		b.free = b.free[:n-1]
 		return r
 	}
 	return new(RSD)
+}
+
+// Reset starts the next stream on a builder whose sequence has been handed
+// to MergeRankSeqsOwned. The sequence goes with its leaves; the free list
+// stays, and so do the tail index's maps and chain storage, so a builder
+// that is reset once per segment — Algorithm 1 closes one per rank at every
+// collective — regrows none of them. Unless the stream outgrew a prune
+// interval: maps never shrink, and clearing ones that a long stream left
+// large would cost every later, shorter stream their full size.
+func (b *Builder) Reset() {
+	b.seq = nil
+	b.sincePrune = 0
+	if len(b.links) > b.pruneInterval() {
+		b.nodeAt, b.tailAt, b.links = nil, nil, nil
+		return
+	}
+	clear(b.nodeAt)
+	clear(b.tailAt)
+	b.links = b.links[:0]
 }
 
 // release recycles the leaves of a window a fold has just absorbed. They
@@ -274,7 +298,7 @@ func (b *Builder) foldOnce() bool {
 // ones are exactly what indexing the current sequence afresh produces;
 // pruning is purely a size bound and never loses a live candidate.
 func (b *Builder) maybePrune() {
-	if b.maxWindow < 1 || b.sincePrune < 4*b.maxWindow+64 {
+	if b.maxWindow < 1 || b.sincePrune < b.pruneInterval() {
 		return
 	}
 	clear(b.nodeAt)
@@ -285,6 +309,9 @@ func (b *Builder) maybePrune() {
 	}
 	b.sincePrune = 0
 }
+
+// pruneInterval is the number of index insertions between two prunes.
+func (b *Builder) pruneInterval() int { return 4*b.maxWindow + 64 }
 
 // demoteFirstIteration recursively moves a node's pooled compute samples
 // into the first-iteration pool.

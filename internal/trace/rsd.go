@@ -333,13 +333,26 @@ const (
 )
 
 // fnvMix folds the eight little-endian bytes of v into the FNV-1a state h.
+// A zero byte's step is a bare multiplication by the prime, so the zero high
+// bytes of a small value — what most fields hold — go in as one
+// multiplication by a power of it.
 func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h ^= (v >> i) & 0xff
-		h *= fnvPrime64
+	zeros := 8
+	for ; v != 0; v >>= 8 {
+		h = (h ^ v&0xff) * fnvPrime64
+		zeros--
 	}
-	return h
+	return h * fnvPrimePow[zeros]
 }
+
+// fnvPrimePow[k] is fnvPrime64 to the k-th power, modulo 2^64.
+var fnvPrimePow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime64
+	}
+	return pow
+}()
 
 // Hash implements Node.
 func (l *Loop) Hash() uint64 {
