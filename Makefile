@@ -9,18 +9,19 @@ test:
 # concurrent subsystems — the parallel trace pipeline, the simulated MPI
 # transport (the discrete-event scheduler's driver/rank coroutine switches,
 # raced at -cpu 1,2 so both the single-P and the idle-second-P paths run, and
-# the goroutine runtime's atomic combining barrier), the compiled coNCePTuaL
-# interpreter,
-# the harness worker pool, the telemetry registry and the benchd service —
-# the differential suite that pins the event engine, the goroutine runtime
-# and the reference collectives to bit-identical traces and clocks, also
-# under -race, plus a short fuzz pass over the untrusted-upload trace
-# decoder.
+# the goroutine reference runtime's mailboxes and lockedColl rendezvous), the
+# coNCePTuaL cursors and tree walk, the harness worker pool, the telemetry
+# registry and the benchd service — the differential suites that pin each
+# layer's production path to its reference (event engine vs goroutine
+# runtime, cursor vs coroutine replay) at bit-identical traces and clocks,
+# the golden digests that pin the production chain to testdata/engine_golden.json
+# and the test that pins the set of path selectors, also under -race, plus a
+# short fuzz pass over the untrusted-upload trace decoder.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
 	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
-	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestRunPoolConcurrentDeterminism' .
+	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestRunPoolConcurrentDeterminism|TestEngineGoldenDigests|TestPathSelectorsArePinned' .
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' .
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
@@ -86,8 +87,8 @@ bench8:
 # pool, measured at GOMAXPROCS 1, 2, 4 and 8 (benchjson's pool_speedups
 # section derives the kP-vs-1P scaling from the series — flat on a
 # single-core host, >=3x at 8P on real multicore hardware), plus the
-# per-rank cost of the three coNCePTuaL execution representations (the
-# cursor_speedups section records the coroutine-to-cursor ratio).
+# per-rank cost of the two coNCePTuaL execution representations (cursor and
+# tree walk).
 bench9:
 	$(GO) test -run NONE -bench BenchmarkMultiWorld -benchtime 20x -cpu 1,2,4,8 -benchmem -timeout 60m . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_9.json > BENCH_9.json.tmp

@@ -467,11 +467,10 @@ func runWorldBody(n int) func(*mpi.Rank) {
 }
 
 // BenchmarkRunWorld measures the simulated runtime itself — the substrate
-// every experiment stands on — at 64 and 256 ranks, on the default fast path
-// (atomic combining barrier, indexed mailbox, arenas) and on the reference
-// mutex+cond rendezvous. The fast/reference pairs at equal rank counts are
-// the recorded speedup evidence in BENCH_2.json; the telemetry/fast pairs
-// are the enabled-instrumentation overhead evidence in BENCH_3.json.
+// every experiment stands on — at 64 and 256 ranks on the event engine (the
+// "fast" legs; the reference leg of BENCH_2.json's fast/reference pairs went
+// with the reference collectives). The telemetry/fast pairs are the
+// enabled-instrumentation overhead evidence in BENCH_3.json.
 func BenchmarkRunWorld(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("fast-%dranks", n), func(b *testing.B) {
@@ -486,14 +485,6 @@ func BenchmarkRunWorld(b *testing.B) {
 			defer telemetry.Disable()
 			for i := 0; i < b.N; i++ {
 				if _, err := mpi.Run(n, netmodel.BlueGeneL(), runWorldBody(n)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("reference-%dranks", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mpi.Run(n, netmodel.BlueGeneL(), runWorldBody(n),
-					mpi.WithReferenceCollectives()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -761,9 +752,9 @@ func BenchmarkIncastContention(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpExecute measures coNCePTuaL program execution on the
-// compiled closure tree (the default) against the tree-walking reference, on
-// a program large enough that per-iteration statement dispatch dominates.
+// BenchmarkInterpExecute measures coNCePTuaL program execution on stackless
+// cursors (what Execute runs) against the tree-walking reference, on a
+// program large enough that per-iteration statement dispatch dominates.
 func BenchmarkInterpExecute(b *testing.B) {
 	prog := &conceptual.Program{NumTasks: 16, Stmts: []conceptual.Stmt{
 		&conceptual.LoopStmt{Count: 200, Body: []conceptual.Stmt{
@@ -774,7 +765,7 @@ func BenchmarkInterpExecute(b *testing.B) {
 			&conceptual.ReduceStmt{Srcs: conceptual.AllTasks, Dsts: conceptual.AllTasks, Size: 64},
 		}},
 	}}
-	b.Run("compiled", func(b *testing.B) {
+	b.Run("cursor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := conceptual.Execute(prog, 16, netmodel.BlueGeneL()); err != nil {
 				b.Fatal(err)
@@ -914,7 +905,7 @@ func BenchmarkMultiWorld(b *testing.B) {
 
 // conceptualReprProgram is the BenchmarkConceptualRepr workload: the
 // BenchmarkInterpExecute shape (async ring + await + compute + reduce in a
-// hot loop) sized so per-statement dispatch dominates, shared by all three
+// hot loop) sized so per-statement dispatch dominates, shared by both
 // execution representations. RelRank(n-1) keeps the receive the ring
 // predecessor at any world size.
 func conceptualReprProgram(n int) *conceptual.Program {
@@ -929,12 +920,10 @@ func conceptualReprProgram(n int) *conceptual.Program {
 	}}
 }
 
-// BenchmarkConceptualRepr records the per-rank cost of the three coNCePTuaL
-// execution representations for BENCH_9.json: the stackless cursor (the
-// event-engine default — no rank goroutines), the compiled-closure coroutine
-// path, and the tree-walking reference. The nsperrank metric is ns/op
-// divided by world size; benchjson's cursor_speedups section records the
-// coroutine/cursor ratio per size.
+// BenchmarkConceptualRepr records the per-rank cost of the two coNCePTuaL
+// execution representations for BENCH_9.json: the stackless cursor (no rank
+// goroutines) and the tree-walking reference. The nsperrank metric is ns/op
+// divided by world size.
 func BenchmarkConceptualRepr(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		prog := conceptualReprProgram(n)
@@ -943,7 +932,6 @@ func BenchmarkConceptualRepr(b *testing.B) {
 			opts []conceptual.RunOption
 		}{
 			{"cursor", nil},
-			{"coroutine", []conceptual.RunOption{conceptual.WithCoroutine()}},
 			{"treewalk", []conceptual.RunOption{conceptual.WithTreeWalk()}},
 		} {
 			n, v := n, v

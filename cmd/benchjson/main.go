@@ -20,11 +20,10 @@
 // the curve and the engine comparison are first-class data instead of a
 // flat key soup. In series mode the GOMAXPROCS suffix is kept as part of
 // the post_change key, since the same benchmark measured at different -cpu
-// values is different data. Two further derived sections: "pool_speedups"
+// values is different data. One further derived section: "pool_speedups"
 // records, per (variant, size), the 1P-to-kP ns/op ratio wherever the same
 // point was measured at GOMAXPROCS 1 and k (the BENCH_9.json multi-world
-// scaling evidence), and "cursor_speedups" the coroutine-to-cursor ratio
-// wherever both coNCePTuaL representations were measured at a size.
+// scaling evidence).
 package main
 
 import (
@@ -219,9 +218,6 @@ func main() {
 		if sp := poolSpeedups(fams); len(sp) > 0 {
 			setJSON(doc, "pool_speedups", sp)
 		}
-		if sp := variantSpeedups(fams, "cursor", "coroutine"); len(sp) > 0 {
-			setJSON(doc, "cursor_speedups", sp)
-		}
 		if vt := verifyThroughput(fams); len(vt) > 0 {
 			setJSON(doc, "verify_throughput", vt)
 		}
@@ -276,30 +272,6 @@ func poolSpeedups(fams map[string][]seriesPoint) map[string]float64 {
 				if base.Variant == p.Variant && base.Nprocs == p.Nprocs && base.Gomaxprocs == 1 {
 					key := fmt.Sprintf("%s/%s-%dranks-%dPvs1P", fam, p.Variant, p.Nprocs, p.Gomaxprocs)
 					out[key] = math.Round(base.NsPerOp/p.NsPerOp*100) / 100
-				}
-			}
-		}
-	}
-	return out
-}
-
-// variantSpeedups records, wherever a <base>… and an <other>… variant were
-// measured at the same size and GOMAXPROCS, other ns/op divided by base
-// ns/op — >1 means the base variant is faster. With ("cursor", "coroutine")
-// it is the per-representation cost comparison of the coNCePTuaL execution
-// paths in BENCH_9.json.
-func variantSpeedups(fams map[string][]seriesPoint, base, other string) map[string]float64 {
-	out := map[string]float64{}
-	for fam, pts := range fams {
-		for _, p := range pts {
-			rest, ok := strings.CutPrefix(p.Variant, base)
-			if !ok || p.NsPerOp <= 0 {
-				continue
-			}
-			for _, q := range pts {
-				if q.Variant == other+rest && q.Nprocs == p.Nprocs && q.Gomaxprocs == p.Gomaxprocs {
-					key := fmt.Sprintf("%s%s-%dranks-%dP", fam, rest, p.Nprocs, p.Gomaxprocs)
-					out[key] = math.Round(q.NsPerOp/p.NsPerOp*100) / 100
 				}
 			}
 		}

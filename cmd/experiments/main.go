@@ -45,20 +45,11 @@ func main() {
 			"number of experiment configurations to run concurrently (results are identical for any value)")
 		timeout = flag.Duration("timeout", 0,
 			"wall-clock deadline per simulated run (0 uses the runtime default)")
-		rtName = flag.String("runtime", "event",
-			"simulation runtime for every harness run (event, goroutine)")
 	)
 	flag.BoolVar(&critFlag, "critpath", false,
 		"in correctness, also diff original-vs-generated critical-path profiles")
 	tcli := telemetry.NewCLI()
 	flag.Parse()
-	// Reject a bad runtime choice (or a -critpath/-runtime=goroutine clash)
-	// here, in one line, before any experiment starts.
-	rtOpts, err := mpi.RuntimeOptions(*rtName, critFlag)
-	if err != nil {
-		fatal(err)
-	}
-	harness.SetRuntimeOptions(rtOpts...)
 	if err := tcli.Start(); err != nil {
 		fatal(err)
 	}

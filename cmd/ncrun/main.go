@@ -42,7 +42,6 @@ func main() {
 		modelName = flag.String("model", "bluegene", "platform model (bluegene, ethernet, ideal)")
 		profile   = flag.Bool("profile", false, "print the mpiP-style profile")
 		critFlag  = flag.Bool("critpath", false, "print the critical-path & wait-state profile")
-		rtName    = flag.String("runtime", "event", "simulation runtime (event, goroutine)")
 		verify    = flag.Bool("verify", false, "trace the run and model-check its MP-net (report after the run; exit 1 on a deadlock)")
 		scale     = flag.Float64("scale-compute", 1.0, "multiply all COMPUTE durations (what-if studies)")
 	)
@@ -50,13 +49,6 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fatal(fmt.Errorf("usage: ncrun [flags] prog.ncptl"))
-	}
-	// Validate the runtime choice (and its critpath interaction) before any
-	// parsing or setup, so a bad flag combination fails in one line here
-	// rather than deep inside run preparation.
-	rtOpts, err := mpi.RuntimeOptions(*rtName, *critFlag)
-	if err != nil {
-		fatal(err)
 	}
 	if err := tcli.Start(); err != nil {
 		fatal(err)
@@ -104,7 +96,7 @@ func main() {
 		}
 		return mt
 	}
-	mpiOpts := append([]mpi.Option{mpi.WithTracer(tracers)}, rtOpts...)
+	mpiOpts := []mpi.Option{mpi.WithTracer(tracers)}
 	var graph *mpi.DepGraph
 	if *critFlag {
 		graph = mpi.NewDepGraph()

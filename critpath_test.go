@@ -12,7 +12,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpip"
 	"repro/internal/netmodel"
-	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -130,11 +129,11 @@ func TestCritPathRepresentationsIdentical(t *testing.T) {
 				t.Fatalf("decode trace: %v", err)
 			}
 			graphs := make([]*mpi.DepGraph, 2)
-			for i, mode := range []replay.Mode{replay.ModeCursor, replay.ModeCoroutine} {
+			for i, m := range replayModes[:2] {
 				graphs[i] = mpi.NewDepGraph()
-				if _, err := replay.ReplayMode(tr, mode, netmodel.BlueGeneL(),
+				if _, err := m.run(tr, netmodel.BlueGeneL(),
 					mpi.WithCausalProfile(graphs[i])); err != nil {
-					t.Fatalf("replay mode %d: %v", mode, err)
+					t.Fatalf("%s replay: %v", m.name, err)
 				}
 			}
 			if !reflect.DeepEqual(graphs[0].Records, graphs[1].Records) {
@@ -256,21 +255,21 @@ func TestCritPathGoldenRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	for _, mode := range []replay.Mode{replay.ModeCursor, replay.ModeCoroutine} {
+	for _, m := range replayModes[:2] {
 		g := mpi.NewDepGraph()
-		if _, err := replay.ReplayMode(tr, mode, goldenModel(), mpi.WithCausalProfile(g)); err != nil {
-			t.Fatalf("replay mode %d: %v", mode, err)
+		if _, err := m.run(tr, goldenModel(), mpi.WithCausalProfile(g)); err != nil {
+			t.Fatalf("%s replay: %v", m.name, err)
 		}
 		check(t, g)
 		if !reflect.DeepEqual(gApp.Records, g.Records) {
-			t.Errorf("replay mode %d records differ from the app run", mode)
+			t.Errorf("%s replay records differ from the app run", m.name)
 		}
 	}
 }
 
 // TestCritPathRequiresEventEngine pins the option validation: the profiler
 // hooks live in the event engine's wake paths, so combining it with the
-// goroutine runtime or reference collectives is a configuration error.
+// goroutine runtime is a configuration error.
 func TestCritPathRequiresEventEngine(t *testing.T) {
 	g := mpi.NewDepGraph()
 	_, err := mpi.Run(2, netmodel.Ideal(), func(r *mpi.Rank) {},

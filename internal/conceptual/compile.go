@@ -1,33 +1,15 @@
 package conceptual
 
-import (
-	"repro/internal/mpi"
-	"repro/internal/taskset"
-	"repro/internal/telemetry"
-)
+import "repro/internal/taskset"
 
-// ctrCompiledNodes counts statements lowered into closures, across nesting
-// levels (a loop body's statements count individually).
-var ctrCompiledNodes = telemetry.NewCounter("conceptual.compiled_nodes")
-
-// This file lowers a coNCePTuaL program into a closure tree once per
-// (program, task count), so per-iteration execution does no AST walking and
-// no task-set or communicator-key computation. Everything a statement needs
-// at run time — membership masks, per-task peer ranks, the communicator a
-// collective uses and its root's communicator-relative rank — is resolved at
-// compile time; the closures only index precomputed arrays and call the
-// runtime. The tree-walking interpreter in interp.go is retained behind
-// WithTreeWalk as the differential-testing reference; both produce
-// bit-identical virtual clocks because they issue the same runtime calls
-// with the same arguments in the same order.
-
-// compiledStep executes one statement for the calling task.
-type compiledStep func(st *taskState)
-
-// compiledProgram is a program lowered for one task count.
-type compiledProgram struct {
-	steps []compiledStep
-}
+// This file holds what lowering a program for one task count resolves ahead
+// of execution, so the cursor instructions (cursor.go) only index precomputed
+// arrays: membership masks, per-task peer ranks, the communicator a
+// collective uses and its root's communicator-relative rank. The
+// tree-walking interpreter in interp.go resolves the same things per
+// statement execution and is the reference the differential tests compare
+// against; both produce bit-identical virtual clocks because they issue the
+// same runtime calls with the same arguments in the same order.
 
 // commRef names the communicator a collective statement uses: world (-1) or
 // an index into the startup communicator plan.
@@ -39,24 +21,6 @@ type compiler struct {
 	n       int
 	planIdx map[string]int    // task-group key -> plan position
 	sites   map[Stmt]siteInfo // deterministic call sites to stamp per statement
-}
-
-func compileProgram(p *Program, n int, plans []commPlan, sites map[Stmt]siteInfo) *compiledProgram {
-	defer telemetry.Region("conceptual.compile")()
-	c := &compiler{n: n, planIdx: make(map[string]int, len(plans)), sites: sites}
-	for i, pl := range plans {
-		c.planIdx[pl.key] = i
-	}
-	return &compiledProgram{steps: c.compileStmts(p.Stmts)}
-}
-
-func (c *compiler) compileStmts(stmts []Stmt) []compiledStep {
-	ctrCompiledNodes.Add(int64(len(stmts)))
-	out := make([]compiledStep, len(stmts))
-	for i, s := range stmts {
-		out[i] = c.compileStmt(s)
-	}
-	return out
 }
 
 // members precomputes the selector's membership as a dense mask.
@@ -120,174 +84,4 @@ func rootRank(ref commRef, union taskset.Set, w int) int {
 		}
 	}
 	return 0 // unreachable: the root is always a member of the union
-}
-
-// commAt returns the live communicator for a compile-time reference.
-func (st *taskState) commAt(ref commRef) *mpi.Comm {
-	if ref == worldRef {
-		return st.world
-	}
-	if c := st.planComms[ref]; c != nil {
-		return c
-	}
-	return st.world // not a member; mirrors commFor's safety fallback
-}
-
-func (c *compiler) compileStmt(s Stmt) compiledStep {
-	switch x := s.(type) {
-	case *LoopStmt:
-		body := c.compileStmts(x.Body)
-		count := x.Count
-		return func(st *taskState) {
-			for i := 0; i < count; i++ {
-				for _, f := range body {
-					f(st)
-				}
-			}
-		}
-	case *SendStmt:
-		members, dst, size, site := c.members(x.Who), c.peers(x.Dest), x.Size, c.sites[x].pri
-		if x.Async {
-			return func(st *taskState) {
-				if members[st.me] {
-					st.rank.SetCallSite(site)
-					st.outstanding = append(st.outstanding, st.rank.Isend(st.world, dst[st.me], 0, size))
-				}
-			}
-		}
-		return func(st *taskState) {
-			if members[st.me] {
-				st.rank.SetCallSite(site)
-				st.rank.Send(st.world, dst[st.me], 0, size)
-			}
-		}
-	case *RecvStmt:
-		members, src, size, site := c.members(x.Who), c.peers(x.Source), x.Size, c.sites[x].pri
-		if x.Async {
-			return func(st *taskState) {
-				if members[st.me] {
-					st.rank.SetCallSite(site)
-					st.outstanding = append(st.outstanding, st.rank.Irecv(st.world, src[st.me], 0, size))
-				}
-			}
-		}
-		return func(st *taskState) {
-			if members[st.me] {
-				st.rank.SetCallSite(site)
-				st.rank.Recv(st.world, src[st.me], 0, size)
-			}
-		}
-	case *AwaitStmt:
-		members, site := c.members(x.Who), c.sites[x].pri
-		return func(st *taskState) {
-			if members[st.me] && len(st.outstanding) > 0 {
-				st.rank.SetCallSite(site)
-				st.rank.Waitall(st.outstanding...)
-				st.outstanding = st.outstanding[:0]
-			}
-		}
-	case *SyncStmt:
-		members, site := c.members(x.Who), c.sites[x].pri
-		ref, _ := c.commRefFor(x.Who.Set(c.n))
-		return func(st *taskState) {
-			if members[st.me] {
-				st.rank.SetCallSite(site)
-				st.rank.Barrier(st.commAt(ref))
-			}
-		}
-	case *ReduceStmt:
-		return c.compileReduce(x)
-	case *MulticastStmt:
-		return c.compileMulticast(x)
-	case *ComputeStmt:
-		members, us := c.members(x.Who), x.USecs
-		return func(st *taskState) {
-			if members[st.me] {
-				st.rank.Compute(us)
-			}
-		}
-	case *ResetStmt:
-		members := c.members(x.Who)
-		return func(st *taskState) {
-			if members[st.me] {
-				st.resetAt = st.rank.Clock()
-			}
-		}
-	case *LogStmt:
-		members, label := c.members(x.Who), x.Label
-		return func(st *taskState) {
-			if !members[st.me] {
-				return
-			}
-			entry := LogEntry{Label: label, Task: st.me, Value: st.rank.Clock() - st.resetAt}
-			st.mu.Lock()
-			*st.logs = append(*st.logs, entry)
-			st.mu.Unlock()
-		}
-	default:
-		// Unknown statements are inert, as in the tree-walk interpreter.
-		return func(*taskState) {}
-	}
-}
-
-// compileReduce mirrors execReduce: sources equal to destinations is an
-// allreduce, a singleton destination a rooted reduce, anything else a reduce
-// followed by a multicast among the destinations.
-func (c *compiler) compileReduce(x *ReduceStmt) compiledStep {
-	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
-	ref, union := c.commRefFor(srcs, dsts)
-	part := c.maskOf(union)
-	size, si := x.Size, c.sites[x]
-	switch {
-	case srcs.Equal(dsts):
-		return func(st *taskState) {
-			if part[st.me] {
-				st.rank.SetCallSite(si.pri)
-				st.rank.Allreduce(st.commAt(ref), size)
-			}
-		}
-	case dsts.Size() == 1:
-		root := rootRank(ref, union, dsts.Min())
-		return func(st *taskState) {
-			if part[st.me] {
-				st.rank.SetCallSite(si.pri)
-				st.rank.Reduce(st.commAt(ref), root, size)
-			}
-		}
-	default:
-		root := rootRank(ref, union, dsts.Min())
-		return func(st *taskState) {
-			if part[st.me] {
-				comm := st.commAt(ref)
-				st.rank.SetCallSite(si.pri)
-				st.rank.Reduce(comm, root, size)
-				st.rank.SetCallSite(si.sec)
-				st.rank.Bcast(comm, root, size)
-			}
-		}
-	}
-}
-
-// compileMulticast mirrors execMulticast: a singleton source is a broadcast,
-// multiple sources a many-to-many exchange.
-func (c *compiler) compileMulticast(x *MulticastStmt) compiledStep {
-	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
-	ref, union := c.commRefFor(srcs, dsts)
-	part := c.maskOf(union)
-	size, site := x.Size, c.sites[x].pri
-	if srcs.Size() == 1 {
-		root := rootRank(ref, union, srcs.Min())
-		return func(st *taskState) {
-			if part[st.me] {
-				st.rank.SetCallSite(site)
-				st.rank.Bcast(st.commAt(ref), root, size)
-			}
-		}
-	}
-	return func(st *taskState) {
-		if part[st.me] {
-			st.rank.SetCallSite(site)
-			st.rank.Alltoall(st.commAt(ref), size)
-		}
-	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/netmodel"
 )
 
-// differentialPrograms covers every statement kind the compiler lowers,
+// differentialPrograms covers every statement kind lowerCursor lowers,
 // including the subtler shapes: subgroup collectives (planned communicators
 // with non-world roots), self-relative and absolute peers, async send/recv
 // with awaits, reduce in all three modes (allreduce, rooted, reduce+bcast),
@@ -70,10 +70,10 @@ func differentialPrograms() map[string]*Program {
 	}
 }
 
-// TestCompiledMatchesTreeWalk pins the tentpole claim for the interpreter
-// layer: the compiled closure tree and the tree-walking reference issue the
-// same runtime calls, so every per-task virtual clock is bit-identical and
-// the logs agree exactly.
+// TestCompiledMatchesTreeWalk pins the interpreter layer's claim: the lowered
+// cursor program and the tree-walking reference issue the same runtime
+// calls, so every per-task virtual clock is bit-identical and the logs agree
+// exactly.
 func TestCompiledMatchesTreeWalk(t *testing.T) {
 	for name, p := range differentialPrograms() {
 		for _, n := range []int{7, 8} {
@@ -109,7 +109,7 @@ func TestCompiledMatchesTreeWalk(t *testing.T) {
 	}
 }
 
-// TestCompileResolvesPlannedComms checks the compiler's communicator
+// TestCompileResolvesPlannedComms checks the lowering's communicator
 // resolution table directly: world-covering unions map to the world
 // reference, planned subgroups map to their plan slot.
 func TestCompileResolvesPlannedComms(t *testing.T) {

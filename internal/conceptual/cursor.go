@@ -12,18 +12,15 @@ import (
 // ctrCursorPrograms counts programs lowered to the stackless cursor form.
 var ctrCursorPrograms = telemetry.NewCounter("conceptual.cursor_programs")
 
-// This file lowers a coNCePTuaL program one step further than compile.go:
-// from the closure tree (one goroutine per task stepping compiled closures)
-// to a flat instruction list that the event engine's stackless executor can
-// drive with no rank goroutines at all. A generated program is exactly the
-// restricted shape the stackless representation requires — a pre-known
-// sequence of MPI operations with static loops — so each task's execution
-// state collapses to a program counter plus a loop-frame stack, resumable at
-// every blocking point (match, credit stall, collective round) by the
-// engine's cursor machinery. Under the event engine this is Execute's
-// default; the closure tree (WithCoroutine) and the tree walk (WithTreeWalk)
-// are retained as differential references, and all three produce
-// bit-identical clocks, traces and logs.
+// This file lowers a coNCePTuaL program to a flat instruction list that the
+// event engine's stackless executor drives with no rank goroutines at all. A
+// generated program is exactly the restricted shape the stackless
+// representation requires — a pre-known sequence of MPI operations with
+// static loops — so each task's execution state collapses to a program
+// counter plus a loop-frame stack, resumable at every blocking point (match,
+// credit stall, collective round) by the engine's cursor machinery. This is
+// how Execute runs; the tree walk (WithTreeWalk) is the differential
+// reference, and both produce bit-identical clocks, traces and logs.
 
 // siteInfo carries a statement's deterministic call-site hashes: pri for the
 // statement's own operation, sec for the second runtime call of a two-call
@@ -45,7 +42,7 @@ func planSite(i int) uint64 { return siteHash("plan/" + strconv.Itoa(i)) }
 
 // stmtSites assigns every statement a call-site hash derived from its
 // position in the program tree ("2/0" = first statement inside the loop that
-// is the program's third statement). All three execution paths stamp these
+// is the program's third statement). Both execution paths stamp these
 // same hashes onto the runtime calls they issue, which is what makes traces
 // and causal profiles bit-identical across representations: a stack walk
 // would hash different frames in each path (and cost ~1us per operation).
@@ -117,10 +114,9 @@ func streamID(ref commRef) int {
 	return int(ref) + 1
 }
 
-// lowerCursor lowers a program to cursor instructions, reusing the closure
-// compiler's resolution helpers (membership masks, peer tables, communicator
-// references, root ranks) so both lowerings resolve every argument
-// identically by construction.
+// lowerCursor lowers a program to cursor instructions through compile.go's
+// resolution helpers (membership masks, peer tables, communicator
+// references, root ranks).
 func lowerCursor(p *Program, n int, plans []commPlan, sites map[Stmt]siteInfo) *cursorProgram {
 	defer telemetry.Region("conceptual.lower_cursor")()
 	ctrCursorPrograms.Inc()
@@ -189,11 +185,13 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 	case *LogStmt:
 		out = append(out, cursorInstr{kind: ciLog, members: c.members(x.Who), label: x.Label})
 	}
-	// Unknown statements are inert, as in both reference paths.
+	// Unknown statements are inert, as in the tree walk.
 	return out
 }
 
-// lowerReduce mirrors compileReduce's three modes.
+// lowerReduce mirrors execReduce's three modes: sources equal to
+// destinations is an allreduce, a singleton destination a rooted reduce,
+// anything else a reduce followed by a multicast among the destinations.
 func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
@@ -218,7 +216,8 @@ func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	}
 }
 
-// lowerMulticast mirrors compileMulticast's two modes.
+// lowerMulticast mirrors execMulticast's two modes: a singleton source is a
+// broadcast, multiple sources a many-to-many exchange.
 func (c *compiler) lowerMulticast(x *MulticastStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
@@ -244,7 +243,7 @@ type loopFrame struct {
 // cursorStream feeds one task's operation sequence to the stackless
 // executor. Next runs on the engine's goroutine between operations, so the
 // clock it reads for RESET/LOG is the task's clock at exactly the program
-// point where the reference paths read it.
+// point where the tree walk reads it.
 type cursorStream struct {
 	prog    *cursorProgram
 	me      int

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -31,66 +32,61 @@ func execTraced(t *testing.T, p *Program, n int, opts ...RunOption) (*RunResult,
 }
 
 // TestCursorMatchesReferences is the cross-representation differential for
-// compiled coNCePTuaL execution: the stackless cursor default must produce
-// bit-identical per-task clocks, identical logs and a byte-identical encoded
-// trace against both coroutine references (the compiled closure tree and the
-// tree walk) on every differential kernel. Byte-identical traces depend on
-// the shared deterministic call-site stamping — a representation that walked
-// the stack instead would diverge here.
+// coNCePTuaL execution: the stackless cursors must produce bit-identical
+// per-task clocks, identical logs and a byte-identical encoded trace against
+// the tree-walk reference on every differential kernel. Byte-identical traces
+// depend on the shared deterministic call-site stamping — a representation
+// that walked the stack instead would diverge here.
 func TestCursorMatchesReferences(t *testing.T) {
-	refs := []struct {
-		name string
-		opt  RunOption
-	}{
-		{"coroutine", WithCoroutine()},
-		{"treewalk", WithTreeWalk()},
-	}
 	for name, p := range differentialPrograms() {
 		for _, n := range []int{7, 8} {
 			t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) {
 				base, baseTrace := execTraced(t, p, n) // stackless cursors
-				for _, ref := range refs {
-					res, refTrace := execTraced(t, p, n, ref.opt)
-					if base.ElapsedUS != res.ElapsedUS {
-						t.Errorf("ElapsedUS: cursor %v, %s %v", base.ElapsedUS, ref.name, res.ElapsedUS)
+				res, refTrace := execTraced(t, p, n, WithTreeWalk())
+				if base.ElapsedUS != res.ElapsedUS {
+					t.Errorf("ElapsedUS: cursor %v, treewalk %v", base.ElapsedUS, res.ElapsedUS)
+				}
+				for i := range res.PerTaskUS {
+					if base.PerTaskUS[i] != res.PerTaskUS[i] {
+						t.Errorf("task %d clock: cursor %v, treewalk %v",
+							i, base.PerTaskUS[i], res.PerTaskUS[i])
 					}
-					for i := range res.PerTaskUS {
-						if base.PerTaskUS[i] != res.PerTaskUS[i] {
-							t.Errorf("task %d clock: cursor %v, %s %v",
-								i, base.PerTaskUS[i], ref.name, res.PerTaskUS[i])
-						}
+				}
+				if len(base.Logs) != len(res.Logs) {
+					t.Fatalf("logs: cursor %d entries, treewalk %d", len(base.Logs), len(res.Logs))
+				}
+				for i := range res.Logs {
+					if base.Logs[i] != res.Logs[i] {
+						t.Errorf("log %d: cursor %+v, treewalk %+v", i, base.Logs[i], res.Logs[i])
 					}
-					if len(base.Logs) != len(res.Logs) {
-						t.Fatalf("logs: cursor %d entries, %s %d", len(base.Logs), ref.name, len(res.Logs))
-					}
-					for i := range res.Logs {
-						if base.Logs[i] != res.Logs[i] {
-							t.Errorf("log %d: cursor %+v, %s %+v", i, base.Logs[i], ref.name, res.Logs[i])
-						}
-					}
-					if !bytes.Equal(baseTrace, refTrace) {
-						t.Errorf("encoded trace differs between cursor and %s", ref.name)
-					}
+				}
+				if !bytes.Equal(baseTrace, refTrace) {
+					t.Error("encoded trace differs between cursor and treewalk")
 				}
 			})
 		}
 	}
 }
 
-// TestCursorMatchesReferencesOnGoroutineRuntime pins the fallback: when the
-// caller forces the goroutine runtime, Execute cannot use cursors and must
-// route to the compiled closure tree — with identical results.
-func TestCursorMatchesReferencesOnGoroutineRuntime(t *testing.T) {
+// TestGoroutineRuntimeRequiresTreeWalk pins that there is no silent
+// fallback: cursors need the event engine, so asking Execute for the
+// goroutine runtime without WithTreeWalk is a named error, and with it the
+// tree walk runs there and matches the cursors bit for bit.
+func TestGoroutineRuntimeRequiresTreeWalk(t *testing.T) {
 	p := differentialPrograms()["ring"]
 	n := 8
+	goroutineRT := WithMPIOptions(mpi.WithGoroutineRuntime())
+	if _, err := Execute(p, n, netmodel.BlueGeneL(), goroutineRT); err == nil ||
+		!strings.Contains(err.Error(), "require the event engine") {
+		t.Fatalf("cursor Execute on the goroutine runtime: %v, want the event-engine error", err)
+	}
 	base, err := Execute(p, n, netmodel.BlueGeneL())
 	if err != nil {
 		t.Fatalf("cursor Execute: %v", err)
 	}
-	gr, err := Execute(p, n, netmodel.BlueGeneL(),
-		WithMPIOptions(mpi.WithGoroutineRuntime()))
+	gr, err := Execute(p, n, netmodel.BlueGeneL(), WithTreeWalk(), goroutineRT)
 	if err != nil {
-		t.Fatalf("goroutine-runtime Execute: %v", err)
+		t.Fatalf("tree walk on the goroutine runtime: %v", err)
 	}
 	for i := range base.PerTaskUS {
 		if base.PerTaskUS[i] != gr.PerTaskUS[i] {
@@ -104,8 +100,8 @@ func TestCursorMatchesReferencesOnGoroutineRuntime(t *testing.T) {
 // engine, Execute drives every task as a stackless cursor, so a 128-task
 // program adds only O(1) goroutines (the run's watchdog), not one per task.
 // A sampler thread watches the process-wide goroutine count for the whole
-// run; the coroutine path would hold ~128 extra goroutines alive throughout
-// and trips the bound reliably.
+// run; the tree walk would hold ~128 extra goroutines alive throughout and
+// trips the bound reliably.
 func TestExecuteGoroutineFree(t *testing.T) {
 	const n = 128
 	p := &Program{Stmts: []Stmt{

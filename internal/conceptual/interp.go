@@ -32,9 +32,8 @@ type RunResult struct {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	mpiOpts   []mpi.Option
-	treeWalk  bool
-	coroutine bool
+	mpiOpts  []mpi.Option
+	treeWalk bool
 }
 
 // WithMPIOptions forwards options (tracers, timeouts) to the underlying
@@ -44,19 +43,13 @@ func WithMPIOptions(opts ...mpi.Option) RunOption {
 	return func(c *runConfig) { c.mpiOpts = append(c.mpiOpts, opts...) }
 }
 
-// WithTreeWalk interprets the AST directly instead of running the compiled
-// program. All paths issue identical runtime calls and produce bit-identical
-// virtual clocks, traces and logs; the tree walker is kept as the reference
-// for differential tests.
+// WithTreeWalk interprets the AST directly, one coroutine rank per task,
+// instead of lowering the program to stackless cursors. Both paths issue
+// identical runtime calls and produce bit-identical virtual clocks, traces
+// and logs; the tree walker is the reference the differential tests compare
+// the cursors against, and no production caller selects it.
 func WithTreeWalk() RunOption {
 	return func(c *runConfig) { c.treeWalk = true }
-}
-
-// WithCoroutine runs the compiled closure tree on coroutine ranks (one
-// goroutine per task) instead of the default stackless cursors. Kept as the
-// second differential reference; results are bit-identical either way.
-func WithCoroutine() RunOption {
-	return func(c *runConfig) { c.coroutine = true }
 }
 
 // Execute interprets the program on n simulated tasks over the given network
@@ -85,35 +78,23 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 
 	var res *mpi.Result
 	var err error
-	if !cfg.treeWalk && !cfg.coroutine && mpi.EventEngineSelected(cfg.mpiOpts...) {
-		// Default under the event engine: lower once to the stackless cursor
-		// form and run with no per-task goroutines at all — each task is a
-		// program counter the engine advances in place.
+	if !cfg.treeWalk {
+		// Lower once to the stackless cursor form and run with no per-task
+		// goroutines at all — each task is a program counter the engine
+		// advances in place. RunStackless refuses the goroutine runtime.
 		cp := lowerCursor(p, n, plans, sites)
 		res, err = mpi.RunStackless(n, model, func(rank int) mpi.OpStream {
 			return &cursorStream{prog: cp, me: rank, mu: &mu, logs: &logs}
 		}, cfg.mpiOpts...)
 	} else {
-		// Reference paths on coroutine ranks: the compiled closure tree, or
-		// the direct tree walk behind WithTreeWalk.
-		var compiled *compiledProgram
-		if !cfg.treeWalk {
-			compiled = compileProgram(p, n, plans, sites)
-		}
 		body := func(r *mpi.Rank) {
 			st := &taskState{
 				rank:  r,
-				me:    r.Rank(),
 				n:     n,
-				world: r.World(),
+				comms: map[string]*mpi.Comm{},
 				sites: sites,
 				mu:    &mu,
 				logs:  &logs,
-			}
-			if cfg.treeWalk {
-				st.comms = map[string]*mpi.Comm{}
-			} else {
-				st.planComms = make([]*mpi.Comm, len(plans))
 			}
 			for i, plan := range plans {
 				color := -1
@@ -121,23 +102,11 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 					color = 0
 				}
 				r.SetCallSite(planSite(i))
-				sub := r.CommSplit(r.World(), color, r.Rank())
-				if sub == nil {
-					continue
-				}
-				if cfg.treeWalk {
+				if sub := r.CommSplit(r.World(), color, r.Rank()); sub != nil {
 					st.comms[plan.key] = sub
-				} else {
-					st.planComms[i] = sub
 				}
 			}
-			if cfg.treeWalk {
-				st.exec(p.Stmts)
-			} else {
-				for _, f := range compiled.steps {
-					f(st)
-				}
-			}
+			st.exec(p.Stmts)
 			if len(st.outstanding) > 0 {
 				// The stackless end-of-body drain stamps this constant; stamp
 				// it here too so the implicit trailing Waitall traces
@@ -214,16 +183,12 @@ func collectCommPlans(stmts []Stmt, n int) []commPlan {
 	return plans
 }
 
-// taskState is one task's interpreter state, shared by the compiled closure
-// tree (me/world/planComms) and the tree-walk reference path (comms).
+// taskState is one task's state under the tree-walk reference path.
 type taskState struct {
 	rank        *mpi.Rank
-	me          int
 	n           int
-	world       *mpi.Comm
-	planComms   []*mpi.Comm          // plan position -> communicator (compiled path)
-	comms       map[string]*mpi.Comm // task-group key -> communicator (tree walk)
-	sites       map[Stmt]siteInfo    // deterministic call sites (tree walk)
+	comms       map[string]*mpi.Comm // task-group key -> communicator
+	sites       map[Stmt]siteInfo    // deterministic call sites
 	outstanding []*mpi.Request
 	resetAt     float64
 	mu          *sync.Mutex

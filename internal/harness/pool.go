@@ -35,17 +35,6 @@ var poolOverride atomic.Int32
 // run the harness starts. Zero keeps the runtime default.
 var runTimeoutNS atomic.Int64
 
-// runtimeOpts holds extra mpi options (a []mpi.Option, possibly nil) applied
-// to every harness-started run — CLI plumbing for -runtime.
-var runtimeOpts atomic.Value
-
-// SetRuntimeOptions sets extra mpi options every harness-started run
-// receives, typically the resolved -runtime flag (mpi.RuntimeOptions).
-// Callers must validate the combination up front; nil restores the default.
-func SetRuntimeOptions(opts ...mpi.Option) {
-	runtimeOpts.Store(opts)
-}
-
 // sharedEngine pools simulated worlds across every run the harness starts.
 // Experiment batches replay the same few world sizes dozens of times (trace,
 // generate, replay, what-if variants), so after the first configuration at a
@@ -105,9 +94,6 @@ func runOptions() []mpi.Option {
 	opts := []mpi.Option{mpi.WithEngine(sharedEngine)}
 	if d := time.Duration(runTimeoutNS.Load()); d > 0 {
 		opts = append(opts, mpi.WithTimeout(d))
-	}
-	if extra, _ := runtimeOpts.Load().([]mpi.Option); len(extra) > 0 {
-		opts = append(opts, extra...)
 	}
 	return opts
 }

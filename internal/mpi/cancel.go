@@ -14,13 +14,12 @@ import (
 // world is poisoned, not abandoned.
 type runStop struct {
 	flag atomic.Bool
-	ch   chan struct{}
 
 	mu    sync.Mutex
 	conds []*sync.Cond
 }
 
-func newRunStop() *runStop { return &runStop{ch: make(chan struct{})} }
+func newRunStop() *runStop { return &runStop{} }
 
 // register adds a condition variable to wake on trigger. Waiters must
 // re-check stopped after every Wait.
@@ -37,25 +36,15 @@ func (s *runStop) register(c *sync.Cond) {
 // so transport code works in worlds without a stop (none today, but cheap).
 func (s *runStop) stopped() bool { return s != nil && s.flag.Load() }
 
-// done returns the channel closed by trigger, or nil (blocks forever in a
-// select) when no stop exists.
-func (s *runStop) done() <-chan struct{} {
-	if s == nil {
-		return nil
-	}
-	return s.ch
-}
-
-// trigger cancels the run: it closes the stop channel (waking channel-parked
-// collective waiters) and broadcasts every registered condition variable
-// (waking mailbox and reference-rendezvous waiters). Each broadcast happens
-// under the condition's lock, so a waiter that checked stopped just before
-// parking is guaranteed to be woken. Idempotent.
+// trigger cancels the run: it raises the flag and broadcasts every registered
+// condition variable (waking the goroutine runtime's mailbox and collective
+// waiters). Each broadcast happens under the condition's lock, so a waiter
+// that checked stopped just before parking is guaranteed to be woken.
+// Idempotent.
 func (s *runStop) trigger() {
 	if s == nil || !s.flag.CompareAndSwap(false, true) {
 		return
 	}
-	close(s.ch)
 	s.mu.Lock()
 	conds := append([]*sync.Cond(nil), s.conds...)
 	s.mu.Unlock()
@@ -68,13 +57,11 @@ func (s *runStop) trigger() {
 
 // reset re-arms a triggered stop for the next run on a pooled world. It is
 // only safe after the previous run has fully quiesced (every rank goroutine
-// parked or unwound, Run returned): no waiter can be parked on the old
-// channel, and event-engine worlds register no condition variables, so
-// dropping the conds slice loses nothing. The engine pool calls this from
-// the single goroutine that owns the world between runs.
+// parked or unwound, Run returned): event-engine worlds register no condition
+// variables, so dropping the conds slice loses nothing. The engine pool calls
+// this from the single goroutine that owns the world between runs.
 func (s *runStop) reset() {
 	s.flag.Store(false)
-	s.ch = make(chan struct{})
 	s.mu.Lock()
 	s.conds = s.conds[:0]
 	s.mu.Unlock()

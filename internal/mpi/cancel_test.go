@@ -74,9 +74,8 @@ func TestRunContextCancelUnblocksRanks(t *testing.T) {
 }
 
 // TestRunContextCancelGoroutineRuntime exercises the goroutine runtime's
-// teardown of ranks blocked in every kind of wait (condition-variable
-// receive, collective rendezvous), which stays reachable behind
-// WithGoroutineRuntime.
+// teardown of ranks blocked in each of its waits: rank 0 on a mailbox
+// condition variable, the rest in lockedColl's mutex+cond rendezvous.
 func TestRunContextCancelGoroutineRuntime(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -108,28 +107,6 @@ func TestEventEngineDeadlockDetectedInstantly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadlock took %v to report; the event engine should prove it instantly", elapsed)
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestRunContextCancelReferenceCollectives exercises the mutex+cond
-// rendezvous teardown path.
-func TestRunContextCancelReferenceCollectives(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := Run(4, netmodel.Ideal(), func(r *Rank) {
-		if r.Rank() != 0 {
-			r.Barrier(r.World())
-		} else {
-			r.Recv(r.World(), 1, 1, 1)
-		}
-	}, WithContext(ctx), WithReferenceCollectives(), WithTimeout(30*time.Second))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error %v does not wrap context.Canceled", err)
 	}
 	waitForGoroutines(t, base)
 }

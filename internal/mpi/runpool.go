@@ -215,11 +215,13 @@ func (p *RunPool) workerLoop(id int) {
 			continue
 		}
 		p.parkMu.Lock()
-		if p.closed {
-			p.parkMu.Unlock()
-			return
-		}
 		if p.pending.Load() == 0 {
+			// Exit only with nothing queued: a task submitted after the
+			// findTask above and before Close must still be drained.
+			if p.closed {
+				p.parkMu.Unlock()
+				return
+			}
 			p.parkCond.Wait()
 		}
 		p.parkMu.Unlock()

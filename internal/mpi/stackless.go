@@ -679,18 +679,17 @@ func (e *eventLoop) stepCursor(i int32) {
 
 // RunStackless executes one stackless body per rank: progFor is called once
 // per rank for its operation stream. Only the discrete-event engine can
-// drive cursors, so combining this with WithGoroutineRuntime or
-// WithReferenceCollectives is an error. All other options (tracers,
-// timeouts, contexts, WithEngine pooling) behave as in Run, and the results
-// are bit-identical to running the equivalent imperative body on either
-// runtime.
+// drive cursors, so combining this with WithGoroutineRuntime is an error.
+// All other options (tracers, timeouts, contexts, WithEngine pooling) behave
+// as in Run, and the results are bit-identical to running the equivalent
+// imperative body on either runtime.
 func RunStackless(n int, model *netmodel.Model, progFor func(rank int) OpStream, opts ...Option) (*Result, error) {
 	cfg, err := prepare(&n, &model, opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.goroutineRT || cfg.refColl {
-		return nil, fmt.Errorf("mpi: stackless bodies require the event engine (drop WithGoroutineRuntime/WithReferenceCollectives)")
+	if cfg.goroutineRT {
+		return nil, fmt.Errorf("mpi: stackless bodies require the event engine (drop WithGoroutineRuntime)")
 	}
 	if cfg.engine != nil {
 		return cfg.engine.run(n, model, nil, progFor, cfg)

@@ -19,15 +19,11 @@ type World struct {
 	mailboxes  []*mailbox
 	commWorld  *Comm
 	nextCommID int64
-	// refColl selects the reference mutex+cond collective rendezvous for
-	// every communicator (WithReferenceCollectives).
-	refColl bool
 	// stop poisons the world on cancellation or timeout so every rank
 	// goroutine unwinds instead of leaking (see cancel.go).
 	stop *runStop
 	// sched is the discrete-event engine driving this world, nil when the
-	// world runs on the goroutine-per-rank runtime (WithGoroutineRuntime or
-	// WithReferenceCollectives).
+	// world runs on the goroutine-per-rank runtime (WithGoroutineRuntime).
 	sched *eventLoop
 	// prof, when non-nil, is the causal dependency graph this run records
 	// into (WithCausalProfile). Event engine only; see depgraph.go.
@@ -45,7 +41,6 @@ type Result struct {
 type config struct {
 	tracerFor   func(rank int) Tracer
 	timeout     time.Duration
-	refColl     bool
 	goroutineRT bool
 	ctx         context.Context
 	engine      *Engine
@@ -77,24 +72,14 @@ func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
 
-// WithReferenceCollectives runs every communicator's collectives through the
-// original mutex+cond rendezvous instead of the atomic combining barrier.
-// Virtual-time results are bit-identical either way; the reference path
-// exists so differential tests can prove exactly that. It implies
-// WithGoroutineRuntime: the mutex+cond rendezvous needs concurrently
-// runnable ranks.
-func WithReferenceCollectives() Option {
-	return func(c *config) { c.refColl = true }
-}
-
 // WithGoroutineRuntime runs the world on the original goroutine-per-rank
-// runtime — every rank an OS-scheduled goroutine, blocking on channels,
-// mutexes and condition variables — instead of the default discrete-event
-// engine. Virtual-time results are bit-identical either way (the
-// differential suite proves it per application kernel); the goroutine
-// runtime is retained as the semantic reference and for its incidental
-// property of exercising the transport under real concurrency, which the
-// race-detector builds rely on.
+// runtime — every rank an OS-scheduled goroutine, blocking on mutexes and
+// condition variables (mailboxes, and lockedColl for collectives) — instead
+// of the discrete-event engine. It is the semantic reference tests compare
+// the engine against (virtual-time results are bit-identical; the
+// differential suite proves it per application kernel) and exercises the
+// transport under real concurrency for the race-detector builds. No
+// production caller selects it.
 func WithGoroutineRuntime() Option {
 	return func(c *config) { c.goroutineRT = true }
 }
@@ -104,10 +89,9 @@ func WithGoroutineRuntime() Option {
 // coroutines are drawn from eng's pool and returned to it when the run
 // completes, so repeated Runs at the same world size pay an O(active-ranks)
 // reset instead of a full allocation. Results are bit-identical to a fresh
-// world. The option is ignored for the goroutine and reference runtimes,
-// whose worlds are not poolable. Requests for *Request lifetimes: a request
-// held across Runs on the same engine is invalidated by the pool's arena
-// rewind.
+// world. The option is ignored for the goroutine runtime, whose worlds are
+// not poolable. Requests for *Request lifetimes: a request held across Runs
+// on the same engine is invalidated by the pool's arena rewind.
 func WithEngine(eng *Engine) Option {
 	return func(c *config) { c.engine = eng }
 }
@@ -119,43 +103,10 @@ func WithEngine(eng *Engine) Option {
 // start; read it after Run returns successfully. Recording is observation
 // only: virtual clocks, traces and results are bit-identical with and
 // without it. Requires the discrete-event engine — combining it with
-// WithGoroutineRuntime or WithReferenceCollectives is an error, because the
-// goroutine runtime has no single observation point per dependency.
+// WithGoroutineRuntime is an error, because the goroutine runtime has no
+// single observation point per dependency.
 func WithCausalProfile(g *DepGraph) Option {
 	return func(c *config) { c.graph = g }
-}
-
-// EventEngineSelected reports whether the given options leave the default
-// discrete-event engine in charge (neither WithGoroutineRuntime nor
-// WithReferenceCollectives). Callers use it to decide whether
-// engine-specific fast paths — the stackless replay representation — apply.
-func EventEngineSelected(opts ...Option) bool {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return !cfg.goroutineRT && !cfg.refColl
-}
-
-// RuntimeOptions resolves a CLI-level -runtime flag value into run options,
-// validating it up front against causal profiling so a bad combination is a
-// clear one-line error at flag-parse time instead of a failure deep inside a
-// prepared run. Accepted names: "" or "event" (the default discrete-event
-// engine, no extra options) and "goroutine" (the goroutine-per-rank
-// reference runtime) — the latter is rejected when critpath is set, because
-// the causal profiler requires the event engine's single observation point.
-func RuntimeOptions(name string, critpath bool) ([]Option, error) {
-	switch name {
-	case "", "event":
-		return nil, nil
-	case "goroutine":
-		if critpath {
-			return nil, fmt.Errorf("mpi: -critpath requires the event engine; drop -runtime=goroutine")
-		}
-		return []Option{WithGoroutineRuntime()}, nil
-	default:
-		return nil, fmt.Errorf("mpi: unknown runtime %q (want event or goroutine)", name)
-	}
 }
 
 // denseSrcIndexRanks bounds the world size that uses dense per-source
@@ -195,7 +146,7 @@ func Run(n int, model *netmodel.Model, body func(*Rank), opts ...Option) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	if cfg.engine != nil && !cfg.goroutineRT && !cfg.refColl {
+	if cfg.engine != nil && !cfg.goroutineRT {
 		return cfg.engine.run(n, model, body, nil, cfg)
 	}
 	var setupStart time.Time
@@ -234,8 +185,8 @@ func prepare(n *int, model **netmodel.Model, opts []Option) (*config, error) {
 			return nil, fmt.Errorf("mpi: run cancelled: %w", err)
 		}
 	}
-	if cfg.graph != nil && (cfg.goroutineRT || cfg.refColl) {
-		return nil, fmt.Errorf("mpi: WithCausalProfile requires the event engine (drop WithGoroutineRuntime/WithReferenceCollectives)")
+	if cfg.graph != nil && cfg.goroutineRT {
+		return nil, fmt.Errorf("mpi: WithCausalProfile requires the event engine (drop WithGoroutineRuntime)")
 	}
 	return cfg, nil
 }
@@ -243,9 +194,8 @@ func prepare(n *int, model **netmodel.Model, opts []Option) (*config, error) {
 // newWorld builds a world and its rank array from scratch (a cold start —
 // the engine pool's reset path is the warm equivalent).
 func newWorld(n int, model *netmodel.Model, cfg *config) (*World, []Rank) {
-	w := &World{n: n, model: model, mailboxes: make([]*mailbox, n), refColl: cfg.refColl,
-		stop: newRunStop()}
-	if !cfg.goroutineRT && !cfg.refColl {
+	w := &World{n: n, model: model, mailboxes: make([]*mailbox, n), stop: newRunStop()}
+	if !cfg.goroutineRT {
 		w.sched = newEventLoop(n, w.stop)
 	}
 	if w.prof = cfg.graph; w.prof != nil {

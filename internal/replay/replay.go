@@ -6,14 +6,12 @@
 // Equivalent implements that comparison.
 //
 // A replayed rank is a flat, pre-known operation sequence, which is exactly
-// the shape the event engine's stackless representation wants: by default
-// (ModeAuto under the event engine) each rank is compiled into an OpStream
-// cursor and driven without a goroutine or stack, which removes the
-// per-rank stack footprint and handoff cost at large world sizes. The
-// coroutine path is retained for the goroutine and reference runtimes and
-// for differential testing; both paths stamp the trace's recorded call
-// sites onto the re-issued operations, so all runtimes re-trace
-// byte-identically.
+// the shape the event engine's stackless representation wants: Replay
+// compiles each rank into an OpStream cursor driven without a goroutine or
+// stack, which removes the per-rank stack footprint and handoff cost at
+// large world sizes. ReplayReference keeps the imperative coroutine replayer
+// for differential testing; both stamp the trace's recorded call sites onto
+// the re-issued operations, so they re-trace byte-identically.
 package replay
 
 import (
@@ -24,47 +22,28 @@ import (
 	"repro/internal/trace"
 )
 
-// Mode selects the rank representation a replay runs on.
-type Mode int
-
-const (
-	// ModeAuto uses stackless cursors when the options leave the event
-	// engine in charge, coroutine bodies otherwise.
-	ModeAuto Mode = iota
-	// ModeCursor forces the stackless representation (event engine only).
-	ModeCursor
-	// ModeCoroutine forces the goroutine-backed body on whichever runtime
-	// the options select.
-	ModeCoroutine
-)
-
-// Replay executes the trace on n simulated ranks and returns the runtime's
-// result. Extra mpi options (tracers, profilers, timeouts, a pooled engine)
-// may be supplied — replaying under a Collector yields a re-trace. The rank
-// representation is chosen automatically (ModeAuto); ReplayMode pins it.
+// Replay executes the trace on n simulated ranks, each a stackless cursor on
+// the event engine, and returns the runtime's result. Extra mpi options
+// (tracers, profilers, timeouts, a pooled engine) may be supplied —
+// replaying under a Collector yields a re-trace. Asking for the goroutine
+// runtime is an error (mpi.RunStackless).
 func Replay(t *trace.Trace, model *netmodel.Model, opts ...mpi.Option) (*mpi.Result, error) {
-	return ReplayMode(t, ModeAuto, model, opts...)
-}
-
-// ReplayMode is Replay with an explicit rank representation. The
-// differential suite runs the same trace through ModeCursor, ModeCoroutine
-// (event engine) and ModeCoroutine (goroutine runtime) and requires
-// byte-identical traces and clocks from all three.
-func ReplayMode(t *trace.Trace, mode Mode, model *netmodel.Model, opts ...mpi.Option) (*mpi.Result, error) {
 	if t.N <= 0 {
 		return nil, fmt.Errorf("replay: trace has no ranks")
 	}
-	if mode == ModeAuto {
-		if mpi.EventEngineSelected(opts...) {
-			mode = ModeCursor
-		} else {
-			mode = ModeCoroutine
-		}
-	}
-	if mode == ModeCursor {
-		return mpi.RunStackless(t.N, model, func(rank int) mpi.OpStream {
-			return newCursorStream(t, rank)
-		}, opts...)
+	return mpi.RunStackless(t.N, model, func(rank int) mpi.OpStream {
+		return newCursorStream(t, rank)
+	}, opts...)
+}
+
+// ReplayReference is Replay on imperative rank bodies (the replayer below)
+// under whichever runtime the options select. It exists for the differential
+// suite, which requires byte-identical re-traces and clocks from Replay,
+// ReplayReference on the event engine and ReplayReference on the goroutine
+// runtime; no production caller uses it.
+func ReplayReference(t *trace.Trace, model *netmodel.Model, opts ...mpi.Option) (*mpi.Result, error) {
+	if t.N <= 0 {
+		return nil, fmt.Errorf("replay: trace has no ranks")
 	}
 	// The communicator table's final size is known up front (world plus every
 	// traced communicator), and a handful of outstanding requests is the norm

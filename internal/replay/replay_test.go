@@ -146,6 +146,20 @@ func TestReplayRejectsEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesGoroutineRuntime pins that Replay has no fallback: cursors
+// need the event engine, and only ReplayReference runs anywhere else.
+func TestReplayRefusesGoroutineRuntime(t *testing.T) {
+	m := netmodel.BlueGeneL()
+	tr, _ := collect(t, 4, m, stencilBody(3))
+	if _, err := Replay(tr, m, mpi.WithGoroutineRuntime()); err == nil ||
+		!strings.Contains(err.Error(), "require the event engine") {
+		t.Fatalf("Replay on the goroutine runtime: %v, want the event-engine error", err)
+	}
+	if _, err := ReplayReference(tr, m, mpi.WithGoroutineRuntime()); err != nil {
+		t.Fatalf("ReplayReference on the goroutine runtime: %v", err)
+	}
+}
+
 func TestEquivalentIdenticalTraces(t *testing.T) {
 	n := 6
 	tr1, _ := collect(t, n, netmodel.Ideal(), stencilBody(10))

@@ -64,11 +64,6 @@ type Request struct {
 	// Trace is a raw scalatrace-go trace document; mutually exclusive with
 	// App. It is decoded under the trace package's untrusted-input bounds.
 	Trace string `json:"trace,omitempty"`
-	// Runtime optionally names the simulation runtime. The daemon's pipeline
-	// always attaches the causal profiler, which requires the event engine, so
-	// only "event" (or empty) is accepted; "goroutine" is refused at admission
-	// with a one-line 400 rather than failing deep inside run preparation.
-	Runtime string `json:"runtime,omitempty"`
 
 	// decoded holds the upload's validated decode, populated at admission by
 	// validateTrace so the pipeline does not parse the document twice. It is
@@ -79,17 +74,6 @@ type Request struct {
 // normalize applies defaults and validates the request, returning a
 // client-attributable error (served as 400) when it is malformed.
 func (r *Request) normalize() error {
-	switch r.Runtime {
-	case "", "event":
-		// Canonical form: the event engine is the only runtime benchd runs,
-		// so an explicit "event" must hit the same cache entry as the default
-		// (Runtime is deliberately not part of the Key preimage).
-		r.Runtime = ""
-	case "goroutine":
-		return fmt.Errorf("runtime \"goroutine\" not supported: benchd's pipeline attaches the causal profiler, which requires the event engine")
-	default:
-		return fmt.Errorf("unknown runtime %q (want event)", r.Runtime)
-	}
 	if r.Lang == "" {
 		r.Lang = "conceptual"
 	}

@@ -310,10 +310,34 @@ func (s *Server) job(id string) *Job {
 	return s.jobs[id]
 }
 
+// maxRequestBytes bounds a request body. The trace codec's MaxDecode* limits
+// apply only once the whole "trace" string is in memory, so the body itself
+// is capped first; the largest upload the benchmark ledger sends is under
+// 1 MB, which leaves two orders of magnitude.
+const maxRequestBytes = 64 << 20
+
+// decodeRequest reads a request body into req, answering an oversized body
+// with 413 and malformed JSON or an unknown field — a removed one such as
+// "runtime", or a misspelt one — with 400. It reports whether req is usable.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req *Request) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	job, status, err := s.start(&req)
@@ -342,8 +366,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request, verify bool) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if verify {

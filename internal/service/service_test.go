@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -262,7 +263,7 @@ func TestLRUEviction(t *testing.T) {
 
 // TestRequestValidation covers the 400 paths and key stability.
 func TestRequestValidation(t *testing.T) {
-	_, cl := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	srv, cl := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	bad := []*Request{
 		{},                                  // neither app nor trace
 		{App: "no-such-app", N: 4},          // unknown app
@@ -309,20 +310,43 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatalf("unknown job lookup: %v, want 404", err)
 	}
 
-	// The goroutine runtime is refused at admission with a one-line error —
-	// benchd's pipeline always attaches the causal profiler, which the
-	// goroutine runtime cannot drive — instead of failing inside a worker.
-	_, err = cl.Submit(context.Background(),
-		&Request{App: "ring", N: 8, Runtime: "goroutine"})
-	if err == nil || !strings.Contains(err.Error(), "400") ||
-		!strings.Contains(err.Error(), "causal profiler") {
-		t.Fatalf("goroutine-runtime request: %v, want a 400 naming the profiler conflict", err)
+	// A field the daemon does not know is a named 400, never silently
+	// ignored: with the runtime selector gone, {"runtime":"goroutine"} would
+	// otherwise be accepted and served by the event engine, and a misspelt
+	// "clas" would fall back to the default class. These bodies cannot be
+	// built from a Request, so they go to the handler as written.
+	post := func(path string, body io.Reader) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec.Code, rec.Body.String()
+	}
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/jobs", `{"app":"ring","n":8,"runtime":"goroutine"}`, "runtime"},
+		{"/v1/generate", `{"app":"ring","n":8,"clas":"S"}`, "clas"},
+	} {
+		code, msg := post(c.path, strings.NewReader(c.body))
+		if code != http.StatusBadRequest || !strings.Contains(msg, fmt.Sprintf("unknown field %q", c.field)) {
+			t.Fatalf("POST %s %s: %d %q, want a 400 naming the unknown field", c.path, c.body, code, msg)
+		}
+	}
+
+	// A body past maxRequestBytes is cut off there and answered with 413
+	// before the trace codec ever sees it (one endpoint: both decode through
+	// decodeRequest, as the unknown-field cases above show).
+	// Skipped under -race: scanning 64 MiB of JSON there takes ~8 s and
+	// involves one goroutine.
+	if !raceEnabled {
+		oversized := io.MultiReader(strings.NewReader(`{"trace":"`),
+			io.LimitReader(fill('a'), maxRequestBytes), strings.NewReader(`"}`))
+		if code, msg := post("/v1/jobs", oversized); code != http.StatusRequestEntityTooLarge ||
+			strings.Contains(strings.TrimSpace(msg), "\n") {
+			t.Fatalf("oversized body: %d %q, want a one-line 413", code, msg)
+		}
 	}
 
 	// Key is stable across normalization: explicit defaults hash like
-	// omitted ones. An explicit "event" runtime is the canonical default and
-	// must hit the same cache entry.
-	a := &Request{App: "ring", N: 8, Runtime: "event"}
+	// omitted ones.
+	a := &Request{App: "ring", N: 8}
 	b := &Request{App: "ring", N: 8, Class: "W", Model: "bluegene", Lang: "conceptual"}
 	if err := a.normalize(); err != nil {
 		t.Fatal(err)
@@ -333,6 +357,16 @@ func TestRequestValidation(t *testing.T) {
 	if a.Key() != b.Key() {
 		t.Fatalf("normalized keys differ: %s vs %s", a.Key(), b.Key())
 	}
+}
+
+// fill is an endless reader of one byte value.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
 }
 
 // quickTraceRequest returns a tiny 2-rank one-barrier upload whose whole

@@ -5,3 +5,6 @@ package repro
 // raceEnabled lets timing-sensitive tests skip themselves under the race
 // detector; see race_on_test.go.
 const raceEnabled = false
+
+// wildcardRelTol: see differential_test.go.
+const wildcardRelTol = 1e-2

@@ -13,21 +13,23 @@ import (
 	"repro/internal/trace"
 )
 
+// replayFunc is the signature replay.Replay and replay.ReplayReference share.
+type replayFunc func(*trace.Trace, *netmodel.Model, ...mpi.Option) (*mpi.Result, error)
+
 // replayModes are the three rank representations the replay differential
-// suite compares: the stackless cursor (the event-engine default and the
-// baseline here), the coroutine body on the event engine, and the coroutine
-// body on the goroutine runtime. All three must re-trace byte-identically;
-// clocks must match exactly except for the wildcard kernels' goroutine leg,
-// which races its ANY-source matches (same envelope as the engine
-// differential above).
+// suite compares: the stackless cursor (replay.Replay, the baseline here),
+// the reference coroutine body on the event engine, and the same body on the
+// goroutine runtime. All three must re-trace byte-identically; clocks must
+// match exactly except for the wildcard kernels' goroutine leg, which races
+// its ANY-source matches (same envelope as the engine differential).
 var replayModes = []struct {
 	name string
-	mode replay.Mode
+	run  replayFunc
 	opts []mpi.Option
 }{
-	{"cursor", replay.ModeCursor, nil},
-	{"coroutine-event", replay.ModeCoroutine, nil},
-	{"coroutine-goroutine", replay.ModeCoroutine, []mpi.Option{mpi.WithGoroutineRuntime()}},
+	{"cursor", replay.Replay, nil},
+	{"coroutine-event", replay.ReplayReference, nil},
+	{"coroutine-goroutine", replay.ReplayReference, []mpi.Option{mpi.WithGoroutineRuntime()}},
 }
 
 // TestReplayRepresentationsBitIdentical is the differential proof behind the
@@ -50,16 +52,15 @@ func TestReplayRepresentationsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode trace: %v", err)
 			}
-			base, baseTrace := replayKernel(t, tr, replayModes[0].mode, replayModes[0].opts...)
+			base, baseTrace := replayKernel(t, tr, replayModes[0].run, replayModes[0].opts...)
 			for _, m := range replayModes[1:] {
-				res, resTrace := replayKernel(t, tr, m.mode, m.opts...)
+				res, resTrace := replayKernel(t, tr, m.run, m.opts...)
 				if !bytes.Equal(baseTrace, resTrace) {
 					t.Errorf("re-traces differ between cursor and %s replay", m.name)
 				}
 				if wildcardApps[name] && len(m.opts) > 0 {
-					const relTol = 1e-2
 					for i := range res.PerRankUS {
-						if d := math.Abs(base.PerRankUS[i]-res.PerRankUS[i]) / res.PerRankUS[i]; d > relTol {
+						if d := math.Abs(base.PerRankUS[i]-res.PerRankUS[i]) / res.PerRankUS[i]; d > wildcardRelTol {
 							t.Errorf("rank %d clock: cursor %v, %s %v (rel diff %g)",
 								i, base.PerRankUS[i], m.name, res.PerRankUS[i], d)
 						}
@@ -79,11 +80,11 @@ func TestReplayRepresentationsBitIdentical(t *testing.T) {
 
 // replayKernel replays tr under the given representation with a fresh
 // collector attached and returns the result and the encoded re-trace.
-func replayKernel(t *testing.T, tr *trace.Trace, mode replay.Mode, opts ...mpi.Option) (*mpi.Result, []byte) {
+func replayKernel(t *testing.T, tr *trace.Trace, run replayFunc, opts ...mpi.Option) (*mpi.Result, []byte) {
 	t.Helper()
 	col := trace.NewCollector(tr.N)
 	opts = append(opts, mpi.WithTracer(col.TracerFor))
-	res, err := replay.ReplayMode(tr, mode, netmodel.BlueGeneL(), opts...)
+	res, err := run(tr, netmodel.BlueGeneL(), opts...)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -145,9 +146,9 @@ func TestPooledReplayDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode trace: %v", err)
 			}
-			cold, coldTrace := replayKernel(t, tr, replay.ModeCursor)
+			cold, coldTrace := replayKernel(t, tr, replay.Replay)
 			for pass := 1; pass <= 2; pass++ {
-				warm, warmTrace := replayKernel(t, tr, replay.ModeCursor, mpi.WithEngine(eng))
+				warm, warmTrace := replayKernel(t, tr, replay.Replay, mpi.WithEngine(eng))
 				if !bytes.Equal(coldTrace, warmTrace) {
 					t.Errorf("pooled pass %d: re-trace differs from cold replay", pass)
 				}

@@ -1,0 +1,136 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// pathSelectors are the only exported names in internal/mpi,
+// internal/conceptual and internal/replay that choose an execution path:
+// each layer has one production path and one reference, and these three
+// select the references.
+var pathSelectors = map[string]bool{
+	"mpi.WithGoroutineRuntime": true,
+	"conceptual.WithTreeWalk":  true,
+	"replay.ReplayReference":   true,
+}
+
+// plainOptions are the exported With* names that configure a run without
+// choosing a path.
+var plainOptions = map[string]bool{
+	"mpi.WithTracer":            true,
+	"mpi.WithTimeout":           true,
+	"mpi.WithContext":           true,
+	"mpi.WithEngine":            true,
+	"mpi.WithCausalProfile":     true,
+	"conceptual.WithMPIOptions": true,
+}
+
+var selectorName = regexp.MustCompile(`^(With|Mode)|Reference`)
+
+// TestPathSelectorsArePinned fails when a path selector appears that is not
+// on the lists above, when production code selects a reference, or when a
+// command grows a -runtime flag again — so a PR that re-adds a second path
+// or a knob for one does so by editing this test.
+func TestPathSelectorsArePinned(t *testing.T) {
+	fset := token.NewFileSet()
+	parseDir := func(dir string) []*ast.File {
+		var files []*ast.File
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+
+	exported := map[string]bool{}
+	for _, pkg := range []string{"mpi", "conceptual", "replay"} {
+		for _, f := range parseDir(filepath.Join("internal", pkg)) {
+			for _, decl := range f.Decls {
+				var names []*ast.Ident
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names = append(names, d.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.ValueSpec:
+							names = append(names, s.Names...)
+						case *ast.TypeSpec:
+							names = append(names, s.Name)
+						}
+					}
+				}
+				for _, id := range names {
+					if id.IsExported() && selectorName.MatchString(id.Name) {
+						exported[pkg+"."+id.Name] = true
+					}
+				}
+			}
+		}
+	}
+	for name := range exported {
+		if !pathSelectors[name] && !plainOptions[name] {
+			t.Errorf("%s is a new exported option or path selector; if it selects an execution path, "+
+				"the layer has grown a second path", name)
+		}
+	}
+	for _, want := range []map[string]bool{pathSelectors, plainOptions} {
+		for name := range want {
+			if !exported[name] {
+				t.Errorf("%s is listed here but no longer exported; drop it from the list", name)
+			}
+		}
+	}
+
+	// Production code — everything that is not a test — never selects a
+	// reference, and no command registers a -runtime flag.
+	for _, dir := range []string{"cmd", "internal", "examples"} {
+		for _, f := range parseDir(dir) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg, _ := sel.X.(*ast.Ident)
+				if pkg == nil {
+					return true
+				}
+				pos := fset.Position(call.Pos())
+				if pathSelectors[pkg.Name+"."+sel.Sel.Name] {
+					t.Errorf("%s: %s.%s selects a reference path outside a test", pos, pkg.Name, sel.Sel.Name)
+				}
+				if pkg.Name == "flag" {
+					for _, arg := range call.Args {
+						if lit, ok := arg.(*ast.BasicLit); ok && lit.Value == `"runtime"` {
+							t.Errorf("%s: a -runtime flag is registered", pos)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
