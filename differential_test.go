@@ -24,16 +24,6 @@ import (
 // to ANY) and every other kernel must match bit for bit on all engines.
 var wildcardApps = map[string]bool{"lu": true}
 
-// wildcardRelTol (race_on_test.go, race_off_test.go) bounds how far the
-// goroutine runtime's clocks may sit from the event engine's on a wildcard
-// kernel. The goroutine runtime's wildcard matches race, so its clocks land
-// anywhere in the legal-match-order envelope: within 1 % normally, and
-// wider under the race detector, whose instrumentation reshuffles
-// interleavings — LU at 16 ranks under -race on two Ps lands 1.0-1.4 % late
-// on every run. Real cost-model divergences (a changed formula, a lost
-// contribution) show up orders of magnitude larger and in the deterministic
-// kernels too.
-
 // engineVariants are the two runtimes the differential suite compares: the
 // discrete-event engine (the default and the baseline) and the
 // goroutine-per-rank reference runtime, whose collectives rendezvous on the
@@ -75,8 +65,16 @@ func TestEventEngineMatchesGoroutineRuntime(t *testing.T) {
 					t.Errorf("mpiP profiles differ between event engine and %s runtime:\n%s", variant.name, report)
 				}
 				if wildcardApps[name] {
+					// The goroutine runtime's wildcard matches race, so its
+					// clocks sit anywhere in the legal-match-order envelope —
+					// wider under the race detector, whose instrumentation
+					// reshuffles interleavings. Bound the drift at 1%: real
+					// cost-model divergences (a changed formula, a lost
+					// contribution) show up orders of magnitude larger and in
+					// the deterministic kernels too.
+					const relTol = 1e-2
 					for i := range res.PerRankUS {
-						if d := math.Abs(base.PerRankUS[i]-res.PerRankUS[i]) / res.PerRankUS[i]; d > wildcardRelTol {
+						if d := math.Abs(base.PerRankUS[i]-res.PerRankUS[i]) / res.PerRankUS[i]; d > relTol {
 							t.Errorf("rank %d clock: event %v, %s %v (rel diff %g)",
 								i, base.PerRankUS[i], variant.name, res.PerRankUS[i], d)
 						}

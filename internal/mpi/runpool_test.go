@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/netmodel"
 )
@@ -99,6 +101,35 @@ func TestRunPoolCloseRemainsUsable(t *testing.T) {
 	p.Run(func() { ran = true }) // inline execution after Close
 	if !ran {
 		t.Fatal("post-Close Run did not execute the task")
+	}
+}
+
+// TestRunPoolCloseDrainsTaskQueuedBehindIdleWorker pins the interleaving
+// behind the drain half of that contract: a worker finds every queue empty,
+// and before it takes parkMu a Submit and then Close go through. The test
+// holds parkMu across the worker's empty scan and plays Submit's and Close's
+// critical sections itself, so the worker's next observation is "closed, one
+// task pending" — it must run the task, not exit.
+func TestRunPoolCloseDrainsTaskQueuedBehindIdleWorker(t *testing.T) {
+	p := &RunPool{workers: make([]rpWorker, 1)}
+	p.parkCond = sync.NewCond(&p.parkMu)
+	p.wg.Add(1)
+	p.parkMu.Lock()
+	go p.workerLoop(0)
+	time.Sleep(20 * time.Millisecond) // the worker scans, then blocks on parkMu
+
+	ran := false
+	tk := &RunTicket{p: p, fn: func() { ran = true }, done: make(chan struct{})}
+	p.inject.mu.Lock()
+	p.inject.q = append(p.inject.q, tk)
+	p.inject.mu.Unlock()
+	p.pending.Add(1)
+	p.closed = true
+	p.parkMu.Unlock()
+
+	p.wg.Wait()
+	if !ran {
+		t.Fatal("worker exited on closed with a task still queued")
 	}
 }
 

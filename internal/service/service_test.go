@@ -333,15 +333,11 @@ func TestRequestValidation(t *testing.T) {
 	// A body past maxRequestBytes is cut off there and answered with 413
 	// before the trace codec ever sees it (one endpoint: both decode through
 	// decodeRequest, as the unknown-field cases above show).
-	// Skipped under -race: scanning 64 MiB of JSON there takes ~8 s and
-	// involves one goroutine.
-	if !raceEnabled {
-		oversized := io.MultiReader(strings.NewReader(`{"trace":"`),
-			io.LimitReader(fill('a'), maxRequestBytes), strings.NewReader(`"}`))
-		if code, msg := post("/v1/jobs", oversized); code != http.StatusRequestEntityTooLarge ||
-			strings.Contains(strings.TrimSpace(msg), "\n") {
-			t.Fatalf("oversized body: %d %q, want a one-line 413", code, msg)
-		}
+	oversized := io.MultiReader(strings.NewReader(`{"trace":"`),
+		io.LimitReader(fill('a'), maxRequestBytes), strings.NewReader(`"}`))
+	if code, msg := post("/v1/jobs", oversized); code != http.StatusRequestEntityTooLarge ||
+		strings.Contains(strings.TrimSpace(msg), "\n") {
+		t.Fatalf("oversized body: %d %q, want a one-line 413", code, msg)
 	}
 
 	// Key is stable across normalization: explicit defaults hash like

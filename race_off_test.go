@@ -5,6 +5,3 @@ package repro
 // raceEnabled lets timing-sensitive tests skip themselves under the race
 // detector; see race_on_test.go.
 const raceEnabled = false
-
-// wildcardRelTol: see differential_test.go.
-const wildcardRelTol = 1e-2
