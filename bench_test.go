@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -829,24 +830,21 @@ func BenchmarkOverlapStudy(b *testing.B) {
 }
 
 // multiWorldSizes is one size-cycle of the BenchmarkMultiWorld mixed batch:
-// small, medium and large worlds interleaved, so stealing has real imbalance
-// to smooth out (a 256-rank world is ~16x a 16-rank one) rather than
-// identical tasks that any static partition would balance.
+// small, medium and large worlds interleaved (a 256-rank world is ~16x a
+// 16-rank one), so a static partition of the batch would leave a P idle and
+// only handing out one world at a time keeps both busy.
 var multiWorldSizes = []int{16, 64, 256}
 
-// multiWorldBatch drives `count` whole worlds through a run pool against a
-// shared (warm) engine — the harness fan-out shape — and reports the first
-// failure. sizes cycles; a single-element slice gives a uniform batch.
-func multiWorldBatch(count int, sizes []int, pool *mpi.RunPool, eng *mpi.Engine) error {
+// multiWorldBatch drives `count` whole worlds against a shared (warm) engine
+// on GOMAXPROCS goroutines pulling an index cursor — the harness fan-out
+// shape — and reports the lowest-index failure. sizes cycles; a
+// single-element slice gives a uniform batch.
+func multiWorldBatch(count int, sizes []int, eng *mpi.Engine) error {
 	errs := make([]error, count)
-	fns := make([]func(), count)
-	for i := 0; i < count; i++ {
-		i, n := i, sizes[i%len(sizes)]
-		fns[i] = func() {
-			_, errs[i] = mpi.Run(n, netmodel.BlueGeneL(), rankScalingBody(n), mpi.WithEngine(eng))
-		}
-	}
-	mpi.WaitAll(pool.SubmitBatch(fns))
+	runConcurrently(runtime.GOMAXPROCS(0), count, func(i int) {
+		n := sizes[i%len(sizes)]
+		_, errs[i] = mpi.Run(n, netmodel.BlueGeneL(), rankScalingBody(n), mpi.WithEngine(eng))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -855,31 +853,25 @@ func multiWorldBatch(count int, sizes []int, pool *mpi.RunPool, eng *mpi.Engine)
 	return nil
 }
 
-// BenchmarkMultiWorld is the BENCH_9.json saturation benchmark: aggregate
-// worlds/sec when many independent worlds are driven through the
-// work-stealing run pool, measured across -cpu 1,2,4,8. Each sub-benchmark
-// builds its pool fresh so the worker count tracks the -cpu value go test
-// sets, and warms the engine's world classes untimed so the measured batches
-// see the steady state a long-lived host sees. The pooled-<N>ranks series are
-// uniform batches; the mixed series (labelled by its 16+64+256 size-cycle
-// sum) is the imbalanced batch that exercises stealing. benchjson's
-// pool_speedups section divides each variant's 1P ns/op by its kP ns/op —
-// on a multicore host the 8P aggregate is expected >=3x the 1P one; a
-// single-core host (this repo's CI container) measures ~1x by construction.
+// BenchmarkMultiWorld is the multi-world throughput micro-benchmark:
+// aggregate worlds/sec when many independent worlds run side by side on one
+// shared engine, one goroutine per P (run it with -cpu 1,2). Each
+// sub-benchmark warms the engine's world classes untimed so the measured
+// batches see the steady state a long-lived host sees. The pooled-<N>ranks
+// series are uniform batches; the mixed series (labelled by its 16+64+256
+// size-cycle sum) is the imbalanced one.
 func BenchmarkMultiWorld(b *testing.B) {
 	const batch = 24
 	run := func(b *testing.B, sizes []int) {
 		b.ReportAllocs()
-		pool := mpi.NewRunPool(0) // tracks GOMAXPROCS under -cpu
-		defer pool.Close()
 		eng := mpi.NewEngine()
 		defer eng.Close()
-		if err := multiWorldBatch(batch, sizes, pool, eng); err != nil {
+		if err := multiWorldBatch(batch, sizes, eng); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := multiWorldBatch(batch, sizes, pool, eng); err != nil {
+			if err := multiWorldBatch(batch, sizes, eng); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -920,9 +912,9 @@ func conceptualReprProgram(n int) *conceptual.Program {
 	}}
 }
 
-// BenchmarkConceptualRepr records the per-rank cost of the two coNCePTuaL
-// execution representations for BENCH_9.json: the stackless cursor (no rank
-// goroutines) and the tree-walking reference. The nsperrank metric is ns/op
+// BenchmarkConceptualRepr reports the per-rank cost of the two coNCePTuaL
+// execution representations: the stackless cursor (no rank goroutines) and
+// the tree-walking reference. The nsperrank metric is ns/op
 // divided by world size.
 func BenchmarkConceptualRepr(b *testing.B) {
 	for _, n := range []int{16, 64} {

@@ -20,10 +20,7 @@
 // the curve and the engine comparison are first-class data instead of a
 // flat key soup. In series mode the GOMAXPROCS suffix is kept as part of
 // the post_change key, since the same benchmark measured at different -cpu
-// values is different data. One further derived section: "pool_speedups"
-// records, per (variant, size), the 1P-to-kP ns/op ratio wherever the same
-// point was measured at GOMAXPROCS 1 and k (the BENCH_9.json multi-world
-// scaling evidence).
+// values is different data.
 package main
 
 import (
@@ -215,9 +212,6 @@ func main() {
 		}
 		setJSON(doc, "series", fams)
 		setJSON(doc, "engine_speedups", engineSpeedups(fams))
-		if sp := poolSpeedups(fams); len(sp) > 0 {
-			setJSON(doc, "pool_speedups", sp)
-		}
 		if vt := verifyThroughput(fams); len(vt) > 0 {
 			setJSON(doc, "verify_throughput", vt)
 		}
@@ -249,29 +243,6 @@ func engineSpeedups(fams map[string][]seriesPoint) map[string]float64 {
 					q.Gomaxprocs == p.Gomaxprocs && p.NsPerOp > 0 {
 					key := fmt.Sprintf("%s%s-%dranks-%dP", fam, rest, p.Nprocs, p.Gomaxprocs)
 					out[key] = math.Round(q.NsPerOp/p.NsPerOp*100) / 100
-				}
-			}
-		}
-	}
-	return out
-}
-
-// poolSpeedups derives the cross-GOMAXPROCS scaling table from the merged
-// series: for every (family, variant, size) measured at GOMAXPROCS > 1 where
-// the same point exists at GOMAXPROCS 1, it records 1P ns/op divided by kP
-// ns/op — >1 means adding Ps raised aggregate throughput. This is the
-// BENCH_9.json multi-world saturation evidence (run with -cpu 1,2,4,8).
-func poolSpeedups(fams map[string][]seriesPoint) map[string]float64 {
-	out := map[string]float64{}
-	for fam, pts := range fams {
-		for _, p := range pts {
-			if p.Gomaxprocs <= 1 || p.NsPerOp <= 0 {
-				continue
-			}
-			for _, base := range pts {
-				if base.Variant == p.Variant && base.Nprocs == p.Nprocs && base.Gomaxprocs == 1 {
-					key := fmt.Sprintf("%s/%s-%dranks-%dPvs1P", fam, p.Variant, p.Nprocs, p.Gomaxprocs)
-					out[key] = math.Round(base.NsPerOp/p.NsPerOp*100) / 100
 				}
 			}
 		}

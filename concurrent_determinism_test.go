@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -12,9 +14,26 @@ import (
 	"repro/internal/trace"
 )
 
+// runConcurrently runs fn(i) for every i in [0, n) on `workers` goroutines
+// pulling an index cursor — the shape harness.forEachNamed fans experiment
+// configurations out with — and returns when all have finished.
+func runConcurrently(workers, n int, fn func(i int)) {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // runKernelErr is runKernel without the testing.T plumbing, safe to call
-// from RunPool worker goroutines (t.Fatalf must not run off the test
-// goroutine).
+// off the test goroutine (where t.Fatalf must not run).
 func runKernelErr(name string, n int, opts ...mpi.Option) (*mpi.Result, []byte, error) {
 	app := apps.ByName(name)
 	col := trace.NewCollector(n)
@@ -30,17 +49,18 @@ func runKernelErr(name string, n int, opts ...mpi.Option) (*mpi.Result, []byte, 
 	return res, buf.Bytes(), nil
 }
 
-// TestRunPoolConcurrentDeterminism pins the multi-P throughput layer's core
-// claim: driving many pooled worlds concurrently on a work-stealing RunPool
-// changes nothing but wall-clock time. Every kernel runs serially once for a
-// baseline, then three concurrent repetitions through a shared Engine on a
-// RunPool at GOMAXPROCS 1, 4 and 8 — mixing world reuse, stealing and
-// cross-world scheduling races — and every repetition must reproduce the
-// baseline's per-rank clocks and encoded trace byte for byte. Worlds are
-// single-threaded internally, so the only way this fails is shared state
-// leaking between worlds; -race (make check runs this under it) catches the
-// data-race form of the same bug.
-func TestRunPoolConcurrentDeterminism(t *testing.T) {
+// TestConcurrentWorldsDeterminism pins the claim concurrency across worlds
+// rests on: driving many pooled worlds side by side changes nothing but
+// wall-clock time. Every kernel runs serially once for a baseline, then three
+// concurrent repetitions through a shared Engine on GOMAXPROCS goroutines at
+// GOMAXPROCS 1, 4 and 8 — mixing world reuse and cross-world scheduling
+// races — and every repetition must reproduce the baseline's per-rank clocks
+// and encoded trace byte for byte. Worlds are single-threaded internally, so
+// the only way this fails is shared state leaking between worlds; -race
+// (make check runs this under it at -cpu 1,2) catches the data-race form of
+// the same bug, and is the one place pooled worlds, mailboxes and collectors
+// migrate between real threads under the detector.
+func TestConcurrentWorldsDeterminism(t *testing.T) {
 	type kern struct {
 		name string
 		n    int
@@ -68,25 +88,18 @@ func TestRunPoolConcurrentDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)
-			pool := mpi.NewRunPool(procs)
-			defer pool.Close()
 			eng := mpi.NewEngine()
 			defer eng.Close()
 
 			results := make([]*mpi.Result, len(kerns)*reps)
 			traces := make([][]byte, len(kerns)*reps)
 			errs := make([]error, len(kerns)*reps)
-			fns := make([]func(), len(kerns)*reps)
-			for i := range fns {
-				i := i
+			runConcurrently(procs, len(errs), func(i int) {
 				k := kerns[i%len(kerns)]
-				fns[i] = func() {
-					results[i], traces[i], errs[i] = runKernelErr(k.name, k.n, mpi.WithEngine(eng))
-				}
-			}
-			mpi.WaitAll(pool.SubmitBatch(fns))
+				results[i], traces[i], errs[i] = runKernelErr(k.name, k.n, mpi.WithEngine(eng))
+			})
 
-			for i := range fns {
+			for i := range errs {
 				if errs[i] != nil {
 					t.Fatalf("%s rep %d: %v", kerns[i%len(kerns)].name, i/len(kerns), errs[i])
 				}

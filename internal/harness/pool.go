@@ -48,19 +48,6 @@ var sharedEngine = mpi.NewEngine()
 // maintaining a second pool.
 func SharedEngine() *mpi.Engine { return sharedEngine }
 
-// sharedRunPool is the work-stealing pool of worker Ps that executes every
-// world-driving task the harness fans out — experiment configurations
-// (forEach) and benchd job bodies (Pool) alike. One pool per process keeps
-// the machine's Ps busy without oversubscription no matter how many callers
-// fan out concurrently; tasks that wait on sub-tasks help execute pending
-// work instead of blocking, so nested fan-out cannot deadlock the fixed
-// worker set.
-var sharedRunPool = mpi.NewRunPool(0)
-
-// SharedRunPool exposes the harness's work-stealing run pool so co-hosted
-// components can drive worlds through the same worker set.
-func SharedRunPool() *mpi.RunPool { return sharedRunPool }
-
 // SetParallelism sets how many experiment configurations run concurrently.
 // k <= 0 restores the default (GOMAXPROCS). Results are identical for every
 // worker count.
@@ -98,7 +85,7 @@ func runOptions() []mpi.Option {
 	return opts
 }
 
-// forEach runs fn(i) for every i in [0, n) on up to Parallelism() workers.
+// forEach runs fn(i) for every i in [0, n) on up to Parallelism() goroutines.
 // Jobs must be independent and write results into index-addressed slots, so
 // the outcome does not depend on scheduling. The returned error is the
 // lowest-index failure, which keeps error reporting deterministic too. Each
@@ -112,57 +99,39 @@ func forEach(n int, fn func(i int) error) error {
 // configuration's error — naming the configuration — instead of tearing
 // down the whole experiment run, and the remaining jobs still complete.
 // name may be nil, in which case failed jobs are reported by index.
+//
+// The caller is one of the min(Parallelism(), n) workers; each pulls the next
+// index off a shared cursor until none are left. A single worker therefore
+// visits the indices in order on the caller's goroutine, and it alone stops
+// at its first failure — which is already the lowest-index one.
 func forEachNamed(n int, name func(i int) string, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// The serial path keeps fail-fast semantics but still converts a
-		// panic into a named error.
-		for i := 0; i < n; i++ {
-			if err := runJob(name, i, fn); err != nil {
-				return err
-			}
-		}
+	workers := min(Parallelism(), n)
+	if workers <= 0 {
 		return nil
 	}
 	errs := make([]error, n)
-	if workers >= sharedRunPool.Workers() {
-		// Full fan-out: scatter one task per configuration across the run
-		// pool's per-worker deques, one steal away from any idle P. The
-		// caller helps while waiting, so a nested fan-out (a pooled job
-		// that itself calls forEach) executes instead of deadlocking on a
-		// saturated worker set.
-		fns := make([]func(), n)
-		for i := range fns {
-			i := i
-			fns[i] = func() { errs[i] = runJob(name, i, fn) }
-		}
-		mpi.WaitAll(sharedRunPool.SubmitBatch(fns))
-	} else {
-		// A parallelism cap below the pool size is honored with runner
-		// tasks pulling an index cursor: at most `workers` configurations
-		// are in flight no matter how many Ps the pool has.
-		var cursor atomic.Int64
-		runner := func() {
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = runJob(name, i, fn)
+	var cursor atomic.Int64
+	work := func() {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if errs[i] = runJob(name, i, fn); errs[i] != nil && workers == 1 {
+				return
 			}
 		}
-		ts := make([]*mpi.RunTicket, workers)
-		for w := range ts {
-			ts[w] = sharedRunPool.Submit(runner)
-		}
-		mpi.WaitAll(ts)
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -211,7 +180,8 @@ type poolJob struct {
 
 // NewPool starts a pool with the given number of workers and queue capacity.
 // workers <= 0 uses Parallelism(); queueCap <= 0 means no buffering (a job is
-// accepted only if a worker is idle and receiving).
+// accepted only if a worker is idle and receiving). Each worker goroutine
+// runs one job body at a time, so `workers` bounds the jobs in flight.
 func NewPool(workers, queueCap int) *Pool {
 	if workers <= 0 {
 		workers = Parallelism()
@@ -225,15 +195,7 @@ func NewPool(workers, queueCap int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for j := range p.jobs {
-				// The worker goroutine is only admission control (it bounds
-				// in-flight jobs at `workers`); the job body itself runs on
-				// the shared work-stealing pool, alongside every other world
-				// the process is driving, instead of on a goroutine of its
-				// own. Run's helping wait keeps this deadlock-free when the
-				// pool is saturated: the dispatcher executes pending tasks
-				// itself rather than parking.
-				j := j
-				sharedRunPool.Run(func() { p.runOne(j) })
+				p.runOne(j)
 			}
 		}()
 	}

@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/netmodel"
@@ -26,31 +24,21 @@ import (
 // bit-identical to a fresh world (the pooled-determinism test pins this
 // across every kernel).
 //
-// An Engine is safe for concurrent use, and built for it: the free lists are
-// sharded into per-P sub-pools (one per GOMAXPROCS at construction), each
-// under its own mutex, with acquisition and release rotating across shards
-// and stealing from the others when the first choice is empty or contended.
-// Concurrent Runs on a work-stealing RunPool therefore never serialize on a
-// single pool lock. Worlds are pooled per size; a run at a size no shard
-// holds is a miss that builds cold. Cancelled, timed-out, panicked and
-// deadlocked runs quiesce before Run returns, so their worlds re-enter the
-// pool and the next reset scrubs the poison (pinned by the pooled
-// cancellation test).
+// An Engine is safe for concurrent use: one mutex guards one size-keyed free
+// list, taken once to pop a world and once to push it back, a few map
+// operations each time against a run that costs microseconds to seconds.
+// The engine_pool_wait_us histogram measures that acquisition; it is what
+// would justify splitting the lock if a many-P host ever showed it hot.
+// Worlds are pooled per size; a run at a size the pool does not hold is a
+// miss that builds cold. Cancelled, timed-out, panicked and deadlocked runs
+// quiesce before Run returns, so their worlds re-enter the pool and the next
+// reset scrubs the poison (pinned by the pooled cancellation test).
 type Engine struct {
-	shards   []engineShard
-	rr       atomic.Uint32 // rotation hint spreading acquires/releases over shards
-	cached   atomic.Int64  // total ranks cached across all shards
+	mu       sync.Mutex
+	free     map[int][]*pooledWorld // cached worlds by size
+	cached   int                    // total ranks in free
 	maxRanks int
-	closedMu sync.Mutex
 	closed   bool
-}
-
-// engineShard is one per-P sub-pool: a size-keyed free list under its own
-// mutex. Shards are a contention-avoidance partition, not a semantic one —
-// any run may acquire from (steal) any shard.
-type engineShard struct {
-	mu   sync.Mutex
-	free map[int][]*pooledWorld
 }
 
 // pooledWorld pairs a reusable world with its rank array.
@@ -65,48 +53,27 @@ type pooledWorld struct {
 // re-requests.
 const engineMaxCachedRanks = 2 << 20
 
-// NewEngine returns an empty world pool with one sub-pool shard per P.
+// NewEngine returns an empty world pool.
 func NewEngine() *Engine {
-	ns := runtime.GOMAXPROCS(0)
-	if ns < 1 {
-		ns = 1
-	}
-	g := &Engine{shards: make([]engineShard, ns), maxRanks: engineMaxCachedRanks}
-	for i := range g.shards {
-		g.shards[i].free = make(map[int][]*pooledWorld)
-	}
-	return g
+	return &Engine{free: make(map[int][]*pooledWorld), maxRanks: engineMaxCachedRanks}
 }
 
-// Close empties every shard and retires every cached world's rank
-// coroutines. The engine remains usable — subsequent runs simply build cold
-// and are not re-cached — so a racing Run never observes a closed pool as
-// an error.
+// Close empties the pool and retires every cached world's rank coroutines.
+// The engine remains usable — subsequent runs simply build cold and are not
+// re-cached — so a racing Run never observes a closed pool as an error.
 func (g *Engine) Close() {
-	g.closedMu.Lock()
+	g.mu.Lock()
 	g.closed = true
-	g.closedMu.Unlock()
 	var all []*pooledWorld
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		for n, l := range s.free {
-			all = append(all, l...)
-			g.cached.Add(int64(-n * len(l)))
-			delete(s.free, n)
-		}
-		s.mu.Unlock()
+	for n, l := range g.free {
+		all = append(all, l...)
+		delete(g.free, n)
 	}
+	g.cached = 0
+	g.mu.Unlock()
 	for _, pw := range all {
 		pw.w.sched.retire()
 	}
-}
-
-// isClosed reports whether Close has been called.
-func (g *Engine) isClosed() bool {
-	g.closedMu.Lock()
-	defer g.closedMu.Unlock()
-	return g.closed
 }
 
 // run executes one pooled run: exactly one of body (coroutine ranks) or
@@ -125,15 +92,17 @@ func (g *Engine) run(n int, model *netmodel.Model, body func(*Rank),
 }
 
 // acquire returns a world for size n: a pooled one (reset in place) on a
-// hit, a cold build on a miss. The time spent searching the sharded free
-// lists — which under concurrent Runs is exactly the pool's lock contention
-// — is recorded in the engine_pool_wait_us histogram.
+// hit, a cold build on a miss. The time spent taking the world off the free
+// list — which under concurrent Runs is exactly the pool's lock contention —
+// is recorded in the engine_pool_wait_us histogram.
 func (g *Engine) acquire(n int, model *netmodel.Model, cfg *config) *pooledWorld {
 	var waitStart time.Time
 	if telemetry.Enabled() {
 		waitStart = time.Now()
 	}
-	pw := g.takeCached(n)
+	g.mu.Lock()
+	pw := g.popLocked(n)
+	g.mu.Unlock()
 	if !waitStart.IsZero() {
 		histEnginePoolWaitUS.Observe(float64(time.Since(waitStart)) / float64(time.Microsecond))
 	}
@@ -156,152 +125,61 @@ func (g *Engine) acquire(n int, model *netmodel.Model, cfg *config) *pooledWorld
 	return pw
 }
 
-// takeCached removes and returns a size-n world from any shard, nil when no
-// shard holds one. The search makes a TryLock pass first — an uncontended
-// shard costs one CAS — and only falls back to blocking locks on the shards
-// it had to skip, so a cached world is never missed, merely found a little
-// later under contention.
-func (g *Engine) takeCached(n int) *pooledWorld {
-	ns := len(g.shards)
-	start := int(g.rr.Add(1)-1) % ns
-	contended := false
-	for i := 0; i < ns; i++ {
-		s := &g.shards[(start+i)%ns]
-		if !s.mu.TryLock() {
-			contended = true
-			continue
-		}
-		if pw := s.popLocked(n); pw != nil {
-			s.mu.Unlock()
-			g.cached.Add(int64(-n))
-			return pw
-		}
-		s.mu.Unlock()
-	}
-	if !contended {
-		return nil
-	}
-	for i := 0; i < ns; i++ {
-		s := &g.shards[(start+i)%ns]
-		s.mu.Lock()
-		if pw := s.popLocked(n); pw != nil {
-			s.mu.Unlock()
-			g.cached.Add(int64(-n))
-			return pw
-		}
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// popLocked removes one size-n world from the shard; the caller holds its
-// mutex.
-func (s *engineShard) popLocked(n int) *pooledWorld {
-	l := s.free[n]
+// popLocked removes one size-n world from the free list, nil when it holds
+// none; the caller holds g.mu.
+func (g *Engine) popLocked(n int) *pooledWorld {
+	l := g.free[n]
 	if len(l) == 0 {
 		return nil
 	}
 	pw := l[len(l)-1]
 	l[len(l)-1] = nil
 	if len(l) == 1 {
-		delete(s.free, n)
+		delete(g.free, n)
 	} else {
-		s.free[n] = l[:len(l)-1]
+		g.free[n] = l[:len(l)-1]
 	}
+	g.cached -= n
 	return pw
 }
 
-// release returns a world to a shard, evicting older worlds if the rank
-// budget overflows. Worlds that don't fit (or arrive after Close) are shut
-// down instead of cached.
+// release returns a world to the free list, first evicting cached worlds —
+// the largest size class first, since big worlds hold the most memory per
+// slot — until the rank budget has room for it. A world that cannot fit (or
+// arrives after Close) is shut down instead of cached. Evicted worlds are
+// retired after the lock is dropped.
 func (g *Engine) release(pw *pooledWorld) {
 	n := pw.w.n
-	if g.isClosed() || n > g.maxRanks {
-		pw.w.sched.retire()
-		return
-	}
-	// Reserve the budget first so concurrent releases each see their own
-	// world counted, then evict until the total fits. The budget check is a
-	// soft bound under concurrency: if every shard is empty the world is
-	// inserted anyway (the overshoot is at most one world per releasing
-	// goroutine and disappears with the next eviction).
-	g.cached.Add(int64(n))
-	for g.cached.Load() > int64(g.maxRanks) {
-		old := g.evictOne()
-		if old == nil {
-			break
+	var retire []*pooledWorld
+	g.mu.Lock()
+	if g.closed || n > g.maxRanks {
+		retire = append(retire, pw)
+	} else {
+		// Terminates: an empty list has cached == 0 and n <= maxRanks.
+		for g.cached+n > g.maxRanks {
+			largest := 0
+			for size := range g.free {
+				largest = max(largest, size)
+			}
+			retire = append(retire, g.popLocked(largest))
 		}
+		g.free[n] = append(g.free[n], pw)
+		g.cached += n
+	}
+	g.mu.Unlock()
+	for _, old := range retire {
 		old.w.sched.retire()
 	}
-	ns := len(g.shards)
-	start := int(g.rr.Add(1)-1) % ns
-	for i := 0; i < ns; i++ {
-		s := &g.shards[(start+i)%ns]
-		if s.mu.TryLock() {
-			s.free[n] = append(s.free[n], pw)
-			s.mu.Unlock()
-			return
-		}
-	}
-	s := &g.shards[start]
-	s.mu.Lock()
-	s.free[n] = append(s.free[n], pw)
-	s.mu.Unlock()
-}
-
-// evictOne removes one cached world — the largest size class across every
-// shard, since big worlds hold the most memory per slot — and returns it
-// (nil when the pool is empty). Eviction is rare, so it may scan shards
-// twice; shards are locked one at a time, never nested.
-func (g *Engine) evictOne() *pooledWorld {
-	best, bestShard := 0, -1
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		for n, l := range s.free {
-			if len(l) > 0 && n > best {
-				best, bestShard = n, i
-			}
-		}
-		s.mu.Unlock()
-	}
-	if bestShard < 0 {
-		return nil
-	}
-	s := &g.shards[bestShard]
-	s.mu.Lock()
-	// The class may have been drained between the scan and this lock; fall
-	// back to the shard's current largest.
-	pw := s.popLocked(best)
-	if pw == nil {
-		best = 0
-		for n, l := range s.free {
-			if len(l) > 0 && n > best {
-				best = n
-			}
-		}
-		pw = s.popLocked(best)
-	}
-	s.mu.Unlock()
-	if pw != nil {
-		g.cached.Add(int64(-pw.w.n))
-	}
-	return pw
 }
 
 // cachedWorlds reports, per size class, how many worlds the pool currently
-// holds across all shards (test hook).
+// holds (test hook).
 func (g *Engine) cachedWorlds() map[int]int {
-	out := map[int]int{}
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		for n, l := range s.free {
-			if len(l) > 0 {
-				out[n] += len(l)
-			}
-		}
-		s.mu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make(map[int]int, len(g.free))
+	for n, l := range g.free {
+		out[n] = len(l)
 	}
 	return out
 }

@@ -2,11 +2,21 @@ package mpi
 
 import (
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netmodel"
 	"repro/internal/telemetry"
 )
+
+// cachedRanks reports the total ranks the pool currently holds.
+func (g *Engine) cachedRanks() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.cached
+}
 
 // TestEngineReuseTelemetry pins the pool's observable accounting: with
 // telemetry on, a three-run sequence at one world size is exactly one miss
@@ -105,7 +115,7 @@ func TestEngineCloseRemainsUsable(t *testing.T) {
 		t.Fatalf("result has %d ranks, want 8", len(res.PerRankUS))
 	}
 	waitForGoroutines(t, base)
-	if total, classes := eng.cached.Load(), eng.cachedWorlds(); total != 0 || len(classes) != 0 {
+	if total, classes := eng.cachedRanks(), eng.cachedWorlds(); total != 0 || len(classes) != 0 {
 		t.Errorf("engine cached %d ranks across %d classes after Close", total, len(classes))
 	}
 }
@@ -134,5 +144,69 @@ func TestEngineRetiresParkedRanks(t *testing.T) {
 	waitForGoroutines(t, base+12)
 
 	eng.Close()
+	waitForGoroutines(t, base)
+}
+
+// TestEngineConcurrentBudgetAndClose races the Engine's one lock from many
+// goroutines: mixed world sizes against a rank budget small enough that
+// most releases evict, first to quiescence, then again with Close landing
+// midway. Every run must return the serial result; the cached ranks never
+// exceed the budget; nothing is cached after Close, and every evicted or
+// closed-out world gives its parked rank coroutines back.
+func TestEngineConcurrentBudgetAndClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sizes := []int{4, 8, 12, 16}
+	want := map[int][]float64{}
+	for _, n := range sizes {
+		res, err := Run(n, netmodel.BlueGeneL(), cleanBody)
+		if err != nil {
+			t.Fatalf("serial run at %d ranks: %v", n, err)
+		}
+		want[n] = res.PerRankUS
+	}
+
+	eng := NewEngine()
+	eng.maxRanks = 24
+	// fanOut runs workers*perWorker pooled worlds and calls midway (on one of
+	// the workers) when half of them have returned.
+	const workers, perWorker = 4, 24
+	fanOut := func(midway func()) {
+		var returned atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					n := sizes[(g+i)%len(sizes)]
+					res, err := Run(n, netmodel.BlueGeneL(), cleanBody, WithEngine(eng))
+					if err != nil {
+						t.Errorf("pooled run at %d ranks: %v", n, err)
+					} else if !slices.Equal(res.PerRankUS, want[n]) {
+						t.Errorf("pooled run at %d ranks: clocks %v, serial %v", n, res.PerRankUS, want[n])
+					}
+					if c := eng.cachedRanks(); c > eng.maxRanks {
+						t.Errorf("%d ranks cached, budget %d", c, eng.maxRanks)
+					}
+					if returned.Add(1) == workers*perWorker/2 {
+						midway()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	fanOut(func() {})
+	// The last release always fits (it evicts until it does), so a quiesced
+	// open pool holds at least that world.
+	if c := eng.cachedRanks(); c <= 0 || c > eng.maxRanks {
+		t.Errorf("%d ranks cached after the open phase, want 1..%d", c, eng.maxRanks)
+	}
+
+	fanOut(eng.Close)
+	if c, classes := eng.cachedRanks(), eng.cachedWorlds(); c != 0 || len(classes) != 0 {
+		t.Errorf("engine cached %d ranks in classes %v after Close", c, classes)
+	}
 	waitForGoroutines(t, base)
 }

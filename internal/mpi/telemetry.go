@@ -44,19 +44,14 @@ var (
 	// cold/warm gap in this histogram is the pooling win BENCH_7.json pins.
 	histRunSetupUS = telemetry.NewHistogram("mpi.run_setup_us")
 	// histEnginePoolWaitUS records, per pooled acquisition, the wall-clock
-	// microseconds spent searching the Engine's sharded free lists. With one
+	// microseconds spent taking a world off the Engine's free list. With one
 	// Run at a time this is sub-microsecond; under concurrent pooled Runs it
-	// is exactly the pool's lock contention, which is what the shard-and-
-	// steal layout exists to keep flat.
+	// is exactly the contention on the Engine's one mutex, and the
+	// measurement that would have to grow before that lock is split.
 	histEnginePoolWaitUS = telemetry.NewHistogram("mpi.engine_pool_wait_us")
 	// ctrWorldsCompleted counts runs that produced a result (on any runtime,
-	// pooled or cold): the numerator of the aggregate worlds/sec throughput
-	// the multi-P run pool exists to scale.
+	// pooled or cold): the numerator of aggregate worlds/sec throughput.
 	ctrWorldsCompleted = telemetry.NewCounter("mpi.worlds_completed")
-	// ctrRunPoolSteals counts RunPool tasks claimed from another worker's
-	// deque — the steal traffic that keeps an unbalanced batch of worlds
-	// from idling Ps.
-	ctrRunPoolSteals = telemetry.NewCounter("mpi.runpool_steals")
 )
 
 // timelineTracer records each operation of one rank as a virtual-time span

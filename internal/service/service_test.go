@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -237,6 +240,80 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	if got := ctrPipelineRuns.Value(); got != runsBefore {
 		t.Fatalf("disk hit still ran the pipeline")
+	}
+}
+
+// TestDamagedDiskEntryIsNeverServed: a cache file that is truncated, is not
+// JSON, or holds another request's result is a miss for the daemon that
+// finds it — the job is recomputed to the original artifact and the entry on
+// disk is repaired.
+func TestDamagedDiskEntryIsNeverServed(t *testing.T) {
+	req := &Request{App: "pingpong", N: 2, Class: "S"}
+	damage := map[string]func(t *testing.T, good []byte) []byte{
+		"truncated": func(t *testing.T, good []byte) []byte { return good[:len(good)/2] },
+		"garbage":   func(t *testing.T, good []byte) []byte { return []byte("\x00not json\xff") },
+		"other-key": func(t *testing.T, good []byte) []byte {
+			var res Result
+			if err := json.Unmarshal(good, &res); err != nil {
+				t.Fatalf("decode cache entry: %v", err)
+			}
+			res.Key = strings.Repeat("0", len(res.Key))
+			res.Source = "stale"
+			bad, err := json.Marshal(&res)
+			if err != nil {
+				t.Fatalf("encode cache entry: %v", err)
+			}
+			return bad
+		},
+	}
+	for name, mutate := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv1, cl1 := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir})
+			first, err := cl1.Generate(context.Background(), req)
+			if err != nil {
+				t.Fatalf("Generate: %v", err)
+			}
+			srv1.Shutdown(context.Background())
+
+			entry := filepath.Join(dir, first.Key+".json")
+			good, err := os.ReadFile(entry)
+			if err != nil {
+				t.Fatalf("cache entry: %v", err)
+			}
+			if err := os.WriteFile(entry, mutate(t, good), 0o644); err != nil {
+				t.Fatalf("damage cache entry: %v", err)
+			}
+
+			_, cl2 := newTestServer(t, Config{Workers: 1, QueueDepth: 4, CacheDir: dir})
+			runsBefore := ctrPipelineRuns.Value()
+			st, err := cl2.Submit(context.Background(), req)
+			if err != nil {
+				t.Fatalf("Submit after restart: %v", err)
+			}
+			if st.Cached != "" {
+				t.Fatalf("damaged entry served from the %s tier", st.Cached)
+			}
+			res, err := cl2.Wait(context.Background(), st.ID)
+			if err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			if got := ctrPipelineRuns.Value(); got != runsBefore+1 {
+				t.Fatalf("pipeline runs %d -> %d, want one recompute", runsBefore, got)
+			}
+			if res.Source != first.Source || !slices.Equal(res.PerRankUS, first.PerRankUS) {
+				t.Fatalf("recomputed result differs from the original")
+			}
+			var onDisk Result
+			if data, err := os.ReadFile(entry); err != nil {
+				t.Fatalf("repaired entry: %v", err)
+			} else if err := json.Unmarshal(data, &onDisk); err != nil {
+				t.Fatalf("repaired entry does not decode: %v", err)
+			}
+			if onDisk.Key != first.Key || onDisk.Source != first.Source {
+				t.Fatalf("entry on disk was not repaired")
+			}
+		})
 	}
 }
 

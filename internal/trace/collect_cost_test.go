@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -225,24 +226,27 @@ func TestRecordExtendingLoopAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestConcurrentWorldsTraceIdentically runs two traced worlds at a time
-// through the run pool (under -race: the call-site cache is the only state
-// they share) and requires each to produce the trace a lone run produces.
+// TestConcurrentWorldsTraceIdentically runs two traced worlds at a time on
+// two goroutines (under -race: the call-site cache is the only state they
+// share) and requires each to produce the trace a lone run produces.
 func TestConcurrentWorldsTraceIdentically(t *testing.T) {
 	const n = 16
 	_, alone := collectKernel(t, "cg", n)
 	want := encodeTrace(t, alone)
 
-	pool := mpi.NewRunPool(2)
-	defer pool.Close()
 	traces := make([]*Trace, 4)
 	errs := make([]error, len(traces))
-	tasks := make([]func(), len(traces))
-	for i := range tasks {
-		i := i
-		tasks[i] = func() { _, traces[i], errs[i] = traceKernel("cg", n) }
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < len(traces); i += 2 {
+				_, traces[i], errs[i] = traceKernel("cg", n)
+			}
+		}()
 	}
-	mpi.WaitAll(pool.SubmitBatch(tasks))
+	wg.Wait()
 	for i, tr := range traces {
 		if errs[i] != nil {
 			t.Fatal(errs[i])

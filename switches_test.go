@@ -34,10 +34,23 @@ var plainOptions = map[string]bool{
 
 var selectorName = regexp.MustCompile(`^(With|Mode)|Reference`)
 
+// schedulerName matches what a scheduler of the repo's own would export from
+// internal/mpi: a pool or ticket type, or a New…Pool constructor.
+var schedulerName = regexp.MustCompile(`(Pool|Ticket)$`)
+
+// worldDrivers are the packages whose entry points run a simulated world.
+var worldDrivers = map[string]bool{
+	`"repro/internal/mpi"`:        true,
+	`"repro/internal/conceptual"`: true,
+	`"repro/internal/replay"`:     true,
+}
+
 // TestPathSelectorsArePinned fails when a path selector appears that is not
-// on the lists above, when production code selects a reference, or when a
-// command grows a -runtime flag again — so a PR that re-adds a second path
-// or a knob for one does so by editing this test.
+// on the lists above, when production code selects a reference, when a
+// command grows a -runtime flag again, or when something other than the Go
+// scheduler under internal/harness/pool.go spreads worlds over threads — so
+// a PR that re-adds a second path, a knob for one or a scheduler does so by
+// editing this test.
 func TestPathSelectorsArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	parseDir := func(dir string) []*ast.File {
@@ -83,6 +96,10 @@ func TestPathSelectorsArePinned(t *testing.T) {
 					if id.IsExported() && selectorName.MatchString(id.Name) {
 						exported[pkg+"."+id.Name] = true
 					}
+					if pkg == "mpi" && id.IsExported() && schedulerName.MatchString(id.Name) {
+						t.Errorf("mpi.%s: internal/mpi exports a pool or ticket again; "+
+							"concurrent worlds are plain goroutines (internal/harness/pool.go)", id.Name)
+					}
 				}
 			}
 		}
@@ -102,10 +119,23 @@ func TestPathSelectorsArePinned(t *testing.T) {
 	}
 
 	// Production code — everything that is not a test — never selects a
-	// reference, and no command registers a -runtime flag.
+	// reference, no command registers a -runtime flag, and outside the
+	// runtime itself only internal/harness/pool.go both starts goroutines
+	// and imports a package that can drive a world. (Syntactic: fan-out
+	// through a harness wrapper such as RunProgram is not seen.)
 	for _, dir := range []string{"cmd", "internal", "examples"} {
 		for _, f := range parseDir(dir) {
+			path := filepath.ToSlash(fset.Position(f.Package).Filename)
+			mayFanOut := path == "internal/harness/pool.go" || strings.HasPrefix(path, "internal/mpi/")
+			drivesWorlds := false
+			for _, imp := range f.Imports {
+				drivesWorlds = drivesWorlds || worldDrivers[imp.Path.Value]
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok && drivesWorlds && !mayFanOut {
+					t.Errorf("%s: goroutine started in a file that can drive worlds; "+
+						"fan worlds out through internal/harness/pool.go", fset.Position(g.Pos()))
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
