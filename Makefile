@@ -127,6 +127,9 @@ bench-all:
 # (`-bench 'BenchmarkGeneratePipeline/sweep3d-64/A/print.parse'` is the
 # parser's leg; drop -memprofile when reading CPU shares, its stack walks
 # are a fifth of the samples).
+# The model checker (the ledger's verify-wildcard) likewise:
+# `mkdir -p .profile && go test -run NONE -bench 'BenchmarkVerifyCheck/check-8ranks' -benchtime 20x -benchmem -cpu 2 -cpuprofile cpu.prof -o .profile/repro.test -outputdir .profile . && go tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof`
+# (its B/state column is what one explored state costs the allocator).
 profile-chain:
 	mkdir -p .profile
 	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem -cpu 2 \

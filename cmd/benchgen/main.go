@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -122,7 +123,7 @@ func main() {
 		if model == nil {
 			fatal(fmt.Errorf("unknown model %q", *modelNm))
 		}
-		rep, err := harness.VerifyTrace(tr, model, nil)
+		rep, err := harness.VerifyTrace(context.Background(), tr, model, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -130,7 +131,7 @@ func main() {
 		// executed, but a wildcard receive it performed may still admit a
 		// deadlocking match the schedule happened to avoid — exactly what
 		// the checker explores.
-		rep, err := harness.VerifyTrace(col.Trace(), model, nil)
+		rep, err := harness.VerifyTrace(context.Background(), col.Trace(), model, nil)
 		if err != nil {
 			fatal(err)
 		}

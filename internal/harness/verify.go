@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps"
@@ -24,12 +25,13 @@ func Verify(name string, cfg apps.Config, model *netmodel.Model, opts *mpnet.Opt
 	if err != nil {
 		return nil, err
 	}
-	return VerifyTrace(run.Trace, model, opts)
+	return VerifyTrace(context.Background(), run.Trace, model, opts)
 }
 
-// VerifyTrace verifies an already-collected (or decoded) trace.
-func VerifyTrace(tr *trace.Trace, model *netmodel.Model, opts *mpnet.Options) (*mpnet.Report, error) {
-	rep, err := mpnet.VerifyWithReplay(tr, opts, model)
+// VerifyTrace verifies an already-collected (or decoded) trace. The
+// exploration stops with ctx's error once ctx is done.
+func VerifyTrace(ctx context.Context, tr *trace.Trace, model *netmodel.Model, opts *mpnet.Options) (*mpnet.Report, error) {
+	rep, err := mpnet.VerifyWithReplayContext(ctx, tr, opts, model)
 	if err != nil {
 		return nil, fmt.Errorf("harness: verify: %w", err)
 	}

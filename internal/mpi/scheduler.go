@@ -356,7 +356,7 @@ func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor fun
 	if timedOut {
 		return nil, fmt.Errorf("mpi: run did not complete within %v (deadlock suspected)", cfg.timeout)
 	}
-	return nil, fmt.Errorf("mpi: deadlock detected: every live rank is blocked and no event is pending")
+	return nil, fmt.Errorf("%w: every live rank is blocked and no event is pending", ErrDeadlock)
 }
 
 // entLess orders the run queue by virtual clock, rank index breaking ties —

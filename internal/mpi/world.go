@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -134,6 +135,13 @@ func rankMain(r *Rank, body func(*Rank)) {
 	r.SetCallSite(rankMainSite)
 	r.Finalize()
 }
+
+// ErrDeadlock is wrapped by the error of a run the event engine proved
+// deadlocked: its run queue emptied with live ranks still blocked, so no
+// message, credit or collective can ever arrive. (A run that merely
+// exceeds the wall-clock timeout is "deadlock suspected" and does not
+// wrap it.)
+var ErrDeadlock = errors.New("mpi: deadlock detected")
 
 // Run executes body on n simulated ranks over the given network model and
 // waits for completion. By default ranks advance on a single-threaded

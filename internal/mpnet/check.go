@@ -1,9 +1,14 @@
 package mpnet
 
 import (
+	"bytes"
+	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"math"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -80,36 +85,41 @@ type slot struct {
 }
 
 // vmState is one marking of the net: per-rank control positions,
-// per-channel token counts, and per-rank outstanding request queues.
+// per-channel token counts, and per-rank outstanding request queues. The
+// checker owns two of them for a whole exploration and overwrites them per
+// state (decode, copyFrom); every queue keeps its backing array.
 type vmState struct {
 	pc    []int32
 	chans []int32
 	out   [][]slot
 }
 
-func (s *vmState) clone() *vmState {
-	c := &vmState{
-		pc:    append([]int32(nil), s.pc...),
-		chans: append([]int32(nil), s.chans...),
-		out:   make([][]slot, len(s.out)),
+func (s *vmState) copyFrom(src *vmState) {
+	copy(s.pc, src.pc)
+	copy(s.chans, src.chans)
+	for r, q := range src.out {
+		s.out[r] = append(s.out[r][:0], q...)
 	}
-	for i, q := range s.out {
-		c.out[i] = append([]slot(nil), q...)
-	}
-	return c
 }
 
-// encode renders the canonical state key: varints of every pc, every
-// channel count and every outstanding queue (event index and matched
-// bit), in fixed order.
+// encode appends the canonical state key to buf, as varints in fixed
+// order: every pc; the channels holding tokens, each as its distance from
+// the previous one (from -1) and its count, closed by a 0 — at quiescence
+// most channels are empty; every outstanding queue (length, then event
+// index and matched bit per slot).
 func (s *vmState) encode(buf []byte) []byte {
-	buf = buf[:0]
 	for _, pc := range s.pc {
 		buf = binary.AppendUvarint(buf, uint64(pc))
 	}
-	for _, ct := range s.chans {
-		buf = binary.AppendUvarint(buf, uint64(ct))
+	prev := -1
+	for ch, ct := range s.chans {
+		if ct != 0 {
+			buf = binary.AppendUvarint(buf, uint64(ch-prev))
+			buf = binary.AppendUvarint(buf, uint64(ct))
+			prev = ch
+		}
 	}
+	buf = append(buf, 0)
 	for _, q := range s.out {
 		buf = binary.AppendUvarint(buf, uint64(len(q)))
 		for _, sl := range q {
@@ -123,26 +133,84 @@ func (s *vmState) encode(buf []byte) []byte {
 	return buf
 }
 
+// encodedBound is the most bytes encode can append for s: every value is a
+// non-negative int32 (or one shifted left once), at most five varint bytes.
+func (s *vmState) encodedBound() int {
+	vals := len(s.pc) + 2*len(s.chans) + 1 + len(s.out)
+	for _, q := range s.out {
+		vals += len(q)
+	}
+	return vals * binary.MaxVarintLen32
+}
+
+// decode overwrites s with the marking encode rendered into key.
+func (s *vmState) decode(key []byte) {
+	next := func() uint64 {
+		v, n := binary.Uvarint(key)
+		key = key[n:]
+		return v
+	}
+	for r := range s.pc {
+		s.pc[r] = int32(next())
+	}
+	clear(s.chans)
+	for ch := -1; ; {
+		d := next()
+		if d == 0 {
+			break
+		}
+		ch += int(d)
+		s.chans[ch] = int32(next())
+	}
+	for r := range s.out {
+		q := s.out[r][:0]
+		for n := next(); n > 0; n-- {
+			v := next()
+			q = append(q, slot{ev: int32(v >> 1), matched: v&1 == 1})
+		}
+		s.out[r] = q
+	}
+}
+
 // option is one enabled wildcard match: the receive at event index ev of
 // rank may consume a token from channel ch.
 type option struct {
-	rank int
-	ev   int32
-	ch   int32
+	rank, ev, ch int32
 }
 
-// key packs the option's identity for sleep sets. Event and channel
-// indices are bounded by MaxEvents, far below 2^22.
+// A sleep key packs an option into one word, rank above event above
+// channel, so that keys order like (rank, event, channel). These are what
+// the three fields can hold; FromTrace refuses a net that exceeds any of
+// them (ErrNetTooLarge) instead of letting two options share a key.
+const (
+	keyFieldBits = 22
+	// MaxRanks, MaxRankEvents and MaxChannels bound a checkable net: the
+	// rank count, any one rank's expanded event count, and the channel
+	// table.
+	MaxRanks      = 1 << (64 - 2*keyFieldBits)
+	MaxRankEvents = 1 << keyFieldBits
+	MaxChannels   = 1 << keyFieldBits
+)
+
 func (o option) key() uint64 {
-	return uint64(o.rank)<<44 | uint64(o.ev)<<22 | uint64(o.ch)
+	return uint64(o.rank)<<(2*keyFieldBits) | uint64(o.ev)<<keyFieldBits | uint64(o.ch)
 }
+
+// keyRank is the rank field of a sleep key.
+func keyRank(k uint64) int32 { return int32(k >> (2 * keyFieldBits)) }
 
 type checker struct {
 	net *Net
 	n   int
+	// wilds and opts are scratch: a rank's unmatched wildcards during one
+	// matching pass, and the options enumerate returns.
+	wilds []*Event
+	opts  []option
 }
 
-func (c *checker) initState() *vmState {
+func newChecker(n *Net) *checker { return &checker{net: n, n: n.N} }
+
+func (c *checker) newState() *vmState {
 	return &vmState{
 		pc:    make([]int32, c.n),
 		chans: make([]int32, len(c.net.Chans)),
@@ -175,9 +243,10 @@ func (c *checker) compat(ev *Event, ch int32) bool {
 // unmatchedWilds returns the rank's unmatched wildcard slots in posting
 // order, for MPI non-overtaking: a message compatible with an
 // earlier-posted unmatched wildcard must match that wildcard, so no
-// later concrete receive may steal it during the deterministic drain.
+// later concrete receive may steal it during the deterministic drain. The
+// result is the checker's scratch, valid until the next matching pass.
 func (c *checker) unmatchedWilds(s *vmState, rank int) []*Event {
-	var wilds []*Event
+	wilds := c.wilds[:0]
 	for _, sl := range s.out[rank] {
 		if sl.matched {
 			continue
@@ -186,6 +255,7 @@ func (c *checker) unmatchedWilds(s *vmState, rank int) []*Event {
 			wilds = append(wilds, ev)
 		}
 	}
+	c.wilds = wilds
 	return wilds
 }
 
@@ -216,7 +286,7 @@ func (c *checker) takeConcrete(s *vmState, ev *Event, wilds []*Event) bool {
 // the branch step.
 func (c *checker) matchPending(s *vmState, rank int) bool {
 	progress := false
-	var wilds []*Event
+	wilds := c.wilds[:0]
 	q := s.out[rank]
 	for i := range q {
 		if q[i].matched {
@@ -232,6 +302,7 @@ func (c *checker) matchPending(s *vmState, rank int) bool {
 			progress = true
 		}
 	}
+	c.wilds = wilds
 	return progress
 }
 
@@ -275,7 +346,9 @@ func (c *checker) step(s *vmState, rank int) bool {
 				if !q[0].matched {
 					return progress
 				}
-				s.out[rank] = q[1:]
+				// Shift rather than reslice: the queue keeps its backing
+				// array across the states a scratch marking is reused for.
+				s.out[rank] = q[:copy(q, q[1:])]
 			}
 		case EvWaitall:
 			for i := range s.out[rank] {
@@ -338,9 +411,10 @@ func (c *checker) drain(s *vmState) {
 // every channel holding tokens, the earliest-posted compatible unmatched
 // receive of the destination rank may consume one; by the drain's
 // fixpoint that receive is always a wildcard. Options are returned in
-// deterministic (rank, event, channel) order.
+// deterministic (rank, event, channel) order — the order of their keys —
+// in the checker's scratch, valid until the next call.
 func (c *checker) enumerate(s *vmState) []option {
-	var opts []option
+	opts := c.opts[:0]
 	for ci := range c.net.Chans {
 		ch := int32(ci)
 		if s.chans[ch] == 0 {
@@ -348,19 +422,11 @@ func (c *checker) enumerate(s *vmState) []option {
 		}
 		rank := c.net.Chans[ch].Dst
 		if w := c.earliestConsumer(s, rank, ch); w >= 0 {
-			opts = append(opts, option{rank: rank, ev: w, ch: ch})
+			opts = append(opts, option{rank: int32(rank), ev: w, ch: ch})
 		}
 	}
-	sort.Slice(opts, func(i, j int) bool {
-		a, b := opts[i], opts[j]
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		if a.ev != b.ev {
-			return a.ev < b.ev
-		}
-		return a.ch < b.ch
-	})
+	slices.SortFunc(opts, func(a, b option) int { return cmp.Compare(a.key(), b.key()) })
+	c.opts = opts
 	return opts
 }
 
@@ -391,8 +457,8 @@ func (c *checker) earliestConsumer(s *vmState, rank int, ch int32) int32 {
 	return -1
 }
 
-// apply commits one wildcard match and returns the recorded choice.
-func (c *checker) apply(s *vmState, o option) Choice {
+// apply commits one wildcard match.
+func (c *checker) apply(s *vmState, o option) {
 	s.chans[o.ch]--
 	ev := &c.net.Procs[o.rank][o.ev]
 	if ev.Kind == EvRecvAny && s.pc[o.rank] == o.ev {
@@ -405,9 +471,14 @@ func (c *checker) apply(s *vmState, o option) Choice {
 			}
 		}
 	}
+}
+
+// choice is the commitment option o stands for.
+func (c *checker) choice(o option) Choice {
+	ch := c.net.Chans[o.ch]
 	return Choice{
-		Rank: o.rank, Event: int(o.ev), Source: c.net.Chans[o.ch].Src,
-		Tag: c.net.Chans[o.ch].Tag, Site: ev.Site,
+		Rank: int(o.rank), Event: int(o.ev), Source: ch.Src,
+		Tag: ch.Tag, Site: c.net.Procs[o.rank][o.ev].Site,
 	}
 }
 
@@ -423,7 +494,7 @@ func (c *checker) blockedReport(s *vmState) []string {
 		blocked = append(blocked,
 			fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d)", r, ev.Op, peerString(ev), ev.Tag))
 	}
-	sort.Strings(blocked)
+	slices.Sort(blocked)
 	return blocked
 }
 
@@ -437,27 +508,192 @@ func peerString(ev *Event) string {
 	return fmt.Sprintf("abs%d", ev.Peer)
 }
 
-// entry is one frontier state of the breadth-first search.
-type entry struct {
-	s       *vmState
-	choices []Choice
-	sleep   []uint64 // sorted option keys
+// runs is an append-only store of runs of T — encoded states, sleep sets —
+// in chunks. It grows by adding a chunk, never by copying one that is
+// full, so a stored run keeps its (chunk, offset) for the whole
+// exploration and the bytes allocated stay close to the bytes held. A run
+// never spans chunks.
+type runs[T any] struct {
+	chunks [][]T
 }
 
-func sleepHas(sleep []uint64, k uint64) bool {
-	i := sort.Search(len(sleep), func(i int) bool { return sleep[i] >= k })
-	return i < len(sleep) && sleep[i] == k
+// runsChunk is the element count of a full-size chunk. The first chunk
+// starts empty and grows by append until it is this large, so a net with a
+// handful of states pays for a handful.
+const runsChunk = 1 << 14
+
+// span locates one run.
+type span struct {
+	chunk, off, n uint32
 }
 
-func sleepInsert(sleep []uint64, k uint64) []uint64 {
-	i := sort.Search(len(sleep), func(i int) bool { return sleep[i] >= k })
-	if i < len(sleep) && sleep[i] == k {
-		return sleep
+// tail returns the chunk to append the next run to: one with room for n
+// more elements, or the first while append still grows it. What is appended
+// is stored only by keep; without it the next run overwrites it.
+func (r *runs[T]) tail(n int) []T {
+	if len(r.chunks) == 0 {
+		r.chunks = append(r.chunks, nil)
 	}
-	out := make([]uint64, 0, len(sleep)+1)
-	out = append(out, sleep[:i]...)
-	out = append(out, k)
-	return append(out, sleep[i:]...)
+	t := r.chunks[len(r.chunks)-1]
+	if len(t)+n > cap(t) && cap(t) >= runsChunk {
+		t = make([]T, 0, max(n, runsChunk))
+		r.chunks = append(r.chunks, t)
+	}
+	return t
+}
+
+// pending is the run appended to t, what tail returned, and not yet kept.
+func (r *runs[T]) pending(t []T) []T {
+	return t[len(r.chunks[len(r.chunks)-1]):]
+}
+
+// keep stores t — what tail returned, with one run appended — and returns
+// where that run lives.
+func (r *runs[T]) keep(t []T) span {
+	last := len(r.chunks) - 1
+	sp := span{chunk: uint32(last), off: uint32(len(r.chunks[last])), n: uint32(len(r.pending(t)))}
+	r.chunks[last] = t
+	return sp
+}
+
+func (r *runs[T]) at(sp span) []T {
+	return r.chunks[sp.chunk][sp.off : sp.off+sp.n]
+}
+
+// record is one explored state in the order it was first counted: where
+// its canonical encoding and the sleep set it is explored under live, and
+// the match that led to it from its parent record. The records are the
+// whole search: the unread suffix is the breadth-first frontier, a parent
+// chain is a choice path, and the visited index points into them.
+type record struct {
+	state  span
+	sleep  span
+	parent int32 // -1 at the root
+	depth  int32 // wildcard choices committed on the way here
+	via    option
+}
+
+// logChunk is the number of records per chunk of the log (a power of two:
+// record i is log[i/logChunk][i%logChunk]).
+const logChunk = 1 << 11
+
+// explorer is the state store of one Check: every distinct canonical
+// encoding is held once, in states, and is both the visited key and the
+// frontier state — a state is decoded into a scratch marking when its turn
+// comes, not kept decoded while it waits.
+type explorer struct {
+	states runs[byte]
+	sleeps runs[uint64] // sorted option keys
+	log    [][]record
+	count  int32
+
+	// index is the visited set: an open-addressed, linearly probed table of
+	// hashTag<<32 | record+1 (0 is empty) naming the latest record of every
+	// distinct state. A tag hit is only a hint; a lookup answers "seen"
+	// after comparing the encoded bytes.
+	index    []uint64
+	distinct int
+	seed     maphash.Seed
+	hashMask uint64 // all ones; tests clear bits to force collisions
+}
+
+func (x *explorer) record(i int32) *record {
+	return &x.log[i/logChunk][i%logChunk]
+}
+
+func (x *explorer) push(r record) int32 {
+	last := len(x.log) - 1
+	if last < 0 || len(x.log[last]) == logChunk {
+		var chunk []record
+		if last >= 0 { // the first grows by append, for nets with few states
+			chunk = make([]record, 0, logChunk)
+		}
+		x.log = append(x.log, chunk)
+		last++
+	}
+	x.log[last] = append(x.log[last], r)
+	x.count++
+	return x.count - 1
+}
+
+func (x *explorer) hash(key []byte) uint64 {
+	return maphash.Bytes(x.seed, key) & x.hashMask
+}
+
+// find probes for key. It returns the index slot that names it, or the
+// empty slot where it belongs, and the record it was last explored as
+// (-1 when never).
+func (x *explorer) find(hash uint64, key []byte) (slot int, rec int32) {
+	mask := len(x.index) - 1
+	for slot = int(hash) & mask; ; slot = (slot + 1) & mask {
+		e := x.index[slot]
+		if e == 0 {
+			return slot, -1
+		}
+		if e>>32 != hash>>32 {
+			continue
+		}
+		rec = int32(uint32(e)) - 1
+		if bytes.Equal(x.states.at(x.record(rec).state), key) {
+			return slot, rec
+		}
+	}
+}
+
+// grow doubles the index once it is half full and re-seats every entry.
+func (x *explorer) grow() {
+	if 2*(x.distinct+1) <= len(x.index) {
+		return
+	}
+	old := x.index
+	x.index = make([]uint64, max(64, 2*len(old)))
+	mask := len(x.index) - 1
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		h := x.hash(x.states.at(x.record(int32(uint32(e)) - 1).state))
+		slot := int(h) & mask
+		for x.index[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		x.index[slot] = e
+	}
+}
+
+// path materialises the choices committed from the root to record i; the
+// root's own path is nil ("choices": null in a report, as it always was).
+func (x *explorer) path(c *checker, i int32) []Choice {
+	r := x.record(i)
+	if r.depth == 0 {
+		return nil
+	}
+	choices := make([]Choice, r.depth)
+	for ; r.parent >= 0; r = x.record(r.parent) {
+		choices[r.depth-1] = c.choice(r.via)
+	}
+	return choices
+}
+
+// mergeSleep appends the child's sleep set to dst: the inherited set and
+// the siblings fired before option o, merged in one pass — both are sorted
+// by key, and disjoint, since only options that were not asleep fire. The
+// child sleeps on every independently-explored sibling and inherited
+// entry; same-rank entries conflict with its choice and are dropped.
+func mergeSleep(dst, inherited []uint64, fired []option, o option) []uint64 {
+	i, j := 0, 0
+	for i < len(inherited) || j < len(fired) {
+		var k uint64
+		if j == len(fired) || (i < len(inherited) && inherited[i] < fired[j].key()) {
+			k, i = inherited[i], i+1
+		} else {
+			k, j = fired[j].key(), j+1
+		}
+		if keyRank(k) != o.rank {
+			dst = append(dst, k)
+		}
+	}
+	return dst
 }
 
 // subset reports a ⊆ b over sorted key slices.
@@ -474,64 +710,104 @@ func subset(a, b []uint64) bool {
 	return true
 }
 
-func intersect(a, b []uint64) []uint64 {
-	var out []uint64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
+// intersectInto overwrites b with a ∩ b (sorted key slices) and returns it.
+func intersectInto(a, b []uint64) []uint64 {
+	out := b[:0]
+	i := 0
+	for _, k := range b {
+		for i < len(a) && a[i] < k {
 			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
+		}
+		if i < len(a) && a[i] == k {
+			out = append(out, k)
 		}
 	}
 	return out
 }
 
-// Check explores the net and renders a verdict. With no wildcard
-// receives the net is deterministic and the exploration is a single
-// linear execution.
-func (n *Net) Check(opts *Options) *Verdict {
-	maxStates := opts.maxStates()
-	c := &checker{net: n, n: n.N}
-	v := &Verdict{}
-
-	init := c.initState()
-	c.drain(init)
-	v.StatesExplored = 1
-	ctrStates.Inc()
-
-	queue := []entry{{s: init}}
-	visited := map[string][]uint64{string(init.encode(nil)): nil}
-	var buf []byte
-	bounded := false
-
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		if len(e.choices) > v.MaxChoiceDepth {
-			v.MaxChoiceDepth = len(e.choices)
+// add counts the state whose encoding is pending on buf (the states tail)
+// as explored under the sleep set pending on sl (the sleeps tail) — unless
+// the same bytes were already explored under a subset of it. A state met
+// again under other restrictions is explored again under the intersection;
+// its bytes are not stored twice. r carries the new record's parent, depth
+// and match.
+func (x *explorer) add(buf []byte, sl []uint64, r record) bool {
+	x.grow()
+	key, sleep := x.states.pending(buf), x.sleeps.pending(sl)
+	hash := x.hash(key)
+	slot, seen := x.find(hash, key)
+	if seen >= 0 {
+		stored := x.sleeps.at(x.record(seen).sleep)
+		if subset(stored, sleep) {
+			return false // already explored under fewer restrictions
 		}
-		if c.allDone(e.s) {
+		sl = sl[:len(sl)-len(sleep)+len(intersectInto(stored, sleep))]
+		r.state = x.record(seen).state
+	} else {
+		r.state = x.states.keep(buf)
+		x.distinct++
+	}
+	r.sleep = x.sleeps.keep(sl)
+	x.index[slot] = hash>>32<<32 | uint64(x.push(r)+1)
+	ctrStates.Inc()
+	return true
+}
+
+// Check is CheckContext without cancellation.
+func (n *Net) Check(opts *Options) *Verdict {
+	v, _ := n.CheckContext(context.Background(), opts) // Background is never done
+	return v
+}
+
+// CheckContext explores the net and renders a verdict. With no wildcard
+// receives the net is deterministic and the exploration is a single linear
+// execution. ctx is polled once per dequeued state; when it is done the
+// exploration stops and its error is returned.
+func (n *Net) CheckContext(ctx context.Context, opts *Options) (*Verdict, error) {
+	return n.check(ctx, opts, math.MaxUint64)
+}
+
+// check is CheckContext with the visited index's hash masked (a test seam:
+// a narrow mask makes every lookup collide).
+func (n *Net) check(ctx context.Context, opts *Options, hashMask uint64) (*Verdict, error) {
+	// Records are numbered in 32 bits; a bound past that is past any memory.
+	maxStates := min(opts.maxStates(), math.MaxInt32)
+	c := newChecker(n)
+	x := &explorer{seed: maphash.MakeSeed(), hashMask: hashMask}
+	v := &Verdict{}
+	defer func() { v.StatesExplored = int(x.count) }()
+
+	cur, child := c.newState(), c.newState()
+	c.drain(child)
+	x.add(child.encode(x.states.tail(child.encodedBound())), x.sleeps.tail(0), record{parent: -1})
+
+	// The log is read in the order it was written, so states are expanded
+	// in exactly the order a queue of decoded states would yield them.
+	for head := int32(0); head < x.count; head++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e := *x.record(head)
+		v.MaxChoiceDepth = max(v.MaxChoiceDepth, int(e.depth))
+		cur.decode(x.states.at(e.state))
+		if c.allDone(cur) {
 			v.Executions++
 			continue
 		}
-		options := c.enumerate(e.s)
+		options := c.enumerate(cur)
 		if len(options) == 0 {
 			// Quiescent, unfinished, nothing to match: deadlock. BFS order
 			// makes this the minimal-commitment counterexample.
 			v.Counterexample = &Counterexample{
-				Choices: e.choices,
-				Blocked: c.blockedReport(e.s),
+				Choices: x.path(c, head),
+				Blocked: c.blockedReport(cur),
 			}
-			return v
+			return v, nil
 		}
-		live := options[:0:0]
+		sleep := x.sleeps.at(e.sleep)
+		live := options[:0]
 		for _, o := range options {
-			if !sleepHas(e.sleep, o.key()) {
+			if _, asleep := slices.BinarySearch(sleep, o.key()); !asleep {
 				live = append(live, o)
 			}
 		}
@@ -539,57 +815,22 @@ func (n *Net) Check(opts *Options) *Verdict {
 			continue // every enabled match is covered by a sibling branch
 		}
 		v.BranchPoints++
-		fired := make([]option, 0, len(live))
-		for _, o := range live {
-			child := e.s.clone()
-			choice := c.apply(child, o)
+		for i, o := range live {
+			child.copyFrom(cur)
+			c.apply(child, o)
 			c.drain(child)
-			// The child sleeps on every independently-explored sibling and
-			// inherited entry; same-rank entries conflict with this choice
-			// and are dropped.
-			var childSleep []uint64
-			for _, k := range e.sleep {
-				if int(k>>44) != o.rank {
-					childSleep = sleepInsert(childSleep, k)
-				}
+			buf := child.encode(x.states.tail(child.encodedBound()))
+			// sleep may sit in the very chunk the tail extends: it is only
+			// read, and only what lies past it is written.
+			sl := mergeSleep(x.sleeps.tail(len(sleep)+i), sleep, live[:i], o)
+			if x.add(buf, sl, record{parent: head, depth: e.depth + 1, via: o}) && int(x.count) >= maxStates {
+				return v, nil
 			}
-			for _, f := range fired {
-				if f.rank != o.rank {
-					childSleep = sleepInsert(childSleep, f.key())
-				}
-			}
-			fired = append(fired, o)
-
-			buf = child.encode(buf)
-			key := string(buf)
-			if stored, seen := visited[key]; seen {
-				if subset(stored, childSleep) {
-					continue // already explored under fewer restrictions
-				}
-				childSleep = intersect(stored, childSleep)
-			}
-			visited[key] = childSleep
-			v.StatesExplored++
-			ctrStates.Inc()
-			if v.StatesExplored >= maxStates {
-				bounded = true
-				break
-			}
-			queue = append(queue, entry{
-				s:       child,
-				choices: append(append([]Choice(nil), e.choices...), choice),
-				sleep:   childSleep,
-			})
-		}
-		if bounded {
-			break
 		}
 	}
-	if !bounded {
-		v.Exhaustive = true
-		v.DeadlockFree = true
-	}
-	return v
+	v.Exhaustive = true
+	v.DeadlockFree = true
+	return v, nil
 }
 
 // ForcedRun executes the single interleaving in which every wildcard
@@ -598,8 +839,8 @@ func (n *Net) Check(opts *Options) *Verdict {
 // not, blocked describes the stuck state. This is how the resolver's
 // match assignment is checked for admission by the net.
 func (n *Net) ForcedRun(assign map[[2]int]int) (completed bool, blocked []string) {
-	c := &checker{net: n, n: n.N}
-	s := c.initState()
+	c := newChecker(n)
+	s := c.newState()
 	for {
 		c.drain(s)
 		if c.allDone(s) {
@@ -608,7 +849,7 @@ func (n *Net) ForcedRun(assign map[[2]int]int) (completed bool, blocked []string
 		options := c.enumerate(s)
 		picked := false
 		for _, o := range options {
-			if src, ok := assign[[2]int{o.rank, int(o.ev)}]; ok && src == n.Chans[o.ch].Src {
+			if src, ok := assign[[2]int{int(o.rank), int(o.ev)}]; ok && src == n.Chans[o.ch].Src {
 				c.apply(s, o)
 				picked = true
 				break

@@ -1,10 +1,13 @@
 package mpnet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
 
+	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/replay"
 	"repro/internal/taskset"
@@ -150,13 +153,20 @@ func (r *Report) String() string {
 }
 
 // Verify lowers t into its MP-net, explores it, and cross-validates the
-// wildcard resolver's assignment. The input trace is not modified.
-func Verify(t *trace.Trace, opts *Options) (*Report, error) {
+// wildcard resolver's assignment. The input trace is not modified. When
+// ctx is done the exploration stops and its error is returned.
+func Verify(ctx context.Context, t *trace.Trace, opts *Options) (*Report, error) {
+	rep, _, err := verify(ctx, t, opts)
+	return rep, err
+}
+
+// verify is Verify, also returning the net it lowered.
+func verify(ctx context.Context, t *trace.Trace, opts *Options) (*Report, *Net, error) {
 	defer telemetry.Region("mpnet.verify")()
 	start := time.Now()
 	net, err := FromTrace(t, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep := &Report{
 		Ranks:     net.N,
@@ -164,7 +174,9 @@ func Verify(t *trace.Trace, opts *Options) (*Report, error) {
 		Channels:  len(net.Chans),
 		Wildcards: net.Wildcards,
 	}
-	rep.Verdict = net.Check(opts)
+	if rep.Verdict, err = net.CheckContext(ctx, opts); err != nil {
+		return nil, nil, err
+	}
 
 	if net.Wildcards > 0 {
 		resolved, rerr := wildcard.Resolve(t)
@@ -173,42 +185,41 @@ func Verify(t *trace.Trace, opts *Options) (*Report, error) {
 		} else {
 			assign, aerr := ResolverAssignment(net, resolved)
 			if aerr != nil {
-				return nil, aerr
+				return nil, nil, aerr
 			}
 			rep.ResolverAdmitted, rep.ResolverBlocked = net.ForcedRun(assign)
 			rnet, nerr := FromTrace(resolved, opts)
 			if nerr != nil {
-				return nil, nerr
+				return nil, nil, nerr
 			}
-			rep.ResolvedVerdict = rnet.Check(opts)
+			if rep.ResolvedVerdict, err = rnet.CheckContext(ctx, opts); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	rep.VerifyUS = float64(time.Since(start)) / float64(time.Microsecond)
 	hstVerify.Observe(rep.VerifyUS)
-	return rep, nil
+	return rep, net, nil
 }
 
-// VerifyWithReplay runs Verify and, when the checker produced a
+// VerifyWithReplayContext runs Verify and, when the checker produced a
 // counterexample, confirms it concretely: the pinned interleaving is
 // re-executed on the discrete-event engine under model and must deadlock
 // there too. This is the full service-facing entry point — a reported
-// deadlock always carries its engine confirmation.
-func VerifyWithReplay(t *trace.Trace, opts *Options, model *netmodel.Model) (*Report, error) {
-	rep, err := Verify(t, opts)
+// deadlock always carries its engine confirmation — and a service job's ctx
+// stops the exploration when the job is cancelled or times out.
+func VerifyWithReplayContext(ctx context.Context, t *trace.Trace, opts *Options, model *netmodel.Model) (*Report, error) {
+	rep, net, err := verify(ctx, t, opts)
 	if err != nil {
 		return nil, err
 	}
-	if rep.Verdict != nil && rep.Verdict.Counterexample != nil {
-		// Rebuilding the net is cheap and deterministic; Verify does not
-		// retain it.
-		net, nerr := FromTrace(t, opts)
-		if nerr != nil {
-			rep.ReplayError = nerr.Error()
-		} else {
-			rep.ConfirmWithReplay(net, model)
-		}
-	}
+	rep.ConfirmWithReplay(net, model)
 	return rep, nil
+}
+
+// VerifyWithReplay is VerifyWithReplayContext without cancellation.
+func VerifyWithReplay(t *trace.Trace, opts *Options, model *netmodel.Model) (*Report, error) {
+	return VerifyWithReplayContext(context.Background(), t, opts, model)
 }
 
 // ResolverAssignment aligns the resolved trace against the net's
@@ -346,7 +357,7 @@ func ConfirmCounterexample(net *Net, cx *Counterexample, model *netmodel.Model) 
 	if rerr == nil {
 		return false, fmt.Errorf("mpnet: counterexample replay completed without deadlocking")
 	}
-	if strings.Contains(rerr.Error(), "deadlock detected") {
+	if errors.Is(rerr, mpi.ErrDeadlock) {
 		return true, rerr
 	}
 	return false, rerr

@@ -1,7 +1,11 @@
 package mpnet
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,8 +17,13 @@ import (
 
 func collect(t testing.TB, n int, body func(*mpi.Rank)) *trace.Trace {
 	t.Helper()
+	return collectOn(t, n, netmodel.Ideal(), body)
+}
+
+func collectOn(t testing.TB, n int, model *netmodel.Model, body func(*mpi.Rank)) *trace.Trace {
+	t.Helper()
 	col := trace.NewCollector(n)
-	if _, err := mpi.Run(n, netmodel.Ideal(), body, mpi.WithTracer(col.TracerFor)); err != nil {
+	if _, err := mpi.Run(n, model, body, mpi.WithTracer(col.TracerFor)); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return col.Trace()
@@ -57,11 +66,7 @@ func figure5Body(r *mpi.Rank) {
 // traced execution completes (the wildcard matches rank 2).
 func collectFigure5(t testing.TB) *trace.Trace {
 	t.Helper()
-	col := trace.NewCollector(3)
-	if _, err := mpi.Run(3, netmodel.BlueGeneL(), figure5Body, mpi.WithTracer(col.TracerFor)); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return col.Trace()
+	return collectOn(t, 3, netmodel.BlueGeneL(), figure5Body)
 }
 
 func TestFromTraceRing(t *testing.T) {
@@ -144,13 +149,13 @@ func TestCounterexampleReplayConfirms(t *testing.T) {
 	if !confirmed {
 		t.Fatalf("engine did not confirm the deadlock: %v", rerr)
 	}
-	if rerr == nil || !strings.Contains(rerr.Error(), "deadlock detected") {
+	if !errors.Is(rerr, mpi.ErrDeadlock) {
 		t.Fatalf("confirmation error = %v, want the engine's proven-deadlock report", rerr)
 	}
 }
 
 func TestVerifyFigure5AgreesWithResolver(t *testing.T) {
-	rep, err := Verify(collectFigure5(t), nil)
+	rep, err := Verify(context.Background(), collectFigure5(t), nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -169,16 +174,8 @@ func TestVerifyFigure5AgreesWithResolver(t *testing.T) {
 
 func TestVerifyStarResolutionAdmitted(t *testing.T) {
 	n := 6
-	tr := collect(t, n, func(r *mpi.Rank) {
-		if r.Rank() == 0 {
-			for i := 1; i < n; i++ {
-				r.Recv(r.World(), mpi.AnySource, 0, 32)
-			}
-		} else {
-			r.Send(r.World(), 0, 0, 32)
-		}
-	})
-	rep, err := Verify(tr, nil)
+	tr := collect(t, n, starBody(n))
+	rep, err := Verify(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -205,19 +202,8 @@ func TestVerifyNonblockingWildcards(t *testing.T) {
 	// Wildcards posted as Irecvs and demanded by Waitall; exercises the
 	// outstanding-queue state and slot matching.
 	n := 4
-	tr := collect(t, n, func(r *mpi.Rank) {
-		c := r.World()
-		if r.Rank() == 0 {
-			var reqs []*mpi.Request
-			for i := 1; i < n; i++ {
-				reqs = append(reqs, r.Irecv(c, mpi.AnySource, 3, 16))
-			}
-			r.Waitall(reqs...)
-		} else {
-			r.Send(c, 0, 3, 16)
-		}
-	})
-	rep, err := Verify(tr, nil)
+	tr := collect(t, n, nonblockingWildBody(n))
+	rep, err := Verify(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -228,15 +214,7 @@ func TestVerifyNonblockingWildcards(t *testing.T) {
 
 func TestCheckMaxStatesBounds(t *testing.T) {
 	n := 6
-	tr := collect(t, n, func(r *mpi.Rank) {
-		if r.Rank() == 0 {
-			for i := 1; i < n; i++ {
-				r.Recv(r.World(), mpi.AnySource, 0, 32)
-			}
-		} else {
-			r.Send(r.World(), 0, 0, 32)
-		}
-	})
+	tr := collect(t, n, starBody(n))
 	net, err := FromTrace(tr, nil)
 	if err != nil {
 		t.Fatalf("FromTrace: %v", err)
@@ -341,15 +319,7 @@ func TestExportTLABounds(t *testing.T) {
 
 func TestResolverAssignmentExtraction(t *testing.T) {
 	n := 4
-	tr := collect(t, n, func(r *mpi.Rank) {
-		if r.Rank() == 0 {
-			for i := 1; i < n; i++ {
-				r.Recv(r.World(), mpi.AnySource, 0, 32)
-			}
-		} else {
-			r.Send(r.World(), 0, 0, 32)
-		}
-	})
+	tr := collect(t, n, starBody(n))
 	net, err := FromTrace(tr, nil)
 	if err != nil {
 		t.Fatalf("FromTrace: %v", err)
@@ -374,5 +344,105 @@ func TestResolverAssignmentExtraction(t *testing.T) {
 	}
 	if ok, blocked := net.ForcedRun(assign); !ok {
 		t.Fatalf("resolver assignment rejected: %v", blocked)
+	}
+}
+
+// TestFromTraceReceiveWiring recomputes every receive instance's candidate
+// channels and enabled sources with one scan of the channel table per
+// instance — what FromTrace did before it shared them per receive shape —
+// and requires the shared wiring to be equal, nil where nothing matches.
+func TestFromTraceReceiveWiring(t *testing.T) {
+	nets := goldenNets(t)
+	for seed := int64(0); seed < 50; seed++ {
+		nets = append(nets, randomNet(t, rand.New(rand.NewSource(seed))))
+	}
+	for ni, net := range nets {
+		for rank, procs := range net.Procs {
+			for i := range procs {
+				ev := &procs[i]
+				var cands []int32
+				var sources []int
+				var srcChans [][]int32
+				if ev.Kind == EvRecv || ev.Kind == EvRecvAny || ev.Kind == EvIrecv {
+					for src := 0; src < net.N; src++ {
+						var chs []int32
+						for ci, key := range net.Chans {
+							if key.Dst == rank && key.Src == src && key.CommID == ev.CommID &&
+								(ev.Tag == mpi.AnyTag || key.Tag == ev.Tag) {
+								chs = append(chs, int32(ci))
+							}
+						}
+						switch {
+						case len(chs) == 0:
+						case ev.Wild:
+							sources, srcChans = append(sources, src), append(srcChans, chs)
+						case src == ev.Peer:
+							cands = chs
+						}
+					}
+				}
+				if !reflect.DeepEqual(ev.Cands, cands) || !reflect.DeepEqual(ev.Sources, sources) ||
+					!reflect.DeepEqual(ev.SrcChans, srcChans) {
+					t.Fatalf("net %d rank %d event %d (%v): wired cands %v sources %v chans %v, want %v %v %v",
+						ni, rank, i, ev.Kind, ev.Cands, ev.Sources, ev.SrcChans, cands, sources, srcChans)
+				}
+			}
+		}
+	}
+}
+
+// TestSleepKeyLimits: the limits FromTrace enforces are exactly what a
+// sleep key holds — the largest admitted option round-trips, keys order
+// like (rank, event, channel), and a net past a limit is refused by name.
+func TestSleepKeyLimits(t *testing.T) {
+	last := option{rank: MaxRanks - 1, ev: MaxRankEvents - 1, ch: MaxChannels - 1}
+	ordered := []option{
+		{0, 0, 0}, {0, 0, last.ch}, {0, 1, 0}, {0, last.ev, last.ch}, {1, 0, 0}, {last.rank, 0, 0}, last,
+	}
+	for i, o := range ordered {
+		if keyRank(o.key()) != o.rank {
+			t.Errorf("%+v: key %#x carries rank %d", o, o.key(), keyRank(o.key()))
+		}
+		if i > 0 && ordered[i-1].key() >= o.key() {
+			t.Errorf("key(%+v) = %#x is not below key(%+v) = %#x", ordered[i-1], ordered[i-1].key(), o, o.key())
+		}
+	}
+	if DefaultMaxEvents > MaxRankEvents {
+		t.Errorf("DefaultMaxEvents %d admits a rank past MaxRankEvents %d", DefaultMaxEvents, MaxRankEvents)
+	}
+
+	ring := collect(t, 4, ringBody)
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+		opts *Options
+		want error
+	}{
+		{"ring, default bounds", ring, nil, nil},
+		{"ring, MaxEvents above the per-rank limit", ring, &Options{MaxEvents: 2 * MaxRankEvents}, nil},
+		{"one rank too many", &trace.Trace{N: MaxRanks + 1}, nil, ErrNetTooLarge},
+	} {
+		if _, err := FromTrace(tc.tr, tc.opts); !errors.Is(err, tc.want) {
+			t.Errorf("%s: FromTrace error = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckRootDeadlock: a net stuck before any wildcard commitment yields a
+// counterexample with no choices — nil, so a report renders it as it always
+// has ("choices": null).
+func TestCheckRootDeadlock(t *testing.T) {
+	col := trace.NewCollector(2)
+	for rank := 0; rank < 2; rank++ {
+		ev := mpi.Event{Op: mpi.OpRecv, Rank: rank, CallSite: 1, CommSize: 2, Peer: 1 - rank, Size: 8, Root: -1}
+		col.TracerFor(rank).Record(&ev)
+	}
+	net, err := FromTrace(col.Trace(), nil)
+	if err != nil {
+		t.Fatalf("FromTrace: %v", err)
+	}
+	v := net.Check(nil)
+	if v.Counterexample == nil || v.Counterexample.Choices != nil || len(v.Counterexample.Blocked) != 2 {
+		t.Fatalf("verdict %+v, counterexample %+v", v, v.Counterexample)
 	}
 }

@@ -18,7 +18,10 @@
 package mpnet
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -155,6 +158,11 @@ const (
 	DefaultMaxStates = 1 << 20
 )
 
+// ErrNetTooLarge is FromTrace's refusal of a trace whose net the checker
+// cannot index: more than MaxRanks ranks, MaxRankEvents events on one rank
+// or MaxChannels channels (see the sleep-key packing in check.go).
+var ErrNetTooLarge = errors.New("mpnet: net too large to check")
+
 func (o *Options) maxEvents() int {
 	if o == nil || o.MaxEvents <= 0 {
 		return DefaultMaxEvents
@@ -189,6 +197,9 @@ func worldPeer(t *trace.Trace, rank int, rsd *trace.RSD) int {
 func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 	if t == nil || t.N <= 0 {
 		return nil, fmt.Errorf("mpnet: empty trace")
+	}
+	if t.N > MaxRanks {
+		return nil, fmt.Errorf("%w: %d ranks, the checker holds %d", ErrNetTooLarge, t.N, MaxRanks)
 	}
 	maxEvents := opts.maxEvents()
 	net := &Net{N: t.N, Trace: t, Procs: make([][]Event, t.N)}
@@ -256,12 +267,25 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 			if total > maxEvents {
 				return nil, fmt.Errorf("mpnet: trace expands past %d events (MaxEvents)", maxEvents)
 			}
+			if len(net.Procs[rank]) > MaxRankEvents {
+				return nil, fmt.Errorf("%w: rank %d expands past %d events", ErrNetTooLarge, rank, MaxRankEvents)
+			}
 			cur.Advance()
 		}
 	}
 	net.Events = total
 
-	// Pass 2: wire the receive side to the channel table built above.
+	if len(net.Chans) > MaxChannels {
+		return nil, fmt.Errorf("%w: %d channels, the checker holds %d", ErrNetTooLarge, len(net.Chans), MaxChannels)
+	}
+
+	// Pass 2: wire the receive side to the channel table built above. What
+	// a receive may consume depends only on who posts it, on which
+	// communicator and tag, and from whom, so the channel table is scanned
+	// once per such shape and every instance shares the result read-only
+	// (LU posts 9,600 wildcard instances of a few dozen shapes).
+	type shape struct{ rank, comm, tag, peer int }
+	wired := map[shape]*Event{}
 	for rank := 0; rank < t.N; rank++ {
 		procs := net.Procs[rank]
 		for i := range procs {
@@ -269,32 +293,46 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 			if ev.Kind != EvRecv && ev.Kind != EvRecvAny && ev.Kind != EvIrecv {
 				continue
 			}
-			if ev.Wild {
-				// Enabled sources: every sender with a compatible channel.
-				bySrc := map[int][]int32{}
-				for ci, key := range net.Chans {
-					if key.Dst == rank && key.CommID == ev.CommID &&
-						(ev.Tag == mpi.AnyTag || key.Tag == ev.Tag) {
-						bySrc[key.Src] = append(bySrc[key.Src], int32(ci))
-					}
-				}
-				for src := 0; src < t.N; src++ {
-					if chs, ok := bySrc[src]; ok {
-						ev.Sources = append(ev.Sources, src)
-						ev.SrcChans = append(ev.SrcChans, chs)
-					}
-				}
-			} else {
-				for ci, key := range net.Chans {
-					if key.Dst == rank && key.Src == ev.Peer && key.CommID == ev.CommID &&
-						(ev.Tag == mpi.AnyTag || key.Tag == ev.Tag) {
-						ev.Cands = append(ev.Cands, int32(ci))
-					}
-				}
+			sh := shape{rank, ev.CommID, ev.Tag, ev.Peer}
+			first, ok := wired[sh]
+			if !ok {
+				net.wire(rank, ev)
+				wired[sh] = ev
+				continue
 			}
+			ev.Cands, ev.Sources, ev.SrcChans = first.Cands, first.Sources, first.SrcChans
 		}
 	}
 	return net, nil
+}
+
+// wire computes what rank's receive ev may consume: the candidate channels
+// of a concrete receive, or a wildcard's enabled sources (every sender
+// with a compatible channel, ascending) and each one's channels.
+func (n *Net) wire(rank int, ev *Event) {
+	var chs []int32
+	for ci, key := range n.Chans {
+		if key.Dst == rank && key.CommID == ev.CommID && (ev.Tag == mpi.AnyTag || key.Tag == ev.Tag) &&
+			(ev.Wild || key.Src == ev.Peer) {
+			chs = append(chs, int32(ci))
+		}
+	}
+	if !ev.Wild {
+		ev.Cands = chs
+		return
+	}
+	// Group the compatible channels by source; the stable sort keeps each
+	// source's channels in table order.
+	slices.SortStableFunc(chs, func(a, b int32) int { return cmp.Compare(n.Chans[a].Src, n.Chans[b].Src) })
+	for lo := 0; lo < len(chs); {
+		hi := lo + 1
+		for hi < len(chs) && n.Chans[chs[hi]].Src == n.Chans[chs[lo]].Src {
+			hi++
+		}
+		ev.Sources = append(ev.Sources, n.Chans[chs[lo]].Src)
+		ev.SrcChans = append(ev.SrcChans, chs[lo:hi:hi])
+		lo = hi
+	}
 }
 
 // wildIndexOf returns the event index of rank's i-th wildcard receive

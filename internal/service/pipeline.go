@@ -85,7 +85,7 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 	if req.Verify {
 		progress(StageVerify)
 		endVerify := telemetry.Region(StageVerify)
-		verifyRep, err = mpnet.VerifyWithReplay(tr, nil, model)
+		verifyRep, err = mpnet.VerifyWithReplayContext(ctx, tr, nil, model)
 		endVerify()
 		if err != nil {
 			return nil, fmt.Errorf("verify: %w", err)

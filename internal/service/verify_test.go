@@ -7,9 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/mpnet"
 	"repro/internal/netmodel"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -135,6 +138,46 @@ func TestVerifyCached(t *testing.T) {
 	if second.Key != first.Key || second.Verify == nil ||
 		second.Verify.Verdict.StatesExplored != first.Verify.Verdict.StatesExplored {
 		t.Fatalf("cached verify report differs from computed one")
+	}
+}
+
+// TestCancelStopsVerifyExploration: cancelling a verify job reaches into
+// the model checker. LU at 16 ranks posts 9,600 wildcard receives, so its
+// exploration runs to the default 2^20-state bound — seconds of work; the
+// job is cancelled once the checker has demonstrably started counting
+// states, must land as canceled having explored only part of that bound,
+// and the single worker must move on to the job queued behind it.
+func TestCancelStopsVerifyExploration(t *testing.T) {
+	_, cl := newTestServer(t, Config{Workers: 1, QueueDepth: 4, JobTimeout: time.Hour})
+	ctx := context.Background()
+	explored := telemetry.NewCounter("mpnet.states_explored")
+	before := explored.Value()
+
+	job, err := cl.Submit(ctx, &Request{App: "lu", N: 16, Class: "S", Verify: true})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	next, err := cl.Submit(ctx, &Request{App: "pingpong", N: 2, Class: "S"})
+	if err != nil {
+		t.Fatalf("Submit next: %v", err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); explored.Value() == before; time.Sleep(time.Millisecond) {
+		if st, err := cl.Status(ctx, job.ID); err != nil || st.State == StateDone || st.State == StateFailed {
+			t.Fatalf("verify job ended before exploring a state: %+v, %v", st, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("checker never started")
+		}
+	}
+	if _, err := cl.Cancel(ctx, job.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	waitState(t, cl, job.ID, StateCanceled)
+	if n := explored.Value() - before; n >= mpnet.DefaultMaxStates {
+		t.Fatalf("cancelled job explored %d states: the checker ran to its bound", n)
+	}
+	if _, err := cl.Wait(ctx, next.ID); err != nil {
+		t.Fatalf("job queued behind the cancelled one: %v", err)
 	}
 }
 

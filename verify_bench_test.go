@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,8 +15,9 @@ import (
 // BenchmarkVerifyCheck measures model-checker throughput — explored states
 // per second against rank count — on LU's wildcard-heavy sweep trace. Each
 // iteration re-explores the net under a fixed state budget, so ns/op is
-// the cost of one bounded exploration and the states/sec metric is the
-// checker's raw state throughput; `make bench10` records both as the
+// the cost of one bounded exploration, the states/sec metric is the
+// checker's raw state throughput and B/state what one explored state costs
+// the allocator; `make bench10` records the first two as the
 // verify_throughput series in BENCH_10.json.
 func BenchmarkVerifyCheck(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
@@ -30,6 +32,9 @@ func BenchmarkVerifyCheck(b *testing.B) {
 				b.Fatalf("FromTrace: %v", err)
 			}
 			var states int64
+			var before, after runtime.MemStats
+			b.ReportAllocs()
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
@@ -37,9 +42,11 @@ func BenchmarkVerifyCheck(b *testing.B) {
 				states += int64(v.StatesExplored)
 			}
 			elapsed := time.Since(start).Seconds()
+			runtime.ReadMemStats(&after)
 			if elapsed > 0 {
 				b.ReportMetric(float64(states)/elapsed, "states/sec")
 			}
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(states), "B/state")
 		})
 	}
 }
