@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test check bench bench6 bench7 bench8 bench10 bench-all profile-chain race verify-fuzz timeline serve
+.PHONY: test check bench profile-chain race verify-fuzz timeline serve
 
 LU_LEGS = (TestEventEngineMatchesGoroutineRuntime|TestReplayRepresentationsBitIdentical)/lu-16
 
@@ -8,7 +8,9 @@ test:
 	$(GO) test ./...
 
 # check is the pre-commit gate: static analysis, the race detector over the
-# concurrent subsystems — the parallel trace pipeline, the simulated MPI
+# concurrent subsystems — the trace collector (ranks of the goroutine
+# reference register communicators concurrently, traced worlds run side by
+# side; the inter-node merge itself is single-threaded), the simulated MPI
 # transport (the discrete-event scheduler's driver/rank coroutine switches,
 # raced at -cpu 1,2 so both the single-P and the idle-second-P paths run, and
 # the goroutine reference runtime's mailboxes and lockedColl rendezvous), the
@@ -47,66 +49,14 @@ verify-fuzz:
 race:
 	$(GO) test -race ./...
 
-# bench refreshes the BENCH_3.json baseline: it runs the runtime-substrate
-# benchmarks (simulated world execution — including the telemetry-enabled
-# variant whose distance from the fast path is the recorded instrumentation
-# overhead — interpreter, replay) and merges the measured numbers into the
-# post_change section, preserving any recorded pre-change history. Benchmark
-# output also streams to the terminal.
+# bench runs the benchmark ledger BENCHMARK.json declares — seven closed-loop
+# workloads, end-to-end and per-layer metrics, results under benchmark/out/.
+# `bash benchmark/run.sh -workload W -seed S -trace 1` runs one workload with
+# its span trace. It is the one benchmark surface; the Go micro-benchmarks in
+# bench_test.go and verify_bench_test.go are run by name
+# (`go test -run NONE -bench BenchmarkMergeRankSeqs -cpu 1,2 -benchmem .`).
 bench:
-	$(GO) test -run NONE -bench 'BenchmarkRunWorld|BenchmarkInterpExecute|BenchmarkReplay' \
-		-benchtime 60x -benchmem . | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -merge BENCH_3.json > BENCH_3.json.tmp
-	mv BENCH_3.json.tmp BENCH_3.json
-
-# bench6 refreshes BENCH_6.json, the incast-contention baseline: the series
-# at GOMAXPROCS 1 and 4, whose engine_speedups ratios record how far the
-# goroutine runtime's condvar broadcast storms fall behind the event engine
-# once more than one P is in play. (The rank-scaling curve that used to live
-# here moved to bench7, re-measured warm on the world pool; BENCH_6.json
-# keeps the historical cold curve.)
-bench6:
-	$(GO) test -run NONE -bench BenchmarkIncastContention -benchtime 3x -cpu 1,4 -benchmem -timeout 30m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_6.json > BENCH_6.json.tmp
-	mv BENCH_6.json.tmp BENCH_6.json
-
-# bench7 refreshes BENCH_7.json, the world-reuse and stackless-rank baseline:
-# the rank-scaling curve re-measured warm (stackless cursors on a pooled
-# world — the long-lived-host configuration) from 1k to 1M ranks next to the
-# cold and goroutine series, and the 65536-rank cold-vs-warm world setup gap
-# the Engine pool buys. -benchtime 1x: one world per data point — a 1M-rank
-# world is minutes. Two invocations merge into one document.
-bench7:
-	$(GO) test -run NONE -bench BenchmarkRankScaling -benchtime 1x -benchmem -timeout 60m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_7.json > BENCH_7.json.tmp
-	mv BENCH_7.json.tmp BENCH_7.json
-	$(GO) test -run NONE -bench BenchmarkWorldSetup -benchtime 1x -benchmem -timeout 60m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_7.json > BENCH_7.json.tmp
-	mv BENCH_7.json.tmp BENCH_7.json
-
-# bench8 refreshes BENCH_8.json, the causal-profiler baseline: the
-# critpath/fast BenchmarkRunWorld pairs at 64 and 256 ranks record the
-# profiler-enabled overhead, and the deprecords/graphbytes metrics on the
-# critpath legs record the per-scale dependency-graph memory ceiling.
-bench8:
-	$(GO) test -run NONE -bench 'BenchmarkRunWorld/(fast|critpath)' \
-		-benchtime 60x -benchmem . | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -merge BENCH_8.json > BENCH_8.json.tmp
-	mv BENCH_8.json.tmp BENCH_8.json
-
-# bench10 refreshes BENCH_10.json, the model-checker throughput baseline:
-# bounded exploration of LU's wildcard-heavy MP-net at 4, 8 and 16 ranks.
-# benchjson's verify_throughput section records the states/sec metric per
-# rank count next to the per-exploration ns/op series.
-bench10:
-	$(GO) test -run NONE -bench BenchmarkVerifyCheck -benchtime 10x -benchmem -timeout 30m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_10.json > BENCH_10.json.tmp
-	mv BENCH_10.json.tmp BENCH_10.json
-
-# bench-all runs the full evaluation-reproduction suite without touching the
-# recorded baseline.
-bench-all:
-	$(GO) test -run NONE -bench=. -benchmem .
+	bash benchmark/run.sh
 
 # profile-chain attributes the time and bytes of trace collection — the
 # layer the benchmark ledger's chain-stencil and chain-wildcard ops spend

@@ -2,11 +2,16 @@ package repro
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/conceptual"
+	"repro/internal/harness"
+	"repro/internal/netmodel"
 )
 
 // TestCLIPipeline exercises the three tools end to end exactly as the
@@ -47,6 +52,33 @@ func TestCLIPipeline(t *testing.T) {
 	out := runTool("./cmd/ncrun", "-model", "bluegene", srcPath)
 	if !strings.Contains(out, "total virtual time:") {
 		t.Fatalf("ncrun output unexpected:\n%s", out)
+	}
+
+	// -scale-compute is harness.ScaleCompute, not a copy of it: the scaled
+	// run reports the virtual time the in-process what-if run reports, and
+	// less than the unscaled one.
+	prog, err := conceptual.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := harness.RunProgram(harness.ScaleCompute(prog, 0.5), prog.NumTasks, netmodel.BlueGeneL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	virtualTime := func(out string) (secs float64) {
+		t.Helper()
+		_, rest, _ := strings.Cut(out, "total virtual time: ")
+		if _, err := fmt.Sscanf(rest, "%f s\n", &secs); err != nil {
+			t.Fatalf("ncrun output unexpected (%v):\n%s", err, out)
+		}
+		return secs
+	}
+	sout := runTool("./cmd/ncrun", "-model", "bluegene", "-scale-compute", "0.5", srcPath)
+	if want := fmt.Sprintf("total virtual time: %.3f s\n", scaled.ElapsedUS/1e6); !strings.Contains(sout, want) {
+		t.Fatalf("ncrun -scale-compute 0.5 disagrees with harness.ScaleCompute, want %q:\n%s", want, sout)
+	}
+	if virtualTime(sout) >= virtualTime(out) {
+		t.Fatalf("scaled run not faster than unscaled:\n%s\n%s", sout, out)
 	}
 
 	// The C backend emits compilable-looking source.

@@ -75,7 +75,7 @@ func main() {
 		fatal(fmt.Errorf("unknown model %q", *modelName))
 	}
 	if *scale != 1.0 {
-		prog = scaleCompute(prog, *scale)
+		prog = harness.ScaleCompute(prog, *scale)
 	}
 
 	prof := mpip.NewProfile()
@@ -140,25 +140,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func scaleCompute(p *conceptual.Program, factor float64) *conceptual.Program {
-	var walk func([]conceptual.Stmt) []conceptual.Stmt
-	walk = func(stmts []conceptual.Stmt) []conceptual.Stmt {
-		out := make([]conceptual.Stmt, len(stmts))
-		for i, s := range stmts {
-			switch x := s.(type) {
-			case *conceptual.LoopStmt:
-				out[i] = &conceptual.LoopStmt{Count: x.Count, Body: walk(x.Body)}
-			case *conceptual.ComputeStmt:
-				out[i] = &conceptual.ComputeStmt{Who: x.Who, USecs: x.USecs * factor}
-			default:
-				out[i] = s
-			}
-		}
-		return out
-	}
-	return &conceptual.Program{Comments: p.Comments, NumTasks: p.NumTasks, Stmts: walk(p.Stmts)}
 }
 
 func fatal(err error) {

@@ -41,7 +41,7 @@ var (
 	ctrWorldReuseMisses = telemetry.NewCounter("mpi.world_reuse_misses")
 	// histRunSetupUS records, per Run, the wall-clock microseconds spent
 	// building or resetting the world before the first rank executes. The
-	// cold/warm gap in this histogram is the pooling win BENCH_7.json pins.
+	// cold/warm gap in this histogram is the pooling win (BenchmarkWorldSetup).
 	histRunSetupUS = telemetry.NewHistogram("mpi.run_setup_us")
 	// histEnginePoolWaitUS records, per pooled acquisition, the wall-clock
 	// microseconds spent taking a world off the Engine's free list. With one

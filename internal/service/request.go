@@ -25,8 +25,8 @@ import (
 // a simulated world still costs real per-rank memory and event-loop time, so
 // a hostile few-byte upload declaring a huge nprocs must be refused at
 // admission, not discovered as an allocation failure inside a worker. The
-// ceiling tracks the discrete-event engine's proven scale: the scaling suite
-// now drives 1,048,576-rank worlds (BENCH_7.json), and a replayed rank is a
+// ceiling tracks the discrete-event engine's proven scale:
+// BenchmarkRankScaling drives 1,048,576-rank worlds, and a replayed rank is a
 // stackless cursor plus its mailbox — no goroutine, no stack — so a
 // 262144-rank world costs a few hundred MiB. The previous 65536 cap dated
 // from goroutine-backed replay ranks, whose 8 KiB minimum stacks alone put a

@@ -7,62 +7,37 @@ import (
 	"repro/internal/telemetry"
 )
 
-// This file implements the parallel inter-node merge. The sequential
-// reference (mergeRankSeqsLegacy, below) folds rank 0..n-1 into behaviour
-// groups one at a time: for each rank it scans the existing groups in
-// creation order and joins the first one whose sequence unifies, so the cost
-// grows as O(ranks * groups * trace length) and the whole stage runs on one
-// goroutine. The parallel path produces bit-identical output in three
-// deterministic phases, mirroring ScalaTrace's radix-tree inter-node
-// reduction:
+// This file implements ScalaTrace's inter-node merge as one sequential pass
+// over the per-rank compressed sequences:
 //
-//  1. Finalize (parallel over ranks): warm every node hash and compute a
-//     merge signature per rank — a structural hash of exactly the fields
-//     that group unification compares. Unifiable sequences always have
-//     equal signatures.
-//  2. Classify (binomial tree): contiguous rank ranges are classified
-//     locally into partial class lists, then pairs of partial lists are
-//     combined round by round. Group membership under unification is an
-//     equivalence relation (peer parameters never block a merge — they
-//     degrade to an explicit vector — so only structural fields and the
-//     peer class decide membership), which makes the tree reduction exact:
-//     it yields the same classes, in the same representative order, as the
-//     sequential first-fit scan.
-//  3. Fold (parallel over leaf positions): for every class, each leaf
-//     position of the representative's sequence is folded independently
-//     across the members in ascending rank order — the exact per-member
-//     unification and histogram-pool order of the sequential fold, so
-//     peers, rank sets and (order-sensitive) floating-point histogram sums
-//     come out bit-identical regardless of the worker count.
-type mergeClass struct {
-	sig uint64
-	// members holds the class's world ranks in ascending order;
-	// members[0] is the representative whose sequence seeds the group.
-	members []int
-}
-
-// MergeRankSeqs performs ScalaTrace's inter-node merge: per-rank compressed
-// sequences are unified into behaviour groups with generalized (possibly
-// rank-relative) parameters. It is used by the Collector at trace time and
-// by the wildcard-resolution pass to rebuild a merged trace.
+//  1. Classify, in rank order: a merge signature — a structural hash of
+//     exactly the fields group unification compares — buckets the ranks,
+//     and each rank joins the first class of its bucket whose representative
+//     it is compatible with, or founds a new one. Peer values never block a
+//     merge (they generalize or degrade to an explicit vector), so
+//     membership is an equivalence relation decided by structure alone, and
+//     the classes come out in ascending-representative order.
+//  2. Fold: each class's members, in ascending rank order, are folded into
+//     the representative's sequence, walking both in lockstep. Every leaf
+//     therefore sees its members in rank order — the order peers, rank sets
+//     and the (order-sensitive) floating-point histogram sums depend on.
 //
-// The group representatives are deep-cloned, so the caller keeps ownership
-// of seqs (merging still pools compute histograms out of the non-
-// representative leaves). Callers that discard seqs afterwards should use
-// MergeRankSeqsOwned and skip the clone.
-func MergeRankSeqs(n int, comms map[int][]int, seqs [][]Node) *Trace {
-	return mergeRankSeqs(n, comms, seqs, false)
-}
+// The output is bit-identical to mergeRankSeqsLegacy, the original fold kept
+// below as the tests' reference, which rescans every group's whole sequence
+// per rank: O(ranks * groups * trace length) against one hash of every leaf
+// plus one fold step per member per leaf here.
 
-// MergeRankSeqsOwned is MergeRankSeqs for callers that hand over ownership
-// of seqs: the per-rank sequences are consumed in place — group
-// representatives alias them and unification mutates them — and must not be
-// read or appended to afterwards.
+// MergeRankSeqsOwned performs ScalaTrace's inter-node merge: per-rank
+// compressed sequences are unified into behaviour groups with generalized
+// (possibly rank-relative) parameters. It is used by the Collector at trace
+// time and by the wildcard-resolution and alignment passes to rebuild a
+// merged trace.
+//
+// The caller hands over ownership of seqs: the group representatives alias
+// them, unification mutates them, and the other members' leaves give up
+// their compute histograms, so seqs must not be read or appended to
+// afterwards.
 func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
-	return mergeRankSeqs(n, comms, seqs, true)
-}
-
-func mergeRankSeqs(n int, comms map[int][]int, seqs [][]Node, owned bool) *Trace {
 	defer telemetry.Region("trace.merge")()
 	tr := &Trace{N: n, Comms: comms}
 	if n <= 0 {
@@ -70,179 +45,60 @@ func mergeRankSeqs(n int, comms map[int][]int, seqs [][]Node, owned bool) *Trace
 	}
 	idx := newCommIndex(tr)
 
-	// Phase 1: per-rank finalize.
-	sigs := make([]uint64, n)
-	parallelFor(n, func(r int) {
-		warmHashes(seqs[r])
-		sigs[r] = mergeSignature(seqs[r])
-	})
-
-	// Phase 2: classification tree.
-	classes := classifyRanks(seqs, sigs)
-
-	// Phase 3: seed one group per class from its representative.
-	tr.Groups = make([]Group, len(classes))
-	parallelFor(len(classes), func(ci int) {
-		c := classes[ci]
-		gseq := seqs[c.members[0]]
-		if !owned {
-			gseq = cloneSeq(gseq)
-		}
-		tr.Groups[ci] = Group{Ranks: taskset.Of(c.members...), Seq: gseq}
-	})
-
-	// Phase 4: fold the remaining members into their groups, sharded by
-	// leaf position.
-	type foldState struct {
-		c        *mergeClass
-		groupSeq []Node
-		gflat    []*RSD   // group-sequence leaves in traversal order
-		mflat    [][]*RSD // per member k >= 1, that member's leaves
-	}
-	var states []*foldState
-	type flatTask struct {
-		st *foldState
-		k  int // 0 = group sequence, >= 1 = member index
-	}
-	var tasks []flatTask
-	var memberFolds int64
-	for ci, c := range classes {
-		memberFolds += int64(len(c.members) - 1)
-		if len(c.members) == 1 {
-			continue
-		}
-		st := &foldState{c: c, groupSeq: tr.Groups[ci].Seq, mflat: make([][]*RSD, len(c.members))}
-		states = append(states, st)
-		tasks = append(tasks, flatTask{st: st, k: 0})
-		for k := 1; k < len(c.members); k++ {
-			tasks = append(tasks, flatTask{st: st, k: k})
-		}
-	}
-	ctrRSDMerges.Add(memberFolds)
-	parallelFor(len(tasks), func(ti int) {
-		t := tasks[ti]
-		if t.k == 0 {
-			// The group sequence aliases (owned) or clones the
-			// representative; flatten it, not the input sequence.
-			t.st.gflat = flattenRSDs(t.st.groupSeq, nil)
-			return
-		}
-		t.st.mflat[t.k] = flattenRSDs(seqs[t.st.c.members[t.k]], nil)
-	})
-
-	// Leaf-position job table across all multi-member classes.
-	offsets := make([]int, len(states)+1)
-	for i, st := range states {
-		offsets[i+1] = offsets[i] + len(st.gflat)
-	}
-	total := offsets[len(states)]
-	parallelFor(total, func(j int) {
-		si := sort.SearchInts(offsets, j+1) - 1
-		st := states[si]
-		p := j - offsets[si]
-		g := st.gflat[p]
-		for k := 1; k < len(st.c.members); k++ {
-			rank := st.c.members[k]
-			rx := st.mflat[k][p]
-			if par, vec, ok := unifyPeerMembers(g, rx, st.c.members[:k], rank, idx); ok {
-				g.Peer = par
-				g.PeerVec = vec
+	// classes[i] holds the world ranks of tr.Groups[i] in ascending order;
+	// bySig lists the classes sharing a signature.
+	var classes [][]int
+	bySig := make(map[uint64][]int)
+	for rank := 0; rank < n; rank++ {
+		sig := mergeSignature(seqs[rank])
+		placed := false
+		for _, ci := range bySig[sig] {
+			if mergeCompatible(seqs[classes[ci][0]], seqs[rank]) {
+				classes[ci] = append(classes[ci], rank)
+				placed = true
+				break
 			}
-			g.mergeComputeFrom(rx)
-			g.Ranks = g.Ranks.Add(rank)
 		}
-		g.hashSet = false
-	})
-
-	if owned {
-		// Cloned representatives start with unset loop hashes; owned ones
-		// carry caches from collection that unification just invalidated.
-		parallelFor(len(states), func(si int) {
-			invalidateLoopHashes(states[si].groupSeq)
-		})
+		if !placed {
+			bySig[sig] = append(bySig[sig], len(classes))
+			classes = append(classes, []int{rank})
+		}
 	}
 
-	sort.Slice(tr.Groups, func(i, j int) bool {
-		return tr.Groups[i].Ranks.Min() < tr.Groups[j].Ranks.Min()
-	})
+	tr.Groups = make([]Group, len(classes))
+	for ci, members := range classes {
+		gseq := seqs[members[0]]
+		for k := 1; k < len(members); k++ {
+			foldMember(gseq, seqs[members[k]], members[:k], members[k], idx)
+		}
+		tr.Groups[ci] = Group{Ranks: taskset.Of(members...), Seq: gseq}
+	}
+	ctrRSDMerges.Add(int64(n - len(classes)))
 	return tr
 }
 
-// classifyRanks partitions the ranks into unification classes with a
-// deterministic binomial-tree reduction: contiguous rank ranges are
-// classified independently in parallel, then pairs of partial class lists
-// are combined round by round. Classes stay ordered by ascending
-// representative rank throughout, which reproduces the sequential fold's
-// first-fit group order exactly.
-func classifyRanks(seqs [][]Node, sigs []uint64) []*mergeClass {
-	n := len(seqs)
-	const leafSpan = 16
-	chunks := (n + leafSpan - 1) / leafSpan
-	if chunks == 0 {
-		return nil
-	}
-	parts := make([][]*mergeClass, chunks)
-	parallelFor(chunks, func(ci int) {
-		lo := ci * leafSpan
-		hi := lo + leafSpan
-		if hi > n {
-			hi = n
-		}
-		parts[ci] = classifyRange(seqs, sigs, lo, hi)
-	})
-	for stride := 1; stride < chunks; stride *= 2 {
-		var pairs []int
-		for i := 0; i+stride < chunks; i += 2 * stride {
-			pairs = append(pairs, i)
-		}
-		parallelFor(len(pairs), func(k int) {
-			i := pairs[k]
-			parts[i] = combineClasses(seqs, parts[i], parts[i+stride])
-		})
-	}
-	return parts[0]
-}
-
-func classifyRange(seqs [][]Node, sigs []uint64, lo, hi int) []*mergeClass {
-	var classes []*mergeClass
-	bySig := make(map[uint64][]int)
-	for r := lo; r < hi; r++ {
-		placed := false
-		for _, ci := range bySig[sigs[r]] {
-			c := classes[ci]
-			if mergeCompatible(seqs[c.members[0]], seqs[r]) {
-				c.members = append(c.members, r)
-				placed = true
-				break
+// foldMember unifies rank's sequence into the group sequence leaf by leaf.
+// gMembers holds the ranks already folded in, ascending; mergeCompatible has
+// established that the two sequences have the same shape. Node hashes cached
+// during collection go stale as leaves generalize, so they are dropped on the
+// way.
+func foldMember(gSeq, rSeq []Node, gMembers []int, rank int, idx *commIndex) {
+	for i := range gSeq {
+		switch gx := gSeq[i].(type) {
+		case *Loop:
+			gx.invalidate()
+			foldMember(gx.Body, rSeq[i].(*Loop).Body, gMembers, rank, idx)
+		case *RSD:
+			rx := rSeq[i].(*RSD)
+			if par, vec, ok := unifyPeerMembers(gx, rx, gMembers, rank, idx); ok {
+				gx.Peer = par
+				gx.PeerVec = vec
 			}
-		}
-		if !placed {
-			classes = append(classes, &mergeClass{sig: sigs[r], members: []int{r}})
-			bySig[sigs[r]] = append(bySig[sigs[r]], len(classes)-1)
-		}
-	}
-	return classes
-}
-
-// combineClasses merges the right partial class list into the left one. All
-// right members are strictly greater than all left members (the tree
-// combines adjacent rank ranges), so appending preserves ascending member
-// and representative order.
-func combineClasses(seqs [][]Node, left, right []*mergeClass) []*mergeClass {
-	for _, rc := range right {
-		placed := false
-		for _, lc := range left {
-			if lc.sig == rc.sig && mergeCompatible(seqs[lc.members[0]], seqs[rc.members[0]]) {
-				lc.members = append(lc.members, rc.members...)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			left = append(left, rc)
+			gx.mergeComputeFrom(rx)
+			gx.Ranks = gx.Ranks.Add(rank)
+			gx.hashSet = false
 		}
 	}
-	return left
 }
 
 // mergeSignature hashes exactly the fields that decide group membership
@@ -303,7 +159,7 @@ func peerClass(k ParamKind) int {
 // mergeCompatible reports whether two sequences unify into one behaviour
 // group. It is the decision procedure behind seqUnifiable restricted to the
 // order-independent fields, and is an equivalence relation — which is what
-// lets classification run as a tree reduction.
+// lets classification compare each rank with one representative per class.
 func mergeCompatible(a, b []Node) bool {
 	if len(a) != len(b) {
 		return false
@@ -342,43 +198,9 @@ func rsdCompatible(x, y *RSD) bool {
 	return peerClass(x.Peer.Kind) == peerClass(y.Peer.Kind)
 }
 
-// flattenRSDs appends the sequence's leaves to out in traversal order.
-// Unification-compatible sequences flatten to equal-length leaf lists with
-// corresponding positions, which is what lets the fold shard by position.
-func flattenRSDs(seq []Node, out []*RSD) []*RSD {
-	for _, n := range seq {
-		switch x := n.(type) {
-		case *RSD:
-			out = append(out, x)
-		case *Loop:
-			out = flattenRSDs(x.Body, out)
-		}
-	}
-	return out
-}
-
-// warmHashes computes and caches every node hash in the sequence.
-func warmHashes(seq []Node) {
-	for _, n := range seq {
-		n.Hash()
-	}
-}
-
-// invalidateLoopHashes drops cached loop hashes; leaf hashes stay (they are
-// reset individually when unification rewrites a leaf's parameters).
-func invalidateLoopHashes(seq []Node) {
-	for _, n := range seq {
-		if lp, ok := n.(*Loop); ok {
-			lp.invalidate()
-			invalidateLoopHashes(lp.Body)
-		}
-	}
-}
-
 // commIndex caches communicator-rank lookups for the duration of one merge.
 // Trace.CommRankOf is a linear scan over the communicator group; peer
-// unification performs it for every leaf and member, which the sequential
-// fold repeated O(ranks) times per leaf.
+// unification performs it for every leaf and member.
 type commIndex struct {
 	m map[int]map[int]int
 }
@@ -406,8 +228,8 @@ func (ci *commIndex) CommRankOf(commID, worldRank int) (int, bool) {
 	return r, true
 }
 
-// mergeRankSeqsLegacy is the original sequential fold, kept as the reference
-// implementation: the trace tests assert that the parallel merge reproduces
+// mergeRankSeqsLegacy is the original first-fit fold, kept as the reference
+// implementation: the trace tests assert that MergeRankSeqsOwned reproduces
 // it bit-for-bit on every peer-pattern and loop shape.
 func mergeRankSeqsLegacy(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	tr := &Trace{N: n, Comms: comms}

@@ -228,57 +228,20 @@ func encodeTrace(t *testing.T, tr *Trace) string {
 	return buf.String()
 }
 
-// TestMergeMatchesLegacy asserts that the parallel tree merge reproduces the
-// sequential reference fold bit-for-bit — group membership, generalized
-// peers, rank sets and pooled histogram sums — at every worker count, both
-// with cloned and with owned input sequences.
+// TestMergeMatchesLegacy asserts that the merge reproduces the reference
+// first-fit fold bit-for-bit — group membership, generalized peers, rank
+// sets and pooled histogram sums.
 func TestMergeMatchesLegacy(t *testing.T) {
-	defer SetParallelism(0)
 	for _, sc := range mergeScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			comms := sc.comms(sc.n)
 			want := encodeTrace(t, mergeRankSeqsLegacy(sc.n, cloneComms(comms), sc.build(sc.n)))
-			for _, workers := range []int{1, 2, 8} {
-				SetParallelism(workers)
-				got := encodeTrace(t, MergeRankSeqs(sc.n, cloneComms(comms), sc.build(sc.n)))
-				if got != want {
-					t.Fatalf("workers=%d: parallel merge diverges from legacy\nlegacy:\n%s\nparallel:\n%s", workers, want, got)
-				}
-				got = encodeTrace(t, MergeRankSeqsOwned(sc.n, cloneComms(comms), sc.build(sc.n)))
-				if got != want {
-					t.Fatalf("workers=%d: owned merge diverges from legacy\nlegacy:\n%s\nowned:\n%s", workers, want, got)
-				}
+			got := encodeTrace(t, MergeRankSeqsOwned(sc.n, cloneComms(comms), sc.build(sc.n)))
+			if got != want {
+				t.Fatalf("merge diverges from legacy\nlegacy:\n%s\nmerge:\n%s", want, got)
 			}
 		})
 	}
-}
-
-// TestMergeKeepsCallerSeqs asserts the non-owned merge leaves the caller's
-// sequences structurally reusable: merging the same input twice produces the
-// same groups.
-func TestMergeKeepsCallerSeqs(t *testing.T) {
-	sc := mergeScenarios()[0]
-	comms := sc.comms(sc.n)
-	seqs := sc.build(sc.n)
-	first := encodeTrace(t, MergeRankSeqs(sc.n, cloneComms(comms), seqs))
-	second := encodeTrace(t, MergeRankSeqs(sc.n, cloneComms(comms), seqs))
-	// Histogram pooling moves samples between leaves, so only the structure
-	// (everything before timing) must survive; compare group lines.
-	if gotA, gotB := stripHists(first), stripHists(second); gotA != gotB {
-		t.Fatalf("re-merging mutated caller structure:\n%s\nvs\n%s", gotA, gotB)
-	}
-}
-
-func stripHists(s string) string {
-	var out bytes.Buffer
-	for _, line := range bytes.Split([]byte(s), []byte("\n")) {
-		if i := bytes.Index(line, []byte(" hist=")); i >= 0 {
-			line = line[:i]
-		}
-		out.Write(line)
-		out.WriteByte('\n')
-	}
-	return out.String()
 }
 
 // refBuilder is the pre-index exhaustive probe loop, kept verbatim as the

@@ -178,7 +178,7 @@ func unifyPeer(gx, rx *RSD, gRanks taskset.Set, rank int, tr *Trace) (Param, []i
 
 // unifyPeerMembers is the core of unifyPeer: gMembers holds the group's
 // world ranks in ascending order, and idx supplies (possibly cached)
-// communicator translation. The parallel merge calls it directly with
+// communicator translation. The merge fold calls it directly with
 // member-prefix slices so no rank sets are materialized in the hot path.
 func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (Param, []int, bool) {
 	switch {

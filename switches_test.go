@@ -47,9 +47,10 @@ var worldDrivers = map[string]bool{
 
 // TestPathSelectorsArePinned fails when a path selector appears that is not
 // on the lists above, when production code selects a reference, when a
-// command grows a -runtime flag again, or when something other than the Go
-// scheduler under internal/harness/pool.go spreads worlds over threads — so
-// a PR that re-adds a second path, a knob for one or a scheduler does so by
+// command grows a -runtime flag again, when something other than the Go
+// scheduler under internal/harness/pool.go spreads worlds over threads, or
+// when the trace merge, Algorithm 1 or Algorithm 2 goes concurrent — so a PR
+// that re-adds a second path, a knob for one or a scheduler does so by
 // editing this test.
 func TestPathSelectorsArePinned(t *testing.T) {
 	fset := token.NewFileSet()
@@ -72,34 +73,39 @@ func TestPathSelectorsArePinned(t *testing.T) {
 		return files
 	}
 
+	// topLevel lists the package-level names a file declares.
+	topLevel := func(f *ast.File) []*ast.Ident {
+		var names []*ast.Ident
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names = append(names, d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						names = append(names, s.Names...)
+					case *ast.TypeSpec:
+						names = append(names, s.Name)
+					}
+				}
+			}
+		}
+		return names
+	}
+
 	exported := map[string]bool{}
 	for _, pkg := range []string{"mpi", "conceptual", "replay"} {
 		for _, f := range parseDir(filepath.Join("internal", pkg)) {
-			for _, decl := range f.Decls {
-				var names []*ast.Ident
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						names = append(names, d.Name)
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.ValueSpec:
-							names = append(names, s.Names...)
-						case *ast.TypeSpec:
-							names = append(names, s.Name)
-						}
-					}
+			for _, id := range topLevel(f) {
+				if id.IsExported() && selectorName.MatchString(id.Name) {
+					exported[pkg+"."+id.Name] = true
 				}
-				for _, id := range names {
-					if id.IsExported() && selectorName.MatchString(id.Name) {
-						exported[pkg+"."+id.Name] = true
-					}
-					if pkg == "mpi" && id.IsExported() && schedulerName.MatchString(id.Name) {
-						t.Errorf("mpi.%s: internal/mpi exports a pool or ticket again; "+
-							"concurrent worlds are plain goroutines (internal/harness/pool.go)", id.Name)
-					}
+				if pkg == "mpi" && id.IsExported() && schedulerName.MatchString(id.Name) {
+					t.Errorf("mpi.%s: internal/mpi exports a pool or ticket again; "+
+						"concurrent worlds are plain goroutines (internal/harness/pool.go)", id.Name)
 				}
 			}
 		}
@@ -114,6 +120,30 @@ func TestPathSelectorsArePinned(t *testing.T) {
 		for name := range want {
 			if !exported[name] {
 				t.Errorf("%s is listed here but no longer exported; drop it from the list", name)
+			}
+		}
+	}
+
+	// The inter-node merge and the two passes that rebuild traces through it
+	// are single-threaded: no goroutine, no look at GOMAXPROCS, no worker
+	// count to set.
+	for _, pkg := range []string{"trace", "align", "wildcard"} {
+		for _, f := range parseDir(filepath.Join("internal", pkg)) {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"runtime"` {
+					t.Errorf("%s: internal/%s imports runtime", fset.Position(imp.Pos()), pkg)
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: internal/%s starts a goroutine", fset.Position(g.Pos()), pkg)
+				}
+				return true
+			})
+			for _, id := range topLevel(f) {
+				if pkg == "trace" && id.IsExported() && strings.Contains(id.Name, "Parallelism") {
+					t.Errorf("trace.%s: the trace layer has a parallelism knob again", id.Name)
+				}
 			}
 		}
 	}

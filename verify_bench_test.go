@@ -17,8 +17,8 @@ import (
 // iteration re-explores the net under a fixed state budget, so ns/op is
 // the cost of one bounded exploration, the states/sec metric is the
 // checker's raw state throughput and B/state what one explored state costs
-// the allocator; `make bench10` records the first two as the
-// verify_throughput series in BENCH_10.json.
+// the allocator. The ledger's verify-wildcard workload reports the same
+// quantities end to end (mpnet.states_per_s, mpnet.alloc_mb_per_check).
 func BenchmarkVerifyCheck(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("check-%dranks", n), func(b *testing.B) {
