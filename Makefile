@@ -19,10 +19,12 @@ test:
 # pin each layer's production path to its reference (event engine vs
 # goroutine runtime, cursor vs coroutine replay) at bit-identical traces and
 # clocks, the concurrent-worlds determinism test at -cpu 1,2 (pooled worlds
-# migrating between real threads under the detector), the golden digests
-# that pin the production chain to testdata/engine_golden.json and the test
-# that pins the set of path selectors, also under -race, plus a short fuzz
-# pass over the untrusted-upload trace decoder.
+# migrating between real threads under the detector) with the concurrent
+# replays of one freshly decoded trace (racing to build its communicator
+# index on first use), the golden digests that pin the production chain to
+# testdata/engine_golden.json and the test that pins the set of path
+# selectors, also under -race, plus a short fuzz pass over the
+# untrusted-upload trace decoder.
 #
 # The two LU legs that compare against the goroutine reference run on their
 # own line at -cpu 1: under -race with two Ps the reference's real-thread
@@ -34,7 +36,7 @@ check:
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
 	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
 	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestEngineGoldenDigests|TestPathSelectorsArePinned' -skip '$(LU_LEGS)' .
-	$(GO) test -race -cpu 1,2 -run TestConcurrentWorldsDeterminism .
+	$(GO) test -race -cpu 1,2 -run 'TestConcurrentWorldsDeterminism|TestConcurrentReplaysOfOneTrace' .
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' -skip '$(LU_LEGS)' .
 	$(GO) test -race -cpu 1 -run '$(LU_LEGS)' .
@@ -80,6 +82,13 @@ bench:
 # The model checker (the ledger's verify-wildcard) likewise:
 # `mkdir -p .profile && go test -run NONE -bench 'BenchmarkVerifyCheck/check-8ranks' -benchtime 20x -benchmem -cpu 2 -cpuprofile cpu.prof -o .profile/repro.test -outputdir .profile . && go tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof`
 # (its B/state column is what one explored state costs the allocator).
+# A stackless rank's cost per event (the ledger's exec-whatif: replay and
+# generated-program execution on pooled worlds) likewise, on the ledger's own
+# ring@1024 replay leg:
+# `mkdir -p .profile && go test -run NONE -bench 'BenchmarkReplay/ring-1024' -benchtime 100x -benchmem -cpu 2 -cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 -o .profile/repro.test -outputdir .profile . && go tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof`
+# (its ns/event and B/event columns are the ledger's replay.ns_per_event and
+# the per-event share of alloc_mb_per_op; `BenchmarkInterpExecute/cursor` is
+# the generated-program half).
 profile-chain:
 	mkdir -p .profile
 	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem -cpu 2 \

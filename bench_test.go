@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mpi"
+	"repro/internal/mpip"
 	"repro/internal/netmodel"
 	"repro/internal/replay"
 	"repro/internal/taskset"
@@ -540,30 +541,30 @@ type ringStream struct {
 
 const ringSteps = 4
 
-func (s *ringStream) Next(*mpi.Rank) (mpi.RankOp, bool) {
+func (s *ringStream) Next(_ *mpi.Rank, op *mpi.RankOp) bool {
 	if s.step < ringSteps {
-		op := mpi.RankOp{}
 		switch s.idx {
 		case 0:
-			op = mpi.RankOp{Op: mpi.OpIsend, Peer: (s.rank + 1) % s.n, Tag: s.step, Size: 1024}
+			*op = mpi.RankOp{Op: mpi.OpIsend, Peer: (s.rank + 1) % s.n, Tag: s.step, Size: 1024}
 		case 1:
-			op = mpi.RankOp{Op: mpi.OpIrecv, Peer: (s.rank + s.n - 1) % s.n, Tag: s.step, Size: 1024}
+			*op = mpi.RankOp{Op: mpi.OpIrecv, Peer: (s.rank + s.n - 1) % s.n, Tag: s.step, Size: 1024}
 		case 2:
-			op = mpi.RankOp{Op: mpi.OpWaitall}
+			*op = mpi.RankOp{Op: mpi.OpWaitall}
 		case 3:
-			op = mpi.RankOp{Op: mpi.OpAllreduce, ComputeUS: 5, Size: 8}
+			*op = mpi.RankOp{Op: mpi.OpAllreduce, ComputeUS: 5, Size: 8}
 		}
 		if s.idx++; s.idx == 4 {
 			s.idx = 0
 			s.step++
 		}
-		return op, true
+		return true
 	}
 	if s.idx == 0 {
 		s.idx++
-		return mpi.RankOp{Op: mpi.OpBarrier}, true
+		*op = mpi.RankOp{Op: mpi.OpBarrier}
+		return true
 	}
-	return mpi.RankOp{}, false
+	return false
 }
 
 // rankScalingEventSizes is the 1k -> 1M curve the discrete-event engine is
@@ -648,12 +649,13 @@ func BenchmarkRankScaling(b *testing.B) {
 // barrierStream is the minimal stackless body: one barrier, then done.
 type barrierStream struct{ done bool }
 
-func (s *barrierStream) Next(*mpi.Rank) (mpi.RankOp, bool) {
+func (s *barrierStream) Next(_ *mpi.Rank, op *mpi.RankOp) bool {
 	if s.done {
-		return mpi.RankOp{}, false
+		return false
 	}
 	s.done = true
-	return mpi.RankOp{Op: mpi.OpBarrier}, true
+	*op = mpi.RankOp{Op: mpi.OpBarrier}
+	return true
 }
 
 // BenchmarkWorldSetup isolates the cost the pool removes: a 65536-rank world
@@ -753,48 +755,127 @@ func BenchmarkIncastContention(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpExecute measures coNCePTuaL program execution on stackless
-// cursors (what Execute runs) against the tree-walking reference, on a
-// program large enough that per-iteration statement dispatch dominates.
-func BenchmarkInterpExecute(b *testing.B) {
-	prog := &conceptual.Program{NumTasks: 16, Stmts: []conceptual.Stmt{
-		&conceptual.LoopStmt{Count: 200, Body: []conceptual.Stmt{
-			&conceptual.RecvStmt{Who: conceptual.AllTasks, Async: true, Size: 1024, Source: conceptual.RelRank(15)},
-			&conceptual.SendStmt{Who: conceptual.AllTasks, Async: true, Size: 1024, Dest: conceptual.RelRank(1)},
-			&conceptual.AwaitStmt{Who: conceptual.AllTasks},
-			&conceptual.ComputeStmt{Who: conceptual.AllTasks, USecs: 5},
-			&conceptual.ReduceStmt{Srcs: conceptual.AllTasks, Dsts: conceptual.AllTasks, Size: 64},
-		}},
-	}}
-	b.Run("cursor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := conceptual.Execute(prog, 16, netmodel.BlueGeneL()); err != nil {
-				b.Fatal(err)
-			}
+// perEvent runs fn b.N times after one untimed warm-up (so a pooled engine
+// serves every timed run from a warm world, as the ledger's ops are) and
+// reports what one event of the run costs: ns/event, and B/event from the
+// allocator's running total.
+func perEvent(b *testing.B, events int, fn func() error) {
+	b.Helper()
+	if err := fn(); err != nil {
+		b.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fn(); err != nil {
+			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(events)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/total, "B/event")
+}
+
+// BenchmarkInterpExecute measures coNCePTuaL program execution on stackless
+// cursors (what Execute runs, on a pooled engine as the ledger's exec-whatif
+// ops run it) against the tree-walking reference, on a program large enough
+// that per-iteration statement dispatch dominates.
+func BenchmarkInterpExecute(b *testing.B) {
+	prog := conceptualReprProgram(16)
+	model := netmodel.BlueGeneL()
+	prof := mpip.NewProfile()
+	if _, err := conceptual.Execute(prog, 16, model,
+		conceptual.WithMPIOptions(mpi.WithTracer(prof.TracerFor))); err != nil {
+		b.Fatal(err)
+	}
+	events := int(prof.TotalCalls())
+	eng := mpi.NewEngine()
+	defer eng.Close()
+	b.Run("cursor", func(b *testing.B) {
+		perEvent(b, events, func() error {
+			_, err := conceptual.Execute(prog, 16, model, conceptual.WithMPIOptions(mpi.WithEngine(eng)))
+			return err
+		})
 	})
 	b.Run("treewalk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := conceptual.Execute(prog, 16, netmodel.BlueGeneL(),
-				conceptual.WithTreeWalk()); err != nil {
-				b.Fatal(err)
-			}
-		}
+		perEvent(b, events, func() error {
+			_, err := conceptual.Execute(prog, 16, model, conceptual.WithTreeWalk(),
+				conceptual.WithMPIOptions(mpi.WithEngine(eng)))
+			return err
+		})
 	})
 }
 
-// BenchmarkReplay measures trace re-execution (the ScalaReplay role in the
-// Section 5.2 equivalence checks) on a 64-rank BT trace.
-func BenchmarkReplay(b *testing.B) {
-	run, err := harness.TraceApp("bt", apps.NewConfig(64, apps.ClassS), netmodel.BlueGeneL())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := replay.Replay(run.Trace, netmodel.BlueGeneL()); err != nil {
-			b.Fatal(err)
+// splitRingBody is a test-local kernel whose point-to-point traffic runs on
+// split communicators: the world splits by parity, each half ranked in
+// descending world order (so neither group is an identity and every peer
+// translation takes the index's map form), then rings on its half.
+func splitRingBody(iters int) func(*mpi.Rank) {
+	return func(r *mpi.Rank) {
+		sub := r.CommSplit(r.World(), r.Rank()%2, -r.Rank())
+		me, _ := sub.CommRank(r.Rank())
+		sz := sub.Size()
+		for i := 0; i < iters; i++ {
+			r.Compute(5)
+			rq := r.Irecv(sub, (me+sz-1)%sz, 0, 1024)
+			sq := r.Isend(sub, (me+1)%sz, 0, 1024)
+			r.Waitall(rq, sq)
 		}
+		r.Allgatherv(sub, 8*(me+1))
+	}
+}
+
+// traceBody runs body on n ranks under a Collector and returns its trace.
+func traceBody(n int, model *netmodel.Model, body func(*mpi.Rank)) (*trace.Trace, error) {
+	col := trace.NewCollector(n)
+	if _, err := mpi.Run(n, model, body, mpi.WithTracer(col.TracerFor)); err != nil {
+		return nil, err
+	}
+	return col.Trace(), nil
+}
+
+// BenchmarkReplay measures trace re-execution (the ScalaReplay role in the
+// Section 5.2 equivalence checks, and half of every exec-whatif op) on a
+// pooled engine, as the ledger replays: a BT trace, the ledger's ring@1024
+// (the leg its op_p50_ms can be traced to), and the split-communicator
+// kernel, whose peers translate through the index's maps.
+func BenchmarkReplay(b *testing.B) {
+	model := netmodel.BlueGeneL()
+	app := func(name string, n int) func() (*trace.Trace, error) {
+		return func() (*trace.Trace, error) {
+			run, err := harness.TraceApp(name, apps.NewConfig(n, apps.ClassS), model)
+			if err != nil {
+				return nil, err
+			}
+			return run.Trace, nil
+		}
+	}
+	for _, leg := range []struct {
+		name  string
+		trace func() (*trace.Trace, error)
+	}{
+		{"bt-64", app("bt", 64)},
+		{"ring-1024", app("ring", 1024)},
+		{"split-64", func() (*trace.Trace, error) { return traceBody(64, model, splitRingBody(200)) }},
+	} {
+		var tr *trace.Trace // traced once, not once per b.N probe
+		b.Run(leg.name, func(b *testing.B) {
+			if tr == nil {
+				var err error
+				if tr, err = leg.trace(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			eng := mpi.NewEngine()
+			defer eng.Close()
+			perEvent(b, tr.TotalEvents(), func() error {
+				_, err := replay.Replay(tr, model, mpi.WithEngine(eng))
+				return err
+			})
+		})
 	}
 }
 

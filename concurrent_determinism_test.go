@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
+	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -117,5 +118,56 @@ func TestConcurrentWorldsDeterminism(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestConcurrentReplaysOfOneTrace replays one freshly decoded trace from 8
+// goroutines at once through a shared Engine. A decoded trace has no
+// communicator index yet (only the merge pre-builds one), so the goroutines
+// race to build it on their first peer translation — and the kernel's traffic
+// runs on split communicators whose groups are not identities, so every
+// translation reads the index's maps. Each replay must reproduce the serial
+// replay's per-rank clocks; under -race (make check, at -cpu 1,2) this is the
+// test that sees the first-use construction.
+func TestConcurrentReplaysOfOneTrace(t *testing.T) {
+	const n, replays = 16, 8
+	model := netmodel.BlueGeneL()
+	collected, err := traceBody(n, model, splitRingBody(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var encoded bytes.Buffer
+	if err := trace.Encode(&encoded, collected); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() *trace.Trace {
+		tr, err := trace.Decode(bytes.NewReader(encoded.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	serial, err := replay.Replay(decode(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := decode()
+	eng := mpi.NewEngine()
+	defer eng.Close()
+	results := make([]*mpi.Result, replays)
+	errs := make([]error, replays)
+	runConcurrently(replays, replays, func(i int) {
+		results[i], errs[i] = replay.Replay(tr, model, mpi.WithEngine(eng))
+	})
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("replay %d: %v", i, errs[i])
+		}
+		for r := range serial.PerRankUS {
+			if res.PerRankUS[r] != serial.PerRankUS[r] {
+				t.Errorf("replay %d rank %d clock: concurrent %v, serial %v", i, r, res.PerRankUS[r], serial.PerRankUS[r])
+			}
+		}
 	}
 }

@@ -256,7 +256,7 @@ type cursorStream struct {
 }
 
 // Next implements mpi.OpStream.
-func (s *cursorStream) Next(r *mpi.Rank) (mpi.RankOp, bool) {
+func (s *cursorStream) Next(r *mpi.Rank, op *mpi.RankOp) bool {
 	p := s.prog
 	if s.pi < len(p.plans) {
 		pl := p.plans[s.pi]
@@ -266,8 +266,9 @@ func (s *cursorStream) Next(r *mpi.Rank) (mpi.RankOp, bool) {
 		if pl.mask[s.me] {
 			color = 0
 		}
-		return mpi.RankOp{Op: mpi.OpCommSplit, Site: pl.site,
-			SplitColor: color, SplitKey: s.me, NewCommID: id}, true
+		*op = mpi.RankOp{Op: mpi.OpCommSplit, Site: pl.site,
+			SplitColor: color, SplitKey: s.me, NewCommID: id}
+		return true
 	}
 	for s.pc < len(p.instrs) {
 		in := &p.instrs[s.pc]
@@ -306,12 +307,12 @@ func (s *cursorStream) Next(r *mpi.Rank) (mpi.RankOp, bool) {
 			if !in.members[s.me] {
 				continue
 			}
-			op := in.op
+			*op = in.op
 			if in.peers != nil {
 				op.Peer = in.peers[s.me]
 			}
-			return op, true
+			return true
 		}
 	}
-	return mpi.RankOp{}, false
+	return false
 }

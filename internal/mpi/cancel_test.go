@@ -241,13 +241,13 @@ type sliceStream struct {
 	i   int
 }
 
-func (s *sliceStream) Next(*Rank) (RankOp, bool) {
+func (s *sliceStream) Next(_ *Rank, op *RankOp) bool {
 	if s.i >= len(s.ops) {
-		return RankOp{}, false
+		return false
 	}
-	op := s.ops[s.i]
+	*op = s.ops[s.i]
 	s.i++
-	return op, true
+	return true
 }
 
 // TestRunContextUncancelledIsHarmless pins that merely passing a live context

@@ -25,14 +25,16 @@ type Rank struct {
 
 	// Allocation arenas: messages, posted receives and requests are carved
 	// from per-rank chunks so the point-to-point hot path allocates once per
-	// chunk of operations instead of once per operation. Entries are never
-	// recycled within a run (their lifetimes escape through mailboxes and
-	// user-held requests); the arenas only batch the allocations. The chunk
-	// is retained and its cursor rewound when a pooled world is reset, so
-	// warm runs whose per-rank operation count fits the grown chunk allocate
-	// nothing at all. Chunks grow arenaChunkMin -> arenaChunkMax so a
-	// million-rank world with a handful of ops per rank does not strand
-	// arenaChunkMax entries per arena per rank.
+	// chunk of operations instead of once per operation. Messages and posted
+	// receives are never recycled within a run (their lifetimes escape
+	// through mailboxes), and neither are the requests of a coroutine rank
+	// (application code holds them); those arenas only batch the allocations.
+	// A stackless rank's requests are recycled at every completed drain (see
+	// rewindRequests). The chunk is retained and its cursor rewound when a
+	// pooled world is reset, so warm runs whose per-rank operation count fits
+	// the grown chunk allocate nothing at all. Chunks grow arenaChunkMin ->
+	// arenaChunkMax so a million-rank world with a handful of ops per rank
+	// does not strand arenaChunkMax entries per arena per rank.
 	msgChunk  []message
 	msgUsed   int
 	recvChunk []postedRecv
@@ -145,6 +147,26 @@ func (r *Rank) newRequest() *Request {
 	return q
 }
 
+// rewindRequests recycles the request chunk: every request carved from it is
+// dead. That is an ownership fact, true in two places — between runs
+// (reset), and in a stackless rank whenever a drain has completed everything
+// outstanding: the cursor's outstanding set is the only holder of the
+// requests it creates (no application code sees them, and a parked
+// creditWaiter holds the message, not the request). Coroutine ranks hand
+// requests to the body, which may read Status long after the Wait, so theirs
+// live until reset. The used entries are zeroed so a recycled chunk does not
+// pin the messages and receives of completed operations.
+//
+// Posted receives and messages are deliberately not recycled the same way:
+// the receiver's mailbox compacts its posted queue lazily and may still
+// point at a consumed postedRecv, and a message is owned by its sender but
+// read by its receiver (and by a creditWaiter) at times the sender cannot
+// see. Their chunks are the next measured line of a replayed event's bytes.
+func (r *Rank) rewindRequests() {
+	clear(r.reqChunk[:r.reqUsed])
+	r.reqUsed = 0
+}
+
 // reset prepares a pooled rank for its next run: clocks, per-run state and
 // the arena cursors rewind; the arena chunks themselves (and their grown
 // sizes) are retained, which is the point of pooling. Chunks whose element
@@ -172,10 +194,9 @@ func (r *Rank) reset(tracer Tracer) {
 	r.siteSet = false
 	clear(r.lastInject)
 	clear(r.recvChunk[:r.recvUsed])
-	clear(r.reqChunk[:r.reqUsed])
+	r.rewindRequests()
 	r.msgUsed = 0
 	r.recvUsed = 0
-	r.reqUsed = 0
 }
 
 // Rank returns the world rank of this process.

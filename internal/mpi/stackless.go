@@ -61,10 +61,15 @@ type RankOp struct {
 
 // OpStream feeds one rank's operation sequence to the stackless executor.
 // Next is called once per operation, on the engine's goroutine, with the
-// rank about to issue it (streams may consult r.Rank() or r.Clock());
-// returning ok=false ends the body. Streams are single-use per run.
+// rank about to issue it (streams may consult r.Rank() or r.Clock()) and the
+// executor's own op slot to fill in place (a RankOp is 112 bytes; returned
+// by value through the interface it is copied twice per event). The
+// contract: a stream that returns true has overwritten every field of *op
+// (assign a whole RankOp, then adjust) — the slot still holds the previous
+// operation — and must not retain op; returning false ends the body, and
+// the executor never reads *op after it. Streams are single-use per run.
 type OpStream interface {
-	Next(r *Rank) (op RankOp, ok bool)
+	Next(r *Rank, op *RankOp) bool
 }
 
 // EndDrainSite is the call-site hash stamped on the implicit end-of-body
@@ -234,12 +239,10 @@ func (x *slExec) step(r *Rank) (done bool) {
 			x.phase = phStream
 		case phStream:
 			if !x.hasOp {
-				op, ok := x.stream.Next(r)
-				if !ok {
+				if !x.stream.Next(r, &x.op) {
 					x.phase = phEndDrain
 					continue
 				}
-				x.op = op
 				x.hasOp = true
 				x.stage = 0
 				x.wstage = 0
@@ -456,8 +459,11 @@ func (x *slExec) execDrain(r *Rank) bool {
 	}
 	r.record(x.st, &Event{Op: OpWaitall, CommID: x.wCommID, CommSize: x.wCommSize,
 		Peer: NoPeer, PeerWorld: NoPeer, Size: len(x.outstanding), Root: -1})
+	// Everything outstanding is complete and nothing else holds the requests:
+	// the rank's request arena starts over (see rewindRequests).
 	clear(x.outstanding)
 	x.outstanding = x.outstanding[:0]
+	r.rewindRequests()
 	return false
 }
 

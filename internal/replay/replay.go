@@ -9,9 +9,16 @@
 // the shape the event engine's stackless representation wants: Replay
 // compiles each rank into an OpStream cursor driven without a goroutine or
 // stack, which removes the per-rank stack footprint and handoff cost at
-// large world sizes. ReplayReference keeps the imperative coroutine replayer
-// for differential testing; both stamp the trace's recorded call sites onto
-// the re-issued operations, so they re-trace byte-identically.
+// large world sizes. Per event the stream walks the trace cursor one leaf on
+// and fills the executor's RankOp in place (mpi.OpStream's contract); the
+// leaf's peer, v-collective contribution and split key are translated through
+// Trace.CommRankOf — an indexed lookup, a bounds check on the world
+// communicator — and the requests the executor creates are recycled at each
+// completed drain. ReplayReference keeps the imperative coroutine replayer
+// for differential testing (its requests belong to the body and live to the
+// end of the run); both resolve leaf parameters through the same helpers and
+// stamp the trace's recorded call sites onto the re-issued operations, so
+// they re-trace byte-identically.
 package replay
 
 import (
@@ -89,27 +96,29 @@ func newCursorStream(t *trace.Trace, rank int) *cursorStream {
 }
 
 // Next implements mpi.OpStream.
-func (s *cursorStream) Next(r *mpi.Rank) (mpi.RankOp, bool) {
+func (s *cursorStream) Next(r *mpi.Rank, op *mpi.RankOp) bool {
 	if s.c == nil || s.c.Done() {
-		return mpi.RankOp{}, false
+		return false
 	}
 	leaf := s.c.Cur()
 	first := s.c.InnermostIter() == 0
 	s.c.Advance()
-	return s.translate(leaf, first, r.Rank()), true
+	s.translate(op, leaf, first, r.Rank())
+	return true
 }
 
-// translate builds the RankOp for one leaf, mirroring the argument
-// resolution in replayer.play leaf for leaf.
-func (s *cursorStream) translate(leaf *trace.RSD, first bool, rank int) mpi.RankOp {
-	op := mpi.RankOp{
-		Op:        leaf.Op,
-		ComputeUS: leaf.ComputeMeanAt(first),
-		Site:      leaf.Site,
-		CommID:    leaf.CommID,
-		Tag:       leaf.Tag,
-		Root:      leaf.Root,
-	}
+// translate fills *op for one leaf, mirroring the argument resolution in
+// replayer.play leaf for leaf. The slot is zeroed and then assigned field by
+// field: a composite literal with computed fields would be built in a
+// temporary and copied over.
+func (s *cursorStream) translate(op *mpi.RankOp, leaf *trace.RSD, first bool, rank int) {
+	*op = mpi.RankOp{}
+	op.Op = leaf.Op
+	op.ComputeUS = leaf.ComputeMeanAt(first)
+	op.Site = leaf.Site
+	op.CommID = leaf.CommID
+	op.Tag = leaf.Tag
+	op.Root = leaf.Root
 	switch leaf.Op {
 	case mpi.OpInit, mpi.OpFinalize, mpi.OpWait, mpi.OpWaitall:
 		// Compute (and, for the drains, the outstanding set) only.
@@ -122,22 +131,12 @@ func (s *cursorStream) translate(leaf *trace.RSD, first bool, rank int) mpi.Rank
 		}
 	case mpi.OpGatherv, mpi.OpAllgatherv:
 		// These wrappers take this rank's contribution, not the vector.
-		op.Size = s.mySizeOf(leaf, rank)
+		op.Size = mySizeOf(s.t, leaf, rank)
 	case mpi.OpScatterv, mpi.OpAlltoallv, mpi.OpReduceScatter:
 		op.Counts = leaf.Counts
 	case mpi.OpCommSplit:
-		// Members of the same new communicator share a color; the recorded
-		// group order is reproduced through the key.
-		op.SplitColor = -1
-		if leaf.NewCommID != 0 {
-			op.SplitColor = leaf.NewCommID
-			for i, w := range s.t.CommGroup(leaf.NewCommID) {
-				if w == rank {
-					op.SplitKey = i
-				}
-			}
-			op.NewCommID = leaf.NewCommID
-		}
+		op.SplitColor, op.SplitKey = splitArgs(s.t, leaf, rank)
+		op.NewCommID = leaf.NewCommID
 	case mpi.OpCommDup:
 		op.NewCommID = leaf.NewCommID
 	default:
@@ -145,13 +144,28 @@ func (s *cursorStream) translate(leaf *trace.RSD, first bool, rank int) mpi.Rank
 		// Gather, Allgather, Scatter, Alltoall.
 		op.Size = leaf.Size
 	}
-	return op
 }
 
-// mySizeOf mirrors replayer.mySizeOf for the cursor path.
-func (s *cursorStream) mySizeOf(leaf *trace.RSD, rank int) int {
+// splitArgs returns the color and key that reproduce a recorded split:
+// members of the same new communicator share a color, and the recorded group
+// order is reproduced through the key — the rank's position in the new group.
+// A leaf that minted nothing (NewCommID 0) replays as MPI_UNDEFINED.
+func splitArgs(t *trace.Trace, leaf *trace.RSD, rank int) (color, key int) {
+	if leaf.NewCommID == 0 {
+		return -1, 0
+	}
+	if i, ok := t.CommRankOf(leaf.NewCommID, rank); ok {
+		key = i
+	}
+	return leaf.NewCommID, key
+}
+
+// mySizeOf returns rank's contribution for a v-collective leaf: its
+// comm-rank entry of Counts when present, the (possibly averaged) Size
+// otherwise.
+func mySizeOf(t *trace.Trace, leaf *trace.RSD, rank int) int {
 	if len(leaf.Counts) > 0 {
-		if me, ok := s.t.CommRankOf(leaf.CommID, rank); ok && me < len(leaf.Counts) {
+		if me, ok := t.CommRankOf(leaf.CommID, rank); ok && me < len(leaf.Counts) {
 			return leaf.Counts[me]
 		}
 	}
@@ -236,13 +250,13 @@ func (rp *replayer) play(leaf *trace.RSD, firstIter bool) {
 		rp.rank.Gather(c, leaf.Root, leaf.Size)
 	case mpi.OpGatherv:
 		rp.rank.SetCallSite(leaf.Site)
-		rp.rank.Gatherv(c, leaf.Root, rp.mySizeOf(leaf))
+		rp.rank.Gatherv(c, leaf.Root, mySizeOf(rp.t, leaf, rp.rank.Rank()))
 	case mpi.OpAllgather:
 		rp.rank.SetCallSite(leaf.Site)
 		rp.rank.Allgather(c, leaf.Size)
 	case mpi.OpAllgatherv:
 		rp.rank.SetCallSite(leaf.Site)
-		rp.rank.Allgatherv(c, rp.mySizeOf(leaf))
+		rp.rank.Allgatherv(c, mySizeOf(rp.t, leaf, rp.rank.Rank()))
 	case mpi.OpScatter:
 		rp.rank.SetCallSite(leaf.Site)
 		rp.rank.Scatter(c, leaf.Root, leaf.Size)
@@ -259,17 +273,7 @@ func (rp *replayer) play(leaf *trace.RSD, firstIter bool) {
 		rp.rank.SetCallSite(leaf.Site)
 		rp.rank.ReduceScatter(c, leaf.Counts)
 	case mpi.OpCommSplit:
-		// Members of the same new communicator share a color; the recorded
-		// group order is reproduced through the key.
-		color, key := -1, 0
-		if leaf.NewCommID != 0 {
-			color = leaf.NewCommID
-			for i, w := range rp.t.CommGroup(leaf.NewCommID) {
-				if w == rp.rank.Rank() {
-					key = i
-				}
-			}
-		}
+		color, key := splitArgs(rp.t, leaf, rp.rank.Rank())
 		rp.rank.SetCallSite(leaf.Site)
 		if sub := rp.rank.CommSplit(c, color, key); sub != nil && leaf.NewCommID != 0 {
 			rp.comms[leaf.NewCommID] = sub
@@ -281,16 +285,4 @@ func (rp *replayer) play(leaf *trace.RSD, firstIter bool) {
 			rp.comms[leaf.NewCommID] = sub
 		}
 	}
-}
-
-// mySizeOf returns this rank's contribution for a v-collective leaf: its
-// comm-rank entry of Counts when present, the (possibly averaged) Size
-// otherwise.
-func (rp *replayer) mySizeOf(leaf *trace.RSD) int {
-	if len(leaf.Counts) > 0 {
-		if me, ok := rp.t.CommRankOf(leaf.CommID, rp.rank.Rank()); ok && me < len(leaf.Counts) {
-			return leaf.Counts[me]
-		}
-	}
-	return leaf.Size
 }

@@ -47,6 +47,11 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			want:  "comm 1 has 4 members but nprocs is 2",
 		},
 		{
+			name:  "comm member repeated",
+			input: "scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 1 0,1\ncomm 2 0,0,1\ngroups 0\n",
+			want:  "comm 2 lists member 0 twice",
+		},
+		{
 			name:  "duplicate comm id",
 			input: "scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 1 0,1\ncomm 1 2,3\ngroups 0\n",
 			want:  "duplicate comm id 1",

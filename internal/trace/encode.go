@@ -208,6 +208,9 @@ func Decode(r io.Reader) (*Trace, error) {
 	if ncomms < 0 || ncomms > MaxDecodeComms {
 		return nil, d.errf("comm count %d out of range [0, %d]", ncomms, MaxDecodeComms)
 	}
+	// seenIn[wr] is the 1-based ordinal of the last comm line listing world
+	// rank wr: one array for all groups.
+	var seenIn []int32
 	for i := 0; i < ncomms; i++ {
 		line, err = d.next()
 		if err != nil {
@@ -231,10 +234,19 @@ func Decode(r io.Reader) (*Trace, error) {
 		if len(group) > t.N {
 			return nil, d.errf("comm %d has %d members but nprocs is %d", id, len(group), t.N)
 		}
+		if seenIn == nil {
+			seenIn = make([]int32, t.N)
+		}
 		for _, wr := range group {
 			if wr < 0 || wr >= t.N {
 				return nil, d.errf("comm %d member %d outside world [0, %d)", id, wr, t.N)
 			}
+			// A repeated member has two communicator ranks: CommRankOf and
+			// WorldRankOf would disagree about which one it is.
+			if seenIn[wr] == int32(i+1) {
+				return nil, d.errf("comm %d lists member %d twice", id, wr)
+			}
+			seenIn[wr] = int32(i + 1)
 		}
 		t.Comms[id] = group
 	}

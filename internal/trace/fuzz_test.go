@@ -55,6 +55,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
 		"rsd op=Send site=3 ranks=0:1 comm=0 csize=2 peer=rel1 tag=5 size=8 root=-1 compute=\"v1 10 2 5.5 30.25\"\n"))
 	f.Add([]byte("scalatrace-go 9\n"))
+	// A communicator group that repeats a member (rejected: the member would
+	// have two communicator ranks) beside a permuted one that does not.
+	f.Add([]byte("scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 1 3,1,2\ncomm 2 0,0,1\ngroups 0\n"))
 	f.Add([]byte("# comment\nscalatrace-go 1\nnprocs 1\ncomms 0\ngroups 1\ngroup 0 1\n" +
 		"rsd op=Init site=0 ranks=0 comm=0 csize=1 peer=- tag=0 size=0 root=-1\n"))
 	// Wildcard-heavy seed shaped like the verifier's counterexample traces:

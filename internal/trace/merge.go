@@ -22,6 +22,10 @@ import (
 //     therefore sees its members in rank order — the order peers, rank sets
 //     and the (order-sensitive) floating-point histogram sums depend on.
 //
+// Peer unification translates world ranks to communicator ranks once per leaf
+// and member; it reads the merged trace's communicator index (commindex.go),
+// which the merge builds and the trace keeps for every later CommRankOf.
+//
 // The output is bit-identical to mergeRankSeqsLegacy, the original fold kept
 // below as the tests' reference, which rescans every group's whole sequence
 // per rank: O(ranks * groups * trace length) against one hash of every leaf
@@ -43,7 +47,9 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	if n <= 0 {
 		return tr
 	}
-	idx := newCommIndex(tr)
+	// The merge owns comms, so it reads the index directly (no hit validation);
+	// the same index then serves the merged trace's CommRankOf.
+	idx := tr.index()
 
 	// classes[i] holds the world ranks of tr.Groups[i] in ascending order;
 	// bySig lists the classes sharing a signature.
@@ -196,36 +202,6 @@ func rsdCompatible(x, y *RSD) bool {
 		}
 	}
 	return peerClass(x.Peer.Kind) == peerClass(y.Peer.Kind)
-}
-
-// commIndex caches communicator-rank lookups for the duration of one merge.
-// Trace.CommRankOf is a linear scan over the communicator group; peer
-// unification performs it for every leaf and member.
-type commIndex struct {
-	m map[int]map[int]int
-}
-
-func newCommIndex(t *Trace) *commIndex {
-	ci := &commIndex{m: make(map[int]map[int]int, len(t.Comms))}
-	for id, g := range t.Comms {
-		mm := make(map[int]int, len(g))
-		for i, wr := range g {
-			if _, dup := mm[wr]; !dup {
-				mm[wr] = i
-			}
-		}
-		ci.m[id] = mm
-	}
-	return ci
-}
-
-// CommRankOf implements PeerIndexer.
-func (ci *commIndex) CommRankOf(commID, worldRank int) (int, bool) {
-	r, ok := ci.m[commID][worldRank]
-	if !ok {
-		return -1, false
-	}
-	return r, true
 }
 
 // mergeRankSeqsLegacy is the original first-fit fold, kept as the reference

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/taskset"
 )
@@ -19,6 +20,12 @@ type Trace struct {
 	Comms map[int][]int
 	// Groups partition the ranks by behaviour.
 	Groups []Group
+
+	// idx is the communicator index CommRankOf answers from, built from Comms
+	// on first use (see index). The atomic pointer makes a Trace uncopyable
+	// (go vet copylocks) — which it already was by convention: every layer
+	// passes *Trace.
+	idx atomic.Pointer[commIndex]
 }
 
 // Group is the trace of a set of ranks with identical structure.
@@ -30,14 +37,33 @@ type Group struct {
 // CommGroup returns the world-rank membership of a communicator.
 func (t *Trace) CommGroup(commID int) []int { return t.Comms[commID] }
 
-// CommRankOf translates a world rank into a communicator's numbering.
+// CommRankOf translates a world rank into a communicator's numbering: the
+// first position of worldRank in the group. The answer comes from the index
+// in O(1), and is returned only if the group still holds worldRank at that
+// position; a miss or a stale hit (Comms edited after the index was built)
+// falls back to the scan, so an edit costs time, never a wrong answer.
 func (t *Trace) CommRankOf(commID, worldRank int) (int, bool) {
-	for i, wr := range t.Comms[commID] {
+	g := t.Comms[commID]
+	if i, ok := t.index().CommRankOf(commID, worldRank); ok && i < len(g) && g[i] == worldRank {
+		return i, true
+	}
+	for i, wr := range g {
 		if wr == worldRank {
 			return i, true
 		}
 	}
 	return -1, false
+}
+
+// index returns the trace's communicator index, building it on first use.
+// Concurrent replays of one trace may race to build it; they build equal
+// indexes from the (then read-only) Comms and one of them is published.
+func (t *Trace) index() *commIndex {
+	if ci := t.idx.Load(); ci != nil {
+		return ci
+	}
+	t.idx.CompareAndSwap(nil, newCommIndex(t.Comms))
+	return t.idx.Load()
 }
 
 // WorldRankOf translates a communicator rank into the world ("absolute")

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"regexp"
@@ -32,6 +33,40 @@ var plainOptions = map[string]bool{
 	"conceptual.WithMPIOptions": true,
 }
 
+// isCommGroup reports whether e reads a communicator's group off a trace:
+// x.Comms[id] or x.CommGroup(id).
+func isCommGroup(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		sel, ok := x.X.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Comms"
+	case *ast.CallExpr:
+		sel, ok := x.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "CommGroup"
+	}
+	return false
+}
+
+// comparesIdent reports whether body tests the variable v with ==.
+func comparesIdent(body ast.Node, v ast.Expr) bool {
+	id, ok := v.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return false
+	}
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok && b.Op == token.EQL {
+			for _, side := range []ast.Expr{b.X, b.Y} {
+				if s, ok := side.(*ast.Ident); ok && s.Name == id.Name {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}
+
 var selectorName = regexp.MustCompile(`^(With|Mode)|Reference`)
 
 // schedulerName matches what a scheduler of the repo's own would export from
@@ -45,13 +80,19 @@ var worldDrivers = map[string]bool{
 	`"repro/internal/replay"`:     true,
 }
 
+// opStreamType is mpi.OpStream's whole declaration: one method, which fills
+// the executor's op slot in place.
+const opStreamType = "interface{Next(r *Rank, op *RankOp) bool}"
+
 // TestPathSelectorsArePinned fails when a path selector appears that is not
 // on the lists above, when production code selects a reference, when a
 // command grows a -runtime flag again, when something other than the Go
-// scheduler under internal/harness/pool.go spreads worlds over threads, or
-// when the trace merge, Algorithm 1 or Algorithm 2 goes concurrent — so a PR
-// that re-adds a second path, a knob for one or a scheduler does so by
-// editing this test.
+// scheduler under internal/harness/pool.go spreads worlds over threads, when
+// the trace merge, Algorithm 1 or Algorithm 2 goes concurrent, when
+// mpi.OpStream's method set changes (a by-value Next), or when code outside
+// internal/trace scans a communicator group for a world rank (a second
+// translation beside Trace.CommRankOf's index) — so a PR that re-adds a
+// second path, a knob for one or a scheduler does so by editing this test.
 func TestPathSelectorsArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	parseDir := func(dir string) []*ast.File {
@@ -99,6 +140,14 @@ func TestPathSelectorsArePinned(t *testing.T) {
 	exported := map[string]bool{}
 	for _, pkg := range []string{"mpi", "conceptual", "replay"} {
 		for _, f := range parseDir(filepath.Join("internal", pkg)) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok && pkg == "mpi" && ts.Name.Name == "OpStream" {
+					if got := types.ExprString(ts.Type); got != opStreamType {
+						t.Errorf("mpi.OpStream is %s, want %s: streams fill the executor's op in place", got, opStreamType)
+					}
+				}
+				return true
+			})
 			for _, id := range topLevel(f) {
 				if id.IsExported() && selectorName.MatchString(id.Name) {
 					exported[pkg+"."+id.Name] = true
@@ -165,6 +214,11 @@ func TestPathSelectorsArePinned(t *testing.T) {
 				if g, ok := n.(*ast.GoStmt); ok && drivesWorlds && !mayFanOut {
 					t.Errorf("%s: goroutine started in a file that can drive worlds; "+
 						"fan worlds out through internal/harness/pool.go", fset.Position(g.Pos()))
+				}
+				if rs, ok := n.(*ast.RangeStmt); ok && !strings.HasPrefix(path, "internal/trace/") &&
+					isCommGroup(rs.X) && comparesIdent(rs.Body, rs.Value) {
+					t.Errorf("%s: a communicator group is scanned for a world rank; "+
+						"Trace.CommRankOf is the one translation", fset.Position(rs.Pos()))
 				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
