@@ -62,10 +62,14 @@ func walkNodes(seq []trace.Node, f func(*trace.RSD)) {
 }
 
 // pendingColl tracks one in-progress collective rendezvous on a
-// communicator.
+// communicator. Both slices are indexed by communicator position, so
+// everything derived from them — the pooled compute sample above all, a
+// floating-point sum — is taken in communicator order, not in the order the
+// traversal happened to reach the members.
 type pendingColl struct {
-	arrived map[int]*trace.RSD // world rank -> its RSD
-	means   map[int]float64    // world rank -> its per-instance compute mean
+	arrived []*trace.RSD // a member's RSD, nil until it arrives
+	means   []float64    // its per-instance compute mean
+	n       int          // members arrived
 }
 
 // Align runs Algorithm 1 and returns a new trace in global-queue form: a
@@ -176,19 +180,27 @@ func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*tra
 		if len(comm) == 0 {
 			return nil, fmt.Errorf("align: rank %d references unknown comm %d", active, rsd.CommID)
 		}
+		pos, ok := t.CommRankOf(rsd.CommID, active)
+		if !ok {
+			return nil, fmt.Errorf("align: rank %d calls %v on comm %d without being a member",
+				active, rsd.Op, rsd.CommID)
+		}
 		pc := pending[rsd.CommID]
 		if pc == nil {
-			pc = &pendingColl{arrived: make(map[int]*trace.RSD), means: make(map[int]float64)}
+			pc = &pendingColl{arrived: make([]*trace.RSD, len(comm)), means: make([]float64, len(comm))}
 			pending[rsd.CommID] = pc
 		}
-		if first, ok := firstArrival(pc, comm); ok && first.Op != rsd.Op {
+		if first := firstArrival(pc); first != nil && first.Op != rsd.Op {
 			return nil, fmt.Errorf("align: collective mismatch on comm %d: %v vs %v",
 				rsd.CommID, first.Op, rsd.Op)
 		}
-		pc.arrived[active] = rsd
-		pc.means[active] = rsd.ComputeMeanAt(cur.InnermostIter() == 0)
+		if pc.arrived[pos] == nil {
+			pc.n++
+		}
+		pc.arrived[pos] = rsd
+		pc.means[pos] = rsd.ComputeMeanAt(cur.InnermostIter() == 0)
 
-		if len(pc.arrived) == len(comm) {
+		if pc.n == len(comm) {
 			// Everyone arrived: close the current point-to-point segment,
 			// emit the merged collective(s) and release the members.
 			flushSegments()
@@ -203,8 +215,8 @@ func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*tra
 		}
 		// Switch traversal to the next member that has not arrived.
 		next := -1
-		for _, member := range comm {
-			if _, ok := pc.arrived[member]; !ok {
+		for i, member := range comm {
+			if pc.arrived[i] == nil {
 				next = member
 				break
 			}
@@ -231,13 +243,15 @@ func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*tra
 	return aligned, nil
 }
 
-func firstArrival(pc *pendingColl, comm []int) (*trace.RSD, bool) {
-	for _, m := range comm {
-		if r, ok := pc.arrived[m]; ok {
-			return r, true
+// firstArrival returns the RSD of the first member, in communicator order,
+// that has arrived, or nil.
+func firstArrival(pc *pendingColl) *trace.RSD {
+	for _, r := range pc.arrived {
+		if r != nil {
+			return r
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // emitCollective appends the merged collective RSD(s). CommSplit/CommDup
@@ -246,27 +260,26 @@ func firstArrival(pc *pendingColl, comm []int) (*trace.RSD, bool) {
 // covering the whole communicator.
 func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []int) {
 	ctrRounds.Inc()
-	sample, count := 0.0, 0
+	// Every member has arrived. The sum runs in communicator order: addition
+	// of floats does not commute in the last bit.
+	sample := 0.0
 	for _, m := range pc.means {
 		sample += m
-		count++
 	}
-	if count > 0 {
-		sample /= float64(count)
-	}
-	first, _ := firstArrival(pc, comm)
+	sample /= float64(len(comm))
+	first := pc.arrived[0]
 	if first.Op == mpi.OpCommSplit || first.Op == mpi.OpCommDup {
 		// Partition arrivals by the communicator they created.
 		seen := map[int]bool{}
-		for _, m := range comm {
-			r, ok := pc.arrived[m]
-			if !ok || seen[r.NewCommID] {
+		for i, m := range comm {
+			r := pc.arrived[i]
+			if seen[r.NewCommID] {
 				continue
 			}
 			seen[r.NewCommID] = true
 			members := taskset.Empty
-			for _, m2 := range comm {
-				if r2, ok := pc.arrived[m2]; ok && r2.NewCommID == r.NewCommID {
+			for i2, m2 := range comm {
+				if pc.arrived[i2].NewCommID == r.NewCommID {
 					members = members.Add(m2)
 				}
 			}
@@ -284,8 +297,7 @@ func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []
 	uniform := true
 	totalSize := 0
 	perMember := make([]int, 0, len(comm))
-	for _, m := range comm {
-		r := pc.arrived[m]
+	for _, r := range pc.arrived {
 		perMember = append(perMember, r.Size)
 		totalSize += r.Size
 		if r.Size != first.Size {
