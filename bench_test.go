@@ -158,30 +158,6 @@ func BenchmarkScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAlign measures Algorithm 1 (collective alignment) on Sweep3D's
-// split-call-site collectives; the O(p*e) traversal is the dominant cost.
-// sweep3d-64/A is the ledger's gen-irregular input.
-func BenchmarkAlign(b *testing.B) {
-	for _, c := range generateCases("sweep3d") {
-		b.Run(c.name, func(b *testing.B) {
-			run, err := harness.TraceApp(c.app, c.cfg, netmodel.Ideal())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !align.Needed(run.Trace) {
-				b.Fatal("premise: sweep3d trace should need alignment")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := align.Align(run.Trace); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // generateCase is one input of the generation benchmarks.
 type generateCase struct {
 	name, app string
@@ -363,24 +339,22 @@ func BenchmarkBuilderAppend(b *testing.B) {
 // implementation under test.
 func BenchmarkMergeRankSeqs(b *testing.B) {
 	const n = 64
-	build := func() [][]trace.Node {
-		seqs := make([][]trace.Node, n)
-		for r := 0; r < n; r++ {
-			bld := trace.NewBuilderWindow(trace.DefaultMaxWindow)
-			for it := 0; it < 20; it++ {
-				for _, leaf := range []*trace.RSD{
-					{Op: mpi.OpSend, Site: 1, CommSize: n, Peer: trace.AbsParam((r + 1) % n), Tag: 7, Size: 1024, Root: -1},
-					{Op: mpi.OpRecv, Site: 2, CommSize: n, Peer: trace.AbsParam((r + n - 1) % n), Tag: 7, Size: 1024, Root: -1},
-					{Op: mpi.OpAllreduce, Site: 3, CommSize: n, Peer: trace.NoParam, Size: 8, Root: -1},
-				} {
-					leaf.Ranks = taskset.Of(r)
-					leaf.SetComputeSample(1.0 + float64(r))
-					bld.Append(leaf)
-				}
+	// stream compresses one rank's 20 iterations; peer gives the rank's ring
+	// neighbours.
+	stream := func(r int, peer func(off int) trace.Param) []trace.Node {
+		bld := trace.NewBuilderWindow(trace.DefaultMaxWindow)
+		for it := 0; it < 20; it++ {
+			for _, leaf := range []*trace.RSD{
+				{Op: mpi.OpSend, Site: 1, CommSize: n, Peer: peer(1), Tag: 7, Size: 1024, Root: -1},
+				{Op: mpi.OpRecv, Site: 2, CommSize: n, Peer: peer(n - 1), Tag: 7, Size: 1024, Root: -1},
+				{Op: mpi.OpAllreduce, Site: 3, CommSize: n, Peer: trace.NoParam, Size: 8, Root: -1},
+			} {
+				leaf.Ranks = taskset.Of(r)
+				leaf.SetComputeSample(1.0 + float64(r))
+				bld.Append(leaf)
 			}
-			seqs[r] = bld.Seq()
 		}
-		return seqs
+		return bld.Seq()
 	}
 	comms := func() map[int][]int {
 		world := make([]int, n)
@@ -389,12 +363,41 @@ func BenchmarkMergeRankSeqs(b *testing.B) {
 		}
 		return map[int][]int{0: world}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := trace.MergeRankSeqsOwned(n, comms(), build())
-		if len(tr.Groups) != 1 {
-			b.Fatalf("expected 1 group, got %d", len(tr.Groups))
-		}
+	for _, leg := range []struct {
+		name  string
+		build func() [][]trace.Node
+	}{
+		// The Collector's call: a sequence per rank, consumed.
+		{"private", func() [][]trace.Node {
+			seqs := make([][]trace.Node, n)
+			for r := range seqs {
+				seqs[r] = stream(r, func(off int) trace.Param { return trace.AbsParam((r + off) % n) })
+			}
+			return seqs
+		}},
+		// Algorithm 1's call: four sequences for 64 ranks, each named by
+		// every fourth rank and only read.
+		{"shared", func() [][]trace.Node {
+			seqs := make([][]trace.Node, n)
+			for r := range seqs {
+				if r < 4 {
+					seqs[r] = stream(r, trace.RelParam)
+				} else {
+					seqs[r] = seqs[r%4]
+				}
+			}
+			return seqs
+		}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := trace.MergeRankSeqsOwned(n, comms(), leg.build())
+				if len(tr.Groups) != 1 {
+					b.Fatalf("expected 1 group, got %d", len(tr.Groups))
+				}
+			}
+		})
 	}
 }
 

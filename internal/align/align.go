@@ -78,22 +78,169 @@ type pendingColl struct {
 // rank's event order. It returns an error when the rendezvous cannot
 // complete, which indicates mismatched collectives in the input application.
 func Align(t *trace.Trace) (*trace.Trace, error) {
-	return alignWith(t, trace.NewStreamBuilder)
+	return alignWith(t, lockstepClasses, trace.NewStreamBuilder)
 }
 
-// alignWith is Align with the constructor of the per-rank segment builders
-// as a parameter, so a test can run the same pass on builders that never
-// recycle a leaf.
-func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*trace.Trace, error) {
-	defer telemetry.Region("align.run")()
-	n := t.N
-	cursors := make([]*trace.Cursor, n)
-	for r := 0; r < n; r++ {
-		g := t.GroupOf(r)
-		if g == nil {
+// lockstep is the traversal context of one class of ranks that walk the
+// trace in lockstep: one cursor, and one stream builder for the segment —
+// the class's events since the last collective any communicator completed.
+// The builder is reset at every such cut and its leaves carry the first
+// member's singleton set, so its sequence is what that member alone would
+// have built and, up to that set, what every other member would have.
+type lockstep struct {
+	first, size int
+	ranks       taskset.Set // {first}
+	cur         *trace.Cursor
+	seg         *trace.Builder
+	// ran: a member has walked the stretch from the class's last collective
+	// to cur, emitting it; progressed: the stretch holds an event.
+	ran, progressed bool
+}
+
+// groupsOf returns, per rank, the index of the first group that holds it.
+func groupsOf(t *trace.Trace) ([]int, error) {
+	if t.N <= 0 {
+		return nil, fmt.Errorf("align: trace of %d ranks", t.N)
+	}
+	groupOf := make([]int, t.N)
+	for r := range groupOf {
+		groupOf[r] = -1
+		for gi := range t.Groups {
+			if t.Groups[gi].Ranks.Contains(r) {
+				groupOf[r] = gi
+				break
+			}
+		}
+		if groupOf[r] < 0 {
 			return nil, fmt.Errorf("align: rank %d missing from trace", r)
 		}
-		cursors[r] = trace.NewCursor(g.Seq, r)
+	}
+	return groupOf, nil
+}
+
+// lockstepClasses partitions the ranks into the classes Algorithm 1 may walk
+// as one, returning each rank's class, classes numbered by their first
+// member. Two ranks share a class when they are in the same group, are
+// members of exactly the same leaves of its sequence — the partition is
+// refined leaf by leaf, nothing is hashed — and are members of no leaf with
+// a vector peer: they then visit the same RSDs in the same loop iterations,
+// and every leaf emitted for one is, up to its rank set, the leaf emitted
+// for the other. (A vector peer is the one field emitLeaf resolves per
+// rank.)
+//
+// That makes their event streams equal, not yet their segments: a segment
+// ends wherever its rank stands when some collective completes. If every
+// collective spans all N ranks, every rank stands at that collective; if one
+// does not, where a non-member stands depends on the order the rendezvous
+// visited the ranks in, and every class is a single rank.
+func lockstepClasses(t *trace.Trace, groupOf []int) []int {
+	class := append([]int(nil), groupOf...)
+	next := len(t.Groups)
+	members := make([][]int, len(t.Groups))
+	for r, gi := range groupOf {
+		members[gi] = append(members[gi], r)
+	}
+	spansWorld := map[int]bool{}
+	lockstep := true
+	moved := map[int]int{} // a class -> the class of its members inside the leaf
+	for gi := range t.Groups {
+		walkNodes(t.Groups[gi].Seq, func(x *trace.RSD) {
+			if x.Op.IsCollective() {
+				spans, ok := spansWorld[x.CommID]
+				if !ok {
+					spans = isPermutation(t.CommGroup(x.CommID), t.N)
+					spansWorld[x.CommID] = spans
+				}
+				lockstep = lockstep && spans
+			}
+			vec := x.Peer.Kind == trace.ParamVec
+			inside := 0
+			for _, r := range members[gi] {
+				if x.Ranks.Contains(r) {
+					inside++
+				}
+			}
+			if inside == 0 || inside == len(members[gi]) && !vec {
+				return // splits no class
+			}
+			clear(moved)
+			for _, r := range members[gi] {
+				if !x.Ranks.Contains(r) {
+					continue
+				}
+				to, ok := moved[class[r]]
+				if !ok || vec {
+					to = next
+					next++
+					moved[class[r]] = to
+				}
+				class[r] = to
+			}
+		})
+	}
+	if !lockstep {
+		return singletonClasses(t, groupOf)
+	}
+	// Number the classes by first member.
+	clear(moved)
+	for r, c := range class {
+		to, ok := moved[c]
+		if !ok {
+			to = len(moved)
+			moved[c] = to
+		}
+		class[r] = to
+	}
+	return class
+}
+
+// singletonClasses is the partition into single ranks: the traversal of the
+// paper's Algorithm 1, one context per node.
+func singletonClasses(t *trace.Trace, _ []int) []int {
+	class := make([]int, t.N)
+	for r := range class {
+		class[r] = r
+	}
+	return class
+}
+
+// isPermutation reports whether comm lists each of the n world ranks once.
+func isPermutation(comm []int, n int) bool {
+	if len(comm) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, r := range comm {
+		if r < 0 || r >= n || seen[r] {
+			return false
+		}
+		seen[r] = true
+	}
+	return true
+}
+
+// alignWith is Align with the partition into lockstep classes and the
+// constructor of the segment builders as parameters, so a test can run the
+// same pass one rank per class, or on builders that never recycle a leaf.
+func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegment func(window int) *trace.Builder) (*trace.Trace, error) {
+	defer telemetry.Region("align.run")()
+	n := t.N
+	groupOf, err := groupsOf(t)
+	if err != nil {
+		return nil, err
+	}
+	classOf := classify(t, groupOf)
+	var classes []*lockstep
+	for r, c := range classOf {
+		if c == len(classes) {
+			classes = append(classes, &lockstep{
+				first: r,
+				ranks: taskset.Of(r),
+				cur:   trace.NewCursor(t.Groups[groupOf[r]].Seq, r),
+				seg:   newSegment(trace.DefaultWindow()),
+			})
+		}
+		classes[c].size++
 	}
 
 	window := trace.DefaultWindow()
@@ -101,54 +248,74 @@ func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*tra
 		window = w
 	}
 	out := trace.NewGlobalBuilder(window)
-	// Non-collective runs are buffered per rank and re-merged across ranks
+	// Non-collective runs are buffered per class and re-merged across ranks
 	// when the next collective closes the segment; this keeps the aligned
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)
-	// instead of exploding into per-rank leaves. A rank's segments are its
-	// event stream cut at the collectives, so they are built the way the
-	// Collector builds one: one stream builder per rank for the whole pass,
-	// reset at every cut, its leaves sharing the rank's singleton set.
-	segments := make([]*trace.Builder, n)
-	self := make([]taskset.Set, n)
-	for i := range segments {
-		segments[i] = newSegment(trace.DefaultWindow())
-		self[i] = taskset.Of(i)
-	}
+	// instead of exploding into per-rank leaves. Every member of a class
+	// names the class's one sequence, which the merge then only reads — it
+	// still folds the members in one by one, in rank order across classes —
+	// so the leaves come back to the class's builder; a class of one hands
+	// its sequence over.
 	seqs := make([][]trace.Node, n)
 	flushSegments := func() {
 		empty := true
-		for i := range segments {
-			seqs[i] = segments[i].Seq()
-			if len(seqs[i]) > 0 {
-				empty = false
-			}
+		for r, c := range classOf {
+			seqs[r] = classes[c].seg.Seq()
+			empty = empty && len(seqs[r]) == 0
 		}
 		if empty {
 			return
 		}
-		// The merge consumes the sequences in place: their leaves leave the
-		// segment builders, which start over.
 		merged := trace.MergeRankSeqsOwned(n, t.Comms, seqs)
 		for _, g := range merged.Groups {
 			for _, node := range g.Seq {
 				out.Append(node)
 			}
 		}
-		for i := range segments {
-			segments[i].Reset()
+		for _, c := range classes {
+			c.seg.Reset(c.size == 1)
 		}
 	}
 
+	// The rendezvous is the paper's, rank by rank: which rank is visited
+	// next, which arrivals a collective waits for and when the traversal is
+	// stuck are decided per rank. Only the walking is shared. Between two
+	// collectives of its class a rank is either at the class's cursor or one
+	// stretch behind it, at the event after the last collective (walked[r]
+	// false): the cursor cannot pass a collective before every member has
+	// arrived there. The first member visited walks the stretch and emits
+	// it; a later one has the same events to walk and nothing to emit.
+	walked := make([]bool, n)
+	done := func(r int) bool {
+		c := classes[classOf[r]]
+		return c.cur.Done() && (walked[r] || !c.progressed)
+	}
 	pending := make(map[int]*pendingColl)
 	visitedSinceProgress := make(map[int]bool)
 	active := 0
 
 	for {
-		cur := cursors[active]
-		if cur.Done() {
+		c := classes[classOf[active]]
+		if !walked[active] {
+			walked[active] = true
+			if !c.ran {
+				c.ran = true
+				for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
+					leaf := c.seg.NewLeaf()
+					emitLeaf(leaf, t, rsd, c.first, c.ranks, rsd.ComputeMeanAt(c.cur.InnermostIter() == 0))
+					c.seg.Append(leaf)
+					c.cur.Advance()
+					c.progressed = true
+				}
+			}
+			if c.progressed {
+				clear(visitedSinceProgress)
+			}
+		}
+		if c.cur.Done() {
 			next := -1
 			for r := 0; r < n; r++ {
-				if !cursors[r].Done() {
+				if !done(r) {
 					next = r
 					break
 				}
@@ -164,18 +331,8 @@ func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*tra
 			continue
 		}
 
-		rsd := cur.Cur()
-		if !rsd.Op.IsCollective() {
-			mean := rsd.ComputeMeanAt(cur.InnermostIter() == 0)
-			leaf := segments[active].NewLeaf()
-			emitLeaf(leaf, t, rsd, active, self[active], mean)
-			segments[active].Append(leaf)
-			cur.Advance()
-			clear(visitedSinceProgress)
-			continue
-		}
-
 		// Collective: rendezvous on the communicator.
+		rsd := c.cur.Cur()
 		comm := t.CommGroup(rsd.CommID)
 		if len(comm) == 0 {
 			return nil, fmt.Errorf("align: rank %d references unknown comm %d", active, rsd.CommID)
@@ -198,16 +355,21 @@ func alignWith(t *trace.Trace, newSegment func(window int) *trace.Builder) (*tra
 			pc.n++
 		}
 		pc.arrived[pos] = rsd
-		pc.means[pos] = rsd.ComputeMeanAt(cur.InnermostIter() == 0)
+		pc.means[pos] = rsd.ComputeMeanAt(c.cur.InnermostIter() == 0)
 
 		if pc.n == len(comm) {
 			// Everyone arrived: close the current point-to-point segment,
-			// emit the merged collective(s) and release the members.
+			// emit the merged collective(s) and release the members, each
+			// class's cursor once.
 			flushSegments()
 			emitCollective(t, out, pc, comm)
 			delete(pending, rsd.CommID)
 			for _, member := range comm {
-				cursors[member].Advance()
+				if mc := classes[classOf[member]]; mc.ran {
+					mc.cur.Advance()
+					mc.ran, mc.progressed = false, false
+				}
+				walked[member] = false
 			}
 			active = comm[0]
 			clear(visitedSinceProgress)

@@ -12,9 +12,10 @@ import (
 )
 
 // This file pins what Algorithm 1's reuse of stream builders relies on: that
-// a segment builder which recycles absorbed leaves and is reset at every
-// collective yields the trace never-recycling builders yield, with no
-// recycled leaf left in it, and that the reuse keeps paying.
+// a segment builder which recycles absorbed leaves, is reset at every
+// collective and takes back the leaves of a sequence its class shared yields
+// the trace never-recycling builders yield, with no recycled leaf and no
+// leaf of a shared sequence left in it, and that the reuse keeps paying.
 
 func traceKernel(t testing.TB, name string, n int) *trace.Trace {
 	t.Helper()
@@ -36,10 +37,16 @@ func encodeTrace(t *testing.T, tr *trace.Trace) string {
 }
 
 // checkNoRecycledLeaf fails if a leaf reachable from seq is zeroed — the
-// state of every leaf on a free list, and release's mark — or is reachable
-// twice.
-func checkNoRecycledLeaf(t *testing.T, label string, seq []trace.Node) {
+// state of every leaf on a free list, and release's mark — is reachable
+// twice, or holds some ranks of a lockstep class without the others: a leaf
+// of the sequence a class shares carries the class's first member alone, and
+// what the merge makes of it carries them all.
+func checkNoRecycledLeaf(t *testing.T, label string, classOf []int, seq []trace.Node) {
 	t.Helper()
+	size := map[int]int{}
+	for _, c := range classOf {
+		size[c]++
+	}
 	seen := map[*trace.RSD]bool{}
 	var walk func(where string, seq []trace.Node)
 	walk = func(where string, seq []trace.Node) {
@@ -54,6 +61,15 @@ func checkNoRecycledLeaf(t *testing.T, label string, seq []trace.Node) {
 					t.Fatalf("%s: leaf at %s is reachable twice", label, at)
 				}
 				seen[x] = true
+				inLeaf := map[int]int{}
+				for _, r := range x.Ranks.Members() {
+					inLeaf[classOf[r]]++
+				}
+				for c, members := range inLeaf {
+					if members != size[c] {
+						t.Fatalf("%s: leaf at %s holds %d of the %d ranks of a lockstep class: %v", label, at, members, size[c], x)
+					}
+				}
 			case *trace.Loop:
 				walk(fmt.Sprintf("%s[%d].Body", where, i), x.Body)
 			}
@@ -63,16 +79,21 @@ func checkNoRecycledLeaf(t *testing.T, label string, seq []trace.Node) {
 }
 
 func TestAlignRecycledLeavesUnreachable(t *testing.T) {
-	recycled := false
+	recycled, shared := false, false
 	for _, name := range []string{"sweep3d", "is", "lu"} {
 		tr := traceKernel(t, name, 16)
+		groupOf, err := groupsOf(tr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		classOf := lockstepClasses(tr, groupOf)
+		shared = shared || classOf[len(classOf)-1] < len(classOf)-1
 		var aligned, reference *trace.Trace
-		var err error
 		recycling := testing.AllocsPerRun(1, func() { aligned, err = Align(tr) })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		fresh := testing.AllocsPerRun(1, func() { reference, err = alignWith(tr, trace.NewBuilderWindow) })
+		fresh := testing.AllocsPerRun(1, func() { reference, err = alignWith(tr, lockstepClasses, trace.NewBuilderWindow) })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -81,7 +102,7 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 		if len(aligned.Groups) != 1 {
 			t.Fatalf("%s: aligned trace has %d groups", name, len(aligned.Groups))
 		}
-		checkNoRecycledLeaf(t, name, aligned.Groups[0].Seq)
+		checkNoRecycledLeaf(t, name, classOf, aligned.Groups[0].Seq)
 		if got, want := encodeTrace(t, aligned), encodeTrace(t, reference); got != want {
 			t.Fatalf("%s: recycling segment builders change the aligned trace\nwant:\n%s\ngot:\n%s", name, want, got)
 		}
@@ -89,12 +110,16 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 	if !recycled {
 		t.Fatal("no kernel allocated less with recycling builders: no leaf was ever recycled and the test checks nothing")
 	}
+	if !shared {
+		t.Fatal("no kernel has a class of two ranks: no sequence was ever shared")
+	}
 }
 
 // TestAlignAllocationsPerEvent bounds Algorithm 1's allocations on sweep3d at
-// 16 ranks: 2.2 objects per re-emitted event — the leaf, when it stays in
-// the segment that goes to the merge, and the merged leaf's growing rank set
-// — where a builder per segment and a rank set and leaf per event made it 4.
+// 16 ranks, 9 lockstep classes: 1.66 objects per event of the input — the
+// clone of a shared sequence's leaf and the merged leaf's rank set, which
+// still grows by one allocation per member — where a leaf per rank and
+// event that stayed in its segment made it 2.1.
 func TestAlignAllocationsPerEvent(t *testing.T) {
 	tr := traceKernel(t, "sweep3d", 16)
 	if !Needed(tr) {
@@ -107,7 +132,36 @@ func TestAlignAllocationsPerEvent(t *testing.T) {
 	})
 	perEvent := allocs / float64(tr.TotalEvents())
 	t.Logf("%d events, %.0f objects allocated, %.2f per event", tr.TotalEvents(), allocs, perEvent)
-	if perEvent > 2.6 {
-		t.Errorf("Align allocated %.2f objects per event, want at most 2.6", perEvent)
+	if perEvent > 1.9 {
+		t.Errorf("Align allocated %.2f objects per event, want at most 1.9", perEvent)
+	}
+}
+
+// BenchmarkAlign measures Algorithm 1 where it is the first cost of
+// generation: sweep3d-64/A is the ledger's gen-irregular input (9 lockstep
+// classes for 64 ranks, as lu and halo2d have), bt-64/S the case that gains
+// nothing — vector peers, every class one rank. classes is the number of
+// traversal contexts, ns/event the time per event of the input trace.
+func BenchmarkAlign(b *testing.B) {
+	for _, k := range []struct {
+		app   string
+		n     int
+		class apps.Class
+	}{{"sweep3d", 16, apps.ClassS}, {"sweep3d", 64, apps.ClassA}, {"lu", 64, apps.ClassA}, {"halo2d", 64, apps.ClassA}, {"bt", 64, apps.ClassS}} {
+		b.Run(fmt.Sprintf("%s-%d/%c", k.app, k.n, k.class), func(b *testing.B) {
+			tr := alignInput(b, k.app, k.n, k.class)
+			if !Needed(tr) {
+				b.Fatal("premise: the trace should need alignment")
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Align(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(classCount(b, tr)), "classes")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.TotalEvents()), "ns/event")
+		})
 	}
 }

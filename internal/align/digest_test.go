@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"sort"
 	"testing"
@@ -17,62 +16,85 @@ import (
 	"repro/internal/wildcard"
 )
 
-// traceDigest is the sha256 of everything an aligned trace says: node
-// structure, rank sets as they are packed, peers, and the exact bits of
-// every histogram field — the encoded form rounds sums to nine digits and
-// so hides a last-bit difference. Call sites hash source paths, which move
-// with the checkout, so each is replaced by the order of its first
-// appearance.
-func traceDigest(tr *trace.Trace) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "n=%d\n", tr.N)
+// traceLines renders everything an aligned trace says, a line per
+// communicator, group and node: node structure, rank sets as they are
+// packed, peers, and the exact bits of every histogram field — the encoded
+// form rounds sums to nine digits and so hides a last-bit difference. Call
+// sites hash source paths, which move with the checkout, so each is replaced
+// by the order of its first appearance.
+func traceLines(tr *trace.Trace) []string {
+	lines := []string{fmt.Sprintf("n=%d", tr.N)}
 	ids := make([]int, 0, len(tr.Comms))
 	for id := range tr.Comms {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		fmt.Fprintf(h, "comm %d %v\n", id, tr.Comms[id])
+		lines = append(lines, fmt.Sprintf("comm %d %v", id, tr.Comms[id]))
 	}
 	sites := map[uint64]int{}
+	var walk func(seq []trace.Node)
+	walk = func(seq []trace.Node) {
+		for _, n := range seq {
+			switch x := n.(type) {
+			case *trace.Loop:
+				lines = append(lines, fmt.Sprintf("loop %d %d", x.Iters, len(x.Body)))
+				walk(x.Body)
+			case *trace.RSD:
+				site, ok := sites[x.Site]
+				if !ok {
+					site = len(sites)
+					sites[x.Site] = site
+				}
+				lines = append(lines, fmt.Sprintf("%v site=%d ranks=%s comm=%d/%d peer=%v%v wild=%v tag=%d size=%d counts=%v root=%d group=%v new=%d%s%s",
+					x.Op, site, x.Ranks, x.CommID, x.CommSize, x.Peer, x.PeerVec, x.Wildcard,
+					x.Tag, x.Size, x.Counts, x.Root, x.Group, x.NewCommID,
+					histogramBits(x.ComputeStats()), histogramBits(x.FirstCompute)))
+			}
+		}
+	}
 	for _, g := range tr.Groups {
-		fmt.Fprintf(h, "group %s\n", g.Ranks)
-		digestSeq(h, sites, g.Seq)
+		lines = append(lines, fmt.Sprintf("group %s", g.Ranks))
+		walk(g.Seq)
+	}
+	return lines
+}
+
+func histogramBits(s *stats.Histogram) string {
+	if s == nil || s.Empty() {
+		return " h0"
+	}
+	bits := fmt.Sprintf(" h%d/%x/%x/%x", s.Count, math.Float64bits(s.Sum), math.Float64bits(s.Min), math.Float64bits(s.Max))
+	for i, c := range s.Bins {
+		if c != 0 {
+			bits += fmt.Sprintf(",%d=%d", i, c)
+		}
+	}
+	return bits
+}
+
+// traceDigest is the sha256 of traceLines.
+func traceDigest(tr *trace.Trace) string {
+	h := sha256.New()
+	for _, line := range traceLines(tr) {
+		fmt.Fprintln(h, line)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func digestSeq(h hash.Hash, sites map[uint64]int, seq []trace.Node) {
-	for _, n := range seq {
-		switch x := n.(type) {
-		case *trace.Loop:
-			fmt.Fprintf(h, "loop %d %d\n", x.Iters, len(x.Body))
-			digestSeq(h, sites, x.Body)
-		case *trace.RSD:
-			site, ok := sites[x.Site]
-			if !ok {
-				site = len(sites)
-				sites[x.Site] = site
-			}
-			fmt.Fprintf(h, "%v site=%d ranks=%s comm=%d/%d peer=%v%v wild=%v tag=%d size=%d counts=%v root=%d group=%v new=%d",
-				x.Op, site, x.Ranks, x.CommID, x.CommSize, x.Peer, x.PeerVec, x.Wildcard,
-				x.Tag, x.Size, x.Counts, x.Root, x.Group, x.NewCommID)
-			digestHistogram(h, x.ComputeStats())
-			digestHistogram(h, x.FirstCompute)
-			fmt.Fprintln(h)
-		}
-	}
-}
-
-func digestHistogram(h hash.Hash, s *stats.Histogram) {
-	if s == nil || s.Empty() {
-		fmt.Fprint(h, " h0")
-		return
-	}
-	fmt.Fprintf(h, " h%d/%x/%x/%x", s.Count, math.Float64bits(s.Sum), math.Float64bits(s.Min), math.Float64bits(s.Max))
-	for i, c := range s.Bins {
-		if c != 0 {
-			fmt.Fprintf(h, ",%d=%d", i, c)
+// sameTrace fails the test at the first line of traceLines on which got and
+// want differ.
+func sameTrace(t *testing.T, label string, got, want *trace.Trace) {
+	t.Helper()
+	g, w := traceLines(got), traceLines(want)
+	for i := 0; i < len(g) || i < len(w); i++ {
+		switch {
+		case i >= len(g):
+			t.Fatalf("%s: trace ends at line %d, want %q", label, i, w[i])
+		case i >= len(w):
+			t.Fatalf("%s: line %d is %q, want the trace to end", label, i, g[i])
+		case g[i] != w[i]:
+			t.Fatalf("%s: line %d\n got %s\nwant %s", label, i, g[i], w[i])
 		}
 	}
 }

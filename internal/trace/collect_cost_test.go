@@ -272,18 +272,25 @@ func TestResetKeepsIndexOnlyForShortStreams(t *testing.T) {
 		}
 	}
 	fill(b.pruneInterval() / 2)
-	b.Reset()
+	b.Reset(true)
 	if b.nodeAt == nil || len(b.nodeAt) != 0 || cap(b.links) == 0 || b.Len() != 0 {
 		t.Fatalf("after a short stream Reset should keep empty index storage: nodeAt=%v (len %d), cap(links)=%d, Len=%d",
 			b.nodeAt != nil, len(b.nodeAt), cap(b.links), b.Len())
 	}
 	fill(3 * b.pruneInterval())
-	b.Reset()
+	b.Reset(true)
 	if b.nodeAt != nil || b.tailAt != nil || b.links != nil {
 		t.Fatal("after a stream longer than a prune interval Reset should drop the index storage")
 	}
 	fill(8) // and the builder works on from there
 	if b.Len() != 8 {
 		t.Fatalf("builder holds %d nodes after Reset and 8 appends", b.Len())
+	}
+	// A sequence the merge only read comes back leaf by leaf, zeroed.
+	kept, free := b.Seq()[0].(*RSD), len(b.free)
+	b.Reset(false)
+	if len(b.free) != free+8 || b.Len() != 0 || kept.Op != mpi.OpNone || !kept.Ranks.IsEmpty() {
+		t.Fatalf("Reset(false) should recycle the 8 leaves: free list %d -> %d, Len=%d, first leaf %v",
+			free, len(b.free), b.Len(), kept)
 	}
 }

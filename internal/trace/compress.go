@@ -106,9 +106,10 @@ func NewGlobalBuilder(w int) *Builder {
 // Collector's per-rank builders and Algorithm 1's per-rank segment builders.
 // Every node appended to it must be a leaf from its NewLeaf that nothing
 // else references; in exchange, leaves a fold absorbs are reused for later
-// events. Ownership moves in one direction only: leaves still in the
-// sequence when it is handed to MergeRankSeqsOwned leave the builder for
-// good, leaves a fold absorbed return to its free list.
+// events. Leaves still in the sequence when it is handed to
+// MergeRankSeqsOwned leave the builder for good if the merge consumed the
+// sequence, and return to the free list with the absorbed ones if it only
+// read it (see Reset).
 func NewStreamBuilder(w int) *Builder { return &Builder{maxWindow: w, recycle: true} }
 
 // NewLeaf returns the RSD for the stream's next event: one a fold released,
@@ -122,15 +123,24 @@ func (b *Builder) NewLeaf() *RSD {
 	return new(RSD)
 }
 
-// Reset starts the next stream on a builder whose sequence has been handed
-// to MergeRankSeqsOwned. The sequence goes with its leaves; the free list
-// stays, and so do the tail index's maps and chain storage, so a builder
-// that is reset once per segment — Algorithm 1 closes one per rank at every
-// collective — regrows none of them. Unless the stream outgrew a prune
-// interval: maps never shrink, and clearing ones that a long stream left
-// large would cost every later, shorter stream their full size.
-func (b *Builder) Reset() {
-	b.seq = nil
+// Reset starts the next stream on a builder whose sequence has been through
+// MergeRankSeqsOwned. consumed says whether the merged trace may hold the
+// sequence: it may when one rank alone named it, and the sequence then goes
+// with its leaves. One that several ranks named was only read, nothing the
+// merge returned points into it, and with consumed false its leaves join the
+// free list. Either way the tail index's maps and chain storage stay, so a
+// builder that is reset once per segment — Algorithm 1 closes one per class
+// at every collective — regrows none of them. Unless the stream outgrew a
+// prune interval: maps never shrink, and clearing ones that a long stream
+// left large would cost every later, shorter stream their full size.
+func (b *Builder) Reset(consumed bool) {
+	if consumed {
+		b.seq = nil
+	} else {
+		b.release(b.seq)
+		clear(b.seq)
+		b.seq = b.seq[:0]
+	}
 	b.sincePrune = 0
 	if len(b.links) > b.pruneInterval() {
 		b.nodeAt, b.tailAt, b.links = nil, nil, nil

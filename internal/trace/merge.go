@@ -22,6 +22,15 @@ import (
 //     therefore sees its members in rank order — the order peers, rank sets
 //     and the (order-sensitive) floating-point histogram sums depend on.
 //
+// Several ranks may name the same sequence (Algorithm 1 builds one per class
+// of ranks that traverse in lockstep, see internal/align): the same slice in
+// more than one slot of seqs. Such a sequence is hashed and compared once —
+// a rank naming a sequence already classified joins that rank's class — and
+// is only ever read: a representative that shares its sequence is folded
+// into a clone, and every member is still folded in, one at a time in
+// ascending rank order, whichever sequence it names. The result is what the
+// merge returns for n private copies, bit for bit.
+//
 // Peer unification translates world ranks to communicator ranks once per leaf
 // and member; it reads the merged trace's communicator index (commindex.go),
 // which the merge builds and the trace keeps for every later CommRankOf.
@@ -29,7 +38,7 @@ import (
 // The output is bit-identical to mergeRankSeqsLegacy, the original fold kept
 // below as the tests' reference, which rescans every group's whole sequence
 // per rank: O(ranks * groups * trace length) against one hash of every leaf
-// plus one fold step per member per leaf here.
+// of every distinct sequence plus one fold step per member per leaf here.
 
 // MergeRankSeqsOwned performs ScalaTrace's inter-node merge: per-rank
 // compressed sequences are unified into behaviour groups with generalized
@@ -37,10 +46,11 @@ import (
 // time and by the wildcard-resolution and alignment passes to rebuild a
 // merged trace.
 //
-// The caller hands over ownership of seqs: the group representatives alias
-// them, unification mutates them, and the other members' leaves give up
-// their compute histograms, so seqs must not be read or appended to
-// afterwards.
+// The caller hands over ownership of every sequence that only one rank
+// names: the group representatives alias them and unification mutates them,
+// so they must not be read or appended to afterwards. A sequence several
+// ranks name stays the caller's, unchanged, and no node of it is reachable
+// from the result.
 func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	defer telemetry.Region("trace.merge")()
 	tr := &Trace{N: n, Comms: comms}
@@ -52,28 +62,41 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	idx := tr.index()
 
 	// classes[i] holds the world ranks of tr.Groups[i] in ascending order;
-	// bySig lists the classes sharing a signature.
+	// bySig lists the classes sharing a signature, bySeq the class of every
+	// sequence classified so far.
 	var classes [][]int
 	bySig := make(map[uint64][]int)
+	bySeq := make(map[*Node]int, n)
 	for rank := 0; rank < n; rank++ {
-		sig := mergeSignature(seqs[rank])
-		placed := false
-		for _, ci := range bySig[sig] {
-			if mergeCompatible(seqs[classes[ci][0]], seqs[rank]) {
-				classes[ci] = append(classes[ci], rank)
-				placed = true
-				break
+		ci, placed := bySeq[seqID(seqs[rank])]
+		if !placed {
+			sig := mergeSignature(seqs[rank])
+			for _, ci = range bySig[sig] {
+				if placed = mergeCompatible(seqs[classes[ci][0]], seqs[rank]); placed {
+					break
+				}
+			}
+			if !placed {
+				ci = len(classes)
+				bySig[sig] = append(bySig[sig], ci)
+				classes = append(classes, nil)
+			}
+			if id := seqID(seqs[rank]); id != nil {
+				bySeq[id] = ci
 			}
 		}
-		if !placed {
-			bySig[sig] = append(bySig[sig], len(classes))
-			classes = append(classes, []int{rank})
-		}
+		classes[ci] = append(classes[ci], rank)
 	}
 
 	tr.Groups = make([]Group, len(classes))
 	for ci, members := range classes {
 		gseq := seqs[members[0]]
+		for _, m := range members[1:] {
+			if id := seqID(gseq); id != nil && id == seqID(seqs[m]) {
+				gseq = cloneSeq(gseq)
+				break
+			}
+		}
 		for k := 1; k < len(members); k++ {
 			foldMember(gseq, seqs[members[k]], members[:k], members[k], idx)
 		}
@@ -83,7 +106,18 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	return tr
 }
 
+// seqID identifies a sequence by where it starts: two slots of seqs name the
+// same sequence when they hold the same slice. An empty sequence has no nodes
+// to share and no identity.
+func seqID(seq []Node) *Node {
+	if len(seq) == 0 {
+		return nil
+	}
+	return &seq[0]
+}
+
 // foldMember unifies rank's sequence into the group sequence leaf by leaf.
+// rSeq is only read — it may be a sequence other ranks name too.
 // gMembers holds the ranks already folded in, ascending; mergeCompatible has
 // established that the two sequences have the same shape. Node hashes cached
 // during collection go stale as leaves generalize, so they are dropped on the

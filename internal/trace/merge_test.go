@@ -244,6 +244,89 @@ func TestMergeMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestMergeSharedSequences hands the merge sequences that several ranks
+// name — the same slice in their slots of seqs — interleaved with private
+// ones, two shared sequences landing in one group: the result must be the
+// merge of a private copy per rank, no node of a shared sequence may be
+// reachable from it, and the shared sequences must come back as they went
+// in.
+func TestMergeSharedSequences(t *testing.T) {
+	const n = 12
+	ring := func(rank int, comp float64) []Node {
+		b := NewBuilderWindow(DefaultMaxWindow)
+		for it := 0; it < 6; it++ {
+			b.Append(mleaf(rank, n, mpi.OpSend, 1, RelParam(1), 7, 512, comp+float64(it)))
+			b.Append(mleaf(rank, n, mpi.OpRecv, 2, RelParam(n-1), 7, 512, 0.5))
+		}
+		b.Append(mleaf(rank, n, mpi.OpSend, 3, AbsParam(0), 9, 64, comp/3))
+		return b.Seq()
+	}
+	edge := func(rank int) []Node {
+		return []Node{mleaf(rank, n, mpi.OpSend, 4, AbsParam((rank+5)%n), 1, 8, 0.1*float64(rank)), mleaf(rank, n, mpi.OpBarrier, 5, NoParam, 0, 0, 2.5)}
+	}
+	// Ranks 0,3,6,9 name one ring sequence and 1,4,7,10 another of the same
+	// shape: one group, folded in rank order across the two. Rank 8 brings a
+	// private ring; 2 and 5 share an edge sequence that private rank 11
+	// joins with a peer of its own.
+	shared := [][]Node{ring(0, 1.1), ring(1, 2.3), edge(2)}
+	build := func(private bool) [][]Node {
+		seqs := make([][]Node, n)
+		for r := range seqs {
+			switch {
+			case r == 8:
+				seqs[r] = ring(r, 0.7)
+			case r == 11:
+				seqs[r] = edge(r)
+			case r == 2 || r == 5:
+				seqs[r] = shared[2]
+			default:
+				seqs[r] = shared[r%3]
+			}
+			if private {
+				seqs[r] = cloneSeq(seqs[r])
+			}
+		}
+		return seqs
+	}
+	before := encodeTrace(t, &Trace{N: n, Comms: worldComms(n), Groups: []Group{{Seq: shared[0]}, {Seq: shared[1]}, {Seq: shared[2]}}})
+
+	want := encodeTrace(t, MergeRankSeqsOwned(n, worldComms(n), build(true)))
+	if legacy := encodeTrace(t, mergeRankSeqsLegacy(n, worldComms(n), build(true))); legacy != want {
+		t.Fatalf("premise: merge of private copies diverges from legacy\nlegacy:\n%s\nmerge:\n%s", legacy, want)
+	}
+	merged := MergeRankSeqsOwned(n, worldComms(n), build(false))
+	if got := encodeTrace(t, merged); got != want {
+		t.Fatalf("merge of shared sequences diverges from the merge of private copies\nprivate:\n%s\nshared:\n%s", want, got)
+	}
+	if len(merged.Groups) != 2 {
+		t.Fatalf("%d groups, want the ring ranks and the edge ranks", len(merged.Groups))
+	}
+
+	inShared := map[Node]bool{}
+	var collect func(seq []Node, visit func(Node))
+	collect = func(seq []Node, visit func(Node)) {
+		for _, node := range seq {
+			visit(node)
+			if lp, ok := node.(*Loop); ok {
+				collect(lp.Body, visit)
+			}
+		}
+	}
+	for _, seq := range shared {
+		collect(seq, func(node Node) { inShared[node] = true })
+	}
+	for _, g := range merged.Groups {
+		collect(g.Seq, func(node Node) {
+			if inShared[node] {
+				t.Fatalf("group %s reaches a node of a shared sequence: %v", g.Ranks, node)
+			}
+		})
+	}
+	if after := encodeTrace(t, &Trace{N: n, Comms: worldComms(n), Groups: []Group{{Seq: shared[0]}, {Seq: shared[1]}, {Seq: shared[2]}}}); after != before {
+		t.Fatalf("the merge changed a shared sequence\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+}
+
 // refBuilder is the pre-index exhaustive probe loop, kept verbatim as the
 // reference for the Builder's hash-index fold.
 type refBuilder struct {
