@@ -822,3 +822,71 @@ func TestVirtualClockMonotonicProperty(t *testing.T) {
 		}
 	})
 }
+
+// callDeep issues op from depth extra frames below its caller.
+//
+//go:noinline
+func callDeep(depth int, op func()) {
+	if depth > 0 {
+		callDeep(depth-1, op)
+		return
+	}
+	op()
+}
+
+// TestCallSiteBoundedWalkMatchesFullWalk runs one body cold — no rankMain
+// program counter learned, no memoized site, so every rank starts with full
+// stack walks — and warm, and requires the same call-site hashes: a walk
+// bounded at rankMain must name a source location as the full walk does,
+// from a shallower, a deeper and again a shallower stack than the one that
+// set the bound.
+func TestCallSiteBoundedWalkMatchesFullWalk(t *testing.T) {
+	depths := make([]int, 2)
+	body := func(r *Rank) {
+		c := r.World()
+		for it := 0; it < 3; it++ {
+			r.Barrier(c)
+			callDeep(4, func() { r.Allreduce(c, 8) })
+			r.Bcast(c, 0, 16)
+			callDeep(9, func() { r.Barrier(c) })
+			callDeep(2, func() { r.Reduce(c, 0, 8) })
+		}
+		depths[r.Rank()] = r.mainDepth
+	}
+	sites := func() []uint64 {
+		var out []uint64
+		tracer := func(rank int) Tracer {
+			return recordFunc(func(ev *Event) {
+				if rank == 0 {
+					out = append(out, ev.CallSite)
+				}
+			})
+		}
+		if _, err := Run(2, netmodel.Ideal(), body, WithTracer(tracer)); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	rankMainPC.Store(0)
+	siteCache.Lock()
+	clear(siteCache.m)
+	siteCache.Unlock()
+	cold := sites()
+	if rankMainPC.Load() == 0 || depths[0] == 0 {
+		t.Fatalf("rankMain's program counter %#x, walk bound %d: the bounded walk never ran", rankMainPC.Load(), depths[0])
+	}
+	warm := sites()
+	if len(cold) != len(warm) || len(cold) != 2+3*5 {
+		t.Fatalf("%d events cold, %d warm, want %d", len(cold), len(warm), 2+3*5)
+	}
+	distinct := map[uint64]bool{}
+	for i := range cold {
+		distinct[cold[i]] = true
+		if cold[i] != warm[i] {
+			t.Fatalf("event %d: site %#x from full walks, %#x from bounded ones", i, cold[i], warm[i])
+		}
+	}
+	if len(distinct) != 6 { // five source lines and rankMain's own
+		t.Fatalf("%d distinct call sites, want 6", len(distinct))
+	}
+}

@@ -20,7 +20,10 @@ type Rank struct {
 	// sites is this rank's front of the process-wide call-site cache (see
 	// callSite): raw PC hash to signature, filled on the rank's first visit
 	// of each call path. Signatures are process-stable, so it survives reset.
-	sites     map[uint64]uint64
+	sites map[uint64]uint64
+	// mainDepth is the length of the stack walk that has reached rankMain on
+	// this rank so far (see callSite); like sites it survives reset.
+	mainDepth int
 	finalized bool
 
 	// Allocation arenas: messages, posted receives and requests are carved

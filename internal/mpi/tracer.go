@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Event describes one completed MPI operation as observed by the PMPI-style
@@ -105,25 +106,46 @@ func (m MultiTracer) Record(ev *Event) {
 // coroutine frames under the event engine), and including those frames
 // would give the same source location different signatures under different
 // engines.
+//
+// It stops there in the unwinder too, not only in the symbolizer. Once a
+// symbolized walk has met rankMain, its program counter is known
+// (rankMainPC), and the rank remembers the deepest position it has seen it
+// at: the next walk asks runtime.Callers for that many frames and no more.
+// The short walk is taken only if rankMain's counter is in it — the frames
+// above are then the whole call path; a deeper stack, or a rank that has
+// not met rankMain yet, gets the full walk.
 func (r *Rank) callSite() uint64 {
 	// pcs stays on the stack: only the first visit of a call path hands a
 	// copy to the symbolizer, which retains its argument.
 	var pcs [48]uintptr
-	n := runtime.Callers(2, pcs[:])
+	main := rankMainPC.Load()
+	n, above := 0, -1 // pcs[:above] are the frames above rankMain
+	if main != 0 && r.mainDepth > 0 {
+		n = runtime.Callers(2, pcs[:r.mainDepth])
+		above = indexPC(pcs[:n], main)
+	}
+	if above < 0 {
+		n = runtime.Callers(2, pcs[:])
+		if main != 0 {
+			above = indexPC(pcs[:n], main)
+		}
+	}
+	if above >= 0 {
+		n = above + 1
+		r.mainDepth = max(r.mainDepth, n)
+	}
 
 	// Symbolizing and hashing the frames costs microseconds; with the causal
 	// profiler (or a tracer) attached it would run on every operation of
 	// every rank. A given raw PC array always symbolizes to the same
-	// signature within a process, so memoize on an FNV-1a hash of the PCs —
-	// after the first visit a call site costs one stack walk and one hit in
-	// the rank's own map, which no other rank touches.
+	// signature within a process, so memoize on an FNV-1a-style hash of the
+	// PCs, a word at a time — after the first visit a call site costs one
+	// stack walk and one hit in the rank's own map, which no other rank
+	// touches.
 	const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
 	key := uint64(fnvOffset64)
 	for _, pc := range pcs[:n] {
-		for i := 0; i < 64; i += 8 {
-			key ^= (uint64(pc) >> i) & 0xff
-			key *= fnvPrime64
-		}
+		key = (key ^ uint64(pc)) * fnvPrime64
 	}
 	if site, ok := r.sites[key]; ok {
 		return site
@@ -144,7 +166,25 @@ func (r *Rank) callSite() uint64 {
 	return site
 }
 
-// symbolizeSite computes the signature of one raw call path.
+// rankMainPC is what runtime.Callers reports for rankMain's frame under an
+// application body: the return address of its one call of the body (rankMain
+// is never inlined, so there is one). Zero until a symbolized walk has met
+// the frame.
+var rankMainPC atomic.Uintptr
+
+// indexPC returns the first position of pc in pcs — the innermost frame, as
+// the symbolizer stops at the innermost rankMain — or -1.
+func indexPC(pcs []uintptr, pc uintptr) int {
+	for i, have := range pcs {
+		if have == pc {
+			return i
+		}
+	}
+	return -1
+}
+
+// symbolizeSite computes the signature of one raw call path, and learns
+// rankMainPC from it.
 func symbolizeSite(pcs []uintptr) uint64 {
 	frames := runtime.CallersFrames(pcs)
 	h := fnv.New64a()
@@ -152,6 +192,11 @@ func symbolizeSite(pcs []uintptr) uint64 {
 	for {
 		f, more := frames.Next()
 		if strings.HasSuffix(f.Function, "internal/mpi.rankMain") {
+			// A frame's PC is the call instruction's; the walk holds the
+			// return address one past it.
+			if i := indexPC(pcs, f.PC+1); i >= 0 {
+				rankMainPC.Store(pcs[i])
+			}
 			break
 		}
 		if f.Function != "" && !isRuntimeFrame(f.Function) {

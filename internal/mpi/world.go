@@ -121,7 +121,11 @@ const denseSrcIndexRanks = 4096
 // runtimes: Init event, application body, Finalize. Keeping it a single
 // named function matters beyond tidiness — callSite() hashes the call path
 // below the application body and truncates the walk at this frame, so a
-// source location hashes identically no matter which engine drives it.
+// source location hashes identically no matter which engine drives it. It is
+// kept out of line so that the frame has one program counter under the body,
+// which callSite learns and bounds its walks by.
+//
+//go:noinline
 func rankMain(r *Rank, body func(*Rank)) {
 	// Init and Finalize issue from this exact frame, so their site is known
 	// statically: stamp it rather than letting enter() walk an empty stack.
