@@ -23,8 +23,12 @@ test:
 # replays of one freshly decoded trace (racing to build its communicator
 # index on first use), the golden digests that pin the production chain to
 # testdata/engine_golden.json and the test that pins the set of path
-# selectors, also under -race, plus a short fuzz pass over the
-# untrusted-upload trace decoder.
+# selectors, also under -race, plus short fuzz passes over the
+# untrusted-upload trace decoder and over Algorithm 1 on whatever it accepts
+# (lockstep classes against one rank per class). Algorithm 1 and Algorithm 2
+# run their suites under the detector too, on their own line with -short:
+# both are single-threaded, and the class-A legs of align's comparison take
+# a minute and a half under it.
 #
 # The two LU legs that compare against the goroutine reference run on their
 # own line at -cpu 1: under -race with two Ps the reference's real-thread
@@ -35,12 +39,14 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
 	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
+	$(GO) test -race -short ./internal/align/... ./internal/wildcard/...
 	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestEngineGoldenDigests|TestPathSelectorsArePinned' -skip '$(LU_LEGS)' .
 	$(GO) test -race -cpu 1,2 -run 'TestConcurrentWorldsDeterminism|TestConcurrentReplaysOfOneTrace' .
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' -skip '$(LU_LEGS)' .
 	$(GO) test -race -cpu 1 -run '$(LU_LEGS)' .
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
+	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s ./internal/align/
 
 # verify-fuzz drives the MP-net exporter and the bounded model checker
 # with untrusted trace documents: anything the codec accepts must lower,
@@ -74,11 +80,15 @@ bench:
 # `go test -run NONE -bench 'BenchmarkRunWorld/fast|BenchmarkRankSwitch' -cpu 1,2 . ./internal/mpi`.
 # The generate path — Algorithm 1 and the print/parse round trip on the
 # ledger's poorly compressing gen-irregular input — has no target of its own;
-# profile BenchmarkAlign or BenchmarkGeneratePipeline the same way:
-# `mkdir -p .profile && go test -run NONE -bench 'BenchmarkAlign$/sweep3d-64/A' -benchtime 100x -benchmem -cpu 2 -cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 -o .profile/repro.test -outputdir .profile . && go tool pprof -top -cum -nodecount 40 .profile/repro.test .profile/cpu.prof`
-# (`-bench 'BenchmarkGeneratePipeline/sweep3d-64/A/print.parse'` is the
-# parser's leg; drop -memprofile when reading CPU shares, its stack walks
-# are a fifth of the samples).
+# profile BenchmarkAlign (internal/align: sweep3d-64/A is the ledger's input,
+# lu-64/A and halo2d-64/A the other 9-classes-for-64-ranks kernels, bt-64/S
+# the one whose classes are single ranks) or BenchmarkGeneratePipeline the
+# same way:
+# `mkdir -p .profile && go test -run NONE -bench 'BenchmarkAlign$/(sweep3d|lu|halo2d)-64/A' -benchtime 100x -benchmem -cpu 2 -cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 -o .profile/align.test -outputdir .profile ./internal/align && go tool pprof -top -cum -nodecount 40 .profile/align.test .profile/cpu.prof`
+# (`-bench 'BenchmarkAlign$/bt-64/S'` for the single-rank case; in the root
+# package `-bench 'BenchmarkGeneratePipeline/sweep3d-64/A/print.parse'` is
+# the parser's leg; drop -memprofile when reading CPU shares, its stack
+# walks are a fifth of the samples).
 # The model checker (the ledger's verify-wildcard) likewise:
 # `mkdir -p .profile && go test -run NONE -bench 'BenchmarkVerifyCheck/check-8ranks' -benchtime 20x -benchmem -cpu 2 -cpuprofile cpu.prof -o .profile/repro.test -outputdir .profile . && go tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof`
 # (its B/state column is what one explored state costs the allocator).

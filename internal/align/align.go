@@ -3,14 +3,27 @@
 // that name the complete participant set, so the benchmark generator can
 // emit one statically-scoped collective statement (Figure 3's hoisting).
 //
-// The algorithm walks the compressed trace with one traversal context
-// (cursor) per rank. Non-collective events of the running rank are appended
-// to the output queue; when the running rank reaches a collective, its
-// traversal stops until every other member of the communicator has arrived
-// at the same collective, at which point a single merged RSD is emitted and
-// traversal resumes at the communicator's first member. The output queue is
-// recompressed on the fly, so the aligned trace remains scalable in length
-// (the paper's guarantee 3).
+// The paper's algorithm walks the compressed trace with one traversal
+// context (cursor) per rank. Non-collective events of the running rank are
+// appended to the output queue; when the running rank reaches a collective,
+// its traversal stops until every other member of the communicator has
+// arrived at the same collective, at which point a single merged RSD is
+// emitted and traversal resumes at the communicator's first member. The
+// output queue is recompressed on the fly, so the aligned trace remains
+// scalable in length (the paper's guarantee 3).
+//
+// Here the rendezvous is the paper's, rank by rank, but the traversal
+// context belongs to a lockstep class (lockstepClasses): ranks of one
+// behaviour group that are members of exactly the same leaves walk the same
+// events, so one cursor walks them and one stream builder re-compresses
+// them, once, and every member names that one sequence when the segment is
+// merged back across ranks (trace.MergeRankSeqsOwned reads a shared sequence
+// and folds each member in, in rank order). The pass costs O(c*e) emission
+// for c classes and e events per rank plus O(p*s) folding over the s nodes
+// of the compressed segments, where one context per rank costs O(p*e). A
+// class is a single rank — and the pass exactly the paper's — for ranks with
+// a vector-peer leaf, and for every rank of a trace with a collective on a
+// sub-communicator.
 package align
 
 import (
@@ -140,8 +153,8 @@ func lockstepClasses(t *trace.Trace, groupOf []int) []int {
 	for r, gi := range groupOf {
 		members[gi] = append(members[gi], r)
 	}
-	spansWorld := map[int]bool{}
-	lockstep := true
+	spansWorld := map[int]bool{} // per communicator
+	allSpan := true
 	moved := map[int]int{} // a class -> the class of its members inside the leaf
 	for gi := range t.Groups {
 		walkNodes(t.Groups[gi].Seq, func(x *trace.RSD) {
@@ -151,7 +164,7 @@ func lockstepClasses(t *trace.Trace, groupOf []int) []int {
 					spans = isPermutation(t.CommGroup(x.CommID), t.N)
 					spansWorld[x.CommID] = spans
 				}
-				lockstep = lockstep && spans
+				allSpan = allSpan && spans
 			}
 			vec := x.Peer.Kind == trace.ParamVec
 			inside := 0
@@ -178,7 +191,7 @@ func lockstepClasses(t *trace.Trace, groupOf []int) []int {
 			}
 		})
 	}
-	if !lockstep {
+	if !allSpan {
 		return singletonClasses(t, groupOf)
 	}
 	// Number the classes by first member.

@@ -84,6 +84,114 @@ var worldDrivers = map[string]bool{
 // the executor's op slot in place.
 const opStreamType = "interface{Next(r *Rank, op *RankOp) bool}"
 
+// topLevel lists the package-level names a file declares.
+func topLevel(f *ast.File) []*ast.Ident {
+	var names []*ast.Ident
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					names = append(names, s.Names...)
+				case *ast.TypeSpec:
+					names = append(names, s.Name)
+				}
+			}
+		}
+	}
+	return names
+}
+
+// alignExportViolations holds internal/align to its two entry points, Align
+// and Needed: Algorithm 1 walks lockstep classes, and a class of one rank is
+// the paper's traversal as a case of the same code — no exported option,
+// classifier or second entry point selects it, and the package reads no
+// environment.
+func alignExportViolations(files []*ast.File) []string {
+	var bad []string
+	found := map[string]bool{}
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"os"` {
+				bad = append(bad, "internal/align imports os: no environment variable selects a traversal")
+			}
+		}
+		for _, id := range topLevel(f) {
+			if !id.IsExported() {
+				continue
+			}
+			found[id.Name] = true
+			if id.Name != "Align" && id.Name != "Needed" {
+				bad = append(bad, "align."+id.Name+": internal/align exports exactly Align and Needed")
+			}
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.IsExported() {
+				bad = append(bad, "align: exported method "+fn.Name.Name)
+			}
+		}
+	}
+	for _, want := range []string{"Align", "Needed"} {
+		if !found[want] {
+			bad = append(bad, "align."+want+" is gone")
+		}
+	}
+	return bad
+}
+
+// mergeSteps are the steps of the inter-node merge — classify by signature,
+// decide compatibility, fold a member in — and of the legacy fold the tests
+// keep as its reference, each with the one function that may call it.
+var mergeSteps = map[string]string{
+	"mergeSignature":  "MergeRankSeqsOwned",
+	"mergeCompatible": "MergeRankSeqsOwned",
+	"foldMember":      "MergeRankSeqsOwned",
+	"tryMerge":        "mergeRankSeqsLegacy",
+}
+
+// mergeFunctionViolations holds internal/trace to one function that
+// classifies and folds rank sequences: MergeRankSeqsOwned, whether every
+// rank brings its own sequence or several name one. A second copy — a merge
+// "for classes" beside the merge "for ranks" — would call the same steps
+// from somewhere else, and mergeRankSeqsLegacy stays what only tests call.
+func mergeFunctionViolations(files []*ast.File) []string {
+	var bad []string
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				callee := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					callee = fun.Name
+				case *ast.SelectorExpr:
+					callee = fun.Sel.Name
+				}
+				if callee == "mergeRankSeqsLegacy" {
+					bad = append(bad, "trace."+fn.Name.Name+" calls mergeRankSeqsLegacy outside a test")
+				}
+				if owner, ok := mergeSteps[callee]; ok && fn.Name.Name != owner && fn.Name.Name != callee {
+					bad = append(bad, "trace."+fn.Name.Name+" calls "+callee+": "+owner+" is the one function that classifies and folds rank sequences")
+				}
+				return true
+			})
+		}
+	}
+	return bad
+}
+
 // TestPathSelectorsArePinned fails when a path selector appears that is not
 // on the lists above, when production code selects a reference, when a
 // command grows a -runtime flag again, when something other than the Go
@@ -91,8 +199,10 @@ const opStreamType = "interface{Next(r *Rank, op *RankOp) bool}"
 // the trace merge, Algorithm 1 or Algorithm 2 goes concurrent, when
 // mpi.OpStream's method set changes (a by-value Next), or when code outside
 // internal/trace scans a communicator group for a world rank (a second
-// translation beside Trace.CommRankOf's index) — so a PR that re-adds a
-// second path, a knob for one or a scheduler does so by editing this test.
+// translation beside Trace.CommRankOf's index), when internal/align exports
+// more than Align and Needed, or when a second function of internal/trace
+// classifies or folds rank sequences — so a PR that re-adds a second path, a
+// knob for one or a scheduler does so by editing this test.
 func TestPathSelectorsArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	parseDir := func(dir string) []*ast.File {
@@ -112,29 +222,6 @@ func TestPathSelectorsArePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		return files
-	}
-
-	// topLevel lists the package-level names a file declares.
-	topLevel := func(f *ast.File) []*ast.Ident {
-		var names []*ast.Ident
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					names = append(names, d.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.ValueSpec:
-						names = append(names, s.Names...)
-					case *ast.TypeSpec:
-						names = append(names, s.Name)
-					}
-				}
-			}
-		}
-		return names
 	}
 
 	exported := map[string]bool{}
@@ -195,6 +282,40 @@ func TestPathSelectorsArePinned(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Algorithm 1 has one entry point and the merge one implementation; each
+	// rule is first shown to fail on a tree that breaks it.
+	parseSrc := func(src string) []*ast.File {
+		f, err := parser.ParseFile(fset, "violation.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*ast.File{f}
+	}
+	if got := alignExportViolations(parseSrc(`package align
+import "os"
+var PerRank = os.Getenv("ALIGN_PER_RANK") != ""
+func Align() {}
+func Needed() {}
+func AlignPerRank() {}
+type classifier struct{}
+func (classifier) Classes() {}`)); len(got) != 4 {
+		t.Errorf("alignExportViolations finds %d of 4 violations: %q", len(got), got)
+	}
+	if got := mergeFunctionViolations(parseSrc(`package trace
+func MergeRankSeqsOwned() { mergeSignature(); mergeCompatible(); foldMember() }
+func foldMember() { foldMember() }
+func mergeRankSeqsLegacy() { g.tryMerge() }
+func mergeClassSeqs() { mergeSignature(); foldMember() }
+func (c *Collector) Trace() { mergeRankSeqsLegacy() }`)); len(got) != 3 {
+		t.Errorf("mergeFunctionViolations finds %d of 3 violations: %q", len(got), got)
+	}
+	for _, v := range alignExportViolations(parseDir(filepath.Join("internal", "align"))) {
+		t.Error(v)
+	}
+	for _, v := range mergeFunctionViolations(parseDir(filepath.Join("internal", "trace"))) {
+		t.Error(v)
 	}
 
 	// Production code — everything that is not a test — never selects a
