@@ -365,6 +365,10 @@ func (s Set) String() string {
 	return strings.Join(parts, ",")
 }
 
+// maxParsed bounds the members of a set Parse accepts; the trace codec, its
+// one caller, admits no more ranks (trace.MaxDecodeRanks).
+const maxParsed = 1 << 20
+
 // Parse decodes the String form ("{}" or comma-separated runs).
 func Parse(text string) (Set, error) {
 	text = strings.TrimSpace(text)
@@ -400,8 +404,14 @@ func Parse(text string) (Set, error) {
 			if hi < lo {
 				return Set{}, fmt.Errorf("taskset: descending range %q", part)
 			}
-			for v := lo; v <= hi; v += stride {
-				ranks = append(ranks, v)
+			// A dozen bytes of text name a run of any length, and the runs
+			// are expanded before they are packed again.
+			span := hi - lo
+			if span < 0 || span/stride >= maxParsed-len(ranks) {
+				return Set{}, fmt.Errorf("taskset: %q holds more than %d ranks", text, maxParsed)
+			}
+			for i := 0; i <= span/stride; i++ {
+				ranks = append(ranks, lo+i*stride)
 			}
 		default:
 			return Set{}, fmt.Errorf("taskset: malformed run %q", part)

@@ -150,10 +150,23 @@ func TestStringParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{"a", "1:b", "1:5:0", "5:1", "1:2:3:4", "x:y"} {
+	// The last three would expand to gigabytes.
+	for _, bad := range []string{"a", "1:b", "1:5:0", "5:1", "1:2:3:4", "x:y",
+		"1:110864359", "7,0:1048575", "-9223372036854775808:9223372036854775807"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// A stride near the top of int must not wrap the expansion around.
+func TestParseHugeStride(t *testing.T) {
+	s, err := Parse("0:9223372036854775807:9223372036854775806")
+	if err != nil || !s.Equal(Of(0, 9223372036854775806)) {
+		t.Fatalf("Parse = %v, %v", s, err)
+	}
+	if s, err = Parse("0:1048575"); err != nil || s.Size() != 1<<20 {
+		t.Fatalf("a set of 2^20 ranks: %v, %v", s.Size(), err)
 	}
 }
 
