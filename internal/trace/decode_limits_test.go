@@ -52,6 +52,11 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			want:  "comm 2 lists member 0 twice",
 		},
 		{
+			name:  "rank set of a hundred million members",
+			input: "scalatrace-go 1\nnprocs 12\ncomms 0\ngroups 1\ngroup 0:11 1\nrsd op=Send site=1 ranks=1:110864359 comm=0 csize=12 peer=rel+1 tag=0 size=64 root=-1\n",
+			want:  "holds more than 1048576 ranks",
+		},
+		{
 			name:  "duplicate comm id",
 			input: "scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 1 0,1\ncomm 1 2,3\ngroups 0\n",
 			want:  "duplicate comm id 1",

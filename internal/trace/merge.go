@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/taskset"
 	"repro/internal/telemetry"
@@ -22,23 +22,23 @@ import (
 //     therefore sees its members in rank order — the order peers, rank sets
 //     and the (order-sensitive) floating-point histogram sums depend on.
 //
-// Several ranks may name the same sequence (Algorithm 1 builds one per class
-// of ranks that traverse in lockstep, see internal/align): the same slice in
-// more than one slot of seqs. Such a sequence is hashed and compared once —
-// a rank naming a sequence already classified joins that rank's class — and
-// is only ever read: a representative that shares its sequence is folded
-// into a clone, and every member is still folded in, one at a time in
-// ascending rank order, whichever sequence it names. The result is what the
-// merge returns for n private copies, bit for bit.
+// Several ranks may name the same sequence — the same slice in more than one
+// slot of seqs; Algorithm 1 builds one per class of lockstep ranks. It is
+// hashed and compared once, a rank naming a classified sequence joining that
+// rank's class, and only ever read: a representative that shares its
+// sequence is folded into a clone, and every member is still folded in, in
+// ascending rank order, whichever sequence it names. The result is that of
+// n private copies, bit for bit.
 //
 // Peer unification translates world ranks to communicator ranks once per leaf
 // and member; it reads the merged trace's communicator index (commindex.go),
 // which the merge builds and the trace keeps for every later CommRankOf.
 //
-// The output is bit-identical to mergeRankSeqsLegacy, the original fold kept
-// below as the tests' reference, which rescans every group's whole sequence
-// per rank: O(ranks * groups * trace length) against one hash of every leaf
-// of every distinct sequence plus one fold step per member per leaf here.
+// The output is bit-identical to mergeRankSeqsLegacy, the original fold the
+// tests keep as their reference (merge_legacy_test.go), which rescans every
+// group's whole sequence per rank: O(ranks * groups * trace length) against
+// one hash of every leaf of every distinct sequence plus one fold step per
+// member per leaf here.
 
 // MergeRankSeqsOwned performs ScalaTrace's inter-node merge: per-rank
 // compressed sequences are unified into behaviour groups with generalized
@@ -81,9 +81,7 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 				bySig[sig] = append(bySig[sig], ci)
 				classes = append(classes, nil)
 			}
-			if id := seqID(seqs[rank]); id != nil {
-				bySeq[id] = ci
-			}
+			bySeq[seqID(seqs[rank])] = ci
 		}
 		classes[ci] = append(classes[ci], rank)
 	}
@@ -91,11 +89,8 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	tr.Groups = make([]Group, len(classes))
 	for ci, members := range classes {
 		gseq := seqs[members[0]]
-		for _, m := range members[1:] {
-			if id := seqID(gseq); id != nil && id == seqID(seqs[m]) {
-				gseq = cloneSeq(gseq)
-				break
-			}
+		if slices.ContainsFunc(members[1:], func(m int) bool { return seqID(seqs[m]) == seqID(gseq) }) {
+			gseq = cloneSeq(gseq)
 		}
 		for k := 1; k < len(members); k++ {
 			foldMember(gseq, seqs[members[k]], members[:k], members[k], idx)
@@ -106,9 +101,8 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	return tr
 }
 
-// seqID identifies a sequence by where it starts: two slots of seqs name the
-// same sequence when they hold the same slice. An empty sequence has no nodes
-// to share and no identity.
+// seqID identifies a sequence by where it starts: two slots of seqs that hold
+// the same slice name the same sequence. Empty ones are all the same.
 func seqID(seq []Node) *Node {
 	if len(seq) == 0 {
 		return nil
@@ -142,8 +136,8 @@ func foldMember(gSeq, rSeq []Node, gMembers []int, rank int, idx *commIndex) {
 }
 
 // mergeSignature hashes exactly the fields that decide group membership
-// during the inter-node merge: the structural identity compared by
-// rsdUnifiable plus the peer class (peerless, wildcard or concrete — peer
+// during the inter-node merge: the structural identity rsdCompatible
+// compares, peer class included (peerless, wildcard or concrete — peer
 // *values* never block a merge, they generalize or degrade to a vector).
 // Unifiable sequences therefore always hash equal; collisions are resolved
 // by mergeCompatible.
@@ -197,8 +191,8 @@ func peerClass(k ParamKind) int {
 }
 
 // mergeCompatible reports whether two sequences unify into one behaviour
-// group. It is the decision procedure behind seqUnifiable restricted to the
-// order-independent fields, and is an equivalence relation — which is what
+// group. It compares only order-independent fields (the legacy fold's
+// seqUnifiable also tried the peers), and is an equivalence relation — which is what
 // lets classification compare each rank with one representative per class.
 func mergeCompatible(a, b []Node) bool {
 	if len(a) != len(b) {
@@ -236,33 +230,6 @@ func rsdCompatible(x, y *RSD) bool {
 		}
 	}
 	return peerClass(x.Peer.Kind) == peerClass(y.Peer.Kind)
-}
-
-// mergeRankSeqsLegacy is the original first-fit fold, kept as the reference
-// implementation: the trace tests assert that MergeRankSeqsOwned reproduces
-// it bit-for-bit on every peer-pattern and loop shape.
-func mergeRankSeqsLegacy(n int, comms map[int][]int, seqs [][]Node) *Trace {
-	tr := &Trace{N: n, Comms: comms}
-	for rank := 0; rank < n; rank++ {
-		seq := seqs[rank]
-		merged := false
-		for gi := range tr.Groups {
-			if tr.Groups[gi].tryMerge(seq, rank, tr) {
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			tr.Groups = append(tr.Groups, Group{
-				Ranks: taskset.Of(rank),
-				Seq:   cloneSeq(seq),
-			})
-		}
-	}
-	sort.Slice(tr.Groups, func(i, j int) bool {
-		return tr.Groups[i].Ranks.Min() < tr.Groups[j].Ranks.Min()
-	})
-	return tr
 }
 
 func cloneSeq(seq []Node) []Node {

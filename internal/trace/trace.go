@@ -131,81 +131,14 @@ func seqTotalEvents(seq []Node) int {
 	return n
 }
 
-// tryMerge attempts to merge a single rank's sequence into the group,
-// generalizing peer parameters where needed. On success the group is
-// mutated and true is returned; on failure the group is unchanged.
-func (g *Group) tryMerge(seq []Node, rank int, tr *Trace) bool {
-	if !seqUnifiable(g.Seq, seq, g.Ranks, rank, tr) {
-		return false
-	}
-	seqApplyMerge(g.Seq, seq, g.Ranks, rank, tr)
-	g.Ranks = g.Ranks.Add(rank)
-	return true
-}
-
-func seqUnifiable(gSeq, rSeq []Node, gRanks taskset.Set, rank int, tr *Trace) bool {
-	if len(gSeq) != len(rSeq) {
-		return false
-	}
-	for i := range gSeq {
-		if !nodeUnifiable(gSeq[i], rSeq[i], gRanks, rank, tr) {
-			return false
-		}
-	}
-	return true
-}
-
-func nodeUnifiable(gn, rn Node, gRanks taskset.Set, rank int, tr *Trace) bool {
-	switch gx := gn.(type) {
-	case *Loop:
-		rx, ok := rn.(*Loop)
-		if !ok || gx.Iters != rx.Iters {
-			return false
-		}
-		return seqUnifiable(gx.Body, rx.Body, gRanks, rank, tr)
-	case *RSD:
-		rx, ok := rn.(*RSD)
-		if !ok {
-			return false
-		}
-		return rsdUnifiable(gx, rx, gRanks, rank, tr)
-	}
-	return false
-}
-
-func rsdUnifiable(gx, rx *RSD, gRanks taskset.Set, rank int, tr *Trace) bool {
-	if gx.Op != rx.Op || gx.Site != rx.Site || gx.CommID != rx.CommID ||
-		gx.CommSize != rx.CommSize || gx.Wildcard != rx.Wildcard ||
-		gx.Tag != rx.Tag || gx.Size != rx.Size || gx.Root != rx.Root ||
-		gx.NewCommID != rx.NewCommID {
-		return false
-	}
-	if len(gx.Counts) != len(rx.Counts) {
-		return false
-	}
-	for i := range gx.Counts {
-		if gx.Counts[i] != rx.Counts[i] {
-			return false
-		}
-	}
-	_, _, ok := unifyPeer(gx, rx, gRanks, rank, tr)
-	return ok
-}
-
-// unifyPeer computes the generalized peer parameter that covers both the
-// group's existing parameter and the new rank's concrete one. When no
+// unifyPeerMembers computes the generalized peer parameter that covers both
+// the group's existing parameter and the new rank's concrete one. When no
 // affine (relative) or bitwise (xor) pattern covers both, the peers fall
 // back to an explicit per-rank vector (ScalaTrace records irregular
-// parameters as value lists for the same reason): the vector returned is
-// ordered by the world ranks of gRanks ∪ {rank}.
-func unifyPeer(gx, rx *RSD, gRanks taskset.Set, rank int, tr *Trace) (Param, []int, bool) {
-	return unifyPeerMembers(gx, rx, gRanks.Members(), rank, tr)
-}
-
-// unifyPeerMembers is the core of unifyPeer: gMembers holds the group's
-// world ranks in ascending order, and idx supplies (possibly cached)
-// communicator translation. The merge fold calls it directly with
-// member-prefix slices so no rank sets are materialized in the hot path.
+// parameters as value lists for the same reason), ordered by the world ranks
+// of gMembers ∪ {rank}. gMembers holds the group's world ranks in ascending
+// order — the merge fold passes member-prefix slices, so no rank set is
+// materialized in the hot path — and idx supplies communicator translation.
 func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (Param, []int, bool) {
 	switch {
 	case gx.Peer.Kind == ParamNone && rx.Peer.Kind == ParamNone:
@@ -359,25 +292,6 @@ func relOffset(peer, worldRank, commID, commSize int, idx PeerIndexer) (int, boo
 		off += commSize
 	}
 	return off, true
-}
-
-func seqApplyMerge(gSeq, rSeq []Node, gRanks taskset.Set, rank int, tr *Trace) {
-	for i := range gSeq {
-		switch gx := gSeq[i].(type) {
-		case *Loop:
-			rx := rSeq[i].(*Loop)
-			seqApplyMerge(gx.Body, rx.Body, gRanks, rank, tr)
-		case *RSD:
-			rx := rSeq[i].(*RSD)
-			if p, vec, ok := unifyPeer(gx, rx, gRanks, rank, tr); ok {
-				gx.Peer = p
-				gx.PeerVec = vec
-			}
-			gx.mergeComputeFrom(rx)
-			gx.Ranks = gx.Ranks.Add(rank)
-			gx.hashSet = false
-		}
-	}
 }
 
 // Cursor walks the events of one rank through a compressed sequence,

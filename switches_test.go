@@ -145,20 +145,20 @@ func alignExportViolations(files []*ast.File) []string {
 }
 
 // mergeSteps are the steps of the inter-node merge — classify by signature,
-// decide compatibility, fold a member in — and of the legacy fold the tests
-// keep as its reference, each with the one function that may call it.
+// decide compatibility, fold a member in — each with the one function that
+// may call it.
 var mergeSteps = map[string]string{
 	"mergeSignature":  "MergeRankSeqsOwned",
 	"mergeCompatible": "MergeRankSeqsOwned",
 	"foldMember":      "MergeRankSeqsOwned",
-	"tryMerge":        "mergeRankSeqsLegacy",
 }
 
 // mergeFunctionViolations holds internal/trace to one function that
 // classifies and folds rank sequences: MergeRankSeqsOwned, whether every
 // rank brings its own sequence or several name one. A second copy — a merge
 // "for classes" beside the merge "for ranks" — would call the same steps
-// from somewhere else, and mergeRankSeqsLegacy stays what only tests call.
+// from somewhere else. (The legacy fold the tests keep as the merge's
+// reference lives in a _test.go file: production code cannot name it.)
 func mergeFunctionViolations(files []*ast.File) []string {
 	var bad []string
 	for _, f := range files {
@@ -178,9 +178,6 @@ func mergeFunctionViolations(files []*ast.File) []string {
 					callee = fun.Name
 				case *ast.SelectorExpr:
 					callee = fun.Sel.Name
-				}
-				if callee == "mergeRankSeqsLegacy" {
-					bad = append(bad, "trace."+fn.Name.Name+" calls mergeRankSeqsLegacy outside a test")
 				}
 				if owner, ok := mergeSteps[callee]; ok && fn.Name.Name != owner && fn.Name.Name != callee {
 					bad = append(bad, "trace."+fn.Name.Name+" calls "+callee+": "+owner+" is the one function that classifies and folds rank sequences")
@@ -306,9 +303,8 @@ func (classifier) Classes() {}`)); len(got) != 4 {
 	if got := mergeFunctionViolations(parseSrc(`package trace
 func MergeRankSeqsOwned() { mergeSignature(); mergeCompatible(); foldMember() }
 func foldMember() { foldMember() }
-func mergeRankSeqsLegacy() { g.tryMerge() }
 func mergeClassSeqs() { mergeSignature(); foldMember() }
-func (c *Collector) Trace() { mergeRankSeqsLegacy() }`)); len(got) != 3 {
+func (c *Collector) Trace() { mergeCompatible() }`)); len(got) != 3 {
 		t.Errorf("mergeFunctionViolations finds %d of 3 violations: %q", len(got), got)
 	}
 	for _, v := range alignExportViolations(parseDir(filepath.Join("internal", "align"))) {
