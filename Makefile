@@ -25,10 +25,12 @@ test:
 # testdata/engine_golden.json and the test that pins the set of path
 # selectors, also under -race, plus short fuzz passes over the
 # untrusted-upload trace decoder and over Algorithm 1 on whatever it accepts
-# (lockstep classes against one rank per class). Algorithm 1 and Algorithm 2
-# run their suites under the detector too, on their own line with -short:
-# both are single-threaded, and the class-A legs of align's comparison take
-# a minute and a half under it.
+# (lockstep classes against one rank per class; -fuzzminimizetime because
+# its seeds are whole encoded traces, and the engine otherwise spends the ten
+# seconds shrinking the first input that adds coverage). Algorithm 1 and
+# Algorithm 2 run their suites under the detector too, on their own line
+# with -short: both are single-threaded, and the class-A legs of align's
+# comparison take a minute and a half under it.
 #
 # The two LU legs that compare against the goroutine reference run on their
 # own line at -cpu 1: under -race with two Ps the reference's real-thread
@@ -46,7 +48,7 @@ check:
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' -skip '$(LU_LEGS)' .
 	$(GO) test -race -cpu 1 -run '$(LU_LEGS)' .
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
-	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s ./internal/align/
+	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s -fuzzminimizetime 10x ./internal/align/
 
 # verify-fuzz drives the MP-net exporter and the bounded model checker
 # with untrusted trace documents: anything the codec accepts must lower,

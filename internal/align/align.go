@@ -13,21 +13,16 @@
 // scalable in length (the paper's guarantee 3).
 //
 // Here the rendezvous is the paper's, rank by rank, but the traversal
-// context belongs to a lockstep class (lockstepClasses): ranks of one
-// behaviour group that are members of exactly the same leaves walk the same
-// events, so one cursor walks them and one stream builder re-compresses
-// them, once, and every member names that one sequence when the segment is
-// merged back across ranks (trace.MergeRankSeqsOwned reads a shared sequence
-// and folds each member in, in rank order). The pass costs O(c*e) emission
-// for c classes and e events per rank plus O(p*s) folding over the s nodes
-// of the compressed segments, where one context per rank costs O(p*e). A
-// class is a single rank — and the pass exactly the paper's — for ranks with
-// a vector-peer leaf, and for every rank of a trace with a collective on a
-// sub-communicator.
+// context belongs to a class of ranks that walk the same events
+// (lockstepClasses): one cursor, one re-compressed segment that every member
+// names in the merge. O(c*e) emission for c classes plus O(p*s) folding of
+// compressed segments, where a context per rank is O(p*e); see DESIGN.md
+// Section 16.
 package align
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/taskset"
@@ -75,14 +70,12 @@ func walkNodes(seq []trace.Node, f func(*trace.RSD)) {
 }
 
 // pendingColl tracks one in-progress collective rendezvous on a
-// communicator. Both slices are indexed by communicator position, so
-// everything derived from them — the pooled compute sample above all, a
-// floating-point sum — is taken in communicator order, not in the order the
-// traversal happened to reach the members.
+// communicator. Both slices are indexed by communicator position: the pooled
+// compute sample is a floating-point sum and must not depend on the order
+// the traversal reached the members in.
 type pendingColl struct {
 	arrived []*trace.RSD // a member's RSD, nil until it arrives
 	means   []float64    // its per-instance compute mean
-	n       int          // members arrived
 }
 
 // Align runs Algorithm 1 and returns a new trace in global-queue form: a
@@ -94,164 +87,89 @@ func Align(t *trace.Trace) (*trace.Trace, error) {
 	return alignWith(t, lockstepClasses, trace.NewStreamBuilder)
 }
 
-// lockstep is the traversal context of one class of ranks that walk the
-// trace in lockstep: one cursor, and one stream builder for the segment —
-// the class's events since the last collective any communicator completed.
-// The builder is reset at every such cut and its leaves carry the first
-// member's singleton set, so its sequence is what that member alone would
-// have built and, up to that set, what every other member would have.
+// lockstep is the traversal context of one class: one cursor, and one stream
+// builder for the segment, the class's events since the last completed
+// collective. Its leaves carry the first member's singleton set: it is the
+// sequence that member alone would have built.
 type lockstep struct {
 	first, size int
 	ranks       taskset.Set // {first}
 	cur         *trace.Cursor
 	seg         *trace.Builder
-	// ran: a member has walked the stretch from the class's last collective
-	// to cur, emitting it; progressed: the stretch holds an event.
+	// ran: a member has walked, and emitted, the stretch from the class's
+	// last collective to cur; progressed: the stretch holds an event.
 	ran, progressed bool
 }
 
-// groupsOf returns, per rank, the index of the first group that holds it.
-func groupsOf(t *trace.Trace) ([]int, error) {
-	if t.N <= 0 {
-		return nil, fmt.Errorf("align: trace of %d ranks", t.N)
-	}
-	groupOf := make([]int, t.N)
-	for r := range groupOf {
-		groupOf[r] = -1
-		for gi := range t.Groups {
-			if t.Groups[gi].Ranks.Contains(r) {
-				groupOf[r] = gi
-				break
-			}
-		}
-		if groupOf[r] < 0 {
-			return nil, fmt.Errorf("align: rank %d missing from trace", r)
-		}
-	}
-	return groupOf, nil
-}
-
-// lockstepClasses partitions the ranks into the classes Algorithm 1 may walk
-// as one, returning each rank's class, classes numbered by their first
-// member. Two ranks share a class when they are in the same group, are
-// members of exactly the same leaves of its sequence — the partition is
-// refined leaf by leaf, nothing is hashed — and are members of no leaf with
-// a vector peer: they then visit the same RSDs in the same loop iterations,
-// and every leaf emitted for one is, up to its rank set, the leaf emitted
-// for the other. (A vector peer is the one field emitLeaf resolves per
-// rank.)
-//
-// That makes their event streams equal, not yet their segments: a segment
-// ends wherever its rank stands when some collective completes. If every
-// collective spans all N ranks, every rank stands at that collective; if one
-// does not, where a non-member stands depends on the order the rendezvous
-// visited the ranks in, and every class is a single rank.
+// lockstepClasses returns each rank's class, numbered by first member. Two
+// ranks share a class when they are in the same group, members of exactly
+// the same leaves of its sequence (refined leaf by leaf, nothing is hashed)
+// and of no leaf with a vector peer, the one field emitLeaf resolves per
+// rank: they emit, up to the rank set, the same leaves. Their segments are
+// equal too if every collective has N members — it completes with every
+// rank standing at it. Behind one of fewer, where a non-member stands
+// depends on the order of the visits, and every rank is alone.
 func lockstepClasses(t *trace.Trace, groupOf []int) []int {
-	class := append([]int(nil), groupOf...)
-	next := len(t.Groups)
+	class := slices.Clone(groupOf)
 	members := make([][]int, len(t.Groups))
 	for r, gi := range groupOf {
 		members[gi] = append(members[gi], r)
 	}
-	spansWorld := map[int]bool{} // per communicator
-	allSpan := true
-	moved := map[int]int{} // a class -> the class of its members inside the leaf
+	// to[c] is the class of c's members inside the leaf being visited, while
+	// stamp[c] names that leaf.
+	next, leaf, alone := len(t.Groups), 0, false
+	to, stamp := make([]int, next), make([]int, next)
 	for gi := range t.Groups {
 		walkNodes(t.Groups[gi].Seq, func(x *trace.RSD) {
-			if x.Op.IsCollective() {
-				spans, ok := spansWorld[x.CommID]
-				if !ok {
-					spans = isPermutation(t.CommGroup(x.CommID), t.N)
-					spansWorld[x.CommID] = spans
-				}
-				allSpan = allSpan && spans
-			}
-			vec := x.Peer.Kind == trace.ParamVec
-			inside := 0
-			for _, r := range members[gi] {
-				if x.Ranks.Contains(r) {
-					inside++
-				}
-			}
-			if inside == 0 || inside == len(members[gi]) && !vec {
-				return // splits no class
-			}
-			clear(moved)
+			alone = alone || x.Op.IsCollective() && len(t.CommGroup(x.CommID)) != t.N
+			leaf++
 			for _, r := range members[gi] {
 				if !x.Ranks.Contains(r) {
 					continue
 				}
-				to, ok := moved[class[r]]
-				if !ok || vec {
-					to = next
-					next++
-					moved[class[r]] = to
+				if c := class[r]; stamp[c] != leaf || x.Peer.Kind == trace.ParamVec {
+					stamp[c], to[c] = leaf, next
+					next, to, stamp = next+1, append(to, 0), append(stamp, 0)
 				}
-				class[r] = to
+				class[r] = to[class[r]]
 			}
 		})
 	}
-	if !allSpan {
-		return singletonClasses(t, groupOf)
-	}
-	// Number the classes by first member.
-	clear(moved)
+	byFirst := map[int]int{}
 	for r, c := range class {
-		to, ok := moved[c]
-		if !ok {
-			to = len(moved)
-			moved[c] = to
+		if alone {
+			c = next + r
 		}
-		class[r] = to
+		if _, ok := byFirst[c]; !ok {
+			byFirst[c] = len(byFirst)
+		}
+		class[r] = byFirst[c]
 	}
 	return class
 }
 
-// singletonClasses is the partition into single ranks: the traversal of the
-// paper's Algorithm 1, one context per node.
-func singletonClasses(t *trace.Trace, _ []int) []int {
-	class := make([]int, t.N)
-	for r := range class {
-		class[r] = r
-	}
-	return class
-}
-
-// isPermutation reports whether comm lists each of the n world ranks once.
-func isPermutation(comm []int, n int) bool {
-	if len(comm) != n {
-		return false
-	}
-	seen := make([]bool, n)
-	for _, r := range comm {
-		if r < 0 || r >= n || seen[r] {
-			return false
-		}
-		seen[r] = true
-	}
-	return true
-}
-
-// alignWith is Align with the partition into lockstep classes and the
-// constructor of the segment builders as parameters, so a test can run the
-// same pass one rank per class, or on builders that never recycle a leaf.
+// alignWith is Align with the classifier and the segment builders'
+// constructor as parameters: tests run the same pass one rank per class, or
+// on builders that never recycle a leaf.
 func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegment func(window int) *trace.Builder) (*trace.Trace, error) {
 	defer telemetry.Region("align.run")()
 	n := t.N
-	groupOf, err := groupsOf(t)
-	if err != nil {
-		return nil, err
+	if n <= 0 {
+		return nil, fmt.Errorf("align: trace of %d ranks", n)
+	}
+	groupOf := make([]int, n) // the first group that holds the rank
+	for r := range groupOf {
+		groupOf[r] = slices.IndexFunc(t.Groups, func(g trace.Group) bool { return g.Ranks.Contains(r) })
+		if groupOf[r] < 0 {
+			return nil, fmt.Errorf("align: rank %d missing from trace", r)
+		}
 	}
 	classOf := classify(t, groupOf)
 	var classes []*lockstep
 	for r, c := range classOf {
 		if c == len(classes) {
-			classes = append(classes, &lockstep{
-				first: r,
-				ranks: taskset.Of(r),
-				cur:   trace.NewCursor(t.Groups[groupOf[r]].Seq, r),
-				seg:   newSegment(trace.DefaultWindow()),
-			})
+			classes = append(classes, &lockstep{first: r, ranks: taskset.Of(r),
+				cur: trace.NewCursor(t.Groups[groupOf[r]].Seq, r), seg: newSegment(trace.DefaultWindow())})
 		}
 		classes[c].size++
 	}
@@ -264,11 +182,8 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 	// Non-collective runs are buffered per class and re-merged across ranks
 	// when the next collective closes the segment; this keeps the aligned
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)
-	// instead of exploding into per-rank leaves. Every member of a class
-	// names the class's one sequence, which the merge then only reads — it
-	// still folds the members in one by one, in rank order across classes —
-	// so the leaves come back to the class's builder; a class of one hands
-	// its sequence over.
+	// instead of exploding into per-rank leaves. The merge only reads a
+	// sequence several members name, so its leaves go back to the builder.
 	seqs := make([][]trace.Node, n)
 	flushSegments := func() {
 		empty := true
@@ -290,14 +205,11 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		}
 	}
 
-	// The rendezvous is the paper's, rank by rank: which rank is visited
-	// next, which arrivals a collective waits for and when the traversal is
-	// stuck are decided per rank. Only the walking is shared. Between two
-	// collectives of its class a rank is either at the class's cursor or one
-	// stretch behind it, at the event after the last collective (walked[r]
-	// false): the cursor cannot pass a collective before every member has
-	// arrived there. The first member visited walks the stretch and emits
-	// it; a later one has the same events to walk and nothing to emit.
+	// The rendezvous is the paper's, rank by rank; only the walking is
+	// shared. A class's cursor cannot pass a collective before every member
+	// has arrived, so a rank is at the cursor or one stretch behind it
+	// (walked[r] false): the first member visited walks and emits the
+	// stretch, a later one has the same events behind it and nothing to emit.
 	walked := make([]bool, n)
 	done := func(r int) bool {
 		c := classes[classOf[r]]
@@ -360,17 +272,16 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 			pc = &pendingColl{arrived: make([]*trace.RSD, len(comm)), means: make([]float64, len(comm))}
 			pending[rsd.CommID] = pc
 		}
-		if first := firstArrival(pc); first != nil && first.Op != rsd.Op {
+		arrived := func(r *trace.RSD) bool { return r != nil }
+		if i := slices.IndexFunc(pc.arrived, arrived); i >= 0 && pc.arrived[i].Op != rsd.Op {
 			return nil, fmt.Errorf("align: collective mismatch on comm %d: %v vs %v",
-				rsd.CommID, first.Op, rsd.Op)
-		}
-		if pc.arrived[pos] == nil {
-			pc.n++
+				rsd.CommID, pc.arrived[i].Op, rsd.Op)
 		}
 		pc.arrived[pos] = rsd
 		pc.means[pos] = rsd.ComputeMeanAt(c.cur.InnermostIter() == 0)
 
-		if pc.n == len(comm) {
+		missing := slices.Index(pc.arrived, nil)
+		if missing < 0 {
 			// Everyone arrived: close the current point-to-point segment,
 			// emit the merged collective(s) and release the members, each
 			// class's cursor once.
@@ -389,13 +300,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 			continue
 		}
 		// Switch traversal to the next member that has not arrived.
-		next := -1
-		for i, member := range comm {
-			if pc.arrived[i] == nil {
-				next = member
-				break
-			}
-		}
+		next := comm[missing]
 		if visitedSinceProgress[next] {
 			return nil, fmt.Errorf("align: no progress possible; rank %d blocked on %v over comm %d",
 				next, rsd.Op, rsd.CommID)
@@ -409,24 +314,11 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 	}
 	flushSegments()
 
-	all := taskset.Range(0, n-1)
-	aligned := &trace.Trace{
+	return &trace.Trace{
 		N:      n,
 		Comms:  copyComms(t.Comms),
-		Groups: []trace.Group{{Ranks: all, Seq: out.Seq()}},
-	}
-	return aligned, nil
-}
-
-// firstArrival returns the RSD of the first member, in communicator order,
-// that has arrived, or nil.
-func firstArrival(pc *pendingColl) *trace.RSD {
-	for _, r := range pc.arrived {
-		if r != nil {
-			return r
-		}
-	}
-	return nil
+		Groups: []trace.Group{{Ranks: taskset.Range(0, n-1), Seq: out.Seq()}},
+	}, nil
 }
 
 // emitCollective appends the merged collective RSD(s). CommSplit/CommDup

@@ -82,13 +82,10 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 	recycled, shared := false, false
 	for _, name := range []string{"sweep3d", "is", "lu"} {
 		tr := traceKernel(t, name, 16)
-		groupOf, err := groupsOf(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		classOf := lockstepClasses(tr, groupOf)
+		classOf := lockstepClasses(tr, groupsOf(tr))
 		shared = shared || classOf[len(classOf)-1] < len(classOf)-1
 		var aligned, reference *trace.Trace
+		var err error
 		recycling := testing.AllocsPerRun(1, func() { aligned, err = Align(tr) })
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -3,6 +3,7 @@ package align
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -17,6 +18,16 @@ import (
 // paper's Algorithm 1 — on whatever trace it is given. They must agree on
 // every line of traceLines, or on the error.
 
+// singletonClasses is the partition into single ranks: the traversal of the
+// paper's Algorithm 1, one context per node.
+func singletonClasses(t *trace.Trace, _ []int) []int {
+	class := make([]int, t.N)
+	for r := range class {
+		class[r] = r
+	}
+	return class
+}
+
 func lockstepVsPerRank(t *testing.T, label string, tr *trace.Trace) {
 	t.Helper()
 	got, gotErr := Align(tr)
@@ -30,15 +41,20 @@ func lockstepVsPerRank(t *testing.T, label string, tr *trace.Trace) {
 	sameTrace(t, label, got, want)
 }
 
+// groupsOf returns, per rank, the index of the first group that holds it.
+func groupsOf(tr *trace.Trace) []int {
+	groupOf := make([]int, tr.N)
+	for r := range groupOf {
+		groupOf[r] = slices.IndexFunc(tr.Groups, func(g trace.Group) bool { return g.Ranks.Contains(r) })
+	}
+	return groupOf
+}
+
 // classCount returns the number of lockstep classes of tr.
 func classCount(t testing.TB, tr *trace.Trace) int {
 	t.Helper()
-	groupOf, err := groupsOf(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	classes := 0
-	for _, c := range lockstepClasses(tr, groupOf) {
+	for _, c := range lockstepClasses(tr, groupsOf(tr)) {
 		classes = max(classes, c+1)
 	}
 	return classes

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,31 +108,28 @@ func (m MultiTracer) Record(ev *Event) {
 // would give the same source location different signatures under different
 // engines.
 //
-// It stops there in the unwinder too, not only in the symbolizer. Once a
-// symbolized walk has met rankMain, its program counter is known
-// (rankMainPC), and the rank remembers the deepest position it has seen it
-// at: the next walk asks runtime.Callers for that many frames and no more.
-// The short walk is taken only if rankMain's counter is in it — the frames
-// above are then the whole call path; a deeper stack, or a rank that has
-// not met rankMain yet, gets the full walk.
+// The unwinder stops there too. Once a symbolized walk has met rankMain its
+// program counter is known (rankMainPC), and the rank remembers the deepest
+// position it has seen it at: the next walk asks runtime.Callers for that
+// many frames and is taken only if rankMain's counter is among them — the
+// frames above are then the whole call path. A deeper stack, or a rank that
+// has not met rankMain yet, gets the full walk.
 func (r *Rank) callSite() uint64 {
 	// pcs stays on the stack: only the first visit of a call path hands a
 	// copy to the symbolizer, which retains its argument.
 	var pcs [48]uintptr
 	main := rankMainPC.Load()
-	n, above := 0, -1 // pcs[:above] are the frames above rankMain
+	n, at := 0, -1 // position of rankMain's frame in pcs[:n]
 	if main != 0 && r.mainDepth > 0 {
 		n = runtime.Callers(2, pcs[:r.mainDepth])
-		above = indexPC(pcs[:n], main)
+		at = slices.Index(pcs[:n], main)
 	}
-	if above < 0 {
+	if at < 0 {
 		n = runtime.Callers(2, pcs[:])
-		if main != 0 {
-			above = indexPC(pcs[:n], main)
-		}
+		at = slices.Index(pcs[:n], main) // -1 while main is still zero
 	}
-	if above >= 0 {
-		n = above + 1
+	if at >= 0 {
+		n = at + 1
 		r.mainDepth = max(r.mainDepth, n)
 	}
 
@@ -168,20 +166,8 @@ func (r *Rank) callSite() uint64 {
 
 // rankMainPC is what runtime.Callers reports for rankMain's frame under an
 // application body: the return address of its one call of the body (rankMain
-// is never inlined, so there is one). Zero until a symbolized walk has met
-// the frame.
+// is never inlined). Zero until a symbolized walk has met the frame.
 var rankMainPC atomic.Uintptr
-
-// indexPC returns the first position of pc in pcs — the innermost frame, as
-// the symbolizer stops at the innermost rankMain — or -1.
-func indexPC(pcs []uintptr, pc uintptr) int {
-	for i, have := range pcs {
-		if have == pc {
-			return i
-		}
-	}
-	return -1
-}
 
 // symbolizeSite computes the signature of one raw call path, and learns
 // rankMainPC from it.
@@ -193,9 +179,9 @@ func symbolizeSite(pcs []uintptr) uint64 {
 		f, more := frames.Next()
 		if strings.HasSuffix(f.Function, "internal/mpi.rankMain") {
 			// A frame's PC is the call instruction's; the walk holds the
-			// return address one past it.
-			if i := indexPC(pcs, f.PC+1); i >= 0 {
-				rankMainPC.Store(pcs[i])
+			// return address, one past it.
+			if slices.Contains(pcs, f.PC+1) {
+				rankMainPC.Store(f.PC + 1)
 			}
 			break
 		}
