@@ -272,8 +272,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 			pc = &pendingColl{arrived: make([]*trace.RSD, len(comm)), means: make([]float64, len(comm))}
 			pending[rsd.CommID] = pc
 		}
-		arrived := func(r *trace.RSD) bool { return r != nil }
-		if i := slices.IndexFunc(pc.arrived, arrived); i >= 0 && pc.arrived[i].Op != rsd.Op {
+		if i := slices.IndexFunc(pc.arrived, func(r *trace.RSD) bool { return r != nil }); i >= 0 && pc.arrived[i].Op != rsd.Op {
 			return nil, fmt.Errorf("align: collective mismatch on comm %d: %v vs %v",
 				rsd.CommID, pc.arrived[i].Op, rsd.Op)
 		}

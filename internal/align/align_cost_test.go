@@ -17,10 +17,10 @@ import (
 // the trace never-recycling builders yield, with no recycled leaf and no
 // leaf of a shared sequence left in it, and that the reuse keeps paying.
 
-func traceKernel(t testing.TB, name string, n int) *trace.Trace {
+func traceKernel(t testing.TB, name string, n int, class apps.Class) *trace.Trace {
 	t.Helper()
 	col := trace.NewCollector(n)
-	body := apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS))
+	body := apps.ByName(name).Body(apps.NewConfig(n, class))
 	if _, err := mpi.Run(n, netmodel.BlueGeneL(), body, mpi.WithTracer(col.TracerFor)); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -81,7 +81,7 @@ func checkNoRecycledLeaf(t *testing.T, label string, classOf []int, seq []trace.
 func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 	recycled, shared := false, false
 	for _, name := range []string{"sweep3d", "is", "lu"} {
-		tr := traceKernel(t, name, 16)
+		tr := traceKernel(t, name, 16, apps.ClassS)
 		classOf := lockstepClasses(tr, groupsOf(tr))
 		shared = shared || classOf[len(classOf)-1] < len(classOf)-1
 		var aligned, reference *trace.Trace
@@ -118,7 +118,7 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 // still grows by one allocation per member — where a leaf per rank and
 // event that stayed in its segment made it 2.1.
 func TestAlignAllocationsPerEvent(t *testing.T) {
-	tr := traceKernel(t, "sweep3d", 16)
+	tr := traceKernel(t, "sweep3d", 16, apps.ClassS)
 	if !Needed(tr) {
 		t.Fatal("premise: sweep3d trace should need alignment")
 	}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-func collect(t *testing.T, n int, body func(*mpi.Rank)) *trace.Trace {
+func collect(t testing.TB, n int, body func(*mpi.Rank)) *trace.Trace {
 	t.Helper()
 	col := trace.NewCollector(n)
 	if _, err := mpi.Run(n, netmodel.Ideal(), body, mpi.WithTracer(col.TracerFor)); err != nil {

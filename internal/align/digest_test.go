@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/mpi"
-	"repro/internal/netmodel"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wildcard"
@@ -103,12 +101,7 @@ func sameTrace(t *testing.T, label string, got, want *trace.Trace) {
 // does before Algorithm 1: wildcard receives resolved.
 func alignInput(t testing.TB, name string, n int, class apps.Class) *trace.Trace {
 	t.Helper()
-	col := trace.NewCollector(n)
-	body := apps.ByName(name).Body(apps.NewConfig(n, class))
-	if _, err := mpi.Run(n, netmodel.BlueGeneL(), body, mpi.WithTracer(col.TracerFor)); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	tr := col.Trace()
+	tr := traceKernel(t, name, n, class)
 	if wildcard.Present(tr) {
 		resolved, err := wildcard.Resolve(tr)
 		if err != nil {

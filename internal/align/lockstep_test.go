@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/mpi"
-	"repro/internal/netmodel"
 	"repro/internal/taskset"
 	"repro/internal/trace"
 )
@@ -198,12 +197,8 @@ func eventsWithin(seq []trace.Node, budget int) bool {
 // that need Algorithm 1.
 func FuzzAlignLockstep(f *testing.F) {
 	for _, body := range []func(*mpi.Rank){figure3Body, splitBody} {
-		col := trace.NewCollector(12)
-		if _, err := mpi.Run(12, netmodel.Ideal(), body, mpi.WithTracer(col.TracerFor)); err != nil {
-			f.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := trace.Encode(&buf, col.Trace()); err != nil {
+		if err := trace.Encode(&buf, collect(f, 12, body)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
