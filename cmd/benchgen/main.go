@@ -7,7 +7,7 @@
 // Usage:
 //
 //	benchgen [-i app.trace] [-o app.ncptl] [-lang conceptual|c|go|mpnet|tla]
-//	         [-window n] [-cpuprofile prof.out] [-critpath] [-verify]
+//	         [-cpuprofile prof.out] [-critpath] [-verify]
 //	         [-model bluegene] [-telemetry] [-timeline stages.json] [-serve :8080]
 //
 // -lang mpnet and -lang tla emit the trace's formal communication model
@@ -35,7 +35,6 @@ import (
 	"os"
 	"runtime/pprof"
 
-	"repro/internal/conceptual"
 	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/extrap"
@@ -51,14 +50,13 @@ func main() {
 	var (
 		in       = flag.String("i", "", "input trace file (default stdin)")
 		out      = flag.String("o", "", "output source file (default stdout)")
-		lang     = flag.String("lang", "conceptual", "output format: conceptual, c, go, mpnet (MP-net JSON model) or tla (TLA+ module)")
+		lang     = flag.String("lang", "conceptual", "output format: "+core.LanguageNames()+" (mpnet: MP-net JSON model, tla: its TLA+ module)")
 		verify   = flag.Bool("verify", false, "model-check the input trace's MP-net (report to stderr; exit 1 on a deadlock)")
 		scaleN   = flag.Int("extrapolate", 0, "extrapolate the trace to this rank count before generating")
 		second   = flag.String("with", "", "second trace at a different scale (disambiguates -extrapolate)")
-		window   = flag.Int("window", 0, "loop-compression window for the alignment/resolution recompression passes (0 = default)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile of the generation pipeline to this file")
 		critFlag = flag.Bool("critpath", false, "replay the input trace and report its critical path to stderr")
-		modelNm  = flag.String("model", "bluegene", "platform model for -critpath and -verify counterexample replay")
+		modelNm  = flag.String("model", "bluegene", "platform model for -critpath and -verify counterexample replay ("+netmodel.PresetNames+")")
 	)
 	tcli := telemetry.NewCLI()
 	flag.Parse()
@@ -67,9 +65,6 @@ func main() {
 	}
 	tcli.CaptureRegions()
 
-	if *window > 0 {
-		trace.SetDefaultWindow(*window)
-	}
 	if *profile != "" {
 		f, err := os.Create(*profile)
 		if err != nil {
@@ -118,11 +113,11 @@ func main() {
 		}
 	}
 
+	model, err := netmodel.Lookup(*modelNm)
+	if err != nil {
+		fatal(err)
+	}
 	if *verify {
-		model := netmodel.Preset(*modelNm)
-		if model == nil {
-			fatal(fmt.Errorf("unknown model %q", *modelNm))
-		}
 		rep, err := harness.VerifyTrace(context.Background(), tr, model, nil)
 		if err != nil {
 			fatal(err)
@@ -136,10 +131,6 @@ func main() {
 	}
 
 	if *critFlag {
-		model := netmodel.Preset(*modelNm)
-		if model == nil {
-			fatal(fmt.Errorf("unknown model %q", *modelNm))
-		}
 		graph := mpi.NewDepGraph()
 		if _, err := replay.Replay(tr, model, mpi.WithCausalProfile(graph)); err != nil {
 			fatal(fmt.Errorf("critpath replay: %w", err))
@@ -147,42 +138,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, critpath.Analyze(graph))
 	}
 
-	var src string
-	switch *lang {
-	case "conceptual", "c":
-		prog, err := core.Generate(tr, &core.Options{
-			Comments: []string{fmt.Sprintf("source trace: %d ranks, %d events", tr.N, tr.TotalEvents())},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if *lang == "conceptual" {
-			src = conceptual.Print(prog)
-		} else {
-			src = conceptual.GenerateC(prog)
-		}
-	case "go":
-		// The Go backend consumes the trace directly through the pluggable
-		// CodeGenerator interface rather than the coNCePTuaL AST.
-		src, err = core.GenerateGo(tr, nil)
-		if err != nil {
-			fatal(err)
-		}
-	case "mpnet":
-		// The formal-model backends deliberately keep wildcard receives
-		// unresolved: the artifact models the nondeterminism.
-		raw, err := core.GenerateMPNet(tr, nil)
-		if err != nil {
-			fatal(err)
-		}
-		src = string(raw)
-	case "tla":
-		src, err = core.GenerateMPNetTLA(tr, nil, "CommModel")
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown output format %q", *lang))
+	src, err := core.NewPipeline(tr, &core.Options{
+		Comments: []string{fmt.Sprintf("source trace: %d ranks, %d events", tr.N, tr.TotalEvents())},
+	}).Render(*lang)
+	if err != nil {
+		fatal(err)
 	}
 
 	w := os.Stdout

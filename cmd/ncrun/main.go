@@ -40,7 +40,7 @@ import (
 func main() {
 	var (
 		n         = flag.Int("n", 0, "number of tasks (default: the program's REQUIRE num_tasks)")
-		modelName = flag.String("model", "bluegene", "platform model (bluegene, ethernet, ideal)")
+		modelName = flag.String("model", "bluegene", "platform model ("+netmodel.PresetNames+")")
 		profile   = flag.Bool("profile", false, "print the mpiP-style profile")
 		critFlag  = flag.Bool("critpath", false, "print the critical-path & wait-state profile")
 		verify    = flag.Bool("verify", false, "trace the run and model-check its MP-net (report after the run; exit 1 on a deadlock)")
@@ -70,9 +70,9 @@ func main() {
 	if tasks <= 0 {
 		fatal(fmt.Errorf("task count unknown: pass -n or add REQUIRE num_tasks"))
 	}
-	model := netmodel.Preset(*modelName)
-	if model == nil {
-		fatal(fmt.Errorf("unknown model %q", *modelName))
+	model, err := netmodel.Lookup(*modelName)
+	if err != nil {
+		fatal(err)
 	}
 	if *scale != 1.0 {
 		prog = harness.ScaleCompute(prog, *scale)

@@ -30,7 +30,7 @@ func main() {
 		appName   = flag.String("app", "ring", "application to trace (see -list)")
 		n         = flag.Int("n", 16, "number of MPI ranks")
 		className = flag.String("class", "W", "NPB problem class (S, W, A, B, C)")
-		modelName = flag.String("model", "bluegene", "platform model (bluegene, ethernet, ideal)")
+		modelName = flag.String("model", "bluegene", "platform model ("+netmodel.PresetNames+")")
 		out       = flag.String("o", "", "output trace file (default stdout)")
 		profile   = flag.Bool("profile", false, "print the mpiP-style profile to stderr")
 		list      = flag.Bool("list", false, "list available applications and exit")
@@ -52,9 +52,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	model := netmodel.Preset(*modelName)
-	if model == nil {
-		fatal(fmt.Errorf("unknown model %q", *modelName))
+	model, err := netmodel.Lookup(*modelName)
+	if err != nil {
+		fatal(err)
 	}
 
 	// With -timeline, a per-rank virtual-time tracer rides along with the

@@ -57,7 +57,7 @@ func (f finalClock) Record(ev *mpi.Event) {
 	}
 }
 
-// TestTracedRunIndependentOfGOMAXPROCS pins what DESIGN.md §11 asserts of
+// TestTracedRunIndependentOfGOMAXPROCS pins what DESIGN.md §7 asserts of
 // coroutine ranks under a tracer: the driver switches to one rank at a time
 // whatever the number of Ps, so a traced application run at GOMAXPROCS 1 and
 // at 2 yields the same encoded trace, the same per-rank clocks and the same

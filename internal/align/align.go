@@ -17,7 +17,7 @@
 // (lockstepClasses): one cursor, one re-compressed segment that every member
 // names in the merge. O(c*e) emission for c classes plus O(p*s) folding of
 // compressed segments, where a context per rank is O(p*e); see DESIGN.md
-// Section 16.
+// Section 10.
 package align
 
 import (
@@ -40,7 +40,7 @@ var ctrRounds = telemetry.NewCounter("align.rounds")
 func Needed(t *trace.Trace) bool {
 	needed := false
 	for _, g := range t.Groups {
-		walkNodes(g.Seq, func(r *trace.RSD) {
+		trace.Leaves(g.Seq, func(r *trace.RSD) {
 			if !r.Op.IsCollective() {
 				return
 			}
@@ -56,17 +56,6 @@ func Needed(t *trace.Trace) bool {
 		})
 	}
 	return needed
-}
-
-func walkNodes(seq []trace.Node, f func(*trace.RSD)) {
-	for _, n := range seq {
-		switch x := n.(type) {
-		case *trace.RSD:
-			f(x)
-		case *trace.Loop:
-			walkNodes(x.Body, f)
-		}
-	}
 }
 
 // pendingColl tracks one in-progress collective rendezvous on a
@@ -104,7 +93,7 @@ type lockstep struct {
 // lockstepClasses returns each rank's class, numbered by first member. Two
 // ranks share a class when they are in the same group, members of exactly
 // the same leaves of its sequence (refined leaf by leaf, nothing is hashed)
-// and of no leaf with a vector peer, the one field emitLeaf resolves per
+// and of no leaf with a vector peer, the one field RSD.CopyFor resolves per
 // rank: they emit, up to the rank set, the same leaves. Their segments are
 // equal too if every collective has N members — it completes with every
 // rank standing at it. Behind one of fewer, where a non-member stands
@@ -120,7 +109,7 @@ func lockstepClasses(t *trace.Trace, groupOf []int) []int {
 	next, leaf, alone := len(t.Groups), 0, false
 	to, stamp := make([]int, next), make([]int, next)
 	for gi := range t.Groups {
-		walkNodes(t.Groups[gi].Seq, func(x *trace.RSD) {
+		trace.Leaves(t.Groups[gi].Seq, func(x *trace.RSD) {
 			alone = alone || x.Op.IsCollective() && len(t.CommGroup(x.CommID)) != t.N
 			leaf++
 			for _, r := range members[gi] {
@@ -169,16 +158,12 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 	for r, c := range classOf {
 		if c == len(classes) {
 			classes = append(classes, &lockstep{first: r, ranks: taskset.Of(r),
-				cur: trace.NewCursor(t.Groups[groupOf[r]].Seq, r), seg: newSegment(trace.DefaultWindow())})
+				cur: trace.NewCursor(t.Groups[groupOf[r]].Seq, r), seg: newSegment(trace.DefaultMaxWindow)})
 		}
 		classes[c].size++
 	}
 
-	window := trace.DefaultWindow()
-	if w := 8*n + 32; w > window {
-		window = w
-	}
-	out := trace.NewGlobalBuilder(window)
+	out := trace.NewGlobalBuilder(max(trace.DefaultMaxWindow, 8*n+32))
 	// Non-collective runs are buffered per class and re-merged across ranks
 	// when the next collective closes the segment; this keeps the aligned
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)
@@ -227,7 +212,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 				c.ran = true
 				for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
 					leaf := c.seg.NewLeaf()
-					emitLeaf(leaf, t, rsd, c.first, c.ranks, rsd.ComputeMeanAt(c.cur.InnermostIter() == 0))
+					rsd.CopyFor(leaf, c.first, c.ranks, t, rsd.ComputeMeanAt(c.cur.InnermostIter() == 0))
 					c.seg.Append(leaf)
 					c.cur.Advance()
 					c.progressed = true
@@ -315,7 +300,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 
 	return &trace.Trace{
 		N:      n,
-		Comms:  copyComms(t.Comms),
+		Comms:  trace.CloneComms(t.Comms),
 		Groups: []trace.Group{{Ranks: taskset.Range(0, n-1), Seq: out.Seq()}},
 	}, nil
 }
@@ -350,13 +335,16 @@ func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []
 				}
 			}
 			leaf := new(trace.RSD)
-			emitLeaf(leaf, t, r, m, members, sample)
+			r.CopyFor(leaf, m, members, t, sample)
 			out.Append(leaf)
 		}
 		return
 	}
+	// The leaf carries one pooled compute-time sample (the members' mean):
+	// replayed timing stays identical on average without multiplying histogram
+	// populations through re-compression.
 	leaf := new(trace.RSD)
-	emitLeaf(leaf, t, first, comm[0], taskset.Of(comm...), sample)
+	first.CopyFor(leaf, comm[0], taskset.Of(comm...), t, sample)
 	// When per-rank contributions differ (Gatherv/Allgatherv-style), record
 	// the average size plus the per-member contribution vector, matching
 	// Table 1's "REDUCE with averaged message size" substitution downstream.
@@ -375,41 +363,4 @@ func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []
 		leaf.Counts = perMember
 	}
 	out.Append(leaf)
-}
-
-// emitLeaf overwrites dst with a copy of src for the given participant(s)
-// and a single pooled compute-time sample (the source's mean). Using the mean
-// keeps the aligned trace's replayed timing identical on average while
-// avoiding multiplying histogram populations through re-compression.
-// Irregular (vector) peers are resolved to the participant's concrete peer;
-// the segment re-merge regeneralizes them.
-func emitLeaf(dst *trace.RSD, t *trace.Trace, src *trace.RSD, rank int, ranks taskset.Set, computeMean float64) {
-	peer := src.Peer
-	if peer.Kind == trace.ParamVec {
-		peer = trace.AbsParam(src.PeerFor(rank, t))
-	}
-	*dst = trace.RSD{
-		Op:        src.Op,
-		Site:      src.Site,
-		Ranks:     ranks,
-		CommID:    src.CommID,
-		CommSize:  src.CommSize,
-		Peer:      peer,
-		Wildcard:  src.Wildcard,
-		Tag:       src.Tag,
-		Size:      src.Size,
-		Counts:    append([]int(nil), src.Counts...),
-		Root:      src.Root,
-		Group:     append([]int(nil), src.Group...),
-		NewCommID: src.NewCommID,
-	}
-	dst.SetComputeSample(computeMean)
-}
-
-func copyComms(in map[int][]int) map[int][]int {
-	out := make(map[int][]int, len(in))
-	for id, g := range in {
-		out[id] = append([]int(nil), g...)
-	}
-	return out
 }

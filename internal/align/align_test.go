@@ -98,7 +98,7 @@ func TestAlignFigure3(t *testing.T) {
 	}
 	// Exactly one Barrier RSD, carrying all ranks (plus Init/Finalize).
 	var barriers []*trace.RSD
-	walkNodes(aligned.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(aligned.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Op == mpi.OpBarrier {
 			barriers = append(barriers, r)
 		}
@@ -154,7 +154,7 @@ func TestAlignPreservesPerRankOrderAndCounts(t *testing.T) {
 	}
 	// Guarantee 1: one RSD per logical collective (7 allreduces + finalize).
 	count := 0
-	walkNodes(aligned.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(aligned.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Op == mpi.OpAllreduce {
 			if !r.Ranks.Equal(taskset.Range(0, n-1)) {
 				t.Fatalf("allreduce ranks = %v", r.Ranks)
@@ -228,7 +228,7 @@ func TestAlignSubcommunicatorCollectives(t *testing.T) {
 		t.Fatalf("Align: %v", err)
 	}
 	var reduces []*trace.RSD
-	walkNodes(aligned.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(aligned.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Op == mpi.OpReduce {
 			reduces = append(reduces, r)
 		}
@@ -261,7 +261,7 @@ func TestAlignAveragesVariableContributions(t *testing.T) {
 		t.Fatalf("Align: %v", err)
 	}
 	var gatherv *trace.RSD
-	walkNodes(aligned.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(aligned.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Op == mpi.OpGatherv {
 			gatherv = r
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/conceptual"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
+	"repro/internal/taskset"
 	"repro/internal/trace"
 	"repro/internal/wildcard"
 )
@@ -397,45 +400,62 @@ func TestFirstIterationSurplusHoisted(t *testing.T) {
 	}
 }
 
-func TestSkipAlignOption(t *testing.T) {
-	// With SkipAlign, a split-collective trace reaches Traverse in group
-	// form; generation still succeeds (the collectives appear per group,
-	// which SkipAlign explicitly opts into for ablation).
-	n := 4
-	tr := collect(t, n, func(r *mpi.Rank) {
-		if r.Rank() == 0 {
-			r.Barrier(r.World())
-		} else {
-			r.Barrier(r.World())
-		}
-	})
-	prog, err := Generate(tr, &Options{SkipAlign: true})
-	if err != nil {
-		t.Fatalf("Generate(SkipAlign): %v", err)
-	}
-	src := conceptual.Print(prog)
-	if got := strings.Count(src, "SYNCHRONIZE"); got != 2 {
-		t.Fatalf("SkipAlign should leave 2 split barriers, got %d:\n%s", got, src)
-	}
-}
-
 func TestComputeFloorSuppressesNoise(t *testing.T) {
 	tr := collect(t, 2, func(r *mpi.Rank) {
-		r.Compute(0.5) // sub-floor compute
+		r.Compute(0.004) // below computeFloorUS
 		r.Barrier(r.World())
 		r.Compute(50)
 		r.Barrier(r.World())
 	})
-	prog, err := Generate(tr, &Options{ComputeFloorUS: 1.0})
+	prog, err := Generate(tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := conceptual.Print(prog)
-	if strings.Contains(src, "COMPUTE FOR 0.5") {
-		t.Fatalf("sub-floor compute emitted:\n%s", src)
+	goSrc, err := GenerateGo(tr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(src, "COMPUTE FOR 50") {
-		t.Fatalf("above-floor compute missing:\n%s", src)
+	for name, src := range map[string]string{"conceptual": conceptual.Print(prog), "go": goSrc} {
+		if strings.Contains(src, "0.004") {
+			t.Errorf("%s: sub-floor compute emitted:\n%s", name, src)
+		}
+		if !strings.Contains(src, "COMPUTE FOR 50") && !strings.Contains(src, "r.Compute(50.000)") {
+			t.Errorf("%s: above-floor compute missing:\n%s", name, src)
+		}
+	}
+}
+
+// TestReduceScatterBeyondCounts: both backends substitute a Reduce_scatter by
+// one rooted REDUCE per communicator member, and a member the leaf's Counts
+// do not reach takes an even share of Size (the Go backend emitted 0 there).
+func TestReduceScatterBeyondCounts(t *testing.T) {
+	tr := &trace.Trace{N: 4, Comms: map[int][]int{0: {0, 1, 2, 3}}, Groups: []trace.Group{{
+		Ranks: taskset.Range(0, 3),
+		Seq: []trace.Node{&trace.RSD{Op: mpi.OpReduceScatter, Ranks: taskset.Range(0, 3),
+			CommSize: 4, Peer: trace.NoParam, Size: 400, Counts: []int{10, 20}, Root: -1}},
+	}}}
+	prog, err := Generate(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, s := range prog.Stmts {
+		if red, ok := s.(*conceptual.ReduceStmt); ok {
+			got = append(got, red.Size)
+		}
+	}
+	want := []int{10, 20, 100, 100}
+	if !slices.Equal(got, want) {
+		t.Fatalf("coNCePTuaL REDUCE sizes = %v, want %v", got, want)
+	}
+	goSrc, err := GenerateGo(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for root, size := range want {
+		if stmt := fmt.Sprintf("r.Reduce(c, %d, %d)", root, size); !strings.Contains(goSrc, stmt) {
+			t.Errorf("Go source misses %s:\n%s", stmt, goSrc)
+		}
 	}
 }
 

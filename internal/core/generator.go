@@ -21,18 +21,28 @@ import (
 	"repro/internal/wildcard"
 )
 
-// Options configure generation. The Skip flags exist for ablation studies;
-// production use leaves them false.
+// Options configure generation.
 type Options struct {
-	// SkipResolve disables Algorithm 2 even when wildcards are present.
+	// SkipResolve disables Algorithm 2 even when wildcards are present: the
+	// formal-model backends render the nondeterminism it would eliminate.
 	SkipResolve bool
-	// SkipAlign disables Algorithm 1 even when collectives are unaligned.
-	SkipAlign bool
 	// Comments are prepended to the generated program.
 	Comments []string
-	// ComputeFloorUS suppresses COMPUTE statements shorter than this
-	// (default 0.01us) to keep the generated code readable.
-	ComputeFloorUS float64
+}
+
+// computeFloorUS suppresses compute phases shorter than this in every
+// backend's output, to keep the generated code readable.
+const computeFloorUS = 0.01
+
+// reduceScatterGroup returns the world ranks that root Table 1's substitution
+// of a Reduce_scatter leaf — one REDUCE per communicator member, of
+// r.SegmentSize — falling back to the participants when the trace does not
+// know the communicator.
+func reduceScatterGroup(t *trace.Trace, r *trace.RSD) []int {
+	if group := t.CommGroup(r.CommID); len(group) > 0 {
+		return group
+	}
+	return r.Ranks.Members()
 }
 
 // Generate converts an application trace into a coNCePTuaL benchmark
@@ -65,7 +75,7 @@ func Prepare(t *trace.Trace, opts *Options) (*trace.Trace, error) {
 		}
 		out = resolved
 	}
-	if !opts.SkipAlign && align.Needed(out) {
+	if align.Needed(out) {
 		aligned, err := align.Align(out)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)

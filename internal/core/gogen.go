@@ -91,37 +91,27 @@ func (g *GoGenerator) unguard(owed bool) {
 // peerExpr renders the world-rank peer of a pt2pt leaf as a Go expression
 // in terms of the current rank variable "me".
 func (g *GoGenerator) peerExpr(r *trace.RSD) string {
-	switch r.Peer.Kind {
-	case trace.ParamAbs:
-		if w, ok := g.t.WorldRankOf(r.CommID, r.Peer.Value); ok {
-			return fmt.Sprint(w)
-		}
-		return fmt.Sprint(r.Peer.Value)
-	case trace.ParamRel:
-		if len(g.t.CommGroup(r.CommID)) == g.t.N {
-			return fmt.Sprintf("(me + %d) %% %d", r.Peer.Value, g.t.N)
-		}
-	case trace.ParamXor:
-		if len(g.t.CommGroup(r.CommID)) == g.t.N {
-			return fmt.Sprintf("me ^ %d", r.Peer.Value)
-		}
+	world := len(g.t.CommGroup(r.CommID)) == g.t.N
+	switch {
+	case r.Peer.Kind == trace.ParamAbs:
+		// An absolute peer is the same whichever participant asks.
+		return fmt.Sprint(r.WorldPeerFor(0, g.t))
+	case r.Peer.Kind == trace.ParamRel && world:
+		return fmt.Sprintf("(me + %d) %% %d", r.Peer.Value, g.t.N)
+	case r.Peer.Kind == trace.ParamXor && world:
+		return fmt.Sprintf("me ^ %d", r.Peer.Value)
 	}
 	// Irregular or sub-communicator peers: emit a lookup table.
 	pairs := make([]string, 0, r.Ranks.Size())
 	for _, w := range r.Ranks.Members() {
-		commPeer := r.PeerFor(w, g.t)
-		world, ok := g.t.WorldRankOf(r.CommID, commPeer)
-		if !ok {
-			world = commPeer
-		}
-		pairs = append(pairs, fmt.Sprintf("%d: %d", w, world))
+		pairs = append(pairs, fmt.Sprintf("%d: %d", w, r.WorldPeerFor(w, g.t)))
 	}
 	return fmt.Sprintf("map[int]int{%s}[me]", strings.Join(pairs, ", "))
 }
 
 // Event implements CodeGenerator.
 func (g *GoGenerator) Event(r *trace.RSD) error {
-	if mean := r.ComputeMean(); mean >= 0.01 {
+	if mean := r.ComputeMean(); mean >= computeFloorUS {
 		owed := g.guard(r.Ranks)
 		g.line("r.Compute(%.3f)", mean)
 		g.unguard(owed)
@@ -162,11 +152,11 @@ func (g *GoGenerator) Event(r *trace.RSD) error {
 		g.unguard(owed)
 	case mpi.OpBcast:
 		owed := g.guard(r.Ranks)
-		g.line("r.Bcast(c, %d, %d)", g.rootOf(r), r.Size)
+		g.line("r.Bcast(c, %d, %d)", r.WorldRoot(g.t), r.Size)
 		g.unguard(owed)
 	case mpi.OpReduce, mpi.OpGather, mpi.OpGatherv:
 		owed := g.guard(r.Ranks)
-		g.line("r.Reduce(c, %d, %d)", g.rootOf(r), g.averagedSizeGo(r))
+		g.line("r.Reduce(c, %d, %d)", r.WorldRoot(g.t), r.MeanCount())
 		g.unguard(owed)
 	case mpi.OpAllreduce:
 		owed := g.guard(r.Ranks)
@@ -174,11 +164,11 @@ func (g *GoGenerator) Event(r *trace.RSD) error {
 		g.unguard(owed)
 	case mpi.OpAllgather, mpi.OpAllgatherv:
 		owed := g.guard(r.Ranks)
-		g.line("r.Allgather(c, %d)", g.averagedSizeGo(r))
+		g.line("r.Allgather(c, %d)", r.MeanCount())
 		g.unguard(owed)
 	case mpi.OpScatter, mpi.OpScatterv:
 		owed := g.guard(r.Ranks)
-		g.line("r.Scatter(c, %d, %d)", g.rootOf(r), g.averagedSizeGo(r))
+		g.line("r.Scatter(c, %d, %d)", r.WorldRoot(g.t), r.MeanCount())
 		g.unguard(owed)
 	case mpi.OpAlltoall:
 		owed := g.guard(r.Ranks)
@@ -186,47 +176,19 @@ func (g *GoGenerator) Event(r *trace.RSD) error {
 		g.unguard(owed)
 	case mpi.OpAlltoallv:
 		owed := g.guard(r.Ranks)
-		size := r.Size
-		if r.CommSize > 0 {
-			size = r.Size / r.CommSize
-		}
-		g.line("r.Alltoall(c, %d)", size)
+		g.line("r.Alltoall(c, %d)", r.PerPeerSize())
 		g.unguard(owed)
 	case mpi.OpReduceScatter:
 		owed := g.guard(r.Ranks)
-		for i, world := range g.t.CommGroup(r.CommID) {
-			size := 0
-			if i < len(r.Counts) {
-				size = r.Counts[i]
-			}
-			g.line("r.Reduce(c, %d, %d)", world, size)
+		group := reduceScatterGroup(g.t, r)
+		for i, world := range group {
+			g.line("r.Reduce(c, %d, %d)", world, r.SegmentSize(i, len(group)))
 		}
 		g.unguard(owed)
 	default:
 		return fmt.Errorf("core: no Go mapping for %v", r.Op)
 	}
 	return nil
-}
-
-func (g *GoGenerator) rootOf(r *trace.RSD) int {
-	if r.Root < 0 {
-		return 0
-	}
-	if w, ok := g.t.WorldRankOf(r.CommID, r.Root); ok {
-		return w
-	}
-	return r.Root
-}
-
-func (g *GoGenerator) averagedSizeGo(r *trace.RSD) int {
-	if len(r.Counts) > 0 {
-		total := 0
-		for _, c := range r.Counts {
-			total += c
-		}
-		return total / len(r.Counts)
-	}
-	return r.Size
 }
 
 // Source finalizes and returns the complete Go program.

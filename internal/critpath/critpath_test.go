@@ -1,6 +1,7 @@
 package critpath
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -183,12 +184,12 @@ func TestReportAndOverlay(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, s)
 		}
 	}
-	var sb strings.Builder
-	if err := p.WriteJSON(&sb); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	js, err := json.Marshal(p)
+	if err != nil {
+		t.Fatalf("json.Marshal: %v", err)
 	}
-	if !strings.Contains(sb.String(), "\"crit_path_us\": 12") {
-		t.Errorf("JSON missing crit_path_us:\n%s", sb.String())
+	if !strings.Contains(string(js), "\"crit_path_us\":12") {
+		t.Errorf("JSON missing crit_path_us:\n%s", js)
 	}
 
 	tl := telemetry.NewTimeline()

@@ -1,9 +1,7 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/stats"
@@ -74,13 +72,6 @@ func (p *Profile) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// WriteJSON writes the profile's JSON form (indented, newline-terminated).
-func (p *Profile) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
 }
 
 // DiffRow compares one quantity between two profiles.

@@ -239,9 +239,6 @@ func (p *Pool) Submit(ctx context.Context, run func(ctx context.Context)) error 
 // QueueLen reports how many accepted jobs are waiting for a worker.
 func (p *Pool) QueueLen() int { return len(p.jobs) }
 
-// QueueCap reports the queue's capacity.
-func (p *Pool) QueueCap() int { return cap(p.jobs) }
-
 // Drain stops accepting new jobs and blocks until every previously accepted
 // job — queued or running — has finished. This is the graceful-shutdown
 // guarantee benchd relies on: no accepted job is lost.

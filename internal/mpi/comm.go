@@ -84,26 +84,19 @@ func newComm(w *World, id int, group []int) *Comm {
 }
 
 // collSync is the rendezvous implementing one collective round: all members
-// arrive with their virtual clocks and per-rank contributions, the last
-// arriver runs finish with the maximum entry clock and the gathered
-// contributions, and everyone leaves with the round's completion time and the
-// shared value finish returned. Generation matching is implicit: the i-th
-// collective call on each rank joins the i-th round, which is exactly MPI's
-// per-communicator collective ordering. Two implementations exist — seqColl
-// for the event engine (seqcoll.go) and the mutex+cond lockedColl for the
-// goroutine runtime.
+// arrive with their virtual clocks and their collRound, the last arriver
+// closes the round — completion is the maximum entry clock plus the round's
+// cost at the maximum contribution; a CommSplit/CommDup round also mints its
+// shared value from the gathered keys — and everyone leaves with the
+// completion times and that value. The cost is data (collCost), not a
+// closure, so an ordinary collective's arrival heap-allocates nothing.
+// Generation matching is implicit: the i-th collective call on each rank
+// joins the i-th round, which is exactly MPI's per-communicator collective
+// ordering. Two implementations exist — seqColl for the event engine
+// (seqcoll.go) and the mutex+cond lockedColl for the goroutine runtime.
 type collSync interface {
-	arrive(commRank int, op Op, clock, shadow float64, contrib any,
-		finish func(maxClock float64, contribs []any) (completion float64, shared any)) (float64, float64, any)
-
-	// arriveFixed is the allocation-free round for the ordinary collectives:
-	// the contribution is a non-negative byte count whose per-round reduction
-	// is max, and the cost function is described by the collCost value instead
-	// of a closure, so an arrival heap-allocates nothing. The general arrive
-	// remains for rounds that must gather every contribution (CommSplit) or
-	// share a built value (CommDup).
-	arriveFixed(commRank int, op Op, clock, shadow float64, contrib int,
-		m *netmodel.Model, cc collCost) (completion, shadowCompletion float64)
+	arrive(commRank int, op Op, clock, shadow float64, rd collRound,
+		m *netmodel.Model) (completion, shadowCompletion float64, shared any)
 }
 
 // lockedColl is the goroutine runtime's collSync: one mutex plus condition
@@ -122,8 +115,8 @@ type lockedColl struct {
 	maxClock   float64
 	maxShadow  float64
 	op         Op
-	payload    []any // per-comm-rank contribution (general rounds: split/dup)
-	maxPayload int   // running max contribution (fixed-cost rounds)
+	keys       []any // per-comm-rank keys (CommSplit rounds)
+	maxContrib int   // running max contribution
 
 	// Results of the completed round, readable until the next round ends.
 	completion       float64
@@ -132,20 +125,17 @@ type lockedColl struct {
 }
 
 func newLockedColl(size int, stop *runStop) *lockedColl {
-	cs := &lockedColl{size: size, stop: stop, payload: make([]any, size)}
+	cs := &lockedColl{size: size, stop: stop, keys: make([]any, size)}
 	cs.cond = sync.NewCond(&cs.mu)
 	stop.register(cs.cond)
 	return cs
 }
 
-// arrive performs one collective round. commRank identifies the caller,
-// clock is its virtual entry time and contrib is its payload (may be nil).
-// The last member to arrive runs finish with the maximum entry clock and the
-// gathered contributions; finish returns the round's completion time and an
-// arbitrary shared value handed to every member (used by CommSplit/CommDup
-// to distribute the newly created communicators).
-func (cs *lockedColl) arrive(commRank int, op Op, clock, shadow float64, contrib any,
-	finish func(maxClock float64, contribs []any) (completion float64, shared any)) (float64, float64, any) {
+// arrive performs one collective round; see collSync. Max over non-negative
+// ints is order-independent, so the cost input — and therefore every virtual
+// clock — does not depend on the order the goroutines got here in.
+func (cs *lockedColl) arrive(commRank int, op Op, clock, shadow float64, rd collRound,
+	m *netmodel.Model) (float64, float64, any) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 
@@ -154,59 +144,7 @@ func (cs *lockedColl) arrive(commRank int, op Op, clock, shadow float64, contrib
 		cs.op = op
 		cs.maxClock = clock
 		cs.maxShadow = shadow
-	} else {
-		if cs.op != op {
-			panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %v while round started with %v", commRank, op, cs.op))
-		}
-		if clock > cs.maxClock {
-			cs.maxClock = clock
-		}
-		if shadow > cs.maxShadow {
-			cs.maxShadow = shadow
-		}
-	}
-	cs.payload[commRank] = contrib
-	cs.arrived++
-
-	if cs.arrived == cs.size {
-		// Last arriver closes the round. The shadow timeline completes at
-		// the same collective cost applied to the shadow arrival front.
-		contribs := append([]any(nil), cs.payload...)
-		cs.completion, cs.shared = finish(cs.maxClock, contribs)
-		cs.shadowCompletion = cs.maxShadow + (cs.completion - cs.maxClock)
-		cs.gen++
-		cs.arrived = 0
-		for i := range cs.payload {
-			cs.payload[i] = nil
-		}
-		cs.cond.Broadcast()
-		return cs.completion, cs.shadowCompletion, cs.shared
-	}
-	// A later round cannot complete without this member arriving again, so
-	// once gen advances the stored completion/shared belong to our round.
-	for cs.gen == myGen {
-		cs.stop.checkStopped()
-		cs.cond.Wait()
-	}
-	return cs.completion, cs.shadowCompletion, cs.shared
-}
-
-// arriveFixed is the reference implementation of the fixed-cost round: the
-// same mutex+cond rendezvous as arrive, folding a running int max instead of
-// gathering a payload slice. Max over non-negative ints is order-independent,
-// so the cost input — and therefore every virtual clock — is bit-identical to
-// the closure-based round it replaces.
-func (cs *lockedColl) arriveFixed(commRank int, op Op, clock, shadow float64, contrib int,
-	m *netmodel.Model, cc collCost) (float64, float64) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-
-	myGen := cs.gen
-	if cs.arrived == 0 {
-		cs.op = op
-		cs.maxClock = clock
-		cs.maxShadow = shadow
-		cs.maxPayload = 0
+		cs.maxContrib = 0
 	} else if cs.op != op {
 		panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %v while round started with %v", commRank, op, cs.op))
 	} else {
@@ -217,25 +155,33 @@ func (cs *lockedColl) arriveFixed(commRank int, op Op, clock, shadow float64, co
 			cs.maxShadow = shadow
 		}
 	}
-	if contrib > cs.maxPayload {
-		cs.maxPayload = contrib
+	if rd.contrib > cs.maxContrib {
+		cs.maxContrib = rd.contrib
 	}
+	cs.keys[commRank] = rd.key
 	cs.arrived++
 
 	if cs.arrived == cs.size {
-		cs.completion = cs.maxClock + evalCollCost(m, cc, cs.maxPayload)
+		// Last arriver closes the round. The shadow timeline completes at
+		// the same collective cost applied to the shadow arrival front.
+		cs.completion = cs.maxClock + evalCollCost(m, rd.cost, cs.maxContrib)
 		cs.shadowCompletion = cs.maxShadow + (cs.completion - cs.maxClock)
 		cs.shared = nil
+		if rd.mint != nil {
+			cs.shared = rd.mint(cs.keys)
+		}
 		cs.gen++
 		cs.arrived = 0
 		cs.cond.Broadcast()
-		return cs.completion, cs.shadowCompletion
+		return cs.completion, cs.shadowCompletion, cs.shared
 	}
+	// A later round cannot complete without this member arriving again, so
+	// once gen advances the stored completion/shared belong to our round.
 	for cs.gen == myGen {
 		cs.stop.checkStopped()
 		cs.cond.Wait()
 	}
-	return cs.completion, cs.shadowCompletion
+	return cs.completion, cs.shadowCompletion, cs.shared
 }
 
 // splitKey orders members of a split by (key, worldRank), per MPI_Comm_split.

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -249,29 +251,105 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 }
 
+// TestCollectiveWalkIsOneFrameDeeper pins what a traced collective costs every
+// other operation: callSite bounds a rank's stack walks by the deepest call
+// path it has met, so each frame between a wrapper and enter lengthens the
+// walk of every point-to-point operation of the run. A wrapper is one frame
+// (Rank.rendezvous) deeper than Send, as runCollective made it.
+func TestCollectiveWalkIsOneFrameDeeper(t *testing.T) {
+	var p2p, coll int
+	run(t, 1, netmodel.Ideal(), func(r *Rank) {
+		r.Wait(r.Isend(r.World(), 0, 0, 8))
+		r.Wait(r.Isend(r.World(), 0, 0, 8)) // the first walk learns rankMain's PC, this one its depth
+		p2p = r.mainDepth
+		r.Barrier(r.World())
+		r.CommDup(r.World())
+		coll = r.mainDepth
+	}, WithTracer(func(int) Tracer { return recordFunc(func(*Event) {}) }))
+	if p2p == 0 || coll != p2p+1 {
+		t.Fatalf("walk bound %d after point-to-point calls, %d after collectives: want one frame more", p2p, coll)
+	}
+}
+
+// TestCollectivesRun runs every synchronizing operation on a 4-rank world
+// twice — through the public wrapper from a coroutine body, and as the
+// equivalent RankOp through a stackless cursor — and requires identical traced
+// events and bit-identical clocks: both read the one table in collectives.go,
+// and differ only in how they wait for the round to close.
 func TestCollectivesRun(t *testing.T) {
-	// Smoke-test every collective for completion and clock agreement.
-	n := 6
-	run(t, n, netmodel.BlueGeneL(), func(r *Rank) {
-		c := r.World()
-		counts := make([]int, n)
-		for i := range counts {
-			counts[i] = 64 * (i + 1)
+	const n, site = 4, 0xc011
+	counts := []int{64, 128, 192, 256}
+	rows := []struct {
+		op   RankOp
+		call func(r *Rank, c *Comm)
+	}{
+		{RankOp{Op: OpBarrier}, func(r *Rank, c *Comm) { r.Barrier(c) }},
+		{RankOp{Op: OpBcast, Root: 1, Size: 1024}, func(r *Rank, c *Comm) { r.Bcast(c, 1, 1024) }},
+		{RankOp{Op: OpReduce, Root: 0, Size: 512}, func(r *Rank, c *Comm) { r.Reduce(c, 0, 512) }},
+		{RankOp{Op: OpAllreduce, Size: 8}, func(r *Rank, c *Comm) { r.Allreduce(c, 8) }},
+		{RankOp{Op: OpGather, Root: 2, Size: 128}, func(r *Rank, c *Comm) { r.Gather(c, 2, 128) }},
+		{RankOp{Op: OpGatherv, Root: 2, Size: 96}, func(r *Rank, c *Comm) { r.Gatherv(c, 2, 96) }},
+		{RankOp{Op: OpAllgather, Size: 64}, func(r *Rank, c *Comm) { r.Allgather(c, 64) }},
+		{RankOp{Op: OpAllgatherv, Size: 80}, func(r *Rank, c *Comm) { r.Allgatherv(c, 80) }},
+		{RankOp{Op: OpScatter, Root: 1, Size: 256}, func(r *Rank, c *Comm) { r.Scatter(c, 1, 256) }},
+		{RankOp{Op: OpScatterv, Root: 1, Counts: counts}, func(r *Rank, c *Comm) { r.Scatterv(c, 1, counts) }},
+		{RankOp{Op: OpAlltoall, Size: 32}, func(r *Rank, c *Comm) { r.Alltoall(c, 32) }},
+		{RankOp{Op: OpAlltoallv, Counts: counts}, func(r *Rank, c *Comm) { r.Alltoallv(c, counts) }},
+		{RankOp{Op: OpReduceScatter, Counts: counts[:3]}, func(r *Rank, c *Comm) { r.ReduceScatter(c, counts[:3]) }},
+		{RankOp{Op: OpCommSplit, SplitColor: 1, SplitKey: 7}, func(r *Rank, c *Comm) { r.CommSplit(c, 1, 7) }},
+		{RankOp{Op: OpCommDup}, func(r *Rank, c *Comm) { r.CommDup(c) }},
+		// The cursor's own Finalize is stamped like rankMain's; a Finalize leaf
+		// in a stream is the compute phase plus a drain of nothing.
+		{RankOp{Op: OpFinalize, Site: rankMainSite}, func(r *Rank, _ *Comm) { r.Finalize() }},
+	}
+	traced := func(events [][]Event) Option {
+		return WithTracer(func(rank int) Tracer {
+			return recordFunc(func(ev *Event) {
+				kept := *ev
+				kept.Counts, kept.Group = slices.Clone(ev.Counts), slices.Clone(ev.Group)
+				events[rank] = append(events[rank], kept)
+			})
+		})
+	}
+	compute := func(rank int) float64 { return 3 * float64(rank+1) }
+	covered := map[Op]bool{}
+	for _, row := range rows {
+		covered[row.op.Op] = true
+		op := row.op
+		if op.Site == 0 {
+			op.Site = site
 		}
-		r.Bcast(c, 0, 1024)
-		r.Reduce(c, 0, 512)
-		r.Allreduce(c, 8)
-		r.Gather(c, 2, 128)
-		r.Gatherv(c, 2, 128*(r.Rank()+1))
-		r.Allgather(c, 64)
-		r.Allgatherv(c, 64*(r.Rank()+1))
-		r.Scatter(c, 1, 256)
-		r.Scatterv(c, 1, counts)
-		r.Alltoall(c, 32)
-		r.Alltoallv(c, counts)
-		r.ReduceScatter(c, counts)
-		r.Barrier(c)
-	})
+		wrapped, cursor := make([][]Event, n), make([][]Event, n)
+		a := run(t, n, netmodel.BlueGeneL(), func(r *Rank) {
+			r.Compute(compute(r.Rank()))
+			r.SetCallSite(op.Site)
+			row.call(r, r.World())
+		}, traced(wrapped))
+		b, err := RunStackless(n, netmodel.BlueGeneL(), func(rank int) OpStream {
+			mine := op
+			mine.ComputeUS = compute(rank)
+			return &sliceStream{ops: []RankOp{mine}}
+		}, traced(cursor))
+		if err != nil {
+			t.Fatalf("%v: RunStackless: %v", op.Op, err)
+		}
+		if !reflect.DeepEqual(wrapped, cursor) {
+			t.Errorf("%v: events differ\nwrapper: %+v\ncursor:  %+v", op.Op, wrapped, cursor)
+		}
+		for i := range a.PerRankUS {
+			if math.Float64bits(a.PerRankUS[i]) != math.Float64bits(b.PerRankUS[i]) {
+				t.Errorf("%v: rank %d ends at %v through the wrapper, %v as a cursor", op.Op, i, a.PerRankUS[i], b.PerRankUS[i])
+			}
+		}
+		if !slices.ContainsFunc(wrapped[0], func(ev Event) bool { return ev.Op == op.Op }) {
+			t.Errorf("%v: rank 0 recorded %+v, the operation is not among them", op.Op, wrapped[0])
+		}
+	}
+	for op := Op(0); op < opSentinel; op++ {
+		if op.IsCollective() && !covered[op] {
+			t.Errorf("%v synchronizes a communicator but has no row here", op)
+		}
+	}
 }
 
 func TestCollectiveMismatchPanics(t *testing.T) {
@@ -653,12 +731,6 @@ func TestOpPredicates(t *testing.T) {
 	}
 	if !OpIsend.IsSendSide() || OpIrecv.IsSendSide() {
 		t.Fatal("IsSendSide wrong")
-	}
-	if !OpIrecv.IsRecvSide() || OpIsend.IsRecvSide() {
-		t.Fatal("IsRecvSide wrong")
-	}
-	if OpIsend.IsBlocking() || !OpRecv.IsBlocking() {
-		t.Fatal("IsBlocking wrong")
 	}
 	if !OpWaitall.IsWait() || OpSend.IsWait() {
 		t.Fatal("IsWait wrong")

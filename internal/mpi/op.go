@@ -119,19 +119,6 @@ func (op Op) IsPointToPoint() bool {
 // IsSendSide reports whether the operation injects a message.
 func (op Op) IsSendSide() bool { return op == OpSend || op == OpIsend }
 
-// IsRecvSide reports whether the operation consumes a message.
-func (op Op) IsRecvSide() bool { return op == OpRecv || op == OpIrecv }
-
-// IsBlocking reports whether the operation blocks until matched.
-// Nonblocking operations complete at a later Wait.
-func (op Op) IsBlocking() bool {
-	switch op {
-	case OpIsend, OpIrecv:
-		return false
-	}
-	return true
-}
-
 // IsWait reports whether the operation completes earlier nonblocking
 // requests.
 func (op Op) IsWait() bool { return op == OpWait || op == OpWaitall }

@@ -398,16 +398,24 @@ func (r *Rank) postRecv(wsrc, tag int) *postedRecv {
 // receiver has drained its backlog below the credit window, then pays the
 // resume latency.
 func (r *Rank) stallForCredit(mb *mailbox, msg *message) {
-	m := r.w.model
-	resumeAt, stalled := mb.awaitCredit(msg, m.CreditWindow, r.clock)
-	if stalled {
-		start := r.clock
-		r.clock = math.Max(r.clock, resumeAt) + m.ResumeLatencyUS
-		if g := r.w.prof; g != nil {
-			g.add(DepRecord{Kind: DepCredit, Op: OpSend, Rank: int32(r.rank),
-				From: r.cwFrom, Site: r.curSite, Start: start, Ready: resumeAt,
-				End: r.clock, FromClock: resumeAt})
-		}
+	if resumeAt, stalled := mb.awaitCredit(msg, r.w.model.CreditWindow, r.clock); stalled {
+		r.chargeCreditStall(resumeAt)
+	}
+}
+
+// chargeCreditStall ends a flow-control stall that resolved at the receiver's
+// drain clock resumeAt (or logically before the sender's own clock): the
+// sender resumes at the later of the two plus the resume latency. A stackless
+// cursor, which parks on the stall instead of blocking in awaitCredit, calls
+// it on resume.
+func (r *Rank) chargeCreditStall(resumeAt float64) {
+	start := r.clock
+	resumeAt = math.Max(start, resumeAt)
+	r.clock = resumeAt + r.w.model.ResumeLatencyUS
+	if g := r.w.prof; g != nil {
+		g.add(DepRecord{Kind: DepCredit, Op: OpSend, Rank: int32(r.rank),
+			From: r.cwFrom, Site: r.curSite, Start: start, Ready: resumeAt,
+			End: r.clock, FromClock: resumeAt})
 	}
 }
 

@@ -360,7 +360,7 @@ func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor fun
 }
 
 // entLess orders the run queue by virtual clock, rank index breaking ties —
-// the engine's fixed, documented tie-break (DESIGN.md §11).
+// the engine's fixed, documented tie-break (DESIGN.md §7).
 func entLess(a, b heapEnt) bool {
 	return a.clock < b.clock || (a.clock == b.clock && a.rank < b.rank)
 }

@@ -16,9 +16,9 @@ import (
 // pushes every waiter back onto the run queue.
 //
 // The arrival bookkeeping and the round close are split-phase (arriveRound/
-// closeRound and the fixed-cost pair) so the stackless executor can share
-// them: a coroutine rank parks in await between the two, a stackless cursor
-// parks by returning to the drive loop and polls the generation on wake.
+// closeRound): a coroutine rank parks in await between the two (arrive), a
+// stackless cursor parks by returning to the drive loop and polls the
+// generation on wake (slExec.execRendezvous).
 type seqColl struct {
 	e *eventLoop
 	// members maps comm rank -> world rank, so a waiter can identify itself
@@ -30,8 +30,8 @@ type seqColl struct {
 	maxClock   float64
 	maxShadow  float64
 	op         Op
-	payload    []any // per-comm-rank contribution (general rounds: split/dup)
-	maxPayload int   // running max contribution (fixed-cost rounds)
+	keys       []any // per-comm-rank keys (CommSplit rounds), allocated on first use
+	maxContrib int   // running max contribution
 
 	// waiting lists the world ranks parked on the current round. Spurious
 	// wakes (a deposit on a waiter's mailbox, say) may re-append a rank; the
@@ -71,8 +71,8 @@ func (cs *seqColl) reset() {
 	cs.maxClock = 0
 	cs.maxShadow = 0
 	cs.op = 0
-	clear(cs.payload)
-	cs.maxPayload = 0
+	clear(cs.keys)
+	cs.maxContrib = 0
 	cs.waiting = cs.waiting[:0]
 	cs.completion = 0
 	cs.shadowCompletion = 0
@@ -115,68 +115,15 @@ func (cs *seqColl) profClose() {
 	cs.profArrive = cs.profArrive[:0]
 }
 
-// arriveRound performs the arrival bookkeeping for a general round and
-// reports the round generation the caller joined and whether its arrival
-// was the last.
-func (cs *seqColl) arriveRound(commRank int, op Op, clock, shadow float64, contrib any) (myGen uint64, last bool) {
+// arriveRound performs one member's arrival bookkeeping and reports the round
+// generation the caller joined and whether its arrival was the last.
+func (cs *seqColl) arriveRound(commRank int, op Op, clock, shadow float64, contrib int, key any) (myGen uint64, last bool) {
 	myGen = cs.gen
 	if cs.arrived == 0 {
 		cs.op = op
 		cs.maxClock = clock
 		cs.maxShadow = shadow
-		if cs.payload == nil {
-			cs.payload = make([]any, len(cs.members))
-		}
-	} else {
-		if cs.op != op {
-			panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %v while round started with %v", commRank, op, cs.op))
-		}
-		if clock > cs.maxClock {
-			cs.maxClock = clock
-		}
-		if shadow > cs.maxShadow {
-			cs.maxShadow = shadow
-		}
-	}
-	cs.payload[commRank] = contrib
-	cs.arrived++
-	cs.noteArrival(commRank, clock)
-	return myGen, cs.arrived == len(cs.members)
-}
-
-// closeRound completes a general round: the last arriver computes the
-// results and releases every waiter.
-func (cs *seqColl) closeRound(finish func(maxClock float64, contribs []any) (completion float64, shared any)) {
-	contribs := append([]any(nil), cs.payload...)
-	cs.completion, cs.shared = finish(cs.maxClock, contribs)
-	cs.shadowCompletion = cs.maxShadow + (cs.completion - cs.maxClock)
-	for i := range cs.payload {
-		cs.payload[i] = nil
-	}
-	cs.profClose()
-	cs.finishRound()
-}
-
-// arrive mirrors lockedColl.arrive; see collSync for the contract.
-func (cs *seqColl) arrive(commRank int, op Op, clock, shadow float64, contrib any,
-	finish func(maxClock float64, contribs []any) (completion float64, shared any)) (float64, float64, any) {
-	myGen, last := cs.arriveRound(commRank, op, clock, shadow, contrib)
-	if last {
-		cs.closeRound(finish)
-		return cs.completion, cs.shadowCompletion, cs.shared
-	}
-	cs.await(myGen, commRank)
-	return cs.completion, cs.shadowCompletion, cs.shared
-}
-
-// arriveFixedRound is arriveRound's fixed-cost counterpart.
-func (cs *seqColl) arriveFixedRound(commRank int, op Op, clock, shadow float64, contrib int) (myGen uint64, last bool) {
-	myGen = cs.gen
-	if cs.arrived == 0 {
-		cs.op = op
-		cs.maxClock = clock
-		cs.maxShadow = shadow
-		cs.maxPayload = 0
+		cs.maxContrib = 0
 	} else if cs.op != op {
 		panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %v while round started with %v", commRank, op, cs.op))
 	} else {
@@ -187,33 +134,44 @@ func (cs *seqColl) arriveFixedRound(commRank int, op Op, clock, shadow float64, 
 			cs.maxShadow = shadow
 		}
 	}
-	if contrib > cs.maxPayload {
-		cs.maxPayload = contrib
+	if contrib > cs.maxContrib {
+		cs.maxContrib = contrib
+	}
+	if key != nil {
+		if cs.keys == nil {
+			cs.keys = make([]any, len(cs.members))
+		}
+		cs.keys[commRank] = key
 	}
 	cs.arrived++
 	cs.noteArrival(commRank, clock)
 	return myGen, cs.arrived == len(cs.members)
 }
 
-// closeFixedRound completes a fixed-cost round.
-func (cs *seqColl) closeFixedRound(m *netmodel.Model, cc collCost) {
-	cs.completion = cs.maxClock + evalCollCost(m, cc, cs.maxPayload)
+// closeRound completes the round: the last arriver, whose collRound rd is,
+// computes the results and releases every waiter.
+func (cs *seqColl) closeRound(m *netmodel.Model, rd *collRound) {
+	cs.completion = cs.maxClock + evalCollCost(m, rd.cost, cs.maxContrib)
 	cs.shadowCompletion = cs.maxShadow + (cs.completion - cs.maxClock)
 	cs.shared = nil
+	if rd.mint != nil {
+		cs.shared = rd.mint(cs.keys)
+		clear(cs.keys)
+	}
 	cs.profClose()
 	cs.finishRound()
 }
 
-// arriveFixed mirrors lockedColl.arriveFixed; see collSync for the contract.
-func (cs *seqColl) arriveFixed(commRank int, op Op, clock, shadow float64, contrib int,
-	m *netmodel.Model, cc collCost) (float64, float64) {
-	myGen, last := cs.arriveFixedRound(commRank, op, clock, shadow, contrib)
+// arrive implements collSync for a rank with a stack to park on.
+func (cs *seqColl) arrive(commRank int, op Op, clock, shadow float64, rd collRound,
+	m *netmodel.Model) (float64, float64, any) {
+	myGen, last := cs.arriveRound(commRank, op, clock, shadow, rd.contrib, rd.key)
 	if last {
-		cs.closeFixedRound(m, cc)
-		return cs.completion, cs.shadowCompletion
+		cs.closeRound(m, &rd)
+	} else {
+		cs.await(myGen, commRank)
 	}
-	cs.await(myGen, commRank)
-	return cs.completion, cs.shadowCompletion
+	return cs.completion, cs.shadowCompletion, cs.shared
 }
 
 // finishRound advances the generation and releases every waiter onto the
@@ -230,18 +188,16 @@ func (cs *seqColl) finishRound() {
 	}
 }
 
-// park registers the caller as waiting on the current round; the stackless
-// executor calls it before every return to the drive loop, mirroring the
-// append-per-iteration in await.
+// park registers the caller as waiting on the current round; await and the
+// stackless executor call it before every return to the driver.
 func (cs *seqColl) park(commRank int) {
 	cs.waiting = append(cs.waiting, int32(cs.members[commRank]))
 }
 
 // await parks the caller until the round it joined completes.
 func (cs *seqColl) await(myGen uint64, commRank int) {
-	me := int32(cs.members[commRank])
 	for cs.gen == myGen {
-		cs.waiting = append(cs.waiting, me)
-		cs.e.block(me)
+		cs.park(commRank)
+		cs.e.block(int32(cs.members[commRank]))
 	}
 }

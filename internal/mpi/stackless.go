@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"time"
 
 	"repro/internal/netmodel"
@@ -26,12 +25,16 @@ import (
 // bit-identical to the coroutine engine. The differential suite pins exactly
 // that.
 //
-// Each cursor's step mirrors, statement for statement, the rank-side path
-// it replaces (Send/Recv/Waitall in rank.go, runCollective/CommSplit/
-// CommDup/Finalize in collectives.go, rankMain in world.go), split at its
-// blocking points via the split-phase rendezvous in seqcoll.go and the
-// explicit wait predicates of the mailbox. When editing either side, keep
-// the other in lockstep.
+// Synchronizing operations are defined once: a cursor and the imperative API
+// both run Rank.joinRound and Rank.leaveRound over the table in
+// collectives.go, and differ only in how they wait between the two. The
+// point-to-point operations (execSend, execRecv, execDrain) are the cursor's
+// own: they make Rank.Send/Recv/Waitall's calls in the same order — inject,
+// postRecv, completeRecv, chargeCreditStall — with each blocking wait
+// (stallForCredit, awaitMatch) replaced by a park whose predicate tryResume
+// tests. That copy is deliberate: it is the hot path of every replayed event,
+// and the replay differential suites hold the two to identical traces and
+// clocks.
 
 // RankOp is one operation of a stackless rank body: the op code, the
 // compute phase preceding it, and the operation's resolved parameters.
@@ -79,10 +82,10 @@ type OpStream interface {
 // "enddrain".)
 const EndDrainSite uint64 = 0x656e64647261696e
 
-// rankMainSite is the call-site hash of the Init and Finalize events that
-// rankMain records: callSite() truncates its stack walk at rankMain, so at
-// that depth it hashes zero frames — the FNV-1a offset basis. The stackless
-// executor has no stack to walk and stamps the constant directly.
+// rankMainSite is the call-site hash of the Init and Finalize events every
+// rank opens and closes with: callSite() truncates its stack walk at rankMain,
+// so at that depth it hashes zero frames — the FNV-1a offset basis. Both rank
+// representations stamp the constant rather than walk an empty stack.
 var rankMainSite = fnv.New64a().Sum64()
 
 // slExec phases: a cursor runs Init, then its stream, then the implicit
@@ -115,8 +118,8 @@ const (
 // execution discipline (one rank steps at a time), so none need locks.
 type slExec struct {
 	stream OpStream
-	// comms maps stream communicator IDs to live communicators, mirroring
-	// the replayer's table; unknown IDs fall back to the world.
+	// comms maps stream communicator IDs to live communicators; unknown IDs
+	// fall back to the world.
 	comms map[int]*Comm
 	// outstanding accumulates nonblocking requests between drains.
 	outstanding []*Request
@@ -145,11 +148,10 @@ type slExec struct {
 	wCommSize int
 
 	// Park registration (see the pend constants).
-	pend         uint8
-	pendP        *postedRecv
-	pendCS       *seqColl
-	pendGen      uint64
-	pendCommRank int
+	pend    uint8
+	pendP   *postedRecv
+	pendCS  *seqColl
+	pendGen uint64
 }
 
 // init arms a cursor for one run, retaining its grown containers: the
@@ -196,22 +198,12 @@ func (x *slExec) tryResume(r *Rank) bool {
 		if !r.cwDone {
 			return false
 		}
-		// Mirrors the tail of stallForCredit, including its profiling hook:
-		// the stall resolved at the releasing drain clock (or logically
-		// before the sender's own clock — resumeAt folds both).
-		start := r.clock
-		resumeAt := math.Max(start, r.cwResume)
-		r.clock = resumeAt + r.w.model.ResumeLatencyUS
-		if g := r.w.prof; g != nil {
-			g.add(DepRecord{Kind: DepCredit, Op: OpSend, Rank: int32(r.rank),
-				From: r.cwFrom, Site: r.curSite, Start: start, Ready: resumeAt,
-				End: r.clock, FromClock: resumeAt})
-		}
+		r.chargeCreditStall(r.cwResume)
 	case pendColl:
 		if x.pendCS.gen == x.pendGen {
 			// Round not closed yet: re-register, as await's loop re-appends
 			// before every block.
-			x.pendCS.park(x.pendCommRank)
+			x.pendCS.park(x.me)
 			return false
 		}
 		x.pendCS = nil
@@ -228,14 +220,7 @@ func (x *slExec) step(r *Rank) (done bool) {
 	for {
 		switch x.phase {
 		case phInit:
-			// rankMain's Init event.
-			st := entryState{start: r.clock, compute: r.clock - r.lastOpEnd}
-			if r.tracer != nil || r.w.prof != nil {
-				st.site = rankMainSite
-			}
-			r.noteSite(st.site)
-			r.record(st, &Event{Op: OpInit, CommID: 0, CommSize: r.w.n,
-				Peer: NoPeer, PeerWorld: NoPeer, Root: -1})
+			r.recordInit()
 			x.phase = phStream
 		case phStream:
 			if !x.hasOp {
@@ -257,7 +242,6 @@ func (x *slExec) step(r *Rank) (done bool) {
 			if !x.hasOp {
 				if len(x.outstanding) == 0 {
 					x.phase = phFinalize
-					x.stage = 0
 					continue
 				}
 				x.op = RankOp{Op: OpWaitall, Site: EndDrainSite}
@@ -270,9 +254,14 @@ func (x *slExec) step(r *Rank) (done bool) {
 			}
 			x.hasOp = false
 			x.phase = phFinalize
-			x.stage = 0
 		case phFinalize:
-			if x.execFinalize(r) {
+			// rankMain's Finalize, stamped with the same site.
+			if !x.hasOp {
+				x.op = RankOp{Op: OpFinalize, Site: rankMainSite}
+				x.hasOp = true
+				x.stage = 0
+			}
+			if x.execRendezvous(r) {
 				return false
 			}
 			x.phase = phDone
@@ -283,8 +272,8 @@ func (x *slExec) step(r *Rank) (done bool) {
 }
 
 // execOp runs (or resumes) the operation in flight, returning true if it
-// parked. Nonblocking operations reuse the public Rank methods unchanged;
-// blocking ones are the same code split at their wait.
+// parked. Nonblocking operations call the public Rank methods; blocking ones
+// return to the drive loop where those would wait.
 func (x *slExec) execOp(r *Rank) (parked bool) {
 	op := &x.op
 	switch op.Op {
@@ -310,19 +299,15 @@ func (x *slExec) execOp(r *Rank) (parked bool) {
 		return x.execDrain(r)
 	case OpBarrier, OpBcast, OpReduce, OpAllreduce, OpGather, OpGatherv,
 		OpAllgather, OpAllgatherv, OpScatter, OpScatterv, OpAlltoall,
-		OpAlltoallv, OpReduceScatter:
-		return x.execColl(r)
-	case OpCommSplit:
-		return x.execSplit(r)
-	case OpCommDup:
-		return x.execDup(r)
+		OpAlltoallv, OpReduceScatter, OpCommSplit, OpCommDup:
+		return x.execRendezvous(r)
 	default:
 		panic(fmt.Sprintf("mpi: stackless rank %d: unsupported op %v", r.rank, op.Op))
 	}
 	return false
 }
 
-// execSend mirrors Rank.Send split at stallForCredit.
+// execSend is a blocking send; it parks where Rank.Send stalls for credit.
 func (x *slExec) execSend(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
@@ -354,7 +339,7 @@ func (x *slExec) execSend(r *Rank) bool {
 	return false
 }
 
-// execRecv mirrors Rank.Recv split at awaitMatch.
+// execRecv is a blocking receive; it parks where Rank.Recv awaits its match.
 func (x *slExec) execRecv(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
@@ -386,11 +371,10 @@ func (x *slExec) execRecv(r *Rank) bool {
 	return false
 }
 
-// execDrain mirrors a replay body's Waitall over the outstanding set —
-// including the guard: with nothing outstanding the leaf is compute-only,
-// as the replayer skips the call entirely. The two passes (receives first,
-// then sends) and the per-request wait splits mirror Rank.Waitall and
-// Rank.wait.
+// execDrain is a Waitall over the outstanding set. With nothing outstanding
+// the leaf is compute-only, as a replay body skips the call entirely.
+// Otherwise it makes Rank.Waitall's two passes (receives first, then sends),
+// parking where Rank.wait would block on a match or on credit.
 func (x *slExec) execDrain(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
@@ -467,200 +451,38 @@ func (x *slExec) execDrain(r *Rank) bool {
 	return false
 }
 
-// collArgs mirrors the per-collective argument preparation of the public
-// wrappers in collectives.go: the rendezvous contribution and cost spec.
-func collArgs(op *RankOp, c *Comm) (contrib int, cc collCost) {
-	p := c.Size()
-	switch op.Op {
-	case OpBarrier:
-		return 0, collCost{kind: costBarrier, p: p}
-	case OpBcast, OpReduce, OpGather, OpGatherv, OpScatter:
-		return op.Size, collCost{kind: costTree, p: p, factor: 1, div: 1}
-	case OpAllreduce, OpAllgather, OpAllgatherv:
-		return op.Size, collCost{kind: costTree, p: p, factor: 2, div: 1}
-	case OpScatterv:
-		return sumInts(op.Counts), collCost{kind: costTree, p: p, factor: 1, div: maxInt(p, 1)}
-	case OpAlltoall:
-		return op.Size, collCost{kind: costAlltoall, p: p}
-	case OpAlltoallv:
-		total := sumInts(op.Counts)
-		avg := 0
-		if p > 0 {
-			avg = total / p
-		}
-		return avg, collCost{kind: costAlltoall, p: p}
-	case OpReduceScatter:
-		return sumInts(op.Counts), collCost{kind: costTree, p: p, factor: 2, div: maxInt(p, 1)}
-	}
-	panic(fmt.Sprintf("mpi: collArgs on non-collective op %v", op.Op))
-}
-
-// collEvent mirrors the event parameters each public wrapper passes to
-// runCollective.
-func collEvent(op *RankOp, me int) (size, root int, counts []int) {
-	switch op.Op {
-	case OpBarrier:
-		return 0, -1, nil
-	case OpBcast, OpReduce, OpGather, OpGatherv, OpScatter:
-		return op.Size, op.Root, nil
-	case OpScatterv:
-		mySize := 0
-		if me < len(op.Counts) {
-			mySize = op.Counts[me]
-		}
-		return mySize, op.Root, op.Counts
-	case OpAlltoallv, OpReduceScatter:
-		return sumInts(op.Counts), -1, op.Counts
-	default: // Allreduce, Allgather(v), Alltoall
-		return op.Size, -1, nil
-	}
-}
-
-// parkColl registers the cursor on the round it joined, mirroring await.
-func (x *slExec) parkColl(cs *seqColl, myGen uint64, me int) {
-	cs.park(me)
-	x.pend = pendColl
-	x.pendCS = cs
-	x.pendGen = myGen
-	x.pendCommRank = me
-}
-
-// execColl mirrors the fixed-cost collective wrappers plus runCollective,
-// split at the rendezvous await.
-func (x *slExec) execColl(r *Rank) bool {
+// execRendezvous runs any synchronizing operation — the collectives,
+// CommSplit, CommDup, the runtime's own Finalize — as Rank.rendezvous does,
+// with the wait inside collSync.arrive replaced by a park on the round: join,
+// arrive, and either close the round (last member) or return to the drive
+// loop until tryResume sees the generation advance; then leave. A minted
+// communicator is registered under the stream's ID for later operations.
+func (x *slExec) execRendezvous(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
 		r.Compute(op.ComputeUS)
-		r.checkActive()
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: op.Site}
-		r.noteSite(op.Site)
-		c := x.comm(r, op.CommID)
-		x.c = c
-		x.me = r.myCommRank(c)
-		contrib, cc := collArgs(op, c)
-		cs := c.sync.(*seqColl)
-		myGen, last := cs.arriveFixedRound(x.me, op.Op, r.clock, r.shadow, contrib)
+		r.SetCallSite(op.Site)
+		x.st = r.enter()
+		x.c = x.comm(r, op.CommID)
+		var rd collRound
+		x.me = r.joinRound(x.c, op, &rd)
+		cs := x.c.sync.(*seqColl)
+		myGen, last := cs.arriveRound(x.me, op.Op, r.clock, r.shadow, rd.contrib, rd.key)
 		x.stage = 1
 		if !last {
-			x.parkColl(cs, myGen, x.me)
+			cs.park(x.me)
+			x.pend = pendColl
+			x.pendCS = cs
+			x.pendGen = myGen
 			return true
 		}
-		cs.closeFixedRound(r.w.model, cc)
+		cs.closeRound(r.w.model, &rd)
 	}
 	cs := x.c.sync.(*seqColl)
-	r.clock = cs.completion
-	r.shadow = cs.shadowCompletion
-	if r.tracer == nil {
-		r.lastOpEnd = r.clock
-		return false
-	}
-	size, root, counts := collEvent(op, x.me)
-	r.record(x.st, &Event{Op: op.Op, CommID: x.c.id, CommSize: x.c.Size(),
-		Peer: NoPeer, PeerWorld: NoPeer, Size: size, Counts: counts, Root: root})
-	return false
-}
-
-// execSplit mirrors Rank.CommSplit split at the rendezvous await, plus the
-// replayer's registration of the minted communicator.
-func (x *slExec) execSplit(r *Rank) bool {
-	op := &x.op
-	if x.stage == 0 {
-		r.Compute(op.ComputeUS)
-		r.checkActive()
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: op.Site}
-		r.noteSite(op.Site)
-		c := x.comm(r, op.CommID)
-		x.c = c
-		x.me = r.myCommRank(c)
-		contrib := splitKey{color: op.SplitColor, key: op.SplitKey, worldRank: r.rank}
-		cs := c.sync.(*seqColl)
-		myGen, last := cs.arriveRound(x.me, OpCommSplit, r.clock, r.shadow, contrib)
-		x.stage = 1
-		if !last {
-			x.parkColl(cs, myGen, x.me)
-			return true
-		}
-		cs.closeRound(r.w.splitFinish(c))
-	}
-	cs := x.c.sync.(*seqColl)
-	r.clock = cs.completion
-	r.shadow = cs.shadowCompletion
-	nc := cs.shared.(map[int]*Comm)[op.SplitColor]
-	ev := Event{Op: OpCommSplit, CommID: x.c.id, CommSize: x.c.Size(),
-		Peer: NoPeer, PeerWorld: NoPeer, Root: -1}
-	if nc != nil {
-		ev.Group = nc.Group()
-		ev.NewCommID = nc.id
-	}
-	r.record(x.st, &ev)
+	nc := r.leaveRound(x.st, x.c, x.me, op, cs.completion, cs.shadowCompletion, cs.shared)
 	if nc != nil && op.NewCommID != 0 {
 		x.comms[op.NewCommID] = nc
 	}
-	return false
-}
-
-// execDup mirrors Rank.CommDup split at the rendezvous await.
-func (x *slExec) execDup(r *Rank) bool {
-	op := &x.op
-	if x.stage == 0 {
-		r.Compute(op.ComputeUS)
-		r.checkActive()
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: op.Site}
-		r.noteSite(op.Site)
-		c := x.comm(r, op.CommID)
-		x.c = c
-		x.me = r.myCommRank(c)
-		cs := c.sync.(*seqColl)
-		myGen, last := cs.arriveRound(x.me, OpCommDup, r.clock, r.shadow, nil)
-		x.stage = 1
-		if !last {
-			x.parkColl(cs, myGen, x.me)
-			return true
-		}
-		cs.closeRound(r.w.dupFinish(c))
-	}
-	cs := x.c.sync.(*seqColl)
-	r.clock = cs.completion
-	r.shadow = cs.shadowCompletion
-	nc := cs.shared.(*Comm)
-	r.record(x.st, &Event{Op: OpCommDup, CommID: x.c.id, CommSize: x.c.Size(),
-		Peer: NoPeer, PeerWorld: NoPeer, Root: -1,
-		Group: nc.Group(), NewCommID: nc.id})
-	if op.NewCommID != 0 {
-		x.comms[op.NewCommID] = nc
-	}
-	return false
-}
-
-// execFinalize mirrors Rank.Finalize split at the rendezvous await.
-func (x *slExec) execFinalize(r *Rank) bool {
-	if x.stage == 0 {
-		if r.finalized {
-			return false
-		}
-		c := r.w.commWorld
-		x.c = c
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd}
-		if r.tracer != nil || r.w.prof != nil {
-			x.st.site = rankMainSite
-		}
-		r.noteSite(x.st.site)
-		x.me = r.myCommRank(c)
-		cs := c.sync.(*seqColl)
-		myGen, last := cs.arriveFixedRound(x.me, OpFinalize, r.clock, r.shadow, 0)
-		x.stage = 1
-		if !last {
-			x.parkColl(cs, myGen, x.me)
-			return true
-		}
-		cs.closeFixedRound(r.w.model, collCost{kind: costZero})
-	}
-	cs := x.c.sync.(*seqColl)
-	r.clock = cs.completion
-	r.shadow = cs.shadowCompletion
-	r.record(x.st, &Event{Op: OpFinalize, CommID: x.c.id, CommSize: x.c.Size(),
-		Peer: NoPeer, PeerWorld: NoPeer, Root: -1})
-	r.finalized = true
 	return false
 }
 

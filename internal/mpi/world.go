@@ -127,17 +127,19 @@ const denseSrcIndexRanks = 4096
 //
 //go:noinline
 func rankMain(r *Rank, body func(*Rank)) {
-	// Init and Finalize issue from this exact frame, so their site is known
-	// statically: stamp it rather than letting enter() walk an empty stack.
-	// rankMainSite is by construction the hash callSite() produces here
-	// (zero frames above rankMain), and the stackless executor stamps the
-	// same constant, so all representations agree without a walk.
-	r.SetCallSite(rankMainSite)
-	r.record(r.enter(), &Event{Op: OpInit, CommID: 0, CommSize: r.w.n,
-		Peer: NoPeer, PeerWorld: NoPeer, Root: -1})
+	r.recordInit()
 	body(r)
 	r.SetCallSite(rankMainSite)
 	r.Finalize()
+}
+
+// recordInit records the Init event a rank of either representation opens
+// with. Init and Finalize issue from rankMain's own frame, so their site is
+// known statically (rankMainSite) and stamped rather than walked.
+func (r *Rank) recordInit() {
+	r.SetCallSite(rankMainSite)
+	r.record(r.enter(), &Event{Op: OpInit, CommID: 0, CommSize: r.w.n,
+		Peer: NoPeer, PeerWorld: NoPeer, Root: -1})
 }
 
 // ErrDeadlock is wrapped by the error of a run the event engine proved

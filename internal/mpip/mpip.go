@@ -69,45 +69,6 @@ func (p *Profile) TotalCalls() int64 {
 	return t
 }
 
-// TotalBytes returns the total message volume of any kind.
-func (p *Profile) TotalBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t int64
-	for _, b := range p.bytes {
-		t += b
-	}
-	return t
-}
-
-// OpDiff describes one per-operation discrepancy between two profiles.
-type OpDiff struct {
-	Op             mpi.Op
-	CountA, CountB int64
-	BytesA, BytesB int64
-}
-
-func (d OpDiff) String() string {
-	return fmt.Sprintf("%s: calls %d vs %d, bytes %d vs %d",
-		d.Op, d.CountA, d.CountB, d.BytesA, d.BytesB)
-}
-
-// Compare returns the per-operation differences between two profiles.
-// An empty result means the profiles match perfectly, the paper's criterion
-// for communication correctness. Wait-family and Init operations are
-// compared by count only; volume fields are informational there.
-func Compare(a, b *Profile) []OpDiff {
-	var diffs []OpDiff
-	for op := mpi.Op(0); int(op) < mpi.NumOps; op++ {
-		ca, ba := a.Count(op), a.Bytes(op)
-		cb, bb := b.Count(op), b.Bytes(op)
-		if ca != cb || ba != bb {
-			diffs = append(diffs, OpDiff{Op: op, CountA: ca, CountB: cb, BytesA: ba, BytesB: bb})
-		}
-	}
-	return diffs
-}
-
 // ReportRow is one operation's comparison in a Diff report: both profiles'
 // count and volume plus the percentage error of B against A (A is the
 // reference, as in Section 5.2's original-vs-generated comparison).
@@ -120,7 +81,7 @@ type ReportRow struct {
 }
 
 // Report is a full per-operation comparison of two profiles, covering every
-// operation either profile observed (matching rows included, unlike Compare).
+// operation either profile observed, matching rows included.
 type Report struct {
 	Rows []ReportRow
 }
@@ -144,7 +105,8 @@ func Diff(a, b *Profile) *Report {
 	return r
 }
 
-// Match reports whether the two profiles agree exactly on every operation.
+// Match reports whether the two profiles agree exactly on every operation —
+// the paper's criterion for communication correctness.
 func (r *Report) Match() bool {
 	for _, row := range r.Rows {
 		if row.CountA != row.CountB || row.BytesA != row.BytesB {

@@ -81,44 +81,6 @@ func TestTotals(t *testing.T) {
 	if got := p.TotalCalls(); got != 6 {
 		t.Fatalf("total calls = %d, want 6", got)
 	}
-	if got := p.TotalBytes(); got != 154 {
-		t.Fatalf("total bytes = %d, want 154", got)
-	}
-}
-
-func TestCompareIdenticalRuns(t *testing.T) {
-	a := profileOf(t, 4, ringBody(512))
-	b := profileOf(t, 4, ringBody(512))
-	if diffs := Compare(a, b); len(diffs) != 0 {
-		t.Fatalf("identical runs differ: %v", diffs)
-	}
-}
-
-func TestCompareDetectsDifferences(t *testing.T) {
-	a := profileOf(t, 4, ringBody(512))
-	b := profileOf(t, 4, ringBody(513))
-	diffs := Compare(a, b)
-	if len(diffs) == 0 {
-		t.Fatal("differing runs compared equal")
-	}
-	found := false
-	for _, d := range diffs {
-		if d.Op == mpi.OpIsend {
-			found = true
-			if d.CountA != d.CountB {
-				t.Errorf("counts should match, only bytes differ: %v", d)
-			}
-			if d.BytesA == d.BytesB {
-				t.Errorf("bytes should differ: %v", d)
-			}
-		}
-		if d.String() == "" {
-			t.Error("empty diff string")
-		}
-	}
-	if !found {
-		t.Fatalf("no Isend diff in %v", diffs)
-	}
 }
 
 func TestDiffMatchingProfiles(t *testing.T) {

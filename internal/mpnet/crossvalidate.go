@@ -245,12 +245,7 @@ func ResolverAssignment(net *Net, resolved *trace.Trace) (map[[2]int]int, error)
 				return nil, fmt.Errorf("mpnet: resolved trace misaligned for rank %d event %d: %v vs %v",
 					rank, i, leaf.Op, ev.Op)
 			}
-			commSrc := leaf.PeerFor(rank, resolved)
-			world, ok := resolved.WorldRankOf(leaf.CommID, commSrc)
-			if !ok {
-				world = commSrc
-			}
-			assign[[2]int{rank, i}] = world
+			assign[[2]int{rank, i}] = leaf.WorldPeerFor(rank, resolved)
 		}
 	}
 	return assign, nil
@@ -277,11 +272,9 @@ func CounterexampleTrace(net *Net, cx *Counterexample) (*trace.Trace, error) {
 		b := trace.NewBuilder()
 		for i := range net.Procs[rank] {
 			ev := &net.Procs[rank][i]
-			rsd := ev.Leaf
-			peer := rsd.Peer
-			if peer.Kind == trace.ParamVec {
-				peer = trace.AbsParam(rsd.PeerFor(rank, t))
-			}
+			leaf := new(trace.RSD)
+			ev.Leaf.CopyFor(leaf, rank, taskset.Of(rank), t, ev.ComputeUS)
+			leaf.Wildcard = false
 			if ev.Wild {
 				world, ok := pinned[[2]int{rank, i}]
 				if !ok {
@@ -291,37 +284,17 @@ func CounterexampleTrace(net *Net, cx *Counterexample) (*trace.Trace, error) {
 						world = 0 // unmatchable either way: no compatible sender exists
 					}
 				}
-				commSrc, ok := t.CommRankOf(rsd.CommID, world)
+				commSrc, ok := t.CommRankOf(leaf.CommID, world)
 				if !ok {
 					commSrc = world
 				}
-				peer = trace.AbsParam(commSrc)
+				leaf.Peer = trace.AbsParam(commSrc)
 			}
-			leaf := &trace.RSD{
-				Op:        rsd.Op,
-				Site:      rsd.Site,
-				Ranks:     taskset.Of(rank),
-				CommID:    rsd.CommID,
-				CommSize:  rsd.CommSize,
-				Peer:      peer,
-				Wildcard:  false,
-				Tag:       rsd.Tag,
-				Size:      rsd.Size,
-				Counts:    append([]int(nil), rsd.Counts...),
-				Root:      rsd.Root,
-				Group:     append([]int(nil), rsd.Group...),
-				NewCommID: rsd.NewCommID,
-			}
-			leaf.SetComputeSample(ev.ComputeUS)
 			b.Append(leaf)
 		}
 		seqs[rank] = b.Seq()
 	}
-	comms := make(map[int][]int, len(t.Comms))
-	for id, g := range t.Comms {
-		comms[id] = append([]int(nil), g...)
-	}
-	return trace.MergeRankSeqsOwned(net.N, comms, seqs), nil
+	return trace.MergeRankSeqsOwned(net.N, trace.CloneComms(t.Comms), seqs), nil
 }
 
 // ConfirmWithReplay re-executes the report's counterexample on the

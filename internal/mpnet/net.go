@@ -177,20 +177,6 @@ func (o *Options) maxStates() int {
 	return o.MaxStates
 }
 
-// worldPeer resolves an RSD's peer parameter for a concrete participant
-// to a world rank, exactly as the resolver does.
-func worldPeer(t *trace.Trace, rank int, rsd *trace.RSD) int {
-	if rsd.Peer.Kind == trace.ParamAny {
-		return mpi.AnySource
-	}
-	commPeer := rsd.PeerFor(rank, t)
-	world, ok := t.WorldRankOf(rsd.CommID, commPeer)
-	if !ok {
-		return commPeer
-	}
-	return world
-}
-
 // FromTrace lowers t into its MP-net. The expansion walks every rank's
 // compressed sequence with a trace cursor (loops unrolled), so the net
 // is finite and exact; opts.MaxEvents bounds the unrolling.
@@ -227,7 +213,7 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 			switch {
 			case rsd.Op.IsSendSide():
 				ev.Kind = EvSend
-				ev.Peer = worldPeer(t, rank, rsd)
+				ev.Peer = rsd.WorldPeerFor(rank, t)
 				if ev.Peer >= 0 && ev.Peer < t.N {
 					key := ChanKey{Src: rank, Dst: ev.Peer, Tag: rsd.Tag, CommID: rsd.CommID}
 					ci, ok := chanIdx[key]
@@ -239,7 +225,7 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 					ev.Chan = ci
 				}
 			case rsd.Op == mpi.OpRecv:
-				ev.Peer = worldPeer(t, rank, rsd)
+				ev.Peer = rsd.WorldPeerFor(rank, t)
 				if ev.Peer == mpi.AnySource {
 					ev.Kind, ev.Wild = EvRecvAny, true
 					net.Wildcards++
@@ -248,7 +234,7 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 				}
 			case rsd.Op == mpi.OpIrecv:
 				ev.Kind = EvIrecv
-				ev.Peer = worldPeer(t, rank, rsd)
+				ev.Peer = rsd.WorldPeerFor(rank, t)
 				if ev.Peer == mpi.AnySource {
 					ev.Wild = true
 					net.Wildcards++

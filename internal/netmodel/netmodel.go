@@ -15,7 +15,10 @@
 //     plus a resume latency.
 package netmodel
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Model holds the platform parameters in microseconds and bytes.
 type Model struct {
@@ -240,8 +243,20 @@ func (m *Model) AlltoallUS(p, size int) float64 {
 // BarrierUS returns the cost of a barrier over p ranks.
 func (m *Model) BarrierUS(p int) float64 { return m.CollectiveUS(p, 0) }
 
-// Preset looks up a platform model by name ("bluegene", "ethernet", "ideal").
-// Unknown names return nil.
+// PresetNames lists the preset platform models for help texts and errors.
+const PresetNames = "bluegene, ethernet, infiniband, ideal"
+
+// Lookup is Preset for a name a user typed: an unknown one is an error that
+// lists the presets.
+func Lookup(name string) (*Model, error) {
+	if m := Preset(name); m != nil {
+		return m, nil
+	}
+	return nil, fmt.Errorf("unknown model %q (want one of %s)", name, PresetNames)
+}
+
+// Preset looks up a platform model by name (see PresetNames; a few aliases
+// are accepted). Unknown names return nil.
 func Preset(name string) *Model {
 	switch name {
 	case "bluegene", "bluegenel", "bgl", "BlueGeneL":

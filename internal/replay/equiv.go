@@ -71,11 +71,7 @@ func normalize(t *trace.Trace, rank int) []normEvent {
 			out = append(out, normEvent{op: mpi.OpReduce, size: leaf.Size, commKey: commKey(t, leaf)})
 		case mpi.OpScatter, mpi.OpScatterv:
 			// Table 1: Scatter(v) -> MULTICAST.
-			size := leaf.Size
-			if leaf.Op == mpi.OpScatterv && len(leaf.Counts) > 0 {
-				size = sumInts(leaf.Counts) / len(leaf.Counts)
-			}
-			out = append(out, normEvent{op: mpi.OpBcast, size: size, commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: mpi.OpBcast, size: leaf.MeanCount(), commKey: commKey(t, leaf)})
 		case mpi.OpAllgather, mpi.OpAllgatherv:
 			// Table 1: Allgather(v) -> REDUCE + MULTICAST.
 			out = append(out,
@@ -83,30 +79,14 @@ func normalize(t *trace.Trace, rank int) []normEvent {
 				normEvent{op: mpi.OpBcast, size: leaf.Size, commKey: commKey(t, leaf)})
 		case mpi.OpAlltoallv:
 			// Table 1: Alltoallv -> MULTICAST (alltoall) with averaged size.
-			size := leaf.Size
-			if leaf.CommSize > 0 {
-				size = leaf.Size / leaf.CommSize
-			}
-			out = append(out, normEvent{op: mpi.OpAlltoall, size: size, commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: mpi.OpAlltoall, size: leaf.PerPeerSize(), commKey: commKey(t, leaf)})
 		case mpi.OpReduceScatter:
 			// Table 1: Reduce_scatter -> one rooted REDUCE per member.
-			for i := range t.CommGroup(leaf.CommID) {
-				size := 0
-				if i < len(leaf.Counts) {
-					size = leaf.Counts[i]
-				}
-				out = append(out, normEvent{op: mpi.OpReduce, size: size, commKey: commKey(t, leaf)})
+			group := t.CommGroup(leaf.CommID)
+			for i := range group {
+				out = append(out, normEvent{op: mpi.OpReduce, size: leaf.SegmentSize(i, len(group)), commKey: commKey(t, leaf)})
 			}
 		case mpi.OpSend, mpi.OpIsend, mpi.OpRecv, mpi.OpIrecv:
-			peer := mpi.AnySource
-			if leaf.Peer.Kind != trace.ParamAny {
-				commPeer := leaf.PeerFor(rank, t)
-				if w, ok := t.WorldRankOf(leaf.CommID, commPeer); ok {
-					peer = w
-				} else {
-					peer = commPeer
-				}
-			}
 			op := leaf.Op
 			// Blocking and nonblocking variants move the same data.
 			if op == mpi.OpIsend {
@@ -115,7 +95,7 @@ func normalize(t *trace.Trace, rank int) []normEvent {
 			if op == mpi.OpIrecv {
 				op = mpi.OpRecv
 			}
-			out = append(out, normEvent{op: op, size: leaf.Size, peerWorld: peer})
+			out = append(out, normEvent{op: op, size: leaf.Size, peerWorld: leaf.WorldPeerFor(rank, t)})
 		default:
 			out = append(out, normEvent{op: leaf.Op, size: leaf.Size, commKey: commKey(t, leaf)})
 		}
@@ -130,12 +110,4 @@ func commKey(t *trace.Trace, leaf *trace.RSD) string {
 		return leaf.Ranks.String()
 	}
 	return fmt.Sprint(group)
-}
-
-func sumInts(vs []int) int {
-	t := 0
-	for _, v := range vs {
-		t += v
-	}
-	return t
 }

@@ -51,7 +51,7 @@ func TestReplayReproducesProfile(t *testing.T) {
 	if _, err := Replay(tr, m, mpi.WithTracer(replayed.TracerFor)); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if diffs := mpip.Compare(orig, replayed); len(diffs) != 0 {
+	if diffs := mpip.Diff(orig, replayed); !diffs.Match() {
 		t.Fatalf("replayed profile differs: %v", diffs)
 	}
 }
@@ -135,7 +135,7 @@ func TestReplayVCollectives(t *testing.T) {
 	if _, err := Replay(tr, m, mpi.WithTracer(prof.TracerFor)); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if diffs := mpip.Compare(orig, prof); len(diffs) != 0 {
+	if diffs := mpip.Diff(orig, prof); !diffs.Match() {
 		t.Fatalf("v-collective replay differs: %v", diffs)
 	}
 }
@@ -274,7 +274,7 @@ func TestReplayAlignedTraceMatchesProfile(t *testing.T) {
 	if _, err := Replay(aligned, netmodel.Ideal(), mpi.WithTracer(p2.TracerFor)); err != nil {
 		t.Fatal(err)
 	}
-	if diffs := mpip.Compare(p1, p2); len(diffs) != 0 {
+	if diffs := mpip.Diff(p1, p2); !diffs.Match() {
 		t.Fatalf("aligned replay differs: %v", diffs)
 	}
 }

@@ -62,9 +62,9 @@ func runPipeline(ctx context.Context, req *Request, progress func(stage string))
 }
 
 func runStages(ctx context.Context, req *Request, progress func(string)) (*Result, error) {
-	model := netmodel.Preset(req.Model)
-	if model == nil {
-		return nil, fmt.Errorf("unknown model %q", req.Model)
+	model, err := netmodel.Lookup(req.Model)
+	if err != nil {
+		return nil, err
 	}
 
 	tr, err := obtainTrace(ctx, req, model, progress)
@@ -110,18 +110,14 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 		}
 	}
 
-	// Algorithms 2 and 1 run once, here; the generators below take the
-	// prepared trace, on which their own Prepare is the two O(r) pre-checks.
+	// Algorithms 2 and 1 run once, inside the pipeline; every language renders
+	// from what it derived.
 	progress(StageGenerate)
 	endGen := telemetry.Region(StageGenerate)
-	opts := &core.Options{
+	pipe := core.NewPipeline(tr, &core.Options{
 		Comments: []string{fmt.Sprintf("source trace: %d ranks, %d events", tr.N, tr.TotalEvents())},
-	}
-	prepared, err := core.Prepare(tr, opts)
-	var prog *conceptual.Program
-	if err == nil {
-		prog, err = core.Generate(prepared, opts)
-	}
+	})
+	prog, err := pipe.Program()
 	endGen()
 	if err != nil {
 		return nil, fmt.Errorf("generate: %w", err)
@@ -132,26 +128,7 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 
 	progress(StageRender)
 	endRender := telemetry.Region(StageRender)
-	var src string
-	switch req.Lang {
-	case "conceptual":
-		src = conceptual.Print(prog)
-	case "c":
-		src = conceptual.GenerateC(prog)
-	case "go":
-		src, err = core.GenerateGo(prepared, nil)
-	case "mpnet":
-		// The formal-model backends serve the net built from the unresolved
-		// trace (core.GenerateMPNet skips resolution), so the artifact keeps
-		// the wildcard alternatives the executable backends eliminate.
-		var raw []byte
-		raw, err = core.GenerateMPNet(tr, nil)
-		src = string(raw)
-	case "tla":
-		src, err = core.GenerateMPNetTLA(tr, nil, "CommModel")
-	default:
-		err = fmt.Errorf("unknown target language %q", req.Lang)
-	}
+	src, err := pipe.Render(req.Lang)
 	endRender()
 	if err != nil {
 		return nil, fmt.Errorf("render: %w", err)

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/mpnet"
 	"repro/internal/netmodel"
@@ -47,11 +48,11 @@ type Request struct {
 	N int `json:"n,omitempty"`
 	// Class is the NPB problem class (S, W, A, B, C); default W.
 	Class string `json:"class,omitempty"`
-	// Model is the platform model preset (bluegene, ethernet, infiniband,
-	// ideal); default bluegene.
+	// Model is the platform model preset (netmodel.PresetNames); default
+	// bluegene.
 	Model string `json:"model,omitempty"`
-	// Lang is the target language (conceptual, c, go, mpnet, tla); default
-	// conceptual. "mpnet" and "tla" emit the formal communication model —
+	// Lang is the target language (core.LanguageNames); default conceptual.
+	// mpnet and tla emit the formal communication model —
 	// the MP-net JSON artifact or its TLA+ rendering — instead of an
 	// executable benchmark.
 	Lang string `json:"lang,omitempty"`
@@ -77,16 +78,14 @@ func (r *Request) normalize() error {
 	if r.Lang == "" {
 		r.Lang = "conceptual"
 	}
-	switch r.Lang {
-	case "conceptual", "c", "go", "mpnet", "tla":
-	default:
-		return fmt.Errorf("unknown lang %q (want conceptual, c, go, mpnet or tla)", r.Lang)
+	if err := core.CheckLanguage(r.Lang); err != nil {
+		return err
 	}
 	if r.Model == "" {
 		r.Model = "bluegene"
 	}
-	if netmodel.Preset(r.Model) == nil {
-		return fmt.Errorf("unknown model %q (want bluegene, ethernet, infiniband or ideal)", r.Model)
+	if _, err := netmodel.Lookup(r.Model); err != nil {
+		return err
 	}
 
 	if r.Trace != "" {

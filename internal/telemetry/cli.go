@@ -57,9 +57,6 @@ func (c *CLI) Start() error {
 	return nil
 }
 
-// Active reports whether telemetry collection was requested.
-func (c *CLI) Active() bool { return c.enabled }
-
 // Timeline returns the timeline created for -timeline, or nil.
 func (c *CLI) Timeline() *Timeline { return c.tl }
 

@@ -28,7 +28,7 @@ type Collector struct {
 
 // NewCollector returns a Collector for an n-rank run.
 func NewCollector(n int) *Collector {
-	c := &Collector{n: n, comms: make(map[int][]int), builders: make([]*Builder, n), window: DefaultWindow()}
+	c := &Collector{n: n, comms: make(map[int][]int), builders: make([]*Builder, n), window: DefaultMaxWindow}
 	world := make([]int, n)
 	for i := range world {
 		world[i] = i
@@ -110,10 +110,7 @@ func (c *Collector) Trace() *Trace {
 		c.mu.Unlock()
 		return t
 	}
-	comms := make(map[int][]int, len(c.comms))
-	for id, g := range c.comms {
-		comms[id] = append([]int(nil), g...)
-	}
+	comms := CloneComms(c.comms)
 	c.mu.Unlock()
 
 	end := telemetry.Region("trace.finalize")

@@ -1,7 +1,5 @@
 package trace
 
-import "sync/atomic"
-
 // Builder performs ScalaTrace's on-the-fly intra-rank loop compression: as
 // events are appended it repeatedly folds repeated node windows into Loop
 // nodes (power-RSDs) and extends existing loops, so memory stays
@@ -67,30 +65,8 @@ type posLink struct {
 // DefaultMaxWindow is the default bound on detected loop-body lengths.
 const DefaultMaxWindow = 192
 
-// windowOverride, when positive, replaces DefaultMaxWindow for newly
-// created builders and the alignment pass (the -window CLI knob).
-var windowOverride atomic.Int32
-
-// SetDefaultWindow overrides the compression window used by NewBuilder,
-// NewCollector and the alignment pass. w <= 0 restores DefaultMaxWindow.
-func SetDefaultWindow(w int) {
-	if w < 0 {
-		w = 0
-	}
-	windowOverride.Store(int32(w))
-}
-
-// DefaultWindow returns the effective default compression window: the
-// SetDefaultWindow override when set, DefaultMaxWindow otherwise.
-func DefaultWindow() int {
-	if w := windowOverride.Load(); w > 0 {
-		return int(w)
-	}
-	return DefaultMaxWindow
-}
-
 // NewBuilder returns a Builder with the default window.
-func NewBuilder() *Builder { return &Builder{maxWindow: DefaultWindow()} }
+func NewBuilder() *Builder { return &Builder{maxWindow: DefaultMaxWindow} }
 
 // NewBuilderWindow returns a Builder with a custom window bound (used by the
 // compression ablation benchmarks). A window below 1 disables folding.

@@ -284,6 +284,92 @@ func (r *RSD) PeerFor(worldRank int, idx PeerIndexer) int {
 	return r.Peer.Resolve(me, r.CommSize)
 }
 
+// WorldPeerFor is Section 4.2's translation for a point-to-point leaf: the
+// world ("absolute") rank of the given participant's peer.
+func (r *RSD) WorldPeerFor(worldRank int, t *Trace) int {
+	return t.worldRank(r.CommID, r.PeerFor(worldRank, t))
+}
+
+// WorldRoot is the same translation for a rooted collective's root; a leaf
+// without a root names world rank 0.
+func (r *RSD) WorldRoot(t *Trace) int {
+	if r.Root < 0 {
+		return 0
+	}
+	return t.worldRank(r.CommID, r.Root)
+}
+
+// worldRank translates a communicator rank to a world rank. A rank the
+// communicator table cannot translate — mpi.AnySource, mpi.NoPeer, a rank of
+// an unknown communicator — is returned as it stands.
+func (t *Trace) worldRank(commID, commRank int) int {
+	if w, ok := t.WorldRankOf(commID, commRank); ok {
+		return w
+	}
+	return commRank
+}
+
+// MeanCount is Table 1's "averaged message size" of a v-collective: the mean
+// of the per-member Counts, or Size for a leaf that carries none.
+func (r *RSD) MeanCount() int {
+	if len(r.Counts) == 0 {
+		return r.Size
+	}
+	total := 0
+	for _, c := range r.Counts {
+		total += c
+	}
+	return total / len(r.Counts)
+}
+
+// PerPeerSize is the average per-pair volume of an Alltoallv leaf, whose Size
+// carries the caller's total send volume.
+func (r *RSD) PerPeerSize() int {
+	if r.CommSize > 0 {
+		return r.Size / r.CommSize
+	}
+	return r.Size
+}
+
+// SegmentSize is the size of the i-th of a Reduce_scatter leaf's segments
+// over a communicator of the given number of members: Counts[i], or an even
+// share of Size for a member the counts do not reach.
+func (r *RSD) SegmentSize(i, members int) int {
+	if i < len(r.Counts) {
+		return r.Counts[i]
+	}
+	return r.Size / members
+}
+
+// CopyFor overwrites dst with a copy of r performed by ranks alone, carrying
+// one compute-time sample — how Algorithms 1 and 2 and the counterexample
+// builder re-emit a leaf for the streams they re-compress. An irregular
+// (vector) peer becomes the concrete peer of the participant rank; the
+// re-merge generalizes it again where it can. Everything else, Wildcard
+// included, is r's.
+func (r *RSD) CopyFor(dst *RSD, rank int, ranks taskset.Set, idx PeerIndexer, computeUS float64) {
+	peer := r.Peer
+	if peer.Kind == ParamVec {
+		peer = AbsParam(r.PeerFor(rank, idx))
+	}
+	*dst = RSD{
+		Op:        r.Op,
+		Site:      r.Site,
+		Ranks:     ranks,
+		CommID:    r.CommID,
+		CommSize:  r.CommSize,
+		Peer:      peer,
+		Wildcard:  r.Wildcard,
+		Tag:       r.Tag,
+		Size:      r.Size,
+		Counts:    append([]int(nil), r.Counts...),
+		Root:      r.Root,
+		Group:     append([]int(nil), r.Group...),
+		NewCommID: r.NewCommID,
+	}
+	dst.SetComputeSample(computeUS)
+}
+
 // Loop is a power-RSD: a counted repetition of a node sequence.
 type Loop struct {
 	Iters int
@@ -473,6 +559,19 @@ func absorb(dst, src Node) {
 		s := src.(*Loop)
 		for i := range d.Body {
 			absorb(d.Body[i], s.Body[i])
+		}
+	}
+}
+
+// Leaves calls f for every leaf of seq in order, entering each loop body
+// once — the O(r) walk of the compressed form.
+func Leaves(seq []Node, f func(*RSD)) {
+	for _, n := range seq {
+		switch x := n.(type) {
+		case *RSD:
+			f(x)
+		case *Loop:
+			Leaves(x.Body, f)
 		}
 	}
 }

@@ -34,6 +34,16 @@ type Group struct {
 	Seq   []Node
 }
 
+// CloneComms returns a deep copy of a communicator table, for a trace built
+// from another's.
+func CloneComms(comms map[int][]int) map[int][]int {
+	out := make(map[int][]int, len(comms))
+	for id, g := range comms {
+		out[id] = append([]int(nil), g...)
+	}
+	return out
+}
+
 // CommGroup returns the world-rank membership of a communicator.
 func (t *Trace) CommGroup(commID int) []int { return t.Comms[commID] }
 
@@ -329,9 +339,6 @@ func (c *Cursor) Done() bool { return c.cur == nil }
 
 // Index returns the zero-based ordinal of the current event for this rank.
 func (c *Cursor) Index() int { return c.index }
-
-// LoopDepth returns the current loop-nesting depth (0 at top level).
-func (c *Cursor) LoopDepth() int { return len(c.stack) - 1 }
 
 // InnermostIter returns the current iteration (0-based) of the innermost
 // enclosing loop, or 0 when the cursor is at the top level. Together with

@@ -182,12 +182,12 @@ func TestCursorIndexAndDepth(t *testing.T) {
 		}},
 	}
 	c := NewCursor(seq, 0)
-	if c.Index() != 0 || c.LoopDepth() != 0 {
-		t.Fatalf("initial index/depth = %d/%d", c.Index(), c.LoopDepth())
+	if c.Index() != 0 {
+		t.Fatalf("initial index = %d", c.Index())
 	}
 	c.Advance()
-	if c.Index() != 1 || c.LoopDepth() != 1 {
-		t.Fatalf("in-loop index/depth = %d/%d", c.Index(), c.LoopDepth())
+	if c.Index() != 1 {
+		t.Fatalf("in-loop index = %d", c.Index())
 	}
 	c.Advance()
 	c.Advance()

@@ -35,24 +35,13 @@ var ctrResolved = telemetry.NewCounter("wildcard.resolved")
 func Present(t *trace.Trace) bool {
 	found := false
 	for _, g := range t.Groups {
-		walk(g.Seq, func(r *trace.RSD) {
+		trace.Leaves(g.Seq, func(r *trace.RSD) {
 			if r.Wildcard {
 				found = true
 			}
 		})
 	}
 	return found
-}
-
-func walk(seq []trace.Node, f func(*trace.RSD)) {
-	for _, n := range seq {
-		switch x := n.(type) {
-		case *trace.RSD:
-			f(x)
-		case *trace.Loop:
-			walk(x.Body, f)
-		}
-	}
 }
 
 // DeadlockError reports a potential deadlock uncovered during resolution.
@@ -171,13 +160,9 @@ func Resolve(t *trace.Trace) (*trace.Trace, error) {
 		}
 		seqs[i] = r.builders[i].Seq()
 	}
-	comms := make(map[int][]int, len(t.Comms))
-	for id, g := range t.Comms {
-		comms[id] = append([]int(nil), g...)
-	}
 	// The resolver's builders are discarded after this point, so the merge
 	// may consume their sequences in place.
-	return trace.MergeRankSeqsOwned(n, comms, seqs), nil
+	return trace.MergeRankSeqsOwned(n, trace.CloneComms(t.Comms), seqs), nil
 }
 
 // run advances one rank until it blocks or finishes, returning whether any
@@ -223,7 +208,7 @@ func (r *resolver) run(rank int) bool {
 			continue
 		default:
 			// Init and other local events pass through.
-			r.emit(rank, r.outputLeaf(rank, rsd))
+			r.emit(rank, r.leafFor(rank, rsd))
 		}
 		cur.Advance()
 		r.states[rank] = ready
@@ -231,45 +216,12 @@ func (r *resolver) run(rank int) bool {
 	}
 }
 
-// worldPeer resolves an RSD's peer parameter to a world rank for a concrete
-// participant.
-func (r *resolver) worldPeer(rank int, rsd *trace.RSD) int {
-	if rsd.Peer.Kind == trace.ParamAny {
-		return mpi.AnySource
-	}
-	commPeer := rsd.PeerFor(rank, r.t)
-	world, ok := r.t.WorldRankOf(rsd.CommID, commPeer)
-	if !ok {
-		return commPeer
-	}
-	return world
-}
-
-// outputLeaf clones rsd as a single-rank output leaf carrying the source's
-// mean compute time.
-func (r *resolver) outputLeaf(rank int, rsd *trace.RSD) *trace.RSD {
-	peer := rsd.Peer
-	if peer.Kind == trace.ParamVec {
-		// Single-rank output leaves carry their concrete peer; re-merging
-		// regeneralizes where possible.
-		peer = trace.AbsParam(rsd.PeerFor(rank, r.t))
-	}
-	leaf := &trace.RSD{
-		Op:        rsd.Op,
-		Site:      rsd.Site,
-		Ranks:     taskset.Of(rank),
-		CommID:    rsd.CommID,
-		CommSize:  rsd.CommSize,
-		Peer:      peer,
-		Wildcard:  false, // the output trace is wildcard-free
-		Tag:       rsd.Tag,
-		Size:      rsd.Size,
-		Counts:    append([]int(nil), rsd.Counts...),
-		Root:      rsd.Root,
-		Group:     append([]int(nil), rsd.Group...),
-		NewCommID: rsd.NewCommID,
-	}
-	leaf.SetComputeSample(rsd.ComputeMeanAt(r.cursors[rank].InnermostIter() == 0))
+// leafFor copies rsd as a single-rank leaf of the wildcard-free output
+// trace, carrying the source's mean compute time.
+func (r *resolver) leafFor(rank int, rsd *trace.RSD) *trace.RSD {
+	leaf := new(trace.RSD)
+	rsd.CopyFor(leaf, rank, taskset.Of(rank), r.t, rsd.ComputeMeanAt(r.cursors[rank].InnermostIter() == 0))
+	leaf.Wildcard = false
 	return leaf
 }
 
@@ -293,13 +245,13 @@ func (r *resolver) flush(rank int) {
 // doSend delivers a message to the destination (the paper's L2 update) and
 // tries to match it against the destination's posted receives.
 func (r *resolver) doSend(rank int, rsd *trace.RSD) {
-	dst := r.worldPeer(rank, rsd)
+	dst := rsd.WorldPeerFor(rank, r.t)
 	msg := &message{src: rank, tag: rsd.Tag, size: rsd.Size}
 	if dst >= 0 && dst < r.n {
 		r.inbox[dst] = append(r.inbox[dst], msg)
 		r.matchInbox(dst)
 	}
-	leaf := r.outputLeaf(rank, rsd)
+	leaf := r.leafFor(rank, rsd)
 	r.emit(rank, leaf)
 	if rsd.Op == mpi.OpIsend {
 		r.outstanding[rank] = append(r.outstanding[rank], nil) // sends complete eagerly
@@ -343,14 +295,19 @@ func (r *resolver) takeMessage(rank, src, tag int) *message {
 func (r *resolver) complete(rank int, pr *pendingRecv, m *message) {
 	pr.matched = true
 	if pr.src == mpi.AnySource {
-		commSrc, ok := r.t.CommRankOf(pr.leaf.CommID, m.src)
-		if !ok {
-			commSrc = m.src
-		}
-		pr.leaf.Peer = trace.AbsParam(commSrc)
-		ctrResolved.Inc()
+		r.pin(pr.leaf, m.src)
 		r.flush(rank)
 	}
+}
+
+// pin fixes a wildcard output leaf's source to the world rank that matched.
+func (r *resolver) pin(leaf *trace.RSD, src int) {
+	commSrc, ok := r.t.CommRankOf(leaf.CommID, src)
+	if !ok {
+		commSrc = src
+	}
+	leaf.Peer = trace.AbsParam(commSrc)
+	ctrResolved.Inc()
 }
 
 func (r *resolver) compactPending(rank int) {
@@ -366,19 +323,14 @@ func (r *resolver) compactPending(rank int) {
 // doBlockingRecv tries to complete a blocking receive; it returns false if
 // no compatible message is available yet.
 func (r *resolver) doBlockingRecv(rank int, rsd *trace.RSD) bool {
-	src := r.worldPeer(rank, rsd)
+	src := rsd.WorldPeerFor(rank, r.t)
 	m := r.takeMessage(rank, src, rsd.Tag)
 	if m == nil {
 		return false
 	}
-	leaf := r.outputLeaf(rank, rsd)
+	leaf := r.leafFor(rank, rsd)
 	if rsd.Peer.Kind == trace.ParamAny {
-		commSrc, ok := r.t.CommRankOf(rsd.CommID, m.src)
-		if !ok {
-			commSrc = m.src
-		}
-		leaf.Peer = trace.AbsParam(commSrc)
-		ctrResolved.Inc()
+		r.pin(leaf, m.src)
 	}
 	r.emit(rank, leaf)
 	return true
@@ -386,8 +338,8 @@ func (r *resolver) doBlockingRecv(rank int, rsd *trace.RSD) bool {
 
 // doIrecv posts a nonblocking receive (matching immediately if possible).
 func (r *resolver) doIrecv(rank int, rsd *trace.RSD) {
-	leaf := r.outputLeaf(rank, rsd)
-	pr := &pendingRecv{leaf: leaf, src: r.worldPeer(rank, rsd), tag: rsd.Tag}
+	leaf := r.leafFor(rank, rsd)
+	pr := &pendingRecv{leaf: leaf, src: rsd.WorldPeerFor(rank, r.t), tag: rsd.Tag}
 	r.emit(rank, leaf)
 	if m := r.takeMessage(rank, pr.src, pr.tag); m != nil {
 		r.complete(rank, pr, m)
@@ -418,7 +370,7 @@ func (r *resolver) doWait(rank int, rsd *trace.RSD) bool {
 		}
 		r.outstanding[rank] = out[:0]
 	}
-	r.emit(rank, r.outputLeaf(rank, rsd))
+	r.emit(rank, r.leafFor(rank, rsd))
 	return true
 }
 
@@ -438,7 +390,7 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	}
 	// Complete: emit per member and advance all cursors.
 	for _, member := range comm {
-		r.emit(member, r.outputLeaf(member, pc[member]))
+		r.emit(member, r.leafFor(member, pc[member]))
 		r.cursors[member].Advance()
 		if r.states[member] == blockedColl {
 			r.states[member] = ready

@@ -23,7 +23,7 @@ func collect(t *testing.T, n int, body func(*mpi.Rank)) *trace.Trace {
 func wildcardCount(tr *trace.Trace) int {
 	count := 0
 	for _, g := range tr.Groups {
-		walk(g.Seq, func(r *trace.RSD) {
+		trace.Leaves(g.Seq, func(r *trace.RSD) {
 			if r.Wildcard || r.Peer.Kind == trace.ParamAny {
 				count++
 			}
@@ -73,7 +73,7 @@ func TestResolveSimpleWildcard(t *testing.T) {
 	// The receive must now name source 1.
 	var recv *trace.RSD
 	for _, g := range out.Groups {
-		walk(g.Seq, func(r *trace.RSD) {
+		trace.Leaves(g.Seq, func(r *trace.RSD) {
 			if r.Op == mpi.OpRecv {
 				recv = r
 			}

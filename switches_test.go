@@ -8,6 +8,8 @@ import (
 	"io/fs"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -189,6 +191,27 @@ func mergeFunctionViolations(files []*ast.File) []string {
 	return bad
 }
 
+// parseNonTestDir parses every non-test Go file under dir.
+func parseNonTestDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	var files []*ast.File
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestPathSelectorsArePinned fails when a path selector appears that is not
 // on the lists above, when production code selects a reference, when a
 // command grows a -runtime flag again, when something other than the Go
@@ -202,24 +225,7 @@ func mergeFunctionViolations(files []*ast.File) []string {
 // knob for one or a scheduler does so by editing this test.
 func TestPathSelectorsArePinned(t *testing.T) {
 	fset := token.NewFileSet()
-	parseDir := func(dir string) []*ast.File {
-		var files []*ast.File
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			files = append(files, f)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
+	parseDir := func(dir string) []*ast.File { return parseNonTestDir(t, fset, dir) }
 
 	exported := map[string]bool{}
 	for _, pkg := range []string{"mpi", "conceptual", "replay"} {
@@ -363,5 +369,131 @@ func (c *Collector) Trace() { mergeCompatible() }`)); len(got) != 3 {
 				return true
 			})
 		}
+	}
+}
+
+// methodCalls lists the positions of calls x.name(...) in files.
+func methodCalls(fset *token.FileSet, files []*ast.File, name string) []string {
+	var at []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+					at = append(at, fset.Position(call.Pos()).String())
+				}
+			}
+			return true
+		})
+	}
+	return at
+}
+
+// literalFuncs lists the functions of files that hold a composite literal of
+// the named type.
+func literalFuncs(files []*ast.File, typ string) []string {
+	var funcs []string
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			found := false
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if id, ok := lit.Type.(*ast.Ident); ok && id.Name == typ {
+						found = true
+					}
+				}
+				return !found
+			})
+			if found {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+	}
+	return funcs
+}
+
+// stringLiteralFiles lists the files holding a string literal that match
+// accepts (comments do not count).
+func stringLiteralFiles(fset *token.FileSet, files []*ast.File, match func(string) bool) []string {
+	var names []string
+	for _, f := range files {
+		found := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if v, err := strconv.Unquote(lit.Value); err == nil && match(v) {
+					found = true
+				}
+			}
+			return !found
+		})
+		if found {
+			names = append(names, filepath.ToSlash(fset.Position(f.Package).Filename))
+		}
+	}
+	return names
+}
+
+// TestSingleHomesArePinned holds the rules several layers need to their one
+// definition each: Section 4.2's communicator → world translation (only
+// internal/trace calls Trace.WorldRankOf; everyone else goes through
+// RSD.WorldPeerFor / WorldRoot), the cost table of the synchronizing MPI
+// operations (collCost literals in one function of internal/mpi), the set of
+// target languages (the names of the formal-model languages are spelled in
+// one file, internal/core's table) and the unknown-model error (netmodel's
+// Lookup). Each rule is first shown to fail on a source that breaks it.
+func TestSingleHomesArePinned(t *testing.T) {
+	fset := token.NewFileSet()
+	violation, err := parser.ParseFile(fset, "violation.go", `package gen
+func peer(t *trace.Trace, r *trace.RSD) int { w, _ := t.WorldRankOf(r.CommID, r.PeerFor(0, t)); return w }
+func (r *Rank) Barrier(c *Comm) { r.run(collCost{kind: costBarrier}) }
+func (r *Rank) Bcast(c *Comm) { r.run(collCost{kind: costTree}) }
+func render(lang string) error {
+	switch lang {
+	case "mpnet", "tla":
+		return nil
+	}
+	return fmt.Errorf("unknown model %q", lang)
+}`, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := []*ast.File{violation}
+	modelLanguage := func(s string) bool { return s == "mpnet" || s == "tla" }
+	unknownModel := func(s string) bool { return strings.Contains(s, "unknown model") }
+	if got := methodCalls(fset, broken, "WorldRankOf"); len(got) != 1 {
+		t.Errorf("methodCalls finds %d of 1 WorldRankOf calls: %q", len(got), got)
+	}
+	if got := literalFuncs(broken, "collCost"); len(got) != 2 {
+		t.Errorf("literalFuncs finds %d of 2 functions with a collCost literal: %q", len(got), got)
+	}
+	if got := stringLiteralFiles(fset, broken, modelLanguage); len(got) != 1 {
+		t.Errorf("stringLiteralFiles misses the language names: %q", got)
+	}
+	if got := stringLiteralFiles(fset, broken, unknownModel); len(got) != 1 {
+		t.Errorf("stringLiteralFiles misses the unknown-model error: %q", got)
+	}
+
+	var all []*ast.File
+	for _, dir := range []string{"cmd", "internal", "examples"} {
+		for _, f := range parseNonTestDir(t, fset, dir) {
+			all = append(all, f)
+			if path := filepath.ToSlash(fset.Position(f.Package).Filename); !strings.HasPrefix(path, "internal/trace/") {
+				for _, at := range methodCalls(fset, []*ast.File{f}, "WorldRankOf") {
+					t.Errorf("%s: WorldRankOf called outside internal/trace; RSD.WorldPeerFor and WorldRoot are the one translation", at)
+				}
+			}
+		}
+	}
+	if got := literalFuncs(parseNonTestDir(t, fset, filepath.Join("internal", "mpi")), "collCost"); !slices.Equal(got, []string{"roundOf"}) {
+		t.Errorf("collCost literals in %q; Rank.roundOf is the one table of rendezvous costs", got)
+	}
+	if got := stringLiteralFiles(fset, all, modelLanguage); !slices.Equal(got, []string{"internal/core/render.go"}) {
+		t.Errorf("language names spelled in %q; internal/core/render.go holds the one table", got)
+	}
+	if got := stringLiteralFiles(fset, all, unknownModel); !slices.Equal(got, []string{"internal/netmodel/netmodel.go"}) {
+		t.Errorf("unknown-model error built in %q; netmodel.Lookup is the one lookup", got)
 	}
 }
