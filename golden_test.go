@@ -35,6 +35,17 @@ type engineDigests struct {
 	// GeneratedClocks digests PerTaskUS of conceptual.Execute on the program
 	// core.Generate builds from the decoded trace.
 	GeneratedClocks string `json:"generated_clocks"`
+	// SourceConceptual, SourceC and SourceGo digest the generated benchmark's
+	// text in the three executable target languages.
+	SourceConceptual string `json:"source_conceptual"`
+	SourceC          string `json:"source_c"`
+	SourceGo         string `json:"source_go"`
+}
+
+// textDigest is the sha256 of a generated source text.
+func textDigest(src string) string {
+	sum := sha256.Sum256([]byte(src))
+	return hex.EncodeToString(sum[:])
 }
 
 // clockDigest is the sha256 of the clocks' float64 bit patterns, so two
@@ -70,7 +81,8 @@ func traceDigest(encoded []byte) string {
 
 // TestEngineGoldenDigests compares the production chain against checked-in
 // digests for every kernel at 16 ranks (or the largest valid count below),
-// class S, on the BlueGene/L model. The differential suites compare two
+// plus bt at 64 and sweep3d at 36 for the sources' sake (deeper loop nests,
+// longer enumerations), class S, on the BlueGene/L model. The differential suites compare two
 // implementations and cannot see a change that moves both; this one needs no
 // second implementation and fails on a one-ulp clock change in any of them.
 // LU is included: the event engine resolves wildcards deterministically.
@@ -79,12 +91,22 @@ func traceDigest(encoded []byte) string {
 func TestEngineGoldenDigests(t *testing.T) {
 	model := netmodel.BlueGeneL()
 	got := map[string]engineDigests{}
+	type kernel struct {
+		name string
+		n    int
+	}
+	var kernels []kernel
 	for _, name := range apps.Names() {
 		app := apps.ByName(name)
 		n := 16
 		for !app.ValidRanks(n) {
 			n--
 		}
+		kernels = append(kernels, kernel{name, n})
+	}
+	kernels = append(kernels, kernel{"bt", 64}, kernel{"sweep3d", 36})
+	for _, k := range kernels {
+		name, n := k.name, k.n
 		res, traceBytes, _ := runKernel(t, name, n)
 		// Replay and generation each get their own decode, as the CLI chain
 		// (tracegen | benchgen) would hand them.
@@ -107,11 +129,18 @@ func TestEngineGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: execute generated program: %v", name, err)
 		}
+		gosrc, err := core.GenerateGo(decode(), nil)
+		if err != nil {
+			t.Fatalf("%s: generate Go: %v", name, err)
+		}
 		d := engineDigests{
-			AppClocks:       clockDigest(res.PerRankUS),
-			Trace:           traceDigest(traceBytes),
-			ReplayClocks:    clockDigest(rep.PerRankUS),
-			GeneratedClocks: clockDigest(exe.PerTaskUS),
+			AppClocks:        clockDigest(res.PerRankUS),
+			Trace:            traceDigest(traceBytes),
+			ReplayClocks:     clockDigest(rep.PerRankUS),
+			GeneratedClocks:  clockDigest(exe.PerTaskUS),
+			SourceConceptual: textDigest(conceptual.Print(prog)),
+			SourceC:          textDigest(conceptual.GenerateC(prog)),
+			SourceGo:         textDigest(gosrc),
 		}
 		got[fmt.Sprintf("%s-%d", name, n)] = d
 
@@ -152,6 +181,9 @@ func TestEngineGoldenDigests(t *testing.T) {
 			{"encoded trace", g.Trace, w.Trace},
 			{"cursor replay clocks", g.ReplayClocks, w.ReplayClocks},
 			{"generated program clocks", g.GeneratedClocks, w.GeneratedClocks},
+			{"coNCePTuaL source", g.SourceConceptual, w.SourceConceptual},
+			{"C source", g.SourceC, w.SourceC},
+			{"Go source", g.SourceGo, w.SourceGo},
 		} {
 			if f.got != f.want {
 				t.Errorf("%s: %s digest %s, golden %s", key, f.what, f.got, f.want)
