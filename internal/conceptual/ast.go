@@ -8,13 +8,7 @@
 // emitter for inspection.
 package conceptual
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/taskset"
-)
+import "repro/internal/taskset"
 
 // Program is a complete coNCePTuaL benchmark.
 type Program struct {
@@ -32,125 +26,26 @@ type Stmt interface {
 	stmt()
 }
 
-// SelKind classifies task selectors.
-type SelKind int
+// TaskSel selects the tasks executing a statement: "ALL TASKS t", "TASK 3",
+// or "TASKS t SUCH THAT <predicate>". It is the task predicate the generator
+// derives from a trace's rank sets (taskset.Set.Describe); membership,
+// enumeration and equality are defined there, once.
+type TaskSel = taskset.Predicate
 
-// Task-selector kinds, mirroring taskset.PredicateKind.
+// Task-selector kinds.
 const (
-	SelAll SelKind = iota
-	SelOne
-	SelRange
-	SelStride
-	SelEnum
+	SelAll    = taskset.KindAll
+	SelOne    = taskset.KindSingleton
+	SelRange  = taskset.KindRange
+	SelStride = taskset.KindStride
+	SelEnum   = taskset.KindEnum
 )
-
-// TaskSel selects the tasks executing a statement: "ALL TASKS t",
-// "TASK 3", or "TASKS t SUCH THAT <predicate>".
-type TaskSel struct {
-	Kind SelKind
-	// Value is the singleton task (SelOne).
-	Value int
-	// Lo and Hi bound SelRange (inclusive).
-	Lo, Hi int
-	// Stride and Offset define SelStride: t MOD Stride = Offset.
-	Stride, Offset int
-	// Enum lists SelEnum members.
-	Enum []int
-}
 
 // AllTasks selects every task.
 var AllTasks = TaskSel{Kind: SelAll}
 
 // OneTask selects a single task.
 func OneTask(t int) TaskSel { return TaskSel{Kind: SelOne, Value: t} }
-
-// SelFromSet derives the most readable selector for a concrete rank set
-// within an n-task world.
-func SelFromSet(s taskset.Set, n int) TaskSel {
-	p := s.Describe(n)
-	switch p.Kind {
-	case taskset.KindAll:
-		return AllTasks
-	case taskset.KindSingleton:
-		return OneTask(p.Value)
-	case taskset.KindRange:
-		return TaskSel{Kind: SelRange, Lo: p.Lo, Hi: p.Hi}
-	case taskset.KindStride:
-		return TaskSel{Kind: SelStride, Stride: p.Stride, Offset: p.Offset}
-	default:
-		return TaskSel{Kind: SelEnum, Enum: s.Members()}
-	}
-}
-
-// Members returns the selected tasks in an n-task execution.
-func (s TaskSel) Members(n int) []int {
-	switch s.Kind {
-	case SelAll:
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	case SelOne:
-		if s.Value < n {
-			return []int{s.Value}
-		}
-		return nil
-	case SelRange:
-		var out []int
-		for t := s.Lo; t <= s.Hi && t < n; t++ {
-			if t >= 0 {
-				out = append(out, t)
-			}
-		}
-		return out
-	case SelStride:
-		var out []int
-		for t := 0; t < n; t++ {
-			if s.Stride > 0 && t%s.Stride == s.Offset {
-				out = append(out, t)
-			}
-		}
-		return out
-	default:
-		var out []int
-		for _, t := range s.Enum {
-			if t >= 0 && t < n {
-				out = append(out, t)
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
-}
-
-// Contains reports whether task t executes statements guarded by s in an
-// n-task execution.
-func (s TaskSel) Contains(t, n int) bool {
-	if t < 0 || t >= n {
-		return false
-	}
-	switch s.Kind {
-	case SelAll:
-		return true
-	case SelOne:
-		return t == s.Value
-	case SelRange:
-		return t >= s.Lo && t <= s.Hi
-	case SelStride:
-		return s.Stride > 0 && t%s.Stride == s.Offset
-	default:
-		for _, m := range s.Enum {
-			if m == t {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Set returns the selector's membership as a taskset.
-func (s TaskSel) Set(n int) taskset.Set { return taskset.Of(s.Members(n)...) }
 
 // RankKind classifies peer-rank expressions.
 type RankKind int
@@ -286,61 +181,4 @@ func countStmts(stmts []Stmt) int {
 		}
 	}
 	return n
-}
-
-// Equal reports structural equality of two selectors.
-func (s TaskSel) Equal(o TaskSel) bool {
-	if s.Kind != o.Kind {
-		return false
-	}
-	switch s.Kind {
-	case SelAll:
-		return true
-	case SelOne:
-		return s.Value == o.Value
-	case SelRange:
-		return s.Lo == o.Lo && s.Hi == o.Hi
-	case SelStride:
-		return s.Stride == o.Stride && s.Offset == o.Offset
-	default:
-		if len(s.Enum) != len(o.Enum) {
-			return false
-		}
-		for i := range s.Enum {
-			if s.Enum[i] != o.Enum[i] {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-func (s TaskSel) String() string {
-	switch s.Kind {
-	case SelAll:
-		return "ALL TASKS t"
-	case SelOne:
-		return fmt.Sprintf("TASK %d", s.Value)
-	case SelRange:
-		return fmt.Sprintf(`TASKS t SUCH THAT t >= %d /\ t <= %d`, s.Lo, s.Hi)
-	case SelStride:
-		return fmt.Sprintf("TASKS t SUCH THAT t MOD %d = %d", s.Stride, s.Offset)
-	default:
-		parts := make([]string, len(s.Enum))
-		for i, m := range s.Enum {
-			parts[i] = fmt.Sprint(m)
-		}
-		return fmt.Sprintf("TASKS t SUCH THAT t IS IN {%s}", strings.Join(parts, ", "))
-	}
-}
-
-func (r RankExpr) String() string {
-	switch {
-	case r.Kind == RankAbs:
-		return fmt.Sprintf("TASK %d", r.Value)
-	case r.Value == 0:
-		return "TASK t"
-	default:
-		return fmt.Sprintf("TASK (t+%d) MOD num_tasks", r.Value)
-	}
 }

@@ -21,35 +21,79 @@ type compiler struct {
 	n       int
 	planIdx map[string]int    // task-group key -> plan position
 	sites   map[Stmt]siteInfo // deterministic call sites to stamp per statement
+	// masks and peerTabs hold the per-task tables built so far, so that equal
+	// selectors, task sets and rank expressions of a program share one: what
+	// lowering allocates is O(statements + distinct tables x tasks).
+	masks    map[string][]bool // selector spelling or task-set string -> mask
+	peerTabs map[RankExpr][]int
+	key      *Writer // scratch for a selector's spelling
 }
 
-// members precomputes the selector's membership as a dense mask.
-func (c *compiler) members(sel TaskSel) []bool {
-	m := make([]bool, c.n)
-	for _, t := range sel.Members(c.n) {
-		m[t] = true
+// sharedMask returns the mask registered under key, and whether it is new:
+// all false, for the caller to fill in.
+func (c *compiler) sharedMask(key []byte) (m []bool, fresh bool) {
+	if m, ok := c.masks[string(key)]; ok {
+		return m, false
 	}
-	return m
+	m = make([]bool, c.n)
+	c.masks[string(key)] = m
+	return m, true
 }
 
-// peers precomputes a rank expression for every executing task.
-func (c *compiler) peers(e RankExpr) []int {
-	out := make([]int, c.n)
-	for t := range out {
-		out[t] = e.Eval(t, c.n)
+// mask precomputes the selector's membership as a dense mask; nil stands for
+// every task. An enumeration is marked member by member — evaluating it per
+// task, here or per event, would cost tasks x members.
+func (c *compiler) mask(sel TaskSel) []bool {
+	if sel.Kind == SelAll {
+		return nil
 	}
-	return out
-}
-
-// maskOf precomputes a concrete task set as a dense mask.
-func (c *compiler) maskOf(s taskset.Set) []bool {
-	m := make([]bool, c.n)
-	for _, t := range s.Members() {
+	c.key.buf = c.key.buf[:0]
+	m, fresh := c.sharedMask(c.key.Cond(sel).buf)
+	if !fresh {
+		return m
+	}
+	if sel.Kind != SelEnum {
+		for t := range m {
+			m[t] = sel.Contains(t, c.n)
+		}
+	}
+	for _, t := range sel.Enum {
 		if t >= 0 && t < c.n {
 			m[t] = true
 		}
 	}
 	return m
+}
+
+// setMask precomputes a concrete set of the program's tasks as a dense mask;
+// nil stands for every task.
+func (c *compiler) setMask(s taskset.Set) []bool {
+	if s.Size() == c.n {
+		return nil
+	}
+	m, fresh := c.sharedMask([]byte(s.String()))
+	if fresh {
+		for _, t := range s.Members() {
+			m[t] = true
+		}
+	}
+	return m
+}
+
+// holds reports whether a mask of mask or setMask selects task t.
+func holds(mask []bool, t int) bool { return mask == nil || mask[t] }
+
+// peers precomputes a rank expression for every executing task.
+func (c *compiler) peers(e RankExpr) []int {
+	out, ok := c.peerTabs[e]
+	if !ok {
+		out = make([]int, c.n)
+		for t := range out {
+			out[t] = e.Eval(t, c.n)
+		}
+		c.peerTabs[e] = out
+	}
+	return out
 }
 
 // commRefFor resolves the communicator covering the union of the given task

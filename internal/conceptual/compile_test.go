@@ -2,6 +2,7 @@ package conceptual
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -129,5 +130,43 @@ func TestCompileResolvesPlannedComms(t *testing.T) {
 	}
 	if ref, _ := c.commRefFor(AllTasks.Set(n)); ref != worldRef {
 		t.Errorf("world union resolved to %d, want worldRef", ref)
+	}
+}
+
+// TestLoweringMemoryIsStatementsPlusDistinctTables bounds what lowerCursor
+// allocates: every-task statements carry no mask, and equal selectors and
+// rank expressions share one table, so 500 statements at 65,536 tasks cost
+// the instruction list plus a handful of tables — not 500 tables of 65,536
+// entries (34 MB of masks alone, and a member list behind each, before).
+func TestLoweringMemoryIsStatementsPlusDistinctTables(t *testing.T) {
+	const n = 1 << 16
+	evens := TaskSel{Kind: SelStride, Stride: 2, Offset: 0}
+	var stmts []Stmt
+	for len(stmts) < 500 {
+		stmts = append(stmts,
+			&ComputeStmt{Who: AllTasks, USecs: 5},
+			&RecvStmt{Who: AllTasks, Async: true, Size: 64, Source: RelRank(n - 1)},
+			&SendStmt{Who: AllTasks, Async: true, Size: 64, Dest: RelRank(1)},
+			&AwaitStmt{Who: AllTasks},
+			&ReduceStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 8},
+			&MulticastStmt{Srcs: OneTask(0), Dsts: AllTasks, Size: 8},
+			&SyncStmt{Who: AllTasks},
+			&ComputeStmt{Who: evens, USecs: 1},
+			&ReduceStmt{Srcs: evens, Dsts: evens, Size: 8},
+			&LogStmt{Who: AllTasks, Label: "t"})
+	}
+	p := &Program{NumTasks: n, Stmts: stmts}
+	plans, sites := collectCommPlans(p.Stmts, n), stmtSites(p.Stmts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cp := lowerCursor(p, n, plans, sites)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("lowering %d statements for %d tasks allocated %.1f MB, want under 8", len(stmts), n, float64(got)/(1<<20))
+	}
+	for _, in := range cp.instrs {
+		if in.kind == ciOp && in.op.ComputeUS == 5 && in.members != nil {
+			t.Fatal("an every-task statement carries a mask")
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpip"
 	"repro/internal/netmodel"
-	"repro/internal/taskset"
 )
 
 // paperExample is the program from Section 3.2 of the paper, lightly
@@ -106,10 +105,18 @@ func TestTaskSelMembers(t *testing.T) {
 		{OneTask(99), nil},
 		{TaskSel{Kind: SelRange, Lo: 2, Hi: 4}, []int{2, 3, 4}},
 		{TaskSel{Kind: SelStride, Stride: 4, Offset: 1}, []int{1, 5, 9}},
-		{TaskSel{Kind: SelEnum, Enum: []int{7, 2, 2, 99}}, []int{2, 2, 7}},
+		{OneTask(-1), nil},
+		{TaskSel{Kind: SelRange, Lo: -3, Hi: 1}, []int{0, 1}},
+		{TaskSel{Kind: SelRange, Lo: 10, Hi: 40}, []int{10, 11}},
+		{TaskSel{Kind: SelRange, Lo: 5, Hi: 4}, nil},
+		{TaskSel{Kind: SelStride, Stride: 4, Offset: 4}, nil},
+		{TaskSel{Kind: SelStride, Stride: 0, Offset: 0}, nil},
+		{TaskSel{Kind: SelStride, Stride: 20, Offset: 11}, []int{11}},
+		{TaskSel{Kind: SelStride, Stride: 20, Offset: 12}, nil},
+		{TaskSel{Kind: SelEnum, Enum: []int{7, 2, 2, 99, -1}}, []int{2, 7}},
 	}
 	for _, c := range cases {
-		got := c.sel.Members(n)
+		got := c.sel.Set(n).Members()
 		if len(got) != len(c.want) {
 			t.Errorf("%v members = %v, want %v", c.sel, got, c.want)
 			continue
@@ -128,14 +135,14 @@ func TestTaskSelContainsMatchesMembers(t *testing.T) {
 		n := 16
 		sels := []TaskSel{
 			AllTasks,
-			OneTask(int(a) % n),
-			{Kind: SelRange, Lo: int(a) % n, Hi: int(b) % n},
-			{Kind: SelStride, Stride: int(a)%5 + 1, Offset: int(b) % (int(a)%5 + 1)},
-			{Kind: SelEnum, Enum: []int{int(a) % n, int(b) % n, int(c) % n}},
+			OneTask(int(a)%24 - 4),
+			{Kind: SelRange, Lo: int(a)%24 - 4, Hi: int(b)%24 - 4},
+			{Kind: SelStride, Stride: int(a) % 6, Offset: int(b)%8 - 1},
+			{Kind: SelEnum, Enum: []int{int(a)%24 - 4, int(b)%24 - 4, int(c)%24 - 4}},
 		}
 		sel := sels[int(kindRaw)%len(sels)]
 		members := map[int]bool{}
-		for _, m := range sel.Members(n) {
+		for _, m := range sel.Set(n).Members() {
 			members[m] = true
 		}
 		for task := 0; task < n; task++ {
@@ -147,19 +154,6 @@ func TestTaskSelContainsMatchesMembers(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSelFromSet(t *testing.T) {
-	n := 16
-	if s := SelFromSet(taskset.Range(0, 15), n); s.Kind != SelAll {
-		t.Errorf("full range -> %v", s)
-	}
-	if s := SelFromSet(taskset.Of(7), n); s.Kind != SelOne || s.Value != 7 {
-		t.Errorf("singleton -> %v", s)
-	}
-	if s := SelFromSet(taskset.Strided(1, 2, 8), n); s.Kind != SelStride || s.Stride != 2 || s.Offset != 1 {
-		t.Errorf("odd ranks -> %+v", s)
 	}
 }
 

@@ -84,7 +84,7 @@ const (
 // read-only by every task's stream; all per-task state lives in the stream.
 type cursorInstr struct {
 	kind    ciKind
-	members []bool     // executing tasks (ciOp/ciReset/ciLog)
+	members []bool     // executing tasks (ciOp/ciReset/ciLog); nil: every task
 	op      mpi.RankOp // ciOp template; everything but Peer is task-invariant
 	peers   []int      // per-task peer overriding op.Peer; nil for collectives
 	count   int        // ciLoop trip count
@@ -92,7 +92,7 @@ type cursorInstr struct {
 	label   string     // ciLog
 }
 
-// cursorPlan pairs a startup communicator plan with its dense membership.
+// cursorPlan pairs a startup communicator plan with its membership mask.
 type cursorPlan struct {
 	mask []bool
 	site uint64
@@ -120,13 +120,14 @@ func streamID(ref commRef) int {
 func lowerCursor(p *Program, n int, plans []commPlan, sites map[Stmt]siteInfo) *cursorProgram {
 	defer telemetry.Region("conceptual.lower_cursor")()
 	ctrCursorPrograms.Inc()
-	c := &compiler{n: n, planIdx: make(map[string]int, len(plans)), sites: sites}
+	c := &compiler{n: n, planIdx: make(map[string]int, len(plans)), sites: sites,
+		masks: map[string][]bool{}, peerTabs: map[RankExpr][]int{}, key: NewWriter(Conceptual, n, 0, 64)}
 	for i, pl := range plans {
 		c.planIdx[pl.key] = i
 	}
 	cp := &cursorProgram{plans: make([]cursorPlan, len(plans))}
 	for i, pl := range plans {
-		cp.plans[i] = cursorPlan{mask: c.maskOf(pl.set), site: planSite(i)}
+		cp.plans[i] = cursorPlan{mask: c.setMask(pl.set), site: planSite(i)}
 	}
 	cp.instrs = c.lowerStmts(p.Stmts, nil)
 	return cp
@@ -153,23 +154,23 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 		if x.Async {
 			op = mpi.OpIsend
 		}
-		out = append(out, cursorInstr{kind: ciOp, members: c.members(x.Who),
+		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			peers: c.peers(x.Dest), op: mpi.RankOp{Op: op, Site: site, Size: x.Size}})
 	case *RecvStmt:
 		op := mpi.OpRecv
 		if x.Async {
 			op = mpi.OpIrecv
 		}
-		out = append(out, cursorInstr{kind: ciOp, members: c.members(x.Who),
+		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			peers: c.peers(x.Source), op: mpi.RankOp{Op: op, Site: site, Size: x.Size}})
 	case *AwaitStmt:
 		// The stackless drain with nothing outstanding is a silent no-op,
 		// mirroring the interpreter's len(outstanding) > 0 guard.
-		out = append(out, cursorInstr{kind: ciOp, members: c.members(x.Who),
+		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			op: mpi.RankOp{Op: mpi.OpWaitall, Site: site}})
 	case *SyncStmt:
 		ref, _ := c.commRefFor(x.Who.Set(c.n))
-		out = append(out, cursorInstr{kind: ciOp, members: c.members(x.Who),
+		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			op: mpi.RankOp{Op: mpi.OpBarrier, Site: site, CommID: streamID(ref)}})
 	case *ReduceStmt:
 		out = c.lowerReduce(x, out)
@@ -178,12 +179,12 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 	case *ComputeStmt:
 		// An OpInit leaf is the stackless compute-only operation: it advances
 		// the clock and records nothing.
-		out = append(out, cursorInstr{kind: ciOp, members: c.members(x.Who),
+		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			op: mpi.RankOp{Op: mpi.OpInit, ComputeUS: x.USecs}})
 	case *ResetStmt:
-		out = append(out, cursorInstr{kind: ciReset, members: c.members(x.Who)})
+		out = append(out, cursorInstr{kind: ciReset, members: c.mask(x.Who)})
 	case *LogStmt:
-		out = append(out, cursorInstr{kind: ciLog, members: c.members(x.Who), label: x.Label})
+		out = append(out, cursorInstr{kind: ciLog, members: c.mask(x.Who), label: x.Label})
 	}
 	// Unknown statements are inert, as in the tree walk.
 	return out
@@ -195,7 +196,7 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
-	part := c.maskOf(union)
+	part := c.setMask(union)
 	si := c.sites[x]
 	id := streamID(ref)
 	switch {
@@ -221,7 +222,7 @@ func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 func (c *compiler) lowerMulticast(x *MulticastStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
-	part := c.maskOf(union)
+	part := c.setMask(union)
 	si := c.sites[x]
 	id := streamID(ref)
 	if srcs.Size() == 1 {
@@ -263,7 +264,7 @@ func (s *cursorStream) Next(r *mpi.Rank, op *mpi.RankOp) bool {
 		id := s.pi + 1
 		s.pi++
 		color := -1 // not a member: participate in the split, mint nothing
-		if pl.mask[s.me] {
+		if holds(pl.mask, s.me) {
 			color = 0
 		}
 		*op = mpi.RankOp{Op: mpi.OpCommSplit, Site: pl.site,
@@ -290,12 +291,12 @@ func (s *cursorStream) Next(r *mpi.Rank, op *mpi.RankOp) bool {
 				s.pc++
 			}
 		case ciReset:
-			if in.members[s.me] {
+			if holds(in.members, s.me) {
 				s.resetAt = r.Clock()
 			}
 			s.pc++
 		case ciLog:
-			if in.members[s.me] {
+			if holds(in.members, s.me) {
 				entry := LogEntry{Label: in.label, Task: s.me, Value: r.Clock() - s.resetAt}
 				s.mu.Lock()
 				*s.logs = append(*s.logs, entry)
@@ -304,7 +305,7 @@ func (s *cursorStream) Next(r *mpi.Rank, op *mpi.RankOp) bool {
 			s.pc++
 		case ciOp:
 			s.pc++
-			if !in.members[s.me] {
+			if !holds(in.members, s.me) {
 				continue
 			}
 			*op = in.op

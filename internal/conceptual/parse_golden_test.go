@@ -31,7 +31,10 @@ func dumpStmts(sb *strings.Builder, stmts []Stmt, depth int) {
 			dumpStmts(sb, lp.Body, depth+1)
 			continue
 		}
-		fmt.Fprintf(sb, "%s%#v\n", indent, reflect.ValueOf(s).Elem().Interface())
+		// TaskSel is taskset.Predicate; the golden file names it as the
+		// selector type it was recorded under.
+		stmt := fmt.Sprintf("%#v", reflect.ValueOf(s).Elem().Interface())
+		fmt.Fprintf(sb, "%s%s\n", indent, strings.ReplaceAll(stmt, "taskset.Predicate{", "conceptual.TaskSel{"))
 	}
 }
 

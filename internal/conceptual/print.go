@@ -1,143 +1,94 @@
 package conceptual
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Print renders the program in coNCePTuaL's English-like source form. The
 // output round-trips through Parse.
 func Print(p *Program) string {
-	var sb strings.Builder
-	// A statement prints to 60-140 bytes; growing once up front instead of
-	// by doubling halves what a large program's rendering allocates.
-	sb.Grow(128 * p.StmtCount())
+	// A statement prints to 60-140 bytes.
+	w := NewWriter(Conceptual, p.NumTasks, 0, 128*p.StmtCount())
 	for _, c := range p.Comments {
-		fmt.Fprintf(&sb, "# %s\n", c)
+		w.S("# ").S(c).End()
 	}
 	if p.NumTasks > 0 {
-		fmt.Fprintf(&sb, "REQUIRE num_tasks = %d\n", p.NumTasks)
+		w.S("REQUIRE num_tasks = ").Int(p.NumTasks).End()
 	}
 	if len(p.Comments) > 0 || p.NumTasks > 0 {
-		sb.WriteByte('\n')
+		w.End()
 	}
-	printStmts(&sb, p.Stmts, 0)
-	return sb.String()
+	printStmts(w, p.Stmts)
+	return w.String()
 }
 
-func printStmts(sb *strings.Builder, stmts []Stmt, depth int) {
+func printStmts(w *Writer, stmts []Stmt) {
 	for i, s := range stmts {
-		printStmt(sb, s, depth)
+		printStmt(w, s)
 		if i < len(stmts)-1 {
-			sb.WriteString(" THEN")
+			w.S(" THEN")
 		}
-		sb.WriteByte('\n')
+		w.End()
 	}
 }
 
-func printStmt(sb *strings.Builder, s Stmt, depth int) {
-	indent := strings.Repeat("  ", depth)
-	sb.WriteString(indent)
+func printStmt(w *Writer, s Stmt) {
 	switch x := s.(type) {
 	case *LoopStmt:
-		fmt.Fprintf(sb, "FOR %d REPETITIONS {\n", x.Count)
-		printStmts(sb, x.Body, depth+1)
-		sb.WriteString(indent)
-		sb.WriteString("}")
+		w.OpenLoop(x.Count)
+		printStmts(w, x.Body)
+		w.CloseLoop()
 	case *SendStmt:
-		sb.WriteString(x.Who.String())
-		if x.Async {
-			sb.WriteString(" ASYNCHRONOUSLY")
-		}
-		verb := " SEND A "
-		if x.Who.Kind == SelOne {
-			verb = " SENDS A "
-		}
-		fmt.Fprintf(sb, "%s%s TO %s", verb, sizePhrase(x.Size), x.Dest)
+		w.Stmt(x.Who).async(x.Async).verb(x.Who, " SEND").size(x.Size).S(" TO ").Rank(x.Dest)
 	case *RecvStmt:
-		sb.WriteString(x.Who.String())
-		if x.Async {
-			sb.WriteString(" ASYNCHRONOUSLY")
-		}
-		verb := " RECEIVE A "
-		if x.Who.Kind == SelOne {
-			verb = " RECEIVES A "
-		}
-		fmt.Fprintf(sb, "%s%s FROM %s", verb, sizePhrase(x.Size), x.Source)
+		w.Stmt(x.Who).async(x.Async).verb(x.Who, " RECEIVE").size(x.Size).S(" FROM ").Rank(x.Source)
 	case *AwaitStmt:
-		fmt.Fprintf(sb, "%s AWAIT COMPLETION", awaitWho(x.Who))
+		// coNCePTuaL always phrases AWAIT plurally.
+		w.Stmt(x.Who).S(" AWAIT COMPLETION")
 	case *SyncStmt:
-		if x.Who.Kind == SelOne {
-			fmt.Fprintf(sb, "%s SYNCHRONIZES", x.Who)
-		} else {
-			fmt.Fprintf(sb, "%s SYNCHRONIZE", x.Who)
-		}
+		w.Stmt(x.Who).verb(x.Who, " SYNCHRONIZE")
 	case *ReduceStmt:
-		verb := " REDUCE A "
-		if x.Srcs.Kind == SelOne {
-			verb = " REDUCES A "
-		}
-		fmt.Fprintf(sb, "%s%s%s TO %s", x.Srcs, verb, sizePhrase(x.Size), destPhrase(x.Dsts))
+		w.Stmt(x.Srcs).verb(x.Srcs, " REDUCE").size(x.Size).S(" TO ").dest(x.Dsts)
 	case *MulticastStmt:
-		verb := " MULTICAST A "
-		if x.Srcs.Kind == SelOne {
-			verb = " MULTICASTS A "
-		}
-		fmt.Fprintf(sb, "%s%s%s TO %s", x.Srcs, verb, sizePhrase(x.Size), destPhrase(x.Dsts))
+		w.Stmt(x.Srcs).verb(x.Srcs, " MULTICAST").size(x.Size).S(" TO ").dest(x.Dsts)
 	case *ComputeStmt:
-		verb := " COMPUTE FOR "
-		if x.Who.Kind == SelOne {
-			verb = " COMPUTES FOR "
-		}
-		fmt.Fprintf(sb, "%s%s%s MICROSECONDS", x.Who, verb, trimFloat(x.USecs))
+		w.Stmt(x.Who).verb(x.Who, " COMPUTE").S(" FOR ").Fixed3(x.USecs, true).S(" MICROSECONDS")
 	case *ResetStmt:
-		fmt.Fprintf(sb, "%s RESET THEIR COUNTERS", x.Who)
+		w.Stmt(x.Who).S(" RESET THEIR COUNTERS")
 	case *LogStmt:
-		fmt.Fprintf(sb, "%s LOG THE MEDIAN OF elapsed_usecs AS %q", x.Who, x.Label)
-	default:
-		fmt.Fprintf(sb, "# unknown statement %T", s)
+		w.Stmt(x.Who).S(" LOG THE MEDIAN OF elapsed_usecs AS ").Quote(x.Label)
 	}
 }
 
-// awaitWho renders the selector of AWAIT COMPLETION (coNCePTuaL always
-// phrases it plurally).
-func awaitWho(s TaskSel) string { return s.String() }
+func (w *Writer) async(async bool) *Writer {
+	if async {
+		w.S(" ASYNCHRONOUSLY")
+	}
+	return w
+}
 
-// destPhrase renders a destination selector; "ALL TASKS t" reads better as
+// verb appends a verb, in the third person singular after a single task.
+func (w *Writer) verb(who TaskSel, verb string) *Writer {
+	w.S(verb)
+	if who.Kind == SelOne {
+		w.S("S")
+	}
+	return w
+}
+
+// dest appends a destination selector; "ALL TASKS t" reads better as
 // "ALL TASKS" in destination position.
-func destPhrase(s TaskSel) string {
+func (w *Writer) dest(s TaskSel) *Writer {
 	if s.Kind == SelAll {
-		return "ALL TASKS"
+		return w.S("ALL TASKS")
 	}
-	return s.String()
+	return w.Cond(s)
 }
 
-// sizePhrase renders a byte count with friendly units when exact.
-func sizePhrase(size int) string {
+// size appends a message of a byte count, in friendly units when exact.
+func (w *Writer) size(size int) *Writer {
+	unit := " BYTE MESSAGE"
 	switch {
 	case size >= 1<<20 && size%(1<<20) == 0:
-		return plural(size>>20, "MEGABYTE")
+		size, unit = size>>20, " MEGABYTE MESSAGE"
 	case size >= 1<<10 && size%(1<<10) == 0:
-		return plural(size>>10, "KILOBYTE")
-	default:
-		return plural(size, "BYTE")
+		size, unit = size>>10, " KILOBYTE MESSAGE"
 	}
-}
-
-func plural(n int, unit string) string {
-	if n == 1 {
-		return fmt.Sprintf("1 %s MESSAGE", unit)
-	}
-	return fmt.Sprintf("%d %s MESSAGE", n, unit)
-}
-
-// trimFloat renders a duration without trailing zeros.
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%.3f", v)
-	s = strings.TrimRight(s, "0")
-	s = strings.TrimRight(s, ".")
-	if s == "" || s == "-" {
-		return "0"
-	}
-	return s
+	return w.S(" A ").Int(size).S(unit)
 }

@@ -113,7 +113,7 @@ func TestGoRenderTable(t *testing.T) {
 		{Op: mpi.OpIrecv, Ranks: sets[0], Peer: trace.Param{Kind: trace.ParamAny}},
 		{Op: mpi.Op(250), Ranks: sets[0]},
 	} {
-		if err := NewGoGenerator().Event(r); err == nil {
+		if err := g.Event(r); err == nil {
 			t.Errorf("Event(%v) succeeded", r.Op)
 		}
 	}

@@ -419,47 +419,3 @@ func Parse(text string) (Set, error) {
 	}
 	return Of(ranks...), nil
 }
-
-// Predicate describes a set as a coNCePTuaL task predicate over a task
-// variable, e.g. "t MOD 3 = 0" or "t >= 4 /\ t <= 11". Kind tells the code
-// generator which grammar production to use.
-type Predicate struct {
-	Kind PredicateKind
-	// Singleton value (KindSingleton), or lo/hi bounds (KindRange), or
-	// stride/offset (KindStride), or nothing (KindAll / KindEnum).
-	Value, Lo, Hi, Stride, Offset int
-}
-
-// PredicateKind enumerates the shapes Describe can produce.
-type PredicateKind int
-
-// Predicate kinds, from most to least specific.
-const (
-	KindAll       PredicateKind = iota // every task in 0..n-1
-	KindSingleton                      // exactly one task
-	KindRange                          // contiguous range lo..hi
-	KindStride                         // t mod Stride == Offset within 0..n-1
-	KindEnum                           // irregular: enumerate members
-)
-
-// Describe classifies the set relative to a world of n tasks so that the
-// code generator can choose the most readable coNCePTuaL construct.
-func (s Set) Describe(n int) Predicate {
-	if s.Size() == n && !s.IsEmpty() && s.Min() == 0 && s.Max() == n-1 && len(s.runs) == 1 && s.runs[0].Stride == 1 {
-		return Predicate{Kind: KindAll}
-	}
-	if s.Size() == 1 {
-		return Predicate{Kind: KindSingleton, Value: s.Min()}
-	}
-	if len(s.runs) == 1 {
-		r := s.runs[0]
-		if r.Stride == 1 {
-			return Predicate{Kind: KindRange, Lo: r.Start, Hi: r.Last()}
-		}
-		// A strided run covering the whole world modulo class.
-		if r.Start < r.Stride && r.Last()+r.Stride > n-1 {
-			return Predicate{Kind: KindStride, Stride: r.Stride, Offset: r.Start}
-		}
-	}
-	return Predicate{Kind: KindEnum}
-}
