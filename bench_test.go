@@ -434,6 +434,55 @@ func BenchmarkGeneratePipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkRender measures the three printers alone on the ledger's
+// gen-irregular input (sweep3d, 64 ranks, class A): the program and the
+// prepared trace are built once, each iteration renders one language.
+// ns/stmt and allocs/stmt are per statement of the coNCePTuaL program.
+func BenchmarkRender(b *testing.B) {
+	run, err := harness.TraceApp("sweep3d", apps.NewConfig(64, apps.ClassA), netmodel.Ideal())
+	if err != nil {
+		b.Fatal(err)
+	}
+	prepared, err := core.Prepare(run.Trace, &core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := core.Generate(prepared, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, lang := range []struct {
+		name   string
+		render func() (string, error)
+	}{
+		{"conceptual", func() (string, error) { return conceptual.Print(prog), nil }},
+		{"c", func() (string, error) { return conceptual.GenerateC(prog), nil }},
+		{"go", func() (string, error) {
+			g := core.NewGoGenerator()
+			if err := core.Traverse(prepared, g); err != nil {
+				return "", err
+			}
+			return g.Source()
+		}},
+	} {
+		b.Run(lang.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := lang.render(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			stmts := float64(b.N) * float64(prog.StmtCount())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/stmts, "ns/stmt")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/stmts, "allocs/stmt")
+		})
+	}
+}
+
 // BenchmarkInterpreter measures coNCePTuaL execution speed (events/sec of
 // the simulated runtime).
 func BenchmarkInterpreter(b *testing.B) {
@@ -794,7 +843,10 @@ func BenchmarkInterpExecute(b *testing.B) {
 		conceptual.WithMPIOptions(mpi.WithTracer(prof.TracerFor))); err != nil {
 		b.Fatal(err)
 	}
-	events := int(prof.TotalCalls())
+	events := 0
+	for op := 0; op < mpi.NumOps; op++ {
+		events += int(prof.Count(mpi.Op(op)))
+	}
 	eng := mpi.NewEngine()
 	defer eng.Close()
 	b.Run("cursor", func(b *testing.B) {

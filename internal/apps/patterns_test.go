@@ -151,8 +151,13 @@ func TestSPHeavierThanBTPerIteration(t *testing.T) {
 	// call count must exceed BT's at the same class.
 	bt := profileApp(t, "bt", 16, ClassS)
 	sp := profileApp(t, "sp", 16, ClassS)
-	if sp.TotalCalls() <= bt.TotalCalls() {
-		t.Fatalf("sp calls %d should exceed bt calls %d", sp.TotalCalls(), bt.TotalCalls())
+	var spCalls, btCalls int64
+	for op := 0; op < mpi.NumOps; op++ {
+		spCalls += sp.Count(mpi.Op(op))
+		btCalls += bt.Count(mpi.Op(op))
+	}
+	if spCalls <= btCalls {
+		t.Fatalf("sp calls %d should exceed bt calls %d", spCalls, btCalls)
 	}
 	if sp.Bytes(mpi.OpIsend) >= bt.Bytes(mpi.OpIsend)*2 {
 		t.Fatalf("sp per-message volume should be smaller than bt's")

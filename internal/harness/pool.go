@@ -85,20 +85,15 @@ func runOptions() []mpi.Option {
 	return opts
 }
 
-// forEach runs fn(i) for every i in [0, n) on up to Parallelism() goroutines.
-// Jobs must be independent and write results into index-addressed slots, so
-// the outcome does not depend on scheduling. The returned error is the
-// lowest-index failure, which keeps error reporting deterministic too. Each
-// job is a whole simulated world, so work is handed out one index at a time.
-func forEach(n int, fn func(i int) error) error {
-	return forEachNamed(n, nil, fn)
-}
-
-// forEachNamed is forEach with a job-naming function used in failure
-// reports: a panic inside fn(i) is recovered and surfaces as that one
-// configuration's error — naming the configuration — instead of tearing
-// down the whole experiment run, and the remaining jobs still complete.
-// name may be nil, in which case failed jobs are reported by index.
+// forEachNamed runs fn(i) for every i in [0, n) on up to Parallelism()
+// goroutines. Jobs must be independent and write results into index-addressed
+// slots, so the outcome does not depend on scheduling; the returned error is
+// the lowest-index failure, which keeps error reporting deterministic too.
+// Each job is a whole simulated world, so work is handed out one index at a
+// time. A panic inside fn(i) is recovered and surfaces as that one
+// configuration's error — naming it through name(i) — instead of tearing down
+// the whole experiment run, and the remaining jobs still complete. name may
+// be nil, in which case failed jobs are reported by index.
 //
 // The caller is one of the min(Parallelism(), n) workers; each pulls the next
 // index off a shared cursor until none are left. A single worker therefore
@@ -158,7 +153,7 @@ var ErrQueueFull = errors.New("harness: job queue full")
 var ErrPoolClosed = errors.New("harness: pool closed")
 
 // Pool is a long-lived bounded worker pool for service-style workloads, as
-// opposed to forEach's one-shot experiment fan-out. Jobs carry a
+// opposed to forEachNamed's one-shot experiment fan-out. Jobs carry a
 // context.Context that the worker hands to the job body; the body is
 // expected to thread it into everything cancellable it starts (simulated
 // runs via mpi.WithContext, stage boundaries via ctx.Err checks), so a

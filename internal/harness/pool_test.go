@@ -46,7 +46,7 @@ func TestForEachReportsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	for trial := 0; trial < 20; trial++ {
-		err := forEach(16, func(i int) error {
+		err := forEachNamed(16, nil, func(i int) error {
 			switch i {
 			case 3:
 				return errB
@@ -65,7 +65,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(5)
 	var hits [64]atomic.Int32
-	if err := forEach(len(hits), func(i int) error {
+	if err := forEachNamed(len(hits), nil, func(i int) error {
 		hits[i].Add(1)
 		return nil
 	}); err != nil {

@@ -705,20 +705,3 @@ func (mb *mailbox) reset() {
 	mb.anyValid = false
 	mb.lastDrain = 0
 }
-
-// pendingFrom reports how many messages from src are deposited but not yet
-// drained. Used by tests and the runtime's diagnostics.
-func (mb *mailbox) pendingFrom(src int) int {
-	if mb.seq != nil {
-		if s := mb.lookup(src); s != nil {
-			return s.inflight
-		}
-		return 0
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if s := mb.lookup(src); s != nil {
-		return s.inflight
-	}
-	return 0
-}

@@ -58,17 +58,6 @@ func (p *Profile) Bytes(op mpi.Op) int64 {
 	return p.bytes[op]
 }
 
-// TotalCalls returns the number of MPI calls of any kind.
-func (p *Profile) TotalCalls() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var t int64
-	for _, c := range p.counts {
-		t += c
-	}
-	return t
-}
-
 // ReportRow is one operation's comparison in a Diff report: both profiles'
 // count and volume plus the percentage error of B against A (A is the
 // reference, as in Section 5.2's original-vs-generated comparison).

@@ -77,9 +77,11 @@ func TestTotals(t *testing.T) {
 			r.Recv(r.World(), 0, 0, 77)
 		}
 	})
-	// Init x2, Send, Recv, Finalize x2.
-	if got := p.TotalCalls(); got != 6 {
-		t.Fatalf("total calls = %d, want 6", got)
+	want := map[mpi.Op]int64{mpi.OpInit: 2, mpi.OpSend: 1, mpi.OpRecv: 1, mpi.OpFinalize: 2}
+	for op := 0; op < mpi.NumOps; op++ {
+		if got := p.Count(mpi.Op(op)); got != want[mpi.Op(op)] {
+			t.Errorf("%v calls = %d, want %d", mpi.Op(op), got, want[mpi.Op(op)])
+		}
 	}
 }
 

@@ -152,15 +152,10 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Verify lowers t into its MP-net, explores it, and cross-validates the
-// wildcard resolver's assignment. The input trace is not modified. When
-// ctx is done the exploration stops and its error is returned.
-func Verify(ctx context.Context, t *trace.Trace, opts *Options) (*Report, error) {
-	rep, _, err := verify(ctx, t, opts)
-	return rep, err
-}
-
-// verify is Verify, also returning the net it lowered.
+// verify lowers t into its MP-net, explores it, and cross-validates the
+// wildcard resolver's assignment, returning the report and the net. The input
+// trace is not modified. When ctx is done the exploration stops and its error
+// is returned.
 func verify(ctx context.Context, t *trace.Trace, opts *Options) (*Report, *Net, error) {
 	defer telemetry.Region("mpnet.verify")()
 	start := time.Now()

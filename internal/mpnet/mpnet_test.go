@@ -155,7 +155,7 @@ func TestCounterexampleReplayConfirms(t *testing.T) {
 }
 
 func TestVerifyFigure5AgreesWithResolver(t *testing.T) {
-	rep, err := Verify(context.Background(), collectFigure5(t), nil)
+	rep, _, err := verify(context.Background(), collectFigure5(t), nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestVerifyFigure5AgreesWithResolver(t *testing.T) {
 func TestVerifyStarResolutionAdmitted(t *testing.T) {
 	n := 6
 	tr := collect(t, n, starBody(n))
-	rep, err := Verify(context.Background(), tr, nil)
+	rep, _, err := verify(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestVerifyNonblockingWildcards(t *testing.T) {
 	// outstanding-queue state and slot matching.
 	n := 4
 	tr := collect(t, n, nonblockingWildBody(n))
-	rep, err := Verify(context.Background(), tr, nil)
+	rep, _, err := verify(context.Background(), tr, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}

@@ -320,18 +320,3 @@ func (n *Net) wire(rank int, ev *Event) {
 		lo = hi
 	}
 }
-
-// wildIndexOf returns the event index of rank's i-th wildcard receive
-// instance, or -1.
-func (n *Net) wildIndexOf(rank, ordinal int) int {
-	seen := 0
-	for i, ev := range n.Procs[rank] {
-		if ev.Wild {
-			if seen == ordinal {
-				return i
-			}
-			seen++
-		}
-	}
-	return -1
-}

@@ -178,13 +178,6 @@ func (c *cache) putMem(key string, res *Result) {
 	}
 }
 
-// len reports the memory-tier entry count (for tests and /metrics gauges).
-func (c *cache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 func (c *cache) diskPath(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }

@@ -327,8 +327,8 @@ func TestLRUEviction(t *testing.T) {
 		key := fmt.Sprintf("k%d", i)
 		c.put(key, &Result{Key: key})
 	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if c.order.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", c.order.Len())
 	}
 	if res, _ := c.get("k0"); res != nil {
 		t.Fatalf("k0 should have been evicted")

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -201,71 +200,6 @@ func (h *Histogram) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Summary holds order statistics over a sample set.
-type Summary struct {
-	N              int
-	Mean, Median   float64
-	Min, Max       float64
-	Stddev         float64
-	P25, P75, P95  float64
-	Sum            float64
-	sortedSnapshot []float64
-}
-
-// Summarize computes a Summary of vs. It does not modify vs.
-func Summarize(vs []float64) Summary {
-	s := Summary{N: len(vs)}
-	if len(vs) == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), vs...)
-	sort.Float64s(sorted)
-	s.sortedSnapshot = sorted
-	s.Min = sorted[0]
-	s.Max = sorted[len(sorted)-1]
-	for _, v := range sorted {
-		s.Sum += v
-	}
-	s.Mean = s.Sum / float64(len(sorted))
-	var sq float64
-	for _, v := range sorted {
-		d := v - s.Mean
-		sq += d * d
-	}
-	s.Stddev = math.Sqrt(sq / float64(len(sorted)))
-	s.Median = percentileSorted(sorted, 0.50)
-	s.P25 = percentileSorted(sorted, 0.25)
-	s.P75 = percentileSorted(sorted, 0.75)
-	s.P95 = percentileSorted(sorted, 0.95)
-	return s
-}
-
-// Percentile returns the p-quantile (0<=p<=1) of the summarized samples using
-// linear interpolation, or 0 for an empty summary.
-func (s Summary) Percentile(p float64) float64 {
-	return percentileSorted(s.sortedSnapshot, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // AbsPercentError returns 100*|measured-reference|/reference, the per-point
 // error metric of Section 5.3. A zero reference yields 0 if measured is also
 // zero and +Inf otherwise.
@@ -277,21 +211,4 @@ func AbsPercentError(measured, reference float64) float64 {
 		return math.Inf(1)
 	}
 	return 100 * math.Abs(measured-reference) / math.Abs(reference)
-}
-
-// MAPE returns the mean absolute percentage error across paired samples, the
-// headline accuracy metric of the paper (2.9% across Figure 6). It panics if
-// the slices differ in length and returns 0 for empty input.
-func MAPE(measured, reference []float64) float64 {
-	if len(measured) != len(reference) {
-		panic("stats: MAPE requires equal-length slices")
-	}
-	if len(measured) == 0 {
-		return 0
-	}
-	var total float64
-	for i := range measured {
-		total += AbsPercentError(measured[i], reference[i])
-	}
-	return total / float64(len(measured))
 }

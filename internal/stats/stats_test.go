@@ -166,57 +166,6 @@ func TestHistogramPropertyMergeCommutes(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("bad basic stats: %+v", s)
-	}
-	if s.Mean != 2.5 {
-		t.Fatalf("mean = %v, want 2.5", s.Mean)
-	}
-	if s.Median != 2.5 {
-		t.Fatalf("median = %v, want 2.5", s.Median)
-	}
-	want := math.Sqrt(1.25)
-	if math.Abs(s.Stddev-want) > 1e-12 {
-		t.Fatalf("stddev = %v, want %v", s.Stddev, want)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Percentile(0.5) != 0 {
-		t.Fatalf("empty summary not zeroed: %+v", s)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Fatalf("input mutated: %v", in)
-	}
-}
-
-func TestPercentileInterpolation(t *testing.T) {
-	s := Summarize([]float64{0, 10})
-	if got := s.Percentile(0.5); got != 5 {
-		t.Fatalf("P50 = %v, want 5", got)
-	}
-	if got := s.Percentile(0); got != 0 {
-		t.Fatalf("P0 = %v, want 0", got)
-	}
-	if got := s.Percentile(1); got != 10 {
-		t.Fatalf("P100 = %v, want 10", got)
-	}
-	if got := s.Percentile(-1); got != 0 {
-		t.Fatalf("P(-1) = %v, want clamp to min", got)
-	}
-	if got := s.Percentile(2); got != 10 {
-		t.Fatalf("P(2) = %v, want clamp to max", got)
-	}
-}
-
 func TestAbsPercentError(t *testing.T) {
 	if got := AbsPercentError(40, 52); math.Abs(got-23.0769230769) > 1e-6 {
 		t.Fatalf("LU-style error = %v", got)
@@ -226,52 +175,6 @@ func TestAbsPercentError(t *testing.T) {
 	}
 	if got := AbsPercentError(1, 0); !math.IsInf(got, 1) {
 		t.Fatalf("x/0 error = %v, want +Inf", got)
-	}
-}
-
-func TestMAPE(t *testing.T) {
-	m := []float64{90, 110}
-	r := []float64{100, 100}
-	if got := MAPE(m, r); got != 10 {
-		t.Fatalf("MAPE = %v, want 10", got)
-	}
-	if got := MAPE(nil, nil); got != 0 {
-		t.Fatalf("MAPE(empty) = %v, want 0", got)
-	}
-}
-
-func TestMAPEPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MAPE([]float64{1}, []float64{1, 2})
-}
-
-func TestPercentileProperty(t *testing.T) {
-	// Property: percentiles are monotone in p and bounded by min/max.
-	f := func(raw []float64, p1, p2 float64) bool {
-		vs := raw[:0]
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vs = append(vs, v)
-			}
-		}
-		if len(vs) == 0 {
-			return true
-		}
-		s := Summarize(vs)
-		a := math.Mod(math.Abs(p1), 1)
-		b := math.Mod(math.Abs(p2), 1)
-		if a > b {
-			a, b = b, a
-		}
-		qa, qb := s.Percentile(a), s.Percentile(b)
-		return qa <= qb+1e-9 && qa >= s.Min-1e-9 && qb <= s.Max+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -147,9 +147,6 @@ func (s Set) Size() int {
 // IsEmpty reports whether the set has no members.
 func (s Set) IsEmpty() bool { return len(s.runs) == 0 }
 
-// Runs returns a copy of the underlying runs.
-func (s Set) Runs() []Run { return append([]Run(nil), s.runs...) }
-
 // Contains reports membership of rank.
 func (s Set) Contains(rank int) bool {
 	for _, r := range s.runs {
@@ -257,28 +254,6 @@ func (s Set) Union(other Set) Set {
 	}
 	merged = append(append(merged, a...), b...)
 	return fromSortedUnique(merged)
-}
-
-// Intersect returns s ∩ other.
-func (s Set) Intersect(other Set) Set {
-	var keep []int
-	for _, m := range s.Members() {
-		if other.Contains(m) {
-			keep = append(keep, m)
-		}
-	}
-	return Of(keep...)
-}
-
-// Minus returns s \ other.
-func (s Set) Minus(other Set) Set {
-	var keep []int
-	for _, m := range s.Members() {
-		if !other.Contains(m) {
-			keep = append(keep, m)
-		}
-	}
-	return Of(keep...)
 }
 
 // Add returns s ∪ {rank}. A rank above every member — how the trace merge

@@ -497,3 +497,277 @@ func render(lang string) error {
 		t.Errorf("unknown-model error built in %q; netmodel.Lookup is the one lookup", got)
 	}
 }
+
+// testFacing are the production symbols kept for tests alone, on purpose:
+// the three reference paths the differential suites compare against (and,
+// through them, everything only they call), MPI API surface no kernel happens
+// to use, the ablation benchmarks' window knob, and two observers.
+var testFacing = []string{
+	"internal/mpi.WithGoroutineRuntime",
+	"internal/conceptual.WithTreeWalk",
+	"internal/replay.ReplayReference",
+	"internal/mpi.Rank.Sendrecv",
+	"internal/mpi.Rank.CommDup",
+	"internal/mpi.Engine.cachedWorlds",
+	"internal/service.Client.Cancel",
+	"internal/trace.Collector.SetWindow",
+	"internal/trace.NewBuilderWindow",
+}
+
+// stdMethods are method names the standard library calls through its own
+// interfaces (fmt, errors, encoding/json, net/http, sort, container/heap,
+// flag, io); no call in the tree need name them.
+var stdMethods = []string{"String", "Error", "Unwrap", "MarshalJSON", "UnmarshalJSON", "ServeHTTP",
+	"Len", "Less", "Swap", "Push", "Pop", "Set", "Write", "Read", "Close"}
+
+// prodDecl is one top-level declaration of production code: the symbols it
+// declares (a const group declares several and lives or dies as one, so an
+// enumeration may hold values nothing names yet) and the symbols its text
+// refers to.
+type prodDecl struct {
+	syms []string // "dir.Name", or "dir.Type.Method"
+	pos  token.Position
+	root bool     // main, init, a blank value: alive without a referrer
+	refs []string // "dir.Name" for package-level names, ".Name" for members
+}
+
+// fileRefs lists what node refers to: q.Name through an import of this
+// module as "dir.Name", any other x.Name (and an interface's method) as
+// ".Name", and a bare identifier as "dir.Name" of its own package.
+func fileRefs(dir string, imports map[string]string, node ast.Node) []string {
+	var refs []string
+	ast.Inspect(node, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if q, ok := x.X.(*ast.Ident); ok && imports[q.Name] != "" {
+				refs = append(refs, imports[q.Name]+"."+x.Sel.Name)
+				return false
+			}
+			refs = append(refs, "."+x.Sel.Name)
+			ast.Inspect(x.X, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					refs = append(refs, dir+"."+id.Name)
+				}
+				return true
+			})
+			return true
+		case *ast.InterfaceType:
+			for _, m := range x.Methods.List {
+				for _, name := range m.Names {
+					refs = append(refs, "."+name.Name)
+				}
+			}
+		case *ast.Ident:
+			refs = append(refs, dir+"."+x.Name)
+		}
+		return true
+	})
+	return refs
+}
+
+// moduleImports maps a file's import names to the module-relative
+// directories they name ("mpi" -> "internal/mpi").
+func moduleImports(f *ast.File) map[string]string {
+	imports := map[string]string{}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		dir, ok := strings.CutPrefix(path, "repro/")
+		if !ok {
+			continue
+		}
+		name := filepath.Base(dir)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = dir
+	}
+	return imports
+}
+
+// prodDecls lists the top-level declarations of files, all of one directory.
+func prodDecls(fset *token.FileSet, dir string, files []*ast.File) []prodDecl {
+	var decls []prodDecl
+	for _, f := range files {
+		imports := moduleImports(f)
+		add := func(node ast.Node, root bool, names ...string) {
+			d := prodDecl{pos: fset.Position(node.Pos()), root: root, refs: fileRefs(dir, imports, node)}
+			for _, name := range names {
+				d.syms = append(d.syms, dir+"."+name)
+			}
+			decls = append(decls, d)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if idx, ok := recv.(*ast.IndexExpr); ok {
+						recv = idx.X
+					}
+					name = recv.(*ast.Ident).Name + "." + name
+				}
+				add(d, d.Recv == nil && (name == "main" || name == "init"), name)
+			case *ast.GenDecl:
+				var group []string
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s, false, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							if d.Tok == token.CONST {
+								group = append(group, id.Name)
+							} else {
+								add(s, id.Name == "_", id.Name)
+							}
+						}
+					}
+				}
+				if len(group) > 0 {
+					add(d, false, group...)
+				}
+			}
+		}
+	}
+	return decls
+}
+
+// orphans returns the symbols of decls that nothing alive refers to: alive
+// are the roots, whatever extern (benchmark/, the allow-list) names, and,
+// to a fixed point, whatever an alive declaration other than itself names.
+// The analysis is syntactic: a method is named by any x.Name, so two methods
+// of one name keep each other alive.
+func orphans(decls []prodDecl, extern []string) []string {
+	byRef := map[string][]int{} // reference -> declarations it keeps alive
+	for i, d := range decls {
+		for _, sym := range d.syms {
+			byRef[sym] = append(byRef[sym], i)
+			if parts := strings.Split(sym, "."); len(parts) == 3 {
+				byRef["."+parts[2]] = append(byRef["."+parts[2]], i) // a method: named by any x.Method
+			}
+		}
+	}
+	alive := make([]bool, len(decls))
+	var work []int
+	mark := func(from int, ref string) {
+		for _, i := range byRef[ref] {
+			if i != from && !alive[i] {
+				alive[i] = true
+				work = append(work, i)
+			}
+		}
+	}
+	for i, d := range decls {
+		if d.root {
+			alive[i] = true
+			work = append(work, i)
+		}
+	}
+	for _, ref := range extern {
+		mark(-1, ref)
+	}
+	for _, m := range stdMethods {
+		mark(-1, "."+m)
+	}
+	for len(work) > 0 {
+		i := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, ref := range decls[i].refs {
+			mark(i, ref)
+		}
+	}
+	var dead []string
+	for i, d := range decls {
+		if !alive[i] {
+			dead = append(dead, d.syms[0]+" ("+d.pos.String()+")")
+		}
+	}
+	return dead
+}
+
+// TestNoOrphanedProductionSymbols fails when a top-level function, method,
+// type or value outside _test.go files is named neither by another live
+// production declaration nor by benchmark/ — code only tests call (or
+// nothing calls) is not production code. What is deliberately test-facing is
+// on the testFacing list, which may hold no symbol production code uses.
+func TestNoOrphanedProductionSymbols(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(src string) []prodDecl {
+		f, err := parser.ParseFile(fset, "orphan.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prodDecls(fset, "internal/stats", []*ast.File{f})
+	}
+	// Shown to fail first: a function nothing names, one only it calls (dead
+	// by the fixed point), a method, and a pair that only name each other.
+	if got := orphans(parse(`package stats
+func init() { used() }
+func used() {}
+func Summarize() { percentileSorted() }
+func percentileSorted() {}
+func (s Summary) Percentile() {}
+type Summary struct{}
+func ping() { pong() }
+func pong() { ping() }
+const (
+	A = iota
+	B
+)
+var table = []int{A}
+`), []string{"internal/stats.table"}); len(got) != 6 {
+		t.Errorf("orphans finds %d of 6 dead declarations: %q", len(got), got)
+	}
+
+	var decls []prodDecl
+	for _, root := range []string{"cmd", "internal", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			var files []*ast.File
+			matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
+			for _, m := range matches {
+				if strings.HasSuffix(m, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(fset, m, nil, parser.SkipObjectResolution)
+				if err != nil {
+					return err
+				}
+				files = append(files, f)
+			}
+			decls = append(decls, prodDecls(fset, filepath.ToSlash(path), files)...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var extern []string
+	matches, _ := filepath.Glob(filepath.Join("benchmark", "*.go"))
+	for _, m := range matches {
+		f, err := parser.ParseFile(fset, m, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		extern = append(extern, fileRefs("benchmark", moduleImports(f), f)...)
+	}
+	if len(decls) < 1000 || len(extern) < 1000 {
+		t.Fatalf("parsed %d declarations and %d benchmark references; the tree is not where this test looks", len(decls), len(extern))
+	}
+
+	dead := orphans(decls, extern)
+	for _, name := range testFacing {
+		if !slices.ContainsFunc(dead, func(d string) bool { return strings.HasPrefix(d, name+" ") }) {
+			t.Errorf("%s is on the test-facing list but production code (or benchmark/) uses it, or it is gone; drop it from the list", name)
+		}
+	}
+	for _, d := range orphans(decls, append(extern, testFacing...)) {
+		t.Errorf("%s: only tests name it, or nothing does; delete it (with the tests that only exercised it) or list it as test-facing", d)
+	}
+}
