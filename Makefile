@@ -9,15 +9,16 @@ test:
 
 # check is the pre-commit gate: go vet; the race detector over every package
 # with shared state (internal/mpi at -cpu 1,2; align and wildcard -short); the
-# root differential, determinism, golden-digest and single-home suites under
-# -race; three 10 s fuzz passes (trace decoder, Algorithm 1, MP-net export and
-# checker). .claude/skills/verify/SKILL.md says why each line has its flags.
+# root differential, determinism, golden-digest, single-home and no-orphan
+# suites under -race; four 10 s fuzz passes (trace decoder, Algorithm 1, MP-net
+# export and checker, coNCePTuaL parser and printer).
+# .claude/skills/verify/SKILL.md says why each line has its flags.
 check:
 	$(GO) vet ./...
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
 	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
 	$(GO) test -race -short ./internal/align/... ./internal/wildcard/...
-	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestEngineGoldenDigests|TestPathSelectorsArePinned|TestSingleHomesArePinned' -skip '$(LU_LEGS)' .
+	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestEngineGoldenDigests|TestPathSelectorsArePinned|TestSingleHomesArePinned|TestNoOrphanedProductionSymbols' -skip '$(LU_LEGS)' .
 	$(GO) test -race -cpu 1,2 -run 'TestConcurrentWorldsDeterminism|TestConcurrentReplaysOfOneTrace' .
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' -skip '$(LU_LEGS)' .
@@ -25,6 +26,7 @@ check:
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s -fuzzminimizetime 10x ./internal/align/
 	$(GO) test -run NONE -fuzz FuzzExport -fuzztime 10s ./internal/mpnet/
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 10x ./internal/conceptual/
 
 race:
 	$(GO) test -race ./...

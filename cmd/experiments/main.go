@@ -115,7 +115,7 @@ func correctness(apps.Class, bool) error {
 	fmt.Println("Section 5.2: per-operation event counts and volumes, original vs generated")
 	suite := append(appsSuite(), "sweep3d")
 	for _, name := range suite {
-		n := pickRanks(name, 16)
+		n := apps.ByName(name).RanksAtMost(16)
 		res, err := harness.Correctness(name, apps.NewConfig(n, apps.ClassW), netmodel.BlueGeneL())
 		if err != nil {
 			return err
@@ -144,7 +144,7 @@ func equivalence(apps.Class, bool) error {
 	fmt.Println("Section 5.2: per-event trace equivalence, original vs generated")
 	suite := append(appsSuite(), "sweep3d")
 	for _, name := range suite {
-		n := pickRanks(name, 16)
+		n := apps.ByName(name).RanksAtMost(16)
 		err := harness.Equivalence(name, apps.NewConfig(n, apps.ClassW), netmodel.BlueGeneL())
 		status := "EQUIVALENT"
 		if err != nil {
@@ -169,7 +169,7 @@ func verifyExp(apps.Class, bool) error {
 	// cross-validation are exact regardless.
 	opts := &mpnet.Options{MaxStates: 1 << 15}
 	for _, name := range suite {
-		n := pickRanks(name, 16)
+		n := apps.ByName(name).RanksAtMost(16)
 		rep, err := harness.Verify(name, apps.NewConfig(n, apps.ClassS), netmodel.BlueGeneL(), opts)
 		if err != nil {
 			return err
@@ -358,16 +358,6 @@ func absf(v float64) float64 {
 }
 
 func appsSuite() []string { return apps.NPBNames() }
-
-func pickRanks(name string, hint int) int {
-	app := apps.ByName(name)
-	for n := hint; n >= app.MinRanks; n-- {
-		if app.ValidRanks(n) {
-			return n
-		}
-	}
-	return app.MinRanks
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)

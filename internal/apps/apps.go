@@ -113,6 +113,17 @@ type App struct {
 	Body func(cfg Config) func(*mpi.Rank)
 }
 
+// RanksAtMost returns the largest rank count the app's decomposition
+// supports that does not exceed n, or MinRanks when there is none.
+func (a *App) RanksAtMost(n int) int {
+	for ; n > a.MinRanks; n-- {
+		if a.ValidRanks(n) {
+			return n
+		}
+	}
+	return a.MinRanks
+}
+
 var registry = map[string]*App{}
 
 func register(a *App) {

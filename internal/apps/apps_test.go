@@ -118,6 +118,14 @@ func TestValidRanks(t *testing.T) {
 	if !ByName("lu").ValidRanks(12) {
 		t.Error("lu should accept any factorable count")
 	}
+	for _, c := range []struct {
+		app     string
+		n, want int
+	}{{"bt", 16, 16}, {"bt", 15, 9}, {"cg", 24, 16}, {"ring", 16, 16}, {"bt", 0, ByName("bt").MinRanks}} {
+		if got := ByName(c.app).RanksAtMost(c.n); got != c.want {
+			t.Errorf("%s.RanksAtMost(%d) = %d, want %d", c.app, c.n, got, c.want)
+		}
+	}
 }
 
 func TestParseClass(t *testing.T) {

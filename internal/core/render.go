@@ -11,8 +11,8 @@ import (
 // languages is the one table of target languages, in the order help texts
 // and errors list them. The executable backends render the prepared trace —
 // conceptual and c through its coNCePTuaL program — while mpnet and tla
-// render the trace as it was collected: the formal model's point is the
-// wildcard nondeterminism Algorithm 2 eliminates.
+// start again from the trace as collected and run Algorithm 1 only: the
+// formal model's point is the wildcard nondeterminism Algorithm 2 eliminates.
 var languages = []struct {
 	name   string
 	render func(p *Pipeline) (string, error)

@@ -37,7 +37,7 @@ func Check(t *trace.Trace) error {
 		return fmt.Errorf("extrap: group covers %d of %d ranks", g.Ranks.Size(), t.N)
 	}
 	var err error
-	walk(g.Seq, func(r *trace.RSD) {
+	trace.Leaves(g.Seq, func(r *trace.RSD) {
 		if err != nil {
 			return
 		}
@@ -70,17 +70,6 @@ func Check(t *trace.Trace) error {
 	return err
 }
 
-func walk(seq []trace.Node, f func(*trace.RSD)) {
-	for _, n := range seq {
-		switch x := n.(type) {
-		case *trace.RSD:
-			f(x)
-		case *trace.Loop:
-			walk(x.Body, f)
-		}
-	}
-}
-
 // Extrapolate rescales the trace from its recorded world size to newN
 // ranks. The result can be fed to the benchmark generator like any other
 // trace, yielding a benchmark for a configuration that was never run —
@@ -96,7 +85,7 @@ func Extrapolate(t *trace.Trace, newN int) (*trace.Trace, error) {
 		return nil, err
 	}
 	hasXor := false
-	walk(t.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(t.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Peer.Kind == trace.ParamXor {
 			hasXor = true
 		}
@@ -176,7 +165,7 @@ func rescaleParam(p trace.Param, oldN, newN int) trace.Param {
 // of *several* smaller runs.
 func checkUnambiguous(t *trace.Trace) error {
 	var err error
-	walk(t.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(t.Groups[0].Seq, func(r *trace.RSD) {
 		if err == nil && r.Peer.Kind == trace.ParamRel && t.N%2 == 0 && r.Peer.Value == t.N/2 {
 			err = fmt.Errorf("extrap: offset %d at world size %d is ambiguous (t+%d == t XOR %d); "+
 				"use ExtrapolateFrom with traces at two scales", r.Peer.Value, t.N, r.Peer.Value, r.Peer.Value)

@@ -80,12 +80,12 @@ func TestExtrapolationPreservesComputeMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var smallMean, bigMean float64
-	walk(small.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(small.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Op == mpi.OpIrecv {
 			smallMean = r.ComputeMean()
 		}
 	})
-	walk(big.Groups[0].Seq, func(r *trace.RSD) {
+	trace.Leaves(big.Groups[0].Seq, func(r *trace.RSD) {
 		if r.Op == mpi.OpIrecv {
 			bigMean = r.ComputeMean()
 		}

@@ -46,11 +46,7 @@ func NoiseSensitivity(appNames []string, n int, class apps.Class, fractions []fl
 		return fmt.Sprintf("noise %s@%.3f", jobs[i].name, jobs[i].frac)
 	}, func(i int) error {
 		j := jobs[i]
-		ranks := n
-		app := apps.ByName(j.name)
-		for !app.ValidRanks(ranks) {
-			ranks--
-		}
+		ranks := apps.ByName(j.name).RanksAtMost(n)
 		model := netmodel.BlueGeneL()
 		model.NoiseFraction = j.frac
 		model.NoiseSeed = 1

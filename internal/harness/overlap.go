@@ -98,11 +98,7 @@ func OverlapStudy(appNames []string, n int, class apps.Class, model *netmodel.Mo
 		return fmt.Sprintf("overlap %s/%d", appNames[i], n)
 	}, func(i int) error {
 		name := appNames[i]
-		app := apps.ByName(name)
-		ranks := n
-		for !app.ValidRanks(ranks) {
-			ranks--
-		}
+		ranks := apps.ByName(name).RanksAtMost(n)
 		run, err := TraceApp(name, apps.NewConfig(ranks, class), model)
 		if err != nil {
 			return err

@@ -279,11 +279,7 @@ func CounterexampleTrace(net *Net, cx *Counterexample) (*trace.Trace, error) {
 						world = 0 // unmatchable either way: no compatible sender exists
 					}
 				}
-				commSrc, ok := t.CommRankOf(leaf.CommID, world)
-				if !ok {
-					commSrc = world
-				}
-				leaf.Peer = trace.AbsParam(commSrc)
+				wildcard.Pin(t, leaf, world)
 			}
 			b.Append(leaf)
 		}

@@ -3,6 +3,7 @@ package mpnet
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/mpi"
@@ -157,15 +158,20 @@ func ExportTLA(n *Net, name string) (string, error) {
 
 	// Communicator membership (1-based ranks).
 	b.WriteString("CommGroup ==\n")
+	ids := make([]int, 0, len(n.Trace.Comms))
+	for id := range n.Trace.Comms {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids) // map order is random; the artifact is a function of the trace
 	first := true
-	for id, group := range sortedComms(n) {
+	for _, id := range ids {
 		prefix := "  "
 		if !first {
 			prefix = "  @@ "
 		}
 		first = false
 		fmt.Fprintf(&b, "%s%d :> {", prefix, id)
-		for i, m := range group {
+		for i, m := range n.Trace.Comms[id] {
 			if i > 0 {
 				b.WriteString(", ")
 			}
@@ -222,26 +228,6 @@ func writeTLAEvent(b *strings.Builder, n *Net, ev *Event) {
 		fmt.Fprintf(b, ", comm |-> %d", ev.CommID)
 	}
 	b.WriteString("]")
-}
-
-func sortedComms(n *Net) map[int][]int {
-	// map iteration order is randomized; the artifact must be stable, so
-	// feed a sorted copy through an ordered range (Go maps keep insertion
-	// independence — we sort IDs and rebuild keyed output inline).
-	ids := make([]int, 0, len(n.Trace.Comms))
-	for id := range n.Trace.Comms {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	out := make(map[int][]int, len(ids))
-	for _, id := range ids {
-		out[id] = n.Trace.Comms[id]
-	}
-	return out
 }
 
 // tlaInterpreter is the fixed semantic core: pc, channel counts and

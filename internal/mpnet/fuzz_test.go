@@ -24,6 +24,11 @@ func FuzzExport(f *testing.F) {
 		f.Fatalf("Encode seed: %v", err)
 	}
 	f.Add(buf.Bytes())
+	buf.Reset()
+	if err := trace.Encode(&buf, collect(f, 8, multiCommBody)); err != nil {
+		f.Fatalf("Encode seed: %v", err)
+	}
+	f.Add(buf.Bytes())
 	f.Add([]byte("scalatrace-go 1\nnprocs 3\ncomms 0\ngroups 3\n" +
 		"group 0 1\ngroup 1 1\ngroup 2 1\n" +
 		"rsd op=Send site=1 ranks=0 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
@@ -51,8 +56,12 @@ func FuzzExport(f *testing.F) {
 		if _, err := ExportJSON(net); err != nil {
 			t.Fatalf("ExportJSON failed on a built net: %v", err)
 		}
-		// ExportTLA may refuse (size bound) but must not panic.
-		_, _ = ExportTLA(net, "Fuzz")
+		// ExportTLA may refuse (size bound) but must not panic, and renders
+		// one module per net.
+		mod, _ := ExportTLA(net, "Fuzz")
+		if again, _ := ExportTLA(net, "Fuzz"); again != mod {
+			t.Fatalf("ExportTLA rendered two different modules of one net")
+		}
 		v := net.Check(opts)
 		if v == nil {
 			t.Fatalf("Check returned nil verdict")

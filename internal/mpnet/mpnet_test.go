@@ -296,6 +296,46 @@ func TestExportTLA(t *testing.T) {
 	}
 }
 
+// multiCommBody splits the world twice and duplicates it, so the trace's
+// communicator table holds several entries beside the world's.
+func multiCommBody(r *mpi.Rank) {
+	w := r.World()
+	halves := r.CommSplit(w, r.Rank()/4, r.Rank())
+	parity := r.CommSplit(w, r.Rank()%2, r.Rank())
+	dup := r.CommDup(w)
+	r.Allreduce(halves, 8)
+	r.Bcast(parity, 0, 16)
+	r.Barrier(dup)
+	r.Send(w, (r.Rank()+1)%r.Size(), 0, 32)
+	r.Recv(w, mpi.AnySource, 0, 32)
+}
+
+// TestExportTLAIsAFunctionOfTheTrace renders a trace with four communicators
+// twenty times: CommGroup used to come out in map order (six distinct modules
+// in fifty renderings), which broke benchd's "a Result is a pure function of
+// its Request" for lang=tla.
+func TestExportTLAIsAFunctionOfTheTrace(t *testing.T) {
+	net, err := FromTrace(collect(t, 8, multiCommBody), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.Trace.Comms) < 4 {
+		t.Fatalf("premise: %d communicators, want the world's and three more", len(net.Trace.Comms))
+	}
+	first, err := ExportTLA(net, "M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		if again, _ := ExportTLA(net, "M"); again != first {
+			t.Fatalf("rendering %d differs from the first", i)
+		}
+	}
+	if !strings.Contains(first, "CommGroup ==\n  0 :> {1, 2, 3, 4, 5, 6, 7, 8}\n  @@ 1 :> {") {
+		t.Errorf("CommGroup does not start with the world, then communicator 1:\n%s", first[strings.Index(first, "CommGroup =="):][:200])
+	}
+}
+
 func TestExportTLABounds(t *testing.T) {
 	tr := collect(t, 2, func(r *mpi.Rank) {
 		c := r.World()

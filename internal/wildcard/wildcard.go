@@ -302,12 +302,18 @@ func (r *resolver) complete(rank int, pr *pendingRecv, m *message) {
 
 // pin fixes a wildcard output leaf's source to the world rank that matched.
 func (r *resolver) pin(leaf *trace.RSD, src int) {
-	commSrc, ok := r.t.CommRankOf(leaf.CommID, src)
+	Pin(r.t, leaf, src)
+	ctrResolved.Inc()
+}
+
+// Pin makes world rank src the source of a receive leaf of t, in the
+// numbering of the leaf's communicator.
+func Pin(t *trace.Trace, leaf *trace.RSD, src int) {
+	commSrc, ok := t.CommRankOf(leaf.CommID, src)
 	if !ok {
 		commSrc = src
 	}
 	leaf.Peer = trace.AbsParam(commSrc)
-	ctrResolved.Inc()
 }
 
 func (r *resolver) compactPending(rank int) {

@@ -436,14 +436,37 @@ func stringLiteralFiles(fset *token.FileSet, files []*ast.File, match func(strin
 	return names
 }
 
+// pkgCalls lists the positions of calls pkg.name(...) in files, for any of
+// the given names.
+func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...string) []string {
+	var at []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+						at = append(at, fset.Position(call.Pos()).String())
+					}
+				}
+			}
+			return true
+		})
+	}
+	return at
+}
+
 // TestSingleHomesArePinned holds the rules several layers need to their one
 // definition each: Section 4.2's communicator → world translation (only
 // internal/trace calls Trace.WorldRankOf; everyone else goes through
 // RSD.WorldPeerFor / WorldRoot), the cost table of the synchronizing MPI
 // operations (collCost literals in one function of internal/mpi), the set of
 // target languages (the names of the formal-model languages are spelled in
-// one file, internal/core's table) and the unknown-model error (netmodel's
-// Lookup). Each rule is first shown to fail on a source that breaks it.
+// one file, internal/core's table), the unknown-model error (netmodel's
+// Lookup) and the spelling of a task group in a target language (the dialect
+// table of internal/conceptual/emit.go is the one file with a string literal
+// holding "SUCH THAT", "rank == " or "me == "; the three printers format
+// nothing through fmt but errors, and indent through the shared writer). Each
+// rule is first shown to fail on a source that breaks it.
 func TestSingleHomesArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	violation, err := parser.ParseFile(fset, "violation.go", `package gen
@@ -456,6 +479,10 @@ func render(lang string) error {
 		return nil
 	}
 	return fmt.Errorf("unknown model %q", lang)
+}
+func (g *cgen) guard(sel TaskSel) {
+	g.sb.WriteString(strings.Repeat("  ", g.indent))
+	fmt.Fprintf(&g.sb, "if (%s) {", fmt.Sprintf("rank == %d", sel.Value))
 }`, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
@@ -463,6 +490,9 @@ func render(lang string) error {
 	broken := []*ast.File{violation}
 	modelLanguage := func(s string) bool { return s == "mpnet" || s == "tla" }
 	unknownModel := func(s string) bool { return strings.Contains(s, "unknown model") }
+	taskGroup := func(s string) bool {
+		return strings.Contains(s, "SUCH THAT") || strings.Contains(s, "rank == ") || strings.Contains(s, "me == ")
+	}
 	if got := methodCalls(fset, broken, "WorldRankOf"); len(got) != 1 {
 		t.Errorf("methodCalls finds %d of 1 WorldRankOf calls: %q", len(got), got)
 	}
@@ -474,6 +504,15 @@ func render(lang string) error {
 	}
 	if got := stringLiteralFiles(fset, broken, unknownModel); len(got) != 1 {
 		t.Errorf("stringLiteralFiles misses the unknown-model error: %q", got)
+	}
+	if got := stringLiteralFiles(fset, broken, taskGroup); len(got) != 1 {
+		t.Errorf("stringLiteralFiles misses the task-group condition: %q", got)
+	}
+	if got := pkgCalls(fset, broken, "fmt", "Sprintf", "Fprintf"); len(got) != 2 {
+		t.Errorf("pkgCalls finds %d of 2 fmt formatting calls: %q", len(got), got)
+	}
+	if got := pkgCalls(fset, broken, "strings", "Repeat"); len(got) != 1 {
+		t.Errorf("pkgCalls misses strings.Repeat: %q", got)
 	}
 
 	var all []*ast.File
@@ -495,6 +534,25 @@ func render(lang string) error {
 	}
 	if got := stringLiteralFiles(fset, all, unknownModel); !slices.Equal(got, []string{"internal/netmodel/netmodel.go"}) {
 		t.Errorf("unknown-model error built in %q; netmodel.Lookup is the one lookup", got)
+	}
+	if got := stringLiteralFiles(fset, all, taskGroup); !slices.Equal(got, []string{"internal/conceptual/emit.go"}) {
+		t.Errorf("task-group conditions spelled in %q; the dialect table of internal/conceptual/emit.go is the one place", got)
+	}
+	var printers []*ast.File
+	for _, f := range all {
+		switch filepath.ToSlash(fset.Position(f.Package).Filename) {
+		case "internal/conceptual/print.go", "internal/conceptual/cgen.go", "internal/core/gogen.go":
+			printers = append(printers, f)
+		}
+	}
+	if len(printers) != 3 {
+		t.Errorf("found %d of the 3 printers (print.go, cgen.go, gogen.go)", len(printers))
+	}
+	for _, at := range pkgCalls(fset, printers, "fmt", "Sprintf", "Fprintf", "Sprint", "Fprint", "Sprintln", "Fprintln") {
+		t.Errorf("%s: a printer formats through fmt; statements go through conceptual.Writer's appenders (fmt.Errorf is for errors)", at)
+	}
+	for _, at := range pkgCalls(fset, printers, "strings", "Repeat") {
+		t.Errorf("%s: a printer indents by hand; conceptual.Writer indents", at)
 	}
 }
 
