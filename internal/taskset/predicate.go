@@ -86,7 +86,7 @@ func (p Predicate) Set(n int) Set {
 	case KindAll:
 		return Range(0, n-1)
 	case KindSingleton:
-		return Range(max(p.Value, 0), min(p.Value, n-1))
+		return Predicate{Kind: KindRange, Lo: p.Value, Hi: p.Value}.Set(n)
 	case KindRange:
 		return Range(max(p.Lo, 0), min(p.Hi, n-1))
 	case KindStride:

@@ -594,21 +594,17 @@ type prodDecl struct {
 // ".Name", and a bare identifier as "dir.Name" of its own package.
 func fileRefs(dir string, imports map[string]string, node ast.Node) []string {
 	var refs []string
-	ast.Inspect(node, func(n ast.Node) bool {
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.SelectorExpr:
 			if q, ok := x.X.(*ast.Ident); ok && imports[q.Name] != "" {
 				refs = append(refs, imports[q.Name]+"."+x.Sel.Name)
-				return false
+			} else {
+				refs = append(refs, "."+x.Sel.Name)
+				ast.Inspect(x.X, visit)
 			}
-			refs = append(refs, "."+x.Sel.Name)
-			ast.Inspect(x.X, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					refs = append(refs, dir+"."+id.Name)
-				}
-				return true
-			})
-			return true
+			return false
 		case *ast.InterfaceType:
 			for _, m := range x.Methods.List {
 				for _, name := range m.Names {
@@ -619,7 +615,8 @@ func fileRefs(dir string, imports map[string]string, node ast.Node) []string {
 			refs = append(refs, dir+"."+x.Name)
 		}
 		return true
-	})
+	}
+	ast.Inspect(node, visit)
 	return refs
 }
 
