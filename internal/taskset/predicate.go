@@ -70,12 +70,7 @@ func (p Predicate) Contains(t, n int) bool {
 	case KindStride:
 		return p.Stride > 0 && t%p.Stride == p.Offset
 	default:
-		for _, m := range p.Enum {
-			if m == t {
-				return true
-			}
-		}
-		return false
+		return slices.Contains(p.Enum, t)
 	}
 }
 
