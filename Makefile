@@ -7,14 +7,17 @@ LU_LEGS = (TestEventEngineMatchesGoroutineRuntime|TestReplayRepresentationsBitId
 test:
 	$(GO) test ./...
 
-# check is the pre-commit gate: go vet; the race detector over every package
-# with shared state (internal/mpi at -cpu 1,2; align and wildcard -short); the
-# root differential, determinism, golden-digest, single-home and no-orphan
-# suites under -race; four 10 s fuzz passes (trace decoder, Algorithm 1, MP-net
-# export and checker, coNCePTuaL parser and printer).
+# check is the pre-commit gate: go vet, and go vet of internal/mpi for two
+# architectures without a frame-pointer walk; the race detector over every
+# package with shared state (internal/mpi at -cpu 1,2; align and wildcard
+# -short); the root differential, determinism, golden-digest, single-home and
+# no-orphan suites under -race; four 10 s fuzz passes (trace decoder,
+# Algorithm 1, MP-net export and checker, coNCePTuaL parser and printer).
 # .claude/skills/verify/SKILL.md says why each line has its flags.
 check:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/mpi/
+	GOARCH=riscv64 $(GO) vet ./internal/mpi/
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
 	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
 	$(GO) test -race -short ./internal/align/... ./internal/wildcard/...

@@ -63,8 +63,8 @@ func histogramBits(s *stats.Histogram) string {
 		return " h0"
 	}
 	bits := fmt.Sprintf(" h%d/%x/%x/%x", s.Count, math.Float64bits(s.Sum), math.Float64bits(s.Min), math.Float64bits(s.Max))
-	for i, c := range s.Bins {
-		if c != 0 {
+	for i := range stats.NumBins {
+		if c := s.Bin(i); c != 0 {
 			bits += fmt.Sprintf(",%d=%d", i, c)
 		}
 	}

@@ -191,10 +191,6 @@ func (r *Rank) leaveRound(st entryState, c *Comm, me int, op *RankOp, completion
 // closes it, leave. A stackless cursor runs the same two halves around a
 // return to the drive loop (slExec.execRendezvous).
 func (r *Rank) rendezvous(c *Comm, op *RankOp) *Comm {
-	// enter is called from this frame, one below the wrapper, and not from
-	// joinRound: callSite bounds every walk of a rank by the deepest call path
-	// it has seen, so a frame added here lengthens the walk of every traced
-	// point-to-point operation too (+5 % on a traced bt run when it was).
 	st := r.enter()
 	var rd collRound
 	me := r.joinRound(c, op, &rd)
@@ -202,93 +198,61 @@ func (r *Rank) rendezvous(c *Comm, op *RankOp) *Comm {
 	return r.leaveRound(st, c, me, op, completion, shadowDone, shared)
 }
 
-// The entry points below stay out of line (go:noinline). One statement each,
-// they would be inlined into application bodies, and every call inlined into
-// a function lengthens the inline table the unwinder steps through for that
-// frame — on every traced operation's stack walk, point-to-point ones
-// included (tracing sweep3d at 16 ranks cost 25 % more when they were).
-
 // Barrier blocks until every member of c has entered the barrier.
-//
-//go:noinline
 func (r *Rank) Barrier(c *Comm) { r.rendezvous(c, &RankOp{Op: OpBarrier}) }
 
 // Bcast broadcasts size bytes from the communicator-relative root.
-//
-//go:noinline
 func (r *Rank) Bcast(c *Comm, root, size int) {
 	r.rendezvous(c, &RankOp{Op: OpBcast, Root: root, Size: size})
 }
 
 // Reduce combines size bytes from every member at the root.
-//
-//go:noinline
 func (r *Rank) Reduce(c *Comm, root, size int) {
 	r.rendezvous(c, &RankOp{Op: OpReduce, Root: root, Size: size})
 }
 
 // Allreduce combines size bytes from every member and distributes the result
 // to all (two tree phases).
-//
-//go:noinline
 func (r *Rank) Allreduce(c *Comm, size int) { r.rendezvous(c, &RankOp{Op: OpAllreduce, Size: size}) }
 
 // Gather collects size bytes from every member at the root.
-//
-//go:noinline
 func (r *Rank) Gather(c *Comm, root, size int) {
 	r.rendezvous(c, &RankOp{Op: OpGather, Root: root, Size: size})
 }
 
 // Gatherv collects a per-rank number of bytes (this rank contributes size)
 // at the root.
-//
-//go:noinline
 func (r *Rank) Gatherv(c *Comm, root, size int) {
 	r.rendezvous(c, &RankOp{Op: OpGatherv, Root: root, Size: size})
 }
 
 // Allgather collects size bytes from every member at every member.
-//
-//go:noinline
 func (r *Rank) Allgather(c *Comm, size int) { r.rendezvous(c, &RankOp{Op: OpAllgather, Size: size}) }
 
 // Allgatherv collects a per-rank number of bytes at every member.
-//
-//go:noinline
 func (r *Rank) Allgatherv(c *Comm, size int) { r.rendezvous(c, &RankOp{Op: OpAllgatherv, Size: size}) }
 
 // Scatter distributes size bytes from the root to each member.
-//
-//go:noinline
 func (r *Rank) Scatter(c *Comm, root, size int) {
 	r.rendezvous(c, &RankOp{Op: OpScatter, Root: root, Size: size})
 }
 
 // Scatterv distributes counts[i] bytes from the root to comm rank i. All
 // members must pass the same counts (SPMD convention).
-//
-//go:noinline
 func (r *Rank) Scatterv(c *Comm, root int, counts []int) {
 	r.rendezvous(c, &RankOp{Op: OpScatterv, Root: root, Counts: counts})
 }
 
 // Alltoall exchanges size bytes between every pair of members.
-//
-//go:noinline
 func (r *Rank) Alltoall(c *Comm, size int) { r.rendezvous(c, &RankOp{Op: OpAlltoall, Size: size}) }
 
 // Alltoallv exchanges counts[i] bytes with comm rank i.
-//
-//go:noinline
 func (r *Rank) Alltoallv(c *Comm, counts []int) {
 	r.rendezvous(c, &RankOp{Op: OpAlltoallv, Counts: counts})
 }
 
 // ReduceScatter combines counts[i] bytes across members and scatters segment
 // i to comm rank i.
-//
-//go:noinline
 func (r *Rank) ReduceScatter(c *Comm, counts []int) {
 	r.rendezvous(c, &RankOp{Op: OpReduceScatter, Counts: counts})
 }
@@ -296,23 +260,17 @@ func (r *Rank) ReduceScatter(c *Comm, counts []int) {
 // CommSplit partitions c into disjoint communicators by color, ordering each
 // new communicator by (key, world rank), per MPI_Comm_split. A negative
 // color opts out and returns nil.
-//
-//go:noinline
 func (r *Rank) CommSplit(c *Comm, color, key int) *Comm {
 	return r.rendezvous(c, &RankOp{Op: OpCommSplit, SplitColor: color, SplitKey: key})
 }
 
 // CommDup duplicates c: a new communicator with identical membership.
-//
-//go:noinline
 func (r *Rank) CommDup(c *Comm) *Comm { return r.rendezvous(c, &RankOp{Op: OpCommDup}) }
 
 // Finalize synchronizes all world ranks and marks the rank finished. The
 // paper's algorithms treat MPI_Finalize as a collective over the world
 // communicator; so does this runtime. Run calls Finalize automatically if
 // the body did not.
-//
-//go:noinline
 func (r *Rank) Finalize() {
 	if !r.finalized {
 		r.rendezvous(r.w.commWorld, &RankOp{Op: OpFinalize})

@@ -3,6 +3,7 @@ package mpi
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -248,26 +249,6 @@ func TestBarrierSynchronizesClocks(t *testing.T) {
 	}
 	if clocks[0] < 3000 {
 		t.Fatalf("barrier completed before slowest arrival: %v", clocks[0])
-	}
-}
-
-// TestCollectiveWalkIsOneFrameDeeper pins what a traced collective costs every
-// other operation: callSite bounds a rank's stack walks by the deepest call
-// path it has met, so each frame between a wrapper and enter lengthens the
-// walk of every point-to-point operation of the run. A wrapper is one frame
-// (Rank.rendezvous) deeper than Send, as runCollective made it.
-func TestCollectiveWalkIsOneFrameDeeper(t *testing.T) {
-	var p2p, coll int
-	run(t, 1, netmodel.Ideal(), func(r *Rank) {
-		r.Wait(r.Isend(r.World(), 0, 0, 8))
-		r.Wait(r.Isend(r.World(), 0, 0, 8)) // the first walk learns rankMain's PC, this one its depth
-		p2p = r.mainDepth
-		r.Barrier(r.World())
-		r.CommDup(r.World())
-		coll = r.mainDepth
-	}, WithTracer(func(int) Tracer { return recordFunc(func(*Event) {}) }))
-	if p2p == 0 || coll != p2p+1 {
-		t.Fatalf("walk bound %d after point-to-point calls, %d after collectives: want one frame more", p2p, coll)
 	}
 }
 
@@ -906,31 +887,81 @@ func callDeep(depth int, op func()) {
 	op()
 }
 
-// TestCallSiteBoundedWalkMatchesFullWalk runs one body cold — no rankMain
-// program counter learned, no memoized site, so every rank starts with full
-// stack walks — and warm, and requires the same call-site hashes: a walk
-// bounded at rankMain must name a source location as the full walk does,
-// from a shallower, a deeper and again a shallower stack than the one that
-// set the bound.
-func TestCallSiteBoundedWalkMatchesFullWalk(t *testing.T) {
-	depths := make([]int, 2)
+// hop calls op through two more functions, all three small enough to be
+// inlined into hop's caller: three logical frames in one physical one, the
+// shape on which runtime.Callers and a frame-pointer walk count depth
+// differently.
+func hop(op func())  { hop2(op) }
+func hop2(op func()) { hop3(op) }
+func hop3(op func()) { op() }
+
+// issuer is called through an interface holding a value of more than one
+// word, so the call goes through the compiler's pointer-receiver wrapper —
+// its own frame, as issue is not inlined into it — an <autogenerated> frame
+// that runtime.Callers leaves out.
+type issuer interface{ issue() }
+
+type valueIssuer struct {
+	op  func()
+	pad int
+}
+
+//go:noinline
+func (v valueIssuer) issue() { v.op() }
+
+//go:noinline
+func issueVia(i issuer) { i.issue() }
+
+// TestCallSiteFramePointerWalkMatchesCallers runs one body cold — rankMain's
+// return address forgotten and every site cache cleared after each event, so
+// runtime.Callers names every call site — and warm, where the frame-pointer
+// walk names them, and requires the same call-site hashes. The body issues
+// from shallow stacks, from nine frames deeper, across the 48-frame cut, from
+// one closure inlined at two call sites, through collective wrappers the
+// compiler inlines into the body, and through an interface method wrapper.
+func TestCallSiteFramePointerWalkMatchesCallers(t *testing.T) {
+	const iters, cutFrom, cutTo = 2, 30, 46
+	ranks := make([]*Rank, 2)
 	body := func(r *Rank) {
-		c := r.World()
-		for it := 0; it < 3; it++ {
+		ranks[r.Rank()] = r
+		c, peer := r.World(), 1-r.Rank()
+		allreduce := func() { r.Allreduce(c, 8) }
+		for it := 0; it < iters; it++ {
 			r.Barrier(c)
-			callDeep(4, func() { r.Allreduce(c, 8) })
+			allreduce()
 			r.Bcast(c, 0, 16)
 			callDeep(9, func() { r.Barrier(c) })
-			callDeep(2, func() { r.Reduce(c, 0, 8) })
+			allreduce()
+			issueVia(valueIssuer{op: func() { r.Reduce(c, 0, 8) }})
+			for d := cutFrom; d <= cutTo; d++ {
+				callDeep(d, func() { issueVia(valueIssuer{op: func() { hop(func() { r.Barrier(c) }) }}) })
+			}
+			r.Wait(r.Isend(c, peer, 0, 8))
+			r.Recv(c, peer, 0, 8)
 		}
-		depths[r.Rank()] = r.mainDepth
 	}
-	sites := func() []uint64 {
+	const perIter = 6 + (cutTo - cutFrom + 1) + 3
+	fpWalks := 0
+	sites := func(cold bool) []uint64 {
 		var out []uint64
 		tracer := func(rank int) Tracer {
 			return recordFunc(func(ev *Event) {
 				if rank == 0 {
 					out = append(out, ev.CallSite)
+				}
+				if !cold {
+					var pcs [maxSiteFrames]uintptr
+					if framePCs(getfp(), rankMainPC.Load(), pcs[:]) > 0 {
+						fpWalks++
+					}
+					return
+				}
+				rankMainPC.Store(0)
+				siteCache.Lock()
+				clear(siteCache.m)
+				siteCache.Unlock()
+				if ranks[rank] != nil {
+					clear(ranks[rank].sites)
 				}
 			})
 		}
@@ -939,26 +970,23 @@ func TestCallSiteBoundedWalkMatchesFullWalk(t *testing.T) {
 		}
 		return out
 	}
-	rankMainPC.Store(0)
-	siteCache.Lock()
-	clear(siteCache.m)
-	siteCache.Unlock()
-	cold := sites()
-	if rankMainPC.Load() == 0 || depths[0] == 0 {
-		t.Fatalf("rankMain's program counter %#x, walk bound %d: the bounded walk never ran", rankMainPC.Load(), depths[0])
+	cold := sites(true)
+	warm := sites(false)
+	if runtime.GOARCH == "amd64" && fpWalks == 0 {
+		t.Fatal("no frame-pointer walk reached rankMain in the warm run")
 	}
-	warm := sites()
-	if len(cold) != len(warm) || len(cold) != 2+3*5 {
-		t.Fatalf("%d events cold, %d warm, want %d", len(cold), len(warm), 2+3*5)
+	if len(cold) != len(warm) || len(cold) != 2+iters*perIter {
+		t.Fatalf("%d events cold, %d warm, want %d", len(cold), len(warm), 2+iters*perIter)
 	}
-	distinct := map[uint64]bool{}
 	for i := range cold {
-		distinct[cold[i]] = true
 		if cold[i] != warm[i] {
-			t.Fatalf("event %d: site %#x from full walks, %#x from bounded ones", i, cold[i], warm[i])
+			t.Fatalf("event %d: site %#x from runtime.Callers, %#x from the frame-pointer walk", i, cold[i], warm[i])
 		}
 	}
-	if len(distinct) != 6 { // five source lines and rankMain's own
-		t.Fatalf("%d distinct call sites, want 6", len(distinct))
+	// The depth sweep must straddle the cut: its shallowest stacks are told
+	// apart, its deepest two are hashed over the same 48 frames.
+	at := func(d int) uint64 { return cold[1+6+d-cutFrom] }
+	if at(cutFrom) == at(cutFrom+1) || at(cutTo-1) != at(cutTo) {
+		t.Fatalf("depth sweep %d..%d does not cross the %d-frame cut", cutFrom, cutTo, maxSiteFrames)
 	}
 }

@@ -20,10 +20,7 @@ type Rank struct {
 	// sites is this rank's front of the process-wide call-site cache (see
 	// callSite): raw PC hash to signature, filled on the rank's first visit
 	// of each call path. Signatures are process-stable, so it survives reset.
-	sites map[uint64]uint64
-	// mainDepth is the length of the stack walk that has reached rankMain on
-	// this rank so far (see callSite); like sites it survives reset.
-	mainDepth int
+	sites     map[uint64]uint64
 	finalized bool
 
 	// Allocation arenas: messages, posted receives and requests are carved
@@ -281,9 +278,9 @@ func (r *Rank) enter() entryState {
 		// The causal profiler deliberately does NOT trigger a stack walk
 		// here: blame attribution rides on SetCallSite stamps (replay,
 		// generated programs) or on the tracer's signature when one is
-		// attached anyway. Walking the stack per operation would cost ~1us
-		// each and sink the profiler's <=5% overhead budget; a profiled but
-		// untraced, unstamped body records site 0 (unattributed) instead.
+		// attached anyway, and a walk plus a map lookup per operation would
+		// eat into its <=5% overhead budget; a profiled but untraced,
+		// unstamped body records site 0 (unattributed) instead.
 		st.site = r.callSite()
 	}
 	if r.w.prof != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Event describes one completed MPI operation as observed by the PMPI-style
@@ -108,29 +109,20 @@ func (m MultiTracer) Record(ev *Event) {
 // would give the same source location different signatures under different
 // engines.
 //
-// The unwinder stops there too. Once a symbolized walk has met rankMain its
-// program counter is known (rankMainPC), and the rank remembers the deepest
-// position it has seen it at: the next walk asks runtime.Callers for that
-// many frames and is taken only if rankMain's counter is among them — the
-// frames above are then the whole call path. A deeper stack, or a rank that
-// has not met rankMain yet, gets the full walk.
+// The unwinder stops there too. Once a symbolized walk has met rankMain,
+// every walk follows the frame-pointer chain from callSite's own frame (kept
+// out of line) up to its return address (rankMainPC): a load and a compare
+// per physical frame. runtime.Callers is the cold path: before that, on a
+// stack deeper than maxSiteFrames, and where getfp has no frame pointer.
+//
+//go:noinline
 func (r *Rank) callSite() uint64 {
 	// pcs stays on the stack: only the first visit of a call path hands a
 	// copy to the symbolizer, which retains its argument.
-	var pcs [48]uintptr
-	main := rankMainPC.Load()
-	n, at := 0, -1 // position of rankMain's frame in pcs[:n]
-	if main != 0 && r.mainDepth > 0 {
-		n = runtime.Callers(2, pcs[:r.mainDepth])
-		at = slices.Index(pcs[:n], main)
-	}
-	if at < 0 {
+	var pcs [maxSiteFrames]uintptr
+	n := framePCs(getfp(), rankMainPC.Load(), pcs[:])
+	if n == 0 {
 		n = runtime.Callers(2, pcs[:])
-		at = slices.Index(pcs[:n], main) // -1 while main is still zero
-	}
-	if at >= 0 {
-		n = at + 1
-		r.mainDepth = max(r.mainDepth, n)
 	}
 
 	// Symbolizing and hashing the frames costs microseconds; with the causal
@@ -138,8 +130,8 @@ func (r *Rank) callSite() uint64 {
 	// every rank. A given raw PC array always symbolizes to the same
 	// signature within a process, so memoize on an FNV-1a-style hash of the
 	// PCs, a word at a time — after the first visit a call site costs one
-	// stack walk and one hit in the rank's own map, which no other rank
-	// touches.
+	// frame-pointer walk and one hit in the rank's own map, which no other
+	// rank touches.
 	const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
 	key := uint64(fnvOffset64)
 	for _, pc := range pcs[:n] {
@@ -164,19 +156,41 @@ func (r *Rank) callSite() uint64 {
 	return site
 }
 
-// rankMainPC is what runtime.Callers reports for rankMain's frame under an
-// application body: the return address of its one call of the body (rankMain
-// is never inlined). Zero until a symbolized walk has met the frame.
+// maxSiteFrames bounds a signature to the (logical) frames above the call.
+const maxSiteFrames = 48
+
+// rankMainPC is the return address of rankMain's (never inlined) call of the
+// body; zero until a symbolized walk has met it.
 var rankMainPC atomic.Uintptr
 
+// framePCs stores the return addresses of the frames up from fp, callSite's
+// frame pointer, and returns their count once it has stored main, else 0.
+func framePCs(fp unsafe.Pointer, main uintptr, pcs []uintptr) int {
+	for i := range pcs {
+		if fp == nil {
+			return 0
+		}
+		// The saved caller's frame pointer is at fp, the return address above.
+		pcs[i] = *(*uintptr)(unsafe.Add(fp, unsafe.Sizeof(fp)))
+		if pcs[i] == main {
+			return i + 1
+		}
+		fp = *(*unsafe.Pointer)(fp)
+	}
+	return 0
+}
+
 // symbolizeSite computes the signature of one raw call path, and learns
-// rankMainPC from it.
+// rankMainPC from it. Physical frames symbolize as runtime.Callers' logical
+// ones do once it skips the compiler's method wrappers, which Callers leaves
+// out, and cuts at maxSiteFrames logical frames, where Callers stops.
 func symbolizeSite(pcs []uintptr) uint64 {
 	frames := runtime.CallersFrames(pcs)
 	h := fnv.New64a()
 	var buf [8]byte
-	for {
-		f, more := frames.Next()
+	for depth, more := 0, true; more && depth < maxSiteFrames; {
+		var f runtime.Frame
+		f, more = frames.Next()
 		if strings.HasSuffix(f.Function, "internal/mpi.rankMain") {
 			// A frame's PC is the call instruction's; the walk holds the
 			// return address, one past it.
@@ -185,13 +199,14 @@ func symbolizeSite(pcs []uintptr) uint64 {
 			}
 			break
 		}
-		if f.Function != "" && !isRuntimeFrame(f.Function) {
+		if f.File == "<autogenerated>" {
+			continue // a method wrapper
+		}
+		depth++
+		if f.Function != "" && !strings.Contains(f.Function, "internal/mpi.(*Rank).") {
 			h.Write([]byte(f.File))
 			binary.LittleEndian.PutUint64(buf[:], uint64(f.Line))
 			h.Write(buf[:])
-		}
-		if !more {
-			break
 		}
 	}
 	return h.Sum64()
@@ -205,7 +220,3 @@ var siteCache = struct {
 	sync.RWMutex
 	m map[uint64]uint64
 }{m: make(map[uint64]uint64)}
-
-func isRuntimeFrame(fn string) bool {
-	return strings.Contains(fn, "internal/mpi.(*Rank).")
-}

@@ -122,8 +122,8 @@ const denseSrcIndexRanks = 4096
 // named function matters beyond tidiness — callSite() hashes the call path
 // below the application body and truncates the walk at this frame, so a
 // source location hashes identically no matter which engine drives it. It is
-// kept out of line so that the frame has one program counter under the body,
-// which callSite learns and bounds its walks by.
+// kept out of line so that the frame has one return address under the body,
+// which callSite learns and ends its frame-pointer walks at.
 //
 //go:noinline
 func rankMain(r *Rank, body func(*Rank)) {

@@ -10,6 +10,9 @@ import (
 	"strings"
 )
 
+// NumBins is the number of bins: bin i > 0 counts 2^(i-1) <= v < 2^i us, bin 0 v < 1.
+const NumBins = 64
+
 // Histogram compresses a stream of non-negative duration samples
 // (microseconds) into logarithmically sized bins, as ScalaTrace does for the
 // computation time between consecutive MPI calls. It additionally tracks
@@ -20,9 +23,10 @@ type Histogram struct {
 	Sum   float64
 	Min   float64
 	Max   float64
-	// Bins[i] counts samples v with 2^(i-1) <= v < 2^i (microseconds);
-	// Bins[0] counts samples < 1us.
-	Bins [64]uint64
+	// bins holds the bin counts once samples span two bins; until then all
+	// Count lie in bin, as a per-rank leaf's almost always do: 48 B, not 544.
+	bins *[NumBins]uint64
+	bin  uint8
 }
 
 // NewHistogram returns an empty histogram.
@@ -30,10 +34,41 @@ func NewHistogram() *Histogram {
 	return &Histogram{Min: math.Inf(1), Max: math.Inf(-1)}
 }
 
+// Reset empties h in place.
+func (h *Histogram) Reset() { *h = *NewHistogram() }
+
+// Bin returns the number of samples in bin i, 0 <= i < NumBins.
+func (h *Histogram) Bin(i int) uint64 {
+	if h.bins != nil {
+		return h.bins[i]
+	}
+	if h.Count != 0 && i == int(h.bin) {
+		return h.Count
+	}
+	return 0
+}
+
+// spill moves the one-bin form into a bin array and returns the array.
+func (h *Histogram) spill() *[NumBins]uint64 {
+	if h.bins == nil {
+		h.bins = new([NumBins]uint64)
+		h.bins[h.bin] = h.Count
+	}
+	return h.bins
+}
+
 // Add records one sample. Negative samples are clamped to zero.
 func (h *Histogram) Add(v float64) {
 	if v < 0 {
 		v = 0
+	}
+	switch b := binIndex(v); {
+	case h.bins != nil:
+		h.bins[b]++
+	case h.Count == 0:
+		h.bin = uint8(b)
+	case int(h.bin) != b:
+		h.spill()[b]++
 	}
 	h.Count++
 	h.Sum += v
@@ -43,7 +78,6 @@ func (h *Histogram) Add(v float64) {
 	if v > h.Max {
 		h.Max = v
 	}
-	h.Bins[binIndex(v)]++
 }
 
 func binIndex(v float64) int {
@@ -62,6 +96,15 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.Count == 0 {
 		return
 	}
+	// The bins first: spilling records h's count in its one bin.
+	if h.bins == nil && other.bins == nil && (h.Count == 0 || h.bin == other.bin) {
+		h.bin = other.bin
+	} else {
+		bins := h.spill()
+		for i := range bins {
+			bins[i] += other.Bin(i)
+		}
+	}
 	h.Count += other.Count
 	h.Sum += other.Sum
 	if other.Min < h.Min {
@@ -69,9 +112,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	if other.Max > h.Max {
 		h.Max = other.Max
-	}
-	for i := range h.Bins {
-		h.Bins[i] += other.Bins[i]
 	}
 }
 
@@ -105,7 +145,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	target := q * float64(h.Count)
 	var cum float64
-	for i, c := range h.Bins {
+	for i := range NumBins {
+		c := h.Bin(i)
 		if c == 0 {
 			continue
 		}
@@ -128,6 +169,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Clone returns a deep copy of h.
 func (h *Histogram) Clone() *Histogram {
 	c := *h
+	if h.bins != nil {
+		bins := *h.bins
+		c.bins = &bins
+	}
 	return &c
 }
 
@@ -142,7 +187,12 @@ func (h *Histogram) Equal(other *Histogram) bool {
 	if h.Min != other.Min || h.Max != other.Max {
 		return false
 	}
-	return h.Bins == other.Bins
+	for i := range NumBins {
+		if h.Bin(i) != other.Bin(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders a compact single-line summary, e.g.
@@ -159,8 +209,8 @@ func (h *Histogram) String() string {
 func (h *Histogram) MarshalText() ([]byte, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d %.9g %.9g %.9g", h.Count, h.Sum, h.Min, h.Max)
-	for i, c := range h.Bins {
-		if c != 0 {
+	for i := range NumBins {
+		if c := h.Bin(i); c != 0 {
 			fmt.Fprintf(&sb, " %d=%d", i, c)
 		}
 	}
@@ -186,16 +236,27 @@ func (h *Histogram) UnmarshalText(text []byte) error {
 	if _, err := fmt.Sscanf(fields[3], "%g", &h.Max); err != nil {
 		return fmt.Errorf("stats: bad max: %w", err)
 	}
+	var bins [NumBins]uint64
 	for _, f := range fields[4:] {
 		var i int
 		var c uint64
 		if _, err := fmt.Sscanf(f, "%d=%d", &i, &c); err != nil {
 			return fmt.Errorf("stats: bad bin %q: %w", f, err)
 		}
-		if i < 0 || i >= len(h.Bins) {
+		if i < 0 || i >= NumBins {
 			return fmt.Errorf("stats: bin index %d out of range", i)
 		}
-		h.Bins[i] = c
+		bins[i] = c
+	}
+	nonzero := 0
+	for i, c := range bins {
+		if c != 0 {
+			nonzero, h.bin = nonzero+1, uint8(i)
+		}
+	}
+	if nonzero > 1 || bins[h.bin] != h.Count {
+		h.bins = new([NumBins]uint64)
+		*h.bins = bins
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -135,8 +138,8 @@ func TestHistogramPropertyMeanBounded(t *testing.T) {
 			return true
 		}
 		var binSum uint64
-		for _, c := range h.Bins {
-			binSum += c
+		for i := range NumBins {
+			binSum += h.Bin(i)
 		}
 		return binSum == h.Count && h.Mean() >= h.Min-1e-9 && h.Mean() <= h.Max+1e-9
 	}
@@ -221,6 +224,233 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// refHistogram is the definition Histogram is held to: the bin-array
+// histogram it replaced, every operation as it was.
+type refHistogram struct {
+	Count         uint64
+	Sum, Min, Max float64
+	Bins          [NumBins]uint64
+}
+
+func newRef() *refHistogram { return &refHistogram{Min: math.Inf(1), Max: math.Inf(-1)} }
+
+func (h *refHistogram) Add(v float64) {
+	if v < 0 {
+		v = 0
+	}
+	h.Count++
+	h.Sum += v
+	if v < h.Min {
+		h.Min = v
+	}
+	if v > h.Max {
+		h.Max = v
+	}
+	h.Bins[binIndex(v)]++
+}
+
+func (h *refHistogram) Merge(o *refHistogram) {
+	if o.Count == 0 {
+		return
+	}
+	h.Count += o.Count
+	h.Sum += o.Sum
+	if o.Min < h.Min {
+		h.Min = o.Min
+	}
+	if o.Max > h.Max {
+		h.Max = o.Max
+	}
+	for i := range h.Bins {
+		h.Bins[i] += o.Bins[i]
+	}
+}
+
+func (h *refHistogram) Equal(o *refHistogram) bool {
+	if h.Count != o.Count || h.Sum != o.Sum {
+		return false
+	}
+	return h.Count == 0 || h.Min == o.Min && h.Max == o.Max && h.Bins == o.Bins
+}
+
+func (h *refHistogram) Quantile(q float64) float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.Min
+	}
+	if q >= 1 {
+		return h.Max
+	}
+	target := q * float64(h.Count)
+	var cum float64
+	for i, c := range h.Bins {
+		if c == 0 {
+			continue
+		}
+		next := cum + float64(c)
+		if next >= target {
+			lo, hi := 0.0, 1.0
+			if i > 0 {
+				lo = math.Pow(2, float64(i-1))
+				hi = 2 * lo
+			}
+			v := lo + (hi-lo)*(target-cum)/float64(c)
+			return math.Min(math.Max(v, h.Min), h.Max)
+		}
+		cum = next
+	}
+	return h.Max
+}
+
+func (h *refHistogram) MarshalText() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d %.9g %.9g %.9g", h.Count, h.Sum, h.Min, h.Max)
+	for i, c := range h.Bins {
+		if c != 0 {
+			fmt.Fprintf(&sb, " %d=%d", i, c)
+		}
+	}
+	return sb.String()
+}
+
+func (h *refHistogram) UnmarshalText(text string) error {
+	f := strings.Fields(text)
+	*h = refHistogram{}
+	if _, err := fmt.Sscanf(strings.Join(f[:4], " "), "%d %g %g %g", &h.Count, &h.Sum, &h.Min, &h.Max); err != nil {
+		return err
+	}
+	for _, b := range f[4:] {
+		var i int
+		var c uint64
+		if _, err := fmt.Sscanf(b, "%d=%d", &i, &c); err != nil {
+			return err
+		}
+		h.Bins[i] = c
+	}
+	return nil
+}
+
+// sameAsRef reports whether h holds exactly what the reference holds, bit
+// for bit.
+func sameAsRef(h *Histogram, r *refHistogram) bool {
+	if h.Count != r.Count || math.Float64bits(h.Sum) != math.Float64bits(r.Sum) ||
+		math.Float64bits(h.Min) != math.Float64bits(r.Min) || math.Float64bits(h.Max) != math.Float64bits(r.Max) {
+		return false
+	}
+	for i := range NumBins {
+		if h.Bin(i) != r.Bins[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHistogramMatchesBinArrayDefinition drives the one-bin histogram and the
+// reference through the same samples, merges (into empty, one-bin and spilled
+// histograms, and into themselves), clones, comparisons, quantiles and a text
+// round trip, and requires bit-identical results. Narrow streams stay in one
+// bin; wide ones spill.
+func TestHistogramMatchesBinArrayDefinition(t *testing.T) {
+	// sample maps a generated word to a sample in one bin (narrow) or in one
+	// of five, negatives and sub-microsecond values included.
+	sample := func(x uint16, narrow bool) float64 {
+		if narrow {
+			return 96 + float64(x%32)
+		}
+		return math.Ldexp(float64(x%251)/250, int(x>>13)) - float64(x%7)/8
+	}
+	fill := func(xs []uint16, narrow bool) (*Histogram, *refHistogram) {
+		h, r := NewHistogram(), newRef()
+		for _, x := range xs {
+			h.Add(sample(x, narrow))
+			r.Add(sample(x, narrow))
+		}
+		return h, r
+	}
+	f := func(xs, ys []uint16, narrowX, narrowY bool, q uint16) bool {
+		a, ra := fill(xs, narrowX)
+		b, rb := fill(ys, narrowY)
+		if !sameAsRef(a, ra) || !sameAsRef(b, rb) || a.Equal(b) != ra.Equal(rb) {
+			return false
+		}
+		c, rc := a.Clone(), *ra
+		c.Merge(b)
+		rc.Merge(rb)
+		if !sameAsRef(c, &rc) || !sameAsRef(a, ra) || c.Equal(a) != rc.Equal(ra) {
+			return false // a wrong merge, or a Clone sharing a's bins
+		}
+		self, rself := b.Clone(), *rb
+		self.Merge(self)
+		rself.Merge(&rself)
+		if !sameAsRef(self, &rself) {
+			return false
+		}
+		for _, p := range []struct {
+			h *Histogram
+			r *refHistogram
+		}{{a, ra}, {c, &rc}, {self, &rself}} {
+			for _, q := range []float64{0, float64(q) / math.MaxUint16, 0.5, 0.99, 1} {
+				if math.Float64bits(p.h.Quantile(q)) != math.Float64bits(p.r.Quantile(q)) {
+					return false
+				}
+			}
+			text, err := p.h.MarshalText()
+			var back Histogram
+			var rback refHistogram
+			if err != nil || string(text) != p.r.MarshalText() ||
+				back.UnmarshalText(text) != nil || rback.UnmarshalText(string(text)) != nil || !sameAsRef(&back, &rback) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Decoded text need not be Count samples in one bin; such a histogram
+	// keeps its bins as written, compares as the reference does, and adds and
+	// merges on from there.
+	texts := []string{"5 1 1 1 3=2", "0 0 0 0 3=5", "2 1 1 1", "3 1 1 1 3=1 3=3", "4 1 1 1 0=0 2=4",
+		"2 1 1 1 7=2", "1 5 5 5 3=1", "1 5 5 5 4=1", "2 1 1 1 2=1 7=1", "2 1 1 1 2=1 6=1"}
+	hs, rs := make([]Histogram, len(texts)), make([]refHistogram, len(texts))
+	for i, text := range texts {
+		if err := hs[i].UnmarshalText([]byte(text)); err != nil || rs[i].UnmarshalText(text) != nil || !sameAsRef(&hs[i], &rs[i]) {
+			t.Fatalf("UnmarshalText(%q) = %v, %v; reference %v", text, err, hs[i].String(), rs[i].MarshalText())
+		}
+	}
+	for i := range texts {
+		for j := range texts {
+			if hs[i].Equal(&hs[j]) != rs[i].Equal(&rs[j]) {
+				t.Errorf("Equal(%q, %q) = %v, reference %v", texts[i], texts[j], hs[i].Equal(&hs[j]), rs[i].Equal(&rs[j]))
+			}
+		}
+	}
+	for i, text := range texts {
+		h, r := hs[i].Clone(), &rs[i]
+		h.Add(100)
+		r.Add(100)
+		one, rone := NewHistogram(), newRef()
+		one.Add(3)
+		rone.Add(3)
+		h.Merge(one)
+		r.Merge(rone)
+		if !sameAsRef(h, r) {
+			t.Errorf("%q: after Add and Merge %v, reference %v", text, h.String(), r.MarshalText())
+		}
+	}
+}
+
+// TestHistogramIsSmall pins the point of the one-bin form: a histogram is six
+// words, not 544 bytes.
+func TestHistogramIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Histogram{}); size > 48 {
+		t.Fatalf("stats.Histogram is %d bytes, want <= 48", size)
+	}
+}
+
 // TestHistogramAddEqualsMergeOfOneSample pins the identity the trace builder
 // relies on when it absorbs a leaf that holds a single pending sample: adding
 // the sample leaves the histogram bit-equal to merging a one-sample
@@ -238,7 +468,7 @@ func TestHistogramAddEqualsMergeOfOneSample(t *testing.T) {
 		one.Add(v)
 		added.Add(v)
 		merged.Merge(one)
-		return *added == *merged &&
+		return added.Equal(merged) &&
 			math.Float64bits(added.Sum) == math.Float64bits(merged.Sum) &&
 			math.Float64bits(added.Min) == math.Float64bits(merged.Min) &&
 			math.Float64bits(added.Max) == math.Float64bits(merged.Max)

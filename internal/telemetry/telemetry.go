@@ -114,11 +114,11 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Stats returns a copy of the recorded distribution.
+// Stats returns a Clone: a struct copy would share a spilled bin array.
 func (h *Histogram) Stats() stats.Histogram {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return *h.h
+	return *h.h.Clone()
 }
 
 // Registry holds named metrics. All methods are safe for concurrent use;

@@ -116,6 +116,40 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestSnapshotWhileObserveSpills snapshots a histogram while another
+// goroutine's samples move it out of the one-bin form and keep filling its
+// bin array. Under -race (make check) it fails if Stats hands out a copy
+// that shares the live array.
+func TestSnapshotWhileObserveSpills(t *testing.T) {
+	withTelemetry(t)
+	const name, samples = "test.spilling_hist", 2000
+	h := Default.Histogram(name)
+	h.Observe(3)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < samples; i++ {
+			h.Observe(float64(int(1) << (i % 20)))
+		}
+	}()
+	var last uint64
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		d := Default.Snapshot().Histograms[name]
+		if d.Count < last || d.P50 < d.Min || d.P99 > d.Max {
+			t.Fatalf("snapshot %+v after a count of %d", d, last)
+		}
+		last = d.Count
+	}
+	if last != samples+1 {
+		t.Fatalf("last snapshot counted %d samples, want %d", last, samples+1)
+	}
+}
+
 func TestEventRingBounds(t *testing.T) {
 	withTelemetry(t)
 	for i := 0; i < maxEvents+10; i++ {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -65,6 +67,34 @@ func TestKernelFoldCounts(t *testing.T) {
 		got.folds, got.merges = ctrFolds.Value()-folds, ctrRSDMerges.Value()-merges
 		if got != want[name] {
 			t.Errorf("%s@16: nodes/events/folds/merges = %+v, want %+v", name, got, want[name])
+		}
+	}
+}
+
+// TestTracedKernelBytesPerEvent bounds what collection allocates per recorded
+// event — the app run, every rank's compression and the merge — at 1.25x
+// what it measured when call sites became frame-pointer walks and compute
+// histograms one-bin values (with 544-byte histograms and a throwaway one per
+// loop fold it was 263, 795, 1337 and 711 B). The minimum of three runs is
+// taken, so the first run's once-per-process symbolization and a stray
+// background allocation cannot fail it.
+func TestTracedKernelBytesPerEvent(t *testing.T) {
+	measured := map[string]float64{"bt": 181.7, "cg": 357.3, "mg": 556.3, "lu": 163.3}
+	for _, name := range costKernels {
+		bound := 1.25 * measured[name]
+		best, events := math.Inf(1), 0
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, tr := collectKernel(t, name, 16)
+			runtime.ReadMemStats(&after)
+			events = tr.TotalEvents()
+			best = min(best, float64(after.TotalAlloc-before.TotalAlloc)/float64(events))
+		}
+		t.Logf("%s@16: %.1f B per event over %d events", name, best, events)
+		if best > bound {
+			t.Errorf("%s@16: collection allocates %.1f B per event, bound %.1f", name, best, bound)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -145,15 +146,21 @@ func TestCommIndexMemoryIsSumOfNonIdentityGroups(t *testing.T) {
 		t.Fatalf("Decode: %v", err)
 	}
 
+	// allocated is the least f allocated in three calls: a background
+	// allocation landing inside one measurement cannot fail the bounds.
 	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
 	}
-	if got := allocated(func() { tr.index() }); got > 64<<20 {
+	if got := allocated(func() { newCommIndex(tr.Comms) }); got > 64<<20 {
 		t.Errorf("index of %d one-member communicators allocated %.1f MB, want under 64 MB", n, float64(got)/(1<<20))
 	} else {
 		t.Logf("index of %d one-member communicators: %.1f MB", n, float64(got)/(1<<20))

@@ -183,11 +183,8 @@ func (r *RSD) SetComputeSample(v float64) {
 func (r *RSD) ComputeStats() *stats.Histogram {
 	if r.Compute == nil {
 		r.Compute = stats.NewHistogram()
-		if r.hasSample {
-			r.Compute.Add(r.sample)
-			r.hasSample = false
-		}
-	} else if r.hasSample {
+	}
+	if r.hasSample {
 		r.Compute.Add(r.sample)
 		r.hasSample = false
 	}
@@ -228,17 +225,18 @@ func (r *RSD) mergeComputeFrom(src *RSD) {
 
 // demoteToFirst moves the leaf's current compute observations into the
 // first-iteration pool; loop folding calls it on the body copy that came
-// from the loop's first iteration.
+// from the loop's first iteration. An empty pool takes the histogram itself.
 func (r *RSD) demoteToFirst() {
 	h := r.ComputeStats()
 	if h.Empty() {
 		return
 	}
 	if r.FirstCompute == nil {
-		r.FirstCompute = stats.NewHistogram()
+		r.FirstCompute, r.Compute = h, nil
+		return
 	}
 	r.FirstCompute.Merge(h)
-	r.Compute = stats.NewHistogram()
+	h.Reset()
 }
 
 // FirstComputeMean returns the mean first-iteration compute time, falling
