@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -109,6 +110,41 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 	}
 	if !shared {
 		t.Fatal("no kernel has a class of two ranks: no sequence was ever shared")
+	}
+}
+
+// TestAppendPathCounts pins how many appends of the stream builders take the
+// pending-iteration cursor and how many the tail index, in collection and in
+// Algorithm 1's segment builders, for three kernels at 16 ranks. The output is
+// the same whichever path an append takes, so no golden notices a cursor that
+// stops arming; these counts do.
+func TestAppendPathCounts(t *testing.T) {
+	type paths struct{ cursor, indexed int64 }
+	want := map[string][2]paths{ // collection, Align
+		"bt": {{7344, 912}, {7344, 832}},
+		"cg": {{444, 672}, {0, 811}},
+		"lu": {{2640, 16720}, {1920, 7689}},
+	}
+	cursor, indexed := telemetry.NewCounter("trace.cursor_appends"), telemetry.NewCounter("trace.indexed_appends")
+	count := func(run func()) paths {
+		c, i := cursor.Value(), indexed.Value()
+		run()
+		return paths{cursor.Value() - c, indexed.Value() - i}
+	}
+	telemetry.Enable()
+	defer telemetry.Disable()
+	for _, name := range []string{"bt", "cg", "lu"} {
+		var tr *trace.Trace
+		var got [2]paths
+		got[0] = count(func() { tr = traceKernel(t, name, 16, apps.ClassS) })
+		got[1] = count(func() {
+			if _, err := Align(tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want[name] {
+			t.Errorf("%s@16: {cursor indexed} appends of collection, Align = %v, want %v", name, got, want[name])
+		}
 	}
 }
 

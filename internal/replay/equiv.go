@@ -28,9 +28,10 @@ func Equivalent(a, b *trace.Trace) error {
 	if a.N != b.N {
 		return fmt.Errorf("replay: rank counts differ: %d vs %d", a.N, b.N)
 	}
+	keysA, keysB := map[int]string{}, map[int]string{}
 	for rank := 0; rank < a.N; rank++ {
-		ea := normalize(a, rank)
-		eb := normalize(b, rank)
+		ea := normalize(a, rank, keysA)
+		eb := normalize(b, rank, keysB)
 		limit := len(ea)
 		if len(eb) < limit {
 			limit = len(eb)
@@ -53,8 +54,8 @@ func Equivalent(a, b *trace.Trace) error {
 // normalize expands one rank's events, dropping bookkeeping operations,
 // resolving peers to world ranks, and folding the Table 1 collective
 // substitutions so an original application's stream compares equal to its
-// generated benchmark's.
-func normalize(t *trace.Trace, rank int) []normEvent {
+// generated benchmark's. keys memoizes t's communicator keys across ranks.
+func normalize(t *trace.Trace, rank int, keys map[int]string) []normEvent {
 	var out []normEvent
 	for _, leaf := range t.EventsOf(rank) {
 		switch leaf.Op {
@@ -65,26 +66,26 @@ func normalize(t *trace.Trace, rank int) []normEvent {
 			if leaf.Op != mpi.OpBarrier {
 				continue
 			}
-			out = append(out, normEvent{op: mpi.OpBarrier, commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: mpi.OpBarrier, commKey: commKey(t, leaf, keys)})
 		case mpi.OpGather, mpi.OpGatherv:
 			// Table 1: Gather(v) -> REDUCE.
-			out = append(out, normEvent{op: mpi.OpReduce, size: leaf.Size, commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: mpi.OpReduce, size: leaf.Size, commKey: commKey(t, leaf, keys)})
 		case mpi.OpScatter, mpi.OpScatterv:
 			// Table 1: Scatter(v) -> MULTICAST.
-			out = append(out, normEvent{op: mpi.OpBcast, size: leaf.MeanCount(), commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: mpi.OpBcast, size: leaf.MeanCount(), commKey: commKey(t, leaf, keys)})
 		case mpi.OpAllgather, mpi.OpAllgatherv:
 			// Table 1: Allgather(v) -> REDUCE + MULTICAST.
 			out = append(out,
-				normEvent{op: mpi.OpReduce, size: leaf.Size, commKey: commKey(t, leaf)},
-				normEvent{op: mpi.OpBcast, size: leaf.Size, commKey: commKey(t, leaf)})
+				normEvent{op: mpi.OpReduce, size: leaf.Size, commKey: commKey(t, leaf, keys)},
+				normEvent{op: mpi.OpBcast, size: leaf.Size, commKey: commKey(t, leaf, keys)})
 		case mpi.OpAlltoallv:
 			// Table 1: Alltoallv -> MULTICAST (alltoall) with averaged size.
-			out = append(out, normEvent{op: mpi.OpAlltoall, size: leaf.PerPeerSize(), commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: mpi.OpAlltoall, size: leaf.PerPeerSize(), commKey: commKey(t, leaf, keys)})
 		case mpi.OpReduceScatter:
 			// Table 1: Reduce_scatter -> one rooted REDUCE per member.
 			group := t.CommGroup(leaf.CommID)
 			for i := range group {
-				out = append(out, normEvent{op: mpi.OpReduce, size: leaf.SegmentSize(i, len(group)), commKey: commKey(t, leaf)})
+				out = append(out, normEvent{op: mpi.OpReduce, size: leaf.SegmentSize(i, len(group)), commKey: commKey(t, leaf, keys)})
 			}
 		case mpi.OpSend, mpi.OpIsend, mpi.OpRecv, mpi.OpIrecv:
 			op := leaf.Op
@@ -97,17 +98,23 @@ func normalize(t *trace.Trace, rank int) []normEvent {
 			}
 			out = append(out, normEvent{op: op, size: leaf.Size, peerWorld: leaf.WorldPeerFor(rank, t)})
 		default:
-			out = append(out, normEvent{op: leaf.Op, size: leaf.Size, commKey: commKey(t, leaf)})
+			out = append(out, normEvent{op: leaf.Op, size: leaf.Size, commKey: commKey(t, leaf, keys)})
 		}
 	}
 	return out
 }
 
 // commKey identifies a collective's participant set independent of comm IDs.
-func commKey(t *trace.Trace, leaf *trace.RSD) string {
+// A communicator's key is formatted once and kept in keys by its ID.
+func commKey(t *trace.Trace, leaf *trace.RSD, keys map[int]string) string {
 	group := t.CommGroup(leaf.CommID)
 	if len(group) == 0 {
 		return leaf.Ranks.String()
 	}
-	return fmt.Sprint(group)
+	key, ok := keys[leaf.CommID]
+	if !ok {
+		key = fmt.Sprint(group)
+		keys[leaf.CommID] = key
+	}
+	return key
 }

@@ -117,6 +117,7 @@ func (c *Collector) Trace() *Trace {
 	seqs := make([][]Node, c.n)
 	for rank := 0; rank < c.n; rank++ {
 		seqs[rank] = c.builders[rank].Seq()
+		c.builders[rank].publishPaths()
 	}
 	t := MergeRankSeqsOwned(c.n, comms, seqs)
 	end()

@@ -5,14 +5,14 @@ package trace
 // nodes (power-RSDs) and extends existing loops, so memory stays
 // proportional to the compressed trace, not the event count.
 //
-// Fold candidates are found through a memoized tail index instead of
-// probing every window length: the index maps node hashes (and loop
-// body-tail hashes) to the positions that currently hold them, so an Append
-// does O(candidates) hash lookups rather than O(maxWindow) probes, falling
-// back to the full structural comparison only on a hash hit. The fold
-// decisions — and therefore the compressed output — are identical to the
-// exhaustive probe loop: the index enumerates exactly the windows whose
-// hash precondition holds, in the same ascending-window order.
+// Most appends are the next leaf of an iteration of the tail loop. Once arm
+// has shown that no fold can fire before that iteration completes, such a
+// leaf is only compared with the body node it repeats, and the one that
+// completes the iteration extends the loop (the pending-iteration cursor).
+// Other appends find fold candidates through a memoized tail index: it maps
+// node hashes (and loop body-tail hashes) to the positions holding them, so
+// an Append does O(candidates) hash lookups, not O(maxWindow) probes. Either
+// way the fold decisions, and so the output, are the exhaustive probe loop's.
 type Builder struct {
 	seq []Node
 	// maxWindow bounds the loop-body length considered for folding.
@@ -23,6 +23,23 @@ type Builder struct {
 	// because folding two structurally equal leaves of *different* ranks
 	// would change per-rank semantics.
 	rankSensitive bool
+	// recycle marks a stream builder (NewStreamBuilder): it owns every leaf
+	// appended to it — they all came from its NewLeaf. Once a fold has
+	// absorbed a tail window nothing references that window's leaves any
+	// more, so they go to free and carry the next events; a loop being
+	// extended then allocates no RSDs at all. Builders fed nodes their
+	// caller still references (Algorithm 1's global builder, which receives
+	// merged group sequences, and the tests' hand-built streams) leave it
+	// off.
+	recycle bool
+	// cur is the pending-iteration cursor: the loop at len(seq)-1-pending,
+	// followed by pending leaves, equal to cur.Body[:pending], not indexed.
+	// Disarmed, cur is nil and pending 0. squareFree is the last loop
+	// hasSquare cleared; the counts go to publishPaths. The small fields
+	// share words: a Builder is made per rank and per lockstep class.
+	pending                       int32
+	cursorAppends, indexedAppends int32
+	cur, squareFree               *Loop
 
 	// nodeAt maps a node hash to the positions currently holding a node
 	// with that hash (fold case B candidates), as the head of a chain in
@@ -44,17 +61,8 @@ type Builder struct {
 	sincePrune int
 	// wscratch is reusable storage for candidate window lengths.
 	wscratch []int
-
-	// recycle marks a stream builder (NewStreamBuilder): it owns every leaf
-	// appended to it — they all came from its NewLeaf. Once a fold has
-	// absorbed a tail window nothing references that window's leaves any
-	// more, so they go to free and carry the next events; a loop being
-	// extended then allocates no RSDs at all. Builders fed nodes their
-	// caller still references (Algorithm 1's global builder, which receives
-	// merged group sequences, and the tests' hand-built streams) leave it
-	// off.
-	recycle bool
-	free    []*RSD
+	// free holds the leaves folds released, for NewLeaf (see recycle).
+	free []*RSD
 }
 
 // posLink is one entry of a tail-index chain.
@@ -110,6 +118,7 @@ func (b *Builder) NewLeaf() *RSD {
 // prune interval: maps never shrink, and clearing ones that a long stream
 // left large would cost every later, shorter stream their full size.
 func (b *Builder) Reset(consumed bool) {
+	b.publishPaths()
 	if consumed {
 		b.seq = nil
 	} else {
@@ -118,6 +127,7 @@ func (b *Builder) Reset(consumed bool) {
 		b.seq = b.seq[:0]
 	}
 	b.sincePrune = 0
+	b.cur, b.pending, b.squareFree = nil, 0, nil
 	if len(b.links) > b.pruneInterval() {
 		b.nodeAt, b.tailAt, b.links = nil, nil, nil
 		return
@@ -149,10 +159,83 @@ func (b *Builder) release(window []Node) {
 // Append adds a node to the sequence and compresses the tail.
 func (b *Builder) Append(n Node) {
 	b.seq = append(b.seq, n)
-	b.index(len(b.seq)-1, n)
+	if _, leaf := n.(*RSD); leaf && b.cur != nil && b.nodeEqual(n, b.cur.Body[b.pending]) {
+		b.cursorAppends++
+		if b.pending++; int(b.pending) < len(b.cur.Body) {
+			return
+		}
+		b.extend(len(b.seq)-1-int(b.pending), b.cur)
+	} else {
+		b.indexedAppends++
+		for pos := len(b.seq) - 1 - int(b.pending); pos < len(b.seq); pos++ {
+			b.index(pos, b.seq[pos])
+		}
+	}
+	b.cur, b.pending = nil, 0
 	for b.foldOnce() {
 	}
 	b.maybePrune()
+	b.arm()
+}
+
+// publishPaths moves the per-path append counts to telemetry.
+func (b *Builder) publishPaths() {
+	ctrCursorAppends.Add(int64(b.cursorAppends))
+	ctrIndexedAppends.Add(int64(b.indexedAppends))
+	b.cursorAppends, b.indexedAppends = 0, 0
+}
+
+// arm sets the cursor on the tail loop if no fold can fire before its next
+// iteration completes. A window that would fold first either lies among the
+// pending leaves, so the body holds a square, or holds the loop (longFold).
+func (b *Builder) arm() {
+	P := len(b.seq) - 1
+	if lp, ok := b.seq[P].(*Loop); ok && len(lp.Body) > 0 && len(lp.Body) <= b.maxWindow &&
+		!b.hasSquare(lp) && !b.longFold(P, lp) {
+		b.cur, b.pending = lp, 0
+	}
+}
+
+// hasSquare reports whether lp's body holds a window immediately repeated. A
+// body never changes shape, so the last loop found without one is kept.
+func (b *Builder) hasSquare(lp *Loop) bool {
+	for end := 2; lp != b.squareFree && end <= len(lp.Body); end++ {
+		for w := 1; 2*w <= end; w++ {
+			if b.windowsEqual(lp.Body[end-2*w:end-w], lp.Body[end-w:end]) {
+				return true
+			}
+		}
+	}
+	b.squareFree = lp
+	return false
+}
+
+// longFold reports whether a window holding the tail loop lp, at P, folds
+// once pending leaves equal to lp.Body[:k+1] follow it, for a k short of the
+// completing leaf. Fold case B at window w needs a node equal to lp at P-w,
+// found under lp's hash in nodeAt; case A a loop whose body ends in a node
+// equal to lp.Body[k], found under that node's hash in tailAt.
+func (b *Builder) longFold(P int, lp *Loop) bool {
+	m := len(lp.Body)
+	for at := b.nodeAt[lp.Hash()]; at != 0; at = b.links[at-1].next {
+		q, w := int(b.links[at-1].pos), P-int(b.links[at-1].pos)
+		for k := max(0, 2*w-P-2); w <= b.maxWindow && k <= min(w-2, m-2); k++ {
+			if first := b.seq[q+k+2-w : q+k+2]; b.windowsEqual(first[:w-k-1], b.seq[q+k+2:P+1]) &&
+				b.windowsEqual(first[w-k-1:], lp.Body[:k+1]) {
+				return true
+			}
+		}
+	}
+	for k := 0; k < m-1; k++ {
+		for at := b.tailAt[lp.Body[k].Hash()]; at != 0; at = b.links[at-1].next {
+			q, e := int(b.links[at-1].pos), P-int(b.links[at-1].pos)
+			if lq, ok := b.seq[min(q, P)].(*Loop); ok && e > 0 && len(lq.Body) == e+k+1 && e+k+1 <= b.maxWindow &&
+				b.windowsEqual(lq.Body[:e], b.seq[q+1:P+1]) && b.windowsEqual(lq.Body[e:], lp.Body[:k+1]) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Seq returns the compressed sequence built so far. The Builder retains
@@ -239,18 +322,7 @@ func (b *Builder) foldOnce() bool {
 		// matches them — extend the loop by one iteration.
 		if lp, ok := b.seq[L-1-w].(*Loop); ok && len(lp.Body) == w {
 			if lp.Body[w-1].Hash() == lastHash && b.windowsEqual(lp.Body, b.seq[L-w:]) {
-				for i := range lp.Body {
-					absorb(lp.Body[i], b.seq[L-w+i])
-				}
-				lp.Iters++
-				lp.invalidate()
-				ctrFolds.Inc()
-				b.release(b.seq[L-w:])
-				b.seq = b.seq[:L-w]
-				// The loop's own hash changed with its iteration count;
-				// re-index it under the new hash (its body-tail entry is
-				// still valid).
-				b.indexNodeHash(L-1-w, lp)
+				b.extend(L-1-w, lp)
 				return true
 			}
 		}
@@ -276,6 +348,21 @@ func (b *Builder) foldOnce() bool {
 		}
 	}
 	return false
+}
+
+// extend is fold case A: lp, at position at, absorbs the iteration after it.
+func (b *Builder) extend(at int, lp *Loop) {
+	for i := range lp.Body {
+		absorb(lp.Body[i], b.seq[at+1+i])
+	}
+	lp.Iters++
+	lp.invalidate()
+	ctrFolds.Inc()
+	b.release(b.seq[at+1:])
+	b.seq = b.seq[:at+1]
+	// The loop's own hash changed with its iteration count; re-index it under
+	// the new hash (its body-tail entry is still valid).
+	b.indexNodeHash(at, lp)
 }
 
 // maybePrune drops index entries that no longer describe the live sequence.

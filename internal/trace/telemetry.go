@@ -12,4 +12,8 @@ var (
 	// ctrRSDMerges counts inter-node member folds: for each behaviour class,
 	// every member beyond the representative is folded into the group.
 	ctrRSDMerges = telemetry.NewCounter("trace.rsd_merges")
+	// Stream builders' appends by path (the pending-iteration cursor or the
+	// tail index), published when a builder's stream ends.
+	ctrCursorAppends  = telemetry.NewCounter("trace.cursor_appends")
+	ctrIndexedAppends = telemetry.NewCounter("trace.indexed_appends")
 )
