@@ -2,12 +2,12 @@ package mpnet
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/mpi"
@@ -85,18 +85,33 @@ type slot struct {
 }
 
 // vmState is one marking of the net: per-rank control positions,
-// per-channel token counts, and per-rank outstanding request queues. The
-// checker owns two of them for a whole exploration and overwrites them per
-// state (decode, copyFrom); every queue keeps its backing array.
+// per-channel token counts with the set of non-empty channels (a quiescent
+// marking holds few tokens; encode, decode and enumerate visit only those),
+// and per-rank outstanding request queues. The checker owns two of them for
+// a whole exploration and overwrites them per state (decode, copyFrom);
+// every queue keeps its backing array.
 type vmState struct {
 	pc    []int32
 	chans []int32
+	nz    []uint64 // bit ch%64 of word ch/64 set iff chans[ch] != 0; kept by inc and dec
 	out   [][]slot
+}
+
+func (s *vmState) inc(ch int32) {
+	s.chans[ch]++
+	s.nz[ch>>6] |= 1 << (ch & 63)
+}
+
+func (s *vmState) dec(ch int32) {
+	if s.chans[ch]--; s.chans[ch] == 0 {
+		s.nz[ch>>6] &^= 1 << (ch & 63)
+	}
 }
 
 func (s *vmState) copyFrom(src *vmState) {
 	copy(s.pc, src.pc)
 	copy(s.chans, src.chans)
+	copy(s.nz, src.nz)
 	for r, q := range src.out {
 		s.out[r] = append(s.out[r][:0], q...)
 	}
@@ -112,10 +127,11 @@ func (s *vmState) encode(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, uint64(pc))
 	}
 	prev := -1
-	for ch, ct := range s.chans {
-		if ct != 0 {
+	for w, m := range s.nz {
+		for ; m != 0; m &= m - 1 {
+			ch := w<<6 | bits.TrailingZeros64(m)
 			buf = binary.AppendUvarint(buf, uint64(ch-prev))
-			buf = binary.AppendUvarint(buf, uint64(ct))
+			buf = binary.AppendUvarint(buf, uint64(s.chans[ch]))
 			prev = ch
 		}
 	}
@@ -153,7 +169,12 @@ func (s *vmState) decode(key []byte) {
 	for r := range s.pc {
 		s.pc[r] = int32(next())
 	}
-	clear(s.chans)
+	for w, m := range s.nz {
+		for ; m != 0; m &= m - 1 {
+			s.chans[w<<6|bits.TrailingZeros64(m)] = 0
+		}
+	}
+	clear(s.nz)
 	for ch := -1; ; {
 		d := next()
 		if d == 0 {
@@ -161,6 +182,7 @@ func (s *vmState) decode(key []byte) {
 		}
 		ch += int(d)
 		s.chans[ch] = int32(next())
+		s.nz[ch>>6] |= 1 << (ch & 63)
 	}
 	for r := range s.out {
 		q := s.out[r][:0]
@@ -202,18 +224,38 @@ func keyRank(k uint64) int32 { return int32(k >> (2 * keyFieldBits)) }
 type checker struct {
 	net *Net
 	n   int
+	// inbound[r] is the words of an nz bitset holding rank r's inbound channels.
+	inbound [][]chanWord
 	// wilds and opts are scratch: a rank's unmatched wildcards during one
 	// matching pass, and the options enumerate returns.
 	wilds []*Event
 	opts  []option
 }
 
-func newChecker(n *Net) *checker { return &checker{net: n, n: n.N} }
+// chanWord is word w of a channel bitset.
+type chanWord struct {
+	w    int
+	mask uint64
+}
+
+func newChecker(n *Net) *checker {
+	c := &checker{net: n, n: n.N, inbound: make([][]chanWord, n.N)}
+	for ch, key := range n.Chans {
+		in := c.inbound[key.Dst]
+		if len(in) == 0 || in[len(in)-1].w != ch>>6 {
+			in = append(in, chanWord{w: ch >> 6})
+		}
+		in[len(in)-1].mask |= 1 << (ch & 63)
+		c.inbound[key.Dst] = in
+	}
+	return c
+}
 
 func (c *checker) newState() *vmState {
 	return &vmState{
 		pc:    make([]int32, c.n),
 		chans: make([]int32, len(c.net.Chans)),
+		nz:    make([]uint64, (len(c.net.Chans)+63)/64),
 		out:   make([][]slot, c.n),
 	}
 }
@@ -274,7 +316,7 @@ func (c *checker) shadowed(wilds []*Event, ch int32) bool {
 func (c *checker) takeConcrete(s *vmState, ev *Event, wilds []*Event) bool {
 	for _, ch := range ev.Cands {
 		if s.chans[ch] > 0 && !c.shadowed(wilds, ch) {
-			s.chans[ch]--
+			s.dec(ch)
 			return true
 		}
 	}
@@ -322,7 +364,7 @@ func (c *checker) step(s *vmState, rank int) bool {
 			// Pass through.
 		case EvSend:
 			if ev.Chan >= 0 {
-				s.chans[ev.Chan]++
+				s.inc(ev.Chan)
 				c.matchPending(s, ev.Peer) // eager delivery, as in the resolver
 			}
 			if ev.Op == mpi.OpIsend {
@@ -415,17 +457,23 @@ func (c *checker) drain(s *vmState) {
 // in the checker's scratch, valid until the next call.
 func (c *checker) enumerate(s *vmState) []option {
 	opts := c.opts[:0]
-	for ci := range c.net.Chans {
-		ch := int32(ci)
-		if s.chans[ch] == 0 {
-			continue
+	for rank, in := range c.inbound {
+		first := len(opts)
+		for _, cw := range in {
+			for m := cw.mask & s.nz[cw.w]; m != 0; m &= m - 1 {
+				ch := int32(cw.w<<6 | bits.TrailingZeros64(m))
+				if w := c.earliestConsumer(s, rank, ch); w >= 0 {
+					opts = append(opts, option{rank: int32(rank), ev: w, ch: ch})
+				}
+			}
 		}
-		rank := c.net.Chans[ch].Dst
-		if w := c.earliestConsumer(s, rank, ch); w >= 0 {
-			opts = append(opts, option{rank: int32(rank), ev: w, ch: ch})
+		// A rank has few options, found in channel order: sort by key.
+		for i := first + 1; i < len(opts); i++ {
+			for j := i; j > first && opts[j].key() < opts[j-1].key(); j-- {
+				opts[j], opts[j-1] = opts[j-1], opts[j]
+			}
 		}
 	}
-	slices.SortFunc(opts, func(a, b option) int { return cmp.Compare(a.key(), b.key()) })
 	c.opts = opts
 	return opts
 }
@@ -459,7 +507,7 @@ func (c *checker) earliestConsumer(s *vmState, rank int, ch int32) int32 {
 
 // apply commits one wildcard match.
 func (c *checker) apply(s *vmState, o option) {
-	s.chans[o.ch]--
+	s.dec(o.ch)
 	ev := &c.net.Procs[o.rank][o.ev]
 	if ev.Kind == EvRecvAny && s.pc[o.rank] == o.ev {
 		s.pc[o.rank] = o.ev + 1
@@ -595,6 +643,9 @@ type explorer struct {
 	distinct int
 	seed     maphash.Seed
 	hashMask uint64 // all ones; tests clear bits to force collisions
+	// Counts tests pin: states dequeued, children encoded, children already
+	// stored (visited hits), options enumerated and options asleep.
+	dequeued, children, hits, options, asleep int
 }
 
 func (x *explorer) record(i int32) *record {
@@ -737,6 +788,7 @@ func (x *explorer) add(buf []byte, sl []uint64, r record) bool {
 	hash := x.hash(key)
 	slot, seen := x.find(hash, key)
 	if seen >= 0 {
+		x.hits++
 		stored := x.sleeps.at(x.record(seen).sleep)
 		if subset(stored, sleep) {
 			return false // already explored under fewer restrictions
@@ -764,16 +816,16 @@ func (n *Net) Check(opts *Options) *Verdict {
 // execution. ctx is polled once per dequeued state; when it is done the
 // exploration stops and its error is returned.
 func (n *Net) CheckContext(ctx context.Context, opts *Options) (*Verdict, error) {
-	return n.check(ctx, opts, math.MaxUint64)
+	return n.check(ctx, opts, &explorer{hashMask: math.MaxUint64})
 }
 
-// check is CheckContext with the visited index's hash masked (a test seam:
-// a narrow mask makes every lookup collide).
-func (n *Net) check(ctx context.Context, opts *Options, hashMask uint64) (*Verdict, error) {
+// check is CheckContext exploring into a fresh x (a test seam: a narrow
+// x.hashMask makes every lookup collide, and x's counts are left to read).
+func (n *Net) check(ctx context.Context, opts *Options, x *explorer) (*Verdict, error) {
 	// Records are numbered in 32 bits; a bound past that is past any memory.
 	maxStates := min(opts.maxStates(), math.MaxInt32)
 	c := newChecker(n)
-	x := &explorer{seed: maphash.MakeSeed(), hashMask: hashMask}
+	x.seed = maphash.MakeSeed()
 	v := &Verdict{}
 	defer func() { v.StatesExplored = int(x.count) }()
 
@@ -787,6 +839,7 @@ func (n *Net) check(ctx context.Context, opts *Options, hashMask uint64) (*Verdi
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		x.dequeued++
 		e := *x.record(head)
 		v.MaxChoiceDepth = max(v.MaxChoiceDepth, int(e.depth))
 		cur.decode(x.states.at(e.state))
@@ -811,6 +864,8 @@ func (n *Net) check(ctx context.Context, opts *Options, hashMask uint64) (*Verdi
 				live = append(live, o)
 			}
 		}
+		x.options += len(options)
+		x.asleep += len(options) - len(live)
 		if len(live) == 0 {
 			continue // every enabled match is covered by a sibling branch
 		}
@@ -823,6 +878,7 @@ func (n *Net) check(ctx context.Context, opts *Options, hashMask uint64) (*Verdi
 			// sleep may sit in the very chunk the tail extends: it is only
 			// read, and only what lies past it is written.
 			sl := mergeSleep(x.sleeps.tail(len(sleep)+i), sleep, live[:i], o)
+			x.children++
 			if x.add(buf, sl, record{parent: head, depth: e.depth + 1, via: o}) && int(x.count) >= maxStates {
 				return v, nil
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -188,7 +189,7 @@ func TestCheckDecidesVisitedHitsByBytes(t *testing.T) {
 	for i, net := range goldenNets(t) {
 		opts := &Options{MaxStates: 1 << 12}
 		want := net.Check(opts)
-		got, err := net.check(context.Background(), opts, 7)
+		got, err := net.check(context.Background(), opts, &explorer{hashMask: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,6 +197,36 @@ func TestCheckDecidesVisitedHitsByBytes(t *testing.T) {
 			g, _ := json.Marshal(got)
 			w, _ := json.Marshal(want)
 			t.Errorf("%s:\n colliding %s\n hashed    %s", cases[i].name, g, w)
+		}
+	}
+}
+
+// TestCheckCost pins what one exploration does, not how long it takes:
+// states dequeued, children encoded, children whose encoding was already
+// stored (visited hits), options enumerated at dequeued states and options
+// asleep. A change to the store or the marking must leave every count as it
+// is; only a change to the reduction itself may move them.
+func TestCheckCost(t *testing.T) {
+	type cost struct{ dequeued, children, hits, options, asleep int }
+	for _, tc := range []struct {
+		name      string
+		n         int
+		maxStates int
+		want      cost
+	}{
+		{"lu-8", 8, 1 << 15, cost{25717, 37703, 4936, 153961, 116256}},
+		{"lu-16", 16, 1 << 13, cost{4391, 8483, 292, 31305, 22821}},
+	} {
+		net, err := FromTrace(kernelTrace("lu", tc.n)(t), nil)
+		if err != nil {
+			t.Fatalf("%s: FromTrace: %v", tc.name, err)
+		}
+		x := &explorer{hashMask: math.MaxUint64}
+		if _, err := net.check(context.Background(), &Options{MaxStates: tc.maxStates}, x); err != nil {
+			t.Fatal(err)
+		}
+		if got := (cost{x.dequeued, x.children, x.hits, x.options, x.asleep}); got != tc.want {
+			t.Errorf("%s: {dequeued children hits options asleep} = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

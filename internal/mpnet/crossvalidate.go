@@ -183,11 +183,7 @@ func verify(ctx context.Context, t *trace.Trace, opts *Options) (*Report, *Net, 
 				return nil, nil, aerr
 			}
 			rep.ResolverAdmitted, rep.ResolverBlocked = net.ForcedRun(assign)
-			rnet, nerr := FromTrace(resolved, opts)
-			if nerr != nil {
-				return nil, nil, nerr
-			}
-			if rep.ResolvedVerdict, err = rnet.CheckContext(ctx, opts); err != nil {
+			if rep.ResolvedVerdict, err = net.pin(resolved, assign).CheckContext(ctx, opts); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -217,6 +213,9 @@ func VerifyWithReplay(t *trace.Trace, opts *Options, model *netmodel.Model) (*Re
 	return VerifyWithReplayContext(context.Background(), t, opts, model)
 }
 
+// ErrBadResolution: a resolved wildcard receive names no world rank.
+var ErrBadResolution = errors.New("mpnet: resolved wildcard receive has no world source")
+
 // ResolverAssignment aligns the resolved trace against the net's
 // expanded event streams and extracts, for every wildcard receive
 // instance, the world source Algorithm 2 fixed it to. Resolution only
@@ -240,7 +239,11 @@ func ResolverAssignment(net *Net, resolved *trace.Trace) (map[[2]int]int, error)
 				return nil, fmt.Errorf("mpnet: resolved trace misaligned for rank %d event %d: %v vs %v",
 					rank, i, leaf.Op, ev.Op)
 			}
-			assign[[2]int{rank, i}] = leaf.WorldPeerFor(rank, resolved)
+			src := leaf.WorldPeerFor(rank, resolved)
+			if src < 0 || src >= net.N {
+				return nil, fmt.Errorf("%w: rank %d event %d resolved to %d of %d ranks", ErrBadResolution, rank, i, src, net.N)
+			}
+			assign[[2]int{rank, i}] = src
 		}
 	}
 	return assign, nil

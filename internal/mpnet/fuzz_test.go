@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/wildcard"
 )
 
 // FuzzExport drives the whole verification surface with untrusted trace
 // documents: any input the trace codec accepts must lower into a net (or
 // be refused with an error), export to JSON, and survive a bounded check —
-// no panics, no unbounded exploration. This is what `make verify-fuzz`
-// runs.
+// no panics, no unbounded exploration. When Algorithm 2 resolves the trace,
+// the pinned net verify checks must equal the resolved trace's own lowering
+// (comparePinned). `make check` runs it.
 func FuzzExport(f *testing.F) {
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, collectFigure5(f)); err != nil {
@@ -74,6 +76,16 @@ func FuzzExport(f *testing.F) {
 			if _, err := CounterexampleTrace(net, v.Counterexample); err != nil {
 				t.Fatalf("CounterexampleTrace: %v", err)
 			}
+		}
+		if net.Wildcards == 0 {
+			return
+		}
+		resolved, err := wildcard.Resolve(tr)
+		if err != nil {
+			return
+		}
+		if assign, err := ResolverAssignment(net, resolved); err == nil {
+			comparePinned(t, net, resolved, assign, opts)
 		}
 	})
 }

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
@@ -484,5 +487,159 @@ func TestCheckRootDeadlock(t *testing.T) {
 	v := net.Check(nil)
 	if v.Counterexample == nil || v.Counterexample.Choices != nil || len(v.Counterexample.Blocked) != 2 {
 		t.Fatalf("verdict %+v, counterexample %+v", v, v.Counterexample)
+	}
+}
+
+// comparePinned fails t unless net.pin(resolved, assign) is the net FromTrace
+// lowers from resolved in every field the checker reads, and both check
+// alike under opts.
+func comparePinned(t testing.TB, net *Net, resolved *trace.Trace, assign map[[2]int]int, opts *Options) {
+	t.Helper()
+	pinned := net.pin(resolved, assign)
+	lowered, err := FromTrace(resolved, opts)
+	if err != nil {
+		t.Fatalf("FromTrace(resolved): %v", err)
+	}
+	if !reflect.DeepEqual(pinned.Chans, lowered.Chans) || pinned.Events != lowered.Events || pinned.Wildcards != lowered.Wildcards {
+		t.Fatalf("pinned net: %d channels, %d events, %d wildcards; lowered: %d, %d, %d",
+			len(pinned.Chans), pinned.Events, pinned.Wildcards, len(lowered.Chans), lowered.Events, lowered.Wildcards)
+	}
+	for rank, procs := range lowered.Procs {
+		if len(pinned.Procs[rank]) != len(procs) {
+			t.Fatalf("rank %d: pinned %d events, lowered %d", rank, len(pinned.Procs[rank]), len(procs))
+		}
+		for i := range procs {
+			p, l := &pinned.Procs[rank][i], &procs[i]
+			if p.Kind != l.Kind || p.Peer != l.Peer || p.Wild != l.Wild || p.Tag != l.Tag || p.CommID != l.CommID ||
+				p.Chan != l.Chan || !slices.Equal(p.Cands, l.Cands) {
+				t.Fatalf("rank %d event %d:\n pinned  %v peer %d wild %v tag %d comm %d chan %d cands %v\n lowered %v peer %d wild %v tag %d comm %d chan %d cands %v",
+					rank, i, p.Kind, p.Peer, p.Wild, p.Tag, p.CommID, p.Chan, p.Cands, l.Kind, l.Peer, l.Wild, l.Tag, l.CommID, l.Chan, l.Cands)
+			}
+		}
+	}
+	if pv, lv := pinned.Check(opts), lowered.Check(opts); !reflect.DeepEqual(pv, lv) {
+		g, _ := json.Marshal(pv)
+		w, _ := json.Marshal(lv)
+		t.Fatalf("verdicts differ:\n pinned  %s\n lowered %s", g, w)
+	}
+}
+
+// TestPinMatchesLowering: for every golden net with wildcards that
+// Algorithm 2 resolves, the pinned net verify checks is the second lowering
+// it replaced.
+func TestPinMatchesLowering(t *testing.T) {
+	cases := goldenCases()
+	compared := 0
+	for i, net := range goldenNets(t) {
+		if net.Wildcards == 0 {
+			continue
+		}
+		resolved, err := wildcard.Resolve(net.Trace)
+		if err != nil {
+			continue // figure5, cross-coupled: the resolver deadlocks
+		}
+		assign, err := ResolverAssignment(net, resolved)
+		if err != nil {
+			t.Fatalf("%s: ResolverAssignment: %v", cases[i].name, err)
+		}
+		t.Run(cases[i].name, func(t *testing.T) {
+			comparePinned(t, net, resolved, assign, &Options{MaxStates: cases[i].maxStates})
+		})
+		compared++
+	}
+	if compared < 6 {
+		t.Fatalf("compared %d golden nets, want the 6 resolvable wildcard nets", compared)
+	}
+}
+
+// TestResolverAssignmentRejectsSourcelessWildcards: a resolved trace whose
+// wildcard instance names no world rank is refused by name instead of
+// becoming a receive from nobody in the pinned net.
+func TestResolverAssignmentRejectsSourcelessWildcards(t *testing.T) {
+	const doc = "scalatrace-go 1\nnprocs 3\ncomms 0\ngroups 3\n" +
+		"group 0 1\nrsd op=Send site=1 ranks=0 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
+		"group 2 1\nrsd op=Send site=2 ranks=2 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
+		"group 1 2\nrsd op=Recv site=3 ranks=1 comm=0 csize=3 peer=any tag=0 size=64 root=-1 wildcard=1\n" +
+		"rsd op=Recv site=4 ranks=1 comm=0 csize=3 peer=abs0 tag=0 size=64 root=-1\n"
+	decode := func() *trace.Trace {
+		tr, err := trace.Decode(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	net, err := FromTrace(decode(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		peer trace.Param
+		want error
+	}{
+		{"pinned to rank 2", trace.AbsParam(2), nil},
+		{"left a wildcard", trace.Param{Kind: trace.ParamAny}, ErrBadResolution},
+		{"past the last rank", trace.AbsParam(3), ErrBadResolution},
+		{"below rank 0", trace.AbsParam(-5), ErrBadResolution},
+	} {
+		resolved := decode()
+		resolved.EventsOf(1)[0].Peer = tc.peer
+		assign, err := ResolverAssignment(net, resolved)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && assign[[2]int{1, 0}] != 2 {
+			t.Errorf("%s: assignment %v", tc.name, assign)
+		}
+	}
+}
+
+// TestFromTraceBoundedPresize: a rank's events are counted before they are
+// expanded, and the count saturates, so a trace whose nested loops expand
+// past MaxEvents — or past what an int holds — is refused having allocated
+// at most one MaxEvents-sized event list, not a doubling sequence of them.
+// The count is exact: every golden and random net's event lists are full.
+func TestFromTraceBoundedPresize(t *testing.T) {
+	nets := goldenNets(t)
+	for seed := int64(0); seed < 50; seed++ {
+		nets = append(nets, randomNet(t, rand.New(rand.NewSource(seed))))
+	}
+	for ni, net := range nets {
+		for rank, procs := range net.Procs {
+			if len(procs) != cap(procs) {
+				t.Fatalf("net %d rank %d: %d events in a list sized %d", ni, rank, len(procs), cap(procs))
+			}
+		}
+	}
+
+	const maxEvents = 1 << 12
+	send := "rsd op=Send site=1 ranks=0 comm=0 csize=2 peer=abs1 tag=0 size=8 root=-1\n"
+	recv := "rsd op=Recv site=2 ranks=1 comm=0 csize=2 peer=abs0 tag=0 size=8 root=-1\n"
+	for _, tc := range []struct{ name, rank0, rank1 string }{
+		{"product overflows int", "1\nloop 1073741824 1\nloop 1073741824 1\nloop 1073741824 1\n" + send, "0\n"},
+		{"past MaxEvents", "1\nloop 5000 1\n" + send, "0\n"},
+		{"past MaxEvents in a second loop", "2\nloop 4000 1\n" + send + "loop 4000 1\n" + send, "0\n"},
+		{"past MaxEvents on the second rank", "1\nloop 4000 1\n" + send, "1\nloop 4000 1\n" + recv},
+	} {
+		tr, err := trace.Decode(strings.NewReader("scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 2\ngroup 0 " + tc.rank0 + "group 1 " + tc.rank1))
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", tc.name, err)
+		}
+		opts := &Options{MaxEvents: maxEvents}
+		if _, err := FromTrace(tr, opts); err == nil || !strings.Contains(err.Error(), "MaxEvents") {
+			t.Fatalf("%s: FromTrace error %v, want the MaxEvents refusal", tc.name, err)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { FromTrace(tr, opts) })
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		budget := 2 * float64(maxEvents) * float64(unsafe.Sizeof(Event{}))
+		t.Logf("%s: %.0f allocations, %.0f B per refused lowering (budget %.0f B)", tc.name, allocs, perRun, budget)
+		if perRun > budget || allocs > 16 {
+			t.Errorf("%s: a refused lowering made %.0f allocations of %.0f B, want <= 16 and at most twice a MaxEvents-sized event list (%.0f B)",
+				tc.name, allocs, perRun, budget)
+		}
 	}
 }

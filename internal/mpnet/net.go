@@ -200,6 +200,16 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 		if g == nil {
 			return nil, fmt.Errorf("mpnet: rank %d missing from trace", rank)
 		}
+		// Counted before it is expanded: a rank past a bound is refused
+		// unexpanded, and the rest fill a list of their exact size.
+		size := rankEvents(g.Seq, rank, min(maxEvents-total, MaxRankEvents)+1)
+		if total += size; total > maxEvents {
+			return nil, fmt.Errorf("mpnet: trace expands past %d events (MaxEvents)", maxEvents)
+		}
+		if size > MaxRankEvents {
+			return nil, fmt.Errorf("%w: rank %d expands past %d events", ErrNetTooLarge, rank, MaxRankEvents)
+		}
+		net.Procs[rank] = make([]Event, 0, size)
 		cur := trace.NewCursor(g.Seq, rank)
 		for !cur.Done() {
 			rsd := cur.Cur()
@@ -249,13 +259,6 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 				ev.Kind = EvLocal
 			}
 			net.Procs[rank] = append(net.Procs[rank], ev)
-			total++
-			if total > maxEvents {
-				return nil, fmt.Errorf("mpnet: trace expands past %d events (MaxEvents)", maxEvents)
-			}
-			if len(net.Procs[rank]) > MaxRankEvents {
-				return nil, fmt.Errorf("%w: rank %d expands past %d events", ErrNetTooLarge, rank, MaxRankEvents)
-			}
 			cur.Advance()
 		}
 	}
@@ -290,6 +293,52 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 		}
 	}
 	return net, nil
+}
+
+// rankEvents counts the events rank's cursor yields from seq, saturating at
+// limit (nested loop counts can overflow an int).
+func rankEvents(seq []trace.Node, rank, limit int) int {
+	n := 0
+	for _, nd := range seq {
+		switch nd := nd.(type) {
+		case *trace.RSD:
+			if nd.Ranks.Contains(rank) {
+				n++
+			}
+		case *trace.Loop:
+			// Past limit/body iterations the count saturates anyway.
+			if body := rankEvents(nd.Body, rank, limit); body > 0 && nd.Iters > 0 {
+				n += min(nd.Iters, limit/body+1) * body
+			}
+		}
+		if n >= limit {
+			return limit
+		}
+	}
+	return n
+}
+
+// pin is FromTrace(resolved) without a second expansion: resolved is n's
+// trace with each wildcard receive fixed to the world source assign names
+// (ResolverAssignment), and nothing else differs between the two nets.
+func (n *Net) pin(resolved *trace.Trace, assign map[[2]int]int) *Net {
+	p := &Net{N: n.N, Trace: resolved, Procs: make([][]Event, n.N), Chans: n.Chans, Events: n.Events}
+	for rank, procs := range n.Procs {
+		p.Procs[rank] = slices.Clone(procs)
+		for i := range procs {
+			if ev := &p.Procs[rank][i]; ev.Wild {
+				src := assign[[2]int{rank, i}]
+				if ev.Kind == EvRecvAny {
+					ev.Kind = EvRecv
+				}
+				ev.Peer, ev.Wild, ev.Cands, ev.Sources, ev.SrcChans = src, false, nil, nil, nil
+				if j := slices.Index(procs[i].Sources, src); j >= 0 {
+					ev.Cands = procs[i].SrcChans[j]
+				}
+			}
+		}
+	}
+	return p
 }
 
 // wire computes what rank's receive ev may consume: the candidate channels

@@ -18,6 +18,7 @@ package wildcard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -382,9 +383,16 @@ func (r *resolver) doWait(rank int, rsd *trace.RSD) bool {
 
 // doCollective performs the rendezvous of Algorithm 1 within Algorithm 2:
 // all communicator members must arrive before any proceeds. It returns
-// false while participants are missing.
+// false while participants are missing. A malformed trace is handled as the
+// MP-net checker handles it: a collective on a communicator with no group
+// passes through, and one on a group without the caller never completes.
 func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	comm := r.t.CommGroup(rsd.CommID)
+	if len(comm) == 0 {
+		comm = []int{rank}
+	} else if !slices.Contains(comm, rank) {
+		return false
+	}
 	pc := r.collPending[rsd.CommID]
 	if pc == nil {
 		pc = make(map[int]*trace.RSD)
