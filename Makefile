@@ -11,9 +11,10 @@ test:
 # architectures without a frame-pointer walk; the race detector over every
 # package with shared state (internal/mpi at -cpu 1,2; align and wildcard
 # -short); the root differential, determinism, golden-digest, single-home and
-# no-orphan suites under -race; five 10 s fuzz passes (trace decoder, the
-# trace builder's cursor against its indexed path, Algorithm 1, MP-net export
-# and checker, coNCePTuaL parser and printer).
+# no-orphan suites under -race; six 10 s fuzz passes (histogram text against
+# the fmt scanner it replaced, trace decoder, the trace builder's cursor
+# against its indexed path, Algorithm 1, MP-net export and checker,
+# coNCePTuaL parser and printer).
 # .claude/skills/verify/SKILL.md says why each line has its flags.
 check:
 	$(GO) vet ./...
@@ -27,6 +28,7 @@ check:
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' -skip '$(LU_LEGS)' .
 	$(GO) test -race -cpu 1 -run '$(LU_LEGS)' .
+	$(GO) test -run NONE -fuzz FuzzHistogramText -fuzztime 10s -fuzzminimizetime 10x ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzBuilderCursor -fuzztime 10s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s -fuzzminimizetime 10x ./internal/align/

@@ -133,6 +133,20 @@ func TestCompileResolvesPlannedComms(t *testing.T) {
 	}
 }
 
+// TestLoweringSizesInstructionsOnce pins lowerCursor to one allocation of its
+// instruction list: the list's capacity is instrBound's count, which growing
+// it by append would overshoot, and the count holds every instruction.
+func TestLoweringSizesInstructionsOnce(t *testing.T) {
+	const n = 8
+	for name, p := range differentialPrograms() {
+		cp := lowerCursor(p, n, collectCommPlans(p.Stmts, n), stmtSites(p.Stmts))
+		if bound := instrBound(p.Stmts); cap(cp.instrs) != bound || len(cp.instrs) > bound {
+			t.Errorf("conceptual.lower_cursor %s: %d instructions in a list of capacity %d, want capacity %d",
+				name, len(cp.instrs), cap(cp.instrs), bound)
+		}
+	}
+}
+
 // TestLoweringMemoryIsStatementsPlusDistinctTables bounds what lowerCursor
 // allocates: every-task statements carry no mask, and equal selectors and
 // rank expressions share one table, so 500 statements at 65,536 tasks cost

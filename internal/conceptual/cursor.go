@@ -129,8 +129,30 @@ func lowerCursor(p *Program, n int, plans []commPlan, sites map[Stmt]siteInfo) *
 	for i, pl := range plans {
 		cp.plans[i] = cursorPlan{mask: c.setMask(pl.set), site: planSite(i)}
 	}
-	cp.instrs = c.lowerStmts(p.Stmts, nil)
+	cp.instrs = c.lowerStmts(p.Stmts, make([]cursorInstr, 0, instrBound(p.Stmts)))
 	return cp
+}
+
+// instrBound bounds the instructions lowerStmts makes of stmts, so the list is
+// allocated once: a loop is its two brackets and its body, a REDUCE to other
+// tasks than its sources at most a reduce and a broadcast, anything else one
+// instruction or none.
+func instrBound(stmts []Stmt) int {
+	n := 0
+	for _, s := range stmts {
+		switch x := s.(type) {
+		case *LoopStmt:
+			n += 2 + instrBound(x.Body)
+		case *ReduceStmt:
+			n++
+			if !x.Srcs.Equal(x.Dsts) {
+				n++
+			}
+		default:
+			n++
+		}
+	}
+	return n
 }
 
 func (c *compiler) lowerStmts(stmts []Stmt, out []cursorInstr) []cursorInstr {

@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -217,46 +218,64 @@ func (h *Histogram) MarshalText() ([]byte, error) {
 	return []byte(sb.String()), nil
 }
 
-// UnmarshalText decodes the MarshalText representation.
-func (h *Histogram) UnmarshalText(text []byte) error {
-	fields := strings.Fields(string(text))
-	if len(fields) < 4 {
-		return fmt.Errorf("stats: malformed histogram %q", text)
-	}
+// ParseText decodes the MarshalText representation: count, sum, min and max,
+// then one "i=c" field per bin. A field with trailing bytes, a bin index out
+// of range or repeated, and bins that do not add up to count are errors.
+func (h *Histogram) ParseText(s string) error {
 	*h = Histogram{}
-	if _, err := fmt.Sscanf(fields[0], "%d", &h.Count); err != nil {
-		return fmt.Errorf("stats: bad count: %w", err)
-	}
-	if _, err := fmt.Sscanf(fields[1], "%g", &h.Sum); err != nil {
-		return fmt.Errorf("stats: bad sum: %w", err)
-	}
-	if _, err := fmt.Sscanf(fields[2], "%g", &h.Min); err != nil {
-		return fmt.Errorf("stats: bad min: %w", err)
-	}
-	if _, err := fmt.Sscanf(fields[3], "%g", &h.Max); err != nil {
-		return fmt.Errorf("stats: bad max: %w", err)
-	}
-	var bins [NumBins]uint64
-	for _, f := range fields[4:] {
-		var i int
-		var c uint64
-		if _, err := fmt.Sscanf(f, "%d=%d", &i, &c); err != nil {
-			return fmt.Errorf("stats: bad bin %q: %w", f, err)
+	head := [...]*float64{&h.Sum, &h.Min, &h.Max}
+	var seen, total uint64 // bit i of seen: bin i was read
+	k := 0                 // fields read
+	for rest := s; rest != ""; {
+		var f string
+		if f, rest, _ = strings.Cut(rest, " "); f == "" {
+			continue
 		}
-		if i < 0 || i >= NumBins {
+		k++
+		var err error
+		switch k {
+		case 1:
+			h.Count, err = strconv.ParseUint(f, 10, 64)
+		case 2, 3, 4:
+			*head[k-2], err = strconv.ParseFloat(f, 64)
+		}
+		if err != nil {
+			return fmt.Errorf("stats: bad %s %q", [...]string{"count", "sum", "min", "max"}[k-1], f)
+		}
+		if k <= 4 {
+			continue
+		}
+		is, cs, _ := strings.Cut(f, "=")
+		i, err := strconv.Atoi(is)
+		c, err2 := strconv.ParseUint(cs, 10, 64)
+		switch {
+		case err != nil || err2 != nil:
+			return fmt.Errorf("stats: bad bin %q", f)
+		case i < 0 || i >= NumBins:
 			return fmt.Errorf("stats: bin index %d out of range", i)
+		case seen>>i&1 != 0:
+			return fmt.Errorf("stats: bin %d repeated", i)
+		case total+c < c:
+			return fmt.Errorf("stats: bins overflow at %q", f)
 		}
-		bins[i] = c
-	}
-	nonzero := 0
-	for i, c := range bins {
-		if c != 0 {
-			nonzero, h.bin = nonzero+1, uint8(i)
+		seen, total = seen|1<<i, total+c
+		// The one-bin form holds until a second bin is non-empty.
+		switch {
+		case c == 0:
+		case total == c: // the first non-empty bin
+			h.bin = uint8(i)
+		case h.bins == nil:
+			h.bins = new([NumBins]uint64)
+			h.bins[h.bin], h.bins[i] = total-c, c
+		default:
+			h.bins[i] = c
 		}
 	}
-	if nonzero > 1 || bins[h.bin] != h.Count {
-		h.bins = new([NumBins]uint64)
-		*h.bins = bins
+	if k < 4 {
+		return fmt.Errorf("stats: malformed histogram %q", s)
+	}
+	if total != h.Count {
+		return fmt.Errorf("stats: bins hold %d samples, count is %d", total, h.Count)
 	}
 	return nil
 }

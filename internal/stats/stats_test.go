@@ -105,7 +105,7 @@ func TestHistogramRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var h2 Histogram
-	if err := h2.UnmarshalText(text); err != nil {
+	if err := h2.ParseText(string(text)); err != nil {
 		t.Fatal(err)
 	}
 	if !h.Equal(&h2) {
@@ -113,11 +113,34 @@ func TestHistogramRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHistogramUnmarshalErrors holds ParseText to naming, with a stats:
+// error, every text MarshalText cannot have written. The fmt scanner it
+// replaced read a prefix of each field and took every text from "12abc ..."
+// on: trailing bytes, a comma-joined bin list (the rest dropped), a repeated
+// bin (the last kept) and bins that do not add up to the count.
 func TestHistogramUnmarshalErrors(t *testing.T) {
-	var h Histogram
-	for _, bad := range []string{"", "1 2 3", "x 2 3 4", "1 2 3 4 99999=1", "1 2 3 4 foo"} {
-		if err := h.UnmarshalText([]byte(bad)); err == nil {
-			t.Errorf("UnmarshalText(%q) succeeded, want error", bad)
+	for _, tc := range []struct{ text, want string }{
+		{"", "malformed histogram"},
+		{"1 2 3", "malformed histogram"},
+		{"x 2 3 4", `bad count "x"`},
+		{"1 2 3 4 99999=1", "bin index 99999 out of range"},
+		{"1 2 3 4 -1=1", "bin index -1 out of range"},
+		{"1 2 3 4 foo", `bad bin "foo"`},
+		{"3 1 1e 1 3=3", `bad min "1e"`},
+		{"12abc 1 1 1 3=12", `bad count "12abc"`},
+		{"3 1x 1 1", `bad sum "1x"`},
+		{"3 1 1 1.5.2 3=3", `bad max "1.5.2"`},
+		{"3 3 1 1 2=1,5=9", `bad bin "2=1,5=9"`},
+		{"3 1 1 1 3=3x", `bad bin "3=3x"`},
+		{"3 1 1 1 2=1 2=2", "bin 2 repeated"},
+		{"3 1 1 1", "bins hold 0 samples, count is 3"},
+		{"5 1 1 1 3=2", "bins hold 2 samples, count is 5"},
+		{"0 0 0 0 3=5", "bins hold 5 samples, count is 0"},
+		{"1 1 1 1 3=18446744073709551615 4=2", `bins overflow at "4=2"`},
+	} {
+		var h Histogram
+		if err := h.ParseText(tc.text); err == nil || !strings.HasPrefix(err.Error(), "stats: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseText(%q) = %v, want a stats: error naming %s", tc.text, err, tc.want)
 		}
 	}
 }
@@ -400,7 +423,7 @@ func TestHistogramMatchesBinArrayDefinition(t *testing.T) {
 			var back Histogram
 			var rback refHistogram
 			if err != nil || string(text) != p.r.MarshalText() ||
-				back.UnmarshalText(text) != nil || rback.UnmarshalText(string(text)) != nil || !sameAsRef(&back, &rback) {
+				back.ParseText(string(text)) != nil || rback.UnmarshalText(string(text)) != nil || !sameAsRef(&back, &rback) {
 				return false
 			}
 		}
@@ -410,15 +433,15 @@ func TestHistogramMatchesBinArrayDefinition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Decoded text need not be Count samples in one bin; such a histogram
-	// keeps its bins as written, compares as the reference does, and adds and
-	// merges on from there.
-	texts := []string{"5 1 1 1 3=2", "0 0 0 0 3=5", "2 1 1 1", "3 1 1 1 3=1 3=3", "4 1 1 1 0=0 2=4",
-		"2 1 1 1 7=2", "1 5 5 5 3=1", "1 5 5 5 4=1", "2 1 1 1 2=1 7=1", "2 1 1 1 2=1 6=1"}
+	// Decoded text need not hold its samples in the bins their values fall
+	// in; such a histogram keeps its bins as written, compares as the
+	// reference does, and adds and merges on from there.
+	texts := []string{"4 1 1 1 0=0 2=4", "2 1 1 1 7=2", "1 5 5 5 3=1", "1 5 5 5 4=1", "2 1 1 1 2=1 7=1",
+		"2 1 1 1 2=1 6=1", "0 0 0 0", "3 1 1 1 9=1 0=2"}
 	hs, rs := make([]Histogram, len(texts)), make([]refHistogram, len(texts))
 	for i, text := range texts {
-		if err := hs[i].UnmarshalText([]byte(text)); err != nil || rs[i].UnmarshalText(text) != nil || !sameAsRef(&hs[i], &rs[i]) {
-			t.Fatalf("UnmarshalText(%q) = %v, %v; reference %v", text, err, hs[i].String(), rs[i].MarshalText())
+		if err := hs[i].ParseText(text); err != nil || rs[i].UnmarshalText(text) != nil || !sameAsRef(&hs[i], &rs[i]) {
+			t.Fatalf("ParseText(%q) = %v, %v; reference %v", text, err, hs[i].String(), rs[i].MarshalText())
 		}
 	}
 	for i := range texts {

@@ -7,6 +7,7 @@ package taskset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -327,6 +328,10 @@ func (s Set) Equal(other Set) bool {
 	}
 	return ai == len(s.runs) && bi == len(other.runs)
 }
+
+// Identical reports whether two sets are packed into the same runs, which
+// every method, Add and String included, then answers alike for.
+func (s Set) Identical(other Set) bool { return slices.Equal(s.runs, other.runs) }
 
 // String renders the canonical compact form, e.g. "0:6:2,9,12:14".
 func (s Set) String() string {

@@ -106,6 +106,29 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 				"rsd op=Barrier site=1 ranks=0:3 comm=0 csize=99999999 peer=- tag=0 size=0 root=-1\n",
 			want: "csize 99999999 out of range",
 		},
+		{
+			name: "wildcard flag neither 0 nor 1",
+			input: "scalatrace-go 1\nnprocs 4\ncomms 0\ngroups 1\ngroup 0:3 1\n" +
+				"rsd op=Recv site=1 ranks=0:3 comm=0 csize=4 peer=any tag=0 size=8 root=-1 wildcard=yes\n",
+			want: `bad wildcard value "yes"`,
+		},
+		{
+			name: "histogram short of its count",
+			input: "scalatrace-go 1\nnprocs 4\ncomms 0\ngroups 1\ngroup 0:3 1\n" +
+				"rsd op=Barrier site=1 ranks=0:3 comm=0 csize=4 peer=- tag=0 size=0 root=-1 compute=\"3 1 1 1\"\n",
+			want: "stats: bins hold 0 samples, count is 3",
+		},
+		{
+			name:  "trailing bytes on a count line",
+			input: "scalatrace-go 1\nnprocs 4x\n",
+			want:  "bad nprocs line",
+		},
+		{
+			name: "trailing bytes on a loop line",
+			input: "scalatrace-go 1\nnprocs 4\ncomms 0\ngroups 1\ngroup 0:3 1\n" +
+				"loop 2 1 1\nrsd op=Barrier site=1 ranks=0:3 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n",
+			want: "bad loop line",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -168,6 +169,24 @@ func (d *decoder) errf(format string, args ...any) error {
 	return fmt.Errorf("trace: line %d: %s", d.line, fmt.Sprintf(format, args...))
 }
 
+// scanInts parses a line Encode writes as key and then one decimal integer
+// per out, each after a single space.
+func scanInts(line, key string, out ...*int) bool {
+	f, rest, _ := strings.Cut(line, " ")
+	if f != key {
+		return false
+	}
+	for _, p := range out {
+		f, rest, _ = strings.Cut(rest, " ")
+		v, err := strconv.Atoi(f)
+		if err != nil {
+			return false
+		}
+		*p = v
+	}
+	return rest == ""
+}
+
 // Decode reads a trace in the scalatrace-go text format. Input is treated as
 // untrusted: every declared count is validated against the MaxDecode bounds
 // before the decoder allocates for it, and parse errors carry the offending
@@ -181,7 +200,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: empty input: %w", err)
 	}
 	var ver int
-	if _, err := fmt.Sscanf(header, "scalatrace-go %d", &ver); err != nil || ver != formatVersion {
+	if !scanInts(header, "scalatrace-go", &ver) || ver != formatVersion {
 		return nil, d.errf("bad header %q", header)
 	}
 
@@ -190,7 +209,7 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := fmt.Sscanf(line, "nprocs %d", &t.N); err != nil {
+	if !scanInts(line, "nprocs", &t.N) {
 		return nil, d.errf("bad nprocs line %q", line)
 	}
 	if t.N < 1 || t.N > MaxDecodeRanks {
@@ -202,7 +221,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	var ncomms int
-	if _, err := fmt.Sscanf(line, "comms %d", &ncomms); err != nil {
+	if !scanInts(line, "comms", &ncomms) {
 		return nil, d.errf("bad comms line %q", line)
 	}
 	if ncomms < 0 || ncomms > MaxDecodeComms {
@@ -256,7 +275,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	var ngroups int
-	if _, err := fmt.Sscanf(line, "groups %d", &ngroups); err != nil {
+	if !scanInts(line, "groups", &ngroups) {
 		return nil, d.errf("bad groups line %q", line)
 	}
 	if ngroups < 0 || ngroups > MaxDecodeGroups {
@@ -313,7 +332,7 @@ func (d *decoder) decodeSeq(n int) ([]Node, error) {
 		switch {
 		case strings.HasPrefix(line, "loop "):
 			var iters, nbody int
-			if _, err := fmt.Sscanf(line, "loop %d %d", &iters, &nbody); err != nil {
+			if !scanInts(line, "loop", &iters, &nbody) {
 				return nil, d.errf("bad loop line %q", line)
 			}
 			if iters < 0 || iters > MaxDecodeLoopIters {
@@ -411,6 +430,9 @@ func (d *decoder) setRSDField(r *RSD, key, val string) error {
 	case "root":
 		r.Root, err = atoi()
 	case "wildcard":
+		if val != "0" && val != "1" {
+			err = errors.New("want 0 or 1")
+		}
 		r.Wildcard = val == "1"
 	case "counts":
 		r.Counts, err = parseInts(val)
@@ -421,10 +443,8 @@ func (d *decoder) setRSDField(r *RSD, key, val string) error {
 	case "group":
 		r.Group, err = parseInts(val)
 	case "compute":
-		h := stats.NewHistogram()
-		if err = h.UnmarshalText([]byte(val)); err == nil {
-			r.Compute = h
-		}
+		r.Compute = new(stats.Histogram)
+		err = r.Compute.ParseText(val)
 	default:
 		return d.errf("unknown rsd field %q", key)
 	}

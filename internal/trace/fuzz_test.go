@@ -84,6 +84,13 @@ func FuzzDecode(f *testing.F) {
 		"rsd op=Send site=2 ranks=2 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
 		"rsd op=Recv site=3 ranks=1 comm=0 csize=3 peer=abs0 tag=0 size=64 root=-1\n" +
 		"rsd op=Recv site=4 ranks=1 comm=0 csize=3 peer=abs0 tag=0 size=64 root=-1\n"))
+	// Histograms the fmt scanner read a prefix of (rejected now, see stats'
+	// TestHistogramUnmarshalErrors), then wildcard flags: 0 is read, 2 is not.
+	for _, field := range []string{`compute="12abc 1 1 1 3=12"`, `compute="3 1x 1 1"`, `compute="3 3 1 1 2=1,5=9"`,
+		`compute="3 1 1 1 2=1 2=2"`, `compute="3 1 1 1"`, "peer=any wildcard=0", "peer=any wildcard=2"} {
+		f.Add([]byte("scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
+			"rsd op=Recv site=3 ranks=0:1 comm=0 csize=2 tag=5 size=8 root=-1 " + field + "\n"))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Decode(bytes.NewReader(data))

@@ -92,10 +92,15 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 		if slices.ContainsFunc(members[1:], func(m int) bool { return seqID(seqs[m]) == seqID(gseq) }) {
 			gseq = cloneSeq(gseq)
 		}
+		// ranks is the set of members[:k], built once per member and shared
+		// by every leaf that holds exactly those ranks.
+		ranks := taskset.Of(members[0])
 		for k := 1; k < len(members); k++ {
-			foldMember(gseq, seqs[members[k]], members[:k], members[k], idx)
+			grown := ranks.Add(members[k])
+			foldMember(gseq, seqs[members[k]], members[:k], members[k], ranks, grown, idx)
+			ranks = grown
 		}
-		tr.Groups[ci] = Group{Ranks: taskset.Of(members...), Seq: gseq}
+		tr.Groups[ci] = Group{Ranks: ranks, Seq: gseq}
 	}
 	ctrRSDMerges.Add(int64(n - len(classes)))
 	return tr
@@ -112,16 +117,18 @@ func seqID(seq []Node) *Node {
 
 // foldMember unifies rank's sequence into the group sequence leaf by leaf.
 // rSeq is only read — it may be a sequence other ranks name too.
-// gMembers holds the ranks already folded in, ascending; mergeCompatible has
-// established that the two sequences have the same shape. Node hashes cached
-// during collection go stale as leaves generalize, so they are dropped on the
-// way.
-func foldMember(gSeq, rSeq []Node, gMembers []int, rank int, idx *commIndex) {
+// gMembers holds the ranks already folded in, ascending, and prev their set;
+// mergeCompatible has established that the two sequences have the same shape.
+// A leaf whose rank set is packed exactly as prev takes grown, prev ∪ {rank},
+// which is what Add would have built; any other leaf adds the rank itself.
+// Node hashes cached during collection go stale as leaves generalize, so they
+// are dropped on the way.
+func foldMember(gSeq, rSeq []Node, gMembers []int, rank int, prev, grown taskset.Set, idx *commIndex) {
 	for i := range gSeq {
 		switch gx := gSeq[i].(type) {
 		case *Loop:
 			gx.invalidate()
-			foldMember(gx.Body, rSeq[i].(*Loop).Body, gMembers, rank, idx)
+			foldMember(gx.Body, rSeq[i].(*Loop).Body, gMembers, rank, prev, grown, idx)
 		case *RSD:
 			rx := rSeq[i].(*RSD)
 			if par, vec, ok := unifyPeerMembers(gx, rx, gMembers, rank, idx); ok {
@@ -129,7 +136,11 @@ func foldMember(gSeq, rSeq []Node, gMembers []int, rank int, idx *commIndex) {
 				gx.PeerVec = vec
 			}
 			gx.mergeComputeFrom(rx)
-			gx.Ranks = gx.Ranks.Add(rank)
+			if gx.Ranks.Identical(prev) {
+				gx.Ranks = grown
+			} else {
+				gx.Ranks = gx.Ranks.Add(rank)
+			}
 			gx.hashSet = false
 		}
 	}
