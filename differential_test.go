@@ -132,13 +132,18 @@ func TestRunToRunDeterminism(t *testing.T) {
 // so callers can compare runs at all three levels (clocks, trace, profile).
 func runKernel(t *testing.T, name string, n int, opts ...mpi.Option) (*mpi.Result, []byte, *mpip.Profile) {
 	t.Helper()
-	app := apps.ByName(name)
+	return runBody(t, name, n, apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS)), opts...)
+}
+
+// runBody is runKernel for any rank body; name labels its errors.
+func runBody(t *testing.T, name string, n int, body func(*mpi.Rank), opts ...mpi.Option) (*mpi.Result, []byte, *mpip.Profile) {
+	t.Helper()
 	col := trace.NewCollector(n)
 	prof := mpip.NewProfile()
 	opts = append(opts, mpi.WithTracer(func(rank int) mpi.Tracer {
 		return mpi.MultiTracer{col.TracerFor(rank), prof.TracerFor(rank)}
 	}))
-	res, err := mpi.Run(n, netmodel.BlueGeneL(), app.Body(apps.NewConfig(n, apps.ClassS)), opts...)
+	res, err := mpi.Run(n, netmodel.BlueGeneL(), body, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

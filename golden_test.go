@@ -17,6 +17,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/conceptual"
 	"repro/internal/core"
+	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -40,6 +41,54 @@ type engineDigests struct {
 	SourceConceptual string `json:"source_conceptual"`
 	SourceC          string `json:"source_c"`
 	SourceGo         string `json:"source_go"`
+	// Profile digests the mpiP profile of the traced application run (per
+	// operation, the call count and bytes); Retrace digests the encoded trace
+	// of the cursor replay, call sites renumbered. Only the widened entries
+	// carry them, so the entries written before them stay as they were.
+	Profile string `json:"profile,omitempty"`
+	Retrace string `json:"retrace,omitempty"`
+}
+
+// goldenKernel is one run of the golden chain: an application body on n
+// ranks, class S. Wide entries also record Profile and Retrace.
+type goldenKernel struct {
+	name string
+	n    int
+	body func(*mpi.Rank)
+	wide bool
+}
+
+func (k goldenKernel) key() string { return fmt.Sprintf("%s-%d", k.name, k.n) }
+
+// goldenKernels lists the golden chain's runs: every kernel at 16 ranks (or
+// the largest valid count below), bt at 64 and sweep3d at 36 for the
+// sources' sake (deeper loop nests, longer enumerations), and the widened
+// set: every kernel at 64 ranks (bt, whose 64-rank entry predates the
+// widening, at 49), lu at 36, and splitRingBody at 16, the one traced kernel
+// whose communicators are not identities.
+func goldenKernels() []goldenKernel {
+	app := func(name string, n int, wide bool) goldenKernel {
+		return goldenKernel{name, n, apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS)), wide}
+	}
+	largest := func(name string, n int) int {
+		for !apps.ByName(name).ValidRanks(n) {
+			n--
+		}
+		return n
+	}
+	var ks []goldenKernel
+	for _, name := range apps.Names() {
+		ks = append(ks, app(name, largest(name, 16), false))
+	}
+	ks = append(ks, app("bt", 64, false), app("sweep3d", 36, false))
+	for _, name := range apps.Names() {
+		n := largest(name, 64)
+		if name == "bt" {
+			n = largest(name, n-1)
+		}
+		ks = append(ks, app(name, n, true))
+	}
+	return append(ks, app("lu", 36, true), goldenKernel{"split", 16, splitRingBody(50), true})
 }
 
 // textDigest is the sha256 of a generated source text.
@@ -80,34 +129,18 @@ func traceDigest(encoded []byte) string {
 }
 
 // TestEngineGoldenDigests compares the production chain against checked-in
-// digests for every kernel at 16 ranks (or the largest valid count below),
-// plus bt at 64 and sweep3d at 36 for the sources' sake (deeper loop nests,
-// longer enumerations), class S, on the BlueGene/L model. The differential suites compare two
-// implementations and cannot see a change that moves both; this one needs no
-// second implementation and fails on a one-ulp clock change in any of them.
-// LU is included: the event engine resolves wildcards deterministically.
-// After a deliberate cost-model, trace-format or generator change:
-// `go test -run EngineGoldenDigests -update .` and review the diff.
+// digests for every kernel of goldenKernels, class S, on the BlueGene/L
+// model. It needs no second implementation and fails on a one-ulp clock
+// change anywhere in the chain. LU is included: the event engine resolves
+// wildcards deterministically. After a deliberate cost-model, trace-format or
+// generator change: `go test -run EngineGoldenDigests -update .` and review
+// the diff.
 func TestEngineGoldenDigests(t *testing.T) {
 	model := netmodel.BlueGeneL()
 	got := map[string]engineDigests{}
-	type kernel struct {
-		name string
-		n    int
-	}
-	var kernels []kernel
-	for _, name := range apps.Names() {
-		app := apps.ByName(name)
-		n := 16
-		for !app.ValidRanks(n) {
-			n--
-		}
-		kernels = append(kernels, kernel{name, n})
-	}
-	kernels = append(kernels, kernel{"bt", 64}, kernel{"sweep3d", 36})
-	for _, k := range kernels {
-		name, n := k.name, k.n
-		res, traceBytes, _ := runKernel(t, name, n)
+	for _, k := range goldenKernels() {
+		name, n := k.key(), k.n
+		res, traceBytes, prof := runBody(t, name, n, k.body)
 		// Replay and generation each get their own decode, as the CLI chain
 		// (tracegen | benchgen) would hand them.
 		decode := func() *trace.Trace {
@@ -117,10 +150,7 @@ func TestEngineGoldenDigests(t *testing.T) {
 			}
 			return tr
 		}
-		rep, err := replay.Replay(decode(), model)
-		if err != nil {
-			t.Fatalf("%s: replay: %v", name, err)
-		}
+		rep, retrace := replayKernel(t, decode(), replay.Replay)
 		prog, err := core.Generate(decode(), nil)
 		if err != nil {
 			t.Fatalf("%s: generate: %v", name, err)
@@ -142,7 +172,11 @@ func TestEngineGoldenDigests(t *testing.T) {
 			SourceC:          textDigest(conceptual.GenerateC(prog)),
 			SourceGo:         textDigest(gosrc),
 		}
-		got[fmt.Sprintf("%s-%d", name, n)] = d
+		if k.wide {
+			d.Profile = textDigest(prof.String())
+			d.Retrace = traceDigest(retrace)
+		}
+		got[name] = d
 
 		// The digest must be sensitive to the smallest possible clock change.
 		last := len(res.PerRankUS) - 1
@@ -184,6 +218,8 @@ func TestEngineGoldenDigests(t *testing.T) {
 			{"coNCePTuaL source", g.SourceConceptual, w.SourceConceptual},
 			{"C source", g.SourceC, w.SourceC},
 			{"Go source", g.SourceGo, w.SourceGo},
+			{"mpiP profile", g.Profile, w.Profile},
+			{"cursor replay re-trace", g.Retrace, w.Retrace},
 		} {
 			if f.got != f.want {
 				t.Errorf("%s: %s digest %s, golden %s", key, f.what, f.got, f.want)
