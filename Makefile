@@ -2,19 +2,17 @@ GO ?= go
 
 .PHONY: test check bench profile-chain race timeline serve
 
-LU_LEGS = (TestEventEngineMatchesGoroutineRuntime|TestReplayRepresentationsBitIdentical)/lu-16
-
 test:
 	$(GO) test ./...
 
 # check is the pre-commit gate: go vet, and go vet of internal/mpi for two
 # architectures without a frame-pointer walk; the race detector over every
 # package with shared state (internal/mpi at -cpu 1,2; align and wildcard
-# -short); the root differential, determinism, golden-digest, single-home and
-# no-orphan suites under -race; six 10 s fuzz passes (histogram text against
-# the fmt scanner it replaced, trace decoder, the trace builder's cursor
-# against its indexed path, Algorithm 1, MP-net export and checker,
-# coNCePTuaL parser and printer).
+# -short); the root determinism, critical-path, golden-digest, verify,
+# single-home and no-orphan suites under -race; six 10 s fuzz passes
+# (histogram text against the fmt scanner it replaced, trace decoder, the
+# trace builder's cursor against its indexed path, Algorithm 1, MP-net export
+# and checker, coNCePTuaL parser and printer).
 # .claude/skills/verify/SKILL.md says why each line has its flags.
 check:
 	$(GO) vet ./...
@@ -23,11 +21,8 @@ check:
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
 	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
 	$(GO) test -race -short ./internal/align/... ./internal/wildcard/...
-	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestEngineGoldenDigests|TestPathSelectorsArePinned|TestSingleHomesArePinned|TestNoOrphanedProductionSymbols' -skip '$(LU_LEGS)' .
+	$(GO) test -race -run 'TestRunToRunDeterminism|TestPooledWorldDeterminism|TestPooledReplayDeterminism|TestCritPath|TestEngineGoldenDigests|TestVerifySuite|TestVerifyCounterexampleReplay|TestPathSelectorsArePinned|TestSingleHomesArePinned|TestNoOrphanedProductionSymbols' .
 	$(GO) test -race -cpu 1,2 -run 'TestConcurrentWorldsDeterminism|TestConcurrentReplaysOfOneTrace' .
-	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
-	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' -skip '$(LU_LEGS)' .
-	$(GO) test -race -cpu 1 -run '$(LU_LEGS)' .
 	$(GO) test -run NONE -fuzz FuzzHistogramText -fuzztime 10s -fuzzminimizetime 10x ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzBuilderCursor -fuzztime 10s ./internal/trace/

@@ -623,13 +623,10 @@ func (s *ringStream) Next(_ *mpi.Rank, op *mpi.RankOp) bool {
 // measured on: stackless replay ranks on a pooled world, the configuration a
 // long-lived host (harness worker, benchd job body) actually runs. The cold
 // series re-runs the same workload on a fresh world each time, so the
-// cold-vs-warm gap is the pooling win; the goroutine
-// runtime is measured up to 65536 (a 1M-rank world would spawn 1M concurrent
-// goroutines — 8 GiB of minimum stacks before any payload).
+// cold-vs-warm gap is the pooling win.
 var (
-	rankScalingEventSizes     = []int{1024, 4096, 16384, 65536, 262144, 1048576}
-	rankScalingColdSizes      = []int{1024, 4096, 16384, 65536}
-	rankScalingGoroutineSizes = []int{1024, 4096, 16384, 65536}
+	rankScalingEventSizes = []int{1024, 4096, 16384, 65536, 262144, 1048576}
+	rankScalingColdSizes  = []int{1024, 4096, 16384, 65536}
 )
 
 // runScalingStackless runs the ring workload as stackless cursors, optionally
@@ -647,12 +644,10 @@ func runScalingStackless(n int, eng *mpi.Engine) error {
 
 // BenchmarkRankScaling measures the rank-scaling curve behind
 // service.MaxRunnableRanks: ns/op and allocs/op versus world size for
-// the warm (pooled, stackless) event engine at 1k -> 1M ranks, the cold
-// event engine, and the goroutine runtime at the sizes it can reach. Each
-// warm series point runs one untimed warmup so the measured iteration sees
-// the steady state a long-lived host sees — without it -benchtime=1x
-// conflates world construction with execution and shows the event engine
-// losing to the goroutine runtime at several scales. Run with
+// the warm (pooled, stackless) event engine at 1k -> 1M ranks and the cold
+// event engine. Each warm series point runs one untimed warmup so the
+// measured iteration sees the steady state a long-lived host sees — without
+// it -benchtime=1x conflates world construction with execution. Run with
 // `-benchtime 1x -timeout 60m`: one world per data point, since a 1M-rank
 // world is minutes.
 func BenchmarkRankScaling(b *testing.B) {
@@ -664,17 +659,6 @@ func BenchmarkRankScaling(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := runScalingStackless(n, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, n := range rankScalingGoroutineSizes {
-		b.Run(fmt.Sprintf("goroutine-%dranks", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mpi.Run(n, netmodel.BlueGeneL(), rankScalingBody(n),
-					mpi.WithGoroutineRuntime(), mpi.WithTimeout(30*time.Minute)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -748,14 +732,12 @@ func BenchmarkWorldSetup(b *testing.B) {
 
 // incastBody is the BenchmarkIncastContention workload: every rank streams k
 // eager messages at rank 0 — the master/worker shape whose flow-control
-// stalls are the goroutine runtime's worst case. Each stalled sender parks
-// on rank 0's mailbox condvar, every drain broadcasts to all of them, and on
-// a multicore host (GOMAXPROCS > 1) those wakeups are cross-thread futex
-// traffic on one contended mutex. The event engine keeps one credit waiter
-// per source slot and wakes exactly the sender a drain releases, so its cost
-// is flat in GOMAXPROCS. With wildcard set, rank 0 receives with AnySource
-// instead of cycling the sources — the paper's §4.4 pattern — exercising the
-// mailbox's wildcard candidate heap against a standing unexpected backlog.
+// stalls park many senders on one mailbox. The event engine keeps one credit
+// waiter per source slot and wakes exactly the sender a drain releases, so a
+// drain costs O(1) however many senders wait. With wildcard set, rank 0
+// receives with AnySource instead of cycling the sources — the paper's §4.4
+// pattern — exercising the mailbox's wildcard candidate heap against a
+// standing unexpected backlog.
 func incastBody(k, size int, wildcard bool) func(*mpi.Rank) {
 	return func(r *mpi.Rank) {
 		w := r.World()
@@ -780,29 +762,21 @@ func incastBody(k, size int, wildcard bool) func(*mpi.Rank) {
 	}
 }
 
-// BenchmarkIncastContention measures the incast ratio between engines versus
-// GOMAXPROCS (run with -cpu 1,4 -benchtime 3x). At one P the
-// engines differ only modestly — a solo P never contends — which is exactly
-// the point: the goroutine runtime's collapse is a concurrency artifact, not
-// model work, and the event engine sheds it structurally.
+// BenchmarkIncastContention measures the incast workload versus GOMAXPROCS
+// (run with -cpu 1,4 -benchtime 3x): the engine runs one rank at a time, so
+// its cost should not move with the number of Ps.
 func BenchmarkIncastContention(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		for _, shape := range []string{"direct", "wildcard"} {
-			for _, eng := range []string{"event", "goroutine"} {
-				b.Run(fmt.Sprintf("%s-%s-%dranks", eng, shape, n), func(b *testing.B) {
-					b.ReportAllocs()
-					var opts []mpi.Option
-					if eng == "goroutine" {
-						opts = append(opts, mpi.WithGoroutineRuntime())
+			b.Run(fmt.Sprintf("event-%s-%dranks", shape, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := mpi.Run(n, netmodel.BlueGeneL(),
+						incastBody(128, 256, shape == "wildcard")); err != nil {
+						b.Fatal(err)
 					}
-					for i := 0; i < b.N; i++ {
-						if _, err := mpi.Run(n, netmodel.BlueGeneL(),
-							incastBody(128, 256, shape == "wildcard"), opts...); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -833,8 +807,8 @@ func perEvent(b *testing.B, events int, fn func() error) {
 
 // BenchmarkInterpExecute measures coNCePTuaL program execution on stackless
 // cursors (what Execute runs, on a pooled engine as the ledger's exec-whatif
-// ops run it) against the tree-walking reference, on a program large enough
-// that per-iteration statement dispatch dominates.
+// ops run it), on a program large enough that per-iteration statement
+// dispatch dominates.
 func BenchmarkInterpExecute(b *testing.B) {
 	prog := conceptualReprProgram(16)
 	model := netmodel.BlueGeneL()
@@ -852,13 +826,6 @@ func BenchmarkInterpExecute(b *testing.B) {
 	b.Run("cursor", func(b *testing.B) {
 		perEvent(b, events, func() error {
 			_, err := conceptual.Execute(prog, 16, model, conceptual.WithMPIOptions(mpi.WithEngine(eng)))
-			return err
-		})
-	})
-	b.Run("treewalk", func(b *testing.B) {
-		perEvent(b, events, func() error {
-			_, err := conceptual.Execute(prog, 16, model, conceptual.WithTreeWalk(),
-				conceptual.WithMPIOptions(mpi.WithEngine(eng)))
 			return err
 		})
 	})
@@ -1031,11 +998,10 @@ func BenchmarkMultiWorld(b *testing.B) {
 	})
 }
 
-// conceptualReprProgram is the BenchmarkConceptualRepr workload: the
-// BenchmarkInterpExecute shape (async ring + await + compute + reduce in a
-// hot loop) sized so per-statement dispatch dominates, shared by both
-// execution representations. RelRank(n-1) keeps the receive the ring
-// predecessor at any world size.
+// conceptualReprProgram is the BenchmarkInterpExecute workload: an async
+// ring, await, compute and reduce in a hot loop, sized so per-statement
+// dispatch dominates. RelRank(n-1) keeps the receive the ring predecessor at
+// any world size.
 func conceptualReprProgram(n int) *conceptual.Program {
 	return &conceptual.Program{Stmts: []conceptual.Stmt{
 		&conceptual.LoopStmt{Count: 200, Body: []conceptual.Stmt{
@@ -1046,32 +1012,4 @@ func conceptualReprProgram(n int) *conceptual.Program {
 			&conceptual.ReduceStmt{Srcs: conceptual.AllTasks, Dsts: conceptual.AllTasks, Size: 64},
 		}},
 	}}
-}
-
-// BenchmarkConceptualRepr reports the per-rank cost of the two coNCePTuaL
-// execution representations: the stackless cursor (no rank goroutines) and
-// the tree-walking reference. The nsperrank metric is ns/op
-// divided by world size.
-func BenchmarkConceptualRepr(b *testing.B) {
-	for _, n := range []int{16, 64} {
-		prog := conceptualReprProgram(n)
-		for _, v := range []struct {
-			name string
-			opts []conceptual.RunOption
-		}{
-			{"cursor", nil},
-			{"treewalk", []conceptual.RunOption{conceptual.WithTreeWalk()}},
-		} {
-			n, v := n, v
-			b.Run(fmt.Sprintf("%s-%dranks", v.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := conceptual.Execute(prog, n, netmodel.BlueGeneL(), v.opts...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "nsperrank")
-			})
-		}
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpip"
 	"repro/internal/netmodel"
+	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -22,11 +23,12 @@ import (
 const critTol = 1e-6
 
 // TestCritPathInvariantAllKernels pins the profiler's core correctness
-// property on every kernel: the backward walk's segments partition the
-// makespan, so their sum equals the slowest rank's final clock exactly (up
-// to float association). A hook that records a wrong Start/Ready/End or a
-// wake path with no record at all breaks the telescoping and shows up here
-// as a gap.
+// property on every kernel, for the application run (coroutine ranks) and for
+// the cursor replay of its trace (stackless ranks, whose waits record through
+// other wake paths): the backward walk's segments partition the makespan, so
+// their sum equals the slowest rank's final clock exactly (up to float
+// association). A hook that records a wrong Start/Ready/End or a wake path
+// with no record at all breaks the telescoping and shows up here as a gap.
 func TestCritPathInvariantAllKernels(t *testing.T) {
 	for _, name := range apps.Names() {
 		app := apps.ByName(name)
@@ -37,41 +39,62 @@ func TestCritPathInvariantAllKernels(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-%d", name, n), func(t *testing.T) {
 			t.Parallel()
 			g := mpi.NewDepGraph()
-			res, _, _ := runKernel(t, name, n, mpi.WithCausalProfile(g))
-			p := critpath.Analyze(g)
-			if p.Truncated {
-				t.Fatal("dependency graph truncated on a Class S kernel")
+			res, traceBytes, _ := runKernel(t, name, n, mpi.WithCausalProfile(g))
+			checkCritPath(t, "app run", g, res)
+			tr, err := trace.Decode(bytes.NewReader(traceBytes))
+			if err != nil {
+				t.Fatalf("decode trace: %v", err)
 			}
-			want := 0.0
-			for _, us := range res.PerRankUS {
-				want = math.Max(want, us)
+			g = mpi.NewDepGraph()
+			res, err = replay.Replay(tr, netmodel.BlueGeneL(), mpi.WithCausalProfile(g))
+			if err != nil {
+				t.Fatalf("replay: %v", err)
 			}
-			if p.ElapsedUS != want {
-				t.Errorf("profile elapsed %v, slowest rank %v", p.ElapsedUS, want)
-			}
-			if d := math.Abs(p.CritPathUS-p.ElapsedUS) / p.ElapsedUS; d > critTol {
-				t.Errorf("critical path %v != elapsed %v (rel gap %g)",
-					p.CritPathUS, p.ElapsedUS, d)
-			}
-			if p.Records != g.Total() {
-				t.Errorf("profile records %d, graph %d", p.Records, g.Total())
-			}
-			if len(p.Path) == 0 {
-				t.Fatal("empty critical path")
-			}
-			// The path is one contiguous chain through virtual time: each
-			// segment starts where the previous ended (jumps between ranks
-			// preserve the clock), ending at the makespan.
-			if last := p.Path[len(p.Path)-1]; last.EndUS != p.ElapsedUS {
-				t.Errorf("path ends at %v, elapsed %v", last.EndUS, p.ElapsedUS)
-			}
-			for i := 1; i < len(p.Path); i++ {
-				if p.Path[i].StartUS != p.Path[i-1].EndUS {
-					t.Fatalf("path gap at segment %d: %v -> %v",
-						i, p.Path[i-1].EndUS, p.Path[i].StartUS)
-				}
-			}
+			checkCritPath(t, "cursor replay", g, res)
 		})
+	}
+}
+
+// checkCritPath checks one profiled run's graph against its result: the
+// profile's elapsed time is the slowest rank's clock, the critical path
+// telescopes to it, and the path is one contiguous chain through virtual time.
+func checkCritPath(t *testing.T, what string, g *mpi.DepGraph, res *mpi.Result) {
+	t.Helper()
+	p := critpath.Analyze(g)
+	if p.Truncated {
+		t.Fatalf("%s: dependency graph truncated on a Class S kernel", what)
+	}
+	want := 0.0
+	for _, us := range res.PerRankUS {
+		want = math.Max(want, us)
+	}
+	if p.ElapsedUS != want {
+		t.Errorf("%s: profile elapsed %v, slowest rank %v", what, p.ElapsedUS, want)
+	}
+	if !reflect.DeepEqual(g.FinalUS, res.PerRankUS) {
+		t.Errorf("%s: graph's final clocks differ from the run's", what)
+	}
+	if d := math.Abs(p.CritPathUS-p.ElapsedUS) / p.ElapsedUS; d > critTol {
+		t.Errorf("%s: critical path %v != elapsed %v (rel gap %g)",
+			what, p.CritPathUS, p.ElapsedUS, d)
+	}
+	if p.Records != g.Total() {
+		t.Errorf("%s: profile records %d, graph %d", what, p.Records, g.Total())
+	}
+	if len(p.Path) == 0 {
+		t.Fatalf("%s: empty critical path", what)
+	}
+	// The path is one contiguous chain through virtual time: each segment
+	// starts where the previous ended (jumps between ranks preserve the
+	// clock), ending at the makespan.
+	if last := p.Path[len(p.Path)-1]; last.EndUS != p.ElapsedUS {
+		t.Errorf("%s: path ends at %v, elapsed %v", what, last.EndUS, p.ElapsedUS)
+	}
+	for i := 1; i < len(p.Path); i++ {
+		if p.Path[i].StartUS != p.Path[i-1].EndUS {
+			t.Fatalf("%s: path gap at segment %d: %v -> %v",
+				what, i, p.Path[i-1].EndUS, p.Path[i].StartUS)
+		}
 	}
 }
 
@@ -104,47 +127,6 @@ func TestCritPathOnOffBitIdentical(t *testing.T) {
 			}
 			if g.Total() == 0 {
 				t.Error("profiled run recorded no dependencies")
-			}
-		})
-	}
-}
-
-// TestCritPathRepresentationsIdentical replays each kernel's trace under
-// both event-engine representations with the profiler attached: the
-// stackless cursor and the coroutine body record their dependency graphs
-// through different wake paths, and both must produce record-for-record
-// identical graphs and therefore identical profiles.
-func TestCritPathRepresentationsIdentical(t *testing.T) {
-	for _, name := range apps.Names() {
-		app := apps.ByName(name)
-		n := 16
-		for !app.ValidRanks(n) {
-			n--
-		}
-		t.Run(fmt.Sprintf("%s-%d", name, n), func(t *testing.T) {
-			t.Parallel()
-			_, traceBytes, _ := runKernel(t, name, n)
-			tr, err := trace.Decode(bytes.NewReader(traceBytes))
-			if err != nil {
-				t.Fatalf("decode trace: %v", err)
-			}
-			graphs := make([]*mpi.DepGraph, 2)
-			for i, m := range replayModes[:2] {
-				graphs[i] = mpi.NewDepGraph()
-				if _, err := m.run(tr, netmodel.BlueGeneL(),
-					mpi.WithCausalProfile(graphs[i])); err != nil {
-					t.Fatalf("%s replay: %v", m.name, err)
-				}
-			}
-			if !reflect.DeepEqual(graphs[0].Records, graphs[1].Records) {
-				t.Error("dependency records differ between cursor and coroutine replay")
-			}
-			if !reflect.DeepEqual(graphs[0].FinalUS, graphs[1].FinalUS) {
-				t.Error("final clocks differ between cursor and coroutine replay")
-			}
-			pc, pr := critpath.Analyze(graphs[0]), critpath.Analyze(graphs[1])
-			if !reflect.DeepEqual(pc, pr) {
-				t.Errorf("profiles differ between representations:\n%s\n%s", pc, pr)
 			}
 		})
 	}
@@ -184,8 +166,8 @@ func goldenRingBody(n int) func(*mpi.Rank) {
 }
 
 // TestCritPathGoldenRing checks the analysis against hand-derived numbers
-// on the pipeline above with n=4, across the coroutine app run and both
-// replay representations.
+// on the pipeline above with n=4, for the coroutine app run and the cursor
+// replay of its trace, whose records must equal the app run's one for one.
 //
 // Derivation (clock per rank; send overhead 1 is paid before departure):
 //
@@ -255,26 +237,12 @@ func TestCritPathGoldenRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	for _, m := range replayModes[:2] {
-		g := mpi.NewDepGraph()
-		if _, err := m.run(tr, goldenModel(), mpi.WithCausalProfile(g)); err != nil {
-			t.Fatalf("%s replay: %v", m.name, err)
-		}
-		check(t, g)
-		if !reflect.DeepEqual(gApp.Records, g.Records) {
-			t.Errorf("%s replay records differ from the app run", m.name)
-		}
-	}
-}
-
-// TestCritPathRequiresEventEngine pins the option validation: the profiler
-// hooks live in the event engine's wake paths, so combining it with the
-// goroutine runtime is a configuration error.
-func TestCritPathRequiresEventEngine(t *testing.T) {
 	g := mpi.NewDepGraph()
-	_, err := mpi.Run(2, netmodel.Ideal(), func(r *mpi.Rank) {},
-		mpi.WithCausalProfile(g), mpi.WithGoroutineRuntime())
-	if err == nil {
-		t.Fatal("WithCausalProfile + WithGoroutineRuntime did not error")
+	if _, err := replay.Replay(tr, goldenModel(), mpi.WithCausalProfile(g)); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	check(t, g)
+	if !reflect.DeepEqual(gApp.Records, g.Records) {
+		t.Error("cursor replay records differ from the app run")
 	}
 }

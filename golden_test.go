@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
-	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -130,63 +129,100 @@ func traceDigest(encoded []byte) string {
 
 // TestEngineGoldenDigests compares the production chain against checked-in
 // digests for every kernel of goldenKernels, class S, on the BlueGene/L
-// model. It needs no second implementation and fails on a one-ulp clock
-// change anywhere in the chain. LU is included: the event engine resolves
-// wildcards deterministically. After a deliberate cost-model, trace-format or
-// generator change: `go test -run EngineGoldenDigests -update .` and review
-// the diff.
+// model, one subtest per kernel. It needs no second implementation and fails
+// on a one-ulp clock change anywhere in the chain. LU is included: the event
+// engine resolves wildcards deterministically. The widened entries were
+// recorded while the goroutine-per-rank runtime, a coroutine replayer and a
+// tree-walking interpreter still ran beside the chain and reproduced every
+// digest (LU's clocks under the goroutine runtime excepted: its wildcard
+// matches raced). After a deliberate cost-model, trace-format or generator
+// change: `go test -run EngineGoldenDigests -update .` and review the diff.
 func TestEngineGoldenDigests(t *testing.T) {
 	model := netmodel.BlueGeneL()
-	got := map[string]engineDigests{}
-	for _, k := range goldenKernels() {
-		name, n := k.key(), k.n
-		res, traceBytes, prof := runBody(t, name, n, k.body)
-		// Replay and generation each get their own decode, as the CLI chain
-		// (tracegen | benchgen) would hand them.
-		decode := func() *trace.Trace {
-			tr, err := trace.Decode(bytes.NewReader(traceBytes))
-			if err != nil {
-				t.Fatalf("%s: decode trace: %v", name, err)
-			}
-			return tr
-		}
-		rep, retrace := replayKernel(t, decode(), replay.Replay)
-		prog, err := core.Generate(decode(), nil)
+	golden := filepath.Join("testdata", "engine_golden.json")
+	var want map[string]engineDigests
+	if !*updateGolden {
+		data, err := os.ReadFile(golden)
 		if err != nil {
-			t.Fatalf("%s: generate: %v", name, err)
+			t.Fatalf("golden missing (run with -update to create): %v", err)
 		}
-		exe, err := conceptual.Execute(prog, n, model)
-		if err != nil {
-			t.Fatalf("%s: execute generated program: %v", name, err)
-		}
-		gosrc, err := core.GenerateGo(decode(), nil)
-		if err != nil {
-			t.Fatalf("%s: generate Go: %v", name, err)
-		}
-		d := engineDigests{
-			AppClocks:        clockDigest(res.PerRankUS),
-			Trace:            traceDigest(traceBytes),
-			ReplayClocks:     clockDigest(rep.PerRankUS),
-			GeneratedClocks:  clockDigest(exe.PerTaskUS),
-			SourceConceptual: textDigest(conceptual.Print(prog)),
-			SourceC:          textDigest(conceptual.GenerateC(prog)),
-			SourceGo:         textDigest(gosrc),
-		}
-		if k.wide {
-			d.Profile = textDigest(prof.String())
-			d.Retrace = traceDigest(retrace)
-		}
-		got[name] = d
-
-		// The digest must be sensitive to the smallest possible clock change.
-		last := len(res.PerRankUS) - 1
-		res.PerRankUS[last] = math.Nextafter(res.PerRankUS[last], math.Inf(1))
-		if clockDigest(res.PerRankUS) == d.AppClocks {
-			t.Errorf("%s: clock digest unchanged by a one-ulp clock change", name)
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("%s: %v", golden, err)
 		}
 	}
+	got := map[string]engineDigests{}
+	for _, k := range goldenKernels() {
+		t.Run(k.key(), func(t *testing.T) {
+			res, traceBytes, prof := runBody(t, k.key(), k.n, k.body)
+			// Replay and generation each get their own decode, as the CLI
+			// chain (tracegen | benchgen) would hand them.
+			decode := func() *trace.Trace {
+				tr, err := trace.Decode(bytes.NewReader(traceBytes))
+				if err != nil {
+					t.Fatalf("decode trace: %v", err)
+				}
+				return tr
+			}
+			rep, retrace := replayKernel(t, decode())
+			prog, err := core.Generate(decode(), nil)
+			if err != nil {
+				t.Fatalf("generate: %v", err)
+			}
+			exe, err := conceptual.Execute(prog, k.n, model)
+			if err != nil {
+				t.Fatalf("execute generated program: %v", err)
+			}
+			gosrc, err := core.GenerateGo(decode(), nil)
+			if err != nil {
+				t.Fatalf("generate Go: %v", err)
+			}
+			g := engineDigests{
+				AppClocks:        clockDigest(res.PerRankUS),
+				Trace:            traceDigest(traceBytes),
+				ReplayClocks:     clockDigest(rep.PerRankUS),
+				GeneratedClocks:  clockDigest(exe.PerTaskUS),
+				SourceConceptual: textDigest(conceptual.Print(prog)),
+				SourceC:          textDigest(conceptual.GenerateC(prog)),
+				SourceGo:         textDigest(gosrc),
+			}
+			if k.wide {
+				g.Profile = textDigest(prof.String())
+				g.Retrace = traceDigest(retrace)
+			}
+			got[k.key()] = g
 
-	golden := filepath.Join("testdata", "engine_golden.json")
+			// The digest must be sensitive to the smallest possible clock
+			// change.
+			last := len(res.PerRankUS) - 1
+			res.PerRankUS[last] = math.Nextafter(res.PerRankUS[last], math.Inf(1))
+			if clockDigest(res.PerRankUS) == g.AppClocks {
+				t.Error("clock digest unchanged by a one-ulp clock change")
+			}
+
+			if *updateGolden {
+				return
+			}
+			w, ok := want[k.key()]
+			if !ok {
+				t.Fatal("no golden entry (run with -update after adding a kernel)")
+			}
+			for _, f := range []struct{ what, got, want string }{
+				{"traced app run clocks", g.AppClocks, w.AppClocks},
+				{"encoded trace", g.Trace, w.Trace},
+				{"cursor replay clocks", g.ReplayClocks, w.ReplayClocks},
+				{"generated program clocks", g.GeneratedClocks, w.GeneratedClocks},
+				{"coNCePTuaL source", g.SourceConceptual, w.SourceConceptual},
+				{"C source", g.SourceC, w.SourceC},
+				{"Go source", g.SourceGo, w.SourceGo},
+				{"mpiP profile", g.Profile, w.Profile},
+				{"cursor replay re-trace", g.Retrace, w.Retrace},
+			} {
+				if f.got != f.want {
+					t.Errorf("%s digest %s, golden %s", f.what, f.got, f.want)
+				}
+			}
+		})
+	}
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -194,36 +230,6 @@ func TestEngineGoldenDigests(t *testing.T) {
 		}
 		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	var want map[string]engineDigests
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
-	for key, g := range got {
-		w, ok := want[key]
-		if !ok {
-			t.Errorf("%s: no golden entry (run with -update after adding a kernel)", key)
-			continue
-		}
-		for _, f := range []struct{ what, got, want string }{
-			{"traced app run clocks", g.AppClocks, w.AppClocks},
-			{"encoded trace", g.Trace, w.Trace},
-			{"cursor replay clocks", g.ReplayClocks, w.ReplayClocks},
-			{"generated program clocks", g.GeneratedClocks, w.GeneratedClocks},
-			{"coNCePTuaL source", g.SourceConceptual, w.SourceConceptual},
-			{"C source", g.SourceC, w.SourceC},
-			{"Go source", g.SourceGo, w.SourceGo},
-			{"mpiP profile", g.Profile, w.Profile},
-			{"cursor replay re-trace", g.Retrace, w.Retrace},
-		} {
-			if f.got != f.want {
-				t.Errorf("%s: %s digest %s, golden %s", key, f.what, f.got, f.want)
-			}
 		}
 	}
 	for key := range want {

@@ -5,11 +5,7 @@ import "repro/internal/taskset"
 // This file holds what lowering a program for one task count resolves ahead
 // of execution, so the cursor instructions (cursor.go) only index precomputed
 // arrays: membership masks, per-task peer ranks, the communicator a
-// collective uses and its root's communicator-relative rank. The
-// tree-walking interpreter in interp.go resolves the same things per
-// statement execution and is the reference the differential tests compare
-// against; both produce bit-identical virtual clocks because they issue the
-// same runtime calls with the same arguments in the same order.
+// collective uses and its root's communicator-relative rank.
 
 // commRef names the communicator a collective statement uses: world (-1) or
 // an index into the startup communicator plan.
@@ -97,9 +93,9 @@ func (c *compiler) peers(e RankExpr) []int {
 }
 
 // commRefFor resolves the communicator covering the union of the given task
-// sets, mirroring taskState.commFor: the world communicator when the union
-// covers every task (or was never planned), the planned sub-communicator
-// otherwise. It also returns the union itself for root computations.
+// sets: the world communicator when the union covers every task (or was
+// never planned), the planned sub-communicator otherwise. It also returns the
+// union itself for root computations.
 func (c *compiler) commRefFor(sets ...taskset.Set) (commRef, taskset.Set) {
 	u := taskset.Empty
 	for _, s := range sets {

@@ -1,11 +1,8 @@
 package conceptual
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
-
-	"repro/internal/netmodel"
 )
 
 // differentialPrograms covers every statement kind lowerCursor lowers,
@@ -68,45 +65,6 @@ func differentialPrograms() map[string]*Program {
 			}},
 			&LogStmt{Who: AllTasks, Label: "mixed"},
 		}},
-	}
-}
-
-// TestCompiledMatchesTreeWalk pins the interpreter layer's claim: the lowered
-// cursor program and the tree-walking reference issue the same runtime
-// calls, so every per-task virtual clock is bit-identical and the logs agree
-// exactly.
-func TestCompiledMatchesTreeWalk(t *testing.T) {
-	for name, p := range differentialPrograms() {
-		for _, n := range []int{7, 8} {
-			t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) {
-				m := netmodel.BlueGeneL()
-				got, err := Execute(p, n, m)
-				if err != nil {
-					t.Fatalf("compiled Execute: %v", err)
-				}
-				want, err := Execute(p, n, m, WithTreeWalk())
-				if err != nil {
-					t.Fatalf("tree-walk Execute: %v", err)
-				}
-				if got.ElapsedUS != want.ElapsedUS {
-					t.Errorf("ElapsedUS: compiled %v, tree-walk %v", got.ElapsedUS, want.ElapsedUS)
-				}
-				for i := range want.PerTaskUS {
-					if got.PerTaskUS[i] != want.PerTaskUS[i] {
-						t.Errorf("task %d clock: compiled %v, tree-walk %v",
-							i, got.PerTaskUS[i], want.PerTaskUS[i])
-					}
-				}
-				if len(got.Logs) != len(want.Logs) {
-					t.Fatalf("logs: compiled %d entries, tree-walk %d", len(got.Logs), len(want.Logs))
-				}
-				for i := range want.Logs {
-					if got.Logs[i] != want.Logs[i] {
-						t.Errorf("log %d: compiled %+v, tree-walk %+v", i, got.Logs[i], want.Logs[i])
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package conceptual
 import (
 	"hash/fnv"
 	"strconv"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -19,8 +18,7 @@ var ctrCursorPrograms = telemetry.NewCounter("conceptual.cursor_programs")
 // static loops — so each task's execution state collapses to a program
 // counter plus a loop-frame stack, resumable at every blocking point (match,
 // credit stall, collective round) by the engine's cursor machinery. This is
-// how Execute runs; the tree walk (WithTreeWalk) is the differential
-// reference, and both produce bit-identical clocks, traces and logs.
+// how Execute runs.
 
 // siteInfo carries a statement's deterministic call-site hashes: pri for the
 // statement's own operation, sec for the second runtime call of a two-call
@@ -42,10 +40,10 @@ func planSite(i int) uint64 { return siteHash("plan/" + strconv.Itoa(i)) }
 
 // stmtSites assigns every statement a call-site hash derived from its
 // position in the program tree ("2/0" = first statement inside the loop that
-// is the program's third statement). Both execution paths stamp these
-// same hashes onto the runtime calls they issue, which is what makes traces
-// and causal profiles bit-identical across representations: a stack walk
-// would hash different frames in each path (and cost ~1us per operation).
+// is the program's third statement). Execution stamps these hashes onto the
+// runtime calls it issues, so traces and causal profiles do not depend on the
+// binary: a stack walk would hash this package's frames (and cost ~1us per
+// operation).
 func stmtSites(stmts []Stmt) map[Stmt]siteInfo {
 	sites := make(map[Stmt]siteInfo)
 	var visit func(ss []Stmt, prefix string)
@@ -186,8 +184,7 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			peers: c.peers(x.Source), op: mpi.RankOp{Op: op, Site: site, Size: x.Size}})
 	case *AwaitStmt:
-		// The stackless drain with nothing outstanding is a silent no-op,
-		// mirroring the interpreter's len(outstanding) > 0 guard.
+		// The stackless drain with nothing outstanding is a silent no-op.
 		out = append(out, cursorInstr{kind: ciOp, members: c.mask(x.Who),
 			op: mpi.RankOp{Op: mpi.OpWaitall, Site: site}})
 	case *SyncStmt:
@@ -208,13 +205,14 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 	case *LogStmt:
 		out = append(out, cursorInstr{kind: ciLog, members: c.mask(x.Who), label: x.Label})
 	}
-	// Unknown statements are inert, as in the tree walk.
+	// Unknown statements are inert.
 	return out
 }
 
-// lowerReduce mirrors execReduce's three modes: sources equal to
-// destinations is an allreduce, a singleton destination a rooted reduce,
-// anything else a reduce followed by a multicast among the destinations.
+// lowerReduce maps a REDUCE statement onto the runtime in one of three modes:
+// sources equal to destinations is an allreduce, a singleton destination a
+// rooted reduce, anything else a reduce followed by a multicast among the
+// destinations.
 func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
@@ -239,8 +237,9 @@ func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	}
 }
 
-// lowerMulticast mirrors execMulticast's two modes: a singleton source is a
-// broadcast, multiple sources a many-to-many exchange.
+// lowerMulticast maps a MULTICAST statement in one of two modes: a singleton
+// source is a broadcast, multiple sources a many-to-many exchange (Table 1's
+// Alltoall family).
 func (c *compiler) lowerMulticast(x *MulticastStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
@@ -265,8 +264,8 @@ type loopFrame struct {
 
 // cursorStream feeds one task's operation sequence to the stackless
 // executor. Next runs on the engine's goroutine between operations, so the
-// clock it reads for RESET/LOG is the task's clock at exactly the program
-// point where the tree walk reads it.
+// clock it reads for RESET/LOG is the task's clock at exactly that program
+// point.
 type cursorStream struct {
 	prog    *cursorProgram
 	me      int
@@ -274,7 +273,6 @@ type cursorStream struct {
 	pc      int
 	frames  []loopFrame
 	resetAt float64
-	mu      *sync.Mutex
 	logs    *[]LogEntry
 }
 
@@ -319,10 +317,7 @@ func (s *cursorStream) Next(r *mpi.Rank, op *mpi.RankOp) bool {
 			s.pc++
 		case ciLog:
 			if holds(in.members, s.me) {
-				entry := LogEntry{Label: in.label, Task: s.me, Value: r.Clock() - s.resetAt}
-				s.mu.Lock()
-				*s.logs = append(*s.logs, entry)
-				s.mu.Unlock()
+				*s.logs = append(*s.logs, LogEntry{Label: in.label, Task: s.me, Value: r.Clock() - s.resetAt})
 			}
 			s.pc++
 		case ciOp:

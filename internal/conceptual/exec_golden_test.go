@@ -13,8 +13,6 @@ import (
 	"regexp"
 	"strconv"
 	"testing"
-
-	"repro/internal/mpi"
 )
 
 // execDigests is one program's entry in testdata/exec_golden.json: what
@@ -57,28 +55,48 @@ func execDigest(res *RunResult, encoded []byte) execDigests {
 // differentialPrograms at 7 and 8 tasks: per-task clocks bit for bit, the
 // logs, and the encoded trace. It is the golden that covers LOG and RESET
 // and sub-group REDUCE and MULTICAST, which no generated benchmark emits.
-// The file was recorded while the tree-walking interpreter, the cursors'
-// reference until then, agreed with it on both runtimes. After a deliberate
-// cost-model, trace-format or lowering change:
+// The file was recorded while a tree-walking interpreter, on coroutine ranks
+// and on goroutine-per-rank ranks, still ran beside the cursors and agreed
+// with them. After a deliberate cost-model, trace-format or lowering change:
 // `go test -run ExecGolden ./internal/conceptual/ -update` and review the diff.
 func TestExecGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "exec_golden.json")
+	var want map[string]execDigests
+	if !*updateGolden {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("golden missing (run with -update to create): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("%s: %v", golden, err)
+		}
+	}
 	got := map[string]execDigests{}
 	for name, p := range differentialPrograms() {
 		for _, n := range []int{7, 8} {
 			key := fmt.Sprintf("%s/n%d", name, n)
-			got[key] = execDigest(execTraced(t, p, n))
-			for rt, opts := range map[string][]RunOption{
-				"event engine":      {WithTreeWalk()},
-				"goroutine runtime": {WithTreeWalk(), WithMPIOptions(mpi.WithGoroutineRuntime())},
-			} {
-				if tw := execDigest(execTraced(t, p, n, opts...)); !reflect.DeepEqual(tw, got[key]) {
-					t.Errorf("%s: tree walk on the %s %+v, cursors %+v", key, rt, tw, got[key])
+			t.Run(key, func(t *testing.T) {
+				g := execDigest(execTraced(t, p, n))
+				got[key] = g
+				if *updateGolden {
+					return
 				}
-			}
+				w, ok := want[key]
+				if !ok {
+					t.Fatal("no golden entry (run with -update after adding a program)")
+				}
+				if g.Clocks != w.Clocks {
+					t.Errorf("clock digest %s, golden %s", g.Clocks, w.Clocks)
+				}
+				if g.Trace != w.Trace {
+					t.Errorf("encoded trace digest %s, golden %s", g.Trace, w.Trace)
+				}
+				if !reflect.DeepEqual(g.Logs, w.Logs) {
+					t.Errorf("logs %+v, golden %+v", g.Logs, w.Logs)
+				}
+			})
 		}
 	}
-
-	golden := filepath.Join("testdata", "exec_golden.json")
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -86,30 +104,6 @@ func TestExecGolden(t *testing.T) {
 		}
 		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	var want map[string]execDigests
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
-	for key, g := range got {
-		w, ok := want[key]
-		if !ok {
-			t.Errorf("%s: no golden entry (run with -update after adding a program)", key)
-			continue
-		}
-		if g.Clocks != w.Clocks {
-			t.Errorf("%s: clock digest %s, golden %s", key, g.Clocks, w.Clocks)
-		}
-		if g.Trace != w.Trace {
-			t.Errorf("%s: encoded trace digest %s, golden %s", key, g.Trace, w.Trace)
-		}
-		if !reflect.DeepEqual(g.Logs, w.Logs) {
-			t.Errorf("%s: logs %+v, golden %+v", key, g.Logs, w.Logs)
 		}
 	}
 	for key := range want {

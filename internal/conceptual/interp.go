@@ -3,7 +3,6 @@ package conceptual
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
@@ -32,8 +31,7 @@ type RunResult struct {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	mpiOpts  []mpi.Option
-	treeWalk bool
+	mpiOpts []mpi.Option
 }
 
 // WithMPIOptions forwards options (tracers, timeouts) to the underlying
@@ -41,15 +39,6 @@ type runConfig struct {
 // as in Section 5.2.
 func WithMPIOptions(opts ...mpi.Option) RunOption {
 	return func(c *runConfig) { c.mpiOpts = append(c.mpiOpts, opts...) }
-}
-
-// WithTreeWalk interprets the AST directly, one coroutine rank per task,
-// instead of lowering the program to stackless cursors. Both paths issue
-// identical runtime calls and produce bit-identical virtual clocks, traces
-// and logs; the tree walker is the reference the differential tests compare
-// the cursors against, and no production caller selects it.
-func WithTreeWalk() RunOption {
-	return func(c *runConfig) { c.treeWalk = true }
 }
 
 // Execute interprets the program on n simulated tasks over the given network
@@ -69,55 +58,19 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 	// non-world task groups. All tasks create them up front in a fixed
 	// order, as the coNCePTuaL runtime does during initialization.
 	plans := collectCommPlans(p.Stmts, n)
-	// Deterministic per-statement call sites, stamped identically by every
-	// execution path so traces and profiles never depend on representation.
+	// Deterministic per-statement call sites, so traces and profiles never
+	// depend on the binary or the checkout.
 	sites := stmtSites(p.Stmts)
 
-	var mu sync.Mutex
+	// Lower once to the stackless cursor form and run with no per-task
+	// goroutines at all — each task is a program counter the engine advances
+	// in place. The engine steps one task at a time on this goroutine, so the
+	// streams share the log slice without a lock.
 	var logs []LogEntry
-
-	var res *mpi.Result
-	var err error
-	if !cfg.treeWalk {
-		// Lower once to the stackless cursor form and run with no per-task
-		// goroutines at all — each task is a program counter the engine
-		// advances in place. RunStackless refuses the goroutine runtime.
-		cp := lowerCursor(p, n, plans, sites)
-		res, err = mpi.RunStackless(n, model, func(rank int) mpi.OpStream {
-			return &cursorStream{prog: cp, me: rank, mu: &mu, logs: &logs}
-		}, cfg.mpiOpts...)
-	} else {
-		body := func(r *mpi.Rank) {
-			st := &taskState{
-				rank:  r,
-				n:     n,
-				comms: map[string]*mpi.Comm{},
-				sites: sites,
-				mu:    &mu,
-				logs:  &logs,
-			}
-			for i, plan := range plans {
-				color := -1
-				if plan.set.Contains(r.Rank()) {
-					color = 0
-				}
-				r.SetCallSite(planSite(i))
-				if sub := r.CommSplit(r.World(), color, r.Rank()); sub != nil {
-					st.comms[plan.key] = sub
-				}
-			}
-			st.exec(p.Stmts)
-			if len(st.outstanding) > 0 {
-				// The stackless end-of-body drain stamps this constant; stamp
-				// it here too so the implicit trailing Waitall traces
-				// identically.
-				r.SetCallSite(mpi.EndDrainSite)
-				r.Waitall(st.outstanding...)
-				st.outstanding = nil
-			}
-		}
-		res, err = mpi.Run(n, model, body, cfg.mpiOpts...)
-	}
+	cp := lowerCursor(p, n, plans, sites)
+	res, err := mpi.RunStackless(n, model, func(rank int) mpi.OpStream {
+		return &cursorStream{prog: cp, me: rank, logs: &logs}
+	}, cfg.mpiOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -181,149 +134,4 @@ func collectCommPlans(stmts []Stmt, n int) []commPlan {
 		plans[i] = commPlan{key: k, set: seen[k]}
 	}
 	return plans
-}
-
-// taskState is one task's state under the tree-walk reference path.
-type taskState struct {
-	rank        *mpi.Rank
-	n           int
-	comms       map[string]*mpi.Comm // task-group key -> communicator
-	sites       map[Stmt]siteInfo    // deterministic call sites
-	outstanding []*mpi.Request
-	resetAt     float64
-	mu          *sync.Mutex
-	logs        *[]LogEntry
-}
-
-// commFor returns the communicator covering the union of the given task
-// sets (the world communicator when the union covers everyone).
-func (st *taskState) commFor(sets ...taskset.Set) *mpi.Comm {
-	u := taskset.Empty
-	for _, s := range sets {
-		u = u.Union(s)
-	}
-	if u.Size() == st.n {
-		return st.rank.World()
-	}
-	if c, ok := st.comms[u.String()]; ok {
-		return c
-	}
-	// Should have been planned; fall back to world to stay safe.
-	return st.rank.World()
-}
-
-func (st *taskState) exec(stmts []Stmt) {
-	me := st.rank.Rank()
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *LoopStmt:
-			for i := 0; i < x.Count; i++ {
-				st.exec(x.Body)
-			}
-		case *SendStmt:
-			if !x.Who.Contains(me, st.n) {
-				continue
-			}
-			dst := x.Dest.Eval(me, st.n)
-			st.rank.SetCallSite(st.sites[s].pri)
-			if x.Async {
-				st.outstanding = append(st.outstanding, st.rank.Isend(st.rank.World(), dst, 0, x.Size))
-			} else {
-				st.rank.Send(st.rank.World(), dst, 0, x.Size)
-			}
-		case *RecvStmt:
-			if !x.Who.Contains(me, st.n) {
-				continue
-			}
-			src := x.Source.Eval(me, st.n)
-			st.rank.SetCallSite(st.sites[s].pri)
-			if x.Async {
-				st.outstanding = append(st.outstanding, st.rank.Irecv(st.rank.World(), src, 0, x.Size))
-			} else {
-				st.rank.Recv(st.rank.World(), src, 0, x.Size)
-			}
-		case *AwaitStmt:
-			if !x.Who.Contains(me, st.n) {
-				continue
-			}
-			if len(st.outstanding) > 0 {
-				st.rank.SetCallSite(st.sites[s].pri)
-				st.rank.Waitall(st.outstanding...)
-				st.outstanding = st.outstanding[:0]
-			}
-		case *SyncStmt:
-			if !x.Who.Contains(me, st.n) {
-				continue
-			}
-			st.rank.SetCallSite(st.sites[s].pri)
-			st.rank.Barrier(st.commFor(x.Who.Set(st.n)))
-		case *ReduceStmt:
-			st.execReduce(x)
-		case *MulticastStmt:
-			st.execMulticast(x)
-		case *ComputeStmt:
-			if x.Who.Contains(me, st.n) {
-				st.rank.Compute(x.USecs)
-			}
-		case *ResetStmt:
-			if x.Who.Contains(me, st.n) {
-				st.resetAt = st.rank.Clock()
-			}
-		case *LogStmt:
-			if x.Who.Contains(me, st.n) {
-				entry := LogEntry{Label: x.Label, Task: me, Value: st.rank.Clock() - st.resetAt}
-				st.mu.Lock()
-				*st.logs = append(*st.logs, entry)
-				st.mu.Unlock()
-			}
-		}
-	}
-}
-
-// execReduce maps a REDUCE statement onto the runtime: sources equal to
-// destinations is an allreduce, a singleton destination is a rooted reduce,
-// and anything else is a reduce followed by a multicast among the
-// destinations.
-func (st *taskState) execReduce(x *ReduceStmt) {
-	me := st.rank.Rank()
-	srcs, dsts := x.Srcs.Set(st.n), x.Dsts.Set(st.n)
-	if !srcs.Contains(me) && !dsts.Contains(me) {
-		return
-	}
-	comm := st.commFor(srcs, dsts)
-	si := st.sites[x]
-	switch {
-	case srcs.Equal(dsts):
-		st.rank.SetCallSite(si.pri)
-		st.rank.Allreduce(comm, x.Size)
-	case dsts.Size() == 1:
-		root, _ := comm.CommRank(dsts.Min())
-		st.rank.SetCallSite(si.pri)
-		st.rank.Reduce(comm, root, x.Size)
-	default:
-		root, _ := comm.CommRank(dsts.Min())
-		st.rank.SetCallSite(si.pri)
-		st.rank.Reduce(comm, root, x.Size)
-		st.rank.SetCallSite(si.sec)
-		st.rank.Bcast(comm, root, x.Size)
-	}
-}
-
-// execMulticast maps a MULTICAST statement: a singleton source is a
-// broadcast; multiple sources form a many-to-many exchange (Table 1's
-// Alltoall family).
-func (st *taskState) execMulticast(x *MulticastStmt) {
-	me := st.rank.Rank()
-	srcs, dsts := x.Srcs.Set(st.n), x.Dsts.Set(st.n)
-	if !srcs.Contains(me) && !dsts.Contains(me) {
-		return
-	}
-	comm := st.commFor(srcs, dsts)
-	st.rank.SetCallSite(st.sites[x].pri)
-	if srcs.Size() == 1 {
-		root, _ := comm.CommRank(srcs.Min())
-		st.rank.Bcast(comm, root, x.Size)
-		return
-	}
-	st.rank.Alltoall(comm, x.Size)
 }

@@ -73,27 +73,6 @@ func TestRunContextCancelUnblocksRanks(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestRunContextCancelGoroutineRuntime exercises the goroutine runtime's
-// teardown of ranks blocked in each of its waits: rank 0 on a mailbox
-// condition variable, the rest in lockedColl's mutex+cond rendezvous.
-func TestRunContextCancelGoroutineRuntime(t *testing.T) {
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	_, err := Run(8, netmodel.Ideal(), blockedBody,
-		WithContext(ctx), WithGoroutineRuntime(), WithTimeout(30*time.Second))
-	if err == nil {
-		t.Fatal("Run succeeded, want cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error %v does not wrap context.Canceled", err)
-	}
-	waitForGoroutines(t, base)
-}
-
 // TestEventEngineDeadlockDetectedInstantly pins the event engine's deadlock
 // proof: a world whose ranks all block forever is reported the moment the
 // run queue empties — well inside the 60-second default timeout — and its
@@ -117,19 +96,6 @@ func TestEventEngineDeadlockDetectedInstantly(t *testing.T) {
 func TestRunTimeoutDrainsGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	_, err := Run(4, netmodel.Ideal(), foreverBody, WithTimeout(200*time.Millisecond))
-	if err == nil || !strings.Contains(err.Error(), "deadlock suspected") {
-		t.Fatalf("Run error = %v, want deadlock timeout", err)
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestRunTimeoutGoroutineRuntime pins the same timeout sweep for the
-// goroutine runtime with ranks genuinely blocked (its only way to observe a
-// deadlocked world).
-func TestRunTimeoutGoroutineRuntime(t *testing.T) {
-	base := runtime.NumGoroutine()
-	_, err := Run(4, netmodel.Ideal(), blockedBody,
-		WithGoroutineRuntime(), WithTimeout(200*time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "deadlock suspected") {
 		t.Fatalf("Run error = %v, want deadlock timeout", err)
 	}

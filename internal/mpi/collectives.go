@@ -187,7 +187,7 @@ func (r *Rank) leaveRound(st entryState, c *Comm, me int, op *RankOp, completion
 }
 
 // rendezvous issues one synchronizing operation from a rank that has a stack
-// to block on: join the round, wait in collSync.arrive until the last member
+// to block on: join the round, wait in seqColl.arrive until the last member
 // closes it, leave. A stackless cursor runs the same two halves around a
 // return to the drive loop (slExec.execRendezvous).
 func (r *Rank) rendezvous(c *Comm, op *RankOp) *Comm {

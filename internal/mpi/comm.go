@@ -3,9 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-	"sync"
-
-	"repro/internal/netmodel"
 )
 
 // Comm is a communicator: an ordered subset of world ranks with its own
@@ -20,7 +17,8 @@ type Comm struct {
 	// (always the case for the world communicator), letting rank
 	// translation skip the index map entirely.
 	identity bool
-	sync     collSync
+	// sync is the rendezvous the communicator's collective rounds meet at.
+	sync *seqColl
 }
 
 // ID returns the communicator's unique identifier within its world.
@@ -75,113 +73,8 @@ func newComm(w *World, id int, group []int) *Comm {
 			c.index[wr] = i
 		}
 	}
-	if w.sched != nil {
-		c.sync = newSeqColl(w.sched, c.group)
-	} else {
-		c.sync = newLockedColl(len(group), w.stop)
-	}
+	c.sync = newSeqColl(w.sched, c.group)
 	return c
-}
-
-// collSync is the rendezvous implementing one collective round: all members
-// arrive with their virtual clocks and their collRound, the last arriver
-// closes the round — completion is the maximum entry clock plus the round's
-// cost at the maximum contribution; a CommSplit/CommDup round also mints its
-// shared value from the gathered keys — and everyone leaves with the
-// completion times and that value. The cost is data (collCost), not a
-// closure, so an ordinary collective's arrival heap-allocates nothing.
-// Generation matching is implicit: the i-th collective call on each rank
-// joins the i-th round, which is exactly MPI's per-communicator collective
-// ordering. Two implementations exist — seqColl for the event engine
-// (seqcoll.go) and the mutex+cond lockedColl for the goroutine runtime.
-type collSync interface {
-	arrive(commRank int, op Op, clock, shadow float64, rd collRound,
-		m *netmodel.Model) (completion, shadowCompletion float64, shared any)
-}
-
-// lockedColl is the goroutine runtime's collSync: one mutex plus condition
-// variable per communicator. Every arrival serializes on the lock and the
-// last arriver's broadcast wakes all waiters; its simplicity makes it the
-// ground truth the differential tests compare the event engine's virtual
-// clocks against.
-type lockedColl struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	size int
-	stop *runStop
-
-	gen        uint64
-	arrived    int
-	maxClock   float64
-	maxShadow  float64
-	op         Op
-	keys       []any // per-comm-rank keys (CommSplit rounds)
-	maxContrib int   // running max contribution
-
-	// Results of the completed round, readable until the next round ends.
-	completion       float64
-	shadowCompletion float64
-	shared           any
-}
-
-func newLockedColl(size int, stop *runStop) *lockedColl {
-	cs := &lockedColl{size: size, stop: stop, keys: make([]any, size)}
-	cs.cond = sync.NewCond(&cs.mu)
-	stop.register(cs.cond)
-	return cs
-}
-
-// arrive performs one collective round; see collSync. Max over non-negative
-// ints is order-independent, so the cost input — and therefore every virtual
-// clock — does not depend on the order the goroutines got here in.
-func (cs *lockedColl) arrive(commRank int, op Op, clock, shadow float64, rd collRound,
-	m *netmodel.Model) (float64, float64, any) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-
-	myGen := cs.gen
-	if cs.arrived == 0 {
-		cs.op = op
-		cs.maxClock = clock
-		cs.maxShadow = shadow
-		cs.maxContrib = 0
-	} else if cs.op != op {
-		panic(fmt.Sprintf("mpi: collective mismatch: rank %d called %v while round started with %v", commRank, op, cs.op))
-	} else {
-		if clock > cs.maxClock {
-			cs.maxClock = clock
-		}
-		if shadow > cs.maxShadow {
-			cs.maxShadow = shadow
-		}
-	}
-	if rd.contrib > cs.maxContrib {
-		cs.maxContrib = rd.contrib
-	}
-	cs.keys[commRank] = rd.key
-	cs.arrived++
-
-	if cs.arrived == cs.size {
-		// Last arriver closes the round. The shadow timeline completes at
-		// the same collective cost applied to the shadow arrival front.
-		cs.completion = cs.maxClock + evalCollCost(m, rd.cost, cs.maxContrib)
-		cs.shadowCompletion = cs.maxShadow + (cs.completion - cs.maxClock)
-		cs.shared = nil
-		if rd.mint != nil {
-			cs.shared = rd.mint(cs.keys)
-		}
-		cs.gen++
-		cs.arrived = 0
-		cs.cond.Broadcast()
-		return cs.completion, cs.shadowCompletion, cs.shared
-	}
-	// A later round cannot complete without this member arriving again, so
-	// once gen advances the stored completion/shared belong to our round.
-	for cs.gen == myGen {
-		cs.stop.checkStopped()
-		cs.cond.Wait()
-	}
-	return cs.completion, cs.shadowCompletion, cs.shared
 }
 
 // splitKey orders members of a split by (key, worldRank), per MPI_Comm_split.

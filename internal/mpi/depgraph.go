@@ -14,10 +14,8 @@ package mpi
 // representations — coroutine and stackless cursor — record through the
 // same shared code paths, so their graphs are deep-equal as well.
 //
-// Only the event engine can host the profiler: the goroutine runtime's
-// physical concurrency has no single observation point per dependency
-// (prepare rejects the combination). The post-run analysis lives in
-// internal/critpath, which depends on this package and not vice versa.
+// The post-run analysis lives in internal/critpath, which depends on this
+// package and not vice versa.
 
 // DepKind classifies one recorded causal dependency.
 type DepKind uint8

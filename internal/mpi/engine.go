@@ -211,6 +211,6 @@ func (pw *pooledWorld) reset(model *netmodel.Model, cfg *config) {
 	// Sub-communicators minted by CommSplit/CommDup died with the previous
 	// run (nothing in the world references them); only the world
 	// communicator's rendezvous needs re-arming.
-	w.commWorld.sync.(*seqColl).reset()
+	w.commWorld.sync.reset()
 	w.nextCommID = 0
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // message is one in-flight point-to-point transfer. All ranks are world
 // ranks; communicator-relative ranks are translated before messages enter
@@ -32,9 +29,8 @@ type postedRecv struct {
 	order    uint64   // mailbox-wide post order, for earliest-acceptor ties
 	msg      *message // non-nil once matched
 	// fastMatched records that post consumed an already-queued message, so
-	// the receive was never enqueued and its completion can skip the
-	// mailbox lock entirely. Written under the mailbox lock by the posting
-	// rank and read only by that rank afterwards.
+	// the receive was never enqueued and its completion has no tombstone to
+	// account for. Written by the posting rank and read only by it afterwards.
 	fastMatched bool
 }
 
@@ -183,7 +179,7 @@ type srcSlot struct {
 	credit   creditWaiter
 }
 
-// creditWaiter is a sender parked (event engine only) on this mailbox's
+// creditWaiter is a sender parked on this mailbox's
 // flow control: it resumes once msg is drained or the source's inflight
 // count falls to the window. It lives inside the source's srcSlot — a
 // sender is serial, so at most one stall per (source, receiver) pair can
@@ -215,13 +211,10 @@ type anyCand struct {
 // the earliest virtual arrival (source rank breaking ties), and a deposit
 // attaches to the earliest posted acceptor.
 //
-// The mailbox runs in one of two synchronization regimes. Under the
-// goroutine runtime every operation serializes on the mutex and blocking
-// waits park on the condition variable. Under the event engine (seq
-// non-nil) at most one rank executes at a time, so the same structures are
-// used with no locking at all: blocking waits return control to the
-// scheduler's driver, and the operations that satisfy them (a matching deposit,
-// a credit-releasing drain) push the waiter back onto the run queue.
+// At most one rank executes at a time under the event engine, so the mailbox
+// needs no locking at all: blocking waits return control to the scheduler's
+// driver, and the operations that satisfy them (a matching deposit, a
+// credit-releasing drain) push the waiter back onto the run queue.
 //
 // The per-source index is an int32 slice (0 = no state yet, else slot
 // position + 1) into a compact slice of srcSlots that grows with the
@@ -233,9 +226,6 @@ type anyCand struct {
 // so the index falls back to a lazy per-mailbox map keyed by source rank —
 // still compact, because each rank talks to few peers.
 type mailbox struct {
-	mu   sync.Mutex
-	cond sync.Cond
-
 	srcIdx   []int32         // dense index by source world rank; 0 = none, else 1+slot
 	srcMap   map[int32]int32 // sparse index, used when srcIdx is nil
 	slots    []srcSlot       // per-source state for sources seen so far
@@ -265,31 +255,22 @@ type mailbox struct {
 	lastDrain float64 // receiver clock at the most recent drain
 
 	// owner is the world rank this mailbox belongs to; seq is the event
-	// engine, nil under the goroutine runtime.
+	// engine that parks and wakes it.
 	owner int32
 	seq   *eventLoop
-
-	// stop is the world's cancellation latch; every blocking wait re-checks
-	// it after waking so a poisoned world unblocks its receivers and stalled
-	// senders.
-	stop *runStop
 }
 
 // initMailbox prepares a zero mailbox in place. srcIdx is its dense
 // per-source index, carved from a world-sized backing array; a nil srcIdx
 // selects the sparse map index instead (worlds above denseSrcIndexRanks).
-// seq non-nil puts the mailbox in event-engine mode.
-func (mb *mailbox) initMailbox(srcIdx []int32, owner int32, stop *runStop, seq *eventLoop) {
+func (mb *mailbox) initMailbox(srcIdx []int32, owner int32, seq *eventLoop) {
 	mb.srcIdx = srcIdx
 	mb.owner = owner
-	mb.cond.L = &mb.mu
-	mb.stop = stop
 	mb.seq = seq
 }
 
 // slot returns the per-source state for src, allocating it on first use.
-// The mailbox lock must be held (goroutine runtime). The returned pointer
-// is invalidated by the next slot call (growth may move the slice), so
+// The returned pointer is invalidated by the next slot call (growth may move the slice), so
 // callers must not retain it across allocations.
 func (mb *mailbox) slot(src int) *srcSlot {
 	var i int32
@@ -314,7 +295,7 @@ func (mb *mailbox) slot(src int) *srcSlot {
 }
 
 // lookup returns the per-source state for src, or nil if the source has no
-// state yet. The mailbox lock must be held (goroutine runtime).
+// state yet.
 func (mb *mailbox) lookup(src int) *srcSlot {
 	var i int32
 	if mb.srcIdx != nil {
@@ -330,27 +311,11 @@ func (mb *mailbox) lookup(src int) *srcSlot {
 
 // deposit delivers a message. If a compatible posted receive exists the
 // message is attached to the earliest one; otherwise it joins the source's
-// unexpected queue. deposit never blocks (eager/buffered semantics). Under
-// the event engine a match wakes the owner: it may be parked in awaitMatch
-// on the receive just satisfied (an unmatched deposit cannot unblock it, so
-// no wake is needed then).
+// unexpected queue. deposit never blocks (eager/buffered semantics). A match
+// wakes the owner: it may be parked in awaitMatch on the receive just
+// satisfied (an unmatched deposit cannot unblock it, so no wake is needed
+// then).
 func (mb *mailbox) deposit(m *message) {
-	if mb.seq != nil {
-		if mb.depositCore(m) {
-			mb.seq.wake(mb.owner)
-		}
-		return
-	}
-	mb.mu.Lock()
-	matched := mb.depositCore(m)
-	mb.cond.Broadcast()
-	mb.mu.Unlock()
-	_ = matched
-}
-
-// depositCore is deposit's synchronization-free body; it reports whether
-// the message matched a posted receive.
-func (mb *mailbox) depositCore(m *message) bool {
 	s := mb.slot(m.src)
 	s.inflight++
 	// Earliest acceptor across the source's queue and the AnySource queue.
@@ -361,7 +326,8 @@ func (mb *mailbox) depositCore(m *message) bool {
 	if best != nil {
 		best.msg = m
 		m.matched = true
-		return true
+		mb.seq.wake(mb.owner)
+		return
 	}
 	s.unex.push(m)
 	mb.unexLive++
@@ -373,7 +339,6 @@ func (mb *mailbox) depositCore(m *message) bool {
 			mb.anyPush(anyCand{arrival: m.arrival, src: int32(m.src), msg: m})
 		}
 	}
-	return false
 }
 
 // post registers the receive p (allocated by the calling rank) and attempts
@@ -384,17 +349,6 @@ func (mb *mailbox) depositCore(m *message) bool {
 // that case p was never enqueued and the receive needs no further mailbox
 // interaction.
 func (mb *mailbox) post(p *postedRecv) (matched bool) {
-	if mb.seq != nil {
-		return mb.postCore(p)
-	}
-	mb.mu.Lock()
-	matched = mb.postCore(p)
-	mb.mu.Unlock()
-	return matched
-}
-
-// postCore is post's synchronization-free body.
-func (mb *mailbox) postCore(p *postedRecv) bool {
 	p.order = mb.postCount
 	mb.postCount++
 	if m := mb.takeUnexpected(p); m != nil {
@@ -541,33 +495,18 @@ func (mb *mailbox) anyPop() {
 
 // awaitMatch blocks until p has been matched by a depositor. The matched
 // entry stays tombstoned in its posted queue (p.msg != nil makes every scan
-// skip it) until compaction reclaims it. Under the goroutine runtime the
-// receiver parks immediately on the condition variable: a point-to-point
-// match depends on one specific sender rather than the whole communicator,
-// so the deposit rarely lands within a scheduler rotation and speculative
-// yields only add lock round-trips. Under the event engine the receiver
-// returns control to the driver and the matching deposit wakes it; wakes
-// may be spurious (any activity on this rank's structures), hence the loop.
+// skip it) until compaction reclaims it. The receiver returns control to the
+// driver and the matching deposit wakes it; wakes may be spurious (any
+// activity on this rank's structures), hence the loop.
 func (mb *mailbox) awaitMatch(p *postedRecv) {
-	if mb.seq != nil {
-		for p.msg == nil {
-			mb.seq.block(mb.owner)
-		}
-		mb.noteConsumedLocked(p)
-		return
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
 	for p.msg == nil {
-		mb.stop.checkStopped()
-		mb.cond.Wait()
+		mb.seq.block(mb.owner)
 	}
-	mb.noteConsumedLocked(p)
+	mb.noteConsumed(p)
 }
 
-// noteConsumedLocked accounts for p's tombstone in its posted queue; the
-// mailbox lock must be held (goroutine runtime).
-func (mb *mailbox) noteConsumedLocked(p *postedRecv) {
+// noteConsumed accounts for p's tombstone in its posted queue.
+func (mb *mailbox) noteConsumed(p *postedRecv) {
 	if p.src == AnySource {
 		mb.postedAny.noteConsumed(p)
 	} else if s := mb.lookup(p.src); s != nil {
@@ -589,37 +528,24 @@ func (q *recvQueue) noteConsumed(p *postedRecv) {
 // drain marks the receive of m complete at receiver virtual time now,
 // returning flow-control credit to the sender.
 func (mb *mailbox) drain(m *message, now float64) {
-	if mb.seq != nil {
-		if !m.drained {
-			m.drained = true
-			s := mb.slot(m.src)
-			s.inflight--
-			if now > mb.lastDrain {
-				mb.lastDrain = now
-			}
-			if cw := &s.credit; cw.msg != nil &&
-				(cw.msg.drained || s.inflight <= int(cw.window)) {
-				mb.releaseCredit(cw)
-			}
-		}
+	if m.drained {
 		return
 	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if !m.drained {
-		m.drained = true
-		mb.slot(m.src).inflight--
-		if now > mb.lastDrain {
-			mb.lastDrain = now
-		}
-		mb.cond.Broadcast()
+	m.drained = true
+	s := mb.slot(m.src)
+	s.inflight--
+	if now > mb.lastDrain {
+		mb.lastDrain = now
+	}
+	if cw := &s.credit; cw.msg != nil &&
+		(cw.msg.drained || s.inflight <= int(cw.window)) {
+		mb.releaseCredit(cw)
 	}
 }
 
-// releaseCredit (event engine) wakes the one parked sender whose stall this
-// drain resolved, recording the releasing drain clock on the sender so its
-// resume time reflects the drain that freed it — the same instant a
-// promptly-scheduled goroutine-runtime sender would observe.
+// releaseCredit wakes the one parked sender whose stall this drain resolved,
+// recording the releasing drain clock on the sender so its resume time
+// reflects the drain that freed it.
 func (mb *mailbox) releaseCredit(cw *creditWaiter) {
 	snd := mb.seq.rank(cw.rank)
 	snd.cwDone = true
@@ -638,32 +564,19 @@ func (mb *mailbox) awaitCredit(msg *message, window int, senderClock float64) (r
 	if window <= 0 {
 		return senderClock, false
 	}
-	if mb.seq != nil {
-		s := mb.slot(msg.src)
-		if msg.drained || s.inflight <= window {
-			return senderClock, false
-		}
-		me := int32(msg.src)
-		snd := mb.seq.rank(me)
-		snd.cwDone = false
-		snd.cwResume = 0
-		s.credit = creditWaiter{rank: me, window: int32(window), msg: msg}
-		for !snd.cwDone {
-			mb.seq.block(me)
-		}
-		return math.Max(senderClock, snd.cwResume), true
+	s := mb.slot(msg.src)
+	if msg.drained || s.inflight <= window {
+		return senderClock, false
 	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for !msg.drained && mb.slot(msg.src).inflight > window {
-		mb.stop.checkStopped()
-		stalled = true
-		mb.cond.Wait()
+	me := int32(msg.src)
+	snd := mb.seq.rank(me)
+	snd.cwDone = false
+	snd.cwResume = 0
+	s.credit = creditWaiter{rank: me, window: int32(window), msg: msg}
+	for !snd.cwDone {
+		mb.seq.block(me)
 	}
-	if stalled {
-		return math.Max(senderClock, mb.lastDrain), true
-	}
-	return senderClock, false
+	return math.Max(senderClock, snd.cwResume), true
 }
 
 // reset empties a queue for the next run on a pooled world, clearing the
@@ -687,7 +600,7 @@ func (q *recvQueue) reset() {
 // place, and a slot whose queues are empty is invisible to every matching
 // scan. Queue backing arrays keep their grown capacity — that retained
 // capacity is most of what a warm Run saves. Only safe after the previous
-// run has fully quiesced (no rank goroutine can touch the mailbox).
+// run has fully quiesced (no rank can touch the mailbox).
 func (mb *mailbox) reset() {
 	for i := range mb.slots {
 		s := &mb.slots[i]

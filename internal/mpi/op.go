@@ -1,7 +1,7 @@
 // Package mpi implements the message-passing substrate that stands in for a
-// real MPI library plus machine in this reproduction. Each rank runs as a
-// goroutine carrying a virtual clock in microseconds; communication costs are
-// charged through a netmodel.Model. The package supports blocking and
+// real MPI library plus machine in this reproduction. Each rank carries a
+// virtual clock in microseconds and is stepped by a discrete-event engine
+// (scheduler.go); communication costs are charged through a netmodel.Model. The package supports blocking and
 // nonblocking point-to-point operations with tags and wildcard sources, the
 // MPI collectives the paper's generator consumes (Table 1), and derived
 // communicators with rank renumbering.

@@ -6,7 +6,7 @@ import (
 )
 
 // Rank is one simulated MPI process. All methods must be called from the
-// rank's own goroutine (the body function passed to Run).
+// rank's own body (the function passed to Run).
 type Rank struct {
 	w         *World
 	rank      int
@@ -54,8 +54,8 @@ type Rank struct {
 	// stream.
 	opCount uint64
 	// cwDone/cwResume carry a flow-control release from the draining
-	// receiver back to this rank when it is parked as a creditWaiter (event
-	// engine only): cwResume is the drain clock that freed the stall. Both
+	// receiver back to this rank when it is parked as a creditWaiter:
+	// cwResume is the drain clock that freed the stall. Both
 	// are written by the releasing rank and read here, ordered by the
 	// scheduler's driver ↔ rank switches.
 	cwDone   bool
@@ -73,10 +73,9 @@ type Rank struct {
 	curSite uint64
 
 	// nextSite, when armed by SetCallSite, overrides the stack-walk call-site
-	// hash for the next traced operation. Replay drivers use it to stamp the
-	// original application's site onto re-issued operations, so a replayed
-	// trace is byte-identical to its source regardless of which engine — or
-	// which rank representation, stackful or stackless — drives the replay.
+	// hash for the next traced operation. The stackless executor uses it to
+	// stamp each operation's recorded site (a replayed leaf's, a generated
+	// statement's) instead of hashing the executor's own stack.
 	nextSite uint64
 	siteSet  bool
 
@@ -298,9 +297,10 @@ func (r *Rank) noteSite(site uint64) {
 }
 
 // SetCallSite overrides the call-site hash recorded for the next MPI
-// operation this rank issues, in place of the runtime's stack walk. Replay
-// bodies stamp each re-issued operation with the site recorded in the source
-// trace; the override is consumed by exactly one operation.
+// operation this rank issues, in place of the runtime's stack walk. The
+// stackless executor stamps each operation with the site its stream recorded
+// (a replayed trace's, a generated statement's); the override is consumed by
+// exactly one operation.
 func (r *Rank) SetCallSite(site uint64) {
 	r.nextSite = site
 	r.siteSet = true
@@ -381,7 +381,7 @@ func (r *Rank) inject(wdst, tag, size int) *message {
 }
 
 // postRecv builds a posted receive for this rank's current virtual time.
-// The mailbox stamps the post order under its lock.
+// The mailbox stamps the post order.
 func (r *Rank) postRecv(wsrc, tag int) *postedRecv {
 	if wsrc == AnySource {
 		ctrWildcardRecvs.Inc()
@@ -420,8 +420,8 @@ func (r *Rank) chargeCreditStall(resumeAt float64) {
 // arrival wait, receive overhead and — for messages that arrived (in virtual
 // time) before the receive was posted — the unexpected-queue copy penalty.
 // Whether the message is "unexpected" is a virtual-time property
-// (arrival <= post time), independent of which goroutine physically ran
-// first; this keeps timing deterministic under real scheduling races.
+// (arrival <= post time), independent of which rank the engine happened to
+// run first.
 func (r *Rank) completeRecv(p *postedRecv) {
 	m := r.w.model
 	msg := p.msg
@@ -496,7 +496,7 @@ func (r *Rank) Recv(c *Comm, src, tag, size int) Status {
 	p := r.postRecv(wsrc, tag)
 	// Fast path: the message was already queued and post consumed it, so
 	// the receive never entered a posted queue and there is nothing to wait
-	// for or tombstone — skip the second lock acquisition entirely.
+	// for or tombstone.
 	if !mb.post(p) {
 		mb.awaitMatch(p)
 	}

@@ -29,11 +29,10 @@ func scaleBody(steps int) func(*Rank) {
 }
 
 // TestEventEngineScales65536 is the scale proof behind MaxRunnableRanks: the
-// event engine runs a 65536-rank world — 16x the goroutine runtime's old
-// admission ceiling — inside the default 60-second Run timeout, with the
-// sparse mailbox index keeping memory far from the n² dense slab (16 TiB at
-// this n). Skipped in short mode and under the race detector, whose
-// instrumentation would dominate the measurement.
+// event engine runs a 65536-rank world inside the default 60-second Run
+// timeout, with the sparse mailbox index keeping memory far from the n² dense
+// slab (16 TiB at this n). Skipped in short mode and under the race detector,
+// whose instrumentation would dominate the measurement.
 func TestEventEngineScales65536(t *testing.T) {
 	if testing.Short() {
 		t.Skip("65536-rank world is skipped in short mode")

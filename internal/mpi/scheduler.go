@@ -25,8 +25,7 @@ import (
 // back onto the run queue. The run queue is a min-heap keyed on (virtual
 // clock, rank), so execution advances in virtual-time order with a fixed
 // tie-break — which makes the engine fully deterministic, including
-// wildcard-receive matching, where the goroutine runtime depends on
-// physical arrival order.
+// wildcard-receive matching.
 //
 // A coroutine switch is a direct goroutine-to-goroutine transfer on the
 // current thread: it never enters the Go scheduler, readies nothing and

@@ -6,14 +6,19 @@ import (
 	"repro/internal/netmodel"
 )
 
-// seqColl is the event engine's collSync: the same rendezvous algebra as
-// lockedColl — identical max-folds, identical completion formulas, so every
-// virtual clock is bit-identical — with the mutex, condition variable and
-// broadcast storm replaced by the scheduler's block/wake protocol. Only one
-// rank runs at a time under the event engine, so the round state needs no
-// synchronization at all: a non-last arriver registers itself as waiting
-// and returns control to the driver; the last arriver closes the round and
-// pushes every waiter back onto the run queue.
+// seqColl is the rendezvous implementing a communicator's collective rounds:
+// all members arrive with their virtual clocks and their collRound, the last
+// arriver closes the round — completion is the maximum entry clock plus the
+// round's cost at the maximum contribution; a CommSplit/CommDup round also
+// mints its shared value from the gathered keys — and everyone leaves with
+// the completion times and that value. The cost is data (collCost), not a
+// closure, so an ordinary collective's arrival heap-allocates nothing.
+// Generation matching is implicit: the i-th collective call on each rank
+// joins the i-th round, which is exactly MPI's per-communicator collective
+// ordering. Only one rank runs at a time under the event engine, so the round
+// state needs no synchronization: a non-last arriver registers itself as
+// waiting and returns control to the driver; the last arriver closes the
+// round and pushes every waiter back onto the run queue.
 //
 // The arrival bookkeeping and the round close are split-phase (arriveRound/
 // closeRound): a coroutine rank parks in await between the two (arrive), a
@@ -162,7 +167,8 @@ func (cs *seqColl) closeRound(m *netmodel.Model, rd *collRound) {
 	cs.finishRound()
 }
 
-// arrive implements collSync for a rank with a stack to park on.
+// arrive performs one collective round for a rank with a stack to park on:
+// it returns the round's completion, shadow completion and minted value.
 func (cs *seqColl) arrive(commRank int, op Op, clock, shadow float64, rd collRound,
 	m *netmodel.Model) (float64, float64, any) {
 	myGen, last := cs.arriveRound(commRank, op, clock, shadow, rd.contrib, rd.key)

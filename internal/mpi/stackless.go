@@ -3,10 +3,8 @@ package mpi
 import (
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"repro/internal/netmodel"
-	"repro/internal/telemetry"
 )
 
 // This file is the stackless rank representation: phase 2 of the event
@@ -22,8 +20,7 @@ import (
 // registrations a coroutine rank makes), and the wake pushes it back onto
 // the identical (clock, rank)-keyed run queue, so the dispatch order — and
 // therefore every virtual clock, every wildcard match, every trace byte — is
-// bit-identical to the coroutine engine. The differential suite pins exactly
-// that.
+// the one a coroutine rank issuing the same operations would produce.
 //
 // Synchronizing operations are defined once: a cursor and the imperative API
 // both run Rank.joinRound and Rank.leaveRound over the table in
@@ -32,9 +29,10 @@ import (
 // own: they make Rank.Send/Recv/Waitall's calls in the same order — inject,
 // postRecv, completeRecv, chargeCreditStall — with each blocking wait
 // (stallForCredit, awaitMatch) replaced by a park whose predicate tryResume
-// tests. That copy is deliberate: it is the hot path of every replayed event,
-// and the replay differential suites hold the two to identical traces and
-// clocks.
+// tests. That copy is deliberate: it is the hot path of every replayed event.
+// The golden digests of testdata/engine_golden.json, recorded while a
+// coroutine replayer still ran beside the cursors and agreed with them, hold
+// it to its traces and clocks.
 
 // RankOp is one operation of a stackless rank body: the op code, the
 // compute phase preceding it, and the operation's resolved parameters.
@@ -75,12 +73,10 @@ type OpStream interface {
 	Next(r *Rank, op *RankOp) bool
 }
 
-// EndDrainSite is the call-site hash stamped on the implicit end-of-body
-// Waitall that drains requests left outstanding when a stream ends. Replay
-// bodies stamp the same constant on their trailing drain so stackful and
-// stackless replays of the same trace stay byte-identical. (The value spells
-// "enddrain".)
-const EndDrainSite uint64 = 0x656e64647261696e
+// endDrainSite is the call-site hash stamped on the implicit end-of-body
+// Waitall that drains requests left outstanding when a stream ends. (The
+// value spells "enddrain".)
+const endDrainSite uint64 = 0x656e64647261696e
 
 // rankMainSite is the call-site hash of the Init and Finalize events every
 // rank opens and closes with: callSite() truncates its stack walk at rankMain,
@@ -192,7 +188,7 @@ func (x *slExec) tryResume(r *Rank) bool {
 		if p.msg == nil {
 			return false
 		}
-		r.w.mailboxes[r.rank].noteConsumedLocked(p)
+		r.w.mailboxes[r.rank].noteConsumed(p)
 		x.pendP = nil
 	case pendCredit:
 		if !r.cwDone {
@@ -244,7 +240,7 @@ func (x *slExec) step(r *Rank) (done bool) {
 					x.phase = phFinalize
 					continue
 				}
-				x.op = RankOp{Op: OpWaitall, Site: EndDrainSite}
+				x.op = RankOp{Op: OpWaitall, Site: endDrainSite}
 				x.hasOp = true
 				x.stage = 0
 				x.wstage = 0
@@ -404,7 +400,7 @@ func (x *slExec) execDrain(r *Rank) bool {
 							x.pendP = q.pr
 							return true
 						}
-						r.w.mailboxes[r.rank].noteConsumedLocked(q.pr)
+						r.w.mailboxes[r.rank].noteConsumed(q.pr)
 					}
 					x.wstage = 1
 				}
@@ -453,7 +449,7 @@ func (x *slExec) execDrain(r *Rank) bool {
 
 // execRendezvous runs any synchronizing operation — the collectives,
 // CommSplit, CommDup, the runtime's own Finalize — as Rank.rendezvous does,
-// with the wait inside collSync.arrive replaced by a park on the round: join,
+// with the wait inside seqColl.arrive replaced by a park on the round: join,
 // arrive, and either close the round (last member) or return to the drive
 // loop until tryResume sees the generation advance; then leave. A minted
 // communicator is registered under the stream's ID for later operations.
@@ -466,7 +462,7 @@ func (x *slExec) execRendezvous(r *Rank) bool {
 		x.c = x.comm(r, op.CommID)
 		var rd collRound
 		x.me = r.joinRound(x.c, op, &rd)
-		cs := x.c.sync.(*seqColl)
+		cs := x.c.sync
 		myGen, last := cs.arriveRound(x.me, op.Op, r.clock, r.shadow, rd.contrib, rd.key)
 		x.stage = 1
 		if !last {
@@ -478,7 +474,7 @@ func (x *slExec) execRendezvous(r *Rank) bool {
 		}
 		cs.closeRound(r.w.model, &rd)
 	}
-	cs := x.c.sync.(*seqColl)
+	cs := x.c.sync
 	nc := r.leaveRound(x.st, x.c, x.me, op, cs.completion, cs.shadowCompletion, cs.shared)
 	if nc != nil && op.NewCommID != 0 {
 		x.comms[op.NewCommID] = nc
@@ -506,30 +502,9 @@ func (e *eventLoop) stepCursor(i int32) {
 }
 
 // RunStackless executes one stackless body per rank: progFor is called once
-// per rank for its operation stream. Only the discrete-event engine can
-// drive cursors, so combining this with WithGoroutineRuntime is an error.
-// All other options (tracers, timeouts, contexts, WithEngine pooling) behave
-// as in Run, and the results are bit-identical to running the equivalent
-// imperative body on either runtime.
+// per rank for its operation stream. All options (tracers, timeouts,
+// contexts, WithEngine pooling) behave as in Run, and the results are those
+// of an imperative body issuing the same operations.
 func RunStackless(n int, model *netmodel.Model, progFor func(rank int) OpStream, opts ...Option) (*Result, error) {
-	cfg, err := prepare(&n, &model, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.goroutineRT {
-		return nil, fmt.Errorf("mpi: stackless bodies require the event engine (drop WithGoroutineRuntime)")
-	}
-	if cfg.engine != nil {
-		return cfg.engine.run(n, model, nil, progFor, cfg)
-	}
-	var setupStart time.Time
-	if telemetry.Enabled() {
-		setupStart = time.Now()
-	}
-	w, ranks := newWorld(n, model, cfg)
-	ctrWorldReuseMisses.Inc()
-	if !setupStart.IsZero() {
-		histRunSetupUS.Observe(float64(time.Since(setupStart)) / float64(time.Microsecond))
-	}
-	return runEvent(w, cfg, ranks, nil, progFor)
+	return runWorld(n, model, nil, progFor, opts)
 }

@@ -1,27 +1,32 @@
 package mpi
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/netmodel"
 )
 
-// TestCollectiveStress256 runs the goroutine runtime at scale: 256 ranks
-// issuing back-to-back mixed collectives interleaved with point-to-point
-// traffic through the mailboxes, on both the world communicator and a split
-// sub-communicator. Run under -race (make check), it is the memory-model
-// check for the reference runtime's transport and rendezvous; it also asserts
-// the event engine's clocks agree with it bit for bit.
-// Skipped in short mode: 256 ranks x both runtimes is deliberately heavy.
+// stressClocks digests the 256-rank stress run's per-rank clocks: the float64
+// bit patterns, as the root package's engine golden digests them. It was
+// recorded while the goroutine-per-rank runtime still ran beside the event
+// engine and produced the same clocks bit for bit.
+const stressClocks = "5b9d89fe2dc019edbba8b989a64b7e51a9317a185426106f2b22f87c64d5c61c"
+
+// TestCollectiveStress256 runs the event engine at scale: 256 ranks issuing
+// back-to-back mixed collectives interleaved with point-to-point traffic
+// through the mailboxes, on both the world communicator and a split
+// sub-communicator. A second run must repeat the first's clocks bit for bit,
+// and both must match the recorded digest.
 func TestCollectiveStress256(t *testing.T) {
-	if testing.Short() {
-		t.Skip("256-rank stress is skipped in short mode")
-	}
 	const n = 256
 	body := func(r *Rank) {
 		w := r.World()
 		// Halve the world so sub-communicator rounds and world rounds
-		// interleave on different sync instances.
+		// interleave on different rendezvous.
 		sub := r.CommSplit(w, r.Rank()%2, r.Rank())
 		for i := 0; i < 20; i++ {
 			r.Allreduce(w, 8)
@@ -38,18 +43,24 @@ func TestCollectiveStress256(t *testing.T) {
 		r.Alltoall(w, 16)
 	}
 
-	event, err := Run(n, netmodel.BlueGeneL(), body)
+	first, err := Run(n, netmodel.BlueGeneL(), body)
 	if err != nil {
-		t.Fatalf("event engine: %v", err)
+		t.Fatalf("first run: %v", err)
 	}
-	ref, err := Run(n, netmodel.BlueGeneL(), body, WithGoroutineRuntime())
+	second, err := Run(n, netmodel.BlueGeneL(), body)
 	if err != nil {
-		t.Fatalf("goroutine runtime: %v", err)
+		t.Fatalf("second run: %v", err)
 	}
-	for i := range ref.PerRankUS {
-		if event.PerRankUS[i] != ref.PerRankUS[i] {
-			t.Fatalf("rank %d clock: event %v, goroutine %v",
-				i, event.PerRankUS[i], ref.PerRankUS[i])
+	for i := range first.PerRankUS {
+		if first.PerRankUS[i] != second.PerRankUS[i] {
+			t.Fatalf("rank %d clock: first run %v, second %v", i, first.PerRankUS[i], second.PerRankUS[i])
 		}
+	}
+	buf := make([]byte, 8*n)
+	for i, v := range first.PerRankUS {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	}
+	if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != stressClocks {
+		t.Errorf("clock digest %x, recorded %s", sum, stressClocks)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // virtual time: traces and clocks are bit-identical with telemetry on or off.
 var (
 	// ctrMatchedFast counts receives satisfied at post time from the
-	// unexpected queue (the mailbox fast path that skips the second lock).
+	// unexpected queue (the mailbox fast path: nothing to wait for).
 	ctrMatchedFast = telemetry.NewCounter("mpi.msgs_matched_fast")
 	// ctrQueuedUnexpected counts deposits that found no posted acceptor and
 	// joined an unexpected queue.

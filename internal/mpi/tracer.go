@@ -102,12 +102,10 @@ func (m MultiTracer) Record(ev *Event) {
 // sites, duplicating its code, and the signature of one source location
 // must stay identical across such copies (and across ranks).
 //
-// The walk stops at rankMain, the shared bottom frame of every rank's
-// stack: everything below it belongs to whichever engine is driving the
-// run (the goroutine runtime's spawn wrapper; runBody and iter.Pull's
-// coroutine frames under the event engine), and including those frames
-// would give the same source location different signatures under different
-// engines.
+// The walk stops at rankMain, the bottom frame of every coroutine rank's
+// stack: everything below it belongs to the engine driving the run (runBody
+// and iter.Pull's coroutine frames), and including those frames would tie a
+// source location's signature to the engine's internals.
 //
 // The unwinder stops there too. Once a symbolized walk has met rankMain,
 // every walk follows the frame-pointer chain from callSite's own frame (kept

@@ -14,18 +14,10 @@ import (
 	"testing"
 )
 
-// pathSelectors are the only exported names in internal/mpi,
-// internal/conceptual and internal/replay that choose an execution path:
-// each layer has one production path and one reference, and these three
-// select the references.
-var pathSelectors = map[string]bool{
-	"mpi.WithGoroutineRuntime": true,
-	"conceptual.WithTreeWalk":  true,
-	"replay.ReplayReference":   true,
-}
-
-// plainOptions are the exported With* names that configure a run without
-// choosing a path.
+// plainOptions are the exported With* names of internal/mpi,
+// internal/conceptual and internal/replay. Each configures a run without
+// choosing a path: every layer has one execution path, and no exported
+// With*, Mode* or *Reference* name may select a second.
 var plainOptions = map[string]bool{
 	"mpi.WithTracer":            true,
 	"mpi.WithTimeout":           true,
@@ -212,9 +204,9 @@ func parseNonTestDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File 
 	return files
 }
 
-// TestPathSelectorsArePinned fails when a path selector appears that is not
-// on the lists above, when production code selects a reference, when a
-// command grows a -runtime flag again, when something other than the Go
+// TestPathSelectorsArePinned fails when an exported With*, Mode* or
+// *Reference* name appears that is not on the list above, when a command
+// grows a -runtime flag again, when something other than the Go
 // scheduler under internal/harness/pool.go spreads worlds over threads, when
 // the trace merge, Algorithm 1 or Algorithm 2 goes concurrent, when
 // mpi.OpStream's method set changes (a by-value Next), or when code outside
@@ -250,16 +242,14 @@ func TestPathSelectorsArePinned(t *testing.T) {
 		}
 	}
 	for name := range exported {
-		if !pathSelectors[name] && !plainOptions[name] {
+		if !plainOptions[name] {
 			t.Errorf("%s is a new exported option or path selector; if it selects an execution path, "+
 				"the layer has grown a second path", name)
 		}
 	}
-	for _, want := range []map[string]bool{pathSelectors, plainOptions} {
-		for name := range want {
-			if !exported[name] {
-				t.Errorf("%s is listed here but no longer exported; drop it from the list", name)
-			}
+	for name := range plainOptions {
+		if !exported[name] {
+			t.Errorf("%s is listed here but no longer exported; drop it from the list", name)
 		}
 	}
 
@@ -320,10 +310,9 @@ func (c *Collector) Trace() { mergeCompatible() }`)); len(got) != 3 {
 		t.Error(v)
 	}
 
-	// Production code — everything that is not a test — never selects a
-	// reference, no command registers a -runtime flag, and outside the
-	// runtime itself only internal/harness/pool.go both starts goroutines
-	// and imports a package that can drive a world. (Syntactic: fan-out
+	// No command registers a -runtime flag, and outside the runtime itself
+	// only internal/harness/pool.go both starts goroutines and imports a
+	// package that can drive a world. (Syntactic: fan-out
 	// through a harness wrapper such as RunProgram is not seen.)
 	for _, dir := range []string{"cmd", "internal", "examples"} {
 		for _, f := range parseDir(dir) {
@@ -356,9 +345,6 @@ func (c *Collector) Trace() { mergeCompatible() }`)); len(got) != 3 {
 					return true
 				}
 				pos := fset.Position(call.Pos())
-				if pathSelectors[pkg.Name+"."+sel.Sel.Name] {
-					t.Errorf("%s: %s.%s selects a reference path outside a test", pos, pkg.Name, sel.Sel.Name)
-				}
 				if pkg.Name == "flag" {
 					for _, arg := range call.Args {
 						if lit, ok := arg.(*ast.BasicLit); ok && lit.Value == `"runtime"` {
@@ -557,14 +543,11 @@ func (g *cgen) guard(sel TaskSel) {
 }
 
 // testFacing are the production symbols kept for tests alone, on purpose:
-// the three reference paths the differential suites compare against (and,
-// through them, everything only they call), MPI API surface no kernel happens
-// to use, the ablation benchmarks' window knob, and two observers.
+// MPI API surface no kernel happens to use, the ablation benchmarks' window
+// knob, and two observers.
 var testFacing = []string{
-	"internal/mpi.WithGoroutineRuntime",
-	"internal/conceptual.WithTreeWalk",
-	"internal/replay.ReplayReference",
 	"internal/mpi.Rank.Sendrecv",
+	"internal/mpi.Rank.CommSplit",
 	"internal/mpi.Rank.CommDup",
 	"internal/mpi.Engine.cachedWorlds",
 	"internal/service.Client.Cancel",

@@ -12,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TestVerifySuite is the formal counterpart of the differential suite: for
+// TestVerifySuite is the formal counterpart of the engine golden digests: for
 // every application kernel at <=16 ranks, the model checker must find no
 // deadlock, and wherever the kernel uses wildcard receives the Algorithm 2
 // assignment must be admitted by the MP-net with the resolved trace proven
