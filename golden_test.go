@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -150,9 +151,28 @@ func TestEngineGoldenDigests(t *testing.T) {
 			t.Fatalf("%s: %v", golden, err)
 		}
 	}
+	var mu sync.Mutex
 	got := map[string]engineDigests{}
+	// Runs once every parallel subtest below has finished.
+	t.Cleanup(func() {
+		if *updateGolden {
+			data, err := json.MarshalIndent(got, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for key := range want {
+			if _, ok := got[key]; !ok {
+				t.Errorf("%s: golden entry for a kernel that no longer runs", key)
+			}
+		}
+	})
 	for _, k := range goldenKernels() {
 		t.Run(k.key(), func(t *testing.T) {
+			t.Parallel()
 			res, traceBytes, prof := runBody(t, k.key(), k.n, k.body)
 			// Replay and generation each get their own decode, as the CLI
 			// chain (tracegen | benchgen) would hand them.
@@ -189,7 +209,9 @@ func TestEngineGoldenDigests(t *testing.T) {
 				g.Profile = textDigest(prof.String())
 				g.Retrace = traceDigest(retrace)
 			}
+			mu.Lock()
 			got[k.key()] = g
+			mu.Unlock()
 
 			// The digest must be sensitive to the smallest possible clock
 			// change.
@@ -222,19 +244,5 @@ func TestEngineGoldenDigests(t *testing.T) {
 				}
 			}
 		})
-	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for key := range want {
-		if _, ok := got[key]; !ok {
-			t.Errorf("%s: golden entry for a kernel that no longer runs", key)
-		}
 	}
 }

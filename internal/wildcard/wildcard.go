@@ -80,7 +80,7 @@ const (
 	ready rankState = iota
 	blockedRecv
 	blockedWait
-	blockedColl
+	blockedRendezvous
 	done
 )
 
@@ -200,7 +200,7 @@ func (r *resolver) run(rank int) bool {
 			}
 		case rsd.Op.IsCollective():
 			if !r.doCollective(rank, rsd) {
-				r.states[rank] = blockedColl
+				r.states[rank] = blockedRendezvous
 				return progress
 			}
 			// The collective completer advanced every member's cursor,
@@ -406,7 +406,7 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	for _, member := range comm {
 		r.emit(member, r.leafFor(member, pc[member]))
 		r.cursors[member].Advance()
-		if r.states[member] == blockedColl {
+		if r.states[member] == blockedRendezvous {
 			r.states[member] = ready
 		}
 	}
