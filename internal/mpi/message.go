@@ -179,15 +179,15 @@ type srcSlot struct {
 	credit   creditWaiter
 }
 
-// creditWaiter is a sender parked on this mailbox's
-// flow control: it resumes once msg is drained or the source's inflight
-// count falls to the window. It lives inside the source's srcSlot — a
-// sender is serial, so at most one stall per (source, receiver) pair can
-// exist, and because the stall predicate only mentions that source's state,
-// a drain of a message from source s can release no one but s. That makes
-// credit release O(1) per drain where a shared waiter list would be scanned
-// in full — the difference between O(messages) and O(messages × senders)
-// on an incast. msg non-nil marks the slot occupied.
+// creditWaiter is a sender parked on this mailbox's flow control: it resumes
+// once msg is drained or the source's inflight count falls to the window. It
+// lives inside the source's srcSlot — a sender is serial, so at most one
+// stall per (source, receiver) pair can exist, and because the stall
+// predicate only mentions that source's state, a drain of a message from
+// source s can release no one but s. That makes credit release O(1) per drain
+// where a shared waiter list would be scanned in full — the difference
+// between O(messages) and O(messages × senders) on an incast. msg non-nil
+// marks the slot occupied.
 type creditWaiter struct {
 	rank   int32 // sender's world rank
 	window int32
@@ -270,8 +270,8 @@ func (mb *mailbox) initMailbox(srcIdx []int32, owner int32, seq *eventLoop) {
 }
 
 // slot returns the per-source state for src, allocating it on first use.
-// The returned pointer is invalidated by the next slot call (growth may move the slice), so
-// callers must not retain it across allocations.
+// The returned pointer is invalidated by the next slot call (growth may move
+// the slice), so callers must not retain it across allocations.
 func (mb *mailbox) slot(src int) *srcSlot {
 	var i int32
 	if mb.srcIdx != nil {
