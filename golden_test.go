@@ -143,13 +143,7 @@ func TestEngineGoldenDigests(t *testing.T) {
 	golden := filepath.Join("testdata", "engine_golden.json")
 	var want map[string]engineDigests
 	if !*updateGolden {
-		data, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("golden missing (run with -update to create): %v", err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatalf("%s: %v", golden, err)
-		}
+		want = loadEngineGolden(t)
 	}
 	var mu sync.Mutex
 	got := map[string]engineDigests{}
