@@ -67,9 +67,10 @@ type collRound struct {
 }
 
 // roundOf is the one table of rendezvous semantics: what each synchronizing
-// operation contributes and costs. The imperative entry points below and the
-// stackless executor both describe the call as a RankOp and read this table
-// (and collEvent, for the traced event), so an operation is defined once.
+// operation contributes and costs. The imperative entry points below describe
+// their call as a RankOp, as a stackless stream does, and execRendezvous reads
+// this table (and collEvent, for the traced event) for both, so an operation
+// is defined once.
 func (r *Rank) roundOf(op *RankOp, c *Comm) collRound {
 	p := c.Size()
 	switch op.Op {
@@ -186,16 +187,12 @@ func (r *Rank) leaveRound(st entryState, c *Comm, me int, op *RankOp, completion
 	return nc
 }
 
-// rendezvous issues one synchronizing operation from a rank that has a stack
-// to block on: join the round, wait in seqColl.arrive until the last member
-// closes it, leave. A stackless cursor runs the same two halves around a
-// return to the drive loop (slExec.execRendezvous).
+// rendezvous issues one synchronizing operation of a coroutine rank through
+// the cursor's slExec.execRendezvous, returning the communicator a
+// CommSplit/CommDup round minted for the caller.
 func (r *Rank) rendezvous(c *Comm, op *RankOp) *Comm {
-	st := r.enter()
-	var rd collRound
-	me := r.joinRound(c, op, &rd)
-	completion, shadowDone, shared := c.sync.arrive(me, op.Op, r.clock, r.shadow, rd, r.w.model)
-	return r.leaveRound(st, c, me, op, completion, shadowDone, shared)
+	op.Site = r.site()
+	return r.issue(c, op, (*slExec).execRendezvous).nc
 }
 
 // Barrier blocks until every member of c has entered the barrier.

@@ -5,14 +5,14 @@ package mpi
 // *resolved blocking dependency* — a receive completing against a matched
 // message, a flow-control stall resuming on the receiver's drain, a
 // collective rendezvous closing — at the exact points the scheduler already
-// observes them (completeRecv, the credit resume in stallForCredit /
-// tryResume, the seqColl round close). Program order within a rank is the
-// record order; cross-rank edges are the From/FromClock fields. The graph
-// is pure observation: nothing here feeds back into any virtual clock, so a
-// profiled run's traces and PerRankUS are bit-identical to an unprofiled
-// one (pinned by the on/off test), and both event-engine rank
-// representations — coroutine and stackless cursor — record through the
-// same shared code paths, so their graphs are deep-equal as well.
+// observes them (completeRecv, the credit resume in chargeCreditStall, the
+// seqColl round close). Program order within a rank is the record order;
+// cross-rank edges are the From/FromClock fields. The graph is pure
+// observation: nothing here feeds back into any virtual clock, so a profiled
+// run's traces and PerRankUS are bit-identical to an unprofiled one (pinned
+// by the on/off test), and both event-engine rank representations —
+// coroutine and stackless cursor — run the same exec functions, so their
+// graphs are deep-equal as well.
 //
 // The post-run analysis lives in internal/critpath, which depends on this
 // package and not vice versa.

@@ -1,7 +1,5 @@
 package mpi
 
-import "math"
-
 // message is one in-flight point-to-point transfer. All ranks are world
 // ranks; communicator-relative ranks are translated before messages enter
 // the transport layer.
@@ -255,7 +253,7 @@ type mailbox struct {
 	lastDrain float64 // receiver clock at the most recent drain
 
 	// owner is the world rank this mailbox belongs to; seq is the event
-	// engine that parks and wakes it.
+	// engine that wakes the ranks waiting on it.
 	owner int32
 	seq   *eventLoop
 }
@@ -312,9 +310,8 @@ func (mb *mailbox) lookup(src int) *srcSlot {
 // deposit delivers a message. If a compatible posted receive exists the
 // message is attached to the earliest one; otherwise it joins the source's
 // unexpected queue. deposit never blocks (eager/buffered semantics). A match
-// wakes the owner: it may be parked in awaitMatch on the receive just
-// satisfied (an unmatched deposit cannot unblock it, so no wake is needed
-// then).
+// wakes the owner: it may be parked on the receive just satisfied (an
+// unmatched deposit cannot unblock it, so no wake is needed then).
 func (mb *mailbox) deposit(m *message) {
 	s := mb.slot(m.src)
 	s.inflight++
@@ -493,19 +490,9 @@ func (mb *mailbox) anyPop() {
 	h[p] = ent
 }
 
-// awaitMatch blocks until p has been matched by a depositor. The matched
-// entry stays tombstoned in its posted queue (p.msg != nil makes every scan
-// skip it) until compaction reclaims it. The receiver returns control to the
-// driver and the matching deposit wakes it; wakes may be spurious (any
-// activity on this rank's structures), hence the loop.
-func (mb *mailbox) awaitMatch(p *postedRecv) {
-	for p.msg == nil {
-		mb.seq.block(mb.owner)
-	}
-	mb.noteConsumed(p)
-}
-
-// noteConsumed accounts for p's tombstone in its posted queue.
+// noteConsumed accounts for p's tombstone in its posted queue, once a posted
+// receive's wait has seen it matched. The matched entry stays tombstoned
+// (p.msg != nil makes every scan skip it) until compaction reclaims it.
 func (mb *mailbox) noteConsumed(p *postedRecv) {
 	if p.src == AnySource {
 		mb.postedAny.noteConsumed(p)
@@ -553,30 +540,6 @@ func (mb *mailbox) releaseCredit(cw *creditWaiter) {
 	snd.cwFrom = mb.owner
 	mb.seq.wake(cw.rank)
 	*cw = creditWaiter{}
-}
-
-// awaitCredit blocks the sender of msg until the receiver has drained enough
-// of its backlog (inflight below window) or msg itself has been drained.
-// It returns the virtual time at which the stall resolved (the receiver's
-// drain clock), or senderClock if no stall occurred. window <= 0 disables
-// flow control.
-func (mb *mailbox) awaitCredit(msg *message, window int, senderClock float64) (resumeAt float64, stalled bool) {
-	if window <= 0 {
-		return senderClock, false
-	}
-	s := mb.slot(msg.src)
-	if msg.drained || s.inflight <= window {
-		return senderClock, false
-	}
-	me := int32(msg.src)
-	snd := mb.seq.rank(me)
-	snd.cwDone = false
-	snd.cwResume = 0
-	s.credit = creditWaiter{rank: me, window: int32(window), msg: msg}
-	for !snd.cwDone {
-		mb.seq.block(me)
-	}
-	return math.Max(senderClock, snd.cwResume), true
 }
 
 // reset empties a queue for the next run on a pooled world, clearing the

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -607,30 +608,252 @@ func (f recordFunc) Record(ev *Event) { f(ev) }
 
 func TestFlowControlStallsSender(t *testing.T) {
 	// With a tiny credit window and a slow receiver, a burst of blocking
-	// sends must inherit the receiver's drain time.
+	// sends must inherit the receiver's drain time: the first two fit the
+	// window, the third waits for the receiver's first drain (1000 µs) plus
+	// the resume latency, and once the sender runs ahead of the receiver's
+	// compute every third send waits for the next drain that frees a slot.
 	m := netmodel.Ideal()
 	m.CreditWindow = 2
 	m.ResumeLatencyUS = 10
-	var senderEnd float64
-	const perRecvCompute = 1000
+	var ends []float64
 	run(t, 2, m, func(r *Rank) {
 		if r.Rank() == 0 {
 			for i := 0; i < 10; i++ {
 				r.Send(r.World(), 1, 0, 64)
+				ends = append(ends, r.Clock())
 			}
-			senderEnd = r.Clock()
 		} else {
 			for i := 0; i < 10; i++ {
-				r.Compute(perRecvCompute)
+				r.Compute(1000)
 				r.Recv(r.World(), 0, 0, 64)
 			}
 		}
 	})
-	// Without flow control the sender would finish at ~0. With window 2 it
-	// must wait for most of the receiver's 10*1000us of compute.
-	if senderEnd < 5*perRecvCompute {
-		t.Fatalf("sender finished at %v; flow control not stalling", senderEnd)
+	want := []float64{0, 0, 1010, 1010, 1010, 4010, 4010, 4010, 7010, 7010}
+	if !slices.Equal(ends, want) {
+		t.Fatalf("sender clock after each Send = %v, want %v", ends, want)
 	}
+}
+
+// TestCreditReleasedAtTheWindow pins the credit-release rule exactly: a
+// stalled sender resumes at the first drain that brings its backlog at the
+// receiver down to the window, not one drain earlier. Rank 0 has four
+// messages in flight to rank 1 (window 2) and waits for them, the tag-0 one
+// first; rank 1 drains the three tag-1 messages 1000 µs apart and the tag-0
+// one last. The stall on the tag-0 message resolves at the second drain
+// (backlog 2), at 2000 µs, plus the 10 µs resume latency; releasing at a
+// backlog of window+1 would leave at 1010 µs. It holds for a coroutine body
+// and for the same operations as a cursor stream.
+func TestCreditReleasedAtTheWindow(t *testing.T) {
+	m := netmodel.Ideal()
+	m.CreditWindow = 2
+	m.ResumeLatencyUS = 10
+	ops := [2][]RankOp{
+		{{Op: OpIsend, Peer: 1, Tag: 0}, {Op: OpIsend, Peer: 1, Tag: 1}, {Op: OpIsend, Peer: 1, Tag: 1},
+			{Op: OpIsend, Peer: 1, Tag: 1}, {Op: OpWaitall}},
+		{{Op: OpRecv, Tag: 1, ComputeUS: 1000}, {Op: OpRecv, Tag: 1, ComputeUS: 1000},
+			{Op: OpRecv, Tag: 1, ComputeUS: 1000}, {Op: OpRecv, Tag: 0, ComputeUS: 1000}},
+	}
+	var waitallEnd float64
+	tracer := WithTracer(func(rank int) Tracer {
+		return recordFunc(func(ev *Event) {
+			if ev.Op == OpWaitall {
+				waitallEnd = ev.EndUS
+			}
+		})
+	})
+	run(t, 2, m, func(r *Rank) { issueOps(r, ops[r.Rank()]) }, tracer)
+	if waitallEnd != 2010 {
+		t.Errorf("coroutine: sender leaves Waitall at %v µs, want 2010", waitallEnd)
+	}
+	waitallEnd = 0
+	if _, err := RunStackless(2, m, func(rank int) OpStream { return &sliceStream{ops: ops[rank]} }, tracer); err != nil {
+		t.Fatal(err)
+	}
+	if waitallEnd != 2010 {
+		t.Errorf("cursor: sender leaves Waitall at %v µs, want 2010", waitallEnd)
+	}
+}
+
+// issueOps runs a point-to-point op list through the public wrappers, as an
+// application body would: each op's compute phase, its call-site stamp, its
+// call. Wait completes the oldest request still held; Waitall all of them.
+func issueOps(r *Rank, ops []RankOp) {
+	c := r.World()
+	var reqs []*Request
+	for _, op := range ops {
+		r.Compute(op.ComputeUS)
+		r.SetCallSite(op.Site)
+		switch op.Op {
+		case OpSend:
+			r.Send(c, op.Peer, op.Tag, op.Size)
+		case OpRecv:
+			r.Recv(c, op.Peer, op.Tag, op.Size)
+		case OpIsend:
+			reqs = append(reqs, r.Isend(c, op.Peer, op.Tag, op.Size))
+		case OpIrecv:
+			reqs = append(reqs, r.Irecv(c, op.Peer, op.Tag, op.Size))
+		case OpWait:
+			r.Wait(reqs[0])
+			reqs = reqs[1:]
+		case OpWaitall:
+			r.Waitall(reqs...)
+			reqs = nil
+		default:
+			panic(fmt.Sprintf("issueOps: %v is not a point-to-point operation", op.Op))
+		}
+	}
+}
+
+// TestPointToPointRun is TestCollectivesRun for the point-to-point
+// operations: each row runs on four ranks with per-rank compute, once through
+// the public wrappers from a coroutine body (issueOps) and once as the same
+// RankOps through a stackless cursor, and requires identical traced events
+// and bit-identical clocks.
+func TestPointToPointRun(t *testing.T) {
+	const n = 4
+	credit := netmodel.Ideal()
+	credit.CreditWindow, credit.ResumeLatencyUS = 2, 10
+	ring := func(rank, d int) int { return (rank + n + d) % n }
+	rows := []struct {
+		name  string
+		model *netmodel.Model
+		ops   func(rank int) []RankOp
+		// The intended differences, applied to the wrapper's events before
+		// the comparison. A cursor's OpWait leaf drains everything
+		// outstanding and records Waitall (waitIsWaitall). A cursor drain
+		// with nothing outstanding is a compute-only leaf that records no
+		// event, where the wrapper's Waitall() records one of Size 0
+		// (emptyWaitall; the row gives that leaf no compute, which would
+		// otherwise move into the cursor's next event).
+		waitIsWaitall, emptyWaitall bool
+	}{
+		{name: "Send/Recv", model: netmodel.BlueGeneL(), ops: func(rank int) []RankOp {
+			if rank%2 == 0 {
+				return []RankOp{{Op: OpSend, Peer: rank + 1, Tag: 3, Size: 512}}
+			}
+			return []RankOp{{Op: OpRecv, Peer: rank - 1, Tag: 3, Size: 512}}
+		}},
+		{name: "Send/Recv from AnySource", model: netmodel.BlueGeneL(), ops: func(rank int) []RankOp {
+			if rank != 0 {
+				return []RankOp{{Op: OpSend, Peer: 0, Tag: 5, Size: 64 * rank}}
+			}
+			return []RankOp{{Op: OpRecv, Peer: AnySource, Tag: 5}, {Op: OpRecv, Peer: AnySource, Tag: 5},
+				{Op: OpRecv, Peer: AnySource, Tag: 5}}
+		}},
+		{name: "Isend+Irecv+Waitall", model: netmodel.BlueGeneL(), ops: func(rank int) []RankOp {
+			return []RankOp{{Op: OpIrecv, Peer: ring(rank, -1), Tag: 0, Size: 4096},
+				{Op: OpIrecv, Peer: ring(rank, 1), Tag: 1, Size: 4096},
+				{Op: OpIsend, Peer: ring(rank, -1), Tag: 1, Size: 4096},
+				{Op: OpIsend, Peer: ring(rank, 1), Tag: 0, Size: 4096}, {Op: OpWaitall}}
+		}},
+		{name: "Isend+Wait, Irecv+Wait", model: netmodel.BlueGeneL(), waitIsWaitall: true, ops: func(rank int) []RankOp {
+			if rank%2 == 0 {
+				return []RankOp{{Op: OpIsend, Peer: rank + 1, Tag: 2, Size: 1024}, {Op: OpWait}}
+			}
+			return []RankOp{{Op: OpIrecv, Peer: rank - 1, Tag: 2, Size: 1024}, {Op: OpWait}}
+		}},
+		{name: "credit-stalled Send", model: credit, ops: func(rank int) []RankOp {
+			op := OpSend
+			if rank%2 == 1 {
+				op = OpRecv
+			}
+			ops := make([]RankOp, 5)
+			for i := range ops {
+				ops[i] = RankOp{Op: op, Peer: rank ^ 1, Size: 64}
+			}
+			return ops
+		}},
+		{name: "Waitall of nothing", model: netmodel.BlueGeneL(), emptyWaitall: true, ops: func(rank int) []RankOp {
+			return []RankOp{{Op: OpIrecv, Peer: rank ^ 1, Size: 8}, {Op: OpIsend, Peer: rank ^ 1, Size: 8},
+				{Op: OpWaitall}, {Op: OpWaitall}}
+		}},
+	}
+	traced := func(events [][]Event) Option {
+		return WithTracer(func(rank int) Tracer {
+			return recordFunc(func(ev *Event) { events[rank] = append(events[rank], *ev) })
+		})
+	}
+	covered := map[Op]bool{}
+	for _, row := range rows {
+		prog := make([][]RankOp, n)
+		for rank := range prog {
+			prog[rank] = row.ops(rank)
+			for i := range prog[rank] {
+				op := &prog[rank][i]
+				op.Site = 0x9000 + uint64(i)
+				if !row.emptyWaitall || i < len(prog[rank])-1 {
+					op.ComputeUS = 3*float64(rank+1) + float64(i)
+				}
+				covered[op.Op] = true
+			}
+		}
+		wrapped, cursor := make([][]Event, n), make([][]Event, n)
+		a := run(t, n, row.model, func(r *Rank) { issueOps(r, prog[r.Rank()]) }, traced(wrapped))
+		b, err := RunStackless(n, row.model, func(rank int) OpStream { return &sliceStream{ops: prog[rank]} }, traced(cursor))
+		if err != nil {
+			t.Fatalf("%s: RunStackless: %v", row.name, err)
+		}
+		for rank, evs := range wrapped {
+			if len(evs) != len(prog[rank])+2 {
+				t.Errorf("%s: rank %d recorded %d events through the wrappers, want Init, %d ops and Finalize",
+					row.name, rank, len(evs), len(prog[rank]))
+			}
+			kept := evs[:0]
+			for _, ev := range evs {
+				if row.waitIsWaitall && ev.Op == OpWait {
+					ev.Op = OpWaitall
+				}
+				if row.emptyWaitall && ev.Op == OpWaitall && ev.Size == 0 {
+					continue
+				}
+				kept = append(kept, ev)
+			}
+			wrapped[rank] = kept
+		}
+		if !reflect.DeepEqual(wrapped, cursor) {
+			t.Errorf("%s: events differ\nwrapper: %+v\ncursor:  %+v", row.name, wrapped, cursor)
+		}
+		for i := range a.PerRankUS {
+			if math.Float64bits(a.PerRankUS[i]) != math.Float64bits(b.PerRankUS[i]) {
+				t.Errorf("%s: rank %d ends at %v through the wrappers, %v as a cursor", row.name, i, a.PerRankUS[i], b.PerRankUS[i])
+			}
+		}
+	}
+	for op := Op(0); op < opSentinel; op++ {
+		if (op.IsPointToPoint() || op.IsWait()) && !covered[op] {
+			t.Errorf("%v is a point-to-point operation but has no row here", op)
+		}
+	}
+}
+
+// TestCoroutinePointToPointAllocatesNothing is the cost row of the coroutine
+// wrappers: on a warm one-rank world, a self-exchange through every
+// point-to-point wrapper, and a Barrier, allocate nothing per call. (Messages,
+// posted receives and requests come from per-rank arena chunks of 64: a
+// hundred allocations over the 640 runs, which the per-run average floors to
+// 0.) A request slice that escaped into the executor would read 2, one per
+// Wait.
+func TestCoroutinePointToPointAllocatesNothing(t *testing.T) {
+	run(t, 1, netmodel.Ideal(), func(r *Rank) {
+		c := r.World()
+		exchange := func() {
+			r.Waitall(r.Isend(c, 0, 0, 8), r.Irecv(c, 0, 0, 8))
+			r.Send(c, 0, 1, 8)
+			r.Recv(c, 0, 1, 8)
+			r.Wait(r.Isend(c, 0, 2, 8))
+			r.Wait(r.Irecv(c, 0, 2, 8))
+		}
+		barrier := func() { r.Barrier(c) }
+		exchange()
+		barrier()
+		if avg := testing.AllocsPerRun(640, exchange); avg != 0 {
+			t.Errorf("a self-exchange through the point-to-point wrappers allocates %v objects, want 0", avg)
+		}
+		if avg := testing.AllocsPerRun(640, barrier); avg != 0 {
+			t.Errorf("a Barrier allocates %v objects, want 0", avg)
+		}
+	})
 }
 
 func TestNoFlowControlWhenUnlimited(t *testing.T) {
@@ -685,7 +908,7 @@ func TestTracedOpAllocatesNothingInTheHook(t *testing.T) {
 	run(t, 1, netmodel.Ideal(), func(r *Rank) {
 		counts := []int{1, 2}
 		op := func() {
-			r.record(r.enter(), &Event{Op: OpAlltoallv, CommSize: 1, Size: 8, Counts: counts, Root: -1})
+			r.record(r.enter(r.site()), &Event{Op: OpAlltoallv, CommSize: 1, Size: 8, Counts: counts, Root: -1})
 		}
 		op() // symbolizes this call path, once per process
 		if avg := testing.AllocsPerRun(100, op); avg != 0 {

@@ -66,10 +66,10 @@ type Rank struct {
 	cwFrom int32
 
 	// curSite mirrors the call-site hash of the operation in flight when the
-	// run is causally profiled (w.prof != nil): enter() and the stackless
-	// executor keep it current so dependency records deep inside shared
-	// completion code (completeRecv, credit resumes, collective rounds) can
-	// attribute blame without re-walking the stack.
+	// run is causally profiled (w.prof != nil): enter() keeps it current so
+	// dependency records deep inside shared completion code (completeRecv,
+	// credit resumes, collective rounds) can attribute blame without
+	// re-walking the stack.
 	curSite uint64
 
 	// nextSite, when armed by SetCallSite, overrides the stack-walk call-site
@@ -268,32 +268,34 @@ type entryState struct {
 	site    uint64
 }
 
-func (r *Rank) enter() entryState {
-	st := entryState{start: r.clock, compute: r.clock - r.lastOpEnd}
+// enter snapshots the rank as an MPI call with the given call site starts,
+// keeping curSite current for profiled runs.
+func (r *Rank) enter(site uint64) entryState {
+	if r.w.prof != nil {
+		r.curSite = site
+	}
+	return entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: site}
+}
+
+// site returns the call-site hash of the MPI call being issued: the
+// SetCallSite stamp if one is armed, else the stack walk when a tracer is
+// attached, else 0. Public entry points call it themselves, so every walk
+// sees the same (*Rank) frames beneath the application's.
+func (r *Rank) site() uint64 {
 	if r.siteSet {
-		st.site = r.nextSite
 		r.siteSet = false
-	} else if r.tracer != nil {
+		return r.nextSite
+	}
+	if r.tracer != nil {
 		// The causal profiler deliberately does NOT trigger a stack walk
 		// here: blame attribution rides on SetCallSite stamps (replay,
 		// generated programs) or on the tracer's signature when one is
 		// attached anyway, and a walk plus a map lookup per operation would
 		// eat into its <=5% overhead budget; a profiled but untraced,
 		// unstamped body records site 0 (unattributed) instead.
-		st.site = r.callSite()
+		return r.callSite()
 	}
-	if r.w.prof != nil {
-		r.curSite = st.site
-	}
-	return st
-}
-
-// noteSite keeps curSite current for profiled runs; the stackless executor
-// calls it where enter() would have (its entry snapshots are built inline).
-func (r *Rank) noteSite(site uint64) {
-	if r.w.prof != nil {
-		r.curSite = site
-	}
+	return 0
 }
 
 // SetCallSite overrides the call-site hash recorded for the next MPI
@@ -391,20 +393,10 @@ func (r *Rank) postRecv(wsrc, tag int) *postedRecv {
 	return p
 }
 
-// stallForCredit models MPI flow control: the sender blocks until the
-// receiver has drained its backlog below the credit window, then pays the
-// resume latency.
-func (r *Rank) stallForCredit(mb *mailbox, msg *message) {
-	if resumeAt, stalled := mb.awaitCredit(msg, r.w.model.CreditWindow, r.clock); stalled {
-		r.chargeCreditStall(resumeAt)
-	}
-}
-
 // chargeCreditStall ends a flow-control stall that resolved at the receiver's
 // drain clock resumeAt (or logically before the sender's own clock): the
-// sender resumes at the later of the two plus the resume latency. A stackless
-// cursor, which parks on the stall instead of blocking in awaitCredit, calls
-// it on resume.
+// sender resumes at the later of the two plus the resume latency.
+// slExec.tryResume calls it when the stalled sender's credit has come back.
 func (r *Rank) chargeCreditStall(resumeAt float64) {
 	start := r.clock
 	resumeAt = math.Max(start, resumeAt)
@@ -457,20 +449,14 @@ func statusOf(c *Comm, msg *message) Status {
 // for a matching receive, but it does block on flow control when the
 // receiver's backlog exceeds the credit window.
 func (r *Rank) Send(c *Comm, dst, tag, size int) {
-	r.checkActive()
-	st := r.enter()
-	wdst := c.WorldRank(dst)
-	msg := r.inject(wdst, tag, size)
-	r.stallForCredit(r.w.mailboxes[wdst], msg)
-	r.record(st, &Event{Op: OpSend, CommID: c.id, CommSize: c.Size(),
-		Peer: dst, PeerWorld: wdst, Tag: tag, Size: size, Root: -1})
+	r.issue(c, &RankOp{Op: OpSend, Site: r.site(), Peer: dst, Tag: tag, Size: size}, (*slExec).execSend)
 }
 
 // Isend starts a nonblocking send and returns its request. Flow-control
 // stalls, if any, are charged when the request is waited on.
 func (r *Rank) Isend(c *Comm, dst, tag, size int) *Request {
 	r.checkActive()
-	st := r.enter()
+	st := r.enter(r.site())
 	wdst := c.WorldRank(dst)
 	msg := r.inject(wdst, tag, size)
 	req := r.newRequest()
@@ -486,33 +472,15 @@ func (r *Rank) Isend(c *Comm, dst, tag, size int) *Request {
 // the trace but does not constrain matching. Recv returns the matched
 // message's status.
 func (r *Rank) Recv(c *Comm, src, tag, size int) Status {
-	r.checkActive()
-	st := r.enter()
-	wsrc := src
-	if src != AnySource {
-		wsrc = c.WorldRank(src)
-	}
-	mb := r.w.mailboxes[r.rank]
-	p := r.postRecv(wsrc, tag)
-	// Fast path: the message was already queued and post consumed it, so
-	// the receive never entered a posted queue and there is nothing to wait
-	// for or tombstone.
-	if !mb.post(p) {
-		mb.awaitMatch(p)
-	}
-	r.completeRecv(p)
-	status := statusOf(c, p.msg)
-	r.record(st, &Event{Op: OpRecv, CommID: c.id, CommSize: c.Size(),
-		Peer: src, PeerWorld: p.msg.src, SourceWasWildcard: src == AnySource,
-		Tag: tag, Size: size, Root: -1})
-	return status
+	x := r.issue(c, &RankOp{Op: OpRecv, Site: r.site(), Peer: src, Tag: tag, Size: size}, (*slExec).execRecv)
+	return statusOf(c, x.rp.msg)
 }
 
 // Irecv posts a nonblocking receive of up to size bytes and returns its
 // request.
 func (r *Rank) Irecv(c *Comm, src, tag, size int) *Request {
 	r.checkActive()
-	st := r.enter()
+	st := r.enter(r.site())
 	wsrc := src
 	if src != AnySource {
 		wsrc = c.WorldRank(src)
@@ -529,35 +497,12 @@ func (r *Rank) Irecv(c *Comm, src, tag, size int) *Request {
 	return req
 }
 
-// wait completes a single request without emitting a trace event; Wait and
-// Waitall wrap it.
-func (r *Rank) wait(q *Request) {
-	if q.done {
-		return
-	}
-	switch q.op {
-	case OpIsend:
-		r.stallForCredit(q.dst, q.msg)
-	case OpIrecv:
-		// A receive matched at post time never entered a posted queue;
-		// its message is already attached and needs no mailbox round trip.
-		if !q.pr.fastMatched {
-			r.w.mailboxes[r.rank].awaitMatch(q.pr)
-		}
-		r.completeRecv(q.pr)
-	default:
-		panic(fmt.Sprintf("mpi: wait on non-request op %v", q.op))
-	}
-	q.done = true
-}
-
-// Wait blocks until the nonblocking request completes.
+// Wait blocks until the nonblocking request completes. Wait and Waitall hand
+// their request set to execDrain through a closure, never through the
+// executor, so neither this one-element slice nor a Waitall caller's
+// argument slice escapes to the heap.
 func (r *Rank) Wait(q *Request) Status {
-	r.checkActive()
-	st := r.enter()
-	r.wait(q)
-	r.record(st, &Event{Op: OpWait, CommID: q.comm.id, CommSize: q.comm.Size(),
-		Peer: NoPeer, PeerWorld: NoPeer, Size: 1, Root: -1})
+	r.issue(nil, &RankOp{Op: OpWait, Site: r.site()}, func(x *slExec, r *Rank) bool { return x.execDrain(r, []*Request{q}) })
 	return q.Status()
 }
 
@@ -568,22 +513,7 @@ func (r *Rank) Wait(q *Request) Status {
 // Request.Status after completion; Waitall itself returns nothing so that the
 // hot path allocates no status slice.
 func (r *Rank) Waitall(reqs ...*Request) {
-	r.checkActive()
-	st := r.enter()
-	commID, commSize := 0, r.w.n
-	for _, q := range reqs {
-		if q.op == OpIrecv {
-			r.wait(q)
-		}
-		commID, commSize = q.comm.id, q.comm.Size()
-	}
-	for _, q := range reqs {
-		if q.op != OpIrecv {
-			r.wait(q)
-		}
-	}
-	r.record(st, &Event{Op: OpWaitall, CommID: commID, CommSize: commSize,
-		Peer: NoPeer, PeerWorld: NoPeer, Size: len(reqs), Root: -1})
+	r.issue(nil, &RankOp{Op: OpWaitall, Site: r.site()}, func(x *slExec, r *Rank) bool { return x.execDrain(r, reqs) })
 }
 
 // Sendrecv performs a combined send and receive (as MPI_Sendrecv), which is

@@ -18,14 +18,15 @@ import (
 // coroutine (iter.Pull), resumed with next() and parked again by the yield
 // inside block. Either way at most one rank runs at any instant and
 // control always comes back to the driver before the next rank is chosen.
-// Every blocking primitive (receive match, flow-control credit, collective
-// rendezvous) is an event-queue interaction instead of a mutex/cond park:
-// the blocking rank registers itself with the structure it waits on and
-// returns to the driver; the rank that satisfies the wait pushes the waiter
-// back onto the run queue. The run queue is a min-heap keyed on (virtual
-// clock, rank), so execution advances in virtual-time order with a fixed
-// tie-break — which makes the engine fully deterministic, including
-// wildcard-receive matching.
+// Both run every blocking operation (receive match, flow-control credit,
+// collective rendezvous) through the exec functions of stackless.go, and
+// each wait is an event-queue interaction instead of a mutex/cond park: the
+// blocking rank registers itself with the structure it waits on and returns
+// to the driver (a coroutine from Rank.issue, through block); the rank that
+// satisfies the wait pushes the waiter back onto the run queue. The run
+// queue is a min-heap keyed on (virtual clock, rank), so execution advances
+// in virtual-time order with a fixed tie-break — which makes the engine
+// fully deterministic, including wildcard-receive matching.
 //
 // A coroutine switch is a direct goroutine-to-goroutine transfer on the
 // current thread: it never enters the Go scheduler, readies nothing and
@@ -77,8 +78,9 @@ type eventLoop struct {
 	// coros are the per-rank coroutines, created by the first run with a
 	// coroutine body and kept until retire: between runs each is parked in
 	// the yield at the bottom of its loop, keeping its grown stack. cursors
-	// are the per-rank stackless executors, likewise built lazily and kept. A
-	// pooled world may hold both; a run touches only the kind it uses.
+	// are the per-rank executors, re-armed by every run: a stackless rank's
+	// cursor, or the state of the blocking operation a coroutine rank issues
+	// (Rank.issue).
 	coros   []rankCoro
 	cursors []slExec
 
@@ -198,11 +200,11 @@ func (e *eventLoop) notePanic(r *Rank, p any) {
 }
 
 // block parks the calling coroutine rank (me) until some other rank wakes
-// it. The caller re-checks its wait predicate on return: wakes may be
-// spurious (any activity on a structure the rank registered with). A
-// poisoned world never parks and never resumes — both sides unwind via
-// checkStopped, so the application's defers run. A yield that reports the
-// coroutine stopped unwinds the same way.
+// it. Its one caller, Rank.issue, re-tests the parked predicate on return:
+// wakes may be spurious (any activity on a structure the rank registered
+// with). A poisoned world never parks and never resumes — both sides unwind
+// via checkStopped, so the application's defers run. A yield that reports
+// the coroutine stopped unwinds the same way.
 func (e *eventLoop) block(me int32) {
 	e.stop.checkStopped()
 	e.state[me] = rsBlocked
@@ -276,15 +278,18 @@ func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor fun
 	e := w.sched
 	e.ranks = ranks
 	e.body = body
+	if len(e.cursors) != len(ranks) {
+		e.cursors = make([]slExec, len(ranks))
+	}
+	for i := range e.cursors {
+		var s OpStream
+		if body == nil {
+			s = progFor(i)
+		}
+		e.cursors[i].init(s)
+	}
 	if body != nil {
 		e.spawn()
-	} else {
-		if len(e.cursors) != len(ranks) {
-			e.cursors = make([]slExec, len(ranks))
-		}
-		for i := range e.cursors {
-			e.cursors[i].init(progFor(i))
-		}
 	}
 	// Every rank starts runnable at virtual time zero; pushing in rank order
 	// builds a valid heap for all-equal keys.

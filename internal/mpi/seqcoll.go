@@ -21,9 +21,9 @@ import (
 // round and pushes every waiter back onto the run queue.
 //
 // The arrival bookkeeping and the round close are split-phase (arriveRound/
-// closeRound): a coroutine rank parks in await between the two (arrive), a
-// stackless cursor parks by returning to the drive loop and polls the
-// generation on wake (slExec.execRendezvous).
+// closeRound): slExec.execRendezvous, which both rank representations run,
+// parks a non-last arriver between the two, and slExec.tryResume re-tests
+// the generation on every wake.
 type seqColl struct {
 	e *eventLoop
 	// members maps comm rank -> world rank, so a waiter can identify itself
@@ -167,19 +167,6 @@ func (cs *seqColl) closeRound(m *netmodel.Model, rd *collRound) {
 	cs.finishRound()
 }
 
-// arrive performs one collective round for a rank with a stack to park on:
-// it returns the round's completion, shadow completion and minted value.
-func (cs *seqColl) arrive(commRank int, op Op, clock, shadow float64, rd collRound,
-	m *netmodel.Model) (float64, float64, any) {
-	myGen, last := cs.arriveRound(commRank, op, clock, shadow, rd.contrib, rd.key)
-	if last {
-		cs.closeRound(m, &rd)
-	} else {
-		cs.await(myGen, commRank)
-	}
-	return cs.completion, cs.shadowCompletion, cs.shared
-}
-
 // finishRound advances the generation and releases every waiter onto the
 // run queue. Resetting waiting before the wakes is safe: the woken ranks
 // cannot run (and so cannot re-park) until the current rank returns
@@ -194,16 +181,8 @@ func (cs *seqColl) finishRound() {
 	}
 }
 
-// park registers the caller as waiting on the current round; await and the
-// stackless executor call it before every return to the driver.
+// park registers the caller as waiting on the current round; the executor
+// calls it before every return to the driver (or block) on the round.
 func (cs *seqColl) park(commRank int) {
 	cs.waiting = append(cs.waiting, int32(cs.members[commRank]))
-}
-
-// await parks the caller until the round it joined completes.
-func (cs *seqColl) await(myGen uint64, commRank int) {
-	for cs.gen == myGen {
-		cs.park(commRank)
-		cs.e.block(int32(cs.members[commRank]))
-	}
 }

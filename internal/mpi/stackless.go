@@ -22,17 +22,14 @@ import (
 // therefore every virtual clock, every wildcard match, every trace byte — is
 // the one a coroutine rank issuing the same operations would produce.
 //
-// Synchronizing operations are defined once: a cursor and the imperative API
-// both run Rank.joinRound and Rank.leaveRound over the table in
-// collectives.go, and differ only in how they wait between the two. The
-// point-to-point operations (execSend, execRecv, execDrain) are the cursor's
-// own: they make Rank.Send/Recv/Waitall's calls in the same order — inject,
-// postRecv, completeRecv, chargeCreditStall — with each blocking wait
-// (stallForCredit, awaitMatch) replaced by a park whose predicate tryResume
-// tests. That copy is deliberate: it is the hot path of every replayed event.
-// The golden digests of testdata/engine_golden.json, recorded while a
-// coroutine replayer still ran beside the cursors and agreed with them, hold
-// it to its traces and clocks.
+// Every blocking operation is defined once, by an exec function of this file
+// (execSend, execRecv, execDrain, execRendezvous). A cursor runs it from step
+// and, where it parks, returns to the drive loop. A coroutine rank's public
+// entry point describes its call as a RankOp and runs the same function
+// through Rank.issue, which blocks where the cursor would return and re-tests
+// the same predicate (tryResume) on every wake. TestCollectivesRun and
+// TestPointToPointRun hold the two entry paths to identical events and
+// clocks.
 
 // RankOp is one operation of a stackless rank body: the op code, the
 // compute phase preceding it, and the operation's resolved parameters.
@@ -94,28 +91,31 @@ const (
 	phDone
 )
 
-// slExec wait registrations: what the cursor is parked on when it returns
-// to the drive loop without finishing its current operation.
+// slExec wait registrations: what an exec function parked on when it
+// returned without finishing its operation (to the drive loop, or to
+// Rank.issue, which blocks the coroutine).
 const (
 	pendNone uint8 = iota
 	// pendMatch: a posted receive awaiting its matching deposit
-	// (awaitMatch's predicate: pendP.msg != nil).
+	// (predicate: pendP.msg != nil).
 	pendMatch
-	// pendCredit: a sender stalled on flow control (awaitCredit's
-	// predicate: the rank's cwDone flag).
+	// pendCredit: a sender stalled on flow control (predicate: the rank's
+	// cwDone flag, set by the receiver's releasing drain).
 	pendCredit
-	// pendColl: parked on a collective round (await's predicate: the
-	// rendezvous generation has advanced past pendGen).
+	// pendColl: parked on a collective round (predicate: the rendezvous
+	// generation has advanced past pendGen).
 	pendColl
 )
 
-// slExec is one stackless rank: the cursor the drive loop advances in place
-// of a rank goroutine. All fields are touched only under the engine's
-// execution discipline (one rank steps at a time), so none need locks.
+// slExec is one rank's executor: for a stackless rank, the cursor the drive
+// loop advances in place of a rank goroutine; for a coroutine rank (stream
+// nil), the state of the blocking operation Rank.issue runs. All fields are
+// touched only under the engine's execution discipline (one rank steps at a
+// time), so none need locks.
 type slExec struct {
 	stream OpStream
-	// comms maps stream communicator IDs to live communicators; unknown IDs
-	// fall back to the world.
+	// comms maps stream communicator IDs to live communicators, made on the
+	// first one minted; unknown IDs fall back to the world.
 	comms map[int]*Comm
 	// outstanding accumulates nonblocking requests between drains.
 	outstanding []*Request
@@ -131,15 +131,18 @@ type slExec struct {
 	wstage uint8
 	widx   int
 
-	// st is the entry snapshot of the operation in flight; c its resolved
-	// communicator; me this rank's comm rank in c; wdst the send target's
-	// world rank; rp the blocking receive in flight; wCommID/wCommSize the
-	// drain's running event attribution (last request wins, as in Waitall).
+	// st is the entry snapshot of the operation in flight; c its
+	// communicator, resolved by whoever filled op; me this rank's comm rank
+	// in c; wdst the send target's world rank; rp the last blocking receive
+	// (Rank.Recv reads its status); nc the communicator the last rendezvous
+	// minted for this rank; wCommID/wCommSize the drain's running event
+	// attribution (last request wins).
 	st        entryState
 	c         *Comm
 	me        int
 	wdst      int
 	rp        *postedRecv
+	nc        *Comm
 	wCommID   int
 	wCommSize int
 
@@ -150,7 +153,7 @@ type slExec struct {
 	pendGen uint64
 }
 
-// init arms a cursor for one run, retaining its grown containers: the
+// init arms an executor for one run, retaining its grown containers: the
 // outstanding slice keeps its capacity (pointers cleared so a pooled world
 // does not pin the previous run's requests) and the comm table keeps its
 // buckets.
@@ -158,11 +161,7 @@ func (x *slExec) init(s OpStream) {
 	outstanding := x.outstanding
 	clear(outstanding[:cap(outstanding)])
 	comms := x.comms
-	if comms == nil {
-		comms = make(map[int]*Comm, 2)
-	} else {
-		clear(comms)
-	}
+	clear(comms)
 	*x = slExec{stream: s, outstanding: outstanding[:0], comms: comms}
 }
 
@@ -176,11 +175,10 @@ func (x *slExec) comm(r *Rank, id int) *Comm {
 }
 
 // tryResume checks the parked wait's predicate. A false return means the
-// wake was spurious: the cursor stays parked (re-registering where the
-// coroutine loop would) and the drive loop re-blocks it. A true return
-// completes the wait's bookkeeping — exactly what the tail of the
-// corresponding coroutine wait (awaitMatch, awaitCredit, await) performs —
-// and hands control back to the operation's resume stage.
+// wake was spurious: the rank stays parked (re-registering on a round) and
+// blocks again — the drive loop re-blocks a cursor, Rank.issue a coroutine.
+// A true return completes the wait's bookkeeping and hands control back to
+// the operation's resume stage.
 func (x *slExec) tryResume(r *Rank) bool {
 	switch x.pend {
 	case pendMatch:
@@ -197,8 +195,8 @@ func (x *slExec) tryResume(r *Rank) bool {
 		r.chargeCreditStall(r.cwResume)
 	case pendColl:
 		if x.pendCS.gen == x.pendGen {
-			// Round not closed yet: re-register, as await's loop re-appends
-			// before every block.
+			// Round not closed yet: re-register before blocking again (a
+			// duplicate entry's second wake is a no-op).
 			x.pendCS.park(x.me)
 			return false
 		}
@@ -227,6 +225,7 @@ func (x *slExec) step(r *Rank) (done bool) {
 				x.hasOp = true
 				x.stage = 0
 				x.wstage = 0
+				x.c = x.comm(r, x.op.CommID)
 			}
 			if x.execOp(r) {
 				return false
@@ -254,6 +253,7 @@ func (x *slExec) step(r *Rank) (done bool) {
 			// rankMain's Finalize, stamped with the same site.
 			if !x.hasOp {
 				x.op = RankOp{Op: OpFinalize, Site: rankMainSite}
+				x.c = r.w.commWorld
 				x.hasOp = true
 				x.stage = 0
 			}
@@ -269,7 +269,7 @@ func (x *slExec) step(r *Rank) (done bool) {
 
 // execOp runs (or resumes) the operation in flight, returning true if it
 // parked. Nonblocking operations call the public Rank methods; blocking ones
-// return to the drive loop where those would wait.
+// run their exec function.
 func (x *slExec) execOp(r *Rank) (parked bool) {
 	op := &x.op
 	switch op.Op {
@@ -281,18 +281,34 @@ func (x *slExec) execOp(r *Rank) (parked bool) {
 	case OpIsend:
 		r.Compute(op.ComputeUS)
 		r.SetCallSite(op.Site)
-		x.outstanding = append(x.outstanding, r.Isend(x.comm(r, op.CommID), op.Peer, op.Tag, op.Size))
+		x.outstanding = append(x.outstanding, r.Isend(x.c, op.Peer, op.Tag, op.Size))
 	case OpRecv:
 		return x.execRecv(r)
 	case OpIrecv:
 		r.Compute(op.ComputeUS)
 		r.SetCallSite(op.Site)
-		x.outstanding = append(x.outstanding, r.Irecv(x.comm(r, op.CommID), op.Peer, op.Tag, op.Size))
+		x.outstanding = append(x.outstanding, r.Irecv(x.c, op.Peer, op.Tag, op.Size))
 	case OpWait, OpWaitall, OpFinalize:
 		// All three drain the outstanding set (a Finalize leaf drains so the
 		// runtime's own Finalize — phFinalize — can complete), and all record
-		// as Waitall, exactly as a replay body calling Waitall would.
-		return x.execDrain(r)
+		// as Waitall, exactly as a replay body calling Waitall would. With
+		// nothing outstanding the leaf is compute-only, as a replay body skips
+		// the call entirely.
+		if x.stage == 0 {
+			r.Compute(op.ComputeUS)
+			if len(x.outstanding) == 0 {
+				return false
+			}
+			op.Op = OpWaitall
+		}
+		if x.execDrain(r, x.outstanding) {
+			return true
+		}
+		// Everything outstanding is complete and nothing else holds the
+		// requests: the rank's request arena starts over (see rewindRequests).
+		clear(x.outstanding)
+		x.outstanding = x.outstanding[:0]
+		r.rewindRequests()
 	case OpBarrier, OpBcast, OpReduce, OpAllreduce, OpGather, OpGatherv,
 		OpAllgather, OpAllgatherv, OpScatter, OpScatterv, OpAlltoall,
 		OpAlltoallv, OpReduceScatter, OpCommSplit, OpCommDup:
@@ -303,29 +319,19 @@ func (x *slExec) execOp(r *Rank) (parked bool) {
 	return false
 }
 
-// execSend is a blocking send; it parks where Rank.Send stalls for credit.
+// execSend is a blocking send: inject, then park while the receiver holds
+// more than the credit window of this rank's messages.
 func (x *slExec) execSend(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
 		r.Compute(op.ComputeUS)
 		r.checkActive()
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: op.Site}
-		r.noteSite(op.Site)
-		c := x.comm(r, op.CommID)
-		x.c = c
-		x.wdst = c.WorldRank(op.Peer)
+		x.st = r.enter(op.Site)
+		x.wdst = x.c.WorldRank(op.Peer)
 		msg := r.inject(x.wdst, op.Tag, op.Size)
-		m := r.w.model
-		if window := m.CreditWindow; window > 0 {
-			s := r.w.mailboxes[x.wdst].slot(msg.src)
-			if !msg.drained && s.inflight > window {
-				r.cwDone = false
-				r.cwResume = 0
-				s.credit = creditWaiter{rank: int32(msg.src), window: int32(window), msg: msg}
-				x.stage = 1
-				x.pend = pendCredit
-				return true
-			}
+		x.stage = 1
+		if x.parkOnCredit(r, r.w.mailboxes[x.wdst], msg) {
+			return true
 		}
 	}
 	// Stage 1 resumes here with the credit stall's clock advance already
@@ -335,22 +341,42 @@ func (x *slExec) execSend(r *Rank) bool {
 	return false
 }
 
-// execRecv is a blocking receive; it parks where Rank.Recv awaits its match.
+// parkOnCredit models MPI flow control for msg, just injected or waited on:
+// while its receiver mb holds more than the credit window of the sender's
+// undrained messages (msg among them), the sender registers as the source
+// slot's creditWaiter and parks until a drain releases it.
+func (x *slExec) parkOnCredit(r *Rank, mb *mailbox, msg *message) bool {
+	window := r.w.model.CreditWindow
+	if window <= 0 || msg.drained {
+		return false
+	}
+	s := mb.slot(msg.src)
+	if s.inflight <= window {
+		return false
+	}
+	r.cwDone = false
+	r.cwResume = 0
+	s.credit = creditWaiter{rank: int32(msg.src), window: int32(window), msg: msg}
+	x.pend = pendCredit
+	return true
+}
+
+// execRecv is a blocking receive: post, then park until a deposit matches.
 func (x *slExec) execRecv(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
 		r.Compute(op.ComputeUS)
 		r.checkActive()
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: op.Site}
-		r.noteSite(op.Site)
-		c := x.comm(r, op.CommID)
-		x.c = c
+		x.st = r.enter(op.Site)
 		wsrc := op.Peer
 		if wsrc != AnySource {
-			wsrc = c.WorldRank(op.Peer)
+			wsrc = x.c.WorldRank(op.Peer)
 		}
 		p := r.postRecv(wsrc, op.Tag)
 		x.rp = p
+		// Fast path: the message was already queued and post consumed it, so
+		// the receive never entered a posted queue and there is nothing to
+		// wait for or tombstone.
 		if !r.w.mailboxes[r.rank].post(p) {
 			x.stage = 1
 			x.pend = pendMatch
@@ -363,36 +389,32 @@ func (x *slExec) execRecv(r *Rank) bool {
 	r.record(x.st, &Event{Op: OpRecv, CommID: x.c.id, CommSize: x.c.Size(),
 		Peer: op.Peer, PeerWorld: p.msg.src, SourceWasWildcard: op.Peer == AnySource,
 		Tag: op.Tag, Size: op.Size, Root: -1})
-	x.rp = nil
 	return false
 }
 
-// execDrain is a Waitall over the outstanding set. With nothing outstanding
-// the leaf is compute-only, as a replay body skips the call entirely.
-// Otherwise it makes Rank.Waitall's two passes (receives first, then sends),
-// parking where Rank.wait would block on a match or on credit.
-func (x *slExec) execDrain(r *Rank) bool {
-	op := &x.op
+// execDrain completes reqs and records x.op.Op over them, sized by their
+// count and attributed to the last request's communicator. Receives complete
+// first, then sends, so that flow-control credit is returned before send
+// stalls are served: an MPI progress engine's order, which avoids artificial
+// deadlock between mutually stalled senders. It parks on a receive not yet
+// matched and on a send stalled for credit; reqs must be the same set on
+// every call of one drain.
+func (x *slExec) execDrain(r *Rank, reqs []*Request) bool {
 	if x.stage == 0 {
-		r.Compute(op.ComputeUS)
-		if len(x.outstanding) == 0 {
-			return false
-		}
 		r.checkActive()
-		x.st = entryState{start: r.clock, compute: r.clock - r.lastOpEnd, site: op.Site}
-		r.noteSite(op.Site)
+		x.st = r.enter(x.op.Site)
 		x.wCommID, x.wCommSize = 0, r.w.n
 		x.widx = 0
 		x.wstage = 0
 		x.stage = 1
 	}
 	if x.stage == 1 {
-		// First pass: complete receives (returning flow-control credit
-		// before send stalls are served).
-		for x.widx < len(x.outstanding) {
-			q := x.outstanding[x.widx]
+		for x.widx < len(reqs) {
+			q := reqs[x.widx]
 			if q.op == OpIrecv && !q.done {
 				if x.wstage == 0 {
+					// A receive matched at post time never entered a posted
+					// queue: there is nothing to wait for or tombstone.
 					if !q.pr.fastMatched {
 						if q.pr.msg == nil {
 							x.wstage = 1
@@ -414,52 +436,34 @@ func (x *slExec) execDrain(r *Rank) bool {
 		x.widx = 0
 		x.stage = 2
 	}
-	// Second pass: complete sends.
-	for x.widx < len(x.outstanding) {
-		q := x.outstanding[x.widx]
+	for x.widx < len(reqs) {
+		q := reqs[x.widx]
 		if q.op != OpIrecv && !q.done {
-			if x.wstage == 0 {
-				m := r.w.model
-				if window := m.CreditWindow; window > 0 {
-					s := q.dst.slot(q.msg.src)
-					if !q.msg.drained && s.inflight > window {
-						r.cwDone = false
-						r.cwResume = 0
-						s.credit = creditWaiter{rank: int32(q.msg.src), window: int32(window), msg: q.msg}
-						x.wstage = 1
-						x.pend = pendCredit
-						return true
-					}
-				}
+			if x.wstage == 0 && x.parkOnCredit(r, q.dst, q.msg) {
+				x.wstage = 1
+				return true
 			}
 			q.done = true
 			x.wstage = 0
 		}
 		x.widx++
 	}
-	r.record(x.st, &Event{Op: OpWaitall, CommID: x.wCommID, CommSize: x.wCommSize,
-		Peer: NoPeer, PeerWorld: NoPeer, Size: len(x.outstanding), Root: -1})
-	// Everything outstanding is complete and nothing else holds the requests:
-	// the rank's request arena starts over (see rewindRequests).
-	clear(x.outstanding)
-	x.outstanding = x.outstanding[:0]
-	r.rewindRequests()
+	r.record(x.st, &Event{Op: x.op.Op, CommID: x.wCommID, CommSize: x.wCommSize,
+		Peer: NoPeer, PeerWorld: NoPeer, Size: len(reqs), Root: -1})
 	return false
 }
 
 // execRendezvous runs any synchronizing operation — the collectives,
-// CommSplit, CommDup, the runtime's own Finalize — as Rank.rendezvous does,
-// with the wait inside seqColl.arrive replaced by a park on the round: join,
-// arrive, and either close the round (last member) or return to the drive
-// loop until tryResume sees the generation advance; then leave. A minted
-// communicator is registered under the stream's ID for later operations.
+// CommSplit, CommDup, the runtime's own Finalize — on x.c: join the round,
+// arrive, and either close the round (last member) or park until tryResume
+// sees the generation advance; then leave. The communicator a CommSplit or
+// CommDup round minted for this rank is left in x.nc, and registered under
+// the stream's ID for later operations.
 func (x *slExec) execRendezvous(r *Rank) bool {
 	op := &x.op
 	if x.stage == 0 {
 		r.Compute(op.ComputeUS)
-		r.SetCallSite(op.Site)
-		x.st = r.enter()
-		x.c = x.comm(r, op.CommID)
+		x.st = r.enter(op.Site)
 		var rd collRound
 		x.me = r.joinRound(x.c, op, &rd)
 		cs := x.c.sync
@@ -475,9 +479,12 @@ func (x *slExec) execRendezvous(r *Rank) bool {
 		cs.closeRound(r.w.model, &rd)
 	}
 	cs := x.c.sync
-	nc := r.leaveRound(x.st, x.c, x.me, op, cs.completion, cs.shadowCompletion, cs.shared)
-	if nc != nil && op.NewCommID != 0 {
-		x.comms[op.NewCommID] = nc
+	x.nc = r.leaveRound(x.st, x.c, x.me, op, cs.completion, cs.shadowCompletion, cs.shared)
+	if x.nc != nil && op.NewCommID != 0 {
+		if x.comms == nil {
+			x.comms = make(map[int]*Comm, 2)
+		}
+		x.comms[op.NewCommID] = x.nc
 	}
 	return false
 }
@@ -499,6 +506,28 @@ func (e *eventLoop) stepCursor(i int32) {
 	} else {
 		e.state[i] = rsBlocked
 	}
+}
+
+// issue runs one blocking operation of a coroutine rank: op on c, through
+// exec, the same function a cursor runs for it, on the rank's executor.
+// Where exec parks, the coroutine blocks in place of returning to the drive
+// loop, and every wake re-tests the parked predicate with tryResume, as the
+// drive loop does for a cursor. It returns the executor, which holds what
+// the operation leaves for its caller (execRecv's receive, execRendezvous's
+// minted communicator).
+func (r *Rank) issue(c *Comm, op *RankOp, exec func(*slExec, *Rank) bool) *slExec {
+	e := r.w.sched
+	x := &e.cursors[r.rank]
+	x.op, x.c = *op, c
+	x.stage, x.wstage = 0, 0
+	parked := exec(x, r)
+	for parked {
+		e.block(int32(r.rank))
+		if x.tryResume(r) {
+			parked = exec(x, r)
+		}
+	}
+	return x
 }
 
 // RunStackless executes one stackless body per rank: progFor is called once

@@ -117,8 +117,7 @@ func rankMain(r *Rank, body func(*Rank)) {
 // with. Init and Finalize issue from rankMain's own frame, so their site is
 // known statically (rankMainSite) and stamped rather than walked.
 func (r *Rank) recordInit() {
-	r.SetCallSite(rankMainSite)
-	r.record(r.enter(), &Event{Op: OpInit, CommID: 0, CommSize: r.w.n,
+	r.record(r.enter(rankMainSite), &Event{Op: OpInit, CommID: 0, CommSize: r.w.n,
 		Peer: NoPeer, PeerWorld: NoPeer, Root: -1})
 }
 

@@ -422,6 +422,67 @@ func stringLiteralFiles(fset *token.FileSet, files []*ast.File, match func(strin
 	return names
 }
 
+// funcCall is one call x.name(...) and the function declaring it: "Name",
+// or "Type.Name" for a method.
+type funcCall struct{ fn, name, at string }
+
+// funcCalls lists the calls x.name(...) in files, for any of the given names,
+// each with its enclosing top-level function (a closure's calls count as its
+// declaring function's).
+func funcCalls(fset *token.FileSet, files []*ast.File, names ...string) []funcCall {
+	var calls []funcCall
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
+						calls = append(calls, funcCall{fn: name, name: sel.Sel.Name, at: fset.Position(call.Pos()).String()})
+					}
+				}
+				return true
+			})
+		}
+	}
+	return calls
+}
+
+// blockingOpViolations lists the calls in files (internal/mpi's) that break
+// the one definition of the blocking MPI operations. The transport and round
+// primitives they are made of are called only by the executor (slExec
+// methods) and by the nonblocking Rank.Isend and Rank.Irecv, and a coroutine
+// rank parks (eventLoop.block) at one call, in Rank.issue, which runs the
+// executor's functions and re-tests their predicates.
+func blockingOpViolations(fset *token.FileSet, files []*ast.File) []string {
+	var v []string
+	for _, c := range funcCalls(fset, files, "inject", "postRecv", "completeRecv", "chargeCreditStall", "arriveRound", "closeRound") {
+		if !strings.HasPrefix(c.fn, "slExec.") && c.fn != "Rank.Isend" && c.fn != "Rank.Irecv" {
+			v = append(v, c.at+": "+c.fn+" calls "+c.name+"; the exec functions of stackless.go are the one definition of a blocking operation")
+		}
+	}
+	inIssue := 0
+	for _, c := range funcCalls(fset, files, "block") {
+		if c.fn == "Rank.issue" {
+			if inIssue++; inIssue == 1 {
+				continue
+			}
+		}
+		v = append(v, c.at+": "+c.fn+" calls eventLoop.block; Rank.issue's one call is the only park of a coroutine rank")
+	}
+	return v
+}
+
 // pkgCalls lists the positions of calls pkg.name(...) in files, for any of
 // the given names.
 func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...string) []string {
@@ -445,20 +506,27 @@ func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...strin
 // definition each: Section 4.2's communicator → world translation (only
 // internal/trace calls Trace.WorldRankOf; everyone else goes through
 // RSD.WorldPeerFor / WorldRoot), the cost table of the synchronizing MPI
-// operations (collCost literals in one function of internal/mpi), the set of
-// target languages (the names of the formal-model languages are spelled in
-// one file, internal/core's table), the unknown-model error (netmodel's
-// Lookup) and the spelling of a task group in a target language (the dialect
-// table of internal/conceptual/emit.go is the one file with a string literal
-// holding "SUCH THAT", "rank == " or "me == "; the three printers format
-// nothing through fmt but errors, and indent through the shared writer). Each
-// rule is first shown to fail on a source that breaks it.
+// operations (collCost literals in one function of internal/mpi), the blocking
+// MPI operations (blockingOpViolations: one exec function each, which
+// coroutine ranks run through Rank.issue), the set of target languages (the
+// names of the formal-model languages are spelled in one file, internal/core's
+// table), the unknown-model error (netmodel's Lookup) and the spelling of a
+// task group in a target language (the dialect table of
+// internal/conceptual/emit.go is the one file with a string literal holding
+// "SUCH THAT", "rank == " or "me == "; the three printers format nothing
+// through fmt but errors, and indent through the shared writer). Each rule is
+// first shown to fail on a source that breaks it.
 func TestSingleHomesArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	violation, err := parser.ParseFile(fset, "violation.go", `package gen
 func peer(t *trace.Trace, r *trace.RSD) int { w, _ := t.WorldRankOf(r.CommID, r.PeerFor(0, t)); return w }
 func (r *Rank) Barrier(c *Comm) { r.run(collCost{kind: costBarrier}) }
 func (r *Rank) Bcast(c *Comm) { r.run(collCost{kind: costTree}) }
+func (x *slExec) execSend(r *Rank) bool { r.inject(0, 0, 0); return false }
+func (r *Rank) Isend() { r.inject(0, 0, 0) }
+func (r *Rank) stallForCredit(mb *mailbox, msg *message) { r.chargeCreditStall(mb.awaitCredit(msg)) }
+func (mb *mailbox) awaitMatch(p *postedRecv) { for p.msg == nil { mb.seq.block(mb.owner) } }
+func (r *Rank) issue() { r.w.sched.block(int32(r.rank)) }
 func render(lang string) error {
 	switch lang {
 	case "mpnet", "tla":
@@ -484,6 +552,10 @@ func (g *cgen) guard(sel TaskSel) {
 	}
 	if got := literalFuncs(broken, "collCost"); len(got) != 2 {
 		t.Errorf("literalFuncs finds %d of 2 functions with a collCost literal: %q", len(got), got)
+	}
+	if got := blockingOpViolations(fset, broken); len(got) != 2 ||
+		!strings.Contains(got[0], "stallForCredit calls chargeCreditStall") || !strings.Contains(got[1], "mailbox.awaitMatch calls eventLoop.block") {
+		t.Errorf("blockingOpViolations finds %q, want stallForCredit's chargeCreditStall and awaitMatch's block", got)
 	}
 	if got := stringLiteralFiles(fset, broken, modelLanguage); len(got) != 1 {
 		t.Errorf("stringLiteralFiles misses the language names: %q", got)
@@ -512,8 +584,15 @@ func (g *cgen) guard(sel TaskSel) {
 			}
 		}
 	}
-	if got := literalFuncs(parseNonTestDir(t, fset, filepath.Join("internal", "mpi")), "collCost"); !slices.Equal(got, []string{"roundOf"}) {
+	mpiFiles := parseNonTestDir(t, fset, filepath.Join("internal", "mpi"))
+	if got := literalFuncs(mpiFiles, "collCost"); !slices.Equal(got, []string{"roundOf"}) {
 		t.Errorf("collCost literals in %q; Rank.roundOf is the one table of rendezvous costs", got)
+	}
+	for _, v := range blockingOpViolations(fset, mpiFiles) {
+		t.Error(v)
+	}
+	if got := funcCalls(fset, mpiFiles, "block"); len(got) != 1 {
+		t.Errorf("eventLoop.block is called %d times, want once (Rank.issue): %v", len(got), got)
 	}
 	if got := stringLiteralFiles(fset, all, modelLanguage); !slices.Equal(got, []string{"internal/core/render.go"}) {
 		t.Errorf("language names spelled in %q; internal/core/render.go holds the one table", got)
