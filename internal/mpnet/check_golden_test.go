@@ -16,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/check_golden.json from this checkout's checker")
+var update = flag.Bool("update", false, "rewrite testdata/check_golden.json and testdata/counterexample_golden.json from this checkout")
 
 const goldenPath = "testdata/check_golden.json"
 
