@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // ctrStates counts canonical states explored by the checker across all
@@ -890,11 +891,11 @@ func (n *Net) check(ctx context.Context, opts *Options, x *explorer) (*Verdict, 
 }
 
 // ForcedRun executes the single interleaving in which every wildcard
-// receive matches the source named by assign (keyed by rank and event
-// index, as in Choice). It reports whether that execution completes; if
-// not, blocked describes the stuck state. This is how the resolver's
-// match assignment is checked for admission by the net.
-func (n *Net) ForcedRun(assign map[[2]int]int) (completed bool, blocked []string) {
+// receive matches the source pins names (per rank, in event order, as
+// wildcard.Assign returns them). It reports whether that execution
+// completes; if not, blocked describes the stuck state. This is how the
+// resolver's match assignment is checked for admission by the net.
+func (n *Net) ForcedRun(pins [][]trace.Pin) (completed bool, blocked []string) {
 	c := newChecker(n)
 	s := c.newState()
 	for {
@@ -905,7 +906,9 @@ func (n *Net) ForcedRun(assign map[[2]int]int) (completed bool, blocked []string
 		options := c.enumerate(s)
 		picked := false
 		for _, o := range options {
-			if src, ok := assign[[2]int{int(o.rank), int(o.ev)}]; ok && src == n.Chans[o.ch].Src {
+			rankPins := pins[o.rank]
+			i, ok := slices.BinarySearchFunc(rankPins, int(o.ev), func(p trace.Pin, ev int) int { return p.Event - ev })
+			if ok && rankPins[i].Source == n.Chans[o.ch].Src {
 				c.apply(s, o)
 				picked = true
 				break

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/replay"
-	"repro/internal/taskset"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wildcard"
@@ -174,16 +173,12 @@ func verify(ctx context.Context, t *trace.Trace, opts *Options) (*Report, *Net, 
 	}
 
 	if net.Wildcards > 0 {
-		resolved, rerr := wildcard.Resolve(t)
+		pins, rerr := wildcard.Assign(t)
 		if rerr != nil {
 			rep.ResolverDeadlock = rerr.Error()
 		} else {
-			assign, aerr := ResolverAssignment(net, resolved)
-			if aerr != nil {
-				return nil, nil, aerr
-			}
-			rep.ResolverAdmitted, rep.ResolverBlocked = net.ForcedRun(assign)
-			if rep.ResolvedVerdict, err = net.pin(resolved, assign).CheckContext(ctx, opts); err != nil {
+			rep.ResolverAdmitted, rep.ResolverBlocked = net.ForcedRun(pins)
+			if rep.ResolvedVerdict, err = net.pin(pins).CheckContext(ctx, opts); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -213,42 +208,6 @@ func VerifyWithReplay(t *trace.Trace, opts *Options, model *netmodel.Model) (*Re
 	return VerifyWithReplayContext(context.Background(), t, opts, model)
 }
 
-// ErrBadResolution: a resolved wildcard receive names no world rank.
-var ErrBadResolution = errors.New("mpnet: resolved wildcard receive has no world source")
-
-// ResolverAssignment aligns the resolved trace against the net's
-// expanded event streams and extracts, for every wildcard receive
-// instance, the world source Algorithm 2 fixed it to. Resolution only
-// rewrites wildcard peers — recompression and re-merging preserve each
-// rank's event sequence — so the two expansions align index by index.
-func ResolverAssignment(net *Net, resolved *trace.Trace) (map[[2]int]int, error) {
-	assign := make(map[[2]int]int)
-	for rank := 0; rank < net.N; rank++ {
-		events := resolved.EventsOf(rank)
-		if len(events) != len(net.Procs[rank]) {
-			return nil, fmt.Errorf("mpnet: resolved trace misaligned for rank %d: %d events vs %d in the net",
-				rank, len(events), len(net.Procs[rank]))
-		}
-		for i := range net.Procs[rank] {
-			ev := &net.Procs[rank][i]
-			if !ev.Wild {
-				continue
-			}
-			leaf := events[i]
-			if leaf.Op != ev.Op {
-				return nil, fmt.Errorf("mpnet: resolved trace misaligned for rank %d event %d: %v vs %v",
-					rank, i, leaf.Op, ev.Op)
-			}
-			src := leaf.WorldPeerFor(rank, resolved)
-			if src < 0 || src >= net.N {
-				return nil, fmt.Errorf("%w: rank %d event %d resolved to %d of %d ranks", ErrBadResolution, rank, i, src, net.N)
-			}
-			assign[[2]int{rank, i}] = src
-		}
-	}
-	return assign, nil
-}
-
 // CounterexampleTrace pins every wildcard receive of the net's trace to
 // a concrete source — the counterexample's choice where one was
 // committed, the first statically enabled source otherwise (sound: an
@@ -260,35 +219,28 @@ func CounterexampleTrace(net *Net, cx *Counterexample) (*trace.Trace, error) {
 	if cx == nil {
 		return nil, fmt.Errorf("mpnet: no counterexample to reconstruct")
 	}
-	pinned := make(map[[2]int]int, len(cx.Choices))
+	chosen := make(map[[2]int]int, len(cx.Choices))
 	for _, ch := range cx.Choices {
-		pinned[[2]int{ch.Rank, ch.Event}] = ch.Source
+		chosen[[2]int{ch.Rank, ch.Event}] = ch.Source
 	}
-	t := net.Trace
-	seqs := make([][]trace.Node, net.N)
-	for rank := 0; rank < net.N; rank++ {
-		b := trace.NewBuilder()
-		for i := range net.Procs[rank] {
-			ev := &net.Procs[rank][i]
-			leaf := new(trace.RSD)
-			ev.Leaf.CopyFor(leaf, rank, taskset.Of(rank), t, ev.ComputeUS)
-			leaf.Wildcard = false
-			if ev.Wild {
-				world, ok := pinned[[2]int{rank, i}]
-				if !ok {
-					if len(ev.Sources) > 0 {
-						world = ev.Sources[0]
-					} else {
-						world = 0 // unmatchable either way: no compatible sender exists
-					}
-				}
-				wildcard.Pin(t, leaf, world)
+	pins := make([][]trace.Pin, net.N)
+	for rank, procs := range net.Procs {
+		for i := range procs {
+			if !procs[i].Wild {
+				continue
 			}
-			b.Append(leaf)
+			src, ok := chosen[[2]int{rank, i}]
+			switch {
+			case ok:
+			case len(procs[i].Sources) > 0:
+				src = procs[i].Sources[0]
+			default:
+				src = 0 // unmatchable either way: no compatible sender exists
+			}
+			pins[rank] = append(pins[rank], trace.Pin{Event: i, Source: src})
 		}
-		seqs[rank] = b.Seq()
 	}
-	return trace.MergeRankSeqsOwned(net.N, trace.CloneComms(t.Comms), seqs), nil
+	return trace.Pinned(net.Trace, pins), nil
 }
 
 // ConfirmWithReplay re-executes the report's counterexample on the

@@ -360,32 +360,28 @@ func TestExportTLABounds(t *testing.T) {
 	}
 }
 
-func TestResolverAssignmentExtraction(t *testing.T) {
+func TestAssignExtraction(t *testing.T) {
 	n := 4
 	tr := collect(t, n, starBody(n))
 	net, err := FromTrace(tr, nil)
 	if err != nil {
 		t.Fatalf("FromTrace: %v", err)
 	}
-	resolved, err := wildcard.Resolve(tr)
+	pins, err := wildcard.Assign(tr)
 	if err != nil {
-		t.Fatalf("Resolve: %v", err)
+		t.Fatalf("Assign: %v", err)
 	}
-	assign, err := ResolverAssignment(net, resolved)
-	if err != nil {
-		t.Fatalf("ResolverAssignment: %v", err)
-	}
-	if len(assign) != n-1 {
-		t.Fatalf("extracted %d assignments, want %d: %v", len(assign), n-1, assign)
+	if len(pins[0]) != n-1 {
+		t.Fatalf("rank 0 has %d decisions, want %d: %v", len(pins[0]), n-1, pins)
 	}
 	srcs := map[int]bool{}
-	for _, src := range assign {
-		srcs[src] = true
+	for _, p := range pins[0] {
+		srcs[p.Source] = true
 	}
 	if len(srcs) != n-1 {
-		t.Fatalf("assignment sources not distinct: %v", assign)
+		t.Fatalf("decided sources not distinct: %v", pins[0])
 	}
-	if ok, blocked := net.ForcedRun(assign); !ok {
+	if ok, blocked := net.ForcedRun(pins); !ok {
 		t.Fatalf("resolver assignment rejected: %v", blocked)
 	}
 }
@@ -490,13 +486,29 @@ func TestCheckRootDeadlock(t *testing.T) {
 	}
 }
 
-// comparePinned fails t unless net.pin(resolved, assign) is the net FromTrace
-// lowers from resolved in every field the checker reads, and both check
-// alike under opts.
-func comparePinned(t testing.TB, net *Net, resolved *trace.Trace, assign map[[2]int]int, opts *Options) {
+// comparePinned fails t unless wildcard.Assign's pins name exactly the net's
+// wildcard events, in strictly increasing event order per rank, and
+// net.pin(pins) is the net FromTrace lowers from trace.Pinned(net.Trace,
+// pins) in every field the checker reads, both checking alike under opts.
+func comparePinned(t testing.TB, net *Net, pins [][]trace.Pin, opts *Options) {
 	t.Helper()
-	pinned := net.pin(resolved, assign)
-	lowered, err := FromTrace(resolved, opts)
+	for rank, procs := range net.Procs {
+		var wild []int
+		for i := range procs {
+			if procs[i].Wild {
+				wild = append(wild, i)
+			}
+		}
+		var pinned []int
+		for _, p := range pins[rank] {
+			pinned = append(pinned, p.Event)
+		}
+		if !slices.Equal(pinned, wild) {
+			t.Fatalf("rank %d: pins at events %v, wildcard events %v", rank, pinned, wild)
+		}
+	}
+	pinned := net.pin(pins)
+	lowered, err := FromTrace(trace.Pinned(net.Trace, pins), opts)
 	if err != nil {
 		t.Fatalf("FromTrace(resolved): %v", err)
 	}
@@ -534,63 +546,17 @@ func TestPinMatchesLowering(t *testing.T) {
 		if net.Wildcards == 0 {
 			continue
 		}
-		resolved, err := wildcard.Resolve(net.Trace)
+		pins, err := wildcard.Assign(net.Trace)
 		if err != nil {
-			continue // figure5, cross-coupled: the resolver deadlocks
-		}
-		assign, err := ResolverAssignment(net, resolved)
-		if err != nil {
-			t.Fatalf("%s: ResolverAssignment: %v", cases[i].name, err)
+			continue // figure5: the resolver deadlocks
 		}
 		t.Run(cases[i].name, func(t *testing.T) {
-			comparePinned(t, net, resolved, assign, &Options{MaxStates: cases[i].maxStates})
+			comparePinned(t, net, pins, &Options{MaxStates: cases[i].maxStates})
 		})
 		compared++
 	}
 	if compared < 6 {
 		t.Fatalf("compared %d golden nets, want the 6 resolvable wildcard nets", compared)
-	}
-}
-
-// TestResolverAssignmentRejectsSourcelessWildcards: a resolved trace whose
-// wildcard instance names no world rank is refused by name instead of
-// becoming a receive from nobody in the pinned net.
-func TestResolverAssignmentRejectsSourcelessWildcards(t *testing.T) {
-	const doc = "scalatrace-go 1\nnprocs 3\ncomms 0\ngroups 3\n" +
-		"group 0 1\nrsd op=Send site=1 ranks=0 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
-		"group 2 1\nrsd op=Send site=2 ranks=2 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
-		"group 1 2\nrsd op=Recv site=3 ranks=1 comm=0 csize=3 peer=any tag=0 size=64 root=-1 wildcard=1\n" +
-		"rsd op=Recv site=4 ranks=1 comm=0 csize=3 peer=abs0 tag=0 size=64 root=-1\n"
-	decode := func() *trace.Trace {
-		tr, err := trace.Decode(strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	net, err := FromTrace(decode(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		peer trace.Param
-		want error
-	}{
-		{"pinned to rank 2", trace.AbsParam(2), nil},
-		{"left a wildcard", trace.Param{Kind: trace.ParamAny}, ErrBadResolution},
-		{"past the last rank", trace.AbsParam(3), ErrBadResolution},
-		{"below rank 0", trace.AbsParam(-5), ErrBadResolution},
-	} {
-		resolved := decode()
-		resolved.EventsOf(1)[0].Peer = tc.peer
-		assign, err := ResolverAssignment(net, resolved)
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
-		}
-		if tc.want == nil && assign[[2]int{1, 0}] != 2 {
-			t.Errorf("%s: assignment %v", tc.name, assign)
-		}
 	}
 }
 

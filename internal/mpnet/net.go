@@ -318,23 +318,21 @@ func rankEvents(seq []trace.Node, rank, limit int) int {
 	return n
 }
 
-// pin is FromTrace(resolved) without a second expansion: resolved is n's
-// trace with each wildcard receive fixed to the world source assign names
-// (ResolverAssignment), and nothing else differs between the two nets.
-func (n *Net) pin(resolved *trace.Trace, assign map[[2]int]int) *Net {
-	p := &Net{N: n.N, Trace: resolved, Procs: make([][]Event, n.N), Chans: n.Chans, Events: n.Events}
+// pin is FromTrace(trace.Pinned(n.Trace, pins)) without a second expansion:
+// pins (wildcard.Assign's) fix each wildcard receive to a world source, and
+// nothing else differs between the two nets.
+func (n *Net) pin(pins [][]trace.Pin) *Net {
+	p := &Net{N: n.N, Trace: n.Trace, Procs: make([][]Event, n.N), Chans: n.Chans, Events: n.Events}
 	for rank, procs := range n.Procs {
 		p.Procs[rank] = slices.Clone(procs)
-		for i := range procs {
-			if ev := &p.Procs[rank][i]; ev.Wild {
-				src := assign[[2]int{rank, i}]
-				if ev.Kind == EvRecvAny {
-					ev.Kind = EvRecv
-				}
-				ev.Peer, ev.Wild, ev.Cands, ev.Sources, ev.SrcChans = src, false, nil, nil, nil
-				if j := slices.Index(procs[i].Sources, src); j >= 0 {
-					ev.Cands = procs[i].SrcChans[j]
-				}
+		for _, pin := range pins[rank] {
+			ev := &p.Procs[rank][pin.Event]
+			if ev.Kind == EvRecvAny {
+				ev.Kind = EvRecv
+			}
+			ev.Peer, ev.Wild, ev.Cands, ev.Sources, ev.SrcChans = pin.Source, false, nil, nil, nil
+			if j := slices.Index(procs[pin.Event].Sources, pin.Source); j >= 0 {
+				ev.Cands = procs[pin.Event].SrcChans[j]
 			}
 		}
 	}

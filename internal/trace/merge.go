@@ -43,8 +43,7 @@ import (
 // MergeRankSeqsOwned performs ScalaTrace's inter-node merge: per-rank
 // compressed sequences are unified into behaviour groups with generalized
 // (possibly rank-relative) parameters. It is used by the Collector at trace
-// time and by the wildcard-resolution and alignment passes to rebuild a
-// merged trace.
+// time, by Pinned and by the alignment pass to rebuild a merged trace.
 //
 // The caller hands over ownership of every sequence that only one rank
 // names: the group representatives alias them and unification mutates them,

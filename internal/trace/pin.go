@@ -1,0 +1,49 @@
+package trace
+
+import "repro/internal/taskset"
+
+// Pin is one decision about a receive of a rank: its Event — the receive's
+// ordinal among the rank's events, as Cursor.Index counts them — takes its
+// message from world rank Source.
+type Pin struct {
+	Event, Source int
+}
+
+// Pinned rebuilds t with every pinned receive naming its source: each rank's
+// events become single-rank leaves (CopyFor, with the compute sample of the
+// event's loop iteration, Wildcard cleared), a pinned receive's peer becomes
+// its source in the numbering of the receive's communicator, and the per-rank
+// streams are recompressed and re-merged. pins has one list per rank, in
+// ascending Event order. t is not modified. This is how Algorithm 2's
+// decisions and an MP-net counterexample's choices become a wildcard-free
+// trace.
+func Pinned(t *Trace, pins [][]Pin) *Trace {
+	seqs := make([][]Node, t.N)
+	for rank := range seqs {
+		g := t.GroupOf(rank)
+		if g == nil {
+			continue
+		}
+		b := NewBuilder()
+		next := pins[rank]
+		for c := NewCursor(g.Seq, rank); !c.Done(); c.Advance() {
+			rsd := c.Cur()
+			leaf := new(RSD)
+			rsd.CopyFor(leaf, rank, taskset.Of(rank), t, rsd.ComputeMeanAt(c.InnermostIter() == 0))
+			leaf.Wildcard = false
+			if len(next) > 0 && next[0].Event == c.Index() {
+				src, ok := t.CommRankOf(leaf.CommID, next[0].Source)
+				if !ok {
+					src = next[0].Source
+				}
+				leaf.Peer = AbsParam(src)
+				next = next[1:]
+			}
+			b.Append(leaf)
+		}
+		seqs[rank] = b.Seq()
+	}
+	// The builders are discarded here, so the merge may consume their
+	// sequences in place.
+	return MergeRankSeqsOwned(t.N, CloneComms(t.Comms), seqs)
+}

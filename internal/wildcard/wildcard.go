@@ -12,8 +12,9 @@
 // application has been found (Figure 5) and an error is reported rather than
 // hanging.
 //
-// The resolved per-rank streams are recompressed and re-merged, so the
-// output trace remains scalable.
+// Assign returns those decisions; Resolve applies them with trace.Pinned,
+// which recompresses and re-merges the per-rank streams, so the output trace
+// remains scalable.
 package wildcard
 
 import (
@@ -23,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/mpi"
-	"repro/internal/taskset"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -61,17 +61,15 @@ func (e *DeadlockError) Error() string {
 type message struct {
 	src  int // world rank
 	tag  int
-	size int
 	used bool
 }
 
 // pendingRecv is a posted receive awaiting a match.
 type pendingRecv struct {
-	leaf     *trace.RSD // emitted output leaf (mutated when resolved)
-	src      int        // world source or mpi.AnySource
-	tag      int
-	matched  bool
-	blocking bool
+	pin     int // index of its decision in the rank's pins; -1 for a concrete source
+	src     int // world source or mpi.AnySource
+	tag     int
+	matched bool
 }
 
 type rankState int
@@ -91,18 +89,19 @@ type resolver struct {
 	cursors []*trace.Cursor
 	states  []rankState
 
-	inbox   [][]*message     // L2: messages destined to each rank
+	// inbox is L2: the messages destined to each rank, in arrival order,
+	// past its consumed prefix.
+	inbox   [][]message
 	pending [][]*pendingRecv // posted receives per rank (match order)
 	// outstanding tracks nonblocking requests per rank in post order for
 	// Wait semantics: true entries are receives (index into pending history).
 	outstanding [][]*pendingRecv // nil entry = completed send
 
-	// buffered output per rank: leaves already traversed but not yet safe to
-	// compress (a wildcard ahead of them may still be unresolved).
-	buffer   [][]*trace.RSD
-	builders []*trace.Builder
+	// pins are the decisions per rank, in event order; an unmatched
+	// wildcard's Source is mpi.AnySource.
+	pins [][]trace.Pin
 
-	collPending map[int]map[int]*trace.RSD // commID -> rank -> arrival
+	collPending map[int]map[int]bool // commID -> ranks arrived
 }
 
 // Resolve runs Algorithm 2 over t and returns an equivalent trace in which
@@ -110,18 +109,30 @@ type resolver struct {
 // *DeadlockError if the input application can deadlock.
 func Resolve(t *trace.Trace) (*trace.Trace, error) {
 	defer telemetry.Region("wildcard.resolve")()
+	pins, err := Assign(t)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Pinned(t, pins), nil
+}
+
+// Assign runs Algorithm 2's traversal over t and returns its decisions: per
+// rank and in event order, the world source of every wildcard receive — a
+// receive whose world source (RSD.WorldPeerFor) is mpi.AnySource, exactly the
+// receives the MP-net lowering makes wildcard. It returns a *DeadlockError if
+// the input application can deadlock.
+func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	n := t.N
 	r := &resolver{
 		t:           t,
 		n:           n,
 		cursors:     make([]*trace.Cursor, n),
 		states:      make([]rankState, n),
-		inbox:       make([][]*message, n),
+		inbox:       make([][]message, n),
 		pending:     make([][]*pendingRecv, n),
 		outstanding: make([][]*pendingRecv, n),
-		buffer:      make([][]*trace.RSD, n),
-		builders:    make([]*trace.Builder, n),
-		collPending: make(map[int]map[int]*trace.RSD),
+		pins:        make([][]trace.Pin, n),
+		collPending: make(map[int]map[int]bool),
 	}
 	for i := 0; i < n; i++ {
 		g := t.GroupOf(i)
@@ -129,7 +140,6 @@ func Resolve(t *trace.Trace) (*trace.Trace, error) {
 			return nil, fmt.Errorf("wildcard: rank %d missing from trace", i)
 		}
 		r.cursors[i] = trace.NewCursor(g.Seq, i)
-		r.builders[i] = trace.NewBuilder()
 	}
 
 	for {
@@ -152,18 +162,13 @@ func Resolve(t *trace.Trace) (*trace.Trace, error) {
 		}
 	}
 
-	seqs := make([][]trace.Node, n)
-	for i := 0; i < n; i++ {
-		r.flush(i)
-		if len(r.buffer[i]) != 0 {
-			return nil, fmt.Errorf("wildcard: rank %d finished with %d unresolved receives",
-				i, len(r.buffer[i]))
+	for rank, pins := range r.pins {
+		if open := slices.IndexFunc(pins, func(p trace.Pin) bool { return p.Source == mpi.AnySource }); open >= 0 {
+			return nil, fmt.Errorf("wildcard: rank %d finished with wildcard receive %d unresolved",
+				rank, pins[open].Event)
 		}
-		seqs[i] = r.builders[i].Seq()
 	}
-	// The resolver's builders are discarded after this point, so the merge
-	// may consume their sequences in place.
-	return trace.MergeRankSeqsOwned(n, trace.CloneComms(t.Comms), seqs), nil
+	return r.pins, nil
 }
 
 // run advances one rank until it blocks or finishes, returning whether any
@@ -207,53 +212,22 @@ func (r *resolver) run(rank int) bool {
 			// including ours; do not advance again.
 			progress = true
 			continue
-		default:
-			// Init and other local events pass through.
-			r.emit(rank, r.leafFor(rank, rsd))
 		}
+		// Init and other local events pass through.
 		cur.Advance()
 		r.states[rank] = ready
 		progress = true
 	}
 }
 
-// leafFor copies rsd as a single-rank leaf of the wildcard-free output
-// trace, carrying the source's mean compute time.
-func (r *resolver) leafFor(rank int, rsd *trace.RSD) *trace.RSD {
-	leaf := new(trace.RSD)
-	rsd.CopyFor(leaf, rank, taskset.Of(rank), r.t, rsd.ComputeMeanAt(r.cursors[rank].InnermostIter() == 0))
-	leaf.Wildcard = false
-	return leaf
-}
-
-// emit appends a leaf to the rank's ordered buffer and flushes the resolved
-// prefix into the compressor.
-func (r *resolver) emit(rank int, leaf *trace.RSD) {
-	r.buffer[rank] = append(r.buffer[rank], leaf)
-	r.flush(rank)
-}
-
-func (r *resolver) flush(rank int) {
-	buf := r.buffer[rank]
-	i := 0
-	for i < len(buf) && buf[i].Peer.Kind != trace.ParamAny {
-		r.builders[rank].Append(buf[i])
-		i++
-	}
-	r.buffer[rank] = buf[i:]
-}
-
 // doSend delivers a message to the destination (the paper's L2 update) and
 // tries to match it against the destination's posted receives.
 func (r *resolver) doSend(rank int, rsd *trace.RSD) {
 	dst := rsd.WorldPeerFor(rank, r.t)
-	msg := &message{src: rank, tag: rsd.Tag, size: rsd.Size}
 	if dst >= 0 && dst < r.n {
-		r.inbox[dst] = append(r.inbox[dst], msg)
+		r.inbox[dst] = append(r.inbox[dst], message{src: rank, tag: rsd.Tag})
 		r.matchInbox(dst)
 	}
-	leaf := r.leafFor(rank, rsd)
-	r.emit(rank, leaf)
 	if rsd.Op == mpi.OpIsend {
 		r.outstanding[rank] = append(r.outstanding[rank], nil) // sends complete eagerly
 	}
@@ -266,55 +240,52 @@ func (r *resolver) matchInbox(rank int) {
 		if pr.matched {
 			continue
 		}
-		if m := r.takeMessage(rank, pr.src, pr.tag); m != nil {
-			r.complete(rank, pr, m)
+		if src, ok := r.takeMessage(rank, pr.src, pr.tag); ok {
+			r.complete(rank, pr, src)
 		}
 	}
 	r.compactPending(rank)
 }
 
-// takeMessage removes and returns the first compatible unconsumed message.
-func (r *resolver) takeMessage(rank, src, tag int) *message {
-	for _, m := range r.inbox[rank] {
-		if m.used {
-			continue
-		}
-		if src != mpi.AnySource && m.src != src {
-			continue
-		}
-		if tag != mpi.AnyTag && m.tag != tag {
+// takeMessage consumes the first compatible message and returns its sender.
+// The inbox is resliced past its consumed prefix, so no message is scanned
+// again once every message before it is consumed.
+func (r *resolver) takeMessage(rank, src, tag int) (int, bool) {
+	inbox := r.inbox[rank]
+	for len(inbox) > 0 && inbox[0].used {
+		inbox = inbox[1:]
+	}
+	r.inbox[rank] = inbox
+	for i := range inbox {
+		m := &inbox[i]
+		if m.used || src != mpi.AnySource && m.src != src || tag != mpi.AnyTag && m.tag != tag {
 			continue
 		}
 		m.used = true
-		return m
+		return m.src, true
 	}
-	return nil
+	return 0, false
 }
 
-// complete marks a pending receive matched and, for wildcards, resolves the
-// output leaf's source to the matching sender (the heart of Algorithm 2).
-func (r *resolver) complete(rank int, pr *pendingRecv, m *message) {
+// decide records the decision for the wildcard receive at rank's cursor:
+// source src, or mpi.AnySource until complete fills it in. It returns the
+// decision's index in the rank's pins.
+func (r *resolver) decide(rank, src int) int {
+	r.pins[rank] = append(r.pins[rank], trace.Pin{Event: r.cursors[rank].Index(), Source: src})
+	if src != mpi.AnySource {
+		ctrResolved.Inc()
+	}
+	return len(r.pins[rank]) - 1
+}
+
+// complete marks a pending receive matched by a message from src and, for a
+// wildcard, fixes its decision to that sender (the heart of Algorithm 2).
+func (r *resolver) complete(rank int, pr *pendingRecv, src int) {
 	pr.matched = true
-	if pr.src == mpi.AnySource {
-		r.pin(pr.leaf, m.src)
-		r.flush(rank)
+	if pr.pin >= 0 {
+		r.pins[rank][pr.pin].Source = src
+		ctrResolved.Inc()
 	}
-}
-
-// pin fixes a wildcard output leaf's source to the world rank that matched.
-func (r *resolver) pin(leaf *trace.RSD, src int) {
-	Pin(r.t, leaf, src)
-	ctrResolved.Inc()
-}
-
-// Pin makes world rank src the source of a receive leaf of t, in the
-// numbering of the leaf's communicator.
-func Pin(t *trace.Trace, leaf *trace.RSD, src int) {
-	commSrc, ok := t.CommRankOf(leaf.CommID, src)
-	if !ok {
-		commSrc = src
-	}
-	leaf.Peer = trace.AbsParam(commSrc)
 }
 
 func (r *resolver) compactPending(rank int) {
@@ -331,25 +302,24 @@ func (r *resolver) compactPending(rank int) {
 // no compatible message is available yet.
 func (r *resolver) doBlockingRecv(rank int, rsd *trace.RSD) bool {
 	src := rsd.WorldPeerFor(rank, r.t)
-	m := r.takeMessage(rank, src, rsd.Tag)
-	if m == nil {
+	from, ok := r.takeMessage(rank, src, rsd.Tag)
+	if !ok {
 		return false
 	}
-	leaf := r.leafFor(rank, rsd)
-	if rsd.Peer.Kind == trace.ParamAny {
-		r.pin(leaf, m.src)
+	if src == mpi.AnySource {
+		r.decide(rank, from)
 	}
-	r.emit(rank, leaf)
 	return true
 }
 
 // doIrecv posts a nonblocking receive (matching immediately if possible).
 func (r *resolver) doIrecv(rank int, rsd *trace.RSD) {
-	leaf := r.leafFor(rank, rsd)
-	pr := &pendingRecv{leaf: leaf, src: rsd.WorldPeerFor(rank, r.t), tag: rsd.Tag}
-	r.emit(rank, leaf)
-	if m := r.takeMessage(rank, pr.src, pr.tag); m != nil {
-		r.complete(rank, pr, m)
+	pr := &pendingRecv{pin: -1, src: rsd.WorldPeerFor(rank, r.t), tag: rsd.Tag}
+	if pr.src == mpi.AnySource {
+		pr.pin = r.decide(rank, mpi.AnySource)
+	}
+	if from, ok := r.takeMessage(rank, pr.src, pr.tag); ok {
+		r.complete(rank, pr, from)
 	} else {
 		r.pending[rank] = append(r.pending[rank], pr)
 	}
@@ -377,7 +347,6 @@ func (r *resolver) doWait(rank int, rsd *trace.RSD) bool {
 		}
 		r.outstanding[rank] = out[:0]
 	}
-	r.emit(rank, r.leafFor(rank, rsd))
 	return true
 }
 
@@ -395,16 +364,15 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	}
 	pc := r.collPending[rsd.CommID]
 	if pc == nil {
-		pc = make(map[int]*trace.RSD)
+		pc = make(map[int]bool)
 		r.collPending[rsd.CommID] = pc
 	}
-	pc[rank] = rsd
+	pc[rank] = true
 	if len(pc) < len(comm) {
 		return false
 	}
-	// Complete: emit per member and advance all cursors.
+	// Complete: advance every member's cursor.
 	for _, member := range comm {
-		r.emit(member, r.leafFor(member, pc[member]))
 		r.cursors[member].Advance()
 		if r.states[member] == blockedRendezvous {
 			r.states[member] = ready

@@ -422,13 +422,13 @@ func stringLiteralFiles(fset *token.FileSet, files []*ast.File, match func(strin
 	return names
 }
 
-// funcCall is one call x.name(...) and the function declaring it: "Name",
-// or "Type.Name" for a method.
+// funcCall is one call name(...) or x.name(...) and the function declaring
+// it: "Name", or "Type.Name" for a method.
 type funcCall struct{ fn, name, at string }
 
-// funcCalls lists the calls x.name(...) in files, for any of the given names,
-// each with its enclosing top-level function (a closure's calls count as its
-// declaring function's).
+// funcCalls lists the calls name(...) and x.name(...) in files, for any of
+// the given names, each with its enclosing top-level function (a closure's
+// calls count as its declaring function's).
 func funcCalls(fset *token.FileSet, files []*ast.File, names ...string) []funcCall {
 	var calls []funcCall
 	for _, f := range files {
@@ -443,19 +443,53 @@ func funcCalls(fset *token.FileSet, files []*ast.File, names ...string) []funcCa
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
+				if idx, ok := recv.(*ast.IndexExpr); ok {
+					recv = idx.X
+				}
 				name = recv.(*ast.Ident).Name + "." + name
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
-						calls = append(calls, funcCall{fn: name, name: sel.Sel.Name, at: fset.Position(call.Pos()).String()})
-					}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				callee := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					callee = fun.Name
+				case *ast.SelectorExpr:
+					callee = fun.Sel.Name
+				}
+				if slices.Contains(names, callee) {
+					calls = append(calls, funcCall{fn: name, name: callee, at: fset.Position(call.Pos()).String()})
 				}
 				return true
 			})
 		}
 	}
 	return calls
+}
+
+// rebuildCallers are the functions that may call trace.MergeRankSeqsOwned:
+// trace collection, Algorithm 1's rounds and trace.Pinned, the one rebuild of
+// a trace from per-receive decisions (Algorithm 2's, a counterexample's).
+var rebuildCallers = []string{"Collector.Trace", "Pinned", "alignWith"}
+
+// rebuildViolations lists the calls in files that break the one home of a
+// trace rebuild: outside internal/trace only internal/align copies leaves
+// with RSD.CopyFor, and only rebuildCallers call the merge.
+func rebuildViolations(fset *token.FileSet, files []*ast.File) []string {
+	var v []string
+	for _, c := range funcCalls(fset, files, "CopyFor", "MergeRankSeqsOwned") {
+		path := filepath.ToSlash(c.at)
+		switch {
+		case c.name == "CopyFor" && !strings.HasPrefix(path, "internal/trace/") && !strings.HasPrefix(path, "internal/align/"):
+			v = append(v, c.at+": "+c.fn+" copies trace leaves; trace.Pinned is the one rebuild outside Algorithm 1")
+		case c.name == "MergeRankSeqsOwned" && !slices.Contains(rebuildCallers, c.fn):
+			v = append(v, c.at+": "+c.fn+" merges rank sequences; only "+strings.Join(rebuildCallers, ", ")+" may")
+		}
+	}
+	return v
 }
 
 // blockingOpViolations lists the calls in files (internal/mpi's) that break
@@ -508,7 +542,9 @@ func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...strin
 // RSD.WorldPeerFor / WorldRoot), the cost table of the synchronizing MPI
 // operations (collCost literals in one function of internal/mpi), the blocking
 // MPI operations (blockingOpViolations: one exec function each, which
-// coroutine ranks run through Rank.issue), the set of target languages (the
+// coroutine ranks run through Rank.issue), the rebuild of a trace from
+// per-receive decisions (rebuildViolations: trace.Pinned, beside collection
+// and Algorithm 1 the one caller of the merge), the set of target languages (the
 // names of the formal-model languages are spelled in one file, internal/core's
 // table), the unknown-model error (netmodel's Lookup) and the spelling of a
 // task group in a target language (the dialect table of
@@ -537,7 +573,10 @@ func render(lang string) error {
 func (g *cgen) guard(sel TaskSel) {
 	g.sb.WriteString(strings.Repeat("  ", g.indent))
 	fmt.Fprintf(&g.sb, "if (%s) {", fmt.Sprintf("rank == %d", sel.Value))
-}`, parser.SkipObjectResolution)
+}
+func (r *resolver) leafFor(rank int, rsd *trace.RSD) { rsd.CopyFor(new(trace.RSD), rank, taskset.Of(rank), r.t, 0) }
+func CounterexampleTrace(net *Net) { trace.MergeRankSeqsOwned(net.N, nil, nil) }
+func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }`, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,6 +611,10 @@ func (g *cgen) guard(sel TaskSel) {
 	if got := pkgCalls(fset, broken, "strings", "Repeat"); len(got) != 1 {
 		t.Errorf("pkgCalls misses strings.Repeat: %q", got)
 	}
+	if got := rebuildViolations(fset, broken); len(got) != 2 ||
+		!strings.Contains(got[0], "resolver.leafFor copies") || !strings.Contains(got[1], "CounterexampleTrace merges") {
+		t.Errorf("rebuildViolations finds %q, want leafFor's CopyFor and CounterexampleTrace's merge", got)
+	}
 
 	var all []*ast.File
 	for _, dir := range []string{"cmd", "internal", "examples"} {
@@ -593,6 +636,16 @@ func (g *cgen) guard(sel TaskSel) {
 	}
 	if got := funcCalls(fset, mpiFiles, "block"); len(got) != 1 {
 		t.Errorf("eventLoop.block is called %d times, want once (Rank.issue): %v", len(got), got)
+	}
+	for _, v := range rebuildViolations(fset, all) {
+		t.Error(v)
+	}
+	var mergers []string
+	for _, c := range funcCalls(fset, all, "MergeRankSeqsOwned") {
+		mergers = append(mergers, c.fn)
+	}
+	if slices.Sort(mergers); !slices.Equal(mergers, rebuildCallers) {
+		t.Errorf("MergeRankSeqsOwned is called by %q, want exactly %q", mergers, rebuildCallers)
 	}
 	if got := stringLiteralFiles(fset, all, modelLanguage); !slices.Equal(got, []string{"internal/core/render.go"}) {
 		t.Errorf("language names spelled in %q; internal/core/render.go holds the one table", got)
