@@ -229,13 +229,10 @@ func CounterexampleTrace(net *Net, cx *Counterexample) (*trace.Trace, error) {
 			if !procs[i].Wild {
 				continue
 			}
+			// Without a compatible sender src stays 0: unmatchable either way.
 			src, ok := chosen[[2]int{rank, i}]
-			switch {
-			case ok:
-			case len(procs[i].Sources) > 0:
+			if !ok && len(procs[i].Sources) > 0 {
 				src = procs[i].Sources[0]
-			default:
-				src = 0 // unmatchable either way: no compatible sender exists
 			}
 			pins[rank] = append(pins[rank], trace.Pin{Event: i, Source: src})
 		}

@@ -212,8 +212,9 @@ func (r *resolver) run(rank int) bool {
 			// including ours; do not advance again.
 			progress = true
 			continue
+		default:
+			// Init and other local events pass through.
 		}
-		// Init and other local events pass through.
 		cur.Advance()
 		r.states[rank] = ready
 		progress = true
