@@ -199,3 +199,201 @@ func TestWarmRingReplayAllocatesNoRequests(t *testing.T) {
 		t.Errorf("a warm replayed event allocates %.1f B, want at most 50: requests are being allocated per round again", perEvent)
 	}
 }
+
+// reuseKernel is four ranks of point-to-point traffic whose message order a
+// recycled message or posted receive could break, in three phases (tags name
+// the messages; each phase gates its next step on a blocking receive, so the
+// event engine's dispatch order is fixed):
+//
+//   - a tag-selective Recv takes rank 1's middle message out of rank 0's
+//     unexpected queue, behind a live one, and a message rank 2 injects next
+//     must not surface at the taken message's queue position; rank 1 then
+//     sends 3*ArenaChunkMax/2 more messages, which rank 0 receives in order;
+//   - rank 0 builds its AnySource candidate heap against a standing backlog
+//     from ranks 1, 2 and 3, takes rank 1's candidate with a concrete Recv
+//     (leaving its heap entry stale), and rank 1's next message lands at the
+//     same address with a later arrival: the wildcard that follows must take
+//     rank 2's earlier message;
+//   - rank 3's third blocking Send to rank 2 parks on credit and is matched by
+//     rank 2's posted receive, which drains it first.
+func reuseKernel() [][]mpi.RankOp {
+	const size = 256
+	var ops [4][]mpi.RankOp
+	add := func(rank int, op mpi.Op, peer, tag int) {
+		ops[rank] = append(ops[rank], mpi.RankOp{Op: op, Site: uint64(0x100*rank + len(ops[rank]) + 1), Peer: peer, Tag: tag, Size: size})
+	}
+	compute := func(rank int, us float64) { ops[rank][len(ops[rank])-1].ComputeUS = us }
+
+	// Phase 1: the middle take.
+	add(0, mpi.OpRecv, 2, 90)
+	add(0, mpi.OpRecv, 1, 1)
+	add(0, mpi.OpRecv, 2, 91)
+	add(0, mpi.OpRecv, 1, mpi.AnyTag)
+	add(0, mpi.OpRecv, 1, mpi.AnyTag)
+	add(0, mpi.OpRecv, 2, 92)
+	add(0, mpi.OpSend, 1, 94)
+	for i := 0; i < 3; i++ {
+		add(1, mpi.OpIsend, 0, i)
+	}
+	add(1, mpi.OpWaitall, 0, 0)
+	add(1, mpi.OpRecv, 0, 94)
+	more := 3 * mpi.ArenaChunkMax / 2
+	for i := 0; i < more; i++ {
+		add(1, mpi.OpSend, 0, 20+i%3)
+		add(0, mpi.OpRecv, 1, mpi.AnyTag)
+	}
+	add(2, mpi.OpSend, 0, 90)
+	add(2, mpi.OpRecv, 3, 96)
+	compute(2, 500)
+	add(2, mpi.OpSend, 0, 92)
+	add(2, mpi.OpSend, 0, 91)
+	add(3, mpi.OpIsend, 2, 96)
+	add(3, mpi.OpSend, 0, 50)
+
+	// Phase 2: stale candidate-heap entries.
+	add(0, mpi.OpSend, 1, 75)
+	add(0, mpi.OpSend, 2, 75)
+	add(0, mpi.OpRecv, 1, 72)
+	add(0, mpi.OpRecv, 2, 71)
+	add(0, mpi.OpRecv, mpi.AnySource, 50)
+	add(0, mpi.OpRecv, 1, 50)
+	add(0, mpi.OpSend, 1, 81)
+	add(0, mpi.OpRecv, 1, 60)
+	add(0, mpi.OpRecv, mpi.AnySource, 50)
+	add(0, mpi.OpRecv, mpi.AnySource, 50)
+	add(1, mpi.OpRecv, 0, 75)
+	add(1, mpi.OpSend, 0, 50)
+	add(1, mpi.OpSend, 0, 72)
+	add(1, mpi.OpRecv, 0, 81)
+	add(1, mpi.OpSend, 0, 50)
+	ops[1][len(ops[1])-1].Size = 1 << 16 // arrives after rank 0's next wildcard is posted
+	add(1, mpi.OpSend, 0, 60)
+	add(2, mpi.OpRecv, 0, 75)
+	add(2, mpi.OpSend, 0, 50)
+	compute(2, 20) // so rank 1's message arrives first
+	add(2, mpi.OpSend, 0, 71)
+
+	// Phase 3: a credit-parked Send drained first.
+	add(2, mpi.OpSend, 3, 97)
+	add(2, mpi.OpRecv, 3, 0)
+	add(2, mpi.OpRecv, 3, 1)
+	add(2, mpi.OpRecv, 3, 1)
+	add(3, mpi.OpRecv, 2, 97)
+	add(3, mpi.OpSend, 2, 1)
+	add(3, mpi.OpSend, 2, 1)
+	add(3, mpi.OpSend, 2, 0)
+	add(3, mpi.OpWaitall, 0, 0)
+	return ops[:]
+}
+
+// Recorded before messages and posted receives were recycled, on the kernel
+// of TestMessageOrderSurvivesReuse: rank 0's final clock (Finalize is a
+// barrier, so all four agree) as float64 bits, and the sha256 of the encoded
+// re-trace.
+const (
+	reuseClockBits uint64 = 0x4098ca740da740d1
+	reuseRetrace          = "ea5e8b205f1a04462f0ff899a22750d0a7cf8deda88482ffb1bfc454f8d5d8eb"
+)
+
+// TestMessageOrderSurvivesReuse runs reuseKernel under a credit window of 2
+// as coroutine bodies and as cursor streams, each on a cold world and twice
+// on one pooled world, and requires the clocks and the re-trace recorded
+// before any transport object was reused.
+func TestMessageOrderSurvivesReuse(t *testing.T) {
+	const n = 4
+	ops := reuseKernel()
+	model := netmodel.BlueGeneL()
+	model.CreditWindow = 2
+	coroutine := func(opts ...mpi.Option) (*mpi.Result, error) {
+		return mpi.Run(n, model, func(r *mpi.Rank) { mpi.IssueOps(r, ops[r.Rank()]) }, opts...)
+	}
+	cursor := func(opts ...mpi.Option) (*mpi.Result, error) {
+		return mpi.RunStackless(n, model, func(rank int) mpi.OpStream { return &opStream{ops: ops[rank]} }, opts...)
+	}
+	eng := mpi.NewEngine()
+	defer eng.Close()
+	for _, leg := range []struct {
+		name string
+		run  func(opts ...mpi.Option) (*mpi.Result, error)
+		opts []mpi.Option
+	}{
+		{"coroutine, cold world", coroutine, nil},
+		{"coroutine, pooled world", coroutine, []mpi.Option{mpi.WithEngine(eng)}},
+		{"coroutine, pooled world reused", coroutine, []mpi.Option{mpi.WithEngine(eng)}},
+		{"cursor, cold world", cursor, nil},
+		{"cursor, pooled world", cursor, []mpi.Option{mpi.WithEngine(eng)}},
+		{"cursor, pooled world reused", cursor, []mpi.Option{mpi.WithEngine(eng)}},
+	} {
+		clocks, retrace := retraced(t, n, leg.run, leg.opts...)
+		for i, c := range clocks {
+			if math.Float64bits(c) != reuseClockBits {
+				t.Errorf("%s: rank %d clock %v (%#x), recorded %v", leg.name, i, c, math.Float64bits(c), math.Float64frombits(reuseClockBits))
+			}
+		}
+		if sum := sha256.Sum256(retrace); hex.EncodeToString(sum[:]) != reuseRetrace {
+			t.Errorf("%s: re-trace digest %x, recorded %s", leg.name, sum, reuseRetrace)
+		}
+	}
+}
+
+// TestStatusSurvivesReuse holds a completed wildcard Irecv request and a
+// completed Isend request in a coroutine body while 4*ArenaChunkMax more
+// messages cross the same pair of ranks, both ways, so that the message and
+// the posted receive the requests completed on are reused many times over:
+// each request's Status must read what it read right after its Wait, and
+// every blocking Recv must return its own message's Status. The ranks talk
+// over a reversed communicator, so a Status's Source differs from its
+// SourceWorld.
+func TestStatusSurvivesReuse(t *testing.T) {
+	rounds := 4 * mpi.ArenaChunkMax
+	_, err := mpi.Run(2, netmodel.BlueGeneL(), func(r *mpi.Rank) {
+		c := r.CommSplit(r.World(), 0, -r.Rank())
+		peer, _ := c.CommRank(1 - r.Rank())
+		check := func(what string, got, want mpi.Status) {
+			if got != want {
+				t.Errorf("rank %d: %s: Status %+v, want %+v", r.Rank(), what, got, want)
+			}
+		}
+		var rq, sq *mpi.Request
+		var rqAtWait, sqAtWait mpi.Status
+		if r.Rank() == 0 {
+			rq = r.Irecv(c, mpi.AnySource, mpi.AnyTag, 64)
+			rqAtWait = r.Wait(rq)
+			check("wildcard Irecv", rqAtWait, mpi.Status{Source: peer, SourceWorld: 1, Tag: 5, Size: 33})
+			sq = r.Isend(c, peer, 7, 99)
+			sqAtWait = r.Wait(sq)
+			check("Isend", sqAtWait, mpi.Status{Tag: 7, Size: 99})
+		} else {
+			r.Send(c, peer, 5, 33)
+			check("Recv of the Isend", r.Recv(c, peer, 7, 99), mpi.Status{Source: peer, SourceWorld: 0, Tag: 7, Size: 99})
+		}
+		// Rank 0 sends in bursts of Isends, which draw every free message
+		// at once; rank 1 answers with blocking Sends.
+		var burst []*mpi.Request
+		for i := 0; i < rounds; i++ {
+			if r.Rank() == 0 {
+				burst = append(burst, r.Isend(c, peer, 100+i, i))
+				if len(burst) == mpi.ArenaChunkMax {
+					r.Waitall(burst...)
+					burst = burst[:0]
+				}
+			} else {
+				check("Recv", r.Recv(c, mpi.AnySource, mpi.AnyTag, 0), mpi.Status{Source: peer, SourceWorld: 0, Tag: 100 + i, Size: i})
+			}
+		}
+		for i := 0; i < rounds; i++ {
+			if r.Rank() == 0 {
+				check("Recv", r.Recv(c, mpi.AnySource, mpi.AnyTag, 0), mpi.Status{Source: peer, SourceWorld: 1, Tag: 200 + i, Size: 2 * i})
+			} else {
+				r.Send(c, peer, 200+i, 2*i)
+			}
+		}
+		if r.Rank() == 0 {
+			check("wildcard Irecv after reuse", rq.Status(), rqAtWait)
+			check("Isend after reuse", sq.Status(), sqAtWait)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
