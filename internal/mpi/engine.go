@@ -208,6 +208,8 @@ func (pw *pooledWorld) reset(model *netmodel.Model, cfg *config) {
 	for _, mb := range w.mailboxes {
 		mb.reset()
 	}
+	w.msgs.rewind()
+	w.recvs.rewind()
 	// Sub-communicators minted by CommSplit/CommDup died with the previous
 	// run (nothing in the world references them); only the world
 	// communicator's rendezvous needs re-arming.

@@ -15,53 +15,47 @@ type message struct {
 	// shadowArrival is the arrival on the stall-free shadow timeline used
 	// to measure offered load for the burst-throttle model.
 	shadowArrival float64
-	matched       bool // consumed by a posted receive
 	drained       bool // receive completed; credit returned
+	// holds counts who may still read the message: its sender, until the
+	// send completes (a blocking Send past its credit park, an Isend request
+	// marked done), and its receiver, until the drain. The queues are no
+	// holders — a match nils the queue entry — and neither is a creditWaiter,
+	// which the drain of its message clears. The last release returns the
+	// message to its world's free list (Rank.releaseMessage).
+	holds uint8
 }
 
 // postedRecv is a receive that has been posted (blocking Recv or Irecv) and
-// may or may not have been matched with a message yet.
+// may or may not have been matched with a message yet. Its one holder is the
+// posting rank, which frees it when the receive completes (completeRecv): a
+// posted queue drops its entry at the match.
 type postedRecv struct {
 	src, tag int // AnySource / AnyTag allowed
 	postTime float64
 	order    uint64   // mailbox-wide post order, for earliest-acceptor ties
 	msg      *message // non-nil once matched
-	// fastMatched records that post consumed an already-queued message, so
-	// the receive was never enqueued and its completion has no tombstone to
-	// account for. Written by the posting rank and read only by it afterwards.
-	fastMatched bool
 }
 
 func (p *postedRecv) accepts(m *message) bool {
-	if p.msg != nil {
-		return false
-	}
-	if p.src != AnySource && p.src != m.src {
-		return false
-	}
-	if p.tag != AnyTag && p.tag != m.tag {
-		return false
-	}
-	return true
+	return (p.src == AnySource || p.src == m.src) && acceptsTag(p.tag, m.tag)
 }
 
-// msgQueue is a FIFO of unexpected messages from one source, in injection
-// order (deposits from one source arrive in injection order because inject
-// runs on the sender's goroutine, so queue position encodes the MPI
-// non-overtaking order with no explicit sequence numbers). Consumed entries are
-// tombstoned in place and reclaimed by periodic compaction, so the common
-// head-of-queue match stays O(1).
-type msgQueue struct {
-	items []*message
+// fifo is a queue of messages or posted receives in arrival order. A
+// consumed entry is tombstoned in place by nil-ing it and reclaimed by
+// periodic compaction, so the common head-of-queue match stays O(1) and the
+// queue keeps no pointer to what it has handed out: a transport object
+// leaves its queue at its match, and its recycling owes the queue nothing.
+type fifo[T any] struct {
+	items []*T
 	head  int // items[:head] are consumed
 	dead  int // consumed entries at index >= head
 }
 
-func (q *msgQueue) push(m *message) { q.items = append(q.items, m) }
+func (q *fifo[T]) push(p *T) { q.items = append(q.items, p) }
 
-// skipConsumed advances head past tombstones.
-func (q *msgQueue) skipConsumed() {
-	for q.head < len(q.items) && q.items[q.head].matched {
+// skip advances head past tombstones.
+func (q *fifo[T]) skip() {
+	for q.head < len(q.items) && q.items[q.head] == nil {
 		q.head++
 		if q.dead > 0 {
 			q.dead--
@@ -69,100 +63,75 @@ func (q *msgQueue) skipConsumed() {
 	}
 }
 
-// firstMatch returns the index of the lowest-sequence live message that a
-// receive with the given tag accepts, or -1.
-func (q *msgQueue) firstMatch(tag int) int {
-	q.skipConsumed()
-	for i := q.head; i < len(q.items); i++ {
-		m := q.items[i]
-		if m.matched {
-			continue
-		}
-		if tag == AnyTag || tag == m.tag {
-			return i
-		}
-	}
-	return -1
-}
-
 // take consumes items[i] and returns it.
-func (q *msgQueue) take(i int) *message {
-	m := q.items[i]
-	m.matched = true
+func (q *fifo[T]) take(i int) *T {
+	p := q.items[i]
+	q.items[i] = nil
 	if i == q.head {
 		q.head++
 	} else {
 		q.dead++
 	}
 	q.maybeCompact()
-	return m
+	return p
 }
 
-func (q *msgQueue) maybeCompact() {
-	garbage := q.head + q.dead
-	if garbage < 32 || 2*garbage < len(q.items) {
-		return
-	}
-	live := q.items[:0]
-	for _, m := range q.items[q.head:] {
-		if !m.matched {
-			live = append(live, m)
-		}
-	}
-	for i := len(live); i < len(q.items); i++ {
-		q.items[i] = nil
-	}
-	q.items = live
-	q.head, q.dead = 0, 0
-}
-
-// recvQueue is a FIFO of posted receives sharing a source selector,
-// tombstoned and compacted like msgQueue.
-type recvQueue struct {
-	items []*postedRecv
-	head  int
-	dead  int
-}
-
-func (q *recvQueue) push(p *postedRecv) { q.items = append(q.items, p) }
-
-// firstAcceptor returns the earliest-posted live receive that accepts m,
-// or nil.
-func (q *recvQueue) firstAcceptor(m *message) *postedRecv {
-	for q.head < len(q.items) && q.items[q.head].msg != nil {
-		q.head++
-		if q.dead > 0 {
-			q.dead--
-		}
-	}
-	for i := q.head; i < len(q.items); i++ {
-		p := q.items[i]
-		if p.msg != nil {
-			continue
-		}
-		if p.accepts(m) {
-			return p
-		}
-	}
-	return nil
-}
-
-func (q *recvQueue) maybeCompact() {
+func (q *fifo[T]) maybeCompact() {
 	garbage := q.head + q.dead
 	if garbage < 32 || 2*garbage < len(q.items) {
 		return
 	}
 	live := q.items[:0]
 	for _, p := range q.items[q.head:] {
-		if p.msg == nil {
+		if p != nil {
 			live = append(live, p)
 		}
 	}
-	for i := len(live); i < len(q.items); i++ {
-		q.items[i] = nil
-	}
+	clear(q.items[len(live):])
 	q.items = live
 	q.head, q.dead = 0, 0
+}
+
+// reset empties a queue for the next run on a pooled world, keeping its
+// backing array's capacity.
+func (q *fifo[T]) reset() {
+	clear(q.items)
+	q.items = q.items[:0]
+	q.head, q.dead = 0, 0
+}
+
+// msgQueue is a FIFO of unexpected messages from one source, in injection
+// order (deposits from one source arrive in injection order because inject
+// runs on the sender's goroutine, so queue position encodes the MPI
+// non-overtaking order with no explicit sequence numbers).
+type msgQueue struct{ fifo[message] }
+
+// firstMatch returns the index of the lowest-sequence live message that a
+// receive with the given tag accepts, or -1.
+func (q *msgQueue) firstMatch(tag int) int {
+	q.skip()
+	for i := q.head; i < len(q.items); i++ {
+		if m := q.items[i]; m != nil && acceptsTag(tag, m.tag) {
+			return i
+		}
+	}
+	return -1
+}
+
+// recvQueue is a FIFO of posted receives sharing a source selector, in post
+// order.
+type recvQueue struct{ fifo[postedRecv] }
+
+// firstAcceptor returns the index of the earliest-posted live receive that
+// accepts m, or -1.
+func (q *recvQueue) firstAcceptor(m *message) int {
+	q.skip()
+	for i := q.head; i < len(q.items); i++ {
+		if p := q.items[i]; p != nil && p.accepts(m) {
+			return i
+		}
+	}
+	return -1
 }
 
 // srcSlot gathers one source rank's mailbox state — its unexpected-message
@@ -316,13 +285,12 @@ func (mb *mailbox) deposit(m *message) {
 	s := mb.slot(m.src)
 	s.inflight++
 	// Earliest acceptor across the source's queue and the AnySource queue.
-	best := s.posted.firstAcceptor(m)
-	if p := (&mb.postedAny).firstAcceptor(m); p != nil && (best == nil || p.order < best.order) {
-		best = p
+	q, i := &s.posted, s.posted.firstAcceptor(m)
+	if j := mb.postedAny.firstAcceptor(m); j >= 0 && (i < 0 || mb.postedAny.items[j].order < q.items[i].order) {
+		q, i = &mb.postedAny, j
 	}
-	if best != nil {
-		best.msg = m
-		m.matched = true
+	if i >= 0 {
+		q.take(i).msg = m
 		mb.seq.wake(mb.owner)
 		return
 	}
@@ -342,15 +310,13 @@ func (mb *mailbox) deposit(m *message) {
 // to match it immediately against the unexpected queue. Matching takes,
 // among compatible messages, the lowest sequence number per source; for
 // AnySource the earliest virtual arrival wins, with source rank breaking
-// ties deterministically. It reports whether p was matched on the spot — in
-// that case p was never enqueued and the receive needs no further mailbox
-// interaction.
+// ties deterministically. It reports whether p was matched on the spot (and
+// so never enqueued).
 func (mb *mailbox) post(p *postedRecv) (matched bool) {
 	p.order = mb.postCount
 	mb.postCount++
 	if m := mb.takeUnexpected(p); m != nil {
 		p.msg = m
-		p.fastMatched = true
 		ctrMatchedFast.Inc()
 		return true
 	}
@@ -406,9 +372,13 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 			q = &s.unex
 			i = q.firstMatch(p.tag)
 		}
-		if i < 0 || q.items[i] != top.msg {
+		if i < 0 || q.items[i] != top.msg || top.msg.arrival != top.arrival {
 			// Stale: this source's candidate was consumed since the entry
 			// was pushed. Its current candidate (if any) has its own entry.
+			// A consumed candidate's message may since have been recycled
+			// as the source's current candidate, at the same address: the
+			// entry is the current candidate's only if its arrival is too,
+			// and then it is exactly the entry a fresh push would make.
 			mb.anyPop()
 			continue
 		}
@@ -490,28 +460,6 @@ func (mb *mailbox) anyPop() {
 	h[p] = ent
 }
 
-// noteConsumed accounts for p's tombstone in its posted queue, once a posted
-// receive's wait has seen it matched. The matched entry stays tombstoned
-// (p.msg != nil makes every scan skip it) until compaction reclaims it.
-func (mb *mailbox) noteConsumed(p *postedRecv) {
-	if p.src == AnySource {
-		mb.postedAny.noteConsumed(p)
-	} else if s := mb.lookup(p.src); s != nil {
-		s.posted.noteConsumed(p)
-	}
-}
-
-// noteConsumed accounts for p's tombstone and compacts when garbage
-// accumulates.
-func (q *recvQueue) noteConsumed(p *postedRecv) {
-	if q.head < len(q.items) && q.items[q.head] == p {
-		q.head++
-	} else {
-		q.dead++
-	}
-	q.maybeCompact()
-}
-
 // drain marks the receive of m complete at receiver virtual time now,
 // returning flow-control credit to the sender.
 func (mb *mailbox) drain(m *message, now float64) {
@@ -540,21 +488,6 @@ func (mb *mailbox) releaseCredit(cw *creditWaiter) {
 	snd.cwFrom = mb.owner
 	mb.seq.wake(cw.rank)
 	*cw = creditWaiter{}
-}
-
-// reset empties a queue for the next run on a pooled world, clearing the
-// retained backing array's pointers (so the old run's messages are not
-// pinned) while keeping its capacity.
-func (q *msgQueue) reset() {
-	clear(q.items)
-	q.items = q.items[:0]
-	q.head, q.dead = 0, 0
-}
-
-func (q *recvQueue) reset() {
-	clear(q.items)
-	q.items = q.items[:0]
-	q.head, q.dead = 0, 0
 }
 
 // reset prepares a pooled mailbox for its next run. The per-source index

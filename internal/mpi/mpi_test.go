@@ -828,13 +828,18 @@ func TestPointToPointRun(t *testing.T) {
 }
 
 // TestCoroutinePointToPointAllocatesNothing is the cost row of the coroutine
-// wrappers: on a warm one-rank world, a self-exchange through every
-// point-to-point wrapper, and a Barrier, allocate nothing per call. (Messages,
-// posted receives and requests come from per-rank arena chunks of 64: a
-// hundred allocations over the 640 runs, which the per-run average floors to
-// 0.) A request slice that escaped into the executor would read 2, one per
-// Wait.
+// wrappers: on a one-rank world, 640 self-exchanges through every
+// point-to-point wrapper allocate exactly the request chunks the rank's arena
+// must carve for the 2,560 requests the body is handed — a coroutine body may
+// read a request's Status long after its Wait, so its requests live to the
+// end of the run — and nothing else: every message and posted receive is
+// recycled, and a Barrier allocates nothing at all. The counts are exact
+// Mallocs deltas, not AllocsPerRun's rounded-down averages (each the best of
+// three windows). A request slice that escaped into the executor would add
+// one object per Wait.
 func TestCoroutinePointToPointAllocatesNothing(t *testing.T) {
+	const exchanges, requestsPerExchange = 640, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run(t, 1, netmodel.Ideal(), func(r *Rank) {
 		c := r.World()
 		exchange := func() {
@@ -844,16 +849,86 @@ func TestCoroutinePointToPointAllocatesNothing(t *testing.T) {
 			r.Wait(r.Isend(c, 0, 2, 8))
 			r.Wait(r.Irecv(c, 0, 2, 8))
 		}
-		barrier := func() { r.Barrier(c) }
-		exchange()
-		barrier()
-		if avg := testing.AllocsPerRun(640, exchange); avg != 0 {
-			t.Errorf("a self-exchange through the point-to-point wrappers allocates %v objects, want 0", avg)
+		// Warm up until the mailbox queues' backing arrays have grown to
+		// what their compaction cycle needs.
+		for i := 0; i < 64; i++ {
+			exchange()
 		}
-		if avg := testing.AllocsPerRun(640, barrier); avg != 0 {
-			t.Errorf("a Barrier allocates %v objects, want 0", avg)
+		r.Barrier(c)
+
+		// requestChunks is how many request chunks the next window must
+		// carve: the current chunk's rest, then refills growing to
+		// arenaChunkMax.
+		requestChunks := func() uint64 {
+			chunks, room, size := uint64(0), len(r.reqChunk)-r.reqUsed, len(r.reqChunk)
+			for need := exchanges * requestsPerExchange; need > room; chunks++ {
+				need -= room
+				size = nextChunkLen(size)
+				room = size
+			}
+			return chunks
 		}
+		// exact requires a window of exchanges calls of f to allocate
+		// exactly want() heap objects. Another goroutine of the test binary
+		// can allocate inside a window now and then, so one window of three
+		// must be exact.
+		exact := func(what string, f func(), want func() uint64) {
+			var got, w uint64
+			for window := 0; window < 3; window++ {
+				w = want()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < exchanges; i++ {
+					f()
+				}
+				runtime.ReadMemStats(&after)
+				if got = after.Mallocs - before.Mallocs; got == w {
+					return
+				}
+			}
+			t.Errorf("%d %s allocate %d objects, want exactly %d", exchanges, what, got, w)
+		}
+		exact("self-exchanges", exchange, requestChunks)
+		exact("Barriers", func() { r.Barrier(c) }, func() uint64 { return 0 })
 	})
+}
+
+// TestTransportCapacityIndependentOfRunLength holds a world's message and
+// posted-receive capacity to what it has in flight, not to what it sends: a
+// cold 8-rank ring of 10 Irecv/Isend/Waitall and Send/Recv rounds carves as
+// many chunks of each as one of 1,000 rounds.
+func TestTransportCapacityIndependentOfRunLength(t *testing.T) {
+	const n = 8
+	chunks := func(rounds int) (msgs, recvs int) {
+		body := func(r *Rank) {
+			c := r.World()
+			left, right := (r.Rank()+n-1)%n, (r.Rank()+1)%n
+			for i := 0; i < rounds; i++ {
+				r.Waitall(r.Irecv(c, left, 0, 512), r.Isend(c, right, 0, 512))
+				if r.Rank()%2 == 0 {
+					r.Send(c, right, 1, 64)
+					r.Recv(c, left, 1, 64)
+				} else {
+					r.Recv(c, left, 1, 64)
+					r.Send(c, right, 1, 64)
+				}
+			}
+		}
+		cfg := &config{timeout: 20 * time.Second}
+		w, ranks := newWorld(n, netmodel.BlueGeneL(), cfg)
+		defer w.sched.retire()
+		if _, err := runEvent(w, cfg, ranks, body, nil); err != nil {
+			t.Fatal(err)
+		}
+		return len(w.msgs.chunks), len(w.recvs.chunks)
+	}
+	shortMsgs, shortRecvs := chunks(10)
+	longMsgs, longRecvs := chunks(1000)
+	t.Logf("message chunks %d, posted-receive chunks %d", shortMsgs, shortRecvs)
+	if longMsgs != shortMsgs || longRecvs != shortRecvs {
+		t.Errorf("1,000 rounds carve %d message and %d posted-receive chunks, 10 rounds %d and %d: capacity grows with run length",
+			longMsgs, longRecvs, shortMsgs, shortRecvs)
+	}
 }
 
 func TestNoFlowControlWhenUnlimited(t *testing.T) {

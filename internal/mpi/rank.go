@@ -23,24 +23,20 @@ type Rank struct {
 	sites     map[uint64]uint64
 	finalized bool
 
-	// Allocation arenas: messages, posted receives and requests are carved
-	// from per-rank chunks so the point-to-point hot path allocates once per
-	// chunk of operations instead of once per operation. Messages and posted
-	// receives are never recycled within a run (their lifetimes escape
-	// through mailboxes), and neither are the requests of a coroutine rank
-	// (application code holds them); those arenas only batch the allocations.
-	// A stackless rank's requests are recycled at every completed drain (see
-	// rewindRequests). The chunk is retained and its cursor rewound when a
-	// pooled world is reset, so warm runs whose per-rank operation count fits
-	// the grown chunk allocate nothing at all. Chunks grow arenaChunkMin ->
-	// arenaChunkMax so a million-rank world with a handful of ops per rank
-	// does not strand arenaChunkMax entries per arena per rank.
-	msgChunk  []message
-	msgUsed   int
-	recvChunk []postedRecv
-	recvUsed  int
-	reqChunk  []Request
-	reqUsed   int
+	// reqChunk is the rank's request arena: requests are carved from chunks
+	// so the nonblocking hot path allocates once per chunk of operations
+	// instead of once per operation. A stackless rank's requests are recycled
+	// at every completed drain (see rewindRequests); a coroutine rank's live
+	// until the run ends, since application code holds them. The chunk is
+	// retained and its cursor rewound when a pooled world is reset, so warm
+	// runs whose per-rank request count fits the grown chunk allocate no
+	// request at all. Chunks grow arenaChunkMin -> arenaChunkMax so a
+	// million-rank world with a handful of ops per rank does not strand
+	// arenaChunkMax entries per rank. Messages and posted receives come from
+	// the world's arenas instead (World.msgs, World.recvs), which recycle
+	// them by their holders (see message.holds).
+	reqChunk []Request
+	reqUsed  int
 
 	// shadow is a parallel clock that advances exactly like clock except
 	// that congestion stalls (burst throttling, flow-control resume) never
@@ -116,24 +112,60 @@ func nextChunkLen(cur int) int {
 	return cur * 2
 }
 
-func (r *Rank) newMessage() *message {
-	if r.msgUsed == len(r.msgChunk) {
-		r.msgChunk = make([]message, nextChunkLen(len(r.msgChunk)))
-		r.msgUsed = 0
-	}
-	m := &r.msgChunk[r.msgUsed]
-	r.msgUsed++
-	return m
+// arena is a world's store of one kind of transport object (messages,
+// posted receives). get hands out the most recently released entry if there
+// is one and carves a fresh one otherwise; put releases an entry whose last
+// holder let go of it. Every chunk is kept, so a world's capacity is what it
+// has had in flight at its peak, not what its runs have sent in total, and
+// rewind — between runs of a pooled world — makes all of it free again
+// without allocating. One rank runs at a time within a world, so an arena
+// needs no lock.
+type arena[T any] struct {
+	chunks [][]T
+	next   int // chunks[:next] have been carved from in this run
+	cur    []T // the uncarved rest of chunks[next-1]
+	free   []*T
 }
 
-func (r *Rank) newPostedRecv() *postedRecv {
-	if r.recvUsed == len(r.recvChunk) {
-		r.recvChunk = make([]postedRecv, nextChunkLen(len(r.recvChunk)))
-		r.recvUsed = 0
+func (a *arena[T]) get() *T {
+	if n := len(a.free) - 1; n >= 0 {
+		p := a.free[n]
+		a.free = a.free[:n]
+		return p
 	}
-	p := &r.recvChunk[r.recvUsed]
-	r.recvUsed++
+	if len(a.cur) == 0 {
+		if a.next == len(a.chunks) {
+			last := 0
+			if a.next > 0 {
+				last = len(a.chunks[a.next-1])
+			}
+			a.chunks = append(a.chunks, make([]T, nextChunkLen(last)))
+		}
+		a.cur = a.chunks[a.next]
+		a.next++
+	}
+	p := &a.cur[0]
+	a.cur = a.cur[1:]
 	return p
+}
+
+func (a *arena[T]) put(p *T) { a.free = append(a.free, p) }
+
+// rewind frees every entry for the next run of a pooled world. The entries
+// are left as they are: get's callers overwrite them whole, and a posted
+// receive points only into its own world's message chunks.
+func (a *arena[T]) rewind() {
+	a.free = a.free[:0]
+	a.next = 0
+	a.cur = nil
+}
+
+// releaseMessage drops one hold on m (see message.holds); the last returns
+// it to the world's free list.
+func (r *Rank) releaseMessage(m *message) {
+	if m.holds--; m.holds == 0 {
+		r.w.msgs.put(m)
+	}
 }
 
 func (r *Rank) newRequest() *Request {
@@ -153,28 +185,22 @@ func (r *Rank) newRequest() *Request {
 // requests it creates (no application code sees them, and a parked
 // creditWaiter holds the message, not the request). Coroutine ranks hand
 // requests to the body, which may read Status long after the Wait, so theirs
-// live until reset. The used entries are zeroed so a recycled chunk does not
-// pin the messages and receives of completed operations.
-//
-// Posted receives and messages are deliberately not recycled the same way:
-// the receiver's mailbox compacts its posted queue lazily and may still
-// point at a consumed postedRecv, and a message is owned by its sender but
-// read by its receiver (and by a creditWaiter) at times the sender cannot
-// see. Their chunks are the next measured line of a replayed event's bytes.
+// live until reset. A completed request keeps its Status in its own fields
+// and no pointer to the message or posted receive it completed on, which
+// have been recycled; the used entries are zeroed so a recycled chunk pins
+// no communicator either.
 func (r *Rank) rewindRequests() {
 	clear(r.reqChunk[:r.reqUsed])
 	r.reqUsed = 0
 }
 
-// reset prepares a pooled rank for its next run: clocks, per-run state and
-// the arena cursors rewind; the arena chunks themselves (and their grown
-// sizes) are retained, which is the point of pooling. Chunks whose element
-// type holds pointers are cleared so a retained world does not pin the
-// previous run's messages; the message chunk is pointer-free and left as-is
-// (every allocation fully overwrites its entry). Only the last chunk of each
-// arena is reachable from the rank — earlier chunks were dropped when the
-// arena refilled mid-run — so rewinding cannot hand out entries that a
-// previous run's mailbox still references.
+// reset prepares a pooled rank for its next run: clocks and per-run state
+// rewind, and so does the request arena, whose chunk (and its grown size) is
+// retained, which is the point of pooling. Only the last chunk is reachable
+// from the rank — earlier chunks were dropped when the arena refilled
+// mid-run — so a coroutine world's requests do not accumulate across runs.
+// The world's message and posted-receive arenas are rewound alongside (see
+// arena.rewind).
 //
 // A *Request held across Runs is invalidated by the rewind: Engine reuse
 // makes request lifetimes end with the run, matching MPI semantics.
@@ -192,10 +218,7 @@ func (r *Rank) reset(tracer Tracer) {
 	r.nextSite = 0
 	r.siteSet = false
 	clear(r.lastInject)
-	clear(r.recvChunk[:r.recvUsed])
 	r.rewindRequests()
-	r.msgUsed = 0
-	r.recvUsed = 0
 }
 
 // Rank returns the world rank of this process.
@@ -234,16 +257,18 @@ type Status struct {
 	Size int
 }
 
-// Request represents an outstanding nonblocking operation. It stores no
-// Status of its own: the status is derived from the underlying message on
-// demand, which keeps the struct — allocated once per nonblocking call —
-// at its pointer fields.
+// Request represents an outstanding nonblocking operation. Until it
+// completes it points at its message (a send) or its posted receive; at
+// completion it lets go of them — both are recycled once their last holder
+// has — and keeps what its Status reports in its own fields.
 type Request struct {
-	op   Op
 	comm *Comm
-	msg  *message    // send side
-	pr   *postedRecv // recv side
-	dst  *mailbox    // send side: receiver's mailbox, for flow control
+	msg  *message    // send side, until done
+	pr   *postedRecv // receive side, until done
+	tag  int
+	size int
+	src  int32 // a completed receive's sender, a world rank
+	send bool
 	done bool
 }
 
@@ -255,10 +280,10 @@ func (q *Request) Status() Status {
 	if !q.done {
 		return Status{}
 	}
-	if q.op == OpIsend {
-		return Status{Tag: q.msg.tag, Size: q.msg.size}
+	if q.send {
+		return Status{Tag: q.tag, Size: q.size}
 	}
-	return statusOf(q.comm, q.pr.msg)
+	return statusOf(q.comm, int(q.src), q.tag, q.size)
 }
 
 // entryState snapshots the rank at the start of an MPI call.
@@ -332,6 +357,18 @@ func (r *Rank) record(st entryState, ev *Event) {
 	r.tracer.Record(s)
 }
 
+// traced reports whether the MPI call being finished has an event to record,
+// and finishes an untraced one on the spot. The point-to-point operations
+// build their Event literal only when it is true: zeroing a literal that
+// record would discard costs more than the rest of an untraced send.
+func (r *Rank) traced() bool {
+	if r.tracer == nil {
+		r.lastOpEnd = r.clock
+		return false
+	}
+	return true
+}
+
 func (r *Rank) checkActive() {
 	if r.finalized {
 		panic(fmt.Sprintf("mpi: rank %d used after Finalize", r.rank))
@@ -351,7 +388,7 @@ func (r *Rank) inject(wdst, tag, size int) *message {
 	r.shadow += m.SendOverheadUS
 	transfer := m.TransferUS(size)
 	transfer += m.NoiseUS(transfer, r.rank, r.opCount, 2)
-	msg := r.newMessage()
+	msg := r.w.msgs.get()
 	*msg = message{
 		src:           r.rank,
 		dst:           wdst,
@@ -360,6 +397,7 @@ func (r *Rank) inject(wdst, tag, size int) *message {
 		departure:     r.clock,
 		arrival:       r.clock + transfer,
 		shadowArrival: r.shadow + transfer,
+		holds:         2, // the sender and the receiver
 	}
 	r.w.mailboxes[wdst].deposit(msg)
 	if m.FlowSaturationFactor > 0 && size > m.EagerLimit {
@@ -388,7 +426,7 @@ func (r *Rank) postRecv(wsrc, tag int) *postedRecv {
 	if wsrc == AnySource {
 		ctrWildcardRecvs.Inc()
 	}
-	p := r.newPostedRecv()
+	p := r.w.recvs.get()
 	*p = postedRecv{src: wsrc, tag: tag, postTime: r.clock}
 	return p
 }
@@ -413,8 +451,11 @@ func (r *Rank) chargeCreditStall(resumeAt float64) {
 // time) before the receive was posted — the unexpected-queue copy penalty.
 // Whether the message is "unexpected" is a virtual-time property
 // (arrival <= post time), independent of which rank the engine happened to
-// run first.
-func (r *Rank) completeRecv(p *postedRecv) {
+// run first. The receive is complete: the drain releases the receiver's hold
+// on the message and p is freed, so completeRecv returns what a Status
+// reports of the message — its sender's world rank, tag and size — for the
+// caller to keep.
+func (r *Rank) completeRecv(p *postedRecv) (src, tag, size int) {
 	m := r.w.model
 	msg := p.msg
 	waitStart := r.clock // a parked rank's clock never advances: this is the wait's start
@@ -433,15 +474,21 @@ func (r *Rank) completeRecv(p *postedRecv) {
 			Unexpected: unexpected, Start: waitStart, Ready: msg.arrival,
 			End: r.clock, FromClock: msg.departure, Penalty: penalty})
 	}
+	src, tag, size = msg.src, msg.tag, msg.size
 	r.w.mailboxes[r.rank].drain(msg, r.clock)
+	r.releaseMessage(msg)
+	r.w.recvs.put(p)
+	return src, tag, size
 }
 
-func statusOf(c *Comm, msg *message) Status {
-	src, ok := c.CommRank(msg.src)
+// statusOf is the Status on c of a receive that matched a message from world
+// rank src.
+func statusOf(c *Comm, src, tag, size int) Status {
+	csrc, ok := c.CommRank(src)
 	if !ok {
-		src = -1 // sender outside this communicator (app error, but don't panic)
+		csrc = -1 // sender outside this communicator (app error, but don't panic)
 	}
-	return Status{Source: src, SourceWorld: msg.src, Tag: msg.tag, Size: msg.size}
+	return Status{Source: csrc, SourceWorld: src, Tag: tag, Size: size}
 }
 
 // Send performs a blocking standard-mode send of size bytes to the
@@ -460,9 +507,11 @@ func (r *Rank) Isend(c *Comm, dst, tag, size int) *Request {
 	wdst := c.WorldRank(dst)
 	msg := r.inject(wdst, tag, size)
 	req := r.newRequest()
-	*req = Request{op: OpIsend, comm: c, msg: msg, dst: r.w.mailboxes[wdst]}
-	r.record(st, &Event{Op: OpIsend, CommID: c.id, CommSize: c.Size(),
-		Peer: dst, PeerWorld: wdst, Tag: tag, Size: size, Root: -1})
+	*req = Request{comm: c, msg: msg, tag: tag, size: size, send: true}
+	if r.traced() {
+		r.record(st, &Event{Op: OpIsend, CommID: c.id, CommSize: c.Size(),
+			Peer: dst, PeerWorld: wdst, Tag: tag, Size: size, Root: -1})
+	}
 	return req
 }
 
@@ -473,7 +522,7 @@ func (r *Rank) Isend(c *Comm, dst, tag, size int) *Request {
 // message's status.
 func (r *Rank) Recv(c *Comm, src, tag, size int) Status {
 	x := r.issue(c, &RankOp{Op: OpRecv, Site: r.site(), Peer: src, Tag: tag, Size: size}, (*slExec).execRecv)
-	return statusOf(c, x.rp.msg)
+	return statusOf(c, x.rsrc, x.rtag, x.rsize)
 }
 
 // Irecv posts a nonblocking receive of up to size bytes and returns its
@@ -488,12 +537,14 @@ func (r *Rank) Irecv(c *Comm, src, tag, size int) *Request {
 	p := r.postRecv(wsrc, tag)
 	r.w.mailboxes[r.rank].post(p)
 	req := r.newRequest()
-	*req = Request{op: OpIrecv, comm: c, pr: p}
+	*req = Request{comm: c, pr: p}
 	// The traced event keeps the wildcard unresolved (Peer/PeerWorld filled
 	// at Wait time for the PeerWorld side).
-	r.record(st, &Event{Op: OpIrecv, CommID: c.id, CommSize: c.Size(),
-		Peer: src, PeerWorld: wsrc, SourceWasWildcard: src == AnySource,
-		Tag: tag, Size: size, Root: -1})
+	if r.traced() {
+		r.record(st, &Event{Op: OpIrecv, CommID: c.id, CommSize: c.Size(),
+			Peer: src, PeerWorld: wsrc, SourceWasWildcard: src == AnySource,
+			Tag: tag, Size: size, Root: -1})
+	}
 	return req
 }
 

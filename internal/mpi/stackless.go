@@ -133,15 +133,22 @@ type slExec struct {
 
 	// st is the entry snapshot of the operation in flight; c its
 	// communicator, resolved by whoever filled op; me this rank's comm rank
-	// in c; wdst the send target's world rank; rp the last blocking receive
-	// (Rank.Recv reads its status); nc the communicator the last rendezvous
-	// minted for this rank; wCommID/wCommSize the drain's running event
-	// attribution (last request wins).
+	// in c; wdst the send target's world rank; sm the blocking send's
+	// message, held until the send completes; rp the blocking receive in
+	// flight; rsrc/rtag/rsize the last blocking receive's matched sender
+	// (a world rank), tag and size (Rank.Recv builds its Status from them);
+	// nc the communicator the last rendezvous minted for this rank;
+	// wCommID/wCommSize the drain's running event attribution (last request
+	// wins).
 	st        entryState
 	c         *Comm
 	me        int
 	wdst      int
+	sm        *message
 	rp        *postedRecv
+	rsrc      int
+	rtag      int
+	rsize     int
 	nc        *Comm
 	wCommID   int
 	wCommSize int
@@ -182,11 +189,9 @@ func (x *slExec) comm(r *Rank, id int) *Comm {
 func (x *slExec) tryResume(r *Rank) bool {
 	switch x.pend {
 	case pendMatch:
-		p := x.pendP
-		if p.msg == nil {
+		if x.pendP.msg == nil {
 			return false
 		}
-		r.w.mailboxes[r.rank].noteConsumed(p)
 		x.pendP = nil
 	case pendCredit:
 		if !r.cwDone {
@@ -328,16 +333,21 @@ func (x *slExec) execSend(r *Rank) bool {
 		r.checkActive()
 		x.st = r.enter(op.Site)
 		x.wdst = x.c.WorldRank(op.Peer)
-		msg := r.inject(x.wdst, op.Tag, op.Size)
+		x.sm = r.inject(x.wdst, op.Tag, op.Size)
 		x.stage = 1
-		if x.parkOnCredit(r, r.w.mailboxes[x.wdst], msg) {
+		if x.parkOnCredit(r, r.w.mailboxes[x.wdst], x.sm) {
 			return true
 		}
 	}
 	// Stage 1 resumes here with the credit stall's clock advance already
-	// applied by tryResume.
-	r.record(x.st, &Event{Op: OpSend, CommID: x.c.id, CommSize: x.c.Size(),
-		Peer: op.Peer, PeerWorld: x.wdst, Tag: op.Tag, Size: op.Size, Root: -1})
+	// applied by tryResume. The send is complete: the sender lets go of its
+	// message.
+	r.releaseMessage(x.sm)
+	x.sm = nil
+	if r.traced() {
+		r.record(x.st, &Event{Op: OpSend, CommID: x.c.id, CommSize: x.c.Size(),
+			Peer: op.Peer, PeerWorld: x.wdst, Tag: op.Tag, Size: op.Size, Root: -1})
+	}
 	return false
 }
 
@@ -375,8 +385,7 @@ func (x *slExec) execRecv(r *Rank) bool {
 		p := r.postRecv(wsrc, op.Tag)
 		x.rp = p
 		// Fast path: the message was already queued and post consumed it, so
-		// the receive never entered a posted queue and there is nothing to
-		// wait for or tombstone.
+		// there is nothing to wait for.
 		if !r.w.mailboxes[r.rank].post(p) {
 			x.stage = 1
 			x.pend = pendMatch
@@ -384,11 +393,13 @@ func (x *slExec) execRecv(r *Rank) bool {
 			return true
 		}
 	}
-	p := x.rp
-	r.completeRecv(p)
-	r.record(x.st, &Event{Op: OpRecv, CommID: x.c.id, CommSize: x.c.Size(),
-		Peer: op.Peer, PeerWorld: p.msg.src, SourceWasWildcard: op.Peer == AnySource,
-		Tag: op.Tag, Size: op.Size, Root: -1})
+	x.rsrc, x.rtag, x.rsize = r.completeRecv(x.rp)
+	x.rp = nil
+	if r.traced() {
+		r.record(x.st, &Event{Op: OpRecv, CommID: x.c.id, CommSize: x.c.Size(),
+			Peer: op.Peer, PeerWorld: x.rsrc, SourceWasWildcard: op.Peer == AnySource,
+			Tag: op.Tag, Size: op.Size, Root: -1})
+	}
 	return false
 }
 
@@ -411,24 +422,15 @@ func (x *slExec) execDrain(r *Rank, reqs []*Request) bool {
 	if x.stage == 1 {
 		for x.widx < len(reqs) {
 			q := reqs[x.widx]
-			if q.op == OpIrecv && !q.done {
-				if x.wstage == 0 {
-					// A receive matched at post time never entered a posted
-					// queue: there is nothing to wait for or tombstone.
-					if !q.pr.fastMatched {
-						if q.pr.msg == nil {
-							x.wstage = 1
-							x.pend = pendMatch
-							x.pendP = q.pr
-							return true
-						}
-						r.w.mailboxes[r.rank].noteConsumed(q.pr)
-					}
-					x.wstage = 1
+			if q.pr != nil { // a receive not yet complete
+				if q.pr.msg == nil {
+					x.pend = pendMatch
+					x.pendP = q.pr
+					return true
 				}
-				r.completeRecv(q.pr)
-				q.done = true
-				x.wstage = 0
+				src, tag, size := r.completeRecv(q.pr)
+				q.src, q.tag, q.size = int32(src), tag, size
+				q.pr, q.done = nil, true
 			}
 			x.wCommID, x.wCommSize = q.comm.id, q.comm.Size()
 			x.widx++
@@ -438,18 +440,21 @@ func (x *slExec) execDrain(r *Rank, reqs []*Request) bool {
 	}
 	for x.widx < len(reqs) {
 		q := reqs[x.widx]
-		if q.op != OpIrecv && !q.done {
-			if x.wstage == 0 && x.parkOnCredit(r, q.dst, q.msg) {
+		if q.msg != nil { // a send not yet complete
+			if x.wstage == 0 && x.parkOnCredit(r, r.w.mailboxes[q.msg.dst], q.msg) {
 				x.wstage = 1
 				return true
 			}
-			q.done = true
+			r.releaseMessage(q.msg)
+			q.msg, q.done = nil, true
 			x.wstage = 0
 		}
 		x.widx++
 	}
-	r.record(x.st, &Event{Op: x.op.Op, CommID: x.wCommID, CommSize: x.wCommSize,
-		Peer: NoPeer, PeerWorld: NoPeer, Size: len(reqs), Root: -1})
+	if r.traced() {
+		r.record(x.st, &Event{Op: x.op.Op, CommID: x.wCommID, CommSize: x.wCommSize,
+			Peer: NoPeer, PeerWorld: NoPeer, Size: len(reqs), Root: -1})
+	}
 	return false
 }
 

@@ -26,6 +26,11 @@ type World struct {
 	// prof, when non-nil, is the causal dependency graph this run records
 	// into (WithCausalProfile); see depgraph.go.
 	prof *DepGraph
+	// msgs and recvs hold every message and posted receive of the world's
+	// runs, recycling each once its last holder lets go (see message.holds,
+	// postedRecv); a pooled world's reset rewinds them.
+	msgs  arena[message]
+	recvs arena[postedRecv]
 }
 
 // Result reports the outcome of a completed run.

@@ -517,6 +517,31 @@ func blockingOpViolations(fset *token.FileSet, files []*ast.File) []string {
 	return v
 }
 
+// transportHomes names, for each step of a transport object's life, the
+// functions of internal/mpi that may take it: the world's arenas hand out
+// messages only to inject and posted receives only to postRecv; a hold on a
+// message is released only where a receive completes (completeRecv, right
+// after the drain) and where a send does (execSend past its credit park,
+// execDrain marking an Isend done); an arena takes an object back only from
+// the message release and from completeRecv, which frees the posted receive.
+var transportHomes = map[string][]string{
+	"get":            {"Rank.inject", "Rank.postRecv"},
+	"releaseMessage": {"Rank.completeRecv", "slExec.execDrain", "slExec.execSend"},
+	"put":            {"Rank.completeRecv", "Rank.releaseMessage"},
+}
+
+// transportViolations lists the calls in files (internal/mpi's) that break
+// the one liveness rule of messages and posted receives (transportHomes).
+func transportViolations(fset *token.FileSet, files []*ast.File) []string {
+	var v []string
+	for _, c := range funcCalls(fset, files, "get", "releaseMessage", "put") {
+		if homes := transportHomes[c.name]; !slices.Contains(homes, c.fn) {
+			v = append(v, c.at+": "+c.fn+" calls "+c.name+"; only "+strings.Join(homes, ", ")+" may")
+		}
+	}
+	return v
+}
+
 // pkgCalls lists the positions of calls pkg.name(...) in files, for any of
 // the given names.
 func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...string) []string {
@@ -542,7 +567,9 @@ func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...strin
 // RSD.WorldPeerFor / WorldRoot), the cost table of the synchronizing MPI
 // operations (collCost literals in one function of internal/mpi), the blocking
 // MPI operations (blockingOpViolations: one exec function each, which
-// coroutine ranks run through Rank.issue), the rebuild of a trace from
+// coroutine ranks run through Rank.issue), the life cycle of messages and
+// posted receives (transportViolations: one constructor each, and a release
+// only where a send or a receive completes), the rebuild of a trace from
 // per-receive decisions (rebuildViolations: trace.Pinned, beside collection
 // and Algorithm 1 the one caller of the merge), the set of target languages (the
 // names of the formal-model languages are spelled in one file, internal/core's
@@ -563,6 +590,8 @@ func (r *Rank) Isend() { r.inject(0, 0, 0) }
 func (r *Rank) stallForCredit(mb *mailbox, msg *message) { r.chargeCreditStall(mb.awaitCredit(msg)) }
 func (mb *mailbox) awaitMatch(p *postedRecv) { for p.msg == nil { mb.seq.block(mb.owner) } }
 func (r *Rank) issue() { r.w.sched.block(int32(r.rank)) }
+func (r *Rank) Irecv() { r.w.msgs.get() }
+func (mb *mailbox) take(m *message) { mb.rank.releaseMessage(m) }
 func render(lang string) error {
 	switch lang {
 	case "mpnet", "tla":
@@ -595,6 +624,10 @@ func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }`, parser.SkipObjectR
 	if got := blockingOpViolations(fset, broken); len(got) != 2 ||
 		!strings.Contains(got[0], "stallForCredit calls chargeCreditStall") || !strings.Contains(got[1], "mailbox.awaitMatch calls eventLoop.block") {
 		t.Errorf("blockingOpViolations finds %q, want stallForCredit's chargeCreditStall and awaitMatch's block", got)
+	}
+	if got := transportViolations(fset, broken); len(got) != 2 ||
+		!strings.Contains(got[0], "Rank.Irecv calls get") || !strings.Contains(got[1], "mailbox.take calls releaseMessage") {
+		t.Errorf("transportViolations finds %q, want Irecv's get and take's releaseMessage", got)
 	}
 	if got := stringLiteralFiles(fset, broken, modelLanguage); len(got) != 1 {
 		t.Errorf("stringLiteralFiles misses the language names: %q", got)
@@ -632,6 +665,9 @@ func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }`, parser.SkipObjectR
 		t.Errorf("collCost literals in %q; Rank.roundOf is the one table of rendezvous costs", got)
 	}
 	for _, v := range blockingOpViolations(fset, mpiFiles) {
+		t.Error(v)
+	}
+	for _, v := range transportViolations(fset, mpiFiles) {
 		t.Error(v)
 	}
 	if got := funcCalls(fset, mpiFiles, "block"); len(got) != 1 {
