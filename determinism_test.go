@@ -60,13 +60,6 @@ func runKernel(t *testing.T, name string, n int, opts ...mpi.Option) (*mpi.Resul
 // runBody is runKernel for any rank body; name labels its errors.
 func runBody(t *testing.T, name string, n int, body func(*mpi.Rank), opts ...mpi.Option) (*mpi.Result, []byte, *mpip.Profile) {
 	t.Helper()
-	res, _, encoded, prof := runBodyTrace(t, name, n, body, opts...)
-	return res, encoded, prof
-}
-
-// runBodyTrace is runBody that also returns the collected trace itself.
-func runBodyTrace(t *testing.T, name string, n int, body func(*mpi.Rank), opts ...mpi.Option) (*mpi.Result, *trace.Trace, []byte, *mpip.Profile) {
-	t.Helper()
 	col := trace.NewCollector(n)
 	prof := mpip.NewProfile()
 	opts = append(opts, mpi.WithTracer(func(rank int) mpi.Tracer {
@@ -76,12 +69,11 @@ func runBodyTrace(t *testing.T, name string, n int, body func(*mpi.Rank), opts .
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	tr := col.Trace()
 	var buf bytes.Buffer
-	if err := trace.Encode(&buf, tr); err != nil {
+	if err := trace.Encode(&buf, col.Trace()); err != nil {
 		t.Fatalf("%s: encode: %v", name, err)
 	}
-	return res, tr, buf.Bytes(), prof
+	return res, buf.Bytes(), prof
 }
 
 // replayKernel replays tr on stackless cursors with a fresh collector

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -166,10 +167,16 @@ func TestEngineGoldenDigests(t *testing.T) {
 	for _, k := range goldenKernels() {
 		t.Run(k.key(), func(t *testing.T) {
 			t.Parallel()
-			res, collected, traceBytes, prof := runBodyTrace(t, k.key(), k.n, k.body)
-			// Replay and generation read the collected trace itself, as the
-			// harness hands it to them: no codec.
-			decode := func() *trace.Trace { return collected }
+			res, traceBytes, prof := runBody(t, k.key(), k.n, k.body)
+			// Replay and generation each get their own decode, as the CLI
+			// chain (tracegen | benchgen) would hand them.
+			decode := func() *trace.Trace {
+				tr, err := trace.Decode(bytes.NewReader(traceBytes))
+				if err != nil {
+					t.Fatalf("decode trace: %v", err)
+				}
+				return tr
+			}
 			rep, retrace := replayKernel(t, decode())
 			prog, err := core.Generate(decode(), nil)
 			if err != nil {

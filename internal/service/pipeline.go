@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -43,11 +42,6 @@ const (
 // (Algorithms 2 and 1 inside core.Prepare), render the requested target
 // language, and execute the generated benchmark on the requested model for
 // the predicted timing and the mpiP-style profile.
-//
-// The app path deliberately round-trips the collected trace through
-// Encode/Decode before generating: that is exactly what `tracegen | benchgen`
-// does, so the served source is byte-identical to the CLI pipeline's output
-// (the parity tests pin this).
 func runPipeline(ctx context.Context, req *Request, progress func(stage string)) (*Result, error) {
 	if progress == nil {
 		progress = func(string) {}
@@ -177,8 +171,8 @@ func runStages(ctx context.Context, req *Request, progress func(string)) (*Resul
 	}, nil
 }
 
-// obtainTrace produces the canonical input trace: decoded from the upload,
-// or collected by running the named app and round-tripped through the codec.
+// obtainTrace produces the input trace: decoded from the upload, or
+// collected by running the named app.
 func obtainTrace(ctx context.Context, req *Request, model *netmodel.Model, progress func(string)) (*trace.Trace, error) {
 	progress(StageTrace)
 	defer telemetry.Region(StageTrace)()
@@ -206,13 +200,5 @@ func obtainTrace(ctx context.Context, req *Request, model *netmodel.Model, progr
 		}
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := trace.Encode(&buf, run.Trace); err != nil {
-		return nil, fmt.Errorf("encode trace: %w", err)
-	}
-	tr, err := trace.Decode(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("canonicalize trace: %w", err)
-	}
-	return tr, nil
+	return run.Trace, nil
 }

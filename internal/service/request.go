@@ -152,10 +152,12 @@ func (r *Request) release() {
 // Key returns the request's content address: a hex sha256 over the canonical
 // normalized form. Identical requests — including a byte-identical uploaded
 // trace — map to the same key, so the cache serves them without recompute;
-// any field that changes the generated artifact is part of the preimage.
+// any field that changes the generated artifact is part of the preimage. The
+// version line changes whenever the same request yields a different artifact,
+// so a disk tier written by an older daemon misses instead of serving it.
 func (r *Request) Key() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "benchd/v1\napp=%s\nn=%d\nclass=%s\nmodel=%s\nlang=%s\nverify=%t\n",
+	fmt.Fprintf(h, "benchd/v2\napp=%s\nn=%d\nclass=%s\nmodel=%s\nlang=%s\nverify=%t\n",
 		r.App, r.N, r.Class, r.Model, r.Lang, r.Verify)
 	if r.Trace == "" {
 		fmt.Fprintf(h, "trace=-\n")

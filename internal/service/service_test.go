@@ -370,6 +370,18 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatalf("hostile upload: %v, want a 400 carrying the decoder's line number", err)
 	}
 
+	// So is an upload whose compute pool holds moments no sample stream
+	// produces: admitted, +Inf would reach the generated program as
+	// "COMPUTES FOR +Inf MICROSECONDS", which its own parser rejects, and NaN
+	// or a negative time would drop the COMPUTE.
+	for _, moments := range []string{"+Inf +Inf +Inf", "NaN NaN NaN", "-5 -5 -5"} {
+		_, err := cl.Submit(context.Background(), &Request{Trace: "scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
+			`rsd op=Send site=3 ranks=0:1 comm=0 csize=2 peer=rel1 tag=5 size=8 root=-1 compute="1 ` + moments + ` 0=1"` + "\n"})
+		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "must be finite") {
+			t.Fatalf("compute moments %q: %v, want a 400 naming them", moments, err)
+		}
+	}
+
 	// A parser-safe upload whose declared world is too large to simulate is
 	// refused too: the decode bound protects the parser, MaxRunnableRanks
 	// protects the simulator (a 2^20-rank world would be a ~4 TiB slab).

@@ -5,6 +5,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -205,22 +206,32 @@ func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.3fus min=%.3fus max=%.3fus", h.Count, h.Mean(), h.Min, h.Max)
 }
 
-// MarshalText encodes the histogram as "count sum min max b:i=c,..." for the
-// trace file format.
+// MarshalText encodes the histogram as "count sum min max i=c ..." for the
+// trace file format. Sum, min and max are written in the shortest form that
+// parses back to the same float64, so ParseText restores them bit for bit.
 func (h *Histogram) MarshalText() ([]byte, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d %.9g %.9g %.9g", h.Count, h.Sum, h.Min, h.Max)
+	b := strconv.AppendUint(nil, h.Count, 10)
+	for _, v := range [...]float64{h.Sum, h.Min, h.Max} {
+		b = strconv.AppendFloat(append(b, ' '), v, 'g', -1, 64)
+	}
 	for i := range NumBins {
 		if c := h.Bin(i); c != 0 {
-			fmt.Fprintf(&sb, " %d=%d", i, c)
+			b = fmt.Appendf(b, " %d=%d", i, c)
 		}
 	}
-	return []byte(sb.String()), nil
+	return b, nil
 }
+
+// ErrBadMoments is what ParseText returns, wrapped, for a non-empty histogram
+// whose sum, min or max is negative, infinite or NaN, or whose min exceeds
+// its max: Add never builds one, and a compute time read from one is not a
+// duration.
+var ErrBadMoments = errors.New("stats: sum, min and max must be finite and non-negative, min <= max")
 
 // ParseText decodes the MarshalText representation: count, sum, min and max,
 // then one "i=c" field per bin. A field with trailing bytes, a bin index out
-// of range or repeated, and bins that do not add up to count are errors.
+// of range or repeated, bins that do not add up to count, and moments
+// ErrBadMoments names are errors.
 func (h *Histogram) ParseText(s string) error {
 	*h = Histogram{}
 	head := [...]*float64{&h.Sum, &h.Min, &h.Max}
@@ -276,6 +287,17 @@ func (h *Histogram) ParseText(s string) error {
 	}
 	if total != h.Count {
 		return fmt.Errorf("stats: bins hold %d samples, count is %d", total, h.Count)
+	}
+	if h.Count == 0 {
+		return nil // MarshalText of an empty histogram writes "0 0 +Inf -Inf"
+	}
+	for i, v := range head {
+		if !(*v >= 0) || math.IsInf(*v, 1) {
+			return fmt.Errorf("%w: %s is %v", ErrBadMoments, [...]string{"sum", "min", "max"}[i], *v)
+		}
+	}
+	if h.Min > h.Max {
+		return fmt.Errorf("%w: min %v exceeds max %v", ErrBadMoments, h.Min, h.Max)
 	}
 	return nil
 }

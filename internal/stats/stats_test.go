@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -137,11 +138,25 @@ func TestHistogramUnmarshalErrors(t *testing.T) {
 		{"5 1 1 1 3=2", "bins hold 2 samples, count is 5"},
 		{"0 0 0 0 3=5", "bins hold 5 samples, count is 0"},
 		{"1 1 1 1 3=18446744073709551615 4=2", `bins overflow at "4=2"`},
+		{"1 +Inf +Inf +Inf 0=1", "sum is +Inf"},
+		{"1 NaN NaN NaN 0=1", "sum is NaN"},
+		{"1 -5 -5 -5 0=1", "sum is -5"},
+		{"2 6 1 -infinity 2=2", "max is -Inf"},
+		{"2 6 5 1 3=2", "min 5 exceeds max 1"},
 	} {
 		var h Histogram
 		if err := h.ParseText(tc.text); err == nil || !strings.HasPrefix(err.Error(), "stats: ") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseText(%q) = %v, want a stats: error naming %s", tc.text, err, tc.want)
 		}
+	}
+	// The moments are checked only when there are samples: this is what
+	// MarshalText writes for an empty histogram.
+	var h Histogram
+	if err := h.ParseText("0 0 +Inf -Inf"); err != nil {
+		t.Errorf("empty histogram: %v", err)
+	}
+	if err := h.ParseText("1 +Inf +Inf +Inf 0=1"); !errors.Is(err, ErrBadMoments) {
+		t.Errorf("infinite sum: %v, want ErrBadMoments", err)
 	}
 }
 
@@ -329,7 +344,7 @@ func (h *refHistogram) Quantile(q float64) float64 {
 
 func (h *refHistogram) MarshalText() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d %.9g %.9g %.9g", h.Count, h.Sum, h.Min, h.Max)
+	fmt.Fprintf(&sb, "%d %g %g %g", h.Count, h.Sum, h.Min, h.Max)
 	for i, c := range h.Bins {
 		if c != 0 {
 			fmt.Fprintf(&sb, " %d=%d", i, c)

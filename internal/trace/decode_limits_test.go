@@ -5,7 +5,34 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/mpi"
+	"repro/internal/netmodel"
 )
+
+// collectRingTrace produces a real collector trace of an n-rank ring with a
+// barrier and a broadcast — loops, point-to-point RSDs, collectives and
+// compute histograms all present. Shared by the fuzz seeds and the
+// limits tests.
+func collectRingTrace(tb testing.TB, n int) *Trace {
+	tb.Helper()
+	col := NewCollector(n)
+	body := func(r *mpi.Rank) {
+		c := r.World()
+		r.Bcast(c, 0, 256)
+		for i := 0; i < 20; i++ {
+			r.Compute(float64(3 + i%2))
+			rq := r.Irecv(c, (r.Rank()+n-1)%n, 0, 1024)
+			sq := r.Isend(c, (r.Rank()+1)%n, 0, 1024)
+			r.Waitall(rq, sq)
+		}
+		r.Barrier(c)
+	}
+	if _, err := mpi.Run(n, netmodel.Ideal(), body, mpi.WithTracer(col.TracerFor)); err != nil {
+		tb.Fatalf("Run: %v", err)
+	}
+	return col.Trace()
+}
 
 // TestDecodeRejectsHostileInput exercises the untrusted-upload bounds: every
 // declared count is validated before the decoder allocates for it, and every
@@ -99,6 +126,18 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			input: "scalatrace-go 1\nnprocs 4\ncomms 0\ngroups 1\ngroup 0:3 1\n" +
 				"rsd op=Send site=1 ranks=0:3 comm=0 csize=4 peer=abs1 tag=0 size=-8 root=-1\n",
 			want: "size -8 out of range",
+		},
+		{
+			name: "infinite compute sum",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Send site=1 ranks=0:1 comm=0 csize=2 peer=rel1 tag=0 size=8 root=-1 compute=\"1 +Inf +Inf +Inf 0=1\"\n",
+			want: "line 6: bad compute value",
+		},
+		{
+			name: "NaN first-iteration max",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Send site=1 ranks=0:1 comm=0 csize=2 peer=rel1 tag=0 size=8 root=-1 first=\"1 1 1 NaN 0=1\"\n",
+			want: "max is NaN",
 		},
 		{
 			name: "huge csize",

@@ -42,6 +42,8 @@ const (
 )
 
 // Encode writes the trace in the line-oriented scalatrace-go text format.
+// Decode of the text gives back t: every field, both compute pools, and
+// their sums, minima and maxima bit for bit.
 func Encode(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "scalatrace-go %d\n", formatVersion)
@@ -74,9 +76,7 @@ func encodeSeq(bw *bufio.Writer, seq []Node) error {
 				return err
 			}
 		case *RSD:
-			if err := encodeRSD(bw, x); err != nil {
-				return err
-			}
+			encodeRSD(bw, x)
 		default:
 			return fmt.Errorf("trace: unknown node type %T", n)
 		}
@@ -84,7 +84,7 @@ func encodeSeq(bw *bufio.Writer, seq []Node) error {
 	return nil
 }
 
-func encodeRSD(bw *bufio.Writer, r *RSD) error {
+func encodeRSD(bw *bufio.Writer, r *RSD) {
 	fmt.Fprintf(bw, "rsd op=%s site=%d ranks=%s comm=%d csize=%d peer=%s tag=%d size=%d root=%d",
 		r.Op, r.Site, r.Ranks, r.CommID, r.CommSize, r.Peer, r.Tag, r.Size, r.Root)
 	if r.Wildcard {
@@ -99,16 +99,13 @@ func encodeRSD(bw *bufio.Writer, r *RSD) error {
 	if r.NewCommID != 0 {
 		fmt.Fprintf(bw, " newcomm=%d group=%s", r.NewCommID, intsString(r.Group))
 	}
-	h := r.ComputeStats()
-	if !h.Empty() {
-		text, err := h.MarshalText()
-		if err != nil {
-			return err
+	for i, h := range [...]*stats.Histogram{r.ComputeStats(), r.FirstCompute} {
+		if h != nil && !h.Empty() {
+			text, _ := h.MarshalText() // never fails
+			fmt.Fprintf(bw, " %s=%q", [...]string{"compute", "first"}[i], text)
 		}
-		fmt.Fprintf(bw, " compute=%q", text)
 	}
 	fmt.Fprintln(bw)
-	return nil
 }
 
 func intsString(vs []int) string {
@@ -445,6 +442,9 @@ func (d *decoder) setRSDField(r *RSD, key, val string) error {
 	case "compute":
 		r.Compute = new(stats.Histogram)
 		err = r.Compute.ParseText(val)
+	case "first":
+		r.FirstCompute = new(stats.Histogram)
+		err = r.FirstCompute.ParseText(val)
 	default:
 		return d.errf("unknown rsd field %q", key)
 	}

@@ -1,48 +1,23 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"testing"
 
-	"repro/internal/mpi"
-	"repro/internal/netmodel"
+	"repro/internal/trace"
 )
 
-// collectRingTrace produces a real collector trace of an n-rank ring with a
-// barrier and a broadcast — loops, point-to-point RSDs, collectives and
-// compute histograms all present. Shared by the fuzz seeds and the
-// limits tests.
-func collectRingTrace(tb testing.TB, n int) *Trace {
-	tb.Helper()
-	col := NewCollector(n)
-	body := func(r *mpi.Rank) {
-		c := r.World()
-		r.Bcast(c, 0, 256)
-		for i := 0; i < 20; i++ {
-			r.Compute(float64(3 + i%2))
-			rq := r.Irecv(c, (r.Rank()+n-1)%n, 0, 1024)
-			sq := r.Isend(c, (r.Rank()+1)%n, 0, 1024)
-			r.Waitall(rq, sq)
-		}
-		r.Barrier(c)
-	}
-	if _, err := mpi.Run(n, netmodel.Ideal(), body, mpi.WithTracer(col.TracerFor)); err != nil {
-		tb.Fatalf("Run: %v", err)
-	}
-	return col.Trace()
-}
-
-// FuzzDecode fuzzes the untrusted-upload entry point with the canonical
-// round-trip property: any input Decode accepts must Encode to a canonical
-// form that decodes again and re-encodes to the identical bytes (Encode is a
-// fixed point after one canonicalization). Decode itself must only ever
-// return an error — never panic, never allocate unboundedly (the MaxDecode
-// bounds are exercised by whatever counts the fuzzer invents).
+// FuzzDecode fuzzes the untrusted-upload entry point with the codec's
+// lossless property: whatever Decode accepts must Encode to text that decodes
+// to the same trace (traceDiff), Decode(Encode(Decode(x))) = Decode(x).
+// Decode itself must only ever return an error — never panic, never allocate
+// unboundedly (the MaxDecode bounds are exercised by whatever counts the
+// fuzzer invents).
 func FuzzDecode(f *testing.F) {
 	// Seed with a real collector-produced trace plus hand-written fragments
 	// covering nesting, wildcard, vectors and compute histograms.
 	var buf bytes.Buffer
-	if err := Encode(&buf, collectRingTrace(f, 8)); err != nil {
+	if err := trace.Encode(&buf, trace.CollectRingTrace(f, 8)); err != nil {
 		f.Fatalf("Encode seed: %v", err)
 	}
 	f.Add(buf.Bytes())
@@ -92,25 +67,27 @@ func FuzzDecode(f *testing.F) {
 			"rsd op=Recv site=3 ranks=0:1 comm=0 csize=2 tag=5 size=8 root=-1 " + field + "\n"))
 	}
 
+	// Compute values no sample stream produces (rejected, stats.ErrBadMoments).
+	for _, field := range []string{`compute="1 +Inf +Inf +Inf 0=1"`, `compute="1 NaN NaN NaN 0=1"`, `compute="1 -5 -5 -5 0=1"`} {
+		f.Add([]byte("scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
+			"rsd op=Send site=3 ranks=0:1 comm=0 csize=2 peer=rel1 tag=5 size=8 root=-1 " + field + "\n"))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Decode(bytes.NewReader(data))
+		tr, err := trace.Decode(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input is fine; panics/hangs are the bugs
 		}
-		var first bytes.Buffer
-		if err := Encode(&first, tr); err != nil {
+		var text bytes.Buffer
+		if err := trace.Encode(&text, tr); err != nil {
 			t.Fatalf("Encode of accepted trace failed: %v", err)
 		}
-		back, err := Decode(bytes.NewReader(first.Bytes()))
+		back, err := trace.Decode(bytes.NewReader(text.Bytes()))
 		if err != nil {
-			t.Fatalf("canonical form does not re-decode: %v\n%s", err, first.Bytes())
+			t.Fatalf("encoded trace does not decode: %v\n%s", err, text.Bytes())
 		}
-		var second bytes.Buffer
-		if err := Encode(&second, back); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("Encode is not a fixed point:\n--- first\n%s\n--- second\n%s", first.Bytes(), second.Bytes())
+		if d := traceDiff(tr, back); d != "" {
+			t.Fatalf("Decode(Encode(t)) differs from t: %s\n%s", d, text.Bytes())
 		}
 	})
 }

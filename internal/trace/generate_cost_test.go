@@ -13,11 +13,13 @@ import (
 // and leaf back into the fold, fails here by name before a benchmark notices.
 
 // TestDecodeAllocationsPerNode pins the objects Decode allocates for the
-// encoded sweep3d and is traces at 16 ranks, class S: 9.19 and 8.37 per node
-// (its line, the node, a leaf's rank set and histogram, the slices behind
-// sequences and lists). Scanning each field with fmt allocated 25.1 and 24.5.
+// encoded sweep3d and is traces at 16 ranks, class S: 10.14 and 8.37 per node
+// (its line, the node, a leaf's rank set and one histogram per pool, the
+// slices behind sequences and lists). A first-iteration pool costs one object:
+// sweep3d's 777 of them are 777 of its 8,331. Scanning each field with fmt
+// allocated 25.1 and 24.5 per node.
 func TestDecodeAllocationsPerNode(t *testing.T) {
-	want := map[string]float64{"sweep3d": 7554, "is": 1189}
+	want := map[string]float64{"sweep3d": 8331, "is": 1189}
 	for _, name := range []string{"sweep3d", "is"} {
 		_, tr := collectKernel(t, name, 16)
 		var text bytes.Buffer

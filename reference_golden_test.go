@@ -150,8 +150,8 @@ func TestReplayRepresentationsBitIdentical(t *testing.T) {
 	engine := loadEngineGolden(t)
 	check := referenceGolden(t)
 	forKernels16(t, func(t *testing.T, key, name string, n int) {
-		_, collected, _, _ := runBodyTrace(t, name, n, apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS)))
-		res, retrace := replayKernel(t, collected)
+		_, traceBytes, _ := runKernel(t, name, n)
+		res, retrace := replayKernel(t, traceOf(t, traceBytes))
 		if got, want := clockDigest(res.PerRankUS), engine[key].ReplayClocks; got != want {
 			t.Errorf("clock digest %s, golden %s", got, want)
 		}
@@ -168,9 +168,9 @@ func TestCritPathRepresentationsIdentical(t *testing.T) {
 	engine := loadEngineGolden(t)
 	check := referenceGolden(t)
 	forKernels16(t, func(t *testing.T, key, name string, n int) {
-		_, collected, _, _ := runBodyTrace(t, name, n, apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS)))
+		_, traceBytes, _ := runKernel(t, name, n)
 		g := mpi.NewDepGraph()
-		if _, err := replay.Replay(collected, netmodel.BlueGeneL(), mpi.WithCausalProfile(g)); err != nil {
+		if _, err := replay.Replay(traceOf(t, traceBytes), netmodel.BlueGeneL(), mpi.WithCausalProfile(g)); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
 		if got, want := clockDigest(g.FinalUS), engine[key].ReplayClocks; got != want {
