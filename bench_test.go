@@ -862,8 +862,9 @@ func traceBody(n int, model *netmodel.Model, body func(*mpi.Rank)) (*trace.Trace
 // BenchmarkReplay measures trace re-execution (the ScalaReplay role in the
 // Section 5.2 equivalence checks, and half of every exec-whatif op) on a
 // pooled engine, as the ledger replays: a BT trace, the ledger's ring@1024
-// (the leg its op_p50_ms can be traced to), and the split-communicator
-// kernel, whose peers translate through the index's maps.
+// (the leg its op_p50_ms can be traced to), the split-communicator kernel,
+// whose peers translate through the index's maps, and LU: nine groups,
+// partial rank sets and 44,800 ANY_SOURCE receives.
 func BenchmarkReplay(b *testing.B) {
 	model := netmodel.BlueGeneL()
 	app := func(name string, n int) func() (*trace.Trace, error) {
@@ -882,6 +883,7 @@ func BenchmarkReplay(b *testing.B) {
 		{"bt-64", app("bt", 64)},
 		{"ring-1024", app("ring", 1024)},
 		{"split-64", func() (*trace.Trace, error) { return traceBody(64, model, splitRingBody(200)) }},
+		{"lu-64", app("lu", 64)},
 	} {
 		var tr *trace.Trace // traced once, not once per b.N probe
 		b.Run(leg.name, func(b *testing.B) {

@@ -23,6 +23,7 @@ type compiler struct {
 	masks    map[string][]bool // selector spelling or task-set string -> mask
 	peerTabs map[RankExpr][]int
 	key      *Writer // scratch for a selector's spelling
+	out      *cursorProgram
 }
 
 // sharedMask returns the mask registered under key, and whether it is new:
@@ -61,23 +62,24 @@ func (c *compiler) mask(sel TaskSel) []bool {
 	return m
 }
 
-// setMask precomputes a concrete set of the program's tasks as a dense mask;
-// nil stands for every task.
-func (c *compiler) setMask(s taskset.Set) []bool {
-	if s.Size() == c.n {
+// setMask precomputes as a dense mask the tasks whose membership in a
+// concrete set is in (the set or its complement); nil stands for every task.
+func (c *compiler) setMask(s taskset.Set, in bool) []bool {
+	if in && s.Size() == c.n {
 		return nil
 	}
-	m, fresh := c.sharedMask([]byte(s.String()))
+	key := "!" + s.String()
+	if in {
+		key = key[1:]
+	}
+	m, fresh := c.sharedMask([]byte(key))
 	if fresh {
-		for _, t := range s.Members() {
-			m[t] = true
+		for t := range m {
+			m[t] = s.Contains(t) == in
 		}
 	}
 	return m
 }
-
-// holds reports whether a mask of mask or setMask selects task t.
-func holds(mask []bool, t int) bool { return mask == nil || mask[t] }
 
 // peers precomputes a rank expression for every executing task.
 func (c *compiler) peers(e RankExpr) []int {

@@ -3,6 +3,8 @@ package conceptual
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/mpi"
 )
 
 // differentialPrograms covers every statement kind lowerCursor lowers,
@@ -92,15 +94,17 @@ func TestCompileResolvesPlannedComms(t *testing.T) {
 }
 
 // TestLoweringSizesInstructionsOnce pins lowerCursor to one allocation of its
-// instruction list: the list's capacity is instrBound's count, which growing
-// it by append would overshoot, and the count holds every instruction.
+// instruction list: the list's capacity is two splits per planned
+// communicator plus instrBound's count, which growing it by append would
+// overshoot, and the count holds every instruction.
 func TestLoweringSizesInstructionsOnce(t *testing.T) {
 	const n = 8
 	for name, p := range differentialPrograms() {
-		cp := lowerCursor(p, n, collectCommPlans(p.Stmts, n), stmtSites(p.Stmts))
-		if bound := instrBound(p.Stmts); cap(cp.instrs) != bound || len(cp.instrs) > bound {
+		plans := collectCommPlans(p.Stmts, n)
+		cp := lowerCursor(p, n, plans, stmtSites(p.Stmts))
+		if bound := 2*len(plans) + instrBound(p.Stmts); cap(cp.Instrs) != bound || len(cp.Instrs) > bound {
 			t.Errorf("conceptual.lower_cursor %s: %d instructions in a list of capacity %d, want capacity %d",
-				name, len(cp.instrs), cap(cp.instrs), bound)
+				name, len(cp.Instrs), cap(cp.Instrs), bound)
 		}
 	}
 }
@@ -136,8 +140,8 @@ func TestLoweringMemoryIsStatementsPlusDistinctTables(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Errorf("lowering %d statements for %d tasks allocated %.1f MB, want under 8", len(stmts), n, float64(got)/(1<<20))
 	}
-	for _, in := range cp.instrs {
-		if in.kind == ciOp && in.op.ComputeUS == 5 && in.members != nil {
+	for _, in := range cp.Instrs {
+		if in.Kind == mpi.InstrOp && in.Op.ComputeUS == 5 && in.Members != nil {
 			t.Fatal("an every-task statement carries a mask")
 		}
 	}

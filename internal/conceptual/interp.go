@@ -62,15 +62,24 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 	// depend on the binary or the checkout.
 	sites := stmtSites(p.Stmts)
 
-	// Lower once to the stackless cursor form and run with no per-task
+	// Lower once to the stackless program form and run with no per-task
 	// goroutines at all — each task is a program counter the engine advances
 	// in place. The engine steps one task at a time on this goroutine, so the
-	// streams share the log slice without a lock.
+	// mark callback keeps the RESET clocks and the log without a lock; it runs
+	// between operations, so the clock it reads is the task's clock at exactly
+	// that program point.
 	var logs []LogEntry
+	resetAt := make([]float64, n)
 	cp := lowerCursor(p, n, plans, sites)
-	res, err := mpi.RunStackless(n, model, func(rank int) mpi.OpStream {
-		return &cursorStream{prog: cp, me: rank, logs: &logs}
-	}, cfg.mpiOpts...)
+	streams := mpi.ProgramStreams(n, func(rank int) (*mpi.Program, int) { return &cp.Program, rank },
+		func(r *mpi.Rank, mark int) {
+			if me := r.Rank(); mark == 0 {
+				resetAt[me] = r.Clock()
+			} else {
+				logs = append(logs, LogEntry{Label: cp.labels[mark-1], Task: me, Value: r.Clock() - resetAt[me]})
+			}
+		})
+	res, err := mpi.RunStackless(n, model, streams, cfg.mpiOpts...)
 	if err != nil {
 		return nil, err
 	}

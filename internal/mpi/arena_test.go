@@ -204,6 +204,43 @@ func TestWarmRingReplayAllocatesNoRequests(t *testing.T) {
 	}
 }
 
+// TestWarmReplayLowersPerNode pins where the replay lowering's cost lies: on
+// a warm pooled engine, replaying a 64-rank ring of 100 rounds and of 1,000
+// rounds makes exactly the same allocations. The traces differ only in a loop
+// count, and the programs, their tables and the streams are paid per node and
+// per rank, never per event.
+func TestWarmReplayLowersPerNode(t *testing.T) {
+	const n = 64
+	model := netmodel.BlueGeneL()
+	eng := mpi.NewEngine()
+	defer eng.Close()
+	mallocs := func(rounds int) float64 {
+		col := trace.NewCollector(n)
+		body := func(r *mpi.Rank) {
+			c := r.World()
+			for i := 0; i < rounds; i++ {
+				rq := r.Irecv(c, (r.Rank()+n-1)%n, 0, 512)
+				sq := r.Isend(c, (r.Rank()+1)%n, 0, 512)
+				r.Waitall(rq, sq)
+			}
+		}
+		if _, err := mpi.Run(n, model, body, mpi.WithTracer(col.TracerFor)); err != nil {
+			t.Fatal(err)
+		}
+		tr := col.Trace()
+		run := func() {
+			if _, err := replay.Replay(tr, model, mpi.WithEngine(eng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the world
+		return testing.AllocsPerRun(5, run)
+	}
+	if short, long := mallocs(100), mallocs(1000); short != long {
+		t.Errorf("a warm replay of 100 rounds makes %v allocations, of 1,000 rounds %v: the replay allocates per event", short, long)
+	}
+}
+
 // reuseKernel is four ranks of point-to-point traffic whose message order a
 // recycled message or posted receive could break, in three phases (tags name
 // the messages; each phase gates its next step on a blocking receive, so the

@@ -73,9 +73,6 @@ type posLink struct {
 // DefaultMaxWindow is the default bound on detected loop-body lengths.
 const DefaultMaxWindow = 192
 
-// NewBuilder returns a Builder with the default window.
-func NewBuilder() *Builder { return &Builder{maxWindow: DefaultMaxWindow} }
-
 // NewBuilderWindow returns a Builder with a custom window bound (used by the
 // compression ablation benchmarks). A window below 1 disables folding.
 func NewBuilderWindow(w int) *Builder { return &Builder{maxWindow: w} }

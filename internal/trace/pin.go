@@ -13,7 +13,8 @@ type Pin struct {
 // events become single-rank leaves (CopyFor, with the compute sample of the
 // event's loop iteration, Wildcard cleared), a pinned receive's peer becomes
 // its source in the numbering of the receive's communicator, and the per-rank
-// streams are recompressed and re-merged. pins has one list per rank, in
+// streams are recompressed and re-merged (in stream builders, as a
+// Collector's). pins has one list per rank, in
 // ascending Event order. t is not modified. This is how Algorithm 2's
 // decisions and an MP-net counterexample's choices become a wildcard-free
 // trace.
@@ -24,12 +25,13 @@ func Pinned(t *Trace, pins [][]Pin) *Trace {
 		if g == nil {
 			continue
 		}
-		b := NewBuilder()
+		b := NewStreamBuilder(DefaultMaxWindow)
+		ranks := taskset.Of(rank)
 		next := pins[rank]
 		for c := NewCursor(g.Seq, rank); !c.Done(); c.Advance() {
 			rsd := c.Cur()
-			leaf := new(RSD)
-			rsd.CopyFor(leaf, rank, taskset.Of(rank), t, rsd.ComputeMeanAt(c.InnermostIter() == 0))
+			leaf := b.NewLeaf()
+			rsd.CopyFor(leaf, rank, ranks, t, rsd.ComputeMeanAt(c.InnermostIter() == 0))
 			leaf.Wildcard = false
 			if len(next) > 0 && next[0].Event == c.Index() {
 				src, ok := t.CommRankOf(leaf.CommID, next[0].Source)

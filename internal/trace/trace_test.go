@@ -26,7 +26,7 @@ func expand(seq []Node, rank int) []*RSD {
 }
 
 func TestBuilderFoldsSimpleLoop(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilderWindow(DefaultMaxWindow)
 	for i := 0; i < 1000; i++ {
 		b.Append(leaf(mpi.OpIrecv, 1, RelParam(3), 64))
 		b.Append(leaf(mpi.OpIsend, 2, RelParam(1), 64))
@@ -45,7 +45,7 @@ func TestBuilderFoldsSimpleLoop(t *testing.T) {
 }
 
 func TestBuilderFoldsNestedLoops(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilderWindow(DefaultMaxWindow)
 	for outer := 0; outer < 50; outer++ {
 		for inner := 0; inner < 20; inner++ {
 			b.Append(leaf(mpi.OpSend, 10, AbsParam(0), 8))
@@ -67,7 +67,7 @@ func TestBuilderFoldsNestedLoops(t *testing.T) {
 }
 
 func TestBuilderKeepsDistinctEvents(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilderWindow(DefaultMaxWindow)
 	b.Append(leaf(mpi.OpSend, 1, AbsParam(1), 100))
 	b.Append(leaf(mpi.OpSend, 1, AbsParam(2), 100)) // different peer
 	b.Append(leaf(mpi.OpSend, 1, AbsParam(1), 200)) // different size
@@ -77,7 +77,7 @@ func TestBuilderKeepsDistinctEvents(t *testing.T) {
 }
 
 func TestBuilderPoolsComputeTimes(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilderWindow(DefaultMaxWindow)
 	for i := 0; i < 10; i++ {
 		r := leaf(mpi.OpSend, 1, AbsParam(1), 8)
 		r.SetComputeSample(float64(100 + i))
@@ -117,7 +117,7 @@ func TestCompressionIsLossless(t *testing.T) {
 	// a cursor reproduces exactly the original sequence.
 	f := func(opsRaw []uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder()
+		b := NewBuilderWindow(DefaultMaxWindow)
 		var original []RSD
 		for _, raw := range opsRaw {
 			// A small alphabet of event shapes encourages folding; the
