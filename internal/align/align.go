@@ -154,11 +154,12 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		}
 	}
 	classOf := classify(t, groupOf)
+	low := trace.Lower(t)
 	var classes []*lockstep
 	for r, c := range classOf {
 		if c == len(classes) {
 			classes = append(classes, &lockstep{first: r, ranks: taskset.Of(r),
-				cur: trace.NewCursor(t.Groups[groupOf[r]].Seq, r), seg: newSegment(trace.DefaultMaxWindow)})
+				cur: low.Cursor(r), seg: newSegment(trace.DefaultMaxWindow)})
 		}
 		classes[c].size++
 	}
@@ -212,7 +213,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 				c.ran = true
 				for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
 					leaf := c.seg.NewLeaf()
-					rsd.CopyFor(leaf, c.first, c.ranks, t, rsd.ComputeMeanAt(c.cur.InnermostIter() == 0))
+					rsd.CopyFor(leaf, c.first, c.ranks, t, c.cur.ComputeUS())
 					c.seg.Append(leaf)
 					c.cur.Advance()
 					c.progressed = true
@@ -262,7 +263,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 				rsd.CommID, pc.arrived[i].Op, rsd.Op)
 		}
 		pc.arrived[pos] = rsd
-		pc.means[pos] = rsd.ComputeMeanAt(c.cur.InnermostIter() == 0)
+		pc.means[pos] = c.cur.ComputeUS()
 
 		missing := slices.Index(pc.arrived, nil)
 		if missing < 0 {

@@ -20,6 +20,15 @@ func collect(t testing.TB, n int, body func(*mpi.Rank)) *trace.Trace {
 	return col.Trace()
 }
 
+// eventsOf expands rank's events in t, each aliasing the leaf it came from.
+func eventsOf(t *trace.Trace, rank int) []*trace.RSD {
+	var out []*trace.RSD
+	for c := trace.Lower(t).Cursor(rank); !c.Done(); c.Advance() {
+		out = append(out, c.Cur())
+	}
+	return out
+}
+
 // figure3Body reproduces the paper's Figure 3(a): ranks invoke the same
 // logical barrier from different source lines, so the trace records it at
 // two call sites.
@@ -141,8 +150,8 @@ func TestAlignPreservesPerRankOrderAndCounts(t *testing.T) {
 	}
 	// Guarantee 2: per-rank event order preserved.
 	for rank := 0; rank < n; rank++ {
-		orig := tr.EventsOf(rank)
-		al := aligned.EventsOf(rank)
+		orig := eventsOf(tr, rank)
+		al := eventsOf(aligned, rank)
 		if len(orig) != len(al) {
 			t.Fatalf("rank %d: %d events originally, %d aligned", rank, len(orig), len(al))
 		}
@@ -339,7 +348,7 @@ func TestAlignIdempotentOnAlignedTrace(t *testing.T) {
 			once.TotalEvents(), twice.TotalEvents())
 	}
 	for rank := 0; rank < n; rank++ {
-		a, b := once.EventsOf(rank), twice.EventsOf(rank)
+		a, b := eventsOf(once, rank), eventsOf(twice, rank)
 		if len(a) != len(b) {
 			t.Fatalf("rank %d: %d vs %d events", rank, len(a), len(b))
 		}
@@ -381,8 +390,8 @@ func TestAlignPropertyPreservesOpMultisets(t *testing.T) {
 			return false
 		}
 		for rank := 0; rank < n; rank++ {
-			a := opCounts(tr.EventsOf(rank))
-			b := opCounts(aligned.EventsOf(rank))
+			a := opCounts(eventsOf(tr, rank))
+			b := opCounts(eventsOf(aligned, rank))
 			if len(a) != len(b) {
 				return false
 			}

@@ -1115,6 +1115,34 @@ func TestBurstStallIgnoresEagerMessages(t *testing.T) {
 	}
 }
 
+// TestBurstStallAtEagerLimit: back-to-back sends of exactly EagerLimit bytes
+// to one peer are eager and stall nothing; of EagerLimit+1 bytes they stall.
+func TestBurstStallAtEagerLimit(t *testing.T) {
+	m := netmodel.EthernetCluster()
+	stall := func(size int) float64 {
+		var stalled float64
+		run(t, 2, m, func(r *Rank) {
+			for i := 0; i < 10; i++ {
+				if r.Rank() == 0 {
+					r.Isend(r.World(), 1, 0, size)
+				} else {
+					r.Recv(r.World(), 0, 0, size)
+				}
+			}
+			if r.Rank() == 0 {
+				stalled = r.clock - r.shadow
+			}
+		})
+		return stalled
+	}
+	if got := stall(m.EagerLimit); got != 0 {
+		t.Errorf("back-to-back sends of EagerLimit bytes stall %v us, want 0", got)
+	}
+	if got := stall(m.EagerLimit + 1); got <= 0 {
+		t.Errorf("back-to-back sends of EagerLimit+1 bytes stall %v us, want > 0", got)
+	}
+}
+
 func TestNoiseMakesRunsDifferentButReproducible(t *testing.T) {
 	body := func(r *Rank) {
 		c := r.World()

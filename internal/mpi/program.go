@@ -115,6 +115,24 @@ func (s *progStream) Next(r *Rank, op *RankOp) bool {
 	return false
 }
 
+// Walk is one slot's stream of a Program outside a run, for walks that
+// issue nothing. Its program has no marks.
+type Walk struct{ progStream }
+
+// Walk returns slot's walk of p, before its first operation.
+func (p *Program) Walk(slot int) *Walk {
+	return &Walk{progStream{prog: p, run: &progRun{frames: make([]int, p.Depth)}, slot: int32(slot)}}
+}
+
+// Next stores the walk's next operation in op and returns the index of its
+// instruction, or -1 past the last.
+func (w *Walk) Next(op *RankOp) int {
+	if !w.progStream.Next(nil, op) {
+		return -1
+	}
+	return int(w.pc) - 1
+}
+
 // ProgramStreams returns RunStackless's progFor for n > 0 ranks running
 // lowered programs: progOf gives a rank's program and slot, and mark receives
 // the InstrMarks. The streams and their loop frames are one allocation each,

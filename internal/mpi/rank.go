@@ -400,7 +400,7 @@ func (r *Rank) inject(wdst, tag, size int) *message {
 		holds:         2, // the sender and the receiver
 	}
 	r.w.mailboxes[wdst].deposit(msg)
-	if m.FlowSaturationFactor > 0 && size > m.EagerLimit {
+	if m.FlowSaturationFactor > 0 && !m.Eager(size) {
 		// Burst throttling: offering bulk messages to one peer faster than
 		// the path drains stalls the sender (buffer exhaustion + resume
 		// cost). The message above has already departed; the stall delays

@@ -112,15 +112,8 @@ type Event struct {
 	Sources  []int
 	SrcChans [][]int32
 	// ComputeUS is the mean computation time charged before the
-	// operation (first-iteration sample where distinguished).
+	// operation: the sample replay charges (trace.Cursor.ComputeUS).
 	ComputeUS float64
-	// FirstIter records whether this instance came from a loop's first
-	// iteration (selects the compute sample, mirroring the resolver's
-	// output leaves).
-	FirstIter bool
-	// Leaf is the compressed-trace descriptor this instance expanded
-	// from (shared across instances; do not mutate).
-	Leaf *trace.RSD
 }
 
 // Net is the MP-net lowered from one trace: per-rank event sequences
@@ -178,8 +171,9 @@ func (o *Options) maxStates() int {
 }
 
 // FromTrace lowers t into its MP-net. The expansion walks every rank's
-// compressed sequence with a trace cursor (loops unrolled), so the net
-// is finite and exact; opts.MaxEvents bounds the unrolling.
+// lowered program with a trace.Cursor (loops unrolled), so the net is
+// finite and exact and holds the events replay issues; opts.MaxEvents
+// bounds the unrolling.
 func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 	if t == nil || t.N <= 0 {
 		return nil, fmt.Errorf("mpnet: empty trace")
@@ -190,18 +184,14 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 	maxEvents := opts.maxEvents()
 	net := &Net{N: t.N, Trace: t, Procs: make([][]Event, t.N)}
 
-	// Pass 1: expand every rank's stream and collect the channel table
-	// from the send side. Channels exist only where some send produces
-	// into them; a receive whose channel does not exist can never match.
-	chanIdx := map[ChanKey]int32{}
+	// Every rank is counted before any is expanded: a trace past a bound
+	// is refused unlowered, and the rest fill lists of their exact size.
 	total := 0
 	for rank := 0; rank < t.N; rank++ {
 		g := t.GroupOf(rank)
 		if g == nil {
 			return nil, fmt.Errorf("mpnet: rank %d missing from trace", rank)
 		}
-		// Counted before it is expanded: a rank past a bound is refused
-		// unexpanded, and the rest fill a list of their exact size.
 		size := rankEvents(g.Seq, rank, min(maxEvents-total, MaxRankEvents)+1)
 		if total += size; total > maxEvents {
 			return nil, fmt.Errorf("mpnet: trace expands past %d events (MaxEvents)", maxEvents)
@@ -210,15 +200,20 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 			return nil, fmt.Errorf("%w: rank %d expands past %d events", ErrNetTooLarge, rank, MaxRankEvents)
 		}
 		net.Procs[rank] = make([]Event, 0, size)
-		cur := trace.NewCursor(g.Seq, rank)
-		for !cur.Done() {
+	}
+
+	// Pass 1: expand every rank's stream and collect the channel table
+	// from the send side. Channels exist only where some send produces
+	// into them; a receive whose channel does not exist can never match.
+	chanIdx := map[ChanKey]int32{}
+	low := trace.Lower(t)
+	for rank := 0; rank < t.N; rank++ {
+		for cur := low.Cursor(rank); !cur.Done(); cur.Advance() {
 			rsd := cur.Cur()
-			first := cur.InnermostIter() == 0
 			ev := Event{
 				Op: rsd.Op, Site: rsd.Site, Tag: rsd.Tag, Size: rsd.Size,
 				CommID: rsd.CommID, Chan: -1, Peer: mpi.NoPeer,
-				ComputeUS: rsd.ComputeMeanAt(first), FirstIter: first,
-				Leaf: rsd,
+				ComputeUS: cur.ComputeUS(),
 			}
 			switch {
 			case rsd.Op.IsSendSide():
@@ -259,7 +254,6 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 				ev.Kind = EvLocal
 			}
 			net.Procs[rank] = append(net.Procs[rank], ev)
-			cur.Advance()
 		}
 	}
 	net.Events = total

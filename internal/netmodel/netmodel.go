@@ -151,7 +151,7 @@ func (m *Model) BurstStallUS(size int, gapUS float64) float64 {
 	// Eager messages are absorbed by preallocated buffers; only bulk
 	// (rendezvous-class) transfers stress switch buffering enough to
 	// trigger flow-control collapse.
-	if size <= m.EagerLimit {
+	if m.Eager(size) {
 		return 0
 	}
 	service := m.TransferUS(size)
@@ -191,12 +191,17 @@ func Ideal() *Model {
 	return &Model{Name: "Ideal", BandwidthBytesPerUS: math.Inf(1), EagerLimit: 1 << 30}
 }
 
+// Eager reports whether a message of size bytes is sent eagerly, into the
+// receiver's preallocated buffers; a larger one takes the rendezvous
+// protocol.
+func (m *Model) Eager(size int) bool { return size <= m.EagerLimit }
+
 // TransferUS returns the wire time for a message of size bytes: latency plus
 // serialization. Rendezvous messages pay an extra round trip for the
 // handshake.
 func (m *Model) TransferUS(size int) float64 {
 	t := m.LatencyUS + m.serializeUS(size)
-	if size > m.EagerLimit {
+	if !m.Eager(size) {
 		t += 2 * m.LatencyUS
 	}
 	return t

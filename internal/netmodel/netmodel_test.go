@@ -178,3 +178,16 @@ func TestInfiniBandPreset(t *testing.T) {
 		t.Fatal("IB latency should undercut the BG/L model")
 	}
 }
+
+// TestBurstStallEagerBoundary: a message of exactly EagerLimit bytes is eager
+// and never stalls; one byte more is bulk and stalls when offered back to
+// back.
+func TestBurstStallEagerBoundary(t *testing.T) {
+	m := EthernetCluster()
+	if got := m.BurstStallUS(m.EagerLimit, 0); got != 0 {
+		t.Errorf("BurstStallUS(EagerLimit, 0) = %v, want 0", got)
+	}
+	if got := m.BurstStallUS(m.EagerLimit+1, 0); got <= 0 {
+		t.Errorf("BurstStallUS(EagerLimit+1, 0) = %v, want > 0", got)
+	}
+}

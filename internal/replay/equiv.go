@@ -29,14 +29,11 @@ func Equivalent(a, b *trace.Trace) error {
 		return fmt.Errorf("replay: rank counts differ: %d vs %d", a.N, b.N)
 	}
 	keysA, keysB := map[int]string{}, map[int]string{}
+	lowA, lowB := trace.Lower(a), trace.Lower(b)
 	for rank := 0; rank < a.N; rank++ {
-		ea := normalize(a, rank, keysA)
-		eb := normalize(b, rank, keysB)
-		limit := len(ea)
-		if len(eb) < limit {
-			limit = len(eb)
-		}
-		for i := 0; i < limit; i++ {
+		ea := normalize(a, lowA.Cursor(rank), keysA)
+		eb := normalize(b, lowB.Cursor(rank), keysB)
+		for i := range min(len(ea), len(eb)) {
 			if ea[i] != eb[i] {
 				return fmt.Errorf("replay: rank %d event %d differs: %v/%d bytes/peer %d/%s vs %v/%d bytes/peer %d/%s",
 					rank, i,
@@ -51,13 +48,15 @@ func Equivalent(a, b *trace.Trace) error {
 	return nil
 }
 
-// normalize expands one rank's events, dropping bookkeeping operations,
+// normalize expands the events of c's rank, dropping bookkeeping operations,
 // resolving peers to world ranks, and folding the Table 1 collective
 // substitutions so an original application's stream compares equal to its
 // generated benchmark's. keys memoizes t's communicator keys across ranks.
-func normalize(t *trace.Trace, rank int, keys map[int]string) []normEvent {
+func normalize(t *trace.Trace, c *trace.Cursor, keys map[int]string) []normEvent {
 	var out []normEvent
-	for _, leaf := range t.EventsOf(rank) {
+	rank := c.Rank()
+	for ; !c.Done(); c.Advance() {
+		leaf := c.Cur()
 		switch leaf.Op {
 		case mpi.OpInit, mpi.OpFinalize, mpi.OpCommSplit, mpi.OpCommDup,
 			mpi.OpWait, mpi.OpWaitall, mpi.OpBarrier:

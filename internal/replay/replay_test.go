@@ -2,7 +2,6 @@ package replay
 
 import (
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpip"
 	"repro/internal/netmodel"
-	"repro/internal/taskset"
 	"repro/internal/trace"
 )
 
@@ -263,59 +261,5 @@ func TestReplayAlignedTraceMatchesProfile(t *testing.T) {
 	}
 	if diffs := mpip.Diff(p1, p2); !diffs.Match() {
 		t.Fatalf("aligned replay differs: %v", diffs)
-	}
-}
-
-// TestLoweringMemoryIsNodesPlusDistinctTables bounds what lowering a trace
-// allocates, as conceptual's TestLoweringMemoryIsStatementsPlusDistinctTables
-// does for a program: leaves of the whole group carry no mask, equal masks
-// and equal per-rank tables are shared, and uniform values stay in the
-// template, so 500 leaves at 16,384 ranks cost the instruction list plus a
-// handful of tables — not a table per leaf (500 x 128 KB).
-func TestLoweringMemoryIsNodesPlusDistinctTables(t *testing.T) {
-	const n = 1 << 14
-	all, evens := taskset.Range(0, n-1), taskset.Strided(0, 2, n/2)
-	world := make([]int, n)
-	for i := range world {
-		world[i] = i
-	}
-	leaf := func(op mpi.Op, ranks taskset.Set, peer trace.Param) *trace.RSD {
-		return &trace.RSD{Op: op, Ranks: ranks, CommSize: n, Peer: peer, Size: 64, Root: -1}
-	}
-	var body []trace.Node
-	for len(body) < 500 {
-		body = append(body,
-			leaf(mpi.OpIrecv, all, trace.RelParam(n-1)),
-			leaf(mpi.OpIsend, all, trace.RelParam(1)),
-			leaf(mpi.OpWaitall, all, trace.NoParam),
-			leaf(mpi.OpAllreduce, all, trace.NoParam),
-			leaf(mpi.OpSend, evens, trace.RelParam(1)),
-			leaf(mpi.OpRecv, all, trace.AnyParam),
-			leaf(mpi.OpBarrier, evens, trace.NoParam),
-			leaf(mpi.OpSend, all, trace.AbsParam(0)))
-	}
-	tr := &trace.Trace{N: n, Comms: map[int][]int{0: world},
-		Groups: []trace.Group{{Ranks: all, Seq: []trace.Node{&trace.Loop{Iters: 3, Body: body}}}}}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	progs := lower(tr)
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%.2f MB", float64(got)/(1<<20))
-	if got > 4<<20 {
-		t.Errorf("lowering %d leaves for %d ranks allocated %.1f MB, want under 4", len(body), n, float64(got)/(1<<20))
-	}
-	masks, tables := map[*bool]bool{}, map[*int]bool{}
-	for _, in := range progs[0].Instrs {
-		if in.Members != nil {
-			masks[&in.Members[0]] = true
-		}
-		if in.Vals != nil {
-			tables[&in.Vals[0]] = true
-		}
-	}
-	if len(masks) != 1 || len(tables) != 3 {
-		t.Errorf("%d distinct masks and %d distinct tables, want 1 (the evens) and 3 (offsets 1 and n-1 of every rank, 1 of the evens)",
-			len(masks), len(tables))
 	}
 }

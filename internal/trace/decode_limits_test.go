@@ -74,6 +74,11 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			want:  "comm 1 has 4 members but nprocs is 2",
 		},
 		{
+			name:  "group member outside world",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:5 0\n",
+			want:  "group 0:5 has a member outside world [0, 2)",
+		},
+		{
 			name:  "comm member repeated",
 			input: "scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 1 0,1\ncomm 2 0,0,1\ngroups 0\n",
 			want:  "comm 2 lists member 0 twice",

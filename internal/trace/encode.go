@@ -291,6 +291,9 @@ func Decode(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, d.errf("%v", err)
 		}
+		if !ranks.IsEmpty() && (ranks.Min() < 0 || ranks.Max() >= t.N) {
+			return nil, d.errf("group %s has a member outside world [0, %d)", ranks, t.N)
+		}
 		ntop, err := strconv.Atoi(fields[2])
 		if err != nil {
 			return nil, d.errf("bad group node count: %v", err)

@@ -3,35 +3,35 @@ package trace
 import "repro/internal/taskset"
 
 // Pin is one decision about a receive of a rank: its Event — the receive's
-// ordinal among the rank's events, as Cursor.Index counts them — takes its
-// message from world rank Source.
+// ordinal among the operations the rank's lowered program yields, as
+// Cursor.Index counts them and replay issues them — takes its message from
+// world rank Source.
 type Pin struct {
 	Event, Source int
 }
 
 // Pinned rebuilds t with every pinned receive naming its source: each rank's
-// events become single-rank leaves (CopyFor, with the compute sample of the
-// event's loop iteration, Wildcard cleared), a pinned receive's peer becomes
-// its source in the numbering of the receive's communicator, and the per-rank
+// events become single-rank leaves (CopyFor, with the compute sample its
+// Cursor reports, Wildcard cleared), a pinned receive's peer becomes its
+// source in the numbering of the receive's communicator, and the per-rank
 // streams are recompressed and re-merged (in stream builders, as a
-// Collector's). pins has one list per rank, in
-// ascending Event order. t is not modified. This is how Algorithm 2's
-// decisions and an MP-net counterexample's choices become a wildcard-free
-// trace.
+// Collector's). pins has one list per rank, in ascending Event order. t is
+// not modified. This is how Algorithm 2's decisions and an MP-net
+// counterexample's choices become a wildcard-free trace.
 func Pinned(t *Trace, pins [][]Pin) *Trace {
 	seqs := make([][]Node, t.N)
+	low := Lower(t)
 	for rank := range seqs {
-		g := t.GroupOf(rank)
-		if g == nil {
+		if t.GroupOf(rank) == nil {
 			continue
 		}
 		b := NewStreamBuilder(DefaultMaxWindow)
 		ranks := taskset.Of(rank)
 		next := pins[rank]
-		for c := NewCursor(g.Seq, rank); !c.Done(); c.Advance() {
+		for c := low.Cursor(rank); !c.Done(); c.Advance() {
 			rsd := c.Cur()
 			leaf := b.NewLeaf()
-			rsd.CopyFor(leaf, rank, ranks, t, rsd.ComputeMeanAt(c.InnermostIter() == 0))
+			rsd.CopyFor(leaf, rank, ranks, t, c.ComputeUS())
 			leaf.Wildcard = false
 			if len(next) > 0 && next[0].Event == c.Index() {
 				src, ok := t.CommRankOf(leaf.CommID, next[0].Source)

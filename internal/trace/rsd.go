@@ -248,16 +248,6 @@ func (r *RSD) FirstComputeMean() float64 {
 	return r.FirstCompute.Mean()
 }
 
-// ComputeMeanAt returns the compute time to replay for one event instance:
-// the first-iteration mean when firstIter holds, the steady-state mean
-// otherwise.
-func (r *RSD) ComputeMeanAt(firstIter bool) float64 {
-	if firstIter {
-		return r.FirstComputeMean()
-	}
-	return r.ComputeMean()
-}
-
 // PeerIndexer supplies communicator translation for PeerFor; *Trace
 // implements it.
 type PeerIndexer interface {

@@ -304,113 +304,6 @@ func relOffset(peer, worldRank, commID, commSize int, idx PeerIndexer) (int, boo
 	return off, true
 }
 
-// Cursor walks the events of one rank through a compressed sequence,
-// expanding loops — the paper's per-node "traversal context" used by
-// Algorithms 1 and 2. Leaves that do not include the rank are skipped.
-type Cursor struct {
-	rank  int
-	stack []cursorFrame
-	cur   *RSD
-	index int
-}
-
-type cursorFrame struct {
-	nodes []Node
-	idx   int
-	iter  int
-	loop  *Loop // nil for the root frame
-}
-
-// NewCursor returns a cursor positioned at rank's first event in seq.
-func NewCursor(seq []Node, rank int) *Cursor {
-	c := &Cursor{rank: rank, stack: []cursorFrame{{nodes: seq}}, index: -1}
-	c.advanceToLeaf()
-	return c
-}
-
-// Rank returns the cursor's rank.
-func (c *Cursor) Rank() int { return c.rank }
-
-// Cur returns the RSD at the cursor, or nil when exhausted.
-func (c *Cursor) Cur() *RSD { return c.cur }
-
-// Done reports whether the cursor is past the last event.
-func (c *Cursor) Done() bool { return c.cur == nil }
-
-// Index returns the zero-based ordinal of the current event for this rank.
-func (c *Cursor) Index() int { return c.index }
-
-// InnermostIter returns the current iteration (0-based) of the innermost
-// enclosing loop, or 0 when the cursor is at the top level. Together with
-// RSD.ComputeMeanAt it lets per-event consumers replay the first-iteration
-// compute time where it belongs.
-func (c *Cursor) InnermostIter() int {
-	for i := len(c.stack) - 1; i >= 1; i-- {
-		if c.stack[i].loop != nil {
-			return c.stack[i].iter
-		}
-	}
-	return 0
-}
-
-// Advance moves to the rank's next event.
-func (c *Cursor) Advance() {
-	if c.cur == nil {
-		return
-	}
-	c.cur = nil
-	c.stack[len(c.stack)-1].idx++
-	c.advanceToLeaf()
-}
-
-func (c *Cursor) advanceToLeaf() {
-	for len(c.stack) > 0 {
-		f := &c.stack[len(c.stack)-1]
-		if f.idx >= len(f.nodes) {
-			if f.loop != nil && f.iter+1 < f.loop.Iters {
-				f.iter++
-				f.idx = 0
-				continue
-			}
-			c.stack = c.stack[:len(c.stack)-1]
-			if len(c.stack) > 0 {
-				c.stack[len(c.stack)-1].idx++
-			}
-			continue
-		}
-		switch n := f.nodes[f.idx].(type) {
-		case *RSD:
-			if n.Ranks.Contains(c.rank) {
-				c.cur = n
-				c.index++
-				return
-			}
-			f.idx++
-		case *Loop:
-			if n.Iters > 0 && ContainsRank(n, c.rank) {
-				c.stack = append(c.stack, cursorFrame{nodes: n.Body, loop: n})
-			} else {
-				f.idx++
-			}
-		}
-	}
-}
-
-// EventsOf returns the fully expanded event sequence of one rank — each
-// element aliases the compressed RSD it came from. Intended for tests,
-// replay and verification; large traces expand to their uncompressed size.
-func (t *Trace) EventsOf(rank int) []*RSD {
-	g := t.GroupOf(rank)
-	if g == nil {
-		return nil
-	}
-	var out []*RSD
-	for c := NewCursor(g.Seq, rank); !c.Done(); c.Advance() {
-		out = append(out, c.Cur())
-	}
-	return out
-}
-
 // String renders the trace in a readable indented form.
 func (t *Trace) String() string {
 	var sb strings.Builder

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,9 +18,24 @@ func leaf(op mpi.Op, site uint64, peer Param, size int) *RSD {
 		Peer: peer, Size: size, Root: -1}
 }
 
+// cursorOf returns rank's cursor on a trace of one group, ranks 0 to rank,
+// whose sequence is seq.
+func cursorOf(seq []Node, rank int) *Cursor {
+	return Lower(&Trace{N: rank + 1, Groups: []Group{{Ranks: taskset.Range(0, rank), Seq: seq}}}).Cursor(rank)
+}
+
 func expand(seq []Node, rank int) []*RSD {
+	return drain(cursorOf(seq, rank))
+}
+
+// eventsOf expands rank's events in t, each aliasing the leaf it came from.
+func eventsOf(t *Trace, rank int) []*RSD {
+	return drain(Lower(t).Cursor(rank))
+}
+
+func drain(c *Cursor) []*RSD {
 	var out []*RSD
-	for c := NewCursor(seq, rank); !c.Done(); c.Advance() {
+	for ; !c.Done(); c.Advance() {
 		out = append(out, c.Cur())
 	}
 	return out
@@ -181,7 +197,7 @@ func TestCursorIndexAndDepth(t *testing.T) {
 			&RSD{Op: mpi.OpSend, Ranks: taskset.Of(0), Peer: AbsParam(1), Root: -1},
 		}},
 	}
-	c := NewCursor(seq, 0)
+	c := cursorOf(seq, 0)
 	if c.Index() != 0 {
 		t.Fatalf("initial index = %d", c.Index())
 	}
@@ -446,8 +462,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	// Per-rank expansion must be pairwise structurally identical.
 	for rank := 0; rank < n; rank++ {
-		a := tr.EventsOf(rank)
-		b := back.EventsOf(rank)
+		a := eventsOf(tr, rank)
+		b := eventsOf(back, rank)
 		if len(a) != len(b) {
 			t.Fatalf("rank %d: %d vs %d events", rank, len(a), len(b))
 		}
@@ -532,36 +548,52 @@ func TestNodeEventCounts(t *testing.T) {
 	}
 }
 
-func TestCursorInnermostIter(t *testing.T) {
+// twoPools returns a leaf whose first-iteration pool holds the sample first
+// and whose steady state holds steady.
+func twoPools(site uint64, first, steady float64) *RSD {
+	r := leaf(mpi.OpSend, site, AbsParam(0), 8)
+	r.SetComputeSample(first)
+	r.demoteToFirst()
+	s := leaf(mpi.OpSend, site, AbsParam(0), 8)
+	s.SetComputeSample(steady)
+	r.mergeComputeFrom(s)
+	return r
+}
+
+// TestCursorComputeUS: an event replays its leaf's first-iteration pool in
+// the first iteration of its innermost open loop and outside every loop, the
+// steady state elsewhere — also at a leaf that follows an inner loop, where
+// the innermost open loop is the outer one again.
+func TestCursorComputeUS(t *testing.T) {
+	top, inner, after := twoPools(1, 10, 2), twoPools(2, 20, 4), twoPools(3, 30, 6)
 	seq := []Node{
-		leaf(mpi.OpInit, 9, NoParam, 0),
-		&Loop{Iters: 3, Body: []Node{leaf(mpi.OpSend, 1, AbsParam(1), 8)}},
+		top,
+		&Loop{Iters: 2, Body: []Node{
+			&Loop{Iters: 2, Body: []Node{inner}},
+			after,
+		}},
 	}
-	c := NewCursor(seq, 0)
-	if c.InnermostIter() != 0 {
-		t.Fatalf("top-level iter = %d, want 0", c.InnermostIter())
+	var got []float64
+	for c := cursorOf(seq, 0); !c.Done(); c.Advance() {
+		got = append(got, c.ComputeUS())
 	}
-	var iters []int
-	for c.Advance(); !c.Done(); c.Advance() {
-		iters = append(iters, c.InnermostIter())
-	}
-	if len(iters) != 3 || iters[0] != 0 || iters[1] != 1 || iters[2] != 2 {
-		t.Fatalf("loop iters observed = %v, want [0 1 2]", iters)
+	if want := []float64{10, 20, 4, 30, 20, 4, 6}; !slices.Equal(got, want) {
+		t.Fatalf("ComputeUS per event = %v, want %v", got, want)
 	}
 }
 
-func TestComputeMeanAt(t *testing.T) {
-	r := leaf(mpi.OpSend, 1, AbsParam(0), 8)
-	r.SetComputeSample(10)
-	r.demoteToFirst()
-	steady := leaf(mpi.OpSend, 1, AbsParam(0), 8)
-	steady.SetComputeSample(2)
-	r.mergeComputeFrom(steady)
-	if got := r.ComputeMeanAt(true); got != 10 {
+func TestFirstComputeMean(t *testing.T) {
+	r := twoPools(1, 10, 2)
+	if got := r.FirstComputeMean(); got != 10 {
 		t.Fatalf("first mean = %v, want 10", got)
 	}
-	if got := r.ComputeMeanAt(false); got != 2 {
+	if got := r.ComputeMean(); got != 2 {
 		t.Fatalf("steady mean = %v, want 2", got)
+	}
+	steady := leaf(mpi.OpSend, 1, AbsParam(0), 8)
+	steady.SetComputeSample(2)
+	if got := steady.FirstComputeMean(); got != 2 {
+		t.Fatalf("first mean without a first-iteration pool = %v, want the steady 2", got)
 	}
 }
 

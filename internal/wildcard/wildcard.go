@@ -134,12 +134,12 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 		pins:        make([][]trace.Pin, n),
 		collPending: make(map[int]map[int]bool),
 	}
+	low := trace.Lower(t)
 	for i := 0; i < n; i++ {
-		g := t.GroupOf(i)
-		if g == nil {
+		if t.GroupOf(i) == nil {
 			return nil, fmt.Errorf("wildcard: rank %d missing from trace", i)
 		}
-		r.cursors[i] = trace.NewCursor(g.Seq, i)
+		r.cursors[i] = low.Cursor(i)
 	}
 
 	for {

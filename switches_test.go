@@ -492,6 +492,24 @@ func rebuildViolations(fset *token.FileSet, files []*ast.File) []string {
 	return v
 }
 
+// firstPoolReaders are the functions that may read an RSD's first-iteration
+// compute pool: the trace lowering, which puts it beside the steady-state mean
+// for the interpreter to choose per event, and the coNCePTuaL generator, which
+// hoists its surplus in front of the enclosing loop.
+var firstPoolReaders = []string{"ConceptualGenerator.Event", "lowerer.leaf"}
+
+// firstPoolViolations lists the calls in files of RSD.FirstComputeMean made
+// outside firstPoolReaders.
+func firstPoolViolations(fset *token.FileSet, files []*ast.File) []string {
+	var v []string
+	for _, c := range funcCalls(fset, files, "FirstComputeMean") {
+		if !slices.Contains(firstPoolReaders, c.fn) {
+			v = append(v, c.at+": "+c.fn+" reads the first-iteration pool; the lowering and the generator's hoist are its only readers")
+		}
+	}
+	return v
+}
+
 // blockingOpViolations lists the calls in files (internal/mpi's) that break
 // the one definition of the blocking MPI operations. The transport and round
 // primitives they are made of are called only by the executor (slExec
@@ -571,7 +589,10 @@ func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...strin
 // posted receives (transportViolations: one constructor each, and a release
 // only where a send or a receive completes), the rebuild of a trace from
 // per-receive decisions (rebuildViolations: trace.Pinned, beside collection
-// and Algorithm 1 the one caller of the merge), the set of target languages (the
+// and Algorithm 1 the one caller of the merge), the first-iteration compute
+// pool (firstPoolViolations: read by the trace lowering, whose interpreter
+// decides per event which mean a rank replays, and by the coNCePTuaL
+// generator's hoist of the surplus), the set of target languages (the
 // names of the formal-model languages are spelled in one file, internal/core's
 // table), the unknown-model error (netmodel's Lookup) and the spelling of a
 // task group in a target language (the dialect table of
@@ -605,7 +626,8 @@ func (g *cgen) guard(sel TaskSel) {
 }
 func (r *resolver) leafFor(rank int, rsd *trace.RSD) { rsd.CopyFor(new(trace.RSD), rank, taskset.Of(rank), r.t, 0) }
 func CounterexampleTrace(net *Net) { trace.MergeRankSeqsOwned(net.N, nil, nil) }
-func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }`, parser.SkipObjectResolution)
+func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }
+func (c *Cursor) ComputeUS() float64 { return c.cur.FirstComputeMean() }`, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,6 +670,9 @@ func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }`, parser.SkipObjectR
 		!strings.Contains(got[0], "resolver.leafFor copies") || !strings.Contains(got[1], "CounterexampleTrace merges") {
 		t.Errorf("rebuildViolations finds %q, want leafFor's CopyFor and CounterexampleTrace's merge", got)
 	}
+	if got := firstPoolViolations(fset, broken); len(got) != 1 || !strings.Contains(got[0], "Cursor.ComputeUS reads") {
+		t.Errorf("firstPoolViolations finds %q, want Cursor.ComputeUS's FirstComputeMean", got)
+	}
 
 	var all []*ast.File
 	for _, dir := range []string{"cmd", "internal", "examples"} {
@@ -674,6 +699,9 @@ func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }`, parser.SkipObjectR
 		t.Errorf("eventLoop.block is called %d times, want once (Rank.issue): %v", len(got), got)
 	}
 	for _, v := range rebuildViolations(fset, all) {
+		t.Error(v)
+	}
+	for _, v := range firstPoolViolations(fset, all) {
 		t.Error(v)
 	}
 	var mergers []string
