@@ -415,23 +415,3 @@ func opCounts(evs []*trace.RSD) map[mpi.Op]int {
 	}
 	return m
 }
-
-func TestAlignRejectsCollectiveOmittingItsCaller(t *testing.T) {
-	// Rank 0 calls a barrier on a communicator that lists only ranks 1 and
-	// 2: the rendezvous has no slot for it.
-	barrier := func(rank, comm, size int) []trace.Node {
-		return []trace.Node{&trace.RSD{Op: mpi.OpBarrier, Ranks: taskset.Of(rank), CommID: comm, CommSize: size, Root: -1}}
-	}
-	tr := &trace.Trace{
-		N:     3,
-		Comms: map[int][]int{0: {0, 1, 2}, 1: {1, 2}},
-		Groups: []trace.Group{
-			{Ranks: taskset.Of(0), Seq: barrier(0, 1, 2)},
-			{Ranks: taskset.Of(1), Seq: barrier(1, 1, 2)},
-			{Ranks: taskset.Of(2), Seq: barrier(2, 1, 2)},
-		},
-	}
-	if _, err := Align(tr); err == nil || !strings.Contains(err.Error(), "without being a member") {
-		t.Fatalf("err = %v, want a membership error", err)
-	}
-}

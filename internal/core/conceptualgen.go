@@ -209,11 +209,7 @@ func (g *ConceptualGenerator) sel(s taskset.Set) conceptual.TaskSel {
 // parentSel selects the members of the communicator a comm-management
 // operation ran on.
 func (g *ConceptualGenerator) parentSel(r *trace.RSD) conceptual.TaskSel {
-	group := g.t.CommGroup(r.CommID)
-	if len(group) == 0 {
-		return g.sel(r.Ranks)
-	}
-	return g.sel(taskset.Of(group...))
+	return g.sel(taskset.Of(g.t.CommGroup(r.CommID)...))
 }
 
 func (g *ConceptualGenerator) emitReducePlusMulticast(r *trace.RSD, size int) {
@@ -232,7 +228,7 @@ func (g *ConceptualGenerator) minWorld(r *trace.RSD) int {
 
 func (g *ConceptualGenerator) emitReduceScatter(r *trace.RSD) {
 	sel := g.sel(r.Ranks)
-	group := reduceScatterGroup(g.t, r)
+	group := g.t.CommGroup(r.CommID)
 	for i, world := range group {
 		g.emit(&conceptual.ReduceStmt{Srcs: sel, Dsts: conceptual.OneTask(world), Size: r.SegmentSize(i, len(group))})
 	}

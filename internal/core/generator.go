@@ -34,17 +34,6 @@ type Options struct {
 // backend's output, to keep the generated code readable.
 const computeFloorUS = 0.01
 
-// reduceScatterGroup returns the world ranks that root Table 1's substitution
-// of a Reduce_scatter leaf — one REDUCE per communicator member, of
-// r.SegmentSize — falling back to the participants when the trace does not
-// know the communicator.
-func reduceScatterGroup(t *trace.Trace, r *trace.RSD) []int {
-	if group := t.CommGroup(r.CommID); len(group) > 0 {
-		return group
-	}
-	return r.Ranks.Members()
-}
-
 // Generate converts an application trace into a coNCePTuaL benchmark
 // program. This is the end-to-end path of Figure 1.
 func Generate(t *trace.Trace, opts *Options) (*conceptual.Program, error) {

@@ -143,7 +143,8 @@ func (g *GoGenerator) Event(r *trace.RSD) error {
 	case mpi.OpAlltoallv:
 		g.call(who, "r.Alltoall(c", r.PerPeerSize())
 	case mpi.OpReduceScatter:
-		group := reduceScatterGroup(g.t, r)
+		// Table 1: one REDUCE per communicator member, rooted at it.
+		group := g.t.CommGroup(r.CommID)
 		g.w.Stmt(who)
 		for i, world := range group {
 			if i > 0 {

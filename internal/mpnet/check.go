@@ -364,10 +364,8 @@ func (c *checker) step(s *vmState, rank int) bool {
 		case EvLocal:
 			// Pass through.
 		case EvSend:
-			if ev.Chan >= 0 {
-				s.inc(ev.Chan)
-				c.matchPending(s, ev.Peer) // eager delivery, as in the resolver
-			}
+			s.inc(ev.Chan)
+			c.matchPending(s, ev.Peer) // eager delivery, as in the resolver
 			if ev.Op == mpi.OpIsend {
 				s.out[rank] = append(s.out[rank], slot{ev: pc, matched: true})
 			}
@@ -402,9 +400,6 @@ func (c *checker) step(s *vmState, rank int) bool {
 			s.out[rank] = s.out[rank][:0]
 		case EvColl:
 			group := c.net.Trace.CommGroup(ev.CommID)
-			if len(group) == 0 {
-				break // malformed communicator: pass through
-			}
 			if !c.collReady(s, ev.CommID, group) {
 				return progress
 			}
@@ -423,7 +418,7 @@ func (c *checker) step(s *vmState, rank int) bool {
 // at a collective on it (arrival counting, as in the resolver).
 func (c *checker) collReady(s *vmState, commID int, group []int) bool {
 	for _, m := range group {
-		if m < 0 || m >= c.n || c.done(s, m) {
+		if c.done(s, m) {
 			return false
 		}
 		e := &c.net.Procs[m][s.pc[m]]

@@ -140,9 +140,7 @@ func (nv *naive) advance(s *naiveState, rank int) bool {
 	switch ev.Kind {
 	case EvLocal:
 	case EvSend:
-		if ev.Chan >= 0 {
-			s.chans[ev.Chan]++
-		}
+		s.chans[ev.Chan]++
 		if ev.Op == mpi.OpIsend {
 			s.out[rank] = append(s.out[rank], naiveSlot{ev: pc, matched: true})
 		}
@@ -167,7 +165,7 @@ func (nv *naive) advance(s *naiveState, rank int) bool {
 	case EvColl:
 		group := nv.net.Trace.CommGroup(ev.CommID)
 		for _, m := range group {
-			if m < 0 || m >= nv.net.N || s.pc[m] >= len(nv.net.Procs[m]) {
+			if s.pc[m] >= len(nv.net.Procs[m]) {
 				return false
 			}
 			if e := &nv.net.Procs[m][s.pc[m]]; e.Kind != EvColl || e.CommID != ev.CommID {
@@ -177,9 +175,7 @@ func (nv *naive) advance(s *naiveState, rank int) bool {
 		for _, m := range group {
 			s.pc[m]++
 		}
-		if len(group) > 0 {
-			return true
-		}
+		return true
 	}
 	s.pc[rank]++
 	return true

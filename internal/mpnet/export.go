@@ -34,8 +34,7 @@ type jsonTransition struct {
 	Kind string `json:"kind"`
 	Op   string `json:"op"`
 	Site uint64 `json:"site"`
-	// Produce is the channel a send puts a token on (absent when the
-	// destination is outside the world).
+	// Produce is the channel a send puts a token on.
 	Produce *int32 `json:"produce,omitempty"`
 	// Consume lists the channels a concrete receive may take its token
 	// from (alternatives under MPI_ANY_TAG).
@@ -92,7 +91,7 @@ func ExportJSON(n *Net) ([]byte, error) {
 				Comm: ev.CommID, Tag: ev.Tag, Size: ev.Size, ComputeUS: ev.ComputeUS,
 			}
 			switch {
-			case ev.Kind == EvSend && ev.Chan >= 0:
+			case ev.Kind == EvSend:
 				ch := ev.Chan
 				t.Produce = &ch
 			case ev.Wild:
@@ -197,11 +196,7 @@ func writeTLAEvent(b *strings.Builder, n *Net, ev *Event) {
 	fmt.Fprintf(b, "[kind |-> %q", kind)
 	switch {
 	case ev.Kind == EvSend:
-		if ev.Chan >= 0 {
-			fmt.Fprintf(b, ", produce |-> %d", ev.Chan+1)
-		} else {
-			b.WriteString(", produce |-> 0")
-		}
+		fmt.Fprintf(b, ", produce |-> %d", ev.Chan+1)
 	case ev.Wild:
 		b.WriteString(", alts |-> {")
 		k := 0
@@ -260,8 +255,7 @@ Local(r) ==
 
 Send(r) ==
   /\ ~Done(r) /\ Ev(r).kind \in {"send", "isend"}
-  /\ chan' = IF Ev(r).produce = 0 THEN chan
-             ELSE [chan EXCEPT ![Ev(r).produce] = @ + 1]
+  /\ chan' = [chan EXCEPT ![Ev(r).produce] = @ + 1]
   /\ out' = IF Ev(r).kind = "isend"
             THEN [out EXCEPT ![r] = Append(@, [ev |-> Ev(r), matched |-> TRUE])]
             ELSE out

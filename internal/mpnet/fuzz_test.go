@@ -32,20 +32,19 @@ func FuzzExport(f *testing.F) {
 		f.Fatalf("Encode seed: %v", err)
 	}
 	f.Add(buf.Bytes())
-	f.Add([]byte("scalatrace-go 1\nnprocs 3\ncomms 0\ngroups 3\n" +
-		"group 0 1\ngroup 1 1\ngroup 2 1\n" +
-		"rsd op=Send site=1 ranks=0 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
-		"rsd op=Send site=2 ranks=2 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
-		"rsd op=Recv site=3 ranks=1 comm=0 csize=3 peer=any tag=0 size=64 root=-1 wildcard=1\n" +
+	f.Add([]byte("scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 3\n" +
+		"group 0 1\nrsd op=Send site=1 ranks=0 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
+		"group 2 1\nrsd op=Send site=2 ranks=2 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
+		"group 1 2\nrsd op=Recv site=3 ranks=1 comm=0 csize=3 peer=any tag=0 size=64 root=-1 wildcard=1\n" +
 		"rsd op=Recv site=4 ranks=1 comm=0 csize=3 peer=abs0 tag=0 size=64 root=-1\n"))
-	f.Add([]byte("scalatrace-go 1\nnprocs 4\ncomms 0\ngroups 1\ngroup 0:3 4\n" +
+	f.Add([]byte("scalatrace-go 1\nnprocs 4\ncomms 1\ncomm 0 0,1,2,3\ngroups 1\ngroup 0:3 1\n" +
 		"loop 3 3\n" +
 		"rsd op=Irecv site=10 ranks=0:3 comm=0 csize=4 peer=any tag=500 size=40 root=-1 wildcard=1\n" +
 		"rsd op=Send site=11 ranks=0:3 comm=0 csize=4 peer=rel1 tag=500 size=40 root=-1\n" +
 		"rsd op=Waitall site=12 ranks=0:3 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n"))
 	// peer=abs-1 without the wildcard flag: a world source of mpi.AnySource,
 	// hence a wildcard to the lowering and to Algorithm 2 alike.
-	f.Add([]byte("scalatrace-go 1\nnprocs 3\ncomms 0\ngroups 3\n" +
+	f.Add([]byte("scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 3\n" +
 		"group 0 1\nrsd op=Send site=1 ranks=0 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
 		"group 2 1\nrsd op=Send site=2 ranks=2 comm=0 csize=3 peer=abs1 tag=0 size=64 root=-1\n" +
 		"group 1 3\nrsd op=Irecv site=3 ranks=1 comm=0 csize=3 peer=abs-1 tag=0 size=64 root=-1\n" +

@@ -587,7 +587,7 @@ func TestFromTraceBoundedPresize(t *testing.T) {
 		{"past MaxEvents in a second loop", "2\nloop 4000 1\n" + send + "loop 4000 1\n" + send, "0\n"},
 		{"past MaxEvents on the second rank", "1\nloop 4000 1\n" + send, "1\nloop 4000 1\n" + recv},
 	} {
-		tr, err := trace.Decode(strings.NewReader("scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 2\ngroup 0 " + tc.rank0 + "group 1 " + tc.rank1))
+		tr, err := trace.Decode(strings.NewReader("scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 2\ngroup 0 " + tc.rank0 + "group 1 " + tc.rank1))
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", tc.name, err)
 		}

@@ -97,9 +97,7 @@ type Event struct {
 	Tag    int
 	Size   int
 	CommID int
-	// Chan is the producing channel index for sends; -1 when the
-	// destination is outside the world (the token is dropped, mirroring
-	// the resolver).
+	// Chan is the producing channel index for sends.
 	Chan int32
 	// Cands are the candidate channel indices a concrete receive may
 	// consume from (one, except under MPI_ANY_TAG). Empty means no send
@@ -175,9 +173,6 @@ func (o *Options) maxStates() int {
 // finite and exact and holds the events replay issues; opts.MaxEvents
 // bounds the unrolling.
 func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
-	if t == nil || t.N <= 0 {
-		return nil, fmt.Errorf("mpnet: empty trace")
-	}
 	if t.N > MaxRanks {
 		return nil, fmt.Errorf("%w: %d ranks, the checker holds %d", ErrNetTooLarge, t.N, MaxRanks)
 	}
@@ -188,11 +183,7 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 	// is refused unlowered, and the rest fill lists of their exact size.
 	total := 0
 	for rank := 0; rank < t.N; rank++ {
-		g := t.GroupOf(rank)
-		if g == nil {
-			return nil, fmt.Errorf("mpnet: rank %d missing from trace", rank)
-		}
-		size := rankEvents(g.Seq, rank, min(maxEvents-total, MaxRankEvents)+1)
+		size := rankEvents(t.GroupOf(rank).Seq, rank, min(maxEvents-total, MaxRankEvents)+1)
 		if total += size; total > maxEvents {
 			return nil, fmt.Errorf("mpnet: trace expands past %d events (MaxEvents)", maxEvents)
 		}
@@ -212,23 +203,21 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 			rsd := cur.Cur()
 			ev := Event{
 				Op: rsd.Op, Site: rsd.Site, Tag: rsd.Tag, Size: rsd.Size,
-				CommID: rsd.CommID, Chan: -1, Peer: mpi.NoPeer,
+				CommID: rsd.CommID, Peer: mpi.NoPeer,
 				ComputeUS: cur.ComputeUS(),
 			}
 			switch {
 			case rsd.Op.IsSendSide():
 				ev.Kind = EvSend
 				ev.Peer = rsd.WorldPeerFor(rank, t)
-				if ev.Peer >= 0 && ev.Peer < t.N {
-					key := ChanKey{Src: rank, Dst: ev.Peer, Tag: rsd.Tag, CommID: rsd.CommID}
-					ci, ok := chanIdx[key]
-					if !ok {
-						ci = int32(len(net.Chans))
-						chanIdx[key] = ci
-						net.Chans = append(net.Chans, key)
-					}
-					ev.Chan = ci
+				key := ChanKey{Src: rank, Dst: ev.Peer, Tag: rsd.Tag, CommID: rsd.CommID}
+				ci, ok := chanIdx[key]
+				if !ok {
+					ci = int32(len(net.Chans))
+					chanIdx[key] = ci
+					net.Chans = append(net.Chans, key)
 				}
+				ev.Chan = ci
 			case rsd.Op == mpi.OpRecv:
 				ev.Peer = rsd.WorldPeerFor(rank, t)
 				if ev.Peer == mpi.AnySource {

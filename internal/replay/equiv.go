@@ -106,13 +106,9 @@ func normalize(t *trace.Trace, c *trace.Cursor, keys map[int]string) []normEvent
 // commKey identifies a collective's participant set independent of comm IDs.
 // A communicator's key is formatted once and kept in keys by its ID.
 func commKey(t *trace.Trace, leaf *trace.RSD, keys map[int]string) string {
-	group := t.CommGroup(leaf.CommID)
-	if len(group) == 0 {
-		return leaf.Ranks.String()
-	}
 	key, ok := keys[leaf.CommID]
 	if !ok {
-		key = fmt.Sprint(group)
+		key = fmt.Sprint(t.CommGroup(leaf.CommID))
 		keys[leaf.CommID] = key
 	}
 	return key

@@ -126,9 +126,10 @@ func (r *Request) normalize() error {
 }
 
 // validateTrace decodes an uploaded trace under the codec's untrusted-input
-// bounds and caps its world size at MaxRunnableRanks, so both a malformed
-// document and a parser-safe-but-unrunnable one are refused at admission
-// (served as 400) instead of failing — or OOMing — inside a worker. The
+// bounds and trace rules and caps its world size at MaxRunnableRanks, so a
+// malformed document, one that breaks a rule (named in the error) and a
+// parser-safe-but-unrunnable one are refused at admission (served as 400)
+// instead of failing — or OOMing — inside a worker. The
 // decode is kept on the request for the pipeline to reuse.
 func (r *Request) validateTrace() error {
 	tr, err := trace.Decode(strings.NewReader(r.Trace))

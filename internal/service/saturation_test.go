@@ -17,7 +17,7 @@ import (
 // differentiates the trace bytes so each request gets its own cache key.
 func hugeTraceRequest(site int) *Request {
 	return &Request{Trace: fmt.Sprintf("scalatrace-go 1\n"+
-		"nprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n"+
+		"nprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n"+
 		"loop 100000000 1\n"+
 		"rsd op=Barrier site=%d ranks=0:1 comm=0 csize=2 peer=- tag=0 size=0 root=-1\n", site)}
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -370,12 +371,29 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatalf("hostile upload: %v, want a 400 carrying the decoder's line number", err)
 	}
 
+	// So is an upload that breaks a trace rule, by the rule's name: rank 0
+	// calls a barrier on a communicator of ranks 1 and 2.
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	_, err = cl.Submit(context.Background(), &Request{Trace: "scalatrace-go 1\nnprocs 3\ncomms 2\ncomm 0 0,1,2\ncomm 1 1,2\ngroups 1\n" +
+		"group 0:2 1\nrsd op=Barrier site=1 ranks=0:2 comm=1 csize=2 peer=- tag=0 size=0 root=-1\n"})
+	if err == nil || !strings.Contains(err.Error(), "400") ||
+		!strings.Contains(err.Error(), "rule 4, a leaf's ranks are members of its listed communicator") {
+		t.Fatalf("non-member barrier upload: %v, want a 400 naming rule 4", err)
+	}
+	srv.mu.Lock()
+	if len(srv.jobs) != jobs {
+		t.Errorf("a refused upload created a job: %d jobs, had %d", len(srv.jobs), jobs)
+	}
+	srv.mu.Unlock()
+
 	// So is an upload whose compute pool holds moments no sample stream
 	// produces: admitted, +Inf would reach the generated program as
 	// "COMPUTES FOR +Inf MICROSECONDS", which its own parser rejects, and NaN
 	// or a negative time would drop the COMPUTE.
 	for _, moments := range []string{"+Inf +Inf +Inf", "NaN NaN NaN", "-5 -5 -5"} {
-		_, err := cl.Submit(context.Background(), &Request{Trace: "scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n" +
+		_, err := cl.Submit(context.Background(), &Request{Trace: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n" +
 			`rsd op=Send site=3 ranks=0:1 comm=0 csize=2 peer=rel1 tag=5 size=8 root=-1 compute="1 ` + moments + ` 0=1"` + "\n"})
 		if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "must be finite") {
 			t.Fatalf("compute moments %q: %v, want a 400 naming them", moments, err)
@@ -385,8 +403,13 @@ func TestRequestValidation(t *testing.T) {
 	// A parser-safe upload whose declared world is too large to simulate is
 	// refused too: the decode bound protects the parser, MaxRunnableRanks
 	// protects the simulator (a 2^20-rank world would be a ~4 TiB slab).
-	_, err = cl.Submit(context.Background(),
-		&Request{Trace: fmt.Sprintf("scalatrace-go 1\nnprocs %d\ncomms 0\ngroups 0\n", MaxRunnableRanks+1)})
+	n := MaxRunnableRanks + 1
+	world := make([]string, n)
+	for r := range world {
+		world[r] = strconv.Itoa(r)
+	}
+	_, err = cl.Submit(context.Background(), &Request{Trace: fmt.Sprintf(
+		"scalatrace-go 1\nnprocs %d\ncomms 1\ncomm 0 %s\ngroups 1\ngroup 0:%d 0\n", n, strings.Join(world, ","), n-1)})
 	if err == nil {
 		t.Fatal("oversized-world upload accepted")
 	}
@@ -459,7 +482,7 @@ func (f fill) Read(p []byte) (int, error) {
 // each request gets its own cache key (and so its own pipeline run).
 func quickTraceRequest(site int) *Request {
 	return &Request{Trace: fmt.Sprintf("scalatrace-go 1\n"+
-		"nprocs 2\ncomms 0\ngroups 1\ngroup 0:1 1\n"+
+		"nprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n"+
 		"rsd op=Barrier site=%d ranks=0:1 comm=0 csize=2 peer=- tag=0 size=0 root=-1\n", site)}
 }
 

@@ -128,19 +128,23 @@ func TestMergePublishesItsIndex(t *testing.T) {
 }
 
 // TestCommIndexMemoryIsSumOfNonIdentityGroups decodes the worst upload the
-// bounds admit for the index — MaxDecodeComms one-member communicators on a
-// world of as many ranks — and bounds what building the index allocates. A
-// communicators x world-size table would be 65536 x 65536 x 4 B = 16 GiB;
-// the maps are ~0.2 KB per one-member group (measured: 15.3 MB in all). An
-// identity group of any size must allocate nothing beyond its entry.
+// bounds admit for the index — beside the world, MaxDecodeComms-1 one-member
+// communicators on a world of MaxDecodeComms ranks — and bounds what building
+// the index allocates. A communicators x world-size table would be 65536 x
+// 65536 x 4 B = 16 GiB; the maps are ~0.2 KB per one-member group (measured:
+// 15.3 MB in all). An identity group of any size must allocate nothing beyond
+// its entry.
 func TestCommIndexMemoryIsSumOfNonIdentityGroups(t *testing.T) {
 	const n = MaxDecodeComms
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "scalatrace-go 1\nnprocs %d\ncomms %d\n", n, n)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "comm %d %d\n", i+1, i)
+	fmt.Fprintf(&sb, "scalatrace-go 1\nnprocs %d\ncomms %d\ncomm 0 0", n, n)
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&sb, ",%d", i)
 	}
-	sb.WriteString("groups 0\n")
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&sb, "\ncomm %d %d", i+1, i)
+	}
+	fmt.Fprintf(&sb, "\ngroups 1\ngroup 0:%d 0\n", n-1)
 	tr, err := Decode(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -161,11 +165,11 @@ func TestCommIndexMemoryIsSumOfNonIdentityGroups(t *testing.T) {
 		return least
 	}
 	if got := allocated(func() { newCommIndex(tr.Comms) }); got > 64<<20 {
-		t.Errorf("index of %d one-member communicators allocated %.1f MB, want under 64 MB", n, float64(got)/(1<<20))
+		t.Errorf("index of %d one-member communicators allocated %.1f MB, want under 64 MB", n-1, float64(got)/(1<<20))
 	} else {
-		t.Logf("index of %d one-member communicators: %.1f MB", n, float64(got)/(1<<20))
+		t.Logf("index of %d one-member communicators: %.1f MB", n-1, float64(got)/(1<<20))
 	}
-	for _, w := range []int{0, 1, n / 2, n - 1} {
+	for _, w := range []int{0, 1, n / 2, n - 2} {
 		if i, ok := tr.CommRankOf(w+1, w); !ok || i != 0 {
 			t.Fatalf("CommRankOf(%d, %d) = %d, %v, want 0, true", w+1, w, i, ok)
 		}

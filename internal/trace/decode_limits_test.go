@@ -34,9 +34,12 @@ func collectRingTrace(tb testing.TB, n int) *Trace {
 	return col.Trace()
 }
 
-// TestDecodeRejectsHostileInput exercises the untrusted-upload bounds: every
-// declared count is validated before the decoder allocates for it, and every
-// rejection names the offending line.
+// TestDecodeRejectsHostileInput exercises the untrusted-upload bounds and the
+// trace rules: every declared count is validated before the decoder allocates
+// for it, a parse error names the offending line, and a parsed trace that
+// breaks a rule is refused with the rule named — one row per rule at least,
+// among them the uploads each consumer used to handle by a convention of its
+// own.
 func TestDecodeRejectsHostileInput(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -163,6 +166,90 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			want: "stats: bins hold 0 samples, count is 3",
 		},
 		{
+			name:  "no communicator table",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 0\ngroups 1\ngroup 0:1 0\n",
+			want:  "rule 2, comm 0 is the world: comm 0 is [], want 0…1 in order",
+		},
+		{
+			name:  "comm 0 a permutation of the world",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 2,1,0\ngroups 1\ngroup 0:2 0\n",
+			want:  "rule 2, comm 0 is the world: comm 0 is [2 1 0], want 0…2 in order",
+		},
+		{
+			name:  "rank in no group",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 1\ngroup 0:1 0\n",
+			want:  "rule 1, the groups partition the world: rank 2 is in no group",
+		},
+		{
+			name:  "rank in two groups",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 2\ngroup 0:1 0\ngroup 1:2 0\n",
+			want:  "rule 1, the groups partition the world: rank 1 is in two groups",
+		},
+		{
+			name: "leaf names a rank outside its group",
+			input: "scalatrace-go 1\nnprocs 4\ncomms 1\ncomm 0 0,1,2,3\ngroups 2\n" +
+				"group 0:1 1\nrsd op=Send site=1 ranks=0,1,3 comm=0 csize=4 peer=rel1 tag=0 size=4 root=-1\n" +
+				"group 2:3 0\n",
+			want: "rule 3, a leaf names only ranks of its group: Send at site 1 names ranks 0,1:3:2 (group 0:1)",
+		},
+		{
+			name: "collective on an unlisted communicator",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Barrier site=1 ranks=0:1 comm=7 csize=2 peer=- tag=0 size=0 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Barrier at site 1 names comm 7, which the trace does not list",
+		},
+		{
+			name: "collective whose communicator omits its caller",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 2\ncomm 0 0,1,2\ncomm 1 1,2\ngroups 3\n" +
+				"group 0 1\nrsd op=Barrier site=1 ranks=0 comm=1 csize=2 peer=- tag=0 size=0 root=-1\n" +
+				"group 1 1\nrsd op=Barrier site=1 ranks=1 comm=1 csize=2 peer=- tag=0 size=0 root=-1\n" +
+				"group 2 1\nrsd op=Barrier site=1 ranks=2 comm=1 csize=2 peer=- tag=0 size=0 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Barrier at site 1: rank 0 is not a member of comm 1 (group 0)",
+		},
+		{
+			name: "csize of another communicator",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 2\ncomm 0 0,1\ncomm 1 1\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Barrier site=1 ranks=0:1 comm=1 csize=2 peer=- tag=0 size=0 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Barrier at site 1 has csize 2, comm 1 has 1 members",
+		},
+		{
+			name: "communicator without members",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 2\ncomm 0 0,1\ncomm 1 -\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Alltoallv site=1 ranks={} comm=1 csize=0 peer=- tag=0 size=8 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Alltoallv at site 1 names comm 1, which has no members",
+		},
+		{
+			name: "finalize on an unlisted communicator",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Finalize site=1 ranks=0:1 comm=7 csize=2 peer=- tag=0 size=0 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Finalize at site 1 names comm 7, which the trace does not list",
+		},
+		{
+			name: "wait with the csize of no communicator",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Wait site=1 ranks=0:1 comm=0 csize=0 peer=rel1 tag=0 size=0 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Wait at site 1 has csize 0, comm 0 has 2 members",
+		},
+		{
+			name: "root outside the communicator",
+			input: "scalatrace-go 1\nnprocs 4\ncomms 1\ncomm 0 0,1,2,3\ngroups 1\ngroup 0:3 1\n" +
+				"rsd op=Bcast site=1 ranks=0:3 comm=0 csize=4 peer=- tag=0 size=8 root=4\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Bcast at site 1 has root 4, not a rank of comm 0",
+		},
+		{
+			name: "send to a rank outside the world",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 2\n" +
+				"group 0 1\nrsd op=Send site=1 ranks=0 comm=0 csize=2 peer=abs5 tag=0 size=8 root=-1\n" +
+				"group 1 0\n",
+			want: "rule 5, a point-to-point peer is a world rank, or any on a receive: Send at site 1: rank 0's peer abs5 is not a rank of comm 0",
+		},
+		{
+			name: "send to any source",
+			input: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n" +
+				"rsd op=Isend site=1 ranks=0:1 comm=0 csize=2 peer=any tag=0 size=8 root=-1\n",
+			want: "rule 5, a point-to-point peer is a world rank, or any on a receive: Isend at site 1: rank 0's peer any is not a rank of comm 0",
+		},
+		{
 			name:  "trailing bytes on a count line",
 			input: "scalatrace-go 1\nnprocs 4x\n",
 			want:  "bad nprocs line",
@@ -183,8 +270,8 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			if !strings.Contains(err.Error(), "line ") {
-				t.Fatalf("error %q does not carry a line number", err)
+			if !strings.Contains(err.Error(), "line ") && !strings.Contains(err.Error(), ": rule ") {
+				t.Fatalf("error %q names neither a line nor a rule", err)
 			}
 		})
 	}

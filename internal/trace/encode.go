@@ -186,8 +186,9 @@ func scanInts(line, key string, out ...*int) bool {
 
 // Decode reads a trace in the scalatrace-go text format. Input is treated as
 // untrusted: every declared count is validated against the MaxDecode bounds
-// before the decoder allocates for it, and parse errors carry the offending
-// line number.
+// before the decoder allocates for it, parse errors carry the offending line
+// number, and a parsed trace that breaks one of the rules (rules.go) is
+// refused with the rule named.
 func Decode(r io.Reader) (*Trace, error) {
 	d := &decoder{sc: bufio.NewScanner(r), nodeBudget: MaxDecodeNodes}
 	d.sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -303,6 +304,9 @@ func Decode(r io.Reader) (*Trace, error) {
 			return nil, err
 		}
 		t.Groups = append(t.Groups, Group{Ranks: ranks, Seq: seq})
+	}
+	if err := checkRules(t); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

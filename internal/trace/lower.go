@@ -19,7 +19,7 @@ type Lowered struct {
 	t     *Trace
 	progs []mpi.Program
 	// leaves[g][i] is the leaf instruction i of program g came from; nil for
-	// a loop bracket. The last program, of no group, is empty.
+	// a loop bracket.
 	leaves [][]*RSD
 }
 
@@ -47,7 +47,7 @@ func Lower(t *Trace) *Lowered {
 	}
 	size := 2*t.NodeCount() - leaves
 	block, from := make([]mpi.Instr, 0, size), make([]*RSD, 0, size)
-	low := &Lowered{t: t, progs: make([]mpi.Program, len(t.Groups)+1), leaves: make([][]*RSD, len(t.Groups)+1)}
+	low := &Lowered{t: t, progs: make([]mpi.Program, len(t.Groups)), leaves: make([][]*RSD, len(t.Groups))}
 	l := &lowerer{t: t, mask: make([]bool, t.N), vals: make([]int, t.N)}
 	for i := range t.Groups {
 		l.ranks = t.Groups[i].Ranks.Members()
@@ -61,9 +61,7 @@ func Lower(t *Trace) *Lowered {
 	return low
 }
 
-// ProgramOf returns the program of rank's group and rank's slot in it: the
-// first group that holds the rank, as Trace.GroupOf finds it. A rank of no
-// group runs an empty program.
+// ProgramOf returns the program of rank's group and rank's slot in it.
 func (low *Lowered) ProgramOf(rank int) (*mpi.Program, int) {
 	g, slot := low.groupOf(rank)
 	return &low.progs[g], slot
@@ -71,12 +69,9 @@ func (low *Lowered) ProgramOf(rank int) (*mpi.Program, int) {
 
 // groupOf returns the index of rank's program and rank's slot in it.
 func (low *Lowered) groupOf(rank int) (int, int) {
-	for i := range low.t.Groups {
-		if slot, ok := low.t.Groups[i].Ranks.IndexOf(rank); ok {
-			return i, slot
-		}
-	}
-	return len(low.t.Groups), 0
+	g := slices.IndexFunc(low.t.Groups, func(g Group) bool { return g.Ranks.Contains(rank) })
+	slot, _ := low.t.Groups[g].Ranks.IndexOf(rank)
+	return g, slot
 }
 
 func (l *lowerer) seq(nodes []Node) {

@@ -22,9 +22,6 @@ func Pinned(t *Trace, pins [][]Pin) *Trace {
 	seqs := make([][]Node, t.N)
 	low := Lower(t)
 	for rank := range seqs {
-		if t.GroupOf(rank) == nil {
-			continue
-		}
 		b := NewStreamBuilder(DefaultMaxWindow)
 		ranks := taskset.Of(rank)
 		next := pins[rank]

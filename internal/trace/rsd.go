@@ -71,9 +71,6 @@ func (p Param) Resolve(commRank, commSize int) int {
 	case ParamAbs:
 		return p.Value
 	case ParamRel:
-		if commSize <= 0 {
-			return p.Value
-		}
 		v := (commRank + p.Value) % commSize
 		if v < 0 {
 			v += commSize
@@ -265,10 +262,7 @@ func (r *RSD) PeerFor(worldRank int, idx PeerIndexer) int {
 		}
 		return mpi.NoPeer
 	}
-	me, ok := idx.CommRankOf(r.CommID, worldRank)
-	if !ok {
-		me = worldRank
-	}
+	me, _ := idx.CommRankOf(r.CommID, worldRank)
 	return r.Peer.Resolve(me, r.CommSize)
 }
 
@@ -278,18 +272,12 @@ func (r *RSD) WorldPeerFor(worldRank int, t *Trace) int {
 	return t.worldRank(r.CommID, r.PeerFor(worldRank, t))
 }
 
-// WorldRoot is the same translation for a rooted collective's root; a leaf
-// without a root names world rank 0.
-func (r *RSD) WorldRoot(t *Trace) int {
-	if r.Root < 0 {
-		return 0
-	}
-	return t.worldRank(r.CommID, r.Root)
-}
+// WorldRoot is the same translation for a rooted collective's root.
+func (r *RSD) WorldRoot(t *Trace) int { return t.worldRank(r.CommID, r.Root) }
 
 // worldRank translates a communicator rank to a world rank. A rank the
-// communicator table cannot translate — mpi.AnySource, mpi.NoPeer, a rank of
-// an unknown communicator — is returned as it stands.
+// communicator table cannot translate — mpi.AnySource, mpi.NoPeer — is
+// returned as it stands.
 func (t *Trace) worldRank(commID, commRank int) int {
 	if w, ok := t.WorldRankOf(commID, commRank); ok {
 		return w
@@ -312,12 +300,7 @@ func (r *RSD) MeanCount() int {
 
 // PerPeerSize is the average per-pair volume of an Alltoallv leaf, whose Size
 // carries the caller's total send volume.
-func (r *RSD) PerPeerSize() int {
-	if r.CommSize > 0 {
-		return r.Size / r.CommSize
-	}
-	return r.Size
-}
+func (r *RSD) PerPeerSize() int { return r.Size / r.CommSize }
 
 // SegmentSize is the size of the i-th of a Reduce_scatter leaf's segments
 // over a communicator of the given number of members: Counts[i], or an even

@@ -167,10 +167,7 @@ func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (P
 	}
 
 	rxPeer := rx.PeerFor(rank, idx)
-	me, ok := idx.CommRankOf(rx.CommID, rank)
-	if !ok {
-		me = rank
-	}
+	me, _ := idx.CommRankOf(rx.CommID, rank)
 
 	switch gx.Peer.Kind {
 	case ParamAbs:
@@ -182,20 +179,17 @@ func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (P
 		// relative offset).
 		if len(gMembers) == 1 {
 			gRank := gMembers[0]
-			offG, okG := relOffset(gx.Peer.Value, gRank, gx.CommID, gx.CommSize, idx)
-			offR, okR := relOffset(rxPeer, rank, rx.CommID, rx.CommSize, idx)
-			if okG && okR && offG == offR {
+			offG := relOffset(gx.Peer.Value, gRank, gx.CommID, gx.CommSize, idx)
+			if offG == relOffset(rxPeer, rank, rx.CommID, rx.CommSize, idx) {
 				return RelParam(offG), nil, true
 			}
 			// Butterfly generalization: peer = commRank ^ v.
-			if meG, okMG := idx.CommRankOf(gx.CommID, gRank); okMG && ok {
-				if v := gx.Peer.Value ^ meG; v == rxPeer^me {
-					return XorParam(v), nil, true
-				}
+			if meG, _ := idx.CommRankOf(gx.CommID, gRank); gx.Peer.Value^meG == rxPeer^me {
+				return XorParam(gx.Peer.Value ^ meG), nil, true
 			}
 		}
 	case ParamRel:
-		if offR, okR := relOffset(rxPeer, rank, rx.CommID, rx.CommSize, idx); okR && offR == gx.Peer.Value {
+		if relOffset(rxPeer, rank, rx.CommID, rx.CommSize, idx) == gx.Peer.Value {
 			return gx.Peer, nil, true
 		}
 		// The earlier members may have fit an ambiguous pattern (a two-rank
@@ -205,7 +199,7 @@ func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (P
 			return p, nil, true
 		}
 	case ParamXor:
-		if ok && me^rxPeer == gx.Peer.Value {
+		if me^rxPeer == gx.Peer.Value {
 			return gx.Peer, nil, true
 		}
 		if p, ok2 := refitAll(gx, gMembers, rank, rxPeer, me, idx, ParamRel); ok2 {
@@ -251,10 +245,7 @@ func refitAll(gx *RSD, gMembers []int, rank, rxPeer, me int, idx PeerIndexer, ki
 	type pair struct{ me, peer int }
 	pairs := make([]pair, 0, len(gMembers)+1)
 	for _, w := range gMembers {
-		mw, ok := idx.CommRankOf(gx.CommID, w)
-		if !ok {
-			return Param{}, false
-		}
+		mw, _ := idx.CommRankOf(gx.CommID, w)
 		pairs = append(pairs, pair{me: mw, peer: gx.PeerFor(w, idx)})
 	}
 	pairs = append(pairs, pair{me: me, peer: rxPeer})
@@ -269,9 +260,6 @@ func refitAll(gx *RSD, gMembers []int, rank, rxPeer, me int, idx PeerIndexer, ki
 		}
 		return XorParam(v), true
 	case ParamRel:
-		if gx.CommSize <= 0 {
-			return Param{}, false
-		}
 		off := (pairs[0].peer - pairs[0].me) % gx.CommSize
 		if off < 0 {
 			off += gx.CommSize
@@ -292,16 +280,13 @@ func refitAll(gx *RSD, gMembers []int, rank, rxPeer, me int, idx PeerIndexer, ki
 }
 
 // relOffset computes (peer - commRank(worldRank)) mod commSize.
-func relOffset(peer, worldRank, commID, commSize int, idx PeerIndexer) (int, bool) {
-	me, ok := idx.CommRankOf(commID, worldRank)
-	if !ok || commSize <= 0 {
-		return 0, false
-	}
+func relOffset(peer, worldRank, commID, commSize int, idx PeerIndexer) int {
+	me, _ := idx.CommRankOf(commID, worldRank)
 	off := (peer - me) % commSize
 	if off < 0 {
 		off += commSize
 	}
-	return off, true
+	return off
 }
 
 // String renders the trace in a readable indented form.

@@ -85,7 +85,6 @@ const (
 // resolver holds the traversal state of Algorithm 2.
 type resolver struct {
 	t       *trace.Trace
-	n       int
 	cursors []*trace.Cursor
 	states  []rankState
 
@@ -125,7 +124,6 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	n := t.N
 	r := &resolver{
 		t:           t,
-		n:           n,
 		cursors:     make([]*trace.Cursor, n),
 		states:      make([]rankState, n),
 		inbox:       make([][]message, n),
@@ -136,9 +134,6 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	}
 	low := trace.Lower(t)
 	for i := 0; i < n; i++ {
-		if t.GroupOf(i) == nil {
-			return nil, fmt.Errorf("wildcard: rank %d missing from trace", i)
-		}
 		r.cursors[i] = low.Cursor(i)
 	}
 
@@ -150,9 +145,11 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 				continue
 			}
 			allDone = false
-			if r.run(rank) {
-				progress = true
+			ran, err := r.run(rank)
+			if err != nil {
+				return nil, err
 			}
+			progress = progress || ran
 		}
 		if allDone {
 			break
@@ -173,7 +170,7 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 
 // run advances one rank until it blocks or finishes, returning whether any
 // event was processed.
-func (r *resolver) run(rank int) bool {
+func (r *resolver) run(rank int) (bool, error) {
 	progress := false
 	for {
 		cur := r.cursors[rank]
@@ -185,7 +182,7 @@ func (r *resolver) run(rank int) bool {
 				progress = true
 			}
 			r.states[rank] = done
-			return progress
+			return progress, nil
 		}
 		rsd := cur.Cur()
 		switch {
@@ -194,19 +191,19 @@ func (r *resolver) run(rank int) bool {
 		case rsd.Op == mpi.OpRecv:
 			if !r.doBlockingRecv(rank, rsd) {
 				r.states[rank] = blockedRecv
-				return progress
+				return progress, nil
 			}
 		case rsd.Op == mpi.OpIrecv:
 			r.doIrecv(rank, rsd)
 		case rsd.Op.IsWait():
 			if !r.doWait(rank, rsd) {
 				r.states[rank] = blockedWait
-				return progress
+				return progress, nil
 			}
 		case rsd.Op.IsCollective():
-			if !r.doCollective(rank, rsd) {
+			if complete, err := r.doCollective(rank, rsd); err != nil || !complete {
 				r.states[rank] = blockedRendezvous
-				return progress
+				return progress, err
 			}
 			// The collective completer advanced every member's cursor,
 			// including ours; do not advance again.
@@ -225,10 +222,8 @@ func (r *resolver) run(rank int) bool {
 // tries to match it against the destination's posted receives.
 func (r *resolver) doSend(rank int, rsd *trace.RSD) {
 	dst := rsd.WorldPeerFor(rank, r.t)
-	if dst >= 0 && dst < r.n {
-		r.inbox[dst] = append(r.inbox[dst], message{src: rank, tag: rsd.Tag})
-		r.matchInbox(dst)
-	}
+	r.inbox[dst] = append(r.inbox[dst], message{src: rank, tag: rsd.Tag})
+	r.matchInbox(dst)
 	if rsd.Op == mpi.OpIsend {
 		r.outstanding[rank] = append(r.outstanding[rank], nil) // sends complete eagerly
 	}
@@ -353,24 +348,25 @@ func (r *resolver) doWait(rank int, rsd *trace.RSD) bool {
 
 // doCollective performs the rendezvous of Algorithm 1 within Algorithm 2:
 // all communicator members must arrive before any proceeds. It returns
-// false while participants are missing. A malformed trace is handled as the
-// MP-net checker handles it: a collective on a communicator with no group
-// passes through, and one on a group without the caller never completes.
-func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
+// false while participants are missing, and Algorithm 1's error when a
+// member arrives at another operation than the members before it, whose
+// cursors all stand at the first arrival's.
+func (r *resolver) doCollective(rank int, rsd *trace.RSD) (bool, error) {
 	comm := r.t.CommGroup(rsd.CommID)
-	if len(comm) == 0 {
-		comm = []int{rank}
-	} else if !slices.Contains(comm, rank) {
-		return false
-	}
 	pc := r.collPending[rsd.CommID]
 	if pc == nil {
 		pc = make(map[int]bool)
 		r.collPending[rsd.CommID] = pc
 	}
+	for m := range pc {
+		if first := r.cursors[m].Cur().Op; first != rsd.Op {
+			return false, fmt.Errorf("wildcard: collective mismatch on comm %d: %v vs %v", rsd.CommID, first, rsd.Op)
+		}
+		break
+	}
 	pc[rank] = true
 	if len(pc) < len(comm) {
-		return false
+		return false, nil
 	}
 	// Complete: advance every member's cursor.
 	for _, member := range comm {
@@ -380,13 +376,13 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 		}
 	}
 	delete(r.collPending, rsd.CommID)
-	return true
+	return true, nil
 }
 
 // deadlock builds the error report for a stuck traversal.
 func (r *resolver) deadlock() *DeadlockError {
 	var blocked []string
-	for rank := 0; rank < r.n; rank++ {
+	for rank := 0; rank < r.t.N; rank++ {
 		if r.states[rank] == done {
 			continue
 		}

@@ -2,12 +2,11 @@ package wildcard
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
+	"repro/internal/align"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/taskset"
@@ -412,46 +411,26 @@ func collectQ(n int, body func(*mpi.Rank)) *trace.Trace {
 	return col.Trace()
 }
 
-// TestResolveMalformedCommunicators: collectives on a communicator the trace
-// does not define, or whose group lacks the caller, used to spin the
-// resolver forever. The first passes through (as the MP-net checker passes
-// it); the second never completes for the caller, a deadlock.
-func TestResolveMalformedCommunicators(t *testing.T) {
-	const head = "scalatrace-go 1\nnprocs 2\n"
-	const body = "group 0 3\n" +
-		"rsd op=Barrier site=1 ranks=0 comm=%[1]d csize=2 peer=- tag=0 size=0 root=-1\n" +
-		"rsd op=Send site=2 ranks=0 comm=0 csize=2 peer=abs1 tag=0 size=8 root=-1\n" +
-		"rsd op=Finalize site=3 ranks=0 comm=0 csize=2 peer=- tag=0 size=0 root=-1\n" +
-		"group 1 3\n" +
-		"rsd op=Barrier site=1 ranks=1 comm=%[1]d csize=2 peer=- tag=0 size=0 root=-1\n" +
-		"rsd op=Recv site=4 ranks=1 comm=0 csize=2 peer=any tag=0 size=8 root=-1 wildcard=1\n" +
-		"rsd op=Finalize site=3 ranks=1 comm=0 csize=2 peer=- tag=0 size=0 root=-1\n"
-	for _, tc := range []struct {
-		name, comms string
-		comm        int
-		deadlock    bool
-	}{
-		{"no communicator table", "comms 0\ngroups 2\n", 0, false},
-		{"undefined communicator", "comms 1\ncomm 0 0,1\ngroups 2\n", 5, false},
-		{"group without the caller", "comms 2\ncomm 0 0,1\ncomm 1 1\ngroups 2\n", 1, true},
+// TestResolveNamesCollectiveMismatchAsAlign: when a member arrives at a
+// collective other than the one the members before it stand at, Algorithm 2
+// refuses the trace with Algorithm 1's words.
+func TestResolveNamesCollectiveMismatchAsAlign(t *testing.T) {
+	for _, tc := range []struct{ name, text, want string }{
+		{"Barrier vs Allreduce on the world", "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 2\n" +
+			"group 0 1\nrsd op=Barrier site=1 ranks=0 comm=0 csize=2 peer=- tag=0 size=0 root=-1\n" +
+			"group 1 1\nrsd op=Allreduce site=2 ranks=1 comm=0 csize=2 peer=- tag=0 size=8 root=-1\n",
+			"collective mismatch on comm 0: Barrier vs Allreduce"},
 	} {
-		tr, err := trace.Decode(strings.NewReader(head + tc.comms + fmt.Sprintf(body, tc.comm)))
+		tr, err := trace.Decode(strings.NewReader(tc.text))
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", tc.name, err)
 		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := Resolve(tr)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			var dl *DeadlockError
-			if got := errors.As(err, &dl); got != tc.deadlock {
-				t.Errorf("%s: Resolve error %v, want deadlock %v", tc.name, err, tc.deadlock)
+		_, errAssign := Assign(tr)
+		_, errAlign := align.Align(tr)
+		for _, err := range []error{errAssign, errAlign} {
+			if err == nil || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+				t.Errorf("%s: Assign: %v; Align: %v; want both to end %q", tc.name, errAssign, errAlign, tc.want)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: Resolve did not return", tc.name)
 		}
 	}
 }

@@ -30,15 +30,21 @@ var plainOptions = map[string]bool{
 // isCommGroup reports whether e reads a communicator's group off a trace:
 // x.Comms[id] or x.CommGroup(id).
 func isCommGroup(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.IndexExpr:
+	if x, ok := e.(*ast.IndexExpr); ok {
 		sel, ok := x.X.(*ast.SelectorExpr)
 		return ok && sel.Sel.Name == "Comms"
-	case *ast.CallExpr:
-		sel, ok := x.Fun.(*ast.SelectorExpr)
-		return ok && sel.Sel.Name == "CommGroup"
 	}
-	return false
+	return isMethodCall(e, "CommGroup")
+}
+
+// isMethodCall reports whether e is a call x.name(...).
+func isMethodCall(e ast.Expr, name string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == name
 }
 
 // comparesIdent reports whether body tests the variable v with ==.
@@ -492,6 +498,58 @@ func rebuildViolations(fset *token.FileSet, files []*ast.File) []string {
 	return v
 }
 
+// membershipViolations lists the places in files that test whether a
+// communicator is listed or a rank is a member of it: a comparison with 0 of
+// the length of a communicator's group (read directly or through the variable
+// it was assigned to), and a CommRankOf call whose ok result is kept. Decode's
+// rules (internal/trace/rules.go) are the one home of those tests.
+func membershipViolations(fset *token.FileSet, files []*ast.File) []string {
+	var v []string
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			groups := map[string]bool{} // variables assigned a communicator's group
+			isGroup := func(e ast.Expr) bool {
+				if call, ok := e.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "len" && len(call.Args) == 1 {
+						arg, _ := call.Args[0].(*ast.Ident)
+						return isCommGroup(call.Args[0]) || arg != nil && groups[arg.Name]
+					}
+				}
+				return false
+			}
+			isZero := func(e ast.Expr) bool {
+				lit, ok := e.(*ast.BasicLit)
+				return ok && lit.Value == "0"
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for i, rhs := range x.Rhs {
+						if id, ok := x.Lhs[i].(*ast.Ident); ok && len(x.Lhs) == len(x.Rhs) && isCommGroup(rhs) {
+							groups[id.Name] = true
+						}
+					}
+					if len(x.Lhs) == 2 && isMethodCall(x.Rhs[0], "CommRankOf") {
+						if id, _ := x.Lhs[1].(*ast.Ident); id == nil || id.Name != "_" {
+							v = append(v, fset.Position(x.Pos()).String()+": "+fn.Name.Name+" keeps CommRankOf's ok result")
+						}
+					}
+				case *ast.BinaryExpr:
+					if isGroup(x.X) && isZero(x.Y) || isZero(x.X) && isGroup(x.Y) {
+						v = append(v, fset.Position(x.Pos()).String()+": "+fn.Name.Name+" tests whether a communicator is listed")
+					}
+				}
+				return true
+			})
+		}
+	}
+	return v
+}
+
 // firstPoolReaders are the functions that may read an RSD's first-iteration
 // compute pool: the trace lowering, which puts it beside the steady-state mean
 // for the interpreter to choose per event, and the coNCePTuaL generator, which
@@ -598,8 +656,10 @@ func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...strin
 // task group in a target language (the dialect table of
 // internal/conceptual/emit.go is the one file with a string literal holding
 // "SUCH THAT", "rank == " or "me == "; the three printers format nothing
-// through fmt but errors, and indent through the shared writer). Each rule is
-// first shown to fail on a source that breaks it.
+// through fmt but errors, and indent through the shared writer) and the trace
+// rules (membershipViolations: outside internal/trace no production code
+// tests whether a communicator is listed or a rank is a member of it). Each
+// rule is first shown to fail on a source that breaks it.
 func TestSingleHomesArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	violation, err := parser.ParseFile(fset, "violation.go", `package gen
@@ -627,7 +687,14 @@ func (g *cgen) guard(sel TaskSel) {
 func (r *resolver) leafFor(rank int, rsd *trace.RSD) { rsd.CopyFor(new(trace.RSD), rank, taskset.Of(rank), r.t, 0) }
 func CounterexampleTrace(net *Net) { trace.MergeRankSeqsOwned(net.N, nil, nil) }
 func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }
-func (c *Cursor) ComputeUS() float64 { return c.cur.FirstComputeMean() }`, parser.SkipObjectResolution)
+func (c *Cursor) ComputeUS() float64 { return c.cur.FirstComputeMean() }
+func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
+	if comm := r.t.CommGroup(rsd.CommID); len(comm) == 0 {
+		return true
+	}
+	_, member := r.t.CommRankOf(rsd.CommID, rank)
+	return member && len(r.t.CommGroup(rsd.CommID)) != r.n
+}`, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,6 +740,10 @@ func (c *Cursor) ComputeUS() float64 { return c.cur.FirstComputeMean() }`, parse
 	if got := firstPoolViolations(fset, broken); len(got) != 1 || !strings.Contains(got[0], "Cursor.ComputeUS reads") {
 		t.Errorf("firstPoolViolations finds %q, want Cursor.ComputeUS's FirstComputeMean", got)
 	}
+	if got := membershipViolations(fset, broken); len(got) != 2 ||
+		!strings.Contains(got[0], "doCollective tests whether a communicator is listed") || !strings.Contains(got[1], "doCollective keeps CommRankOf's ok") {
+		t.Errorf("membershipViolations finds %q, want doCollective's len(comm) == 0 and CommRankOf's ok", got)
+	}
 
 	var all []*ast.File
 	for _, dir := range []string{"cmd", "internal", "examples"} {
@@ -681,6 +752,9 @@ func (c *Cursor) ComputeUS() float64 { return c.cur.FirstComputeMean() }`, parse
 			if path := filepath.ToSlash(fset.Position(f.Package).Filename); !strings.HasPrefix(path, "internal/trace/") {
 				for _, at := range methodCalls(fset, []*ast.File{f}, "WorldRankOf") {
 					t.Errorf("%s: WorldRankOf called outside internal/trace; RSD.WorldPeerFor and WorldRoot are the one translation", at)
+				}
+				for _, v := range membershipViolations(fset, []*ast.File{f}) {
+					t.Errorf("%s; outside internal/trace, Decode's rules decide which communicators are listed and who is a member", v)
 				}
 			}
 		}
