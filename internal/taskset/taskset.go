@@ -191,13 +191,23 @@ func (s Set) appendMembers(out []int) []int {
 	return out
 }
 
-// containsAll reports whether every member of other is a member of s.
-func (s Set) containsAll(other Set) bool {
+// ContainsAll reports whether every member of other is a member of s. It
+// never expands either set: each run of other is matched against the runs of
+// s it overlaps, the first found by binary search.
+func (s Set) ContainsAll(other Set) bool {
+	i := 0
 	for _, r := range other.runs {
-		for i := 0; i < r.Count; i++ {
-			if !s.Contains(r.Start + i*r.Stride) {
+		for pos, left := r.Start, r.Count; left > 0; {
+			i += sort.Search(len(s.runs)-i, func(k int) bool { return s.runs[i+k].Last() >= pos })
+			if i == len(s.runs) || pos < s.runs[i].Start || (pos-s.runs[i].Start)%s.runs[i].Stride != 0 {
 				return false
 			}
+			t := s.runs[i]
+			k := min(left, (t.Last()-pos)/r.Stride+1) // r's members from pos to t's end
+			if k > 1 && r.Stride%t.Stride != 0 {
+				return false
+			}
+			pos, left = pos+k*r.Stride, left-k
 		}
 	}
 	return true
@@ -208,13 +218,7 @@ func (s Set) Min() int {
 	if s.IsEmpty() {
 		panic("taskset: Min of empty set")
 	}
-	min := s.runs[0].Start
-	for _, r := range s.runs[1:] {
-		if r.Start < min {
-			min = r.Start
-		}
-	}
-	return min
+	return s.runs[0].Start
 }
 
 // Max returns the largest member; it panics on the empty set.
@@ -222,23 +226,17 @@ func (s Set) Max() int {
 	if s.IsEmpty() {
 		panic("taskset: Max of empty set")
 	}
-	max := s.runs[0].Last()
-	for _, r := range s.runs[1:] {
-		if l := r.Last(); l > max {
-			max = l
-		}
-	}
-	return max
+	return s.runs[len(s.runs)-1].Last()
 }
 
 // Union returns s ∪ other. When one operand already contains the other it
 // is returned as is (sets are immutable), which makes absorbing a set into
 // itself — the trace builder's per-event case — free.
 func (s Set) Union(other Set) Set {
-	if s.containsAll(other) {
+	if s.ContainsAll(other) {
 		return s
 	}
-	if other.containsAll(s) {
+	if other.ContainsAll(s) {
 		return other
 	}
 	a, b := s.Members(), other.Members()

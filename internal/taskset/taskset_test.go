@@ -317,7 +317,7 @@ func modelSets(rng *rand.Rand) ([]Set, []map[int]bool) {
 }
 
 // TestPropertyRunWalksMatchModel checks the operations that walk runs in
-// place of expanding them — Equal, Union, Add, IndexOf — against a
+// place of expanding them — Equal, ContainsAll, Union, Add, IndexOf — against a
 // map[int]bool model, across sets whose run packings differ.
 func TestPropertyRunWalksMatchModel(t *testing.T) {
 	sameMembers := func(s Set, m map[int]bool) bool {
@@ -355,16 +355,21 @@ func TestPropertyRunWalksMatchModel(t *testing.T) {
 			}
 			for j, b := range sets {
 				equal := len(models[i]) == len(models[j])
-				union := map[int]bool{}
+				union, subset := map[int]bool{}, true
 				for v := range models[i] {
 					union[v] = true
 					equal = equal && models[j][v]
 				}
 				for v := range models[j] {
 					union[v] = true
+					subset = subset && models[i][v]
 				}
 				if a.Equal(b) != equal {
 					t.Logf("%v.Equal(%v) = %v", a, b, !equal)
+					return false
+				}
+				if a.ContainsAll(b) != subset {
+					t.Logf("%v.ContainsAll(%v) = %v", a, b, !subset)
 					return false
 				}
 				if u := a.Union(b); !sameMembers(u, union) || !u.Equal(Of(u.Members()...)) {

@@ -84,7 +84,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		{
 			name:  "comm member repeated",
 			input: "scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 1 0,1\ncomm 2 0,0,1\ngroups 0\n",
-			want:  "comm 2 lists member 0 twice",
+			want:  "comm 2 lists a member twice",
 		},
 		{
 			name:  "rank set of a hundred million members",
@@ -248,6 +248,30 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 			input: "scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 1\ngroup 0:1 1\n" +
 				"rsd op=Isend site=1 ranks=0:1 comm=0 csize=2 peer=any tag=0 size=8 root=-1\n",
 			want: "rule 5, a point-to-point peer is a world rank, or any on a receive: Isend at site 1: rank 0's peer any is not a rank of comm 0",
+		},
+		{
+			name: "xor peer past a world that is not a power of two",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 1\ngroup 0:2 1\n" +
+				"rsd op=Send site=1 ranks=0:2 comm=0 csize=3 peer=xor1 tag=0 size=8 root=-1\n",
+			want: "rule 5, a point-to-point peer is a world rank, or any on a receive: Send at site 1: rank 2's peer xor1 is not a rank of comm 0",
+		},
+		{
+			name: "vector peer outside the communicator",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 1\ngroup 0:2 1\n" +
+				"rsd op=Recv site=1 ranks=0:2 comm=0 csize=3 peer=vec tag=0 size=8 root=-1 pvec=1,-1,3\n",
+			want: "rule 5, a point-to-point peer is a world rank, or any on a receive: Recv at site 1: rank 2's peer vec is not a rank of comm 0",
+		},
+		{
+			name: "vector peers fewer than the leaf's ranks",
+			input: "scalatrace-go 1\nnprocs 3\ncomms 1\ncomm 0 0,1,2\ngroups 1\ngroup 0:2 1\n" +
+				"rsd op=Send site=1 ranks=0:2 comm=0 csize=3 peer=vec tag=0 size=8 root=-1 pvec=1,2\n",
+			want: "rule 5, a point-to-point peer is a world rank, or any on a receive: Send at site 1: rank 2's peer vec is not a rank of comm 0",
+		},
+		{
+			name: "sub-communicator leaf naming a non-member among members",
+			input: "scalatrace-go 1\nnprocs 6\ncomms 2\ncomm 0 0,1,2,3,4,5\ncomm 1 5,1,3\ngroups 1\ngroup 0:5 1\n" +
+				"rsd op=Allreduce site=1 ranks=1:5:2,4 comm=1 csize=3 peer=- tag=0 size=8 root=-1\n",
+			want: "rule 4, a leaf's ranks are members of its listed communicator: Allreduce at site 1: rank 4 is not a member of comm 1",
 		},
 		{
 			name:  "trailing bytes on a count line",

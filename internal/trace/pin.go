@@ -31,10 +31,7 @@ func Pinned(t *Trace, pins [][]Pin) *Trace {
 			rsd.CopyFor(leaf, rank, ranks, t, c.ComputeUS())
 			leaf.Wildcard = false
 			if len(next) > 0 && next[0].Event == c.Index() {
-				src, ok := t.CommRankOf(leaf.CommID, next[0].Source)
-				if !ok {
-					src = next[0].Source
-				}
+				src, _ := t.CommRankOf(leaf.CommID, next[0].Source)
 				leaf.Peer = AbsParam(src)
 				next = next[1:]
 			}

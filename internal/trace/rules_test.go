@@ -1,0 +1,128 @@
+package trace
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/mpi"
+	"repro/internal/taskset"
+)
+
+// TestCheckLeafMatchesPerRankRules holds checkLeaf, which settles rules 3-5
+// for a leaf's ranks as a whole where it can, to the rules read one rank at a
+// time: the leaf passes exactly when every rank it names is in its group, is a
+// member of its communicator and, on a point-to-point leaf, has a peer that is
+// a rank of it (or any, on a receive).
+func TestCheckLeafMatchesPerRankRules(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ops := []mpi.Op{mpi.OpSend, mpi.OpIsend, mpi.OpRecv, mpi.OpIrecv, mpi.OpBarrier, mpi.OpAllreduce}
+	kinds := []ParamKind{ParamNone, ParamAbs, ParamRel, ParamXor, ParamAny, ParamVec}
+	subset := func(n, extra int) []int {
+		var out []int
+		for r := 0; r < n+extra; r++ {
+			if rng.Intn(3) > 0 {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	settled, walked := 0, 0
+	for i := 0; i < 20000; i++ {
+		n := 1 + rng.Intn(12)
+		tr := &Trace{N: n, Comms: map[int][]int{0: worldComms(n)[0], 1: worldComms(1 + rng.Intn(n))[0]}}
+		sub := subset(n, 0)
+		rng.Shuffle(len(sub), func(a, b int) { sub[a], sub[b] = sub[b], sub[a] })
+		if len(sub) > 0 {
+			tr.Comms[2] = sub
+		}
+		group := taskset.Of(subset(n, 0)...)
+		x := &RSD{Op: ops[rng.Intn(len(ops))], Ranks: taskset.Of(subset(n, 2)...), CommID: rng.Intn(3)}
+		comm, ok := tr.Comms[x.CommID]
+		if !ok {
+			continue
+		}
+		x.CommSize = len(comm)
+		x.Peer = Param{Kind: kinds[rng.Intn(len(kinds))], Value: rng.Intn(2*n+2) - 2}
+		if x.Peer.Kind == ParamVec {
+			x.PeerVec = make([]int, max(0, x.Ranks.Size()+rng.Intn(3)-1))
+			for j := range x.PeerVec {
+				x.PeerVec[j] = rng.Intn(n+2) - 1
+			}
+		}
+		members := taskset.Of(comm...)
+		want := true
+		for _, r := range x.Ranks.Members() {
+			_, member := tr.CommRankOf(x.CommID, r)
+			want = want && group.Contains(r) && member
+			if peer := x.PeerFor(r, tr); want && x.Op.IsPointToPoint() {
+				want = uint(peer) < uint(len(comm)) || (peer == mpi.AnySource && !x.Op.IsSendSide())
+			}
+		}
+		if err := checkLeaf(tr, group, members, x); (err == nil) != want {
+			t.Fatalf("group %s, comm %d = %v, leaf %v pvec %v: checkLeaf = %v, per-rank rules say pass = %v",
+				group, x.CommID, comm, x, x.PeerVec, err, want)
+		}
+		if !x.Ranks.IsEmpty() && group.ContainsAll(x.Ranks) {
+			if allRanksPass(x, len(comm), members) {
+				settled++
+			} else {
+				walked++
+			}
+		}
+	}
+	t.Logf("leaves settled as a whole: %d, walked rank by rank: %d", settled, walked)
+}
+
+// TestDecodeRuleCostIsLinearInTheDocument decodes one shape of upload — one
+// group of every rank, a sub-communicator of scattered ranks, and leaves that
+// each name one rank (Barriers on the world and the sub-communicator, XOR
+// sends) — at 16 ranks and at 2^18 (the runnable cap), with the same leaf
+// count. A check that walked the group's ranks per leaf costs leaves × ranks:
+// at 2^18, 50,000 leaves are 1.3e10 steps, minutes where the 16-rank decode
+// takes a fraction of a second. Checked per leaf as rank sets, the large world
+// costs only its longer communicator lines.
+func TestDecodeRuleCostIsLinearInTheDocument(t *testing.T) {
+	const leaves = 50000
+	upload := func(n int) []byte {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "scalatrace-go 1\nnprocs %d\ncomms 2\ncomm 0 %s\n", n, intsString(worldComms(n)[0]))
+		var sub []int
+		for r := n - 1; r >= 0; r-- {
+			if r%3 != 0 {
+				sub = append(sub, r)
+			}
+		}
+		fmt.Fprintf(&b, "comm 1 %s\ngroups 1\ngroup 0:%d %d\n", intsString(sub), n-1, leaves)
+		for i := 0; i < leaves; i++ {
+			r := i % n
+			switch i % 3 {
+			case 0:
+				fmt.Fprintf(&b, "rsd op=Barrier site=%d ranks=%d comm=0 csize=%d peer=- tag=0 size=0 root=-1\n", i, r, n)
+			case 1:
+				fmt.Fprintf(&b, "rsd op=Isend site=%d ranks=%d comm=0 csize=%d peer=xor1 tag=0 size=8 root=-1\n", i, r, n)
+			default:
+				fmt.Fprintf(&b, "rsd op=Barrier site=%d ranks=%d comm=1 csize=%d peer=- tag=0 size=0 root=-1\n", i, sub[i%len(sub)], len(sub))
+			}
+		}
+		return b.Bytes()
+	}
+	decode := func(text []byte) time.Duration {
+		start := time.Now()
+		if _, err := Decode(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	small, large := upload(16), upload(1<<18)
+	decode(small) // warm up
+	ds, dl := decode(small), decode(large)
+	t.Logf("%d leaves: %v at 16 ranks (%d KB), %v at 2^18 ranks (%d KB)", leaves, ds, len(small)>>10, dl, len(large)>>10)
+	// The large document is ~1.5x the small one's bytes; allow for that, the
+	// member lists and rank bitmap of the larger world, and noise.
+	if bound := 6 * ds * time.Duration(len(large)) / time.Duration(len(small)); dl > bound {
+		t.Fatalf("decoding at 2^18 ranks took %v, over %v (6x the 16-rank decode per byte): the rules cost more than the document", dl, bound)
+	}
+}
