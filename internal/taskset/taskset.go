@@ -233,7 +233,7 @@ func (s Set) Max() int {
 // is returned as is (sets are immutable), which makes absorbing a set into
 // itself — the trace builder's per-event case — free.
 func (s Set) Union(other Set) Set {
-	if s.ContainsAll(other) {
+	if s.Identical(other) || s.ContainsAll(other) {
 		return s
 	}
 	if other.ContainsAll(s) {
