@@ -196,14 +196,52 @@ func (b *Builder) arm() {
 // hasSquare reports whether lp's body holds a window immediately repeated. A
 // body never changes shape, so the last loop found without one is kept.
 func (b *Builder) hasSquare(lp *Loop) bool {
-	for end := 2; lp != b.squareFree && end <= len(lp.Body); end++ {
-		for w := 1; 2*w <= end; w++ {
-			if b.windowsEqual(lp.Body[end-2*w:end-w], lp.Body[end-w:end]) {
-				return true
+	if lp != b.squareFree && b.squareIn(lp.Body) {
+		return true
+	}
+	b.squareFree = lp
+	return false
+}
+
+// squareIn reports whether body holds a window immediately repeated, by
+// divide and conquer (Main and Lorentz): a square lies in one half or crosses
+// the middle. A crossing square of period w lies on a run of w positions i
+// with body[i] equal to body[i+w], and the run holds mid-w (the square's
+// centre is at or before mid) or mid (after it). Each run is grown on the
+// nodes' cached hashes, at most w steps either way, and windowsEqual
+// confirms a candidate only where a run of w equal hashes proves one. Where
+// runs are short, as in the square-free bodies of traces, a body of m nodes
+// costs O(m log m) hash comparisons, against the exhaustive check's O(m²);
+// a long run without a square (nodes equal but for their ranks, in a global
+// builder) costs a windowsEqual per candidate in it. Nothing is allocated.
+func (b *Builder) squareIn(body []Node) bool {
+	m := len(body)
+	if m < 2 {
+		return false
+	}
+	mid := m / 2
+	if b.squareIn(body[:mid]) || b.squareIn(body[mid:]) {
+		return true
+	}
+	for w := 1; 2*w <= m; w++ {
+		for _, at := range [2]int{mid - w, mid} {
+			if at < 0 || at+w >= m || body[at].Hash() != body[at+w].Hash() {
+				continue
+			}
+			lo, hi := at, at+1 // the run [lo, hi)
+			for lo > max(0, at-w+1) && body[lo-1].Hash() == body[lo-1+w].Hash() {
+				lo--
+			}
+			for hi < min(m-w, at+w) && body[hi].Hash() == body[hi+w].Hash() {
+				hi++
+			}
+			for p := lo; p+w <= hi; p++ {
+				if b.windowsEqual(body[p:p+w], body[p+w:p+2*w]) {
+					return true
+				}
 			}
 		}
 	}
-	b.squareFree = lp
 	return false
 }
 
