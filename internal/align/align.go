@@ -158,7 +158,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		classes[c].size++
 	}
 
-	out := trace.NewGlobalBuilder(max(trace.DefaultMaxWindow, 8*n+32))
+	out := trace.NewGlobalBuilder(max(trace.DefaultMaxWindow, t.NodeCount()))
 	// Non-collective runs are buffered per class and re-merged across ranks
 	// when the next collective closes the segment; this keeps the aligned
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)

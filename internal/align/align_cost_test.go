@@ -198,3 +198,47 @@ func BenchmarkAlign(b *testing.B) {
 		})
 	}
 }
+
+// TestAlignedQueueDoesNotGrowWithIterations holds Algorithm 1 to the paper's
+// guarantee 3: the aligned trace stays scalable in length. An application's
+// rounds must fold into one loop however many there are — sweep3d, whose
+// round between two Allreduces is 769 nodes, at classes A, B and C, and a
+// kernel whose round is 300 distinct-tag exchanges, longer than both
+// DefaultMaxWindow and any window that grows with the rank count alone.
+func TestAlignedQueueDoesNotGrowWithIterations(t *testing.T) {
+	alignedNodes := func(tr *trace.Trace) int {
+		t.Helper()
+		aligned, err := Align(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return aligned.NodeCount()
+	}
+	sizes := map[apps.Class]int{}
+	for _, class := range []apps.Class{apps.ClassA, apps.ClassB, apps.ClassC} {
+		sizes[class] = alignedNodes(alignInput(t, "sweep3d", 16, class))
+	}
+	if sizes[apps.ClassB] != sizes[apps.ClassA] || sizes[apps.ClassC] != sizes[apps.ClassA] {
+		t.Errorf("sweep3d@16 aligns to %d, %d and %d nodes at classes A, B and C", sizes[apps.ClassA], sizes[apps.ClassB], sizes[apps.ClassC])
+	}
+
+	const n, tags = 4, 300
+	longRounds := func(iters int) func(*mpi.Rank) {
+		return func(r *mpi.Rank) {
+			for range iters {
+				for tag := range tags {
+					rq := r.Irecv(r.World(), (r.Rank()+n-1)%n, tag, 64)
+					sq := r.Isend(r.World(), (r.Rank()+1)%n, tag, 64)
+					r.Waitall(rq, sq)
+				}
+				r.Allreduce(r.World(), 8)
+			}
+		}
+	}
+	few, many := alignedNodes(collect(t, n, longRounds(5))), alignedNodes(collect(t, n, longRounds(20)))
+	t.Logf("aligned nodes: sweep3d@16 %d (A) %d (B) %d (C); long rounds %d (5 iterations) %d (20)",
+		sizes[apps.ClassA], sizes[apps.ClassB], sizes[apps.ClassC], few, many)
+	if few != many {
+		t.Errorf("rounds of %d exchanges align to %d nodes at 5 iterations, %d at 20", tags, few, many)
+	}
+}
