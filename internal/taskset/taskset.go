@@ -347,11 +347,16 @@ func (s Set) String() string {
 // one caller, admits no more ranks (trace.MaxDecodeRanks).
 const maxParsed = 1 << 20
 
-// Parse decodes the String form ("{}" or comma-separated runs).
+// Parse decodes the String form ("{}" or comma-separated runs). Text that
+// String prints back becomes its set run by run, in time linear in the text;
+// any other text is expanded and packed again, as Of packs its ranks.
 func Parse(text string) (Set, error) {
 	text = strings.TrimSpace(text)
 	if text == "" || text == "{}" {
 		return Set{}, nil
+	}
+	if s, ok := parseCanonical(text); ok {
+		return s, nil
 	}
 	var ranks []int
 	for _, part := range strings.Split(text, ",") {
@@ -396,4 +401,78 @@ func Parse(text string) (Set, error) {
 		}
 	}
 	return Of(ranks...), nil
+}
+
+// parseCanonical returns the set text names when String would print that set
+// as text: every run reads as Run.String writes it, and the runs are packed
+// as fromSortedUnique packs their members. It never expands a run.
+func parseCanonical(text string) (Set, bool) {
+	runs := make([]Run, 0, strings.Count(text, ",")+1)
+	total := 0
+	for rest, more := text, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		var nums [3]int
+		k := 0
+		for field, more := "", true; more; k++ {
+			field, part, more = strings.Cut(part, ":")
+			v, err := strconv.Atoi(field)
+			if err != nil || k == len(nums) || !decimal(field) {
+				return Set{}, false
+			}
+			nums[k] = v
+		}
+		r := Run{Start: nums[0], Stride: 1, Count: 1}
+		if k > 1 {
+			if k == 3 {
+				r.Stride = nums[2]
+			}
+			// Run.String writes a stride only when it is not 1, and the
+			// last member. The span is checked after the subtraction too: it
+			// may wrap.
+			span := nums[1] - nums[0]
+			if nums[1] <= nums[0] || span <= 0 || r.Stride < 1 || (k == 3) != (r.Stride > 1) ||
+				span%r.Stride != 0 || span/r.Stride >= maxParsed {
+				return Set{}, false
+			}
+			r.Count = span/r.Stride + 1
+		}
+		if total += r.Count; total > maxParsed {
+			return Set{}, false
+		}
+		runs = append(runs, r)
+	}
+	return Set{runs: runs}, packed(runs)
+}
+
+// decimal reports whether s, which strconv.Atoi accepted, is spelled as
+// strconv.Itoa spells its value: no plus sign, no leading zero, no "-0".
+func decimal(s string) bool {
+	neg := strings.HasPrefix(s, "-")
+	s = strings.TrimPrefix(s, "-")
+	return s[0] != '+' && (s[0] != '0' || s == "0" && !neg)
+}
+
+// packed reports whether runs are what fromSortedUnique makes of their
+// members, from the runs alone. They ascend without overlap, and the greedy
+// packer, starting at each run's first member, ends there: a run of three or
+// more is not continued by the next member, a pair comes last, and a
+// singleton is neither the start of a progression of three nor followed by
+// only one more member (the packer would pair the two).
+func packed(runs []Run) bool {
+	for i := 0; i+1 < len(runs); i++ {
+		r, next := runs[i], runs[i+1]
+		if next.Start <= r.Last() || r.Count == 2 {
+			return false
+		}
+		switch gap := next.Start - r.Last(); {
+		case r.Count > 2 && gap == r.Stride:
+			return false
+		case r.Count == 1 && next.Count > 1 && next.Stride == gap:
+			return false
+		case r.Count == 1 && next.Count == 1 && (i+2 == len(runs) || runs[i+2].Start-next.Start == gap):
+			return false
+		}
+	}
+	return true
 }

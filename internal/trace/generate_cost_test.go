@@ -13,16 +13,18 @@ import (
 // and leaf back into the fold, fails here by name before a benchmark notices.
 
 // TestDecodeAllocationsPerNode pins the objects Decode allocates for the
-// encoded sweep3d and is traces at 16 ranks, class S: 10.15 and 8.50 per node
-// (its line, the node, a leaf's rank set and one histogram per pool, the
-// slices behind sequences and lists). A first-iteration pool costs one object:
-// sweep3d's 777 of them are 777 of its 8,342. Checking the rules costs no
-// object per node: one member list per group (9 and 16), the rank bitmap, and
-// per communicator (one here) the rank set taskset.Of builds, a sorted copy
-// and its runs, which also finds a repeated member. Scanning each field with
-// fmt allocated 25.1 and 24.5 per node.
+// encoded sweep3d and is traces at 16 ranks, class S: 5.01 and 5.16 per node
+// (its line, the node, a leaf's rank set — one object, its runs, read from
+// the canonical text — and one histogram per pool, the slices behind
+// sequences and lists). A first-iteration pool costs one object: sweep3d's
+// 777 of them are 777 of its 4,122. Checking the rules costs no object per
+// node: one member list per group (9 and 16), the rank bitmap, and per
+// communicator (one here) the rank set taskset.Of builds, a sorted copy and
+// its runs, which also finds a repeated member. Expanding each rank set and
+// packing it again allocated 10.15 and 8.50 per node, scanning each field
+// with fmt 25.1 and 24.5.
 func TestDecodeAllocationsPerNode(t *testing.T) {
-	want := map[string]float64{"sweep3d": 8342, "is": 1207}
+	want := map[string]float64{"sweep3d": 4122, "is": 733}
 	for _, name := range []string{"sweep3d", "is"} {
 		_, tr := collectKernel(t, name, 16)
 		var text bytes.Buffer

@@ -32,8 +32,8 @@ func broken(rule int, format string, args ...any) error {
 // the rules without walking a group's ranks per leaf: rule 1 reads each
 // group's members once, and a leaf's ranks are checked as a set
 // (allRanksPass) wherever the answer does not depend on the rank. A leaf that
-// test cannot settle is walked over its own ranks, which costs what parsing
-// its rank set already cost (taskset.Parse expands every run).
+// test cannot settle is walked over its own ranks, a cost in its rank count
+// where parsing its rank set cost the set's text.
 func checkRules(t *Trace, members map[int]taskset.Set) error {
 	if world, ok := t.Comms[0]; !ok || len(world) != t.N || !isIdentity(world) {
 		return broken(2, "comm 0 is %v, want 0…%d in order", world, t.N-1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -124,5 +125,36 @@ func TestDecodeRuleCostIsLinearInTheDocument(t *testing.T) {
 	// member lists and rank bitmap of the larger world, and noise.
 	if bound := 6 * ds * time.Duration(len(large)) / time.Duration(len(small)); dl > bound {
 		t.Fatalf("decoding at 2^18 ranks took %v, over %v (6x the 16-rank decode per byte): the rules cost more than the document", dl, bound)
+	}
+}
+
+// TestDecodeOfWideRankSetsIsLinearInTheDocument is the cost row of the rank
+// sets Decode parses: 10,000 leaves each naming every rank of a world of
+// 2^20 allocate, per byte of the document, what leaves of a 16-rank world do.
+// Expanded and packed again, each of the wide sets would cost 8 MB.
+func TestDecodeOfWideRankSetsIsLinearInTheDocument(t *testing.T) {
+	const leaves = 10000
+	upload := func(n int) []byte {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "scalatrace-go 1\nnprocs %d\ncomms 1\ncomm 0 %s\ngroups 1\ngroup 0:%d %d\n", n, intsString(worldComms(n)[0]), n-1, leaves)
+		for i := 0; i < leaves; i++ {
+			op := [...]string{"Barrier", "Allreduce"}[i%2]
+			fmt.Fprintf(&b, "rsd op=%s site=%d ranks=0:%d comm=0 csize=%d peer=- tag=0 size=8 root=-1\n", op, i, n-1, n)
+		}
+		return b.Bytes()
+	}
+	perByte := func(text []byte) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Decode(bytes.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(text))
+	}
+	small, large := perByte(upload(16)), perByte(upload(1<<20))
+	t.Logf("allocated per document byte: %.1f B at 16 ranks, %.1f B at 2^20 ranks", small, large)
+	if large > 4*small {
+		t.Fatalf("decoding at 2^20 ranks allocated %.1f B per document byte, over 4x the %.1f B at 16 ranks: a rank set costs more than its text", large, small)
 	}
 }
