@@ -74,14 +74,17 @@ func cStmt(w *Writer, s Stmt) {
 		if x.Srcs.Equal(x.Dsts) {
 			w.S("MPI_Allreduce(MPI_IN_PLACE, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_BOR, MPI_COMM_WORLD);").End()
 		} else {
-			w.S("MPI_Reduce(MPI_IN_PLACE, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_BOR, ").Int(rootOf(x.Dsts)).S(", MPI_COMM_WORLD);").End()
+			// Only the root may reduce in place.
+			root := rootOf(x.Dsts)
+			w.S("MPI_Reduce(").Cond(OneTask(root)).S(" ? MPI_IN_PLACE : msgbuf, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_BOR, ").Int(root).S(", MPI_COMM_WORLD);").End()
 		}
 	case *MulticastStmt:
 		w.Stmt(unionSel(x.Srcs, x.Dsts))
 		if x.Srcs.Kind == SelOne {
 			w.S("MPI_Bcast(msgbuf, ").Int(x.Size).S(", MPI_BYTE, ").Int(x.Srcs.Value).S(", MPI_COMM_WORLD);").End()
 		} else {
-			w.S("MPI_Alltoall(msgbuf, ").Int(x.Size).S(", MPI_BYTE, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_COMM_WORLD);").End()
+			// In place: the send and receive buffers must not alias.
+			w.S("MPI_Alltoall(MPI_IN_PLACE, 0, MPI_BYTE, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_COMM_WORLD);").End()
 		}
 	case *ComputeStmt:
 		w.Stmt(x.Who).S("ncptl_compute_for(").Fixed3(x.USecs, true).S(");").End()

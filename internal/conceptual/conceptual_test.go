@@ -394,15 +394,22 @@ func TestGenerateCCollectives(t *testing.T) {
 	src := GenerateC(p)
 	for _, want := range []string{
 		"MPI_Allreduce(MPI_IN_PLACE, msgbuf, 16",
-		"MPI_Reduce(MPI_IN_PLACE, msgbuf, 32, MPI_BYTE, MPI_BOR, 2",
+		"MPI_Reduce(rank == 2 ? MPI_IN_PLACE : msgbuf, msgbuf, 32, MPI_BYTE, MPI_BOR, 2",
 		"MPI_Bcast(msgbuf, 64, MPI_BYTE, 1",
-		"MPI_Alltoall(msgbuf, 8",
+		"MPI_Alltoall(MPI_IN_PLACE, 0, MPI_BYTE, msgbuf, 8",
 		"MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0;",
 		"reset_at = MPI_Wtime();",
 		`printf("%d t %f\n"`,
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("C output missing %q:\n%s", want, src)
+		}
+	}
+	// MPI_IN_PLACE on a rank that is not the root, and aliased send and
+	// receive buffers, are erroneous MPI.
+	for _, bad := range []string{"MPI_Reduce(MPI_IN_PLACE", "MPI_Alltoall(msgbuf"} {
+		if strings.Contains(src, bad) {
+			t.Errorf("C output holds %q:\n%s", bad, src)
 		}
 	}
 }
