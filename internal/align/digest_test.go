@@ -3,88 +3,45 @@ package align
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"math"
-	"sort"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/wildcard"
 )
 
-// traceLines renders everything an aligned trace says, a line per
-// communicator, group and node: node structure, rank sets as they are
-// packed, peers, and the exact bits of every histogram field — the encoded
-// form rounds sums to nine digits and so hides a last-bit difference. Call
-// sites hash source paths, which move with the checkout, so each is replaced
-// by the order of its first appearance.
-func traceLines(tr *trace.Trace) []string {
-	lines := []string{fmt.Sprintf("n=%d", tr.N)}
-	ids := make([]int, 0, len(tr.Comms))
-	for id := range tr.Comms {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		lines = append(lines, fmt.Sprintf("comm %d %v", id, tr.Comms[id]))
-	}
-	sites := map[uint64]int{}
-	var walk func(seq []trace.Node)
-	walk = func(seq []trace.Node) {
-		for _, n := range seq {
-			switch x := n.(type) {
-			case *trace.Loop:
-				lines = append(lines, fmt.Sprintf("loop %d %d", x.Iters, len(x.Body)))
-				walk(x.Body)
-			case *trace.RSD:
-				site, ok := sites[x.Site]
-				if !ok {
-					site = len(sites)
-					sites[x.Site] = site
-				}
-				lines = append(lines, fmt.Sprintf("%v site=%d ranks=%s comm=%d/%d peer=%v%v wild=%v tag=%d size=%d counts=%v root=%d group=%v new=%d%s%s",
-					x.Op, site, x.Ranks, x.CommID, x.CommSize, x.Peer, x.PeerVec, x.Wildcard,
-					x.Tag, x.Size, x.Counts, x.Root, x.Group, x.NewCommID,
-					histogramBits(x.ComputeStats()), histogramBits(x.FirstCompute)))
-			}
+var siteField = regexp.MustCompile(`site=\d+`)
+
+// renumbered is tr's encoding with every site= value replaced by the order of
+// its first appearance: call sites hash source paths, which move with the
+// checkout, while which events share a site does not.
+func renumbered(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	order := map[string]int{}
+	return siteField.ReplaceAllStringFunc(encodeTrace(t, tr), func(m string) string {
+		i, ok := order[m]
+		if !ok {
+			i = len(order)
+			order[m] = i
 		}
-	}
-	for _, g := range tr.Groups {
-		lines = append(lines, fmt.Sprintf("group %s", g.Ranks))
-		walk(g.Seq)
-	}
-	return lines
+		return "site=" + strconv.Itoa(i)
+	})
 }
 
-func histogramBits(s *stats.Histogram) string {
-	if s == nil || s.Empty() {
-		return " h0"
-	}
-	bits := fmt.Sprintf(" h%d/%x/%x/%x", s.Count, math.Float64bits(s.Sum), math.Float64bits(s.Min), math.Float64bits(s.Max))
-	for i := range stats.NumBins {
-		if c := s.Bin(i); c != 0 {
-			bits += fmt.Sprintf(",%d=%d", i, c)
-		}
-	}
-	return bits
+// traceDigest is the sha256 of renumbered.
+func traceDigest(t *testing.T, tr *trace.Trace) string {
+	sum := sha256.Sum256([]byte(renumbered(t, tr)))
+	return hex.EncodeToString(sum[:])
 }
 
-// traceDigest is the sha256 of traceLines.
-func traceDigest(tr *trace.Trace) string {
-	h := sha256.New()
-	for _, line := range traceLines(tr) {
-		fmt.Fprintln(h, line)
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// sameTrace fails the test at the first line of traceLines on which got and
-// want differ.
+// sameTrace fails the test at the first line on which the renumbered
+// encodings of got and want differ.
 func sameTrace(t *testing.T, label string, got, want *trace.Trace) {
 	t.Helper()
-	g, w := traceLines(got), traceLines(want)
+	g, w := strings.Split(renumbered(t, got), "\n"), strings.Split(renumbered(t, want), "\n")
 	for i := 0; i < len(g) || i < len(w); i++ {
 		switch {
 		case i >= len(g):
@@ -129,7 +86,7 @@ func TestAlignRunToRunBitEqual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", k.app, err)
 			}
-			d := traceDigest(aligned)
+			d := traceDigest(t, aligned)
 			if run == 0 {
 				first = d
 			} else if d != first {

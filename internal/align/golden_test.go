@@ -57,7 +57,7 @@ func TestAlignGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = goldenEntry{traceDigest(aligned), aligned.NodeCount(), aligned.TotalEvents()}
+		got[name] = goldenEntry{traceDigest(t, aligned), aligned.NodeCount(), aligned.TotalEvents()}
 	}
 	for _, k := range []struct {
 		app   string

@@ -15,7 +15,7 @@ import (
 // This file holds the oracle that needs no recorded answer: the pass run on
 // lockstep classes against the same pass run one rank per class — the
 // paper's Algorithm 1 — on whatever trace it is given. They must agree on
-// every line of traceLines, or on the error.
+// every line of their encodings, or on the error.
 
 // singletonClasses is the partition into single ranks: the traversal of the
 // paper's Algorithm 1, one context per node.
