@@ -2,22 +2,15 @@ package repro
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/conceptual"
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/trace"
@@ -91,43 +84,6 @@ func goldenKernels() []goldenKernel {
 	return append(ks, app("lu", 36, true), goldenKernel{"split", 16, splitRingBody(50), true})
 }
 
-// textDigest is the sha256 of a generated source text.
-func textDigest(src string) string {
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:])
-}
-
-// clockDigest is the sha256 of the clocks' float64 bit patterns, so two
-// clock vectors digest alike only if they are bit-identical.
-func clockDigest(us []float64) string {
-	buf := make([]byte, 8*len(us))
-	for i, v := range us {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
-}
-
-var siteField = regexp.MustCompile(`site=\d+`)
-
-// traceDigest is the sha256 of an encoded trace with every site= value
-// replaced by the order of its first appearance: call-site hashes cover
-// program counters and file paths, so they move with any recompile or
-// checkout, while which events share a site does not.
-func traceDigest(encoded []byte) string {
-	order := map[string]int{}
-	renumbered := siteField.ReplaceAllFunc(encoded, func(m []byte) []byte {
-		i, ok := order[string(m)]
-		if !ok {
-			i = len(order)
-			order[string(m)] = i
-		}
-		return strconv.AppendInt([]byte("site="), int64(i), 10)
-	})
-	sum := sha256.Sum256(renumbered)
-	return hex.EncodeToString(sum[:])
-}
-
 // TestEngineGoldenDigests compares the production chain against checked-in
 // digests for every kernel of goldenKernels, class S, on the BlueGene/L
 // model, one subtest per kernel. It needs no second implementation and fails
@@ -137,33 +93,10 @@ func traceDigest(encoded []byte) string {
 // tree-walking interpreter still ran beside the chain and reproduced every
 // digest (LU's clocks under the goroutine runtime excepted: its wildcard
 // matches raced). After a deliberate cost-model, trace-format or generator
-// change: `go test -run EngineGoldenDigests -update .` and review the diff.
+// change: `go test -run EngineGoldenDigests . -update -v` and review the rows.
 func TestEngineGoldenDigests(t *testing.T) {
 	model := netmodel.BlueGeneL()
-	golden := filepath.Join("testdata", "engine_golden.json")
-	var want map[string]engineDigests
-	if !*updateGolden {
-		want = loadEngineGolden(t)
-	}
-	var mu sync.Mutex
-	got := map[string]engineDigests{}
-	// Runs once every parallel subtest below has finished.
-	t.Cleanup(func() {
-		if *updateGolden {
-			data, err := json.MarshalIndent(got, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for key := range want {
-			if _, ok := got[key]; !ok {
-				t.Errorf("%s: golden entry for a kernel that no longer runs", key)
-			}
-		}
-	})
+	digests := golden.LoadMap(t, filepath.Join("testdata", "engine_golden.json"))
 	for _, k := range goldenKernels() {
 		t.Run(k.key(), func(t *testing.T) {
 			t.Parallel()
@@ -191,51 +124,26 @@ func TestEngineGoldenDigests(t *testing.T) {
 				t.Fatalf("generate Go: %v", err)
 			}
 			g := engineDigests{
-				AppClocks:        clockDigest(res.PerRankUS),
-				Trace:            traceDigest(traceBytes),
-				ReplayClocks:     clockDigest(rep.PerRankUS),
-				GeneratedClocks:  clockDigest(exe.PerTaskUS),
-				SourceConceptual: textDigest(conceptual.Print(prog)),
-				SourceC:          textDigest(conceptual.GenerateC(prog)),
-				SourceGo:         textDigest(gosrc),
+				AppClocks:        golden.ClockDigest(res.PerRankUS),
+				Trace:            golden.TraceDigest(traceBytes),
+				ReplayClocks:     golden.ClockDigest(rep.PerRankUS),
+				GeneratedClocks:  golden.ClockDigest(exe.PerTaskUS),
+				SourceConceptual: golden.TextDigest(conceptual.Print(prog)),
+				SourceC:          golden.TextDigest(conceptual.GenerateC(prog)),
+				SourceGo:         golden.TextDigest(gosrc),
 			}
 			if k.wide {
-				g.Profile = textDigest(prof.String())
-				g.Retrace = traceDigest(retrace)
+				g.Profile = golden.TextDigest(prof.String())
+				g.Retrace = golden.TraceDigest(retrace)
 			}
-			mu.Lock()
-			got[k.key()] = g
-			mu.Unlock()
+			digests.Check(t, k.key(), g)
 
 			// The digest must be sensitive to the smallest possible clock
 			// change.
 			last := len(res.PerRankUS) - 1
 			res.PerRankUS[last] = math.Nextafter(res.PerRankUS[last], math.Inf(1))
-			if clockDigest(res.PerRankUS) == g.AppClocks {
+			if golden.ClockDigest(res.PerRankUS) == g.AppClocks {
 				t.Error("clock digest unchanged by a one-ulp clock change")
-			}
-
-			if *updateGolden {
-				return
-			}
-			w, ok := want[k.key()]
-			if !ok {
-				t.Fatal("no golden entry (run with -update after adding a kernel)")
-			}
-			for _, f := range []struct{ what, got, want string }{
-				{"traced app run clocks", g.AppClocks, w.AppClocks},
-				{"encoded trace", g.Trace, w.Trace},
-				{"cursor replay clocks", g.ReplayClocks, w.ReplayClocks},
-				{"generated program clocks", g.GeneratedClocks, w.GeneratedClocks},
-				{"coNCePTuaL source", g.SourceConceptual, w.SourceConceptual},
-				{"C source", g.SourceC, w.SourceC},
-				{"Go source", g.SourceGo, w.SourceGo},
-				{"mpiP profile", g.Profile, w.Profile},
-				{"cursor replay re-trace", g.Retrace, w.Retrace},
-			} {
-				if f.got != f.want {
-					t.Errorf("%s digest %s, golden %s", f.what, f.got, f.want)
-				}
 			}
 		})
 	}

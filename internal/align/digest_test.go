@@ -1,47 +1,26 @@
 package align
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/golden"
 	"repro/internal/trace"
 	"repro/internal/wildcard"
 )
 
-var siteField = regexp.MustCompile(`site=\d+`)
-
-// renumbered is tr's encoding with every site= value replaced by the order of
-// its first appearance: call sites hash source paths, which move with the
-// checkout, while which events share a site does not.
-func renumbered(t *testing.T, tr *trace.Trace) string {
-	t.Helper()
-	order := map[string]int{}
-	return siteField.ReplaceAllStringFunc(encodeTrace(t, tr), func(m string) string {
-		i, ok := order[m]
-		if !ok {
-			i = len(order)
-			order[m] = i
-		}
-		return "site=" + strconv.Itoa(i)
-	})
-}
-
-// traceDigest is the sha256 of renumbered.
+// traceDigest is golden.TraceDigest of tr's encoding.
 func traceDigest(t *testing.T, tr *trace.Trace) string {
-	sum := sha256.Sum256([]byte(renumbered(t, tr)))
-	return hex.EncodeToString(sum[:])
+	return golden.TraceDigest([]byte(encodeTrace(t, tr)))
 }
 
-// sameTrace fails the test at the first line on which the renumbered
-// encodings of got and want differ.
+// sameTrace fails the test at the first line on which the encodings of got
+// and want differ, sites renumbered.
 func sameTrace(t *testing.T, label string, got, want *trace.Trace) {
 	t.Helper()
-	g, w := strings.Split(renumbered(t, got), "\n"), strings.Split(renumbered(t, want), "\n")
+	g := strings.Split(string(golden.Renumber([]byte(encodeTrace(t, got)))), "\n")
+	w := strings.Split(string(golden.Renumber([]byte(encodeTrace(t, want)))), "\n")
 	for i := 0; i < len(g) || i < len(w); i++ {
 		switch {
 		case i >= len(g):

@@ -1,19 +1,15 @@
 package align
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/trace"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/align_golden.json from this checkout's Align")
 
 // splitBody is a kernel none of internal/apps provides: collectives on
 // sub-communicators, reached from two call sites, between ring exchanges
@@ -43,21 +39,21 @@ type goldenEntry struct {
 }
 
 // TestAlignGolden pins Algorithm 1's output by bits: per kernel the
-// traceDigest of the aligned trace. testdata/align_golden.json was recorded
-// by the pass that walked one traversal context per rank; whatever walks
-// the trace now has to reproduce it unchanged, and the file needs no second
-// implementation to say "wrong". Only a deliberate change to what Algorithm
-// 1 emits may regenerate it:
-// `go test -run AlignGolden ./internal/align/ -update`.
+// traceDigest of the aligned trace. testdata/align_golden.json's node and
+// event counts were recorded by the pass that walked one traversal context
+// per rank; whatever walks the trace now has to reproduce the file unchanged,
+// and it needs no second implementation to say "wrong". Only a deliberate
+// change to what Algorithm 1 emits may regenerate it:
+// `go test -run AlignGolden ./internal/align/ -update -v`.
 func TestAlignGolden(t *testing.T) {
 	const S, A = apps.ClassS, apps.ClassA
-	got := map[string]goldenEntry{}
-	record := func(name string, tr *trace.Trace) {
+	want := golden.LoadMap(t, filepath.Join("testdata", "align_golden.json"))
+	check := func(name string, tr *trace.Trace) {
 		aligned, err := Align(tr)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = goldenEntry{traceDigest(t, aligned), aligned.NodeCount(), aligned.TotalEvents()}
+		want.Check(t, name, goldenEntry{traceDigest(t, aligned), aligned.NodeCount(), aligned.TotalEvents()})
 	}
 	for _, k := range []struct {
 		app   string
@@ -67,41 +63,7 @@ func TestAlignGolden(t *testing.T) {
 		{"sweep3d", 64, A}, {"sweep3d", 36, A}, {"lu", 16, S}, {"lu", 64, A}, {"halo2d", 36, S},
 		{"pingpong", 64, S}, {"is", 64, S}, {"is", 64, A}, {"bt", 64, S}, {"cg", 64, S},
 	} {
-		record(fmt.Sprintf("%s-%d/%c", k.app, k.n, k.class), alignInput(t, k.app, k.n, k.class))
+		check(fmt.Sprintf("%s-%d/%c", k.app, k.n, k.class), alignInput(t, k.app, k.n, k.class))
 	}
-	record("split-12", collect(t, 12, splitBody))
-
-	golden := filepath.Join("testdata", "align_golden.json")
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	var want map[string]goldenEntry
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
-	for key, g := range got {
-		if w, ok := want[key]; !ok {
-			t.Errorf("%s: no golden entry (run with -update after adding a kernel)", key)
-		} else if g != w {
-			t.Errorf("%s: aligned trace %+v, golden %+v", key, g, w)
-		}
-	}
-	for key := range want {
-		if _, ok := got[key]; !ok {
-			t.Errorf("%s: golden entry for a kernel that no longer exists", key)
-		}
-	}
+	check("split-12", collect(t, 12, splitBody))
 }

@@ -1,19 +1,12 @@
 package conceptual
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
-	"strconv"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/netmodel"
 )
 
@@ -31,40 +24,9 @@ type execDigests struct {
 	Trace string `json:"trace"`
 }
 
-var siteField = regexp.MustCompile(`site=\d+`)
-
 // execDigest digests one traced execution.
 func execDigest(res *RunResult, encoded []byte) execDigests {
-	buf := make([]byte, 8*len(res.PerTaskUS))
-	for i, v := range res.PerTaskUS {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	clocks := sha256.Sum256(buf)
-	order := map[string]int{}
-	renumbered := siteField.ReplaceAllFunc(encoded, func(m []byte) []byte {
-		i, ok := order[string(m)]
-		if !ok {
-			i = len(order)
-			order[string(m)] = i
-		}
-		return strconv.AppendInt([]byte("site="), int64(i), 10)
-	})
-	tr := sha256.Sum256(renumbered)
-	return execDigests{Clocks: hex.EncodeToString(clocks[:]), Logs: res.Logs, Trace: hex.EncodeToString(tr[:])}
-}
-
-// loadExecGolden decodes testdata/exec_golden.json.
-func loadExecGolden(t *testing.T, golden string) map[string]execDigests {
-	t.Helper()
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	var want map[string]execDigests
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
-	return want
+	return execDigests{Clocks: golden.ClockDigest(res.PerTaskUS), Logs: res.Logs, Trace: golden.TraceDigest(encoded)}
 }
 
 // TestCursorMatchesReferences holds Execute's stackless cursors to
@@ -76,52 +38,16 @@ func loadExecGolden(t *testing.T, golden string) map[string]execDigests {
 // ranks, still ran beside the cursors and agreed with them; byte-identical
 // traces depended on the shared deterministic call-site stamping. After a
 // deliberate cost-model, trace-format or lowering change:
-// `go test -run 'CursorMatchesReferences|CompiledMatchesTreeWalk' ./internal/conceptual/ -update`
-// and review the diff.
+// `go test -run 'CursorMatchesReferences|CompiledMatchesTreeWalk' ./internal/conceptual/ -update -v`
+// and review the rows.
 func TestCursorMatchesReferences(t *testing.T) {
-	golden := filepath.Join("testdata", "exec_golden.json")
-	var want map[string]execDigests
-	if !*updateGolden {
-		want = loadExecGolden(t, golden)
-	}
-	got := map[string]execDigests{}
+	want := golden.LoadMap(t, filepath.Join("testdata", "exec_golden.json"))
 	for name, p := range differentialPrograms() {
 		for _, n := range []int{7, 8} {
 			key := fmt.Sprintf("%s/n%d", name, n)
 			t.Run(key, func(t *testing.T) {
-				g := execDigest(execTraced(t, p, n))
-				got[key] = g
-				if *updateGolden {
-					return
-				}
-				w, ok := want[key]
-				if !ok {
-					t.Fatal("no golden entry (run with -update after adding a program)")
-				}
-				if g.Clocks != w.Clocks {
-					t.Errorf("clock digest %s, golden %s", g.Clocks, w.Clocks)
-				}
-				if g.Trace != w.Trace {
-					t.Errorf("encoded trace digest %s, golden %s", g.Trace, w.Trace)
-				}
-				if !reflect.DeepEqual(g.Logs, w.Logs) {
-					t.Errorf("logs %+v, golden %+v", g.Logs, w.Logs)
-				}
+				want.Check(t, key, execDigest(execTraced(t, p, n)))
 			})
-		}
-	}
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for key := range want {
-		if _, ok := got[key]; !ok {
-			t.Errorf("%s: golden entry for a program that no longer runs", key)
 		}
 	}
 }
@@ -130,7 +56,8 @@ func TestCursorMatchesReferences(t *testing.T) {
 // cursor program must issue the calls the tree walk issued with no tracer
 // attached too, so its per-task clocks and logs match the golden exactly.
 func TestCompiledMatchesTreeWalk(t *testing.T) {
-	want := loadExecGolden(t, filepath.Join("testdata", "exec_golden.json"))
+	var want map[string]execDigests
+	golden.Read(t, filepath.Join("testdata", "exec_golden.json"), &want)
 	for name, p := range differentialPrograms() {
 		for _, n := range []int{7, 8} {
 			key := fmt.Sprintf("%s/n%d", name, n)

@@ -1,8 +1,6 @@
 package conceptual
 
 import (
-	"crypto/sha256"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +8,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
-)
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/parse.golden from the current parser")
+	"repro/internal/golden"
+)
 
 // dumpProgram renders every field of the AST, one statement per line, so two
 // parsers agree on a program exactly when their dumps are equal.
@@ -47,7 +45,7 @@ func parseOutcome(src string) string {
 	}
 	dump := dumpProgram(prog)
 	if len(dump) > 4<<10 {
-		return fmt.Sprintf("ok stmts=%d sha256=%x\n", prog.StmtCount(), sha256.Sum256([]byte(dump)))
+		return fmt.Sprintf("ok stmts=%d sha256=%s\n", prog.StmtCount(), golden.TextDigest(dump))
 	}
 	return fmt.Sprintf("ok stmts=%d\n%s", prog.StmtCount(), dump)
 }
@@ -100,35 +98,11 @@ func goldenInputs(t testing.TB) (names []string, srcs map[string]string) {
 // (malformed numbers are errors; an error names the offending token's line).
 func TestParseGolden(t *testing.T) {
 	names, srcs := goldenInputs(t)
-	outcomes := make(map[string]string, len(names))
 	var got strings.Builder
 	for _, name := range names {
-		outcomes[name] = parseOutcome(srcs[name])
-		fmt.Fprintf(&got, "=== %s\n%s", name, outcomes[name])
+		fmt.Fprintf(&got, "=== %s\n%s", name, parseOutcome(srcs[name]))
 	}
-	const path = "testdata/parse.golden"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == string(want) {
-		return
-	}
-	wantBy := splitCases(string(want))
-	for _, name := range names {
-		if g, w := strings.TrimSuffix(outcomes[name], "\n"), strings.TrimSuffix(wantBy[name], "\n"); g != w {
-			t.Errorf("%s:\n got: %s\nwant: %s", name, g, w)
-		}
-	}
-	if !t.Failed() {
-		t.Errorf("%s lists other inputs than testdata holds; rerun with -update and review the diff", path)
-	}
+	golden.Text(t, filepath.Join("testdata", "parse.golden"), []byte(got.String()))
 }
 
 // FuzzParse feeds the parser arbitrary source, seeded with the testdata

@@ -1,10 +1,10 @@
 package conceptual
 
 import (
-	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // renderTable is a program holding every statement kind under every selector
@@ -63,19 +63,7 @@ func TestRenderTable(t *testing.T) {
 	bare := &Program{Stmts: []Stmt{&SyncStmt{Who: AllTasks}}}
 	got := "=== conceptual\n" + Print(p) + "=== c\n" + GenerateC(p) +
 		"=== conceptual, no header\n" + Print(bare) + "=== c, no header\n" + GenerateC(bare)
-	golden := filepath.Join("testdata", "render.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("rendered text differs from %s%s", golden, firstDiff(got, string(want)))
-	}
+	golden.Text(t, filepath.Join("testdata", "render.golden"), []byte(got))
 	// The coNCePTuaL text still parses back to itself.
 	back, err := Parse(Print(p))
 	if err != nil {
@@ -84,29 +72,4 @@ func TestRenderTable(t *testing.T) {
 	if Print(back) != Print(p) {
 		t.Error("Print is not a fixed point of Parse∘Print on the table program")
 	}
-}
-
-// firstDiff describes the first line two texts differ in.
-func firstDiff(got, want string) string {
-	line := 1
-	for i := 0; i < len(got) && i < len(want); i++ {
-		if got[i] != want[i] {
-			return "\nline " + strconv.Itoa(line) + ":\n got  " + lineAt(got, i) + "\n want " + lineAt(want, i)
-		}
-		if got[i] == '\n' {
-			line++
-		}
-	}
-	return "\nlengths " + strconv.Itoa(len(got)) + " vs " + strconv.Itoa(len(want))
-}
-
-func lineAt(s string, i int) string {
-	lo, hi := i, i
-	for lo > 0 && s[lo-1] != '\n' {
-		lo--
-	}
-	for hi < len(s) && s[hi] != '\n' {
-		hi++
-	}
-	return s[lo:hi]
 }

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/taskset"
 	"repro/internal/trace"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/gogen.golden from the current Go backend")
 
 // TestGoRenderTable drives the Go backend with every operation it maps, under
 // every participant-set shape (all/one/range/stride/enum) and every peer form
@@ -90,22 +87,7 @@ func TestGoRenderTable(t *testing.T) {
 		t.Error("Source is not repeatable")
 	}
 
-	golden := filepath.Join("testdata", "gogen.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("generated Go differs from %s (got %d bytes, want %d)", golden, len(got), len(want))
-	}
+	golden.Text(t, filepath.Join("testdata", "gogen.golden"), []byte(got))
 
 	// Unresolved wildcards and unmapped operations stay errors.
 	for _, r := range []*trace.RSD{

@@ -2,12 +2,11 @@ package mpi_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/replay"
@@ -149,8 +148,8 @@ func TestRequestArenaRewindMatchesCoroutineReplay(t *testing.T) {
 				t.Errorf("%s: rank %d clock %v, coroutine replay %v", leg.name, i, c, math.Float64frombits(burstClockBits))
 			}
 		}
-		if sum := sha256.Sum256(retrace); hex.EncodeToString(sum[:]) != burstRetrace {
-			t.Errorf("%s: re-trace digest %x, coroutine replay's %s", leg.name, sum, burstRetrace)
+		if got := golden.TextDigest(string(retrace)); got != burstRetrace {
+			t.Errorf("%s: re-trace digest %s, coroutine replay's %s", leg.name, got, burstRetrace)
 		}
 	}
 }
@@ -371,8 +370,8 @@ func TestMessageOrderSurvivesReuse(t *testing.T) {
 				t.Errorf("%s: rank %d clock %v (%#x), recorded %v", leg.name, i, c, math.Float64bits(c), math.Float64frombits(reuseClockBits))
 			}
 		}
-		if sum := sha256.Sum256(retrace); hex.EncodeToString(sum[:]) != reuseRetrace {
-			t.Errorf("%s: re-trace digest %x, recorded %s", leg.name, sum, reuseRetrace)
+		if got := golden.TextDigest(string(retrace)); got != reuseRetrace {
+			t.Errorf("%s: re-trace digest %s, recorded %s", leg.name, got, reuseRetrace)
 		}
 	}
 }

@@ -1,12 +1,9 @@
 package mpi
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/netmodel"
 )
 
@@ -56,11 +53,7 @@ func TestCollectiveStress256(t *testing.T) {
 			t.Fatalf("rank %d clock: first run %v, second %v", i, first.PerRankUS[i], second.PerRankUS[i])
 		}
 	}
-	buf := make([]byte, 8*n)
-	for i, v := range first.PerRankUS {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	if sum := sha256.Sum256(buf); hex.EncodeToString(sum[:]) != stressClocks {
-		t.Errorf("clock digest %x, recorded %s", sum, stressClocks)
+	if got := golden.ClockDigest(first.PerRankUS); got != stressClocks {
+		t.Errorf("clock digest %s, recorded %s", got, stressClocks)
 	}
 }

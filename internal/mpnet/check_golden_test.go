@@ -3,22 +3,18 @@ package mpnet
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"math"
-	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/check_golden.json and testdata/counterexample_golden.json from this checkout")
-
-const goldenPath = "testdata/check_golden.json"
 
 // goldenCase is one net whose exploration is pinned field for field.
 type goldenCase struct {
@@ -143,38 +139,10 @@ func stable(v *Verdict) *Verdict {
 // unchanged: a store or reduction change that alters what is explored, or
 // in which order, fails here.
 func TestCheckGolden(t *testing.T) {
+	want := golden.LoadMap(t, filepath.Join("testdata", "check_golden.json"))
 	cases := goldenCases()
-	got := map[string]*Verdict{}
 	for i, net := range goldenNets(t) {
-		got[cases[i].name] = stable(net.Check(&Options{MaxStates: cases[i].maxStates}))
-	}
-	if *update {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
-	}
-	want := map[string]*Verdict{}
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d cases, the suite %d", len(want), len(got))
-	}
-	for _, gc := range cases {
-		if !reflect.DeepEqual(got[gc.name], want[gc.name]) {
-			g, _ := json.Marshal(got[gc.name])
-			w, _ := json.Marshal(want[gc.name])
-			t.Errorf("%s:\n got  %s\n want %s", gc.name, g, w)
-		}
+		want.Check(t, cases[i].name, stable(net.Check(&Options{MaxStates: cases[i].maxStates})))
 	}
 }
 

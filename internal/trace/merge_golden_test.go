@@ -1,41 +1,18 @@
 package trace
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
-	"regexp"
 	"strconv"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/merge_golden.json")
-
-var siteField = regexp.MustCompile(`site=\d+`)
-
-// mergeDigest is the sha256 of the encoded trace with every site= value
-// replaced by the order of its first appearance: a collected call site
-// hashes program counters, which move with every recompile, while which
-// events share a site does not.
+// mergeDigest is golden.TraceDigest of tr's encoding.
 func mergeDigest(t *testing.T, tr *Trace) string {
-	t.Helper()
-	order := map[string]int{}
-	renumbered := siteField.ReplaceAllFunc([]byte(encodeTrace(t, tr)), func(m []byte) []byte {
-		i, ok := order[string(m)]
-		if !ok {
-			i = len(order)
-			order[string(m)] = i
-		}
-		return strconv.AppendInt([]byte("site="), int64(i), 10)
-	})
-	sum := sha256.Sum256(renumbered)
-	return hex.EncodeToString(sum[:])
+	return golden.TraceDigest([]byte(encodeTrace(t, tr)))
 }
 
 // splitKernel is a kernel none of internal/apps provides: two CommSplits
@@ -66,49 +43,18 @@ func splitKernel(r *mpi.Rank) {
 // (required equal before writing); whatever the merge becomes has to
 // reproduce it unchanged. It needs no second implementation. Only a
 // deliberate change to what the merge produces, or to the trace format, may
-// regenerate it: `go test -run MergeGolden ./internal/trace/ -update`.
+// regenerate it: `go test -run MergeGolden ./internal/trace/ -update -v`.
 func TestMergeGolden(t *testing.T) {
-	got := map[string]string{}
+	want := golden.LoadMap(t, filepath.Join("testdata", "merge_golden.json"))
 	for _, sc := range mergeScenarios() {
-		got[sc.name] = mergeDigest(t, MergeRankSeqsOwned(sc.n, sc.comms(sc.n), sc.build(sc.n)))
+		want.Check(t, sc.name, mergeDigest(t, MergeRankSeqsOwned(sc.n, sc.comms(sc.n), sc.build(sc.n))))
 	}
 	for _, k := range []struct {
 		app string
 		n   int
 	}{{"bt", 64}, {"lu", 36}, {"sweep3d", 64}} {
 		body := apps.ByName(k.app).Body(apps.NewConfig(k.n, apps.ClassS))
-		got[k.app+"-"+strconv.Itoa(k.n)] = mergeDigest(t, collectTrace(t, k.n, body))
+		want.Check(t, k.app+"-"+strconv.Itoa(k.n), mergeDigest(t, collectTrace(t, k.n, body)))
 	}
-	got["split-32"] = mergeDigest(t, collectTrace(t, 32, splitKernel))
-
-	golden := filepath.Join("testdata", "merge_golden.json")
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
-	for key, g := range got {
-		if w, ok := want[key]; !ok {
-			t.Errorf("%s: no golden entry (run with -update after adding an input)", key)
-		} else if g != w {
-			t.Errorf("%s: merged trace digest %s, golden %s", key, g, w)
-		}
-	}
-	for key := range want {
-		if _, ok := got[key]; !ok {
-			t.Errorf("%s: golden entry for an input that no longer exists", key)
-		}
-	}
+	want.Check(t, "split-32", mergeDigest(t, collectTrace(t, 32, splitKernel)))
 }

@@ -2,47 +2,24 @@ package wildcard
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/resolve_golden.json from this checkout's Resolve")
-
-var siteField = regexp.MustCompile(`site=\d+`)
-
-// traceDigest is the sha256 of the encoded trace with every site= value
-// replaced by the order of its first appearance: a collected call site hashes
-// program counters and file paths, which move with every recompile or
-// checkout, while which events share a site does not.
+// traceDigest is golden.TraceDigest of tr's encoding.
 func traceDigest(t testing.TB, tr *trace.Trace) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	order := map[string]int{}
-	renumbered := siteField.ReplaceAllFunc(buf.Bytes(), func(m []byte) []byte {
-		i, ok := order[string(m)]
-		if !ok {
-			i = len(order)
-			order[string(m)] = i
-		}
-		return strconv.AppendInt([]byte("site="), int64(i), 10)
-	})
-	sum := sha256.Sum256(renumbered)
-	return hex.EncodeToString(sum[:])
+	return golden.TraceDigest(buf.Bytes())
 }
 
 // kernelTrace collects a bundled application on the BlueGene/L model.
@@ -89,8 +66,9 @@ func nonblockingWildBody(n int) func(*mpi.Rank) {
 
 // TestResolveGolden pins Algorithm 2's output by bits: per input the digest
 // of the encoded resolved trace. After a deliberate change to what Resolve
-// emits: `go test -run ResolveGolden ./internal/wildcard/ -update`.
+// emits: `go test -run ResolveGolden ./internal/wildcard/ -update -v`.
 func TestResolveGolden(t *testing.T) {
+	want := golden.LoadMap(t, filepath.Join("testdata", "resolve_golden.json"))
 	inputs := map[string]func() *trace.Trace{
 		"lu-16/S":            func() *trace.Trace { return kernelTrace(t, "lu", 16, apps.ClassS) },
 		"lu-36/S":            func() *trace.Trace { return kernelTrace(t, "lu", 36, apps.ClassS) },
@@ -98,46 +76,11 @@ func TestResolveGolden(t *testing.T) {
 		"star-6":             func() *trace.Trace { return collect(t, 6, starBody(6)) },
 		"nonblocking-wild-4": func() *trace.Trace { return collect(t, 4, nonblockingWildBody(4)) },
 	}
-	got := map[string]string{}
 	for name, input := range inputs {
 		resolved, err := Resolve(input())
 		if err != nil {
 			t.Fatalf("%s: Resolve: %v", name, err)
 		}
-		got[name] = traceDigest(t, resolved)
-	}
-
-	golden := filepath.Join("testdata", "resolve_golden.json")
-	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
-	for name, g := range got {
-		if w, ok := want[name]; !ok {
-			t.Errorf("%s: no golden entry (run with -update after adding an input)", name)
-		} else if g != w {
-			t.Errorf("%s: resolved trace digest %s, golden %s", name, g, w)
-		}
-	}
-	for name := range want {
-		if _, ok := got[name]; !ok {
-			t.Errorf("%s: golden entry for an input that no longer exists", name)
-		}
+		want.Check(t, name, traceDigest(t, resolved))
 	}
 }

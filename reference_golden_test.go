@@ -2,16 +2,14 @@ package repro
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/critpath"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
 	"repro/internal/replay"
@@ -30,70 +28,21 @@ import (
 // (LU's clocks under the goroutine runtime excepted: its wildcard matches
 // raced there, landing within 1 % of the event engine's). After a deliberate
 // cost-model, trace-format or profiler change:
-// `go test -run 'EngineGoldenDigests|GoroutineRuntime|Representations' -update .`
-// and review the diff.
+// `go test -run 'EngineGoldenDigests|GoroutineRuntime|Representations' . -update -v`
+// and review the rows.
 
 // loadEngineGolden decodes testdata/engine_golden.json.
 func loadEngineGolden(t *testing.T) map[string]engineDigests {
 	t.Helper()
-	golden := filepath.Join("testdata", "engine_golden.json")
-	data, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
 	var want map[string]engineDigests
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", golden, err)
-	}
+	golden.Read(t, filepath.Join("testdata", "engine_golden.json"), &want)
 	return want
 }
 
 // referenceGolden loads testdata/reference_golden.json (kernel → field →
-// digest) and returns the calling test's check: it compares a digest with the
-// golden's, or under -update records it, the file being rewritten when the
-// test ends with the other tests' fields kept.
-func referenceGolden(t *testing.T) func(t *testing.T, key, field, got string) {
-	t.Helper()
-	path := filepath.Join("testdata", "reference_golden.json")
-	golden := map[string]map[string]string{}
-	data, err := os.ReadFile(path)
-	if err == nil {
-		err = json.Unmarshal(data, &golden)
-	}
-	if err != nil && !*updateGolden {
-		t.Fatalf("%s (run with -update to create): %v", path, err)
-	}
-	var mu sync.Mutex
-	if *updateGolden {
-		// Runs once every parallel subtest has finished.
-		t.Cleanup(func() {
-			data, err := json.MarshalIndent(golden, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	return func(t *testing.T, key, field, got string) {
-		t.Helper()
-		mu.Lock()
-		defer mu.Unlock()
-		if *updateGolden {
-			if golden[key] == nil {
-				golden[key] = map[string]string{}
-			}
-			golden[key][field] = got
-			return
-		}
-		want, ok := golden[key][field]
-		if !ok {
-			t.Errorf("no golden %s entry (run with -update after adding a kernel)", field)
-		} else if got != want {
-			t.Errorf("%s digest %s, golden %s", field, got, want)
-		}
-	}
+// digest) for the calling test, which checks its own fields of every kernel.
+func referenceGolden(t *testing.T) *golden.Map {
+	return golden.LoadMap(t, filepath.Join("testdata", "reference_golden.json"))
 }
 
 // forKernels16 runs f as a parallel subtest "<name>-<n>" for every kernel at
@@ -129,17 +78,17 @@ func traceOf(t *testing.T, encoded []byte) *trace.Trace {
 // bytes).
 func TestEventEngineMatchesGoroutineRuntime(t *testing.T) {
 	engine := loadEngineGolden(t)
-	check := referenceGolden(t)
+	ref := referenceGolden(t)
 	forKernels16(t, func(t *testing.T, key, name string, n int) {
 		res, traceBytes, prof := runKernel(t, name, n)
 		w := engine[key]
-		if got := clockDigest(res.PerRankUS); got != w.AppClocks {
+		if got := golden.ClockDigest(res.PerRankUS); got != w.AppClocks {
 			t.Errorf("clock digest %s, golden %s", got, w.AppClocks)
 		}
-		if got := traceDigest(traceBytes); got != w.Trace {
+		if got := golden.TraceDigest(traceBytes); got != w.Trace {
 			t.Errorf("encoded trace digest %s, golden %s", got, w.Trace)
 		}
-		check(t, key, "profile", textDigest(prof.String()))
+		ref.CheckField(t, key, "profile", golden.TextDigest(prof.String()))
 	})
 }
 
@@ -148,14 +97,14 @@ func TestEventEngineMatchesGoroutineRuntime(t *testing.T) {
 // bit-identical per-rank clocks and a byte-identical encoded re-trace.
 func TestReplayRepresentationsBitIdentical(t *testing.T) {
 	engine := loadEngineGolden(t)
-	check := referenceGolden(t)
+	ref := referenceGolden(t)
 	forKernels16(t, func(t *testing.T, key, name string, n int) {
 		_, traceBytes, _ := runKernel(t, name, n)
 		res, retrace := replayKernel(t, traceOf(t, traceBytes))
-		if got, want := clockDigest(res.PerRankUS), engine[key].ReplayClocks; got != want {
+		if got, want := golden.ClockDigest(res.PerRankUS), engine[key].ReplayClocks; got != want {
 			t.Errorf("clock digest %s, golden %s", got, want)
 		}
-		check(t, key, "retrace", traceDigest(retrace))
+		ref.CheckField(t, key, "retrace", golden.TraceDigest(retrace))
 	})
 }
 
@@ -166,39 +115,33 @@ func TestReplayRepresentationsBitIdentical(t *testing.T) {
 // therefore its critical-path profile.
 func TestCritPathRepresentationsIdentical(t *testing.T) {
 	engine := loadEngineGolden(t)
-	check := referenceGolden(t)
+	ref := referenceGolden(t)
 	forKernels16(t, func(t *testing.T, key, name string, n int) {
 		_, traceBytes, _ := runKernel(t, name, n)
 		g := mpi.NewDepGraph()
 		if _, err := replay.Replay(traceOf(t, traceBytes), netmodel.BlueGeneL(), mpi.WithCausalProfile(g)); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
-		if got, want := clockDigest(g.FinalUS), engine[key].ReplayClocks; got != want {
+		if got, want := golden.ClockDigest(g.FinalUS), engine[key].ReplayClocks; got != want {
 			t.Errorf("final clock digest %s, golden %s", got, want)
 		}
 		g = siteRenumbered(g)
-		check(t, key, "deps", textDigest(fmt.Sprintf("%+v", g.Records)))
-		check(t, key, "critpath", textDigest(fmt.Sprintf("%+v", *critpath.Analyze(g))))
+		ref.CheckField(t, key, "deps", golden.TextDigest(fmt.Sprintf("%+v", g.Records)))
+		ref.CheckField(t, key, "critpath", golden.TextDigest(fmt.Sprintf("%+v", *critpath.Analyze(g))))
 	})
 }
 
 // siteRenumbered returns a copy of g whose call-site hashes are replaced by
 // the order of their first appearance, rank by rank, for the reason
-// traceDigest renumbers them.
+// golden.TraceDigest renumbers them.
 func siteRenumbered(g *mpi.DepGraph) *mpi.DepGraph {
 	c := *g
 	c.Records = make([][]mpi.DepRecord, len(g.Records))
-	order := map[uint64]uint64{}
+	order := golden.Numbering[uint64]{}
 	for r, recs := range g.Records {
 		c.Records[r] = slices.Clone(recs)
 		for i := range c.Records[r] {
-			site := c.Records[r][i].Site
-			id, ok := order[site]
-			if !ok {
-				id = uint64(len(order))
-				order[site] = id
-			}
-			c.Records[r][i].Site = id
+			c.Records[r][i].Site = uint64(order.Of(c.Records[r][i].Site))
 		}
 	}
 	return &c

@@ -3,23 +3,20 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/mpip"
 	"repro/internal/netmodel"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestTelemetryOnOffBitIdentical is the telemetry layer's non-interference
 // proof: every application kernel runs once with telemetry disabled and once
@@ -172,23 +169,7 @@ func TestTimelineGolden64Ranks(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "timeline_64rank.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("golden missing (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("timeline export differs from %s (len %d vs %d); run with -update after intentional changes",
-			golden, buf.Len(), len(want))
-	}
+	golden.Text(t, filepath.Join("testdata", "timeline_64rank.golden.json"), buf.Bytes())
 }
 
 // TestTelemetryOverheadGuard is a coarse tripwire against the enabled-path
