@@ -214,8 +214,8 @@ func FuzzAlignLockstep(f *testing.F) {
 		"rsd op=Irecv site=10 ranks=0:3 comm=0 csize=4 peer=any tag=500 size=40 root=-1 wildcard=1\n" +
 		"rsd op=Send site=11 ranks=0:2 comm=0 csize=4 peer=rel1 tag=500 size=40 root=-1\n" +
 		"rsd op=Waitall site=12 ranks=0:3 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n" +
-		"rsd op=Barrier site=13 ranks=0,2 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n" +
-		"rsd op=Barrier site=14 ranks=1,3 comm=1 csize=4 peer=- tag=0 size=0 root=-1\n"))
+		"rsd op=Barrier site=13 ranks=0:2:2 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n" +
+		"rsd op=Barrier site=14 ranks=1:3:2 comm=1 csize=4 peer=- tag=0 size=0 root=-1\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Decode(bytes.NewReader(data))

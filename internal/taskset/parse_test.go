@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// parseExpanding is Parse as it was before canonical text was read run by
-// run: every run expanded, then packed by Of. It is the reference Parse is
-// held to, on every input.
+// parseExpanding is Parse as it was before it read only the text String
+// prints: every run expanded, then packed by Of. It is the reference Parse
+// is held to, on every input.
 func parseExpanding(text string) (Set, error) {
 	text = strings.TrimSpace(text)
 	if text == "" || text == "{}" {
@@ -60,23 +60,26 @@ func parseExpanding(text string) (Set, error) {
 	return Of(ranks...), nil
 }
 
-// checkParse fails t unless Parse and parseExpanding give text the same runs
-// or the same error, and unless text read as canonical is what String prints.
+// checkParse fails t unless Parse gives text parseExpanding's exact set when
+// text, blanks trimmed, is what String prints of that set (or is blank), and
+// an error otherwise.
 func checkParse(t *testing.T, text string) {
 	t.Helper()
-	if s, ok := parseCanonical(text); ok && s.String() != text {
-		t.Fatalf("%q is read as canonical, but its set prints as %q", text, s.String())
-	}
 	got, err := Parse(text)
 	want, wantErr := parseExpanding(text)
-	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !got.Identical(want) {
-		t.Fatalf("Parse(%q) = %v, %v; the expanding parser gives %v, %v", text, got.runs, err, want.runs, wantErr)
+	trimmed := strings.TrimSpace(text)
+	switch canonical := wantErr == nil && (trimmed == "" || want.String() == trimmed); {
+	case canonical && (err != nil || !got.Identical(want)):
+		t.Fatalf("Parse(%q) = %v, %v; String prints the expanding parser's %v as this text", text, got.runs, err, want.runs)
+	case !canonical && err == nil:
+		t.Fatalf("Parse(%q) = %v; want an error: String prints the set as %q (expanding parser: %v)", text, got.runs, want, wantErr)
 	}
 }
 
 // TestParseMatchesExpanding holds Parse to the parser that expanded every
-// run: the String form of random sets, which must take the canonical path,
-// and random texts over the runs' alphabet, most of which must not.
+// run: the String form of random sets, which it must read as that parser
+// does, and random texts over the runs' alphabet, most of which it must
+// refuse.
 func TestParseMatchesExpanding(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	randomSet := func() Set {
@@ -91,8 +94,8 @@ func TestParseMatchesExpanding(t *testing.T) {
 	}
 	for range 5000 {
 		s := randomSet()
-		if _, ok := parseCanonical(s.String()); !ok && !s.IsEmpty() {
-			t.Fatalf("%q, the String form of %v, is not read as canonical", s.String(), s.runs)
+		if got, err := Parse(s.String()); err != nil || !got.Identical(s) {
+			t.Fatalf("Parse(%q), the String form of %v, = %v, %v", s.String(), s.runs, got.runs, err)
 		}
 		checkParse(t, s.String())
 	}
@@ -116,6 +119,24 @@ func TestParseMatchesExpanding(t *testing.T) {
 		"-9223372036854775808:9223372036854775807:9223372036854775807", "9223372036854775806:9223372036854775807:1",
 		"1:-9223372036854775808:9223372036854775807", "0:1048575", "0:1048575,1048577", "0,2:1048576"} {
 		checkParse(t, text)
+	}
+}
+
+// TestParseNamesTheCanonicalSpelling refuses text String does not print,
+// naming the text and what String prints.
+func TestParseNamesTheCanonicalSpelling(t *testing.T) {
+	for text, want := range map[string]string{
+		"0,2":         `taskset: "0,2" is not canonical (String prints "0:2:2")`,
+		"0:1048575:1": `taskset: "0:1048575:1" is not canonical (String prints "0:1048575")`,
+		"0,1:1048575": `taskset: "0,1:1048575" is not canonical (String prints "0:1048575")`,
+		"3:3":         `taskset: "3:3" is not canonical (String prints "3")`,
+		"0:5:2":       `taskset: "0:5:2" is not canonical (String prints "0:4:2")`,
+		"+1,007":      `taskset: "+1,007" is not canonical (String prints "1:7:6")`,
+		"4,2:3":       `taskset: "4,2:3" is not canonical (String prints "2:4")`,
+	} {
+		if _, err := Parse(text); fmt.Sprint(err) != want {
+			t.Errorf("Parse(%q): %v, want %s", text, err, want)
+		}
 	}
 }
 

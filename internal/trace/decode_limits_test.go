@@ -188,7 +188,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		{
 			name: "leaf names a rank outside its group",
 			input: "scalatrace-go 1\nnprocs 4\ncomms 1\ncomm 0 0,1,2,3\ngroups 2\n" +
-				"group 0:1 1\nrsd op=Send site=1 ranks=0,1,3 comm=0 csize=4 peer=rel1 tag=0 size=4 root=-1\n" +
+				"group 0:1 1\nrsd op=Send site=1 ranks=0,1:3:2 comm=0 csize=4 peer=rel1 tag=0 size=4 root=-1\n" +
 				"group 2:3 0\n",
 			want: "rule 3, a leaf names only ranks of its group: Send at site 1 names ranks 0,1:3:2 (group 0:1)",
 		},
@@ -270,7 +270,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		{
 			name: "sub-communicator leaf naming a non-member among members",
 			input: "scalatrace-go 1\nnprocs 6\ncomms 2\ncomm 0 0,1,2,3,4,5\ncomm 1 5,1,3\ngroups 1\ngroup 0:5 1\n" +
-				"rsd op=Allreduce site=1 ranks=1:5:2,4 comm=1 csize=3 peer=- tag=0 size=8 root=-1\n",
+				"rsd op=Allreduce site=1 ranks=1,3:5 comm=1 csize=3 peer=- tag=0 size=8 root=-1\n",
 			want: "rule 4, a leaf's ranks are members of its listed communicator: Allreduce at site 1: rank 4 is not a member of comm 1",
 		},
 		{

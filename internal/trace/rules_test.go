@@ -158,3 +158,26 @@ func TestDecodeOfWideRankSetsIsLinearInTheDocument(t *testing.T) {
 		t.Fatalf("decoding at 2^20 ranks allocated %.1f B per document byte, over 4x the %.1f B at 16 ranks: a rank set costs more than its text", large, small)
 	}
 }
+
+// TestDecodeRefusesNonCanonicalRankSetsUnexpanded is the cost row of rank-set
+// text String does not print: 10,000 leaves each spelling 2^20 ranks
+// "0:1048575:1" are refused at the first, which is not expanded (8 MB).
+func TestDecodeRefusesNonCanonicalRankSetsUnexpanded(t *testing.T) {
+	const leaves = 10000
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "scalatrace-go 1\nnprocs 16\ncomms 1\ncomm 0 %s\ngroups 1\ngroup 0:15 %d\n", intsString(worldComms(16)[0]), leaves)
+	for i := 0; i < leaves; i++ {
+		fmt.Fprintf(&b, "rsd op=Barrier site=%d ranks=0:1048575:1 comm=0 csize=16 peer=- tag=0 size=8 root=-1\n", i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(&b)
+	runtime.ReadMemStats(&after)
+	want := `trace: line 7: bad ranks value "0:1048575:1": taskset: "0:1048575:1" is not canonical (String prints "0:1048575")`
+	if err == nil || err.Error() != want {
+		t.Fatalf("Decode: %v, want %s", err, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("refusing the document allocated %d B: a rank set was expanded", alloc)
+	}
+}
