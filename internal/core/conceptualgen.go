@@ -294,34 +294,3 @@ func (g *ConceptualGenerator) emitPt2Pt(r *trace.RSD, isSend bool) error {
 	return nil
 }
 
-// StatsGenerator is a second CodeGenerator backend: it measures the
-// generated-code footprint without building an AST. It backs the
-// trace-size/code-size scaling experiments and demonstrates the pluggable
-// backend interface with a non-coNCePTuaL target.
-type StatsGenerator struct {
-	// Events counts RSD callbacks; Loops counts PRSDs; MaxDepth tracks
-	// nesting.
-	Events, Loops, MaxDepth int
-	depth                   int
-}
-
-// Begin implements CodeGenerator.
-func (s *StatsGenerator) Begin(*trace.Trace) {}
-
-// StartLoop implements CodeGenerator.
-func (s *StatsGenerator) StartLoop(int) {
-	s.Loops++
-	s.depth++
-	if s.depth > s.MaxDepth {
-		s.MaxDepth = s.depth
-	}
-}
-
-// EndLoop implements CodeGenerator.
-func (s *StatsGenerator) EndLoop() { s.depth-- }
-
-// Event implements CodeGenerator.
-func (s *StatsGenerator) Event(*trace.RSD) error {
-	s.Events++
-	return nil
-}

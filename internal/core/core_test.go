@@ -126,8 +126,8 @@ func TestGenerateResolvesWildcards(t *testing.T) {
 	if strings.Contains(src, "ANY") {
 		t.Fatalf("wildcard leaked into generated code:\n%s", src)
 	}
-	// With SkipResolve the generator must refuse.
-	if _, err := Generate(tr, &Options{SkipResolve: true}); err == nil {
+	// The raw trace's wildcards the generator must refuse.
+	if err := Traverse(tr, NewConceptualGenerator(nil)); err == nil {
 		t.Fatal("expected error generating unresolved wildcards")
 	}
 }
@@ -299,27 +299,6 @@ func TestGeneratedRootIsAbsolute(t *testing.T) {
 	src := conceptual.Print(prog)
 	if !strings.Contains(src, "REDUCE A 32 BYTE MESSAGE TO TASK 3") {
 		t.Errorf("root not translated to absolute rank 3:\n%s", src)
-	}
-}
-
-func TestStatsGeneratorBackend(t *testing.T) {
-	tr := collect(t, 4, ringBody(50, 128))
-	prepared, err := Prepare(tr, &Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sg StatsGenerator
-	if err := Traverse(prepared, &sg); err != nil {
-		t.Fatal(err)
-	}
-	if sg.Loops < 1 {
-		t.Fatalf("no loops seen: %+v", sg)
-	}
-	if sg.Events < 4 {
-		t.Fatalf("too few events seen: %+v", sg)
-	}
-	if sg.MaxDepth < 1 {
-		t.Fatalf("no nesting: %+v", sg)
 	}
 }
 

@@ -23,9 +23,6 @@ import (
 
 // Options configure generation.
 type Options struct {
-	// SkipResolve disables Algorithm 2 even when wildcards are present: the
-	// formal-model backends render the nondeterminism it would eliminate.
-	SkipResolve bool
 	// Comments are prepended to the generated program.
 	Comments []string
 }
@@ -57,7 +54,7 @@ func Generate(t *trace.Trace, opts *Options) (*conceptual.Program, error) {
 // 4.4 both apply the cheap check before the O(p*e) pass).
 func Prepare(t *trace.Trace, opts *Options) (*trace.Trace, error) {
 	out := t
-	if !opts.SkipResolve && wildcard.Present(out) {
+	if wildcard.Present(out) {
 		resolved, err := wildcard.Resolve(out)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)

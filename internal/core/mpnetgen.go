@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/align"
 	"repro/internal/mpnet"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -14,22 +15,20 @@ import (
 // that internal/mpnet's checker (and external tools) consume. Unlike the
 // executable backends it deliberately keeps wildcard receives
 // unresolved: the whole point of the artifact is to model the
-// nondeterminism Algorithm 2 eliminates, so Prepare runs with
-// SkipResolve and only collective alignment (Algorithm 1) is applied.
+// nondeterminism Algorithm 2 eliminates, so only collective alignment
+// (Algorithm 1) is applied.
 
 // lowerForModel aligns the trace's collectives, keeps its wildcards, and
 // lowers the result to its MP-net.
-func lowerForModel(t *trace.Trace, opts *Options) (*mpnet.Net, error) {
-	if opts == nil {
-		opts = &Options{}
+func lowerForModel(t *trace.Trace) (*mpnet.Net, error) {
+	if align.Needed(t) {
+		aligned, err := align.Align(t)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		t = aligned
 	}
-	o := *opts
-	o.SkipResolve = true
-	prepared, err := Prepare(t, &o)
-	if err != nil {
-		return nil, err
-	}
-	net, err := mpnet.FromTrace(prepared, nil)
+	net, err := mpnet.FromTrace(t, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -38,9 +37,9 @@ func lowerForModel(t *trace.Trace, opts *Options) (*mpnet.Net, error) {
 
 // GenerateMPNet lowers the trace to its MP-net and renders the JSON
 // artifact.
-func GenerateMPNet(t *trace.Trace, opts *Options) ([]byte, error) {
+func GenerateMPNet(t *trace.Trace) ([]byte, error) {
 	defer telemetry.Region("core.generate_mpnet")()
-	net, err := lowerForModel(t, opts)
+	net, err := lowerForModel(t)
 	if err != nil {
 		return nil, err
 	}
@@ -53,9 +52,9 @@ func GenerateMPNet(t *trace.Trace, opts *Options) ([]byte, error) {
 
 // GenerateMPNetTLA lowers the trace to its MP-net and renders the TLA+
 // module (bounded by mpnet.TLAMaxEvents).
-func GenerateMPNetTLA(t *trace.Trace, opts *Options, module string) (string, error) {
+func GenerateMPNetTLA(t *trace.Trace, module string) (string, error) {
 	defer telemetry.Region("core.generate_mpnet")()
-	net, err := lowerForModel(t, opts)
+	net, err := lowerForModel(t)
 	if err != nil {
 		return "", err
 	}

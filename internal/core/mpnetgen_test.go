@@ -29,7 +29,7 @@ func collectWildcard(t *testing.T) *trace.Trace {
 }
 
 func TestGenerateMPNetKeepsWildcards(t *testing.T) {
-	raw, err := GenerateMPNet(collectWildcard(t), nil)
+	raw, err := GenerateMPNet(collectWildcard(t))
 	if err != nil {
 		t.Fatalf("GenerateMPNet: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestGenerateMPNetKeepsWildcards(t *testing.T) {
 }
 
 func TestGenerateMPNetTLA(t *testing.T) {
-	mod, err := GenerateMPNetTLA(collectWildcard(t), nil, "Star")
+	mod, err := GenerateMPNetTLA(collectWildcard(t), "Star")
 	if err != nil {
 		t.Fatalf("GenerateMPNetTLA: %v", err)
 	}

@@ -27,10 +27,10 @@ var languages = []struct {
 		return GenerateGo(prepared, nil)
 	}},
 	{"mpnet", func(p *Pipeline) (string, error) {
-		raw, err := GenerateMPNet(p.raw, nil)
+		raw, err := GenerateMPNet(p.raw)
 		return string(raw), err
 	}},
-	{"tla", func(p *Pipeline) (string, error) { return GenerateMPNetTLA(p.raw, nil, "CommModel") }},
+	{"tla", func(p *Pipeline) (string, error) { return GenerateMPNetTLA(p.raw, "CommModel") }},
 }
 
 func fromProgram(print func(*conceptual.Program) string) func(*Pipeline) (string, error) {
