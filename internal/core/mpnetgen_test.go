@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/mpi"
+	"repro/internal/mpnet"
 	"repro/internal/netmodel"
 	"repro/internal/trace"
 )
@@ -54,5 +56,26 @@ func TestGenerateMPNetTLA(t *testing.T) {
 	}
 	if !strings.Contains(mod, "---- MODULE Star ----") || !strings.Contains(mod, "recv-any") {
 		t.Fatalf("TLA artifact malformed:\n%s", mod)
+	}
+}
+
+// TestCollectiveOpMismatchIsRefused: a Barrier meeting an Allreduce on one
+// communicator is refused by the MP-net lowering, and so by verification and
+// the model backends, in Algorithm 1's words.
+func TestCollectiveOpMismatchIsRefused(t *testing.T) {
+	tr, err := trace.Decode(strings.NewReader("scalatrace-go 1\nnprocs 2\ncomms 1\ncomm 0 0,1\ngroups 2\n" +
+		"group 0 1\nrsd op=Barrier site=1 ranks=0 comm=0 csize=2 peer=- tag=0 size=0 root=-1\n" +
+		"group 1 1\nrsd op=Allreduce site=2 ranks=1 comm=0 csize=2 peer=- tag=0 size=8 root=-1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fromTrace := mpnet.FromTrace(tr, nil)
+	_, verify := mpnet.VerifyWithReplay(tr, nil, netmodel.BlueGeneL())
+	_, generate := GenerateMPNet(tr)
+	_, aligned := align.Align(tr)
+	for _, err := range []error{fromTrace, verify, generate, aligned} {
+		if err == nil || !strings.Contains(err.Error(), "collective mismatch on comm 0") {
+			t.Errorf("err = %v, want a collective mismatch on comm 0", err)
+		}
 	}
 }

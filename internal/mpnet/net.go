@@ -246,6 +246,9 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 		}
 	}
 	net.Events = total
+	if err := checkCollectiveOps(net.Procs); err != nil {
+		return nil, err
+	}
 
 	if len(net.Chans) > MaxChannels {
 		return nil, fmt.Errorf("%w: %d channels, the checker holds %d", ErrNetTooLarge, len(net.Chans), MaxChannels)
@@ -276,6 +279,35 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 		}
 	}
 	return net, nil
+}
+
+// checkCollectiveOps refuses a net in which one rendezvous would join
+// different collective operations, as Algorithms 1 and 2 do: the checker's
+// arrival counting does not look at the op. Each member issues its
+// collectives on a communicator in its own program order, whatever the
+// messages match, so the i-th of every member is one rendezvous and is
+// compared with the first member's i-th, once per event.
+func checkCollectiveOps(procs [][]Event) error {
+	ops := map[int][]mpi.Op{} // per communicator, its rendezvous in order
+	next := map[int]int{}     // per communicator, the rank's next rendezvous
+	for _, evs := range procs {
+		clear(next)
+		for i := range evs {
+			ev := &evs[i]
+			if ev.Kind != EvColl {
+				continue
+			}
+			k := next[ev.CommID]
+			next[ev.CommID] = k + 1
+			switch seq := ops[ev.CommID]; {
+			case k == len(seq):
+				ops[ev.CommID] = append(seq, ev.Op)
+			case seq[k] != ev.Op:
+				return fmt.Errorf("mpnet: collective mismatch on comm %d: %v vs %v", ev.CommID, seq[k], ev.Op)
+			}
+		}
+	}
+	return nil
 }
 
 // rankEvents counts the events rank's cursor yields from seq, saturating at
