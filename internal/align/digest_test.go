@@ -1,7 +1,6 @@
 package align
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -15,21 +14,13 @@ func traceDigest(t *testing.T, tr *trace.Trace) string {
 	return golden.TraceDigest([]byte(encodeTrace(t, tr)))
 }
 
-// sameTrace fails the test at the first line on which the encodings of got
+// sameTrace fails the test at the first line in which the encodings of got
 // and want differ, sites renumbered.
 func sameTrace(t *testing.T, label string, got, want *trace.Trace) {
 	t.Helper()
-	g := strings.Split(string(golden.Renumber([]byte(encodeTrace(t, got)))), "\n")
-	w := strings.Split(string(golden.Renumber([]byte(encodeTrace(t, want)))), "\n")
-	for i := 0; i < len(g) || i < len(w); i++ {
-		switch {
-		case i >= len(g):
-			t.Fatalf("%s: trace ends at line %d, want %q", label, i, w[i])
-		case i >= len(w):
-			t.Fatalf("%s: line %d is %q, want the trace to end", label, i, g[i])
-		case g[i] != w[i]:
-			t.Fatalf("%s: line %d\n got %s\nwant %s", label, i, g[i], w[i])
-		}
+	renumbered := func(tr *trace.Trace) []byte { return golden.Renumber([]byte(encodeTrace(t, tr))) }
+	if d := golden.Diff(renumbered(got), renumbered(want)); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
 }
 

@@ -293,4 +293,3 @@ func (g *ConceptualGenerator) emitPt2Pt(r *trace.RSD, isSend bool) error {
 	}
 	return nil
 }
-

@@ -95,22 +95,29 @@ func Text(t testing.TB, path string, got []byte) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
+	if d := Diff(got, want); d != "" {
+		t.Errorf("%s: %s (run with -update after a deliberate change)", path, d)
+	}
+}
+
+// Diff names the first line in which two texts differ, or is empty when
+// they are equal.
+func Diff(got, want []byte) string {
 	if bytes.Equal(got, want) {
-		return
+		return ""
 	}
 	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	i := 0
 	for i < len(g) && i < len(w) && bytes.Equal(g[i], w[i]) {
 		i++
 	}
-	switch {
-	case i == len(g):
-		t.Errorf("%s: the text ends at line %d, the golden goes on with %q", path, i, w[i])
-	case i == len(w):
-		t.Errorf("%s: line %d is %q, the golden ends before it", path, i+1, g[i])
-	default:
-		t.Errorf("%s: line %d\n got  %s\n want %s", path, i+1, g[i], w[i])
+	at := func(lines [][]byte) string {
+		if i == len(lines) {
+			return "the end"
+		}
+		return strconv.Quote(string(lines[i]))
 	}
+	return fmt.Sprintf("line %d is %s, want %s", i+1, at(g), at(w))
 }
 
 // Read decodes the golden JSON file at path into v, for a test that holds a
@@ -151,20 +158,12 @@ type field struct {
 
 func (e entry) object() bool { return len(e) != 1 || e[0].name != "" }
 
-func (e entry) lookup(name string) (json.RawMessage, bool) {
+// lookup returns the value of field name, nil if e has none.
+func (e entry) lookup(name string) json.RawMessage {
 	if i := slices.IndexFunc(e, func(f field) bool { return f.name == name }); i >= 0 {
-		return e[i].value, true
+		return e[i].value
 	}
-	return nil, false
-}
-
-// set returns e with field name holding value, in place or appended.
-func (e entry) set(name string, value json.RawMessage) entry {
-	if i := slices.IndexFunc(e, func(f field) bool { return f.name == name }); i >= 0 {
-		e[i].value = value
-		return e
-	}
-	return append(e, field{name, value})
+	return nil
 }
 
 // MarshalJSON writes the fields in their order, which a Go map would sort.
@@ -238,18 +237,7 @@ func (m *Map) Check(t testing.TB, key string, v any) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.got[key] = got
-	want, ok := m.wanted(t, key)
-	if !ok {
-		return
-	}
-	for _, f := range got {
-		m.compare(t, key, f, want)
-	}
-	for _, f := range want {
-		if _, ok := got.lookup(f.name); !ok {
-			t.Errorf("%s: missing, golden %s", label(key, f.name), show(f.value))
-		}
-	}
+	m.compare(t, key, m.want[key], got)
 }
 
 // CheckField compares v, JSON-encoded, with one field of key's value; the
@@ -264,10 +252,16 @@ func (m *Map) CheckField(t testing.TB, key, name string, v any) {
 	if !ok {
 		got = slices.Clone(m.want[key])
 	}
-	m.got[key] = got.set(name, value)
-	if want, ok := m.wanted(t, key); ok {
-		m.compare(t, key, field{name, value}, want)
+	i := slices.IndexFunc(got, func(f field) bool { return f.name == name })
+	if i < 0 {
+		i, got = len(got), append(got, field{name: name})
 	}
+	got[i].value, m.got[key] = value, got
+	var want entry
+	if w := m.want[key].lookup(name); w != nil {
+		want = entry{{name, w}}
+	}
+	m.compare(t, key, want, entry{{name, value}})
 }
 
 // encode stores v's compact JSON encoding in dst.
@@ -282,28 +276,19 @@ func encode(t testing.TB, key string, v, dst any) {
 	}
 }
 
-// wanted returns key's golden value, failing t when the golden has none;
-// under -update there is nothing to compare.
-func (m *Map) wanted(t testing.TB, key string) (entry, bool) {
+// compare fails t on a key the golden lacks and on every field in which got
+// differs from want; under -update it has nothing to compare.
+func (m *Map) compare(t testing.TB, key string, want, got entry) {
 	t.Helper()
 	if *update {
-		return nil, false
+		return
 	}
-	want, ok := m.want[key]
-	if !ok {
+	if _, ok := m.want[key]; !ok {
 		t.Errorf("%s: not in %s (run with -update to add it)", key, m.path)
+		return
 	}
-	return want, ok
-}
-
-func (m *Map) compare(t testing.TB, key string, got field, want entry) {
-	t.Helper()
-	w, ok := want.lookup(got.name)
-	switch {
-	case !ok:
-		t.Errorf("%s: %s, not in the golden", label(key, got.name), show(got.value))
-	case !bytes.Equal(got.value, w):
-		t.Errorf("%s: %s, golden %s", label(key, got.name), show(got.value), show(w))
+	for _, row := range changes(key, want, got) {
+		t.Error(row)
 	}
 }
 
@@ -311,28 +296,23 @@ func (m *Map) compare(t testing.TB, key string, got field, want entry) {
 // the file and prints a row for every value that moved. A failed run
 // rewrites nothing.
 func (m *Map) finish(t testing.TB) {
-	if !*update {
-		for _, key := range sortedKeys(m.want) {
-			if _, ok := m.got[key]; !ok {
-				t.Errorf("%s: in %s, but no check named it", key, m.path)
-			}
+	var keys []string
+	for key := range m.want {
+		if _, ok := m.got[key]; !ok && !*update {
+			t.Errorf("%s: in %s, but no check named it", key, m.path)
 		}
+		keys = append(keys, key)
+	}
+	if !*update || t.Failed() {
 		return
 	}
-	if t.Failed() {
-		return
+	for key := range m.got {
+		keys = append(keys, key)
 	}
-	for _, key := range sortedKeys(m.want, m.got) {
-		old, now := m.want[key], m.got[key]
-		for _, f := range old {
-			if v, ok := now.lookup(f.name); !ok || !bytes.Equal(v, f.value) {
-				fmt.Fprintf(rows, "%s: %s → %s\n", label(key, f.name), show(f.value), showIf(v, ok))
-			}
-		}
-		for _, f := range now {
-			if _, ok := old.lookup(f.name); !ok {
-				fmt.Fprintf(rows, "%s: (none) → %s\n", label(key, f.name), show(f.value))
-			}
+	slices.Sort(keys)
+	for _, key := range slices.Compact(keys) {
+		for _, row := range changes(key, m.want[key], m.got[key]) {
+			fmt.Fprintln(rows, row)
 		}
 	}
 	data, err := json.MarshalIndent(m.got, "", "  ")
@@ -344,15 +324,24 @@ func (m *Map) finish(t testing.TB) {
 	}
 }
 
-func sortedKeys(maps ...map[string]entry) []string {
-	var keys []string
-	for _, m := range maps {
-		for key := range m {
-			keys = append(keys, key)
+// changes lists the fields in which key's value moved from old to now, one
+// "key.field: old → new" row each, "(none)" standing for a missing value.
+func changes(key string, old, now entry) []string {
+	var rows []string
+	row := func(name string, from, to json.RawMessage) {
+		rows = append(rows, fmt.Sprintf("%s: %s → %s", label(key, name), show(from), show(to)))
+	}
+	for _, f := range old {
+		if v := now.lookup(f.name); !bytes.Equal(v, f.value) {
+			row(f.name, f.value, v)
 		}
 	}
-	slices.Sort(keys)
-	return slices.Compact(keys)
+	for _, f := range now {
+		if old.lookup(f.name) == nil {
+			row(f.name, nil, f.value)
+		}
+	}
+	return rows
 }
 
 // label names a value in failures and rows: key.field, or key alone.
@@ -367,15 +356,11 @@ func label(key, name string) string {
 // anything else as compact JSON.
 func show(value json.RawMessage) string {
 	var s string
-	if value[0] == '"' && json.Unmarshal(value, &s) == nil {
+	switch {
+	case value == nil:
+		return "(none)"
+	case value[0] == '"' && json.Unmarshal(value, &s) == nil:
 		return s
 	}
 	return string(value)
-}
-
-func showIf(value json.RawMessage, ok bool) string {
-	if !ok {
-		return "(none)"
-	}
-	return show(value)
 }

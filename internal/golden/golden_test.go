@@ -28,13 +28,6 @@ func (r *recorder) Errorf(format string, args ...any) {
 	r.failures = append(r.failures, fmt.Sprintf(format, args...))
 }
 
-// end runs the cleanups, as the testing package does when a test ends.
-func (r *recorder) end() {
-	for i := len(r.cleanups) - 1; i >= 0; i-- {
-		r.cleanups[i]()
-	}
-}
-
 // digests is a value whose fields are not in sorted order, with one omitted
 // when empty, as the engine golden's entries are.
 type digests struct {
@@ -44,91 +37,83 @@ type digests struct {
 	Extra  string   `json:"extra,omitempty"`
 }
 
-// sample is a golden file in both shapes of value: objects of fields and a
-// plain string.
-var sample = map[string]any{
-	"bt-16":   digests{"t1", "c1", []string{"a", "b <&>"}, ""},
-	"lu-64":   digests{"t2", "c2", nil, "x"},
-	"split-4": "d3",
+// sample returns a golden map holding both shapes of value, objects of
+// fields and a plain string, with key's value replaced by v unless v is nil.
+func sample(key string, v any) map[string]any {
+	m := map[string]any{
+		"bt-16":   digests{"t1", "c1", []string{"a", "b <&>"}, ""},
+		"lu-64":   digests{"t2", "c2", nil, "x"},
+		"split-4": "d3",
+	}
+	if v != nil {
+		m[key] = v
+	}
+	return m
 }
 
-// writeSample writes sample as json.MarshalIndent writes it, with a newline.
-func writeSample(t *testing.T) string {
+// writeSample writes sample("", nil) as json.MarshalIndent writes it, with a
+// newline, and returns its path and bytes.
+func writeSample(t *testing.T) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "sample.json")
-	data, err := json.MarshalIndent(sample, "", "  ")
+	data, err := json.MarshalIndent(sample("", nil), "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return path, append(data, '\n')
 }
 
-// run checks values against the golden at path, under -update if asked,
-// and returns the failures and the rows printed.
-func run(t *testing.T, path string, updating bool, values map[string]any) (failures []string, printed string) {
+// run runs checks against the golden at path, under -update if asked, and
+// returns the failures, sorted, and the rows printed.
+func run(t *testing.T, path string, updating bool, checks func(*recorder, *Map)) (failures []string, printed string) {
 	t.Helper()
-	return runChecks(t, path, updating, func(r *recorder, m *Map) {
-		for key, v := range values {
-			m.Check(r, key, v)
-		}
-	})
-}
-
-// runChecks is run with the checks given as a function.
-func runChecks(t *testing.T, path string, updating bool, checks func(*recorder, *Map)) (failures []string, printed string) {
-	t.Helper()
-	defer func(u bool) { *update = u }(*update)
-	*update = updating
+	defer func(u bool, w io.Writer) { *update, rows = u, w }(*update, rows)
 	var out bytes.Buffer
-	defer func(w io.Writer) { rows = w }(rows)
-	rows = &out
+	*update, rows = updating, &out
 	r := &recorder{TB: t}
 	checks(r, LoadMap(r, path))
-	r.end()
+	for i := len(r.cleanups) - 1; i >= 0; i-- {
+		r.cleanups[i]()
+	}
+	slices.Sort(r.failures)
 	return r.failures, out.String()
 }
 
-// changed returns sample with key's value replaced.
-func changed(key string, v any) map[string]any {
-	values := map[string]any{}
-	for k, s := range sample {
-		values[k] = s
-	}
-	values[key] = v
-	return values
-}
-
-func TestMapPassesUnchangedValues(t *testing.T) {
-	if failures, _ := run(t, writeSample(t), false, sample); len(failures) != 0 {
-		t.Fatalf("unchanged values fail: %q", failures)
+// checkAll checks every key of values.
+func checkAll(values map[string]any) func(*recorder, *Map) {
+	return func(r *recorder, m *Map) {
+		for key, v := range values {
+			m.Check(r, key, v)
+		}
 	}
 }
 
 func TestMapNamesTheKeyAndFieldOfAChangedValue(t *testing.T) {
-	path := writeSample(t)
-	failures, _ := run(t, path, false, changed("bt-16", digests{"t1", "c9", []string{"a", "b <&>"}, ""}))
-	if !slices.Equal(failures, []string{"bt-16.clocks: c9, golden c1"}) {
-		t.Errorf("a changed field fails with %q", failures)
-	}
-	failures, _ = run(t, path, false, changed("split-4", "d4"))
-	if !slices.Equal(failures, []string{"split-4: d4, golden d3"}) {
-		t.Errorf("a changed plain value fails with %q", failures)
-	}
-	failures, _ = run(t, path, false, changed("lu-64", digests{"t2", "c2", nil, ""}))
-	if !slices.Equal(failures, []string{"lu-64.extra: missing, golden x"}) {
-		t.Errorf("a field gone from the value fails with %q", failures)
+	path, _ := writeSample(t)
+	for _, tc := range []struct {
+		key  string
+		v    any
+		want []string
+	}{
+		{"bt-16", nil, nil},
+		{"bt-16", digests{"t1", "c9", []string{"a", "b <&>"}, ""}, []string{"bt-16.clocks: c1 → c9"}},
+		{"split-4", "d4", []string{"split-4: d3 → d4"}},
+		{"lu-64", digests{"t2", "c2", nil, ""}, []string{"lu-64.extra: x → (none)"}},
+	} {
+		if failures, _ := run(t, path, false, checkAll(sample(tc.key, tc.v))); !slices.Equal(failures, tc.want) {
+			t.Errorf("%s = %v: failures %q, want %q", tc.key, tc.v, failures, tc.want)
+		}
 	}
 }
 
 func TestMapFailsOnAMissingOrAnExtraKey(t *testing.T) {
-	path := writeSample(t)
-	values := changed("is-8", "d5")
+	path, _ := writeSample(t)
+	values := sample("is-8", "d5")
 	delete(values, "lu-64")
-	failures, _ := run(t, path, false, values)
-	slices.Sort(failures)
+	failures, _ := run(t, path, false, checkAll(values))
 	want := []string{"is-8: not in " + path + " (run with -update to add it)", "lu-64: in " + path + ", but no check named it"}
 	if !slices.Equal(failures, want) {
 		t.Errorf("failures %q, want %q", failures, want)
@@ -136,78 +121,39 @@ func TestMapFailsOnAMissingOrAnExtraKey(t *testing.T) {
 }
 
 func TestMapUpdateOfUnchangedValuesRewritesTheFileByteForByte(t *testing.T) {
-	path := writeSample(t)
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	failures, printed := run(t, path, true, sample)
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	path, before := writeSample(t)
+	failures, printed := run(t, path, true, checkAll(sample("", nil)))
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("update of unchanged values rewrote\n%s\nas\n%s (%v)", before, after, err)
 	}
 	if len(failures) != 0 || printed != "" {
 		t.Errorf("update of unchanged values: failures %q, rows %q", failures, printed)
 	}
-	if !bytes.Equal(after, before) {
-		t.Errorf("update of unchanged values rewrote\n%s\nas\n%s", before, after)
-	}
 }
 
+// TestMapUpdatePrintsRowsForChangedValuesOnly also checks one field of a key
+// under -update: the key's other fields stay as the file holds them.
 func TestMapUpdatePrintsRowsForChangedValuesOnly(t *testing.T) {
-	path := writeSample(t)
-	values := changed("bt-16", digests{"t1", "c9", []string{"a"}, "y"})
+	path, _ := writeSample(t)
+	values := sample("bt-16", digests{"t1", "c9", []string{"a"}, "y"})
 	values["split-4"] = "d4"
 	delete(values, "lu-64")
-	_, printed := run(t, path, true, values)
+	_, printed := run(t, path, true, func(r *recorder, m *Map) {
+		checkAll(values)(r, m)
+		m.CheckField(r, "lu-64", "clocks", "c0")
+	})
 	want := []string{
 		`bt-16.clocks: c1 → c9`,
 		`bt-16.logs: ["a","b \u003c\u0026\u003e"] → ["a"]`,
 		`bt-16.extra: (none) → y`,
-		`lu-64.trace: t2 → (none)`,
-		`lu-64.clocks: c2 → (none)`,
-		`lu-64.logs: null → (none)`,
-		`lu-64.extra: x → (none)`,
+		`lu-64.clocks: c2 → c0`,
 		`split-4: d3 → d4`,
 	}
 	if got := strings.Split(strings.TrimSuffix(printed, "\n"), "\n"); !slices.Equal(got, want) {
 		t.Errorf("rows\n%s\nwant\n%s", printed, strings.Join(want, "\n"))
 	}
-	if failures, _ := run(t, path, false, values); len(failures) != 0 {
+	values["lu-64"] = digests{"t2", "c0", nil, "x"}
+	if failures, _ := run(t, path, false, checkAll(values)); len(failures) != 0 {
 		t.Errorf("the rewritten file fails what it was rewritten from: %q", failures)
-	}
-}
-
-// TestCheckFieldKeepsTheOtherFields checks one field of a key under -update:
-// the others stay as the file holds them.
-func TestCheckFieldKeepsTheOtherFields(t *testing.T) {
-	path := writeSample(t)
-	_, printed := runChecks(t, path, true, func(r *recorder, m *Map) {
-		m.CheckField(r, "bt-16", "clocks", "c0")
-		m.CheckField(r, "lu-64", "clocks", "c2")
-		m.CheckField(r, "split-4", "", "d3")
-	})
-	if printed != "bt-16.clocks: c1 → c0\n" {
-		t.Errorf("rows %q", printed)
-	}
-	var got map[string]any
-	Read(t, path, &got)
-	bt := got["bt-16"].(map[string]any)
-	if bt["trace"] != "t1" || bt["clocks"] != "c0" || got["lu-64"].(map[string]any)["extra"] != "x" || got["split-4"] != "d3" {
-		t.Errorf("after one field's update the file holds %v", got)
-	}
-}
-
-func TestTraceDigestRenumbersSitesByFirstAppearance(t *testing.T) {
-	a := "rsd op=Send site=8812 ranks=0\nrsd op=Recv site=31 ranks=1\nrsd op=Send site=8812 ranks=2\n"
-	b := "rsd op=Send site=5 ranks=0\nrsd op=Recv site=4 ranks=1\nrsd op=Send site=5 ranks=2\n"
-	if got := string(Renumber([]byte(a))); got != strings.ReplaceAll(strings.ReplaceAll(b, "=5", "=0"), "=4", "=1") {
-		t.Errorf("Renumber gives %q", got)
-	}
-	if TraceDigest([]byte(a)) != TraceDigest([]byte(b)) {
-		t.Error("traces that differ only in site values digest apart")
-	}
-	if c := strings.Replace(b, "site=4", "site=5", 1); TraceDigest([]byte(c)) == TraceDigest([]byte(b)) {
-		t.Error("traces that share sites differently digest alike")
 	}
 }

@@ -401,13 +401,7 @@ func parseRun(part string) (r Run, spelled bool, err error) {
 		var field string
 		field, rest, _ = strings.Cut(rest, ":")
 		if nums[i], err = strconv.Atoi(field); err != nil {
-			switch {
-			case k == 1:
-				return Run{}, false, fmt.Errorf("taskset: bad rank %q: %w", part, err)
-			case i == 2:
-				return Run{}, false, fmt.Errorf("taskset: bad stride in %q", part)
-			}
-			return Run{}, false, fmt.Errorf("taskset: bad range %q: %w", part, err)
+			return Run{}, false, fmt.Errorf("taskset: bad run %q: %w", part, err)
 		}
 		spelled = spelled && decimal(field)
 	}
@@ -432,9 +426,6 @@ func parseRun(part string) (r Run, spelled bool, err error) {
 		r.Count = span/r.Stride + 1
 	}
 	spelled = spelled && span > 0 && span%r.Stride == 0 && (k == 3) == (r.Stride > 1)
-	if r.Count == 1 {
-		r.Stride = 1
-	}
 	return r, spelled, nil
 }
 
