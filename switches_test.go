@@ -818,6 +818,7 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 // test package shares.
 var testFacing = []string{
 	"internal/golden.ClockDigest",
+	"internal/golden.Diff",
 	"internal/golden.LoadMap",
 	"internal/golden.Map.CheckField",
 	"internal/golden.Numbering",
