@@ -204,11 +204,10 @@ func (e *entry) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// compact returns a copy of a JSON value without insignificant space.
 func compact(data []byte) json.RawMessage {
 	var b bytes.Buffer
-	if json.Compact(&b, data) != nil {
-		return append(json.RawMessage(nil), data...)
-	}
+	_ = json.Compact(&b, data) // the decoder that handed data over has validated it
 	return b.Bytes()
 }
 
