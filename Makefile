@@ -7,8 +7,8 @@ test:
 
 # check is the pre-commit gate: go vet, and go vet of internal/mpi for two
 # architectures without a frame-pointer walk; the race detector over every
-# package with shared state (internal/mpi at -cpu 1,2; align and wildcard
-# -short); the root determinism, critical-path, golden-digest, verify,
+# package with shared state (internal/mpi and internal/trace at -cpu 1,2;
+# align and wildcard -short); the root determinism, critical-path, golden-digest, verify,
 # single-home and no-orphan suites under -race; nine 10 s fuzz passes
 # (histogram text against the fmt scanner it replaced, trace decoder, the
 # trace builder's cursor against its indexed path, its square check against
@@ -21,7 +21,8 @@ check:
 	GOARCH=arm64 $(GO) vet ./internal/mpi/
 	GOARCH=riscv64 $(GO) vet ./internal/mpi/
 	$(GO) test -race -cpu 1,2 ./internal/mpi/...
-	$(GO) test -race ./internal/trace/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
+	$(GO) test -race -cpu 1,2 ./internal/trace/...
+	$(GO) test -race ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
 	$(GO) test -race -short ./internal/align/... ./internal/wildcard/...
 	$(GO) test -race -run 'TestRunToRunDeterminism|TestPooledWorldDeterminism|TestPooledReplayDeterminism|TestCritPath|TestEngineGoldenDigests|TestVerifySuite|TestVerifyCounterexampleReplay|TestPathSelectorsArePinned|TestSingleHomesArePinned|TestNoOrphanedProductionSymbols' .
 	$(GO) test -race -cpu 1,2 -run 'TestConcurrentWorldsDeterminism|TestConcurrentReplaysOfOneTrace' .

@@ -300,6 +300,9 @@ func BenchmarkTraceCollectionOverhead(b *testing.B) {
 				mpi.WithTracer(col.TracerFor)); err != nil {
 				b.Fatal(err)
 			}
+			// The run's last events are compressed only once Trace joins
+			// the compressor.
+			col.Trace()
 		}
 	})
 }

@@ -71,8 +71,15 @@ type Event struct {
 const NoPeer = -2
 
 // Tracer observes every MPI operation a rank performs, in program order.
-// Implementations must be safe for use from the rank's goroutine only; the
-// runtime creates one Tracer per rank.
+// The runtime creates one Tracer per rank.
+//
+// The engine steps one rank at a time (scheduler.go), so the Tracers of one
+// world are called one at a time, in one total order: each call happens
+// before the next, whichever goroutine the rank runs on, because every
+// switch between ranks is a synchronization point. The Tracers of one world
+// may therefore share state without a lock, and a consumer fed in call order
+// sees each rank's events in program order (trace.Collector relies on both).
+// Tracers of different worlds may be called concurrently.
 //
 // ev points at the rank's scratch event and is valid only during Record:
 // the runtime overwrites it for the rank's next operation, and its Counts

@@ -82,16 +82,31 @@ func (h *Histogram) Add(v float64) {
 	}
 }
 
+// binIndex is the bin of v: floor(log2 v) + 1, capped at 63, read from the
+// exponent bits. Within logBand of either end of a binade it is the formula
+// the recorded histograms were made with, int(math.Floor(math.Log2(v))) + 1,
+// whose rounding puts some values just below a power of two into the next
+// bin (7.999999999999999 into bin 4). NaN goes in bin 0, +Inf in bin 63.
 func binIndex(v float64) int {
-	if v < 1 {
+	switch {
+	case !(v >= 1):
 		return 0
+	case v > math.MaxFloat64:
+		return NumBins - 1
 	}
-	i := int(math.Floor(math.Log2(v))) + 1
-	if i > 63 {
-		i = 63
+	bits := math.Float64bits(v)
+	i := int(bits>>52) - 1023 + 1
+	if m := bits & (1<<52 - 1); m < logBand || m >= 1<<52-logBand {
+		i = int(math.Floor(math.Log2(v))) + 1
 	}
-	return i
+	return min(i, NumBins-1)
 }
+
+// logBand is the width, in units of the last place, of the band at either
+// end of a binade where math.Log2 may round across the binade's edge. Its
+// error there is a few ulps of a result below 1024, that is under 2^-40,
+// while log2 of a mantissa logBand ulps from the edge is over 2^-37 away.
+const logBand = 1 << 16
 
 // Merge folds other into h.
 func (h *Histogram) Merge(other *Histogram) {

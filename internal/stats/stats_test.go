@@ -66,6 +66,63 @@ func TestHistogramBinIndex(t *testing.T) {
 	}
 }
 
+// logBin is the definition the recorded histograms were binned by.
+func logBin(v float64) int {
+	if v < 1 {
+		return 0
+	}
+	return min(int(math.Floor(math.Log2(v)))+1, NumBins-1)
+}
+
+// TestBinIndexMatchesLog2 holds binIndex to logBin on every power of two
+// of the float range +- 64 ulps (math.Log2 rounds some of the values just
+// below one up), on subnormals and on random values, and checks the two
+// inputs logBin has no bin for.
+func TestBinIndexMatchesLog2(t *testing.T) {
+	check := func(v float64) bool {
+		if got, want := binIndex(v), logBin(v); got != want {
+			t.Errorf("binIndex(%v) = %d, math.Log2 bins it in %d", v, got, want)
+			return false
+		}
+		return true
+	}
+	for e := -1074; e <= 1023; e++ {
+		p := math.Ldexp(1, e)
+		down, up := p, p
+		for range 64 {
+			check(down)
+			check(up)
+			down, up = math.Nextafter(down, 0), math.Nextafter(up, math.Inf(1))
+		}
+	}
+	for _, v := range []float64{math.SmallestNonzeroFloat64, 0x1p-1030, 0x1.fffffffffffffp-1023, 7.999999999999999, math.MaxFloat64} {
+		check(v)
+	}
+	if got := binIndex(7.999999999999999); got != 4 {
+		t.Errorf("binIndex(7.999999999999999) = %d, want 4 as recorded", got)
+	}
+	random := func(bits uint64) bool {
+		v := math.Abs(math.Float64frombits(bits))
+		return math.IsNaN(v) || math.IsInf(v, 0) || check(v)
+	}
+	if err := quick.Check(random, &quick.Config{MaxCount: 200000}); err != nil {
+		t.Error(err)
+	}
+	scaled := func(x float64, e uint8) bool {
+		v := math.Abs(x) * math.Ldexp(1, int(e)%80)
+		return math.IsInf(v, 0) || check(v)
+	}
+	if err := quick.Check(scaled, &quick.Config{MaxCount: 200000}); err != nil {
+		t.Error(err)
+	}
+	if got := binIndex(math.Inf(1)); got != NumBins-1 {
+		t.Errorf("binIndex(+Inf) = %d, want %d", got, NumBins-1)
+	}
+	if got := binIndex(math.NaN()); got != 0 {
+		t.Errorf("binIndex(NaN) = %d, want 0", got)
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	for i := 0; i < 10; i++ {

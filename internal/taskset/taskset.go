@@ -7,6 +7,7 @@ package taskset
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -227,6 +228,44 @@ func (s Set) Max() int {
 		panic("taskset: Max of empty set")
 	}
 	return s.runs[len(s.runs)-1].Last()
+}
+
+// XorBound returns an upper bound on r^v over the members r of s, -1 for
+// the empty set; s and v must be non-negative. It reads runs, not members:
+// the bound is the maximum itself when every run's stride is a power of two
+// (a contiguous run's is 1), and for a run of another stride the maximum over
+// the range the run spans.
+func (s Set) XorBound(v int) int {
+	bound := -1
+	for _, r := range s.runs {
+		if r.Count == 1 || r.Stride&(r.Stride-1) != 0 {
+			bound = max(bound, MaxXor(r.Start, r.Last(), v))
+			continue
+		}
+		// A stride of 2^j fixes the low j bits; the bits above run over a
+		// contiguous range.
+		j := bits.TrailingZeros(uint(r.Stride))
+		hi := r.Start >> j
+		low := (r.Start ^ v) & (r.Stride - 1)
+		bound = max(bound, MaxXor(hi, hi+r.Count-1, v>>j)<<j|low)
+	}
+	return bound
+}
+
+// MaxXor returns the maximum of r^v over lo <= r <= hi, for 0 <= lo <= hi
+// and v >= 0: bit by bit from the top, r takes the bit opposite v's whenever
+// some r of the range still has the bits chosen so far.
+func MaxXor(lo, hi, v int) int {
+	r := 0
+	for b := bits.Len(uint(hi)) - 1; b >= 0; b-- {
+		want := r | (v>>b&1^1)<<b
+		if want <= hi && want|(1<<b-1) >= lo {
+			r = want
+		} else {
+			r |= (v >> b & 1) << b
+		}
+	}
+	return r ^ v
 }
 
 // Union returns s ∪ other. When one operand already contains the other it

@@ -427,3 +427,54 @@ func TestPropertyAddPacksLikeFromSortedUnique(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestXorBoundMatchesMembers holds XorBound to the maximum of r^v over the
+// members: equal when every stride is a power of two, above it otherwise,
+// on random sets of strided runs and on runs too long to expand.
+func TestXorBoundMatchesMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var runs []Run
+		pow2 := true
+		for next := rng.Intn(40); len(runs) < 1+rng.Intn(3); {
+			stride := 1 << rng.Intn(4)
+			if rng.Intn(3) == 0 {
+				stride = 1 + rng.Intn(12)
+			}
+			r := Run{Start: next, Stride: stride, Count: 1 + rng.Intn(20)}
+			if r.Count == 1 {
+				r.Stride = 1
+			}
+			pow2 = pow2 && r.Stride&(r.Stride-1) == 0
+			runs = append(runs, r)
+			next = r.Last() + 1 + rng.Intn(30)
+		}
+		s := Set{runs: runs}
+		v := rng.Intn(256)
+		want := -1
+		for _, r := range s.Members() {
+			want = max(want, r^v)
+		}
+		got := s.XorBound(v)
+		if got < want || pow2 && got != want {
+			t.Fatalf("%s.XorBound(%d) = %d, members give %d", s, v, got, want)
+		}
+	}
+	if got := Empty.XorBound(5); got != -1 {
+		t.Fatalf("Empty.XorBound = %d, want -1", got)
+	}
+	wide := []struct {
+		s       Set
+		v, want int
+	}{
+		{Range(0, 1048573), 1, 1048573},
+		{Range(0, 1048573), 3, 1048575},
+		{Strided(6, 4, 1<<40), 1, (6 + 4*(1<<40-1)) ^ 1},
+		{Range(1<<40, 1<<41), 1 << 40, 3 << 40},
+	}
+	for _, c := range wide {
+		if got := c.s.XorBound(c.v); got != c.want {
+			t.Errorf("%s.XorBound(%d) = %d, want %d", c.s, c.v, got, c.want)
+		}
+	}
+}

@@ -141,6 +141,8 @@ func parseInts(s string) ([]int, error) {
 type decoder struct {
 	sc   *bufio.Scanner
 	line int
+	// bytes counts the document's bytes read so far.
+	bytes int
 	// nodeBudget is the remaining number of nodes the file may declare;
 	// decremented as sequences are decoded so deeply nested or repeated
 	// loop headers cannot multiply past MaxDecodeNodes.
@@ -150,6 +152,7 @@ type decoder struct {
 func (d *decoder) next() (string, error) {
 	for d.sc.Scan() {
 		d.line++
+		d.bytes += len(d.sc.Bytes()) + 1
 		text := strings.TrimSpace(d.sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
@@ -299,7 +302,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		}
 		t.Groups = append(t.Groups, Group{Ranks: ranks, Seq: seq})
 	}
-	if err := checkRules(t, members); err != nil {
+	if err := checkRules(t, members, d.bytes); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -28,16 +27,34 @@ func broken(rule int, format string, args ...any) error {
 	return fmt.Errorf("trace: rule %d, %s: %s", rule, rules[rule], fmt.Sprintf(format, args...))
 }
 
-// checkRules checks t, whose communicators' rank sets are members, against
-// the rules without walking a group's ranks per leaf: rule 1 reads each
-// group's members once, and a leaf's ranks are checked as a set
-// (allRanksPass) wherever the answer does not depend on the rank. A leaf that
-// test cannot settle is walked over its own ranks, a cost in its rank count
-// where parsing its rank set cost the set's text.
-func checkRules(t *Trace, members map[int]taskset.Set) error {
+// ruleCheck is the state of one check of a trace against the rules.
+type ruleCheck struct {
+	t *Trace
+	// identity records per communicator whether its rank i is world rank
+	// i, filled on first use.
+	identity map[int]bool
+	// size is the document's length in bytes. walks is the number of
+	// ranks the per-rank walks may still check: one per byte in all. Only
+	// a leaf whose rank set cannot settle it is walked (an XOR peer on a
+	// communicator that is not an identity of the world, a run whose
+	// stride hides its bound, or a leaf that breaks a rule); without the
+	// bound, a 90-byte leaf could name a million ranks to walk. A walked
+	// rank costs a communicator lookup, a few times what parsing a byte
+	// does.
+	size, walks int
+}
+
+// checkRules checks t, whose communicators' rank sets are members, decoded
+// from a document of size bytes, against the rules without walking a
+// group's ranks per leaf: rule 1 reads each group's members once, and a
+// leaf's ranks are checked as a set (allRanksPass) wherever the answer does
+// not depend on the rank. A leaf that test cannot settle is walked over its
+// own ranks, within one rank per byte of the document in all.
+func checkRules(t *Trace, members map[int]taskset.Set, size int) error {
 	if world, ok := t.Comms[0]; !ok || len(world) != t.N || !isIdentity(world) {
 		return broken(2, "comm 0 is %v, want 0…%d in order", world, t.N-1)
 	}
+	c := &ruleCheck{t: t, size: size, walks: size}
 	in := make([]bool, t.N)
 	for _, g := range t.Groups {
 		for _, r := range g.Ranks.Members() {
@@ -47,7 +64,11 @@ func checkRules(t *Trace, members map[int]taskset.Set) error {
 			in[r] = true
 		}
 		var err error
-		Leaves(g.Seq, func(x *RSD) { err = cmp.Or(err, checkLeaf(t, g.Ranks, members[x.CommID], x)) })
+		Leaves(g.Seq, func(x *RSD) {
+			if err == nil {
+				err = c.leaf(g.Ranks, members[x.CommID], x)
+			}
+		})
 		if err != nil {
 			return fmt.Errorf("%w (group %s)", err, g.Ranks)
 		}
@@ -58,9 +79,10 @@ func checkRules(t *Trace, members map[int]taskset.Set) error {
 	return nil
 }
 
-// checkLeaf checks one leaf of the group of the given ranks; members is the
-// set of its communicator's ranks.
-func checkLeaf(t *Trace, group, members taskset.Set, x *RSD) error {
+// leaf checks one leaf of the group of the given ranks; members is the set
+// of its communicator's ranks.
+func (c *ruleCheck) leaf(group, members taskset.Set, x *RSD) error {
+	t := c.t
 	comm, listed := t.Comms[x.CommID]
 	n := len(comm)
 	switch {
@@ -74,8 +96,12 @@ func checkLeaf(t *Trace, group, members taskset.Set, x *RSD) error {
 		return broken(4, "%v at site %d has root %d, not a rank of comm %d", x.Op, x.Site, x.Root, x.CommID)
 	case !group.ContainsAll(x.Ranks):
 		return broken(3, "%v at site %d names ranks %s", x.Op, x.Site, x.Ranks)
-	case allRanksPass(x, n, members):
+	case c.allRanksPass(x, n, members):
 		return nil
+	}
+	if c.walks -= x.Ranks.Size(); c.walks < 0 {
+		return fmt.Errorf("trace: the rules would check more than %d ranks one by one, one per byte of the document; "+
+			"refused at %v at site %d (ranks %s, comm %d)", c.size, x.Op, x.Site, x.Ranks, x.CommID)
 	}
 	for i, r := range x.Ranks.Members() {
 		me, ok := t.CommRankOf(x.CommID, r)
@@ -93,12 +119,27 @@ func checkLeaf(t *Trace, group, members taskset.Set, x *RSD) error {
 	return nil
 }
 
+// isIdentity reports whether the communicator's rank i is world rank i.
+func (c *ruleCheck) isIdentity(id int) bool {
+	is, ok := c.identity[id]
+	if !ok {
+		if c.identity == nil {
+			c.identity = make(map[int]bool)
+		}
+		is = isIdentity(c.t.Comms[id])
+		c.identity[id] = is
+	}
+	return is
+}
+
 // allRanksPass reports whether rules 4 and 5 hold for every rank of x, on a
-// communicator of n ranks, from x's rank set as a whole: membership is set
-// inclusion, a peer that does not depend on the rank is checked once, a
-// vector peer per entry, and an XOR peer stays below n when n is a power of
-// two above it. False means the ranks must be checked one by one.
-func allRanksPass(x *RSD, n int, members taskset.Set) bool {
+// communicator of n ranks whose set is members, from x's rank set as a
+// whole: membership is set inclusion, a peer that does not depend on the
+// rank is checked once, a vector peer per entry, and an XOR peer stays
+// below n when it does for every rank below n or, on a communicator whose
+// rank i is world rank i, for every rank of x, bounded over x's runs. False
+// means the ranks must be checked one by one.
+func (c *ruleCheck) allRanksPass(x *RSD, n int, members taskset.Set) bool {
 	size := x.Ranks.Size()
 	switch v := x.Peer.Value; {
 	case !members.ContainsAll(x.Ranks):
@@ -106,7 +147,7 @@ func allRanksPass(x *RSD, n int, members taskset.Set) bool {
 	case !x.Op.IsPointToPoint() || x.Peer.Kind == ParamRel:
 		return true
 	case x.Peer.Kind == ParamXor:
-		return v >= 0 && v < n && n&(n-1) == 0
+		return v >= 0 && (taskset.MaxXor(0, n-1, v) < n || c.isIdentity(x.CommID) && x.Ranks.XorBound(v) < n)
 	case x.Peer.Kind == ParamVec:
 		return len(x.PeerVec) >= size && !slices.ContainsFunc(x.PeerVec[:size], func(p int) bool { return !validPeer(x, n, p) })
 	}

@@ -3,8 +3,10 @@ package trace
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +14,7 @@ import (
 	"repro/internal/taskset"
 )
 
-// TestCheckLeafMatchesPerRankRules holds checkLeaf, which settles rules 3-5
+// TestCheckLeafMatchesPerRankRules holds the leaf check, which settles rules 3-5
 // for a leaf's ranks as a whole where it can, to the rules read one rank at a
 // time: the leaf passes exactly when every rank it names is in its group, is a
 // member of its communicator and, on a point-to-point leaf, has a peer that is
@@ -62,12 +64,13 @@ func TestCheckLeafMatchesPerRankRules(t *testing.T) {
 				want = uint(peer) < uint(len(comm)) || (peer == mpi.AnySource && !x.Op.IsSendSide())
 			}
 		}
-		if err := checkLeaf(tr, group, members, x); (err == nil) != want {
-			t.Fatalf("group %s, comm %d = %v, leaf %v pvec %v: checkLeaf = %v, per-rank rules say pass = %v",
+		c := &ruleCheck{t: tr, walks: math.MaxInt}
+		if err := c.leaf(group, members, x); (err == nil) != want {
+			t.Fatalf("group %s, comm %d = %v, leaf %v pvec %v: leaf check = %v, per-rank rules say pass = %v",
 				group, x.CommID, comm, x, x.PeerVec, err, want)
 		}
 		if !x.Ranks.IsEmpty() && group.ContainsAll(x.Ranks) {
-			if allRanksPass(x, len(comm), members) {
+			if c.allRanksPass(x, len(comm), members) {
 				settled++
 			} else {
 				walked++
@@ -75,6 +78,16 @@ func TestCheckLeafMatchesPerRankRules(t *testing.T) {
 		}
 	}
 	t.Logf("leaves settled as a whole: %d, walked rank by rank: %d", settled, walked)
+
+	// On a permuted communicator the bound over world ranks says nothing:
+	// world rank 1 XOR 1 is 0, but 1 is comm rank 2, whose peer 3 is not a
+	// rank of the communicator.
+	tr := &Trace{N: 3, Comms: map[int][]int{0: {0, 1, 2}, 1: {2, 0, 1}}}
+	x := &RSD{Op: mpi.OpSend, Ranks: taskset.Of(1), CommID: 1, CommSize: 3, Peer: XorParam(1), Root: -1}
+	c := &ruleCheck{t: tr, walks: math.MaxInt}
+	if err := c.leaf(taskset.Of(0, 1, 2), taskset.Of(0, 1, 2), x); err == nil {
+		t.Fatal("an XOR peer outside a permuted communicator passed the rules")
+	}
 }
 
 // TestDecodeRuleCostIsLinearInTheDocument decodes one shape of upload — one
@@ -125,6 +138,64 @@ func TestDecodeRuleCostIsLinearInTheDocument(t *testing.T) {
 	// member lists and rank bitmap of the larger world, and noise.
 	if bound := 6 * ds * time.Duration(len(large)) / time.Duration(len(small)); dl > bound {
 		t.Fatalf("decoding at 2^18 ranks took %v, over %v (6x the 16-rank decode per byte): the rules cost more than the document", dl, bound)
+	}
+
+	// XOR sends on a world of 2^20-1 ranks, not a power of two, each leaf
+	// naming all but the last rank in 90 bytes. Walked rank by rank, 300
+	// such leaves took 6 s where 10 took 0.4 s; settled from the ends of
+	// each run, they cost their bytes.
+	xor := func(leaves int) []byte {
+		const n = 1<<20 - 1
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "scalatrace-go 1\nnprocs %d\ncomms 1\ncomm 0 %s\ngroups 1\ngroup 0:%d %d\n", n, intsString(worldComms(n)[0]), n-1, leaves)
+		for i := 0; i < leaves; i++ {
+			fmt.Fprintf(&b, "rsd op=Send site=%d ranks=0:%d comm=0 csize=%d peer=xor1 tag=0 size=8 root=-1\n", i, n-2, n)
+		}
+		return b.Bytes()
+	}
+	small, large = xor(10), xor(300)
+	ds, dl = decode(small), decode(large)
+	t.Logf("XOR leaves: 10 in %v (%d KB), 300 in %v (%d KB)", ds, len(small)>>10, dl, len(large)>>10)
+	if bound := 6 * ds * time.Duration(len(large)) / time.Duration(len(small)); dl > bound {
+		t.Fatalf("decoding 300 XOR leaves took %v, over %v (6x the 10-leaf decode per byte): the rules walk the leaves' ranks", dl, bound)
+	}
+}
+
+// TestDecodeRefusesAnUnboundedRuleWalk: XOR sends on a communicator that
+// lists the world in reverse, of an odd size, so that no bound settles them
+// and each leaf's 65,534 ranks are walked one by one. Ten leaves are within
+// the walk budget of the document; three hundred are refused by name once
+// the budget is spent, in the time the budget allows.
+func TestDecodeRefusesAnUnboundedRuleWalk(t *testing.T) {
+	const n = 1<<16 - 1
+	reversed := make([]int, n)
+	for i := range reversed {
+		reversed[i] = n - 1 - i
+	}
+	world, back := intsString(worldComms(n)[0]), intsString(reversed)
+	upload := func(leaves int) []byte {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "scalatrace-go 1\nnprocs %d\ncomms 2\ncomm 0 %s\ncomm 1 %s\ngroups 1\ngroup 0:%d %d\n", n, world, back, n-1, leaves)
+		for i := 0; i < leaves; i++ {
+			fmt.Fprintf(&b, "rsd op=Send site=%d ranks=1:%d comm=1 csize=%d peer=xor1 tag=0 size=8 root=-1\n", i, n-1, n)
+		}
+		return b.Bytes()
+	}
+	start := time.Now()
+	if _, err := Decode(bytes.NewReader(upload(10))); err != nil {
+		t.Fatalf("10 leaves: %v", err)
+	}
+	ten := time.Since(start)
+	start = time.Now()
+	_, err := Decode(bytes.NewReader(upload(300)))
+	many := time.Since(start)
+	t.Logf("10 leaves accepted in %v; 300 refused in %v: %v", ten, many, err)
+	if err == nil || !strings.Contains(err.Error(), "one by one") {
+		t.Fatalf("300 leaves: err = %v, want the walk budget's refusal", err)
+	}
+	// The budget is one rank per byte: 770 KB, 11 leaves.
+	if many > 10*ten {
+		t.Fatalf("refusing took %v, over 10x the %v of ten walked leaves", many, ten)
 	}
 }
 
