@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -65,15 +64,6 @@ func syncReference(n int) ([]*syncRecorder, func() *Trace) {
 	}
 }
 
-func encodedBytes(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if err := Encode(&b, tr); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
-
 // TestCollectorMatchesSynchronousCompression traces every kernel at 16 ranks
 // (or the largest count below that it accepts) through a Collector and, in
 // the same run, through the synchronous reference: the encodings must be
@@ -92,7 +82,7 @@ func TestCollectorMatchesSynchronousCompression(t *testing.T) {
 			if _, err := mpi.Run(n, netmodel.BlueGeneL(), app.Body(apps.NewConfig(n, apps.ClassS)), mpi.WithTracer(tracers)); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := encodedBytes(t, col.Trace()), encodedBytes(t, reference()); !bytes.Equal(got, want) {
+			if got, want := encodeTrace(t, col.Trace()), encodeTrace(t, reference()); got != want {
 				t.Fatalf("collector and synchronous compression differ:\n%s\nvs\n%s", got, want)
 			}
 		})
@@ -133,7 +123,7 @@ func TestCollectorChunkBoundaries(t *testing.T) {
 			recs[ev.Rank].Record(&ev)
 			clear(counts) // the runtime's scratch storage is reused
 		}
-		if got, want := encodedBytes(t, col.Trace()), encodedBytes(t, reference()); !bytes.Equal(got, want) {
+		if got, want := encodeTrace(t, col.Trace()), encodeTrace(t, reference()); got != want {
 			t.Fatalf("%d events: collector and synchronous compression differ:\n%s\nvs\n%s", k, got, want)
 		}
 	}
