@@ -15,7 +15,8 @@
 // Here the rendezvous is the paper's, rank by rank, but the traversal
 // context belongs to a class of ranks that walk the same events
 // (lockstepClasses): one cursor, one re-compressed segment that every member
-// names in the merge. O(c*e) emission for c classes plus O(p*s) folding of
+// names in the merge, or a copy of it with the member's own vector peers.
+// O(c*e) emission for c classes plus O(p*s) copying and folding of
 // compressed segments, where a context per rank is O(p*e); see DESIGN.md
 // Section 10.
 package align
@@ -78,51 +79,104 @@ func Align(t *trace.Trace) (*trace.Trace, error) {
 
 // lockstep is the traversal context of one class: one cursor, and one stream
 // builder for the segment, the class's events since the last completed
-// collective. Its leaves carry the first member's singleton set: it is the
-// sequence that member alone would have built.
+// collective. Its leaves carry the first member's singleton set and peers: it
+// is the sequence that member alone would have built.
 type lockstep struct {
 	first, size int
 	ranks       taskset.Set // {first}
 	cur         *trace.Cursor
 	seg         *trace.Builder
 	// ran: a member has walked, and emitted, the stretch from the class's
-	// last collective to cur; progressed: the stretch holds an event.
-	ran, progressed bool
+	// last collective to cur; progressed: the stretch holds an event; vec:
+	// one of a vector-peer leaf, whose peer differs between members.
+	ran, progressed, vec bool
+	// vecLeaves holds the vector-peer leaves of the class's group by the hash
+	// of their copy for the first member, built at the first segment that
+	// needs it.
+	vecLeaves map[uint64][]vecLeaf
+}
+
+// vecLeaf is a vector-peer leaf of the input and its copy for the first
+// member of a class.
+type vecLeaf struct{ copy, src *trace.RSD }
+
+// segFor returns the class's segment as member r would have built it: a copy
+// whose leaves of vector-peer leaves carry r's peers. Such a leaf is found by
+// its copy for the first member. Two input leaves with equal copies give every
+// member equal peers, or lockstepClasses would have split the class.
+func (c *lockstep) segFor(r int, t *trace.Trace, group []trace.Node) []trace.Node {
+	if c.vecLeaves == nil {
+		c.vecLeaves = map[uint64][]vecLeaf{}
+		trace.Leaves(group, func(x *trace.RSD) {
+			if x.Peer.Kind == trace.ParamVec && x.Ranks.Contains(c.first) {
+				cp := new(trace.RSD)
+				x.CopyFor(cp, c.first, c.ranks, t, 0)
+				c.vecLeaves[cp.Hash()] = append(c.vecLeaves[cp.Hash()], vecLeaf{cp, x})
+			}
+		})
+	}
+	return trace.CopySeqFor(c.seg.Seq(), taskset.Of(r), func(l *trace.RSD) (trace.Param, bool) {
+		if l.Peer.Kind == trace.ParamAbs {
+			for _, v := range c.vecLeaves[l.Hash()] {
+				if trace.StructEqual(v.copy, l) {
+					return trace.AbsParam(v.src.PeerFor(r, t)), true
+				}
+			}
+		}
+		return trace.NoParam, false
+	})
 }
 
 // lockstepClasses returns each rank's class, numbered by first member. Two
-// ranks share a class when they are in the same group, members of exactly
-// the same leaves of its sequence (refined leaf by leaf, nothing is hashed)
-// and of no leaf with a vector peer, the one field RSD.CopyFor resolves per
-// rank: they emit, up to the rank set, the same leaves. Their segments are
-// equal too if every collective has N members — it completes with every
-// rank standing at it. Behind one of fewer, where a non-member stands
-// depends on the order of the visits, and every rank is alone.
+// ranks share a class when they are in the same group and members of exactly
+// the same leaves of its sequence (refined leaf by leaf, nothing is hashed):
+// they emit the same leaves up to the rank set and the peer RSD.CopyFor
+// resolves per rank for a vector-peer leaf. A segment builder decides its
+// folds by node equality alone, so those peers change none of its decisions
+// unless a vector-peer leaf and another leaf of the group are equal but for
+// their peers: for each such pair, the members of both are refined by whether
+// their two copies' peers are equal. The class's segments are then equal up
+// to those peers if every collective has N members — it completes with every
+// rank standing at it. Behind one of fewer, where a non-member stands depends
+// on the order of the visits, and every rank is alone.
 func lockstepClasses(t *trace.Trace, groupOf []int) []int {
 	class := slices.Clone(groupOf)
 	members := make([][]int, len(t.Groups))
 	for r, gi := range groupOf {
 		members[gi] = append(members[gi], r)
 	}
-	// to[c] is the class of c's members inside the leaf being visited, while
-	// stamp[c] names that leaf.
-	next, leaf, alone := len(t.Groups), 0, false
+	// refine moves the ranks of group gi that are in the set to a new class
+	// per class they leave: to[c] is the class of c's members inside, while
+	// stamp[c] names the split.
+	next, split, alone := len(t.Groups), 0, false
 	to, stamp := make([]int, next), make([]int, next)
-	for gi := range t.Groups {
-		trace.Leaves(t.Groups[gi].Seq, func(x *trace.RSD) {
-			alone = alone || x.Op.IsCollective() && len(t.CommGroup(x.CommID)) != t.N
-			leaf++
-			for _, r := range members[gi] {
-				if !x.Ranks.Contains(r) {
-					continue
-				}
-				if c := class[r]; stamp[c] != leaf || x.Peer.Kind == trace.ParamVec {
-					stamp[c], to[c] = leaf, next
-					next, to, stamp = next+1, append(to, 0), append(stamp, 0)
-				}
-				class[r] = to[class[r]]
+	refine := func(gi int, in taskset.Set) {
+		split++
+		for _, r := range members[gi] {
+			if !in.Contains(r) {
+				continue
 			}
+			if c := class[r]; stamp[c] != split {
+				stamp[c], to[c] = split, next
+				next, to, stamp = next+1, append(to, 0), append(stamp, 0)
+			}
+			class[r] = to[class[r]]
+		}
+	}
+	for gi, g := range t.Groups {
+		trace.Leaves(g.Seq, func(x *trace.RSD) {
+			alone = alone || x.Op.IsCollective() && len(t.CommGroup(x.CommID)) != t.N
+			refine(gi, x.Ranks)
 		})
+		for _, p := range peerPairs(t, g.Seq) {
+			var equal []int
+			for _, r := range members[gi] {
+				if p[0].Ranks.Contains(r) && p[1].Ranks.Contains(r) && copyPeer(t, p[0], r) == copyPeer(t, p[1], r) {
+					equal = append(equal, r)
+				}
+			}
+			refine(gi, taskset.Of(equal...))
+		}
 	}
 	byFirst := map[int]int{}
 	for r, c := range class {
@@ -135,6 +189,45 @@ func lockstepClasses(t *trace.Trace, groupOf []int) []int {
 		class[r] = byFirst[c]
 	}
 	return class
+}
+
+// peerPairs returns each vector-peer leaf of seq paired with every other leaf
+// of seq that is equal to it but for the peer: the pairs whose copies a
+// segment builder may find equal for some ranks and not for others.
+func peerPairs(t *trace.Trace, seq []trace.Node) [][2]*trace.RSD {
+	var vecs []*trace.RSD
+	trace.Leaves(seq, func(x *trace.RSD) {
+		if x.Peer.Kind == trace.ParamVec {
+			vecs = append(vecs, x)
+		}
+	})
+	if len(vecs) == 0 {
+		return nil
+	}
+	var pairs [][2]*trace.RSD
+	var a, b trace.RSD
+	trace.Leaves(seq, func(y *trace.RSD) {
+		for _, x := range vecs {
+			if y == x || y.Op != x.Op || y.Site != x.Site {
+				continue
+			}
+			x.CopyFor(&a, 0, taskset.Empty, t, 0)
+			y.CopyFor(&b, 0, taskset.Empty, t, 0)
+			a.Peer, b.Peer = trace.NoParam, trace.NoParam
+			if trace.StructEqual(&a, &b) {
+				pairs = append(pairs, [2]*trace.RSD{x, y})
+			}
+		}
+	})
+	return pairs
+}
+
+// copyPeer is the peer of rank's copy of x (RSD.CopyFor).
+func copyPeer(t *trace.Trace, x *trace.RSD, rank int) trace.Param {
+	if x.Peer.Kind == trace.ParamVec {
+		return trace.AbsParam(x.PeerFor(rank, t))
+	}
+	return x.Peer
 }
 
 // alignWith is Align with the classifier and the segment builders'
@@ -164,11 +257,18 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)
 	// instead of exploding into per-rank leaves. The merge only reads a
 	// sequence several members name, so its leaves go back to the builder.
+	// A class whose segment holds a leaf of a vector-peer leaf names it for
+	// its first member only, and gives every other member a copy with the
+	// member's own peers.
 	seqs := make([][]trace.Node, n)
 	flushSegments := func() {
 		empty := true
-		for r, c := range classOf {
-			seqs[r] = classes[c].seg.Seq()
+		for r, ci := range classOf {
+			c := classes[ci]
+			seqs[r] = c.seg.Seq()
+			if c.vec && r != c.first {
+				seqs[r] = c.segFor(r, t, t.Groups[groupOf[r]].Seq)
+			}
 			empty = empty && len(seqs[r]) == 0
 		}
 		if empty {
@@ -181,7 +281,8 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 			}
 		}
 		for _, c := range classes {
-			c.seg.Reset(c.size == 1)
+			c.seg.Reset(c.size == 1 || c.vec)
+			c.vec = false
 		}
 	}
 
@@ -211,6 +312,7 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 					c.seg.Append(leaf)
 					c.cur.Advance()
 					c.progressed = true
+					c.vec = c.vec || rsd.Peer.Kind == trace.ParamVec
 				}
 			}
 			if c.progressed {

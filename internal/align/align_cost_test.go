@@ -121,8 +121,8 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 func TestAppendPathCounts(t *testing.T) {
 	type paths struct{ cursor, indexed int64 }
 	want := map[string][2]paths{ // collection, Align
-		"bt": {{7344, 912}, {7344, 832}},
-		"cg": {{444, 672}, {0, 811}},
+		"bt": {{7344, 912}, {864, 98}},
+		"cg": {{444, 672}, {0, 107}},
 		"lu": {{2640, 16720}, {1920, 7689}},
 	}
 	cursor, indexed := telemetry.NewCounter("trace.cursor_appends"), telemetry.NewCounter("trace.indexed_appends")
@@ -145,6 +145,29 @@ func TestAppendPathCounts(t *testing.T) {
 		if got != want[name] {
 			t.Errorf("%s@16: {cursor indexed} appends of collection, Align = %v, want %v", name, got, want[name])
 		}
+	}
+}
+
+// TestVectorPeerClassCounts pins the lockstep classes of the stencils whose
+// exchanges have vector peers: two at 16 and 64 ranks, where a class for each
+// rank with a vector peer made them 64, 64 and 57 at 64 ranks. cg has pairs
+// of leaves equal but for their peers, whose peers are equal for every
+// member, so they split no class.
+func TestVectorPeerClassCounts(t *testing.T) {
+	pairs := 0
+	for _, name := range []string{"bt", "sp", "cg"} {
+		for _, n := range []int{16, 64} {
+			tr := traceKernel(t, name, n, apps.ClassS)
+			if got := classCount(t, tr); got != 2 {
+				t.Errorf("%s@%d: %d lockstep classes, want 2", name, n, got)
+			}
+			for _, g := range tr.Groups {
+				pairs += len(peerPairs(tr, g.Seq))
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no kernel has a vector-peer leaf equal to another but for its peer: the class rule's refinement is never reached")
 	}
 }
 
@@ -172,15 +195,18 @@ func TestAlignAllocationsPerEvent(t *testing.T) {
 
 // BenchmarkAlign measures Algorithm 1 where it is the first cost of
 // generation: sweep3d-64/A is the ledger's gen-irregular input (9 lockstep
-// classes for 64 ranks, as lu and halo2d have), bt-64/S the case that gains
-// nothing — vector peers, every class one rank. classes is the number of
-// traversal contexts, ns/event the time per event of the input trace.
+// classes for 64 ranks, as lu and halo2d have); bt and cg are stencils whose
+// exchanges have vector peers, at 64 and 1024 ranks: 2 classes at either
+// scale, each member's segment a copy of its class's with the member's peers.
+// classes is the number of traversal contexts, ns/event the time per event of
+// the input trace.
 func BenchmarkAlign(b *testing.B) {
 	for _, k := range []struct {
 		app   string
 		n     int
 		class apps.Class
-	}{{"sweep3d", 16, apps.ClassS}, {"sweep3d", 64, apps.ClassA}, {"lu", 64, apps.ClassA}, {"halo2d", 64, apps.ClassA}, {"bt", 64, apps.ClassS}} {
+	}{{"sweep3d", 16, apps.ClassS}, {"sweep3d", 64, apps.ClassA}, {"lu", 64, apps.ClassA}, {"halo2d", 64, apps.ClassA},
+		{"bt", 64, apps.ClassS}, {"cg", 64, apps.ClassS}, {"bt", 1024, apps.ClassS}, {"cg", 1024, apps.ClassS}} {
 		b.Run(fmt.Sprintf("%s-%d/%c", k.app, k.n, k.class), func(b *testing.B) {
 			tr := alignInput(b, k.app, k.n, k.class)
 			if !Needed(tr) {

@@ -106,6 +106,19 @@ func hostileTraces() map[string]*trace.Trace {
 	one := func(seq ...trace.Node) []trace.Group { return []trace.Group{{Ranks: all, Seq: seq}} }
 	vector := rsd(mpi.OpSend, taskset.Of(0, 1), 4)
 	vector.Peer, vector.PeerVec = trace.VecParam, []int{3, 2}
+	// withPeer is a send of the given ranks that differs from rsd's in its
+	// peer alone.
+	withPeer := func(ranks taskset.Set, peer trace.Param, vec ...int) *trace.RSD {
+		r := rsd(mpi.OpSend, ranks, 4)
+		r.Peer, r.PeerVec = peer, vec
+		return r
+	}
+	// A sub-communicator of ranks 0 and 2, in reverse order.
+	sub := func(op mpi.Op) *trace.RSD {
+		r := &trace.RSD{Op: op, Site: uint64(op), Ranks: taskset.Of(0, 2), CommID: 1, CommSize: 2, Root: -1, Size: 8}
+		r.Peer, r.PeerVec = trace.VecParam, []int{0, 1}
+		return r
+	}
 	return map[string]*trace.Trace{
 		"loops of zero iterations": {N: 4, Comms: world, Groups: one(
 			&trace.Loop{Iters: 0, Body: []trace.Node{rsd(mpi.OpAllreduce, taskset.Of(0, 2), 4)}},
@@ -115,6 +128,30 @@ func hostileTraces() map[string]*trace.Trace {
 		)},
 		"vector peers": {N: 4, Comms: world, Groups: one(
 			vector, rsd(mpi.OpRecv, taskset.Of(2, 3), 4), rsd(mpi.OpBarrier, all, 4),
+		)},
+		// Every rank is in both leaves, whose peers are equal for ranks 0 and
+		// 2 (six equal sends, one loop of one) and differ for 1 and 3 (a loop
+		// of two sends): the vector peers split the ranks into two classes.
+		"vector peers equal for some ranks": {N: 4, Comms: world, Groups: one(
+			&trace.Loop{Iters: 3, Body: []trace.Node{
+				withPeer(all, trace.VecParam, 1, 2, 3, 0),
+				withPeer(all, trace.VecParam, 1, 3, 3, 1),
+			}},
+			rsd(mpi.OpBarrier, all, 4),
+		)},
+		// The vector peer is the absolute one's for ranks 0 and 1, not for 2.
+		"a vector peer equal to an absolute one": {N: 4, Comms: world, Groups: one(
+			&trace.Loop{Iters: 3, Body: []trace.Node{
+				withPeer(taskset.Range(0, 2), trace.VecParam, 3, 3, 0),
+				withPeer(taskset.Range(0, 2), trace.AbsParam(3)),
+			}},
+			rsd(mpi.OpBarrier, all, 4),
+		)},
+		"vector peers on a sub-communicator": {N: 4, Comms: map[int][]int{0: {0, 1, 2, 3}, 1: {2, 0}}, Groups: one(
+			&trace.Loop{Iters: 2, Body: []trace.Node{sub(mpi.OpSend), sub(mpi.OpRecv)}},
+			rsd(mpi.OpAllreduce, all, 4),
+			sub(mpi.OpSend),
+			rsd(mpi.OpBarrier, all, 4),
 		)},
 		// Ranks 0 and 1 wait on one communicator, 2 and 3 on a permutation
 		// of it: which rank the error names depends on the order of visits.
@@ -185,15 +222,19 @@ func eventsWithin(seq []trace.Node, budget int) bool {
 
 // FuzzAlignLockstep feeds whatever trace.Decode accepts to the comparison:
 // equal traces or equal errors, never a panic. The seeds are FuzzDecode's
-// hand-written documents that hold events, and encoded traces of bodies
-// that need Algorithm 1.
+// hand-written documents that hold events, encoded traces of bodies that
+// need Algorithm 1, and the hostile traces, whose vector peers reach the
+// class rule's pairs of leaves equal but for their peers.
 func FuzzAlignLockstep(f *testing.F) {
-	for _, body := range []func(*mpi.Rank){figure3Body, splitBody} {
+	addTrace := func(tr *trace.Trace) {
 		var buf bytes.Buffer
-		if err := trace.Encode(&buf, collect(f, 12, body)); err != nil {
+		if err := trace.Encode(&buf, tr); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	for _, body := range []func(*mpi.Rank){figure3Body, splitBody} {
+		addTrace(collect(f, 12, body))
 	}
 	f.Add([]byte("scalatrace-go 1\nnprocs 4\ncomms 2\ncomm 0 0,1,2,3\ncomm 1 0,2\ngroups 1\n" +
 		"group 0:3 2\n" +
@@ -216,6 +257,15 @@ func FuzzAlignLockstep(f *testing.F) {
 		"rsd op=Waitall site=12 ranks=0:3 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n" +
 		"rsd op=Barrier site=13 ranks=0:2:2 comm=0 csize=4 peer=- tag=0 size=0 root=-1\n" +
 		"rsd op=Barrier site=14 ranks=1:3:2 comm=1 csize=4 peer=- tag=0 size=0 root=-1\n"))
+	hostile := hostileTraces()
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		addTrace(hostile[name])
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Decode(bytes.NewReader(data))

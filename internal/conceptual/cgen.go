@@ -1,5 +1,7 @@
 package conceptual
 
+import "math"
+
 // GenerateC emits ordinary C+MPI source code for the program, mirroring the
 // coNCePTuaL compiler's C backend. The output is for inspection and
 // portability documentation; execution in this reproduction goes through
@@ -27,8 +29,14 @@ static char msgbuf[1 << 24];
 int main(int argc, char **argv) {
   int rank, num_tasks;
   double reset_at = 0.0;
-  MPI_Request reqs[4096];
-  int nreqs = 0;
+`)
+	// A bound past the default's takes static storage, off the stack.
+	if reqs := requests(p); reqs > minRequests {
+		w.S("  static MPI_Request reqs[").Int(reqs).S("];\n")
+	} else {
+		w.S("  MPI_Request reqs[").Int(minRequests).S("];\n")
+	}
+	w.S(`  int nreqs = 0;
   MPI_Init(&argc, &argv);
   MPI_Comm_rank(MPI_COMM_WORLD, &rank);
   MPI_Comm_size(MPI_COMM_WORLD, &num_tasks);
@@ -47,6 +55,72 @@ int main(int argc, char **argv) {
 }
 `)
 	return w.String()
+}
+
+// minRequests is the least length of the generated request array.
+const minRequests = 4096
+
+// requests returns the length of the request array: the most asynchronous
+// operations a task can have outstanding, and at least minRequests. Tasks are
+// counted one by one only where the bound for any task exceeds that.
+func requests(p *Program) int {
+	_, reqs := outstanding(p.Stmts, -1, 0, 0)
+	if reqs > minRequests && p.NumTasks > 0 {
+		reqs = 0
+		for task := range p.NumTasks {
+			_, peak := outstanding(p.Stmts, task, p.NumTasks, 0)
+			reqs = max(reqs, peak)
+		}
+	}
+	return max(reqs, minRequests)
+}
+
+// outstanding returns how many asynchronous operations task, of tasks, has
+// outstanding after stmts, entered with n, and the most it has at any point:
+// loop counts multiply, and an AWAIT that selects the task completes them.
+// Task -1 is any task of any count: every operation counts, and only an
+// AWAIT of all tasks completes them. Both saturate at math.MaxInt32.
+func outstanding(stmts []Stmt, task, tasks, n int) (end, peak int) {
+	runs := func(who TaskSel) bool { return task < 0 || who.Contains(task, tasks) }
+	peak = n
+	for _, s := range stmts {
+		switch x := s.(type) {
+		case *SendStmt:
+			if x.Async && runs(x.Who) {
+				n = min(n+1, math.MaxInt32)
+			}
+		case *RecvStmt:
+			if x.Async && runs(x.Who) {
+				n = min(n+1, math.MaxInt32)
+			}
+		case *AwaitStmt:
+			if x.Who.Kind == SelAll || task >= 0 && runs(x.Who) {
+				n = 0
+			}
+		case *LoopStmt:
+			if x.Count <= 0 {
+				continue
+			}
+			end1, peak1 := outstanding(x.Body, task, tasks, n)
+			if x.Count == 1 {
+				n, peak = end1, max(peak, peak1)
+				continue
+			}
+			// Each iteration after the second adds what the second did: d,
+			// zero when the body completes everything.
+			end2, peak2 := outstanding(x.Body, task, tasks, end1)
+			d, more := end2-end1, x.Count-2
+			grow := func(v int) int {
+				if d > 0 && more > (math.MaxInt32-v)/d {
+					return math.MaxInt32
+				}
+				return v + more*d
+			}
+			n, peak = grow(end2), max(peak, peak1, grow(peak2))
+		}
+		peak = max(peak, n)
+	}
+	return n, peak
 }
 
 func cStmts(w *Writer, stmts []Stmt) {
