@@ -438,8 +438,8 @@ func BenchmarkGeneratePipeline(b *testing.B) {
 }
 
 // BenchmarkRender measures the three printers alone on the ledger's
-// gen-irregular input (sweep3d, 64 ranks, class A): the program and the
-// prepared trace are built once, each iteration renders one language.
+// gen-irregular input (sweep3d, 64 ranks, class A): the program is built
+// once, each iteration renders one language.
 // ns/stmt and allocs/stmt are per statement of the coNCePTuaL program.
 func BenchmarkRender(b *testing.B) {
 	run, err := harness.TraceApp("sweep3d", apps.NewConfig(64, apps.ClassA), netmodel.Ideal())
@@ -460,13 +460,7 @@ func BenchmarkRender(b *testing.B) {
 	}{
 		{"conceptual", func() (string, error) { return conceptual.Print(prog), nil }},
 		{"c", func() (string, error) { return conceptual.GenerateC(prog), nil }},
-		{"go", func() (string, error) {
-			g := core.NewGoGenerator()
-			if err := core.Traverse(prepared, g); err != nil {
-				return "", err
-			}
-			return g.Source()
-		}},
+		{"go", func() (string, error) { return conceptual.GenerateGo(prog), nil }},
 	} {
 		b.Run(lang.name, func(b *testing.B) {
 			var before, after runtime.MemStats

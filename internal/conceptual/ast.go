@@ -4,8 +4,9 @@
 // pretty-printer emitting the readable source form, a parser accepting that
 // form back (so generated benchmarks can be edited and re-run), an
 // interpreter that executes programs on the simulated MPI runtime — playing
-// the role of the coNCePTuaL compiler's C+MPI backend — and a C+MPI source
-// emitter for inspection.
+// the role of the coNCePTuaL compiler's C+MPI backend — and two more
+// printers of the same program: C+MPI source for inspection, and a Go
+// program that runs on the simulated runtime exactly as the interpreter does.
 package conceptual
 
 import "repro/internal/taskset"

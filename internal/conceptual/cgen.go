@@ -1,14 +1,20 @@
 package conceptual
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/mpi"
+)
 
 // GenerateC emits ordinary C+MPI source code for the program, mirroring the
 // coNCePTuaL compiler's C backend. The output is for inspection and
 // portability documentation; execution in this reproduction goes through
-// Execute.
+// Execute. It creates and uses the communicators Execute does (see
+// comms.collective).
 func GenerateC(p *Program) string {
+	cm := planComms(p.Stmts, renderTasks(p))
 	// The prologue, then 100-290 bytes of C per statement.
-	w := NewWriter(C, p.NumTasks, 0, 2048+256*p.StmtCount())
+	w := newWriter(cDialect, p.NumTasks, 0, 2048+256*p.StmtCount())
 	w.S("/*\n * Generated by scalatrace-go (coNCePTuaL C backend).\n")
 	for _, c := range p.Comments {
 		w.S(" * ").S(c).End()
@@ -46,9 +52,14 @@ int main(int argc, char **argv) {
 		w.S(`    fprintf(stderr, "this benchmark was generated for `).Int(p.NumTasks).S(" tasks\\n\");\n")
 		w.S("    MPI_Abort(MPI_COMM_WORLD, 1);\n  }\n")
 	}
-	w.S("  reset_at = MPI_Wtime();\n")
 	w.depth = 1
-	cStmts(w, p.Stmts)
+	// Every task takes part in every split: members on colour 0.
+	for i, set := range cm.plans {
+		w.S("  MPI_Comm ").Comm(commRef(i)).S(";\n")
+		w.S("  MPI_Comm_split(MPI_COMM_WORLD, ").Cond(set.Describe(cm.n)).S(" ? 0 : MPI_UNDEFINED, 0, &").Comm(commRef(i)).S(");\n")
+	}
+	w.S("  reset_at = MPI_Wtime();\n")
+	cStmts(w, cm, p.Stmts)
 	w.S(`  if (nreqs > 0) { MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0; }
   MPI_Finalize();
   return 0;
@@ -123,74 +134,60 @@ func outstanding(stmts []Stmt, task, tasks, n int) (end, peak int) {
 	return n, peak
 }
 
-func cStmts(w *Writer, stmts []Stmt) {
+func cStmts(w *writer, cm *comms, stmts []Stmt) {
 	for _, s := range stmts {
-		cStmt(w, s)
+		switch x := s.(type) {
+		case *LoopStmt:
+			w.OpenLoop(x.Count)
+			cStmts(w, cm, x.Body)
+			w.CloseLoop().End()
+		case *SendStmt:
+			w.cP2P(x.Who, x.Async, "MPI_Isend", "MPI_Send", "", x.Size, x.Dest)
+		case *RecvStmt:
+			w.cP2P(x.Who, x.Async, "MPI_Irecv", "MPI_Recv", ", MPI_STATUS_IGNORE", x.Size, x.Source)
+		case *AwaitStmt:
+			w.Stmt(x.Who).S("MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0;").End()
+		case *SyncStmt, *ReduceStmt, *MulticastStmt:
+			k := cm.collective(s)
+			w.Stmt(k.who)
+			switch k.op {
+			case mpi.OpBarrier:
+				w.S("MPI_Barrier(").Comm(k.comm).S("); /* over the selected tasks' communicator */")
+			case mpi.OpAllreduce:
+				w.S("MPI_Allreduce(MPI_IN_PLACE, msgbuf, ").Int(k.size).S(", MPI_BYTE, MPI_BOR, ").Comm(k.comm).S(");")
+			case mpi.OpReduce:
+				// Only the root may reduce in place.
+				w.S("MPI_Reduce(").Cond(OneTask(k.rootWorld)).S(" ? MPI_IN_PLACE : msgbuf, msgbuf, ").Int(k.size).S(", MPI_BYTE, MPI_BOR, ").Int(k.root).S(", ").Comm(k.comm).S(");")
+				if k.bcast {
+					w.NL().cBcast(k)
+				}
+			case mpi.OpBcast:
+				w.cBcast(k)
+			default:
+				// In place: the send and receive buffers must not alias.
+				w.S("MPI_Alltoall(MPI_IN_PLACE, 0, MPI_BYTE, msgbuf, ").Int(k.size).S(", MPI_BYTE, ").Comm(k.comm).S(");")
+			}
+			w.End()
+		case *ComputeStmt:
+			w.Stmt(x.Who).S("ncptl_compute_for(").Fixed3(x.USecs).S(");").End()
+		case *ResetStmt:
+			w.Stmt(x.Who).S("reset_at = MPI_Wtime();").End()
+		case *LogStmt:
+			w.Stmt(x.Who).S(`printf("%d `).S(x.Label).S(` %f\n", rank, (MPI_Wtime() - reset_at) * 1e6);`).End()
+		}
 	}
 }
 
-func cStmt(w *Writer, s Stmt) {
-	switch x := s.(type) {
-	case *LoopStmt:
-		w.OpenLoop(x.Count)
-		cStmts(w, x.Body)
-		w.CloseLoop().End()
-	case *SendStmt:
-		w.cP2P(x.Who, x.Async, "MPI_Isend", "MPI_Send", "", x.Size, x.Dest)
-	case *RecvStmt:
-		w.cP2P(x.Who, x.Async, "MPI_Irecv", "MPI_Recv", ", MPI_STATUS_IGNORE", x.Size, x.Source)
-	case *AwaitStmt:
-		w.Stmt(x.Who).S("MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0;").End()
-	case *SyncStmt:
-		w.Stmt(x.Who).S("MPI_Barrier(MPI_COMM_WORLD); /* over the selected tasks' communicator */").End()
-	case *ReduceStmt:
-		w.Stmt(unionSel(x.Srcs, x.Dsts))
-		if x.Srcs.Equal(x.Dsts) {
-			w.S("MPI_Allreduce(MPI_IN_PLACE, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_BOR, MPI_COMM_WORLD);").End()
-		} else {
-			// Only the root may reduce in place.
-			root := rootOf(x.Dsts)
-			w.S("MPI_Reduce(").Cond(OneTask(root)).S(" ? MPI_IN_PLACE : msgbuf, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_BOR, ").Int(root).S(", MPI_COMM_WORLD);").End()
-		}
-	case *MulticastStmt:
-		w.Stmt(unionSel(x.Srcs, x.Dsts))
-		if x.Srcs.Kind == SelOne {
-			w.S("MPI_Bcast(msgbuf, ").Int(x.Size).S(", MPI_BYTE, ").Int(x.Srcs.Value).S(", MPI_COMM_WORLD);").End()
-		} else {
-			// In place: the send and receive buffers must not alias.
-			w.S("MPI_Alltoall(MPI_IN_PLACE, 0, MPI_BYTE, msgbuf, ").Int(x.Size).S(", MPI_BYTE, MPI_COMM_WORLD);").End()
-		}
-	case *ComputeStmt:
-		w.Stmt(x.Who).S("ncptl_compute_for(").Fixed3(x.USecs, true).S(");").End()
-	case *ResetStmt:
-		w.Stmt(x.Who).S("reset_at = MPI_Wtime();").End()
-	case *LogStmt:
-		w.Stmt(x.Who).S(`printf("%d `).S(x.Label).S(` %f\n", rank, (MPI_Wtime() - reset_at) * 1e6);`).End()
-	}
+// cBcast writes a collective's broadcast from its root.
+func (w *writer) cBcast(k collective) *writer {
+	return w.S("MPI_Bcast(msgbuf, ").Int(k.size).S(", MPI_BYTE, ").Int(k.root).S(", ").Comm(k.comm).S(");")
 }
 
 // cP2P writes one point-to-point call on msgbuf over MPI_COMM_WORLD, tag 0:
 // icall with a request slot when async, else call with the arguments in tail.
-func (w *Writer) cP2P(who TaskSel, async bool, icall, call, tail string, size int, peer RankExpr) {
+func (w *writer) cP2P(who TaskSel, async bool, icall, call, tail string, size int, peer RankExpr) {
 	if async {
 		call, tail = icall, ", &reqs[nreqs++]"
 	}
 	w.Stmt(who).S(call).S("(msgbuf, ").Int(size).S(", MPI_BYTE, ").Rank(peer).S(", 0, MPI_COMM_WORLD").S(tail).S(");").End()
-}
-
-// unionSel returns a selector covering both inputs (conservatively ALL when
-// they differ).
-func unionSel(a, b TaskSel) TaskSel {
-	if a.Equal(b) {
-		return a
-	}
-	return AllTasks
-}
-
-// rootOf is the root of a rooted reduction: its single destination, else 0.
-func rootOf(dsts TaskSel) int {
-	if dsts.Kind == SelOne {
-		return dsts.Value
-	}
-	return 0
 }

@@ -79,16 +79,14 @@ func TestCompileResolvesPlannedComms(t *testing.T) {
 		&SyncStmt{Who: TaskSel{Kind: SelRange, Lo: 0, Hi: 3}},
 		&ReduceStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 8},
 	}}
-	plans := collectCommPlans(p.Stmts, n)
-	if len(plans) != 1 {
-		t.Fatalf("expected 1 planned communicator, got %d", len(plans))
+	cm := planComms(p.Stmts, n)
+	if len(cm.plans) != 1 {
+		t.Fatalf("expected 1 planned communicator, got %d", len(cm.plans))
 	}
-	c := &compiler{n: n, planIdx: map[string]int{plans[0].key: 0}}
-	sub := TaskSel{Kind: SelRange, Lo: 0, Hi: 3}
-	if ref, _ := c.commRefFor(sub.Set(n)); ref != 0 {
+	if ref := cm.collective(p.Stmts[0]).comm; ref != 0 {
 		t.Errorf("subgroup resolved to %d, want plan slot 0", ref)
 	}
-	if ref, _ := c.commRefFor(AllTasks.Set(n)); ref != worldRef {
+	if ref := cm.collective(p.Stmts[1]).comm; ref != worldRef {
 		t.Errorf("world union resolved to %d, want worldRef", ref)
 	}
 }
@@ -100,9 +98,9 @@ func TestCompileResolvesPlannedComms(t *testing.T) {
 func TestLoweringSizesInstructionsOnce(t *testing.T) {
 	const n = 8
 	for name, p := range differentialPrograms() {
-		plans := collectCommPlans(p.Stmts, n)
-		cp := lowerCursor(p, n, plans, stmtSites(p.Stmts))
-		if bound := 2*len(plans) + instrBound(p.Stmts); cap(cp.Instrs) != bound || len(cp.Instrs) > bound {
+		cm := planComms(p.Stmts, n)
+		cp := lowerCursor(p, cm, stmtSites(p.Stmts))
+		if bound := 2*len(cm.plans) + instrBound(p.Stmts); cap(cp.Instrs) != bound || len(cp.Instrs) > bound {
 			t.Errorf("conceptual.lower_cursor %s: %d instructions in a list of capacity %d, want capacity %d",
 				name, len(cp.Instrs), cap(cp.Instrs), bound)
 		}
@@ -132,10 +130,10 @@ func TestLoweringMemoryIsStatementsPlusDistinctTables(t *testing.T) {
 			&LogStmt{Who: AllTasks, Label: "t"})
 	}
 	p := &Program{NumTasks: n, Stmts: stmts}
-	plans, sites := collectCommPlans(p.Stmts, n), stmtSites(p.Stmts)
+	cm, sites := planComms(p.Stmts, n), stmtSites(p.Stmts)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	cp := lowerCursor(p, n, plans, sites)
+	cp := lowerCursor(p, cm, sites)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
 		t.Errorf("lowering %d statements for %d tasks allocated %.1f MB, want under 8", len(stmts), n, float64(got)/(1<<20))

@@ -74,25 +74,23 @@ func streamID(ref commRef) int {
 	return int(ref) + 1
 }
 
-// lowerCursor lowers a program through compile.go's resolution helpers
-// (membership masks, peer tables, communicator references, root ranks).
-func lowerCursor(p *Program, n int, plans []commPlan, sites map[Stmt]siteInfo) *cursorProgram {
+// lowerCursor lowers a program for cm's task count through compile.go's
+// resolution helpers (the collective decision, membership masks, peer
+// tables).
+func lowerCursor(p *Program, cm *comms, sites map[Stmt]siteInfo) *cursorProgram {
 	defer telemetry.Region("conceptual.lower_cursor")()
 	ctrCursorPrograms.Inc()
-	c := &compiler{n: n, planIdx: make(map[string]int, len(plans)), sites: sites,
-		masks: map[string][]bool{}, peerTabs: map[RankExpr][]int{}, key: NewWriter(Conceptual, n, 0, 64),
-		out: &cursorProgram{Program: mpi.Program{Instrs: make([]mpi.Instr, 0, 2*len(plans)+instrBound(p.Stmts))}}}
-	for i, pl := range plans {
-		c.planIdx[pl.key] = i
-	}
+	c := &compiler{comms: cm, sites: sites,
+		masks: map[string][]bool{}, peerTabs: map[RankExpr][]int{}, key: newWriter(conceptualDialect, cm.n, 0, 64),
+		out: &cursorProgram{Program: mpi.Program{Instrs: make([]mpi.Instr, 0, 2*len(cm.plans)+instrBound(p.Stmts))}}}
 	// Every task takes part in every startup split, in plan order: members
 	// with color 0, the others with MPI_UNDEFINED, all with key 0, so that a
 	// new group lists its tasks in world order.
-	for i, pl := range plans {
+	for i, set := range cm.plans {
 		split := mpi.RankOp{Op: mpi.OpCommSplit, Site: planSite(i), NewCommID: i + 1}
-		c.op(c.setMask(pl.set, true), split, nil)
+		c.op(c.setMask(set, true), split, nil)
 		split.SplitColor = -1
-		c.op(c.setMask(pl.set, false), split, nil)
+		c.op(c.setMask(set, false), split, nil)
 	}
 	c.lowerStmts(p.Stmts)
 	return c.out
@@ -152,13 +150,15 @@ func (c *compiler) lowerStmt(s Stmt) {
 	case *AwaitStmt:
 		// The stackless drain with nothing outstanding is a silent no-op.
 		c.op(c.mask(x.Who), mpi.RankOp{Op: mpi.OpWaitall, Site: site}, nil)
-	case *SyncStmt:
-		ref, _ := c.commRefFor(x.Who.Set(c.n))
-		c.op(c.mask(x.Who), mpi.RankOp{Op: mpi.OpBarrier, Site: site, CommID: streamID(ref)}, nil)
-	case *ReduceStmt:
-		c.lowerCollective(x, x.Srcs, x.Dsts, x.Size, true)
-	case *MulticastStmt:
-		c.lowerCollective(x, x.Srcs, x.Dsts, x.Size, false)
+	case *SyncStmt, *ReduceStmt, *MulticastStmt:
+		k := c.collective(s)
+		op := mpi.RankOp{Op: k.op, Site: site, CommID: streamID(k.comm), Size: k.size, Root: k.root}
+		members := c.mask(k.who)
+		c.op(members, op, nil)
+		if k.bcast {
+			op.Op, op.Site = mpi.OpBcast, c.sites[s].sec
+			c.op(members, op, nil)
+		}
 	case *ComputeStmt:
 		// An OpInit leaf is the stackless compute-only operation: it advances
 		// the clock and records nothing.
@@ -170,31 +170,4 @@ func (c *compiler) lowerStmt(s Stmt) {
 		c.out.Instrs = append(c.out.Instrs, mpi.Instr{Kind: mpi.InstrMark, Members: c.mask(x.Who), Mark: len(c.out.labels)})
 	}
 	// Unknown statements are inert.
-}
-
-// lowerCollective maps a REDUCE or a MULTICAST onto the communicator of its
-// tasks: a REDUCE with sources equal to destinations is an allreduce, to one
-// destination a rooted reduce, to others a reduce followed by a broadcast
-// among them; a MULTICAST from one source is a broadcast, from several a
-// many-to-many exchange (Table 1's Alltoall family).
-func (c *compiler) lowerCollective(s Stmt, srcSel, dstSel TaskSel, size int, reduce bool) {
-	srcs, dsts := srcSel.Set(c.n), dstSel.Set(c.n)
-	ref, union := c.commRefFor(srcs, dsts)
-	part, si := c.setMask(union, true), c.sites[s]
-	op := mpi.RankOp{Site: si.pri, CommID: streamID(ref), Size: size}
-	switch {
-	case reduce && srcs.Equal(dsts):
-		op.Op = mpi.OpAllreduce
-	case reduce:
-		op.Op, op.Root = mpi.OpReduce, rootRank(ref, union, dsts.Min())
-	case srcs.Size() == 1:
-		op.Op, op.Root = mpi.OpBcast, rootRank(ref, union, srcs.Min())
-	default:
-		op.Op = mpi.OpAlltoall
-	}
-	c.op(part, op, nil)
-	if op.Op == mpi.OpReduce && dsts.Size() != 1 {
-		op.Op, op.Site = mpi.OpBcast, si.sec
-		c.op(part, op, nil)
-	}
 }

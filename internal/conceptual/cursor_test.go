@@ -3,6 +3,7 @@ package conceptual
 import (
 	"bytes"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -79,8 +80,11 @@ func TestExecuteGoroutineFree(t *testing.T) {
 // tasks' state: all streams in one block and all loop frames in another, so
 // on a warm pooled engine a program makes as many allocations at 256 tasks
 // as at 16. (Per-task streams whose frames grew by append made three per
-// task: 81 allocations at 16 tasks, 801 at 256.)
+// task: 81 allocations at 16 tasks, 801 at 256.) The collector is off while
+// it counts: under -race, collections landing in one measurement and not the
+// other have moved the two means apart.
 func TestExecuteStreamStateIsConstantAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := &Program{Stmts: []Stmt{
 		&LoopStmt{Count: 4, Body: []Stmt{
 			&LoopStmt{Count: 3, Body: []Stmt{

@@ -7,12 +7,12 @@ import (
 	"repro/internal/taskset"
 )
 
-// Dialect is one target language's row of the table below: how it spells a
-// task group, a peer rank and a loop, and what it indents with. The table is
-// the only place a taskset.Predicate or a RankExpr becomes text; Print,
-// GenerateC and core.GoGenerator all render through a Writer over one row.
-// Templates hold $0 and $1 where their two integers go.
-type Dialect struct {
+// dialect is one target language's row of the table below: how it spells a
+// task group, a peer rank, a communicator and a loop, and what it indents
+// with. The table is the only place a taskset.Predicate or a RankExpr becomes
+// text; Print, GenerateC and GenerateGo all render through a writer over one
+// row. Templates hold $0 and $1 where their two integers go.
+type dialect struct {
 	indent string
 	// Task groups: every task, one task ($0), a range ($0..$1), a residue
 	// class ($0 = stride, $1 = offset) and an enumeration (item $0).
@@ -25,14 +25,15 @@ type Dialect struct {
 	// Peer ranks: absolute ($0), the executing task itself (empty: spelled as
 	// relative with offset 0), relative ($0 = offset, $1 = task count).
 	abs, self, rel string
-	// loop is a loop's header ($0 = the loop's number, $1 = its trip count),
-	// loopFirst an optional first body line ($0 likewise).
-	loop, loopFirst string
+	// Communicators: the world, and the startup split $0 (numbered from 1).
+	world, comm string
+	// loop is a loop's header ($0 = the loop's number, $1 = its trip count).
+	loop string
 }
 
 // The dialect table.
 var (
-	Conceptual = &Dialect{
+	conceptualDialect = &dialect{
 		indent: "  ",
 		all:    "ALL TASKS t", one: "TASK $0",
 		span:     `TASKS t SUCH THAT t >= $0 /\ t <= $1`,
@@ -41,30 +42,32 @@ var (
 		abs: "TASK $0", self: "TASK t", rel: "TASK (t+$0) MOD num_tasks",
 		loop: "FOR $1 REPETITIONS {",
 	}
-	C = &Dialect{
+	cDialect = &dialect{
 		indent: "  ",
 		one:    "rank == $0", span: "rank >= $0 && rank <= $1", stride: "rank % $0 == $1",
 		enumItem: "rank == $0", enumSep: " || ",
 		guardOpen: "if (", guardClose: ") {",
 		abs: "$0", self: "rank", rel: "(rank + $0) % num_tasks",
+		world: "MPI_COMM_WORLD", comm: "comm$0",
 		loop: "for (int i$0 = 0; i$0 < $1; i$0++) {",
 	}
-	Go = &Dialect{
+	goDialect = &dialect{
 		indent: "\t",
 		one:    "me == $0", span: "me >= $0 && me <= $1", stride: "me%$0 == $1",
 		enumItem: "me == $0", enumSep: " || ",
 		guardOpen: "if ", guardClose: " {",
-		abs: "$0", rel: "(me + $0) % $1",
-		loop: "for i$0 := 0; i$0 < $1; i$0++ {", loopFirst: "_ = i$0",
+		abs: "$0", self: "me", rel: "(me + $0) % $1",
+		world: "world", comm: "c$0",
+		loop: "for i$0 := 0; i$0 < $1; i$0++ {",
 	}
 )
 
-// Writer appends generated source to one buffer. A statement is one chain:
+// writer appends generated source to one buffer. A statement is one chain:
 // Stmt opens it for a task group (indentation, and the guard block or subject
 // the dialect wants), the appenders fill it in, End closes the line and the
 // guard. Nothing on the per-statement path goes through fmt.
-type Writer struct {
-	d     *Dialect
+type writer struct {
+	d     *dialect
 	buf   []byte
 	n     int  // task count, for dialects whose rank expressions spell it
 	depth int  // current indentation, in units of d.indent
@@ -72,52 +75,56 @@ type Writer struct {
 	owed  bool // the open statement sits in a guard block that End closes
 }
 
-// NewWriter returns a writer for an n-task program in dialect d, starting at
+// newWriter returns a writer for an n-task program in dialect d, starting at
 // the given indentation depth, with room for sizeHint bytes.
-func NewWriter(d *Dialect, n, depth, sizeHint int) *Writer {
-	return &Writer{d: d, n: n, depth: depth, buf: make([]byte, 0, sizeHint)}
+func newWriter(d *dialect, n, depth, sizeHint int) *writer {
+	return &writer{d: d, n: n, depth: depth, buf: make([]byte, 0, sizeHint)}
 }
 
 // String returns the text written so far.
-func (w *Writer) String() string { return string(w.buf) }
+func (w *writer) String() string { return string(w.buf) }
 
 // S appends s.
-func (w *Writer) S(s string) *Writer {
+func (w *writer) S(s string) *writer {
 	w.buf = append(w.buf, s...)
 	return w
 }
 
 // Int appends v in decimal.
-func (w *Writer) Int(v int) *Writer {
+func (w *writer) Int(v int) *writer {
 	w.buf = strconv.AppendInt(w.buf, int64(v), 10)
 	return w
 }
 
 // Quote appends s as a double-quoted, escaped string literal.
-func (w *Writer) Quote(s string) *Writer {
+func (w *writer) Quote(s string) *writer {
 	w.buf = strconv.AppendQuote(w.buf, s)
 	return w
 }
 
-// Fixed3 appends v with three decimals, or with its trailing zeros (and a
+// Fixed3 appends v with three decimals, its trailing zeros (and a
 // then-trailing point) trimmed.
-func (w *Writer) Fixed3(v float64, trim bool) *Writer {
+func (w *writer) Fixed3(v float64) *writer {
 	start := len(w.buf)
 	b := strconv.AppendFloat(w.buf, v, 'f', 3, 64)
-	if trim {
-		for len(b) > start+1 && b[len(b)-1] == '0' {
-			b = b[:len(b)-1]
-		}
-		if b[len(b)-1] == '.' {
-			b = b[:len(b)-1]
-		}
+	for len(b) > start+1 && b[len(b)-1] == '0' {
+		b = b[:len(b)-1]
+	}
+	if b[len(b)-1] == '.' {
+		b = b[:len(b)-1]
 	}
 	w.buf = b
 	return w
 }
 
+// Float appends v in the shortest form that parses back to it.
+func (w *writer) Float(v float64) *writer {
+	w.buf = strconv.AppendFloat(w.buf, v, 'g', -1, 64)
+	return w
+}
+
 // tmpl appends a dialect template with $0 and $1 replaced by a0 and a1.
-func (w *Writer) tmpl(t string, a0, a1 int) *Writer {
+func (w *writer) tmpl(t string, a0, a1 int) *writer {
 	for {
 		i := strings.IndexByte(t, '$')
 		if i < 0 {
@@ -133,7 +140,7 @@ func (w *Writer) tmpl(t string, a0, a1 int) *Writer {
 }
 
 // Cond appends the dialect's spelling of a task group.
-func (w *Writer) Cond(p taskset.Predicate) *Writer {
+func (w *writer) Cond(p taskset.Predicate) *writer {
 	d := w.d
 	switch p.Kind {
 	case taskset.KindAll:
@@ -156,7 +163,7 @@ func (w *Writer) Cond(p taskset.Predicate) *Writer {
 }
 
 // Rank appends the dialect's spelling of a peer rank.
-func (w *Writer) Rank(r RankExpr) *Writer {
+func (w *writer) Rank(r RankExpr) *writer {
 	switch {
 	case r.Kind == RankAbs:
 		return w.tmpl(w.d.abs, r.Value, 0)
@@ -166,8 +173,16 @@ func (w *Writer) Rank(r RankExpr) *Writer {
 	return w.tmpl(w.d.rel, r.Value, w.n)
 }
 
+// Comm appends the dialect's name of a communicator.
+func (w *writer) Comm(ref commRef) *writer {
+	if ref == worldRef {
+		return w.S(w.d.world)
+	}
+	return w.tmpl(w.d.comm, streamID(ref), 0)
+}
+
 // indented starts a line at the current depth.
-func (w *Writer) indented() *Writer {
+func (w *writer) indented() *writer {
 	for i := 0; i < w.depth; i++ {
 		w.buf = append(w.buf, w.d.indent...)
 	}
@@ -175,12 +190,12 @@ func (w *Writer) indented() *Writer {
 }
 
 // NL ends a line and starts the next one of the same statement.
-func (w *Writer) NL() *Writer { return w.S("\n").indented() }
+func (w *writer) NL() *writer { return w.S("\n").indented() }
 
 // Stmt opens a statement executed by the tasks of who: with who as its
 // subject, or inside a block guarded by who's condition unless that is every
 // task.
-func (w *Writer) Stmt(who taskset.Predicate) *Writer {
+func (w *writer) Stmt(who taskset.Predicate) *writer {
 	w.indented()
 	switch {
 	case w.d.guardOpen == "":
@@ -195,7 +210,7 @@ func (w *Writer) Stmt(who taskset.Predicate) *Writer {
 }
 
 // End closes the open line, and the guard block Stmt opened around it.
-func (w *Writer) End() {
+func (w *writer) End() {
 	w.S("\n")
 	if w.owed {
 		w.owed = false
@@ -206,18 +221,15 @@ func (w *Writer) End() {
 
 // OpenLoop writes the header of a loop of count iterations; what follows is
 // its body.
-func (w *Writer) OpenLoop(count int) {
+func (w *writer) OpenLoop(count int) {
 	w.loops++
 	w.indented().tmpl(w.d.loop, w.loops, count)
 	w.depth++
-	if w.d.loopFirst != "" {
-		w.NL().tmpl(w.d.loopFirst, w.loops, 0)
-	}
 	w.S("\n")
 }
 
 // CloseLoop opens the line that closes the innermost loop; End finishes it.
-func (w *Writer) CloseLoop() *Writer {
+func (w *writer) CloseLoop() *writer {
 	w.depth--
 	return w.indented().S("}")
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/netmodel"
-	"repro/internal/taskset"
 	"repro/internal/telemetry"
 )
 
@@ -57,7 +56,7 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 	// Pre-plan the communicators needed by collective statements over
 	// non-world task groups. All tasks create them up front in a fixed
 	// order, as the coNCePTuaL runtime does during initialization.
-	plans := collectCommPlans(p.Stmts, n)
+	cm := planComms(p.Stmts, n)
 	// Deterministic per-statement call sites, so traces and profiles never
 	// depend on the binary or the checkout.
 	sites := stmtSites(p.Stmts)
@@ -70,7 +69,7 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 	// that program point.
 	var logs []LogEntry
 	resetAt := make([]float64, n)
-	cp := lowerCursor(p, n, plans, sites)
+	cp := lowerCursor(p, cm, sites)
 	streams := mpi.ProgramStreams(n, func(rank int) (*mpi.Program, int) { return &cp.Program, rank },
 		func(r *mpi.Rank, mark int) {
 			if me := r.Rank(); mark == 0 {
@@ -90,57 +89,4 @@ func Execute(p *Program, n int, model *netmodel.Model, opts ...RunOption) (*RunR
 		return logs[i].Task < logs[j].Task
 	})
 	return &RunResult{PerTaskUS: res.PerRankUS, ElapsedUS: res.ElapsedUS, Logs: logs}, nil
-}
-
-// commPlan describes one sub-communicator to create at startup.
-type commPlan struct {
-	key string
-	set taskset.Set
-}
-
-// collectCommPlans finds every non-world task group used by a collective
-// statement.
-func collectCommPlans(stmts []Stmt, n int) []commPlan {
-	seen := map[string]taskset.Set{}
-	var visit func([]Stmt)
-	add := func(sel TaskSel) {
-		set := sel.Set(n)
-		if set.Size() == n || set.IsEmpty() {
-			return
-		}
-		seen[set.String()] = set
-	}
-	addPair := func(a, b TaskSel) {
-		sa, sb := a.Set(n), b.Set(n)
-		u := sa.Union(sb)
-		if u.Size() == n || u.IsEmpty() {
-			return
-		}
-		seen[u.String()] = u
-	}
-	visit = func(ss []Stmt) {
-		for _, s := range ss {
-			switch x := s.(type) {
-			case *LoopStmt:
-				visit(x.Body)
-			case *SyncStmt:
-				add(x.Who)
-			case *ReduceStmt:
-				addPair(x.Srcs, x.Dsts)
-			case *MulticastStmt:
-				addPair(x.Srcs, x.Dsts)
-			}
-		}
-	}
-	visit(stmts)
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	plans := make([]commPlan, len(keys))
-	for i, k := range keys {
-		plans[i] = commPlan{key: k, set: seen[k]}
-	}
-	return plans
 }

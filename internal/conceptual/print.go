@@ -4,7 +4,7 @@ package conceptual
 // output round-trips through Parse.
 func Print(p *Program) string {
 	// A statement prints to 60-140 bytes.
-	w := NewWriter(Conceptual, p.NumTasks, 0, 128*p.StmtCount())
+	w := newWriter(conceptualDialect, p.NumTasks, 0, 128*p.StmtCount())
 	for _, c := range p.Comments {
 		w.S("# ").S(c).End()
 	}
@@ -18,7 +18,7 @@ func Print(p *Program) string {
 	return w.String()
 }
 
-func printStmts(w *Writer, stmts []Stmt) {
+func printStmts(w *writer, stmts []Stmt) {
 	for i, s := range stmts {
 		printStmt(w, s)
 		if i < len(stmts)-1 {
@@ -28,7 +28,7 @@ func printStmts(w *Writer, stmts []Stmt) {
 	}
 }
 
-func printStmt(w *Writer, s Stmt) {
+func printStmt(w *writer, s Stmt) {
 	switch x := s.(type) {
 	case *LoopStmt:
 		w.OpenLoop(x.Count)
@@ -48,7 +48,7 @@ func printStmt(w *Writer, s Stmt) {
 	case *MulticastStmt:
 		w.Stmt(x.Srcs).verb(x.Srcs, " MULTICAST").size(x.Size).S(" TO ").dest(x.Dsts)
 	case *ComputeStmt:
-		w.Stmt(x.Who).verb(x.Who, " COMPUTE").S(" FOR ").Fixed3(x.USecs, true).S(" MICROSECONDS")
+		w.Stmt(x.Who).verb(x.Who, " COMPUTE").S(" FOR ").Fixed3(x.USecs).S(" MICROSECONDS")
 	case *ResetStmt:
 		w.Stmt(x.Who).S(" RESET THEIR COUNTERS")
 	case *LogStmt:
@@ -56,7 +56,7 @@ func printStmt(w *Writer, s Stmt) {
 	}
 }
 
-func (w *Writer) async(async bool) *Writer {
+func (w *writer) async(async bool) *writer {
 	if async {
 		w.S(" ASYNCHRONOUSLY")
 	}
@@ -64,7 +64,7 @@ func (w *Writer) async(async bool) *Writer {
 }
 
 // verb appends a verb, in the third person singular after a single task.
-func (w *Writer) verb(who TaskSel, verb string) *Writer {
+func (w *writer) verb(who TaskSel, verb string) *writer {
 	w.S(verb)
 	if who.Kind == SelOne {
 		w.S("S")
@@ -74,7 +74,7 @@ func (w *Writer) verb(who TaskSel, verb string) *Writer {
 
 // dest appends a destination selector; "ALL TASKS t" reads better as
 // "ALL TASKS" in destination position.
-func (w *Writer) dest(s TaskSel) *Writer {
+func (w *writer) dest(s TaskSel) *writer {
 	if s.Kind == SelAll {
 		return w.S("ALL TASKS")
 	}
@@ -82,7 +82,7 @@ func (w *Writer) dest(s TaskSel) *Writer {
 }
 
 // size appends a message of a byte count, in friendly units when exact.
-func (w *Writer) size(size int) *Writer {
+func (w *writer) size(size int) *writer {
 	unit := " BYTE MESSAGE"
 	switch {
 	case size >= 1<<20 && size%(1<<20) == 0:

@@ -55,15 +55,17 @@ func renderTable() *Program {
 	}
 }
 
-// TestRenderTable holds Print and GenerateC to the text the per-language
-// printers produced before they shared a writer and a dialect table
-// (testdata/render.golden was recorded by those printers). internal/core's
-// TestGoRenderTable does the same for the Go backend.
+// TestRenderTable holds Print, GenerateC and GenerateGo to
+// testdata/render.golden. Its coNCePTuaL and C sections were recorded by the
+// per-language printers the shared writer and dialect table replaced; the C
+// section has since changed only where a collective runs on a
+// sub-communicator.
 func TestRenderTable(t *testing.T) {
 	p := renderTable()
 	bare := &Program{Stmts: []Stmt{&SyncStmt{Who: AllTasks}}}
 	got := "=== conceptual\n" + Print(p) + "=== c\n" + GenerateC(p) +
-		"=== conceptual, no header\n" + Print(bare) + "=== c, no header\n" + GenerateC(bare)
+		"=== conceptual, no header\n" + Print(bare) + "=== c, no header\n" + GenerateC(bare) +
+		"=== go\n" + GenerateGo(p)
 	golden.Text(t, filepath.Join("testdata", "render.golden"), []byte(got))
 	// The coNCePTuaL text still parses back to itself.
 	back, err := Parse(Print(p))

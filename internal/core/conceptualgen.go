@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/conceptual"
@@ -24,7 +25,18 @@ type ConceptualGenerator struct {
 	// just before the loop, preserving ScalaTrace's first-iteration
 	// delta-time distinction in the generated code.
 	surplus []map[string]*loopSurplus
-	err     error
+	// partOf and parts are emitPt2Pt's partition of a leaf's participants
+	// by peer delta, reused from leaf to leaf.
+	partOf map[int]int
+	parts  []part
+	err    error
+}
+
+// part is the participants of a point-to-point leaf whose peers lie delta
+// ranks above them (modulo the task count).
+type part struct {
+	delta int
+	ranks []int
 }
 
 type loopSurplus struct {
@@ -35,7 +47,7 @@ type loopSurplus struct {
 // NewConceptualGenerator returns a backend configured by opts (nil for
 // defaults).
 func NewConceptualGenerator(opts *Options) *ConceptualGenerator {
-	g := &ConceptualGenerator{}
+	g := &ConceptualGenerator{partOf: map[int]int{}}
 	if opts != nil {
 		g.opts = *opts
 	}
@@ -246,12 +258,10 @@ func (g *ConceptualGenerator) emitPt2Pt(r *trace.RSD, isSend bool) error {
 	async := r.Op == mpi.OpIsend || r.Op == mpi.OpIrecv
 	n := g.t.N
 
-	// Partition the participants by world-rank delta to their peer.
-	type part struct {
-		delta int
-		ranks []int
-	}
-	byDelta := map[int][]int{}
+	// Partition the participants by world-rank delta to their peer, into
+	// buffers kept from leaf to leaf.
+	clear(g.partOf)
+	g.parts = g.parts[:0]
 	absPeer := -1
 	absUniform := true
 	for _, w := range r.Ranks.Members() {
@@ -265,7 +275,15 @@ func (g *ConceptualGenerator) emitPt2Pt(r *trace.RSD, isSend bool) error {
 		if delta < 0 {
 			delta += n
 		}
-		byDelta[delta] = append(byDelta[delta], w)
+		i, ok := g.partOf[delta]
+		if !ok {
+			i = len(g.parts)
+			g.partOf[delta] = i
+			g.parts = slices.Grow(g.parts, 1)[:i+1]
+			g.parts[i] = part{delta, g.parts[i].ranks[:0]}
+		}
+		// Members ascend, so each partition's ranks do too.
+		g.parts[i].ranks = append(g.parts[i].ranks, w)
 	}
 
 	emitOne := func(who conceptual.TaskSel, peer conceptual.RankExpr) {
@@ -283,13 +301,9 @@ func (g *ConceptualGenerator) emitPt2Pt(r *trace.RSD, isSend bool) error {
 		return nil
 	}
 
-	deltas := make([]int, 0, len(byDelta))
-	for d := range byDelta {
-		deltas = append(deltas, d)
-	}
-	sort.Ints(deltas)
-	for _, d := range deltas {
-		emitOne(g.sel(taskset.Of(byDelta[d]...)), conceptual.RelRank(d))
+	slices.SortFunc(g.parts, func(a, b part) int { return a.delta - b.delta })
+	for _, pt := range g.parts {
+		emitOne(g.sel(taskset.Of(pt.ranks...)), conceptual.RelRank(pt.delta))
 	}
 	return nil
 }

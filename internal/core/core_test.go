@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -390,23 +389,18 @@ func TestComputeFloorSuppressesNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goSrc, err := GenerateGo(tr, nil)
-	if err != nil {
-		t.Fatal(err)
+	src := conceptual.Print(prog)
+	if strings.Contains(src, "0.004") {
+		t.Errorf("sub-floor compute emitted:\n%s", src)
 	}
-	for name, src := range map[string]string{"conceptual": conceptual.Print(prog), "go": goSrc} {
-		if strings.Contains(src, "0.004") {
-			t.Errorf("%s: sub-floor compute emitted:\n%s", name, src)
-		}
-		if !strings.Contains(src, "COMPUTE FOR 50") && !strings.Contains(src, "r.Compute(50.000)") {
-			t.Errorf("%s: above-floor compute missing:\n%s", name, src)
-		}
+	if !strings.Contains(src, "COMPUTE FOR 50") {
+		t.Errorf("above-floor compute missing:\n%s", src)
 	}
 }
 
-// TestReduceScatterBeyondCounts: both backends substitute a Reduce_scatter by
-// one rooted REDUCE per communicator member, and a member the leaf's Counts
-// do not reach takes an even share of Size (the Go backend emitted 0 there).
+// TestReduceScatterBeyondCounts: a Reduce_scatter becomes one rooted REDUCE
+// per communicator member, and a member the leaf's Counts do not reach takes
+// an even share of Size.
 func TestReduceScatterBeyondCounts(t *testing.T) {
 	tr := &trace.Trace{N: 4, Comms: map[int][]int{0: {0, 1, 2, 3}}, Groups: []trace.Group{{
 		Ranks: taskset.Range(0, 3),
@@ -426,15 +420,6 @@ func TestReduceScatterBeyondCounts(t *testing.T) {
 	want := []int{10, 20, 100, 100}
 	if !slices.Equal(got, want) {
 		t.Fatalf("coNCePTuaL REDUCE sizes = %v, want %v", got, want)
-	}
-	goSrc, err := GenerateGo(tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for root, size := range want {
-		if stmt := fmt.Sprintf("r.Reduce(c, %d, %d)", root, size); !strings.Contains(goSrc, stmt) {
-			t.Errorf("Go source misses %s:\n%s", stmt, goSrc)
-		}
 	}
 }
 

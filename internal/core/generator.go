@@ -2,8 +2,9 @@
 // benchmark generator. It consumes a ScalaTrace-style compressed application
 // trace, runs Algorithm 2 (wildcard resolution, internal/wildcard) and
 // Algorithm 1 (collective alignment, internal/align) as needed, and then
-// traverses the trace, invoking a pluggable per-RSD/PRSD code generator —
-// the coNCePTuaL backend being the primary one (Section 4.1).
+// traverses the trace, invoking a per-RSD/PRSD code generator that builds
+// the coNCePTuaL program (Section 4.1). Other target languages are that
+// program printed in another dialect (internal/conceptual).
 //
 // The generator performs the paper's engineering steps along the way:
 // communicator-relative ranks are translated to absolute ranks (Section

@@ -9,8 +9,8 @@ import (
 )
 
 // languages is the one table of target languages, in the order help texts
-// and errors list them. The executable backends render the prepared trace —
-// conceptual and c through its coNCePTuaL program — while mpnet and tla
+// and errors list them. The executable backends — conceptual, c and go —
+// print the coNCePTuaL program of the prepared trace, while mpnet and tla
 // start again from the trace as collected and run Algorithm 1 only: the
 // formal model's point is the wildcard nondeterminism Algorithm 2 eliminates.
 var languages = []struct {
@@ -19,13 +19,7 @@ var languages = []struct {
 }{
 	{"conceptual", fromProgram(conceptual.Print)},
 	{"c", fromProgram(conceptual.GenerateC)},
-	{"go", func(p *Pipeline) (string, error) {
-		prepared, err := p.prepare()
-		if err != nil {
-			return "", err
-		}
-		return GenerateGo(prepared, nil)
-	}},
+	{"go", fromProgram(conceptual.GenerateGo)},
 	{"mpnet", func(p *Pipeline) (string, error) {
 		raw, err := GenerateMPNet(p.raw)
 		return string(raw), err
@@ -74,10 +68,9 @@ func CheckLanguage(lang string) error {
 // and the coNCePTuaL traversal each run once, on first use, however many
 // languages are rendered from it.
 type Pipeline struct {
-	raw      *trace.Trace
-	opts     *Options
-	prepared *trace.Trace
-	prog     *conceptual.Program
+	raw  *trace.Trace
+	opts *Options
+	prog *conceptual.Program
 }
 
 // NewPipeline starts a pipeline on the trace as collected (nil opts for
@@ -89,27 +82,11 @@ func NewPipeline(t *trace.Trace, opts *Options) *Pipeline {
 	return &Pipeline{raw: t, opts: opts}
 }
 
-func (p *Pipeline) prepare() (*trace.Trace, error) {
-	if p.prepared == nil {
-		prepared, err := Prepare(p.raw, p.opts)
-		if err != nil {
-			return nil, err
-		}
-		p.prepared = prepared
-	}
-	return p.prepared, nil
-}
-
 // Program returns the coNCePTuaL program of the prepared trace — the
 // executable specification whichever language is rendered.
 func (p *Pipeline) Program() (*conceptual.Program, error) {
 	if p.prog == nil {
-		prepared, err := p.prepare()
-		if err != nil {
-			return nil, err
-		}
-		// On a prepared trace Generate's own Prepare is the two O(r) pre-checks.
-		prog, err := Generate(prepared, p.opts)
+		prog, err := Generate(p.raw, p.opts)
 		if err != nil {
 			return nil, err
 		}

@@ -56,23 +56,17 @@ type Set struct {
 // Empty is the set with no members.
 var Empty = Set{}
 
-// Of builds a Set from arbitrary ranks (duplicates are removed).
+// Of builds a Set from arbitrary ranks (duplicates are removed). Strictly
+// ascending ranks are packed as they are, without a sorted copy.
 func Of(ranks ...int) Set {
-	switch len(ranks) {
-	case 0:
-		return Set{}
-	case 1:
-		return Set{runs: []Run{{Start: ranks[0], Stride: 1, Count: 1}}}
-	}
-	sorted := append([]int(nil), ranks...)
-	sort.Ints(sorted)
-	uniq := sorted[:1]
-	for _, r := range sorted[1:] {
-		if r != uniq[len(uniq)-1] {
-			uniq = append(uniq, r)
+	for i := 1; i < len(ranks); i++ {
+		if ranks[i] <= ranks[i-1] {
+			sorted := append([]int(nil), ranks...)
+			sort.Ints(sorted)
+			return fromSortedUnique(slices.Compact(sorted))
 		}
 	}
-	return fromSortedUnique(uniq)
+	return fromSortedUnique(ranks)
 }
 
 // Range returns the set {lo, lo+1, ..., hi}. It returns the empty set when

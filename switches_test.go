@@ -807,7 +807,7 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	var printers []*ast.File
 	for _, f := range all {
 		switch filepath.ToSlash(fset.Position(f.Package).Filename) {
-		case "internal/conceptual/print.go", "internal/conceptual/cgen.go", "internal/core/gogen.go":
+		case "internal/conceptual/print.go", "internal/conceptual/cgen.go", "internal/conceptual/gogen.go":
 			printers = append(printers, f)
 		}
 	}
@@ -815,10 +815,10 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 		t.Errorf("found %d of the 3 printers (print.go, cgen.go, gogen.go)", len(printers))
 	}
 	for _, at := range pkgCalls(fset, printers, "fmt", "Sprintf", "Fprintf", "Sprint", "Fprint", "Sprintln", "Fprintln") {
-		t.Errorf("%s: a printer formats through fmt; statements go through conceptual.Writer's appenders (fmt.Errorf is for errors)", at)
+		t.Errorf("%s: a printer formats through fmt; statements go through the conceptual writer's appenders (fmt.Errorf is for errors)", at)
 	}
 	for _, at := range pkgCalls(fset, printers, "strings", "Repeat") {
-		t.Errorf("%s: a printer indents by hand; conceptual.Writer indents", at)
+		t.Errorf("%s: a printer indents by hand; the conceptual writer indents", at)
 	}
 }
 
