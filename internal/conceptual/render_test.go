@@ -56,10 +56,8 @@ func renderTable() *Program {
 }
 
 // TestRenderTable holds Print, GenerateC and GenerateGo to
-// testdata/render.golden. Its coNCePTuaL and C sections were recorded by the
-// per-language printers the shared writer and dialect table replaced; the C
-// section has since changed only where a collective runs on a
-// sub-communicator.
+// testdata/render.golden, whose coNCePTuaL and C sections were first recorded
+// by separate per-language printers.
 func TestRenderTable(t *testing.T) {
 	p := renderTable()
 	bare := &Program{Stmts: []Stmt{&SyncStmt{Who: AllTasks}}}

@@ -20,9 +20,8 @@ import (
 // sequences and lists). A first-iteration pool costs one object: sweep3d's
 // 777 of them are 777 of its 4,121. Checking the rules costs no object per
 // node: one member list per group (9 and 16), the rank bitmap, and per
-// communicator (one here) the rank set taskset.Of builds, its runs, which
-// also finds a repeated member (an ascending member list needs no sorted
-// copy; it cost one more object before). Expanding each rank set and
+// communicator (one here) the rank set taskset.Of builds from the ascending
+// member list, its runs, which also finds a repeated member. Expanding each rank set and
 // packing it again allocated 10.15 and 8.50 per node, scanning each field
 // with fmt 25.1 and 24.5.
 func TestDecodeAllocationsPerNode(t *testing.T) {
