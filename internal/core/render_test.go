@@ -4,18 +4,20 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/conceptual"
 	"repro/internal/golden"
 	"repro/internal/mpi"
 	"repro/internal/taskset"
 	"repro/internal/trace"
 )
 
-// TestGoRenderTable drives the Go backend with every operation it maps, under
-// every participant-set shape (all/one/range/stride/enum) and every peer form
-// (absolute, relative, self, xor, per-rank table, sub-communicator), inside
-// nested loops, and compares the text with what the backend produced before
-// it shared a writer and a dialect table with the coNCePTuaL and C printers
-// (testdata/gogen.golden was recorded by that backend).
+// TestGoRenderTable drives the Go backend with every operation the trace
+// records, under every participant-set shape (all/one/range/stride/enum) and
+// every peer form (absolute, relative, self, xor, per-rank table,
+// sub-communicator), inside nested loops. The Go text must be the Go dialect
+// of the coNCePTuaL program the same events build, and that program is held
+// to testdata/render_table.golden, so the trace-to-program mapping behind the Go
+// text is pinned here and its printing in conceptual's render.golden.
 func TestGoRenderTable(t *testing.T) {
 	const n = 16
 	tr := &trace.Trace{N: n, Comms: map[int][]int{0: nil, 1: {2, 5, 7, 11}}}
@@ -37,7 +39,21 @@ func TestGoRenderTable(t *testing.T) {
 		mpi.OpScatterv, mpi.OpAlltoall, mpi.OpAlltoallv, mpi.OpReduceScatter, mpi.OpCommSplit, mpi.OpFinalize}
 
 	g := NewGoGenerator()
-	g.Begin(tr)
+	ref := NewConceptualGenerator(nil)
+	gens := []CodeGenerator{g, ref}
+	for _, gen := range gens {
+		gen.Begin(tr)
+	}
+	startLoop := func(iters int) {
+		for _, gen := range gens {
+			gen.StartLoop(iters)
+		}
+	}
+	endLoop := func() {
+		for _, gen := range gens {
+			gen.EndLoop()
+		}
+	}
 	k := 0
 	event := func(r *trace.RSD) {
 		t.Helper()
@@ -48,20 +64,22 @@ func TestGoRenderTable(t *testing.T) {
 		if k%2 == 0 {
 			r.SetComputeSample([]float64{12.3456, 0.004, 100, 1e6}[k/2%4])
 		}
-		if err := g.Event(r); err != nil {
-			t.Fatalf("Event(%v): %v", r, err)
+		for _, gen := range gens {
+			if err := gen.Event(r); err != nil {
+				t.Fatalf("%T.Event(%v): %v", gen, r, err)
+			}
 		}
 	}
 	for depth, ranks := range sets {
 		if depth%2 == 1 {
-			g.StartLoop(10 * depth)
+			startLoop(10 * depth)
 		}
 		for _, op := range p2p {
 			for _, peer := range peers {
 				event(&trace.RSD{Op: op, Ranks: ranks, Peer: peer})
 			}
-			// Irregular peers and a sub-communicator's relative peers become a
-			// lookup table.
+			// Irregular peers and a sub-communicator's relative peers are
+			// partitioned by world-rank offset.
 			vec := make([]int, ranks.Size())
 			for i := range vec {
 				vec[i] = (3*i + 1) % n
@@ -70,15 +88,15 @@ func TestGoRenderTable(t *testing.T) {
 			event(&trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Peer: trace.RelParam(1)})
 			event(&trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Peer: trace.AbsParam(2)})
 		}
-		g.StartLoop(2)
+		startLoop(2)
 		for _, op := range colls {
 			event(&trace.RSD{Op: op, Ranks: ranks, Root: 3, Counts: []int{4, 8, 12, 16}})
 			event(&trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Root: 2})
 		}
-		g.EndLoop()
+		endLoop()
 	}
-	g.EndLoop()
-	g.EndLoop()
+	endLoop()
+	endLoop()
 	got, err := g.Source()
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +104,14 @@ func TestGoRenderTable(t *testing.T) {
 	if again, _ := g.Source(); again != got {
 		t.Error("Source is not repeatable")
 	}
-
-	golden.Text(t, filepath.Join("testdata", "gogen.golden"), []byte(got))
+	prog, err := ref.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := conceptual.GenerateGo(prog); got != want {
+		t.Errorf("Go source is not the Go dialect of the coNCePTuaL program:\n%s", golden.Diff([]byte(got), []byte(want)))
+	}
+	golden.Text(t, filepath.Join("testdata", "render_table.golden"), []byte(conceptual.Print(prog)))
 
 	// Unresolved wildcards and unmapped operations stay errors.
 	for _, r := range []*trace.RSD{
