@@ -1,7 +1,7 @@
 package conceptual
 
 import (
-	"math"
+	"bytes"
 
 	"repro/internal/mpi"
 )
@@ -31,18 +31,23 @@ static void ncptl_compute_for(double usecs) {
 }
 
 static char msgbuf[1 << 24];
+static MPI_Request *reqs;
+static int nreqs;
+
+/* ncptl_request returns the next free request slot, growing reqs as needed. */
+static inline MPI_Request *ncptl_request(void) {
+  static int room;
+  if (nreqs == room) {
+    room = room ? 2 * room : 256;
+    reqs = realloc(reqs, (size_t)room * sizeof *reqs);
+    if (reqs == NULL) MPI_Abort(MPI_COMM_WORLD, 1);
+  }
+  return &reqs[nreqs++];
+}
 
 int main(int argc, char **argv) {
   int rank, num_tasks;
   double reset_at = 0.0;
-`)
-	// A bound past the default's takes static storage, off the stack.
-	if reqs := requests(p); reqs > minRequests {
-		w.S("  static MPI_Request reqs[").Int(reqs).S("];\n")
-	} else {
-		w.S("  MPI_Request reqs[").Int(minRequests).S("];\n")
-	}
-	w.S(`  int nreqs = 0;
   MPI_Init(&argc, &argv);
   MPI_Comm_rank(MPI_COMM_WORLD, &rank);
   MPI_Comm_size(MPI_COMM_WORLD, &num_tasks);
@@ -66,72 +71,6 @@ int main(int argc, char **argv) {
 }
 `)
 	return w.String()
-}
-
-// minRequests is the least length of the generated request array.
-const minRequests = 4096
-
-// requests returns the length of the request array: the most asynchronous
-// operations a task can have outstanding, and at least minRequests. Tasks are
-// counted one by one only where the bound for any task exceeds that.
-func requests(p *Program) int {
-	_, reqs := outstanding(p.Stmts, -1, 0, 0)
-	if reqs > minRequests && p.NumTasks > 0 {
-		reqs = 0
-		for task := range p.NumTasks {
-			_, peak := outstanding(p.Stmts, task, p.NumTasks, 0)
-			reqs = max(reqs, peak)
-		}
-	}
-	return max(reqs, minRequests)
-}
-
-// outstanding returns how many asynchronous operations task, of tasks, has
-// outstanding after stmts, entered with n, and the most it has at any point:
-// loop counts multiply, and an AWAIT that selects the task completes them.
-// Task -1 is any task of any count: every operation counts, and only an
-// AWAIT of all tasks completes them. Both saturate at math.MaxInt32.
-func outstanding(stmts []Stmt, task, tasks, n int) (end, peak int) {
-	runs := func(who TaskSel) bool { return task < 0 || who.Contains(task, tasks) }
-	peak = n
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *SendStmt:
-			if x.Async && runs(x.Who) {
-				n = min(n+1, math.MaxInt32)
-			}
-		case *RecvStmt:
-			if x.Async && runs(x.Who) {
-				n = min(n+1, math.MaxInt32)
-			}
-		case *AwaitStmt:
-			if x.Who.Kind == SelAll || task >= 0 && runs(x.Who) {
-				n = 0
-			}
-		case *LoopStmt:
-			if x.Count <= 0 {
-				continue
-			}
-			end1, peak1 := outstanding(x.Body, task, tasks, n)
-			if x.Count == 1 {
-				n, peak = end1, max(peak, peak1)
-				continue
-			}
-			// Each iteration after the second adds what the second did: d,
-			// zero when the body completes everything.
-			end2, peak2 := outstanding(x.Body, task, tasks, end1)
-			d, more := end2-end1, x.Count-2
-			grow := func(v int) int {
-				if d > 0 && more > (math.MaxInt32-v)/d {
-					return math.MaxInt32
-				}
-				return v + more*d
-			}
-			n, peak = grow(end2), max(peak, peak1, grow(peak2))
-		}
-		peak = max(peak, n)
-	}
-	return n, peak
 }
 
 func cStmts(w *writer, cm *comms, stmts []Stmt) {
@@ -169,13 +108,44 @@ func cStmts(w *writer, cm *comms, stmts []Stmt) {
 			}
 			w.End()
 		case *ComputeStmt:
-			w.Stmt(x.Who).S("ncptl_compute_for(").Fixed3(x.USecs).S(");").End()
+			w.Stmt(x.Who).S("ncptl_compute_for(").cDouble(x.USecs).S(");").End()
 		case *ResetStmt:
 			w.Stmt(x.Who).S("reset_at = MPI_Wtime();").End()
 		case *LogStmt:
-			w.Stmt(x.Who).S(`printf("%d `).S(x.Label).S(` %f\n", rank, (MPI_Wtime() - reset_at) * 1e6);`).End()
+			w.Stmt(x.Who).S(`printf("%d %s %f\n", rank, `).cString(x.Label).S(", (MPI_Wtime() - reset_at) * 1e6);").End()
 		}
 	}
+}
+
+// cDouble appends v as Fixed3 does, spelled as a double literal: an integral
+// value gains ".0", or past the widest integer type it would be an integer
+// constant too large for its type.
+func (w *writer) cDouble(v float64) *writer {
+	start := len(w.buf)
+	if !bytes.ContainsRune(w.Fixed3(v).buf[start:], '.') {
+		w.S(".0")
+	}
+	return w
+}
+
+// cString appends s as a C string literal: printable ASCII as it is but for
+// the escaped " \ and ? (which may start a trigraph), and every other byte as
+// a three-digit octal escape, which unlike \x cannot run on into the
+// characters after it.
+func (w *writer) cString(s string) *writer {
+	w.buf = append(w.buf, '"')
+	for _, c := range []byte(s) {
+		switch {
+		case c == '"' || c == '\\' || c == '?':
+			w.buf = append(w.buf, '\\', c)
+		case c >= ' ' && c <= '~':
+			w.buf = append(w.buf, c)
+		default:
+			w.buf = append(w.buf, '\\', '0'+c>>6, '0'+c>>3&7, '0'+c&7)
+		}
+	}
+	w.buf = append(w.buf, '"')
+	return w
 }
 
 // cBcast writes a collective's broadcast from its root.
@@ -187,7 +157,7 @@ func (w *writer) cBcast(k collective) *writer {
 // icall with a request slot when async, else call with the arguments in tail.
 func (w *writer) cP2P(who TaskSel, async bool, icall, call, tail string, size int, peer RankExpr) {
 	if async {
-		call, tail = icall, ", &reqs[nreqs++]"
+		call, tail = icall, ", ncptl_request()"
 	}
 	w.Stmt(who).S(call).S("(msgbuf, ").Int(size).S(", MPI_BYTE, ").Rank(peer).S(", 0, MPI_COMM_WORLD").S(tail).S(");").End()
 }

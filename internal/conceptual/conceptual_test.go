@@ -294,8 +294,8 @@ func TestGenerateC(t *testing.T) {
 		"#include <mpi.h>",
 		"MPI_Init(&argc, &argv);",
 		"for (int i1 = 0; i1 < 1000; i1++) {",
-		"MPI_Isend(msgbuf, 1024, MPI_BYTE, (rank + 1) % num_tasks, 0, MPI_COMM_WORLD, &reqs[nreqs++]);",
-		"MPI_Irecv(msgbuf, 1024, MPI_BYTE, (rank + 7) % num_tasks, 0, MPI_COMM_WORLD, &reqs[nreqs++]);",
+		"MPI_Isend(msgbuf, 1024, MPI_BYTE, (rank + 1) % num_tasks, 0, MPI_COMM_WORLD, ncptl_request());",
+		"MPI_Irecv(msgbuf, 1024, MPI_BYTE, (rank + 7) % num_tasks, 0, MPI_COMM_WORLD, ncptl_request());",
 		"MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0;",
 		"MPI_Finalize();",
 	} {
@@ -389,7 +389,7 @@ func TestGenerateCCollectives(t *testing.T) {
 		&MulticastStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 8},
 		&AwaitStmt{Who: AllTasks},
 		&ResetStmt{Who: AllTasks},
-		&LogStmt{Who: OneTask(0), Label: "t"},
+		&LogStmt{Who: OneTask(0), Label: "t 100%"},
 	}}
 	src := GenerateC(p)
 	for _, want := range []string{
@@ -399,7 +399,8 @@ func TestGenerateCCollectives(t *testing.T) {
 		"MPI_Alltoall(MPI_IN_PLACE, 0, MPI_BYTE, msgbuf, 8",
 		"MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0;",
 		"reset_at = MPI_Wtime();",
-		`printf("%d t %f\n"`,
+		// A label is printf's argument, never part of its format.
+		`printf("%d %s %f\n", rank, "t 100%", `,
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("C output missing %q:\n%s", want, src)

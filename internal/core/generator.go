@@ -2,9 +2,9 @@
 // benchmark generator. It consumes a ScalaTrace-style compressed application
 // trace, runs Algorithm 2 (wildcard resolution, internal/wildcard) and
 // Algorithm 1 (collective alignment, internal/align) as needed, and then
-// traverses the trace, invoking a per-RSD/PRSD code generator that builds
-// the coNCePTuaL program (Section 4.1). Other target languages are that
-// program printed in another dialect (internal/conceptual).
+// walks the trace once, recursively, building the coNCePTuaL program from
+// its RSDs and PRSDs (Section 4.1). Other target languages are that program
+// printed in another dialect (internal/conceptual).
 //
 // The generator performs the paper's engineering steps along the way:
 // communicator-relative ranks are translated to absolute ranks (Section
@@ -28,8 +28,8 @@ type Options struct {
 	Comments []string
 }
 
-// computeFloorUS suppresses compute phases shorter than this in every
-// backend's output, to keep the generated code readable.
+// computeFloorUS suppresses compute phases shorter than this in the
+// generated program, to keep it readable.
 const computeFloorUS = 0.01
 
 // Generate converts an application trace into a coNCePTuaL benchmark
@@ -72,51 +72,14 @@ func Prepare(t *trace.Trace, opts *Options) (*trace.Trace, error) {
 	return out, nil
 }
 
-// CodeGenerator is the pluggable per-node backend interface of Section 4.1:
-// the trace traversal framework invokes one callback per RSD and per PRSD
-// boundary. Implementing this interface for a different target language
-// yields a different generator.
+// CodeGenerator is a generator Traverse can build a program with:
+// ConceptualGenerator, and GoGenerator through it.
 type CodeGenerator interface {
-	// Begin is called once with the trace before traversal.
-	Begin(t *trace.Trace)
-	// StartLoop enters a PRSD with the given iteration count.
-	StartLoop(iters int)
-	// EndLoop leaves the innermost PRSD.
-	EndLoop()
-	// Event handles one RSD.
-	Event(r *trace.RSD) error
+	build(t *trace.Trace) error
 }
 
-// Traverse walks the compressed trace structurally (loops are visited once,
-// not per iteration) and drives the code generator. Groups are visited in
-// rank order; traces with unaligned collectives should be passed through
-// Prepare first.
-func Traverse(t *trace.Trace, g CodeGenerator) error {
-	g.Begin(t)
-	for _, grp := range t.Groups {
-		if err := traverseSeq(grp.Seq, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func traverseSeq(seq []trace.Node, g CodeGenerator) error {
-	for _, n := range seq {
-		switch x := n.(type) {
-		case *trace.RSD:
-			if err := g.Event(x); err != nil {
-				return err
-			}
-		case *trace.Loop:
-			g.StartLoop(x.Iters)
-			if err := traverseSeq(x.Body, g); err != nil {
-				return err
-			}
-			g.EndLoop()
-		default:
-			return fmt.Errorf("core: unknown node type %T", n)
-		}
-	}
-	return nil
-}
+// Traverse builds the program of a prepared trace into g, in one recursive
+// walk of the compressed trace: loops are visited once, not per iteration,
+// and groups in rank order. Traces with unaligned collectives or unresolved
+// wildcards should be passed through Prepare first.
+func Traverse(t *trace.Trace, g CodeGenerator) error { return g.build(t) }

@@ -11,13 +11,14 @@ import (
 	"repro/internal/trace"
 )
 
-// TestGoRenderTable drives the Go backend with every operation the trace
+// TestGoRenderTable drives the Go generator with every operation the trace
 // records, under every participant-set shape (all/one/range/stride/enum) and
 // every peer form (absolute, relative, self, xor, per-rank table,
-// sub-communicator), inside nested loops. The Go text must be the Go dialect
-// of the coNCePTuaL program the same events build, and that program is held
-// to testdata/render_table.golden, so the trace-to-program mapping behind the Go
-// text is pinned here and its printing in conceptual's render.golden.
+// sub-communicator), inside nested loops of one group's sequence. The Go text
+// must be the Go dialect of the coNCePTuaL program the same trace builds, and
+// that program is held to testdata/render_table.golden, so the trace-to-program
+// mapping behind the Go text is pinned here and its printing in conceptual's
+// render.golden.
 func TestGoRenderTable(t *testing.T) {
 	const n = 16
 	tr := &trace.Trace{N: n, Comms: map[int][]int{0: nil, 1: {2, 5, 7, 11}}}
@@ -38,25 +39,11 @@ func TestGoRenderTable(t *testing.T) {
 		mpi.OpGather, mpi.OpGatherv, mpi.OpAllreduce, mpi.OpAllgather, mpi.OpAllgatherv, mpi.OpScatter,
 		mpi.OpScatterv, mpi.OpAlltoall, mpi.OpAlltoallv, mpi.OpReduceScatter, mpi.OpCommSplit, mpi.OpFinalize}
 
-	g := NewGoGenerator()
-	ref := NewConceptualGenerator(nil)
-	gens := []CodeGenerator{g, ref}
-	for _, gen := range gens {
-		gen.Begin(tr)
-	}
-	startLoop := func(iters int) {
-		for _, gen := range gens {
-			gen.StartLoop(iters)
-		}
-	}
-	endLoop := func() {
-		for _, gen := range gens {
-			gen.EndLoop()
-		}
-	}
+	// One group's sequence; cur is the innermost open loop's body.
+	var seq []trace.Node
+	cur := &seq
 	k := 0
-	event := func(r *trace.RSD) {
-		t.Helper()
+	event := func(body *[]trace.Node, r *trace.RSD) {
 		k++
 		r.CommSize = len(tr.Comms[r.CommID])
 		r.Tag = k % 3
@@ -64,19 +51,17 @@ func TestGoRenderTable(t *testing.T) {
 		if k%2 == 0 {
 			r.SetComputeSample([]float64{12.3456, 0.004, 100, 1e6}[k/2%4])
 		}
-		for _, gen := range gens {
-			if err := gen.Event(r); err != nil {
-				t.Fatalf("%T.Event(%v): %v", gen, r, err)
-			}
-		}
+		*body = append(*body, r)
 	}
 	for depth, ranks := range sets {
 		if depth%2 == 1 {
-			startLoop(10 * depth)
+			loop := &trace.Loop{Iters: 10 * depth}
+			*cur = append(*cur, loop)
+			cur = &loop.Body
 		}
 		for _, op := range p2p {
 			for _, peer := range peers {
-				event(&trace.RSD{Op: op, Ranks: ranks, Peer: peer})
+				event(cur, &trace.RSD{Op: op, Ranks: ranks, Peer: peer})
 			}
 			// Irregular peers and a sub-communicator's relative peers are
 			// partitioned by world-rank offset.
@@ -84,19 +69,26 @@ func TestGoRenderTable(t *testing.T) {
 			for i := range vec {
 				vec[i] = (3*i + 1) % n
 			}
-			event(&trace.RSD{Op: op, Ranks: ranks, Peer: trace.Param{Kind: trace.ParamVec}, PeerVec: vec})
-			event(&trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Peer: trace.RelParam(1)})
-			event(&trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Peer: trace.AbsParam(2)})
+			event(cur, &trace.RSD{Op: op, Ranks: ranks, Peer: trace.Param{Kind: trace.ParamVec}, PeerVec: vec})
+			event(cur, &trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Peer: trace.RelParam(1)})
+			event(cur, &trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Peer: trace.AbsParam(2)})
 		}
-		startLoop(2)
+		inner := &trace.Loop{Iters: 2}
+		*cur = append(*cur, inner)
 		for _, op := range colls {
-			event(&trace.RSD{Op: op, Ranks: ranks, Root: 3, Counts: []int{4, 8, 12, 16}})
-			event(&trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Root: 2})
+			event(&inner.Body, &trace.RSD{Op: op, Ranks: ranks, Root: 3, Counts: []int{4, 8, 12, 16}})
+			event(&inner.Body, &trace.RSD{Op: op, Ranks: taskset.Of(tr.Comms[1]...), CommID: 1, Root: 2})
 		}
-		endLoop()
 	}
-	endLoop()
-	endLoop()
+	tr.Groups = []trace.Group{{Ranks: sets[0], Seq: seq}}
+
+	g := NewGoGenerator()
+	ref := NewConceptualGenerator(nil)
+	for _, gen := range []CodeGenerator{g, ref} {
+		if err := Traverse(tr, gen); err != nil {
+			t.Fatalf("Traverse(%T): %v", gen, err)
+		}
+	}
 	got, err := g.Source()
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +111,9 @@ func TestGoRenderTable(t *testing.T) {
 		{Op: mpi.OpIrecv, Ranks: sets[0], Peer: trace.Param{Kind: trace.ParamAny}},
 		{Op: mpi.Op(250), Ranks: sets[0]},
 	} {
-		if err := g.Event(r); err == nil {
-			t.Errorf("Event(%v) succeeded", r.Op)
+		one := &trace.Trace{N: n, Comms: tr.Comms, Groups: []trace.Group{{Ranks: sets[0], Seq: []trace.Node{r}}}}
+		if err := Traverse(one, g); err == nil {
+			t.Errorf("Traverse of a %v leaf succeeded", r.Op)
 		}
 	}
 }

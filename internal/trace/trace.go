@@ -149,6 +149,11 @@ func seqTotalEvents(seq []Node) int {
 // of gMembers ∪ {rank}. gMembers holds the group's world ranks in ascending
 // order — the merge fold passes member-prefix slices, so no rank set is
 // materialized in the hot path — and idx supplies communicator translation.
+// Members are folded in ascending rank order, here and in the legacy
+// reference: rank exceeds every member of gMembers, so a vector is the
+// group's vector with rank's peer appended, built from gMembers only when the
+// group's parameter first degrades to one. A vector leaf therefore costs one
+// step per member, not one rebuild.
 func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (Param, []int, bool) {
 	switch {
 	case gx.Peer.Kind == ParamNone && rx.Peer.Kind == ParamNone:
@@ -208,35 +213,14 @@ func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (P
 	}
 
 	// Fall back to the explicit per-rank vector.
-	members := insertRank(gMembers, rank)
-	vec := make([]int, len(members))
-	for i, w := range members {
-		if w == rank {
-			vec[i] = rxPeer
-		} else {
-			vec[i] = gx.PeerFor(w, idx)
-		}
+	if gx.Peer.Kind == ParamVec {
+		return VecParam, append(gx.PeerVec, rxPeer), true
 	}
-	return VecParam, vec, true
-}
-
-// insertRank returns sorted members ∪ {rank} as a fresh slice.
-func insertRank(members []int, rank int) []int {
-	out := make([]int, 0, len(members)+1)
-	placed := false
-	for _, m := range members {
-		if !placed && rank <= m {
-			if rank < m {
-				out = append(out, rank)
-			}
-			placed = true
-		}
-		out = append(out, m)
+	vec := make([]int, len(gMembers), len(gMembers)+1)
+	for i, w := range gMembers {
+		vec[i] = gx.PeerFor(w, idx)
 	}
-	if !placed {
-		out = append(out, rank)
-	}
-	return out
+	return VecParam, append(vec, rxPeer), true
 }
 
 // refitAll tests whether every existing group member plus the new rank fits

@@ -564,7 +564,7 @@ func membershipViolations(fset *token.FileSet, files []*ast.File) []string {
 // compute pool: the trace lowering, which puts it beside the steady-state mean
 // for the interpreter to choose per event, and the coNCePTuaL generator, which
 // hoists its surplus in front of the enclosing loop.
-var firstPoolReaders = []string{"ConceptualGenerator.Event", "lowerer.leaf"}
+var firstPoolReaders = []string{"ConceptualGenerator.leaf", "lowerer.leaf"}
 
 // firstPoolViolations lists the calls in files of RSD.FirstComputeMean made
 // outside firstPoolReaders.
