@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 	"unsafe"
 
 	"repro/internal/align"
@@ -629,7 +628,7 @@ var (
 // runScalingStackless runs the ring workload as stackless cursors, optionally
 // on a pooled engine.
 func runScalingStackless(n int, eng *mpi.Engine) error {
-	opts := []mpi.Option{mpi.WithTimeout(30 * time.Minute)}
+	var opts []mpi.Option
 	if eng != nil {
 		opts = append(opts, mpi.WithEngine(eng))
 	}
@@ -701,11 +700,10 @@ func (s *barrierStream) Next(_ *mpi.Rank, op *mpi.RankOp) bool {
 func BenchmarkWorldSetup(b *testing.B) {
 	const n = 65536
 	progFor := func(rank int) mpi.OpStream { return &barrierStream{} }
-	opts := []mpi.Option{mpi.WithTimeout(30 * time.Minute)}
 	b.Run(fmt.Sprintf("cold-%dranks", n), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mpi.RunStackless(n, netmodel.BlueGeneL(), progFor, opts...); err != nil {
+			if _, err := mpi.RunStackless(n, netmodel.BlueGeneL(), progFor); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -714,13 +712,12 @@ func BenchmarkWorldSetup(b *testing.B) {
 		b.ReportAllocs()
 		eng := mpi.NewEngine()
 		defer eng.Close()
-		wopts := append([]mpi.Option{mpi.WithEngine(eng)}, opts...)
-		if _, err := mpi.RunStackless(n, netmodel.BlueGeneL(), progFor, wopts...); err != nil {
+		if _, err := mpi.RunStackless(n, netmodel.BlueGeneL(), progFor, mpi.WithEngine(eng)); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := mpi.RunStackless(n, netmodel.BlueGeneL(), progFor, wopts...); err != nil {
+			if _, err := mpi.RunStackless(n, netmodel.BlueGeneL(), progFor, mpi.WithEngine(eng)); err != nil {
 				b.Fatal(err)
 			}
 		}

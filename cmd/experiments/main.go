@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments -exp all [-class C] [-quick] [-parallel N] [-timeout D] [-critpath]
+//	experiments -exp all [-class C] [-quick] [-parallel N] [-critpath]
 //	experiments -exp fig6
 //	experiments -exp fig7
 //	experiments -exp correctness
@@ -43,8 +43,6 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced configuration (small node counts, class W)")
 		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"number of experiment configurations to run concurrently (results are identical for any value)")
-		timeout = flag.Duration("timeout", 0,
-			"wall-clock deadline per simulated run (0 uses the runtime default)")
 	)
 	flag.BoolVar(&critFlag, "critpath", false,
 		"in correctness, also diff original-vs-generated critical-path profiles")
@@ -56,7 +54,6 @@ func main() {
 	tcli.CaptureRegions()
 
 	harness.SetParallelism(*parallel)
-	harness.SetRunTimeout(*timeout)
 
 	class, err := apps.ParseClass(*className)
 	if err != nil {

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,10 +15,10 @@ import (
 )
 
 // TestGeneratedCCompiles holds the C printer to the C language: the C of
-// TestRenderTable's program (render.golden's C section, which that test holds
-// to GenerateC) and of every golden kernel of 16 ranks or fewer must pass
-// `cc -fsyntax-only -Wall -Werror` against testdata/cstub/mpi.h, a stub that
-// declares exactly the MPI calls and constants the printer emits.
+// TestRenderTable's programs (every C section of render.golden, which that
+// test holds to GenerateC) and of every golden kernel of 16 ranks or fewer
+// must pass `cc -fsyntax-only -Wall -Werror` against testdata/cstub/mpi.h, a
+// stub that declares exactly the MPI calls and constants the printer emits.
 func TestGeneratedCCompiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a C compiler")
@@ -29,15 +30,25 @@ func TestGeneratedCCompiles(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	files := []string{filepath.Join(dir, "render_table.c")}
+	var files []string
 	golden, err := os.ReadFile(filepath.Join("internal", "conceptual", "testdata", "render.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, src, _ := strings.Cut(string(golden), "=== c\n")
-	src, _, _ = strings.Cut(src, "=== ")
-	if err := os.WriteFile(files[0], []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+	// Each section opens with a "=== <dialect>[, <variant>]" line.
+	for _, section := range strings.Split("\n"+string(golden), "\n=== ")[1:] {
+		name, src, _ := strings.Cut(section, "\n")
+		if dialect, _, _ := strings.Cut(name, ","); dialect != "c" {
+			continue
+		}
+		file := filepath.Join(dir, fmt.Sprintf("render_table_%d.c", len(files)))
+		if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, file)
+	}
+	if len(files) < 2 {
+		t.Fatalf("render.golden has %d C sections, want both the headed and the headerless program", len(files))
 	}
 	for _, k := range goldenKernels() {
 		if k.n > 16 {

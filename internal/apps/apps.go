@@ -72,29 +72,17 @@ func (c Class) iterScale() float64 {
 	}
 }
 
-// Config parameterizes one application run. Build it with NewConfig, which
-// sets ComputeScale to 1; a literal Config with ComputeScale 0 models
-// infinitely fast processors (the Section 5.4 what-if study).
+// Config parameterizes one application run.
 type Config struct {
 	// N is the number of ranks.
 	N int
 	// Class selects the problem size.
 	Class Class
-	// ComputeScale multiplies every computation phase; 1.0 reproduces the
-	// class's nominal compute time, 0.0 removes computation entirely.
-	ComputeScale float64
 }
 
-// NewConfig returns a Config with the nominal compute scale of 1.0.
+// NewConfig returns the Config of n ranks at the given problem class.
 func NewConfig(n int, class Class) Config {
-	return Config{N: n, Class: class, ComputeScale: 1.0}
-}
-
-func (c Config) scale() float64 {
-	if c.ComputeScale < 0 {
-		return 0
-	}
-	return c.ComputeScale
+	return Config{N: n, Class: class}
 }
 
 // App is one runnable workload.
@@ -152,12 +140,11 @@ func NPBNames() []string {
 // microseconds. The first iteration runs longer (cold caches), and a
 // deterministic per-iteration ripple makes histogram-mean replay slightly
 // lossy — the realistic error source of Section 4.5.
-func computeTime(baseUS float64, iter int, scale float64) float64 {
+func computeTime(baseUS float64, iter int) float64 {
 	t := baseUS
 	if iter == 0 {
 		t *= 1.6
 	}
 	ripple := float64((uint64(iter+1)*2654435761)%101) / 101.0
-	t *= 0.97 + 0.06*ripple
-	return t * scale
+	return t * (0.97 + 0.06*ripple)
 }

@@ -85,7 +85,6 @@ func spBody(cfg Config) func(*mpi.Rank) { return adiBody(cfg, spParams(cfg)) }
 // communication is asynchronous with torus wraparound, matching the NPB
 // multi-partition scheme.
 func adiBody(cfg Config, p adiConfig) func(*mpi.Rank) {
-	scale := cfg.scale()
 	return func(r *mpi.Rank) {
 		c := r.World()
 		g, _ := SquareGrid(r.Size())
@@ -100,7 +99,7 @@ func adiBody(cfg Config, p adiConfig) func(*mpi.Rank) {
 
 		for iter := 0; iter < p.iters; iter++ {
 			// copy_faces: exchange all four faces.
-			r.Compute(computeTime(p.rhsUS, iter, scale))
+			r.Compute(computeTime(p.rhsUS, iter))
 			rn := r.Irecv(c, north, 0, p.faceBytes)
 			rs := r.Irecv(c, south, 1, p.faceBytes)
 			rw := r.Irecv(c, west, 2, p.faceBytes)
@@ -114,7 +113,7 @@ func adiBody(cfg Config, p adiConfig) func(*mpi.Rank) {
 			// x_solve / y_solve / z_solve: forward then backward
 			// substitution along each grid direction.
 			for dir := 0; dir < 3; dir++ {
-				r.Compute(computeTime(p.solveUS, iter, scale))
+				r.Compute(computeTime(p.solveUS, iter))
 				fwdDst, fwdSrc := east, west
 				if dir == 1 {
 					fwdDst, fwdSrc = south, north
@@ -128,7 +127,7 @@ func adiBody(cfg Config, p adiConfig) func(*mpi.Rank) {
 				}
 				if fwdDst == me {
 					// Diagonal ranks solve locally in z.
-					r.Compute(computeTime(p.solveUS*0.3, iter, scale))
+					r.Compute(computeTime(p.solveUS*0.3, iter))
 					continue
 				}
 				rq := r.Irecv(c, fwdSrc, 10+dir, p.solveMsg)

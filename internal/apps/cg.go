@@ -49,7 +49,6 @@ func (l cgLayout) transposePartner(rank int) int {
 // reduction across each row for the q = A.p product pieces, an exchange
 // with the transpose partner, and residual allreduces.
 func cgBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(75, cfg.Class)
 	na := cfg.Class.gridPoints() * 1000 // CG problem dimension proxy
 	return func(r *mpi.Rank) {
@@ -68,7 +67,7 @@ func cgBody(cfg Config) func(*mpi.Rank) {
 
 		for iter := 0; iter < iters; iter++ {
 			// Sparse matrix-vector product (the dominant compute).
-			r.Compute(computeTime(computeUS, iter, scale))
+			r.Compute(computeTime(computeUS, iter))
 
 			// Row-wise butterfly reduction of partial sums (NPB CG uses
 			// log2(npcols) pairwise exchanges).
@@ -78,7 +77,7 @@ func cgBody(cfg Config) func(*mpi.Rank) {
 				rq := r.Irecv(c, partner, 100+stage, vecBytes)
 				sq := r.Isend(c, partner, 100+stage, vecBytes)
 				r.Waitall(rq, sq)
-				r.Compute(computeTime(computeUS*0.05, iter, scale))
+				r.Compute(computeTime(computeUS*0.05, iter))
 			}
 
 			// Exchange with the transpose partner (exch_proc).

@@ -18,7 +18,6 @@ func init() {
 // chunks, as the original's k-loop is), then the counts and sums are
 // combined with three allreduces; a barrier closes timing.
 func epBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	// EP's work grows as 2^(24..32) samples by class; model the per-rank
 	// compute directly.
 	npts := cfg.Class.gridPoints()
@@ -28,7 +27,7 @@ func epBody(cfg Config) func(*mpi.Rank) {
 		c := r.World()
 		perChunk := totalUS / float64(r.Size()) / chunks
 		for k := 0; k < chunks; k++ {
-			r.Compute(computeTime(perChunk, k, scale))
+			r.Compute(computeTime(perChunk, k))
 		}
 		// sx, sy and the annulus counts.
 		r.Allreduce(c, 8)

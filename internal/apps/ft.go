@@ -17,7 +17,6 @@ func init() {
 // then per time step local FFT compute phases bracketing a global
 // transpose (MPI_Alltoall of the full volume) and a checksum allreduce.
 func ftBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(20, cfg.Class)
 	npts := cfg.Class.gridPoints()
 	// Total volume: npts^3 complex values (16 bytes).
@@ -37,11 +36,11 @@ func ftBody(cfg Config) func(*mpi.Rank) {
 
 		for iter := 0; iter < iters; iter++ {
 			// evolve + local FFTs in two dimensions.
-			r.Compute(computeTime(fftUS, iter, scale))
+			r.Compute(computeTime(fftUS, iter))
 			// Global transpose.
 			r.Alltoall(c, perPair)
 			// FFT in the third dimension.
-			r.Compute(computeTime(fftUS*0.5, iter, scale))
+			r.Compute(computeTime(fftUS*0.5, iter))
 			// checksum(): complex sum across ranks.
 			r.Allreduce(c, 16)
 		}

@@ -18,7 +18,6 @@ func init() {
 // redistribution whose per-destination volumes differ — the workload that
 // exercises Table 1's averaged-size substitution.
 func isBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(10, cfg.Class)
 	npts := cfg.Class.gridPoints()
 	totalKeys := npts * npts * npts * 4 // total key volume in bytes
@@ -31,7 +30,7 @@ func isBody(cfg Config) func(*mpi.Rank) {
 
 		for iter := 0; iter < iters; iter++ {
 			// Local bucket counting.
-			r.Compute(computeTime(rankUS, iter, scale))
+			r.Compute(computeTime(rankUS, iter))
 			// Bucket-size allreduce (1024 buckets x 4 bytes).
 			r.Allreduce(c, 4096)
 			// Key redistribution with skewed per-destination volumes:
@@ -48,7 +47,7 @@ func isBody(cfg Config) func(*mpi.Rank) {
 			}
 			r.Alltoallv(c, counts)
 			// Local ranking of received keys.
-			r.Compute(computeTime(rankUS*0.6, iter, scale))
+			r.Compute(computeTime(rankUS*0.6, iter))
 		}
 
 		// full_verify(): neighboring-rank boundary exchange + reduction.

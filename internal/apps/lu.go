@@ -20,7 +20,6 @@ func init() {
 // and west neighbors in whatever order the messages arrive — making this the
 // workload that requires Algorithm 2.
 func luBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(250, cfg.Class)
 	npts := cfg.Class.gridPoints()
 	const kblocks = 8
@@ -58,7 +57,7 @@ func luBody(cfg Config) func(*mpi.Rank) {
 				for i := 0; i < upstream; i++ {
 					r.Recv(c, mpi.AnySource, 500+k, edge)
 				}
-				r.Compute(computeTime(blockUS, iter, scale))
+				r.Compute(computeTime(blockUS, iter))
 				if south >= 0 {
 					r.Send(c, south, 500+k, edge)
 				}
@@ -79,7 +78,7 @@ func luBody(cfg Config) func(*mpi.Rank) {
 				for i := 0; i < downstream; i++ {
 					r.Recv(c, mpi.AnySource, 600+k, edge)
 				}
-				r.Compute(computeTime(blockUS, iter, scale))
+				r.Compute(computeTime(blockUS, iter))
 				if north >= 0 {
 					r.Send(c, north, 600+k, edge)
 				}

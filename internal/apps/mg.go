@@ -18,7 +18,6 @@ func init() {
 // ring halo exchange at every level whose message size shrinks by 4x per
 // level; the coarsest level and the periodic norm checks use allreduces.
 func mgBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(20, cfg.Class)
 	npts := cfg.Class.gridPoints()
 	return func(r *mpi.Rank) {
@@ -47,7 +46,7 @@ func mgBody(cfg Config) func(*mpi.Rank) {
 		}
 
 		// zran3: initial random residual + norm.
-		r.Compute(computeTime(smoothUS, 0, scale))
+		r.Compute(computeTime(smoothUS, 0))
 		r.Allreduce(c, 24)
 
 		for iter := 0; iter < iters; iter++ {
@@ -57,7 +56,7 @@ func mgBody(cfg Config) func(*mpi.Rank) {
 				if size < 32 {
 					size = 32
 				}
-				r.Compute(computeTime(smoothUS/float64(int(1)<<(2*lev)), iter, scale))
+				r.Compute(computeTime(smoothUS/float64(int(1)<<(2*lev)), iter))
 				exchange(size, 300+2*lev)
 			}
 			// Coarsest-grid solve.
@@ -69,7 +68,7 @@ func mgBody(cfg Config) func(*mpi.Rank) {
 					size = 32
 				}
 				exchange(size, 400+2*lev)
-				r.Compute(computeTime(smoothUS/float64(int(1)<<(2*lev)), iter, scale))
+				r.Compute(computeTime(smoothUS/float64(int(1)<<(2*lev)), iter))
 			}
 			// Residual norm.
 			r.Allreduce(c, 16)

@@ -20,7 +20,6 @@ func init() {
 // (sizes differ, so the levels do not fold together, exactly like a
 // hand-written microbenchmark's measurement levels).
 func pingpongBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	reps := scaledIters(100, cfg.Class)
 	maxSize := cfg.Class.gridPoints() * 1024
 	return func(r *mpi.Rank) {
@@ -30,7 +29,7 @@ func pingpongBody(cfg Config) func(*mpi.Rank) {
 		pinger := me%2 == 0
 		for size := 8; size <= maxSize; size *= 4 {
 			for rep := 0; rep < reps; rep++ {
-				r.Compute(computeTime(2, rep, scale))
+				r.Compute(computeTime(2, rep))
 				if pinger {
 					r.Send(c, partner, size, size)
 					r.Recv(c, partner, size, size)

@@ -23,7 +23,6 @@ func init() {
 // path than the workers, producing the split-call-site collectives that
 // Algorithm 1 must merge.
 func sweep3dBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(12, cfg.Class)
 	npts := cfg.Class.gridPoints()
 	const kblocks = 4
@@ -70,7 +69,7 @@ func sweep3dBody(cfg Config) func(*mpi.Rank) {
 					if upJ >= 0 {
 						r.Recv(c, upJ, tag+k+kblocks, edge)
 					}
-					r.Compute(computeTime(cellUS, iter, scale))
+					r.Compute(computeTime(cellUS, iter))
 					if dnI >= 0 {
 						r.Send(c, dnI, tag+k, edge)
 					}
@@ -83,7 +82,7 @@ func sweep3dBody(cfg Config) func(*mpi.Rank) {
 			// from its I/O path, the workers from the sweep loop — two
 			// distinct call sites for the same collective (Figure 3).
 			if me == 0 {
-				r.Compute(computeTime(cellUS*0.2, iter, scale))
+				r.Compute(computeTime(cellUS*0.2, iter))
 				r.Allreduce(c, 16) // master's call site
 			} else {
 				r.Allreduce(c, 16) // workers' call site

@@ -24,14 +24,13 @@ func init() {
 // ringBody is the paper's Figure 2: every rank receives from its left
 // neighbor and sends to its right neighbor, 1000 times.
 func ringBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(1000, cfg.Class)
 	size := cfg.Class.gridPoints() * 64
 	return func(r *mpi.Rank) {
 		c := r.World()
 		n := r.Size()
 		for i := 0; i < iters; i++ {
-			r.Compute(computeTime(20, i, scale))
+			r.Compute(computeTime(20, i))
 			rq := r.Irecv(c, (r.Rank()+n-1)%n, 0, size)
 			sq := r.Isend(c, (r.Rank()+1)%n, 0, size)
 			r.Waitall(rq, sq)
@@ -43,7 +42,6 @@ func ringBody(cfg Config) func(*mpi.Rank) {
 // four neighbors (no wraparound, so edge and corner ranks behave
 // differently), compute, and reduce a residual.
 func halo2dBody(cfg Config) func(*mpi.Rank) {
-	scale := cfg.scale()
 	iters := scaledIters(100, cfg.Class)
 	npts := cfg.Class.gridPoints()
 	return func(r *mpi.Rank) {
@@ -69,7 +67,7 @@ func halo2dBody(cfg Config) func(*mpi.Rank) {
 				}
 			}
 			r.Waitall(reqs...)
-			r.Compute(computeTime(stencilUS, i, scale))
+			r.Compute(computeTime(stencilUS, i))
 			r.Allreduce(c, 8)
 		}
 	}

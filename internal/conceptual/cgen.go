@@ -10,9 +10,11 @@ import (
 // coNCePTuaL compiler's C backend. The output is for inspection and
 // portability documentation; execution in this reproduction goes through
 // Execute. It creates and uses the communicators Execute does (see
-// comms.collective).
+// comms.collective). Only a program that logs declares reset_at, the timer
+// its LOGs read, so C of any program compiles under -Wall -Werror.
 func GenerateC(p *Program) string {
 	cm := planComms(p.Stmts, renderTasks(p))
+	logs := hasLog(p.Stmts)
 	// The prologue, then 100-290 bytes of C per statement.
 	w := newWriter(cDialect, p.NumTasks, 0, 2048+256*p.StmtCount())
 	w.S("/*\n * Generated by scalatrace-go (coNCePTuaL C backend).\n")
@@ -47,8 +49,11 @@ static inline MPI_Request *ncptl_request(void) {
 
 int main(int argc, char **argv) {
   int rank, num_tasks;
-  double reset_at = 0.0;
-  MPI_Init(&argc, &argv);
+`)
+	if logs {
+		w.S("  double reset_at = 0.0;\n")
+	}
+	w.S(`  MPI_Init(&argc, &argv);
   MPI_Comm_rank(MPI_COMM_WORLD, &rank);
   MPI_Comm_size(MPI_COMM_WORLD, &num_tasks);
 `)
@@ -63,8 +68,10 @@ int main(int argc, char **argv) {
 		w.S("  MPI_Comm ").Comm(commRef(i)).S(";\n")
 		w.S("  MPI_Comm_split(MPI_COMM_WORLD, ").Cond(set.Describe(cm.n)).S(" ? 0 : MPI_UNDEFINED, 0, &").Comm(commRef(i)).S(");\n")
 	}
-	w.S("  reset_at = MPI_Wtime();\n")
-	cStmts(w, cm, p.Stmts)
+	if logs {
+		w.S("  reset_at = MPI_Wtime();\n")
+	}
+	cStmts(w, cm, p.Stmts, logs)
 	w.S(`  if (nreqs > 0) { MPI_Waitall(nreqs, reqs, MPI_STATUSES_IGNORE); nreqs = 0; }
   MPI_Finalize();
   return 0;
@@ -73,12 +80,29 @@ int main(int argc, char **argv) {
 	return w.String()
 }
 
-func cStmts(w *writer, cm *comms, stmts []Stmt) {
+// hasLog reports whether any statement, loop bodies included, is a LOG.
+func hasLog(stmts []Stmt) bool {
+	for _, s := range stmts {
+		switch x := s.(type) {
+		case *LogStmt:
+			return true
+		case *LoopStmt:
+			if hasLog(x.Body) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// cStmts writes stmts as C; logs says whether the program declares reset_at,
+// without which a RESET has no timer to restart.
+func cStmts(w *writer, cm *comms, stmts []Stmt, logs bool) {
 	for _, s := range stmts {
 		switch x := s.(type) {
 		case *LoopStmt:
 			w.OpenLoop(x.Count)
-			cStmts(w, cm, x.Body)
+			cStmts(w, cm, x.Body, logs)
 			w.CloseLoop().End()
 		case *SendStmt:
 			w.cP2P(x.Who, x.Async, "MPI_Isend", "MPI_Send", "", x.Size, x.Dest)
@@ -110,7 +134,9 @@ func cStmts(w *writer, cm *comms, stmts []Stmt) {
 		case *ComputeStmt:
 			w.Stmt(x.Who).S("ncptl_compute_for(").cDouble(x.USecs).S(");").End()
 		case *ResetStmt:
-			w.Stmt(x.Who).S("reset_at = MPI_Wtime();").End()
+			if logs {
+				w.Stmt(x.Who).S("reset_at = MPI_Wtime();").End()
+			}
 		case *LogStmt:
 			w.Stmt(x.Who).S(`printf("%d %s %f\n", rank, `).cString(x.Label).S(", (MPI_Wtime() - reset_at) * 1e6);").End()
 		}

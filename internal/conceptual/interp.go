@@ -33,7 +33,7 @@ type runConfig struct {
 	mpiOpts []mpi.Option
 }
 
-// WithMPIOptions forwards options (tracers, timeouts) to the underlying
+// WithMPIOptions forwards options (tracers, contexts) to the underlying
 // runtime — this is how a generated benchmark is itself traced or profiled,
 // as in Section 5.2.
 func WithMPIOptions(opts ...mpi.Option) RunOption {

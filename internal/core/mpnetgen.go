@@ -35,32 +35,19 @@ func lowerForModel(t *trace.Trace) (*mpnet.Net, error) {
 	return net, nil
 }
 
-// GenerateMPNet lowers the trace to its MP-net and renders the JSON
-// artifact.
-func GenerateMPNet(t *trace.Trace) ([]byte, error) {
-	defer telemetry.Region("core.generate_mpnet")()
-	net, err := lowerForModel(t)
-	if err != nil {
-		return nil, err
+// fromModel is the renderer of a model language: export of the MP-net of the
+// trace as collected.
+func fromModel(export func(*mpnet.Net) (string, error)) func(*Pipeline) (string, error) {
+	return func(p *Pipeline) (string, error) {
+		defer telemetry.Region("core.generate_mpnet")()
+		net, err := lowerForModel(p.raw)
+		if err != nil {
+			return "", err
+		}
+		out, err := export(net)
+		if err != nil {
+			return "", fmt.Errorf("core: %w", err)
+		}
+		return out, nil
 	}
-	out, err := mpnet.ExportJSON(net)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return out, nil
-}
-
-// GenerateMPNetTLA lowers the trace to its MP-net and renders the TLA+
-// module (bounded by mpnet.TLAMaxEvents).
-func GenerateMPNetTLA(t *trace.Trace, module string) (string, error) {
-	defer telemetry.Region("core.generate_mpnet")()
-	net, err := lowerForModel(t)
-	if err != nil {
-		return "", err
-	}
-	mod, err := mpnet.ExportTLA(net, module)
-	if err != nil {
-		return "", fmt.Errorf("core: %w", err)
-	}
-	return mod, nil
 }

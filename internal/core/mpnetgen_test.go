@@ -31,15 +31,15 @@ func collectWildcard(t *testing.T) *trace.Trace {
 }
 
 func TestGenerateMPNetKeepsWildcards(t *testing.T) {
-	raw, err := GenerateMPNet(collectWildcard(t))
+	raw, err := NewPipeline(collectWildcard(t), nil).Render("mpnet")
 	if err != nil {
-		t.Fatalf("GenerateMPNet: %v", err)
+		t.Fatalf("Render(mpnet): %v", err)
 	}
 	var doc struct {
 		NProcs    int `json:"nprocs"`
 		Wildcards int `json:"wildcards"`
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := json.Unmarshal([]byte(raw), &doc); err != nil {
 		t.Fatalf("artifact is not JSON: %v", err)
 	}
 	// The model backend must NOT resolve wildcards: the artifact's value
@@ -50,11 +50,11 @@ func TestGenerateMPNetKeepsWildcards(t *testing.T) {
 }
 
 func TestGenerateMPNetTLA(t *testing.T) {
-	mod, err := GenerateMPNetTLA(collectWildcard(t), "Star")
+	mod, err := NewPipeline(collectWildcard(t), nil).Render("tla")
 	if err != nil {
-		t.Fatalf("GenerateMPNetTLA: %v", err)
+		t.Fatalf("Render(tla): %v", err)
 	}
-	if !strings.Contains(mod, "---- MODULE Star ----") || !strings.Contains(mod, "recv-any") {
+	if !strings.Contains(mod, "---- MODULE CommModel ----") || !strings.Contains(mod, "recv-any") {
 		t.Fatalf("TLA artifact malformed:\n%s", mod)
 	}
 }
@@ -71,7 +71,7 @@ func TestCollectiveOpMismatchIsRefused(t *testing.T) {
 	}
 	_, fromTrace := mpnet.FromTrace(tr, nil)
 	_, verify := mpnet.VerifyWithReplay(tr, nil, netmodel.BlueGeneL())
-	_, generate := GenerateMPNet(tr)
+	_, generate := NewPipeline(tr, nil).Render("mpnet")
 	_, aligned := align.Align(tr)
 	for _, err := range []error{fromTrace, verify, generate, aligned} {
 		if err == nil || !strings.Contains(err.Error(), "collective mismatch on comm 0") {

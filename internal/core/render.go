@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/conceptual"
+	"repro/internal/mpnet"
 	"repro/internal/trace"
 )
 
@@ -20,11 +21,11 @@ var languages = []struct {
 	{"conceptual", fromProgram(conceptual.Print)},
 	{"c", fromProgram(conceptual.GenerateC)},
 	{"go", fromProgram(conceptual.GenerateGo)},
-	{"mpnet", func(p *Pipeline) (string, error) {
-		raw, err := GenerateMPNet(p.raw)
+	{"mpnet", fromModel(func(net *mpnet.Net) (string, error) {
+		raw, err := mpnet.ExportJSON(net)
 		return string(raw), err
-	}},
-	{"tla", func(p *Pipeline) (string, error) { return GenerateMPNetTLA(p.raw, "CommModel") }},
+	})},
+	{"tla", fromModel(func(net *mpnet.Net) (string, error) { return mpnet.ExportTLA(net, "CommModel") })},
 }
 
 func fromProgram(print func(*conceptual.Program) string) func(*Pipeline) (string, error) {

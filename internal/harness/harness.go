@@ -65,11 +65,7 @@ func traceApp(ctx context.Context, name string, cfg apps.Config, model *netmodel
 		}
 		return mt
 	}
-	opts := append(runOptions(), mpi.WithTracer(tracers))
-	opts = append(opts, extraOpts...)
-	if ctx != nil && ctx.Done() != nil {
-		opts = append(opts, mpi.WithContext(ctx))
-	}
+	opts := append([]mpi.Option{mpi.WithEngine(sharedEngine), mpi.WithTracer(tracers), mpi.WithContext(ctx)}, extraOpts...)
 	res, err := mpi.Run(cfg.N, model, app.Body(cfg), opts...)
 	if err != nil {
 		return nil, fmt.Errorf("harness: running %s: %w", name, err)
@@ -116,8 +112,7 @@ func runProgram(prog *conceptual.Program, n int, model *netmodel.Model, extraOpt
 	tracers := func(rank int) mpi.Tracer {
 		return mpi.MultiTracer{col.TracerFor(rank), prof.TracerFor(rank)}
 	}
-	opts := append(runOptions(), mpi.WithTracer(tracers))
-	opts = append(opts, extraOpts...)
+	opts := append([]mpi.Option{mpi.WithEngine(sharedEngine), mpi.WithTracer(tracers)}, extraOpts...)
 	res, err := conceptual.Execute(prog, n, model, conceptual.WithMPIOptions(opts...))
 	if err != nil {
 		return nil, fmt.Errorf("harness: executing generated benchmark: %w", err)

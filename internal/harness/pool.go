@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -30,10 +29,6 @@ var (
 // wall-clock time, never results: each job writes its own index-addressed
 // result slot and builds its own collectors, profiles and models.
 var poolOverride atomic.Int32
-
-// runTimeoutNS overrides the wall-clock deadline forwarded to every simulated
-// run the harness starts. Zero keeps the runtime default.
-var runTimeoutNS atomic.Int64
 
 // sharedEngine pools simulated worlds across every run the harness starts.
 // Experiment batches replay the same few world sizes dozens of times (trace,
@@ -64,25 +59,6 @@ func Parallelism() int {
 		return int(k)
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SetRunTimeout bounds the real (wall-clock) duration of each simulated run
-// the harness launches. d <= 0 restores the runtime's default deadline.
-func SetRunTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	runTimeoutNS.Store(int64(d))
-}
-
-// runOptions returns the mpi options every harness-started run receives:
-// the shared world pool, plus the configured wall-clock deadline if any.
-func runOptions() []mpi.Option {
-	opts := []mpi.Option{mpi.WithEngine(sharedEngine)}
-	if d := time.Duration(runTimeoutNS.Load()); d > 0 {
-		opts = append(opts, mpi.WithTimeout(d))
-	}
-	return opts
 }
 
 // forEachNamed runs fn(i) for every i in [0, n) on up to Parallelism()

@@ -72,7 +72,7 @@ func TestPoolJobCancellationStopsPipelineWork(t *testing.T) {
 					r.Barrier(r.World())
 					r.Allreduce(r.World(), 8)
 				}
-			}, mpi.WithContext(ctx), mpi.WithTimeout(30*time.Second))
+			}, mpi.WithContext(ctx))
 			errCh <- err
 		})
 		if err == nil {

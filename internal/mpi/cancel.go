@@ -3,12 +3,12 @@ package mpi
 import "sync/atomic"
 
 // runStop coordinates tearing down an in-flight run. A run is cancelled
-// (context cancellation, deadline, or the wall-clock deadlock timeout) by
-// trigger, which raises the flag the drive loop checks before every event and
-// every rank checks at each MPI call and blocking wait; a rank that finds it
-// raised unwinds by panicking with the runStopped sentinel, which the
-// engine's per-rank recover swallows. This is what lets a timed-out or
-// cancelled Run return with zero leaked goroutines: the world is poisoned,
+// (its context's cancellation or deadline, or a proven deadlock) by
+// trigger, which raises the flag the drive loop checks before every event
+// and every rank checks at each MPI call and blocking wait; a rank that
+// finds it raised unwinds by panicking with the runStopped sentinel, which the
+// engine's per-rank recover swallows. This is what lets a cancelled or
+// deadlocked Run return with zero leaked goroutines: the world is poisoned,
 // not abandoned.
 type runStop struct {
 	flag atomic.Bool
@@ -18,7 +18,7 @@ type runStop struct {
 func (s *runStop) stopped() bool { return s.flag.Load() }
 
 // trigger cancels the run. Idempotent; safe from any goroutine (the run's
-// watcher trips it).
+// context.AfterFunc callback trips it).
 func (s *runStop) trigger() { s.flag.Store(true) }
 
 // reset re-arms a triggered stop for the next run on a pooled world. The

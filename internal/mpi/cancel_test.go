@@ -62,8 +62,7 @@ func TestRunContextCancelUnblocksRanks(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, err := Run(8, netmodel.Ideal(), foreverBody,
-		WithContext(ctx), WithTimeout(30*time.Second))
+	_, err := Run(8, netmodel.Ideal(), foreverBody, WithContext(ctx))
 	if err == nil {
 		t.Fatal("Run succeeded, want cancellation error")
 	}
@@ -75,7 +74,7 @@ func TestRunContextCancelUnblocksRanks(t *testing.T) {
 
 // TestEventEngineDeadlockDetectedInstantly pins the event engine's deadlock
 // proof: a world whose ranks all block forever is reported the moment the
-// run queue empties — well inside the 60-second default timeout — and its
+// run queue empties, with no wall-clock bound to wait out, and its
 // goroutines are swept, not leaked.
 func TestEventEngineDeadlockDetectedInstantly(t *testing.T) {
 	base := runtime.NumGoroutine()
@@ -90,16 +89,57 @@ func TestEventEngineDeadlockDetectedInstantly(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestRunTimeoutDrainsGoroutines asserts the wall-clock timeout path also
-// unwinds every rank instead of leaking them. The body loops forever without
+// TestRunTimeoutDrainsGoroutines asserts a context deadline also unwinds
+// every rank instead of leaking them. The body loops forever without
 // deadlocking, so the event engine cannot finish it early with a proof.
 func TestRunTimeoutDrainsGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	_, err := Run(4, netmodel.Ideal(), foreverBody, WithTimeout(200*time.Millisecond))
-	if err == nil || !strings.Contains(err.Error(), "deadlock suspected") {
-		t.Fatalf("Run error = %v, want deadlock timeout", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	_, err := Run(4, netmodel.Ideal(), foreverBody, WithContext(ctx))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run error %v does not wrap context.DeadlineExceeded", err)
 	}
 	waitForGoroutines(t, base)
+}
+
+// goroutineStream is a stackless stream of one barrier that records, on its
+// first Next, how many goroutines exist while the run is in flight.
+type goroutineStream struct {
+	during *int
+	done   bool
+}
+
+func (s *goroutineStream) Next(_ *Rank, op *RankOp) bool {
+	if s.done {
+		return false
+	}
+	if *s.during < 0 {
+		*s.during = runtime.NumGoroutine()
+	}
+	s.done = true
+	*op = RankOp{Op: OpBarrier}
+	return true
+}
+
+// TestUncancellableRunStartsNoGoroutine pins that a run whose context can
+// never be cancelled — none given, or context.Background() — starts no
+// goroutine: stackless ranks are cursors on Run's own goroutine, and only a
+// cancellable context registers a stop callback.
+func TestUncancellableRunStartsNoGoroutine(t *testing.T) {
+	for _, opts := range [][]Option{nil, {WithContext(context.Background())}} {
+		during := -1
+		before := runtime.NumGoroutine()
+		_, err := RunStackless(4, netmodel.Ideal(), func(int) OpStream {
+			return &goroutineStream{during: &during}
+		}, opts...)
+		if err != nil {
+			t.Fatalf("RunStackless: %v", err)
+		}
+		if during > before {
+			t.Errorf("%d options: %d goroutines during the run, %d before it", len(opts), during, before)
+		}
+	}
 }
 
 // cleanBody is a small body that exercises point-to-point and collective
@@ -116,11 +156,11 @@ func cleanBody(r *Rank) {
 }
 
 // TestPooledWorldCancelThenReuse is the poison-safety proof for the world
-// pool: a pooled run is cancelled mid-flight (ranks parked in a collective,
-// deposits queued, the stop latch tripped), and the very same world — it
-// re-enters the pool on return — must then complete a clean run with results
-// identical to a fresh world's, after which Close drains every persistent
-// rank goroutine.
+// pool: a pooled run is cancelled, or its deadline passes, mid-flight (ranks
+// parked in a collective, deposits queued, the stop latch tripped), and the
+// very same world — it re-enters the pool on return — must then complete a
+// clean run with results identical to a fresh world's, after which Close
+// drains every persistent rank goroutine.
 func TestPooledWorldCancelThenReuse(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng := NewEngine()
@@ -130,26 +170,35 @@ func TestPooledWorldCancelThenReuse(t *testing.T) {
 		t.Fatalf("fresh run: %v", err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
+	for _, stop := range []struct {
+		err   error
+		start func() (context.Context, context.CancelFunc)
+	}{
+		{context.Canceled, func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			return ctx, cancel
+		}},
+		{context.DeadlineExceeded, func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}},
+	} {
+		ctx, cancel := stop.start()
+		_, err = Run(8, netmodel.Ideal(), foreverBody, WithEngine(eng), WithContext(ctx))
 		cancel()
-	}()
-	_, err = Run(8, netmodel.Ideal(), foreverBody,
-		WithEngine(eng), WithContext(ctx), WithTimeout(30*time.Second))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pooled run error %v does not wrap context.Canceled", err)
-	}
-
-	for pass := 1; pass <= 2; pass++ {
-		got, err := Run(8, netmodel.Ideal(), cleanBody, WithEngine(eng))
-		if err != nil {
-			t.Fatalf("pooled run %d after cancel: %v", pass, err)
+		if !errors.Is(err, stop.err) {
+			t.Fatalf("pooled run error %v does not wrap %v", err, stop.err)
 		}
-		for i := range want.PerRankUS {
-			if got.PerRankUS[i] != want.PerRankUS[i] {
-				t.Errorf("pass %d rank %d clock %v after cancel, want %v",
-					pass, i, got.PerRankUS[i], want.PerRankUS[i])
+		for pass := 1; pass <= 2; pass++ {
+			got, err := Run(8, netmodel.Ideal(), cleanBody, WithEngine(eng))
+			if err != nil {
+				t.Fatalf("pooled run %d after %v: %v", pass, stop.err, err)
+			}
+			for r := range want.PerRankUS {
+				if got.PerRankUS[r] != want.PerRankUS[r] {
+					t.Errorf("pass %d rank %d clock %v after %v, want %v",
+						pass, r, got.PerRankUS[r], stop.err, want.PerRankUS[r])
+				}
 			}
 		}
 	}
@@ -239,11 +288,10 @@ func TestRunContextUncancelledIsHarmless(t *testing.T) {
 
 // TestFinishedRunIsNotReportedCancelled pins the outcome rule both body kinds
 // share: a run whose every rank finished returns its result, whatever the
-// context or the timer did meanwhile. The last rank to finish cancels the
-// context as its final statement (it has already finalized, so no
-// cancellation point is left on any rank); Run's watcher may or may not have
-// seen the cancellation by the time the run queue drains, and either way the
-// run completed.
+// context did meanwhile. The last rank to finish cancels the context as its
+// final statement (it has already finalized, so no cancellation point is
+// left on any rank); Run's stop callback may or may not have started by the
+// time the run queue drains, and either way the run completed.
 func TestFinishedRunIsNotReportedCancelled(t *testing.T) {
 	const n = 4
 	for _, eng := range []*Engine{nil, NewEngine()} {
@@ -341,7 +389,7 @@ func TestCancelledBeforeStartLeavesNoGoroutines(t *testing.T) {
 
 		ctx, cancel = context.WithCancel(context.Background())
 		_, err = Run(8, netmodel.Ideal(), foreverBody, append(opts, WithContext(ctx),
-			WithTimeout(30*time.Second), WithTracer(func(int) Tracer {
+			WithTracer(func(int) Tracer {
 				cancel()
 				return nil
 			}))...)
@@ -391,7 +439,7 @@ func TestTeardownRunsApplicationDefers(t *testing.T) {
 					r.Sendrecv(w, 5-r.Rank(), i, 8, 5-r.Rank(), i, 8)
 				}
 			}
-		}, append(opts, WithContext(ctx), WithTimeout(30*time.Second))...)
+		}, append(opts, WithContext(ctx))...)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("pooled=%v: Run error %v does not wrap context.Canceled", pooled, err)
 		}

@@ -85,7 +85,7 @@ func (g *Engine) run(n int, model *netmodel.Model, body func(*Rank),
 	pw := g.acquire(n, model, cfg)
 	res, err := runEvent(pw.w, cfg, pw.ranks, body, progFor)
 	// runEvent returns only after the world quiesced (every rank finished or
-	// unwound) in all outcomes — success, panic, cancel, timeout, deadlock —
+	// unwound) in all outcomes — success, panic, cancel, deadlock —
 	// so the world is always safe to re-pool.
 	g.release(pw)
 	return res, err

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -9,15 +10,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/netmodel"
 )
 
-// run is a test helper executing body with a short deadlock timeout.
+// run is a test helper executing body and failing the test on any error.
 func run(t *testing.T, n int, m *netmodel.Model, body func(*Rank), opts ...Option) *Result {
 	t.Helper()
-	opts = append(opts, WithTimeout(20*time.Second))
 	res, err := Run(n, m, body, opts...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -341,7 +340,7 @@ func TestCollectiveMismatchPanics(t *testing.T) {
 		} else {
 			r.Reduce(r.World(), 0, 8)
 		}
-	}, WithTimeout(5*time.Second))
+	})
 	if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
 		t.Fatalf("err = %v, want collective mismatch", err)
 	}
@@ -434,16 +433,18 @@ func TestWorldRankPanicsOutOfRange(t *testing.T) {
 		if r.Rank() == 0 {
 			r.Send(r.World(), 5, 0, 1)
 		}
-	}, WithTimeout(5*time.Second))
+	})
 	if err == nil {
 		t.Fatal("expected panic error for out-of-range destination")
 	}
 }
 
-func TestDeadlockDetectedByTimeout(t *testing.T) {
+// TestDeadlockReported: two ranks that each wait for the other are reported
+// as a deadlock, with no wall-clock bound to wait out.
+func TestDeadlockReported(t *testing.T) {
 	_, err := Run(2, netmodel.Ideal(), func(r *Rank) {
 		r.Recv(r.World(), 1-r.Rank(), 0, 8) // both block forever
-	}, WithTimeout(300*time.Millisecond))
+	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock report", err)
 	}
@@ -452,7 +453,7 @@ func TestDeadlockDetectedByTimeout(t *testing.T) {
 func TestPanicIsReported(t *testing.T) {
 	_, err := Run(1, netmodel.Ideal(), func(r *Rank) {
 		panic("boom")
-	}, WithTimeout(5*time.Second))
+	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want panic report", err)
 	}
@@ -463,7 +464,7 @@ func TestUseAfterFinalizePanics(t *testing.T) {
 		r.Finalize()
 		r.Compute(1)         // harmless
 		r.Barrier(r.World()) // must panic
-	}, WithTimeout(5*time.Second))
+	})
 	if err == nil || !strings.Contains(err.Error(), "after Finalize") {
 		t.Fatalf("err = %v, want use-after-finalize", err)
 	}
@@ -914,7 +915,7 @@ func TestTransportCapacityIndependentOfRunLength(t *testing.T) {
 				}
 			}
 		}
-		cfg := &config{timeout: 20 * time.Second}
+		cfg := &config{ctx: context.Background()}
 		w, ranks := newWorld(n, netmodel.BlueGeneL(), cfg)
 		defer w.sched.retire()
 		if _, err := runEvent(w, cfg, ranks, body, nil); err != nil {

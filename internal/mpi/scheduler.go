@@ -3,10 +3,10 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"iter"
 	"runtime/debug"
-	"time"
 )
 
 // This file is the discrete-event engine: the default scheduler behind
@@ -37,8 +37,7 @@ import (
 // process simulate hundreds of thousands of ranks. A second payoff is exact
 // deadlock detection: when the run queue empties while live ranks remain
 // parked, no future deposit, drain or collective completion can ever occur,
-// and the driver reports the deadlock immediately instead of waiting out
-// the wall-clock timeout.
+// and the driver reports the deadlock immediately.
 //
 // Memory-model note: all engine state is touched either by the driver or by
 // the one rank it has switched to, never by both at once, and every
@@ -46,7 +45,8 @@ import (
 // with a release/acquire pair the race detector sees). A pooled world may be
 // driven from a different goroutine on each run, but never from two at
 // once. So the engine is race-free without a single mutex; the only
-// cross-goroutine signal is the stop latch the watcher trips, an atomic.
+// cross-goroutine signal is the stop latch a context cancellation trips, an
+// atomic.
 
 // rankState tracks where each rank is with respect to the driver.
 type rankState uint8
@@ -272,8 +272,9 @@ func (e *eventLoop) unwind() {
 // runEvent executes one run on w's engine — body on coroutine ranks, or,
 // when body is nil, progFor's streams on cursors — and returns once every
 // rank has finished or been unwound, so a pooled world can always be reused.
-// The outcomes are completion, a rank panic, virtual deadlock (proven, not
-// suspected), the wall-clock timeout and context cancellation.
+// The outcomes are completion, a rank panic, a proven deadlock and
+// cancellation of the caller's context; an uncancellable run starts no
+// goroutine, timer or channel.
 func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor func(rank int) OpStream) (*Result, error) {
 	e := w.sched
 	e.ranks = ranks
@@ -297,57 +298,49 @@ func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor fun
 		e.heap = append(e.heap, heapEnt{clock: 0, rank: int32(i)})
 	}
 
-	// The watcher turns the wall-clock timeout and context cancellation into
-	// a stop-latch trigger, which the drive loop observes before each event
-	// and the running rank at its next MPI call. Its flag writes are ordered
-	// before our reads by the watcherDone close.
-	var ctxDone <-chan struct{}
-	if cfg.ctx != nil {
-		ctxDone = cfg.ctx.Done()
+	// Cancellation reaches the world through a context.AfterFunc callback,
+	// which trips the stop latch the drive loop observes before each event
+	// and the running rank at its next MPI call. A context that can never be
+	// cancelled registers nothing. Once drive returns, stopping the callback
+	// either prevents it or reports that it started; in that case its latch
+	// write is awaited, so it can never land on a pooled world's next run.
+	var stopCancel func() bool
+	var cancelled chan struct{}
+	if cfg.ctx.Done() != nil {
+		cancelled = make(chan struct{})
+		stopCancel = context.AfterFunc(cfg.ctx, func() {
+			w.stop.trigger()
+			close(cancelled)
+		})
 	}
-	finished := make(chan struct{})
-	watcherDone := make(chan struct{})
-	var timedOut bool
-	var ctxErr error
-	go func() {
-		defer close(watcherDone)
-		timer := time.NewTimer(cfg.timeout)
-		defer timer.Stop()
-		select {
-		case <-finished:
-		case <-timer.C:
-			timedOut = true
-			ctrRunsCancelled.Inc()
-			w.stop.trigger()
-		case <-ctxDone:
-			ctxErr = cfg.ctx.Err()
-			ctrRunsCancelled.Inc()
-			w.stop.trigger()
-		}
-	}()
 
 	deadlocked := e.drive()
 	completed := e.nLive == 0
-	close(finished)
-	<-watcherDone
+	var ctxErr error
+	if stopCancel != nil && !stopCancel() {
+		<-cancelled
+		ctxErr = cfg.ctx.Err()
+		ctrRunsCancelled.Inc()
+	}
 
 	if !completed {
 		if deadlocked {
 			ctrRunsCancelled.Inc()
 		}
-		// Poison the world (the watcher already has, unless this is a proven
-		// deadlock) and take the coroutine ranks out of their bodies. A pooled
-		// world re-enters the pool stopped, and reset re-arms it.
+		// Poison the world (a cancellation already has, unless this is a
+		// proven deadlock) and take the coroutine ranks out of their bodies.
+		// A pooled world re-enters the pool stopped, and reset re-arms it.
 		w.stop.trigger()
 		e.unwind()
 	}
-	// A panicking rank leaves its peers blocked, so a deadlock or timeout
-	// often masks a panic; report the panic when one was captured.
+	// A panicking rank leaves its peers blocked, so a deadlock or a
+	// cancellation often masks a panic; report the panic when one was
+	// captured.
 	if len(e.panics) > 0 {
 		return nil, e.panics[0]
 	}
 	if completed {
-		// A timeout or cancellation that raced the finish is moot.
+		// A cancellation that raced the finish is moot.
 		res := collectResult(ranks)
 		if w.prof != nil {
 			w.prof.finish(res)
@@ -356,9 +349,6 @@ func runEvent(w *World, cfg *config, ranks []Rank, body func(*Rank), progFor fun
 	}
 	if ctxErr != nil {
 		return nil, fmt.Errorf("mpi: run cancelled: %w", ctxErr)
-	}
-	if timedOut {
-		return nil, fmt.Errorf("mpi: run did not complete within %v (deadlock suspected)", cfg.timeout)
 	}
 	return nil, fmt.Errorf("%w: every live rank is blocked and no event is pending", ErrDeadlock)
 }

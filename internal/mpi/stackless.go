@@ -536,9 +536,12 @@ func (r *Rank) issue(c *Comm, op *RankOp, exec func(*slExec, *Rank) bool) *slExe
 }
 
 // RunStackless executes one stackless body per rank: progFor is called once
-// per rank for its operation stream. All options (tracers, timeouts,
-// contexts, WithEngine pooling) behave as in Run, and the results are those
-// of an imperative body issuing the same operations.
+// per rank for its operation stream. All options (tracers, contexts,
+// WithEngine pooling) behave as in Run, and the results are those of an
+// imperative body issuing the same operations. Its outcomes are Run's:
+// completion, a rank panic, a proven deadlock or cancellation of the
+// caller's context, and without a cancellable context it starts no
+// goroutine at all.
 func RunStackless(n int, model *netmodel.Model, progFor func(rank int) OpStream, opts ...Option) (*Result, error) {
 	return runWorld(n, model, nil, progFor, opts)
 }

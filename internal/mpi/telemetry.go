@@ -19,9 +19,8 @@ var (
 	ctrQueuedUnexpected = telemetry.NewCounter("mpi.msgs_queued")
 	// ctrWildcardRecvs counts receives posted with AnySource.
 	ctrWildcardRecvs = telemetry.NewCounter("mpi.wildcard_recvs")
-	// ctrRunsCancelled counts runs torn down by context cancellation, the
-	// deadlock timeout, or the event engine's instant deadlock proof (every
-	// rank unwinds either way).
+	// ctrRunsCancelled counts runs torn down by context cancellation or the
+	// event engine's instant deadlock proof (every rank unwinds either way).
 	ctrRunsCancelled = telemetry.NewCounter("mpi.runs_cancelled")
 	// ctrSchedEvents counts event-engine dispatches: each is one step of a
 	// rank popped from the virtual-time run queue.

@@ -18,8 +18,8 @@ type World struct {
 	mailboxes  []*mailbox
 	commWorld  *Comm
 	nextCommID int64
-	// stop poisons the world on cancellation or timeout so every rank
-	// unwinds instead of leaking (see cancel.go).
+	// stop poisons the world on cancellation or a proven deadlock so every
+	// rank unwinds instead of leaking (see cancel.go).
 	stop *runStop
 	// sched is the discrete-event engine driving this world.
 	sched *eventLoop
@@ -43,7 +43,6 @@ type Result struct {
 
 type config struct {
 	tracerFor func(rank int) Tracer
-	timeout   time.Duration
 	ctx       context.Context
 	engine    *Engine
 	graph     *DepGraph
@@ -55,15 +54,6 @@ type Option func(*config)
 // WithTracer installs a per-rank tracer factory (the PMPI hook).
 func WithTracer(f func(rank int) Tracer) Option {
 	return func(c *config) { c.tracerFor = f }
-}
-
-// WithTimeout bounds the real (wall-clock) duration of the run. A run that
-// exceeds it is reported as a suspected deadlock. The default is 60 seconds.
-// The event engine usually reports a true messaging deadlock long before any
-// timeout: it proves the condition the moment its event queue empties with
-// ranks still blocked.
-func WithTimeout(d time.Duration) Option {
-	return func(c *config) { c.timeout = d }
 }
 
 // WithContext bounds the run by ctx: when ctx is cancelled (or its deadline
@@ -128,24 +118,25 @@ func (r *Rank) recordInit() {
 
 // ErrDeadlock is wrapped by the error of a run the event engine proved
 // deadlocked: its run queue emptied with live ranks still blocked, so no
-// message, credit or collective can ever arrive. (A run that merely
-// exceeds the wall-clock timeout is "deadlock suspected" and does not
-// wrap it.)
+// message, credit or collective can ever arrive. The proof is immediate, so
+// a run needs no wall-clock bound to end; only its caller's context
+// (WithContext) stops it early.
 var ErrDeadlock = errors.New("mpi: deadlock detected")
 
 // Run executes body on n simulated ranks over the given network model and
 // waits for completion. Ranks advance on a single-threaded discrete-event
 // engine in virtual-time order (see scheduler.go), which is what lets one
 // process host hundreds of thousands of ranks. Run returns an error if any
-// rank panics, if the ranks deadlock, or if the run does not complete within
-// the (real-time) timeout.
+// rank panics, if the ranks are proven deadlocked (ErrDeadlock), or if the
+// WithContext context is cancelled. A run without a cancellable context
+// starts no goroutine besides its coroutine ranks.
 func Run(n int, model *netmodel.Model, body func(*Rank), opts ...Option) (*Result, error) {
 	return runWorld(n, model, body, nil, opts)
 }
 
 // runWorld executes one run of Run or RunStackless: exactly one of body
 // (coroutine ranks) or progFor (stackless cursors) is non-nil. It validates
-// the inputs, folds the options (defaulting the model and the timeout), and
+// the inputs, folds the options (defaulting the model and the context), and
 // runs on a pooled world when WithEngine supplied one, on a fresh world
 // otherwise.
 func runWorld(n int, model *netmodel.Model, body func(*Rank), progFor func(rank int) OpStream, opts []Option) (*Result, error) {
@@ -155,15 +146,16 @@ func runWorld(n int, model *netmodel.Model, body func(*Rank), progFor func(rank 
 	if model == nil {
 		model = netmodel.Ideal()
 	}
-	cfg := &config{timeout: 60 * time.Second}
+	cfg := &config{}
 	for _, o := range opts {
 		o(cfg)
 	}
-	if cfg.ctx != nil {
-		// An already-cancelled context never starts the world at all.
-		if err := cfg.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mpi: run cancelled: %w", err)
-		}
+	if cfg.ctx == nil {
+		cfg.ctx = context.Background()
+	}
+	// An already-cancelled context never starts the world at all.
+	if err := cfg.ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mpi: run cancelled: %w", err)
 	}
 	if cfg.engine != nil {
 		return cfg.engine.run(n, model, body, progFor, cfg)

@@ -27,7 +27,7 @@ import (
 
 // Replay executes the trace on n simulated ranks, each a stackless cursor on
 // the event engine, and returns the runtime's result. Extra mpi options
-// (tracers, profilers, timeouts, a pooled engine) may be supplied —
+// (tracers, profilers, contexts, a pooled engine) may be supplied —
 // replaying under a Collector yields a re-trace.
 func Replay(t *trace.Trace, model *netmodel.Model, opts ...mpi.Option) (*mpi.Result, error) {
 	if t.N <= 0 {

@@ -20,7 +20,6 @@ import (
 // With*, Mode* or *Reference* name may select a second.
 var plainOptions = map[string]bool{
 	"mpi.WithTracer":            true,
-	"mpi.WithTimeout":           true,
 	"mpi.WithContext":           true,
 	"mpi.WithEngine":            true,
 	"mpi.WithCausalProfile":     true,
@@ -234,6 +233,8 @@ func TestPathSelectorsArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	parseDir := func(dir string) []*ast.File { return parseNonTestDir(t, fset, dir) }
 
+	// internal/mpi starts no goroutine: coroutine ranks are iter.Pull, and a
+	// run's cancellation is a context.AfterFunc callback.
 	exported := map[string]bool{}
 	for _, pkg := range []string{"mpi", "conceptual", "replay"} {
 		for _, f := range parseDir(filepath.Join("internal", pkg)) {
@@ -242,6 +243,10 @@ func TestPathSelectorsArePinned(t *testing.T) {
 					if got := types.ExprString(ts.Type); got != opStreamType {
 						t.Errorf("mpi.OpStream is %s, want %s: streams fill the executor's op in place", got, opStreamType)
 					}
+				}
+				if g, ok := n.(*ast.GoStmt); ok && pkg == "mpi" {
+					t.Errorf("%s: internal/mpi starts a goroutine; ranks are iter.Pull coroutines "+
+						"and cancellation is context.AfterFunc", fset.Position(g.Pos()))
 				}
 				return true
 			})
@@ -326,14 +331,14 @@ func (c *Collector) Trace() { mergeCompatible() }`)); len(got) != 3 {
 		t.Error(v)
 	}
 
-	// No command registers a -runtime flag, and outside the runtime itself
-	// only internal/harness/pool.go both starts goroutines and imports a
-	// package that can drive a world. (Syntactic: fan-out
-	// through a harness wrapper such as RunProgram is not seen.)
+	// No command registers a -runtime flag, and only internal/harness/pool.go
+	// both starts goroutines and imports a package that can drive a world.
+	// (Syntactic: fan-out through a harness wrapper such as RunProgram is not
+	// seen.)
 	for _, dir := range []string{"cmd", "internal", "examples"} {
 		for _, f := range parseDir(dir) {
 			path := filepath.ToSlash(fset.Position(f.Package).Filename)
-			mayFanOut := path == "internal/harness/pool.go" || strings.HasPrefix(path, "internal/mpi/")
+			mayFanOut := path == "internal/harness/pool.go"
 			drivesWorlds := false
 			for _, imp := range f.Imports {
 				drivesWorlds = drivesWorlds || worldDrivers[imp.Path.Value]
