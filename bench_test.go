@@ -337,7 +337,7 @@ func BenchmarkBuilderAppend(b *testing.B) {
 // BenchmarkMergeRankSeqs measures the inter-node merge on 64 ranks of ring
 // traffic (all ranks unify into one group with rank-relative peers, the
 // paper's common case). Merging consumes its input, so each iteration
-// rebuilds the per-rank sequences; the build cost is the same for every
+// rebuilds the classes' sequences; the build cost is the same for every
 // implementation under test.
 func BenchmarkMergeRankSeqs(b *testing.B) {
 	const n = 64
@@ -367,34 +367,33 @@ func BenchmarkMergeRankSeqs(b *testing.B) {
 	}
 	for _, leg := range []struct {
 		name  string
-		build func() [][]trace.Node
+		build func() []trace.Class
 	}{
-		// The Collector's call: a sequence per rank, consumed.
-		{"private", func() [][]trace.Node {
-			seqs := make([][]trace.Node, n)
-			for r := range seqs {
-				seqs[r] = stream(r, func(off int) trace.Param { return trace.AbsParam((r + off) % n) })
+		// The Collector's call: a class per rank, consumed.
+		{"private", func() []trace.Class {
+			classes := make([]trace.Class, n)
+			for r := range classes {
+				classes[r] = trace.Class{Seq: stream(r, func(off int) trace.Param { return trace.AbsParam((r + off) % n) }), Members: []int{r}}
 			}
-			return seqs
+			return classes
 		}},
-		// Algorithm 1's call: four sequences for 64 ranks, each named by
-		// every fourth rank and only read.
-		{"shared", func() [][]trace.Node {
-			seqs := make([][]trace.Node, n)
-			for r := range seqs {
-				if r < 4 {
-					seqs[r] = stream(r, trace.RelParam)
-				} else {
-					seqs[r] = seqs[r%4]
+		// Algorithm 1's call: four classes for 64 ranks, each of every fourth
+		// rank, whose sequences are only read.
+		{"shared", func() []trace.Class {
+			classes := make([]trace.Class, 4)
+			for c := range classes {
+				classes[c].Seq = stream(c, trace.RelParam)
+				for r := c; r < n; r += 4 {
+					classes[c].Members = append(classes[c].Members, r)
 				}
 			}
-			return seqs
+			return classes
 		}},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr := trace.MergeRankSeqsOwned(n, comms(), leg.build())
+				tr := trace.MergeClasses(n, comms(), leg.build())
 				if len(tr.Groups) != 1 {
 					b.Fatalf("expected 1 group, got %d", len(tr.Groups))
 				}

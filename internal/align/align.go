@@ -14,14 +14,14 @@
 //
 // Here the rendezvous is the paper's, rank by rank, but the traversal
 // context belongs to a class of ranks that walk the same events
-// (lockstepClasses): one cursor, one re-compressed segment that every member
-// names in the merge, or a copy of it with the member's own vector peers.
-// O(c*e) emission for c classes plus O(p*s) copying and folding of
-// compressed segments, where a context per rank is O(p*e); see DESIGN.md
-// Section 10.
+// (lockstepClasses): one cursor and one re-compressed segment, handed to the
+// merge once as the class's sequence. O(c*e) emission for c classes plus
+// O(p*s) folding of compressed segments, where a context per rank is O(p*e);
+// see DESIGN.md Section 10.
 package align
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -82,49 +82,33 @@ func Align(t *trace.Trace) (*trace.Trace, error) {
 // collective. Its leaves carry the first member's singleton set and peers: it
 // is the sequence that member alone would have built.
 type lockstep struct {
-	first, size int
-	ranks       taskset.Set // {first}
-	cur         *trace.Cursor
-	seg         *trace.Builder
+	members []int       // ascending
+	ranks   taskset.Set // {first member}
+	cur     *trace.Cursor
+	seg     *trace.Builder
 	// ran: a member has walked, and emitted, the stretch from the class's
-	// last collective to cur; progressed: the stretch holds an event; vec:
-	// one of a vector-peer leaf, whose peer differs between members.
-	ran, progressed, vec bool
-	// vecLeaves holds the vector-peer leaves of the class's group by the hash
-	// of their copy for the first member, built at the first segment that
-	// needs it.
-	vecLeaves map[uint64][]vecLeaf
+	// last collective to cur; progressed: the stretch holds an event.
+	ran, progressed bool
+	// src holds the input leaf of every leaf appended to seg, once a class of
+	// several members has walked a vector-peer leaf. seg recycles leaves, so
+	// every append overwrites its leaf's entry.
+	src map[*trace.RSD]*trace.RSD
 }
 
-// vecLeaf is a vector-peer leaf of the input and its copy for the first
-// member of a class.
-type vecLeaf struct{ copy, src *trace.RSD }
-
-// segFor returns the class's segment as member r would have built it: a copy
-// whose leaves of vector-peer leaves carry r's peers. Such a leaf is found by
-// its copy for the first member. Two input leaves with equal copies give every
-// member equal peers, or lockstepClasses would have split the class.
-func (c *lockstep) segFor(r int, t *trace.Trace, group []trace.Node) []trace.Node {
-	if c.vecLeaves == nil {
-		c.vecLeaves = map[uint64][]vecLeaf{}
-		trace.Leaves(group, func(x *trace.RSD) {
-			if x.Peer.Kind == trace.ParamVec && x.Ranks.Contains(c.first) {
-				cp := new(trace.RSD)
-				x.CopyFor(cp, c.first, c.ranks, t, 0)
-				c.vecLeaves[cp.Hash()] = append(c.vecLeaves[cp.Hash()], vecLeaf{cp, x})
-			}
-		})
+// peer is the merge's Class.Peer of a class with vector-peer leaves: member
+// r's own peer for a leaf of seg copied from one. Two equal leaves of seg
+// give every member equal peers, or lockstepClasses would have split the
+// class, so a leaf a fold kept answers for the ones it absorbed.
+func (c *lockstep) peer(t *trace.Trace) func(*trace.RSD, int) (int, bool) {
+	if c.src == nil {
+		return nil
 	}
-	return trace.CopySeqFor(c.seg.Seq(), taskset.Of(r), func(l *trace.RSD) (trace.Param, bool) {
-		if l.Peer.Kind == trace.ParamAbs {
-			for _, v := range c.vecLeaves[l.Hash()] {
-				if trace.StructEqual(v.copy, l) {
-					return trace.AbsParam(v.src.PeerFor(r, t)), true
-				}
-			}
+	return func(leaf *trace.RSD, r int) (int, bool) {
+		if x := c.src[leaf]; x != nil && x.Peer.Kind == trace.ParamVec {
+			return x.PeerFor(r, t), true
 		}
-		return trace.NoParam, false
-	})
+		return 0, false
+	}
 }
 
 // lockstepClasses returns each rank's class, numbered by first member. Two
@@ -242,47 +226,48 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 	}
 	classOf := classify(t, groupOf)
 	low := trace.Lower(t)
+	// byClass holds the ranks class by class, each class's in ascending order;
+	// a class's members are its stretch.
+	byClass := make([]int, n)
+	for r := range byClass {
+		byClass[r] = r
+	}
+	slices.SortFunc(byClass, func(a, b int) int { return cmp.Or(cmp.Compare(classOf[a], classOf[b]), a-b) })
 	var classes []*lockstep
-	for r, c := range classOf {
-		if c == len(classes) {
-			classes = append(classes, &lockstep{first: r, ranks: taskset.Of(r),
+	for i, r := range byClass {
+		if classOf[r] == len(classes) {
+			classes = append(classes, &lockstep{members: byClass[i:i], ranks: taskset.Of(r),
 				cur: low.Cursor(r), seg: newSegment(trace.DefaultMaxWindow)})
 		}
-		classes[c].size++
+		c := classes[classOf[r]]
+		c.members = c.members[:len(c.members)+1]
 	}
 
 	out := trace.NewGlobalBuilder(max(trace.DefaultMaxWindow, t.NodeCount()))
 	// Non-collective runs are buffered per class and re-merged across ranks
 	// when the next collective closes the segment; this keeps the aligned
 	// queue's point-to-point RSDs merged (rank-relative peers preserved)
-	// instead of exploding into per-rank leaves. The merge only reads a
-	// sequence several members name, so its leaves go back to the builder.
-	// A class whose segment holds a leaf of a vector-peer leaf names it for
-	// its first member only, and gives every other member a copy with the
-	// member's own peers.
-	seqs := make([][]trace.Node, n)
+	// instead of exploding into per-rank leaves. Each class hands the merge
+	// its segment once; the merge only reads the segment of a class of
+	// several members, so its leaves go back to the builder.
+	in := make([]trace.Class, len(classes))
 	flushSegments := func() {
 		empty := true
-		for r, ci := range classOf {
-			c := classes[ci]
-			seqs[r] = c.seg.Seq()
-			if c.vec && r != c.first {
-				seqs[r] = c.segFor(r, t, t.Groups[groupOf[r]].Seq)
-			}
-			empty = empty && len(seqs[r]) == 0
+		for i, c := range classes {
+			in[i] = trace.Class{Seq: c.seg.Seq(), Members: c.members, Peer: c.peer(t)}
+			empty = empty && len(in[i].Seq) == 0
 		}
 		if empty {
 			return
 		}
-		merged := trace.MergeRankSeqsOwned(n, t.Comms, seqs)
+		merged := trace.MergeClasses(n, t.Comms, in)
 		for _, g := range merged.Groups {
 			for _, node := range g.Seq {
 				out.Append(node)
 			}
 		}
 		for _, c := range classes {
-			c.seg.Reset(c.size == 1 || c.vec)
-			c.vec = false
+			c.seg.Reset(len(c.members) == 1)
 		}
 	}
 
@@ -308,11 +293,16 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 				c.ran = true
 				for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
 					leaf := c.seg.NewLeaf()
-					rsd.CopyFor(leaf, c.first, c.ranks, t, c.cur.ComputeUS())
+					rsd.CopyFor(leaf, c.members[0], c.ranks, t, c.cur.ComputeUS())
+					if c.src == nil && rsd.Peer.Kind == trace.ParamVec && len(c.members) > 1 {
+						c.src = map[*trace.RSD]*trace.RSD{}
+					}
+					if c.src != nil {
+						c.src[leaf] = rsd
+					}
 					c.seg.Append(leaf)
 					c.cur.Advance()
 					c.progressed = true
-					c.vec = c.vec || rsd.Peer.Kind == trace.ParamVec
 				}
 			}
 			if c.progressed {

@@ -3,6 +3,7 @@ package align
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -171,33 +172,61 @@ func TestVectorPeerClassCounts(t *testing.T) {
 	}
 }
 
-// TestAlignAllocationsPerEvent bounds Algorithm 1's allocations on sweep3d at
-// 16 ranks, 9 lockstep classes: 1.17 objects per event of the input, mostly
-// the clone of a shared sequence's leaf; the merged leaves share one rank set
-// per class member. A rank set per member and leaf made it 1.66, and a leaf
-// per rank and event that stayed in its segment 2.1.
+// TestAlignAllocationsPerEvent bounds what Algorithm 1 allocates per event of
+// its input. sweep3d at 16 ranks, 9 lockstep classes, is bounded in objects:
+// 1.17 per event, mostly the clone of a shared sequence's leaf; the merged
+// leaves share one rank set per class member. A rank set per member and leaf
+// made it 1.66, and a leaf per rank and event that stayed in its segment 2.1.
+// bt and cg at 64 ranks, 2 classes whose leaves have vector peers, are bounded
+// in bytes, at half of the 21 and 248 bytes per event that a copy of the
+// class's segment for every member but the first cost them.
 func TestAlignAllocationsPerEvent(t *testing.T) {
-	tr := traceKernel(t, "sweep3d", 16, apps.ClassS)
-	if !Needed(tr) {
-		t.Fatal("premise: sweep3d trace should need alignment")
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Align(tr); err != nil {
-			t.Fatal(err)
+	for _, k := range []struct {
+		app   string
+		n     int
+		class apps.Class
+		// bounds per event of the input; 0 leaves one unbounded
+		objects, bytes float64
+	}{
+		{"sweep3d", 16, apps.ClassS, 1.3, 0},
+		{"bt", 64, apps.ClassS, 0, 10.5},
+		{"cg", 64, apps.ClassS, 0, 124},
+	} {
+		tr := traceKernel(t, k.app, k.n, k.class)
+		if !Needed(tr) {
+			t.Fatalf("premise: %s@%d trace should need alignment", k.app, k.n)
 		}
-	})
-	perEvent := allocs / float64(tr.TotalEvents())
-	t.Logf("%d events, %.0f objects allocated, %.2f per event", tr.TotalEvents(), allocs, perEvent)
-	if perEvent > 1.3 {
-		t.Errorf("Align allocated %.2f objects per event, want at most 1.3", perEvent)
+		align := func() {
+			if _, err := Align(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 5
+		allocs := testing.AllocsPerRun(runs, align)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			align()
+		}
+		runtime.ReadMemStats(&after)
+		events := float64(tr.TotalEvents())
+		objects, bytes := allocs/events, float64(after.TotalAlloc-before.TotalAlloc)/runs/events
+		t.Logf("%s@%d: %.0f events, %.2f objects and %.0f bytes per event", k.app, k.n, events, objects, bytes)
+		if k.objects > 0 && objects > k.objects {
+			t.Errorf("Align allocated %.2f objects per event of %s@%d, want at most %.2f", objects, k.app, k.n, k.objects)
+		}
+		if k.bytes > 0 && bytes > k.bytes {
+			t.Errorf("Align allocated %.0f bytes per event of %s@%d, want at most %.1f", bytes, k.app, k.n, k.bytes)
+		}
 	}
 }
 
 // BenchmarkAlign measures Algorithm 1 where it is the first cost of
 // generation: sweep3d-64/A is the ledger's gen-irregular input (9 lockstep
 // classes for 64 ranks, as lu and halo2d have); bt and cg are stencils whose
-// exchanges have vector peers, at 64 and 1024 ranks: 2 classes at either
-// scale, each member's segment a copy of its class's with the member's peers.
+// exchanges have vector peers, at 64, 256 and 1024 ranks: 2 classes at every
+// scale, each handed to the merge once with its members' own peers. The
+// 256 and 1024 rows give the growth of Algorithm 1 on them in one run.
 // classes is the number of traversal contexts, ns/event the time per event of
 // the input trace.
 func BenchmarkAlign(b *testing.B) {
@@ -206,7 +235,8 @@ func BenchmarkAlign(b *testing.B) {
 		n     int
 		class apps.Class
 	}{{"sweep3d", 16, apps.ClassS}, {"sweep3d", 64, apps.ClassA}, {"lu", 64, apps.ClassA}, {"halo2d", 64, apps.ClassA},
-		{"bt", 64, apps.ClassS}, {"cg", 64, apps.ClassS}, {"bt", 1024, apps.ClassS}, {"cg", 1024, apps.ClassS}} {
+		{"bt", 64, apps.ClassS}, {"cg", 64, apps.ClassS}, {"bt", 256, apps.ClassS}, {"cg", 256, apps.ClassS},
+		{"bt", 1024, apps.ClassS}, {"cg", 1024, apps.ClassS}} {
 		b.Run(fmt.Sprintf("%s-%d/%c", k.app, k.n, k.class), func(b *testing.B) {
 			tr := alignInput(b, k.app, k.n, k.class)
 			if !Needed(tr) {

@@ -346,7 +346,7 @@ func (c *Collector) Trace() *Trace {
 		seqs[rank] = c.builders[rank].Seq()
 		c.builders[rank].publishPaths()
 	}
-	t := MergeRankSeqsOwned(c.n, comms, seqs)
+	t := MergeClasses(c.n, comms, rankClasses(seqs))
 	end()
 	telemetry.NewGauge("trace.groups").Set(int64(len(t.Groups)))
 	telemetry.NewGauge("trace.total_events").Set(int64(t.TotalEvents()))

@@ -112,12 +112,12 @@ func TestCommRankOfSurvivesEditedComms(t *testing.T) {
 }
 
 // TestMergePublishesItsIndex pins that the merge and the merged trace share
-// one index: MergeRankSeqsOwned builds it, CommRankOf reuses it.
+// one index: MergeClasses builds it, CommRankOf reuses it.
 func TestMergePublishesItsIndex(t *testing.T) {
 	tr := collectRingTrace(t, 8)
 	built := tr.idx.Load()
 	if built == nil {
-		t.Fatal("MergeRankSeqsOwned left the trace without an index")
+		t.Fatal("MergeClasses left the trace without an index")
 	}
 	if i, ok := tr.CommRankOf(0, 5); !ok || i != 5 {
 		t.Fatalf("CommRankOf(0, 5) = %d, %v", i, ok)

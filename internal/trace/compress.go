@@ -84,13 +84,12 @@ func NewGlobalBuilder(w int) *Builder {
 }
 
 // NewStreamBuilder returns the Builder for one rank's event stream: a
-// Collector's per-rank builders and Algorithm 1's per-rank segment builders.
+// Collector's per-rank builders and Algorithm 1's per-class segment builders.
 // Every node appended to it must be a leaf from its NewLeaf that nothing
 // else references; in exchange, leaves a fold absorbs are reused for later
-// events. Leaves still in the sequence when it is handed to
-// MergeRankSeqsOwned leave the builder for good if the merge consumed the
-// sequence, and return to the free list with the absorbed ones if it only
-// read it (see Reset).
+// events. Leaves still in the sequence when it is handed to MergeClasses
+// leave the builder for good if the merge consumed the sequence, and return
+// to the free list with the absorbed ones if it only read it (see Reset).
 func NewStreamBuilder(w int) *Builder { return &Builder{maxWindow: w, recycle: true} }
 
 // NewLeaf returns the RSD for the stream's next event: one a fold released,
@@ -105,11 +104,11 @@ func (b *Builder) NewLeaf() *RSD {
 }
 
 // Reset starts the next stream on a builder whose sequence has been through
-// MergeRankSeqsOwned. consumed says whether the merged trace may hold the
-// sequence: it may when one rank alone named it, and the sequence then goes
-// with its leaves. One that several ranks named was only read, nothing the
-// merge returned points into it, and with consumed false its leaves join the
-// free list. Either way the tail index's maps and chain storage stay, so a
+// MergeClasses. consumed says whether the merged trace may hold the
+// sequence: it may when the sequence was the Class of one member, and it
+// then goes with its leaves. The sequence of a class of several members was
+// only read, nothing the merge returned points into it, and with consumed
+// false its leaves join the free list. Either way the tail index's maps and chain storage stay, so a
 // builder that is reset once per segment — Algorithm 1 closes one per class
 // at every collective — regrows none of them. Unless the stream outgrew a
 // prune interval: maps never shrink, and clearing ones that a long stream
@@ -275,7 +274,7 @@ func (b *Builder) longFold(P int, lp *Loop) bool {
 
 // Seq returns the compressed sequence built so far. The Builder retains
 // ownership while appending continues; callers must not modify the returned
-// slice or its nodes. Handing the sequence to MergeRankSeqsOwned transfers
+// slice or its nodes. Handing the sequence to MergeClasses transfers
 // ownership away from the Builder, after which Append must not be called
 // again.
 func (b *Builder) Seq() []Node { return b.seq }

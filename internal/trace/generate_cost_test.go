@@ -51,25 +51,27 @@ func TestDecodeAllocationsPerNode(t *testing.T) {
 
 // TestMergeRankSetAllocationsPerMember pins the merge fold to one rank set per
 // class member, shared by every leaf the whole class takes part in, rather
-// than one per member and leaf. Every rank names one sequence of barriers
-// (two loops), the shape Algorithm 1 hands the merge, so the merge clones it
-// and only reads it after. 32 more leaves cost 64 more objects (a clone and
-// its histogram each) at 2 members and at 16 alike; 14 more members cost 20.
-// With a rank set per member and leaf, 16 members of 64 leaves took 1,110.
+// than one per member and leaf. One class of every rank names a sequence of
+// barriers (two loops), the shape Algorithm 1 hands the merge, so the merge
+// clones it and only reads it after. 32 more leaves cost 64 more objects (a
+// clone and its histogram each) at 2 members and at 16 alike; 14 more members
+// cost 17. With a rank set per member and leaf, 16 members of 64 leaves took
+// 1,110.
 func TestMergeRankSetAllocationsPerMember(t *testing.T) {
-	want := map[[2]int]float64{{2, 32}: 80, {2, 64}: 144, {16, 32}: 100, {16, 64}: 164}
+	want := map[[2]int]float64{{2, 32}: 82, {2, 64}: 146, {16, 32}: 99, {16, 64}: 163}
 	allocs := func(members, leaves int) float64 {
 		seq := make([]Node, leaves)
 		for i := range seq {
 			seq[i] = mleaf(0, members, mpi.OpBarrier, uint64(i), NoParam, 0, 0, 0)
 		}
 		seq = []Node{&Loop{Iters: 3, Body: seq[:leaves/2]}, &Loop{Iters: 5, Body: seq[leaves/2:]}}
-		seqs := make([][]Node, members)
-		for r := range seqs {
-			seqs[r] = seq
+		ranks := make([]int, members)
+		for r := range ranks {
+			ranks[r] = r
 		}
+		classes := []Class{{Seq: seq, Members: ranks}}
 		comms := worldComms(members)
-		return testing.AllocsPerRun(5, func() { MergeRankSeqsOwned(members, comms, seqs) })
+		return testing.AllocsPerRun(5, func() { MergeClasses(members, comms, classes) })
 	}
 	for _, members := range []int{2, 16} {
 		for _, leaves := range []int{32, 64} {

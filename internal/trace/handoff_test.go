@@ -60,7 +60,7 @@ func syncReference(n int) ([]*syncRecorder, func() *Trace) {
 		for i, s := range recs {
 			seqs[i] = s.b.Seq()
 		}
-		return MergeRankSeqsOwned(n, CloneComms(comms), seqs)
+		return MergeClasses(n, CloneComms(comms), rankClasses(seqs))
 	}
 }
 

@@ -1,34 +1,31 @@
 package trace
 
 import (
-	"slices"
-
 	"repro/internal/taskset"
 	"repro/internal/telemetry"
 )
 
 // This file implements ScalaTrace's inter-node merge as one sequential pass
-// over the per-rank compressed sequences:
+// over classes of ranks, each naming one compressed sequence:
 //
-//  1. Classify, in rank order: a merge signature — a structural hash of
-//     exactly the fields group unification compares — buckets the ranks,
-//     and each rank joins the first class of its bucket whose representative
+//  1. Classify, in class order: a merge signature — a structural hash of
+//     exactly the fields group unification compares — buckets the classes,
+//     and each class joins the first group of its bucket whose representative
 //     it is compatible with, or founds a new one. Peer values never block a
 //     merge (they generalize or degrade to an explicit vector), so
 //     membership is an equivalence relation decided by structure alone, and
-//     the classes come out in ascending-representative order.
-//  2. Fold: each class's members, in ascending rank order, are folded into
-//     the representative's sequence, walking both in lockstep. Every leaf
-//     therefore sees its members in rank order — the order peers, rank sets
-//     and the (order-sensitive) floating-point histogram sums depend on.
+//     the groups come out in ascending-representative order.
+//  2. Fold: each group's members, in ascending world-rank order across all
+//     of its classes, are folded into the representative's sequence, walking
+//     both in lockstep. Every leaf therefore sees its members in rank order —
+//     the order peers, rank sets and the (order-sensitive) floating-point
+//     histogram sums depend on.
 //
-// Several ranks may name the same sequence — the same slice in more than one
-// slot of seqs; Algorithm 1 builds one per class of lockstep ranks. It is
-// hashed and compared once, a rank naming a classified sequence joining that
-// rank's class, and only ever read: a representative that shares its
-// sequence is folded into a clone, and every member is still folded in, in
-// ascending rank order, whichever sequence it names. The result is that of
-// n private copies, bit for bit.
+// The collector and Pinned hand over a class per rank. Algorithm 1 hands over
+// one per lockstep class: a sequence its first member built, which every
+// member walked. It is hashed and compared once, and a member's own vector
+// peers come from the class (Class.Peer), so the result is that of a private
+// copy per member, bit for bit, with the members folded in the same order.
 //
 // Peer unification translates world ranks to communicator ranks once per leaf
 // and member; it reads the merged trace's communicator index (commindex.go),
@@ -37,20 +34,32 @@ import (
 // The output is bit-identical to mergeRankSeqsLegacy, the original fold the
 // tests keep as their reference (merge_legacy_test.go), which rescans every
 // group's whole sequence per rank: O(ranks * groups * trace length) against
-// one hash of every leaf of every distinct sequence plus one fold step per
+// one hash of every leaf of every class's sequence plus one fold step per
 // member per leaf here.
 
-// MergeRankSeqsOwned performs ScalaTrace's inter-node merge: per-rank
-// compressed sequences are unified into behaviour groups with generalized
-// (possibly rank-relative) parameters. It is used by the Collector at trace
-// time, by Pinned and by the alignment pass to rebuild a merged trace.
+// A Class is a compressed sequence and the world ranks that name it. Its
+// leaves carry the first member's rank set and peers. Peer, if not nil, gives
+// a member's own peer, in the leaf's communicator, for a leaf built with the
+// first member's vector peer, and reports false for every other leaf.
+type Class struct {
+	Seq     []Node
+	Members []int // ascending
+	Peer    func(leaf *RSD, rank int) (peer int, ok bool)
+}
+
+// MergeClasses performs ScalaTrace's inter-node merge: the classes' compressed
+// sequences are unified into behaviour groups with generalized (possibly
+// rank-relative) parameters. It is used by the Collector at trace time, by
+// Pinned and by the alignment pass to rebuild a merged trace. Every rank of
+// [0, n) is a member of exactly one class, and the classes are in ascending
+// order of their first members.
 //
-// The caller hands over ownership of every sequence that only one rank
-// names: the group representatives alias them and unification mutates them,
-// so they must not be read or appended to afterwards. A sequence several
-// ranks name stays the caller's, unchanged, and no node of it is reachable
-// from the result.
-func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
+// The caller hands over ownership of the sequence of every class of one
+// member: the group representatives alias them and unification mutates them,
+// so they must not be read or appended to afterwards. The sequence of a class
+// of several members stays the caller's, unchanged, and no node of it is
+// reachable from the result.
+func MergeClasses(n int, comms map[int][]int, classes []Class) *Trace {
 	defer telemetry.Region("trace.merge")()
 	tr := &Trace{N: n, Comms: comms}
 	if n <= 0 {
@@ -60,77 +69,98 @@ func MergeRankSeqsOwned(n int, comms map[int][]int, seqs [][]Node) *Trace {
 	// the same index then serves the merged trace's CommRankOf.
 	idx := tr.index()
 
-	// classes[i] holds the world ranks of tr.Groups[i] in ascending order;
-	// bySig lists the classes sharing a signature, bySeq the class of every
-	// sequence classified so far.
-	var classes [][]int
+	// groupOf[ci] is the group of classes[ci]; groups[g] holds the class that
+	// founded tr.Groups[g] and, once every class is placed, the group's world
+	// ranks in ascending order. bySig lists the groups sharing a signature.
+	type group struct {
+		rep     int
+		members []int
+	}
+	var groups []group
+	groupOf := make([]int, len(classes))
 	bySig := make(map[uint64][]int)
-	bySeq := make(map[*Node]int, n)
-	for rank := 0; rank < n; rank++ {
-		ci, placed := bySeq[seqID(seqs[rank])]
-		if !placed {
-			sig := mergeSignature(seqs[rank])
-			for _, ci = range bySig[sig] {
-				if placed = mergeCompatible(seqs[classes[ci][0]], seqs[rank]); placed {
-					break
-				}
+	for ci, c := range classes {
+		sig := mergeSignature(c.Seq)
+		g, placed := 0, false
+		for _, g = range bySig[sig] {
+			if placed = mergeCompatible(classes[groups[g].rep].Seq, c.Seq); placed {
+				break
 			}
-			if !placed {
-				ci = len(classes)
-				bySig[sig] = append(bySig[sig], ci)
-				classes = append(classes, nil)
-			}
-			bySeq[seqID(seqs[rank])] = ci
 		}
-		classes[ci] = append(classes[ci], rank)
+		if !placed {
+			g = len(groups)
+			bySig[sig] = append(bySig[sig], g)
+			groups = append(groups, group{rep: ci})
+		}
+		groupOf[ci] = g
+	}
+	classOf := make([]int, n)
+	for ci, c := range classes {
+		for _, r := range c.Members {
+			classOf[r] = ci
+		}
+	}
+	for r, ci := range classOf {
+		g := &groups[groupOf[ci]]
+		g.members = append(g.members, r)
 	}
 
-	tr.Groups = make([]Group, len(classes))
-	for ci, members := range classes {
-		gseq := seqs[members[0]]
-		if slices.ContainsFunc(members[1:], func(m int) bool { return seqID(seqs[m]) == seqID(gseq) }) {
+	tr.Groups = make([]Group, len(groups))
+	for g, grp := range groups {
+		gseq, ms := classes[grp.rep].Seq, grp.members
+		if len(classes[grp.rep].Members) > 1 {
 			gseq = cloneSeq(gseq)
 		}
-		// ranks is the set of members[:k], built once per member and shared
-		// by every leaf that holds exactly those ranks.
-		ranks := taskset.Of(members[0])
-		for k := 1; k < len(members); k++ {
-			grown := ranks.Add(members[k])
-			foldMember(gseq, seqs[members[k]], members[:k], members[k], ranks, grown, idx)
+		// ranks is the set of ms[:k], built once per member and shared by
+		// every leaf that holds exactly those ranks.
+		ranks := taskset.Of(ms[0])
+		for k := 1; k < len(ms); k++ {
+			c := &classes[classOf[ms[k]]]
+			grown := ranks.Add(ms[k])
+			foldMember(gseq, c.Seq, c.Peer, ms[:k], ms[k], ranks, grown, idx)
 			ranks = grown
 		}
-		tr.Groups[ci] = Group{Ranks: ranks, Seq: gseq}
+		tr.Groups[g] = Group{Ranks: ranks, Seq: gseq}
 	}
-	ctrRSDMerges.Add(int64(n - len(classes)))
+	ctrRSDMerges.Add(int64(n - len(groups)))
 	return tr
 }
 
-// seqID identifies a sequence by where it starts: two slots of seqs that hold
-// the same slice name the same sequence. Empty ones are all the same.
-func seqID(seq []Node) *Node {
-	if len(seq) == 0 {
-		return nil
+// rankClasses gives every rank's sequence a class of its own: the merge's
+// input from per-rank streams.
+func rankClasses(seqs [][]Node) []Class {
+	ranks := make([]int, len(seqs))
+	classes := make([]Class, len(seqs))
+	for r, seq := range seqs {
+		ranks[r] = r
+		classes[r] = Class{Seq: seq, Members: ranks[r : r+1 : r+1]}
 	}
-	return &seq[0]
+	return classes
 }
 
 // foldMember unifies rank's sequence into the group sequence leaf by leaf.
-// rSeq is only read — it may be a sequence other ranks name too.
-// gMembers holds the ranks already folded in, ascending, and prev their set;
-// mergeCompatible has established that the two sequences have the same shape.
-// A leaf whose rank set is packed exactly as prev takes grown, prev ∪ {rank},
-// which is what Add would have built; any other leaf adds the rank itself.
-// Node hashes cached during collection go stale as leaves generalize, so they
-// are dropped on the way.
-func foldMember(gSeq, rSeq []Node, gMembers []int, rank int, prev, grown taskset.Set, idx *commIndex) {
+// rSeq is only read — it may be a sequence other ranks name too; peer is its
+// class's Peer. gMembers holds the ranks already folded in, ascending, and
+// prev their set; mergeCompatible has established that the two sequences
+// have the same shape. A leaf whose rank set is packed exactly as prev takes
+// grown, prev ∪ {rank}, which is what Add would have built; any other leaf
+// adds the rank itself. Node hashes cached during collection go stale as
+// leaves generalize, so they are dropped on the way.
+func foldMember(gSeq, rSeq []Node, peer func(*RSD, int) (int, bool), gMembers []int, rank int, prev, grown taskset.Set, idx *commIndex) {
 	for i := range gSeq {
 		switch gx := gSeq[i].(type) {
 		case *Loop:
 			gx.invalidate()
-			foldMember(gx.Body, rSeq[i].(*Loop).Body, gMembers, rank, prev, grown, idx)
+			foldMember(gx.Body, rSeq[i].(*Loop).Body, peer, gMembers, rank, prev, grown, idx)
 		case *RSD:
 			rx := rSeq[i].(*RSD)
-			if par, vec, ok := unifyPeerMembers(gx, rx, gMembers, rank, idx); ok {
+			rp := rx.Peer
+			if peer != nil {
+				if p, ok := peer(rx, rank); ok {
+					rp = AbsParam(p)
+				}
+			}
+			if par, vec, ok := unifyPeerMembers(gx, rx, rp, gMembers, rank, idx); ok {
 				gx.Peer = par
 				gx.PeerVec = vec
 			}

@@ -36,7 +36,7 @@ func splitKernel(r *mpi.Rank) {
 }
 
 // TestMergeGolden pins the inter-node merge by bytes: the digest of
-// Encode(MergeRankSeqsOwned(...)) for every merge scenario and for the
+// Encode(MergeClasses(...)) for every merge scenario and for the
 // collected streams of three kernels at the largest scales the suites run,
 // plus splitKernel. testdata/merge_golden.json was recorded by the parallel
 // tree merge this file's parent commit still had, at 1, 2 and 8 workers
@@ -47,7 +47,7 @@ func splitKernel(r *mpi.Rank) {
 func TestMergeGolden(t *testing.T) {
 	want := golden.LoadMap(t, filepath.Join("testdata", "merge_golden.json"))
 	for _, sc := range mergeScenarios() {
-		want.Check(t, sc.name, mergeDigest(t, MergeRankSeqsOwned(sc.n, sc.comms(sc.n), sc.build(sc.n))))
+		want.Check(t, sc.name, mergeDigest(t, MergeClasses(sc.n, sc.comms(sc.n), rankClasses(sc.build(sc.n)))))
 	}
 	for _, k := range []struct {
 		app string

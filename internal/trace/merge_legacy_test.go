@@ -8,7 +8,7 @@ import (
 
 // mergeRankSeqsLegacy is the original first-fit fold of the inter-node merge,
 // kept as the reference implementation: the trace tests assert that
-// MergeRankSeqsOwned reproduces it bit-for-bit on every peer-pattern and loop
+// MergeClasses reproduces it bit-for-bit on every peer-pattern and loop
 // shape. It rescans every group's whole sequence per rank: O(ranks * groups *
 // trace length).
 func mergeRankSeqsLegacy(n int, comms map[int][]int, seqs [][]Node) *Trace {
@@ -98,7 +98,7 @@ func rsdUnifiable(gx, rx *RSD, gRanks taskset.Set, rank int, tr *Trace) bool {
 
 // unifyPeer is unifyPeerMembers on a rank set.
 func unifyPeer(gx, rx *RSD, gRanks taskset.Set, rank int, tr *Trace) (Param, []int, bool) {
-	return unifyPeerMembers(gx, rx, gRanks.Members(), rank, tr)
+	return unifyPeerMembers(gx, rx, rx.Peer, gRanks.Members(), rank, tr)
 }
 
 func seqApplyMerge(gSeq, rSeq []Node, gRanks taskset.Set, rank int, tr *Trace) {

@@ -236,7 +236,7 @@ func TestMergeMatchesLegacy(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			comms := sc.comms(sc.n)
 			want := encodeTrace(t, mergeRankSeqsLegacy(sc.n, cloneComms(comms), sc.build(sc.n)))
-			got := encodeTrace(t, MergeRankSeqsOwned(sc.n, cloneComms(comms), sc.build(sc.n)))
+			got := encodeTrace(t, MergeClasses(sc.n, cloneComms(comms), rankClasses(sc.build(sc.n))))
 			if got != want {
 				t.Fatalf("merge diverges from legacy\nlegacy:\n%s\nmerge:\n%s", want, got)
 			}
@@ -244,14 +244,15 @@ func TestMergeMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestMergeSharedSequences hands the merge sequences that several ranks
-// name — the same slice in their slots of seqs — interleaved with private
-// ones, two shared sequences landing in one group: the result must be the
-// merge of a private copy per rank, no node of a shared sequence may be
-// reachable from it, and the shared sequences must come back as they went
-// in.
+// TestMergeSharedSequences hands the merge classes of several ranks, each
+// naming one sequence, interleaved with classes of one: two classes landing
+// in one group, and a class whose sequence carries its first member's
+// absolute peers and whose Peer gives every member its own. The result must
+// be the merge of a private copy per rank, with those peers, and the legacy
+// fold's; no node of a class's sequence may be reachable from it, and the
+// sequences of the classes of several ranks must come back as they went in.
 func TestMergeSharedSequences(t *testing.T) {
-	const n = 12
+	const n = 16
 	ring := func(rank int, comp float64) []Node {
 		b := NewBuilderWindow(DefaultMaxWindow)
 		for it := 0; it < 6; it++ {
@@ -264,42 +265,86 @@ func TestMergeSharedSequences(t *testing.T) {
 	edge := func(rank int) []Node {
 		return []Node{mleaf(rank, n, mpi.OpSend, 4, AbsParam((rank+5)%n), 1, 8, 0.1*float64(rank)), mleaf(rank, n, mpi.OpBarrier, 5, NoParam, 0, 0, 2.5)}
 	}
+	// hop sends to rank+3, which fits a relative peer, and receives from
+	// 7*rank, which fits none.
+	hopPeer := func(leaf *RSD, rank int) (int, bool) {
+		if leaf.Site == 6 {
+			return (rank + 3) % n, true
+		}
+		return rank * 7 % n, true
+	}
+	hop := func(rank int) []Node {
+		b := NewBuilderWindow(DefaultMaxWindow)
+		for it := 0; it < 3; it++ {
+			send := mleaf(rank, n, mpi.OpSend, 6, NoParam, 2, 128, 0.3)
+			recv := mleaf(rank, n, mpi.OpRecv, 7, NoParam, 2, 128, 0.2+float64(it))
+			for _, x := range []*RSD{send, recv} {
+				p, _ := hopPeer(x, rank)
+				x.Peer = AbsParam(p)
+				b.Append(x)
+			}
+		}
+		return b.Seq()
+	}
 	// Ranks 0,3,6,9 name one ring sequence and 1,4,7,10 another of the same
 	// shape: one group, folded in rank order across the two. Rank 8 brings a
 	// private ring; 2 and 5 share an edge sequence that private rank 11
-	// joins with a peer of its own.
-	shared := [][]Node{ring(0, 1.1), ring(1, 2.3), edge(2)}
-	build := func(private bool) [][]Node {
+	// joins with a peer of its own. 12, 14 and 15 name rank 12's hop sequence
+	// with their own peers, and private rank 13 folds in between them.
+	build := func() []Class {
+		return []Class{
+			{Seq: ring(0, 1.1), Members: []int{0, 3, 6, 9}},
+			{Seq: ring(1, 2.3), Members: []int{1, 4, 7, 10}},
+			{Seq: edge(2), Members: []int{2, 5}},
+			{Seq: ring(8, 0.7), Members: []int{8}},
+			{Seq: edge(11), Members: []int{11}},
+			{Seq: hop(12), Members: []int{12, 14, 15}, Peer: hopPeer},
+			{Seq: hop(13), Members: []int{13}},
+		}
+	}
+	// private is a sequence per rank: a copy of its class's, or with the
+	// class's Peer, the one the rank builds with its own peers.
+	private := func() [][]Node {
 		seqs := make([][]Node, n)
-		for r := range seqs {
-			switch {
-			case r == 8:
-				seqs[r] = ring(r, 0.7)
-			case r == 11:
-				seqs[r] = edge(r)
-			case r == 2 || r == 5:
-				seqs[r] = shared[2]
-			default:
-				seqs[r] = shared[r%3]
-			}
-			if private {
-				seqs[r] = cloneSeq(seqs[r])
+		for _, c := range build() {
+			for _, r := range c.Members {
+				seqs[r] = cloneSeq(c.Seq)
+				if c.Peer != nil {
+					seqs[r] = hop(r)
+				}
 			}
 		}
 		return seqs
 	}
-	before := encodeTrace(t, &Trace{N: n, Comms: worldComms(n), Groups: []Group{{Seq: shared[0]}, {Seq: shared[1]}, {Seq: shared[2]}}})
+	classes := build()
+	var shared [][]Node
+	for _, c := range classes {
+		if len(c.Members) > 1 {
+			shared = append(shared, c.Seq)
+		}
+	}
+	sharedTrace := func() *Trace {
+		tr := &Trace{N: n, Comms: worldComms(n)}
+		for _, seq := range shared {
+			tr.Groups = append(tr.Groups, Group{Seq: seq})
+		}
+		return tr
+	}
+	before := encodeTrace(t, sharedTrace())
 
-	want := encodeTrace(t, MergeRankSeqsOwned(n, worldComms(n), build(true)))
-	if legacy := encodeTrace(t, mergeRankSeqsLegacy(n, worldComms(n), build(true))); legacy != want {
+	want := encodeTrace(t, MergeClasses(n, worldComms(n), rankClasses(private())))
+	if legacy := encodeTrace(t, mergeRankSeqsLegacy(n, worldComms(n), private())); legacy != want {
 		t.Fatalf("premise: merge of private copies diverges from legacy\nlegacy:\n%s\nmerge:\n%s", legacy, want)
 	}
-	merged := MergeRankSeqsOwned(n, worldComms(n), build(false))
+	merged := MergeClasses(n, worldComms(n), classes)
 	if got := encodeTrace(t, merged); got != want {
-		t.Fatalf("merge of shared sequences diverges from the merge of private copies\nprivate:\n%s\nshared:\n%s", want, got)
+		t.Fatalf("merge of classes diverges from the merge of private copies\nprivate:\n%s\nclasses:\n%s", want, got)
 	}
-	if len(merged.Groups) != 2 {
-		t.Fatalf("%d groups, want the ring ranks and the edge ranks", len(merged.Groups))
+	if len(merged.Groups) != 3 {
+		t.Fatalf("%d groups, want the ring ranks, the edge ranks and the hop ranks", len(merged.Groups))
+	}
+	if hops := merged.Groups[2].Seq[0].(*Loop).Body; hops[0].(*RSD).Peer != RelParam(3) || hops[1].(*RSD).Peer.Kind != ParamVec {
+		t.Fatalf("hop peers %v and %v, want rel3 and a vector", hops[0].(*RSD).Peer, hops[1].(*RSD).Peer)
 	}
 
 	inShared := map[Node]bool{}
@@ -322,7 +367,7 @@ func TestMergeSharedSequences(t *testing.T) {
 			}
 		})
 	}
-	if after := encodeTrace(t, &Trace{N: n, Comms: worldComms(n), Groups: []Group{{Seq: shared[0]}, {Seq: shared[1]}, {Seq: shared[2]}}}); after != before {
+	if after := encodeTrace(t, sharedTrace()); after != before {
 		t.Fatalf("the merge changed a shared sequence\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }

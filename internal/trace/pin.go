@@ -41,5 +41,5 @@ func Pinned(t *Trace, pins [][]Pin) *Trace {
 	}
 	// The builders are discarded here, so the merge may consume their
 	// sequences in place.
-	return MergeRankSeqsOwned(t.N, CloneComms(t.Comms), seqs)
+	return MergeClasses(t.N, CloneComms(t.Comms), rankClasses(seqs))
 }

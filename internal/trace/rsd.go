@@ -341,39 +341,6 @@ func (r *RSD) CopyFor(dst *RSD, rank int, ranks taskset.Set, idx PeerIndexer, co
 	dst.SetComputeSample(computeUS)
 }
 
-// CopySeqFor returns a deep copy of seq, a stream builder's sequence, as
-// performed by ranks alone: every leaf carries ranks, and one for which peer
-// reports a parameter takes it as its peer. Loops, compute histograms and
-// leaves are the copy's own, so the merge may consume it; the leaves are one
-// allocation. This is how Algorithm 1 hands each member of a lockstep class
-// the segment the class built, with the member's own vector peers.
-func CopySeqFor(seq []Node, ranks taskset.Set, peer func(*RSD) (Param, bool)) []Node {
-	n := 0
-	Leaves(seq, func(*RSD) { n++ })
-	leaves := make([]RSD, n)
-	var copySeq func(seq []Node) []Node
-	copySeq = func(seq []Node) []Node {
-		out := make([]Node, len(seq))
-		for i, n := range seq {
-			switch x := n.(type) {
-			case *RSD:
-				c := &leaves[0]
-				leaves = leaves[1:]
-				x.cloneInto(c)
-				c.Ranks = ranks
-				if p, ok := peer(x); ok {
-					c.Peer, c.hashSet = p, false
-				}
-				out[i] = c
-			case *Loop:
-				out[i] = &Loop{Iters: x.Iters, Body: copySeq(x.Body)}
-			}
-		}
-		return out
-	}
-	return copySeq(seq)
-}
-
 // Loop is a power-RSD: a counted repetition of a node sequence.
 type Loop struct {
 	Iters int
@@ -530,12 +497,6 @@ func rsdStructEqual(x, y *RSD) bool {
 // clone implements Node.
 func (r *RSD) clone() Node {
 	c := new(RSD)
-	r.cloneInto(c)
-	return c
-}
-
-// cloneInto overwrites c with a deep copy of r.
-func (r *RSD) cloneInto(c *RSD) {
 	*c = *r
 	c.Counts = append([]int(nil), r.Counts...)
 	c.Group = append([]int(nil), r.Group...)
@@ -546,6 +507,7 @@ func (r *RSD) cloneInto(c *RSD) {
 	if r.FirstCompute != nil {
 		c.FirstCompute = r.FirstCompute.Clone()
 	}
+	return c
 }
 
 // clone implements Node.

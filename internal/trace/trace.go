@@ -153,30 +153,34 @@ func seqTotalEvents(seq []Node) int {
 // reference: rank exceeds every member of gMembers, so a vector is the
 // group's vector with rank's peer appended, built from gMembers only when the
 // group's parameter first degrades to one. A vector leaf therefore costs one
-// step per member, not one rebuild.
-func unifyPeerMembers(gx, rx *RSD, gMembers []int, rank int, idx PeerIndexer) (Param, []int, bool) {
+// step per member, not one rebuild. rp is rank's peer parameter for rx: rx's
+// own, or the absolute peer rank's class gives it (Class.Peer).
+func unifyPeerMembers(gx, rx *RSD, rp Param, gMembers []int, rank int, idx PeerIndexer) (Param, []int, bool) {
 	switch {
-	case gx.Peer.Kind == ParamNone && rx.Peer.Kind == ParamNone:
+	case gx.Peer.Kind == ParamNone && rp.Kind == ParamNone:
 		return NoParam, nil, true
-	case gx.Peer.Kind == ParamAny && rx.Peer.Kind == ParamAny:
+	case gx.Peer.Kind == ParamAny && rp.Kind == ParamAny:
 		return AnyParam, nil, true
-	case gx.Peer.Kind == ParamNone || rx.Peer.Kind == ParamNone ||
-		gx.Peer.Kind == ParamAny || rx.Peer.Kind == ParamAny:
+	case gx.Peer.Kind == ParamNone || rp.Kind == ParamNone ||
+		gx.Peer.Kind == ParamAny || rp.Kind == ParamAny:
 		// Peerless and wildcard parameters never unify with concrete ones.
 		return Param{}, nil, false
 	}
 
 	// Generalized forms merge when they agree outright.
-	if gx.Peer.Kind == rx.Peer.Kind && gx.Peer.Value == rx.Peer.Value && gx.Peer.Kind != ParamVec {
+	if gx.Peer.Kind == rp.Kind && gx.Peer.Value == rp.Value && gx.Peer.Kind != ParamVec {
 		return gx.Peer, nil, true
 	}
 
-	rxPeer := rx.PeerFor(rank, idx)
+	rxPeer := rp.Value
+	if rp.Kind != ParamAbs {
+		rxPeer = rx.PeerFor(rank, idx)
+	}
 	me, _ := idx.CommRankOf(rx.CommID, rank)
 
 	switch gx.Peer.Kind {
 	case ParamAbs:
-		if rx.Peer.Kind == ParamAbs && gx.Peer.Value == rx.Peer.Value {
+		if rp.Kind == ParamAbs && gx.Peer.Value == rp.Value {
 			return gx.Peer, nil, true
 		}
 		// Generalize — only possible while the group still has a single

@@ -156,16 +156,15 @@ func alignExportViolations(files []*ast.File) []string {
 // decide compatibility, fold a member in — each with the one function that
 // may call it.
 var mergeSteps = map[string]string{
-	"mergeSignature":  "MergeRankSeqsOwned",
-	"mergeCompatible": "MergeRankSeqsOwned",
-	"foldMember":      "MergeRankSeqsOwned",
+	"mergeSignature":  "MergeClasses",
+	"mergeCompatible": "MergeClasses",
+	"foldMember":      "MergeClasses",
 }
 
 // mergeFunctionViolations holds internal/trace to one function that
-// classifies and folds rank sequences: MergeRankSeqsOwned, whether every
-// rank brings its own sequence or several name one. A second copy — a merge
-// "for classes" beside the merge "for ranks" — would call the same steps
-// from somewhere else. (The legacy fold the tests keep as the merge's
+// classifies and folds sequences: MergeClasses, whether a class is one rank
+// or several. A second copy — a merge "for ranks" beside the merge for
+// classes — would call the same steps from somewhere else. (The legacy fold the tests keep as the merge's
 // reference lives in a _test.go file: production code cannot name it.)
 func mergeFunctionViolations(files []*ast.File) []string {
 	var bad []string
@@ -318,7 +317,7 @@ func (classifier) Classes() {}`)); len(got) != 4 {
 		t.Errorf("alignExportViolations finds %d of 4 violations: %q", len(got), got)
 	}
 	if got := mergeFunctionViolations(parseSrc(`package trace
-func MergeRankSeqsOwned() { mergeSignature(); mergeCompatible(); foldMember() }
+func MergeClasses() { mergeSignature(); mergeCompatible(); foldMember() }
 func foldMember() { foldMember() }
 func mergeClassSeqs() { mergeSignature(); foldMember() }
 func (c *Collector) Trace() { mergeCompatible() }`)); len(got) != 3 {
@@ -491,7 +490,7 @@ func funcCalls(fset *token.FileSet, files []*ast.File, names ...string) []funcCa
 	return calls
 }
 
-// rebuildCallers are the functions that may call trace.MergeRankSeqsOwned:
+// rebuildCallers are the functions that may call trace.MergeClasses:
 // trace collection, Algorithm 1's rounds and trace.Pinned, the one rebuild of
 // a trace from per-receive decisions (Algorithm 2's, a counterexample's).
 var rebuildCallers = []string{"Collector.Trace", "Pinned", "alignWith"}
@@ -501,13 +500,13 @@ var rebuildCallers = []string{"Collector.Trace", "Pinned", "alignWith"}
 // with RSD.CopyFor, and only rebuildCallers call the merge.
 func rebuildViolations(fset *token.FileSet, files []*ast.File) []string {
 	var v []string
-	for _, c := range funcCalls(fset, files, "CopyFor", "MergeRankSeqsOwned") {
+	for _, c := range funcCalls(fset, files, "CopyFor", "MergeClasses") {
 		path := filepath.ToSlash(c.at)
 		switch {
 		case c.name == "CopyFor" && !strings.HasPrefix(path, "internal/trace/") && !strings.HasPrefix(path, "internal/align/"):
 			v = append(v, c.at+": "+c.fn+" copies trace leaves; trace.Pinned is the one rebuild outside Algorithm 1")
-		case c.name == "MergeRankSeqsOwned" && !slices.Contains(rebuildCallers, c.fn):
-			v = append(v, c.at+": "+c.fn+" merges rank sequences; only "+strings.Join(rebuildCallers, ", ")+" may")
+		case c.name == "MergeClasses" && !slices.Contains(rebuildCallers, c.fn):
+			v = append(v, c.at+": "+c.fn+" merges classes of ranks; only "+strings.Join(rebuildCallers, ", ")+" may")
 		}
 	}
 	return v
@@ -700,8 +699,8 @@ func (g *cgen) guard(sel TaskSel) {
 	fmt.Fprintf(&g.sb, "if (%s) {", fmt.Sprintf("rank == %d", sel.Value))
 }
 func (r *resolver) leafFor(rank int, rsd *trace.RSD) { rsd.CopyFor(new(trace.RSD), rank, taskset.Of(rank), r.t, 0) }
-func CounterexampleTrace(net *Net) { trace.MergeRankSeqsOwned(net.N, nil, nil) }
-func Pinned(t *Trace) { MergeRankSeqsOwned(t.N, nil, nil) }
+func CounterexampleTrace(net *Net) { trace.MergeClasses(net.N, nil, nil) }
+func Pinned(t *Trace) { MergeClasses(t.N, nil, nil) }
 func (c *Cursor) ComputeUS() float64 { return c.cur.FirstComputeMean() }
 func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	if comm := r.t.CommGroup(rsd.CommID); len(comm) == 0 {
@@ -794,11 +793,11 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 		t.Error(v)
 	}
 	var mergers []string
-	for _, c := range funcCalls(fset, all, "MergeRankSeqsOwned") {
+	for _, c := range funcCalls(fset, all, "MergeClasses") {
 		mergers = append(mergers, c.fn)
 	}
 	if slices.Sort(mergers); !slices.Equal(mergers, rebuildCallers) {
-		t.Errorf("MergeRankSeqsOwned is called by %q, want exactly %q", mergers, rebuildCallers)
+		t.Errorf("MergeClasses is called by %q, want exactly %q", mergers, rebuildCallers)
 	}
 	if got := stringLiteralFiles(fset, all, modelLanguage); !slices.Equal(got, []string{"internal/core/render.go"}) {
 		t.Errorf("language names spelled in %q; internal/core/render.go holds the one table", got)
