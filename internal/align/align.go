@@ -12,12 +12,13 @@
 // output queue is recompressed on the fly, so the aligned trace remains
 // scalable in length (the paper's guarantee 3).
 //
-// Here the rendezvous is the paper's, rank by rank, but the traversal
-// context belongs to a class of ranks that walk the same events
-// (lockstepClasses): one cursor and one re-compressed segment, handed to the
-// merge once as the class's sequence. O(c*e) emission for c classes plus
-// O(p*s) folding of compressed segments, where a context per rank is O(p*e);
-// see DESIGN.md Section 10.
+// Here the traversal context belongs to a class of ranks that walk the same
+// events (lockstepClasses): one cursor and one re-compressed segment, handed
+// to the merge once as the class's sequence. The class is also the unit of
+// the rendezvous: it arrives at a collective once, for all its members, and
+// a class of one is the paper's per-node context. O(c*e) emission for c
+// classes plus O(p*s) folding of compressed segments, where a context per
+// rank is O(p*e); see DESIGN.md Section 10.
 package align
 
 import (
@@ -86,9 +87,6 @@ type lockstep struct {
 	ranks   taskset.Set // {first member}
 	cur     *trace.Cursor
 	seg     *trace.Builder
-	// ran: a member has walked, and emitted, the stretch from the class's
-	// last collective to cur; progressed: the stretch holds an event.
-	ran, progressed bool
 	// src holds the input leaf of every leaf appended to seg, once a class of
 	// several members has walked a vector-peer leaf. seg recycles leaves, so
 	// every append overwrites its leaf's entry.
@@ -271,110 +269,84 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		}
 	}
 
-	// The rendezvous is the paper's, rank by rank; only the walking is
-	// shared. A class's cursor cannot pass a collective before every member
-	// has arrived, so a rank is at the cursor or one stretch behind it
-	// (walked[r] false): the first member visited walks and emits the
-	// stretch, a later one has the same events behind it and nothing to emit.
-	walked := make([]bool, n)
-	done := func(r int) bool {
-		c := classes[classOf[r]]
-		return c.cur.Done() && (walked[r] || !c.progressed)
-	}
+	// The rendezvous is the class's. A class of several members exists only
+	// when every collective spans all N ranks (lockstepClasses' alone rule), so
+	// its members stand at one collective: the class arrives once, for all of
+	// them. A class switched to twice with no progress in between is stuck:
+	// seen[c] is the progress count at its last switch. Classes only ever
+	// reach their end, so lowest, the lowest class short of it, only rises.
 	pending := make(map[int]*pendingColl)
-	visitedSinceProgress := make(map[int]bool)
-	active := 0
+	seen := make([]int, len(classes))
+	progress, lowest, active := 1, 0, 0
+	walk := func(c *lockstep) {
+		for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
+			leaf := c.seg.NewLeaf()
+			rsd.CopyFor(leaf, c.members[0], c.ranks, t, c.cur.ComputeUS())
+			if c.src == nil && rsd.Peer.Kind == trace.ParamVec && len(c.members) > 1 {
+				c.src = map[*trace.RSD]*trace.RSD{}
+			}
+			if c.src != nil {
+				c.src[leaf] = rsd
+			}
+			c.seg.Append(leaf)
+			c.cur.Advance()
+			progress++
+		}
+	}
 
 	for {
-		c := classes[classOf[active]]
-		if !walked[active] {
-			walked[active] = true
-			if !c.ran {
-				c.ran = true
-				for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
-					leaf := c.seg.NewLeaf()
-					rsd.CopyFor(leaf, c.members[0], c.ranks, t, c.cur.ComputeUS())
-					if c.src == nil && rsd.Peer.Kind == trace.ParamVec && len(c.members) > 1 {
-						c.src = map[*trace.RSD]*trace.RSD{}
-					}
-					if c.src != nil {
-						c.src[leaf] = rsd
-					}
-					c.seg.Append(leaf)
-					c.cur.Advance()
-					c.progressed = true
-				}
-			}
-			if c.progressed {
-				clear(visitedSinceProgress)
-			}
-		}
+		c := classes[active]
+		walk(c)
+		var next int
 		if c.cur.Done() {
-			next := -1
-			for r := 0; r < n; r++ {
-				if !done(r) {
-					next = r
-					break
+			for lowest < len(classes) && classes[lowest].cur.Done() {
+				lowest++
+			}
+			if lowest == len(classes) {
+				break // every class fully traversed
+			}
+			next = lowest
+		} else {
+			// Collective: the class arrives for every member.
+			rsd := c.cur.Cur()
+			comm := t.CommGroup(rsd.CommID)
+			pc := pending[rsd.CommID]
+			if pc == nil {
+				pc = &pendingColl{arrived: make([]*trace.RSD, len(comm)), means: make([]float64, len(comm))}
+				pending[rsd.CommID] = pc
+			}
+			if i := slices.IndexFunc(pc.arrived, func(r *trace.RSD) bool { return r != nil }); i >= 0 && pc.arrived[i].Op != rsd.Op {
+				return nil, fmt.Errorf("align: collective mismatch on comm %d: %v vs %v",
+					rsd.CommID, pc.arrived[i].Op, rsd.Op)
+			}
+			for _, m := range c.members {
+				pos, _ := t.CommRankOf(rsd.CommID, m)
+				pc.arrived[pos], pc.means[pos] = rsd, c.cur.ComputeUS()
+			}
+			missing := slices.Index(pc.arrived, nil)
+			if missing < 0 {
+				// Everyone arrived: close the current point-to-point segment,
+				// emit the merged collective(s) and release the members, each
+				// class once, through its first member.
+				flushSegments()
+				emitCollective(t, out, pc, comm)
+				delete(pending, rsd.CommID)
+				for _, m := range comm {
+					if mc := classes[classOf[m]]; mc.members[0] == m {
+						mc.cur.Advance()
+					}
 				}
+				active = classOf[comm[0]]
+				progress++
+				continue
 			}
-			if next == -1 {
-				break // every rank fully traversed
-			}
-			if visitedSinceProgress[next] {
-				return nil, fmt.Errorf("align: no progress possible; mismatched collectives in input trace")
-			}
-			visitedSinceProgress[next] = true
-			active = next
-			continue
+			next = classOf[comm[missing]]
 		}
-
-		// Collective: rendezvous on the communicator.
-		rsd := c.cur.Cur()
-		comm := t.CommGroup(rsd.CommID)
-		pos, _ := t.CommRankOf(rsd.CommID, active)
-		pc := pending[rsd.CommID]
-		if pc == nil {
-			pc = &pendingColl{arrived: make([]*trace.RSD, len(comm)), means: make([]float64, len(comm))}
-			pending[rsd.CommID] = pc
+		if seen[next] == progress {
+			return nil, stuck(classes, walk)
 		}
-		if i := slices.IndexFunc(pc.arrived, func(r *trace.RSD) bool { return r != nil }); i >= 0 && pc.arrived[i].Op != rsd.Op {
-			return nil, fmt.Errorf("align: collective mismatch on comm %d: %v vs %v",
-				rsd.CommID, pc.arrived[i].Op, rsd.Op)
-		}
-		pc.arrived[pos] = rsd
-		pc.means[pos] = c.cur.ComputeUS()
-
-		missing := slices.Index(pc.arrived, nil)
-		if missing < 0 {
-			// Everyone arrived: close the current point-to-point segment,
-			// emit the merged collective(s) and release the members, each
-			// class's cursor once.
-			flushSegments()
-			emitCollective(t, out, pc, comm)
-			delete(pending, rsd.CommID)
-			for _, member := range comm {
-				if mc := classes[classOf[member]]; mc.ran {
-					mc.cur.Advance()
-					mc.ran, mc.progressed = false, false
-				}
-				walked[member] = false
-			}
-			active = comm[0]
-			clear(visitedSinceProgress)
-			continue
-		}
-		// Switch traversal to the next member that has not arrived.
-		next := comm[missing]
-		if visitedSinceProgress[next] {
-			return nil, fmt.Errorf("align: no progress possible; rank %d blocked on %v over comm %d",
-				next, rsd.Op, rsd.CommID)
-		}
-		visitedSinceProgress[next] = true
+		seen[next] = progress
 		active = next
-	}
-
-	if len(pending) != 0 {
-		return nil, fmt.Errorf("align: %d collectives left incomplete", len(pending))
 	}
 	flushSegments()
 
@@ -383,6 +355,16 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		Comms:  trace.CloneComms(t.Comms),
 		Groups: []trace.Group{{Ranks: taskset.Range(0, n-1), Seq: out.Seq()}},
 	}, nil
+}
+
+// stuck is the error of a traversal that cannot progress. It names the
+// lowest rank that stops short of its end, at the collective it walks to
+// (classes are numbered by first member). Unlike the rank a revisit found,
+// that does not depend on the order of the visits.
+func stuck(classes []*lockstep, walk func(*lockstep)) error {
+	c := classes[slices.IndexFunc(classes, func(c *lockstep) bool { walk(c); return !c.cur.Done() })]
+	return fmt.Errorf("align: no progress possible; rank %d blocked on %v over comm %d",
+		c.members[0], c.cur.Cur().Op, c.cur.Cur().CommID)
 }
 
 // emitCollective appends the merged collective RSD(s). CommSplit/CommDup

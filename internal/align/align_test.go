@@ -327,8 +327,9 @@ func TestAlignDetectsStuckTraversal(t *testing.T) {
 			}},
 		},
 	}
-	if _, err := Align(tr); err == nil {
-		t.Fatal("expected stuck-traversal error")
+	const want = "align: no progress possible; rank 0 blocked on Barrier over comm 0"
+	if _, err := Align(tr); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

@@ -2,7 +2,8 @@ package mpi
 
 // message is one in-flight point-to-point transfer. All ranks are world
 // ranks; communicator-relative ranks are translated before messages enter
-// the transport layer.
+// the transport layer. A message matches only receives posted on its
+// communicator, comm.
 type message struct {
 	src, dst int
 	tag      int
@@ -23,6 +24,7 @@ type message struct {
 	// which the drain of its message clears. The last release returns the
 	// message to its world's free list (Rank.releaseMessage).
 	holds uint8
+	comm  int32 // communicator ID, in holds' padding: a message stays 64 bytes
 }
 
 // postedRecv is a receive that has been posted (blocking Recv or Irecv) and
@@ -30,14 +32,16 @@ type message struct {
 // posting rank, which frees it when the receive completes (completeRecv): a
 // posted queue drops its entry at the match.
 type postedRecv struct {
-	src, tag int // AnySource / AnyTag allowed
+	src      int32 // world rank or AnySource; int32 keeps the struct at 40 bytes
+	comm     int32
+	tag      int // AnyTag allowed
 	postTime float64
 	order    uint64   // mailbox-wide post order, for earliest-acceptor ties
 	msg      *message // non-nil once matched
 }
 
 func (p *postedRecv) accepts(m *message) bool {
-	return (p.src == AnySource || p.src == m.src) && acceptsTag(p.tag, m.tag)
+	return p.comm == m.comm && (p.src == AnySource || int(p.src) == m.src) && acceptsTag(p.tag, m.tag)
 }
 
 // fifo is a queue of messages or posted receives in arrival order. A
@@ -107,12 +111,12 @@ func (q *fifo[T]) reset() {
 type msgQueue struct{ fifo[message] }
 
 // firstMatch returns the index of the lowest-sequence live message that a
-// receive with the given tag accepts, or -1.
-func (q *msgQueue) firstMatch(tag int) int {
+// receive on communicator comm with the given tag accepts, or -1.
+func (q *msgQueue) firstMatch(comm int32, tag int) int {
 	q.skip()
-	for i := q.head; i < len(q.items); i++ {
-		if m := q.items[i]; m != nil && acceptsTag(tag, m.tag) {
-			return i
+	for i, m := range q.items[q.head:] {
+		if m != nil && m.comm == comm && acceptsTag(tag, m.tag) {
+			return q.head + i
 		}
 	}
 	return -1
@@ -203,20 +207,23 @@ type mailbox struct {
 
 	// anyHeap accelerates AnySource matching against a standing unexpected
 	// backlog: a min-heap keyed (arrival, source) holding each source's
-	// current candidate — its lowest-sequence live message accepted by tag
-	// anyTag. Without it every wildcard receive scans all source slots, which
-	// under the event engine is quadratic on master/worker patterns: clock-
-	// ordered dispatch runs the senders far ahead of the master, so the
-	// backlog is standing by construction. Entries go stale when a candidate
-	// is consumed; the pop loop detects that (the entry no longer equals the
-	// slot's live candidate) and discards, which is sound because every
-	// candidate change pushes a fresh entry for the new candidate — the heap
-	// always contains at least one entry for each source's current candidate.
-	// A receive with a different tag than the heap was built for rebuilds it
-	// (one slot scan); phases alternating wildcard tags per receive would
-	// thrash, but wildcard phases use one tag in every workload here.
+	// current candidate — its lowest-sequence live message accepted on
+	// communicator anyComm by tag anyTag. Without it every wildcard receive
+	// scans all source slots, which under the event engine is quadratic on
+	// master/worker patterns: clock-ordered dispatch runs the senders far
+	// ahead of the master, so the backlog is standing by construction.
+	// Entries go stale when a candidate is consumed; the pop loop detects
+	// that (the entry no longer equals the slot's live candidate) and
+	// discards, which is sound because every candidate change pushes a fresh
+	// entry for the new candidate — the heap always contains at least one
+	// entry for each source's current candidate.
+	// A receive with a different communicator or tag than the heap was
+	// built for rebuilds it (one slot scan); phases alternating them per
+	// receive would thrash, but wildcard phases use one of each in every
+	// workload here.
 	anyHeap  []anyCand
 	anyTag   int
+	anyComm  int32
 	anyValid bool
 
 	lastDrain float64 // receiver clock at the most recent drain
@@ -299,8 +306,8 @@ func (mb *mailbox) deposit(m *message) {
 	ctrQueuedUnexpected.Inc()
 	// If this message became its source's AnySource candidate (no earlier
 	// live match existed), mirror it into the candidate heap.
-	if mb.anyValid && acceptsTag(mb.anyTag, m.tag) {
-		if i := s.unex.firstMatch(mb.anyTag); i >= 0 && s.unex.items[i] == m {
+	if mb.anyValid && m.comm == mb.anyComm && acceptsTag(mb.anyTag, m.tag) {
+		if i := s.unex.firstMatch(mb.anyComm, mb.anyTag); i >= 0 && s.unex.items[i] == m {
 			mb.anyPush(anyCand{arrival: m.arrival, src: int32(m.src), msg: m})
 		}
 	}
@@ -323,7 +330,7 @@ func (mb *mailbox) post(p *postedRecv) (matched bool) {
 	if p.src == AnySource {
 		mb.postedAny.push(p)
 	} else {
-		mb.slot(p.src).posted.push(p)
+		mb.slot(int(p.src)).posted.push(p)
 	}
 	return false
 }
@@ -334,12 +341,12 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 		return nil
 	}
 	if p.src != AnySource {
-		s := mb.lookup(p.src)
+		s := mb.lookup(int(p.src))
 		if s == nil {
 			return nil
 		}
 		q := &s.unex
-		i := q.firstMatch(p.tag)
+		i := q.firstMatch(p.comm, p.tag)
 		if i < 0 {
 			return nil
 		}
@@ -348,8 +355,8 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 		// The take may have consumed this source's AnySource candidate; push
 		// its successor so the heap keeps covering the source (a duplicate
 		// entry for an unchanged candidate is harmless — pops validate).
-		if mb.anyValid && acceptsTag(mb.anyTag, m.tag) {
-			if j := q.firstMatch(mb.anyTag); j >= 0 {
+		if mb.anyValid && m.comm == mb.anyComm && acceptsTag(mb.anyTag, m.tag) {
+			if j := q.firstMatch(mb.anyComm, mb.anyTag); j >= 0 {
 				nc := q.items[j]
 				mb.anyPush(anyCand{arrival: nc.arrival, src: int32(nc.src), msg: nc})
 			}
@@ -360,8 +367,8 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 	// the earliest virtual arrival wins, source rank breaking ties, so the
 	// outcome does not depend on slot order. The candidate heap serves that
 	// minimum in O(log sources) instead of a full slot scan.
-	if !mb.anyValid || mb.anyTag != p.tag {
-		mb.rebuildAnyHeap(p.tag)
+	if !mb.anyValid || mb.anyComm != p.comm || mb.anyTag != p.tag {
+		mb.rebuildAnyHeap(p.comm, p.tag)
 	}
 	for len(mb.anyHeap) > 0 {
 		top := mb.anyHeap[0]
@@ -370,7 +377,7 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 		i := -1
 		if s != nil {
 			q = &s.unex
-			i = q.firstMatch(p.tag)
+			i = q.firstMatch(p.comm, p.tag)
 		}
 		if i < 0 || q.items[i] != top.msg || top.msg.arrival != top.arrival {
 			// Stale: this source's candidate was consumed since the entry
@@ -385,7 +392,7 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 		mb.anyPop()
 		mb.unexLive--
 		m := q.take(i)
-		if j := q.firstMatch(p.tag); j >= 0 {
+		if j := q.firstMatch(p.comm, p.tag); j >= 0 {
 			nc := q.items[j]
 			mb.anyPush(anyCand{arrival: nc.arrival, src: int32(nc.src), msg: nc})
 		}
@@ -399,14 +406,14 @@ func (mb *mailbox) takeUnexpected(p *postedRecv) *message {
 func acceptsTag(rtag, mtag int) bool { return rtag == AnyTag || rtag == mtag }
 
 // rebuildAnyHeap scans every source slot once and (re)builds the AnySource
-// candidate heap for receives tagged tag.
-func (mb *mailbox) rebuildAnyHeap(tag int) {
+// candidate heap for receives on communicator comm tagged tag.
+func (mb *mailbox) rebuildAnyHeap(comm int32, tag int) {
 	mb.anyHeap = mb.anyHeap[:0]
-	mb.anyTag = tag
+	mb.anyComm, mb.anyTag = comm, tag
 	mb.anyValid = true
 	for si := range mb.slots {
 		q := &mb.slots[si].unex
-		if i := q.firstMatch(tag); i >= 0 {
+		if i := q.firstMatch(comm, tag); i >= 0 {
 			m := q.items[i]
 			mb.anyPush(anyCand{arrival: m.arrival, src: int32(m.src), msg: m})
 		}
@@ -510,7 +517,7 @@ func (mb *mailbox) reset() {
 	mb.postCount = 0
 	clear(mb.anyHeap)
 	mb.anyHeap = mb.anyHeap[:0]
-	mb.anyTag = 0
+	mb.anyTag, mb.anyComm = 0, 0
 	mb.anyValid = false
 	mb.lastDrain = 0
 }

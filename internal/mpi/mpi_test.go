@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -401,6 +402,30 @@ func TestCommSplitUndefinedColor(t *testing.T) {
 			t.Errorf("rank %d: expected nil subcomm", r.Rank())
 		}
 	})
+}
+
+// TestMessageMatchesOnlyItsCommunicator: a message sent on the world does
+// not match a receive posted on a split communicator, even from AnySource
+// with its tag: rank 2, alone after the split, sends to rank 0, whose
+// receive on its half can never complete.
+func TestMessageMatchesOnlyItsCommunicator(t *testing.T) {
+	_, err := Run(3, netmodel.Ideal(), func(r *Rank) {
+		color := 0
+		if r.Rank() == 2 {
+			color = 1
+		}
+		split := r.CommSplit(r.World(), color, 0)
+		switch r.Rank() {
+		case 2:
+			r.Send(r.World(), 0, 5, 8)
+		case 0:
+			s := r.Recv(split, AnySource, 5, 8)
+			t.Errorf("rank 0 received %+v from another communicator", s)
+		}
+	})
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("Run error = %v, want ErrDeadlock", err)
+	}
 }
 
 func TestCommSplitKeyOrdersRanks(t *testing.T) {

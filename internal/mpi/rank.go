@@ -378,10 +378,10 @@ func (r *Rank) checkActive() {
 	r.w.stop.checkStopped()
 }
 
-// inject creates and deposits a message to world rank wdst, returning it.
-// The sender pays its send overhead; the arrival time includes the wire
+// inject creates and deposits a message on c to world rank wdst, returning
+// it. The sender pays its send overhead; the arrival time includes the wire
 // transfer per the network model.
-func (r *Rank) inject(wdst, tag, size int) *message {
+func (r *Rank) inject(c *Comm, wdst, tag, size int) *message {
 	m := r.w.model
 	r.opCount++
 	r.clock += m.SendOverheadUS
@@ -398,6 +398,7 @@ func (r *Rank) inject(wdst, tag, size int) *message {
 		arrival:       r.clock + transfer,
 		shadowArrival: r.shadow + transfer,
 		holds:         2, // the sender and the receiver
+		comm:          int32(c.id),
 	}
 	r.w.mailboxes[wdst].deposit(msg)
 	if m.FlowSaturationFactor > 0 && !m.Eager(size) {
@@ -420,14 +421,14 @@ func (r *Rank) inject(wdst, tag, size int) *message {
 	return msg
 }
 
-// postRecv builds a posted receive for this rank's current virtual time.
-// The mailbox stamps the post order.
-func (r *Rank) postRecv(wsrc, tag int) *postedRecv {
+// postRecv builds a posted receive on c for this rank's current virtual
+// time. The mailbox stamps the post order.
+func (r *Rank) postRecv(c *Comm, wsrc, tag int) *postedRecv {
 	if wsrc == AnySource {
 		ctrWildcardRecvs.Inc()
 	}
 	p := r.w.recvs.get()
-	*p = postedRecv{src: wsrc, tag: tag, postTime: r.clock}
+	*p = postedRecv{src: int32(wsrc), comm: int32(c.id), tag: tag, postTime: r.clock}
 	return p
 }
 
@@ -482,12 +483,10 @@ func (r *Rank) completeRecv(p *postedRecv) (src, tag, size int) {
 }
 
 // statusOf is the Status on c of a receive that matched a message from world
-// rank src.
+// rank src, a member of c: a message matches only receives on its own
+// communicator.
 func statusOf(c *Comm, src, tag, size int) Status {
-	csrc, ok := c.CommRank(src)
-	if !ok {
-		csrc = -1 // sender outside this communicator (app error, but don't panic)
-	}
+	csrc, _ := c.CommRank(src)
 	return Status{Source: csrc, SourceWorld: src, Tag: tag, Size: size}
 }
 
@@ -505,7 +504,7 @@ func (r *Rank) Isend(c *Comm, dst, tag, size int) *Request {
 	r.checkActive()
 	st := r.enter(r.site())
 	wdst := c.WorldRank(dst)
-	msg := r.inject(wdst, tag, size)
+	msg := r.inject(c, wdst, tag, size)
 	req := r.newRequest()
 	*req = Request{comm: c, msg: msg, tag: tag, size: size, send: true}
 	if r.traced() {
@@ -534,7 +533,7 @@ func (r *Rank) Irecv(c *Comm, src, tag, size int) *Request {
 	if src != AnySource {
 		wsrc = c.WorldRank(src)
 	}
-	p := r.postRecv(wsrc, tag)
+	p := r.postRecv(c, wsrc, tag)
 	r.w.mailboxes[r.rank].post(p)
 	req := r.newRequest()
 	*req = Request{comm: c, pr: p}

@@ -333,7 +333,7 @@ func (x *slExec) execSend(r *Rank) bool {
 		r.checkActive()
 		x.st = r.enter(op.Site)
 		x.wdst = x.c.WorldRank(op.Peer)
-		x.sm = r.inject(x.wdst, op.Tag, op.Size)
+		x.sm = r.inject(x.c, x.wdst, op.Tag, op.Size)
 		x.stage = 1
 		if x.parkOnCredit(r, r.w.mailboxes[x.wdst], x.sm) {
 			return true
@@ -382,7 +382,7 @@ func (x *slExec) execRecv(r *Rank) bool {
 		if wsrc != AnySource {
 			wsrc = x.c.WorldRank(op.Peer)
 		}
-		p := r.postRecv(wsrc, op.Tag)
+		p := r.postRecv(x.c, wsrc, op.Tag)
 		x.rp = p
 		// Fast path: the message was already queued and post consumed it, so
 		// there is nothing to wait for.

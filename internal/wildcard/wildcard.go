@@ -57,18 +57,21 @@ func (e *DeadlockError) Error() string {
 	return "wildcard: potential deadlock in input application: " + strings.Join(e.Blocked, "; ")
 }
 
-// message is an in-flight send observed during traversal.
+// message is an in-flight send observed during traversal. It matches only
+// receives on its communicator.
 type message struct {
-	src  int // world rank
+	comm int
 	tag  int
+	src  int32 // world rank; int32 keeps the struct at 24 bytes
 	used bool
 }
 
 // pendingRecv is a posted receive awaiting a match.
 type pendingRecv struct {
 	pin     int // index of its decision in the rank's pins; -1 for a concrete source
-	src     int // world source or mpi.AnySource
+	comm    int
 	tag     int
+	src     int32 // world source or mpi.AnySource; int32 keeps the struct at 32 bytes
 	matched bool
 }
 
@@ -222,7 +225,7 @@ func (r *resolver) run(rank int) (bool, error) {
 // tries to match it against the destination's posted receives.
 func (r *resolver) doSend(rank int, rsd *trace.RSD) {
 	dst := rsd.WorldPeerFor(rank, r.t)
-	r.inbox[dst] = append(r.inbox[dst], message{src: rank, tag: rsd.Tag})
+	r.inbox[dst] = append(r.inbox[dst], message{comm: rsd.CommID, tag: rsd.Tag, src: int32(rank)})
 	r.matchInbox(dst)
 	if rsd.Op == mpi.OpIsend {
 		r.outstanding[rank] = append(r.outstanding[rank], nil) // sends complete eagerly
@@ -236,17 +239,18 @@ func (r *resolver) matchInbox(rank int) {
 		if pr.matched {
 			continue
 		}
-		if src, ok := r.takeMessage(rank, pr.src, pr.tag); ok {
+		if src, ok := r.takeMessage(rank, pr.comm, int(pr.src), pr.tag); ok {
 			r.complete(rank, pr, src)
 		}
 	}
 	r.compactPending(rank)
 }
 
-// takeMessage consumes the first compatible message and returns its sender.
-// The inbox is resliced past its consumed prefix, so no message is scanned
-// again once every message before it is consumed.
-func (r *resolver) takeMessage(rank, src, tag int) (int, bool) {
+// takeMessage consumes the first message on comm that a receive of src and
+// tag accepts and returns its sender. The inbox is resliced past its
+// consumed prefix, so no message is scanned again once every message before
+// it is consumed.
+func (r *resolver) takeMessage(rank, comm, src, tag int) (int, bool) {
 	inbox := r.inbox[rank]
 	for len(inbox) > 0 && inbox[0].used {
 		inbox = inbox[1:]
@@ -254,11 +258,11 @@ func (r *resolver) takeMessage(rank, src, tag int) (int, bool) {
 	r.inbox[rank] = inbox
 	for i := range inbox {
 		m := &inbox[i]
-		if m.used || src != mpi.AnySource && m.src != src || tag != mpi.AnyTag && m.tag != tag {
+		if m.used || m.comm != comm || src != mpi.AnySource && int(m.src) != src || tag != mpi.AnyTag && m.tag != tag {
 			continue
 		}
 		m.used = true
-		return m.src, true
+		return int(m.src), true
 	}
 	return 0, false
 }
@@ -298,7 +302,7 @@ func (r *resolver) compactPending(rank int) {
 // no compatible message is available yet.
 func (r *resolver) doBlockingRecv(rank int, rsd *trace.RSD) bool {
 	src := rsd.WorldPeerFor(rank, r.t)
-	from, ok := r.takeMessage(rank, src, rsd.Tag)
+	from, ok := r.takeMessage(rank, rsd.CommID, src, rsd.Tag)
 	if !ok {
 		return false
 	}
@@ -310,11 +314,12 @@ func (r *resolver) doBlockingRecv(rank int, rsd *trace.RSD) bool {
 
 // doIrecv posts a nonblocking receive (matching immediately if possible).
 func (r *resolver) doIrecv(rank int, rsd *trace.RSD) {
-	pr := &pendingRecv{pin: -1, src: rsd.WorldPeerFor(rank, r.t), tag: rsd.Tag}
-	if pr.src == mpi.AnySource {
+	src := rsd.WorldPeerFor(rank, r.t)
+	pr := &pendingRecv{pin: -1, comm: rsd.CommID, tag: rsd.Tag, src: int32(src)}
+	if src == mpi.AnySource {
 		pr.pin = r.decide(rank, mpi.AnySource)
 	}
-	if from, ok := r.takeMessage(rank, pr.src, pr.tag); ok {
+	if from, ok := r.takeMessage(rank, pr.comm, src, pr.tag); ok {
 		r.complete(rank, pr, from)
 	} else {
 		r.pending[rank] = append(r.pending[rank], pr)

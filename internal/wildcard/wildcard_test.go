@@ -289,6 +289,33 @@ func TestResolveDetectsFigure5Deadlock(t *testing.T) {
 	}
 }
 
+// crossCommText is a trace the engine no longer produces: rank 2, alone after
+// the split, sends on the world to rank 0, which waits on its half of the
+// split for any source with that tag.
+const crossCommText = "scalatrace-go 1\nnprocs 3\ncomms 3\ncomm 0 0,1,2\ncomm 1 0,1\ncomm 2 2\ngroups 3\n" +
+	"group 0 2\n" +
+	"rsd op=CommSplit site=1 ranks=0 comm=0 csize=3 peer=- tag=0 size=0 root=-1 newcomm=1 group=0,1\n" +
+	"rsd op=Recv site=2 ranks=0 comm=1 csize=2 peer=any tag=5 size=8 root=-1 wildcard=1\n" +
+	"group 1 1\n" +
+	"rsd op=CommSplit site=1 ranks=1 comm=0 csize=3 peer=- tag=0 size=0 root=-1 newcomm=1 group=0,1\n" +
+	"group 2 2\n" +
+	"rsd op=CommSplit site=1 ranks=2 comm=0 csize=3 peer=- tag=0 size=0 root=-1 newcomm=2 group=2\n" +
+	"rsd op=Send site=3 ranks=2 comm=0 csize=3 peer=abs0 tag=5 size=8 root=-1\n"
+
+// TestAssignMatchesWithinACommunicator: a message matches only receives on
+// its own communicator, so rank 0's wildcard receive has no sender.
+func TestAssignMatchesWithinACommunicator(t *testing.T) {
+	tr, err := trace.Decode(strings.NewReader(crossCommText))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	pins, err := Assign(tr)
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Assign = %v, %v; want a *DeadlockError", pins, err)
+	}
+}
+
 func TestResolveDeterministic(t *testing.T) {
 	// Two resolutions of the same trace must agree (reproducibility is the
 	// entire point of Section 4.4).
