@@ -9,12 +9,13 @@ test:
 # architectures without a frame-pointer walk; the race detector over every
 # package with shared state (internal/mpi and internal/trace at -cpu 1,2;
 # align and wildcard -short); the root determinism, critical-path, golden-digest, verify,
-# single-home and no-orphan suites under -race; nine 10 s fuzz passes
+# single-home and no-orphan suites under -race; ten 10 s fuzz passes
 # (histogram text against the fmt scanner it replaced, trace decoder, the
 # trace builder's cursor against its indexed path, its square check against
 # the exhaustive one, the lowered trace walk
 # against a reference expansion, Algorithm 1, MP-net export and checker,
-# coNCePTuaL parser and printer, every consumer of a decoded trace).
+# Algorithm 2 against the MP-net, coNCePTuaL parser and printer, every
+# consumer of a decoded trace).
 # .claude/skills/verify/SKILL.md says why each line has its flags.
 check:
 	$(GO) vet ./...
@@ -33,6 +34,7 @@ check:
 	$(GO) test -run NONE -fuzz FuzzWalk -fuzztime 10s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s -fuzzminimizetime 10x ./internal/align/
 	$(GO) test -run NONE -fuzz FuzzExport -fuzztime 10s ./internal/mpnet/
+	$(GO) test -run NONE -fuzz FuzzResolverAgreesWithNet -fuzztime 10s -fuzzminimizetime 10x ./internal/mpnet/
 	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 10x ./internal/conceptual/
 	$(GO) test -run NONE -fuzz FuzzConsumers -fuzztime 10s -fuzzminimizetime 10x ./internal/core/
 

@@ -188,19 +188,44 @@ func BenchmarkAlignPrecheck(b *testing.B) {
 	}
 }
 
-// BenchmarkWildcardResolve measures Algorithm 2 on LU's wildcard receives.
+// BenchmarkWildcardResolve measures Algorithm 2 on LU's wildcard receives at
+// 16, 64 and 256 ranks, in its two legs: assign is the traversal that fixes
+// every wildcard's source (wildcard.Assign), pinned applies those decisions
+// (trace.Pinned: every rank recompressed, the streams re-merged);
+// wildcard.Resolve is the two in turn. ns/event is the time per event of the
+// input trace.
 func BenchmarkWildcardResolve(b *testing.B) {
-	run, err := harness.TraceApp("lu", apps.NewConfig(16, apps.ClassS), netmodel.Ideal())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !wildcard.Present(run.Trace) {
-		b.Fatal("premise: lu trace should contain wildcards")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wildcard.Resolve(run.Trace); err != nil {
+	for _, n := range []int{16, 64, 256} {
+		run, err := harness.TraceApp("lu", apps.NewConfig(n, apps.ClassS), netmodel.Ideal())
+		if err != nil {
 			b.Fatal(err)
+		}
+		if !wildcard.Present(run.Trace) {
+			b.Fatal("premise: lu trace should contain wildcards")
+		}
+		pins, err := wildcard.Assign(run.Trace)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events := float64(run.Trace.TotalEvents())
+		for _, leg := range []struct {
+			name string
+			run  func()
+		}{
+			{"assign", func() {
+				if _, err := wildcard.Assign(run.Trace); err != nil {
+					b.Fatal(err)
+				}
+			}},
+			{"pinned", func() { trace.Pinned(run.Trace, pins) }},
+		} {
+			b.Run(fmt.Sprintf("lu-%d/S/%s", n, leg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					leg.run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+			})
 		}
 	}
 }

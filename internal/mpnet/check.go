@@ -536,7 +536,7 @@ func (c *checker) blockedReport(s *vmState) []string {
 		}
 		ev := &c.net.Procs[r][s.pc[r]]
 		blocked = append(blocked,
-			fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d)", r, ev.Op, peerString(ev), ev.Tag))
+			fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d, comm %d)", r, ev.Op, peerString(ev), ev.Tag, ev.CommID))
 	}
 	slices.Sort(blocked)
 	return blocked

@@ -2,6 +2,9 @@ package mpnet
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -90,6 +93,56 @@ func FuzzExport(f *testing.F) {
 		}
 		if pins, err := wildcard.Assign(tr); err == nil {
 			comparePinned(t, net, pins, opts)
+		}
+	})
+}
+
+// FuzzResolverAgreesWithNet holds Algorithm 2 to the two agreements Report's
+// doc comment claims, on every document Decode accepts whose net FromTrace
+// builds: pins wildcard.Assign returns are admitted by the net and run to
+// completion (ForcedRun), and when Assign reports a deadlock, a bounded check
+// that explores the whole net finds a counterexample, since the stuck
+// traversal is one of the net's executions. Seeds: FuzzDecode's documents
+// (internal/trace/testdata/seeds.txt) and Figure 5. `make check` runs it.
+func FuzzResolverAgreesWithNet(f *testing.F) {
+	text, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "seeds.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Each document follows a line "=== what it holds".
+	for _, doc := range strings.Split(string(text), "=== ")[1:] {
+		_, doc, _ = strings.Cut(doc, "\n")
+		f.Add([]byte(doc))
+	}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, collectFigure5(f)); err != nil {
+		f.Fatalf("Encode seed: %v", err)
+	}
+	f.Add(buf.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// The event bound also bounds Assign's traversal, which walks the
+		// events the net holds.
+		opts := &Options{MaxEvents: 1 << 10, MaxStates: 1 << 12}
+		net, err := FromTrace(tr, opts)
+		if err != nil {
+			return
+		}
+		pins, err := wildcard.Assign(tr)
+		var de *wildcard.DeadlockError
+		switch {
+		case err == nil:
+			if completed, blocked := net.ForcedRun(pins); !completed {
+				t.Fatalf("the net rejects Algorithm 2's pins %v: %s", pins, strings.Join(blocked, "; "))
+			}
+		case errors.As(err, &de):
+			if v := net.Check(opts); v.Exhaustive && v.Counterexample == nil {
+				t.Fatalf("Algorithm 2 reports %v, an exhaustive check finds no deadlock", err)
+			}
 		}
 	})
 }

@@ -84,7 +84,8 @@ func NewGlobalBuilder(w int) *Builder {
 }
 
 // NewStreamBuilder returns the Builder for one rank's event stream: a
-// Collector's per-rank builders and Algorithm 1's per-class segment builders.
+// Collector's per-rank builders, Algorithm 1's per-class segment builders and
+// Pinned's one builder, reset after each rank.
 // Every node appended to it must be a leaf from its NewLeaf that nothing
 // else references; in exchange, leaves a fold absorbs are reused for later
 // events. Leaves still in the sequence when it is handed to MergeClasses
@@ -104,11 +105,14 @@ func (b *Builder) NewLeaf() *RSD {
 }
 
 // Reset starts the next stream on a builder whose sequence has been through
-// MergeClasses. consumed says whether the merged trace may hold the
-// sequence: it may when the sequence was the Class of one member, and it
-// then goes with its leaves. The sequence of a class of several members was
-// only read, nothing the merge returned points into it, and with consumed
-// false its leaves join the free list. Either way the tail index's maps and chain storage stay, so a
+// MergeClasses, or will go through it consumed. consumed says whether the
+// merged trace may hold the sequence: it may when the sequence is the Class
+// of one member, and it then goes with its leaves, so the builder may be
+// reset as soon as Seq has taken it, before the merge runs (Pinned builds
+// every rank's stream on one builder so). The sequence of a class of several
+// members is only read, nothing the merge returns points into it, and it
+// must have been through the merge before Reset(false) puts its leaves on the
+// free list. Either way the tail index's maps and chain storage stay, so a
 // builder that is reset once per segment — Algorithm 1 closes one per class
 // at every collective — regrows none of them. Unless the stream outgrew a
 // prune interval: maps never shrink, and clearing ones that a long stream

@@ -14,15 +14,15 @@ type Pin struct {
 // events become single-rank leaves (CopyFor, with the compute sample its
 // Cursor reports, Wildcard cleared), a pinned receive's peer becomes its
 // source in the numbering of the receive's communicator, and the per-rank
-// streams are recompressed and re-merged (in stream builders, as a
-// Collector's). pins has one list per rank, in ascending Event order. t is
-// not modified. This is how Algorithm 2's decisions and an MP-net
+// streams are recompressed, one after another on one stream builder, and
+// re-merged. pins has one list per rank, in ascending Event order. t is not
+// modified. This is how Algorithm 2's decisions and an MP-net
 // counterexample's choices become a wildcard-free trace.
 func Pinned(t *Trace, pins [][]Pin) *Trace {
 	seqs := make([][]Node, t.N)
 	low := Lower(t)
+	b := NewStreamBuilder(DefaultMaxWindow)
 	for rank := range seqs {
-		b := NewStreamBuilder(DefaultMaxWindow)
 		ranks := taskset.Of(rank)
 		next := pins[rank]
 		for c := low.Cursor(rank); !c.Done(); c.Advance() {
@@ -37,9 +37,11 @@ func Pinned(t *Trace, pins [][]Pin) *Trace {
 			}
 			b.Append(leaf)
 		}
+		// The merge consumes each rank's sequence, a class of one, in place:
+		// the builder lets it go with its leaves and keeps its index storage
+		// for the next rank.
 		seqs[rank] = b.Seq()
+		b.Reset(true)
 	}
-	// The builders are discarded here, so the merge may consume their
-	// sequences in place.
 	return MergeClasses(t.N, CloneComms(t.Comms), rankClasses(seqs))
 }

@@ -2,15 +2,20 @@
 // performance nondeterminism by resolving MPI_ANY_SOURCE receives into
 // concrete sources, with a sufficient deadlock-detection scheme.
 //
-// The resolver walks all ranks' event streams concurrently (one traversal
-// context per rank), maintaining per-rank lists of unmatched sends and
-// receives (the paper's L1/L2). Point-to-point events are matched in
-// FIFO-per-sender order; when a wildcard receive matches, its source is
-// fixed to the matching sender. Traversal of a rank stops when it is blocked
-// on a receive, a wait, or a collective, and another rank runs; if a full
-// sweep of all ranks makes no progress, a potential deadlock in the original
-// application has been found (Figure 5) and an error is reported rather than
-// hanging.
+// The resolver walks all ranks' event streams concurrently, one traversal
+// context (a trace.Cursor) per rank, and keeps per rank the paper's two
+// lists: L2, the messages sent to it and not yet received, and L1, its
+// posted receives not yet matched, which are the unmatched receives of its
+// outstanding nonblocking requests. Point-to-point events are matched in
+// FIFO-per-sender order on their communicator; when a wildcard receive
+// matches, its source is fixed to the matching sender. A rank runs until it
+// blocks on a receive, a wait or a collective, and the next rank runs. A
+// collective is Algorithm 1's rendezvous: each member arrives at its
+// communicator position, and the last arrival releases them all. A sweep of
+// all ranks in which no cursor advanced ends the traversal: every rank has
+// finished, or the ones that have not are stuck, a potential deadlock in the
+// original application (Figure 5), reported with the event and communicator
+// each stands at rather than hanging.
 //
 // Assign returns those decisions; Resolve applies them with trace.Pinned,
 // which recompresses and re-merges the per-rank streams, so the output trace
@@ -20,7 +25,6 @@ package wildcard
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/mpi"
@@ -49,7 +53,8 @@ func Present(t *trace.Trace) bool {
 // Per Section 4.4 this is a sufficient (not necessary) detection: the input
 // application can deadlock under at least one message ordering.
 type DeadlockError struct {
-	// Blocked describes each stuck rank and the event it is blocked on.
+	// Blocked describes each stuck rank and the event it is blocked on, as
+	// "rank R blocked on OP (peer P, tag T, comm C)", sorted.
 	Blocked []string
 }
 
@@ -66,7 +71,8 @@ type message struct {
 	used bool
 }
 
-// pendingRecv is a posted receive awaiting a match.
+// pendingRecv is a posted nonblocking receive. It stays in its rank's
+// outstanding list until a wait completes it, matched.
 type pendingRecv struct {
 	pin     int // index of its decision in the rank's pins; -1 for a concrete source
 	comm    int
@@ -75,35 +81,33 @@ type pendingRecv struct {
 	matched bool
 }
 
-type rankState int
-
-const (
-	ready rankState = iota
-	blockedRecv
-	blockedWait
-	blockedRendezvous
-	done
-)
-
-// resolver holds the traversal state of Algorithm 2.
+// resolver holds the traversal state of Algorithm 2: per rank a traversal
+// context (its cursor), L2 (its inbox), L1 (the unmatched receives of its
+// outstanding list) and its decisions, plus the collective rendezvous in
+// progress.
 type resolver struct {
 	t       *trace.Trace
 	cursors []*trace.Cursor
-	states  []rankState
 
 	// inbox is L2: the messages destined to each rank, in arrival order,
 	// past its consumed prefix.
-	inbox   [][]message
-	pending [][]*pendingRecv // posted receives per rank (match order)
-	// outstanding tracks nonblocking requests per rank in post order for
-	// Wait semantics: true entries are receives (index into pending history).
-	outstanding [][]*pendingRecv // nil entry = completed send
+	inbox [][]message
+	// outstanding holds each rank's nonblocking requests in post order, for
+	// the matching order of its posted receives and for Wait semantics; a
+	// nil entry is a send, complete at once. Its unmatched receives are L1.
+	outstanding [][]*pendingRecv
 
 	// pins are the decisions per rank, in event order; an unmatched
 	// wildcard's Source is mpi.AnySource.
 	pins [][]trace.Pin
 
-	collPending map[int]map[int]bool // commID -> ranks arrived
+	// arrived holds, per communicator, the collective each member stands at
+	// by communicator position, nil until it arrives: a rank that is visited
+	// again at its collective fills its own slot again.
+	arrived map[int][]*trace.RSD
+	// steps counts cursor advances; a sweep that leaves it unchanged ends the
+	// traversal.
+	steps int
 }
 
 // Resolve runs Algorithm 2 over t and returns an equivalent trace in which
@@ -128,38 +132,28 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	r := &resolver{
 		t:           t,
 		cursors:     make([]*trace.Cursor, n),
-		states:      make([]rankState, n),
 		inbox:       make([][]message, n),
-		pending:     make([][]*pendingRecv, n),
 		outstanding: make([][]*pendingRecv, n),
 		pins:        make([][]trace.Pin, n),
-		collPending: make(map[int]map[int]bool),
+		arrived:     make(map[int][]*trace.RSD),
 	}
 	low := trace.Lower(t)
 	for i := 0; i < n; i++ {
 		r.cursors[i] = low.Cursor(i)
 	}
 
-	for {
-		allDone := true
-		progress := false
-		for rank := 0; rank < n; rank++ {
-			if r.states[rank] == done {
-				continue
-			}
-			allDone = false
-			ran, err := r.run(rank)
-			if err != nil {
+	// Sweep the ranks until a sweep advances no cursor: then every rank has
+	// finished, or those that have not are stuck.
+	for swept := -1; swept != r.steps; {
+		swept = r.steps
+		for rank := range r.cursors {
+			if err := r.run(rank); err != nil {
 				return nil, err
 			}
-			progress = progress || ran
 		}
-		if allDone {
-			break
-		}
-		if !progress {
-			return nil, r.deadlock()
-		}
+	}
+	if blocked := r.blocked(); len(blocked) > 0 {
+		return nil, &DeadlockError{Blocked: blocked}
 	}
 
 	for rank, pins := range r.pins {
@@ -171,54 +165,37 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	return r.pins, nil
 }
 
-// run advances one rank until it blocks or finishes, returning whether any
-// event was processed.
-func (r *resolver) run(rank int) (bool, error) {
-	progress := false
-	for {
-		cur := r.cursors[rank]
-		if cur.Done() {
-			// Transitioning to done is progress: the rank's cursor may have
-			// been advanced past its last event by another rank's collective
-			// completion since our last visit.
-			if r.states[rank] != done {
-				progress = true
-			}
-			r.states[rank] = done
-			return progress, nil
-		}
-		rsd := cur.Cur()
+// run advances one rank until it blocks or finishes.
+func (r *resolver) run(rank int) error {
+	cur := r.cursors[rank]
+	for rsd := cur.Cur(); rsd != nil; rsd = cur.Cur() {
 		switch {
 		case rsd.Op.IsSendSide():
 			r.doSend(rank, rsd)
 		case rsd.Op == mpi.OpRecv:
 			if !r.doBlockingRecv(rank, rsd) {
-				r.states[rank] = blockedRecv
-				return progress, nil
+				return nil
 			}
 		case rsd.Op == mpi.OpIrecv:
 			r.doIrecv(rank, rsd)
 		case rsd.Op.IsWait():
 			if !r.doWait(rank, rsd) {
-				r.states[rank] = blockedWait
-				return progress, nil
+				return nil
 			}
 		case rsd.Op.IsCollective():
-			if complete, err := r.doCollective(rank, rsd); err != nil || !complete {
-				r.states[rank] = blockedRendezvous
-				return progress, err
-			}
-			// The collective completer advanced every member's cursor,
+			// A completed rendezvous advanced every member's cursor,
 			// including ours; do not advance again.
-			progress = true
+			if complete, err := r.arrive(rank, rsd); err != nil || !complete {
+				return err
+			}
 			continue
 		default:
 			// Init and other local events pass through.
 		}
 		cur.Advance()
-		r.states[rank] = ready
-		progress = true
+		r.steps++
 	}
+	return nil
 }
 
 // doSend delivers a message to the destination (the paper's L2 update) and
@@ -235,15 +212,14 @@ func (r *resolver) doSend(rank int, rsd *trace.RSD) {
 // matchInbox matches newly delivered messages against the destination's
 // posted receives, in posting order with FIFO-per-sender message order.
 func (r *resolver) matchInbox(rank int) {
-	for _, pr := range r.pending[rank] {
-		if pr.matched {
+	for _, pr := range r.outstanding[rank] {
+		if pr == nil || pr.matched {
 			continue
 		}
 		if src, ok := r.takeMessage(rank, pr.comm, int(pr.src), pr.tag); ok {
 			r.complete(rank, pr, src)
 		}
 	}
-	r.compactPending(rank)
 }
 
 // takeMessage consumes the first message on comm that a receive of src and
@@ -278,7 +254,7 @@ func (r *resolver) decide(rank, src int) int {
 	return len(r.pins[rank]) - 1
 }
 
-// complete marks a pending receive matched by a message from src and, for a
+// complete marks a posted receive matched by a message from src and, for a
 // wildcard, fixes its decision to that sender (the heart of Algorithm 2).
 func (r *resolver) complete(rank int, pr *pendingRecv, src int) {
 	pr.matched = true
@@ -286,16 +262,6 @@ func (r *resolver) complete(rank int, pr *pendingRecv, src int) {
 		r.pins[rank][pr.pin].Source = src
 		ctrResolved.Inc()
 	}
-}
-
-func (r *resolver) compactPending(rank int) {
-	live := r.pending[rank][:0]
-	for _, pr := range r.pending[rank] {
-		if !pr.matched {
-			live = append(live, pr)
-		}
-	}
-	r.pending[rank] = live
 }
 
 // doBlockingRecv tries to complete a blocking receive; it returns false if
@@ -321,8 +287,6 @@ func (r *resolver) doIrecv(rank int, rsd *trace.RSD) {
 	}
 	if from, ok := r.takeMessage(rank, pr.comm, src, pr.tag); ok {
 		r.complete(rank, pr, from)
-	} else {
-		r.pending[rank] = append(r.pending[rank], pr)
 	}
 	r.outstanding[rank] = append(r.outstanding[rank], pr)
 }
@@ -351,53 +315,44 @@ func (r *resolver) doWait(rank int, rsd *trace.RSD) bool {
 	return true
 }
 
-// doCollective performs the rendezvous of Algorithm 1 within Algorithm 2:
-// all communicator members must arrive before any proceeds. It returns
-// false while participants are missing, and Algorithm 1's error when a
-// member arrives at another operation than the members before it, whose
-// cursors all stand at the first arrival's.
-func (r *resolver) doCollective(rank int, rsd *trace.RSD) (bool, error) {
+// arrive performs the rendezvous of Algorithm 1 within Algorithm 2: all
+// communicator members must arrive before any proceeds. rank arrives at its
+// communicator position; the last arrival advances every member's cursor and
+// arrive returns true. It returns Algorithm 1's error when rank arrives at
+// another operation than the member at the lowest arrived position.
+func (r *resolver) arrive(rank int, rsd *trace.RSD) (bool, error) {
 	comm := r.t.CommGroup(rsd.CommID)
-	pc := r.collPending[rsd.CommID]
-	if pc == nil {
-		pc = make(map[int]bool)
-		r.collPending[rsd.CommID] = pc
+	arrived := r.arrived[rsd.CommID]
+	if arrived == nil {
+		arrived = make([]*trace.RSD, len(comm))
+		r.arrived[rsd.CommID] = arrived
 	}
-	for m := range pc {
-		if first := r.cursors[m].Cur().Op; first != rsd.Op {
-			return false, fmt.Errorf("wildcard: collective mismatch on comm %d: %v vs %v", rsd.CommID, first, rsd.Op)
-		}
-		break
+	if i := slices.IndexFunc(arrived, func(a *trace.RSD) bool { return a != nil }); i >= 0 && arrived[i].Op != rsd.Op {
+		return false, fmt.Errorf("wildcard: collective mismatch on comm %d: %v vs %v", rsd.CommID, arrived[i].Op, rsd.Op)
 	}
-	pc[rank] = true
-	if len(pc) < len(comm) {
+	pos, _ := r.t.CommRankOf(rsd.CommID, rank)
+	arrived[pos] = rsd
+	if slices.Contains(arrived, nil) {
 		return false, nil
 	}
-	// Complete: advance every member's cursor.
+	clear(arrived)
 	for _, member := range comm {
 		r.cursors[member].Advance()
-		if r.states[member] == blockedRendezvous {
-			r.states[member] = ready
-		}
 	}
-	delete(r.collPending, rsd.CommID)
+	r.steps += len(comm)
 	return true, nil
 }
 
-// deadlock builds the error report for a stuck traversal.
-func (r *resolver) deadlock() *DeadlockError {
+// blocked describes every unfinished rank of a traversal that stopped: the
+// event it stands at, with its communicator, sorted.
+func (r *resolver) blocked() []string {
 	var blocked []string
-	for rank := 0; rank < r.t.N; rank++ {
-		if r.states[rank] == done {
-			continue
+	for rank, cur := range r.cursors {
+		if rsd := cur.Cur(); rsd != nil {
+			blocked = append(blocked, fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d, comm %d)",
+				rank, rsd.Op, rsd.Peer, rsd.Tag, rsd.CommID))
 		}
-		cur := r.cursors[rank].Cur()
-		desc := "finished"
-		if cur != nil {
-			desc = fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d)", rank, cur.Op, cur.Peer, cur.Tag)
-		}
-		blocked = append(blocked, desc)
 	}
-	sort.Strings(blocked)
-	return &DeadlockError{Blocked: blocked}
+	slices.Sort(blocked)
+	return blocked
 }

@@ -303,7 +303,8 @@ const crossCommText = "scalatrace-go 1\nnprocs 3\ncomms 3\ncomm 0 0,1,2\ncomm 1 
 	"rsd op=Send site=3 ranks=2 comm=0 csize=3 peer=abs0 tag=5 size=8 root=-1\n"
 
 // TestAssignMatchesWithinACommunicator: a message matches only receives on
-// its own communicator, so rank 0's wildcard receive has no sender.
+// its own communicator, so rank 0's wildcard receive has no sender, and the
+// report names the communicator the receive waits on.
 func TestAssignMatchesWithinACommunicator(t *testing.T) {
 	tr, err := trace.Decode(strings.NewReader(crossCommText))
 	if err != nil {
@@ -313,6 +314,10 @@ func TestAssignMatchesWithinACommunicator(t *testing.T) {
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("Assign = %v, %v; want a *DeadlockError", pins, err)
+	}
+	const want = "rank 0 blocked on Recv (peer any, tag 5, comm 1)"
+	if got := strings.Join(de.Blocked, "; "); got != want {
+		t.Errorf("Blocked = %q, want %q", got, want)
 	}
 }
 
