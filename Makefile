@@ -29,7 +29,7 @@ check:
 	$(GO) test -race -cpu 1,2 -run 'TestConcurrentWorldsDeterminism|TestConcurrentReplaysOfOneTrace' .
 	$(GO) test -run NONE -fuzz FuzzHistogramText -fuzztime 10s -fuzzminimizetime 10x ./internal/stats/
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
-	$(GO) test -run NONE -fuzz FuzzBuilderCursor -fuzztime 10s ./internal/trace/
+	$(GO) test -run NONE -fuzz FuzzBuilderCursor -fuzztime 10s -fuzzminimizetime 10x ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzHasSquare -fuzztime 10s -fuzzminimizetime 10x ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzWalk -fuzztime 10s ./internal/trace/
 	$(GO) test -run NONE -fuzz FuzzAlignLockstep -fuzztime 10s -fuzzminimizetime 10x ./internal/align/
@@ -54,7 +54,7 @@ bench:
 # recipe for the other layers is in .claude/skills/verify/SKILL.md.
 profile-chain:
 	mkdir -p .profile
-	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^traced$$' -benchtime 200x -benchmem -cpu 2 \
+	$(GO) test -run NONE -bench 'BenchmarkTraceCollectionOverhead/^bt-16$$/^S$$/^traced$$' -benchtime 200x -benchmem -cpu 2 \
 		-cpuprofile cpu.prof -memprofile mem.prof -memprofilerate 4096 \
 		-o .profile/repro.test -outputdir .profile .
 	$(GO) tool pprof -top -nodecount 25 .profile/repro.test .profile/cpu.prof

@@ -304,31 +304,39 @@ func BenchmarkAblationComputeReplay(b *testing.B) {
 }
 
 // BenchmarkTraceCollectionOverhead compares an instrumented run against an
-// uninstrumented one — the tracing overhead a user pays.
+// uninstrumented one — the tracing overhead a user pays — on bt, whose
+// compressed stream is one flat loop per phase, and lu, whose steady
+// iterations are loop nests (ROADMAP item 4(c) asks traced <= 2x untraced).
 func BenchmarkTraceCollectionOverhead(b *testing.B) {
-	app := apps.ByName("bt")
-	cfg := apps.NewConfig(16, apps.ClassS)
-	b.Run("untraced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := mpi.Run(16, netmodel.BlueGeneL(), app.Body(cfg)); err != nil {
-				b.Fatal(err)
+	for _, k := range []struct {
+		app   string
+		n     int
+		class apps.Class
+	}{{"bt", 16, apps.ClassS}, {"lu", 16, apps.ClassS}} {
+		app := apps.ByName(k.app)
+		cfg := apps.NewConfig(k.n, k.class)
+		b.Run(fmt.Sprintf("%s-%d/%c/untraced", k.app, k.n, k.class), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mpi.Run(k.n, netmodel.BlueGeneL(), app.Body(cfg)); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			col := trace.NewCollector(16)
-			if _, err := mpi.Run(16, netmodel.BlueGeneL(), app.Body(cfg),
-				mpi.WithTracer(col.TracerFor)); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(fmt.Sprintf("%s-%d/%c/traced", k.app, k.n, k.class), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col := trace.NewCollector(k.n)
+				if _, err := mpi.Run(k.n, netmodel.BlueGeneL(), app.Body(cfg),
+					mpi.WithTracer(col.TracerFor)); err != nil {
+					b.Fatal(err)
+				}
+				// The run's last events are compressed only once Trace joins
+				// the compressor.
+				col.Trace()
 			}
-			// The run's last events are compressed only once Trace joins
-			// the compressor.
-			col.Trace()
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkBuilderAppend measures the intra-rank compression hot path: a

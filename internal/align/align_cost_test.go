@@ -11,6 +11,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/wildcard"
 )
 
 // This file pins what Algorithm 1's reuse of stream builders relies on: that
@@ -38,11 +39,11 @@ func encodeTrace(t *testing.T, tr *trace.Trace) string {
 	return buf.String()
 }
 
-// checkNoRecycledLeaf fails if a leaf reachable from seq is zeroed — the
-// state of every leaf on a free list, and release's mark — is reachable
-// twice, or holds some ranks of a lockstep class without the others: a leaf
-// of the sequence a class shares carries the class's first member alone, and
-// what the merge makes of it carries them all.
+// checkNoRecycledLeaf fails if a leaf or loop reachable from seq is zeroed
+// (the state of every node on a free list, and release's mark), if a leaf is
+// reachable twice, or if one holds some ranks of a lockstep class without
+// the others: a leaf of the sequence a class shares carries the class's
+// first member alone, and what the merge makes of it carries them all.
 func checkNoRecycledLeaf(t *testing.T, label string, classOf []int, seq []trace.Node) {
 	t.Helper()
 	size := map[int]int{}
@@ -73,6 +74,9 @@ func checkNoRecycledLeaf(t *testing.T, label string, classOf []int, seq []trace.
 					}
 				}
 			case *trace.Loop:
+				if x.Iters == 0 || len(x.Body) == 0 {
+					t.Fatalf("%s: zeroed loop reachable at %s[%d]", label, where, i)
+				}
 				walk(fmt.Sprintf("%s[%d].Body", where, i), x.Body)
 			}
 		}
@@ -115,17 +119,22 @@ func TestAlignRecycledLeavesUnreachable(t *testing.T) {
 }
 
 // TestAppendPathCounts pins how many appends of the stream builders take the
-// pending-iteration cursor and how many the tail index, in collection and in
-// Algorithm 1's segment builders, for three kernels at 16 ranks. The output is
-// the same whichever path an append takes, so no golden notices a cursor that
-// stops arming; these counts do.
+// pending-iteration cursor and how many the tail index, in collection, in
+// Algorithm 1's segment builders and in trace.Pinned (Algorithm 2's rebuild,
+// with the pins Algorithm 2 assigns), for three kernels at 16 ranks. The
+// output is the same whichever path an append takes, so no golden notices a
+// cursor that stops arming; these counts do. lu's collection is also held
+// to at most 3,500 indexed appends: a walk over its loop nests predicts
+// 3,184 once the cursor follows nested loops, against 16,720 when it
+// stopped at the first one.
 func TestAppendPathCounts(t *testing.T) {
 	type paths struct{ cursor, indexed int64 }
-	want := map[string][2]paths{ // collection, Align
-		"bt": {{7344, 912}, {864, 98}},
-		"cg": {{444, 672}, {0, 107}},
-		"lu": {{2640, 16720}, {1920, 7689}},
+	want := map[string][3]paths{ // collection, Align, Pinned
+		"bt": {{7344, 912}, {864, 98}, {7344, 912}},
+		"cg": {{444, 672}, {0, 107}, {444, 672}},
+		"lu": {{16176, 3184}, {5760, 3849}, {16176, 3184}},
 	}
+	const luCollectionIndexed = 3500
 	cursor, indexed := telemetry.NewCounter("trace.cursor_appends"), telemetry.NewCounter("trace.indexed_appends")
 	count := func(run func()) paths {
 		c, i := cursor.Value(), indexed.Value()
@@ -136,15 +145,23 @@ func TestAppendPathCounts(t *testing.T) {
 	defer telemetry.Disable()
 	for _, name := range []string{"bt", "cg", "lu"} {
 		var tr *trace.Trace
-		var got [2]paths
+		var got [3]paths
 		got[0] = count(func() { tr = traceKernel(t, name, 16, apps.ClassS) })
 		got[1] = count(func() {
 			if _, err := Align(tr); err != nil {
 				t.Fatal(err)
 			}
 		})
+		pins, err := wildcard.Assign(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[2] = count(func() { trace.Pinned(tr, pins) })
 		if got != want[name] {
-			t.Errorf("%s@16: {cursor indexed} appends of collection, Align = %v, want %v", name, got, want[name])
+			t.Errorf("%s@16: {cursor indexed} appends of collection, Align, Pinned = %v, want %v", name, got, want[name])
+		}
+		if name == "lu" && got[0].indexed > luCollectionIndexed {
+			t.Errorf("lu@16: collection took %d indexed appends, want at most %d", got[0].indexed, luCollectionIndexed)
 		}
 	}
 }

@@ -9,16 +9,16 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/stats"
 )
 
 // Profile aggregates per-operation statistics across all ranks of a run.
-// It is safe for concurrent use by all rank tracers.
+// One world feeds it: the runtime calls one world's tracers one at a time
+// (mpi.Tracer), so its ranks need no lock between them, and it is read once
+// the run has returned. Two worlds running at once must not share one.
 type Profile struct {
-	mu     sync.Mutex
 	counts [mpi.NumOps]int64
 	bytes  [mpi.NumOps]int64
 }
@@ -36,25 +36,19 @@ type profTracer Profile
 // rank's contribution for collectives). Wait operations carry no volume.
 func (t *profTracer) Record(ev *mpi.Event) {
 	p := (*Profile)(t)
-	p.mu.Lock()
 	p.counts[ev.Op]++
 	if !ev.Op.IsWait() {
 		p.bytes[ev.Op] += int64(ev.Size)
 	}
-	p.mu.Unlock()
 }
 
 // Count returns the number of calls observed for op across all ranks.
 func (p *Profile) Count(op mpi.Op) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.counts[op]
 }
 
 // Bytes returns the total volume observed for op across all ranks.
 func (p *Profile) Bytes(op mpi.Op) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.bytes[op]
 }
 
@@ -142,8 +136,6 @@ func (r *Report) String() string {
 // String renders an mpiP-style report, one line per operation that was
 // called at least once, sorted by name.
 func (p *Profile) String() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	type row struct {
 		name  string
 		calls int64

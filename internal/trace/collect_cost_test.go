@@ -129,10 +129,11 @@ func TestNodeHashIsFNV1a(t *testing.T) {
 }
 
 // checkNoRecycledLeaf walks everything reachable from the trace and fails if
-// a leaf is zeroed (release's mark), appears twice, or sits on a free list.
+// a leaf or loop is zeroed (release's mark), appears twice, or sits on a
+// free list.
 func checkNoRecycledLeaf(t *testing.T, label string, seqs [][]Node, builders []*Builder) {
 	t.Helper()
-	free := map[*RSD]bool{}
+	free := map[Node]bool{}
 	for _, b := range builders {
 		for _, r := range b.free {
 			if r.Op != mpi.OpNone || r.Counts != nil || r.Compute != nil || !r.Ranks.IsEmpty() {
@@ -140,8 +141,14 @@ func checkNoRecycledLeaf(t *testing.T, label string, seqs [][]Node, builders []*
 			}
 			free[r] = true
 		}
+		for _, l := range b.loops {
+			if l.Iters != 0 || len(l.Body) != 0 || l.hashSet {
+				t.Fatalf("%s: free list holds a loop that was not zeroed: %v", label, l)
+			}
+			free[l] = true
+		}
 	}
-	seen := map[*RSD]bool{}
+	seen := map[Node]bool{}
 	var walk func(where string, seq []Node)
 	walk = func(where string, seq []Node) {
 		for i, n := range seq {
@@ -158,7 +165,17 @@ func checkNoRecycledLeaf(t *testing.T, label string, seqs [][]Node, builders []*
 				}
 				seen[x] = true
 			case *Loop:
-				walk(fmt.Sprintf("%s[%d].Body", where, i), x.Body)
+				at := fmt.Sprintf("%s[%d]", where, i)
+				switch {
+				case x.Iters == 0 || len(x.Body) == 0:
+					t.Fatalf("%s: zeroed loop reachable at %s", label, at)
+				case free[x]:
+					t.Fatalf("%s: loop at %s is also on a free list", label, at)
+				case seen[x]:
+					t.Fatalf("%s: loop at %s is reachable twice", label, at)
+				}
+				seen[x] = true
+				walk(at+".Body", x.Body)
 			}
 		}
 	}
@@ -170,18 +187,38 @@ func checkNoRecycledLeaf(t *testing.T, label string, seqs [][]Node, builders []*
 func TestRecycledLeavesUnreachableFromTrace(t *testing.T) {
 	for _, name := range costKernels {
 		col, tr := collectKernel(t, name, 16)
-		recycled := 0
+		recycled, loops := 0, 0
 		for _, b := range col.builders {
 			recycled += len(b.free)
+			loops += len(b.loops)
 		}
 		if recycled == 0 {
 			t.Fatalf("%s: no leaf was ever recycled; the test checks nothing", name)
+		}
+		if name == "lu" && loops == 0 {
+			t.Fatalf("%s: no loop was ever recycled; the test checks no loop", name)
 		}
 		seqs := make([][]Node, len(tr.Groups))
 		for i, g := range tr.Groups {
 			seqs[i] = g.Seq
 		}
 		checkNoRecycledLeaf(t, name, seqs, col.builders)
+	}
+}
+
+// TestReleaseForgetsMemoizedLoops: pair gives a loop release recycled
+// another body, so the memos that know a loop by its address, hasSquare's
+// and deepAt's, must forget one release takes.
+func TestReleaseForgetsMemoizedLoops(t *testing.T) {
+	b := NewStreamBuilder(DefaultMaxWindow)
+	lp := &Loop{Iters: 2, Body: []Node{b.NewLeaf()}}
+	b.squareFree, b.nested = lp, lp
+	b.release([]Node{lp})
+	if b.squareFree != nil || b.nested != nil {
+		t.Fatalf("a released loop is still memoized: squareFree %p, nested %p", b.squareFree, b.nested)
+	}
+	if len(b.loops) != 1 || b.loops[0] != lp || lp.Iters != 0 || len(lp.Body) != 0 {
+		t.Fatalf("release did not zero the loop onto the free list: %v", b.loops)
 	}
 }
 

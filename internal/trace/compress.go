@@ -1,14 +1,19 @@
 package trace
 
+import "slices"
+
 // Builder performs ScalaTrace's on-the-fly intra-rank loop compression: as
 // events are appended it repeatedly folds repeated node windows into Loop
 // nodes (power-RSDs) and extends existing loops, so memory stays
 // proportional to the compressed trace, not the event count.
 //
 // Most appends are the next leaf of an iteration of the tail loop. Once arm
-// has shown that no fold can fire before that iteration completes, such a
-// leaf is only compared with the body node it repeats, and the one that
-// completes the iteration extends the loop (the pending-iteration cursor).
+// has shown that no fold but the ones the loop's body predicts can fire
+// before that iteration completes, such a leaf is only compared with the
+// leaf it repeats, found by walking the body through its nested loops, and
+// the folds the body predicts — a nested loop's pair fold and extensions,
+// the tail loop's extension — are made without a candidate search (the
+// pending-iteration cursor).
 // Other appends find fold candidates through a memoized tail index: it maps
 // node hashes (and loop body-tail hashes) to the positions holding them, so
 // an Append does O(candidates) hash lookups, not O(maxWindow) probes. Either
@@ -24,22 +29,30 @@ type Builder struct {
 	// would change per-rank semantics.
 	rankSensitive bool
 	// recycle marks a stream builder (NewStreamBuilder): it owns every leaf
-	// appended to it — they all came from its NewLeaf. Once a fold has
-	// absorbed a tail window nothing references that window's leaves any
-	// more, so they go to free and carry the next events; a loop being
-	// extended then allocates no RSDs at all. Builders fed nodes their
-	// caller still references (Algorithm 1's global builder, which receives
-	// merged group sequences, and the tests' hand-built streams) leave it
-	// off.
+	// appended to it — they all came from its NewLeaf — and every loop in
+	// it, made by its own folds. Once a fold has absorbed a tail window
+	// nothing references that window's nodes any more, so its leaves go to
+	// free and carry the next events and its loops go to loops and carry the
+	// next pair folds; a loop being extended then allocates no nodes at all,
+	// nested loops included. Builders fed nodes their caller still
+	// references (Algorithm 1's global builder, which receives merged group
+	// sequences, and the tests' hand-built streams) leave it off.
 	recycle bool
-	// cur is the pending-iteration cursor: the loop at len(seq)-1-pending,
-	// followed by pending leaves, equal to cur.Body[:pending], not indexed.
-	// Disarmed, cur is nil and pending 0. squareFree is the last loop
-	// hasSquare cleared; the counts go to publishPaths. The small fields
-	// share words: a Builder is made per rank and per lockstep class.
-	pending                       int32
+	// frames is the pending-iteration cursor: frames[0] is the tail loop lp,
+	// at frames[0].start-1, and each later frame a loop nested in the one
+	// before it whose current iteration is being built. The nodes after lp
+	// are what the indexed path would hold there, and none is indexed.
+	// Disarmed, frames is empty; its array stays for the next arm.
+	// squareFree is the last loop hasSquare cleared, nested the last one
+	// deepAt judged, at nestedAt, and keys is nests' scratch. The path
+	// counts go to publishPaths. The small fields share words: a Builder is
+	// made per rank and per lockstep class.
 	cursorAppends, indexedAppends int32
-	cur, squareFree               *Loop
+	nestedAt                      int32
+	nestedDeep                    bool
+	frames                        []frame
+	squareFree, nested            *Loop
+	keys                          []uint64
 
 	// nodeAt maps a node hash to the positions currently holding a node
 	// with that hash (fold case B candidates), as the head of a chain in
@@ -61,8 +74,18 @@ type Builder struct {
 	sincePrune int
 	// wscratch is reusable storage for candidate window lengths.
 	wscratch []int
-	// free holds the leaves folds released, for NewLeaf (see recycle).
-	free []*RSD
+	// free holds the leaves folds released, for NewLeaf, and loops the
+	// loops they released, for pair (see recycle).
+	free  []*RSD
+	loops []*Loop
+}
+
+// frame is one loop of the cursor's walk: its body node k holds or leads to
+// the next leaf, it iterations are complete, and the one in progress — or
+// the loop the earlier ones folded into — starts at position start.
+type frame struct {
+	loop         *Loop
+	k, it, start int32
 }
 
 // posLink is one entry of a tail-index chain.
@@ -127,7 +150,7 @@ func (b *Builder) Reset(consumed bool) {
 		b.seq = b.seq[:0]
 	}
 	b.sincePrune = 0
-	b.cur, b.pending, b.squareFree = nil, 0, nil
+	b.frames, b.squareFree, b.nested = b.frames[:0], nil, nil
 	if len(b.links) > b.pruneInterval() {
 		b.nodeAt, b.tailAt, b.links = nil, nil, nil
 		return
@@ -137,10 +160,11 @@ func (b *Builder) Reset(consumed bool) {
 	b.links = b.links[:0]
 }
 
-// release recycles the leaves of a window a fold has just absorbed. They
-// are zeroed on the way in: the free list must not pin their slices and
+// release recycles the nodes of a window a fold has just absorbed. They
+// are zeroed on the way in: the free lists must not pin their slices and
 // histograms, and a leaf that were still reachable after all would show as
-// an OpNone event instead of silently aliasing a later one.
+// an OpNone event, a loop as one of no iterations, instead of silently
+// aliasing a later one. A loop the memos hold is forgotten there.
 func (b *Builder) release(window []Node) {
 	if !b.recycle {
 		return
@@ -152,6 +176,15 @@ func (b *Builder) release(window []Node) {
 			b.free = append(b.free, x)
 		case *Loop:
 			b.release(x.Body)
+			clear(x.Body)
+			*x = Loop{Body: x.Body[:0]}
+			b.loops = append(b.loops, x)
+			if x == b.squareFree {
+				b.squareFree = nil
+			}
+			if x == b.nested {
+				b.nested = nil
+			}
 		}
 	}
 }
@@ -159,23 +192,74 @@ func (b *Builder) release(window []Node) {
 // Append adds a node to the sequence and compresses the tail.
 func (b *Builder) Append(n Node) {
 	b.seq = append(b.seq, n)
-	if _, leaf := n.(*RSD); leaf && b.cur != nil && b.nodeEqual(n, b.cur.Body[b.pending]) {
-		b.cursorAppends++
-		if b.pending++; int(b.pending) < len(b.cur.Body) {
+	switch leaf, ok := n.(*RSD); {
+	case len(b.frames) == 0:
+		b.indexFrom(len(b.seq) - 1)
+	case ok && b.follow(leaf):
+		if b.cursorAppends++; len(b.frames) > 0 {
 			return
 		}
-		b.extend(len(b.seq)-1-int(b.pending), b.cur)
-	} else {
-		b.indexedAppends++
-		for pos := len(b.seq) - 1 - int(b.pending); pos < len(b.seq); pos++ {
-			b.index(pos, b.seq[pos])
-		}
+	default:
+		b.indexFrom(int(b.frames[0].start))
+		b.frames = b.frames[:0]
 	}
-	b.cur, b.pending = nil, 0
 	for b.foldOnce() {
 	}
 	b.maybePrune()
 	b.arm()
+}
+
+// indexFrom indexes the nodes from position from on, for an append that
+// takes the indexed path: the node appended and what the cursor left
+// unindexed.
+func (b *Builder) indexFrom(from int) {
+	b.indexedAppends++
+	for pos := from; pos < len(b.seq); pos++ {
+		b.index(pos, b.seq[pos])
+	}
+}
+
+// follow reports whether leaf, just appended, is the next leaf of the armed
+// iteration and, if it is, makes the folds it completes, innermost first,
+// as foldOnce would: a nested loop's second iteration pair-folds, each later
+// one extends the loop, and lp's last leaf extends lp and disarms the
+// cursor. It enters a nested loop only if deepAt allows it; otherwise the
+// cursor stops at the first one.
+func (b *Builder) follow(leaf *RSD) bool {
+	f := b.frames[len(b.frames)-1]
+	want := f.loop.Body[f.k]
+	for lq, ok := want.(*Loop); ok; lq, ok = want.(*Loop) {
+		if top := b.frames[0]; !b.deepAt(int(top.start)-1, top.loop) {
+			return false
+		}
+		b.frames = append(b.frames, frame{loop: lq, start: int32(len(b.seq) - 1)})
+		want = lq.Body[0]
+	}
+	if !b.nodeEqual(leaf, want) {
+		return false
+	}
+	for {
+		f := &b.frames[len(b.frames)-1]
+		if f.k++; int(f.k) < len(f.loop.Body) {
+			return true
+		}
+		at := int(f.start)
+		if len(b.frames) == 1 {
+			b.frames = b.frames[:0]
+			b.extend(at-1, f.loop)
+			return true
+		}
+		switch f.k, f.it = 0, f.it+1; {
+		case f.it == 2:
+			b.pair(len(b.seq), len(f.loop.Body))
+		case f.it > 2:
+			b.absorbNext(at, b.seq[at].(*Loop))
+		}
+		if int(f.it) < f.loop.Iters {
+			return true
+		}
+		b.frames = b.frames[:len(b.frames)-1]
+	}
 }
 
 // publishPaths moves the per-path append counts to telemetry.
@@ -185,15 +269,136 @@ func (b *Builder) publishPaths() {
 	b.cursorAppends, b.indexedAppends = 0, 0
 }
 
-// arm sets the cursor on the tail loop if no fold can fire before its next
-// iteration completes. A window that would fold first either lies among the
-// pending leaves, so the body holds a square, or holds the loop (longFold).
+// arm sets the cursor on the tail loop lp, at P, if no fold but the ones
+// lp's body predicts can fire before its next iteration completes. While
+// the nodes after lp are a prefix of lp.Body, a window that would fold first
+// either lies among them, so the body holds a square, or holds lp
+// (longFold). Inside a nested loop they end in copies of nodes under lp's
+// loops, which must fold with nothing but their own iterations: deepAt,
+// asked when the cursor first reaches a nested loop.
 func (b *Builder) arm() {
 	P := len(b.seq) - 1
 	if lp, ok := b.seq[P].(*Loop); ok && len(lp.Body) > 0 && len(lp.Body) <= b.maxWindow &&
 		!b.hasSquare(lp) && !b.longFold(P, lp) {
-		b.cur, b.pending = lp, 0
+		b.frames = append(b.frames[:0], frame{loop: lp, start: int32(P + 1)})
 	}
+}
+
+// deepAt reports whether the cursor armed on lp, at P, may enter lp's
+// nested loops: nests(lp) && !innerNear(P). The verdict is kept for the last
+// loop judged. Nothing before lp changes while lp stays at P, and a loop that
+// left the top level never returns to it but recycled, which release makes
+// deepAt forget.
+func (b *Builder) deepAt(P int, lp *Loop) bool {
+	if lp != b.nested || P != int(b.nestedAt) {
+		b.nested, b.nestedAt = lp, int32(P)
+		b.nestedDeep = b.nests(lp) && !b.innerNear(P)
+	}
+	return b.nestedDeep
+}
+
+// nests reports whether the cursor may follow lp's nested loops as far as
+// lp's own tail is concerned, and leaves in keys the hashes innerNear looks
+// for before it: those of lp's inner nodes — every node under a loop of
+// lp.Body — and of Loop{i, C} for 2 <= i < n, the partial loops a nested
+// Loop{n, C} is while it is built, at most maxWindow of those. No two inner
+// nodes may share a hash, nor one with a node of lp.Body; every nested loop
+// repeats at least twice a body that fits the window, and none under a
+// nested loop is its parent's whole body. A partial loop differs from every
+// other partial loop and from every node of lp's tree in its iterations or
+// in its body's nodes, so it needs no hash check. A loop without nested
+// loops passes with no keys: the rule's depth one is hasSquare and longFold
+// alone.
+//
+// Why that suffices: inside the nested loop of the innermost frame, whose
+// body is C, the tail node z is a copy of an inner node or a partial loop.
+// By the distinct hashes, the only other node after lp equal to z is z's
+// copy in the frame's unfolded first iteration, len(C) before it, and the
+// only loops whose body ends like z are the frame's own fold and the copy of
+// the frame's loop in its parent's unfolded first iteration, which is
+// followed by that iteration's other nodes unless the loop is its parent's
+// whole body. So fold case B fires only when a second iteration is complete
+// and case A only on the frame's fold: the folds follow makes. A fold whose
+// window reaches lp or before it would make a node after lp equal to lp,
+// which is larger than any of them, or to a node of lp.Body (case A at lp),
+// whose hashes no inner node shares, or make z equal to a node before lp,
+// or to the body tail of a loop there, which innerNear rules out.
+func (b *Builder) nests(lp *Loop) bool {
+	b.keys = b.keys[:0]
+	partials := 0
+	for _, n := range lp.Body {
+		if lq, ok := n.(*Loop); ok && !b.innerKeys(lq, &partials) {
+			return false
+		}
+	}
+	if partials > b.maxWindow {
+		return false
+	}
+	slices.Sort(b.keys)
+	for i := 1; i < len(b.keys); i++ {
+		if b.keys[i] == b.keys[i-1] {
+			return false
+		}
+	}
+	for _, n := range lp.Body {
+		if _, found := slices.BinarySearch(b.keys, n.Hash()); found {
+			return false
+		}
+	}
+	b.partialKeys(lp.Body)
+	return true
+}
+
+// innerKeys appends to keys the hashes of the nodes under lq and adds up
+// its partial loops, or reports that lq breaks a rule of nests.
+func (b *Builder) innerKeys(lq *Loop, partials *int) bool {
+	if lq.Iters < 2 || len(lq.Body) == 0 || len(lq.Body) > b.maxWindow {
+		return false
+	}
+	*partials += lq.Iters - 2
+	for _, n := range lq.Body {
+		b.keys = append(b.keys, n.Hash())
+		if c, ok := n.(*Loop); ok && (len(lq.Body) == 1 || !b.innerKeys(c, partials)) {
+			return false
+		}
+	}
+	return true
+}
+
+// partialKeys appends to keys the hashes of the partial loops of every loop
+// in body, at any depth.
+func (b *Builder) partialKeys(body []Node) {
+	for _, n := range body {
+		if lq, ok := n.(*Loop); ok {
+			for i := 2; i < lq.Iters; i++ {
+				b.keys = append(b.keys, loopHash(i, lq.Body))
+			}
+			b.partialKeys(lq.Body)
+		}
+	}
+}
+
+// innerNear reports whether a node at most maxWindow before P, where the
+// tail loop nests judged sits, has one of its keys as hash, or is a loop
+// whose body ends in such a node: a window of a state inside a nested loop
+// that reaches lp or before it needs one.
+func (b *Builder) innerNear(P int) bool {
+	near := func(q int) bool { return q < P && q >= P-b.maxWindow }
+	for _, h := range b.keys {
+		for at := b.nodeAt[h]; at != 0; at = b.links[at-1].next {
+			if q := int(b.links[at-1].pos); near(q) && b.seq[q].Hash() == h {
+				return true
+			}
+		}
+		for at := b.tailAt[h]; at != 0; at = b.links[at-1].next {
+			if q := int(b.links[at-1].pos); near(q) {
+				if lq, ok := b.seq[q].(*Loop); ok && len(lq.Body) > 0 && lq.Body[len(lq.Body)-1].Hash() == h {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // hasSquare reports whether lp's body holds a window immediately repeated. A
@@ -365,31 +570,51 @@ func (b *Builder) foldOnce() bool {
 			}
 		}
 		// Case B: the last w nodes repeat the w nodes before them — fold the
-		// pair into a 2-iteration loop. The first copy's compute samples are
-		// demoted to the first-iteration pool (cold-start times stay
-		// separate from steady state, as in ScalaTrace's delta-time
-		// histograms).
+		// pair into a 2-iteration loop.
 		if 2*w <= L && b.seq[L-1-w].Hash() == lastHash &&
 			b.windowsEqual(b.seq[L-2*w:L-w], b.seq[L-w:]) {
-			body := make([]Node, w)
-			copy(body, b.seq[L-2*w:L-w])
-			for i := range body {
-				demoteFirstIteration(body[i])
-				absorb(body[i], b.seq[L-w+i])
-			}
-			loop := &Loop{Iters: 2, Body: body}
-			ctrFolds.Inc()
-			b.release(b.seq[L-w:])
-			b.seq = append(b.seq[:L-2*w], loop)
-			b.index(L-2*w, loop)
+			b.index(L-2*w, b.pair(L, w))
 			return true
 		}
 	}
 	return false
 }
 
+// pair is fold case B on the first L nodes, of which the last w repeat the
+// w before them: both become a two-iteration loop, returned, at L-2w. The
+// first copy's compute samples are demoted to the first-iteration pool
+// (cold-start times stay separate from steady state, as in ScalaTrace's
+// delta-time histograms). The loop is not indexed.
+func (b *Builder) pair(L, w int) *Loop {
+	var loop *Loop
+	if n := len(b.loops); n > 0 {
+		loop, b.loops = b.loops[n-1], b.loops[:n-1]
+	} else {
+		loop = new(Loop)
+	}
+	loop.Iters, loop.Body = 2, append(loop.Body, b.seq[L-2*w:L-w]...)
+	body := loop.Body
+	for i := range body {
+		demoteFirstIteration(body[i])
+		absorb(body[i], b.seq[L-w+i])
+	}
+	ctrFolds.Inc()
+	b.release(b.seq[L-w:])
+	b.seq = append(b.seq[:L-2*w], loop)
+	return loop
+}
+
 // extend is fold case A: lp, at position at, absorbs the iteration after it.
 func (b *Builder) extend(at int, lp *Loop) {
+	b.absorbNext(at, lp)
+	// The loop's own hash changed with its iteration count; re-index it under
+	// the new hash (its body-tail entry is still valid).
+	b.indexNodeHash(at, lp)
+}
+
+// absorbNext is extend without the index: what the cursor does to a nested
+// loop, which sits among nodes that are not indexed.
+func (b *Builder) absorbNext(at int, lp *Loop) {
 	for i := range lp.Body {
 		absorb(lp.Body[i], b.seq[at+1+i])
 	}
@@ -398,9 +623,6 @@ func (b *Builder) extend(at int, lp *Loop) {
 	ctrFolds.Inc()
 	b.release(b.seq[at+1:])
 	b.seq = b.seq[:at+1]
-	// The loop's own hash changed with its iteration count; re-index it under
-	// the new hash (its body-tail entry is still valid).
-	b.indexNodeHash(at, lp)
 }
 
 // maybePrune drops index entries that no longer describe the live sequence.

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,8 +161,9 @@ func dumpSeq(seq []Node) []string {
 
 // checkCursor feeds the stream data encodes to a builder through Append and
 // to one through appendIndexed and requires equal sequences. A stream builder
-// is fed the way rankTracer feeds it, every leaf from its NewLeaf.
-func checkCursor(t *testing.T, data []byte) {
+// is fed the way rankTracer feeds it, every leaf from its NewLeaf. It returns
+// how many appends the cursor took inside a nested loop of the tail loop.
+func checkCursor(t *testing.T, data []byte) (nested int) {
 	t.Helper()
 	window, global := cursorConfig(data)
 	build := func(appendTo func(*Builder, Node)) []string {
@@ -180,13 +182,25 @@ func checkCursor(t *testing.T, data []byte) {
 		return dumpSeq(b.Seq())
 	}
 	want := build((*Builder).appendIndexed)
-	got := build((*Builder).Append)
+	got := build(func(b *Builder, n Node) {
+		inside := len(b.frames) > 0
+		if inside {
+			f := b.frames[len(b.frames)-1]
+			_, descends := f.loop.Body[f.k].(*Loop)
+			inside = len(b.frames) > 1 || descends
+		}
+		before := b.cursorAppends
+		if b.Append(n); inside && b.cursorAppends > before {
+			nested++
+		}
+	})
 	for i := range max(len(want), len(got)) {
 		if i >= len(want) || i >= len(got) || got[i] != want[i] {
 			t.Fatalf("window %d, global %v, data %x: cursor diverges from the indexed path at line %d\nindexed:\n%s\ncursor:\n%s",
 				window, global, data, i, strings.Join(want, "\n"), strings.Join(got, "\n"))
 		}
 	}
+	return nested
 }
 
 // cursorSeeds are FuzzBuilderCursor's seeds: one of each planted shape, in
@@ -208,6 +222,71 @@ var cursorSeeds = [][]byte{
 	// Stream, window 8, found by the fuzzer: {r; {a;c}x2; a} repeated. The
 	// window that folds holds the tail loop {a;c} and the leaf a after it.
 	[]byte("2071110271018000"),
+	// Stream, default window, lu's shape: {{a;b;{c}x2;{d}x2}x3; e}x5, e an
+	// Allreduce. From the third outer iteration on the cursor follows the
+	// inner loop and the two-iteration loops nested in it.
+	luShape,
+	// Then the same block with {c}x3 in its inner body, twice: the cursor
+	// falls off at the third c, inside the first nested iteration.
+	append(slices.Clip(luShape), 1, 1, 0, 3, 1, 5, 0, 0, 9, 1, 0, 0, 13, 0, 1, 21, 0),
+	// Global, default window: {{a;a;x}x3; y} twice as loops and leaves, then
+	// leaf by leaf: the nested body holds the square a;a.
+	{7, 3, 2, 1, 1, 9, 1, 0, 0, 4, 3, 2, 1, 1, 9, 1, 0, 0, 4,
+		1, 1, 0, 2, 1, 1, 9, 1, 17, 0},
+}
+
+// luShape is the program of FuzzBuilderCursor's seed of lu's loop nest.
+var luShape = []byte{3, 1, 1, 0, 3, 1, 5, 0, 0, 9, 0, 0, 0, 13, 0, 1, 21, 3}
+
+// TestBuilderCursorHandBuiltNests holds Append to appendIndexed on tails the
+// stream programs cannot plant, each breaking one rule of nests or innerNear:
+// a loop before the tail loop whose body ends in a partial loop of the tail's
+// nest, a nested body that is a lone loop, a nested loop of one iteration,
+// and a node of the tail's body equal to one under its nested loop. The
+// nodes go to a global builder, whose appends may be loops.
+func TestBuilderCursorHandBuiltNests(t *testing.T) {
+	a, b, c := func() Node { return squareLeaf(0) }, func() Node { return squareLeaf(2) }, func() Node { return squareLeaf(4) }
+	loop := func(iters int, body ...Node) Node { return &Loop{Iters: iters, Body: body} }
+	repeat := func(n int, leaf func() Node) (out []Node) {
+		for range n {
+			out = append(out, leaf())
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		nodes func() []Node
+	}{
+		{"a partial loop ends a loop's body before the tail", func() []Node {
+			tail := func() Node { return loop(2, loop(5, a()), b()) }
+			return append([]Node{loop(2, tail(), loop(3, a())), tail()}, append(repeat(5, a), b())...)
+		}},
+		{"a lone loop", func() []Node {
+			nodes := []Node{loop(2, loop(2, loop(3, a(), b())), c())}
+			for range 6 {
+				nodes = append(nodes, a(), b())
+			}
+			return append(nodes, c())
+		}},
+		{"one iteration", func() []Node {
+			return []Node{loop(2, loop(1, a()), b()), a(), b(), a(), b()}
+		}},
+		{"a body node equal to an inner one", func() []Node {
+			return append([]Node{loop(2, a(), loop(2, a()))}, repeat(6, a)...)
+		}},
+	} {
+		var seqs [2][]string
+		for i, appendTo := range []func(*Builder, Node){(*Builder).appendIndexed, (*Builder).Append} {
+			bld := NewGlobalBuilder(DefaultMaxWindow)
+			for _, n := range tc.nodes() {
+				appendTo(bld, n)
+			}
+			seqs[i] = dumpSeq(bld.Seq())
+		}
+		if want, got := strings.Join(seqs[0], "\n"), strings.Join(seqs[1], "\n"); got != want {
+			t.Errorf("%s: cursor diverges from the indexed path\nindexed:\n%s\ncursor:\n%s", tc.name, want, got)
+		}
+	}
 }
 
 // FuzzBuilderCursor holds Append, with its pending-iteration cursor, to the
@@ -217,19 +296,26 @@ func FuzzBuilderCursor(f *testing.F) {
 	for _, seed := range cursorSeeds {
 		f.Add(seed)
 	}
-	f.Fuzz(checkCursor)
+	f.Fuzz(func(t *testing.T, data []byte) { checkCursor(t, data) })
 }
 
 // TestBuilderCursorMatchesIndexed runs checkCursor on 3,000 pseudo-random
-// programs, every window and both builders.
+// programs, every window and both builders, and requires the cursor to have
+// taken at least minNested appends inside nested loops: a rule that never
+// let it enter one would pass the comparison untested.
 func TestBuilderCursorMatchesIndexed(t *testing.T) {
+	const minNested = 10000
 	state := uint64(0x9E3779B97F4A7C15)
 	data := make([]byte, 48)
+	nested := 0
 	for range 3000 {
 		for i := range data {
 			state = state*6364136223846793005 + 1442695040888963407
 			data[i] = byte(state >> 56)
 		}
-		checkCursor(t, data)
+		nested += checkCursor(t, data)
+	}
+	if nested < minNested {
+		t.Fatalf("the cursor took %d appends inside nested loops, want at least %d", nested, minNested)
 	}
 }

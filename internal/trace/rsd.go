@@ -413,16 +413,20 @@ var fnvPrimePow = func() (pow [9]uint64) {
 
 // Hash implements Node.
 func (l *Loop) Hash() uint64 {
-	if l.hashSet {
-		return l.hash
+	if !l.hashSet {
+		l.hash, l.hashSet = loopHash(l.Iters, l.Body), true
 	}
+	return l.hash
+}
+
+// loopHash is the hash of a loop of iters iterations of body.
+func loopHash(iters int, body []Node) uint64 {
 	h := fnvMix(fnvOffset64, 0x10097) // loop marker
-	h = fnvMix(h, uint64(l.Iters))
-	for _, b := range l.Body {
+	h = fnvMix(h, uint64(iters))
+	for _, b := range body {
 		h = fnvMix(h, b.Hash())
 	}
-	l.hash, l.hashSet = h, true
-	return l.hash
+	return h
 }
 
 func (l *Loop) invalidate() { l.hashSet = false }

@@ -164,8 +164,8 @@ func TestArmingAFreshLoopAllocatesNothing(t *testing.T) {
 		b.seq = []Node{lp}
 		b.index(0, lp)
 		allocs := testing.AllocsPerRun(20, func() {
-			b.cur, b.squareFree = nil, nil
-			if b.arm(); b.cur != lp {
+			b.frames, b.squareFree, b.nested = b.frames[:0], nil, nil
+			if b.arm(); len(b.frames) != 1 || b.frames[0].loop != lp {
 				t.Fatal("a square-free loop with nothing before it was not armed")
 			}
 		})
