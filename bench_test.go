@@ -307,14 +307,29 @@ func BenchmarkAblationComputeReplay(b *testing.B) {
 // uninstrumented one — the tracing overhead a user pays — on bt, whose
 // compressed stream is one flat loop per phase, and lu, whose steady
 // iterations are loop nests (ROADMAP item 4(c) asks traced <= 2x untraced).
+// The traced leg reports the ratio of the two legs' times per op, and, from
+// ten more runs outside the timer with telemetry on, how often per run the
+// engine waited on a full hand-off ring and the Collector started its
+// compressor goroutine. Both counts depend on scheduling.
 func BenchmarkTraceCollectionOverhead(b *testing.B) {
 	for _, k := range []struct {
 		app   string
 		n     int
 		class apps.Class
-	}{{"bt", 16, apps.ClassS}, {"lu", 16, apps.ClassS}} {
+	}{{"bt", 16, apps.ClassS}, {"lu", 16, apps.ClassS}, {"bt", 64, apps.ClassS}} {
 		app := apps.ByName(k.app)
 		cfg := apps.NewConfig(k.n, k.class)
+		traced := func() {
+			col := trace.NewCollector(k.n)
+			if _, err := mpi.Run(k.n, netmodel.BlueGeneL(), app.Body(cfg),
+				mpi.WithTracer(col.TracerFor)); err != nil {
+				b.Fatal(err)
+			}
+			// The run's last events are compressed only once Trace joins
+			// the compressor.
+			col.Trace()
+		}
+		var untracedNs float64
 		b.Run(fmt.Sprintf("%s-%d/%c/untraced", k.app, k.n, k.class), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -322,19 +337,27 @@ func BenchmarkTraceCollectionOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			untracedNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		})
 		b.Run(fmt.Sprintf("%s-%d/%c/traced", k.app, k.n, k.class), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				col := trace.NewCollector(k.n)
-				if _, err := mpi.Run(k.n, netmodel.BlueGeneL(), app.Body(cfg),
-					mpi.WithTracer(col.TracerFor)); err != nil {
-					b.Fatal(err)
-				}
-				// The run's last events are compressed only once Trace joins
-				// the compressor.
-				col.Trace()
+				traced()
 			}
+			b.StopTimer()
+			if untracedNs > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/untracedNs, "traced/untraced")
+			}
+			const runs = 10
+			telemetry.Enable()
+			defer telemetry.Disable()
+			waits, starts := telemetry.NewCounter("trace.ring_waits"), telemetry.NewCounter("trace.compressor_starts")
+			w0, s0 := waits.Value(), starts.Value()
+			for range runs {
+				traced()
+			}
+			b.ReportMetric(float64(waits.Value()-w0)/runs, "ring-waits/op")
+			b.ReportMetric(float64(starts.Value()-s0)/runs, "compressor-starts/op")
 		})
 	}
 }

@@ -349,6 +349,9 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		active = next
 	}
 	flushSegments()
+	for _, c := range classes {
+		c.seg.Recycle()
+	}
 
 	return &trace.Trace{
 		N:      n,

@@ -315,3 +315,64 @@ func TestAlignedQueueDoesNotGrowWithIterations(t *testing.T) {
 		t.Errorf("rounds of %d exchanges align to %d nodes at 5 iterations, %d at 20", tags, few, many)
 	}
 }
+
+// TestCollectorsAndAlignShareBuilderPool runs two traced worlds and Algorithm
+// 1 at a time, on three goroutines that take stream builders from one pool
+// and hand them back (under -race: a builder one of them still appended to
+// after handing it back would show), and requires each to produce what it
+// produces alone.
+func TestCollectorsAndAlignShareBuilderPool(t *testing.T) {
+	const n, rounds = 16, 3
+	collect := func(name string) (string, error) {
+		col := trace.NewCollector(n)
+		body := apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS))
+		if _, err := mpi.Run(n, netmodel.BlueGeneL(), body, mpi.WithTracer(col.TracerFor)); err != nil {
+			return "", fmt.Errorf("%s: %w", name, err)
+		}
+		var buf bytes.Buffer
+		err := trace.Encode(&buf, col.Trace())
+		return buf.String(), err
+	}
+	sweep := traceKernel(t, "sweep3d", n, apps.ClassS)
+	realign := func(string) (string, error) {
+		aligned, err := Align(sweep)
+		if err != nil {
+			return "", err
+		}
+		var buf bytes.Buffer
+		err = trace.Encode(&buf, aligned)
+		return buf.String(), err
+	}
+	jobs := []struct {
+		name string
+		run  func(string) (string, error)
+	}{{"cg", collect}, {"lu", collect}, {"align sweep3d", realign}}
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if want[i], err = j.run(j.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, len(jobs))
+	for i, j := range jobs {
+		go func() {
+			for range rounds {
+				got, err := j.run(j.name)
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("%s: concurrent run differs from the lone one", j.name)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range jobs {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -221,20 +221,23 @@ func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.3fus min=%.3fus max=%.3fus", h.Count, h.Mean(), h.Min, h.Max)
 }
 
-// MarshalText encodes the histogram as "count sum min max i=c ..." for the
-// trace file format. Sum, min and max are written in the shortest form that
-// parses back to the same float64, so ParseText restores them bit for bit.
-func (h *Histogram) MarshalText() ([]byte, error) {
-	b := strconv.AppendUint(nil, h.Count, 10)
+// Append appends the histogram's text to b: "count sum min max i=c ..." for
+// the trace file format. Sum, min and max are written in the shortest form
+// that parses back to the same float64, so ParseText restores them bit for
+// bit. The text holds digits, signs, letters, '.', '=' and spaces only, so it
+// quotes as itself.
+func (h *Histogram) Append(b []byte) []byte {
+	b = strconv.AppendUint(b, h.Count, 10)
 	for _, v := range [...]float64{h.Sum, h.Min, h.Max} {
 		b = strconv.AppendFloat(append(b, ' '), v, 'g', -1, 64)
 	}
 	for i := range NumBins {
 		if c := h.Bin(i); c != 0 {
-			b = fmt.Appendf(b, " %d=%d", i, c)
+			b = strconv.AppendInt(append(b, ' '), int64(i), 10)
+			b = strconv.AppendUint(append(b, '='), c, 10)
 		}
 	}
-	return b, nil
+	return b
 }
 
 // ErrBadMoments is what ParseText returns, wrapped, for a non-empty histogram
@@ -243,7 +246,7 @@ func (h *Histogram) MarshalText() ([]byte, error) {
 // duration.
 var ErrBadMoments = errors.New("stats: sum, min and max must be finite and non-negative, min <= max")
 
-// ParseText decodes the MarshalText representation: count, sum, min and max,
+// ParseText decodes the text Append writes: count, sum, min and max,
 // then one "i=c" field per bin. A field with trailing bytes, a bin index out
 // of range or repeated, bins that do not add up to count, and moments
 // ErrBadMoments names are errors.
@@ -304,7 +307,7 @@ func (h *Histogram) ParseText(s string) error {
 		return fmt.Errorf("stats: bins hold %d samples, count is %d", total, h.Count)
 	}
 	if h.Count == 0 {
-		return nil // MarshalText of an empty histogram writes "0 0 +Inf -Inf"
+		return nil // Append of an empty histogram writes "0 0 +Inf -Inf"
 	}
 	for i, v := range head {
 		if !(*v >= 0) || math.IsInf(*v, 1) {

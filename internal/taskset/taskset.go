@@ -34,15 +34,19 @@ func (r Run) Contains(rank int) bool {
 	return (rank-r.Start)%r.Stride == 0
 }
 
-func (r Run) String() string {
-	switch {
-	case r.Count == 1:
-		return strconv.Itoa(r.Start)
-	case r.Stride == 1:
-		return fmt.Sprintf("%d:%d", r.Start, r.Last())
-	default:
-		return fmt.Sprintf("%d:%d:%d", r.Start, r.Last(), r.Stride)
+func (r Run) String() string { return string(r.Append(nil)) }
+
+// Append appends the text String returns to b.
+func (r Run) Append(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(r.Start), 10)
+	if r.Count == 1 {
+		return b
 	}
+	b = strconv.AppendInt(append(b, ':'), int64(r.Last()), 10)
+	if r.Stride == 1 {
+		return b
+	}
+	return strconv.AppendInt(append(b, ':'), int64(r.Stride), 10)
 }
 
 // Set is an immutable set of ranks held as disjoint, sorted runs: every
@@ -365,15 +369,20 @@ func (s Set) Equal(other Set) bool {
 func (s Set) Identical(other Set) bool { return slices.Equal(s.runs, other.runs) }
 
 // String renders the canonical compact form, e.g. "0:6:2,9,12:14".
-func (s Set) String() string {
+func (s Set) String() string { return string(s.Append(nil)) }
+
+// Append appends the text String returns to b.
+func (s Set) Append(b []byte) []byte {
 	if s.IsEmpty() {
-		return "{}"
+		return append(b, "{}"...)
 	}
-	parts := make([]string, len(s.runs))
 	for i, r := range s.runs {
-		parts[i] = r.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = r.Append(b)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // maxParsed bounds the members of a set Parse accepts; the trace codec, its

@@ -21,13 +21,23 @@ import (
 // recycled leaf is never still reachable, and that a loop being extended
 // allocates nothing.
 
-// traceKernel traces one NPB kernel at class S and returns the collector
-// (for its builders) and the merged trace.
-func traceKernel(name string, n int) (*Collector, *Trace, error) {
+// runKernel runs one NPB kernel at class S under a Collector and returns the
+// Collector before Trace, while it still holds its builders.
+func runKernel(name string, n int) (*Collector, error) {
 	col := NewCollector(n)
 	body := apps.ByName(name).Body(apps.NewConfig(n, apps.ClassS))
 	if _, err := mpi.Run(n, netmodel.BlueGeneL(), body, mpi.WithTracer(col.TracerFor)); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	return col, nil
+}
+
+// traceKernel traces one NPB kernel at class S and returns the collector
+// and the merged trace.
+func traceKernel(name string, n int) (*Collector, *Trace, error) {
+	col, err := runKernel(name, n)
+	if err != nil {
+		return nil, nil, err
 	}
 	return col, col.Trace(), nil
 }
@@ -130,13 +140,14 @@ func TestNodeHashIsFNV1a(t *testing.T) {
 
 // checkNoRecycledLeaf walks everything reachable from the trace and fails if
 // a leaf or loop is zeroed (release's mark), appears twice, or sits on a
-// free list.
+// free list. A leaf on a free list is zero but for its compute pools, which
+// are empty.
 func checkNoRecycledLeaf(t *testing.T, label string, seqs [][]Node, builders []*Builder) {
 	t.Helper()
 	free := map[Node]bool{}
 	for _, b := range builders {
 		for _, r := range b.free {
-			if r.Op != mpi.OpNone || r.Counts != nil || r.Compute != nil || !r.Ranks.IsEmpty() {
+			if r.Op != mpi.OpNone || r.Counts != nil || !isEmpty(r.Compute) || !isEmpty(r.FirstCompute) || !r.Ranks.IsEmpty() {
 				t.Fatalf("%s: free list holds a leaf that was not zeroed: %v", label, r)
 			}
 			free[r] = true
@@ -186,9 +197,16 @@ func checkNoRecycledLeaf(t *testing.T, label string, seqs [][]Node, builders []*
 
 func TestRecycledLeavesUnreachableFromTrace(t *testing.T) {
 	for _, name := range costKernels {
-		col, tr := collectKernel(t, name, 16)
+		col, err := runKernel(name, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Trace recycles the builders; nothing takes them from the pool
+		// before the check below.
+		builders := col.builders
+		tr := col.Trace()
 		recycled, loops := 0, 0
-		for _, b := range col.builders {
+		for _, b := range builders {
 			recycled += len(b.free)
 			loops += len(b.loops)
 		}
@@ -202,15 +220,16 @@ func TestRecycledLeavesUnreachableFromTrace(t *testing.T) {
 		for i, g := range tr.Groups {
 			seqs[i] = g.Seq
 		}
-		checkNoRecycledLeaf(t, name, seqs, col.builders)
+		checkNoRecycledLeaf(t, name, seqs, builders)
 	}
 }
 
 // TestReleaseForgetsMemoizedLoops: pair gives a loop release recycled
 // another body, so the memos that know a loop by its address, hasSquare's
-// and deepAt's, must forget one release takes.
+// and deepAt's, must forget one release takes. The builder is made fresh,
+// not by NewStreamBuilder: a recycled one may hold loops on its free list.
 func TestReleaseForgetsMemoizedLoops(t *testing.T) {
-	b := NewStreamBuilder(DefaultMaxWindow)
+	b := &Builder{maxWindow: DefaultMaxWindow, recycle: true}
 	lp := &Loop{Iters: 2, Body: []Node{b.NewLeaf()}}
 	b.squareFree, b.nested = lp, lp
 	b.release([]Node{lp})

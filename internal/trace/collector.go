@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/mpi"
@@ -27,7 +28,9 @@ type Collector struct {
 	// registry across ranks.
 	comms map[int][]int
 	// builders[rank] accumulates rank's compressed stream; only compress
-	// touches them until Trace has joined it.
+	// touches them until Trace has joined it. Trace recycles them once the
+	// merge is done with their sequences and sets builders to nil: Record
+	// must not hand off from then on.
 	builders []*Builder
 	window   int
 	// trace memoizes the merged result: the merge takes ownership of the
@@ -59,12 +62,22 @@ type Collector struct {
 const (
 	// chunkEvents is the number of records handed to the compressor at once.
 	chunkEvents = 256
-	// ringChunks bounds a Collector's chunks, and so its in-flight records,
-	// whatever the length of the run.
-	ringChunks = 4
-	// spareMax bounds the chunks kept for later Collectors.
-	spareMax = 8 * ringChunks
+	// ringChunks bounds a Collector's chunks, and so its in-flight records
+	// (8,192, about 1.2 MB), whatever the length of the run. It is sized so
+	// that the engine does not wait where the compressor keeps pace over the
+	// run and falls behind only in bursts: bt, cg, mg and sweep3d at 64
+	// ranks and lu at 16 wait about once a run at most, against 2 to 24
+	// times at four chunks. Where the compressor is the slower of the two
+	// over the whole run (lu and sp at 64 ranks) the engine still waits, as
+	// it must for the in-flight records to stay bounded.
+	ringChunks = 32
+	// spareMax bounds the chunks kept for later Collectors: two rings.
+	spareMax = 2 * ringChunks
 )
+
+// ErrRecordAfterTrace is what a tracer of a Collector panics with when it is
+// called after Trace: the Collector's builders belong to later runs then.
+var ErrRecordAfterTrace = errors.New("trace: event recorded after Collector.Trace")
 
 // record is what a leaf keeps of one mpi.Event, copied on the recording
 // goroutine.
@@ -113,7 +126,8 @@ func NewCollector(n int) *Collector {
 func (c *Collector) SetWindow(w int) {
 	c.window = w
 	c.trace = nil
-	for i := range c.builders {
+	for i, b := range c.builders {
+		b.Recycle()
 		c.builders[i] = NewStreamBuilder(w)
 	}
 }
@@ -164,19 +178,14 @@ func (t *rankTracer) Record(ev *mpi.Event) {
 // compressed stream.
 func (rec *record) leaf() {
 	b := rec.t.builder
+	// Field by field into the zero leaf NewLeaf returns, as Record fills a
+	// record, keeping the leaf's compute pools.
 	r := b.NewLeaf()
-	*r = RSD{
-		Op:       rec.op,
-		Site:     rec.site,
-		Ranks:    rec.t.ranks,
-		CommID:   rec.commID,
-		CommSize: rec.commSize,
-		Tag:      rec.tag,
-		Size:     rec.size,
-		Counts:   rec.counts,
-		Root:     rec.root,
-		Wildcard: rec.wildcard,
-	}
+	r.Op, r.Site, r.Ranks = rec.op, rec.site, rec.t.ranks
+	r.CommID, r.CommSize = rec.commID, rec.commSize
+	r.Tag, r.Size, r.Counts, r.Root = rec.tag, rec.size, rec.counts, rec.root
+	r.Wildcard = rec.wildcard
+	r.Group, r.NewCommID = rec.group, rec.newCommID
 	r.SetComputeSample(rec.computeUS)
 	switch {
 	case rec.wildcard:
@@ -185,10 +194,6 @@ func (rec *record) leaf() {
 		r.Peer = AbsParam(rec.peer)
 	default:
 		r.Peer = NoParam
-	}
-	if rec.group != nil {
-		r.Group = rec.group
-		r.NewCommID = rec.newCommID
 	}
 	b.Append(r)
 }
@@ -199,15 +204,22 @@ func (rec *record) leaf() {
 func (c *Collector) handOff() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.builders == nil {
+		panic(ErrRecordAfterTrace)
+	}
 	if c.cur != nil {
 		c.push()
 		if !c.running {
 			c.running = true
+			ctrCompressorStarts.Inc()
 			go c.compressFn()
 		}
 	}
-	for c.nfree == 0 && c.owned == ringChunks {
-		c.idle.Wait()
+	if c.nfree == 0 && c.owned == ringChunks {
+		ctrRingWaits.Inc()
+		for c.nfree == 0 && c.owned == ringChunks {
+			c.idle.Wait()
+		}
 	}
 	if c.nfree > 0 {
 		c.nfree--
@@ -338,15 +350,31 @@ func (c *Collector) Trace() *Trace {
 	c.drain()
 	c.mu.Lock()
 	c.release()
+	// The builders go to later runs once the merge is done with their
+	// sequences; a tracer called from now on panics.
+	builders := c.builders
+	c.builders = nil
 	comms := CloneComms(c.comms)
 	c.mu.Unlock()
 
 	seqs := make([][]Node, c.n)
-	for rank := 0; rank < c.n; rank++ {
-		seqs[rank] = c.builders[rank].Seq()
-		c.builders[rank].publishPaths()
+	for rank, b := range builders {
+		seqs[rank] = b.Seq()
 	}
 	t := MergeClasses(c.n, comms, rankClasses(seqs))
+	// Each group holds the sequence of its lowest rank, the class that
+	// founded it; the merge only read the other ranks' sequences, whose
+	// nodes go back to their builders' free lists.
+	consumed := make([]bool, c.n)
+	for _, g := range t.Groups {
+		consumed[g.Ranks.Min()] = true
+	}
+	for rank, b := range builders {
+		if !consumed[rank] {
+			b.Reset(false)
+		}
+		b.Recycle()
+	}
 	end()
 	telemetry.NewGauge("trace.groups").Set(int64(len(t.Groups)))
 	telemetry.NewGauge("trace.total_events").Set(int64(t.TotalEvents()))

@@ -1,6 +1,9 @@
 package trace
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Builder performs ScalaTrace's on-the-fly intra-rank loop compression: as
 // events are appended it repeatedly folds repeated node windows into Loop
@@ -114,10 +117,40 @@ func NewGlobalBuilder(w int) *Builder {
 // events. Leaves still in the sequence when it is handed to MergeClasses
 // leave the builder for good if the merge consumed the sequence, and return
 // to the free list with the absorbed ones if it only read it (see Reset).
-func NewStreamBuilder(w int) *Builder { return &Builder{maxWindow: w, recycle: true} }
+//
+// A builder of the default window outlives its stream: Recycle hands it to
+// streamBuilders, and NewStreamBuilder takes it from there, with its free
+// lists, its tail index's storage and its scratch, so a warm builder
+// allocates nothing for what earlier streams already grew.
+func NewStreamBuilder(w int) *Builder {
+	if w == DefaultMaxWindow {
+		if b, ok := streamBuilders.Get().(*Builder); ok {
+			return b
+		}
+	}
+	return &Builder{maxWindow: w, recycle: true}
+}
+
+// streamBuilders holds the recycled stream builders of the default window.
+// A sync.Pool, not a capped list: the garbage collector empties it within two
+// cycles, so an operation that never traces does not pay for marking idle
+// builders at every collection.
+var streamBuilders sync.Pool
+
+// Recycle ends the builder's life: it resets it (see Reset(true)) and, if it
+// is a stream builder of the default window, hands it to the next
+// NewStreamBuilder. Call it once MergeClasses has consumed or released the
+// builder's sequence, and use the builder no more.
+func (b *Builder) Recycle() {
+	b.Reset(true)
+	if b.recycle && b.maxWindow == DefaultMaxWindow {
+		streamBuilders.Put(b)
+	}
+}
 
 // NewLeaf returns the RSD for the stream's next event: one a fold released,
-// if any. The caller overwrites every field before appending it.
+// if any. It is zero but for its compute pools, which are nil or empty: the
+// caller sets every other field it needs and keeps the pools.
 func (b *Builder) NewLeaf() *RSD {
 	if n := len(b.free); n > 0 {
 		r := b.free[n-1]
@@ -161,10 +194,11 @@ func (b *Builder) Reset(consumed bool) {
 }
 
 // release recycles the nodes of a window a fold has just absorbed. They
-// are zeroed on the way in: the free lists must not pin their slices and
-// histograms, and a leaf that were still reachable after all would show as
-// an OpNone event, a loop as one of no iterations, instead of silently
-// aliasing a later one. A loop the memos hold is forgotten there.
+// are zeroed on the way in: the free lists must not pin their slices, and a
+// leaf that were still reachable after all would show as an OpNone event, a
+// loop as one of no iterations, instead of silently aliasing a later one. A
+// leaf keeps its compute pools, emptied, for the folds of its next event. A
+// loop the memos hold is forgotten there.
 func (b *Builder) release(window []Node) {
 	if !b.recycle {
 		return
@@ -172,7 +206,13 @@ func (b *Builder) release(window []Node) {
 	for _, n := range window {
 		switch x := n.(type) {
 		case *RSD:
-			*x = RSD{}
+			*x = RSD{Compute: x.Compute, FirstCompute: x.FirstCompute}
+			if x.Compute != nil {
+				x.Compute.Reset()
+			}
+			if x.FirstCompute != nil {
+				x.FirstCompute.Reset()
+			}
 			b.free = append(b.free, x)
 		case *Loop:
 			b.release(x.Body)

@@ -137,10 +137,7 @@ func dumpSeq(seq []Node) []string {
 		if h == nil {
 			return "-"
 		}
-		text, err := h.MarshalText()
-		if err != nil {
-			return err.Error()
-		}
+		text := h.Append(nil)
 		return fmt.Sprintf("%s/%x/%x/%x", text, math.Float64bits(h.Sum), math.Float64bits(h.Min), math.Float64bits(h.Max))
 	}
 	var walk func(indent string, seq []Node)

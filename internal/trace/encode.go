@@ -43,23 +43,29 @@ const (
 
 // Encode writes the trace in the line-oriented scalatrace-go text format.
 // Decode of the text gives back t: every field, both compute pools, and
-// their sums, minima and maxima bit for bit.
+// their sums, minima and maxima bit for bit. Each line is appended to the
+// writer's free buffer (bufio.Writer.AvailableBuffer), without fmt.
 func Encode(w io.Writer, t *Trace) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "scalatrace-go %d\n", formatVersion)
-	fmt.Fprintf(bw, "nprocs %d\n", t.N)
 	ids := make([]int, 0, len(t.Comms))
 	for id := range t.Comms {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	fmt.Fprintf(bw, "comms %d\n", len(ids))
+	b := strconv.AppendInt(append(bw.AvailableBuffer(), "scalatrace-go "...), formatVersion, 10)
+	b = strconv.AppendInt(append(b, "\nnprocs "...), int64(t.N), 10)
+	b = strconv.AppendInt(append(b, "\ncomms "...), int64(len(ids)), 10)
+	bw.Write(append(b, '\n'))
 	for _, id := range ids {
-		fmt.Fprintf(bw, "comm %d %s\n", id, intsString(t.Comms[id]))
+		b := strconv.AppendInt(append(bw.AvailableBuffer(), "comm "...), int64(id), 10)
+		bw.Write(append(appendInts(append(b, ' '), t.Comms[id]), '\n'))
 	}
-	fmt.Fprintf(bw, "groups %d\n", len(t.Groups))
+	b = strconv.AppendInt(append(bw.AvailableBuffer(), "groups "...), int64(len(t.Groups)), 10)
+	bw.Write(append(b, '\n'))
 	for _, g := range t.Groups {
-		fmt.Fprintf(bw, "group %s %d\n", g.Ranks, len(g.Seq))
+		b := g.Ranks.Append(append(bw.AvailableBuffer(), "group "...))
+		b = strconv.AppendInt(append(b, ' '), int64(len(g.Seq)), 10)
+		bw.Write(append(b, '\n'))
 		if err := encodeSeq(bw, g.Seq); err != nil {
 			return err
 		}
@@ -71,7 +77,9 @@ func encodeSeq(bw *bufio.Writer, seq []Node) error {
 	for _, n := range seq {
 		switch x := n.(type) {
 		case *Loop:
-			fmt.Fprintf(bw, "loop %d %d\n", x.Iters, len(x.Body))
+			b := strconv.AppendInt(append(bw.AvailableBuffer(), "loop "...), int64(x.Iters), 10)
+			b = strconv.AppendInt(append(b, ' '), int64(len(x.Body)), 10)
+			bw.Write(append(b, '\n'))
 			if err := encodeSeq(bw, x.Body); err != nil {
 				return err
 			}
@@ -85,38 +93,51 @@ func encodeSeq(bw *bufio.Writer, seq []Node) error {
 }
 
 func encodeRSD(bw *bufio.Writer, r *RSD) {
-	fmt.Fprintf(bw, "rsd op=%s site=%d ranks=%s comm=%d csize=%d peer=%s tag=%d size=%d root=%d",
-		r.Op, r.Site, r.Ranks, r.CommID, r.CommSize, r.Peer, r.Tag, r.Size, r.Root)
+	b := append(append(bw.AvailableBuffer(), "rsd op="...), r.Op.String()...)
+	b = strconv.AppendUint(append(b, " site="...), r.Site, 10)
+	b = r.Ranks.Append(append(b, " ranks="...))
+	b = strconv.AppendInt(append(b, " comm="...), int64(r.CommID), 10)
+	b = strconv.AppendInt(append(b, " csize="...), int64(r.CommSize), 10)
+	b = r.Peer.Append(append(b, " peer="...))
+	b = strconv.AppendInt(append(b, " tag="...), int64(r.Tag), 10)
+	b = strconv.AppendInt(append(b, " size="...), int64(r.Size), 10)
+	b = strconv.AppendInt(append(b, " root="...), int64(r.Root), 10)
 	if r.Wildcard {
-		fmt.Fprint(bw, " wildcard=1")
+		b = append(b, " wildcard=1"...)
 	}
 	if len(r.Counts) > 0 {
-		fmt.Fprintf(bw, " counts=%s", intsString(r.Counts))
+		b = appendInts(append(b, " counts="...), r.Counts)
 	}
 	if len(r.PeerVec) > 0 {
-		fmt.Fprintf(bw, " pvec=%s", intsString(r.PeerVec))
+		b = appendInts(append(b, " pvec="...), r.PeerVec)
 	}
 	if r.NewCommID != 0 {
-		fmt.Fprintf(bw, " newcomm=%d group=%s", r.NewCommID, intsString(r.Group))
+		b = strconv.AppendInt(append(b, " newcomm="...), int64(r.NewCommID), 10)
+		b = appendInts(append(b, " group="...), r.Group)
 	}
-	for i, h := range [...]*stats.Histogram{r.ComputeStats(), r.FirstCompute} {
-		if h != nil && !h.Empty() {
-			text, _ := h.MarshalText() // never fails
-			fmt.Fprintf(bw, " %s=%q", [...]string{"compute", "first"}[i], text)
-		}
+	// A pool's text quotes as itself (stats.Histogram.Append): Decode
+	// unquotes it.
+	if h := r.ComputeStats(); !h.Empty() {
+		b = append(h.Append(append(b, ` compute="`...)), '"')
 	}
-	fmt.Fprintln(bw)
+	if h := r.FirstCompute; !isEmpty(h) {
+		b = append(h.Append(append(b, ` first="`...)), '"')
+	}
+	bw.Write(append(b, '\n'))
 }
 
-func intsString(vs []int) string {
+// appendInts appends vs as comma-separated decimals, or "-" if it is empty.
+func appendInts(b []byte, vs []int) []byte {
 	if len(vs) == 0 {
-		return "-"
+		return append(b, '-')
 	}
-	parts := make([]string, len(vs))
 	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 func parseInts(s string) ([]int, error) {

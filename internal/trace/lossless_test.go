@@ -134,8 +134,7 @@ func poolText(h *stats.Histogram) string {
 	if h == nil || h.Empty() {
 		return "-"
 	}
-	text, _ := h.MarshalText()
-	return string(text)
+	return string(h.Append(nil))
 }
 
 // splitRing is the root package's splitRingBody(50), the engine golden's one

@@ -22,6 +22,7 @@ func Pinned(t *Trace, pins [][]Pin) *Trace {
 	seqs := make([][]Node, t.N)
 	low := Lower(t)
 	b := NewStreamBuilder(DefaultMaxWindow)
+	defer b.Recycle()
 	for rank := range seqs {
 		ranks := taskset.Of(rank)
 		next := pins[rank]

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/mpi"
 	"repro/internal/stats"
@@ -85,25 +86,29 @@ func (p Param) Resolve(commRank, commSize int) int {
 	}
 }
 
-func (p Param) String() string {
+func (p Param) String() string { return string(p.Append(nil)) }
+
+// Append appends the text String returns to b.
+func (p Param) Append(b []byte) []byte {
 	switch p.Kind {
 	case ParamNone:
-		return "-"
+		return append(b, '-')
 	case ParamAbs:
-		return fmt.Sprintf("abs%d", p.Value)
+		return strconv.AppendInt(append(b, "abs"...), int64(p.Value), 10)
 	case ParamRel:
+		b = append(b, "rel"...)
 		if p.Value >= 0 {
-			return fmt.Sprintf("rel+%d", p.Value)
+			b = append(b, '+')
 		}
-		return fmt.Sprintf("rel%d", p.Value)
+		return strconv.AppendInt(b, int64(p.Value), 10)
 	case ParamXor:
-		return fmt.Sprintf("xor%d", p.Value)
+		return strconv.AppendInt(append(b, "xor"...), int64(p.Value), 10)
 	case ParamAny:
-		return "any"
+		return append(b, "any"...)
 	case ParamVec:
-		return "vec"
+		return append(b, "vec"...)
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 
@@ -149,15 +154,16 @@ type RSD struct {
 	NewCommID int
 
 	// Compute aggregates the computation time observed immediately before
-	// this operation, across iterations and ranks. It is nil while the RSD
-	// still holds only the single sample recorded at collection time; use
-	// ComputeStats / ComputeMean rather than reading the field directly.
+	// this operation, across iterations and ranks. It is nil or empty while
+	// the RSD still holds only the single sample recorded at collection time
+	// (a recycled leaf keeps its pools, emptied); use ComputeStats /
+	// ComputeMean rather than reading the field directly.
 	Compute *stats.Histogram
 	// FirstCompute separately aggregates the observations from each loop's
 	// *first* iteration, which ScalaTrace keeps apart from the steady-state
 	// iterations because cold caches make it systematically longer (Ratn et
-	// al., ICS 2008; the paper's Section 3.1). It is nil for leaves that
-	// were never folded into a loop.
+	// al., ICS 2008; the paper's Section 3.1). It is nil or empty for leaves
+	// that were never folded into a loop.
 	FirstCompute *stats.Histogram
 
 	sample    float64
@@ -191,28 +197,32 @@ func (r *RSD) ComputeStats() *stats.Histogram {
 // ComputeMean returns the mean compute time before this operation in
 // microseconds.
 func (r *RSD) ComputeMean() float64 {
-	if r.Compute == nil && r.hasSample {
-		return r.sample
-	}
-	if r.Compute == nil {
+	if isEmpty(r.Compute) {
+		if r.hasSample {
+			return r.sample
+		}
 		return 0
 	}
 	return r.ComputeStats().Mean()
 }
 
+// isEmpty reports whether a compute pool holds no sample: nil, or emptied
+// with its leaf by release.
+func isEmpty(h *stats.Histogram) bool { return h == nil || h.Empty() }
+
 // mergeComputeFrom pools src's compute-time observations into r
 // (steady-state and first-iteration pools separately).
 func (r *RSD) mergeComputeFrom(src *RSD) {
 	switch {
-	case src.Compute != nil:
-		r.ComputeStats().Merge(src.ComputeStats())
-	case src.hasSample:
+	case src.hasSample && isEmpty(src.Compute):
 		// A leaf still holding only its collection-time sample — every
 		// event a fold absorbs. Adding the sample leaves r bit-equal to
 		// merging a one-sample histogram of it, without building one.
 		r.ComputeStats().Add(src.sample)
+	case src.Compute != nil:
+		r.ComputeStats().Merge(src.ComputeStats())
 	}
-	if src.FirstCompute != nil && !src.FirstCompute.Empty() {
+	if !isEmpty(src.FirstCompute) {
 		if r.FirstCompute == nil {
 			r.FirstCompute = stats.NewHistogram()
 		}
@@ -222,14 +232,15 @@ func (r *RSD) mergeComputeFrom(src *RSD) {
 
 // demoteToFirst moves the leaf's current compute observations into the
 // first-iteration pool; loop folding calls it on the body copy that came
-// from the loop's first iteration. An empty pool takes the histogram itself.
+// from the loop's first iteration. An empty pool trades places with the
+// histogram itself.
 func (r *RSD) demoteToFirst() {
 	h := r.ComputeStats()
 	if h.Empty() {
 		return
 	}
-	if r.FirstCompute == nil {
-		r.FirstCompute, r.Compute = h, nil
+	if isEmpty(r.FirstCompute) {
+		r.FirstCompute, r.Compute = h, r.FirstCompute
 		return
 	}
 	r.FirstCompute.Merge(h)
@@ -317,7 +328,8 @@ func (r *RSD) SegmentSize(i, members int) int {
 // builder re-emit a leaf for the streams they re-compress. An irregular
 // (vector) peer becomes the concrete peer of the participant rank; the
 // re-merge generalizes it again where it can. Everything else, Wildcard
-// included, is r's.
+// included, is r's. dst keeps its compute pools, which must be empty: dst is
+// new, or a leaf from a stream builder's NewLeaf.
 func (r *RSD) CopyFor(dst *RSD, rank int, ranks taskset.Set, idx PeerIndexer, computeUS float64) {
 	peer := r.Peer
 	if peer.Kind == ParamVec {
@@ -337,6 +349,9 @@ func (r *RSD) CopyFor(dst *RSD, rank int, ranks taskset.Set, idx PeerIndexer, co
 		Root:      r.Root,
 		Group:     append([]int(nil), r.Group...),
 		NewCommID: r.NewCommID,
+
+		Compute:      dst.Compute,
+		FirstCompute: dst.FirstCompute,
 	}
 	dst.SetComputeSample(computeUS)
 }

@@ -252,3 +252,6 @@ func TestDecodeRefusesNonCanonicalRankSetsUnexpanded(t *testing.T) {
 		t.Fatalf("refusing the document allocated %d B: a rank set was expanded", alloc)
 	}
 }
+
+// intsString is how Encode writes a list of ints.
+func intsString(vs []int) string { return string(appendInts(nil, vs)) }

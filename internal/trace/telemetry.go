@@ -16,4 +16,8 @@ var (
 	// tail index), published when a builder's stream ends.
 	ctrCursorAppends  = telemetry.NewCounter("trace.cursor_appends")
 	ctrIndexedAppends = telemetry.NewCounter("trace.indexed_appends")
+	// The Collector's hand-off: the times Record waited for a free chunk of
+	// a full ring, and the compressor goroutines it started.
+	ctrRingWaits        = telemetry.NewCounter("trace.ring_waits")
+	ctrCompressorStarts = telemetry.NewCounter("trace.compressor_starts")
 )
