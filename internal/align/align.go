@@ -4,26 +4,22 @@
 // emit one statically-scoped collective statement (Figure 3's hoisting).
 //
 // The paper's algorithm walks the compressed trace with one traversal
-// context (cursor) per rank. Non-collective events of the running rank are
-// appended to the output queue; when the running rank reaches a collective,
-// its traversal stops until every other member of the communicator has
-// arrived at the same collective, at which point a single merged RSD is
-// emitted and traversal resumes at the communicator's first member. The
-// output queue is recompressed on the fly, so the aligned trace remains
-// scalable in length (the paper's guarantee 3).
+// context (cursor) per rank that meet at collectives: trace.Lowered.Walk,
+// which Algorithm 2 runs on too. Non-collective events are appended to the
+// output queue, and a completed rendezvous emits one merged RSD. The output
+// queue is recompressed on the fly, so the aligned trace remains scalable in
+// length (the paper's guarantee 3).
 //
-// Here the traversal context belongs to a class of ranks that walk the same
-// events (lockstepClasses): one cursor and one re-compressed segment, handed
-// to the merge once as the class's sequence. The class is also the unit of
-// the rendezvous: it arrives at a collective once, for all its members, and
-// a class of one is the paper's per-node context. O(c*e) emission for c
-// classes plus O(p*s) folding of compressed segments, where a context per
-// rank is O(p*e); see DESIGN.md Section 10.
+// Here the unit of the walk is a class of ranks that walk the same events
+// (lockstepClasses): one cursor and one re-compressed segment, handed to the
+// merge once as the class's sequence, and one arrival at each collective for
+// all its members. A class of one is the paper's per-node context. O(c*e)
+// emission for c classes plus O(p*s) folding of compressed segments, where a
+// context per rank is O(p*e); see DESIGN.md Section 10.
 package align
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/mpi"
@@ -60,32 +56,23 @@ func Needed(t *trace.Trace) bool {
 	return needed
 }
 
-// pendingColl tracks one in-progress collective rendezvous on a
-// communicator. Both slices are indexed by communicator position: the pooled
-// compute sample is a floating-point sum and must not depend on the order
-// the traversal reached the members in.
-type pendingColl struct {
-	arrived []*trace.RSD // a member's RSD, nil until it arrives
-	means   []float64    // its per-instance compute mean
-}
-
 // Align runs Algorithm 1 and returns a new trace in global-queue form: a
 // single group covering all ranks whose sequence interleaves per-rank
 // point-to-point runs with full-participant collective RSDs, preserving each
-// rank's event order. It returns an error when the rendezvous cannot
-// complete, which indicates mismatched collectives in the input application.
+// rank's event order. It returns the walk's *trace.MismatchError or
+// *trace.StuckError when the rendezvous cannot complete: the input
+// application's collectives disagree.
 func Align(t *trace.Trace) (*trace.Trace, error) {
 	return alignWith(t, lockstepClasses, trace.NewStreamBuilder)
 }
 
-// lockstep is the traversal context of one class: one cursor, and one stream
-// builder for the segment, the class's events since the last completed
+// lockstep is the traversal context of one class, a unit of the walk: one
+// stream builder for the segment, the class's events since the last completed
 // collective. Its leaves carry the first member's singleton set and peers: it
 // is the sequence that member alone would have built.
 type lockstep struct {
 	members []int       // ascending
 	ranks   taskset.Set // {first member}
-	cur     *trace.Cursor
 	seg     *trace.Builder
 	// src holds the input leaf of every leaf appended to seg, once a class of
 	// several members has walked a vector-peer leaf. seg recycles leaves, so
@@ -223,22 +210,21 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 		groupOf[r] = slices.IndexFunc(t.Groups, func(g trace.Group) bool { return g.Ranks.Contains(r) })
 	}
 	classOf := classify(t, groupOf)
-	low := trace.Lower(t)
 	// byClass holds the ranks class by class, each class's in ascending order;
 	// a class's members are its stretch.
-	byClass := make([]int, n)
-	for r := range byClass {
-		byClass[r] = r
-	}
+	byClass := taskset.Range(0, n-1).Members()
 	slices.SortFunc(byClass, func(a, b int) int { return cmp.Or(cmp.Compare(classOf[a], classOf[b]), a-b) })
-	var classes []*lockstep
+	var units [][]int // each class's members
 	for i, r := range byClass {
-		if classOf[r] == len(classes) {
-			classes = append(classes, &lockstep{members: byClass[i:i], ranks: taskset.Of(r),
-				cur: low.Cursor(r), seg: newSegment(trace.DefaultMaxWindow)})
+		c := classOf[r]
+		if c == len(units) {
+			units = append(units, byClass[i:i])
 		}
-		c := classes[classOf[r]]
-		c.members = c.members[:len(c.members)+1]
+		units[c] = units[c][:len(units[c])+1]
+	}
+	classes := make([]*lockstep, len(units))
+	for i, m := range units {
+		classes[i] = &lockstep{members: m, ranks: taskset.Of(m[0]), seg: newSegment(trace.DefaultMaxWindow)}
 	}
 
 	out := trace.NewGlobalBuilder(max(trace.DefaultMaxWindow, t.NodeCount()))
@@ -271,82 +257,15 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 
 	// The rendezvous is the class's. A class of several members exists only
 	// when every collective spans all N ranks (lockstepClasses' alone rule), so
-	// its members stand at one collective: the class arrives once, for all of
-	// them. A class switched to twice with no progress in between is stuck:
-	// seen[c] is the progress count at its last switch. Classes only ever
-	// reach their end, so lowest, the lowest class short of it, only rises.
-	pending := make(map[int]*pendingColl)
-	seen := make([]int, len(classes))
-	progress, lowest, active := 1, 0, 0
-	walk := func(c *lockstep) {
-		for rsd := c.cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = c.cur.Cur() {
-			leaf := c.seg.NewLeaf()
-			rsd.CopyFor(leaf, c.members[0], c.ranks, t, c.cur.ComputeUS())
-			if c.src == nil && rsd.Peer.Kind == trace.ParamVec && len(c.members) > 1 {
-				c.src = map[*trace.RSD]*trace.RSD{}
-			}
-			if c.src != nil {
-				c.src[leaf] = rsd
-			}
-			c.seg.Append(leaf)
-			c.cur.Advance()
-			progress++
-		}
-	}
-
-	for {
-		c := classes[active]
-		walk(c)
-		var next int
-		if c.cur.Done() {
-			for lowest < len(classes) && classes[lowest].cur.Done() {
-				lowest++
-			}
-			if lowest == len(classes) {
-				break // every class fully traversed
-			}
-			next = lowest
-		} else {
-			// Collective: the class arrives for every member.
-			rsd := c.cur.Cur()
-			comm := t.CommGroup(rsd.CommID)
-			pc := pending[rsd.CommID]
-			if pc == nil {
-				pc = &pendingColl{arrived: make([]*trace.RSD, len(comm)), means: make([]float64, len(comm))}
-				pending[rsd.CommID] = pc
-			}
-			if i := slices.IndexFunc(pc.arrived, func(r *trace.RSD) bool { return r != nil }); i >= 0 && pc.arrived[i].Op != rsd.Op {
-				return nil, fmt.Errorf("align: collective mismatch on comm %d: %v vs %v",
-					rsd.CommID, pc.arrived[i].Op, rsd.Op)
-			}
-			for _, m := range c.members {
-				pos, _ := t.CommRankOf(rsd.CommID, m)
-				pc.arrived[pos], pc.means[pos] = rsd, c.cur.ComputeUS()
-			}
-			missing := slices.Index(pc.arrived, nil)
-			if missing < 0 {
-				// Everyone arrived: close the current point-to-point segment,
-				// emit the merged collective(s) and release the members, each
-				// class once, through its first member.
-				flushSegments()
-				emitCollective(t, out, pc, comm)
-				delete(pending, rsd.CommID)
-				for _, m := range comm {
-					if mc := classes[classOf[m]]; mc.members[0] == m {
-						mc.cur.Advance()
-					}
-				}
-				active = classOf[comm[0]]
-				progress++
-				continue
-			}
-			next = classOf[comm[missing]]
-		}
-		if seen[next] == progress {
-			return nil, stuck(classes, walk)
-		}
-		seen[next] = progress
-		active = next
+	// its members stand at one collective. A release closes the current
+	// point-to-point segment and emits the merged collective(s).
+	err := trace.Lower(t).Walk(units, func(u int, cur *trace.Cursor) { classes[u].walk(t, cur) },
+		func(r *trace.Rendezvous) {
+			flushSegments()
+			emitCollective(t, out, r)
+		})
+	if err != nil {
+		return nil, err
 	}
 	flushSegments()
 	for _, c := range classes {
@@ -360,47 +279,55 @@ func alignWith(t *trace.Trace, classify func(*trace.Trace, []int) []int, newSegm
 	}, nil
 }
 
-// stuck is the error of a traversal that cannot progress. It names the
-// lowest rank that stops short of its end, at the collective it walks to
-// (classes are numbered by first member). Unlike the rank a revisit found,
-// that does not depend on the order of the visits.
-func stuck(classes []*lockstep, walk func(*lockstep)) error {
-	c := classes[slices.IndexFunc(classes, func(c *lockstep) bool { walk(c); return !c.cur.Done() })]
-	return fmt.Errorf("align: no progress possible; rank %d blocked on %v over comm %d",
-		c.members[0], c.cur.Cur().Op, c.cur.Cur().CommID)
+// walk appends the class's point-to-point events up to its next collective
+// to its segment.
+func (c *lockstep) walk(t *trace.Trace, cur *trace.Cursor) {
+	for rsd := cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = cur.Cur() {
+		leaf := c.seg.NewLeaf()
+		rsd.CopyFor(leaf, c.members[0], c.ranks, t, cur.ComputeUS())
+		if c.src == nil && rsd.Peer.Kind == trace.ParamVec && len(c.members) > 1 {
+			c.src = map[*trace.RSD]*trace.RSD{}
+		}
+		if c.src != nil {
+			c.src[leaf] = rsd
+		}
+		c.seg.Append(leaf)
+		cur.Advance()
+	}
 }
 
 // emitCollective appends the merged collective RSD(s). CommSplit/CommDup
 // emit one leaf per created communicator (partitioned by NewCommID) so the
 // new groups' memberships survive; all other collectives emit a single leaf
 // covering the whole communicator.
-func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []int) {
+func emitCollective(t *trace.Trace, out *trace.Builder, r *trace.Rendezvous) {
 	ctrRounds.Inc()
+	comm := r.Comm
 	// Every member has arrived. The sum runs in communicator order: addition
 	// of floats does not commute in the last bit.
 	sample := 0.0
-	for _, m := range pc.means {
+	for _, m := range r.ComputeUS {
 		sample += m
 	}
 	sample /= float64(len(comm))
-	first := pc.arrived[0]
+	first := r.Arrived[0]
 	if first.Op == mpi.OpCommSplit || first.Op == mpi.OpCommDup {
 		// Partition arrivals by the communicator they created.
 		seen := map[int]bool{}
 		for i, m := range comm {
-			r := pc.arrived[i]
-			if seen[r.NewCommID] {
+			x := r.Arrived[i]
+			if seen[x.NewCommID] {
 				continue
 			}
-			seen[r.NewCommID] = true
+			seen[x.NewCommID] = true
 			members := taskset.Empty
 			for i2, m2 := range comm {
-				if pc.arrived[i2].NewCommID == r.NewCommID {
+				if r.Arrived[i2].NewCommID == x.NewCommID {
 					members = members.Add(m2)
 				}
 			}
 			leaf := new(trace.RSD)
-			r.CopyFor(leaf, m, members, t, sample)
+			x.CopyFor(leaf, m, members, t, sample)
 			out.Append(leaf)
 		}
 		return
@@ -413,19 +340,13 @@ func emitCollective(t *trace.Trace, out *trace.Builder, pc *pendingColl, comm []
 	// When per-rank contributions differ (Gatherv/Allgatherv-style), record
 	// the average size plus the per-member contribution vector, matching
 	// Table 1's "REDUCE with averaged message size" substitution downstream.
-	uniform := true
-	totalSize := 0
-	perMember := make([]int, 0, len(comm))
-	for _, r := range pc.arrived {
-		perMember = append(perMember, r.Size)
-		totalSize += r.Size
-		if r.Size != first.Size {
-			uniform = false
+	if slices.ContainsFunc(r.Arrived, func(x *trace.RSD) bool { return x.Size != first.Size }) {
+		leaf.Counts = make([]int, len(comm))
+		total := 0
+		for i, x := range r.Arrived {
+			leaf.Counts[i], total = x.Size, total+x.Size
 		}
-	}
-	if !uniform {
-		leaf.Size = totalSize / len(comm)
-		leaf.Counts = perMember
+		leaf.Size = total / len(comm)
 	}
 	out.Append(leaf)
 }

@@ -327,7 +327,7 @@ func TestAlignDetectsStuckTraversal(t *testing.T) {
 			}},
 		},
 	}
-	const want = "align: no progress possible; rank 0 blocked on Barrier over comm 0"
+	const want = "trace: potential deadlock in input application: rank 0 blocked on Barrier (peer -, tag 0, comm 0)"
 	if _, err := Align(tr); err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}

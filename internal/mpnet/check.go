@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/maphash"
 	"math"
 	"math/bits"
@@ -526,30 +525,17 @@ func (c *checker) choice(o option) Choice {
 	}
 }
 
-// blockedReport describes every unfinished rank's stuck event, in the
-// resolver's DeadlockError format.
+// blockedReport describes every unfinished rank's stuck event: the lines of
+// the *trace.StuckError Algorithms 1 and 2 report.
 func (c *checker) blockedReport(s *vmState) []string {
-	var blocked []string
+	var blocked []trace.Blocked
 	for r := 0; r < c.n; r++ {
-		if c.done(s, r) {
-			continue
+		if !c.done(s, r) {
+			ev := &c.net.Procs[r][s.pc[r]]
+			blocked = append(blocked, trace.Blocked{Op: ev.Op, Rank: r, Peer: ev.Peer, Tag: ev.Tag, Comm: ev.CommID})
 		}
-		ev := &c.net.Procs[r][s.pc[r]]
-		blocked = append(blocked,
-			fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d, comm %d)", r, ev.Op, peerString(ev), ev.Tag, ev.CommID))
 	}
-	slices.Sort(blocked)
-	return blocked
-}
-
-func peerString(ev *Event) string {
-	if ev.Wild {
-		return "any"
-	}
-	if ev.Peer == mpi.NoPeer {
-		return "-"
-	}
-	return fmt.Sprintf("abs%d", ev.Peer)
+	return trace.Stuck(blocked).Blocked
 }
 
 // runs is an append-only store of runs of T — encoded states, sleep sets —

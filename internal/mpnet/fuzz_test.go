@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/align"
 	"repro/internal/trace"
 	"repro/internal/wildcard"
 )
@@ -102,7 +103,11 @@ func FuzzExport(f *testing.F) {
 // builds: pins wildcard.Assign returns are admitted by the net and run to
 // completion (ForcedRun), and when Assign reports a deadlock, a bounded check
 // that explores the whole net finds a counterexample, since the stuck
-// traversal is one of the net's executions. Seeds: FuzzDecode's documents
+// traversal is one of the net's executions. It also holds the collective
+// rules of Algorithms 1 and 2 to the lowering's: when FromTrace refuses a
+// trace with a *trace.MismatchError, align.Align and Assign each refuse it
+// too, with a mismatch or a stuck rendezvous, and when either of them finds
+// a mismatch, so does FromTrace. Seeds: FuzzDecode's documents
 // (internal/trace/testdata/seeds.txt) and Figure 5. `make check` runs it.
 func FuzzResolverAgreesWithNet(f *testing.F) {
 	text, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "seeds.txt"))
@@ -129,19 +134,32 @@ func FuzzResolverAgreesWithNet(f *testing.F) {
 		// events the net holds.
 		opts := &Options{MaxEvents: 1 << 10, MaxStates: 1 << 12}
 		net, err := FromTrace(tr, opts)
-		if err != nil {
+		netMismatch := errors.As(err, new(*trace.MismatchError))
+		if err != nil && !netMismatch {
 			return
 		}
-		pins, err := wildcard.Assign(tr)
+		_, errAlign := align.Align(tr)
+		pins, errAssign := wildcard.Assign(tr)
+		for name, e := range map[string]error{"Align": errAlign, "Assign": errAssign} {
+			switch mismatch := errors.As(e, new(*trace.MismatchError)); {
+			case netMismatch && !mismatch && !errors.As(e, new(*trace.StuckError)):
+				t.Fatalf("FromTrace refuses the trace with %v, %s returns %v", err, name, e)
+			case mismatch && !netMismatch:
+				t.Fatalf("%s returns %v, FromTrace accepts the trace", name, e)
+			}
+		}
+		if netMismatch {
+			return
+		}
 		var de *wildcard.DeadlockError
 		switch {
-		case err == nil:
+		case errAssign == nil:
 			if completed, blocked := net.ForcedRun(pins); !completed {
 				t.Fatalf("the net rejects Algorithm 2's pins %v: %s", pins, strings.Join(blocked, "; "))
 			}
-		case errors.As(err, &de):
+		case errors.As(errAssign, &de):
 			if v := net.Check(opts); v.Exhaustive && v.Counterexample == nil {
-				t.Fatalf("Algorithm 2 reports %v, an exhaustive check finds no deadlock", err)
+				t.Fatalf("Algorithm 2 reports %v, an exhaustive check finds no deadlock", errAssign)
 			}
 		}
 	})

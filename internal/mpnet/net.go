@@ -282,11 +282,10 @@ func FromTrace(t *trace.Trace, opts *Options) (*Net, error) {
 }
 
 // checkCollectiveOps refuses a net in which one rendezvous would join
-// different collective operations, as Algorithms 1 and 2 do: the checker's
-// arrival counting does not look at the op. Each member issues its
-// collectives on a communicator in its own program order, whatever the
-// messages match, so the i-th of every member is one rendezvous and is
-// compared with the first member's i-th, once per event.
+// different operations, with Algorithms 1 and 2's *trace.MismatchError: the
+// checker's arrival counting does not look at the op. A member's i-th
+// collective on a communicator is its i-th rendezvous there, whatever the
+// messages match, and is compared with the first member's i-th.
 func checkCollectiveOps(procs [][]Event) error {
 	ops := map[int][]mpi.Op{} // per communicator, its rendezvous in order
 	next := map[int]int{}     // per communicator, the rank's next rendezvous
@@ -303,7 +302,7 @@ func checkCollectiveOps(procs [][]Event) error {
 			case k == len(seq):
 				ops[ev.CommID] = append(seq, ev.Op)
 			case seq[k] != ev.Op:
-				return fmt.Errorf("mpnet: collective mismatch on comm %d: %v vs %v", ev.CommID, seq[k], ev.Op)
+				return &trace.MismatchError{Comm: ev.CommID, Want: seq[k], Got: ev.Op}
 			}
 		}
 	}

@@ -220,7 +220,8 @@ func (c *Cursor) Cur() *RSD { return c.cur }
 // Done reports whether the cursor is past the last event.
 func (c *Cursor) Done() bool { return c.cur == nil }
 
-// Index returns the zero-based ordinal of the current event for this rank.
+// Index returns the zero-based ordinal of the current event for this rank;
+// past the last event, the rank's event count.
 func (c *Cursor) Index() int { return c.index }
 
 // ComputeUS returns the compute time the current event replays: its leaf's
@@ -237,8 +238,8 @@ func (c *Cursor) Advance() {
 
 func (c *Cursor) step() {
 	c.cur = nil
+	c.index++
 	if i := c.walk.Next(&c.op); i >= 0 {
 		c.cur = c.leaves[i]
-		c.index++
 	}
 }

@@ -2,20 +2,16 @@
 // performance nondeterminism by resolving MPI_ANY_SOURCE receives into
 // concrete sources, with a sufficient deadlock-detection scheme.
 //
-// The resolver walks all ranks' event streams concurrently, one traversal
-// context (a trace.Cursor) per rank, and keeps per rank the paper's two
-// lists: L2, the messages sent to it and not yet received, and L1, its
-// posted receives not yet matched, which are the unmatched receives of its
-// outstanding nonblocking requests. Point-to-point events are matched in
-// FIFO-per-sender order on their communicator; when a wildcard receive
-// matches, its source is fixed to the matching sender. A rank runs until it
-// blocks on a receive, a wait or a collective, and the next rank runs. A
-// collective is Algorithm 1's rendezvous: each member arrives at its
-// communicator position, and the last arrival releases them all. A sweep of
-// all ranks in which no cursor advanced ends the traversal: every rank has
-// finished, or the ones that have not are stuck, a potential deadlock in the
-// original application (Figure 5), reported with the event and communicator
-// each stands at rather than hanging.
+// The resolver walks every rank's events on trace.Lowered.Walk, the traversal
+// Algorithm 1 runs on too, one unit per rank, and keeps per rank the paper's
+// two lists: L2, the messages sent to it and not yet received, and L1, its
+// posted receives not yet matched (the unmatched receives of its outstanding
+// nonblocking requests). Messages match in FIFO-per-sender order on their
+// communicator; a wildcard receive's source is fixed to the sender it
+// matches. A rank runs until it blocks on a receive or a wait, finishes, or
+// stands at a collective, where the walk's rendezvous takes over. A walk that
+// ends with ranks short of their end is a potential deadlock in the original
+// application (Figure 5), reported with the event each stands at.
 //
 // Assign returns those decisions; Resolve applies them with trace.Pinned,
 // which recompresses and re-merges the per-rank streams, so the output trace
@@ -25,9 +21,9 @@ package wildcard
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/mpi"
+	"repro/internal/taskset"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -52,15 +48,7 @@ func Present(t *trace.Trace) bool {
 // DeadlockError reports a potential deadlock uncovered during resolution.
 // Per Section 4.4 this is a sufficient (not necessary) detection: the input
 // application can deadlock under at least one message ordering.
-type DeadlockError struct {
-	// Blocked describes each stuck rank and the event it is blocked on, as
-	// "rank R blocked on OP (peer P, tag T, comm C)", sorted.
-	Blocked []string
-}
-
-func (e *DeadlockError) Error() string {
-	return "wildcard: potential deadlock in input application: " + strings.Join(e.Blocked, "; ")
-}
+type DeadlockError = trace.StuckError
 
 // message is an in-flight send observed during traversal. It matches only
 // receives on its communicator.
@@ -81,17 +69,15 @@ type pendingRecv struct {
 	matched bool
 }
 
-// resolver holds the traversal state of Algorithm 2: per rank a traversal
-// context (its cursor), L2 (its inbox), L1 (the unmatched receives of its
-// outstanding list) and its decisions, plus the collective rendezvous in
-// progress.
+// resolver holds the matching state of Algorithm 2: per rank L2 (its inbox),
+// L1 (the unmatched receives of its outstanding list) and its decisions.
 type resolver struct {
-	t       *trace.Trace
-	cursors []*trace.Cursor
+	t *trace.Trace
 
-	// inbox is L2: the messages destined to each rank, in arrival order,
-	// past its consumed prefix.
+	// inbox is L2: the messages destined to each rank, in arrival order;
+	// head is the length of each inbox's consumed prefix.
 	inbox [][]message
+	head  []int
 	// outstanding holds each rank's nonblocking requests in post order, for
 	// the matching order of its posted receives and for Wait semantics; a
 	// nil entry is a send, complete at once. Its unmatched receives are L1.
@@ -100,14 +86,6 @@ type resolver struct {
 	// pins are the decisions per rank, in event order; an unmatched
 	// wildcard's Source is mpi.AnySource.
 	pins [][]trace.Pin
-
-	// arrived holds, per communicator, the collective each member stands at
-	// by communicator position, nil until it arrives: a rank that is visited
-	// again at its collective fills its own slot again.
-	arrived map[int][]*trace.RSD
-	// steps counts cursor advances; a sweep that leaves it unchanged ends the
-	// traversal.
-	steps int
 }
 
 // Resolve runs Algorithm 2 over t and returns an equivalent trace in which
@@ -126,34 +104,23 @@ func Resolve(t *trace.Trace) (*trace.Trace, error) {
 // rank and in event order, the world source of every wildcard receive — a
 // receive whose world source (RSD.WorldPeerFor) is mpi.AnySource, exactly the
 // receives the MP-net lowering makes wildcard. It returns a *DeadlockError if
-// the input application can deadlock.
+// the input application can deadlock, a *trace.MismatchError if its
+// collectives disagree.
 func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	n := t.N
 	r := &resolver{
 		t:           t,
-		cursors:     make([]*trace.Cursor, n),
 		inbox:       make([][]message, n),
+		head:        make([]int, n),
 		outstanding: make([][]*pendingRecv, n),
 		pins:        make([][]trace.Pin, n),
-		arrived:     make(map[int][]*trace.RSD),
 	}
-	low := trace.Lower(t)
-	for i := 0; i < n; i++ {
-		r.cursors[i] = low.Cursor(i)
+	units, ranks := make([][]int, n), taskset.Range(0, n-1).Members()
+	for i := range ranks {
+		units[i] = ranks[i : i+1 : i+1]
 	}
-
-	// Sweep the ranks until a sweep advances no cursor: then every rank has
-	// finished, or those that have not are stuck.
-	for swept := -1; swept != r.steps; {
-		swept = r.steps
-		for rank := range r.cursors {
-			if err := r.run(rank); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if blocked := r.blocked(); len(blocked) > 0 {
-		return nil, &DeadlockError{Blocked: blocked}
+	if err := trace.Lower(t).Walk(units, r.run, nil); err != nil {
+		return nil, err
 	}
 
 	for rank, pins := range r.pins {
@@ -165,37 +132,28 @@ func Assign(t *trace.Trace) ([][]trace.Pin, error) {
 	return r.pins, nil
 }
 
-// run advances one rank until it blocks or finishes.
-func (r *resolver) run(rank int) error {
-	cur := r.cursors[rank]
-	for rsd := cur.Cur(); rsd != nil; rsd = cur.Cur() {
+// run advances rank's cursor until it blocks, finishes or stands at a
+// collective.
+func (r *resolver) run(rank int, cur *trace.Cursor) {
+	for rsd := cur.Cur(); rsd != nil && !rsd.Op.IsCollective(); rsd = cur.Cur() {
 		switch {
 		case rsd.Op.IsSendSide():
 			r.doSend(rank, rsd)
 		case rsd.Op == mpi.OpRecv:
-			if !r.doBlockingRecv(rank, rsd) {
-				return nil
+			if !r.doBlockingRecv(rank, cur.Index(), rsd) {
+				return
 			}
 		case rsd.Op == mpi.OpIrecv:
-			r.doIrecv(rank, rsd)
+			r.doIrecv(rank, cur.Index(), rsd)
 		case rsd.Op.IsWait():
 			if !r.doWait(rank, rsd) {
-				return nil
+				return
 			}
-		case rsd.Op.IsCollective():
-			// A completed rendezvous advanced every member's cursor,
-			// including ours; do not advance again.
-			if complete, err := r.arrive(rank, rsd); err != nil || !complete {
-				return err
-			}
-			continue
 		default:
 			// Init and other local events pass through.
 		}
 		cur.Advance()
-		r.steps++
 	}
-	return nil
 }
 
 // doSend delivers a message to the destination (the paper's L2 update) and
@@ -223,16 +181,20 @@ func (r *resolver) matchInbox(rank int) {
 }
 
 // takeMessage consumes the first message on comm that a receive of src and
-// tag accepts and returns its sender. The inbox is resliced past its
-// consumed prefix, so no message is scanned again once every message before
-// it is consumed.
+// tag accepts and returns its sender. No message is scanned again once every
+// message before it is consumed, and an inbox consumed whole starts over in
+// its storage.
 func (r *resolver) takeMessage(rank, comm, src, tag int) (int, bool) {
-	inbox := r.inbox[rank]
-	for len(inbox) > 0 && inbox[0].used {
-		inbox = inbox[1:]
+	inbox, h := r.inbox[rank], r.head[rank]
+	for h < len(inbox) && inbox[h].used {
+		h++
 	}
-	r.inbox[rank] = inbox
-	for i := range inbox {
+	if h == len(inbox) {
+		inbox, h = inbox[:0], 0
+		r.inbox[rank] = inbox
+	}
+	r.head[rank] = h
+	for i := h; i < len(inbox); i++ {
 		m := &inbox[i]
 		if m.used || m.comm != comm || src != mpi.AnySource && int(m.src) != src || tag != mpi.AnyTag && m.tag != tag {
 			continue
@@ -243,11 +205,11 @@ func (r *resolver) takeMessage(rank, comm, src, tag int) (int, bool) {
 	return 0, false
 }
 
-// decide records the decision for the wildcard receive at rank's cursor:
-// source src, or mpi.AnySource until complete fills it in. It returns the
+// decide records the decision for rank's wildcard receive event: source
+// src, or mpi.AnySource until complete fills it in. It returns the
 // decision's index in the rank's pins.
-func (r *resolver) decide(rank, src int) int {
-	r.pins[rank] = append(r.pins[rank], trace.Pin{Event: r.cursors[rank].Index(), Source: src})
+func (r *resolver) decide(rank, event, src int) int {
+	r.pins[rank] = append(r.pins[rank], trace.Pin{Event: event, Source: src})
 	if src != mpi.AnySource {
 		ctrResolved.Inc()
 	}
@@ -266,24 +228,24 @@ func (r *resolver) complete(rank int, pr *pendingRecv, src int) {
 
 // doBlockingRecv tries to complete a blocking receive; it returns false if
 // no compatible message is available yet.
-func (r *resolver) doBlockingRecv(rank int, rsd *trace.RSD) bool {
+func (r *resolver) doBlockingRecv(rank, event int, rsd *trace.RSD) bool {
 	src := rsd.WorldPeerFor(rank, r.t)
 	from, ok := r.takeMessage(rank, rsd.CommID, src, rsd.Tag)
 	if !ok {
 		return false
 	}
 	if src == mpi.AnySource {
-		r.decide(rank, from)
+		r.decide(rank, event, from)
 	}
 	return true
 }
 
 // doIrecv posts a nonblocking receive (matching immediately if possible).
-func (r *resolver) doIrecv(rank int, rsd *trace.RSD) {
+func (r *resolver) doIrecv(rank, event int, rsd *trace.RSD) {
 	src := rsd.WorldPeerFor(rank, r.t)
 	pr := &pendingRecv{pin: -1, comm: rsd.CommID, tag: rsd.Tag, src: int32(src)}
 	if src == mpi.AnySource {
-		pr.pin = r.decide(rank, mpi.AnySource)
+		pr.pin = r.decide(rank, event, mpi.AnySource)
 	}
 	if from, ok := r.takeMessage(rank, pr.comm, src, pr.tag); ok {
 		r.complete(rank, pr, from)
@@ -313,46 +275,4 @@ func (r *resolver) doWait(rank int, rsd *trace.RSD) bool {
 		r.outstanding[rank] = out[:0]
 	}
 	return true
-}
-
-// arrive performs the rendezvous of Algorithm 1 within Algorithm 2: all
-// communicator members must arrive before any proceeds. rank arrives at its
-// communicator position; the last arrival advances every member's cursor and
-// arrive returns true. It returns Algorithm 1's error when rank arrives at
-// another operation than the member at the lowest arrived position.
-func (r *resolver) arrive(rank int, rsd *trace.RSD) (bool, error) {
-	comm := r.t.CommGroup(rsd.CommID)
-	arrived := r.arrived[rsd.CommID]
-	if arrived == nil {
-		arrived = make([]*trace.RSD, len(comm))
-		r.arrived[rsd.CommID] = arrived
-	}
-	if i := slices.IndexFunc(arrived, func(a *trace.RSD) bool { return a != nil }); i >= 0 && arrived[i].Op != rsd.Op {
-		return false, fmt.Errorf("wildcard: collective mismatch on comm %d: %v vs %v", rsd.CommID, arrived[i].Op, rsd.Op)
-	}
-	pos, _ := r.t.CommRankOf(rsd.CommID, rank)
-	arrived[pos] = rsd
-	if slices.Contains(arrived, nil) {
-		return false, nil
-	}
-	clear(arrived)
-	for _, member := range comm {
-		r.cursors[member].Advance()
-	}
-	r.steps += len(comm)
-	return true, nil
-}
-
-// blocked describes every unfinished rank of a traversal that stopped: the
-// event it stands at, with its communicator, sorted.
-func (r *resolver) blocked() []string {
-	var blocked []string
-	for rank, cur := range r.cursors {
-		if rsd := cur.Cur(); rsd != nil {
-			blocked = append(blocked, fmt.Sprintf("rank %d blocked on %v (peer %v, tag %d, comm %d)",
-				rank, rsd.Op, rsd.Peer, rsd.Tag, rsd.CommID))
-		}
-	}
-	slices.Sort(blocked)
-	return blocked
 }

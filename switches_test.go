@@ -670,10 +670,14 @@ func pkgCalls(fset *token.FileSet, files []*ast.File, pkg string, names ...strin
 // task group in a target language (the dialect table of
 // internal/conceptual/emit.go is the one file with a string literal holding
 // "SUCH THAT", "rank == " or "me == "; the three printers format nothing
-// through fmt but errors, and indent through the shared writer) and the trace
+// through fmt but errors, and indent through the shared writer), the trace
 // rules (membershipViolations: outside internal/trace no production code
-// tests whether a communicator is listed or a rank is a member of it). Each
-// rule is first shown to fail on a source that breaks it.
+// tests whether a communicator is listed or a rank is a member of it) and the
+// report of a walk that stops (internal/trace/walk.go is the one file with a
+// string literal holding "collective mismatch on comm" or "blocked on", so
+// Algorithms 1 and 2 and the MP-net checker build their errors and stuck
+// lines from trace.Lowered.Walk's types). Each rule is first shown to fail on
+// a source that breaks it.
 func TestSingleHomesArePinned(t *testing.T) {
 	fset := token.NewFileSet()
 	violation, err := parser.ParseFile(fset, "violation.go", `package gen
@@ -708,6 +712,9 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	}
 	_, member := r.t.CommRankOf(rsd.CommID, rank)
 	return member && len(r.t.CommGroup(rsd.CommID)) != r.n
+}
+func (c *checker) report(ev *Event) (string, error) {
+	return "blocked on " + ev.Op.String(), errors.New("mpnet: collective mismatch on comm")
 }`, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
@@ -718,6 +725,8 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	taskGroup := func(s string) bool {
 		return strings.Contains(s, "SUCH THAT") || strings.Contains(s, "rank == ") || strings.Contains(s, "me == ")
 	}
+	collMismatch := func(s string) bool { return strings.Contains(s, "collective mismatch on comm") }
+	blockedOn := func(s string) bool { return strings.Contains(s, "blocked on") }
 	if got := methodCalls(fset, broken, "WorldRankOf"); len(got) != 1 {
 		t.Errorf("methodCalls finds %d of 1 WorldRankOf calls: %q", len(got), got)
 	}
@@ -740,6 +749,11 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	}
 	if got := stringLiteralFiles(fset, broken, taskGroup); len(got) != 1 {
 		t.Errorf("stringLiteralFiles misses the task-group condition: %q", got)
+	}
+	for what, match := range map[string]func(string) bool{"rendezvous mismatch": collMismatch, "stuck line": blockedOn} {
+		if got := stringLiteralFiles(fset, broken, match); len(got) != 1 {
+			t.Errorf("stringLiteralFiles misses the %s: %q", what, got)
+		}
 	}
 	if got := pkgCalls(fset, broken, "fmt", "Sprintf", "Fprintf"); len(got) != 2 {
 		t.Errorf("pkgCalls finds %d of 2 fmt formatting calls: %q", len(got), got)
@@ -807,6 +821,11 @@ func (r *resolver) doCollective(rank int, rsd *trace.RSD) bool {
 	}
 	if got := stringLiteralFiles(fset, all, taskGroup); !slices.Equal(got, []string{"internal/conceptual/emit.go"}) {
 		t.Errorf("task-group conditions spelled in %q; the dialect table of internal/conceptual/emit.go is the one place", got)
+	}
+	for what, match := range map[string]func(string) bool{"rendezvous mismatch error": collMismatch, "stuck-line format": blockedOn} {
+		if got := stringLiteralFiles(fset, all, match); !slices.Equal(got, []string{"internal/trace/walk.go"}) {
+			t.Errorf("the %s is spelled in %q; internal/trace/walk.go is the one place", what, got)
+		}
 	}
 	var printers []*ast.File
 	for _, f := range all {
